@@ -1,31 +1,11 @@
-//! [`Executor`] implementations for the external-memory simulators, so CGM
-//! algorithm pipelines run unchanged on them — plus a recording wrapper
-//! that accumulates the per-stage [`CostReport`]s for the benchmark
-//! harness.
+//! A recording wrapper that accumulates the per-stage [`CostReport`]s of a
+//! CGM algorithm pipeline for the benchmark harness. Both simulator types,
+//! bare or wrapped, are [`em_bsp::Executor`]s (the impls come with the
+//! rest of their shared surface from `sim_facade!`), so such pipelines run
+//! unchanged on them.
 
-use crate::{CostReport, ParEmSimulator, SeqEmSimulator};
-use em_bsp::{BspProgram, ExecError, Executor, RunResult};
+use crate::CostReport;
 use parking_lot::Mutex;
-
-impl Executor for SeqEmSimulator {
-    fn execute<P: BspProgram>(
-        &self,
-        prog: &P,
-        states: Vec<P::State>,
-    ) -> Result<RunResult<P::State>, ExecError> {
-        self.run(prog, states).map(|(res, _report)| res).map_err(|e| Box::new(e) as ExecError)
-    }
-}
-
-impl Executor for ParEmSimulator {
-    fn execute<P: BspProgram>(
-        &self,
-        prog: &P,
-        states: Vec<P::State>,
-    ) -> Result<RunResult<P::State>, ExecError> {
-        self.run(prog, states).map(|(res, _report)| res).map_err(|e| Box::new(e) as ExecError)
-    }
-}
 
 /// Wraps a simulator and keeps every stage's [`CostReport`] so a pipeline
 /// of BSP programs (e.g. sort → sweep → gather) can be costed end to end.
@@ -63,35 +43,11 @@ impl<S> Recording<S> {
     }
 }
 
-impl Executor for Recording<SeqEmSimulator> {
-    fn execute<P: BspProgram>(
-        &self,
-        prog: &P,
-        states: Vec<P::State>,
-    ) -> Result<RunResult<P::State>, ExecError> {
-        let (res, report) = self.sim.run(prog, states).map_err(|e| Box::new(e) as ExecError)?;
-        self.reports.lock().push(report);
-        Ok(res)
-    }
-}
-
-impl Executor for Recording<ParEmSimulator> {
-    fn execute<P: BspProgram>(
-        &self,
-        prog: &P,
-        states: Vec<P::State>,
-    ) -> Result<RunResult<P::State>, ExecError> {
-        let (res, report) = self.sim.run(prog, states).map_err(|e| Box::new(e) as ExecError)?;
-        self.reports.lock().push(report);
-        Ok(res)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EmMachine;
-    use em_bsp::{Mailbox, SeqExecutor, Step};
+    use crate::{EmMachine, SeqEmSimulator};
+    use em_bsp::{BspProgram, Executor, Mailbox, SeqExecutor, Step};
 
     struct Double;
     impl BspProgram for Double {

@@ -1,12 +1,12 @@
-//! Algorithm 3 — `ParCompoundSuperstep`: the `p`-processor external-memory
-//! simulation.
+//! The compound-superstep engine: Algorithm 3 — `ParCompoundSuperstep` —
+//! of which Algorithm 1 (`SeqCompoundSuperstep`) is the `p = 1` case.
 //!
-//! Real processor `i` is an OS thread owning a private [`DiskArray`] of
-//! `D` disks. The `v` virtual processors are processed in `⌈v/(k·p)⌉`
-//! *batches* of `k·p`; in round `j`, processor `i` simulates virtual
-//! processors `j·k·p + i·k … j·k·p + (i+1)·k − 1` — the assignment that
-//! matches the paper's batch definition (see DESIGN.md on the paper's
-//! internally inconsistent indexing).
+//! Real processor `i` owns a private [`DiskArray`] of `D` disks. The `v`
+//! virtual processors are processed in `⌈v/(k·p)⌉` *batches* of `k·p`; in
+//! round `j`, processor `i` simulates virtual processors
+//! `j·k·p + i·k … j·k·p + (i+1)·k − 1` — the assignment that matches the
+//! paper's batch definition (see DESIGN.md on the paper's internally
+//! inconsistent indexing). At `p = 1` a batch is a *group* of `k`.
 //!
 //! Per round:
 //!
@@ -18,54 +18,220 @@
 //!    disks.
 //! 2. **Computing Phase** (Step 1(b)): the owner runs the superstep for
 //!    its `k` virtual processors.
-//! 3. **Writing Phase** (Step 1(c)): generated messages are cut into
-//!    blocks and every block is sent to a *uniformly random* processor,
-//!    which stores it on its local disks in write cycles of `D` with a
-//!    random disk permutation, binned by destination batch.
+//! 3. **Writing Phase** (Step 1(c)): changed contexts are written back,
+//!    generated messages are cut into blocks and every block is sent to a
+//!    *uniformly random* processor, which stores it on its local disks in
+//!    write cycles of `D` with a random disk permutation, binned by
+//!    destination batch.
 //!
 //! After the last round, each processor reorganizes its received blocks
-//! with Algorithm 2 ([`crate::routing::simulate_routing`]) — Step 2 of
-//! `ParCompoundSuperstep` — entirely locally.
+//! with Algorithm 2 ([`crate::routing::simulate_routing`]) — Step 2 —
+//! entirely locally. The run terminates exactly when the in-memory
+//! reference executor would: every virtual processor halted and no message
+//! is in flight.
 //!
-//! Inter-processor transport uses channels; exchanges are lock-stepped
-//! (every processor sends exactly one bundle to every other processor per
-//! exchange, empty if it has nothing), so the protocol needs no barriers
-//! inside a round. A failing processor turns into a "zombie" that keeps
-//! the protocol alive with empty bundles until the superstep ends, then
-//! every thread observes the failure and exits.
+//! The worker body ([`Worker`]) is one function per phase and is
+//! parameterised only by its [`Transport`]. For `p ≥ 2` each worker is an
+//! OS thread and the transport is channels plus a barrier: exchanges are
+//! lock-stepped (every processor sends exactly one bundle to every other
+//! processor per exchange, empty if it has nothing), so the protocol needs
+//! no barriers inside a round; a failing processor turns into a "zombie"
+//! that keeps the protocol alive with empty bundles until the superstep
+//! ends, then every thread observes the failure and exits. For `p = 1`
+//! the worker runs on the calling thread, the exchange is the identity and
+//! the barrier a no-op.
+//!
+//! Two facts of the model at `p = 1`, both observed from the machine's
+//! `p` and nothing else: a block's "uniformly random processor" is the
+//! only processor, and a draw over one outcome consumes no randomness; and
+//! a batch has one owner stream per producer slot, so its partial-block
+//! slack is one block per source group (Algorithm 1's bound).
 
-use crate::checkpoint::{superstep_seed, KillPoint, Manifest};
-use crate::compute::{run_group_vps, ComputeMode, ComputePool, VpWork};
+use crate::checkpoint::{superstep_seed, Manifest};
+use crate::compute::{run_group_vps, VpWork};
 use crate::context_store::{BufferPool, ContextStore, PendingGroupRead};
-use crate::machine::EmMachine;
 use crate::msg::{
-    build_stream_blocks, fetch_batch_raw_blocks, reassemble_blocks, store_received_blocks,
-    store_received_blocks_deferred, GroupCounts, MsgGeometry, OutMsg, Placement, RawBlock,
-    MSG_HEADER_BYTES,
+    build_stream_blocks, reassemble_blocks, store_received_blocks_deferred,
+    submit_fetch_batch_raw_blocks, GroupCounts, InMsg, MsgGeometry, OutMsg, PendingRawBlocks,
+    RawBlock, ScratchState,
 };
-use crate::report::{CostReport, FaultReport, PhaseIo, PhaseWall, RecoveryPolicy};
+use crate::report::{PhaseIo, PhaseWall};
 use crate::routing::{simulate_routing, RoutingScratch};
-use crate::tune::{AutoTuner, ResolvedConfig};
-use crate::{EmError, EmResult};
-use em_bsp::{BspError, BspProgram, CommLedger, RunResult, SuperstepComm};
-use em_disk::{
-    CheckpointStore, DiskArray, DiskConfig, EngineKind, FaultPlan, FaultStats, IoMode, IoStats,
-    JournalFile, Pipeline, RetryPolicy, TrackAllocator, WriteBacklog,
-};
+use crate::sim_config::{facade_scope::*, sim_facade, SimConfig};
+use crate::EmError;
+use em_bsp::{BspError, CommLedger, SuperstepComm};
+use em_disk::{CheckpointStore, FaultStats, IoStats, JournalFile, TrackAllocator, WriteBacklog};
 use em_serial::{from_bytes, to_bytes};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use std::collections::VecDeque;
-use std::path::PathBuf;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex as StdMutex};
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-/// Per-worker run summary: counted I/O, per-phase split (ops and wall),
-/// the allocator's track frontier, and per-superstep balance factors.
-type WorkerReport = (IoStats, PhaseIo, PhaseWall, usize, Vec<f64>);
+/// The `p`-processor EM-BSP\* simulator (Algorithm 3): `p` OS threads,
+/// each with a private disk array, exchanging blocks over channels. On a
+/// `p = 1` machine it runs exactly what [`crate::SeqEmSimulator`] runs,
+/// with its files under `dir/proc-0/`.
+#[derive(Debug, Clone)]
+pub struct ParEmSimulator {
+    cfg: SimConfig,
+}
+
+impl ParEmSimulator {
+    /// Simulator for the given machine (which carries `p`) with defaults:
+    /// seeded RNG, random placement, in-memory disks.
+    pub fn new(machine: EmMachine) -> Self {
+        ParEmSimulator { cfg: SimConfig::new(machine, 0x9A7_5EED, true) }
+    }
+
+    /// Build the `p` private disk arrays [`Self::run`] would construct
+    /// internally (file-backed arrays land in `dir/proc-<i>`). Pair with
+    /// [`Self::run_on`] to reuse arrays across runs or substitute
+    /// caller-provided storage.
+    pub fn build_disks(&self) -> EmResult<Vec<DiskArray>> {
+        self.cfg.build_disks()
+    }
+
+    /// [`Self::run`] on caller-provided disk arrays, one per processor.
+    ///
+    /// `disks` must hold exactly `p` arrays matching this simulator's
+    /// [`Self::disk_config`] in drive count and block size (typed
+    /// [`EmError::InvalidConfig`] otherwise). Each run addresses tracks
+    /// from 0 upward and rewrites every region it allocates, so repeated
+    /// runs on the same arrays are independent.
+    pub fn run_on<P: BspProgram>(
+        &self,
+        mut disks: Vec<DiskArray>,
+        prog: &P,
+        states: Vec<P::State>,
+    ) -> EmResult<(RunResult<P::State>, CostReport)> {
+        run_engine(&self.cfg, &mut disks, prog, Start::Fresh(states))
+    }
+}
+
+sim_facade!(ParEmSimulator);
+
+/// How a run starts: fresh initial states, or a continuation from the
+/// processors' committed checkpoint manifests.
+pub(crate) enum Start<S> {
+    Fresh(Vec<S>),
+    Resume(Box<ResumeState>),
+}
+
+/// What [`resume_engine`] restores from the manifests.
+pub(crate) struct ResumeState {
+    v: usize,
+    start_step: usize,
+    finished: bool,
+    workers: Vec<WorkerBook>,
+    globals: RunGlobals,
+}
+
+/// Run-global bookkeeping. Carried by processor 0's manifest only; the
+/// other processors store empty placeholders.
+#[derive(Default)]
+struct RunGlobals {
+    ledger: CommLedger,
+    real_comm: u64,
+    recovered: u64,
+    replays: u64,
+}
+
+/// One processor's committed bookkeeping, as its manifest carries it.
+struct WorkerBook {
+    counts: GroupCounts,
+    alloc_next: Vec<usize>,
+    alloc_free: Vec<Vec<usize>>,
+    phases: PhaseIo,
+    committed_io: IoStats,
+    balances: Vec<f64>,
+}
+
+impl WorkerBook {
+    /// The manifest → bookkeeping half of the conversion
+    /// ([`Worker::manifest`] is the other).
+    fn from_manifest(m: Manifest) -> (Self, RunGlobals) {
+        let to_usize = |xs: &[u64]| xs.iter().map(|&x| x as usize).collect::<Vec<usize>>();
+        let book = WorkerBook {
+            counts: GroupCounts {
+                counts: to_usize(&m.counts),
+                prefix_in_bucket: to_usize(&m.prefix),
+            },
+            alloc_next: to_usize(&m.alloc_next),
+            alloc_free: m.alloc_free.iter().map(|f| to_usize(f)).collect(),
+            phases: m.phases,
+            committed_io: m.io,
+            balances: m.balances,
+        };
+        let globals = RunGlobals {
+            ledger: CommLedger { steps: m.ledger },
+            real_comm: m.real_comm,
+            recovered: m.recovered,
+            replays: m.replays,
+        };
+        (book, globals)
+    }
+}
+
+/// The geometry of one run, fixed before any worker starts.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    v: usize,
+    k: usize,
+    p: usize,
+    num_batches: usize,
+    mu: usize,
+    gamma: usize,
+}
+
+impl Shape {
+    fn new(machine: &EmMachine, v: usize, mu: usize, gamma: usize) -> EmResult<Self> {
+        let (k, p) = (machine.group_size(4 + mu, v)?, machine.p);
+        Ok(Shape { v, k, p, num_batches: v.div_ceil(k * p), mu, gamma })
+    }
+
+    /// Virtual processors per batch.
+    fn batch_unit(&self) -> usize {
+        self.k * self.p
+    }
+
+    /// The virtual processors worker `i` simulates in round `batch` —
+    /// short or empty on the ragged tail.
+    fn pids(&self, i: usize, batch: usize) -> Range<usize> {
+        let first = (batch * self.batch_unit() + i * self.k).min(self.v);
+        first..(first + self.k).min(self.v)
+    }
+
+    /// The worker that simulates `pid`.
+    fn owner(&self, pid: usize) -> usize {
+        (pid % self.batch_unit()) / self.k
+    }
+
+    /// Virtual processors worker `i` owns — the context regions it needs.
+    fn owned(&self, i: usize) -> usize {
+        (0..self.num_batches).map(|batch| self.pids(i, batch).len()).sum()
+    }
+
+    /// Worker `i`'s context region for the first vp of round `batch`; the
+    /// round's regions are consecutive from there.
+    fn region(&self, batch: usize) -> usize {
+        batch * self.k
+    }
+
+    /// Deal the initial states out to their owners, each in the order it
+    /// will load them (round-major).
+    fn partition<S>(&self, states: Vec<S>) -> Vec<Vec<S>> {
+        let mut per: Vec<Vec<S>> = (0..self.p).map(|i| Vec::with_capacity(self.owned(i))).collect();
+        for (pid, s) in states.into_iter().enumerate() {
+            per[self.owner(pid)].push(s);
+        }
+        per
+    }
+}
 
 /// One inter-processor bundle: sender id, exchange phase, raw blocks.
 ///
@@ -81,1866 +247,1313 @@ struct Bundle {
     blocks: Vec<RawBlock>,
 }
 
-/// Receive exactly `p` bundles of `phase`, buffering any early arrivals
-/// from later phases.
-fn recv_exchange(
-    rx: &crossbeam_channel::Receiver<Bundle>,
-    pending: &mut Vec<Bundle>,
+/// How a worker reaches the other `p − 1` — the only thing the worker
+/// body is parameterised by.
+trait Transport {
+    /// One lock-step exchange: hand `out[j]` to worker `j`; returns what
+    /// every worker handed to this one, in sender order.
+    fn exchange(&mut self, out: Vec<Vec<RawBlock>>) -> Vec<RawBlock>;
+    /// Wait until every worker has arrived.
+    fn barrier(&self);
+}
+
+/// `p = 1`: the worker is alone on the calling thread.
+struct Inline;
+
+impl Transport for Inline {
+    fn exchange(&mut self, mut out: Vec<Vec<RawBlock>>) -> Vec<RawBlock> {
+        out.pop().unwrap_or_default()
+    }
+    fn barrier(&self) {}
+}
+
+/// `p ≥ 2`: one channel per processor and a shared barrier.
+struct Channels<'a> {
+    me: usize,
+    senders: Vec<crossbeam_channel::Sender<Bundle>>,
+    rx: crossbeam_channel::Receiver<Bundle>,
+    /// Early arrivals from later phases.
+    pending: Vec<Bundle>,
     phase: u64,
-    p: usize,
-) -> Vec<Bundle> {
-    let mut got: Vec<Bundle> = Vec::with_capacity(p);
-    let mut i = 0;
-    while i < pending.len() {
-        if pending[i].phase == phase {
-            got.push(pending.swap_remove(i));
-        } else {
-            i += 1;
-        }
-    }
-    while got.len() < p {
-        let b = rx.recv().expect("sender alive");
-        debug_assert!(b.phase >= phase, "stale bundle from phase {}", b.phase);
-        if b.phase == phase {
-            got.push(b);
-        } else {
-            pending.push(b);
-        }
-    }
-    got.sort_by_key(|b| b.from);
-    got
+    barrier: &'a Barrier,
+    real_comm: &'a AtomicU64,
+    block_bytes: usize,
 }
 
-/// The `p`-processor EM-BSP\* simulator (Algorithm 3).
-#[derive(Debug, Clone)]
-pub struct ParEmSimulator {
-    machine: EmMachine,
-    seed: u64,
-    placement: Placement,
-    max_supersteps: usize,
-    file_dir: Option<PathBuf>,
-    io_mode: IoMode,
-    pipeline: Pipeline,
-    compute: ComputeMode,
-    fault_plan: Option<FaultPlan>,
-    checksums: bool,
-    retry: Option<RetryPolicy>,
-    recovery: Option<RecoveryPolicy>,
-    cache_bytes: usize,
-    auto_cache: bool,
-    checkpoint: bool,
-    kill: Option<KillPoint>,
-    engine: EngineKind,
-    pin_workers: bool,
-    tuner: AutoTuner,
-    /// The tuner's choices, recorded when a resolution ran (on the clone
-    /// [`Self::resolved_for`] returns; the original stays `None`).
-    resolved: Option<ResolvedConfig>,
-    /// Lazily created persistent compute pool shared by the `p` processor
-    /// threads of every run of this simulator (and of its clones — the
-    /// cell is behind an `Arc`). `None` until the first `Threaded` run, or
-    /// preset via [`Self::with_compute_pool`].
-    pool: Arc<StdMutex<Option<ComputePool>>>,
-}
-
-impl ParEmSimulator {
-    /// Simulator for the given machine (which carries `p`).
-    pub fn new(machine: EmMachine) -> Self {
-        ParEmSimulator {
-            machine,
-            seed: 0x9A7_5EED,
-            placement: Placement::Random,
-            max_supersteps: em_bsp::DEFAULT_MAX_SUPERSTEPS,
-            file_dir: None,
-            io_mode: IoMode::Parallel,
-            pipeline: Pipeline::Off,
-            compute: ComputeMode::Serial,
-            fault_plan: None,
-            checksums: false,
-            retry: None,
-            recovery: None,
-            cache_bytes: 0,
-            auto_cache: false,
-            checkpoint: false,
-            kill: None,
-            engine: EngineKind::default(),
-            pin_workers: false,
-            tuner: AutoTuner::default(),
-            resolved: None,
-            pool: Arc::new(StdMutex::new(None)),
-        }
-    }
-
-    /// Use a specific RNG seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Choose the disk-assignment strategy for stored blocks.
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
-        self
-    }
-
-    /// Back each processor's disks with real files under `dir/proc-<i>/`.
-    pub fn with_file_backend(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.file_dir = Some(dir.into());
-        self
-    }
-
-    /// Choose how each processor's file backend executes stripes
-    /// ([`IoMode::Parallel`] by default — one worker thread per drive, so a
-    /// `p`-processor file-backed run uses up to `p·D` I/O threads). Ignored
-    /// by the memory backend; counted I/O and final states are identical
-    /// either way.
-    pub fn with_io_mode(mut self, mode: IoMode) -> Self {
-        self.io_mode = mode;
-        self
-    }
-
-    /// Overlap each processor's local disk transfers with computation and
-    /// with the inter-processor exchanges ([`Pipeline::Off`] by default).
-    /// With [`Pipeline::Stream(n)`](Pipeline::Stream) each processor keeps
-    /// the context reads of up to `n` rounds in flight: round `j+n-1`'s
-    /// read is submitted before round `j`'s block-forwarding exchange
-    /// runs, and context/scatter writes drain in the background, joined
-    /// before the local reorganization. [`Pipeline::DoubleBuffer`] is
-    /// exactly `Stream(1)`. Counted I/O, per-phase attribution, final
-    /// states and the per-thread RNG streams are identical at every
-    /// depth.
-    pub fn with_pipeline(mut self, pipeline: Pipeline) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-
-    /// Run each processor's share of a batch's Computing Phase on a scoped
-    /// worker pool ([`ComputeMode::Serial`] by default — note a
-    /// `Threaded(n)` run uses up to `p·n` compute threads). Final states,
-    /// the message ledger, counted I/O and the per-thread RNG streams are
-    /// identical in every mode (see [`ComputeMode`]).
-    pub fn with_compute_mode(mut self, mode: ComputeMode) -> Self {
-        self.compute = mode;
-        self
-    }
-
-    /// Prefer a stripe-execution engine for each processor's file backend
-    /// ([`EngineKind::Threaded`] by default). [`EngineKind::Uring`] is a
-    /// *preference* that silently falls back to worker threads when the
-    /// `io-uring` feature is off or the kernel refuses a ring
-    /// ([`em_disk::uring_available`]). Counted I/O, final states and
-    /// seeded traces are identical under every engine.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Best-effort pin worker threads (drive workers and the compute
-    /// pool) to cores, off by default. Purely a wall-clock knob.
-    pub fn with_pinned_workers(mut self, pin: bool) -> Self {
-        self.pin_workers = pin;
-        self
-    }
-
-    /// Attach an existing persistent [`ComputePool`] shared by all `p`
-    /// processor threads instead of letting the simulator lazily create
-    /// one (sized `n·p`) on the first `Threaded` run. Dispatches queue
-    /// when chunks outnumber workers; chunking — hence determinism — is
-    /// governed solely by [`ComputeMode::Threaded`], never by pool size.
-    pub fn with_compute_pool(self, pool: ComputePool) -> Self {
-        *self.pool.lock().expect("compute pool cell") = Some(pool);
-        self
-    }
-
-    /// The persistent compute pool for a run: an attached pool if one is
-    /// present, otherwise one lazily created and cached for
-    /// [`ComputeMode::Threaded`]`(n > 1)` — sized `n·p` so every
-    /// processor's chunks can run concurrently — or `None` for
-    /// effectively serial modes.
-    fn compute_pool(&self) -> Option<ComputePool> {
-        let mut guard = self.pool.lock().expect("compute pool cell");
-        if let Some(pool) = guard.as_ref() {
-            return Some(pool.clone());
-        }
-        match self.compute {
-            ComputeMode::Threaded(n) if n > 1 => Some(
-                guard
-                    .get_or_insert_with(|| {
-                        ComputePool::with_pinning(
-                            n.saturating_mul(self.machine.p.max(1)),
-                            self.pin_workers,
-                        )
-                    })
-                    .clone(),
-            ),
-            _ => None,
-        }
-    }
-
-    /// Guard limit for non-terminating programs.
-    pub fn with_max_supersteps(mut self, limit: usize) -> Self {
-        self.max_supersteps = limit;
-        self
-    }
-
-    /// Inject disk faults from a seeded [`FaultPlan`] into *every*
-    /// processor's private disk array (each thread gets a clone of the
-    /// plan; injection counters are shared and aggregated). Pair it with
-    /// [`Self::with_retry`] and [`Self::with_recovery`] to absorb the
-    /// faults, or expect a typed [`EmError::FaultUnrecoverable`].
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Frame every stored track with a CRC32 and verify it on read
-    /// ([`em_disk::DiskError::Corrupt`] on mismatch). Off by default.
-    pub fn with_checksums(mut self, on: bool) -> Self {
-        self.checksums = on;
-        self
-    }
-
-    /// Retry transient per-track faults inside each processor's disk
-    /// substrate; tallied in [`em_disk::IoStats::retried_blocks`], never
-    /// in the counted parallel I/O.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
-    /// Enable superstep-granular recovery. The replay decision is global:
-    /// thread 0 inspects every processor's failure at the superstep
-    /// barrier, and either *all* threads roll their disks back to the last
-    /// committed superstep and replay in lockstep, or the run degrades
-    /// into a typed [`EmError::FaultUnrecoverable`]. Without faults the
-    /// machinery is inert.
-    pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = Some(policy);
-        self
-    }
-
-    /// Layer a write-back block cache of `capacity_bytes` over *each*
-    /// processor's private disk array ([`em_disk::BlockCacheBackend`]; 0 —
-    /// the default — disables it). Reads of resident tracks and repeated
-    /// writes are absorbed until each superstep's barrier `sync()`, which
-    /// flushes dirty tracks in deterministic `(track, disk)` order.
-    /// Counted I/O, final states and the per-thread RNG streams are
-    /// identical with the cache on or off; absorbed traffic is tallied in
-    /// [`em_disk::IoStats::cache_hit_blocks`] /
-    /// [`em_disk::IoStats::cache_absorbed_writes`].
-    pub fn with_cache(mut self, capacity_bytes: usize) -> Self {
-        self.cache_bytes = capacity_bytes;
-        self.auto_cache = false;
-        self
-    }
-
-    /// Let the [`AutoTuner`] size each processor's block cache instead of
-    /// pinning a capacity with [`Self::with_cache`] (mutually exclusive;
-    /// whichever is set last wins). The capacity is resolved from the
-    /// run's `v·μ+γ` footprint before any disk is built; like every tuned
-    /// knob it cannot change counted I/O, final states or the per-thread
-    /// RNG streams — only wall clock. The choice is recorded in
-    /// [`CostReport::resolved_config`].
-    pub fn with_auto_cache(mut self, on: bool) -> Self {
-        self.auto_cache = on;
-        if on {
-            self.cache_bytes = 0;
-        }
-        self
-    }
-
-    /// Replace the default [`AutoTuner`] that resolves `Auto` knob
-    /// requests ([`ComputeMode::Auto`], [`Pipeline::Auto`],
-    /// [`Self::with_auto_cache`]). The default tuner uses the host core
-    /// count and the corpus-derived compute/fetch ratio; tests and CI
-    /// determinism lanes pin inputs via [`AutoTuner::with_inputs`].
-    pub fn with_tuner(mut self, tuner: AutoTuner) -> Self {
-        self.tuner = tuner;
-        self
-    }
-
-    /// Whether any knob is currently requested as `Auto` (and therefore
-    /// still awaiting resolution).
-    pub fn has_auto_request(&self) -> bool {
-        self.compute.is_auto() || self.pipeline.is_auto() || self.auto_cache
-    }
-
-    /// The [`AutoTuner`] resolution behind this simulator's knobs: `None`
-    /// unless this value came out of [`Self::resolved_for`] (runs resolve
-    /// on an internal clone and record the choice in
-    /// [`CostReport::resolved_config`] instead).
-    pub fn resolved_config(&self) -> Option<&ResolvedConfig> {
-        self.resolved.as_ref()
-    }
-
-    /// Resolve any `Auto` knob requests against a known problem shape —
-    /// `v` virtual processors with state budget `mu` and per-processor
-    /// communication budget `gamma` — returning a simulator whose knobs
-    /// are all concrete and whose [`Self::resolved_config`] records the
-    /// tuner's choices (a plain clone when nothing is `Auto`).
-    /// [`Self::run`] and [`Self::resume`] do this implicitly;
-    /// `em-service` calls it at admission so the resolution lands in the
-    /// tenant ledger before pool shares are granted.
-    pub fn resolved_for(&self, v: usize, mu: usize, gamma: usize) -> Self {
-        match self.resolve_auto(v, mu, gamma) {
-            Some(rc) => self.apply_resolution(rc),
-            None => self.clone(),
-        }
-    }
-
-    /// Run the tuner for the current `Auto` requests; `None` when nothing
-    /// is requested as `Auto`.
-    fn resolve_auto(&self, v: usize, mu: usize, gamma: usize) -> Option<ResolvedConfig> {
-        let footprint = (v as u64).saturating_mul(mu as u64).saturating_add(gamma as u64);
-        self.tuner.resolve(
-            self.compute.is_auto(),
-            self.pipeline.is_auto(),
-            self.auto_cache,
-            footprint,
-        )
-    }
-
-    /// A clone with the resolution's concrete values substituted for the
-    /// `Auto` requests; it reports [`Self::has_auto_request`] `false`, so
-    /// re-entering `run`/`resume` on it cannot resolve again.
-    fn apply_resolution(&self, rc: ResolvedConfig) -> Self {
-        let mut resolved = self.clone();
-        if let Some(mode) = rc.compute {
-            resolved.compute = mode;
-        }
-        if let Some(pipeline) = rc.pipeline {
-            resolved.pipeline = pipeline;
-        }
-        if let Some(bytes) = rc.cache_bytes {
-            resolved.cache_bytes = bytes;
-        }
-        resolved.auto_cache = false;
-        resolved.resolved = Some(rc);
-        resolved
-    }
-
-    /// Persist a durable checkpoint at every superstep barrier on *every*
-    /// worker, so the whole `p`-processor run survives a process crash.
-    /// Requires the file backend ([`Self::with_file_backend`]); each
-    /// worker keeps its manifests and pre-image journal in its own
-    /// `dir/proc-<i>/`. The commit protocol tolerates the one-superstep
-    /// skew a crash can leave between workers: all workers make their
-    /// barrier data durable, then commit manifests, then — only after a
-    /// barrier proves every manifest is durable — truncate their
-    /// journals. [`Self::resume`] picks the *minimum* committed barrier
-    /// across workers, rolls ahead workers back via their journals, and
-    /// replays deterministically: final states, ledger, counted parallel
-    /// I/O and drive bytes are bit-identical to the uninterrupted run.
-    pub fn with_checkpointing(mut self, on: bool) -> Self {
-        self.checkpoint = on;
-        self
-    }
-
-    /// Simulate a whole-process crash at `kill` for chaos testing: every
-    /// worker dies at the kill point and the run returns
-    /// [`EmError::Killed`]. With [`KillPoint::MidManifest`] worker 0
-    /// tears its manifest while the others commit in full — the commit
-    /// skew [`Self::resume`] must reconcile. Requires
-    /// [`Self::with_checkpointing`].
-    pub fn with_kill_point(mut self, kill: KillPoint) -> Self {
-        self.kill = Some(kill);
-        self
-    }
-
-    /// The [`DiskConfig`] each processor's private array is built with —
-    /// the shape every array passed to [`Self::run_on`] must have.
-    pub fn disk_config(&self) -> EmResult<DiskConfig> {
-        let cfg = self
-            .machine
-            .disk_config()?
-            .with_io_mode(self.io_mode)
-            .with_pipeline(self.pipeline)
-            .with_checksums(self.checksums)
-            .with_cache(self.cache_bytes)
-            .with_auto_cache(self.auto_cache)
-            .with_engine(self.engine)
-            .with_pinned_workers(self.pin_workers);
-        Ok(match self.retry {
-            Some(policy) => cfg.with_retry(policy),
-            None => cfg,
-        })
-    }
-
-    /// Build the `p` private disk arrays [`Self::run`] would construct
-    /// internally (file-backed arrays land in `dir/proc-<i>`). Pair with
-    /// [`Self::run_on`] to reuse arrays across runs or substitute
-    /// caller-provided storage.
-    pub fn build_disks(&self) -> EmResult<Vec<DiskArray>> {
-        self.machine.validate()?;
-        let cfg = self.disk_config()?;
-        (0..self.machine.p)
-            .map(|i| {
-                Ok(match &self.file_dir {
-                    None => DiskArray::new_memory_with_faults(cfg, self.fault_plan.clone()),
-                    Some(dir) => DiskArray::new_file_with_faults(
-                        cfg,
-                        dir.join(format!("proc-{i}")),
-                        self.fault_plan.clone(),
-                    )?,
-                })
-            })
-            .collect()
-    }
-
-    /// Run `prog` on `states.len()` virtual processors across `p` threads.
-    ///
-    /// Equivalent to [`Self::build_disks`] followed by [`Self::run_on`]:
-    /// the simulator holds no per-run state, so one value can execute any
-    /// number of runs.
-    pub fn run<P: BspProgram>(
-        &self,
-        prog: &P,
-        states: Vec<P::State>,
-    ) -> EmResult<(RunResult<P::State>, CostReport)> {
-        // Resolve `Auto` knob requests *before* the disks are built, so a
-        // tuned cache capacity (and pipeline) shape the arrays themselves.
-        let gamma = prog.max_comm_bytes().max(MSG_HEADER_BYTES);
-        if let Some(rc) = self.resolve_auto(states.len(), prog.max_state_bytes(), gamma) {
-            let resolved = self.apply_resolution(rc);
-            let disks = resolved.build_disks()?;
-            return resolved.run_on(disks, prog, states);
-        }
-        let disks = self.build_disks()?;
-        self.run_on(disks, prog, states)
-    }
-
-    /// [`Self::run`] on caller-provided disk arrays, one per processor.
-    ///
-    /// `disks` must hold exactly `p` arrays matching this simulator's
-    /// [`Self::disk_config`] in drive count and block size (typed
-    /// [`EmError::InvalidConfig`] otherwise). Each run addresses tracks
-    /// from 0 upward and rewrites every region it allocates, so repeated
-    /// runs on the same arrays are independent.
-    pub fn run_on<P: BspProgram>(
-        &self,
-        disks: Vec<DiskArray>,
-        prog: &P,
-        states: Vec<P::State>,
-    ) -> EmResult<(RunResult<P::State>, CostReport)> {
-        self.run_inner(disks, prog, ParStart::Fresh(states))
-    }
-
-    /// Resume a checkpointed `p`-processor run after a (real or simulated)
-    /// process crash, continuing from the last barrier every worker
-    /// committed.
-    ///
-    /// Each worker's drive files under `dir/proc-<i>/` are reattached
-    /// without truncation. A crash can leave the workers' manifests skewed
-    /// by one superstep (some committed barrier `s+1`, some only `s`); the
-    /// global resume point is the *minimum* committed barrier, and each
-    /// ahead worker's durable pre-image journal — never truncated before
-    /// every manifest was proven durable — rolls its drives back to it.
-    /// Fault-injection schedule positions are restored per worker, and the
-    /// remaining supersteps replay deterministically: final states, the
-    /// communication ledger, counted parallel I/O operations and the drive
-    /// bytes are bit-identical to the uninterrupted run. Resuming an
-    /// already-finished run just rebuilds its result. The simulator's
-    /// configuration must match the checkpointed run; a typed
-    /// [`EmError::InvalidConfig`] names the first mismatch.
-    pub fn resume<P: BspProgram>(&self, prog: &P) -> EmResult<(RunResult<P::State>, CostReport)> {
-        self.machine.validate()?;
-        if !self.checkpoint {
-            return Err(EmError::InvalidConfig(
-                "resume requires checkpointing (with_checkpointing)".into(),
-            ));
-        }
-        let Some(dir) = &self.file_dir else {
-            return Err(EmError::InvalidConfig(
-                "resume requires the file backend (with_file_backend)".into(),
-            ));
-        };
-        let p = self.machine.p;
-        let cfg = self.disk_config()?;
-        let mu = prog.max_state_bytes();
-        let gamma = prog.max_comm_bytes().max(MSG_HEADER_BYTES);
-
-        // Pass 1: every worker's latest committed manifest. The commit
-        // protocol bounds the skew between workers to one superstep, so
-        // the minimum committed barrier is the global resume point and
-        // the keep-two manifest retention guarantees every worker still
-        // holds a manifest *at* that barrier.
-        let mut stores = Vec::with_capacity(p);
-        let mut latest = Vec::with_capacity(p);
-        for i in 0..p {
-            let pdir = dir.join(format!("proc-{i}"));
-            let store = CheckpointStore::attach(&pdir)?;
-            let (step, payload) = store.latest_manifest()?.ok_or_else(|| {
-                EmError::InvalidConfig(format!(
-                    "no committed checkpoint manifest for processor {i} to resume from"
-                ))
-            })?;
-            let m = Manifest::decode(&payload)?;
-            m.check_shape(
-                mu as u64,
-                gamma as u64,
-                self.seed,
-                cfg.num_disks as u32,
-                cfg.block_bytes as u64,
-                p as u32,
-                i as u32,
-            )?;
-            if m.next_step != step {
-                return Err(EmError::InvalidConfig(
-                    "checkpoint manifest step disagrees with its payload".into(),
-                ));
+impl Transport for Channels<'_> {
+    fn exchange(&mut self, out: Vec<Vec<RawBlock>>) -> Vec<RawBlock> {
+        let p = self.senders.len();
+        for (dst, blocks) in out.into_iter().enumerate() {
+            if dst != self.me {
+                self.real_comm
+                    .fetch_add((blocks.len() * self.block_bytes) as u64, Ordering::Relaxed);
             }
-            stores.push((pdir, store));
-            latest.push(m);
+            self.senders[dst]
+                .send(Bundle { from: self.me, phase: self.phase, blocks })
+                .expect("receiver alive");
         }
-        let resume_step = latest.iter().map(|m| m.next_step).min().expect("p >= 1 workers");
-        let v = latest[0].v as usize;
-        // `v` is only known from the manifests, so `Auto` knob resolution
-        // happens here: re-enter `resume` on the resolved clone (which has
-        // no `Auto` request left, so it proceeds straight through).
-        if let Some(rc) = self.resolve_auto(v, mu, gamma) {
-            return self.apply_resolution(rc).resume(prog);
-        }
-        let k = self.machine.group_size(4 + mu, v)?;
-        let batch_unit = k * p;
-        let num_batches = v.div_ceil(batch_unit);
-
-        // Pass 2: load each worker's manifest at the resume barrier, undo
-        // any journaled writes past it, and reattach the real array. The
-        // undo runs on a plain array — no cache, retry or fault injection
-        // — so the restoring writes neither advance nor consume the fault
-        // schedule the real array restores below.
-        let mut workers = Vec::with_capacity(p);
-        let mut disks = Vec::with_capacity(p);
-        let mut globals = None;
-        for (i, m_latest) in latest.into_iter().enumerate() {
-            let (pdir, store) = &stores[i];
-            let m = if m_latest.next_step == resume_step {
-                m_latest
+        // Receive exactly `p` bundles of this phase, buffering any early
+        // arrivals from later phases.
+        let mut got: Vec<Bundle> = Vec::with_capacity(p);
+        let mut i = 0;
+        while i < self.pending.len() {
+            if self.pending[i].phase == self.phase {
+                got.push(self.pending.swap_remove(i));
             } else {
-                let payload = store.load_manifest(resume_step)?.ok_or_else(|| {
-                    EmError::InvalidConfig(format!(
-                        "processor {i} committed past barrier {resume_step} but no longer \
-                         holds that barrier's manifest"
-                    ))
-                })?;
-                let m = Manifest::decode(&payload)?;
-                m.check_shape(
-                    mu as u64,
-                    gamma as u64,
-                    self.seed,
-                    cfg.num_disks as u32,
-                    cfg.block_bytes as u64,
-                    p as u32,
-                    i as u32,
-                )?;
-                m
-            };
-            if m.v as usize != v || m.k != k as u64 || m.num_groups != num_batches as u64 {
-                return Err(EmError::InvalidConfig(
-                    "checkpoint resume shape mismatch: group geometry differs from the \
-                     checkpointed run"
-                        .into(),
-                ));
+                i += 1;
             }
-            if let Some(journal) = JournalFile::read(pdir)? {
-                if journal.epoch > resume_step {
-                    let plain = self
-                        .machine
-                        .disk_config()?
-                        .with_io_mode(self.io_mode)
-                        .with_checksums(self.checksums);
-                    let mut undo = DiskArray::open_file(plain, pdir)?;
-                    undo.apply_journal_undo(&journal)?;
-                }
-            }
-            let mut arr = DiskArray::open_file_with_faults(cfg, pdir, self.fault_plan.clone())?;
-            if let Some(ops) = &m.fault_ops {
-                arr.restore_fault_op_counts(ops);
-            }
-            disks.push(arr);
-            if i == 0 {
-                // Run-global bookkeeping (ledger, aggregates, recovery
-                // tallies) lives in worker 0's manifest only.
-                globals = Some((
-                    m.finished,
-                    CommLedger { steps: m.ledger.clone() },
-                    m.real_comm,
-                    m.recovered,
-                    m.replays,
-                ));
-            }
-            workers.push(WorkerResume {
-                counts: GroupCounts {
-                    counts: m.counts.iter().map(|&c| c as usize).collect(),
-                    prefix_in_bucket: m.prefix.iter().map(|&c| c as usize).collect(),
-                },
-                alloc_next: m.alloc_next.iter().map(|&t| t as usize).collect(),
-                alloc_free: m
-                    .alloc_free
-                    .iter()
-                    .map(|f| f.iter().map(|&t| t as usize).collect())
-                    .collect(),
-                phases: m.phases,
-                committed_io: m.io,
-                balances: m.balances,
-            });
         }
-        let (finished, ledger, real_comm, recovered, replays) = globals.expect("p >= 1 workers");
-        let resume = ParResume {
-            v,
-            start_step: resume_step as usize,
-            finished,
-            workers,
-            ledger,
-            real_comm,
-            recovered,
-            replays,
-        };
-        self.run_inner(disks, prog, ParStart::Resume(Box::new(resume)))
+        while got.len() < p {
+            let b = self.rx.recv().expect("sender alive");
+            debug_assert!(b.phase >= self.phase, "stale bundle from phase {}", b.phase);
+            if b.phase == self.phase {
+                got.push(b);
+            } else {
+                self.pending.push(b);
+            }
+        }
+        got.sort_by_key(|b| b.from);
+        self.phase += 1;
+        got.into_iter().flat_map(|b| b.blocks).collect()
     }
 
-    /// The shared engine behind [`Self::run_on`] and [`Self::resume`]:
-    /// identical superstep machinery, differing only in whether each
-    /// worker's committed bookkeeping starts empty or from its manifest.
-    fn run_inner<P: BspProgram>(
-        &self,
-        disks: Vec<DiskArray>,
-        prog: &P,
-        start: ParStart<P::State>,
-    ) -> EmResult<(RunResult<P::State>, CostReport)> {
-        let start_time = Instant::now();
-        self.machine.validate()?;
-        if self.checkpoint && self.file_dir.is_none() {
-            return Err(EmError::InvalidConfig(
-                "checkpointing requires the file backend (with_file_backend)".into(),
-            ));
-        }
-        if self.kill.is_some() && !self.checkpoint {
-            return Err(EmError::InvalidConfig(
-                "a kill point requires checkpointing (with_checkpointing)".into(),
-            ));
-        }
-        let v = match &start {
-            ParStart::Fresh(states) => states.len(),
-            ParStart::Resume(r) => r.v,
-        };
-        if v == 0 {
-            return Err(EmError::Bsp(BspError::NoProcessors));
-        }
-        // `run`/`resume` resolve before the disks exist; this covers
-        // `run_on` callers with their own arrays. Compute and pipeline
-        // resolutions apply fully here; a tuned cache capacity cannot be
-        // retrofitted onto caller-built arrays, so on this path the
-        // unresolved `auto_cache` request simply leaves the cache off
-        // (inert by the substrate's contract).
-        {
-            let gamma = prog.max_comm_bytes().max(MSG_HEADER_BYTES);
-            if let Some(rc) = self.resolve_auto(v, prog.max_state_bytes(), gamma) {
-                return self.apply_resolution(rc).run_inner(disks, prog, start);
-            }
-        }
-        let p = self.machine.p;
-        if disks.len() != p {
-            return Err(EmError::InvalidConfig(format!(
-                "{} disk arrays provided for p = {p} processors",
-                disks.len()
-            )));
-        }
-        {
-            let expected = self.machine.disk_config()?;
-            for arr in &disks {
-                let cfg = arr.config();
-                if cfg.num_disks != expected.num_disks || cfg.block_bytes != expected.block_bytes {
-                    return Err(EmError::InvalidConfig(format!(
-                        "disk array shape {}x{}B does not match the machine's {}x{}B",
-                        cfg.num_disks, cfg.block_bytes, expected.num_disks, expected.block_bytes
-                    )));
-                }
-            }
-        }
-        let disk_slots: Vec<Mutex<Option<DiskArray>>> =
-            disks.into_iter().map(|d| Mutex::new(Some(d))).collect();
-        let mu = prog.max_state_bytes();
-        let gamma = prog.max_comm_bytes().max(MSG_HEADER_BYTES);
-        let ctx_region = 4 + mu;
-        let k = self.machine.group_size(ctx_region, v)?;
-        let batch_unit = k * p; // virtual processors per batch
-        let num_batches = v.div_ceil(batch_unit);
-
-        // Local context region index on the owner for (batch, slot).
-        let local_region = move |batch: usize, slot: usize| batch * k + slot;
-
-        // Unpack the start mode: fresh initial states, or per-worker
-        // committed bookkeeping plus worker 0's run-global bookkeeping.
-        let (init_states, resume_state) = match start {
-            ParStart::Fresh(states) => (Some(states), None),
-            ParStart::Resume(r) => (None, Some(*r)),
-        };
-        let (start_step, resume_finished, ledger0, real0, rec0, rep0, worker_resumes) =
-            match resume_state {
-                None => (0, false, CommLedger::default(), 0, 0, 0, None),
-                Some(r) => (
-                    r.start_step,
-                    r.finished,
-                    r.ledger,
-                    r.real_comm,
-                    r.recovered,
-                    r.replays,
-                    Some(r.workers),
-                ),
-            };
-
-        // Shared state.
-        let slots: Vec<Mutex<Option<P::State>>> = match init_states {
-            Some(states) => states.into_iter().map(|s| Mutex::new(Some(s))).collect(),
-            None => (0..v).map(|_| Mutex::new(None)).collect(),
-        };
-        let resume_slots: Vec<Mutex<Option<WorkerResume>>> = match worker_resumes {
-            Some(ws) => ws.into_iter().map(|w| Mutex::new(Some(w))).collect(),
-            None => (0..p).map(|_| Mutex::new(None)).collect(),
-        };
-        let barrier = Barrier::new(p);
-        let stop = AtomicBool::new(false);
-        // Set only by thread 0's termination decision — never by failures
-        // — so a manifest's `finished` flag cannot be corrupted by an
-        // error racing in from another worker's commit.
-        let terminated = AtomicBool::new(false);
-        let failed: Mutex<Option<EmError>> = Mutex::new(None);
-        let any_continue = AtomicBool::new(false);
-        let any_msgs = AtomicBool::new(false);
-        let agg_msgs = AtomicU64::new(0);
-        let agg_bytes = AtomicU64::new(0);
-        let agg_h = AtomicU64::new(0);
-        let agg_h_msgs = AtomicU64::new(0);
-        let agg_w = AtomicU64::new(0);
-        let real_comm = AtomicU64::new(real0);
-        let ledger: Mutex<CommLedger> = Mutex::new(ledger0);
-        let reports: Mutex<Vec<WorkerReport>> = Mutex::new(Vec::with_capacity(p));
-
-        // Recovery coordination. Each thread that fails an attempt
-        // registers `(error, retried_blocks, recovery_ops)` here *before*
-        // the superstep barrier; thread 0 decides replay-vs-fail for
-        // everyone between the two barriers. `replay_token` signals a
-        // replay by carrying the (lockstep) decision number it applies to,
-        // so no reset-race is possible.
-        let fault_run = self.fault_plan.is_some() || self.recovery.is_some();
-        let fault_stats = self.fault_plan.as_ref().map(|plan| plan.stats());
-        let attempt_errors: Mutex<Vec<(EmError, u64, u64)>> = Mutex::new(Vec::new());
-        let replay_token = AtomicU64::new(u64::MAX);
-        let replays_total = AtomicU64::new(rep0);
-        let recovered_total = AtomicU64::new(rec0);
-
-        // Lock-step transport: one channel per processor.
-        let (senders, receivers): (Vec<_>, Vec<_>) =
-            (0..p).map(|_| crossbeam_channel::unbounded::<Bundle>()).unzip();
-
-        // One persistent compute pool (sized n·p) shared by all processor
-        // threads; acquired once per run, reused across supersteps,
-        // batches, replays and subsequent runs of this simulator.
-        let compute_pool = self.compute_pool();
-
-        std::thread::scope(|scope| {
-            for (i, rx) in receivers.into_iter().enumerate() {
-                let senders = senders.clone();
-                let slots = &slots;
-                let barrier = &barrier;
-                let stop = &stop;
-                let failed = &failed;
-                let any_continue = &any_continue;
-                let any_msgs = &any_msgs;
-                let agg_msgs = &agg_msgs;
-                let agg_bytes = &agg_bytes;
-                let agg_h = &agg_h;
-                let agg_h_msgs = &agg_h_msgs;
-                let agg_w = &agg_w;
-                let real_comm = &real_comm;
-                let ledger = &ledger;
-                let reports = &reports;
-                let machine = self.machine;
-                let placement = self.placement;
-                let seed = self.seed;
-                let max_supersteps = self.max_supersteps;
-                let io_mode = self.io_mode;
-                let pipeline = self.pipeline;
-                let compute = self.compute;
-                let compute_pool = compute_pool.clone();
-                let checksums = self.checksums;
-                let retry = self.retry;
-                let recovery = self.recovery;
-                let cache_bytes = self.cache_bytes;
-                let checkpoint = self.checkpoint;
-                let kill = self.kill;
-                let file_dir = self.file_dir.clone();
-                let disk_slots = &disk_slots;
-                let resume_slots = &resume_slots;
-                let terminated = &terminated;
-                let fault_stats = fault_stats.clone();
-                let attempt_errors = &attempt_errors;
-                let replay_token = &replay_token;
-                let replays_total = &replays_total;
-                let recovered_total = &recovered_total;
-
-                std::thread::Builder::new()
-                    .name(format!("em-par-p{i}"))
-                    .spawn_scoped(scope, move || {
-                    let work = (|| -> EmResult<()> {
-                        let depth = pipeline.depth();
-                        let cfg = machine
-                            .disk_config()?
-                            .with_io_mode(io_mode)
-                            .with_pipeline(pipeline)
-                            .with_checksums(checksums)
-                            .with_cache(cache_bytes);
-                        let cfg = match retry {
-                            Some(policy) => cfg.with_retry(policy),
-                            None => cfg,
-                        };
-                        let mut disks =
-                            disk_slots[i].lock().take().expect("one disk array per processor");
-                        // Durable checkpointing: this worker's manifests
-                        // and pre-image journal live next to its drive
-                        // files in `dir/proc-<i>/`.
-                        let store = if checkpoint {
-                            let pdir = file_dir
-                                .as_ref()
-                                .expect("checkpointing validated to have a file dir")
-                                .join(format!("proc-{i}"));
-                            if !disks.durable_journal_attached() {
-                                disks.attach_durable_journal(&pdir)?;
-                            }
-                            Some(CheckpointStore::attach(&pdir)?)
-                        } else {
-                            None
-                        };
-                        let mut alloc = TrackAllocator::new(cfg.num_disks);
-                        // Context store: this processor holds num_batches*k regions.
-                        let ctx = ContextStore::allocate(
-                            &mut alloc,
-                            cfg.num_disks,
-                            cfg.block_bytes,
-                            num_batches * k,
-                            mu,
-                        )?;
-                        // Message geometry: groups are batches of k*p pids.
-                        // Partial-block slack: each of the p·num_batches
-                        // producer slots can leave one partial block per
-                        // owner stream of a batch (p streams).
-                        let geom = MsgGeometry::allocate_with_slack(
-                            &mut alloc,
-                            v.max(batch_unit),
-                            batch_unit,
-                            gamma,
-                            cfg.num_disks,
-                            cfg.block_bytes,
-                            p * p * num_batches + num_batches,
-                        )?;
-                        // My pids in a batch: (pid, slot) pairs.
-                        let my_pids = |batch: usize| -> Vec<(usize, usize)> {
-                            (0..k)
-                                .map(move |slot| (batch * batch_unit + i * k + slot, slot))
-                                .filter(|&(pid, _)| pid < v)
-                                .collect()
-                        };
-
-                        let resume = resume_slots[i].lock().take();
-                        if resume.is_none() {
-                            // Initial context load (batched per round).
-                            for batch in 0..num_batches {
-                                let pids = my_pids(batch);
-                                if let Some(&(_, first_slot)) = pids.first() {
-                                    let bufs: Vec<Vec<u8>> = pids
-                                        .iter()
-                                        .map(|&(pid, _)| {
-                                            let state = slots[pid]
-                                                .lock()
-                                                .take()
-                                                .expect("initial state present");
-                                            to_bytes(&state)
-                                        })
-                                        .collect();
-                                    ctx.write_group(
-                                        &mut disks,
-                                        local_region(batch, first_slot),
-                                        &bufs,
-                                    )?;
-                                }
-                            }
-                            disks.sync()?; // input distribution durable before timing
-                        }
-                        disks.reset_stats();
-
-                        // Committed bookkeeping: empty on a fresh run, or
-                        // restored from this worker's barrier manifest.
-                        // `committed_io` carries the I/O counted before
-                        // the barrier the run resumed from; the live
-                        // array counts only what this process adds.
-                        let mut counts;
-                        let mut phases;
-                        let committed_io;
-                        let mut balances;
-                        match resume {
-                            Some(r) => {
-                                alloc.restore_state(r.alloc_next, r.alloc_free);
-                                counts = r.counts;
-                                phases = r.phases;
-                                committed_io = r.committed_io;
-                                balances = r.balances;
-                            }
-                            None => {
-                                counts = GroupCounts::empty(geom.num_groups);
-                                phases = PhaseIo::default();
-                                committed_io = IoStats::new(cfg.num_disks);
-                                balances = Vec::new();
-                                if let Some(store) = &store {
-                                    // A fresh checkpointed run must not
-                                    // inherit a previous run's manifests
-                                    // or journal — stale artifacts would
-                                    // poison a later resume.
-                                    store.clear()?;
-                                    disks.clear_durable_journal()?;
-                                    let manifest = par_manifest(
-                                        v,
-                                        k,
-                                        num_batches,
-                                        mu,
-                                        gamma,
-                                        seed,
-                                        &cfg,
-                                        p,
-                                        i,
-                                        0,
-                                        false,
-                                        &counts,
-                                        &alloc,
-                                        disks.fault_op_counts(),
-                                        &phases,
-                                        committed_io.clone(),
-                                        &balances,
-                                        &CommLedger::default(),
-                                        0,
-                                        0,
-                                        0,
-                                    );
-                                    store.commit_manifest(0, &manifest.encode())?;
-                                }
-                            }
-                        }
-                        // Wall-clock split; never rewound on replay — the
-                        // time genuinely elapsed.
-                        let mut walls = PhaseWall::default();
-                        // Per-thread context-buffer pool; caches only
-                        // capacity, so replay needs no snapshot of it.
-                        let mut ctx_pool = BufferPool::new();
-                        // Per-thread routing bookkeeping; like the pool it
-                        // caches only capacity, so replay needs no snapshot.
-                        let mut routing_scratch = RoutingScratch::new();
-                        let mut zombie: Option<EmError> = None;
-                        let mut exchange_phase = 0u64;
-                        let mut pending_bundles: Vec<Bundle> = Vec::new();
-                        // Lockstep counter of barrier decisions; pairs with
-                        // `replay_token` to signal replays race-free.
-                        let mut decision_no = 0u64;
-
-                        // A resumed finished run has nothing left to
-                        // replay; skip straight to the final read-back.
-                        let step_limit =
-                            if resume_finished { start_step } else { max_supersteps };
-                        'steps: for step in start_step..step_limit {
-                            let mut attempt = 0usize;
-                            loop {
-                            // Each attempt runs the whole compound
-                            // superstep inside a disk recovery epoch;
-                            // committed bookkeeping is snapshotted so a
-                            // rolled-back attempt leaves no trace. With
-                            // checkpointing the epoch also journals
-                            // durable pre-images keyed to this superstep,
-                            // so a crashed process can undo a half-done
-                            // superstep on resume.
-                            if store.is_some() {
-                                if let Err(e) = disks.begin_checkpoint_epoch(step as u64 + 1) {
-                                    if zombie.is_none() {
-                                        zombie = Some(e.into());
-                                    }
-                                }
-                            } else if recovery.is_some() {
-                                if let Err(e) = disks.begin_recovery_epoch() {
-                                    if zombie.is_none() {
-                                        zombie = Some(e.into());
-                                    }
-                                }
-                            }
-                            // Determinism across crash/resume: the
-                            // placement stream is a pure function of
-                            // (seed, worker, superstep), re-derived at
-                            // every attempt — never of run history.
-                            let mut rng = StdRng::seed_from_u64(superstep_seed(
-                                seed,
-                                i as u64,
-                                step as u64,
-                            ));
-                            let alloc_snap = alloc.clone();
-                            let counts_snap = counts.clone();
-                            let phases_snap = phases.clone();
-                            let balances_len = balances.len();
-
-                            let mut scratch = crate::msg::ScratchState::new(&geom);
-                            let mut backlog = WriteBacklog::new();
-                            // Streaming window: the context reads of up to
-                            // `depth` rounds are in flight at once. One
-                            // `Option` entry per prefetched round (`None`
-                            // for a round with no local pids) keeps the
-                            // window aligned with the batch sequence.
-                            let mut ctx_window: VecDeque<Option<PendingGroupRead>> =
-                                VecDeque::with_capacity(depth.min(num_batches));
-                            let mut next_prefetch = 0usize;
-
-                            for batch in 0..num_batches {
-                                let pids = my_pids(batch);
-
-                                // Prefetch the window's rounds so their
-                                // local reads overlap the block-forwarding
-                                // exchanges below (counted at submit).
-                                let fetch_t0 = Instant::now();
-                                while depth > 0
-                                    && zombie.is_none()
-                                    && next_prefetch < num_batches
-                                    && next_prefetch < batch + depth
-                                {
-                                    let ppids = my_pids(next_prefetch);
-                                    if ppids.is_empty() {
-                                        ctx_window.push_back(None);
-                                    } else {
-                                        let ops0 = disks.stats().parallel_ops;
-                                        match ctx.submit_read_group(
-                                            &mut disks,
-                                            local_region(next_prefetch, ppids[0].1),
-                                            ppids.len(),
-                                        ) {
-                                            Ok(pending) => ctx_window.push_back(Some(pending)),
-                                            Err(e) => {
-                                                zombie = Some(e);
-                                                ctx_window.push_back(None);
-                                            }
-                                        }
-                                        phases.fetch_ctx += disks.stats().parallel_ops - ops0;
-                                    }
-                                    next_prefetch += 1;
-                                }
-                                let mut pending_ctx: Option<PendingGroupRead> =
-                                    ctx_window.pop_front().flatten();
-                                if zombie.is_some() {
-                                    // A failing attempt joins nothing more:
-                                    // drop the in-flight reads so the
-                                    // barrier's unjoined-ticket check sees
-                                    // a clean array.
-                                    pending_ctx = None;
-                                    ctx_window.clear();
-                                }
-
-                                // --- Fetching Phase: forward local blocks to owners. ---
-                                let mut fwd: Vec<Vec<RawBlock>> =
-                                    (0..p).map(|_| Vec::new()).collect();
-                                if zombie.is_none() {
-                                    let ops0 = disks.stats().parallel_ops;
-                                    match fetch_batch_raw_blocks(&mut disks, &geom, &counts, batch)
-                                    {
-                                        Ok(blocks) => {
-                                            for b in blocks {
-                                                // dst_tag = batch·p + owner.
-                                                fwd[b.dst_tag as usize % p].push(b);
-                                            }
-                                        }
-                                        Err(e) => zombie = Some(e),
-                                    }
-                                    phases.fetch_msg += disks.stats().parallel_ops - ops0;
-                                }
-                                for (dst, blocks) in fwd.into_iter().enumerate() {
-                                    if dst != i {
-                                        real_comm.fetch_add(
-                                            (blocks.len() * cfg.block_bytes) as u64,
-                                            Ordering::Relaxed,
-                                        );
-                                    }
-                                    senders[dst]
-                                        .send(Bundle { from: i, phase: exchange_phase, blocks })
-                                        .expect("receiver alive");
-                                }
-                                let arrived =
-                                    recv_exchange(&rx, &mut pending_bundles, exchange_phase, p);
-                                exchange_phase += 1;
-                                let my_blocks: Vec<RawBlock> =
-                                    arrived.into_iter().flat_map(|b| b.blocks).collect();
-                                walls.fetch += fetch_t0.elapsed();
-
-                                // --- Computing + Writing Phases. ---
-                                let mut to_store: Vec<Vec<RawBlock>> =
-                                    (0..p).map(|_| Vec::new()).collect();
-                                if zombie.is_none() {
-                                    let result = run_batch_compute::<P>(
-                                        prog,
-                                        &mut disks,
-                                        &ctx,
-                                        &geom,
-                                        my_blocks,
-                                        &pids,
-                                        local_region,
-                                        batch,
-                                        step,
-                                        v,
-                                        p,
-                                        batch_unit,
-                                        k,
-                                        gamma,
-                                        compute,
-                                        compute_pool.as_ref(),
-                                        pending_ctx.take(),
-                                        if depth > 0 { Some(&mut backlog) } else { None },
-                                        &mut rng,
-                                        &mut phases,
-                                        &mut walls,
-                                        &mut ctx_pool,
-                                        agg_msgs,
-                                        agg_bytes,
-                                        agg_h,
-                                        agg_h_msgs,
-                                        agg_w,
-                                        any_continue,
-                                        any_msgs,
-                                    );
-                                    match result {
-                                        Ok(bundles) => to_store = bundles,
-                                        Err(e) => zombie = Some(e),
-                                    }
-                                }
-                                for (dst, blocks) in to_store.into_iter().enumerate() {
-                                    if dst != i {
-                                        real_comm.fetch_add(
-                                            (blocks.len() * cfg.block_bytes) as u64,
-                                            Ordering::Relaxed,
-                                        );
-                                    }
-                                    senders[dst]
-                                        .send(Bundle { from: i, phase: exchange_phase, blocks })
-                                        .expect("receiver alive");
-                                }
-                                let arrived =
-                                    recv_exchange(&rx, &mut pending_bundles, exchange_phase, p);
-                                exchange_phase += 1;
-                                let write_t0 = Instant::now();
-                                if zombie.is_none() {
-                                    let received: Vec<RawBlock> =
-                                        arrived.into_iter().flat_map(|b| b.blocks).collect();
-                                    let ops0 = disks.stats().parallel_ops;
-                                    let stored = if depth > 0 {
-                                        store_received_blocks_deferred(
-                                            &mut disks,
-                                            &mut alloc,
-                                            &geom,
-                                            &mut scratch,
-                                            received,
-                                            |tag| tag as usize / p,
-                                            &mut rng,
-                                            placement,
-                                            &mut backlog,
-                                        )
-                                    } else {
-                                        store_received_blocks(
-                                            &mut disks,
-                                            &mut alloc,
-                                            &geom,
-                                            &mut scratch,
-                                            received,
-                                            |tag| tag as usize / p,
-                                            &mut rng,
-                                            placement,
-                                        )
-                                    };
-                                    if let Err(e) = stored {
-                                        zombie = Some(e);
-                                    }
-                                    phases.scatter += disks.stats().parallel_ops - ops0;
-                                }
-                                walls.write += write_t0.elapsed();
-                            }
-
-                            // Deferred writes must be on disk — and their
-                            // errors known — before the local
-                            // reorganization (or a rollback) reuses their
-                            // tracks.
-                            let drain_t0 = Instant::now();
-                            if let Err(e) = backlog.drain() {
-                                if zombie.is_none() {
-                                    zombie = Some(e.into());
-                                }
-                            }
-                            walls.write += drain_t0.elapsed();
-
-                            // --- Step 2: local reorganization (Algorithm 2). ---
-                            if zombie.is_none() {
-                                balances.push(scratch.balance_factor());
-                                let reorg_t0 = Instant::now();
-                                let ops0 = disks.stats().parallel_ops;
-                                match simulate_routing(
-                                    &mut disks,
-                                    &mut alloc,
-                                    &geom,
-                                    scratch,
-                                    &mut routing_scratch,
-                                    &mut ctx_pool,
-                                    compute_pool.as_ref(),
-                                ) {
-                                    Ok((c, _)) => counts = c,
-                                    Err(e) => zombie = Some(e),
-                                }
-                                phases.routing += disks.stats().parallel_ops - ops0;
-                                walls.reorganize += reorg_t0.elapsed();
-                            }
-
-                            // Superstep boundary: this processor's writes are
-                            // durable before the barrier ends the superstep.
-                            // No-op on memory; generates no counted I/O ops.
-                            if zombie.is_none() {
-                                let sync_t0 = Instant::now();
-                                if let Err(e) = disks.sync() {
-                                    zombie = Some(e.into());
-                                }
-                                walls.sync += sync_t0.elapsed();
-                            }
-
-                            // Register this attempt's failure *before* the
-                            // barrier so thread 0 can decide replay-vs-fail
-                            // for everyone between the barriers.
-                            if let Some(e) = zombie.take() {
-                                if recovery.is_some() {
-                                    attempt_errors.lock().push((
-                                        e,
-                                        disks.stats().retried_blocks,
-                                        disks.stats().recovery_ops,
-                                    ));
-                                } else {
-                                    let e = wrap_par_fault(
-                                        fault_run,
-                                        step,
-                                        e,
-                                        &fault_stats,
-                                        disks.stats().retried_blocks,
-                                        disks.stats().recovery_ops,
-                                        0,
-                                        0,
-                                    );
-                                    register_failure(failed, e);
-                                    stop.store(true, Ordering::SeqCst);
-                                }
-                            }
-
-                            barrier.wait();
-                            if i == 0 {
-                                let mut regs = if recovery.is_some() {
-                                    std::mem::take(&mut *attempt_errors.lock())
-                                } else {
-                                    Vec::new()
-                                };
-                                if regs.is_empty() {
-                                    ledger.lock().push(SuperstepComm {
-                                        msgs: agg_msgs.swap(0, Ordering::Relaxed),
-                                        bytes: agg_bytes.swap(0, Ordering::Relaxed),
-                                        h_bytes: agg_h.swap(0, Ordering::Relaxed),
-                                        h_msgs: agg_h_msgs.swap(0, Ordering::Relaxed),
-                                        h_packets: 0,
-                                        w_comp: agg_w.swap(0, Ordering::Relaxed),
-                                    });
-                                    if attempt > 0 {
-                                        recovered_total.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    let had_continue = any_continue.swap(false, Ordering::Relaxed);
-                                    let had_msgs = any_msgs.swap(false, Ordering::Relaxed);
-                                    if !had_continue && !had_msgs {
-                                        terminated.store(true, Ordering::SeqCst);
-                                        stop.store(true, Ordering::SeqCst);
-                                    }
-                                    if step + 1 == max_supersteps && !stop.load(Ordering::SeqCst) {
-                                        let mut f = failed.lock();
-                                        if f.is_none() {
-                                            *f = Some(EmError::Bsp(BspError::SuperstepLimit {
-                                                limit: max_supersteps,
-                                            }));
-                                        }
-                                        stop.store(true, Ordering::SeqCst);
-                                    }
-                                } else {
-                                    let budget =
-                                        recovery.map_or(0, |r| r.max_replays_per_superstep);
-                                    let all_transient = regs.iter().all(
-                                        |(e, _, _)| matches!(e, EmError::Disk(d) if d.is_transient()),
-                                    );
-                                    if all_transient && attempt < budget {
-                                        // Replay: every thread rolls back and
-                                        // re-runs this superstep. The failed
-                                        // attempt's aggregates are discarded
-                                        // and re-accumulated by the replay.
-                                        replays_total.fetch_add(1, Ordering::Relaxed);
-                                        agg_msgs.swap(0, Ordering::Relaxed);
-                                        agg_bytes.swap(0, Ordering::Relaxed);
-                                        agg_h.swap(0, Ordering::Relaxed);
-                                        agg_h_msgs.swap(0, Ordering::Relaxed);
-                                        agg_w.swap(0, Ordering::Relaxed);
-                                        any_continue.swap(false, Ordering::Relaxed);
-                                        any_msgs.swap(false, Ordering::Relaxed);
-                                        replay_token.store(decision_no, Ordering::SeqCst);
-                                    } else {
-                                        let retried: u64 = regs.iter().map(|r| r.1).sum();
-                                        let rec_ops: u64 = regs.iter().map(|r| r.2).sum();
-                                        // Registration order races across
-                                        // threads; surface the disk error as
-                                        // the root cause — co-failing threads
-                                        // derive logic errors from the faulty
-                                        // thread's partial exchange bundles.
-                                        let root = regs
-                                            .iter()
-                                            .position(|(e, _, _)| matches!(e, EmError::Disk(_)))
-                                            .unwrap_or(0);
-                                        let (first, _, _) = regs.swap_remove(root);
-                                        let e = wrap_par_fault(
-                                            fault_run,
-                                            step,
-                                            first,
-                                            &fault_stats,
-                                            retried,
-                                            rec_ops,
-                                            recovered_total.load(Ordering::Relaxed),
-                                            replays_total.load(Ordering::Relaxed),
-                                        );
-                                        register_failure(failed, e);
-                                        stop.store(true, Ordering::SeqCst);
-                                    }
-                                }
-                            }
-                            barrier.wait();
-                            let do_replay = replay_token.load(Ordering::SeqCst) == decision_no;
-                            decision_no += 1;
-                            if do_replay {
-                                // Every thread — failed or not — rewinds its
-                                // disks and bookkeeping to the last committed
-                                // superstep; the next attempt re-runs the
-                                // exchanges in lockstep (exchange phases stay
-                                // monotone, they are never rewound).
-                                if let Err(e) = disks.rollback_recovery_epoch() {
-                                    zombie = Some(e.into());
-                                }
-                                alloc = alloc_snap;
-                                counts = counts_snap;
-                                phases = phases_snap;
-                                balances.truncate(balances_len);
-                                attempt += 1;
-                                continue;
-                            }
-                            if store.is_some() || recovery.is_some() {
-                                disks.commit_recovery_epoch();
-                            }
-                            if let Some(store) = &store {
-                                // Barrier commit protocol. Every worker's
-                                // superstep data is already durable (the
-                                // pre-barrier sync); now each worker
-                                // commits its manifest, a barrier proves
-                                // *all* manifests durable, and only then
-                                // may anyone truncate the journal that
-                                // protects this epoch — so a crash at any
-                                // instant leaves the workers' committed
-                                // barriers skewed by at most one
-                                // superstep, which resume reconciles.
-                                let failed_run = failed.lock().is_some();
-                                let mid_superstep_kill = matches!(
-                                    kill,
-                                    Some(KillPoint::MidSuperstep(b)) if b == step
-                                );
-                                if !failed_run && !mid_superstep_kill {
-                                    let mut io_now = committed_io.clone();
-                                    io_now.merge(disks.stats());
-                                    let (ledger_now, real_now, rec_now, rep_now) = if i == 0 {
-                                        (
-                                            ledger.lock().clone(),
-                                            real_comm.load(Ordering::SeqCst),
-                                            recovered_total.load(Ordering::SeqCst),
-                                            replays_total.load(Ordering::SeqCst),
-                                        )
-                                    } else {
-                                        (CommLedger::default(), 0, 0, 0)
-                                    };
-                                    let manifest = par_manifest(
-                                        v,
-                                        k,
-                                        num_batches,
-                                        mu,
-                                        gamma,
-                                        seed,
-                                        &cfg,
-                                        p,
-                                        i,
-                                        step + 1,
-                                        terminated.load(Ordering::SeqCst),
-                                        &counts,
-                                        &alloc,
-                                        disks.fault_op_counts(),
-                                        &phases,
-                                        io_now,
-                                        &balances,
-                                        &ledger_now,
-                                        real_now,
-                                        rec_now,
-                                        rep_now,
-                                    );
-                                    let payload = manifest.encode();
-                                    let committed = if i == 0
-                                        && matches!(
-                                            kill,
-                                            Some(KillPoint::MidManifest(b)) if b == step
-                                        ) {
-                                        // The crash tears worker 0's
-                                        // manifest mid-write while the
-                                        // other workers committed theirs
-                                        // in full — the worst-case commit
-                                        // skew the resume protocol exists
-                                        // to reconcile.
-                                        store.write_torn_manifest(
-                                            step as u64 + 1,
-                                            &payload,
-                                            payload.len() / 2 + 8,
-                                        )
-                                    } else {
-                                        store.commit_manifest(step as u64 + 1, &payload)
-                                    };
-                                    if let Err(e) = committed {
-                                        register_failure(failed, e.into());
-                                        stop.store(true, Ordering::SeqCst);
-                                    }
-                                }
-                                // No journal truncation before every
-                                // worker's manifest is durable.
-                                barrier.wait();
-                                let failed_run = failed.lock().is_some();
-                                let keep_journal = matches!(
-                                    kill,
-                                    Some(KillPoint::MidManifest(b) | KillPoint::MidSuperstep(b))
-                                        if b == step
-                                );
-                                if !failed_run && !keep_journal {
-                                    if let Err(e) = disks.clear_durable_journal() {
-                                        register_failure(failed, e.into());
-                                        stop.store(true, Ordering::SeqCst);
-                                    }
-                                }
-                                if matches!(kill, Some(kp) if kp.step() == step) {
-                                    // The simulated whole-process crash:
-                                    // every worker dies here, skipping the
-                                    // final read-back exactly as a real
-                                    // crash would.
-                                    return Err(EmError::Killed { step });
-                                }
-                            }
-                            if stop.load(Ordering::SeqCst) {
-                                break 'steps;
-                            }
-                            break;
-                            }
-                        }
-
-                        // Return final states (batched per round).
-                        for batch in 0..num_batches {
-                            let pids = my_pids(batch);
-                            if let Some(&(_, first_slot)) = pids.first() {
-                                let bufs = ctx.read_group(
-                                    &mut disks,
-                                    local_region(batch, first_slot),
-                                    pids.len(),
-                                )?;
-                                for (&(pid, _), buf) in pids.iter().zip(bufs) {
-                                    *slots[pid].lock() = Some(from_bytes::<P::State>(&buf)?);
-                                }
-                            }
-                        }
-                        // The reported I/O is the committed base (zero on
-                        // a fresh run) plus everything this process did —
-                        // bit-identical to an uninterrupted run's count.
-                        let mut final_io = committed_io;
-                        final_io.merge(&disks.take_stats());
-                        reports.lock().push((
-                            final_io,
-                            phases,
-                            walls,
-                            alloc.max_frontier(),
-                            balances,
-                        ));
-                        Ok(())
-                    })();
-                    if let Err(e) = work {
-                        register_failure(failed, e);
-                        stop.store(true, Ordering::SeqCst);
-                    }
-                })
-                    .expect("spawn em-par processor thread");
-            }
-        });
-
-        if let Some(err) = failed.into_inner() {
-            // In-loop failures are already wrapped; this catches raw disk
-            // errors from the initial load or final read-back of a fault
-            // run (already-wrapped and non-disk errors pass through).
-            return Err(wrap_par_fault(
-                fault_run,
-                0,
-                err,
-                &fault_stats,
-                0,
-                0,
-                recovered_total.into_inner(),
-                replays_total.into_inner(),
-            ));
-        }
-        let ledger = ledger.into_inner();
-
-        let mut final_states = Vec::with_capacity(v);
-        for slot in slots {
-            final_states.push(
-                slot.into_inner()
-                    .ok_or_else(|| EmError::InvalidConfig("worker lost a state".into()))?,
-            );
-        }
-
-        let mut io = IoStats::new(self.machine.d);
-        let mut phases = PhaseIo::default();
-        let mut phase_wall = PhaseWall::default();
-        let mut tracks = 0usize;
-        let mut balances: Vec<f64> = Vec::new();
-        let mut max_ops = 0u64;
-        for (s, ph, pw, t, b) in reports.into_inner() {
-            max_ops = max_ops.max(s.parallel_ops);
-            io.merge(&s);
-            phases.fetch_ctx += ph.fetch_ctx;
-            phases.fetch_msg += ph.fetch_msg;
-            phases.scatter += ph.scatter;
-            phases.write_ctx += ph.write_ctx;
-            phases.routing += ph.routing;
-            // Workers run concurrently: the slowest worker bounds the wall.
-            phase_wall.merge_max(&pw);
-            tracks = tracks.max(t);
-            for (idx, bf) in b.into_iter().enumerate() {
-                if balances.len() <= idx {
-                    balances.push(bf);
-                } else {
-                    balances[idx] = balances[idx].max(bf);
-                }
-            }
-        }
-
-        let report = CostReport {
-            v,
-            k,
-            num_groups: num_batches,
-            p,
-            lambda: ledger.lambda(),
-            io_time: max_ops * self.machine.g_io,
-            phases,
-            phase_wall,
-            comm: ledger.clone(),
-            real_comm_bytes: real_comm.into_inner(),
-            wall: start_time.elapsed(),
-            tracks_per_disk: tracks,
-            balance_factors: balances,
-            checks: self.machine.check_theorem_conditions(v, k, 4 + mu),
-            faults: fault_run.then(|| FaultReport {
-                injected: fault_stats.as_ref().map(|s| s.counts()).unwrap_or_default(),
-                retried_blocks: io.retried_blocks,
-                recovery_ops: io.recovery_ops,
-                recovered_supersteps: recovered_total.into_inner(),
-                replays: replays_total.into_inner(),
-                failed_superstep: None,
-            }),
-            resolved_config: self.resolved,
-            io,
-        };
-        Ok((RunResult { states: final_states, ledger }, report))
+    fn barrier(&self) {
+        self.barrier.wait();
     }
 }
 
-/// How [`ParEmSimulator::run_inner`] starts: a fresh run with initial
-/// states, or a continuation from the workers' committed checkpoint
-/// manifests.
-enum ParStart<S> {
-    Fresh(Vec<S>),
-    Resume(Box<ParResume>),
+/// State every worker of a run can see. At `p = 1` the atomics are
+/// uncontended plain cells; nothing here blocks.
+#[derive(Default)]
+struct Shared {
+    stop: AtomicBool,
+    /// Set only by worker 0's termination decision — never by failures —
+    /// so a manifest's `finished` flag cannot be corrupted by an error
+    /// racing in from another worker's commit.
+    terminated: AtomicBool,
+    failed: Mutex<Option<EmError>>,
+    any_continue: AtomicBool,
+    any_msgs: AtomicBool,
+    agg_msgs: AtomicU64,
+    agg_bytes: AtomicU64,
+    agg_h: AtomicU64,
+    agg_h_msgs: AtomicU64,
+    agg_w: AtomicU64,
+    real_comm: AtomicU64,
+    ledger: Mutex<CommLedger>,
+    // Recovery coordination. Each worker that fails an attempt registers
+    // `(error, retried_blocks, recovery_ops)` here *before* the superstep
+    // barrier; worker 0 decides replay-vs-fail for everyone between the
+    // two barriers. `replay_token` signals a replay by carrying the
+    // (lockstep) decision number it applies to, so no reset-race is
+    // possible.
+    attempt_errors: Mutex<Vec<(EmError, u64, u64)>>,
+    replay_token: AtomicU64,
+    replays_total: AtomicU64,
+    recovered_total: AtomicU64,
 }
 
-/// Run-global bookkeeping restored from worker 0's manifest, plus each
-/// worker's private committed bookkeeping.
-struct ParResume {
-    v: usize,
+impl Shared {
+    fn new(globals: RunGlobals) -> Self {
+        Shared {
+            real_comm: AtomicU64::new(globals.real_comm),
+            ledger: Mutex::new(globals.ledger),
+            replay_token: AtomicU64::new(u64::MAX),
+            replays_total: AtomicU64::new(globals.replays),
+            recovered_total: AtomicU64::new(globals.recovered),
+            ..Shared::default()
+        }
+    }
+
+    /// Fold one worker's round into the superstep's tallies.
+    fn add_comm(&self, round: &SuperstepComm, continued: bool) {
+        if continued {
+            self.any_continue.store(true, Ordering::Relaxed);
+        }
+        self.agg_msgs.fetch_add(round.msgs, Ordering::Relaxed);
+        self.agg_bytes.fetch_add(round.bytes, Ordering::Relaxed);
+        self.agg_h.fetch_max(round.h_bytes, Ordering::Relaxed);
+        self.agg_h_msgs.fetch_max(round.h_msgs, Ordering::Relaxed);
+        self.agg_w.fetch_max(round.w_comp, Ordering::Relaxed);
+    }
+
+    /// Take (and reset) the superstep's aggregated communication tallies.
+    fn take_comm(&self) -> SuperstepComm {
+        SuperstepComm {
+            msgs: self.agg_msgs.swap(0, Ordering::Relaxed),
+            bytes: self.agg_bytes.swap(0, Ordering::Relaxed),
+            h_bytes: self.agg_h.swap(0, Ordering::Relaxed),
+            h_msgs: self.agg_h_msgs.swap(0, Ordering::Relaxed),
+            h_packets: 0,
+            w_comp: self.agg_w.swap(0, Ordering::Relaxed),
+        }
+    }
+
+    fn recovery_tallies(&self) -> (u64, u64) {
+        (self.recovered_total.load(Ordering::SeqCst), self.replays_total.load(Ordering::SeqCst))
+    }
+
+    /// File a worker's failure and stop the run. First error wins, except
+    /// a disk-rooted error (raw or already wrapped in
+    /// [`EmError::FaultUnrecoverable`]) replaces a co-failing thread's
+    /// derived logic error: when a drive dies mid-exchange, the *other*
+    /// processors decode the faulty processor's partial bundles and fail
+    /// with truncated/misrouted-block errors whose root cause is the fault
+    /// — the typed error must surface regardless of which thread registers
+    /// first.
+    fn fail(&self, e: EmError) {
+        let disk_rooted =
+            |e: &EmError| matches!(e, EmError::Disk(_) | EmError::FaultUnrecoverable { .. });
+        let mut f = self.failed.lock();
+        if f.is_none() || (disk_rooted(&e) && !f.as_ref().is_some_and(disk_rooted)) {
+            *f = Some(e);
+        }
+        drop(f);
+        self.stop.store(true, Ordering::SeqCst);
+    }
+}
+
+/// Everything about a run the workers only read.
+struct RunEnv<'a, P> {
+    prog: &'a P,
+    cfg: &'a SimConfig,
+    shape: Shape,
+    /// One persistent compute pool (sized `n·p`) shared by all workers;
+    /// acquired once per run, reused across supersteps, batches, replays
+    /// and subsequent runs of this simulator.
+    pool: Option<ComputePool>,
+    fault_stats: Option<Arc<FaultStats>>,
     start_step: usize,
-    finished: bool,
-    workers: Vec<WorkerResume>,
-    ledger: CommLedger,
-    real_comm: u64,
-    recovered: u64,
-    replays: u64,
+    /// A resumed finished run has nothing left to replay; it skips
+    /// straight to the final read-back.
+    step_limit: usize,
+    shared: Shared,
 }
 
-/// One worker's committed bookkeeping restored from its manifest.
-struct WorkerResume {
-    counts: GroupCounts,
-    alloc_next: Vec<usize>,
-    alloc_free: Vec<Vec<usize>>,
+/// How one worker starts.
+enum WorkerStart<S> {
+    /// The initial states of the virtual processors it owns, in load order.
+    Fresh(Vec<S>),
+    Resume(Box<WorkerBook>),
+}
+
+/// What one worker hands back: its final states in load order, counted
+/// I/O, per-phase split (ops and wall), the allocator's track frontier and
+/// per-superstep balance factors.
+struct WorkerOutput<S> {
+    states: Vec<S>,
+    io: IoStats,
     phases: PhaseIo,
-    committed_io: IoStats,
+    walls: PhaseWall,
+    tracks: usize,
     balances: Vec<f64>,
 }
 
-/// Assemble one worker's barrier manifest: the committed bookkeeping its
-/// resumed process needs, plus a shape guard against resuming with a
-/// different configuration. Run-global bookkeeping (ledger, real
-/// communication bytes, recovery tallies) is carried by worker 0 only;
-/// the other workers store empty placeholders.
-#[allow(clippy::too_many_arguments)]
-fn par_manifest(
-    v: usize,
-    k: usize,
-    num_batches: usize,
-    mu: usize,
-    gamma: usize,
-    seed: u64,
-    cfg: &DiskConfig,
-    p: usize,
-    worker: usize,
-    next_step: usize,
-    finished: bool,
-    counts: &GroupCounts,
-    alloc: &TrackAllocator,
-    fault_ops: Option<Vec<u64>>,
-    phases: &PhaseIo,
-    io: IoStats,
-    balances: &[f64],
-    ledger: &CommLedger,
-    real_comm: u64,
-    recovered: u64,
-    replays: u64,
-) -> Manifest {
-    let (next, free) = alloc.export_state();
-    Manifest {
-        v: v as u64,
-        k: k as u64,
-        num_groups: num_batches as u64,
-        mu: mu as u64,
-        gamma: gamma as u64,
-        seed,
-        num_disks: cfg.num_disks as u32,
-        block_bytes: cfg.block_bytes as u64,
-        p: p as u32,
-        worker: worker as u32,
-        next_step: next_step as u64,
-        finished,
-        counts: counts.counts.iter().map(|&c| c as u64).collect(),
-        prefix: counts.prefix_in_bucket.iter().map(|&c| c as u64).collect(),
-        alloc_next: next.iter().map(|&t| t as u64).collect(),
-        alloc_free: free.iter().map(|f| f.iter().map(|&t| t as u64).collect()).collect(),
-        fault_ops,
-        phases: phases.clone(),
-        io,
-        balances: balances.to_vec(),
-        ledger: ledger.steps.clone(),
-        real_comm,
-        recovered,
-        replays,
-    }
-}
-
-/// File a worker's failure into the shared slot. First error wins, except
-/// a disk-rooted error (raw or already wrapped in
-/// [`EmError::FaultUnrecoverable`]) replaces a co-failing thread's derived
-/// logic error: when a drive dies mid-exchange, the *other* processors
-/// decode the faulty processor's partial bundles and fail with
-/// truncated/misrouted-block errors whose root cause is the fault — the
-/// typed error must surface regardless of which thread registers first.
-fn register_failure(slot: &Mutex<Option<EmError>>, e: EmError) {
-    let disk_rooted =
-        |e: &EmError| matches!(e, EmError::Disk(_) | EmError::FaultUnrecoverable { .. });
-    let mut f = slot.lock();
-    if f.is_none() || (disk_rooted(&e) && !f.as_ref().is_some_and(disk_rooted)) {
-        *f = Some(e);
-    }
-}
-
-/// Dress an unrecoverable error in [`EmError::FaultUnrecoverable`] with the
-/// injection/recovery tally — but only for disk errors of a run that had
-/// fault machinery enabled; logic errors (γ violations, misrouted blocks,
-/// ...) pass through untouched.
-#[allow(clippy::too_many_arguments)]
-fn wrap_par_fault(
-    fault_run: bool,
-    step: usize,
-    err: EmError,
-    fault_stats: &Option<Arc<FaultStats>>,
-    retried_blocks: u64,
-    recovery_ops: u64,
-    recovered_supersteps: u64,
-    replays: u64,
-) -> EmError {
-    if !fault_run || !matches!(err, EmError::Disk(_)) {
-        return err;
-    }
-    EmError::FaultUnrecoverable {
-        step,
-        report: FaultReport {
-            injected: fault_stats.as_ref().map(|s| s.counts()).unwrap_or_default(),
-            retried_blocks,
-            recovery_ops,
-            recovered_supersteps,
-            replays,
-            failed_superstep: Some(step),
-        },
-        source: Box::new(err),
-    }
-}
-
-/// Compute + Writing Phases for one processor's share of one batch.
-/// Returns the per-target-processor bundles of scatter blocks.
-#[allow(clippy::too_many_arguments)]
-fn run_batch_compute<P: BspProgram>(
+/// The engine behind `run`, `run_on` and `resume` of both simulator types.
+pub(crate) fn run_engine<P: BspProgram>(
+    cfg: &SimConfig,
+    disks: &mut [DiskArray],
     prog: &P,
-    disks: &mut DiskArray,
-    ctx: &ContextStore,
-    geom: &MsgGeometry,
-    my_blocks: Vec<RawBlock>,
-    pids: &[(usize, usize)],
-    local_region: impl Fn(usize, usize) -> usize,
-    batch: usize,
-    step: usize,
-    v: usize,
-    p: usize,
-    batch_unit: usize,
-    k_size: usize,
-    gamma: usize,
-    mode: ComputeMode,
-    pool: Option<&ComputePool>,
-    pending_ctx: Option<PendingGroupRead>,
-    backlog: Option<&mut WriteBacklog>,
-    rng: &mut StdRng,
-    phases: &mut PhaseIo,
-    walls: &mut PhaseWall,
-    ctx_pool: &mut BufferPool,
-    agg_msgs: &AtomicU64,
-    agg_bytes: &AtomicU64,
-    agg_h: &AtomicU64,
-    agg_h_msgs: &AtomicU64,
-    agg_w: &AtomicU64,
-    any_continue: &AtomicBool,
-    any_msgs: &AtomicBool,
-) -> EmResult<Vec<Vec<RawBlock>>> {
-    let msgs = reassemble_blocks(my_blocks)?;
-    let mut inboxes: Vec<Vec<(u32, u32, P::Msg)>> = (0..pids.len()).map(|_| Vec::new()).collect();
-    let mut recv_bytes = vec![0u64; pids.len()];
-    let mut recv_msgs = vec![0u64; pids.len()];
-    for m in msgs {
-        let dst = m.dst as usize;
-        let local = pids
-            .iter()
-            .position(|&(pid, _)| pid == dst)
-            .ok_or_else(|| EmError::InvalidConfig(format!("block for pid {dst} misrouted")))?;
-        recv_bytes[local] += m.payload.len() as u64;
-        recv_msgs[local] += 1;
-        inboxes[local].push((m.src, m.seq, from_bytes(&m.payload)?));
-    }
-
-    // Fetch the round's contexts in one fully-striped batch (Step 1(a)):
-    // the k regions of this round are consecutive on this processor. A
-    // pipelined caller submitted (and counted) the read before the
-    // block-forwarding exchange; only the join happens here.
-    let fetch_t0 = Instant::now();
-    let ctx_bufs = if pids.is_empty() {
-        Vec::new()
-    } else if let Some(pending) = pending_ctx {
-        pending.join_into(ctx_pool)?
-    } else {
-        let ops0 = disks.stats().parallel_ops;
-        let first_slot = pids[0].1;
-        let pending = ctx.submit_read_group(disks, local_region(batch, first_slot), pids.len())?;
-        phases.fetch_ctx += disks.stats().parallel_ops - ops0;
-        pending.join_into(ctx_pool)?
+    start: Start<P::State>,
+) -> EmResult<(RunResult<P::State>, CostReport)> {
+    let start_time = Instant::now();
+    cfg.validate_run(disks)?;
+    let v = match &start {
+        Start::Fresh(states) => states.len(),
+        Start::Resume(r) => r.v,
     };
-    walls.fetch += fetch_t0.elapsed();
+    if v == 0 {
+        return Err(EmError::Bsp(BspError::NoProcessors));
+    }
+    let mu = prog.max_state_bytes();
+    let gamma = prog.max_comm_bytes().max(MSG_HEADER_BYTES);
+    // `run`/`resume` resolve before the disks exist; this covers `run_on`
+    // callers with their own arrays. Compute and pipeline resolutions
+    // apply fully here; a tuned cache capacity cannot be retrofitted onto
+    // caller-built arrays, so on this path the unresolved `auto_cache`
+    // request simply leaves the cache off (inert by the substrate's
+    // contract).
+    if let Some(rc) = cfg.resolve_auto(v, mu, gamma) {
+        return run_engine(&cfg.apply_resolution(rc), disks, prog, start);
+    }
+    let shape = Shape::new(&cfg.machine, v, mu, gamma)?;
+    let p = shape.p;
 
-    // --- Computing Phase: the shared per-vp kernel, serial or pooled. ---
-    let compute_t0 = Instant::now();
-    let work: Vec<VpWork<P::Msg>> = pids
-        .iter()
-        .zip(ctx_bufs)
-        .enumerate()
-        .map(|(local, (&(pid, _slot), ctx_buf))| VpWork {
-            pid,
-            ctx: ctx_buf,
-            inbox: std::mem::take(&mut inboxes[local]),
-            recv_bytes: recv_bytes[local],
-            recv_msgs: recv_msgs[local],
+    let (start_step, finished, globals, mut starts): (_, _, _, Vec<WorkerStart<P::State>>) =
+        match start {
+            Start::Fresh(states) => (
+                0,
+                false,
+                RunGlobals::default(),
+                shape.partition(states).into_iter().map(WorkerStart::Fresh).collect(),
+            ),
+            Start::Resume(r) => (
+                r.start_step,
+                r.finished,
+                r.globals,
+                r.workers.into_iter().map(|book| WorkerStart::Resume(Box::new(book))).collect(),
+            ),
+        };
+    let env = RunEnv {
+        prog,
+        cfg,
+        shape,
+        pool: cfg.compute_pool(),
+        fault_stats: cfg.fault_plan.as_ref().map(|plan| plan.stats()),
+        start_step,
+        step_limit: if finished { start_step } else { cfg.max_supersteps },
+        shared: Shared::new(globals),
+    };
+
+    let outputs: Vec<Option<WorkerOutput<P::State>>> = if p == 1 {
+        // Algorithm 1: the one processor is the calling thread.
+        vec![env.run_worker(0, &mut disks[0], starts.pop().expect("one start per worker"), Inline)]
+    } else {
+        let barrier = Barrier::new(p);
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..p).map(|_| crossbeam_channel::unbounded::<Bundle>()).unzip();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = disks
+                .iter_mut()
+                .zip(starts)
+                .zip(receivers)
+                .enumerate()
+                .map(|(i, ((disks, start), rx))| {
+                    let net = Channels {
+                        me: i,
+                        senders: senders.clone(),
+                        rx,
+                        pending: Vec::new(),
+                        phase: 0,
+                        barrier: &barrier,
+                        real_comm: &env.shared.real_comm,
+                        block_bytes: disks.config().block_bytes,
+                    };
+                    let env = &env;
+                    std::thread::Builder::new()
+                        .name(format!("em-par-p{i}"))
+                        .spawn_scoped(scope, move || env.run_worker(i, disks, start, net))
+                        .expect("spawn em-par processor thread")
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("processor thread panicked")).collect()
         })
-        .collect();
-    let mut new_states: Vec<Vec<u8>> = Vec::with_capacity(pids.len());
-    let mut outgoing: Vec<OutMsg> = Vec::new();
-    for slot in run_group_vps(prog, mode, step, v, gamma, work, pool) {
-        let slot = slot?; // first error in vp order wins, as the serial loop would
-        if slot.continued {
-            any_continue.store(true, Ordering::Relaxed);
-        }
-        agg_msgs.fetch_add(slot.msgs_sent, Ordering::Relaxed);
-        agg_bytes.fetch_add(slot.bytes_sent, Ordering::Relaxed);
-        agg_h.fetch_max(slot.bytes_sent.max(slot.recv_bytes), Ordering::Relaxed);
-        agg_h_msgs.fetch_max(slot.msgs_sent.max(slot.recv_msgs), Ordering::Relaxed);
-        agg_w.fetch_max(slot.work, Ordering::Relaxed);
-        outgoing.extend(slot.outbox);
-        new_states.push(slot.state_bytes);
-    }
-    walls.compute += compute_t0.elapsed();
+    };
 
-    // Write the changed contexts back in one fully-striped batch
-    // (Step 1(b)) — deferred into the superstep's backlog when pipelined.
-    let write_t0 = Instant::now();
-    if let Some(&(_, first_slot)) = pids.first() {
-        let ops0 = disks.stats().parallel_ops;
-        match backlog {
-            Some(backlog) => ctx.submit_write_group(
-                disks,
-                local_region(batch, first_slot),
-                &new_states,
-                backlog,
-            )?,
-            None => ctx.write_group(disks, local_region(batch, first_slot), &new_states)?,
-        }
-        phases.write_ctx += disks.stats().parallel_ops - ops0;
+    let RunEnv { shared, fault_stats, .. } = env;
+    let tallies = shared.recovery_tallies();
+    let ledger = shared.ledger.into_inner();
+    if let Some(err) = shared.failed.into_inner() {
+        // In-loop failures are already wrapped; this catches raw disk
+        // errors from the initial load (ledger still empty: step 0) or the
+        // final read-back (step λ) of a fault run — already-wrapped and
+        // non-disk errors pass through.
+        let absorbed = disks
+            .iter()
+            .map(DiskArray::stats)
+            .fold((0, 0), |(r, o), s| (r + s.retried_blocks, o + s.recovery_ops));
+        return Err(cfg.wrap_fault(ledger.lambda(), err, &fault_stats, absorbed, tallies));
     }
-    // The submitted stripes hold their own copies of the bytes.
-    ctx_pool.put_all(new_states);
 
-    // Writing Phase: cut into blocks — one stream per (this producer,
-    // destination batch·owner), so blocks are shared by all messages that
-    // the same processor will simulate in the same round — then scatter
-    // each block to a uniformly random processor.
-    // The first pid of this (processor, round) slice is unique across all
-    // (processor, round) pairs of the superstep — a collision-free tag.
-    let src_tag = pids.first().map_or(0, |&(pid, _)| pid) as u32;
-    let blocks = build_stream_blocks(geom.block_bytes, outgoing, src_tag, |dst| {
-        let b = dst as usize / batch_unit;
-        let owner = (dst as usize % batch_unit) / k_size;
-        (b * p + owner) as u32
-    });
-    let mut bundles: Vec<Vec<RawBlock>> = (0..p).map(|_| Vec::new()).collect();
-    for b in blocks {
-        any_msgs.store(true, Ordering::Relaxed);
-        bundles[rng.gen_range(0..p)].push(b);
+    // One `CostReport` from the workers' outputs.
+    let mut io = IoStats::new(cfg.machine.d);
+    let mut phases = PhaseIo::default();
+    let mut phase_wall = PhaseWall::default();
+    let mut tracks_per_disk = 0usize;
+    let mut balance_factors: Vec<f64> = Vec::new();
+    let mut max_ops = 0u64;
+    let mut per_worker_states = Vec::with_capacity(p);
+    for out in outputs {
+        let out = out.ok_or_else(|| EmError::InvalidConfig("worker lost its states".into()))?;
+        max_ops = max_ops.max(out.io.parallel_ops);
+        io.merge(&out.io);
+        phases.fetch_ctx += out.phases.fetch_ctx;
+        phases.fetch_msg += out.phases.fetch_msg;
+        phases.scatter += out.phases.scatter;
+        phases.write_ctx += out.phases.write_ctx;
+        phases.routing += out.phases.routing;
+        // Workers run concurrently: the slowest worker bounds the wall.
+        phase_wall.merge_max(&out.walls);
+        tracks_per_disk = tracks_per_disk.max(out.tracks);
+        for (idx, bf) in out.balances.into_iter().enumerate() {
+            if balance_factors.len() <= idx {
+                balance_factors.push(bf);
+            } else {
+                balance_factors[idx] = balance_factors[idx].max(bf);
+            }
+        }
+        per_worker_states.push(out.states.into_iter());
     }
-    walls.write += write_t0.elapsed();
-    Ok(bundles)
+    let states = (0..v)
+        .map(|pid| per_worker_states[shape.owner(pid)].next())
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| EmError::InvalidConfig("worker lost a state".into()))?;
+
+    let report = CostReport {
+        v,
+        k: shape.k,
+        num_groups: shape.num_batches,
+        p,
+        lambda: ledger.lambda(),
+        io_time: max_ops * cfg.machine.g_io,
+        phases,
+        phase_wall,
+        comm: ledger.clone(),
+        real_comm_bytes: shared.real_comm.into_inner(),
+        wall: start_time.elapsed(),
+        tracks_per_disk,
+        balance_factors,
+        checks: cfg.machine.check_theorem_conditions(v, shape.k, 4 + mu),
+        faults: cfg.fault_run().then(|| {
+            cfg.fault_report(&fault_stats, (io.retried_blocks, io.recovery_ops), tallies, None)
+        }),
+        resolved_config: cfg.resolved,
+        io,
+    };
+    Ok((RunResult { states, ledger }, report))
+}
+
+/// `resume()` of both simulator types: read every processor's manifests,
+/// roll ahead processors back through their journals, reattach the drive
+/// files and re-enter [`run_engine`].
+pub(crate) fn resume_engine<P: BspProgram>(
+    cfg: &SimConfig,
+    prog: &P,
+) -> EmResult<(RunResult<P::State>, CostReport)> {
+    cfg.machine.validate()?;
+    if !cfg.checkpoint {
+        return Err(EmError::InvalidConfig(
+            "resume requires checkpointing (with_checkpointing)".into(),
+        ));
+    }
+    if cfg.file_dir.is_none() {
+        return Err(EmError::InvalidConfig(
+            "resume requires the file backend (with_file_backend)".into(),
+        ));
+    }
+    let p = cfg.machine.p;
+    let disk_cfg = cfg.disk_config()?;
+    let mu = prog.max_state_bytes();
+    let gamma = prog.max_comm_bytes().max(MSG_HEADER_BYTES);
+    let decode = |i: usize, payload: &[u8]| -> EmResult<Manifest> {
+        let m = Manifest::decode(payload)?;
+        m.check_shape(
+            mu as u64,
+            gamma as u64,
+            cfg.seed,
+            disk_cfg.num_disks as u32,
+            disk_cfg.block_bytes as u64,
+            p as u32,
+            i as u32,
+        )?;
+        Ok(m)
+    };
+
+    // Pass 1: every processor's latest committed manifest. The commit
+    // protocol bounds the skew between processors to one superstep, so the
+    // minimum committed barrier is the global resume point and the
+    // keep-two manifest retention guarantees every processor still holds a
+    // manifest *at* that barrier.
+    let mut stores = Vec::with_capacity(p);
+    let mut latest = Vec::with_capacity(p);
+    for i in 0..p {
+        let dir = cfg.worker_dir(i).expect("file backend checked above");
+        let store = CheckpointStore::attach(&dir)?;
+        let (step, payload) = store.latest_manifest()?.ok_or_else(|| {
+            EmError::InvalidConfig(format!(
+                "no committed checkpoint manifest for processor {i} to resume from"
+            ))
+        })?;
+        let m = decode(i, &payload)?;
+        if m.next_step != step {
+            return Err(EmError::InvalidConfig(
+                "checkpoint manifest step disagrees with its payload".into(),
+            ));
+        }
+        stores.push((dir, store));
+        latest.push(m);
+    }
+    let resume_step = latest.iter().map(|m| m.next_step).min().expect("p >= 1 workers");
+    let v = latest[0].v as usize;
+    // `v` is only known from the manifests, so `Auto` knob resolution
+    // happens here: re-enter on the resolved clone (which has no `Auto`
+    // request left, so it proceeds straight through).
+    if let Some(rc) = cfg.resolve_auto(v, mu, gamma) {
+        return resume_engine(&cfg.apply_resolution(rc), prog);
+    }
+    let shape = Shape::new(&cfg.machine, v, mu, gamma)?;
+
+    // Pass 2: load each processor's manifest at the resume barrier, undo
+    // any journaled writes past it, and reattach the real array. The undo
+    // runs on a plain array — no cache, retry or fault injection — so the
+    // restoring writes neither advance nor consume the fault schedule the
+    // real array restores below.
+    let mut workers = Vec::with_capacity(p);
+    let mut disks = Vec::with_capacity(p);
+    let mut run_wide = None;
+    for (i, m_latest) in latest.into_iter().enumerate() {
+        let (dir, store) = &stores[i];
+        let m = if m_latest.next_step == resume_step {
+            m_latest
+        } else {
+            let payload = store.load_manifest(resume_step)?.ok_or_else(|| {
+                EmError::InvalidConfig(format!(
+                    "processor {i} committed past barrier {resume_step} but no longer holds \
+                     that barrier's manifest"
+                ))
+            })?;
+            decode(i, &payload)?
+        };
+        if m.v as usize != v || m.k != shape.k as u64 || m.num_groups != shape.num_batches as u64 {
+            return Err(EmError::InvalidConfig(
+                "checkpoint resume shape mismatch: group geometry differs from the checkpointed \
+                 run"
+                .into(),
+            ));
+        }
+        if let Some(journal) = JournalFile::read(dir)? {
+            if journal.epoch > resume_step {
+                let plain = cfg
+                    .machine
+                    .disk_config()?
+                    .with_io_mode(cfg.io_mode)
+                    .with_checksums(cfg.checksums);
+                DiskArray::open_file(plain, dir)?.apply_journal_undo(&journal)?;
+            }
+        }
+        let mut arr = DiskArray::open_file_with_faults(disk_cfg, dir, cfg.fault_plan.clone())?;
+        if let Some(ops) = &m.fault_ops {
+            arr.restore_fault_op_counts(ops);
+        }
+        disks.push(arr);
+        let finished = m.finished;
+        let (book, globals) = WorkerBook::from_manifest(m);
+        workers.push(book);
+        if i == 0 {
+            run_wide = Some((finished, globals));
+        }
+    }
+    let (finished, globals) = run_wide.expect("p >= 1 workers");
+    let resume = ResumeState { v, start_step: resume_step as usize, finished, workers, globals };
+    run_engine(cfg, &mut disks, prog, Start::Resume(Box::new(resume)))
+}
+
+impl<P: BspProgram> RunEnv<'_, P> {
+    /// One worker's whole life; a failure is filed in the shared slot.
+    fn run_worker<T: Transport>(
+        &self,
+        i: usize,
+        disks: &mut DiskArray,
+        start: WorkerStart<P::State>,
+        net: T,
+    ) -> Option<WorkerOutput<P::State>> {
+        let work = Worker::new(self, i, disks, net).and_then(|mut w| {
+            w.load(start)?;
+            w.supersteps()?;
+            w.finish()
+        });
+        work.map_err(|e| self.shared.fail(e)).ok()
+    }
+}
+
+/// One real processor: its private array, its allocations on it, and the
+/// bookkeeping it commits at each barrier.
+struct Worker<'a, P, T> {
+    env: &'a RunEnv<'a, P>,
+    i: usize,
+    net: T,
+    disks: &'a mut DiskArray,
+    /// Durable checkpointing: this worker's manifests and pre-image
+    /// journal live next to its drive files.
+    store: Option<CheckpointStore>,
+    alloc: TrackAllocator,
+    ctx: ContextStore,
+    geom: MsgGeometry,
+    // Committed bookkeeping: empty on a fresh run, or restored from this
+    // worker's barrier manifest. `committed_io` carries the I/O counted
+    // before the barrier the run resumed from; the live array counts only
+    // what this process adds, and the two merge additively at every
+    // barrier and in the final report, so a resumed run's counters are
+    // bit-identical to an uninterrupted one's.
+    counts: GroupCounts,
+    phases: PhaseIo,
+    committed_io: IoStats,
+    balances: Vec<f64>,
+    /// Wall-clock split; unlike `phases` it is *not* rewound on replay —
+    /// the time genuinely elapsed even when the attempt rolled back.
+    walls: PhaseWall,
+    /// Context buffers recycle here across rounds and supersteps; the pool
+    /// caches only capacity, so replay needs no snapshot of it.
+    ctx_pool: BufferPool,
+    /// Same deal for the routing merge pass's bookkeeping.
+    routing_scratch: RoutingScratch,
+    /// This attempt's failure. A zombie keeps the lockstep protocol alive
+    /// with empty bundles and touches its disks no more.
+    zombie: Option<EmError>,
+    /// Lockstep counter of barrier decisions; pairs with
+    /// `Shared::replay_token` to signal replays race-free.
+    decision_no: u64,
+}
+
+/// What one attempt at a compound superstep accumulates and a rollback
+/// discards.
+struct Attempt {
+    /// Determinism across crash/resume: the placement stream is a pure
+    /// function of (seed, worker, superstep), re-derived at every attempt
+    /// — never of run history — so a replay, in-process after a rollback
+    /// or across a process crash, reproduces the exact stream with nothing
+    /// to snapshot or persist beyond the base seed.
+    rng: StdRng,
+    scratch: ScratchState,
+    backlog: WriteBacklog,
+    /// Streaming window: the reads of up to `depth` rounds are in flight
+    /// at once. One entry per prefetched round (`None` halves for a round
+    /// with no local pids, and for message blocks at `p ≥ 2`) keeps the
+    /// window aligned with the batch sequence.
+    window: VecDeque<(Option<PendingGroupRead>, Option<PendingRawBlocks>)>,
+    next_prefetch: usize,
+}
+
+impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
+    fn new(env: &'a RunEnv<'a, P>, i: usize, disks: &'a mut DiskArray, net: T) -> EmResult<Self> {
+        let cfg = disks.config();
+        let shape = env.shape;
+        let store = if env.cfg.checkpoint {
+            let dir = env.cfg.worker_dir(i).expect("checkpointing validated to have a file dir");
+            if !disks.durable_journal_attached() {
+                disks.attach_durable_journal(&dir)?;
+            }
+            Some(CheckpointStore::attach(&dir)?)
+        } else {
+            None
+        };
+        let mut alloc = TrackAllocator::new(cfg.num_disks);
+        // Context store: one region per virtual processor this worker
+        // actually owns (all `v` of them at p = 1).
+        let ctx = ContextStore::allocate(
+            &mut alloc,
+            cfg.num_disks,
+            cfg.block_bytes,
+            shape.owned(i),
+            shape.mu,
+        )?;
+        // Message geometry: groups are batches of k·p pids. Partial-block
+        // slack: each of the p·num_batches producer slots can leave one
+        // partial block per owner stream of a batch (p streams). At p = 1
+        // that is one per source group — Algorithm 1's bound.
+        let slack = if shape.p == 1 {
+            shape.num_batches
+        } else {
+            shape.p * shape.p * shape.num_batches + shape.num_batches
+        };
+        let geom = MsgGeometry::allocate_with_slack(
+            &mut alloc,
+            shape.v.max(shape.batch_unit()),
+            shape.batch_unit(),
+            shape.gamma,
+            cfg.num_disks,
+            cfg.block_bytes,
+            slack,
+        )?;
+        Ok(Worker {
+            env,
+            i,
+            net,
+            disks,
+            store,
+            alloc,
+            ctx,
+            counts: GroupCounts::empty(geom.num_groups),
+            geom,
+            phases: PhaseIo::default(),
+            committed_io: IoStats::new(cfg.num_disks),
+            balances: Vec::new(),
+            walls: PhaseWall::default(),
+            ctx_pool: BufferPool::new(),
+            routing_scratch: RoutingScratch::new(),
+            zombie: None,
+            decision_no: 0,
+        })
+    }
+
+    /// Distribute the input (a fresh run) or adopt the committed
+    /// bookkeeping (a resumed one). Either way the array's counters start
+    /// the simulation proper at zero: the initial load is input
+    /// distribution, not simulation cost.
+    fn load(&mut self, start: WorkerStart<P::State>) -> EmResult<()> {
+        let shape = self.env.shape;
+        match start {
+            WorkerStart::Fresh(states) => {
+                let mut next = 0;
+                for batch in 0..shape.num_batches {
+                    let n = shape.pids(self.i, batch).len();
+                    if n > 0 {
+                        let bufs: Vec<Vec<u8>> =
+                            states[next..next + n].iter().map(to_bytes).collect();
+                        self.ctx.write_group(self.disks, shape.region(batch), &bufs)?;
+                        next += n;
+                    }
+                }
+                drop(states);
+                self.disks.sync()?; // input distribution durable before timing
+                self.disks.reset_stats();
+                if let Some(store) = &self.store {
+                    // A reused directory may hold a previous run's
+                    // manifests and journal; a fresh run must commit its
+                    // barrier-0 manifest over a clean slate, or a later
+                    // resume could replay the wrong run's tail.
+                    store.clear()?;
+                    self.disks.clear_durable_journal()?;
+                    let manifest = self.manifest(0, false, &RunGlobals::default());
+                    store.commit_manifest(0, &manifest.encode())?;
+                }
+            }
+            WorkerStart::Resume(book) => {
+                self.disks.reset_stats();
+                self.alloc.restore_state(book.alloc_next, book.alloc_free);
+                self.counts = book.counts;
+                self.phases = book.phases;
+                self.committed_io = book.committed_io;
+                self.balances = book.balances;
+            }
+        }
+        Ok(())
+    }
+
+    /// This worker's barrier manifest: the committed bookkeeping its
+    /// resumed process needs, plus a shape guard against resuming with a
+    /// different configuration (the bookkeeping → manifest half of the
+    /// conversion; [`WorkerBook::from_manifest`] is the other).
+    fn manifest(&self, next_step: usize, finished: bool, globals: &RunGlobals) -> Manifest {
+        let shape = self.env.shape;
+        let cfg = self.disks.config();
+        let to_u64 = |xs: &[usize]| xs.iter().map(|&x| x as u64).collect::<Vec<u64>>();
+        let (next, free) = self.alloc.export_state();
+        let mut io = self.committed_io.clone();
+        io.merge(self.disks.stats());
+        Manifest {
+            v: shape.v as u64,
+            k: shape.k as u64,
+            num_groups: shape.num_batches as u64,
+            mu: shape.mu as u64,
+            gamma: shape.gamma as u64,
+            seed: self.env.cfg.seed,
+            num_disks: cfg.num_disks as u32,
+            block_bytes: cfg.block_bytes as u64,
+            p: shape.p as u32,
+            worker: self.i as u32,
+            next_step: next_step as u64,
+            finished,
+            counts: to_u64(&self.counts.counts),
+            prefix: to_u64(&self.counts.prefix_in_bucket),
+            alloc_next: to_u64(&next),
+            alloc_free: free.iter().map(|f| to_u64(f)).collect(),
+            fault_ops: self.disks.fault_op_counts(),
+            phases: self.phases.clone(),
+            io,
+            balances: self.balances.clone(),
+            ledger: globals.ledger.steps.clone(),
+            real_comm: globals.real_comm,
+            recovered: globals.recovered,
+            replays: globals.replays,
+        }
+    }
+
+    /// The superstep loop. Each attempt runs the whole compound superstep
+    /// (Steps 1 + 2) inside a disk recovery epoch; committed bookkeeping
+    /// is snapshotted so a rolled-back attempt leaves no trace.
+    fn supersteps(&mut self) -> EmResult<()> {
+        for step in self.env.start_step..self.env.step_limit {
+            let mut attempt = 0usize;
+            loop {
+                let mut att = self.begin_attempt(step);
+                let snap = (
+                    self.alloc.clone(),
+                    self.counts.clone(),
+                    self.phases.clone(),
+                    self.balances.len(),
+                );
+                for batch in 0..self.env.shape.num_batches {
+                    let (pending_ctx, my_blocks) = self.fetch_and_forward(&mut att, batch);
+                    let to_store =
+                        match self.simulate_round(&mut att, step, batch, pending_ctx, my_blocks) {
+                            Ok(bundles) => bundles,
+                            Err(e) => {
+                                self.zombie = Some(e);
+                                self.no_bundles()
+                            }
+                        };
+                    self.exchange_and_store(&mut att, to_store);
+                }
+                self.reorganize(att);
+                if self.barrier_decides_replay(step, attempt) {
+                    // Every worker — failed or not — rewinds its disks and
+                    // bookkeeping to the last committed superstep; the next
+                    // attempt re-runs the exchanges in lockstep.
+                    if let Err(e) = self.disks.rollback_recovery_epoch() {
+                        self.zombie = Some(e.into());
+                    }
+                    (self.alloc, self.counts, self.phases) = (snap.0, snap.1, snap.2);
+                    self.balances.truncate(snap.3);
+                    attempt += 1;
+                    continue;
+                }
+                self.commit(step)?;
+                break;
+            }
+            if self.env.shared.stop.load(Ordering::SeqCst) {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    fn begin_attempt(&mut self, step: usize) -> Attempt {
+        // With checkpointing the epoch also journals durable pre-images
+        // keyed to this superstep — numbered `step + 1`, the manifest its
+        // barrier will commit — so a crashed process can undo a half-done
+        // superstep on resume. Re-beginning it on an in-process replay
+        // truncates the durable journal's abandoned records.
+        let begun = if self.store.is_some() {
+            self.disks.begin_checkpoint_epoch(step as u64 + 1)
+        } else if self.env.cfg.recovery.is_some() {
+            self.disks.begin_recovery_epoch()
+        } else {
+            Ok(())
+        };
+        if let Err(e) = begun {
+            self.zombie.get_or_insert(e.into());
+        }
+        let depth = self.env.cfg.pipeline.depth();
+        Attempt {
+            rng: StdRng::seed_from_u64(superstep_seed(
+                self.env.cfg.seed,
+                self.i as u64,
+                step as u64,
+            )),
+            scratch: ScratchState::new(&self.geom),
+            backlog: WriteBacklog::new(),
+            window: VecDeque::with_capacity(depth.min(self.env.shape.num_batches)),
+            next_prefetch: 0,
+        }
+    }
+
+    /// `p` empty bundles — what a zombie sends.
+    fn no_bundles(&self) -> Vec<Vec<RawBlock>> {
+        (0..self.env.shape.p).map(|_| Vec::new()).collect()
+    }
+
+    /// Unpipelined runs complete every write before the next submission.
+    fn settle(&self, backlog: &mut WriteBacklog) -> EmResult<()> {
+        if self.env.cfg.pipeline.depth() == 0 {
+            backlog.drain()?;
+        }
+        Ok(())
+    }
+
+    /// Submit (and count) round `batch`'s context stripes — and, at
+    /// `p = 1`, where nothing has to be forwarded before it can be used,
+    /// its message stripes — without waiting for the transfers.
+    fn submit_round_fetch(
+        &mut self,
+        batch: usize,
+    ) -> EmResult<(Option<PendingGroupRead>, Option<PendingRawBlocks>)> {
+        let shape = self.env.shape;
+        let n = shape.pids(self.i, batch).len();
+        let ctx = if n == 0 {
+            None
+        } else {
+            let ops0 = self.disks.stats().parallel_ops;
+            let pending = self.ctx.submit_read_group(self.disks, shape.region(batch), n);
+            self.phases.fetch_ctx += self.disks.stats().parallel_ops - ops0;
+            Some(pending?)
+        };
+        let msgs = if shape.p == 1 {
+            let ops0 = self.disks.stats().parallel_ops;
+            let pending =
+                submit_fetch_batch_raw_blocks(self.disks, &self.geom, &self.counts, batch);
+            self.phases.fetch_msg += self.disks.stats().parallel_ops - ops0;
+            Some(pending?)
+        } else {
+            None
+        };
+        Ok((ctx, msgs))
+    }
+
+    /// Fetching Phase, disk and network half: top up the streaming
+    /// window, read this round's message blocks from the local disks and
+    /// forward each to the worker simulating its destination. Returns the
+    /// round's in-flight context read (when prefetched) and the blocks
+    /// this worker must deliver.
+    fn fetch_and_forward(
+        &mut self,
+        att: &mut Attempt,
+        batch: usize,
+    ) -> (Option<PendingGroupRead>, Vec<RawBlock>) {
+        let t0 = Instant::now();
+        let (p, num_batches) = (self.env.shape.p, self.env.shape.num_batches);
+        let depth = self.env.cfg.pipeline.depth();
+        // Prefetch the window's rounds so their local reads overlap the
+        // block-forwarding exchanges below (counted at submit): round
+        // `batch + depth − 1`'s read goes out before round `batch`'s
+        // exchange. With one worker there is no exchange to hide a read
+        // behind, so the window reaches one round further — round
+        // `batch + depth` is submitted before round `batch` is joined
+        // (depth 1 is the classic double buffer). Submission order within
+        // each phase — and therefore the RNG stream, the track allocations
+        // and every counted stripe — is depth-invariant.
+        let reach = batch + depth + usize::from(p == 1);
+        while depth > 0 && self.zombie.is_none() && att.next_prefetch < num_batches.min(reach) {
+            let entry = self.submit_round_fetch(att.next_prefetch).unwrap_or_else(|e| {
+                self.zombie = Some(e);
+                (None, None)
+            });
+            att.window.push_back(entry);
+            att.next_prefetch += 1;
+        }
+        let (mut pending_ctx, mut pending_msgs) = att.window.pop_front().unwrap_or((None, None));
+        if self.zombie.is_some() {
+            // A failing attempt joins nothing more: drop the in-flight
+            // reads so the barrier's unjoined-ticket check sees a clean
+            // array.
+            (pending_ctx, pending_msgs) = (None, None);
+            att.window.clear();
+        }
+
+        let mut fwd = self.no_bundles();
+        if self.zombie.is_none() {
+            let ops0 = self.disks.stats().parallel_ops;
+            let blocks = match pending_msgs {
+                Some(pending) => Ok(pending),
+                None => submit_fetch_batch_raw_blocks(self.disks, &self.geom, &self.counts, batch),
+            }
+            .and_then(PendingRawBlocks::join);
+            self.phases.fetch_msg += self.disks.stats().parallel_ops - ops0;
+            match blocks {
+                // dst_tag = batch·p + owner.
+                Ok(blocks) => blocks.into_iter().for_each(|b| fwd[b.dst_tag as usize % p].push(b)),
+                Err(e) => self.zombie = Some(e),
+            }
+        }
+        let mine = self.net.exchange(fwd);
+        self.walls.fetch += t0.elapsed();
+        (pending_ctx, mine)
+    }
+
+    /// Everything a round does between its two exchanges: deliver, compute,
+    /// write back, cut. Returns the per-target-worker bundles of scatter
+    /// blocks (empty ones from a zombie).
+    fn simulate_round(
+        &mut self,
+        att: &mut Attempt,
+        step: usize,
+        batch: usize,
+        pending_ctx: Option<PendingGroupRead>,
+        my_blocks: Vec<RawBlock>,
+    ) -> EmResult<Vec<Vec<RawBlock>>> {
+        if self.zombie.is_some() {
+            return Ok(self.no_bundles());
+        }
+        let pids = self.env.shape.pids(self.i, batch);
+        let (ctx_bufs, msgs) = self.deliver(batch, &pids, pending_ctx, my_blocks)?;
+        let (new_states, outgoing) = self.compute(step, &pids, ctx_bufs, msgs)?;
+        self.write_back(att, batch, &pids, new_states, outgoing)
+    }
+
+    /// Fetching Phase, owner half: reassemble the delivered `(src, dst)`
+    /// streams and join the round's contexts — fetched in one
+    /// fully-striped batch (the `k` regions of a round are consecutive on
+    /// this worker). A pipelined run submitted (and counted) the read
+    /// before the block-forwarding exchange; only the join happens here.
+    fn deliver(
+        &mut self,
+        batch: usize,
+        pids: &Range<usize>,
+        pending_ctx: Option<PendingGroupRead>,
+        my_blocks: Vec<RawBlock>,
+    ) -> EmResult<(Vec<Vec<u8>>, Vec<InMsg>)> {
+        let t0 = Instant::now();
+        let msgs = reassemble_blocks(my_blocks)?;
+        let ctx_bufs = if pids.is_empty() {
+            Vec::new()
+        } else if let Some(pending) = pending_ctx {
+            pending.join_into(&mut self.ctx_pool)?
+        } else {
+            let ops0 = self.disks.stats().parallel_ops;
+            let region = self.env.shape.region(batch);
+            let pending = self.ctx.submit_read_group(self.disks, region, pids.len());
+            self.phases.fetch_ctx += self.disks.stats().parallel_ops - ops0;
+            pending?.join_into(&mut self.ctx_pool)?
+        };
+        self.walls.fetch += t0.elapsed();
+        Ok((ctx_bufs, msgs))
+    }
+
+    /// Computing Phase: distribute the delivered messages to per-pid
+    /// inboxes and run the superstep for every virtual processor of the
+    /// round through the shared per-vp kernel, serial or pooled. Returns
+    /// `(serialized contexts, outgoing messages)` concatenated in vp
+    /// order. Pure with respect to the disks.
+    fn compute(
+        &mut self,
+        step: usize,
+        pids: &Range<usize>,
+        ctx_bufs: Vec<Vec<u8>>,
+        msgs: Vec<InMsg>,
+    ) -> EmResult<(Vec<Vec<u8>>, Vec<OutMsg>)> {
+        let t0 = Instant::now();
+        let env = self.env;
+        let (shape, shared) = (env.shape, &env.shared);
+        let mut work: Vec<VpWork<P::Msg>> = pids
+            .clone()
+            .zip(ctx_bufs)
+            .map(|(pid, ctx)| VpWork { pid, ctx, inbox: Vec::new(), recv_bytes: 0, recv_msgs: 0 })
+            .collect();
+        for m in msgs {
+            let dst = m.dst as usize;
+            let w = dst
+                .checked_sub(pids.start)
+                .and_then(|local| work.get_mut(local))
+                .ok_or_else(|| EmError::InvalidConfig(format!("block for pid {dst} misrouted")))?;
+            w.recv_bytes += m.payload.len() as u64;
+            w.recv_msgs += 1;
+            w.inbox.push((m.src, m.seq, from_bytes(&m.payload)?));
+        }
+
+        let mut new_states: Vec<Vec<u8>> = Vec::with_capacity(pids.len());
+        let mut outgoing: Vec<OutMsg> = Vec::new();
+        let (mut round, mut continued) = (SuperstepComm::default(), false);
+        for slot in run_group_vps(
+            env.prog,
+            env.cfg.compute,
+            step,
+            shape.v,
+            shape.gamma,
+            work,
+            env.pool.as_ref(),
+        ) {
+            let slot = slot?; // first error in vp order wins, as the serial loop would
+            continued |= slot.continued;
+            round.msgs += slot.msgs_sent;
+            round.bytes += slot.bytes_sent;
+            round.h_bytes = round.h_bytes.max(slot.bytes_sent).max(slot.recv_bytes);
+            round.h_msgs = round.h_msgs.max(slot.msgs_sent).max(slot.recv_msgs);
+            round.w_comp = round.w_comp.max(slot.work);
+            outgoing.extend(slot.outbox);
+            new_states.push(slot.state_bytes);
+        }
+        shared.add_comm(&round, continued);
+        self.walls.compute += t0.elapsed();
+        Ok((new_states, outgoing))
+    }
+
+    /// Writing Phase, producer half: write the changed contexts back in
+    /// one fully-striped batch — deferred into the superstep's backlog
+    /// when pipelined — then cut the generated messages into blocks and
+    /// pick each block's target worker.
+    fn write_back(
+        &mut self,
+        att: &mut Attempt,
+        batch: usize,
+        pids: &Range<usize>,
+        new_states: Vec<Vec<u8>>,
+        outgoing: Vec<OutMsg>,
+    ) -> EmResult<Vec<Vec<RawBlock>>> {
+        let t0 = Instant::now();
+        let shape = self.env.shape;
+        if !pids.is_empty() {
+            let ops0 = self.disks.stats().parallel_ops;
+            let written = self
+                .ctx
+                .submit_write_group(self.disks, shape.region(batch), &new_states, &mut att.backlog)
+                .and_then(|()| self.settle(&mut att.backlog));
+            self.phases.write_ctx += self.disks.stats().parallel_ops - ops0;
+            written?;
+        }
+        // The submitted stripes hold their own copies of the bytes.
+        self.ctx_pool.put_all(new_states);
+
+        // One stream per (this producer, destination batch·owner), so
+        // blocks are shared by all messages that the same worker will
+        // simulate in the same round: the tag `batch·p + owner` is the
+        // destination's `k`-slice of the pid space, `dst / k`. The first
+        // pid of this (worker, round) slice is unique across all (worker,
+        // round) pairs of the superstep — a collision-free source tag.
+        let (p, k) = (shape.p, shape.k as u32);
+        let blocks =
+            build_stream_blocks(self.geom.block_bytes, outgoing, pids.start as u32, |dst| dst / k);
+        if !blocks.is_empty() {
+            self.env.shared.any_msgs.store(true, Ordering::Relaxed);
+        }
+        // Scatter each block to a uniformly random worker. With one
+        // worker there is one outcome, and a draw over one outcome
+        // consumes no randomness.
+        let mut bundles = self.no_bundles();
+        for b in blocks {
+            let target = if p == 1 { 0 } else { att.rng.gen_range(0..p) };
+            bundles[target].push(b);
+        }
+        self.walls.write += t0.elapsed();
+        Ok(bundles)
+    }
+
+    /// Writing Phase, storing half: exchange the scatter bundles and store
+    /// what arrived on the local disks in write cycles of `D`, binned by
+    /// destination batch.
+    fn exchange_and_store(&mut self, att: &mut Attempt, to_store: Vec<Vec<RawBlock>>) {
+        let received = self.net.exchange(to_store);
+        let t0 = Instant::now();
+        if self.zombie.is_none() {
+            let p = self.env.shape.p;
+            let ops0 = self.disks.stats().parallel_ops;
+            let stored = store_received_blocks_deferred(
+                self.disks,
+                &mut self.alloc,
+                &self.geom,
+                &mut att.scratch,
+                received,
+                |tag| tag as usize / p,
+                &mut att.rng,
+                self.env.cfg.placement,
+                &mut att.backlog,
+            )
+            .and_then(|()| self.settle(&mut att.backlog));
+            self.phases.scatter += self.disks.stats().parallel_ops - ops0;
+            if let Err(e) = stored {
+                self.zombie = Some(e);
+            }
+        }
+        self.walls.write += t0.elapsed();
+    }
+
+    /// Step 2 — reorganize the superstep's scattered blocks locally with
+    /// Algorithm 2 — then the superstep boundary's `sync()`.
+    fn reorganize(&mut self, att: Attempt) {
+        let Attempt { scratch, mut backlog, .. } = att;
+        // Deferred writes must be on disk — and their errors known —
+        // before the reorganization (or a rollback) reuses their tracks.
+        let t0 = Instant::now();
+        if let Err(e) = backlog.drain() {
+            self.zombie.get_or_insert(e.into());
+        }
+        self.walls.write += t0.elapsed();
+
+        if self.zombie.is_none() {
+            self.balances.push(scratch.balance_factor());
+            let t0 = Instant::now();
+            let ops0 = self.disks.stats().parallel_ops;
+            match simulate_routing(
+                self.disks,
+                &mut self.alloc,
+                &self.geom,
+                scratch,
+                &mut self.routing_scratch,
+                &mut self.ctx_pool,
+                self.env.pool.as_ref(),
+            ) {
+                Ok((counts, _trace)) => self.counts = counts,
+                Err(e) => self.zombie = Some(e),
+            }
+            self.phases.routing += self.disks.stats().parallel_ops - ops0;
+            self.walls.reorganize += t0.elapsed();
+        }
+
+        // Superstep boundary: this worker's writes are durable — and the
+        // recovery epoch may commit — before the barrier ends the
+        // superstep and any committed bookkeeping advances. No-op on the
+        // memory backend; generates no counted I/O operations.
+        if self.zombie.is_none() {
+            let t0 = Instant::now();
+            if let Err(e) = self.disks.sync() {
+                self.zombie = Some(e.into());
+            }
+            self.walls.sync += t0.elapsed();
+        }
+    }
+
+    /// The superstep barrier: every worker registers its attempt's
+    /// failure, worker 0 decides for everyone between two barrier waits —
+    /// advance (ledger entry, termination check), replay, or fail — and
+    /// every worker reads the decision. Returns whether to replay.
+    fn barrier_decides_replay(&mut self, step: usize, attempt: usize) -> bool {
+        let env = self.env;
+        let (cfg, shared) = (env.cfg, &env.shared);
+        let absorbed = (self.disks.stats().retried_blocks, self.disks.stats().recovery_ops);
+        if let Some(e) = self.zombie.take() {
+            if cfg.recovery.is_some() {
+                shared.attempt_errors.lock().push((e, absorbed.0, absorbed.1));
+            } else {
+                shared.fail(cfg.wrap_fault(step, e, &env.fault_stats, absorbed, (0, 0)));
+            }
+        }
+
+        self.net.barrier();
+        if self.i == 0 {
+            let mut regs = std::mem::take(&mut *shared.attempt_errors.lock());
+            if regs.is_empty() {
+                shared.ledger.lock().push(shared.take_comm());
+                if attempt > 0 {
+                    shared.recovered_total.fetch_add(1, Ordering::Relaxed);
+                }
+                let had_continue = shared.any_continue.swap(false, Ordering::Relaxed);
+                let had_msgs = shared.any_msgs.swap(false, Ordering::Relaxed);
+                if !had_continue && !had_msgs {
+                    shared.terminated.store(true, Ordering::SeqCst);
+                    shared.stop.store(true, Ordering::SeqCst);
+                }
+                if step + 1 == cfg.max_supersteps && !shared.stop.load(Ordering::SeqCst) {
+                    shared
+                        .fail(EmError::Bsp(BspError::SuperstepLimit { limit: cfg.max_supersteps }));
+                }
+            } else {
+                let budget = cfg.recovery.map_or(0, |r| r.max_replays_per_superstep);
+                let all_transient =
+                    regs.iter().all(|(e, _, _)| matches!(e, EmError::Disk(d) if d.is_transient()));
+                if all_transient && attempt < budget {
+                    // Replay: every worker rolls back and re-runs this
+                    // superstep. The failed attempt's aggregates are
+                    // discarded and re-accumulated by the replay.
+                    shared.replays_total.fetch_add(1, Ordering::Relaxed);
+                    shared.take_comm();
+                    shared.any_continue.swap(false, Ordering::Relaxed);
+                    shared.any_msgs.swap(false, Ordering::Relaxed);
+                    shared.replay_token.store(self.decision_no, Ordering::SeqCst);
+                } else {
+                    let retried: u64 = regs.iter().map(|r| r.1).sum();
+                    let rec_ops: u64 = regs.iter().map(|r| r.2).sum();
+                    // Registration order races across threads; surface
+                    // the disk error as the root cause — co-failing
+                    // threads derive logic errors from the faulty thread's
+                    // partial exchange bundles.
+                    let root = regs
+                        .iter()
+                        .position(|(e, _, _)| matches!(e, EmError::Disk(_)))
+                        .unwrap_or(0);
+                    let (first, _, _) = regs.swap_remove(root);
+                    shared.fail(cfg.wrap_fault(
+                        step,
+                        first,
+                        &env.fault_stats,
+                        (retried, rec_ops),
+                        shared.recovery_tallies(),
+                    ));
+                }
+            }
+        }
+        self.net.barrier();
+        let replay = shared.replay_token.load(Ordering::SeqCst) == self.decision_no;
+        self.decision_no += 1;
+        replay
+    }
+
+    /// Commit the superstep that survived the barrier: the recovery epoch
+    /// and, when checkpointing, the manifest. Returns [`EmError::Killed`]
+    /// at a kill point.
+    fn commit(&mut self, step: usize) -> EmResult<()> {
+        let env = self.env;
+        let (cfg, shared) = (env.cfg, &env.shared);
+        if self.store.is_some() || cfg.recovery.is_some() {
+            self.disks.commit_recovery_epoch();
+        }
+        let Some(store) = &self.store else {
+            return Ok(());
+        };
+        // Barrier commit protocol. Every worker's superstep data is
+        // already durable (the pre-barrier sync); now each worker commits
+        // its manifest, a barrier proves *all* manifests durable, and only
+        // then may anyone truncate the journal that protects this epoch —
+        // so a crash at any instant leaves the workers' committed barriers
+        // skewed by at most one superstep, which resume reconciles.
+        let killed_at = |kp: fn(usize) -> KillPoint| cfg.kill == Some(kp(step));
+        // A mid-superstep crash: the superstep's writes are synced and the
+        // durable journal still holds their pre-images, but no new
+        // manifest commits — resume undoes and replays this superstep.
+        if shared.failed.lock().is_none() && !killed_at(KillPoint::MidSuperstep) {
+            let globals = if self.i == 0 {
+                let (recovered, replays) = shared.recovery_tallies();
+                RunGlobals {
+                    ledger: shared.ledger.lock().clone(),
+                    real_comm: shared.real_comm.load(Ordering::SeqCst),
+                    recovered,
+                    replays,
+                }
+            } else {
+                RunGlobals::default()
+            };
+            let finished = shared.terminated.load(Ordering::SeqCst);
+            let payload = self.manifest(step + 1, finished, &globals).encode();
+            let committed = if self.i == 0 && killed_at(KillPoint::MidManifest) {
+                // The crash tears worker 0's manifest mid-write — a frame
+                // the CRC check must reject, so resume falls back to the
+                // previous committed manifest and the intact journal —
+                // while the other workers committed theirs in full: the
+                // worst-case commit skew the resume protocol exists to
+                // reconcile.
+                store.write_torn_manifest(step as u64 + 1, &payload, payload.len() / 2 + 8)
+            } else {
+                store.commit_manifest(step as u64 + 1, &payload)
+            };
+            if let Err(e) = committed {
+                shared.fail(e.into());
+            }
+        }
+        // No journal truncation before every worker's manifest is durable.
+        self.net.barrier();
+        let keep_journal = killed_at(KillPoint::MidManifest) || killed_at(KillPoint::MidSuperstep);
+        if shared.failed.lock().is_none() && !keep_journal {
+            if let Err(e) = self.disks.clear_durable_journal() {
+                shared.fail(e.into());
+            }
+        }
+        if matches!(cfg.kill, Some(kp) if kp.step() == step) {
+            // The simulated whole-process crash: every worker dies here,
+            // skipping the final read-back exactly as a real crash would.
+            return Err(EmError::Killed { step });
+        }
+        Ok(())
+    }
+
+    /// Read the final contexts back (batched per round) and hand over this
+    /// worker's meters.
+    fn finish(self) -> EmResult<WorkerOutput<P::State>> {
+        let shape = self.env.shape;
+        let mut states = Vec::with_capacity(shape.owned(self.i));
+        for batch in 0..shape.num_batches {
+            let n = shape.pids(self.i, batch).len();
+            if n > 0 {
+                for buf in self.ctx.read_group(self.disks, shape.region(batch), n)? {
+                    states.push(from_bytes::<P::State>(&buf)?);
+                }
+            }
+        }
+        // The reported I/O is the committed base (zero on a fresh run)
+        // plus everything this process did — bit-identical to an
+        // uninterrupted run's count. The array keeps its counters: a
+        // borrowed array is its caller's per-run meter.
+        let mut io = self.committed_io;
+        io.merge(self.disks.stats());
+        Ok(WorkerOutput {
+            states,
+            io,
+            phases: self.phases,
+            walls: self.walls,
+            tracks: self.alloc.max_frontier(),
+            balances: self.balances,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use em_bsp::{run_sequential, BspStarParams, Mailbox, Step};
+    use crate::test_programs::{AllToAll, Chatty, Diffuse};
+    use crate::SeqEmSimulator;
+    use em_bsp::{run_sequential, BspStarParams};
+    use em_disk::Pipeline;
+    use std::path::Path;
+
+    /// The diffusion workload of the pipeline and crash tests.
+    const DIFFUSE: Diffuse = Diffuse { rounds: 4 };
 
     fn machine(p: usize, m: usize, d: usize, b: usize) -> EmMachine {
         EmMachine {
@@ -1950,34 +1563,6 @@ mod tests {
             b_bytes: b,
             g_io: 1,
             router: BspStarParams { p, g: 1.0, b, l: 1.0 },
-        }
-    }
-
-    struct AllToAll {
-        mu: usize,
-    }
-    impl BspProgram for AllToAll {
-        type State = u64;
-        type Msg = u64;
-        fn superstep(&self, step: usize, mb: &mut Mailbox<u64>, state: &mut u64) -> Step {
-            match step {
-                0 => {
-                    for dst in 0..mb.nprocs() {
-                        mb.send(dst, (mb.pid() as u64 + 1) * 1000 + dst as u64);
-                    }
-                    Step::Continue
-                }
-                _ => {
-                    *state = mb.take_incoming().iter().map(|e| e.msg).sum();
-                    Step::Halt
-                }
-            }
-        }
-        fn max_state_bytes(&self) -> usize {
-            self.mu.max(8)
-        }
-        fn max_comm_bytes(&self) -> usize {
-            32 * 24
         }
     }
 
@@ -1999,40 +1584,12 @@ mod tests {
 
     #[test]
     fn pipelined_parallel_run_is_bit_identical() {
-        // A state-dependent multi-superstep program with *distinct*
-        // initial states: a stale or misaligned context read (e.g. a
-        // window handing batch b the contexts of batch b-1) changes the
-        // final states, which the symmetric all-to-all workload cannot
-        // detect because it never reads its prior state.
-        struct Diffuse;
-        impl BspProgram for Diffuse {
-            type State = u64;
-            type Msg = u64;
-            fn superstep(&self, step: usize, mb: &mut Mailbox<u64>, state: &mut u64) -> Step {
-                let v = mb.nprocs();
-                for e in mb.take_incoming() {
-                    *state = state.wrapping_add(e.msg);
-                }
-                if step < 4 {
-                    mb.send((mb.pid() + 1) % v, *state + step as u64);
-                    mb.send((mb.pid() + v - 1) % v, state.wrapping_mul(3));
-                    Step::Continue
-                } else {
-                    Step::Halt
-                }
-            }
-            fn max_state_bytes(&self) -> usize {
-                124
-            }
-            fn max_comm_bytes(&self) -> usize {
-                2 * 24
-            }
-        }
+        // Distinct initial states, so a stale context read shows.
         let v = 32;
         let init: Vec<u64> = (0..v as u64).map(|x| x * 11 + 3).collect();
-        let reference = run_sequential(&Diffuse, init.clone()).unwrap();
+        let reference = run_sequential(&DIFFUSE, init.clone()).unwrap();
         let base = ParEmSimulator::new(machine(4, 256, 2, 64)).with_seed(5);
-        let (a, ra) = base.run(&Diffuse, init.clone()).unwrap();
+        let (a, ra) = base.run(&DIFFUSE, init.clone()).unwrap();
         assert_eq!(a.states, reference.states, "Pipeline::Off must match the reference");
         // 4 batches: depth 2 keeps several rounds in flight, depth 8 a
         // window wider than the whole superstep.
@@ -2040,7 +1597,7 @@ mod tests {
             [Pipeline::DoubleBuffer, Pipeline::Stream(1), Pipeline::Stream(2), Pipeline::Stream(8)]
         {
             let pipelined = base.clone().with_pipeline(pipeline);
-            let (b, rb) = pipelined.run(&Diffuse, init.clone()).unwrap();
+            let (b, rb) = pipelined.run(&DIFFUSE, init.clone()).unwrap();
             assert_eq!(a.states, b.states, "{pipeline:?}");
             assert_eq!(a.ledger, b.ledger, "{pipeline:?}");
             assert_eq!(ra.io, rb.io, "counted I/O must not depend on {pipeline:?}");
@@ -2110,13 +1667,91 @@ mod tests {
         }
     }
 
+    /// Every regular file directly inside `dir`, by name.
+    fn dir_bytes(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.is_file())
+            .map(|path| {
+                (
+                    path.file_name().unwrap().to_string_lossy().into_owned(),
+                    std::fs::read(&path).unwrap(),
+                )
+            })
+            .collect()
+    }
+
+    /// Algorithm 3 at `p = 1` *is* Algorithm 1: the two entry points run
+    /// one engine, so at one seed every counted quantity — and every byte
+    /// on the drives — agrees. Multi-group, multi-superstep, ragged `v`
+    /// (`k = 2 ∤ v = 13`: seven groups, the last of one).
     #[test]
-    fn single_processor_degenerate_case() {
-        let prog = AllToAll { mu: 124 };
-        let reference = run_sequential(&prog, vec![0u64; 8]).unwrap();
-        let sim = ParEmSimulator::new(machine(1, 256, 2, 64));
-        let (res, _) = sim.run(&prog, vec![0u64; 8]).unwrap();
-        assert_eq!(res.states, reference.states);
+    fn single_processor_is_algorithm_1() {
+        type Run = (RunResult<u64>, CostReport);
+        fn assert_same(what: &str, (a, ra): &Run, (b, rb): &Run) {
+            assert_eq!(a.states, b.states, "{what}: final states");
+            assert_eq!(a.ledger, b.ledger, "{what}: CommLedger");
+            assert_eq!(ra.io, rb.io, "{what}: IoStats");
+            assert_eq!(ra.phases, rb.phases, "{what}: PhaseIo");
+            assert_eq!(ra.balance_factors, rb.balance_factors, "{what}: balance factors");
+            assert_eq!(ra.tracks_per_disk, rb.tracks_per_disk, "{what}: tracks_per_disk");
+            assert_eq!(
+                (ra.k, ra.num_groups, ra.lambda),
+                (rb.k, rb.num_groups, rb.lambda),
+                "{what}"
+            );
+        }
+        let init: Vec<u64> = (0..13u64).map(|x| x * 11 + 3).collect();
+        let reference = run_sequential(&DIFFUSE, init.clone()).unwrap();
+        let base = std::env::temp_dir().join(format!("em-p1-alg1-{}", std::process::id()));
+        let seq = SeqEmSimulator::new(machine(1, 256, 2, 64)).with_seed(0xE1);
+        let par = ParEmSimulator::new(machine(1, 256, 2, 64)).with_seed(0xE1);
+
+        for (tag, pipeline) in [("off", Pipeline::Off), ("s2", Pipeline::Stream(2))] {
+            let (seq, par) =
+                (seq.clone().with_pipeline(pipeline), par.clone().with_pipeline(pipeline));
+            let a = seq.run(&DIFFUSE, init.clone()).unwrap();
+            let b = par.run(&DIFFUSE, init.clone()).unwrap();
+            assert_eq!(a.0.states, reference.states, "{tag}");
+            assert_eq!((a.1.k, a.1.num_groups, a.1.lambda), (2, 7, 5), "{tag}");
+            assert_same(&format!("memory/{tag}"), &a, &b);
+
+            let (seq_dir, par_dir) =
+                (base.join(format!("seq-{tag}")), base.join(format!("par-{tag}")));
+            let fa = seq.with_file_backend(&seq_dir).run(&DIFFUSE, init.clone()).unwrap();
+            let fb = par.with_file_backend(&par_dir).run(&DIFFUSE, init.clone()).unwrap();
+            assert_same(&format!("file/{tag}"), &fa, &fb);
+            assert_same(&format!("file vs memory/{tag}"), &a, &fa);
+            let drives = dir_bytes(&seq_dir);
+            assert!(!drives.is_empty(), "{tag}: the run left no drive files");
+            assert_eq!(drives, dir_bytes(&par_dir.join("proc-0")), "{tag}: drive-file bytes");
+        }
+
+        // One crash lane: both die mid-superstep 2 and resume to the
+        // uninterrupted result, manifests and journals byte for byte.
+        let (seq_dir, par_dir) = (base.join("seq-kill"), base.join("par-kill"));
+        let seq = seq.with_file_backend(&seq_dir).with_checkpointing(true);
+        let par = par.with_file_backend(&par_dir).with_checkpointing(true);
+        let kill = KillPoint::MidSuperstep(2);
+        for err in [
+            seq.clone().with_kill_point(kill).run(&DIFFUSE, init.clone()).unwrap_err(),
+            par.clone().with_kill_point(kill).run(&DIFFUSE, init.clone()).unwrap_err(),
+        ] {
+            assert!(matches!(err, EmError::Killed { step: 2 }), "{err}");
+        }
+        assert_eq!(dir_bytes(&seq_dir), dir_bytes(&par_dir.join("proc-0")), "crashed state");
+        let (a, b) = (seq.resume(&DIFFUSE).unwrap(), par.resume(&DIFFUSE).unwrap());
+        assert_eq!(a.0.states, reference.states);
+        assert_same("resumed", &a, &b);
+        assert_eq!(dir_bytes(&seq_dir), dir_bytes(&par_dir.join("proc-0")), "resumed state");
+        let uninterrupted = SeqEmSimulator::new(machine(1, 256, 2, 64))
+            .with_seed(0xE1)
+            .run(&DIFFUSE, init)
+            .unwrap();
+        assert_eq!(a.1.io.parallel_ops, uninterrupted.1.io.parallel_ops);
+        assert_eq!(a.1.phases, uninterrupted.1.phases);
+        std::fs::remove_dir_all(&base).ok();
     }
 
     #[test]
@@ -2132,66 +1767,17 @@ mod tests {
 
     #[test]
     fn multi_superstep_program_parallel() {
-        /// Nearest-neighbour diffusion for several rounds.
-        struct Diffuse;
-        impl BspProgram for Diffuse {
-            type State = u64;
-            type Msg = u64;
-            fn superstep(&self, step: usize, mb: &mut Mailbox<u64>, state: &mut u64) -> Step {
-                let v = mb.nprocs();
-                for e in mb.take_incoming() {
-                    *state = state.wrapping_add(e.msg);
-                }
-                if step < 5 {
-                    mb.send((mb.pid() + 1) % v, *state + step as u64);
-                    mb.send((mb.pid() + v - 1) % v, state.wrapping_mul(3));
-                    Step::Continue
-                } else {
-                    Step::Halt
-                }
-            }
-            fn max_state_bytes(&self) -> usize {
-                124
-            }
-            fn max_comm_bytes(&self) -> usize {
-                2 * 24
-            }
-        }
         let v = 24;
         let init: Vec<u64> = (0..v as u64).collect();
-        let reference = run_sequential(&Diffuse, init.clone()).unwrap();
+        let reference = run_sequential(&Diffuse { rounds: 5 }, init.clone()).unwrap();
         let sim = ParEmSimulator::new(machine(3, 256, 2, 64)).with_seed(2);
-        let (res, report) = sim.run(&Diffuse, init).unwrap();
+        let (res, report) = sim.run(&Diffuse { rounds: 5 }, init).unwrap();
         assert_eq!(res.states, reference.states);
         assert_eq!(report.lambda, reference.supersteps());
     }
 
     #[test]
     fn error_in_one_thread_propagates() {
-        struct Chatty;
-        impl BspProgram for Chatty {
-            type State = u64;
-            type Msg = u64;
-            fn superstep(&self, step: usize, mb: &mut Mailbox<u64>, _: &mut u64) -> Step {
-                if step == 0 && mb.pid() == 3 {
-                    for _ in 0..100 {
-                        mb.send(0, 1);
-                    }
-                }
-                if step == 0 {
-                    Step::Continue
-                } else {
-                    mb.take_incoming();
-                    Step::Halt
-                }
-            }
-            fn max_state_bytes(&self) -> usize {
-                124
-            }
-            fn max_comm_bytes(&self) -> usize {
-                48 // two messages' worth; pid 3 exceeds it
-            }
-        }
         let sim = ParEmSimulator::new(machine(2, 256, 2, 64));
         let err = sim.run(&Chatty, vec![0u64; 8]).unwrap_err();
         assert!(matches!(err, EmError::CommBudgetExceeded { pid: 3, .. }));
@@ -2206,35 +1792,6 @@ mod tests {
         let (res, _) = sim.run(&prog, vec![0u64; 16]).unwrap();
         assert_eq!(res.states, reference.states);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A state-dependent multi-superstep workload for crash tests: every
-    /// superstep folds the incoming messages into the state, so resuming
-    /// from the wrong barrier or with the wrong context bytes changes the
-    /// final states.
-    struct Diffuse;
-    impl BspProgram for Diffuse {
-        type State = u64;
-        type Msg = u64;
-        fn superstep(&self, step: usize, mb: &mut Mailbox<u64>, state: &mut u64) -> Step {
-            let v = mb.nprocs();
-            for e in mb.take_incoming() {
-                *state = state.wrapping_add(e.msg);
-            }
-            if step < 4 {
-                mb.send((mb.pid() + 1) % v, *state + step as u64);
-                mb.send((mb.pid() + v - 1) % v, state.wrapping_mul(3));
-                Step::Continue
-            } else {
-                Step::Halt
-            }
-        }
-        fn max_state_bytes(&self) -> usize {
-            124
-        }
-        fn max_comm_bytes(&self) -> usize {
-            2 * 24
-        }
     }
 
     #[test]
@@ -2253,12 +1810,12 @@ mod tests {
         let plain = ParEmSimulator::new(machine(3, 256, 2, 64))
             .with_seed(9)
             .with_file_backend(base_dir.join("plain"));
-        let (a, ra) = plain.run(&Diffuse, init.clone()).unwrap();
+        let (a, ra) = plain.run(&DIFFUSE, init.clone()).unwrap();
         let ckpt = ParEmSimulator::new(machine(3, 256, 2, 64))
             .with_seed(9)
             .with_file_backend(base_dir.join("ckpt"))
             .with_checkpointing(true);
-        let (b, rb) = ckpt.run(&Diffuse, init).unwrap();
+        let (b, rb) = ckpt.run(&DIFFUSE, init).unwrap();
         assert_eq!(a.states, b.states);
         assert_eq!(a.ledger, b.ledger);
         assert_eq!(ra.io.parallel_ops, rb.io.parallel_ops);
@@ -2276,16 +1833,16 @@ mod tests {
             .with_seed(7)
             .with_file_backend(base_dir.join("uninterrupted"))
             .with_checkpointing(true);
-        let (a, ra) = sim_a.run(&Diffuse, init.clone()).unwrap();
+        let (a, ra) = sim_a.run(&DIFFUSE, init.clone()).unwrap();
         for kill in [KillPoint::AtBarrier(0), KillPoint::MidSuperstep(2), KillPoint::MidManifest(1)]
         {
             let sim_b = ParEmSimulator::new(machine(3, 256, 2, 64))
                 .with_seed(7)
                 .with_file_backend(base_dir.join(format!("{kill:?}")))
                 .with_checkpointing(true);
-            let err = sim_b.clone().with_kill_point(kill).run(&Diffuse, init.clone()).unwrap_err();
+            let err = sim_b.clone().with_kill_point(kill).run(&DIFFUSE, init.clone()).unwrap_err();
             assert!(matches!(err, EmError::Killed { .. }), "{kill:?}: {err}");
-            let (b, rb) = sim_b.resume(&Diffuse).unwrap();
+            let (b, rb) = sim_b.resume(&DIFFUSE).unwrap();
             assert_eq!(a.states, b.states, "{kill:?}");
             assert_eq!(a.ledger, b.ledger, "{kill:?}");
             assert_eq!(ra.io.parallel_ops, rb.io.parallel_ops, "{kill:?}");
@@ -2306,8 +1863,8 @@ mod tests {
             .with_seed(3)
             .with_file_backend(&base_dir)
             .with_checkpointing(true);
-        let (a, ra) = sim.run(&Diffuse, init).unwrap();
-        let (b, rb) = sim.resume(&Diffuse).unwrap();
+        let (a, ra) = sim.run(&DIFFUSE, init).unwrap();
+        let (b, rb) = sim.resume(&DIFFUSE).unwrap();
         assert_eq!(a.states, b.states);
         assert_eq!(a.ledger, b.ledger);
         assert_eq!(ra.io.parallel_ops, rb.io.parallel_ops);

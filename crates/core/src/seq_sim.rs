@@ -1,57 +1,31 @@
 //! Algorithm 1 — `SeqCompoundSuperstep`: the single-processor external-
-//! memory simulation.
+//! memory simulation, which is Algorithm 3 at `p = 1`.
 //!
 //! The simulator holds at most one *group* of `k = ⌊M/μ⌋` virtual-processor
 //! contexts in memory at a time. Per superstep, for each group `i`:
 //!
-//! 1. **Fetching Phase** — read the group's contexts (Step 1(a)) and the
-//!    message blocks destined for it (Step 1(b)) from their fixed,
+//! 1. **Fetching Phase** — read the message blocks destined for the group
+//!    (Step 1(b)) and its contexts (Step 1(a)) from their fixed,
 //!    `D`-striped regions;
 //! 2. **Computation Phase** — run the BSP program's superstep for the `k`
 //!    virtual processors (Step 1(c));
-//! 3. **Writing Phase** — cut the generated messages into blocks and
-//!    scatter them over the disks with a fresh random permutation per
-//!    write cycle (Step 1(d)), then write the changed contexts back
-//!    (Step 1(e)).
+//! 3. **Writing Phase** — write the changed contexts back (Step 1(e)),
+//!    then cut the generated messages into blocks and scatter them over
+//!    the disks with a fresh random permutation per write cycle
+//!    (Step 1(d)).
 //!
 //! After all groups, Algorithm 2 ([`crate::routing::simulate_routing`])
 //! reorganizes the scattered blocks into each group's consecutive region
-//! for the next superstep. The run terminates exactly when the in-memory
-//! reference executor would: every virtual processor halted and no message
-//! is in flight.
+//! for the next superstep.
+//!
+//! There is no second engine here: [`SeqEmSimulator`] is an entry point
+//! into the compound-superstep engine of `par_sim.rs`, which at `p = 1`
+//! runs on the calling thread with the inter-processor exchange as the
+//! identity and the barrier a no-op. What this type owns is Algorithm 1's
+//! shape of the API: one borrowed [`DiskArray`] rather than a `Vec` of
+//! them, files directly in `dir/`, and its own default seed.
 
-use crate::checkpoint::{superstep_seed, KillPoint, Manifest};
-use crate::compute::{run_group_vps, ComputeMode, VpWork};
-use crate::context_store::{BufferPool, ContextStore, PendingGroupRead};
-use crate::machine::EmMachine;
-use crate::msg::{
-    fetch_group_messages, scatter_messages, scatter_messages_deferred, submit_fetch_group_messages,
-    GroupCounts, InMsg, MsgGeometry, OutMsg, PendingGroupMsgs, Placement, MSG_HEADER_BYTES,
-};
-use crate::report::{CostReport, FaultReport, PhaseIo, PhaseWall, RecoveryPolicy};
-use crate::routing::{simulate_routing, RoutingScratch};
-use crate::tune::{AutoTuner, ResolvedConfig};
-use crate::ComputePool;
-use crate::{EmError, EmResult};
-use em_bsp::{BspError, BspProgram, CommLedger, RunResult, SuperstepComm};
-use em_disk::{
-    CheckpointStore, DiskArray, DiskConfig, EngineKind, FaultPlan, FaultStats, IoMode, IoStats,
-    JournalFile, Pipeline, RetryPolicy, TrackAllocator, WriteBacklog,
-};
-use em_serial::{from_bytes, to_bytes};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::VecDeque;
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex as StdMutex};
-use std::time::Instant;
-
-/// Where the simulated disks live.
-#[derive(Debug, Clone)]
-enum Backend {
-    Memory,
-    File(PathBuf),
-}
+use crate::sim_config::{facade_scope::*, sim_facade, SimConfig};
 
 /// The single-processor EM-BSP\* simulator (Algorithms 1 + 2).
 ///
@@ -79,377 +53,15 @@ enum Backend {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SeqEmSimulator {
-    machine: EmMachine,
-    seed: u64,
-    placement: Placement,
-    max_supersteps: usize,
-    backend: Backend,
-    io_mode: IoMode,
-    pipeline: Pipeline,
-    compute: ComputeMode,
-    fault_plan: Option<FaultPlan>,
-    checksums: bool,
-    retry: Option<RetryPolicy>,
-    recovery: Option<RecoveryPolicy>,
-    cache_bytes: usize,
-    auto_cache: bool,
-    checkpoint: bool,
-    kill: Option<KillPoint>,
-    engine: EngineKind,
-    pin_workers: bool,
-    tuner: AutoTuner,
-    /// The tuner's choices, recorded when a resolution ran (on the clone
-    /// [`Self::resolved_for`] returns; the original stays `None`).
-    resolved: Option<ResolvedConfig>,
-    /// Lazily created persistent compute pool, shared by every run of this
-    /// simulator (and of its clones — the cell is behind an `Arc`). `None`
-    /// until the first `Threaded` run, or preset via
-    /// [`Self::with_compute_pool`].
-    pool: Arc<StdMutex<Option<ComputePool>>>,
+    cfg: SimConfig,
 }
 
 impl SeqEmSimulator {
     /// Simulator for the given machine with defaults: seeded RNG, random
-    /// placement, in-memory disks.
+    /// placement, in-memory disks. Algorithm 1 has one processor, so the
+    /// machine's `p` is taken as 1.
     pub fn new(machine: EmMachine) -> Self {
-        SeqEmSimulator {
-            machine,
-            seed: 0xD15C_5EED,
-            placement: Placement::Random,
-            max_supersteps: em_bsp::DEFAULT_MAX_SUPERSTEPS,
-            backend: Backend::Memory,
-            io_mode: IoMode::Parallel,
-            pipeline: Pipeline::Off,
-            compute: ComputeMode::Serial,
-            fault_plan: None,
-            checksums: false,
-            retry: None,
-            recovery: None,
-            cache_bytes: 0,
-            auto_cache: false,
-            checkpoint: false,
-            kill: None,
-            engine: EngineKind::Threaded,
-            pin_workers: false,
-            tuner: AutoTuner::default(),
-            resolved: None,
-            pool: Arc::new(StdMutex::new(None)),
-        }
-    }
-
-    /// Use a specific RNG seed (runs are reproducible per seed).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Choose the disk-assignment strategy of the Writing Phase.
-    pub fn with_placement(mut self, placement: Placement) -> Self {
-        self.placement = placement;
-        self
-    }
-
-    /// Back the simulated disks with real files inside `dir`.
-    pub fn with_file_backend(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.backend = Backend::File(dir.into());
-        self
-    }
-
-    /// Choose how a file backend executes stripes ([`IoMode::Parallel`] by
-    /// default — one worker thread per drive). Ignored by the memory
-    /// backend; counted I/O and final states are identical either way.
-    pub fn with_io_mode(mut self, mode: IoMode) -> Self {
-        self.io_mode = mode;
-        self
-    }
-
-    /// Overlap disk transfers with computation ([`Pipeline::Off`] by
-    /// default). With [`Pipeline::Stream(n)`](Pipeline::Stream) a bounded
-    /// window of up to `n` groups is in flight at once: group `g+n`'s
-    /// contexts and message blocks are submitted before group `g` is
-    /// joined, and every group's writes drain in the background, joined
-    /// before Algorithm 2's reorganization. [`Pipeline::DoubleBuffer`] is
-    /// exactly `Stream(1)` — the classic one-group-ahead double buffer.
-    /// Counted I/O, per-phase attribution, final states, the RNG stream
-    /// and seeded I/O traces are identical at every depth — the knob
-    /// changes only *when* transfers complete.
-    pub fn with_pipeline(mut self, pipeline: Pipeline) -> Self {
-        self.pipeline = pipeline;
-        self
-    }
-
-    /// Run each group's Computation Phase on a scoped worker pool
-    /// ([`ComputeMode::Serial`] by default). Final states, the message
-    /// ledger, counted I/O, the RNG stream and seeded I/O traces are
-    /// identical in every mode — the knob only changes which OS threads
-    /// execute the per-virtual-processor kernel (see
-    /// [`ComputeMode`]).
-    pub fn with_compute_mode(mut self, mode: ComputeMode) -> Self {
-        self.compute = mode;
-        self
-    }
-
-    /// Prefer a stripe-execution engine for the file backend
-    /// ([`EngineKind::Threaded`] by default). [`EngineKind::Uring`] is a
-    /// *preference*: it silently falls back to worker threads when the
-    /// `io-uring` feature is off or the kernel refuses a ring
-    /// ([`em_disk::uring_available`]). Counted I/O, final states and
-    /// seeded traces are identical under every engine — the knob is
-    /// wall-clock only.
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Best-effort pin worker threads (drive workers and the compute
-    /// pool) to cores, off by default. Purely a wall-clock knob; the
-    /// request is advisory and may be refused by the kernel.
-    pub fn with_pinned_workers(mut self, pin: bool) -> Self {
-        self.pin_workers = pin;
-        self
-    }
-
-    /// Attach an existing persistent [`ComputePool`] instead of letting
-    /// the simulator lazily create its own on the first `Threaded` run.
-    /// Several simulators (e.g. the tenants of a shared service) can hold
-    /// clones of one pool; dispatches queue when chunks outnumber workers,
-    /// and chunking — hence determinism — is governed solely by
-    /// [`ComputeMode::Threaded`], never by pool size.
-    pub fn with_compute_pool(self, pool: ComputePool) -> Self {
-        *self.pool.lock().unwrap() = Some(pool);
-        self
-    }
-
-    /// The persistent compute pool for a run: an attached pool if one is
-    /// present (always reused — dispatches queue when chunks outnumber its
-    /// workers, which cannot affect determinism since chunking is governed
-    /// by [`ComputeMode`] alone), otherwise one lazily created and cached
-    /// for [`ComputeMode::Threaded`]`(n > 1)`, or `None` for effectively
-    /// serial modes.
-    fn compute_pool(&self) -> Option<ComputePool> {
-        let mut guard = self.pool.lock().expect("compute pool cell");
-        if let Some(pool) = guard.as_ref() {
-            return Some(pool.clone());
-        }
-        match self.compute {
-            ComputeMode::Threaded(n) if n > 1 => Some(
-                guard.get_or_insert_with(|| ComputePool::with_pinning(n, self.pin_workers)).clone(),
-            ),
-            _ => None,
-        }
-    }
-
-    /// Guard limit for non-terminating programs.
-    pub fn with_max_supersteps(mut self, limit: usize) -> Self {
-        self.max_supersteps = limit;
-        self
-    }
-
-    /// Inject disk faults from a seeded [`FaultPlan`], placed directly
-    /// above the raw storage (below checksums and retry, exactly where
-    /// real media faults live). The plan only *injects*; pair it with
-    /// [`Self::with_retry`] and [`Self::with_recovery`] to absorb the
-    /// injected faults, or expect a typed
-    /// [`EmError::FaultUnrecoverable`].
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
-        self
-    }
-
-    /// Frame every stored track with a CRC32 and verify it on read
-    /// ([`em_disk::DiskError::Corrupt`] on mismatch). Off by default.
-    pub fn with_checksums(mut self, on: bool) -> Self {
-        self.checksums = on;
-        self
-    }
-
-    /// Retry transient per-track faults inside the disk substrate.
-    /// Retries are tallied in [`em_disk::IoStats::retried_blocks`] and do
-    /// not touch the paper-facing counted parallel I/O.
-    pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
-        self.retry = Some(policy);
-        self
-    }
-
-    /// Enable superstep-granular recovery: simulation state advances only
-    /// at each superstep's barrier `sync()`, and a transient disk fault
-    /// that survives the retry policy rolls the disks back to the last
-    /// committed superstep and replays it (at most
-    /// `policy.max_replays_per_superstep` times). Without faults the
-    /// machinery is inert: counted I/O, final states and seeded traces are
-    /// identical to a run without recovery.
-    pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = Some(policy);
-        self
-    }
-
-    /// Layer a write-back block cache of `capacity_bytes` over the disk
-    /// substrate ([`em_disk::BlockCacheBackend`]; 0 — the default —
-    /// disables it). Reads of resident tracks and repeated writes are
-    /// absorbed until each superstep's barrier `sync()`, which flushes
-    /// dirty tracks in deterministic `(track, disk)` order. Counted I/O,
-    /// final states, the RNG stream and seeded traces are identical with
-    /// the cache on or off; the absorbed traffic is tallied in
-    /// [`em_disk::IoStats::cache_hit_blocks`] /
-    /// [`em_disk::IoStats::cache_absorbed_writes`].
-    pub fn with_cache(mut self, capacity_bytes: usize) -> Self {
-        self.cache_bytes = capacity_bytes;
-        self.auto_cache = false;
-        self
-    }
-
-    /// Let the [`AutoTuner`] size the block cache instead of pinning a
-    /// capacity with [`Self::with_cache`] (the two are mutually exclusive;
-    /// whichever is set last wins). The capacity is resolved from the
-    /// run's `v·μ+γ` footprint before any disk is built; like every tuned
-    /// knob it cannot change counted I/O, final states or seeded traces —
-    /// only wall clock. The choice is recorded in
-    /// [`CostReport::resolved_config`].
-    pub fn with_auto_cache(mut self, on: bool) -> Self {
-        self.auto_cache = on;
-        if on {
-            self.cache_bytes = 0;
-        }
-        self
-    }
-
-    /// Replace the default [`AutoTuner`] that resolves `Auto` knob
-    /// requests ([`ComputeMode::Auto`], [`Pipeline::Auto`],
-    /// [`Self::with_auto_cache`]). The default tuner uses the host core
-    /// count and the corpus-derived compute/fetch ratio; tests and CI
-    /// determinism lanes pin inputs via [`AutoTuner::with_inputs`].
-    pub fn with_tuner(mut self, tuner: AutoTuner) -> Self {
-        self.tuner = tuner;
-        self
-    }
-
-    /// Persist a durable checkpoint at every superstep barrier so the run
-    /// survives a process crash. Requires the file backend
-    /// ([`Self::with_file_backend`]); typed [`EmError::InvalidConfig`]
-    /// otherwise.
-    ///
-    /// At each barrier `sync()` the simulator atomically commits a
-    /// CRC-framed *manifest* (write-new → fsync → rename) holding
-    /// everything resume needs — next superstep, group counts, allocator
-    /// frontier, committed [`IoStats`], ledger and the fault-injection
-    /// schedule position — and mirrors every overwritten track's
-    /// pre-image to a durable journal *before* the overwrite lands.
-    /// [`Self::resume`] rolls uncommitted superstep writes back via the
-    /// journal and replays deterministically from the last committed
-    /// barrier: final states, ledger, counted parallel I/O operations and
-    /// the drive bytes are bit-identical to the uninterrupted run.
-    /// Checkpoint traffic is never counted in the paper-facing
-    /// `parallel_ops` (pre-image captures land in
-    /// [`IoStats::recovery_ops`]).
-    pub fn with_checkpointing(mut self, on: bool) -> Self {
-        self.checkpoint = on;
-        self
-    }
-
-    /// Simulate a process crash at `kill` for chaos testing: the run
-    /// returns [`EmError::Killed`] leaving the on-disk state exactly as a
-    /// real crash at that point would. Requires
-    /// [`Self::with_checkpointing`]. If the program terminates before the
-    /// kill point's superstep, the run completes normally.
-    pub fn with_kill_point(mut self, kill: KillPoint) -> Self {
-        self.kill = Some(kill);
-        self
-    }
-
-    /// The machine this simulator targets.
-    pub fn machine(&self) -> &EmMachine {
-        &self.machine
-    }
-
-    /// The configured [`ComputeMode`].
-    pub fn compute_mode(&self) -> ComputeMode {
-        self.compute
-    }
-
-    /// Whether a persistent [`ComputePool`] is currently attached —
-    /// either via [`Self::with_compute_pool`] or lazily created by an
-    /// earlier `Threaded` run of this simulator (or of a clone).
-    pub fn has_compute_pool(&self) -> bool {
-        self.pool.lock().expect("compute pool cell").is_some()
-    }
-
-    /// Whether any knob is currently requested as `Auto` (and therefore
-    /// still awaiting resolution).
-    pub fn has_auto_request(&self) -> bool {
-        self.compute.is_auto() || self.pipeline.is_auto() || self.auto_cache
-    }
-
-    /// The [`AutoTuner`] resolution behind this simulator's knobs: `None`
-    /// unless this value came out of [`Self::resolved_for`] (runs resolve
-    /// on an internal clone and record the choice in
-    /// [`CostReport::resolved_config`] instead).
-    pub fn resolved_config(&self) -> Option<&ResolvedConfig> {
-        self.resolved.as_ref()
-    }
-
-    /// Resolve any `Auto` knob requests against a known problem shape —
-    /// `v` virtual processors with state budget `mu` and per-processor
-    /// communication budget `gamma` — returning a simulator whose knobs
-    /// are all concrete and whose [`Self::resolved_config`] records the
-    /// tuner's choices (a plain clone when nothing is `Auto`).
-    /// [`Self::run`] and [`Self::resume`] do this implicitly;
-    /// `em-service` calls it at admission so the resolution lands in the
-    /// tenant ledger before pool shares are granted.
-    pub fn resolved_for(&self, v: usize, mu: usize, gamma: usize) -> Self {
-        match self.resolve_auto(v, mu, gamma) {
-            Some(rc) => self.apply_resolution(rc),
-            None => self.clone(),
-        }
-    }
-
-    /// Run the tuner for the current `Auto` requests; `None` when nothing
-    /// is requested as `Auto`.
-    fn resolve_auto(&self, v: usize, mu: usize, gamma: usize) -> Option<ResolvedConfig> {
-        let footprint = (v as u64).saturating_mul(mu as u64).saturating_add(gamma as u64);
-        self.tuner.resolve(
-            self.compute.is_auto(),
-            self.pipeline.is_auto(),
-            self.auto_cache,
-            footprint,
-        )
-    }
-
-    /// A clone with the resolution's concrete values substituted for the
-    /// `Auto` requests; it reports [`Self::has_auto_request`] `false`, so
-    /// re-entering `run`/`resume` on it cannot resolve again.
-    fn apply_resolution(&self, rc: ResolvedConfig) -> Self {
-        let mut resolved = self.clone();
-        if let Some(mode) = rc.compute {
-            resolved.compute = mode;
-        }
-        if let Some(pipeline) = rc.pipeline {
-            resolved.pipeline = pipeline;
-        }
-        if let Some(bytes) = rc.cache_bytes {
-            resolved.cache_bytes = bytes;
-        }
-        resolved.auto_cache = false;
-        resolved.resolved = Some(rc);
-        resolved
-    }
-
-    /// The [`DiskConfig`] this simulator derives from its machine and
-    /// knobs — the shape every array passed to [`Self::run_on`] must have.
-    pub fn disk_config(&self) -> EmResult<DiskConfig> {
-        let cfg = self
-            .machine
-            .disk_config()?
-            .with_io_mode(self.io_mode)
-            .with_pipeline(self.pipeline)
-            .with_checksums(self.checksums)
-            .with_cache(self.cache_bytes)
-            .with_auto_cache(self.auto_cache)
-            .with_engine(self.engine)
-            .with_pinned_workers(self.pin_workers);
-        Ok(match self.retry {
-            Some(policy) => cfg.with_retry(policy),
-            None => cfg,
-        })
+        SeqEmSimulator { cfg: SimConfig::new(EmMachine { p: 1, ..machine }, 0xD15C_5EED, false) }
     }
 
     /// Build a fresh [`DiskArray`] per this simulator's configuration
@@ -459,45 +71,13 @@ impl SeqEmSimulator {
     /// [`em_disk::SharedDiskSubstrate`] region), pair this with
     /// [`Self::run_on`].
     pub fn build_disks(&self) -> EmResult<DiskArray> {
-        self.machine.validate()?;
-        let cfg = self.disk_config()?;
-        Ok(match &self.backend {
-            Backend::Memory => DiskArray::new_memory_with_faults(cfg, self.fault_plan.clone()),
-            Backend::File(dir) => {
-                DiskArray::new_file_with_faults(cfg, dir, self.fault_plan.clone())?
-            }
-        })
-    }
-
-    /// Run `prog` on `states.len()` virtual processors entirely through the
-    /// external-memory machinery; returns the final states (identical to
-    /// [`em_bsp::run_sequential`]) plus the measured [`CostReport`].
-    ///
-    /// Equivalent to [`Self::build_disks`] followed by [`Self::run_on`]:
-    /// the simulator itself holds no per-run state, so one simulator value
-    /// can execute any number of runs, sequentially or from multiple
-    /// threads.
-    pub fn run<P: BspProgram>(
-        &self,
-        prog: &P,
-        states: Vec<P::State>,
-    ) -> EmResult<(RunResult<P::State>, CostReport)> {
-        // Resolve `Auto` knob requests *before* the disks are built, so a
-        // tuned cache capacity (and pipeline) shape the array itself.
-        let gamma = prog.max_comm_bytes().max(MSG_HEADER_BYTES);
-        if let Some(rc) = self.resolve_auto(states.len(), prog.max_state_bytes(), gamma) {
-            let resolved = self.apply_resolution(rc);
-            let mut disks = resolved.build_disks()?;
-            return resolved.run_on(&mut disks, prog, states);
-        }
-        let mut disks = self.build_disks()?;
-        self.run_on(&mut disks, prog, states)
+        Ok(self.cfg.build_disks()?.pop().expect("one array for the one processor"))
     }
 
     /// [`Self::run`] on a caller-provided disk array.
     ///
     /// `disks` must match this simulator's [`Self::disk_config`] in drive
-    /// count and block size (typed [`EmError::InvalidConfig`] otherwise);
+    /// count and block size (typed [`EmError::InvalidConfig`](crate::EmError::InvalidConfig) otherwise);
     /// it may be backed by anything — files, memory, or a tenant region of
     /// a shared substrate. The run addresses tracks from 0 upward and
     /// rewrites every region it allocates, so repeated runs on one array
@@ -510,938 +90,21 @@ impl SeqEmSimulator {
         prog: &P,
         states: Vec<P::State>,
     ) -> EmResult<(RunResult<P::State>, CostReport)> {
-        self.run_inner(disks, prog, SeqStart::Fresh(states))
-    }
-
-    /// Resume a checkpointed run after a (real or simulated) process
-    /// crash, continuing from the last committed barrier manifest in the
-    /// file backend's directory.
-    ///
-    /// The drive files are reattached without truncation, any superstep
-    /// writes past the committed barrier are undone from the durable
-    /// pre-image journal, the fault-injection schedule position is
-    /// restored, and the remaining supersteps replay deterministically:
-    /// final states, the communication ledger, counted parallel I/O
-    /// operations and the drive bytes are bit-identical to the
-    /// uninterrupted run. Resuming an already-finished run just rebuilds
-    /// its result. The simulator's configuration (seed, machine shape,
-    /// program budgets) must match the checkpointed run; a typed
-    /// [`EmError::InvalidConfig`] names the first mismatch.
-    pub fn resume<P: BspProgram>(&self, prog: &P) -> EmResult<(RunResult<P::State>, CostReport)> {
-        self.machine.validate()?;
-        if !self.checkpoint {
-            return Err(EmError::InvalidConfig(
-                "resume requires checkpointing (with_checkpointing)".into(),
-            ));
-        }
-        let Backend::File(dir) = &self.backend else {
-            return Err(EmError::InvalidConfig(
-                "resume requires the file backend (with_file_backend)".into(),
-            ));
-        };
-        let store = CheckpointStore::attach(dir)?;
-        let (committed_step, payload) = store.latest_manifest()?.ok_or_else(|| {
-            EmError::InvalidConfig("no committed checkpoint manifest to resume from".into())
-        })?;
-        let m = Manifest::decode(&payload)?;
-        let cfg = self.disk_config()?;
-        let mu = prog.max_state_bytes();
-        let gamma = prog.max_comm_bytes().max(MSG_HEADER_BYTES);
-        m.check_shape(
-            mu as u64,
-            gamma as u64,
-            self.seed,
-            cfg.num_disks as u32,
-            cfg.block_bytes as u64,
-            1,
-            0,
-        )?;
-        if m.next_step != committed_step {
-            return Err(EmError::InvalidConfig(
-                "checkpoint manifest step disagrees with its payload".into(),
-            ));
-        }
-        let v = m.v as usize;
-        // `v` is only known from the manifest, so `Auto` knob resolution
-        // happens here: re-enter `resume` on the resolved clone (which has
-        // no `Auto` request left, so it proceeds straight through).
-        if let Some(rc) = self.resolve_auto(v, mu, gamma) {
-            return self.apply_resolution(rc).resume(prog);
-        }
-        let k = self.machine.group_size(4 + mu, v)?;
-        if m.k != k as u64 || m.num_groups != v.div_ceil(k) as u64 {
-            return Err(EmError::InvalidConfig(
-                "checkpoint resume shape mismatch: group geometry differs from the checkpointed run"
-                    .into(),
-            ));
-        }
-
-        // Roll the drive files back to the committed barrier. The journal
-        // holds pre-images of the *next* epoch only when the crash landed
-        // after this manifest committed; the undo runs on a plain array —
-        // no cache, retry or fault injection — so the restoring writes
-        // neither advance nor consume the fault schedule the real array
-        // restores below.
-        if let Some(journal) = JournalFile::read(dir)? {
-            if journal.epoch > committed_step {
-                let plain = self
-                    .machine
-                    .disk_config()?
-                    .with_io_mode(self.io_mode)
-                    .with_checksums(self.checksums);
-                let mut undo = DiskArray::open_file(plain, dir)?;
-                undo.apply_journal_undo(&journal)?;
-            }
-        }
-
-        let mut disks = DiskArray::open_file_with_faults(cfg, dir, self.fault_plan.clone())?;
-        if let Some(ops) = &m.fault_ops {
-            disks.restore_fault_op_counts(ops);
-        }
-        let resume = SeqResume {
-            v,
-            start_step: m.next_step as usize,
-            finished: m.finished,
-            counts: GroupCounts {
-                counts: m.counts.iter().map(|&c| c as usize).collect(),
-                prefix_in_bucket: m.prefix.iter().map(|&c| c as usize).collect(),
-            },
-            alloc_next: m.alloc_next.iter().map(|&t| t as usize).collect(),
-            alloc_free: m
-                .alloc_free
-                .iter()
-                .map(|f| f.iter().map(|&t| t as usize).collect())
-                .collect(),
-            phases: m.phases,
-            committed_io: m.io,
-            balances: m.balances,
-            ledger: CommLedger { steps: m.ledger },
-            recovered: m.recovered,
-            replays: m.replays,
-        };
-        self.run_inner(&mut disks, prog, SeqStart::Resume(Box::new(resume)))
-    }
-
-    /// The shared engine behind [`Self::run_on`] and [`Self::resume`]:
-    /// identical superstep machinery, differing only in whether the
-    /// committed bookkeeping starts empty or from a manifest.
-    fn run_inner<P: BspProgram>(
-        &self,
-        disks: &mut DiskArray,
-        prog: &P,
-        start: SeqStart<P::State>,
-    ) -> EmResult<(RunResult<P::State>, CostReport)> {
-        let start_time = Instant::now();
-        self.machine.validate()?;
-        let v = match &start {
-            SeqStart::Fresh(states) => states.len(),
-            SeqStart::Resume(r) => r.v,
-        };
-        if v == 0 {
-            return Err(EmError::Bsp(BspError::NoProcessors));
-        }
-
-        let mu = prog.max_state_bytes();
-        let gamma = prog.max_comm_bytes().max(MSG_HEADER_BYTES);
-        // `run`/`resume` resolve before the disks exist; this covers
-        // `run_on` callers with their own array. Compute and pipeline
-        // resolutions apply fully here; a tuned cache capacity cannot be
-        // retrofitted onto a caller-built array, so on this path the
-        // unresolved `auto_cache` request simply leaves the cache off
-        // (inert by the substrate's contract).
-        if let Some(rc) = self.resolve_auto(v, mu, gamma) {
-            return self.apply_resolution(rc).run_inner(disks, prog, start);
-        }
-        let ctx_region = 4 + mu; // length prefix + payload
-        let k = self.machine.group_size(ctx_region, v)?;
-        let num_groups = v.div_ceil(k);
-
-        let cfg = disks.config();
-        let expected = self.machine.disk_config()?;
-        if cfg.num_disks != expected.num_disks || cfg.block_bytes != expected.block_bytes {
-            return Err(EmError::InvalidConfig(format!(
-                "disk array shape {}x{}B does not match the machine's {}x{}B",
-                cfg.num_disks, cfg.block_bytes, expected.num_disks, expected.block_bytes
-            )));
-        }
-        // Checkpointing needs somewhere durable for manifests and the
-        // pre-image journal: the file backend's directory.
-        let store = if self.checkpoint {
-            let Backend::File(dir) = &self.backend else {
-                return Err(EmError::InvalidConfig(
-                    "checkpointing requires the file backend (with_file_backend)".into(),
-                ));
-            };
-            if !disks.durable_journal_attached() {
-                disks.attach_durable_journal(dir)?;
-            }
-            Some(CheckpointStore::attach(dir)?)
-        } else {
-            if self.kill.is_some() {
-                return Err(EmError::InvalidConfig(
-                    "a kill point requires checkpointing (with_checkpointing)".into(),
-                ));
-            }
-            None
-        };
-
-        // Acquire the persistent compute pool once per run (lazily created
-        // on the first `Threaded` run, then cached on the simulator): every
-        // superstep, group and recovery replay reuses the same
-        // `em-compute-w*` threads instead of spawning a scoped pool per
-        // group.
-        let compute_pool = self.compute_pool();
-
-        let fault_stats = self.fault_plan.as_ref().map(|p| p.stats());
-        let mut alloc = TrackAllocator::new(cfg.num_disks);
-        let ctx_store = ContextStore::allocate(&mut alloc, cfg.num_disks, cfg.block_bytes, v, mu)?;
-        let geom = MsgGeometry::allocate(&mut alloc, v, k, gamma, cfg.num_disks, cfg.block_bytes)?;
-
-        let mut counts;
-        let mut ledger;
-        let mut phases;
-        // `committed_io` is the checkpoint-committed base; `disks.stats()`
-        // counts only operations since the run (or resume) started, and the
-        // two merge additively at every barrier and in the final report, so
-        // a resumed run's counters are bit-identical to an uninterrupted
-        // one's.
-        let committed_io;
-        let mut balance_factors;
-        let mut recovered_supersteps;
-        let mut total_replays;
-        let start_step;
-        let mut finished;
-        match start {
-            SeqStart::Fresh(states) => {
-                // Load the initial contexts onto disk.
-                let encoded: Vec<Vec<u8>> = states.iter().map(to_bytes).collect();
-                drop(states);
-                for g in 0..num_groups {
-                    let first = g * k;
-                    let last = (first + k).min(v);
-                    ctx_store
-                        .write_group(disks, first, &encoded[first..last])
-                        .map_err(|e| self.fault_error(0, e, &fault_stats, disks, 0, 0))?;
-                }
-                drop(encoded);
-                // The input distribution is durable before timing starts.
-                disks
-                    .sync()
-                    .map_err(|e| self.fault_error(0, e.into(), &fault_stats, disks, 0, 0))?;
-                disks.reset_stats(); // initial load is input distribution, not simulation cost
-
-                counts = GroupCounts::empty(geom.num_groups);
-                ledger = CommLedger::default();
-                phases = PhaseIo::default();
-                committed_io = IoStats::new(cfg.num_disks);
-                balance_factors = Vec::new();
-                recovered_supersteps = 0u64;
-                total_replays = 0u64;
-                start_step = 0;
-                finished = false;
-
-                if let Some(store) = &store {
-                    // A reused directory may hold a previous run's
-                    // manifests and journal; a fresh run must commit its
-                    // barrier-0 manifest over a clean slate, or a later
-                    // resume could replay the wrong run's tail.
-                    store.clear()?;
-                    disks.clear_durable_journal()?;
-                    let manifest = self.build_manifest(
-                        v,
-                        k,
-                        num_groups,
-                        mu,
-                        gamma,
-                        &cfg,
-                        0,
-                        false,
-                        &counts,
-                        &alloc,
-                        disks.fault_op_counts(),
-                        &phases,
-                        committed_io.clone(),
-                        &balance_factors,
-                        &ledger,
-                        0,
-                        0,
-                    );
-                    store.commit_manifest(0, &manifest.encode())?;
-                }
-            }
-            SeqStart::Resume(r) => {
-                disks.reset_stats();
-                alloc.restore_state(r.alloc_next, r.alloc_free);
-                counts = r.counts;
-                ledger = r.ledger;
-                phases = r.phases;
-                committed_io = r.committed_io;
-                balance_factors = r.balances;
-                recovered_supersteps = r.recovered;
-                total_replays = r.replays;
-                start_step = r.start_step;
-                finished = r.finished;
-            }
-        }
-
-        // Wall-clock split; unlike `phases` it is *not* rewound on replay —
-        // the time genuinely elapsed even when the attempt rolled back.
-        let mut phase_wall = PhaseWall::default();
-        // Context buffers recycle here across groups and supersteps; the
-        // pool caches only capacity, so replay needs no snapshot of it.
-        let mut ctx_pool = BufferPool::new();
-        // Same deal for the routing merge pass's bookkeeping.
-        let mut routing_scratch = RoutingScratch::new();
-
-        let replay_budget = self.recovery.map_or(0, |r| r.max_replays_per_superstep);
-
-        // Resuming an already-finished run skips straight to the final
-        // read-back.
-        let step_limit = if finished { start_step } else { self.max_supersteps };
-        for step in start_step..step_limit {
-            // Each attempt runs the whole compound superstep (Steps 1 + 2)
-            // inside a disk recovery epoch. Bookkeeping (`counts`, ledger,
-            // balance factors) advances only after the attempt's barrier
-            // `sync()` succeeded, so a rolled-back attempt leaves no trace
-            // in the committed state.
-            let mut attempt = 0usize;
-            let outcome = loop {
-                if store.is_some() {
-                    // The epoch protecting superstep `step` is numbered
-                    // `step + 1` — the manifest its barrier will commit.
-                    // Re-beginning it on an in-process replay truncates
-                    // the durable journal's abandoned records.
-                    disks.begin_checkpoint_epoch(step as u64 + 1).map_err(|e| {
-                        self.fault_error(
-                            step,
-                            e.into(),
-                            &fault_stats,
-                            disks,
-                            recovered_supersteps,
-                            total_replays,
-                        )
-                    })?;
-                } else if self.recovery.is_some() {
-                    disks.begin_recovery_epoch().map_err(|e| {
-                        self.fault_error(
-                            step,
-                            e.into(),
-                            &fault_stats,
-                            disks,
-                            recovered_supersteps,
-                            total_replays,
-                        )
-                    })?;
-                }
-                // Every attempt reseeds from (seed, worker 0, step), so a
-                // replay — in-process after a rollback, or across a process
-                // crash — reproduces the exact RNG stream with nothing to
-                // snapshot or persist beyond the base seed.
-                let mut rng = StdRng::seed_from_u64(superstep_seed(self.seed, 0, step as u64));
-                let alloc_snap = alloc.clone();
-                let phases_snap = phases.clone();
-                match run_superstep_attempt(
-                    prog,
-                    step,
-                    v,
-                    k,
-                    num_groups,
-                    gamma,
-                    self.placement,
-                    self.pipeline,
-                    self.compute,
-                    compute_pool.as_ref(),
-                    &ctx_store,
-                    &geom,
-                    &counts,
-                    disks,
-                    &mut alloc,
-                    &mut rng,
-                    &mut phases,
-                    &mut phase_wall,
-                    &mut ctx_pool,
-                    &mut routing_scratch,
-                ) {
-                    Ok(outcome) => {
-                        if store.is_some() || self.recovery.is_some() {
-                            disks.commit_recovery_epoch();
-                        }
-                        if attempt > 0 {
-                            recovered_supersteps += 1;
-                        }
-                        break outcome;
-                    }
-                    Err(err) => {
-                        let replayable = self.recovery.is_some()
-                            && attempt < replay_budget
-                            && matches!(&err, EmError::Disk(e) if e.is_transient());
-                        if replayable && disks.rollback_recovery_epoch().is_ok() {
-                            alloc = alloc_snap;
-                            phases = phases_snap;
-                            attempt += 1;
-                            total_replays += 1;
-                            continue;
-                        }
-                        return Err(self.fault_error(
-                            step,
-                            err,
-                            &fault_stats,
-                            disks,
-                            recovered_supersteps,
-                            total_replays,
-                        ));
-                    }
-                }
-            };
-            counts = outcome.counts;
-            balance_factors.push(outcome.balance);
-            ledger.push(outcome.comm);
-
-            // A mid-superstep crash: the superstep's writes are synced and
-            // the durable journal still holds their pre-images, but no new
-            // manifest commits — resume undoes and replays this superstep.
-            if matches!(self.kill, Some(KillPoint::MidSuperstep(b)) if b == step) {
-                return Err(EmError::Killed { step });
-            }
-
-            if outcome.all_halted && !outcome.any_msgs {
-                finished = true;
-            }
-
-            if let Some(store) = &store {
-                let mut io_now = committed_io.clone();
-                io_now.merge(disks.stats());
-                let manifest = self.build_manifest(
-                    v,
-                    k,
-                    num_groups,
-                    mu,
-                    gamma,
-                    &cfg,
-                    step + 1,
-                    finished,
-                    &counts,
-                    &alloc,
-                    disks.fault_op_counts(),
-                    &phases,
-                    io_now,
-                    &balance_factors,
-                    &ledger,
-                    recovered_supersteps,
-                    total_replays,
-                );
-                let payload = manifest.encode();
-                if matches!(self.kill, Some(KillPoint::MidManifest(b)) if b == step) {
-                    // A crash mid-manifest-write: leave a torn frame the
-                    // CRC check must reject, so resume falls back to the
-                    // previous committed manifest and the intact journal.
-                    store.write_torn_manifest(step as u64 + 1, &payload, payload.len() / 2 + 8)?;
-                    return Err(EmError::Killed { step });
-                }
-                store.commit_manifest(step as u64 + 1, &payload)?;
-                // Only after the manifest is durable may the journal that
-                // protected this epoch be truncated.
-                disks.clear_durable_journal()?;
-                if matches!(self.kill, Some(KillPoint::AtBarrier(b)) if b == step) {
-                    return Err(EmError::Killed { step });
-                }
-            }
-
-            if finished {
-                break;
-            }
-        }
-        if !finished {
-            return Err(EmError::Bsp(BspError::SuperstepLimit { limit: self.max_supersteps }));
-        }
-
-        // Read the final contexts back.
-        let mut final_states = Vec::with_capacity(v);
-        for g in 0..num_groups {
-            let first = g * k;
-            let count = (first + k).min(v) - first;
-            for buf in ctx_store.read_group(disks, first, count).map_err(|e| {
-                self.fault_error(
-                    ledger.lambda(),
-                    e,
-                    &fault_stats,
-                    disks,
-                    recovered_supersteps,
-                    total_replays,
-                )
-            })? {
-                final_states.push(from_bytes::<P::State>(&buf)?);
-            }
-        }
-
-        let mut io = committed_io;
-        io.merge(disks.stats());
-        let lambda = ledger.lambda();
-        let report = CostReport {
-            v,
-            k,
-            num_groups,
-            p: 1,
-            lambda,
-            io_time: io.io_time(self.machine.g_io),
-            phases,
-            phase_wall,
-            comm: ledger.clone(),
-            real_comm_bytes: 0,
-            wall: start_time.elapsed(),
-            tracks_per_disk: alloc.max_frontier(),
-            balance_factors,
-            checks: self.machine.check_theorem_conditions(v, k, 4 + mu),
-            faults: (self.fault_plan.is_some() || self.recovery.is_some()).then(|| FaultReport {
-                injected: fault_stats.as_ref().map(|s| s.counts()).unwrap_or_default(),
-                retried_blocks: io.retried_blocks,
-                recovery_ops: io.recovery_ops,
-                recovered_supersteps,
-                replays: total_replays,
-                failed_superstep: None,
-            }),
-            resolved_config: self.resolved,
-            io,
-        };
-        Ok((RunResult { states: final_states, ledger }, report))
-    }
-
-    /// Assemble the barrier manifest: the committed bookkeeping a resumed
-    /// process needs, plus a shape guard against resuming with a different
-    /// configuration.
-    #[allow(clippy::too_many_arguments)]
-    fn build_manifest(
-        &self,
-        v: usize,
-        k: usize,
-        num_groups: usize,
-        mu: usize,
-        gamma: usize,
-        cfg: &DiskConfig,
-        next_step: usize,
-        finished: bool,
-        counts: &GroupCounts,
-        alloc: &TrackAllocator,
-        fault_ops: Option<Vec<u64>>,
-        phases: &PhaseIo,
-        io: IoStats,
-        balances: &[f64],
-        ledger: &CommLedger,
-        recovered: u64,
-        replays: u64,
-    ) -> Manifest {
-        let (next, free) = alloc.export_state();
-        Manifest {
-            v: v as u64,
-            k: k as u64,
-            num_groups: num_groups as u64,
-            mu: mu as u64,
-            gamma: gamma as u64,
-            seed: self.seed,
-            num_disks: cfg.num_disks as u32,
-            block_bytes: cfg.block_bytes as u64,
-            p: 1,
-            worker: 0,
-            next_step: next_step as u64,
-            finished,
-            counts: counts.counts.iter().map(|&c| c as u64).collect(),
-            prefix: counts.prefix_in_bucket.iter().map(|&c| c as u64).collect(),
-            alloc_next: next.iter().map(|&t| t as u64).collect(),
-            alloc_free: free.iter().map(|f| f.iter().map(|&t| t as u64).collect()).collect(),
-            fault_ops,
-            phases: phases.clone(),
-            io,
-            balances: balances.to_vec(),
-            ledger: ledger.steps.clone(),
-            real_comm: 0,
-            recovered,
-            replays,
-        }
-    }
-
-    /// Dress an unrecoverable error in [`EmError::FaultUnrecoverable`] with
-    /// the full injection/recovery tally — but only for disk errors of a
-    /// run that actually had fault machinery enabled; logic errors
-    /// (γ violations, bad destinations, ...) pass through untouched.
-    fn fault_error(
-        &self,
-        step: usize,
-        err: EmError,
-        fault_stats: &Option<Arc<FaultStats>>,
-        disks: &DiskArray,
-        recovered_supersteps: u64,
-        replays: u64,
-    ) -> EmError {
-        let fault_run = self.fault_plan.is_some() || self.recovery.is_some();
-        if !fault_run || !matches!(err, EmError::Disk(_)) {
-            return err;
-        }
-        EmError::FaultUnrecoverable {
-            step,
-            report: FaultReport {
-                injected: fault_stats.as_ref().map(|s| s.counts()).unwrap_or_default(),
-                retried_blocks: disks.stats().retried_blocks,
-                recovery_ops: disks.stats().recovery_ops,
-                recovered_supersteps,
-                replays,
-                failed_superstep: Some(step),
-            },
-            source: Box::new(err),
-        }
+        run_engine(&self.cfg, std::slice::from_mut(disks), prog, Start::Fresh(states))
     }
 }
 
-/// How [`SeqEmSimulator::run_inner`] starts: a fresh run with initial
-/// states, or a continuation from a committed checkpoint manifest.
-enum SeqStart<S> {
-    Fresh(Vec<S>),
-    Resume(Box<SeqResume>),
-}
-
-/// Committed bookkeeping restored from a checkpoint manifest.
-struct SeqResume {
-    v: usize,
-    start_step: usize,
-    finished: bool,
-    counts: GroupCounts,
-    alloc_next: Vec<usize>,
-    alloc_free: Vec<Vec<usize>>,
-    phases: PhaseIo,
-    committed_io: IoStats,
-    balances: Vec<f64>,
-    ledger: CommLedger,
-    recovered: u64,
-    replays: u64,
-}
-
-/// Everything one successful compound-superstep attempt produces. Returned
-/// by value so a failed attempt leaves the caller's committed bookkeeping
-/// untouched.
-struct SuperstepOutcome {
-    counts: GroupCounts,
-    any_msgs: bool,
-    all_halted: bool,
-    balance: f64,
-    comm: SuperstepComm,
-}
-
-/// One attempt at a full compound superstep: Step 1 for every group (in
-/// either pipeline mode), Step 2's reorganization, and the barrier
-/// `sync()`. Mutates only replayable state — the disks (protected by the
-/// caller's recovery epoch), `alloc`, `rng` and `phases` (snapshotted and
-/// restored by the caller on rollback).
-#[allow(clippy::too_many_arguments)]
-fn run_superstep_attempt<P: BspProgram>(
-    prog: &P,
-    step: usize,
-    v: usize,
-    k: usize,
-    num_groups: usize,
-    gamma: usize,
-    placement: Placement,
-    pipeline: Pipeline,
-    compute: ComputeMode,
-    pool: Option<&ComputePool>,
-    ctx_store: &ContextStore,
-    geom: &MsgGeometry,
-    counts: &GroupCounts,
-    disks: &mut DiskArray,
-    alloc: &mut TrackAllocator,
-    rng: &mut StdRng,
-    phases: &mut PhaseIo,
-    walls: &mut PhaseWall,
-    ctx_pool: &mut BufferPool,
-    routing: &mut RoutingScratch,
-) -> EmResult<SuperstepOutcome> {
-    let mut scratch = crate::msg::ScratchState::new(geom);
-    let mut all_halted = true;
-    let mut step_comm = SuperstepComm::default();
-
-    let depth = pipeline.depth();
-    if depth > 0 {
-        // Streaming variant of the same loop: a bounded window of up
-        // to `depth` groups is in flight at once — group `g+depth`'s
-        // fetches are submitted before group `g` is joined, and every
-        // Writing Phase drains in the background. Submission order
-        // within each phase — and therefore the RNG stream, the
-        // track allocations and every counted stripe — is identical
-        // to the synchronous loop below at every depth; depth 1 is
-        // the classic double buffer.
-        let mut backlog = WriteBacklog::new();
-        let mut window = VecDeque::with_capacity(depth.min(num_groups));
-        for g in 0..depth.min(num_groups) {
-            window.push_back(submit_group_fetch(
-                ctx_store, geom, counts, disks, phases, walls, v, k, g,
-            )?);
-        }
-        for group in 0..num_groups {
-            let first = group * k;
-
-            // --- Fetching Phase (top up the window) ---
-            if group + depth < num_groups {
-                window.push_back(submit_group_fetch(
-                    ctx_store,
-                    geom,
-                    counts,
-                    disks,
-                    phases,
-                    walls,
-                    v,
-                    k,
-                    group + depth,
-                )?);
-            }
-            let (pend_ctx, pend_msgs) = window.pop_front().expect("group was prefetched");
-
-            // --- Computation Phase ---
-            let t0 = Instant::now();
-            let ctx_bufs = pend_ctx.join_into(ctx_pool)?;
-            let msgs_in = pend_msgs.join()?;
-            walls.fetch += t0.elapsed();
-            let t0 = Instant::now();
-            let (bufs, outgoing) = compute_group(
-                prog,
-                step,
-                v,
-                first,
-                gamma,
-                compute,
-                pool,
-                ctx_bufs,
-                msgs_in,
-                &mut step_comm,
-                &mut all_halted,
-            )?;
-            walls.compute += t0.elapsed();
-
-            // --- Writing Phase (deferred) ---
-            let t0 = Instant::now();
-            let ops0 = disks.stats().parallel_ops;
-            scatter_messages_deferred(
-                disks,
-                alloc,
-                geom,
-                &mut scratch,
-                group,
-                outgoing,
-                rng,
-                placement,
-                &mut backlog,
-            )?;
-            phases.scatter += disks.stats().parallel_ops - ops0;
-
-            let ops0 = disks.stats().parallel_ops;
-            ctx_store.submit_write_group(disks, first, &bufs, &mut backlog)?;
-            phases.write_ctx += disks.stats().parallel_ops - ops0;
-            walls.write += t0.elapsed();
-            // The submitted stripes hold their own copies of the bytes.
-            ctx_pool.put_all(bufs);
-        }
-        // Algorithm 2 reads the scratch blocks and recycles their
-        // tracks: every deferred write must be on disk first.
-        let t0 = Instant::now();
-        backlog.drain()?;
-        walls.write += t0.elapsed();
-    } else {
-        for group in 0..num_groups {
-            let first = group * k;
-            let count = (first + k).min(v) - first;
-
-            // --- Fetching Phase ---
-            let t0 = Instant::now();
-            let ops0 = disks.stats().parallel_ops;
-            let ctx_bufs = ctx_store.submit_read_group(disks, first, count)?.join_into(ctx_pool)?;
-            phases.fetch_ctx += disks.stats().parallel_ops - ops0;
-
-            let ops0 = disks.stats().parallel_ops;
-            let msgs_in = fetch_group_messages(disks, geom, counts, group)?;
-            phases.fetch_msg += disks.stats().parallel_ops - ops0;
-            walls.fetch += t0.elapsed();
-
-            // --- Computation Phase ---
-            let t0 = Instant::now();
-            let (bufs, outgoing) = compute_group(
-                prog,
-                step,
-                v,
-                first,
-                gamma,
-                compute,
-                pool,
-                ctx_bufs,
-                msgs_in,
-                &mut step_comm,
-                &mut all_halted,
-            )?;
-            walls.compute += t0.elapsed();
-
-            // --- Writing Phase ---
-            let t0 = Instant::now();
-            let ops0 = disks.stats().parallel_ops;
-            scatter_messages(disks, alloc, geom, &mut scratch, group, outgoing, rng, placement)?;
-            phases.scatter += disks.stats().parallel_ops - ops0;
-
-            let ops0 = disks.stats().parallel_ops;
-            ctx_store.write_group(disks, first, &bufs)?;
-            phases.write_ctx += disks.stats().parallel_ops - ops0;
-            walls.write += t0.elapsed();
-            ctx_pool.put_all(bufs);
-        }
-    }
-
-    // --- Step 2: reorganize the generated messages. ---
-    let any_msgs = scratch.total() > 0;
-    let balance = scratch.balance_factor();
-    let t0 = Instant::now();
-    let ops0 = disks.stats().parallel_ops;
-    let (new_counts, _trace) =
-        simulate_routing(disks, alloc, geom, scratch, routing, ctx_pool, pool)?;
-    phases.routing += disks.stats().parallel_ops - ops0;
-    walls.reorganize += t0.elapsed();
-
-    // Superstep boundary: everything written this superstep is on disk —
-    // and the caller's recovery epoch may commit — before any committed
-    // bookkeeping advances. No-op on the memory backend; generates no
-    // counted I/O operations.
-    let t0 = Instant::now();
-    disks.sync()?;
-    walls.sync += t0.elapsed();
-
-    Ok(SuperstepOutcome { counts: new_counts, any_msgs, all_halted, balance, comm: step_comm })
-}
-
-/// Submit (and count) one group's Fetching Phase — context stripes then
-/// message stripes — without waiting for the transfers. The streaming
-/// window loop uses this both to prime the window and to top it up;
-/// submission order per group is exactly that of the synchronous loop, so
-/// counted I/O and per-phase attribution are depth-invariant.
-#[allow(clippy::too_many_arguments)]
-fn submit_group_fetch(
-    ctx_store: &ContextStore,
-    geom: &MsgGeometry,
-    counts: &GroupCounts,
-    disks: &mut DiskArray,
-    phases: &mut PhaseIo,
-    walls: &mut PhaseWall,
-    v: usize,
-    k: usize,
-    group: usize,
-) -> EmResult<(PendingGroupRead, PendingGroupMsgs)> {
-    let t0 = Instant::now();
-    let first = group * k;
-    let count = (first + k).min(v) - first;
-    let ops0 = disks.stats().parallel_ops;
-    let ctx = ctx_store.submit_read_group(disks, first, count)?;
-    phases.fetch_ctx += disks.stats().parallel_ops - ops0;
-    let ops0 = disks.stats().parallel_ops;
-    let msgs = submit_fetch_group_messages(disks, geom, counts, group)?;
-    phases.fetch_msg += disks.stats().parallel_ops - ops0;
-    walls.fetch += t0.elapsed();
-    Ok((ctx, msgs))
-}
-
-/// Computation Phase for one group (Step 1(c)): distribute the fetched
-/// messages to per-pid inboxes, run the superstep for every virtual
-/// processor of the group (serially or on a scoped worker pool, per
-/// `mode`), and serialize the updated contexts. Returns
-/// `(serialized contexts, outgoing messages)` concatenated in vp order.
-/// Pure with respect to the disks — both the synchronous and the
-/// double-buffered group loops share it.
-#[allow(clippy::too_many_arguments)]
-fn compute_group<P: BspProgram>(
-    prog: &P,
-    step: usize,
-    v: usize,
-    first: usize,
-    gamma: usize,
-    mode: ComputeMode,
-    pool: Option<&ComputePool>,
-    ctx_bufs: Vec<Vec<u8>>,
-    msgs_in: Vec<InMsg>,
-    step_comm: &mut SuperstepComm,
-    all_halted: &mut bool,
-) -> EmResult<(Vec<Vec<u8>>, Vec<OutMsg>)> {
-    let count = ctx_bufs.len();
-    let mut inboxes: Vec<Vec<(u32, u32, P::Msg)>> = (0..count).map(|_| Vec::new()).collect();
-    let mut recv_bytes = vec![0u64; count];
-    let mut recv_msgs = vec![0u64; count];
-    for m in msgs_in {
-        let local = m.dst as usize - first;
-        recv_bytes[local] += m.payload.len() as u64;
-        recv_msgs[local] += 1;
-        let msg: P::Msg = from_bytes(&m.payload)?;
-        inboxes[local].push((m.src, m.seq, msg));
-    }
-
-    let work: Vec<VpWork<P::Msg>> = ctx_bufs
-        .into_iter()
-        .enumerate()
-        .map(|(local, ctx)| VpWork {
-            pid: first + local,
-            ctx,
-            inbox: std::mem::take(&mut inboxes[local]),
-            recv_bytes: recv_bytes[local],
-            recv_msgs: recv_msgs[local],
-        })
-        .collect();
-
-    let mut bufs: Vec<Vec<u8>> = Vec::with_capacity(count);
-    let mut outgoing: Vec<OutMsg> = Vec::new();
-    for slot in run_group_vps(prog, mode, step, v, gamma, work, pool) {
-        let slot = slot?; // first error in vp order wins, as the serial loop would
-        if slot.continued {
-            *all_halted = false;
-        }
-        step_comm.msgs += slot.msgs_sent;
-        step_comm.bytes += slot.bytes_sent;
-        step_comm.h_bytes = step_comm.h_bytes.max(slot.bytes_sent).max(slot.recv_bytes);
-        step_comm.h_msgs = step_comm.h_msgs.max(slot.msgs_sent).max(slot.recv_msgs);
-        step_comm.w_comp = step_comm.w_comp.max(slot.work);
-        outgoing.extend(slot.outbox);
-        bufs.push(slot.state_bytes);
-    }
-    Ok((bufs, outgoing))
-}
+sim_facade!(SeqEmSimulator);
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_programs::{AllToAll, Chatty};
+    use crate::EmError;
     use em_bsp::{run_sequential, Mailbox, Step};
 
     fn machine(m: usize, d: usize, b: usize) -> EmMachine {
         EmMachine::uniprocessor(m, d, b, 1)
-    }
-
-    /// All-to-all exchange and sum — the standard differential check.
-    /// Declares μ = `mu` (over-declaration is allowed and lets tests force
-    /// small group sizes while honouring the model's M ≥ D·B requirement).
-    struct AllToAll {
-        mu: usize,
-    }
-    impl BspProgram for AllToAll {
-        type State = u64;
-        type Msg = u64;
-        fn superstep(&self, step: usize, mb: &mut Mailbox<u64>, state: &mut u64) -> Step {
-            match step {
-                0 => {
-                    for dst in 0..mb.nprocs() {
-                        mb.send(dst, (mb.pid() as u64 + 1) * 1000 + dst as u64);
-                    }
-                    Step::Continue
-                }
-                _ => {
-                    *state = mb.take_incoming().iter().map(|e| e.msg).sum();
-                    Step::Halt
-                }
-            }
-        }
-        fn max_state_bytes(&self) -> usize {
-            self.mu.max(8)
-        }
-        fn max_comm_bytes(&self) -> usize {
-            // 16 vprocs * (16 header + 8 payload)
-            16 * 24
-        }
     }
 
     #[test]
@@ -1585,28 +248,6 @@ mod tests {
 
     #[test]
     fn comm_budget_violation_is_detected() {
-        struct Chatty;
-        impl BspProgram for Chatty {
-            type State = u64;
-            type Msg = u64;
-            fn superstep(&self, step: usize, mb: &mut Mailbox<u64>, _: &mut u64) -> Step {
-                if step == 0 {
-                    for _ in 0..100 {
-                        mb.send(0, 1);
-                    }
-                    Step::Continue
-                } else {
-                    mb.take_incoming();
-                    Step::Halt
-                }
-            }
-            fn max_state_bytes(&self) -> usize {
-                8
-            }
-            fn max_comm_bytes(&self) -> usize {
-                64 // far less than 100 * 24
-            }
-        }
         let sim = SeqEmSimulator::new(machine(1 << 12, 2, 64));
         let err = sim.run(&Chatty, vec![0u64; 4]).unwrap_err();
         assert!(matches!(err, EmError::CommBudgetExceeded { .. }));

@@ -1,0 +1,672 @@
+//! Everything about a simulation that is *not* the algorithm: the knobs,
+//! the persistent compute pool, `Auto` resolution, disk construction,
+//! run validation and the fault wrapper.
+//!
+//! Both entry points — [`SeqEmSimulator`](crate::SeqEmSimulator) and
+//! [`ParEmSimulator`](crate::ParEmSimulator) — wrap one [`SimConfig`] and
+//! get their builder methods and accessors from [`sim_facade!`], so each
+//! body exists once. The engine in `par_sim.rs` reads the config and
+//! nothing else.
+
+use crate::checkpoint::KillPoint;
+use crate::compute::{ComputeMode, ComputePool};
+use crate::machine::EmMachine;
+use crate::msg::Placement;
+use crate::report::{FaultReport, RecoveryPolicy};
+use crate::tune::{AutoTuner, ResolvedConfig};
+use crate::{EmError, EmResult};
+use em_disk::{
+    DiskArray, DiskConfig, EngineKind, FaultPlan, FaultStats, IoMode, Pipeline, RetryPolicy,
+};
+use std::path::PathBuf;
+use std::sync::{Arc, Mutex as StdMutex};
+
+/// The knob set shared by both simulator types.
+#[derive(Debug, Clone)]
+pub(crate) struct SimConfig {
+    pub machine: EmMachine,
+    pub seed: u64,
+    pub placement: Placement,
+    pub max_supersteps: usize,
+    /// Directory of the file backend; `None` keeps the disks in memory.
+    pub file_dir: Option<PathBuf>,
+    /// Where processor `i`'s files live under `file_dir`: in `proc-<i>/`
+    /// (Algorithm 3's entry point, whatever `p` is) or in the directory
+    /// itself (Algorithm 1's, which only ever has processor 0).
+    pub per_proc_dirs: bool,
+    pub io_mode: IoMode,
+    pub pipeline: Pipeline,
+    pub compute: ComputeMode,
+    pub fault_plan: Option<FaultPlan>,
+    pub checksums: bool,
+    pub retry: Option<RetryPolicy>,
+    pub recovery: Option<RecoveryPolicy>,
+    pub cache_bytes: usize,
+    pub auto_cache: bool,
+    pub checkpoint: bool,
+    pub kill: Option<KillPoint>,
+    pub engine: EngineKind,
+    pub pin_workers: bool,
+    pub tuner: AutoTuner,
+    /// The tuner's choices, recorded when a resolution ran (on the clone
+    /// [`Self::apply_resolution`] returns; the original stays `None`).
+    pub resolved: Option<ResolvedConfig>,
+    /// Lazily created persistent compute pool shared by the `p` processor
+    /// threads of every run of this simulator (and of its clones — the
+    /// cell is behind an `Arc`). `None` until the first `Threaded` run, or
+    /// preset via `with_compute_pool`.
+    pub pool: Arc<StdMutex<Option<ComputePool>>>,
+}
+
+impl SimConfig {
+    /// Defaults: seeded RNG, random placement, in-memory disks, every
+    /// optional layer off.
+    pub fn new(machine: EmMachine, seed: u64, per_proc_dirs: bool) -> Self {
+        SimConfig {
+            machine,
+            seed,
+            placement: Placement::Random,
+            max_supersteps: em_bsp::DEFAULT_MAX_SUPERSTEPS,
+            file_dir: None,
+            per_proc_dirs,
+            io_mode: IoMode::Parallel,
+            pipeline: Pipeline::Off,
+            compute: ComputeMode::Serial,
+            fault_plan: None,
+            checksums: false,
+            retry: None,
+            recovery: None,
+            cache_bytes: 0,
+            auto_cache: false,
+            checkpoint: false,
+            kill: None,
+            engine: EngineKind::default(),
+            pin_workers: false,
+            tuner: AutoTuner::default(),
+            resolved: None,
+            pool: Arc::new(StdMutex::new(None)),
+        }
+    }
+
+    /// The persistent compute pool for a run: an attached pool if one is
+    /// present (always reused — dispatches queue when chunks outnumber its
+    /// workers, which cannot affect determinism since chunking is governed
+    /// by [`ComputeMode`] alone), otherwise one lazily created and cached
+    /// for [`ComputeMode::Threaded`]`(n > 1)` — sized `n·p` so every
+    /// processor's chunks can run concurrently — or `None` for effectively
+    /// serial modes.
+    pub fn compute_pool(&self) -> Option<ComputePool> {
+        let mut guard = self.pool.lock().expect("compute pool cell");
+        if let Some(pool) = guard.as_ref() {
+            return Some(pool.clone());
+        }
+        match self.compute {
+            ComputeMode::Threaded(n) if n > 1 => Some(
+                guard
+                    .get_or_insert_with(|| {
+                        ComputePool::with_pinning(
+                            n.saturating_mul(self.machine.p.max(1)),
+                            self.pin_workers,
+                        )
+                    })
+                    .clone(),
+            ),
+            _ => None,
+        }
+    }
+
+    /// Run the tuner for the current `Auto` requests; `None` when nothing
+    /// is requested as `Auto`.
+    pub fn resolve_auto(&self, v: usize, mu: usize, gamma: usize) -> Option<ResolvedConfig> {
+        let footprint = (v as u64).saturating_mul(mu as u64).saturating_add(gamma as u64);
+        self.tuner.resolve(
+            self.compute.is_auto(),
+            self.pipeline.is_auto(),
+            self.auto_cache,
+            footprint,
+        )
+    }
+
+    /// A clone with the resolution's concrete values substituted for the
+    /// `Auto` requests; it has no `Auto` request left, so re-entering
+    /// `run`/`resume` on it cannot resolve again.
+    pub fn apply_resolution(&self, rc: ResolvedConfig) -> Self {
+        let mut resolved = self.clone();
+        if let Some(mode) = rc.compute {
+            resolved.compute = mode;
+        }
+        if let Some(pipeline) = rc.pipeline {
+            resolved.pipeline = pipeline;
+        }
+        if let Some(bytes) = rc.cache_bytes {
+            resolved.cache_bytes = bytes;
+        }
+        resolved.auto_cache = false;
+        resolved.resolved = Some(rc);
+        resolved
+    }
+
+    pub fn disk_config(&self) -> EmResult<DiskConfig> {
+        let cfg = self
+            .machine
+            .disk_config()?
+            .with_io_mode(self.io_mode)
+            .with_pipeline(self.pipeline)
+            .with_checksums(self.checksums)
+            .with_cache(self.cache_bytes)
+            .with_auto_cache(self.auto_cache)
+            .with_engine(self.engine)
+            .with_pinned_workers(self.pin_workers);
+        Ok(match self.retry {
+            Some(policy) => cfg.with_retry(policy),
+            None => cfg,
+        })
+    }
+
+    /// Directory of processor `i`'s drive files, manifests and journal;
+    /// `None` on the memory backend.
+    pub fn worker_dir(&self, i: usize) -> Option<PathBuf> {
+        let dir = self.file_dir.as_ref()?;
+        Some(if self.per_proc_dirs { dir.join(format!("proc-{i}")) } else { dir.clone() })
+    }
+
+    /// One fresh private [`DiskArray`] per processor (backend, decorators,
+    /// fault plan — each array gets a clone of the plan; injection
+    /// counters are shared and aggregated).
+    pub fn build_disks(&self) -> EmResult<Vec<DiskArray>> {
+        self.machine.validate()?;
+        let cfg = self.disk_config()?;
+        (0..self.machine.p)
+            .map(|i| {
+                Ok(match self.worker_dir(i) {
+                    None => DiskArray::new_memory_with_faults(cfg, self.fault_plan.clone()),
+                    Some(dir) => {
+                        DiskArray::new_file_with_faults(cfg, dir, self.fault_plan.clone())?
+                    }
+                })
+            })
+            .collect()
+    }
+
+    /// What must hold before any worker starts: a valid machine, one
+    /// matching array per processor, and somewhere durable for manifests
+    /// and the pre-image journal when checkpointing.
+    pub fn validate_run(&self, disks: &[DiskArray]) -> EmResult<()> {
+        self.machine.validate()?;
+        if self.checkpoint && self.file_dir.is_none() {
+            return Err(EmError::InvalidConfig(
+                "checkpointing requires the file backend (with_file_backend)".into(),
+            ));
+        }
+        if self.kill.is_some() && !self.checkpoint {
+            return Err(EmError::InvalidConfig(
+                "a kill point requires checkpointing (with_checkpointing)".into(),
+            ));
+        }
+        let p = self.machine.p;
+        if disks.len() != p {
+            return Err(EmError::InvalidConfig(format!(
+                "{} disk arrays provided for p = {p} processors",
+                disks.len()
+            )));
+        }
+        let expected = self.machine.disk_config()?;
+        for arr in disks {
+            let cfg = arr.config();
+            if cfg.num_disks != expected.num_disks || cfg.block_bytes != expected.block_bytes {
+                return Err(EmError::InvalidConfig(format!(
+                    "disk array shape {}x{}B does not match the machine's {}x{}B",
+                    cfg.num_disks, cfg.block_bytes, expected.num_disks, expected.block_bytes
+                )));
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether the run has fault machinery enabled (and therefore reports
+    /// a [`FaultReport`]).
+    pub fn fault_run(&self) -> bool {
+        self.fault_plan.is_some() || self.recovery.is_some()
+    }
+
+    /// The injection/retry/replay tally of a fault run, as both the final
+    /// [`CostReport`](crate::CostReport) and a typed failure carry it.
+    pub fn fault_report(
+        &self,
+        fault_stats: &Option<Arc<FaultStats>>,
+        (retried_blocks, recovery_ops): (u64, u64),
+        (recovered_supersteps, replays): (u64, u64),
+        failed_superstep: Option<usize>,
+    ) -> FaultReport {
+        FaultReport {
+            injected: fault_stats.as_ref().map(|s| s.counts()).unwrap_or_default(),
+            retried_blocks,
+            recovery_ops,
+            recovered_supersteps,
+            replays,
+            failed_superstep,
+        }
+    }
+
+    /// Dress an unrecoverable error in [`EmError::FaultUnrecoverable`] with
+    /// the injection/recovery tally — but only for disk errors of a run
+    /// that had fault machinery enabled; logic errors (γ violations,
+    /// misrouted blocks, ...) and already-wrapped errors pass through
+    /// untouched.
+    pub fn wrap_fault(
+        &self,
+        step: usize,
+        err: EmError,
+        fault_stats: &Option<Arc<FaultStats>>,
+        absorbed: (u64, u64),
+        tallies: (u64, u64),
+    ) -> EmError {
+        if !self.fault_run() || !matches!(err, EmError::Disk(_)) {
+            return err;
+        }
+        EmError::FaultUnrecoverable {
+            step,
+            report: self.fault_report(fault_stats, absorbed, tallies, Some(step)),
+            source: Box::new(err),
+        }
+    }
+}
+
+/// The names [`sim_facade!`]'s expansion refers to; a simulator module
+/// glob-imports this next to invoking the macro.
+pub(crate) mod facade_scope {
+    pub(crate) use crate::checkpoint::KillPoint;
+    pub(crate) use crate::compute::{ComputeMode, ComputePool};
+    pub(crate) use crate::machine::EmMachine;
+    pub(crate) use crate::msg::{Placement, MSG_HEADER_BYTES};
+    pub(crate) use crate::par_sim::{resume_engine, run_engine, Start};
+    pub(crate) use crate::report::{CostReport, RecoveryPolicy};
+    pub(crate) use crate::tune::{AutoTuner, ResolvedConfig};
+    pub(crate) use crate::EmResult;
+    pub(crate) use em_bsp::{BspProgram, RunResult};
+    pub(crate) use em_disk::{
+        DiskArray, DiskConfig, EngineKind, FaultPlan, IoMode, Pipeline, RetryPolicy,
+    };
+}
+
+/// The public surface both simulator types share — every `with_*` builder,
+/// the accessors, `run`, `resume` and the [`em_bsp::Executor`] impls (bare
+/// and [`Recording`](crate::Recording)-wrapped) — generated once for a struct with a
+/// `cfg: SimConfig` field, an inherent `build_disks` and an inherent
+/// `run_on`. "Each processor" below means the one processor of
+/// [`SeqEmSimulator`](crate::SeqEmSimulator) or the `p` of
+/// [`ParEmSimulator`](crate::ParEmSimulator).
+macro_rules! sim_facade {
+    ($sim:ident) => {
+        impl $sim {
+            /// Use a specific RNG seed (runs are reproducible per seed).
+            pub fn with_seed(mut self, seed: u64) -> Self {
+                self.cfg.seed = seed;
+                self
+            }
+
+            /// Choose the disk-assignment strategy of the Writing Phase.
+            pub fn with_placement(mut self, placement: Placement) -> Self {
+                self.cfg.placement = placement;
+                self
+            }
+
+            /// Back the simulated disks with real files: inside `dir` for
+            /// `SeqEmSimulator`, under `dir/proc-<i>/` per processor for
+            /// `ParEmSimulator`.
+            pub fn with_file_backend(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
+                self.cfg.file_dir = Some(dir.into());
+                self
+            }
+
+            /// Choose how each processor's file backend executes stripes
+            /// ([`IoMode::Parallel`] by default — one worker thread per
+            /// drive, so a `p`-processor file-backed run uses up to `p·D`
+            /// I/O threads). Ignored by the memory backend; counted I/O
+            /// and final states are identical either way.
+            pub fn with_io_mode(mut self, mode: IoMode) -> Self {
+                self.cfg.io_mode = mode;
+                self
+            }
+
+            /// Overlap each processor's disk transfers with computation
+            /// and with the inter-processor exchanges ([`Pipeline::Off`]
+            /// by default). With [`Pipeline::Stream(n)`](Pipeline::Stream)
+            /// a bounded window of rounds is in flight at once. At `p ≥ 2`
+            /// round `j+n-1`'s context read is submitted before round
+            /// `j`'s block-forwarding exchange runs; at `p = 1`, with no
+            /// exchange to hide a read behind and no block to forward
+            /// first, round `j+n`'s contexts *and* message blocks are
+            /// submitted before round `j` is joined. Every round's writes
+            /// drain in the background, joined before Algorithm 2's
+            /// reorganization. [`Pipeline::DoubleBuffer`] is exactly
+            /// `Stream(1)` — the classic one-group-ahead double buffer.
+            /// Counted I/O, per-phase attribution, final states, the RNG
+            /// streams and seeded I/O traces are identical at every depth
+            /// — the knob changes only *when* transfers complete.
+            pub fn with_pipeline(mut self, pipeline: Pipeline) -> Self {
+                self.cfg.pipeline = pipeline;
+                self
+            }
+
+            /// Run each processor's share of a round's Computation Phase
+            /// on a persistent worker pool ([`ComputeMode::Serial`] by
+            /// default — note a `Threaded(n)` run uses up to `p·n` compute
+            /// threads). Final states, the message ledger, counted I/O,
+            /// the RNG streams and seeded I/O traces are identical in
+            /// every mode — the knob only changes which OS threads execute
+            /// the per-virtual-processor kernel (see [`ComputeMode`]).
+            pub fn with_compute_mode(mut self, mode: ComputeMode) -> Self {
+                self.cfg.compute = mode;
+                self
+            }
+
+            /// Prefer a stripe-execution engine for the file backend
+            /// ([`EngineKind::Threaded`] by default). [`EngineKind::Uring`]
+            /// is a *preference*: it silently falls back to worker threads
+            /// when the `io-uring` feature is off or the kernel refuses a
+            /// ring ([`em_disk::uring_available`]). Counted I/O, final
+            /// states and seeded traces are identical under every engine
+            /// — the knob is wall-clock only.
+            pub fn with_engine(mut self, engine: EngineKind) -> Self {
+                self.cfg.engine = engine;
+                self
+            }
+
+            /// Best-effort pin worker threads (drive workers and the
+            /// compute pool) to cores, off by default. Purely a wall-clock
+            /// knob; the request is advisory and may be refused by the
+            /// kernel.
+            pub fn with_pinned_workers(mut self, pin: bool) -> Self {
+                self.cfg.pin_workers = pin;
+                self
+            }
+
+            /// Attach an existing persistent [`ComputePool`] — shared by
+            /// all `p` processor threads — instead of letting the
+            /// simulator lazily create its own (sized `n·p`) on the first
+            /// `Threaded` run. Several simulators (e.g. the tenants of a
+            /// shared service) can hold clones of one pool; dispatches
+            /// queue when chunks outnumber workers, and chunking — hence
+            /// determinism — is governed solely by
+            /// [`ComputeMode::Threaded`], never by pool size.
+            pub fn with_compute_pool(self, pool: ComputePool) -> Self {
+                *self.cfg.pool.lock().expect("compute pool cell") = Some(pool);
+                self
+            }
+
+            /// Guard limit for non-terminating programs.
+            pub fn with_max_supersteps(mut self, limit: usize) -> Self {
+                self.cfg.max_supersteps = limit;
+                self
+            }
+
+            /// Inject disk faults from a seeded [`FaultPlan`] into every
+            /// processor's private disk array, placed directly above the
+            /// raw storage (below checksums and retry, exactly where real
+            /// media faults live). The plan only *injects*; pair it with
+            /// [`Self::with_retry`] and [`Self::with_recovery`] to absorb
+            /// the injected faults, or expect a typed
+            /// [`EmError::FaultUnrecoverable`](crate::EmError::FaultUnrecoverable).
+            pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
+                self.cfg.fault_plan = Some(plan);
+                self
+            }
+
+            /// Frame every stored track with a CRC32 and verify it on read
+            /// ([`em_disk::DiskError::Corrupt`] on mismatch). Off by
+            /// default.
+            pub fn with_checksums(mut self, on: bool) -> Self {
+                self.cfg.checksums = on;
+                self
+            }
+
+            /// Retry transient per-track faults inside the disk substrate.
+            /// Retries are tallied in [`em_disk::IoStats::retried_blocks`]
+            /// and do not touch the paper-facing counted parallel I/O.
+            pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
+                self.cfg.retry = Some(policy);
+                self
+            }
+
+            /// Enable superstep-granular recovery: simulation state
+            /// advances only at each superstep's barrier `sync()`, and a
+            /// transient disk fault that survives the retry policy rolls
+            /// the disks back to the last committed superstep and replays
+            /// it (at most `policy.max_replays_per_superstep` times). The
+            /// replay decision is global: processor 0 inspects every
+            /// processor's failure at the superstep barrier, and either
+            /// *all* roll back and replay in lockstep, or the run degrades
+            /// into a typed [`EmError::FaultUnrecoverable`](crate::EmError::FaultUnrecoverable). Without
+            /// faults the machinery is inert: counted I/O, final states
+            /// and seeded traces are identical to a run without recovery.
+            pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
+                self.cfg.recovery = Some(policy);
+                self
+            }
+
+            /// Layer a write-back block cache of `capacity_bytes` over
+            /// each processor's disk array
+            /// ([`em_disk::BlockCacheBackend`]; 0 — the default — disables
+            /// it). Reads of resident tracks and repeated writes are
+            /// absorbed until each superstep's barrier `sync()`, which
+            /// flushes dirty tracks in deterministic `(track, disk)`
+            /// order. Counted I/O, final states, the RNG streams and
+            /// seeded traces are identical with the cache on or off; the
+            /// absorbed traffic is tallied in
+            /// [`em_disk::IoStats::cache_hit_blocks`] /
+            /// [`em_disk::IoStats::cache_absorbed_writes`].
+            pub fn with_cache(mut self, capacity_bytes: usize) -> Self {
+                self.cfg.cache_bytes = capacity_bytes;
+                self.cfg.auto_cache = false;
+                self
+            }
+
+            /// Let the [`AutoTuner`] size each processor's block cache
+            /// instead of pinning a capacity with [`Self::with_cache`]
+            /// (the two are mutually exclusive; whichever is set last
+            /// wins). The capacity is resolved from the run's `v·μ+γ`
+            /// footprint before any disk is built; like every tuned knob
+            /// it cannot change counted I/O, final states or seeded traces
+            /// — only wall clock. The choice is recorded in
+            /// [`CostReport::resolved_config`].
+            pub fn with_auto_cache(mut self, on: bool) -> Self {
+                self.cfg.auto_cache = on;
+                if on {
+                    self.cfg.cache_bytes = 0;
+                }
+                self
+            }
+
+            /// Replace the default [`AutoTuner`] that resolves `Auto` knob
+            /// requests ([`ComputeMode::Auto`], [`Pipeline::Auto`],
+            /// [`Self::with_auto_cache`]). The default tuner uses the host
+            /// core count and the corpus-derived compute/fetch ratio;
+            /// tests and CI determinism lanes pin inputs via
+            /// [`AutoTuner::with_inputs`].
+            pub fn with_tuner(mut self, tuner: AutoTuner) -> Self {
+                self.cfg.tuner = tuner;
+                self
+            }
+
+            /// Persist a durable checkpoint at every superstep barrier on
+            /// every processor, so the run survives a process crash.
+            /// Requires the file backend ([`Self::with_file_backend`]);
+            /// typed [`EmError::InvalidConfig`](crate::EmError::InvalidConfig) otherwise. Each processor
+            /// keeps its manifests and pre-image journal next to its drive
+            /// files.
+            ///
+            /// At each barrier `sync()` every processor atomically commits
+            /// a CRC-framed *manifest* (write-new → fsync → rename)
+            /// holding everything resume needs — next superstep, group
+            /// counts, allocator frontier, committed [`IoStats`](em_disk::IoStats), ledger
+            /// and the fault-injection schedule position — and mirrors
+            /// every overwritten track's pre-image to a durable journal
+            /// *before* the overwrite lands. The commit protocol tolerates
+            /// the one-superstep skew a crash can leave between
+            /// processors: all make their barrier data durable, then
+            /// commit manifests, then — only after a barrier proves every
+            /// manifest is durable — truncate their journals.
+            /// [`Self::resume`] picks the *minimum* committed barrier,
+            /// rolls uncommitted superstep writes back via the journals
+            /// and replays deterministically: final states, ledger,
+            /// counted parallel I/O operations and the drive bytes are
+            /// bit-identical to the uninterrupted run. Checkpoint traffic
+            /// is never counted in the paper-facing `parallel_ops`
+            /// (pre-image captures land in [`IoStats::recovery_ops`](em_disk::IoStats::recovery_ops)).
+            pub fn with_checkpointing(mut self, on: bool) -> Self {
+                self.cfg.checkpoint = on;
+                self
+            }
+
+            /// Simulate a whole-process crash at `kill` for chaos testing:
+            /// every processor dies at the kill point and the run returns
+            /// [`EmError::Killed`](crate::EmError::Killed), leaving the on-disk state exactly as a
+            /// real crash at that point would. With
+            /// [`KillPoint::MidManifest`] processor 0 tears its manifest
+            /// while the others commit in full — the commit skew
+            /// [`Self::resume`] must reconcile. Requires
+            /// [`Self::with_checkpointing`]. If the program terminates
+            /// before the kill point's superstep, the run completes
+            /// normally.
+            pub fn with_kill_point(mut self, kill: KillPoint) -> Self {
+                self.cfg.kill = Some(kill);
+                self
+            }
+
+            /// The machine this simulator targets.
+            pub fn machine(&self) -> &EmMachine {
+                &self.cfg.machine
+            }
+
+            /// The configured [`ComputeMode`].
+            pub fn compute_mode(&self) -> ComputeMode {
+                self.cfg.compute
+            }
+
+            /// Whether a persistent [`ComputePool`] is currently attached
+            /// — either via [`Self::with_compute_pool`] or lazily created
+            /// by an earlier `Threaded` run of this simulator (or of a
+            /// clone).
+            pub fn has_compute_pool(&self) -> bool {
+                self.cfg.pool.lock().expect("compute pool cell").is_some()
+            }
+
+            /// Whether any knob is currently requested as `Auto` (and
+            /// therefore still awaiting resolution).
+            pub fn has_auto_request(&self) -> bool {
+                self.cfg.compute.is_auto() || self.cfg.pipeline.is_auto() || self.cfg.auto_cache
+            }
+
+            /// The [`AutoTuner`] resolution behind this simulator's knobs:
+            /// `None` unless this value came out of
+            /// [`Self::resolved_for`] (runs resolve on an internal clone
+            /// and record the choice in [`CostReport::resolved_config`]
+            /// instead).
+            pub fn resolved_config(&self) -> Option<&ResolvedConfig> {
+                self.cfg.resolved.as_ref()
+            }
+
+            /// Resolve any `Auto` knob requests against a known problem
+            /// shape — `v` virtual processors with state budget `mu` and
+            /// per-processor communication budget `gamma` — returning a
+            /// simulator whose knobs are all concrete and whose
+            /// [`Self::resolved_config`] records the tuner's choices (a
+            /// plain clone when nothing is `Auto`). [`Self::run`] and
+            /// [`Self::resume`] do this implicitly; `em-service` calls it
+            /// at admission so the resolution lands in the tenant ledger
+            /// before pool shares are granted.
+            pub fn resolved_for(&self, v: usize, mu: usize, gamma: usize) -> Self {
+                match self.cfg.resolve_auto(v, mu, gamma) {
+                    Some(rc) => $sim { cfg: self.cfg.apply_resolution(rc) },
+                    None => self.clone(),
+                }
+            }
+
+            /// The [`DiskConfig`] each processor's private array is built
+            /// with — the shape every array passed to [`Self::run_on`]
+            /// must have.
+            pub fn disk_config(&self) -> EmResult<DiskConfig> {
+                self.cfg.disk_config()
+            }
+
+            /// Run `prog` on `states.len()` virtual processors entirely
+            /// through the external-memory machinery; returns the final
+            /// states (identical to [`em_bsp::run_sequential`]) plus the
+            /// measured [`CostReport`].
+            ///
+            /// Equivalent to [`Self::build_disks`] followed by
+            /// [`Self::run_on`]: the simulator itself holds no per-run
+            /// state, so one simulator value can execute any number of
+            /// runs, sequentially or from multiple threads.
+            pub fn run<P: BspProgram>(
+                &self,
+                prog: &P,
+                states: Vec<P::State>,
+            ) -> EmResult<(RunResult<P::State>, CostReport)> {
+                // Resolve `Auto` knob requests *before* the disks are
+                // built, so a tuned cache capacity (and pipeline) shape
+                // the arrays themselves.
+                let gamma = prog.max_comm_bytes().max(MSG_HEADER_BYTES);
+                let rc = self.cfg.resolve_auto(states.len(), prog.max_state_bytes(), gamma);
+                let resolved = rc.map(|rc| self.cfg.apply_resolution(rc));
+                let cfg = resolved.as_ref().unwrap_or(&self.cfg);
+                let mut disks = cfg.build_disks()?;
+                run_engine(cfg, &mut disks, prog, Start::Fresh(states))
+            }
+
+            /// Resume a checkpointed run after a (real or simulated)
+            /// process crash, continuing from the last barrier every
+            /// processor committed.
+            ///
+            /// Each processor's drive files are reattached without
+            /// truncation. A crash can leave the processors' manifests
+            /// skewed by one superstep (some committed barrier `s+1`, some
+            /// only `s`); the global resume point is the *minimum*
+            /// committed barrier, and each ahead processor's durable
+            /// pre-image journal — never truncated before every manifest
+            /// was proven durable — rolls its drives back to it.
+            /// Fault-injection schedule positions are restored per
+            /// processor, and the remaining supersteps replay
+            /// deterministically: final states, the communication ledger,
+            /// counted parallel I/O operations and the drive bytes are
+            /// bit-identical to the uninterrupted run. Resuming an
+            /// already-finished run just rebuilds its result. The
+            /// simulator's configuration (seed, machine shape, program
+            /// budgets) must match the checkpointed run; a typed
+            /// [`EmError::InvalidConfig`](crate::EmError::InvalidConfig) names the first mismatch.
+            pub fn resume<P: BspProgram>(
+                &self,
+                prog: &P,
+            ) -> EmResult<(RunResult<P::State>, CostReport)> {
+                resume_engine(&self.cfg, prog)
+            }
+        }
+
+        impl em_bsp::Executor for $sim {
+            fn execute<P: BspProgram>(
+                &self,
+                prog: &P,
+                states: Vec<P::State>,
+            ) -> Result<RunResult<P::State>, em_bsp::ExecError> {
+                let (res, _report) =
+                    self.run(prog, states).map_err(|e| Box::new(e) as em_bsp::ExecError)?;
+                Ok(res)
+            }
+        }
+
+        impl em_bsp::Executor for $crate::Recording<$sim> {
+            fn execute<P: BspProgram>(
+                &self,
+                prog: &P,
+                states: Vec<P::State>,
+            ) -> Result<RunResult<P::State>, em_bsp::ExecError> {
+                let (res, report) =
+                    self.sim.run(prog, states).map_err(|e| Box::new(e) as em_bsp::ExecError)?;
+                self.reports.lock().push(report);
+                Ok(res)
+            }
+        }
+    };
+}
+pub(crate) use sim_facade;

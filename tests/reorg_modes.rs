@@ -21,7 +21,7 @@
 
 use em_algos::permute::cgm_permute;
 use em_algos::sort::cgm_sort;
-use em_bsp::{BspProgram, BspStarParams, CommLedger, Mailbox, Step};
+use em_bsp::{BspProgram, BspStarParams, CommLedger, Executor, Mailbox, Step};
 use em_core::{
     AutoTuner, ComputeMode, ComputePool, CostReport, EmError, EmMachine, KillPoint, ParEmSimulator,
     PhaseIo, Recording, SeqEmSimulator, TuneInputs,
