@@ -380,30 +380,37 @@ impl DiskArray {
     }
 
     /// Capture pre-images for any tracks in `writes` not yet journaled in
-    /// the open recovery epoch. With a durable journal attached, each
-    /// captured pre-image is also appended (and flushed) to the journal
-    /// file before this returns — and therefore before the overwrite it
-    /// protects is submitted to the backend.
+    /// the open recovery epoch, reading them with one stripe call (they
+    /// are a subset of a validated stripe). With a durable journal
+    /// attached, each captured pre-image is also appended (and flushed) to
+    /// the journal file before this returns — and therefore before the
+    /// overwrite it protects is submitted to the backend.
     fn capture_pre_images(&mut self, writes: &[(usize, usize, Block)]) -> DiskResult<()> {
-        if self.journal.is_none() {
+        let Some(journal) = self.journal.as_mut() else {
+            return Ok(());
+        };
+        let fresh: Vec<(usize, usize)> = (writes.iter().map(|(disk, track, _)| (*disk, *track)))
+            .filter(|key| !journal.pre.contains_key(key))
+            .collect();
+        if fresh.is_empty() {
             return Ok(());
         }
-        for (disk, track, _) in writes {
-            let key = (*disk, *track);
-            let journal = self.journal.as_mut().expect("epoch checked above");
-            if journal.pre.contains_key(&key) {
-                continue;
-            }
-            let mut buf = self.pre_image_pool.pop().unwrap_or_default();
-            buf.clear();
-            buf.resize(self.cfg.block_bytes, 0);
-            self.backend.read_track(*disk, *track, &mut buf)?;
-            self.stats.recovery_ops += 1;
+        let mut images: Vec<Vec<u8>> = (fresh.iter())
+            .map(|_| {
+                let mut buf = self.pre_image_pool.pop().unwrap_or_default();
+                buf.clear();
+                buf.resize(self.cfg.block_bytes, 0);
+                buf
+            })
+            .collect();
+        let mut bufs: Vec<&mut [u8]> = images.iter_mut().map(Vec::as_mut_slice).collect();
+        self.backend.read_stripe(&fresh, &mut bufs)?;
+        self.stats.recovery_ops += fresh.len() as u64;
+        for (key, image) in fresh.into_iter().zip(images) {
             if let Some(durable) = self.durable.as_mut() {
-                durable.append(*disk, *track, &buf)?;
+                durable.append(key.0, key.1, &image)?;
             }
-            let journal = self.journal.as_mut().expect("epoch checked above");
-            journal.pre.insert(key, buf);
+            journal.pre.insert(key, image);
             journal.order.push(key);
         }
         Ok(())

@@ -10,7 +10,7 @@
 //! model's `D`-way parallelism, not just count it.
 
 use crate::block::{crc32, CRC_BYTES};
-use crate::engine::{read_full_track, write_at, IoEngine};
+use crate::engine::{first_failure, read_full_track, track_offset, write_at, IoEngine};
 use crate::{DiskError, DiskResult, EngineKind, IoMode, ReadTicket, RetryPolicy, WriteTicket};
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
@@ -21,12 +21,23 @@ use std::path::{Path, PathBuf};
 /// disks are "formatted" at creation, matching the paper's preallocated
 /// context and message regions.
 ///
-/// The stripe methods have serial default implementations, so a backend
-/// only needs `read_track`/`write_track` to be correct; backends with real
-/// parallelism (the file backend's worker engine) override them to overlap
-/// the per-drive transfers. Whatever the overlap, a stripe call returns
-/// only after **every** listed track has completed — callers never observe
-/// in-flight I/O.
+/// A stripe is `≤ D` tracks, at most one per drive. Its entry points,
+/// [`DiskBackend::read_stripe_each`] and [`DiskBackend::write_stripe_each`],
+/// report **one outcome per track**: every listed track is attempted, and
+/// the call returns only after all of them have completed — callers never
+/// observe in-flight I/O, and one track's failure never hides what happened
+/// to the others. The default implementation is the per-track loop, which
+/// is all a backend with nothing to overlap needs (`read_track` and
+/// `write_track` suffice to be correct). Backends with real parallelism
+/// (the file backend's engines) override the `_each` pair to overlap the
+/// per-drive transfers, and the decorators override it to do their work
+/// for the whole stripe around a *single* inner stripe call, so a `D`-way
+/// dispatch at the bottom survives any stack above it. A decorator's
+/// `read_track`/`write_track` are then the one-track stripe.
+///
+/// [`DiskBackend::read_stripe`] / [`DiskBackend::write_stripe`] are the
+/// merged view — `Ok` when every track succeeded, else the error of the
+/// first failing track in request order — and are never overridden.
 pub trait DiskBackend: Send {
     /// Number of drives this backend was created with.
     fn num_disks(&self) -> usize;
@@ -37,26 +48,41 @@ pub trait DiskBackend: Send {
     /// Write one track from `data` (whose length is the block size `B`).
     fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()>;
 
-    /// Read one track from each listed drive into the matching buffer.
+    /// Read one track from each listed drive into the matching buffer and
+    /// report one outcome per track, in request order.
     ///
-    /// `addrs[i]` is `(disk, track)` and fills `bufs[i]`. The caller (the
-    /// array front-end) has already validated the one-track-per-drive
-    /// stripe rule; backends may execute the transfers in any order or in
-    /// parallel, but must complete all of them before returning.
-    fn read_stripe(&mut self, addrs: &[(usize, usize)], bufs: &mut [&mut [u8]]) -> DiskResult<()> {
-        for (&(disk, track), buf) in addrs.iter().zip(bufs.iter_mut()) {
-            self.read_track(disk, track, buf)?;
-        }
-        Ok(())
+    /// `addrs[i]` is `(disk, track)` and fills `bufs[i]`; the buffer of a
+    /// failed track holds unspecified bytes. The caller (the array
+    /// front-end) has already validated the one-track-per-drive stripe
+    /// rule; backends may execute the transfers in any order or in
+    /// parallel, but must attempt and complete all of them before
+    /// returning.
+    fn read_stripe_each(
+        &mut self,
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
+        (addrs.iter().zip(bufs.iter_mut()))
+            .map(|(&(disk, track), buf)| self.read_track(disk, track, buf))
+            .collect()
     }
 
     /// Write one track on each listed drive (same contract as
+    /// [`DiskBackend::read_stripe_each`]).
+    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+        writes.iter().map(|&(disk, track, data)| self.write_track(disk, track, data)).collect()
+    }
+
+    /// [`DiskBackend::read_stripe_each`] merged: every track was attempted;
+    /// the first failing track's error (request order) is returned.
+    fn read_stripe(&mut self, addrs: &[(usize, usize)], bufs: &mut [&mut [u8]]) -> DiskResult<()> {
+        first_failure(self.read_stripe_each(addrs, bufs)).map(drop)
+    }
+
+    /// [`DiskBackend::write_stripe_each`] merged (same rule as
     /// [`DiskBackend::read_stripe`]).
     fn write_stripe(&mut self, writes: &[(usize, usize, &[u8])]) -> DiskResult<()> {
-        for &(disk, track, data) in writes {
-            self.write_track(disk, track, data)?;
-        }
-        Ok(())
+        first_failure(self.write_stripe_each(writes)).map(drop)
     }
 
     /// Submit a stripe read and return a joinable ticket.
@@ -70,10 +96,8 @@ pub trait DiskBackend: Send {
     /// called, and I/O errors are deferred to [`ReadTicket::join`].
     fn submit_read_stripe(&mut self, addrs: &[(usize, usize)], block_bytes: usize) -> ReadTicket {
         let mut data: Vec<Vec<u8>> = addrs.iter().map(|_| vec![0u8; block_bytes]).collect();
-        let res = {
-            let mut bufs: Vec<&mut [u8]> = data.iter_mut().map(Vec::as_mut_slice).collect();
-            self.read_stripe(addrs, &mut bufs)
-        };
+        let mut bufs: Vec<&mut [u8]> = data.iter_mut().map(Vec::as_mut_slice).collect();
+        let res = self.read_stripe(addrs, &mut bufs);
         ReadTicket::ready(res.map(|()| data))
     }
 
@@ -144,6 +168,10 @@ pub trait DiskBackend: Send {
     }
 }
 
+/// One outcome per track of a stripe, in request order (see
+/// [`DiskBackend::read_stripe_each`]).
+pub type TrackOutcomes = Vec<DiskResult<()>>;
+
 /// Boxed backends forward every method (including the overridable stripe
 /// and submission fast paths) to the inner backend, so decorator layers can
 /// compose over `Box<dyn DiskBackend>` without losing overrides.
@@ -157,11 +185,15 @@ impl<B: DiskBackend + ?Sized> DiskBackend for Box<B> {
     fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
         (**self).write_track(disk, track, data)
     }
-    fn read_stripe(&mut self, addrs: &[(usize, usize)], bufs: &mut [&mut [u8]]) -> DiskResult<()> {
-        (**self).read_stripe(addrs, bufs)
+    fn read_stripe_each(
+        &mut self,
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
+        (**self).read_stripe_each(addrs, bufs)
     }
-    fn write_stripe(&mut self, writes: &[(usize, usize, &[u8])]) -> DiskResult<()> {
-        (**self).write_stripe(writes)
+    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+        (**self).write_stripe_each(writes)
     }
     fn submit_read_stripe(&mut self, addrs: &[(usize, usize)], block_bytes: usize) -> ReadTicket {
         (**self).submit_read_stripe(addrs, block_bytes)
@@ -262,15 +294,53 @@ impl DiskBackend for MemoryBackend {
 pub struct ChecksumBackend<B: DiskBackend> {
     inner: B,
     payload_bytes: usize,
-    frame: Vec<u8>,
+    /// One reusable frame per track of a stripe (grown to the widest
+    /// stripe seen, `≤ D` under the array), so steady-state framing and
+    /// verification allocate nothing per block.
+    frames: Vec<Vec<u8>>,
 }
 
 impl<B: DiskBackend> ChecksumBackend<B> {
     /// Wrap `inner` (whose track size must be `payload_bytes + CRC_BYTES`).
     pub fn new(inner: B, payload_bytes: usize) -> Self {
-        let frame = vec![0u8; payload_bytes + CRC_BYTES];
-        ChecksumBackend { inner, payload_bytes, frame }
+        ChecksumBackend { inner, payload_bytes, frames: Vec::new() }
     }
+
+    fn reserve_frames(&mut self, tracks: usize) {
+        if self.frames.len() < tracks {
+            self.frames.resize(tracks, vec![0u8; self.payload_bytes + CRC_BYTES]);
+        }
+    }
+}
+
+/// Store `payload ‖ crc32(payload)` in `frame`.
+fn seal_frame(payload: &[u8], frame: &mut [u8]) {
+    let (body, tail) = frame.split_at_mut(payload.len());
+    body.copy_from_slice(payload);
+    // A zero payload stores as the all-zero ("formatted") frame, so a
+    // recovery rollback that re-zeroes a freshly allocated track leaves
+    // the drive byte-identical to one that never wrote it.
+    let crc = if payload.iter().all(|&b| b == 0) {
+        [0u8; CRC_BYTES]
+    } else {
+        crc32(payload).to_le_bytes()
+    };
+    tail.copy_from_slice(&crc);
+}
+
+/// Verify `frame` (read from `(disk, track)`) and copy its payload out.
+fn open_frame(frame: &[u8], payload: &mut [u8], disk: usize, track: usize) -> DiskResult<()> {
+    if frame.iter().all(|&b| b == 0) {
+        payload.fill(0);
+        return Ok(());
+    }
+    let (body, stored) = frame.split_at(payload.len());
+    let stored = u32::from_le_bytes(stored.try_into().expect("CRC_BYTES == 4"));
+    if crc32(body) != stored {
+        return Err(DiskError::Corrupt { disk, track });
+    }
+    payload.copy_from_slice(body);
+    Ok(())
 }
 
 impl<B: DiskBackend> DiskBackend for ChecksumBackend<B> {
@@ -279,39 +349,46 @@ impl<B: DiskBackend> DiskBackend for ChecksumBackend<B> {
     }
 
     fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()> {
-        debug_assert_eq!(buf.len(), self.payload_bytes);
-        let mut frame = std::mem::take(&mut self.frame);
-        let res = self.inner.read_track(disk, track, &mut frame);
-        let out = res.and_then(|()| {
-            let (payload, stored) = frame.split_at(self.payload_bytes);
-            if frame.iter().all(|&b| b == 0) {
-                buf.fill(0);
-                return Ok(());
-            }
-            let stored = u32::from_le_bytes(stored.try_into().expect("CRC_BYTES == 4"));
-            if crc32(payload) != stored {
-                return Err(DiskError::Corrupt { disk, track });
-            }
-            buf.copy_from_slice(payload);
-            Ok(())
-        });
-        self.frame = frame;
-        out
+        self.read_stripe(&[(disk, track)], &mut [buf])
     }
 
     fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
-        debug_assert_eq!(data.len(), self.payload_bytes);
-        let mut frame = std::mem::take(&mut self.frame);
-        frame[..self.payload_bytes].copy_from_slice(data);
-        // A zero payload stores as the all-zero ("formatted") frame, so a
-        // recovery rollback that re-zeroes a freshly allocated track leaves
-        // the drive byte-identical to one that never wrote it.
-        let tail =
-            if data.iter().all(|&b| b == 0) { [0u8; CRC_BYTES] } else { crc32(data).to_le_bytes() };
-        frame[self.payload_bytes..].copy_from_slice(&tail);
-        let res = self.inner.write_track(disk, track, &frame);
-        self.frame = frame;
-        res
+        self.write_stripe(&[(disk, track, data)])
+    }
+
+    /// Read every frame with one inner stripe call, then verify each track
+    /// that arrived.
+    fn read_stripe_each(
+        &mut self,
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
+        self.reserve_frames(addrs.len());
+        let mut frames: Vec<&mut [u8]> =
+            self.frames[..addrs.len()].iter_mut().map(Vec::as_mut_slice).collect();
+        let mut outcomes = self.inner.read_stripe_each(addrs, &mut frames);
+        for (((outcome, frame), buf), &(disk, track)) in
+            outcomes.iter_mut().zip(&frames).zip(bufs.iter_mut()).zip(addrs)
+        {
+            debug_assert_eq!(buf.len(), self.payload_bytes);
+            if outcome.is_ok() {
+                *outcome = open_frame(frame, buf, disk, track);
+            }
+        }
+        outcomes
+    }
+
+    /// Frame every track, then write them with one inner stripe call.
+    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+        self.reserve_frames(writes.len());
+        for (frame, &(_, _, data)) in self.frames.iter_mut().zip(writes) {
+            debug_assert_eq!(data.len(), self.payload_bytes);
+            seal_frame(data, frame);
+        }
+        let framed: Vec<(usize, usize, &[u8])> = (writes.iter().zip(&self.frames))
+            .map(|(&(disk, track, _), frame)| (disk, track, frame.as_slice()))
+            .collect();
+        self.inner.write_stripe_each(&framed)
     }
 
     fn tracks_used(&self, disk: usize) -> usize {
@@ -352,8 +429,14 @@ impl<B: DiskBackend> DiskBackend for ChecksumBackend<B> {
 ///
 /// Sits at the top of the backend stack (directly under the array
 /// front-end) so a retried read passes checksum verification again and a
-/// retried write re-frames the block. Per-track retries are tallied and
-/// drained by the array into
+/// retried write re-frames the block. A stripe goes down whole; each
+/// further *round* re-issues only the tracks that failed transiently, as
+/// one smaller stripe, after one backoff delay. Since a stripe holds at
+/// most one track per drive, every drive sees the same attempts in the
+/// same order as if its track had been retried alone. A track that is
+/// still failing after `max_attempts` keeps its last error — by then the
+/// stripe's other tracks have all been attempted too. Per-track retries
+/// are tallied and drained by the array into
 /// [`IoStats::retried_blocks`](crate::IoStats::retried_blocks); they are
 /// never counted as parallel I/O operations.
 pub struct RetryingBackend<B: DiskBackend> {
@@ -368,26 +451,33 @@ impl<B: DiskBackend> RetryingBackend<B> {
         RetryingBackend { inner, policy, retried: 0 }
     }
 
-    fn with_retries(
-        policy: &RetryPolicy,
-        retried: &mut u64,
-        mut op: impl FnMut() -> DiskResult<()>,
-    ) -> DiskResult<()> {
-        let mut attempt = 0u32;
-        loop {
-            match op() {
-                Ok(()) => return Ok(()),
-                Err(e) if e.is_transient() && attempt + 1 < policy.max_attempts => {
-                    attempt += 1;
-                    *retried += 1;
-                    let delay = policy.delay_before(attempt);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                }
-                Err(e) => return Err(e),
+    /// The retry rounds after a stripe's first attempt produced
+    /// `outcomes`: `reissue(inner, failed)` sends the tracks at the
+    /// (ascending) indices `failed` down again as one stripe and returns
+    /// their new outcomes.
+    fn retry_failed(
+        &mut self,
+        mut outcomes: TrackOutcomes,
+        mut reissue: impl FnMut(&mut B, &[usize]) -> TrackOutcomes,
+    ) -> TrackOutcomes {
+        for attempt in 1..self.policy.max_attempts {
+            let failed: Vec<usize> = (outcomes.iter().enumerate())
+                .filter(|(_, outcome)| matches!(outcome, Err(e) if e.is_transient()))
+                .map(|(i, _)| i)
+                .collect();
+            if failed.is_empty() {
+                break;
+            }
+            self.retried += failed.len() as u64;
+            let delay = self.policy.delay_before(attempt);
+            if !delay.is_zero() {
+                std::thread::sleep(delay);
+            }
+            for (&i, outcome) in failed.iter().zip(reissue(&mut self.inner, &failed)) {
+                outcomes[i] = outcome;
             }
         }
+        outcomes
     }
 }
 
@@ -397,13 +487,35 @@ impl<B: DiskBackend> DiskBackend for RetryingBackend<B> {
     }
 
     fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()> {
-        let inner = &mut self.inner;
-        Self::with_retries(&self.policy, &mut self.retried, || inner.read_track(disk, track, buf))
+        self.read_stripe(&[(disk, track)], &mut [buf])
     }
 
     fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
-        let inner = &mut self.inner;
-        Self::with_retries(&self.policy, &mut self.retried, || inner.write_track(disk, track, data))
+        self.write_stripe(&[(disk, track, data)])
+    }
+
+    fn read_stripe_each(
+        &mut self,
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
+        let first = self.inner.read_stripe_each(addrs, bufs);
+        self.retry_failed(first, |inner, failed| {
+            let (addrs, mut bufs): (Vec<(usize, usize)>, Vec<&mut [u8]>) =
+                (bufs.iter_mut().enumerate())
+                    .filter(|(i, _)| failed.contains(i))
+                    .map(|(i, buf)| (addrs[i], &mut **buf))
+                    .unzip();
+            inner.read_stripe_each(&addrs, &mut bufs)
+        })
+    }
+
+    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+        let first = self.inner.write_stripe_each(writes);
+        self.retry_failed(first, |inner, failed| {
+            let writes: Vec<(usize, usize, &[u8])> = failed.iter().map(|&i| writes[i]).collect();
+            inner.write_stripe_each(&writes)
+        })
     }
 
     fn tracks_used(&self, disk: usize) -> usize {
@@ -605,8 +717,11 @@ impl FileBackend {
         for i in 0..num_disks {
             let path = dir.as_ref().join(format!("disk-{i}.bin"));
             let file = OpenOptions::new().read(true).write(true).open(&path)?;
-            let len = file.metadata()?.len() as usize;
-            tracks_used.push(len.div_ceil(block_bytes));
+            let tracks = file.metadata()?.len().div_ceil(block_bytes as u64);
+            tracks_used.push(
+                usize::try_from(tracks)
+                    .map_err(|_| DiskError::OffsetOverflow { disk: i, track: tracks })?,
+            );
             files.push(file);
             paths.push(path);
         }
@@ -648,64 +763,50 @@ impl DiskBackend for FileBackend {
     }
 
     fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()> {
-        let offset = (track * self.block_bytes) as u64;
-        match &self.io {
-            FileIo::Serial(files) => Ok(read_full_track(&files[disk], buf, offset)?),
-            FileIo::Parallel(engine) => {
-                let mut bufs = [buf];
-                engine.read_stripe(&[(disk, track)], &mut bufs)
-            }
-            #[cfg(all(target_os = "linux", feature = "io-uring"))]
-            FileIo::Uring(engine) => {
-                let mut bufs = [buf];
-                engine.read_stripe(&[(disk, track)], &mut bufs)
-            }
-        }
+        self.read_stripe(&[(disk, track)], &mut [buf])
     }
 
     fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
-        let offset = (track * self.block_bytes) as u64;
-        match &self.io {
-            FileIo::Serial(files) => write_at(&files[disk], data, offset)?,
-            FileIo::Parallel(engine) => engine.write_stripe(&[(disk, track, data)])?,
-            #[cfg(all(target_os = "linux", feature = "io-uring"))]
-            FileIo::Uring(engine) => engine.write_stripe(&[(disk, track, data)])?,
-        }
-        self.note_write(disk, track);
-        Ok(())
+        self.write_stripe(&[(disk, track, data)])
     }
 
-    fn read_stripe(&mut self, addrs: &[(usize, usize)], bufs: &mut [&mut [u8]]) -> DiskResult<()> {
+    fn read_stripe_each(
+        &mut self,
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
         match &self.io {
-            FileIo::Serial(files) => {
-                for (&(disk, track), buf) in addrs.iter().zip(bufs.iter_mut()) {
-                    let offset = (track * self.block_bytes) as u64;
-                    read_full_track(&files[disk], buf, offset)?;
-                }
-                Ok(())
-            }
-            FileIo::Parallel(engine) => engine.read_stripe(addrs, bufs),
+            FileIo::Serial(files) => (addrs.iter().zip(bufs.iter_mut()))
+                .map(|(&(disk, track), buf)| {
+                    let offset = track_offset(disk, track, self.block_bytes)?;
+                    Ok(read_full_track(&files[disk], buf, offset)?)
+                })
+                .collect(),
+            FileIo::Parallel(engine) => engine.read_stripe_each(addrs, bufs),
             #[cfg(all(target_os = "linux", feature = "io-uring"))]
-            FileIo::Uring(engine) => engine.read_stripe(addrs, bufs),
+            FileIo::Uring(engine) => engine.read_stripe_each(addrs, bufs),
         }
     }
 
-    fn write_stripe(&mut self, writes: &[(usize, usize, &[u8])]) -> DiskResult<()> {
-        match &self.io {
-            FileIo::Serial(files) => {
-                for &(disk, track, data) in writes {
-                    let offset = (track * self.block_bytes) as u64;
-                    write_at(&files[disk], data, offset)?;
-                }
-            }
-            FileIo::Parallel(engine) => engine.write_stripe(writes)?,
+    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+        let outcomes: TrackOutcomes = match &self.io {
+            FileIo::Serial(files) => writes
+                .iter()
+                .map(|&(disk, track, data)| {
+                    let offset = track_offset(disk, track, self.block_bytes)?;
+                    Ok(write_at(&files[disk], data, offset)?)
+                })
+                .collect(),
+            FileIo::Parallel(engine) => engine.write_stripe_each(writes),
             #[cfg(all(target_os = "linux", feature = "io-uring"))]
-            FileIo::Uring(engine) => engine.write_stripe(writes)?,
+            FileIo::Uring(engine) => engine.write_stripe_each(writes),
+        };
+        for (&(disk, track, _), outcome) in writes.iter().zip(&outcomes) {
+            if outcome.is_ok() {
+                self.note_write(disk, track);
+            }
         }
-        for &(disk, track, _) in writes {
-            self.note_write(disk, track);
-        }
-        Ok(())
+        outcomes
     }
 
     fn submit_read_stripe(&mut self, addrs: &[(usize, usize)], block_bytes: usize) -> ReadTicket {
@@ -897,6 +998,186 @@ mod tests {
         assert_eq!(be.take_retried_blocks(), 2);
         // The next write succeeds: the schedule was consumed.
         be.write_track(0, 0, &[3u8; 8]).unwrap();
+    }
+
+    #[test]
+    fn exhausted_track_keeps_its_error_and_the_rest_of_the_stripe_lands() {
+        use crate::fault::{FaultInjectingBackend, FaultPlan};
+        // Drives 1 and 2 fail three times in a row — the whole budget of a
+        // 3-attempt policy; drives 0 and 3 are clean.
+        let burst = || {
+            (0..3).fold(FaultPlan::none(), |p, op| p.with_transient(1, op).with_transient(2, op))
+        };
+        let stack = |plan| {
+            let fault = FaultInjectingBackend::new(MemoryBackend::new(4), plan);
+            RetryingBackend::new(ChecksumBackend::new(fault, 8), RetryPolicy::new(3))
+        };
+        let plan = burst();
+        let stats = plan.stats();
+        let mut be = stack(plan);
+        let payload = [5u8; 8];
+        // Request order puts drive 2 ahead of drive 1.
+        let writes: Vec<(usize, usize, &[u8])> =
+            [0, 2, 1, 3].iter().map(|&d| (d, 0, &payload[..])).collect();
+
+        let outcomes = be.write_stripe_each(&writes);
+        assert!(outcomes[0].is_ok() && outcomes[3].is_ok());
+        for (slot, disk) in [(1, 2), (2, 1)] {
+            match &outcomes[slot] {
+                Err(DiskError::WorkerIo { disk: d, .. }) => assert_eq!(*d, disk),
+                other => panic!("slot {slot}: expected drive {disk}'s transient, got {other:?}"),
+            }
+        }
+        // Every track was attempted; only the failing ones were re-issued.
+        assert_eq!(be.fault_op_counts().unwrap(), vec![1, 3, 3, 1]);
+        assert_eq!(be.take_retried_blocks(), 4);
+        assert_eq!(stats.counts().transient, 6);
+        let mut buf = [0u8; 8];
+        be.read_track(0, 0, &mut buf).unwrap();
+        assert_eq!(buf, payload, "the stripe's healthy tracks landed");
+
+        // The merged form reports the first failing track in request order.
+        let mut be = stack(burst());
+        match be.write_stripe(&writes) {
+            Err(DiskError::WorkerIo { disk: 2, .. }) => {}
+            other => panic!("expected drive 2's error (first in request order), got {other:?}"),
+        }
+        // The schedule is consumed: the same stripe now lands everywhere.
+        be.write_stripe(&writes).unwrap();
+    }
+
+    /// The reference: forwards single tracks only, so its stripes run as
+    /// the trait's per-track loop over whatever stack it wraps.
+    struct PerTrack<B: DiskBackend>(B);
+
+    impl<B: DiskBackend> DiskBackend for PerTrack<B> {
+        fn num_disks(&self) -> usize {
+            self.0.num_disks()
+        }
+        fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()> {
+            self.0.read_track(disk, track, buf)
+        }
+        fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
+            self.0.write_track(disk, track, data)
+        }
+        fn tracks_used(&self, disk: usize) -> usize {
+            self.0.tracks_used(disk)
+        }
+        fn take_retried_blocks(&mut self) -> u64 {
+            self.0.take_retried_blocks()
+        }
+        fn fault_op_counts(&self) -> Option<Vec<u64>> {
+            self.0.fault_op_counts()
+        }
+    }
+
+    /// Full and partial stripes written, overwritten and read back;
+    /// returns everything a fault schedule could perturb.
+    fn faulty_workload(mut be: impl DiskBackend) -> (Vec<u8>, u64, Vec<u64>) {
+        const B: usize = 24;
+        let d = be.num_disks();
+        let payload = |disk: usize, track: usize, gen: usize| {
+            let mut p = [0u8; B];
+            p.iter_mut()
+                .enumerate()
+                .for_each(|(i, x)| *x = (disk * 31 + track * 7 + gen + i) as u8);
+            p
+        };
+        for gen in 0..2 {
+            for track in 0..12 {
+                // Every third stripe leaves the highest drives idle.
+                let width = if track % 3 == 2 { d - 1 } else { d };
+                let blocks: Vec<[u8; B]> = (0..width).map(|k| payload(k, track, gen)).collect();
+                let writes: Vec<(usize, usize, &[u8])> =
+                    blocks.iter().enumerate().map(|(k, p)| (k, track, &p[..])).collect();
+                be.write_stripe(&writes).expect("every track recovers within the budget");
+            }
+        }
+        let mut bytes = Vec::new();
+        for track in (0..12).rev() {
+            let addrs: Vec<(usize, usize)> = (0..d).rev().map(|disk| (disk, track)).collect();
+            let mut blocks = vec![[0u8; B]; d];
+            let mut bufs: Vec<&mut [u8]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
+            be.read_stripe(&addrs, &mut bufs).expect("every track recovers within the budget");
+            bytes.extend(blocks.iter().flatten());
+        }
+        (bytes, be.take_retried_blocks(), be.fault_op_counts().expect("a fault layer is present"))
+    }
+
+    #[test]
+    fn stripe_path_equals_the_per_track_reference_under_recoverable_faults() {
+        use crate::fault::{FaultInjectingBackend, FaultPlan};
+        const D: usize = 3;
+        let pid = std::process::id();
+        let stack = |raw: Box<dyn DiskBackend>, plan: FaultPlan| {
+            let fault = FaultInjectingBackend::new(raw, plan);
+            RetryingBackend::new(ChecksumBackend::new(fault, 24), RetryPolicy::new(8))
+        };
+        for seed in [0xF16u64, 7, 0xBEEF] {
+            // ~8 % of transfers faulted: transients, torn writes, bit flips.
+            let plan = || FaultPlan::seeded(seed, D, 400, 80);
+            let mem = || Box::new(MemoryBackend::new(D)) as Box<dyn DiskBackend>;
+
+            let (plan_s, plan_r) = (plan(), plan());
+            let (stats_s, stats_r) = (plan_s.stats(), plan_r.stats());
+            let striped = faulty_workload(stack(mem(), plan_s));
+            let reference = faulty_workload(PerTrack(stack(mem(), plan_r)));
+            assert!(striped.1 > 0, "seed {seed:#x} must actually fire faults");
+            assert_eq!(striped, reference, "memory, seed {seed:#x}");
+            assert_eq!(stats_s.counts(), stats_r.counts(), "memory, seed {seed:#x}");
+
+            for mode in [IoMode::Serial, IoMode::Parallel] {
+                let dir = |tag: &str| {
+                    std::env::temp_dir().join(format!("em-disk-ident-{tag}-{mode:?}-{seed}-{pid}"))
+                };
+                let file = |tag: &str| {
+                    let be = FileBackend::create_with_mode(dir(tag), D, 24 + CRC_BYTES, mode);
+                    Box::new(be.unwrap()) as Box<dyn DiskBackend>
+                };
+                let plan_f = plan();
+                let stats_f = plan_f.stats();
+                let on_file = faulty_workload(stack(file("s"), plan_f));
+                assert_eq!(on_file, reference, "file {mode:?}, seed {seed:#x}");
+                assert_eq!(stats_f.counts(), stats_r.counts(), "file {mode:?}, seed {seed:#x}");
+                // Drive bytes: the stripe path and the reference leave the
+                // same media behind, frame for frame.
+                faulty_workload(PerTrack(stack(file("r"), plan())));
+                for disk in 0..D {
+                    let name = format!("disk-{disk}.bin");
+                    let a = std::fs::read(dir("s").join(&name)).unwrap();
+                    let b = std::fs::read(dir("r").join(&name)).unwrap();
+                    assert_eq!(a, b, "drive {disk}, file {mode:?}, seed {seed:#x}");
+                }
+                std::fs::remove_dir_all(dir("s")).ok();
+                std::fs::remove_dir_all(dir("r")).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn track_offsets_are_computed_in_64_bits() {
+        assert_eq!(track_offset(0, 3, 4096).unwrap(), 12288);
+        // 2^33 tracks of 2^20 bytes: past u32, well inside a file offset.
+        assert_eq!(track_offset(0, 1 << 33, 1 << 20).unwrap(), 1u64 << 53);
+        // The product fits u64 but not a signed file offset; then not u64.
+        for track in [1usize << 43, usize::MAX] {
+            match track_offset(2, track, 1 << 20) {
+                Err(DiskError::OffsetOverflow { disk: 2, track: t }) => assert_eq!(t, track as u64),
+                other => panic!("expected OffsetOverflow, got {other:?}"),
+            }
+        }
+        // Through the backend it is a typed, permanent error in both modes.
+        for mode in [IoMode::Serial, IoMode::Parallel] {
+            let dir = std::env::temp_dir()
+                .join(format!("em-disk-overflow-{mode:?}-{}", std::process::id()));
+            let mut be = FileBackend::create_with_mode(&dir, 2, 1 << 20, mode).unwrap();
+            let mut buf = vec![0u8; 1 << 20];
+            let err = be.read_track(1, usize::MAX, &mut buf).unwrap_err();
+            assert!(matches!(err, DiskError::OffsetOverflow { disk: 1, .. }), "{mode:?}: {err:?}");
+            assert!(!err.is_transient());
+            assert_eq!(be.tracks_used(1), 0);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

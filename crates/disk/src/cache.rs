@@ -24,7 +24,7 @@
 //! backend I/O trace — the same contract `tests/file_backend.rs` asserts
 //! for the I/O modes.
 
-use crate::{DiskBackend, DiskResult};
+use crate::{DiskBackend, DiskResult, TrackOutcomes};
 use std::collections::{BTreeMap, HashMap};
 
 /// One resident track.
@@ -39,7 +39,8 @@ struct CacheEntry {
 ///
 /// * **Reads** of resident tracks are served from memory (tallied as cache
 ///   hits); misses read through the inner backend — still as one `≤ D`-way
-///   stripe for the missing subset — and allocate the fetched tracks.
+///   stripe for the missing subset — and allocate the fetched tracks. A
+///   miss stripe in which any track failed allocates nothing.
 /// * **Writes** are absorbed into the cache and marked dirty (tallied as
 ///   absorbed writes); they reach the inner backend only when evicted or
 ///   flushed.
@@ -146,25 +147,22 @@ impl<B: DiskBackend> DiskBackend for BlockCacheBackend<B> {
     }
 
     fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()> {
-        let key = (disk, track);
-        if self.map.contains_key(&key) {
-            self.touch(key);
-            buf.copy_from_slice(&self.map[&key].data);
-            self.hits += 1;
-            return Ok(());
-        }
-        self.inner.read_track(disk, track, buf)?;
-        self.insert(key, buf.to_vec(), false)
+        self.read_stripe(&[(disk, track)], &mut [buf])
     }
 
     fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
         self.absorb_write(disk, track, data)
     }
 
-    fn read_stripe(&mut self, addrs: &[(usize, usize)], bufs: &mut [&mut [u8]]) -> DiskResult<()> {
+    fn read_stripe_each(
+        &mut self,
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
         // Serve resident tracks from memory; fetch only the missing subset
         // from the inner backend, still as a single stripe so the engine's
         // D-way overlap is preserved for the part that does real I/O.
+        let mut outcomes: TrackOutcomes = addrs.iter().map(|_| Ok(())).collect();
         let mut miss_addrs: Vec<(usize, usize)> = Vec::new();
         let mut miss_idx: Vec<usize> = Vec::new();
         for (i, &(disk, track)) in addrs.iter().enumerate() {
@@ -179,26 +177,27 @@ impl<B: DiskBackend> DiskBackend for BlockCacheBackend<B> {
             }
         }
         if miss_addrs.is_empty() {
-            return Ok(());
+            return outcomes;
         }
         let block_bytes = bufs[miss_idx[0]].len();
         let mut fetched: Vec<Vec<u8>> = miss_addrs.iter().map(|_| vec![0u8; block_bytes]).collect();
-        {
-            let mut fb: Vec<&mut [u8]> = fetched.iter_mut().map(Vec::as_mut_slice).collect();
-            self.inner.read_stripe(&miss_addrs, &mut fb)?;
+        let mut fb: Vec<&mut [u8]> = fetched.iter_mut().map(Vec::as_mut_slice).collect();
+        let missed = self.inner.read_stripe_each(&miss_addrs, &mut fb);
+        if missed.iter().all(Result::is_ok) {
+            for ((key, data), i) in miss_addrs.into_iter().zip(fetched).zip(miss_idx) {
+                bufs[i].copy_from_slice(&data);
+                outcomes[i] = self.insert(key, data, false);
+            }
+        } else {
+            for (i, outcome) in miss_idx.into_iter().zip(missed) {
+                outcomes[i] = outcome;
+            }
         }
-        for ((key, data), i) in miss_addrs.into_iter().zip(fetched).zip(miss_idx) {
-            bufs[i].copy_from_slice(&data);
-            self.insert(key, data, false)?;
-        }
-        Ok(())
+        outcomes
     }
 
-    fn write_stripe(&mut self, writes: &[(usize, usize, &[u8])]) -> DiskResult<()> {
-        for &(disk, track, data) in writes {
-            self.absorb_write(disk, track, data)?;
-        }
-        Ok(())
+    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+        writes.iter().map(|&(disk, track, data)| self.absorb_write(disk, track, data)).collect()
     }
 
     fn tracks_used(&self, disk: usize) -> usize {
@@ -269,19 +268,42 @@ impl<B: DiskBackend> DiskBackend for BlockCacheBackend<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemoryBackend;
+    use crate::{ChecksumBackend, MemoryBackend, RetryPolicy, RetryingBackend};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+
+    /// Stripe calls that reached a [`CountingBackend`], shared so a test
+    /// can read them with the backend buried under a decorator stack.
+    #[derive(Default)]
+    struct StripeCalls {
+        reads: AtomicU64,
+        writes: AtomicU64,
+    }
+
+    impl StripeCalls {
+        fn take(&self) -> (u64, u64) {
+            (self.reads.swap(0, Ordering::Relaxed), self.writes.swap(0, Ordering::Relaxed))
+        }
+    }
 
     /// A [`MemoryBackend`] wrapper tallying how many track transfers
-    /// actually reach it, so tests can prove what the cache absorbed.
+    /// (and how many stripe calls) actually reach it, so tests can prove
+    /// what the layers above absorbed and how they dispatched the rest.
     struct CountingBackend {
         inner: MemoryBackend,
         reads: u64,
         writes: u64,
+        stripes: Arc<StripeCalls>,
     }
 
     impl CountingBackend {
         fn new(d: usize) -> Self {
-            CountingBackend { inner: MemoryBackend::new(d), reads: 0, writes: 0 }
+            CountingBackend {
+                inner: MemoryBackend::new(d),
+                reads: 0,
+                writes: 0,
+                stripes: Arc::default(),
+            }
         }
     }
 
@@ -296,6 +318,20 @@ mod tests {
         fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
             self.writes += 1;
             self.inner.write_track(disk, track, data)
+        }
+        fn read_stripe_each(
+            &mut self,
+            addrs: &[(usize, usize)],
+            bufs: &mut [&mut [u8]],
+        ) -> TrackOutcomes {
+            self.stripes.reads.fetch_add(1, Ordering::Relaxed);
+            (addrs.iter().zip(bufs.iter_mut()))
+                .map(|(&(disk, track), buf)| self.read_track(disk, track, buf))
+                .collect()
+        }
+        fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+            self.stripes.writes.fetch_add(1, Ordering::Relaxed);
+            writes.iter().map(|&(disk, track, data)| self.write_track(disk, track, data)).collect()
         }
         fn tracks_used(&self, disk: usize) -> usize {
             self.inner.tracks_used(disk)
@@ -408,6 +444,68 @@ mod tests {
         let mut buf = [0u8; 4];
         c.read_track(1, 0, &mut buf).unwrap();
         assert_eq!(buf, [9u8; 4]);
+    }
+
+    #[test]
+    fn one_outer_stripe_is_one_inner_stripe_through_the_decorators() {
+        const D: usize = 4;
+        let raw = CountingBackend::new(D);
+        let calls = Arc::clone(&raw.stripes);
+        let stack = |raw| RetryingBackend::new(ChecksumBackend::new(raw, 16), RetryPolicy::new(3));
+        let payload = [7u8; 16];
+        let writes: Vec<(usize, usize, &[u8])> = (0..D).map(|d| (d, 0, &payload[..])).collect();
+        let addrs: Vec<(usize, usize)> = (0..D).map(|d| (d, 0)).collect();
+        let mut blocks = vec![[0u8; 16]; D];
+
+        // Retrying(Checksum(raw)): one D-way dispatch per stripe.
+        let mut be = stack(raw);
+        be.write_stripe(&writes).unwrap();
+        assert_eq!(calls.take(), (0, 1), "one framed write stripe reaches the raw backend");
+        {
+            let mut bufs: Vec<&mut [u8]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
+            be.read_stripe(&addrs, &mut bufs).unwrap();
+        }
+        assert_eq!(calls.take(), (1, 0), "one read stripe, verified after it returns");
+        assert_eq!(blocks, vec![payload; D]);
+
+        // Cache(Retrying(Checksum(raw))): a cold stripe misses as one
+        // stripe; the warm re-read reaches nothing.
+        let mut cached = BlockCacheBackend::new(be, 2 * D);
+        for pass in 0..2 {
+            let mut bufs: Vec<&mut [u8]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
+            cached.read_stripe(&addrs, &mut bufs).unwrap();
+            assert_eq!(calls.take(), (1 - pass, 0), "pass {pass}");
+        }
+        assert_eq!(cached.take_cache_hit_blocks(), D as u64);
+        // A partly resident stripe fetches its misses as one stripe too.
+        let mixed: Vec<(usize, usize)> = (0..D).map(|d| (d, d % 2)).collect();
+        {
+            let mut bufs: Vec<&mut [u8]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
+            cached.read_stripe(&mixed, &mut bufs).unwrap();
+        }
+        assert_eq!(calls.take(), (1, 0));
+        // Dirty tracks flush as one stripe per legal batch.
+        cached.write_stripe(&writes).unwrap();
+        assert_eq!(calls.take(), (0, 0), "absorbed");
+        cached.flush_cache().unwrap();
+        assert_eq!(calls.take(), (0, 1));
+    }
+
+    #[test]
+    fn a_failed_miss_stripe_allocates_nothing() {
+        use crate::{FaultInjectingBackend, FaultPlan};
+        // Drive 1's first transfer fails; drive 0's succeeds. Neither
+        // track becomes resident, so the retry by the caller re-reads both.
+        let plan = FaultPlan::none().with_transient(1, 0);
+        let mut c =
+            BlockCacheBackend::new(FaultInjectingBackend::new(CountingBackend::new(2), plan), 8);
+        let (mut a, mut b) = ([0u8; 4], [0u8; 4]);
+        let outcomes = c.read_stripe_each(&[(0, 0), (1, 0)], &mut [&mut a, &mut b]);
+        assert!(outcomes[0].is_ok() && outcomes[1].as_ref().is_err_and(|e| e.is_transient()));
+        assert_eq!(c.resident_tracks(), 0);
+        c.read_stripe(&[(0, 0), (1, 0)], &mut [&mut a, &mut b]).unwrap();
+        assert_eq!(c.resident_tracks(), 2);
+        assert_eq!(c.take_cache_hit_blocks(), 0);
     }
 
     #[test]

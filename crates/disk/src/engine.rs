@@ -27,16 +27,18 @@
 //!   failed transfer comes back as [`DiskError::WorkerIo`] tagged with the
 //!   drive index; a worker whose thread has died (panic, channel torn
 //!   down) surfaces as [`DiskError::WorkerLost`]. On a multi-drive stripe
-//!   all replies are joined first and the lowest-indexed drive's error is
-//!   returned, so error selection is deterministic. A deferred error is
-//!   *sticky*: it stays queued in the ticket's reply channel until the
-//!   ticket is joined, even across an intervening `sync_all`.
+//!   all replies are joined first ([`join_slots`]: one outcome per track,
+//!   request order — the form the decorator stack consumes); a ticket's
+//!   `join` then reports the first failing track's error, so error
+//!   selection is deterministic. A deferred error is *sticky*: it stays
+//!   queued in the ticket's reply channel until the ticket is joined, even
+//!   across an intervening `sync_all`.
 //! * **Shutdown** — dropping the engine closes every command channel;
 //!   workers drain and exit, and the engine joins them. A worker that
 //!   errored stays alive and keeps serving subsequent commands (the drive
 //!   is poisoned only for the failed track, not for the array).
 
-use crate::{DiskError, DiskResult};
+use crate::{DiskError, DiskResult, TrackOutcomes};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use std::fs::File;
 use std::io;
@@ -81,6 +83,18 @@ pub(crate) fn read_full_track(file: &File, buf: &mut [u8], offset: u64) -> io::R
     Ok(())
 }
 
+/// Byte offset of `track` in a drive file of `block_bytes`-byte tracks,
+/// computed in 64 bits. A track whose last byte would lie past the largest
+/// file offset the OS can express (`i64::MAX`) is a typed error instead of
+/// a wrapped multiplication.
+pub(crate) fn track_offset(disk: usize, track: usize, block_bytes: usize) -> DiskResult<u64> {
+    let (track, block_bytes) = (track as u64, block_bytes as u64);
+    track
+        .checked_mul(block_bytes)
+        .filter(|offset| offset.checked_add(block_bytes).is_some_and(|end| end <= i64::MAX as u64))
+        .ok_or(DiskError::OffsetOverflow { disk, track })
+}
+
 #[cfg(unix)]
 pub(crate) fn read_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<usize> {
     use std::os::unix::fs::FileExt;
@@ -108,18 +122,19 @@ fn drive_worker(disk: usize, file: File, block_bytes: usize, rx: Receiver<Cmd>) 
     while let Ok(cmd) = rx.recv() {
         match cmd {
             Cmd::Read { track, mut buf, reply } => {
-                let offset = (track * block_bytes) as u64;
-                let res = read_full_track(&file, &mut buf, offset)
-                    .map(|()| buf)
-                    .map_err(|source| DiskError::WorkerIo { disk, source });
+                let res = track_offset(disk, track, block_bytes).and_then(|offset| {
+                    read_full_track(&file, &mut buf, offset)
+                        .map_err(|source| DiskError::WorkerIo { disk, source })
+                });
                 // A dropped reply receiver means the engine gave up on the
                 // stripe (it is being torn down); nothing left to do.
-                let _ = reply.send(res);
+                let _ = reply.send(res.map(|()| buf));
             }
             Cmd::Write { track, data, reply } => {
-                let offset = (track * block_bytes) as u64;
-                let res = write_at(&file, &data, offset)
-                    .map_err(|source| DiskError::WorkerIo { disk, source });
+                let res = track_offset(disk, track, block_bytes).and_then(|offset| {
+                    write_at(&file, &data, offset)
+                        .map_err(|source| DiskError::WorkerIo { disk, source })
+                });
                 let _ = reply.send(res);
             }
             Cmd::Sync { reply } => {
@@ -157,16 +172,15 @@ impl IoEngine {
         IoEngine { txs, handles }
     }
 
-    /// Dispatch one read per listed drive and return a joinable ticket
-    /// without waiting for any transfer to complete. A drive whose worker
-    /// is already gone is recorded in the ticket as a poisoned slot; the
-    /// [`DiskError::WorkerLost`] surfaces at join, keeping submission
-    /// non-blocking and infallible.
-    pub(crate) fn submit_read_stripe(
+    /// Dispatch one read per listed drive without waiting for any transfer
+    /// to complete. A drive whose worker is already gone is recorded as a
+    /// poisoned slot; the [`DiskError::WorkerLost`] surfaces at join,
+    /// keeping submission non-blocking and infallible.
+    fn dispatch_reads(
         &self,
         addrs: &[(usize, usize)],
         block_bytes: usize,
-    ) -> ReadTicket {
+    ) -> PendingSlots<Vec<u8>> {
         let mut slots = Vec::with_capacity(addrs.len());
         for &(disk, track) in addrs {
             let (reply_tx, reply_rx) = bounded::<DiskResult<Vec<u8>>>(1);
@@ -177,13 +191,12 @@ impl IoEngine {
                 .is_some_and(|tx| tx.send(Cmd::Read { track, buf, reply: reply_tx }).is_ok());
             slots.push((disk, sent.then_some(reply_rx)));
         }
-        ReadTicket::pending(slots)
+        slots
     }
 
-    /// Dispatch one write per listed drive and return a joinable ticket
-    /// without waiting (same lost-worker contract as
-    /// [`IoEngine::submit_read_stripe`]).
-    pub(crate) fn submit_write_stripe(&self, writes: &[(usize, usize, &[u8])]) -> WriteTicket {
+    /// Dispatch one write per listed drive without waiting (same
+    /// lost-worker contract as [`IoEngine::dispatch_reads`]).
+    fn dispatch_writes(&self, writes: &[(usize, usize, &[u8])]) -> PendingSlots<()> {
         let mut slots = Vec::with_capacity(writes.len());
         for &(disk, track, data) in writes {
             let (reply_tx, reply_rx) = bounded::<DiskResult<()>>(1);
@@ -192,58 +205,51 @@ impl IoEngine {
             });
             slots.push((disk, sent.then_some(reply_rx)));
         }
-        WriteTicket::pending(slots)
+        slots
     }
 
-    /// Dispatch one read per listed drive, join all replies, and copy the
-    /// results into the caller's buffers (request order).
-    pub(crate) fn read_stripe(
+    /// [`IoEngine::dispatch_reads`] wrapped in a joinable ticket.
+    pub(crate) fn submit_read_stripe(
+        &self,
+        addrs: &[(usize, usize)],
+        block_bytes: usize,
+    ) -> ReadTicket {
+        ReadTicket::pending(self.dispatch_reads(addrs, block_bytes))
+    }
+
+    /// [`IoEngine::dispatch_writes`] wrapped in a joinable ticket.
+    pub(crate) fn submit_write_stripe(&self, writes: &[(usize, usize, &[u8])]) -> WriteTicket {
+        WriteTicket::pending(self.dispatch_writes(writes))
+    }
+
+    /// Dispatch one read per listed drive, join all replies, and copy each
+    /// track that arrived into the caller's buffer. One outcome per track,
+    /// request order.
+    pub(crate) fn read_stripe_each(
         &self,
         addrs: &[(usize, usize)],
         bufs: &mut [&mut [u8]],
-    ) -> DiskResult<()> {
+    ) -> TrackOutcomes {
         debug_assert_eq!(addrs.len(), bufs.len());
         let block_bytes = bufs.first().map_or(0, |b| b.len());
-        let data = self.submit_read_stripe(addrs, block_bytes).join()?;
-        for (buf, track) in bufs.iter_mut().zip(data) {
-            buf.copy_from_slice(&track);
-        }
-        Ok(())
+        copy_joined(join_slots(self.dispatch_reads(addrs, block_bytes)), bufs)
     }
 
-    /// Dispatch one write per listed drive and join all replies.
-    pub(crate) fn write_stripe(&self, writes: &[(usize, usize, &[u8])]) -> DiskResult<()> {
-        self.submit_write_stripe(writes).join()
+    /// Dispatch one write per listed drive and join all replies. One
+    /// outcome per track, request order.
+    pub(crate) fn write_stripe_each(&self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+        join_slots(self.dispatch_writes(writes))
     }
 
     /// Flush every drive to stable storage (joined like a stripe).
     pub(crate) fn sync_all(&self) -> DiskResult<()> {
-        let mut replies = Vec::with_capacity(self.txs.len());
-        for (disk, tx) in self.txs.iter().enumerate() {
-            let (reply_tx, reply_rx) = bounded::<DiskResult<()>>(1);
-            tx.send(Cmd::Sync { reply: reply_tx }).map_err(|_| DiskError::WorkerLost { disk })?;
-            replies.push((disk, reply_rx));
-        }
-        let mut first_err: Option<DiskError> = None;
-        for (disk, rx) in replies {
-            match rx.recv() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => merge_err(&mut first_err, e),
-                Err(_) => merge_err(&mut first_err, DiskError::WorkerLost { disk }),
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-}
-
-/// Keep the error of the lowest-indexed drive: replies are joined in disk
-/// order, so the first error seen wins.
-fn merge_err(slot: &mut Option<DiskError>, e: DiskError) {
-    if slot.is_none() {
-        *slot = Some(e);
+        let slots = (self.txs.iter().enumerate())
+            .map(|(disk, tx)| {
+                let (reply_tx, reply_rx) = bounded::<DiskResult<()>>(1);
+                (disk, tx.send(Cmd::Sync { reply: reply_tx }).is_ok().then_some(reply_rx))
+            })
+            .collect();
+        first_failure(join_slots(slots)).map(drop)
     }
 }
 
@@ -251,6 +257,38 @@ fn merge_err(slot: &mut Option<DiskError>, e: DiskError) {
 /// `None` receiver marks a drive whose worker was already gone at
 /// submission (joined as [`DiskError::WorkerLost`]).
 pub(crate) type PendingSlots<T> = Vec<(usize, Option<Receiver<DiskResult<T>>>)>;
+
+/// Wait for every reply of an in-flight stripe: one outcome per dispatched
+/// track, in request order. Shared by every engine and every join path, so
+/// "all replies are joined before anything is reported" holds by
+/// construction.
+pub(crate) fn join_slots<T>(slots: PendingSlots<T>) -> Vec<DiskResult<T>> {
+    slots
+        .into_iter()
+        .map(|(disk, rx)| match rx.map(|rx| rx.recv()) {
+            Some(Ok(outcome)) => outcome,
+            Some(Err(_)) | None => Err(DiskError::WorkerLost { disk }),
+        })
+        .collect()
+}
+
+/// The merged view of a joined stripe: every value, or the error of the
+/// first failing track in request order — deterministic, because the
+/// outcomes were all collected before this looks at any of them.
+pub(crate) fn first_failure<T>(outcomes: Vec<DiskResult<T>>) -> DiskResult<Vec<T>> {
+    outcomes.into_iter().collect()
+}
+
+/// Copy each successfully read track into the caller's matching buffer,
+/// keeping the per-track outcomes.
+pub(crate) fn copy_joined(
+    outcomes: Vec<DiskResult<Vec<u8>>>,
+    bufs: &mut [&mut [u8]],
+) -> TrackOutcomes {
+    (outcomes.into_iter().zip(bufs.iter_mut()))
+        .map(|(outcome, buf)| outcome.map(|track| buf.copy_from_slice(&track)))
+        .collect()
+}
 
 enum ReadInner {
     /// The transfers already happened (synchronous backend): the blocks,
@@ -294,23 +332,7 @@ impl ReadTicket {
     pub fn join(self) -> DiskResult<Vec<Vec<u8>>> {
         match self.inner {
             ReadInner::Ready(result) => result,
-            ReadInner::Pending(slots) => {
-                let mut out = Vec::with_capacity(slots.len());
-                let mut first_err: Option<DiskError> = None;
-                for (disk, rx) in slots {
-                    match rx.map(|rx| rx.recv()) {
-                        Some(Ok(Ok(data))) => out.push(data),
-                        Some(Ok(Err(e))) => merge_err(&mut first_err, e),
-                        Some(Err(_)) | None => {
-                            merge_err(&mut first_err, DiskError::WorkerLost { disk })
-                        }
-                    }
-                }
-                match first_err {
-                    None => Ok(out),
-                    Some(e) => Err(e),
-                }
-            }
+            ReadInner::Pending(slots) => first_failure(join_slots(slots)),
         }
     }
 }
@@ -345,22 +367,7 @@ impl WriteTicket {
     pub fn join(self) -> DiskResult<()> {
         match self.inner {
             WriteInner::Ready(result) => result,
-            WriteInner::Pending(slots) => {
-                let mut first_err: Option<DiskError> = None;
-                for (disk, rx) in slots {
-                    match rx.map(|rx| rx.recv()) {
-                        Some(Ok(Ok(()))) => {}
-                        Some(Ok(Err(e))) => merge_err(&mut first_err, e),
-                        Some(Err(_)) | None => {
-                            merge_err(&mut first_err, DiskError::WorkerLost { disk })
-                        }
-                    }
-                }
-                match first_err {
-                    None => Ok(()),
-                    Some(e) => Err(e),
-                }
-            }
+            WriteInner::Pending(slots) => first_failure(join_slots(slots)).map(drop),
         }
     }
 }
@@ -381,6 +388,17 @@ impl Drop for IoEngine {
 mod tests {
     use super::*;
     use std::fs::OpenOptions;
+
+    /// The merged synchronous forms, as [`crate::DiskBackend`] derives them.
+    impl IoEngine {
+        fn read_stripe(&self, addrs: &[(usize, usize)], bufs: &mut [&mut [u8]]) -> DiskResult<()> {
+            first_failure(self.read_stripe_each(addrs, bufs)).map(drop)
+        }
+
+        fn write_stripe(&self, writes: &[(usize, usize, &[u8])]) -> DiskResult<()> {
+            first_failure(self.write_stripe_each(writes)).map(drop)
+        }
+    }
 
     fn tmp_files(name: &str, n: usize) -> (std::path::PathBuf, Vec<File>) {
         let dir = std::env::temp_dir().join(format!("em-engine-{}-{name}", std::process::id()));

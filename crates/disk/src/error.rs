@@ -64,6 +64,16 @@ pub enum DiskError {
         /// Track whose frame failed verification.
         track: usize,
     },
+    /// A file-backed track address does not fit the arithmetic that locates
+    /// it: the byte offset `track · B` (or the track's end) exceeds the
+    /// largest file offset the OS can express, or — when reattaching — a
+    /// drive file holds more tracks than `usize` can index.
+    OffsetOverflow {
+        /// Drive the address was on.
+        disk: usize,
+        /// The offending track index (or track count, when reattaching).
+        track: u64,
+    },
     /// A barrier (`sync()` or `begin_recovery_epoch()`) was reached while
     /// the caller still held unjoined stripe tickets. Barriers never drain
     /// tickets implicitly — every submitted stripe must be joined (or its
@@ -80,7 +90,7 @@ impl DiskError {
     /// Whether the failure is transient: retrying the same transfer (or
     /// replaying the enclosing superstep) has a chance of succeeding.
     ///
-    /// Configuration, addressing and capacity errors are deterministic and
+    /// Configuration, addressing, capacity and offset errors are deterministic and
     /// never transient; a lost worker thread is permanent for the lifetime
     /// of the engine. OS-level I/O failures and corrupt reads may be caused
     /// by transient media faults, so they are worth retrying.
@@ -115,6 +125,9 @@ impl fmt::Display for DiskError {
             }
             DiskError::Corrupt { disk, track } => {
                 write!(f, "checksum mismatch on drive {disk}, track {track}")
+            }
+            DiskError::OffsetOverflow { disk, track } => {
+                write!(f, "track {track} on drive {disk} is beyond the addressable file offsets")
             }
             DiskError::UnjoinedTickets { outstanding } => {
                 write!(

@@ -35,7 +35,7 @@
 //! counters (via `Arc`), so the per-processor backends of a parallel
 //! simulator aggregate into one report.
 
-use crate::{DiskBackend, DiskError, DiskResult};
+use crate::{DiskBackend, DiskError, DiskResult, TrackOutcomes};
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -212,10 +212,18 @@ impl FaultPlan {
 /// Sits directly above the raw storage backend, below the checksum and
 /// retry layers, so injected corruption is subject to CRC verification and
 /// injected transient errors are subject to the retry policy — exactly like
-/// real media faults would be. Stripe and submission calls go through the
-/// serial per-track trait defaults so that every track transfer passes the
-/// injection point; this trades the file backend's intra-stripe overlap for
-/// fault coverage, which is the right trade in fault-testing runs.
+/// real media faults would be.
+///
+/// Every track transfer passes the injection point: a stripe's tracks draw
+/// their fates from the per-drive schedule one by one, in request order,
+/// each advancing its drive's operation counter by one. The tracks whose
+/// transfer is to happen (no fault, or a read whose result gets a bit
+/// flipped afterwards) are then forwarded to the inner backend as **one**
+/// stripe, so the file backend's intra-stripe overlap survives fault
+/// testing; a faulted track reports its own error in its own slot and
+/// never disturbs the stripe's other tracks. Because a stripe holds at most
+/// one track per drive, each drive's counter and transfer sequence are
+/// exactly what a track-at-a-time caller would produce.
 pub struct FaultInjectingBackend<B: DiskBackend> {
     inner: B,
     plan: FaultPlan,
@@ -243,8 +251,22 @@ impl<B: DiskBackend> FaultInjectingBackend<B> {
         self.plan.events.remove(&(disk, op))
     }
 
-    fn transient_err(disk: usize) -> DiskError {
+    /// Count and build the error of an injected transient failure.
+    fn transient(&self, disk: usize) -> DiskError {
+        self.plan.stats.transient.fetch_add(1, Ordering::Relaxed);
         DiskError::WorkerIo { disk, source: io::Error::other("injected transient fault") }
+    }
+
+    /// Persist only the first `prefix` bytes of `data` — the tail of the
+    /// track keeps whatever it held before — then fail transiently.
+    fn tear(&mut self, disk: usize, track: usize, data: &[u8], prefix: usize) -> DiskResult<()> {
+        let keep = prefix % (data.len() + 1);
+        let mut torn = vec![0u8; data.len()];
+        self.inner.read_track(disk, track, &mut torn)?;
+        torn[..keep].copy_from_slice(&data[..keep]);
+        self.inner.write_track(disk, track, &torn)?;
+        self.plan.stats.torn.fetch_add(1, Ordering::Relaxed);
+        Err(self.transient(disk))
     }
 }
 
@@ -254,45 +276,65 @@ impl<B: DiskBackend> DiskBackend for FaultInjectingBackend<B> {
     }
 
     fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()> {
-        match self.next_fault(disk) {
-            None => self.inner.read_track(disk, track, buf),
-            Some(FaultKind::Death) => Err(DiskError::WorkerLost { disk }),
-            Some(FaultKind::BitFlip { byte, bit }) => {
-                self.inner.read_track(disk, track, buf)?;
-                if !buf.is_empty() {
-                    let at = byte % buf.len();
-                    buf[at] ^= 1 << (bit % 8);
-                }
-                self.plan.stats.bitflips.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Some(FaultKind::Transient) | Some(FaultKind::TornWrite { .. }) => {
-                self.plan.stats.transient.fetch_add(1, Ordering::Relaxed);
-                Err(Self::transient_err(disk))
-            }
-        }
+        self.read_stripe(&[(disk, track)], &mut [buf])
     }
 
     fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
-        match self.next_fault(disk) {
-            None => self.inner.write_track(disk, track, data),
-            Some(FaultKind::Death) => Err(DiskError::WorkerLost { disk }),
-            Some(FaultKind::TornWrite { prefix }) => {
-                let keep = prefix % (data.len() + 1);
-                // The tail of the track keeps whatever it held before.
-                let mut torn = vec![0u8; data.len()];
-                self.inner.read_track(disk, track, &mut torn)?;
-                torn[..keep].copy_from_slice(&data[..keep]);
-                self.inner.write_track(disk, track, &torn)?;
-                self.plan.stats.torn.fetch_add(1, Ordering::Relaxed);
-                self.plan.stats.transient.fetch_add(1, Ordering::Relaxed);
-                Err(Self::transient_err(disk))
-            }
-            Some(FaultKind::Transient) | Some(FaultKind::BitFlip { .. }) => {
-                self.plan.stats.transient.fetch_add(1, Ordering::Relaxed);
-                Err(Self::transient_err(disk))
-            }
-        }
+        self.write_stripe(&[(disk, track, data)])
+    }
+
+    fn read_stripe_each(
+        &mut self,
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
+        let fates: Vec<Option<FaultKind>> =
+            addrs.iter().map(|&(disk, _)| self.next_fault(disk)).collect();
+        // A bit flip corrupts the *result* of a transfer that does happen.
+        let transfers =
+            |fate: &Option<FaultKind>| matches!(fate, None | Some(FaultKind::BitFlip { .. }));
+        let mut forwarded = {
+            let (addrs, mut bufs): (Vec<(usize, usize)>, Vec<&mut [u8]>) =
+                (addrs.iter().zip(bufs.iter_mut()).zip(&fates))
+                    .filter(|(_, fate)| transfers(fate))
+                    .map(|((&addr, buf), _)| (addr, &mut **buf))
+                    .unzip();
+            self.inner.read_stripe_each(&addrs, &mut bufs).into_iter()
+        };
+        let mut transferred = || forwarded.next().expect("one outcome per forwarded track");
+        (fates.into_iter().zip(addrs).zip(bufs.iter_mut()))
+            .map(|((fate, &(disk, _)), buf)| match fate {
+                None => transferred(),
+                Some(FaultKind::BitFlip { byte, bit }) => transferred().map(|()| {
+                    if !buf.is_empty() {
+                        buf[byte % buf.len()] ^= 1 << (bit % 8);
+                    }
+                    self.plan.stats.bitflips.fetch_add(1, Ordering::Relaxed);
+                }),
+                Some(FaultKind::Death) => Err(DiskError::WorkerLost { disk }),
+                Some(FaultKind::Transient | FaultKind::TornWrite { .. }) => {
+                    Err(self.transient(disk))
+                }
+            })
+            .collect()
+    }
+
+    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+        let fates: Vec<Option<FaultKind>> =
+            writes.iter().map(|&(disk, _, _)| self.next_fault(disk)).collect();
+        let clean: Vec<(usize, usize, &[u8])> = (writes.iter().zip(&fates))
+            .filter(|(_, fate)| fate.is_none())
+            .map(|(&write, _)| write)
+            .collect();
+        let mut forwarded = self.inner.write_stripe_each(&clean).into_iter();
+        (fates.into_iter().zip(writes))
+            .map(|(fate, &(disk, track, data))| match fate {
+                None => forwarded.next().expect("one outcome per forwarded track"),
+                Some(FaultKind::TornWrite { prefix }) => self.tear(disk, track, data, prefix),
+                Some(FaultKind::Death) => Err(DiskError::WorkerLost { disk }),
+                Some(FaultKind::Transient | FaultKind::BitFlip { .. }) => Err(self.transient(disk)),
+            })
+            .collect()
     }
 
     fn tracks_used(&self, disk: usize) -> usize {

@@ -82,7 +82,9 @@ mod uring;
 pub use affinity::pin_thread_to_core;
 pub use alloc::TrackAllocator;
 pub use array::{DiskArray, ReadStripeTicket, WriteBacklog, WriteStripeTicket};
-pub use backend::{ChecksumBackend, DiskBackend, FileBackend, MemoryBackend, RetryingBackend};
+pub use backend::{
+    ChecksumBackend, DiskBackend, FileBackend, MemoryBackend, RetryingBackend, TrackOutcomes,
+};
 pub use block::{crc32, Block, CRC_BYTES};
 pub use cache::BlockCacheBackend;
 pub use checkpoint::{

@@ -28,7 +28,7 @@
 //! cannot starve a quiet one. A tenant alone on the substrate is granted
 //! back-to-back slots without waiting.
 
-use crate::backend::{DiskBackend, MemoryBackend};
+use crate::backend::{DiskBackend, MemoryBackend, TrackOutcomes};
 use crate::{DiskError, DiskResult};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
@@ -232,8 +232,9 @@ fn next_grant(waiting: &[usize], last: usize) -> Option<usize> {
 /// [`crate::DiskArray`] exactly like a raw [`MemoryBackend`] would — the
 /// tenant's decorators (checksums, retry, cache) and counters all live in
 /// the tenant's own array, above this view. Each stripe acquires one fair
-/// arbiter slot for the whole `≤ D`-track transfer; single-track calls
-/// acquire one slot per track.
+/// arbiter slot for the whole `≤ D`-track transfer — through any decorator
+/// stack, since the decorators pass stripes down whole; a single-track
+/// call is a one-track stripe.
 pub struct RegionBackend {
     shared: Arc<SharedInner>,
     tenant: usize,
@@ -298,47 +299,44 @@ impl DiskBackend for RegionBackend {
     }
 
     fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()> {
-        self.check(disk, track)?;
-        let base = self.base;
-        self.with_slot(|store| store.read_track(disk, base + track, buf))
+        self.read_stripe(&[(disk, track)], &mut [buf])
     }
 
     fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
-        self.check(disk, track)?;
-        let base = self.base;
-        self.with_slot(|store| store.write_track(disk, base + track, data))?;
-        self.note_write(disk, track);
-        Ok(())
+        self.write_stripe(&[(disk, track, data)])
     }
 
-    fn read_stripe(&mut self, addrs: &[(usize, usize)], bufs: &mut [&mut [u8]]) -> DiskResult<()> {
-        for &(disk, track) in addrs {
-            self.check(disk, track)?;
-        }
-        let base = self.base;
-        self.with_slot(|store| -> DiskResult<()> {
-            for (&(disk, track), buf) in addrs.iter().zip(bufs.iter_mut()) {
-                store.read_track(disk, base + track, buf)?;
-            }
-            Ok(())
+    fn read_stripe_each(
+        &mut self,
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
+        self.with_slot(|store| {
+            (addrs.iter().zip(bufs.iter_mut()))
+                .map(|(&(disk, track), buf)| {
+                    self.check(disk, track)?;
+                    store.read_track(disk, self.base + track, buf)
+                })
+                .collect()
         })
     }
 
-    fn write_stripe(&mut self, writes: &[(usize, usize, &[u8])]) -> DiskResult<()> {
-        for &(disk, track, _) in writes {
-            self.check(disk, track)?;
-        }
-        let base = self.base;
-        self.with_slot(|store| -> DiskResult<()> {
-            for &(disk, track, data) in writes {
-                store.write_track(disk, base + track, data)?;
+    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+        let outcomes: TrackOutcomes = self.with_slot(|store| {
+            writes
+                .iter()
+                .map(|&(disk, track, data)| {
+                    self.check(disk, track)?;
+                    store.write_track(disk, self.base + track, data)
+                })
+                .collect()
+        });
+        for (&(disk, track, _), outcome) in writes.iter().zip(&outcomes) {
+            if outcome.is_ok() {
+                self.note_write(disk, track);
             }
-            Ok(())
-        })?;
-        for &(disk, track, _) in writes {
-            self.note_write(disk, track);
         }
-        Ok(())
+        outcomes
     }
 
     fn tracks_used(&self, disk: usize) -> usize {
@@ -435,6 +433,32 @@ mod tests {
         let a = on_region.read_stripe(&[(1, 5)]).unwrap();
         let b = private.read_stripe(&[(1, 5)]).unwrap();
         assert_eq!(a[0].as_bytes(), b[0].as_bytes());
+    }
+
+    #[test]
+    fn decorated_tenant_takes_one_slot_per_stripe() {
+        // Checksums and retry sit between the tenant's array and its
+        // region view; they pass each stripe down whole, so the arbiter
+        // grants one slot per counted operation, not one per track.
+        use crate::RetryPolicy;
+        const D: usize = 4;
+        let shared = SharedDiskSubstrate::new(D, 64);
+        let base = shared.reserve_region(16).unwrap();
+        let cfg = cfg(D, 32).with_checksums(true).with_retry(RetryPolicy::new(3));
+        let mut arr = DiskArray::with_backend(cfg, Box::new(shared.region(base, 16)));
+        for track in 0..5 {
+            arr.write_stripe(&stripe(D, track, track as u8 + 1, 32)).unwrap();
+        }
+        for track in 0..5 {
+            let addrs: Vec<(usize, usize)> = (0..D).map(|disk| (disk, track)).collect();
+            let got = arr.read_stripe(&addrs).unwrap();
+            assert!(got.iter().all(|b| b.as_bytes()[0] == track as u8 + 1));
+        }
+        // A partial stripe is still one operation and one slot.
+        arr.write_stripe(&stripe(2, 9, 0xEE, 32)).unwrap();
+        assert_eq!(arr.stats().parallel_ops, 11);
+        assert_eq!(arr.stats().retried_blocks, 0);
+        assert_eq!(shared.slots_granted(), 11, "N fault-free stripes, N slots — not N·D");
     }
 
     #[test]

@@ -39,8 +39,10 @@
 
 #[cfg(all(target_os = "linux", feature = "io-uring"))]
 mod imp {
-    use crate::engine::{PendingSlots, ReadTicket, WriteTicket};
-    use crate::{DiskError, DiskResult};
+    use crate::engine::{
+        copy_joined, first_failure, join_slots, track_offset, PendingSlots, ReadTicket, WriteTicket,
+    };
+    use crate::{DiskError, DiskResult, TrackOutcomes};
     use crossbeam_channel::{bounded, Sender};
     use std::collections::{HashMap, VecDeque};
     use std::fs::File;
@@ -620,14 +622,13 @@ mod imp {
             Ok(UringEngine { shared, reaper: Some(reaper), _files: files, block_bytes })
         }
 
-        /// Dispatch one read per listed drive as a batch of SQEs and
-        /// return the joinable ticket (same lost-drive and deferred-error
-        /// contract as the threaded engine).
-        pub(crate) fn submit_read_stripe(
+        /// Dispatch one read per listed drive as a batch of SQEs (same
+        /// lost-drive and deferred-error contract as the threaded engine).
+        fn dispatch_reads(
             &self,
             addrs: &[(usize, usize)],
             block_bytes: usize,
-        ) -> ReadTicket {
+        ) -> PendingSlots<Vec<u8>> {
             let mut slots: PendingSlots<Vec<u8>> = Vec::with_capacity(addrs.len());
             let mut st = self.shared.state.lock().unwrap();
             let mut fresh = 0;
@@ -637,25 +638,29 @@ mod imp {
                     continue;
                 }
                 let (tx, rx) = bounded(1);
-                let op = Op::Read {
-                    offset: (track * self.block_bytes) as u64,
-                    filled: 0,
-                    buf: vec![0u8; block_bytes],
-                    reply: tx,
-                };
-                fresh += self.shared.submit_op(&mut st, disk, op);
+                match track_offset(disk, track, self.block_bytes) {
+                    Ok(offset) => {
+                        let buf = vec![0u8; block_bytes];
+                        let op = Op::Read { offset, filled: 0, buf, reply: tx };
+                        fresh += self.shared.submit_op(&mut st, disk, op);
+                    }
+                    // Never reaches the ring: the typed error waits in the
+                    // reply channel like any deferred failure.
+                    Err(e) => {
+                        let _ = tx.send(Err(e));
+                    }
+                }
                 slots.push((disk, Some(rx)));
             }
             if fresh > 0 {
                 self.shared.enter_submit(fresh);
             }
             drop(st);
-            ReadTicket::pending(slots)
+            slots
         }
 
-        /// Dispatch one write per listed drive as a batch of SQEs and
-        /// return the joinable ticket.
-        pub(crate) fn submit_write_stripe(&self, writes: &[(usize, usize, &[u8])]) -> WriteTicket {
+        /// Dispatch one write per listed drive as a batch of SQEs.
+        fn dispatch_writes(&self, writes: &[(usize, usize, &[u8])]) -> PendingSlots<()> {
             let mut slots: PendingSlots<()> = Vec::with_capacity(writes.len());
             let mut st = self.shared.state.lock().unwrap();
             let mut fresh = 0;
@@ -665,79 +670,72 @@ mod imp {
                     continue;
                 }
                 let (tx, rx) = bounded(1);
-                let op = Op::Write {
-                    offset: (track * self.block_bytes) as u64,
-                    written: 0,
-                    data: data.to_vec(),
-                    reply: tx,
-                };
-                fresh += self.shared.submit_op(&mut st, disk, op);
+                match track_offset(disk, track, self.block_bytes) {
+                    Ok(offset) => {
+                        let op = Op::Write { offset, written: 0, data: data.to_vec(), reply: tx };
+                        fresh += self.shared.submit_op(&mut st, disk, op);
+                    }
+                    Err(e) => {
+                        let _ = tx.send(Err(e));
+                    }
+                }
                 slots.push((disk, Some(rx)));
             }
             if fresh > 0 {
                 self.shared.enter_submit(fresh);
             }
             drop(st);
-            WriteTicket::pending(slots)
+            slots
         }
 
-        /// Submit + join (request order, lowest failing drive wins).
-        pub(crate) fn read_stripe(
+        /// [`UringEngine::dispatch_reads`] wrapped in a joinable ticket.
+        pub(crate) fn submit_read_stripe(
+            &self,
+            addrs: &[(usize, usize)],
+            block_bytes: usize,
+        ) -> ReadTicket {
+            ReadTicket::pending(self.dispatch_reads(addrs, block_bytes))
+        }
+
+        /// [`UringEngine::dispatch_writes`] wrapped in a joinable ticket.
+        pub(crate) fn submit_write_stripe(&self, writes: &[(usize, usize, &[u8])]) -> WriteTicket {
+            WriteTicket::pending(self.dispatch_writes(writes))
+        }
+
+        /// Dispatch + join: one outcome per track, request order.
+        pub(crate) fn read_stripe_each(
             &self,
             addrs: &[(usize, usize)],
             bufs: &mut [&mut [u8]],
-        ) -> DiskResult<()> {
+        ) -> TrackOutcomes {
             debug_assert_eq!(addrs.len(), bufs.len());
             let block_bytes = bufs.first().map_or(0, |b| b.len());
-            let data = self.submit_read_stripe(addrs, block_bytes).join()?;
-            for (buf, track) in bufs.iter_mut().zip(data) {
-                buf.copy_from_slice(&track);
-            }
-            Ok(())
+            copy_joined(join_slots(self.dispatch_reads(addrs, block_bytes)), bufs)
         }
 
-        /// Submit + join.
-        pub(crate) fn write_stripe(&self, writes: &[(usize, usize, &[u8])]) -> DiskResult<()> {
-            self.submit_write_stripe(writes).join()
+        /// Dispatch + join: one outcome per track, request order.
+        pub(crate) fn write_stripe_each(&self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+            join_slots(self.dispatch_writes(writes))
         }
 
         /// `fdatasync` every drive; the per-drive FIFO guarantees each
         /// sync lands after that drive's earlier queued writes, exactly
         /// like the threaded engine's queued `Sync` command.
         pub(crate) fn sync_all(&self) -> DiskResult<()> {
-            let mut replies = Vec::with_capacity(self.shared.fds.len());
+            let mut slots: PendingSlots<()> = Vec::with_capacity(self.shared.fds.len());
             {
                 let mut st = self.shared.state.lock().unwrap();
                 let mut fresh = 0;
                 for disk in 0..self.shared.fds.len() {
                     let (tx, rx) = bounded(1);
                     fresh += self.shared.submit_op(&mut st, disk, Op::Sync { reply: tx });
-                    replies.push((disk, rx));
+                    slots.push((disk, Some(rx)));
                 }
                 if fresh > 0 {
                     self.shared.enter_submit(fresh);
                 }
             }
-            let mut first_err: Option<DiskError> = None;
-            for (disk, rx) in replies {
-                match rx.recv() {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => {
-                        if first_err.is_none() {
-                            first_err = Some(e);
-                        }
-                    }
-                    Err(_) => {
-                        if first_err.is_none() {
-                            first_err = Some(DiskError::WorkerLost { disk });
-                        }
-                    }
-                }
-            }
-            match first_err {
-                None => Ok(()),
-                Some(e) => Err(e),
-            }
+            first_failure(join_slots(slots)).map(drop)
         }
     }
 
@@ -781,6 +779,22 @@ mod imp {
     mod tests {
         use super::*;
         use std::fs::OpenOptions;
+
+        /// The merged synchronous forms, as [`crate::DiskBackend`] derives
+        /// them.
+        impl UringEngine {
+            fn read_stripe(
+                &self,
+                addrs: &[(usize, usize)],
+                bufs: &mut [&mut [u8]],
+            ) -> DiskResult<()> {
+                first_failure(self.read_stripe_each(addrs, bufs)).map(drop)
+            }
+
+            fn write_stripe(&self, writes: &[(usize, usize, &[u8])]) -> DiskResult<()> {
+                first_failure(self.write_stripe_each(writes)).map(drop)
+            }
+        }
 
         fn tmp_files(name: &str, n: usize) -> (std::path::PathBuf, Vec<File>) {
             let dir = std::env::temp_dir().join(format!("em-uring-{}-{name}", std::process::id()));

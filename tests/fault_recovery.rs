@@ -267,6 +267,59 @@ fn par_single_transient_sweep_replays_or_reports() {
     assert!(replayed > 0, "some transients must trigger a coordinated parallel replay");
 }
 
+/// A burst as long as the retry budget: the track it lands on fails every
+/// attempt, so its stripe fails with the rest of the stripe's tracks
+/// attempted (and possibly landed). The superstep's rollback must undo
+/// those too and the replay must converge on the fault-free run.
+#[test]
+fn retry_budget_exhaustion_inside_a_stripe_is_rolled_back_and_replayed() {
+    let prog = Diffuse;
+    let policy = RetryPolicy::new(3);
+    for pipeline in [Pipeline::Off, Pipeline::DoubleBuffer] {
+        let base = SeqEmSimulator::new(machine(1, 256, D, 64))
+            .with_seed(9)
+            .with_pipeline(pipeline)
+            .with_checksums(true);
+        let (clean, clean_report) = base.run(&prog, init_states()).unwrap();
+
+        let mut replayed = 0usize;
+        for disk in 0..D {
+            for op in (20..160).step_by(9) {
+                let mut plan = FaultPlan::none();
+                for attempt in 0..policy.max_attempts as u64 {
+                    plan = plan.with_transient(disk, op + attempt);
+                }
+                let sim = base
+                    .clone()
+                    .with_fault_plan(plan)
+                    .with_retry(policy)
+                    .with_recovery(RecoveryPolicy::new(4));
+                match sim.run(&prog, init_states()) {
+                    Ok((res, report)) => {
+                        assert_eq!(res.states, clean.states, "{pipeline:?} disk {disk} op {op}");
+                        assert_eq!(res.ledger, clean.ledger);
+                        assert_eq!(report.io.parallel_ops, clean_report.io.parallel_ops);
+                        assert_eq!(report.phases, clean_report.phases);
+                        let faults = report.faults.expect("fault run => fault report");
+                        assert_eq!(faults.injected.transient, policy.max_attempts as u64);
+                        assert_eq!(faults.retried_blocks, policy.max_attempts as u64 - 1);
+                        assert_eq!(faults.replays, 1, "the exhausted stripe fails its superstep");
+                        assert_eq!(faults.recovered_supersteps, 1);
+                        replayed += 1;
+                    }
+                    // Outside the replay envelope (initial load, final read).
+                    Err(EmError::FaultUnrecoverable { report, source, .. }) => {
+                        assert_eq!(report.injected.transient, policy.max_attempts as u64);
+                        assert!(matches!(*source, EmError::Disk(ref e) if e.is_transient()));
+                    }
+                    Err(e) => panic!("unexpected error for disk {disk} op {op}: {e}"),
+                }
+            }
+        }
+        assert!(replayed > 0, "{pipeline:?}: some bursts must land inside a superstep");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Unrecoverable faults: typed error with a populated report, no panic.
 // ---------------------------------------------------------------------------
