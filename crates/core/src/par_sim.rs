@@ -1754,6 +1754,70 @@ mod tests {
         std::fs::remove_dir_all(&base).ok();
     }
 
+    /// Batching moves wall clock only: what a run leaves behind and what it
+    /// is charged are what stripe-at-a-time submission left and charged.
+    /// The constants were recorded by running this same body at the commit
+    /// before batches existed (PR 13, `9c0bd1a`), so they are that commit's
+    /// behaviour, not this one's. A `sort-file`-shaped run — checksummed,
+    /// retried drive files behind the threaded engine, checkpointed — is
+    /// killed mid-superstep and resumed; `D = 5` against four blocks per
+    /// group puts group starts on every drive, where the write cut (every
+    /// `D` blocks from the group's first: 35 ops) and the read cut (at
+    /// drive `D − 1`: 55 ops) differ.
+    #[test]
+    fn batched_sweeps_leave_what_the_parent_commit_left() {
+        use em_disk::{EngineKind, IoMode, RetryPolicy};
+        // Recorded at `9c0bd1a`.
+        const KILLED: u32 = 0x8BA6_AFB5;
+        const RESUMED: u32 = 0xF26E_971F;
+        const IO: (u64, u64, u64) = (315, 468, 442);
+        const PER_DISK: (&[u64], &[u64]) = (&[99, 103, 111, 83, 72], &[93, 98, 106, 78, 67]);
+        const PHASES: [u64; 5] = [55, 28, 28, 35, 158];
+        const TRACKS: usize = 53;
+        // CRC-32 over every file a run left — drive files, journal,
+        // manifests — by name, length and bytes.
+        fn media(dir: &Path) -> u32 {
+            let mut all = Vec::new();
+            for (name, bytes) in dir_bytes(dir) {
+                all.extend_from_slice(name.as_bytes());
+                all.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+                all.extend_from_slice(&bytes);
+            }
+            em_disk::crc32(&all)
+        }
+        let init: Vec<u64> = (0..13u64).map(|x| x * 11 + 3).collect();
+        let dir = std::env::temp_dir().join(format!("em-batch-parent-{}", std::process::id()));
+        let sim = SeqEmSimulator::new(machine(1, 320, 5, 64))
+            .with_seed(0xD3D97)
+            .with_file_backend(&dir)
+            .with_io_mode(IoMode::Parallel)
+            .with_engine(EngineKind::Threaded)
+            .with_checksums(true)
+            .with_retry(RetryPolicy::default())
+            .with_checkpointing(true);
+        let killed = sim.clone().with_kill_point(KillPoint::MidSuperstep(2));
+        let err = killed.run(&DIFFUSE, init.clone()).unwrap_err();
+        assert!(matches!(err, EmError::Killed { step: 2 }), "{err}");
+        let names: Vec<String> = dir_bytes(&dir).into_keys().collect();
+        assert!(names.iter().any(|name| name.starts_with("disk-")), "{names:?}");
+        assert!(dir_bytes(&dir)[em_disk::JOURNAL_FILE].len() > 8 * 64, "an open epoch's journal");
+        assert_eq!(media(&dir), KILLED, "killed mid-superstep: {names:?}");
+        let (res, report) = sim.resume(&DIFFUSE).unwrap();
+        assert_eq!(res.states, run_sequential(&DIFFUSE, init).unwrap().states);
+        assert_eq!(media(&dir), RESUMED, "resumed to the end");
+        let io = &report.io;
+        assert_eq!((io.parallel_ops, io.blocks_read, io.blocks_written), IO, "IoStats");
+        assert_eq!((&io.per_disk_reads[..], &io.per_disk_writes[..]), PER_DISK, "IoStats");
+        let ph = &report.phases;
+        assert_eq!(
+            [ph.fetch_ctx, ph.fetch_msg, ph.scatter, ph.write_ctx, ph.routing],
+            PHASES,
+            "PhaseIo"
+        );
+        assert_eq!(report.tracks_per_disk, TRACKS);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn ragged_tail_batch() {
         // v not divisible by k*p: last batch is partial.

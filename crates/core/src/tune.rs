@@ -273,12 +273,10 @@ impl AutoTuner {
                 ComputeMode::Threaded((inputs.cores as usize).min(MAX_AUTO_WORKERS))
             }
         });
-        let pipeline = pipeline_auto.then(|| {
-            if inputs.compute_per_fetch_x16 >= 8 * 16 {
-                Pipeline::Stream(2)
-            } else {
-                Pipeline::Stream(4)
-            }
+        let pipeline = pipeline_auto.then_some(if inputs.compute_per_fetch_x16 >= 8 * 16 {
+            Pipeline::Stream(2)
+        } else {
+            Pipeline::Stream(4)
         });
         let cache_bytes = cache_auto.then(|| {
             if inputs.footprint_bytes == 0 {
@@ -352,12 +350,16 @@ fn probe_ratio_x16(seed: u64) -> u32 {
         dst.copy_from_slice(&src);
         std::hint::black_box(&dst);
     }
-    let fetch = t0.elapsed().max(std::time::Duration::from_nanos(1));
+    let fetch = t0.elapsed();
     std::hint::black_box(data.as_mut_slice());
+    quantize_ratio_x16(compute, fetch)
+}
 
+/// `compute / fetch` quantized to the nearest power of two (×16), floored
+/// at 1:16 and capped at 4096:1 — far beyond any policy threshold.
+fn quantize_ratio_x16(compute: std::time::Duration, fetch: std::time::Duration) -> u32 {
+    let fetch = fetch.max(std::time::Duration::from_nanos(1));
     let raw = compute.as_secs_f64() / fetch.as_secs_f64();
-    // Quantize to the nearest power of two, floored at 1:16 and capped at
-    // 4096:1 — far beyond any policy threshold.
     let quantized = 2f64.powf(raw.max(1.0 / 16.0).log2().round()).min(4096.0);
     (quantized * 16.0).round().max(1.0) as u32
 }
@@ -482,13 +484,31 @@ mod tests {
 
     #[test]
     fn probe_is_quantized_and_repeatable() {
-        let a = probe_ratio_x16(42);
-        let b = probe_ratio_x16(42);
-        // Power-of-two quantization: the bucket is exact, so two probes on
-        // one host agree unless the timing straddles a bucket edge; allow
-        // one adjacent bucket to keep the test robust on loaded CI hosts.
+        use std::time::Duration;
+        // The quantiser on injected timings: exact power-of-two buckets,
+        // a ±√2 band of jitter around a bucket's centre stays inside it,
+        // and the floor, the cap and a zero denominator hold.
+        let us = Duration::from_micros;
+        assert_eq!(quantize_ratio_x16(us(800), us(100)), 8 * 16);
+        assert_eq!(quantize_ratio_x16(us(800), us(72)), 8 * 16);
+        assert_eq!(quantize_ratio_x16(us(800), us(140)), 8 * 16);
+        assert_eq!(quantize_ratio_x16(us(800), us(142)), 4 * 16);
+        assert_eq!(quantize_ratio_x16(us(100), us(100)), 16);
+        assert_eq!(quantize_ratio_x16(us(1), us(1000)), 1);
+        assert_eq!(quantize_ratio_x16(us(1_000_000), Duration::ZERO), 4096 * 16);
+
+        // The probe itself: every reading is one of those buckets, and two
+        // readings on one host agree to within one adjacent bucket. A
+        // reading is the median of several probes, so one probe preempted
+        // mid-loop on a loaded host does not move it.
+        let reading = || {
+            let mut probes: Vec<u32> = (0..9).map(|_| probe_ratio_x16(42)).collect();
+            assert!(probes.iter().all(|p| p.is_power_of_two() && (1..=4096 * 16).contains(p)));
+            probes.sort_unstable();
+            probes[probes.len() / 2]
+        };
+        let (a, b) = (reading(), reading());
         let (lo, hi) = (a.min(b), a.max(b));
         assert!(hi <= lo * 2, "probe buckets drifted: {a} vs {b}");
-        assert!(a >= 1);
     }
 }

@@ -1,12 +1,14 @@
 //! The disk array front-end: validated, counted parallel I/O.
 
+use crate::backend::sub_batch;
 use crate::checkpoint::{JournalContents, JournalFile};
+use crate::engine::first_failure;
 use crate::{
     Block, BlockCacheBackend, ChecksumBackend, DiskBackend, DiskConfig, DiskError, DiskResult,
     FaultInjectingBackend, FaultPlan, FileBackend, IoStats, MemoryBackend, Pipeline, ReadTicket,
     RetryingBackend, WriteTicket, CRC_BYTES,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -52,10 +54,12 @@ pub struct DiskArray {
     /// Free list of pre-image buffers, recycled when an epoch closes so
     /// steady-state recovery journaling stops allocating per track.
     pre_image_pool: Vec<Vec<u8>>,
-    /// Reusable address staging for [`DiskArray::read_blocks_batched`].
-    addr_scratch: Vec<(usize, usize)>,
-    /// Reusable index staging for [`DiskArray::read_blocks_batched`].
-    idx_scratch: Vec<usize>,
+    /// A fault-injection layer sits in the stack. Its [`FaultPlan`] is
+    /// keyed by per-drive operation index, so the order in which each drive
+    /// sees attempts — first tries, retries, pre-image reads — is part of
+    /// the schedule's meaning: a batch then goes down one stripe per
+    /// backend call, exactly the order stripe-at-a-time submission gives.
+    fault_layer: bool,
     /// Live count of stripe tickets handed out by the submit calls and
     /// neither joined nor dropped yet. Barriers check it so pipelined
     /// callers that reach `sync()`/`begin_recovery_epoch()` with work
@@ -192,13 +196,12 @@ impl DiskArray {
             seen: vec![0; cfg.num_disks],
             epoch: 0,
             cfg,
+            fault_layer: backend.fault_op_counts().is_some(),
             backend,
             max_tracks: None,
             journal: None,
             durable: None,
             pre_image_pool: Vec::new(),
-            addr_scratch: Vec::new(),
-            idx_scratch: Vec::new(),
             outstanding: Arc::new(AtomicUsize::new(0)),
         }
     }
@@ -379,22 +382,35 @@ impl DiskArray {
         Ok(())
     }
 
-    /// Capture pre-images for any tracks in `writes` not yet journaled in
-    /// the open recovery epoch, reading them with one stripe call (they
-    /// are a subset of a validated stripe). With a durable journal
-    /// attached, each captured pre-image is also appended (and flushed) to
-    /// the journal file before this returns — and therefore before the
-    /// overwrite it protects is submitted to the backend.
-    fn capture_pre_images(&mut self, writes: &[(usize, usize, Block)]) -> DiskResult<()> {
+    /// Capture pre-images for any tracks of a batch of writes not yet
+    /// journaled in the open recovery epoch, reading them with one batch
+    /// call (each stays in its stripe; they are a subset of validated
+    /// stripes). With a durable journal attached, each captured pre-image
+    /// is also appended (and flushed) to the journal file before this
+    /// returns — and therefore before the overwrite it protects is
+    /// submitted to the backend.
+    fn capture_pre_images(
+        &mut self,
+        stripes: &[usize],
+        writes: &[(usize, usize, &[u8])],
+    ) -> DiskResult<()> {
         let Some(journal) = self.journal.as_mut() else {
             return Ok(());
         };
-        let fresh: Vec<(usize, usize)> = (writes.iter().map(|(disk, track, _)| (*disk, *track)))
-            .filter(|key| !journal.pre.contains_key(key))
+        // Within a stripe no track repeats; across the stripes of a batch
+        // one may, and only its first write sees the pre-epoch bytes.
+        let mut first_seen = HashSet::new();
+        let fresh_at: Vec<usize> = (0..writes.len())
+            .filter(|&i| {
+                let key = (writes[i].0, writes[i].1);
+                !journal.pre.contains_key(&key) && (stripes.len() == 1 || first_seen.insert(key))
+            })
             .collect();
-        if fresh.is_empty() {
+        if fresh_at.is_empty() {
             return Ok(());
         }
+        let fresh: Vec<(usize, usize)> =
+            fresh_at.iter().map(|&i| (writes[i].0, writes[i].1)).collect();
         let mut images: Vec<Vec<u8>> = (fresh.iter())
             .map(|_| {
                 let mut buf = self.pre_image_pool.pop().unwrap_or_default();
@@ -404,7 +420,8 @@ impl DiskArray {
             })
             .collect();
         let mut bufs: Vec<&mut [u8]> = images.iter_mut().map(Vec::as_mut_slice).collect();
-        self.backend.read_stripe(&fresh, &mut bufs)?;
+        let read = self.backend.read_batch_each(&sub_batch(stripes, &fresh_at), &fresh, &mut bufs);
+        first_failure(read)?;
         self.stats.recovery_ops += fresh.len() as u64;
         for (key, image) in fresh.into_iter().zip(images) {
             if let Some(durable) = self.durable.as_mut() {
@@ -493,16 +510,27 @@ impl DiskArray {
         self.backend.restore_fault_op_counts(counts);
     }
 
-    fn validate_stripe(&mut self, addrs: impl Iterator<Item = usize>) -> DiskResult<()> {
-        self.epoch += 1;
-        for disk in addrs {
-            if disk >= self.cfg.num_disks {
-                return Err(DiskError::DiskOutOfRange { disk, num_disks: self.cfg.num_disks });
+    /// Check the stripe rule — in-range drives, at most one track per drive
+    /// — for every stripe of a batch whose tracks live on `disks`.
+    fn validate_batch(
+        &mut self,
+        stripes: &[usize],
+        mut disks: impl ExactSizeIterator<Item = usize>,
+    ) -> DiskResult<()> {
+        if stripes.iter().sum::<usize>() != disks.len() {
+            return Err(DiskError::InvalidConfig("stripe lengths must add up to the batch"));
+        }
+        for &len in stripes {
+            self.epoch += 1;
+            for disk in disks.by_ref().take(len) {
+                if disk >= self.cfg.num_disks {
+                    return Err(DiskError::DiskOutOfRange { disk, num_disks: self.cfg.num_disks });
+                }
+                if self.seen[disk] == self.epoch {
+                    return Err(DiskError::StripeConflict { disk });
+                }
+                self.seen[disk] = self.epoch;
             }
-            if self.seen[disk] == self.epoch {
-                return Err(DiskError::StripeConflict { disk });
-            }
-            self.seen[disk] = self.epoch;
         }
         Ok(())
     }
@@ -516,40 +544,91 @@ impl DiskArray {
         Ok(())
     }
 
+    /// How many stripes of an `n`-stripe batch go down per backend call:
+    /// all of them, or one under a fault layer (see `fault_layer`).
+    fn stripes_per_call(&self, n: usize) -> usize {
+        if self.fault_layer {
+            1
+        } else {
+            n.max(1)
+        }
+    }
+
     /// Submit one parallel read — fetch at most one track from each listed
     /// drive — and return a joinable ticket without waiting for the
-    /// transfers.
-    ///
-    /// Validation happens here and a rejected stripe leaves both the
-    /// backend and the counters untouched; a *valid* stripe is counted at
-    /// submission (exactly one parallel I/O operation, even if `addrs`
-    /// names fewer than `D` drives), so counted [`IoStats`] do not depend
-    /// on when — or in what order relative to other tickets — the caller
-    /// joins. I/O errors are deferred to [`ReadStripeTicket::join`].
+    /// transfers: [`DiskArray::submit_read_batch`] for a batch of one
+    /// stripe.
     pub fn submit_read_stripe(&mut self, addrs: &[(usize, usize)]) -> DiskResult<ReadStripeTicket> {
-        self.validate_stripe(addrs.iter().map(|&(d, _)| d))?;
-        let ticket = self.backend.submit_read_stripe(addrs, self.cfg.block_bytes);
-        self.poll_retries();
-        for &(disk, _) in addrs {
-            self.stats.per_disk_reads[disk] += 1;
-        }
-        if !addrs.is_empty() {
-            self.stats.parallel_ops += 1;
-            self.stats.blocks_read += addrs.len() as u64;
-            self.stats.bytes_read += (addrs.len() * self.cfg.block_bytes) as u64;
-        }
-        Ok(ReadStripeTicket { ticket, _guard: TicketGuard::new(&self.outstanding) })
+        self.submit_read_batch(&[addrs.len()], addrs)
     }
 
     /// Submit one parallel write — store at most one track on each listed
-    /// drive — and return a joinable ticket without waiting (same
-    /// validate-then-count-at-submission contract as
-    /// [`DiskArray::submit_read_stripe`]).
+    /// drive — and return a joinable ticket without waiting:
+    /// [`DiskArray::submit_write_batch`] for a batch of one stripe.
     pub fn submit_write_stripe(
         &mut self,
         writes: &[(usize, usize, Block)],
     ) -> DiskResult<WriteStripeTicket> {
-        self.validate_stripe(writes.iter().map(|(d, _, _)| *d))?;
+        self.submit_write_batch(&[writes.len()], writes)
+    }
+
+    /// Submit a batch of parallel reads as one transfer and return a
+    /// joinable ticket without waiting for it. `addrs` lists the tracks of
+    /// every stripe in request order and `stripes[i]` is the length of the
+    /// `i`-th stripe — the form in which a run of regions in standard
+    /// consecutive format ([`crate::ConsecutiveLayout::batch`]) is handed
+    /// to the drives: one command and one sequential transfer per drive,
+    /// however many stripes the run spans.
+    ///
+    /// Every stripe is validated first, and a rejected batch leaves both
+    /// the backend and the counters untouched; a *valid* batch is counted
+    /// at submission exactly as its stripes submitted one by one would be
+    /// (one parallel I/O operation per non-empty stripe, even if it names
+    /// fewer than `D` drives), so counted [`IoStats`] depend neither on how
+    /// stripes are batched nor on when — or in what order relative to
+    /// other tickets — the caller joins. I/O errors are deferred to
+    /// [`ReadStripeTicket::join`].
+    ///
+    /// One backend call carries the whole batch — unless the stack holds a
+    /// fault-injection layer, whose [`FaultPlan`] schedule is keyed by
+    /// per-drive operation index: then the batch goes down one stripe per
+    /// call, so every drive sees first attempts, retries and pre-image
+    /// reads in exactly the order stripe-at-a-time submission gives them.
+    pub fn submit_read_batch(
+        &mut self,
+        stripes: &[usize],
+        addrs: &[(usize, usize)],
+    ) -> DiskResult<ReadStripeTicket> {
+        self.validate_batch(stripes, addrs.iter().map(|&(d, _)| d))?;
+        let mut ticket = ReadTicket::ready(Ok(Vec::new()));
+        let mut at = 0;
+        for call in stripes.chunks(self.stripes_per_call(stripes.len())) {
+            let part = &addrs[at..at + call.iter().sum::<usize>()];
+            let submitted = self.backend.submit_read_batch(call, part, self.cfg.block_bytes);
+            // Until a track has been submitted there is nothing to report.
+            ticket = if at == 0 { submitted } else { ticket.followed_by(submitted) };
+            at += part.len();
+            self.poll_retries();
+            for &(disk, _) in part {
+                self.stats.per_disk_reads[disk] += 1;
+            }
+            self.stats.parallel_ops += call.iter().filter(|&&len| len > 0).count() as u64;
+            self.stats.blocks_read += part.len() as u64;
+            self.stats.bytes_read += (part.len() * self.cfg.block_bytes) as u64;
+        }
+        Ok(ReadStripeTicket { ticket, _guard: TicketGuard::new(&self.outstanding) })
+    }
+
+    /// Submit a batch of parallel writes as one transfer and return a
+    /// joinable ticket without waiting (same arguments and the same
+    /// validate-everything-then-count-at-submission contract as
+    /// [`DiskArray::submit_read_batch`]).
+    pub fn submit_write_batch(
+        &mut self,
+        stripes: &[usize],
+        writes: &[(usize, usize, Block)],
+    ) -> DiskResult<WriteStripeTicket> {
+        self.validate_batch(stripes, writes.iter().map(|(d, _, _)| *d))?;
         for (disk, track, block) in writes {
             if block.len() != self.cfg.block_bytes {
                 return Err(DiskError::BadBlockSize {
@@ -559,18 +638,23 @@ impl DiskArray {
             }
             self.check_capacity(*disk, *track)?;
         }
-        self.capture_pre_images(writes)?;
-        let stripe: Vec<(usize, usize, &[u8])> =
+        let tracks: Vec<(usize, usize, &[u8])> =
             writes.iter().map(|(d, t, b)| (*d, *t, b.as_bytes())).collect();
-        let ticket = self.backend.submit_write_stripe(&stripe);
-        self.poll_retries();
-        for (disk, _, _) in writes {
-            self.stats.per_disk_writes[*disk] += 1;
-        }
-        if !writes.is_empty() {
-            self.stats.parallel_ops += 1;
-            self.stats.blocks_written += writes.len() as u64;
-            self.stats.bytes_written += (writes.len() * self.cfg.block_bytes) as u64;
+        let mut ticket = WriteTicket::ready(Ok(()));
+        let mut at = 0;
+        for call in stripes.chunks(self.stripes_per_call(stripes.len())) {
+            let part = &tracks[at..at + call.iter().sum::<usize>()];
+            self.capture_pre_images(call, part)?;
+            let submitted = self.backend.submit_write_batch(call, part);
+            ticket = if at == 0 { submitted } else { ticket.followed_by(submitted) };
+            at += part.len();
+            self.poll_retries();
+            for &(disk, _, _) in part {
+                self.stats.per_disk_writes[disk] += 1;
+            }
+            self.stats.parallel_ops += call.iter().filter(|&&len| len > 0).count() as u64;
+            self.stats.blocks_written += part.len() as u64;
+            self.stats.bytes_written += (part.len() * self.cfg.block_bytes) as u64;
         }
         Ok(WriteStripeTicket { ticket, _guard: TicketGuard::new(&self.outstanding) })
     }
@@ -607,96 +691,6 @@ impl DiskArray {
     pub fn write_block(&mut self, disk: usize, track: usize, block: Block) -> DiskResult<()> {
         self.write_stripe(&[(disk, track, block)])
     }
-
-    /// Read `addrs` in batches of at most one-track-per-disk stripes,
-    /// preserving order. Convenience for callers whose address list may
-    /// target the same drive repeatedly; each batch counts one operation.
-    pub fn read_blocks_batched(&mut self, addrs: &[(usize, usize)]) -> DiskResult<Vec<Block>> {
-        let mut out: Vec<Option<Block>> = (0..addrs.len()).map(|_| None).collect();
-        let mut remaining: Vec<usize> = (0..addrs.len()).collect();
-        // Borrow the member scratch for the duration of the call so the
-        // staging capacity survives across calls (this runs once per group
-        // per superstep). Restored — even on error — before returning.
-        let mut stripe = std::mem::take(&mut self.addr_scratch);
-        let mut stripe_idx = std::mem::take(&mut self.idx_scratch);
-        let mut result: DiskResult<()> = Ok(());
-        while !remaining.is_empty() {
-            stripe.clear();
-            stripe_idx.clear();
-            self.epoch += 1;
-            let epoch = self.epoch;
-            remaining.retain(|&i| {
-                let (disk, track) = addrs[i];
-                if disk < self.seen.len()
-                    && self.seen[disk] != epoch
-                    && stripe.len() < self.cfg.num_disks
-                {
-                    self.seen[disk] = epoch;
-                    stripe.push((disk, track));
-                    stripe_idx.push(i);
-                    false
-                } else {
-                    true
-                }
-            });
-            if stripe.is_empty() {
-                // Only possible if an address is out of range.
-                let (disk, _) = addrs[remaining[0]];
-                result = Err(DiskError::DiskOutOfRange { disk, num_disks: self.cfg.num_disks });
-                break;
-            }
-            match self.read_stripe(&stripe) {
-                Ok(blocks) => {
-                    for (i, b) in stripe_idx.iter().zip(blocks) {
-                        out[*i] = Some(b);
-                    }
-                }
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        stripe.clear();
-        stripe_idx.clear();
-        self.addr_scratch = stripe;
-        self.idx_scratch = stripe_idx;
-        result?;
-        Ok(out.into_iter().map(|b| b.expect("all blocks read")).collect())
-    }
-
-    /// Write `(disk, track, block)` triples in batches of valid stripes.
-    pub fn write_blocks_batched(
-        &mut self,
-        mut writes: Vec<(usize, usize, Block)>,
-    ) -> DiskResult<()> {
-        // Both staging vectors are hoisted out of the stripe loop and
-        // swapped each round, so a batch costs two allocations total
-        // instead of two per emitted stripe.
-        let mut stripe: Vec<(usize, usize, Block)> = Vec::with_capacity(self.cfg.num_disks);
-        let mut rest: Vec<(usize, usize, Block)> = Vec::new();
-        while !writes.is_empty() {
-            stripe.clear();
-            rest.clear();
-            self.epoch += 1;
-            let epoch = self.epoch;
-            for w in writes.drain(..) {
-                let disk = w.0;
-                if disk >= self.cfg.num_disks {
-                    return Err(DiskError::DiskOutOfRange { disk, num_disks: self.cfg.num_disks });
-                }
-                if self.seen[disk] != epoch {
-                    self.seen[disk] = epoch;
-                    stripe.push(w);
-                } else {
-                    rest.push(w);
-                }
-            }
-            self.write_stripe(&stripe)?;
-            std::mem::swap(&mut writes, &mut rest);
-        }
-        Ok(())
-    }
 }
 
 /// Membership token in the issuing array's unjoined-ticket census.
@@ -724,12 +718,14 @@ impl Drop for TicketGuard {
     }
 }
 
-/// A joinable handle for one counted, submitted stripe read.
+/// A joinable handle for one counted, submitted read — of one stripe or
+/// of a batch of stripes.
 ///
 /// The operation was already validated and counted by
-/// [`DiskArray::submit_read_stripe`]; `join` waits for the transfers (a
+/// [`DiskArray::submit_read_batch`]; `join` waits for the transfers (a
 /// no-op on synchronous backends) and returns the blocks in request
-/// order, or the deferred error of the lowest-indexed failing drive.
+/// order, or the deferred error of the first failing track in request
+/// order.
 ///
 /// A ticket must be joined — or explicitly dropped, which abandons the
 /// result — before the issuing array's next barrier
@@ -747,8 +743,8 @@ impl ReadStripeTicket {
     }
 }
 
-/// A joinable handle for one counted, submitted stripe write (same
-/// contract as [`ReadStripeTicket`], including the barrier rule).
+/// A joinable handle for one counted, submitted write (same contract as
+/// [`ReadStripeTicket`], including the barrier rule).
 pub struct WriteStripeTicket {
     ticket: WriteTicket,
     _guard: TicketGuard,
@@ -877,34 +873,195 @@ mod tests {
         assert!((a.stats().utilization() - 1.0 / 8.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn batched_reads_split_conflicting_addresses() {
-        let mut a = array(2, 8);
-        for t in 0..3 {
-            a.write_block(0, t, Block::from_bytes_padded(&[t as u8], 8)).unwrap();
-        }
-        a.write_block(1, 0, Block::from_bytes_padded(&[9], 8)).unwrap();
-        a.reset_stats();
-        // Three addresses on disk 0 and one on disk 1 -> 3 stripes.
-        let blocks = a.read_blocks_batched(&[(0, 0), (0, 1), (0, 2), (1, 0)]).unwrap();
-        assert_eq!(a.stats().parallel_ops, 3);
-        assert_eq!(blocks[0].as_bytes()[0], 0);
-        assert_eq!(blocks[1].as_bytes()[0], 1);
-        assert_eq!(blocks[2].as_bytes()[0], 2);
-        assert_eq!(blocks[3].as_bytes()[0], 9);
+    /// A consecutive-format workload — ragged first and last stripes,
+    /// overwrites, a committed and a rolled-back recovery epoch, reads that
+    /// cross never-written tracks (inside the files and past their ends) —
+    /// issued either as batches or stripe by stripe. Returns every byte
+    /// read and the counters.
+    fn consecutive_workload(a: &mut DiskArray, batched: bool) -> (Vec<u8>, IoStats) {
+        use crate::ConsecutiveLayout;
+        let (d, b) = (a.num_disks(), a.block_bytes());
+        // Three blocks per region on four drives: no region starts or ends
+        // on a stripe boundary.
+        let layout = ConsecutiveLayout::new(3, 3, 12, d).unwrap();
+        let write = |a: &mut DiskArray, first: usize, count: usize, gen: u8| {
+            let (stripes, addrs) = layout.batch(first, count);
+            let writes: Vec<(usize, usize, Block)> = (addrs.iter().enumerate())
+                .map(|(i, &(disk, track))| {
+                    let fill = gen ^ (first * 16 + i) as u8;
+                    // One all-zero block: it stores as a "formatted" frame.
+                    (disk, track, Block::from_vec(vec![if i == 4 { 0 } else { fill }; b]))
+                })
+                .collect();
+            if batched {
+                a.submit_write_batch(&stripes, &writes).unwrap().join().unwrap();
+            } else {
+                let mut at = 0;
+                for len in stripes {
+                    a.write_stripe(&writes[at..at + len]).unwrap();
+                    at += len;
+                }
+            }
+        };
+        let read = |a: &mut DiskArray, first: usize, count: usize, out: &mut Vec<u8>| {
+            let (stripes, addrs) = layout.batch(first, count);
+            let blocks = if batched {
+                a.submit_read_batch(&stripes, &addrs).unwrap().join().unwrap()
+            } else {
+                let mut at = 0;
+                (stripes.iter())
+                    .flat_map(|&len| {
+                        at += len;
+                        a.read_stripe(&addrs[at - len..at]).unwrap()
+                    })
+                    .collect()
+            };
+            assert_eq!(blocks.len(), addrs.len());
+            out.extend(blocks.iter().flat_map(|block| block.as_bytes().iter().copied()));
+        };
+        let mut bytes = Vec::new();
+        write(a, 1, 5, 0x40);
+        read(a, 0, 9, &mut bytes);
+        a.begin_recovery_epoch().unwrap();
+        write(a, 2, 2, 0x80); // overwrites: pre-images captured
+        write(a, 7, 3, 0xC0); // fresh tracks past the end of the files
+        a.commit_recovery_epoch();
+        a.begin_recovery_epoch().unwrap();
+        write(a, 4, 6, 0x20);
+        write(a, 4, 1, 0x21); // second write to journaled tracks
+        read(a, 3, 4, &mut bytes);
+        a.rollback_recovery_epoch().unwrap();
+        read(a, 0, 12, &mut bytes);
+        a.sync().unwrap();
+        (bytes, a.take_stats())
     }
 
     #[test]
-    fn batched_writes_split_conflicting_addresses() {
-        let mut a = array(2, 8);
-        let writes = vec![
-            (0, 0, Block::from_bytes_padded(&[1], 8)),
-            (0, 1, Block::from_bytes_padded(&[2], 8)),
-            (1, 0, Block::from_bytes_padded(&[3], 8)),
-        ];
-        a.write_blocks_batched(writes).unwrap();
+    fn a_batch_equals_its_stripes_one_by_one() {
+        use crate::{EngineKind, IoMode, RetryPolicy};
+        let pid = std::process::id();
+        let drive_files = |dir: &std::path::Path| -> Vec<Vec<u8>> {
+            (0..4).map(|d| std::fs::read(dir.join(format!("disk-{d}.bin"))).unwrap()).collect()
+        };
+        for checksums in [false, true] {
+            let mut cfg = DiskConfig::new(4, 32).unwrap().with_checksums(checksums);
+            if checksums {
+                cfg = cfg.with_retry(RetryPolicy::default());
+            }
+            let reference = consecutive_workload(&mut DiskArray::new_memory(cfg), false);
+            assert!(reference.1.recovery_ops > 0 && reference.0.iter().any(|&x| x != 0));
+            let batched = consecutive_workload(&mut DiskArray::new_memory(cfg), true);
+            assert_eq!(batched, reference, "memory, checksums {checksums}");
+
+            // The ring engine is a preference: where the kernel has no
+            // ring, its lane runs the threaded engine a second time.
+            for (mode, engine) in [
+                (IoMode::Serial, EngineKind::Threaded),
+                (IoMode::Parallel, EngineKind::Threaded),
+                (IoMode::Parallel, EngineKind::Uring),
+            ] {
+                let dir = |tag: &str| {
+                    std::env::temp_dir()
+                        .join(format!("em-array-batch-{tag}-{mode:?}-{engine:?}-{checksums}-{pid}"))
+                };
+                let cfg = cfg.with_io_mode(mode).with_engine(engine);
+                let mut by_stripe = DiskArray::new_file(cfg, dir("s")).unwrap();
+                let mut by_batch = DiskArray::new_file(cfg, dir("b")).unwrap();
+                let what = format!("file {mode:?} {engine:?}, checksums {checksums}");
+                assert_eq!(consecutive_workload(&mut by_stripe, false), reference, "{what}");
+                assert_eq!(consecutive_workload(&mut by_batch, true), reference, "{what}");
+                assert_eq!(drive_files(&dir("b")), drive_files(&dir("s")), "{what}: drive bytes");
+                for disk in 0..4 {
+                    assert_eq!(by_batch.tracks_used(disk), by_stripe.tracks_used(disk), "{what}");
+                }
+                drop((by_stripe, by_batch));
+                std::fs::remove_dir_all(dir("s")).ok();
+                std::fs::remove_dir_all(dir("b")).ok();
+            }
+        }
+    }
+
+    #[test]
+    fn a_rejected_batch_leaves_backend_and_counters_untouched() {
+        let mut a = array(2, 8).with_capacity_limit(4);
+        // The second stripe is the illegal one; the first must not land.
+        let conflict = [(0, 0), (1, 0), (1, 1), (1, 2)];
+        assert!(matches!(
+            a.submit_read_batch(&[2, 2], &conflict).err(),
+            Some(DiskError::StripeConflict { disk: 1 })
+        ));
+        let writes: Vec<(usize, usize, Block)> =
+            [(0, 0), (1, 0), (0, 9)].iter().map(|&(d, t)| (d, t, Block::zeroed(8))).collect();
+        assert!(matches!(
+            a.submit_write_batch(&[2, 1], &writes).err(),
+            Some(DiskError::CapacityExceeded { .. })
+        ));
+        assert!(matches!(
+            a.submit_read_batch(&[3], &conflict).err(),
+            Some(DiskError::InvalidConfig(_))
+        ));
+        assert_eq!(a.stats(), &IoStats::new(2), "failed submissions must not count");
+        assert_eq!(a.tracks_used(0), 0);
+        // One ticket per batch in the barrier census.
+        let ticket = a.submit_read_batch(&[2, 1], &conflict[..3]).unwrap();
+        assert!(matches!(a.sync(), Err(DiskError::UnjoinedTickets { outstanding: 1 })));
+        assert_eq!(ticket.join().unwrap().len(), 3);
         assert_eq!(a.stats().parallel_ops, 2);
-        assert_eq!(a.read_block(0, 1).unwrap().as_bytes()[0], 2);
+    }
+
+    #[test]
+    fn under_a_fault_plan_a_batch_goes_down_stripe_by_stripe() {
+        use crate::{FaultPlan, RetryPolicy};
+        // The same seeded plan against the same workload, batched and
+        // stripe by stripe: the per-drive attempt order — and so which
+        // transfer each scheduled fault hits — must not depend on batching.
+        let cfg =
+            DiskConfig::new(4, 32).unwrap().with_checksums(true).with_retry(RetryPolicy::new(8));
+        let run = |batched: bool| {
+            let plan = FaultPlan::seeded(0xBA7C, 4, 400, 60);
+            let stats = plan.stats();
+            let mut a = DiskArray::new_memory_with_faults(cfg, Some(plan));
+            let out = consecutive_workload(&mut a, batched);
+            (out, stats.counts(), a.fault_op_counts())
+        };
+        let (by_stripe, by_batch) = (run(false), run(true));
+        assert!(by_stripe.1.total() > 0 && by_stripe.0 .1.retried_blocks > 0);
+        assert_eq!(by_batch, by_stripe);
+
+        // A burst that exhausts a 3-attempt budget only when one track
+        // takes all of it: drive 0's operations 1, 2 and 3. Stripe by
+        // stripe, the second stripe's track fails three times. Handed down
+        // whole, the batch would spread the burst over the first attempts
+        // of the second and third stripes and absorb it.
+        let cfg = DiskConfig::new(2, 8).unwrap().with_retry(RetryPolicy::new(3));
+        let burst = || (1..4).fold(FaultPlan::none(), |plan, op| plan.with_transient(0, op));
+        let writes: Vec<(usize, usize, Block)> =
+            (0..6).map(|g| (g % 2, g / 2, Block::from_bytes_padded(&[g as u8 + 1], 8))).collect();
+        let mut by_stripe = DiskArray::new_memory_with_faults(cfg, Some(burst()));
+        let outcomes: Vec<_> = writes.chunks(2).map(|s| by_stripe.write_stripe(s)).collect();
+        assert!(outcomes[0].is_ok() && outcomes[2].is_ok());
+        assert!(matches!(outcomes[1], Err(DiskError::WorkerIo { disk: 0, .. })));
+        let mut by_batch = DiskArray::new_memory_with_faults(cfg, Some(burst()));
+        let joined = by_batch.submit_write_batch(&[2, 2, 2], &writes).unwrap().join();
+        assert!(matches!(joined, Err(DiskError::WorkerIo { disk: 0, .. })), "{joined:?}");
+        assert_eq!(by_batch.fault_op_counts(), by_stripe.fault_op_counts());
+        assert_eq!(by_batch.stats(), by_stripe.stats());
+
+        // Unretried, a fault in a later stripe of a batch is the batch's
+        // error, for reads as for writes.
+        let cfg = DiskConfig::new(2, 8).unwrap();
+        let addrs: Vec<(usize, usize)> = writes.iter().map(|&(d, t, _)| (d, t)).collect();
+        for failing_op in 0..3 {
+            let plan = FaultPlan::none().with_transient(1, failing_op);
+            let mut a = DiskArray::new_memory_with_faults(cfg, Some(plan));
+            let joined = a.submit_read_batch(&[2, 2, 2], &addrs).unwrap().join();
+            assert!(matches!(joined, Err(DiskError::WorkerIo { disk: 1, .. })), "op {failing_op}");
+            assert_eq!(a.submit_read_batch(&[2, 2, 2], &addrs).unwrap().join().unwrap().len(), 6);
+            let plan = FaultPlan::none().with_transient(1, failing_op);
+            let mut a = DiskArray::new_memory_with_faults(cfg, Some(plan));
+            let joined = a.submit_write_batch(&[2, 2, 2], &writes).unwrap().join();
+            assert!(matches!(joined, Err(DiskError::WorkerIo { disk: 1, .. })), "op {failing_op}");
+        }
     }
 
     #[test]

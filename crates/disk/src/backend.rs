@@ -28,12 +28,27 @@ use std::path::{Path, PathBuf};
 /// observe in-flight I/O, and one track's failure never hides what happened
 /// to the others. The default implementation is the per-track loop, which
 /// is all a backend with nothing to overlap needs (`read_track` and
-/// `write_track` suffice to be correct). Backends with real parallelism
-/// (the file backend's engines) override the `_each` pair to overlap the
-/// per-drive transfers, and the decorators override it to do their work
-/// for the whole stripe around a *single* inner stripe call, so a `D`-way
-/// dispatch at the bottom survives any stack above it. A decorator's
-/// `read_track`/`write_track` are then the one-track stripe.
+/// `write_track` suffice to be correct).
+///
+/// A **batch** is a run of stripes handed over as one transfer — the form
+/// a group's contexts and routed messages arrive in, since standard
+/// consecutive format puts them on consecutive tracks of every drive. Its
+/// entry points, [`DiskBackend::read_batch_each`] and
+/// [`DiskBackend::write_batch_each`], take the tracks of all the stripes in
+/// request order plus the length of each stripe, and report one outcome per
+/// track under the same contract. The default implementation is the
+/// stripe-by-stripe loop, so a backend that must see every stripe on its
+/// own — one arbiter slot per stripe ([`crate::RegionBackend`]), one cache
+/// lookup per stripe ([`crate::BlockCacheBackend`]), one draw per track of
+/// a per-drive fault schedule ([`crate::FaultInjectingBackend`]) — gets
+/// exactly that by not overriding it. Backends with real parallelism (the
+/// file backend's threaded engine) override the `_batch_each` pair to give
+/// each drive its whole share at once, and [`ChecksumBackend`] and
+/// [`RetryingBackend`] override it to do their per-track work around a
+/// *single* inner batch call, so one dispatch per drive at the bottom
+/// survives the stack above it. In every layer that overrides the batch, a
+/// stripe is the batch of one stripe and a track the stripe of one track:
+/// one implementation per layer.
 ///
 /// [`DiskBackend::read_stripe`] / [`DiskBackend::write_stripe`] are the
 /// merged view — `Ok` when every track succeeded, else the error of the
@@ -73,6 +88,47 @@ pub trait DiskBackend: Send {
         writes.iter().map(|&(disk, track, data)| self.write_track(disk, track, data)).collect()
     }
 
+    /// Read a batch of stripes: `addrs` lists the tracks of every stripe in
+    /// request order, `stripes[i]` is the length of the `i`-th stripe (the
+    /// lengths sum to `addrs.len()`), and `bufs[i]` receives `addrs[i]`.
+    /// One outcome per track, in request order, all tracks attempted —
+    /// the contract of [`DiskBackend::read_stripe_each`], which the default
+    /// applies stripe by stripe.
+    fn read_batch_each(
+        &mut self,
+        stripes: &[usize],
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
+        let mut at = 0;
+        let mut stripes = stripes.iter().map(|&len| {
+            at += len;
+            self.read_stripe_each(&addrs[at - len..at], &mut bufs[at - len..at])
+        });
+        // The first stripe's outcomes become the batch's, so a batch of
+        // one stripe costs what the stripe costs.
+        let mut outcomes = stripes.next().unwrap_or_default();
+        stripes.for_each(|stripe| outcomes.extend(stripe));
+        outcomes
+    }
+
+    /// Write a batch of stripes (same contract as
+    /// [`DiskBackend::read_batch_each`]).
+    fn write_batch_each(
+        &mut self,
+        stripes: &[usize],
+        writes: &[(usize, usize, &[u8])],
+    ) -> TrackOutcomes {
+        let mut at = 0;
+        let mut stripes = stripes.iter().map(|&len| {
+            at += len;
+            self.write_stripe_each(&writes[at - len..at])
+        });
+        let mut outcomes = stripes.next().unwrap_or_default();
+        stripes.for_each(|stripe| outcomes.extend(stripe));
+        outcomes
+    }
+
     /// [`DiskBackend::read_stripe_each`] merged: every track was attempted;
     /// the first failing track's error (request order) is returned.
     fn read_stripe(&mut self, addrs: &[(usize, usize)], bufs: &mut [&mut [u8]]) -> DiskResult<()> {
@@ -85,26 +141,33 @@ pub trait DiskBackend: Send {
         first_failure(self.write_stripe_each(writes)).map(drop)
     }
 
-    /// Submit a stripe read and return a joinable ticket.
+    /// Submit a batch read (see [`DiskBackend::read_batch_each`] for the
+    /// arguments) and return a joinable ticket.
     ///
-    /// The default implementation executes [`DiskBackend::read_stripe`]
-    /// synchronously and wraps the outcome in an already-completed ticket,
-    /// so every backend supports the submission API; backends with real
-    /// asynchrony (the file backend's worker engine) override this to
-    /// return with the transfers still in flight. Submission itself never
-    /// fails — validation happens in the array front-end before this is
-    /// called, and I/O errors are deferred to [`ReadTicket::join`].
-    fn submit_read_stripe(&mut self, addrs: &[(usize, usize)], block_bytes: usize) -> ReadTicket {
-        let mut data: Vec<Vec<u8>> = addrs.iter().map(|_| vec![0u8; block_bytes]).collect();
-        let mut bufs: Vec<&mut [u8]> = data.iter_mut().map(Vec::as_mut_slice).collect();
-        let res = self.read_stripe(addrs, &mut bufs);
-        ReadTicket::ready(res.map(|()| data))
+    /// The default implementation executes the batch synchronously and
+    /// wraps the outcome in an already-completed ticket, so every backend
+    /// supports the submission API; backends with real asynchrony (the
+    /// file backend's engines) override this to return with the transfers
+    /// still in flight. Submission itself never fails — validation happens
+    /// in the array front-end before this is called, and I/O errors are
+    /// deferred to [`ReadTicket::join`].
+    fn submit_read_batch(
+        &mut self,
+        stripes: &[usize],
+        addrs: &[(usize, usize)],
+        block_bytes: usize,
+    ) -> ReadTicket {
+        read_batch_now(self, stripes, addrs, block_bytes)
     }
 
-    /// Submit a stripe write and return a joinable ticket (same contract
-    /// as [`DiskBackend::submit_read_stripe`]).
-    fn submit_write_stripe(&mut self, writes: &[(usize, usize, &[u8])]) -> WriteTicket {
-        WriteTicket::ready(self.write_stripe(writes))
+    /// Submit a batch write and return a joinable ticket (same contract
+    /// as [`DiskBackend::submit_read_batch`]).
+    fn submit_write_batch(
+        &mut self,
+        stripes: &[usize],
+        writes: &[(usize, usize, &[u8])],
+    ) -> WriteTicket {
+        WriteTicket::ready(first_failure(self.write_batch_each(stripes, writes)).map(drop))
     }
 
     /// Highest track index written so far on `disk`, plus one (0 if never
@@ -168,7 +231,22 @@ pub trait DiskBackend: Send {
     }
 }
 
-/// One outcome per track of a stripe, in request order (see
+/// Execute a batch read on the calling thread and wrap the merged outcome
+/// in an already-completed ticket — what submission means on a backend
+/// with nothing in flight.
+fn read_batch_now<B: DiskBackend + ?Sized>(
+    backend: &mut B,
+    stripes: &[usize],
+    addrs: &[(usize, usize)],
+    block_bytes: usize,
+) -> ReadTicket {
+    let mut data: Vec<Vec<u8>> = addrs.iter().map(|_| vec![0u8; block_bytes]).collect();
+    let mut bufs: Vec<&mut [u8]> = data.iter_mut().map(Vec::as_mut_slice).collect();
+    let res = first_failure(backend.read_batch_each(stripes, addrs, &mut bufs));
+    ReadTicket::ready(res.map(|_| data))
+}
+
+/// One outcome per track of a stripe or a batch, in request order (see
 /// [`DiskBackend::read_stripe_each`]).
 pub type TrackOutcomes = Vec<DiskResult<()>>;
 
@@ -195,11 +273,35 @@ impl<B: DiskBackend + ?Sized> DiskBackend for Box<B> {
     fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
         (**self).write_stripe_each(writes)
     }
-    fn submit_read_stripe(&mut self, addrs: &[(usize, usize)], block_bytes: usize) -> ReadTicket {
-        (**self).submit_read_stripe(addrs, block_bytes)
+    fn read_batch_each(
+        &mut self,
+        stripes: &[usize],
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
+        (**self).read_batch_each(stripes, addrs, bufs)
     }
-    fn submit_write_stripe(&mut self, writes: &[(usize, usize, &[u8])]) -> WriteTicket {
-        (**self).submit_write_stripe(writes)
+    fn write_batch_each(
+        &mut self,
+        stripes: &[usize],
+        writes: &[(usize, usize, &[u8])],
+    ) -> TrackOutcomes {
+        (**self).write_batch_each(stripes, writes)
+    }
+    fn submit_read_batch(
+        &mut self,
+        stripes: &[usize],
+        addrs: &[(usize, usize)],
+        block_bytes: usize,
+    ) -> ReadTicket {
+        (**self).submit_read_batch(stripes, addrs, block_bytes)
+    }
+    fn submit_write_batch(
+        &mut self,
+        stripes: &[usize],
+        writes: &[(usize, usize, &[u8])],
+    ) -> WriteTicket {
+        (**self).submit_write_batch(stripes, writes)
     }
     fn tracks_used(&self, disk: usize) -> usize {
         (**self).tracks_used(disk)
@@ -294,9 +396,9 @@ impl DiskBackend for MemoryBackend {
 pub struct ChecksumBackend<B: DiskBackend> {
     inner: B,
     payload_bytes: usize,
-    /// One reusable frame per track of a stripe (grown to the widest
-    /// stripe seen, `≤ D` under the array), so steady-state framing and
-    /// verification allocate nothing per block.
+    /// One reusable frame per track of a batch (grown to the largest batch
+    /// seen — a group's contexts under the simulators), so steady-state
+    /// framing and verification allocate nothing per block.
     frames: Vec<Vec<u8>>,
 }
 
@@ -356,17 +458,30 @@ impl<B: DiskBackend> DiskBackend for ChecksumBackend<B> {
         self.write_stripe(&[(disk, track, data)])
     }
 
-    /// Read every frame with one inner stripe call, then verify each track
-    /// that arrived.
     fn read_stripe_each(
         &mut self,
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
+        self.read_batch_each(&[addrs.len()], addrs, bufs)
+    }
+
+    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+        self.write_batch_each(&[writes.len()], writes)
+    }
+
+    /// Read every frame with one inner batch call, then verify each track
+    /// that arrived.
+    fn read_batch_each(
+        &mut self,
+        stripes: &[usize],
         addrs: &[(usize, usize)],
         bufs: &mut [&mut [u8]],
     ) -> TrackOutcomes {
         self.reserve_frames(addrs.len());
         let mut frames: Vec<&mut [u8]> =
             self.frames[..addrs.len()].iter_mut().map(Vec::as_mut_slice).collect();
-        let mut outcomes = self.inner.read_stripe_each(addrs, &mut frames);
+        let mut outcomes = self.inner.read_batch_each(stripes, addrs, &mut frames);
         for (((outcome, frame), buf), &(disk, track)) in
             outcomes.iter_mut().zip(&frames).zip(bufs.iter_mut()).zip(addrs)
         {
@@ -378,8 +493,12 @@ impl<B: DiskBackend> DiskBackend for ChecksumBackend<B> {
         outcomes
     }
 
-    /// Frame every track, then write them with one inner stripe call.
-    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+    /// Frame every track, then write them with one inner batch call.
+    fn write_batch_each(
+        &mut self,
+        stripes: &[usize],
+        writes: &[(usize, usize, &[u8])],
+    ) -> TrackOutcomes {
         self.reserve_frames(writes.len());
         for (frame, &(_, _, data)) in self.frames.iter_mut().zip(writes) {
             debug_assert_eq!(data.len(), self.payload_bytes);
@@ -388,7 +507,7 @@ impl<B: DiskBackend> DiskBackend for ChecksumBackend<B> {
         let framed: Vec<(usize, usize, &[u8])> = (writes.iter().zip(&self.frames))
             .map(|(&(disk, track, _), frame)| (disk, track, frame.as_slice()))
             .collect();
-        self.inner.write_stripe_each(&framed)
+        self.inner.write_batch_each(stripes, &framed)
     }
 
     fn tracks_used(&self, disk: usize) -> usize {
@@ -424,19 +543,39 @@ impl<B: DiskBackend> DiskBackend for ChecksumBackend<B> {
     }
 }
 
+/// Stripe lengths of the batch that keeps only the tracks at the ascending
+/// indices `kept` of a batch with stripe lengths `stripes`: every kept
+/// track stays in its stripe, and a stripe left empty drops out.
+pub(crate) fn sub_batch(stripes: &[usize], kept: &[usize]) -> Vec<usize> {
+    let mut kept = kept.iter().peekable();
+    let mut end = 0;
+    (stripes.iter())
+        .map(|&len| {
+            end += len;
+            std::iter::from_fn(|| kept.next_if(|&&i| i < end)).count()
+        })
+        .filter(|&len| len > 0)
+        .collect()
+}
+
 /// A [`DiskBackend`] decorator that re-issues transiently failing track
 /// transfers under a bounded, deterministic [`RetryPolicy`].
 ///
 /// Sits at the top of the backend stack (directly under the array
 /// front-end) so a retried read passes checksum verification again and a
-/// retried write re-frames the block. A stripe goes down whole; each
-/// further *round* re-issues only the tracks that failed transiently, as
-/// one smaller stripe, after one backoff delay. Since a stripe holds at
-/// most one track per drive, every drive sees the same attempts in the
-/// same order as if its track had been retried alone. A track that is
-/// still failing after `max_attempts` keeps its last error — by then the
-/// stripe's other tracks have all been attempted too. Per-track retries
-/// are tallied and drained by the array into
+/// retried write re-frames the block. A transfer — a stripe, or a batch
+/// of stripes — goes down whole; each further *round* re-issues only the
+/// tracks that failed transiently, as one smaller batch in which every
+/// track keeps its stripe, after one backoff delay. Since a stripe holds
+/// at most one track per drive, a stripe's drives each see the same
+/// attempts in the same order as if their track had been retried alone;
+/// across the stripes of a batch a drive sees every first attempt before
+/// any retry, which is why the array hands a batch down stripe by stripe
+/// when a per-drive fault schedule is listening (see
+/// [`crate::DiskArray::submit_read_batch`]). A track that is still failing
+/// after `max_attempts` keeps its last error — by then the transfer's
+/// other tracks have all been attempted too. Per-track retries are
+/// tallied and drained by the array into
 /// [`IoStats::retried_blocks`](crate::IoStats::retried_blocks); they are
 /// never counted as parallel I/O operations.
 pub struct RetryingBackend<B: DiskBackend> {
@@ -451,10 +590,10 @@ impl<B: DiskBackend> RetryingBackend<B> {
         RetryingBackend { inner, policy, retried: 0 }
     }
 
-    /// The retry rounds after a stripe's first attempt produced
+    /// The retry rounds after a batch's first attempt produced
     /// `outcomes`: `reissue(inner, failed)` sends the tracks at the
-    /// (ascending) indices `failed` down again as one stripe and returns
-    /// their new outcomes.
+    /// (ascending) indices `failed` down again as one smaller batch and
+    /// returns their new outcomes.
     fn retry_failed(
         &mut self,
         mut outcomes: TrackOutcomes,
@@ -499,22 +638,39 @@ impl<B: DiskBackend> DiskBackend for RetryingBackend<B> {
         addrs: &[(usize, usize)],
         bufs: &mut [&mut [u8]],
     ) -> TrackOutcomes {
-        let first = self.inner.read_stripe_each(addrs, bufs);
+        self.read_batch_each(&[addrs.len()], addrs, bufs)
+    }
+
+    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+        self.write_batch_each(&[writes.len()], writes)
+    }
+
+    fn read_batch_each(
+        &mut self,
+        stripes: &[usize],
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
+        let first = self.inner.read_batch_each(stripes, addrs, bufs);
         self.retry_failed(first, |inner, failed| {
             let (addrs, mut bufs): (Vec<(usize, usize)>, Vec<&mut [u8]>) =
                 (bufs.iter_mut().enumerate())
                     .filter(|(i, _)| failed.contains(i))
                     .map(|(i, buf)| (addrs[i], &mut **buf))
                     .unzip();
-            inner.read_stripe_each(&addrs, &mut bufs)
+            inner.read_batch_each(&sub_batch(stripes, failed), &addrs, &mut bufs)
         })
     }
 
-    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
-        let first = self.inner.write_stripe_each(writes);
+    fn write_batch_each(
+        &mut self,
+        stripes: &[usize],
+        writes: &[(usize, usize, &[u8])],
+    ) -> TrackOutcomes {
+        let first = self.inner.write_batch_each(stripes, writes);
         self.retry_failed(first, |inner, failed| {
             let writes: Vec<(usize, usize, &[u8])> = failed.iter().map(|&i| writes[i]).collect();
-            inner.write_stripe_each(&writes)
+            inner.write_batch_each(&sub_batch(stripes, failed), &writes)
         })
     }
 
@@ -775,6 +931,24 @@ impl DiskBackend for FileBackend {
         addrs: &[(usize, usize)],
         bufs: &mut [&mut [u8]],
     ) -> TrackOutcomes {
+        self.read_batch_each(&[addrs.len()], addrs, bufs)
+    }
+
+    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+        self.write_batch_each(&[writes.len()], writes)
+    }
+
+    /// Every execution strategy takes a batch as one list of tracks,
+    /// wherever its stripes end: the serial path moves them one after
+    /// another, the threaded engine gives each drive its share as one
+    /// command, and the ring engine queues one operation per track behind
+    /// its per-drive FIFOs — the same bytes at the same offsets on each.
+    fn read_batch_each(
+        &mut self,
+        _stripes: &[usize],
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
         match &self.io {
             FileIo::Serial(files) => (addrs.iter().zip(bufs.iter_mut()))
                 .map(|(&(disk, track), buf)| {
@@ -782,13 +956,17 @@ impl DiskBackend for FileBackend {
                     Ok(read_full_track(&files[disk], buf, offset)?)
                 })
                 .collect(),
-            FileIo::Parallel(engine) => engine.read_stripe_each(addrs, bufs),
+            FileIo::Parallel(engine) => engine.read_each(addrs, bufs),
             #[cfg(all(target_os = "linux", feature = "io-uring"))]
             FileIo::Uring(engine) => engine.read_stripe_each(addrs, bufs),
         }
     }
 
-    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+    fn write_batch_each(
+        &mut self,
+        _stripes: &[usize],
+        writes: &[(usize, usize, &[u8])],
+    ) -> TrackOutcomes {
         let outcomes: TrackOutcomes = match &self.io {
             FileIo::Serial(files) => writes
                 .iter()
@@ -797,7 +975,7 @@ impl DiskBackend for FileBackend {
                     Ok(write_at(&files[disk], data, offset)?)
                 })
                 .collect(),
-            FileIo::Parallel(engine) => engine.write_stripe_each(writes),
+            FileIo::Parallel(engine) => engine.write_each(writes),
             #[cfg(all(target_os = "linux", feature = "io-uring"))]
             FileIo::Uring(engine) => engine.write_stripe_each(writes),
         };
@@ -809,28 +987,33 @@ impl DiskBackend for FileBackend {
         outcomes
     }
 
-    fn submit_read_stripe(&mut self, addrs: &[(usize, usize)], block_bytes: usize) -> ReadTicket {
+    fn submit_read_batch(
+        &mut self,
+        stripes: &[usize],
+        addrs: &[(usize, usize)],
+        block_bytes: usize,
+    ) -> ReadTicket {
         match &self.io {
-            FileIo::Parallel(engine) => engine.submit_read_stripe(addrs, block_bytes),
+            FileIo::Parallel(engine) => engine.submit_reads(addrs),
             #[cfg(all(target_os = "linux", feature = "io-uring"))]
             FileIo::Uring(engine) => engine.submit_read_stripe(addrs, block_bytes),
-            FileIo::Serial(_) => {
-                let mut data: Vec<Vec<u8>> = addrs.iter().map(|_| vec![0u8; block_bytes]).collect();
-                let res = {
-                    let mut bufs: Vec<&mut [u8]> = data.iter_mut().map(Vec::as_mut_slice).collect();
-                    self.read_stripe(addrs, &mut bufs)
-                };
-                ReadTicket::ready(res.map(|()| data))
-            }
+            FileIo::Serial(_) => read_batch_now(self, stripes, addrs, block_bytes),
         }
     }
 
-    fn submit_write_stripe(&mut self, writes: &[(usize, usize, &[u8])]) -> WriteTicket {
+    fn submit_write_batch(
+        &mut self,
+        stripes: &[usize],
+        writes: &[(usize, usize, &[u8])],
+    ) -> WriteTicket {
         let ticket = match &self.io {
-            FileIo::Parallel(engine) => engine.submit_write_stripe(writes),
+            FileIo::Parallel(engine) => engine.submit_writes(writes),
             #[cfg(all(target_os = "linux", feature = "io-uring"))]
             FileIo::Uring(engine) => engine.submit_write_stripe(writes),
-            FileIo::Serial(_) => return WriteTicket::ready(self.write_stripe(writes)),
+            FileIo::Serial(_) => {
+                let done = first_failure(self.write_batch_each(stripes, writes));
+                return WriteTicket::ready(done.map(drop));
+            }
         };
         // The addresses are known at submission, so space accounting stays
         // deterministic regardless of when the transfers land.
@@ -1044,6 +1227,54 @@ mod tests {
         }
         // The schedule is consumed: the same stripe now lands everywhere.
         be.write_stripe(&writes).unwrap();
+    }
+
+    #[test]
+    fn a_batch_retries_and_blames_one_track_at_a_time() {
+        use crate::fault::{FaultInjectingBackend, FaultPlan};
+        const D: usize = 3;
+        // Three full stripes; drive 1's second transfer — the middle
+        // stripe's track — fails once.
+        let stripes = [D; 3];
+        let addrs: Vec<(usize, usize)> = (0..3 * D).map(|g| (g % D, g / D)).collect();
+        let payloads: Vec<[u8; 8]> = (0..addrs.len()).map(|i| [i as u8 + 1; 8]).collect();
+        let writes: Vec<(usize, usize, &[u8])> =
+            addrs.iter().zip(&payloads).map(|(&(d, t), p)| (d, t, &p[..])).collect();
+        let fault = FaultInjectingBackend::new(
+            MemoryBackend::new(D),
+            FaultPlan::none().with_transient(1, 1),
+        );
+        let mut be = RetryingBackend::new(ChecksumBackend::new(fault, 8), RetryPolicy::new(3));
+        assert!(be.write_batch_each(&stripes, &writes).iter().all(Result::is_ok));
+        assert_eq!(be.take_retried_blocks(), 1, "only the failed track went down again");
+        assert_eq!(be.fault_op_counts().unwrap(), vec![3, 4, 3]);
+
+        // A corrupt frame in the middle of a batch: its own slot carries
+        // its own `(disk, track)`; every other track arrives intact.
+        let check = &mut be.inner;
+        let mut frame = vec![0u8; 8 + CRC_BYTES];
+        check.inner.read_track(2, 1, &mut frame).unwrap();
+        frame[3] ^= 0x10;
+        check.inner.write_track(2, 1, &frame).unwrap();
+        let mut blocks = vec![[0u8; 8]; addrs.len()];
+        let mut bufs: Vec<&mut [u8]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
+        let outcomes = check.read_batch_each(&stripes, &addrs, &mut bufs);
+        for (i, (outcome, addr)) in outcomes.iter().zip(&addrs).enumerate() {
+            if *addr == (2, 1) {
+                assert!(matches!(outcome, Err(DiskError::Corrupt { disk: 2, track: 1 })));
+            } else {
+                assert!(outcome.is_ok(), "{addr:?}: {outcome:?}");
+                assert_eq!(blocks[i], payloads[i]);
+            }
+        }
+    }
+
+    #[test]
+    fn sub_batch_keeps_every_track_in_its_stripe() {
+        assert_eq!(sub_batch(&[1, 4, 4, 2], &[0, 1, 4, 9, 10]), [1, 2, 2]);
+        assert_eq!(sub_batch(&[3, 3], &[4]), [1]);
+        assert_eq!(sub_batch(&[3, 0, 2], &[0, 1, 2, 3, 4]), [3, 2]);
+        assert!(sub_batch(&[2, 2], &[]).is_empty());
     }
 
     /// The reference: forwards single tracks only, so its stripes run as

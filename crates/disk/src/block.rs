@@ -108,30 +108,62 @@ const fn build_crc_tables() -> [[u32; 256]; 8] {
 }
 
 /// CRC-32 (IEEE) of `data`, as used by the block-frame checksum option.
-///
-/// Slice-by-8: eight bytes per step through eight tables, then a
-/// byte-at-a-time tail. Works from any start alignment (the eight bytes are
-/// assembled with `from_le_bytes`, not read through a cast pointer).
 pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut chunks = data.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    let mut crc = Crc32::new();
+    crc.update(data);
+    crc.finish()
+}
+
+/// A CRC-32 (IEEE) in progress: the checksum of everything fed to
+/// [`Crc32::update`] so far, in order, however the bytes were split across
+/// calls — for data that is produced a piece at a time and never needs to
+/// exist as one buffer.
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32::new()
     }
-    for &byte in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
+}
+
+impl Crc32 {
+    /// The checksum of no bytes yet.
+    pub fn new() -> Self {
+        Crc32(0xFFFF_FFFF)
     }
-    !crc
+
+    /// Append `data`.
+    ///
+    /// Slice-by-8: eight bytes per step through eight tables, then a
+    /// byte-at-a-time tail. Works from any start alignment (the eight bytes
+    /// are assembled with `from_le_bytes`, not read through a cast pointer).
+    pub fn update(&mut self, data: &[u8]) {
+        let t = &CRC_TABLES;
+        let mut crc = self.0;
+        let mut chunks = data.chunks_exact(8);
+        for c in &mut chunks {
+            let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &byte in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
+        }
+        self.0 = crc;
+    }
+
+    /// The CRC-32 of the bytes appended so far.
+    pub fn finish(self) -> u32 {
+        !self.0
+    }
 }
 
 #[cfg(test)]
@@ -180,6 +212,21 @@ mod tests {
         let clean = crc32(&data);
         data[17] ^= 0x08;
         assert_ne!(crc32(&data), clean);
+    }
+
+    #[test]
+    fn a_streamed_crc_is_the_crc_of_the_concatenation() {
+        let data: Vec<u8> = (0..200u32).map(|i| (i * 37 + 11) as u8).collect();
+        // Pieces that leave every tail length, and empty ones.
+        for piece in [1, 3, 7, 8, 13, 64, 200] {
+            let mut crc = Crc32::new();
+            for chunk in data.chunks(piece) {
+                crc.update(chunk);
+                crc.update(&[]);
+            }
+            assert_eq!(crc.finish(), crc32(&data), "pieces of {piece}");
+        }
+        assert_eq!(Crc32::new().finish(), crc32(b""));
     }
 
     #[test]

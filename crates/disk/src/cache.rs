@@ -278,11 +278,20 @@ mod tests {
     struct StripeCalls {
         reads: AtomicU64,
         writes: AtomicU64,
+        batch_reads: AtomicU64,
+        batch_writes: AtomicU64,
     }
 
     impl StripeCalls {
         fn take(&self) -> (u64, u64) {
             (self.reads.swap(0, Ordering::Relaxed), self.writes.swap(0, Ordering::Relaxed))
+        }
+
+        fn take_batches(&self) -> (u64, u64) {
+            (
+                self.batch_reads.swap(0, Ordering::Relaxed),
+                self.batch_writes.swap(0, Ordering::Relaxed),
+            )
         }
     }
 
@@ -332,6 +341,36 @@ mod tests {
         fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
             self.stripes.writes.fetch_add(1, Ordering::Relaxed);
             writes.iter().map(|&(disk, track, data)| self.write_track(disk, track, data)).collect()
+        }
+        // Counted, then stripe by stripe as the trait's default would.
+        fn read_batch_each(
+            &mut self,
+            stripes: &[usize],
+            addrs: &[(usize, usize)],
+            bufs: &mut [&mut [u8]],
+        ) -> TrackOutcomes {
+            self.stripes.batch_reads.fetch_add(1, Ordering::Relaxed);
+            let mut at = 0;
+            (stripes.iter())
+                .flat_map(|&len| {
+                    at += len;
+                    self.read_stripe_each(&addrs[at - len..at], &mut bufs[at - len..at])
+                })
+                .collect()
+        }
+        fn write_batch_each(
+            &mut self,
+            stripes: &[usize],
+            writes: &[(usize, usize, &[u8])],
+        ) -> TrackOutcomes {
+            self.stripes.batch_writes.fetch_add(1, Ordering::Relaxed);
+            let mut at = 0;
+            (stripes.iter())
+                .flat_map(|&len| {
+                    at += len;
+                    self.write_stripe_each(&writes[at - len..at])
+                })
+                .collect()
         }
         fn tracks_used(&self, disk: usize) -> usize {
             self.inner.tracks_used(disk)
@@ -489,6 +528,56 @@ mod tests {
         assert_eq!(calls.take(), (0, 0), "absorbed");
         cached.flush_cache().unwrap();
         assert_eq!(calls.take(), (0, 1));
+    }
+
+    #[test]
+    fn one_outer_batch_is_one_inner_batch_through_the_decorators() {
+        use crate::ConsecutiveLayout;
+        const D: usize = 4;
+        let raw = CountingBackend::new(D);
+        let calls = Arc::clone(&raw.stripes);
+        let mut be = RetryingBackend::new(ChecksumBackend::new(raw, 16), RetryPolicy::new(3));
+        // Five regions of three blocks from global block 3: ragged first
+        // and last stripes, five stripes in all.
+        let (stripes, addrs) = ConsecutiveLayout::new(0, 3, 8, D).unwrap().batch(1, 5);
+        assert_eq!(stripes, [1, 4, 4, 4, 2]);
+        let payloads: Vec<[u8; 16]> = (0..addrs.len()).map(|i| [i as u8 + 1; 16]).collect();
+        let writes: Vec<(usize, usize, &[u8])> =
+            addrs.iter().zip(&payloads).map(|(&(d, t), p)| (d, t, &p[..])).collect();
+        let mut blocks = vec![[0u8; 16]; addrs.len()];
+
+        // Retrying(Checksum(raw)): the whole run is one inner call, which
+        // sees it with its stripe boundaries intact.
+        assert!(be.write_batch_each(&stripes, &writes).iter().all(Result::is_ok));
+        assert_eq!(calls.take_batches(), (0, 1), "one framed write batch reaches the raw backend");
+        assert_eq!(calls.take(), (0, 5));
+        {
+            let mut bufs: Vec<&mut [u8]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
+            assert!(be.read_batch_each(&stripes, &addrs, &mut bufs).iter().all(Result::is_ok));
+        }
+        assert_eq!(calls.take_batches(), (1, 0), "one read batch, verified after it returns");
+        assert_eq!(calls.take(), (5, 0));
+        assert_eq!(blocks, payloads);
+        // A stripe is the batch of one stripe, a track the stripe of one.
+        be.read_stripe(
+            &addrs[1..5],
+            &mut blocks[1..5].iter_mut().map(|b| &mut b[..]).collect::<Vec<_>>(),
+        )
+        .unwrap();
+        be.write_track(0, 9, &payloads[0]).unwrap();
+        assert_eq!(calls.take_batches(), (1, 1));
+        assert_eq!(calls.take(), (1, 1));
+
+        // The cache keeps the stripe-by-stripe default: one lookup — and
+        // one miss fetch — per stripe, each a batch of one below it.
+        let mut cached = BlockCacheBackend::new(be, 8 * D);
+        {
+            let mut bufs: Vec<&mut [u8]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
+            assert!(cached.read_batch_each(&stripes, &addrs, &mut bufs).iter().all(Result::is_ok));
+        }
+        assert_eq!(calls.take_batches(), (5, 0));
+        assert_eq!(calls.take(), (5, 0));
+        assert_eq!(blocks, payloads);
     }
 
     #[test]

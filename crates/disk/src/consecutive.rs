@@ -13,6 +13,14 @@
 //! round-robin stripe. A run of `k` consecutive regions is therefore a run
 //! of `k·(μ/B)` consecutive global blocks and can be moved with full
 //! `D`-way parallelism, `D` blocks per I/O operation.
+//!
+//! It is also, on every drive, a run of *consecutive tracks* — condition
+//! (iii) is what the format is for. [`ConsecutiveLayout::batch`] therefore
+//! describes such a run as one batch of stripes, which
+//! [`crate::DiskArray::submit_read_batch`] /
+//! [`crate::DiskArray::submit_write_batch`] hand to the drives as one
+//! command and one sequential transfer each, counted stripe by stripe as
+//! the model charges it.
 
 use crate::DiskError;
 
@@ -75,31 +83,50 @@ impl ConsecutiveLayout {
         (g % self.num_disks, self.base_track + g / self.num_disks)
     }
 
-    /// All `(disk, track)` addresses of the blocks of regions
-    /// `[first, first + count)`, grouped into parallel stripes: each inner
-    /// vector touches each drive at most once, so it is a legal single
-    /// parallel I/O operation, and all but the first and last stripes use
-    /// all `D` drives.
-    pub fn stripes(&self, first_region: usize, count: usize) -> Vec<Vec<(usize, usize)>> {
-        if count == 0 || self.blocks_per_region == 0 {
-            return Vec::new();
+    /// The blocks of regions `[first, first + count)` as one batch of
+    /// parallel stripes, in the form [`crate::DiskArray::submit_read_batch`]
+    /// takes: the stripe lengths, and every block's `(disk, track)` in
+    /// global-index order. Each stripe touches each drive at most once, so
+    /// it is a legal single parallel I/O operation, and all but the first
+    /// and last use all `D` drives. On every drive the batch's tracks are
+    /// consecutive (Definition 2 (iii)), which is what lets the array move
+    /// the whole run with one sequential transfer per drive while still
+    /// charging one operation per stripe.
+    pub fn batch(&self, first_region: usize, count: usize) -> (Vec<usize>, Vec<(usize, usize)>) {
+        if count == 0 {
+            return (Vec::new(), Vec::new());
         }
         let start = self.global_index(first_region, 0);
         let end = start + count * self.blocks_per_region; // exclusive
-        let mut out = Vec::with_capacity((end - start).div_ceil(self.num_disks));
+        let addrs = (start..end)
+            .map(|g| (g % self.num_disks, self.base_track + g / self.num_disks))
+            .collect();
+        let mut stripes = Vec::with_capacity((end - start).div_ceil(self.num_disks) + 1);
         let mut g = start;
         while g < end {
             // A stripe is a maximal run of global indices mapping to
             // distinct drives; since disk = g mod D, that is the run up to
             // the next multiple of D (clipped to the range end).
             let run = (self.num_disks - g % self.num_disks).min(end - g);
-            let stripe: Vec<(usize, usize)> = (g..g + run)
-                .map(|x| (x % self.num_disks, self.base_track + x / self.num_disks))
-                .collect();
-            out.push(stripe);
+            stripes.push(run);
             g += run;
         }
-        out
+        (stripes, addrs)
+    }
+
+    /// [`ConsecutiveLayout::batch`] with each stripe's addresses in a
+    /// vector of its own. No transfer path calls it any more; it stays for
+    /// `tests/proptest_disk.rs`, which checks stripe legality through it.
+    pub fn stripes(&self, first_region: usize, count: usize) -> Vec<Vec<(usize, usize)>> {
+        let (stripes, addrs) = self.batch(first_region, count);
+        let mut rest = addrs.as_slice();
+        (stripes.iter())
+            .map(|&len| {
+                let (stripe, tail) = rest.split_at(len);
+                rest = tail;
+                stripe.to_vec()
+            })
+            .collect()
     }
 }
 

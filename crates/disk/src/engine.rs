@@ -4,35 +4,48 @@
 //! one operation moves up to `D` blocks — at most one per drive —
 //! simultaneously, at cost `G`. The [`IoEngine`] makes the file backend
 //! honour that "simultaneously": each simulated drive gets a dedicated
-//! worker thread that owns the drive's `File` exclusively, and a stripe is
-//! executed by handing every `(track, buffer)` pair to its drive's worker
-//! at once, then joining all replies before the operation returns.
+//! worker thread that owns the drive's `File` exclusively, and a transfer
+//! is executed by handing every drive its share at once, then joining all
+//! replies before the operation returns.
+//!
+//! The engine's unit of transfer is a **batch** of tracks — in practice
+//! the tracks of one or more stripes; a single stripe is the batch with one
+//! track per drive. Whatever its size, a batch costs **one command and one
+//! reply per drive**, and a worker moves every run of its tracks that are
+//! adjacent on the drive (`t, t + 1, …` — what standard consecutive format
+//! gives a group's contexts and routed messages) with one positional
+//! syscall over one contiguous buffer.
 //!
 //! Design points (see DESIGN.md §3.2 for the full contract):
 //!
 //! * **Ownership** — a drive's `File` lives on its worker thread; the
 //!   engine only holds the command channel. No file handle is ever shared,
 //!   so per-drive positional I/O needs no locking.
-//! * **Submission and join are separable** — `submit_read_stripe` /
-//!   `submit_write_stripe` dispatch one command per listed drive and
-//!   return a [`ReadTicket`] / [`WriteTicket`] immediately; `join` on the
-//!   ticket blocks until every listed drive has replied. The synchronous
-//!   `read_stripe`/`write_stripe` are submit-then-join, so at the
+//! * **Submission and join are separable** — `submit_reads` /
+//!   `submit_writes` dispatch one command per listed drive and return a
+//!   [`ReadTicket`] / [`WriteTicket`] immediately; `join` on the ticket
+//!   blocks until every listed drive has replied. The synchronous
+//!   `read_each`/`write_each` are dispatch-then-join, so at the
 //!   [`DiskArray`](crate::DiskArray) level the one-op-per-stripe cost
 //!   accounting and the deterministic, seed-stable I/O traces are
 //!   identical whether or not a caller overlaps tickets with other work.
-//!   Per-drive command channels are FIFO: two submissions touching the
-//!   same drive execute in submission order even when their joins overlap.
-//! * **Error propagation** — each command carries a reply channel. A
-//!   failed transfer comes back as [`DiskError::WorkerIo`] tagged with the
-//!   drive index; a worker whose thread has died (panic, channel torn
-//!   down) surfaces as [`DiskError::WorkerLost`]. On a multi-drive stripe
-//!   all replies are joined first ([`join_slots`]: one outcome per track,
-//!   request order — the form the decorator stack consumes); a ticket's
-//!   `join` then reports the first failing track's error, so error
-//!   selection is deterministic. A deferred error is *sticky*: it stays
-//!   queued in the ticket's reply channel until the ticket is joined, even
-//!   across an intervening `sync_all`.
+//!   Per-drive command channels are FIFO, and a command's tracks move in
+//!   request order: two transfers touching the same drive execute in
+//!   submission order even when their joins overlap.
+//! * **Error propagation** — each batch has one reply channel, and a
+//!   command's reply names the tracks of the command that failed, each
+//!   with its own error. A failed transfer comes back as
+//!   [`DiskError::WorkerIo`] tagged with the drive index (a failed
+//!   multi-track run is redone track by track, so only the tracks that
+//!   really fail report an error); a worker whose thread has died (panic,
+//!   channel torn down) never replies, which surfaces as
+//!   [`DiskError::WorkerLost`] on every track it was sent. All replies are
+//!   joined first ([`PendingBatch::join`]: one outcome per track, request
+//!   order — the form the decorator stack consumes); a ticket's `join`
+//!   then reports the first failing track's error, so error selection is
+//!   deterministic whatever order the drives finished in. A deferred error
+//!   is *sticky*: it stays queued in the ticket's reply channel until the
+//!   ticket is joined, even across an intervening `sync_all`.
 //! * **Shutdown** — dropping the engine closes every command channel;
 //!   workers drain and exit, and the engine joins them. A worker that
 //!   errored stays alive and keeps serving subsequent commands (the drive
@@ -42,19 +55,39 @@ use crate::{DiskError, DiskResult, TrackOutcomes};
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 use std::fs::File;
 use std::io;
+use std::ops::Range;
 use std::thread::JoinHandle;
 
-/// One command to a drive worker. Buffers are owned so commands can cross
-/// the thread boundary without borrowing from the caller; the engine pays
-/// one `B`-byte copy per block, which is noise next to the file I/O the
-/// workers overlap.
+/// One command to a drive worker: the drive's whole share of a batch.
+/// Buffers are owned so commands can cross the thread boundary without
+/// borrowing from the caller; the engine pays one copy per block, which is
+/// noise next to the file I/O the workers overlap.
 enum Cmd {
-    /// Read the full track at `track` into `buf` and send it back.
-    Read { track: usize, buf: Vec<u8>, reply: Sender<DiskResult<Vec<u8>>> },
-    /// Write `data` as the full track at `track`.
-    Write { track: usize, data: Vec<u8>, reply: Sender<DiskResult<()>> },
+    /// Read the listed tracks, in this order, into `buf`, track after track.
+    Read { tracks: Vec<usize>, buf: Vec<u8>, reply: ReplyTo },
+    /// Write `data` — the listed tracks' bytes, in this order.
+    Write { tracks: Vec<usize>, data: Vec<u8>, reply: ReplyTo },
     /// Flush the drive's file to stable storage.
-    Sync { reply: Sender<DiskResult<()>> },
+    Sync { reply: ReplyTo },
+}
+
+/// Where a command's reply goes: the batch's one reply channel, tagged with
+/// the command's number in the batch.
+struct ReplyTo {
+    replies: Sender<(usize, DriveReply)>,
+    command: usize,
+}
+
+/// What a worker sends back for one command: the tracks that failed — by
+/// position in the command, each with its own error; empty when the whole
+/// command went through, the case that must stay cheap — and the command's
+/// own buffers (for a read, `bytes` now holds the tracks read, track after
+/// track). The buffers travel back so that the thread that allocated them
+/// frees them, which keeps the allocator on its per-thread fast path.
+struct DriveReply {
+    failed: Vec<(usize, DiskError)>,
+    tracks: Vec<usize>,
+    bytes: Vec<u8>,
 }
 
 /// Worker-thread-per-disk I/O engine. See the module docs for the
@@ -64,16 +97,19 @@ pub(crate) struct IoEngine {
     txs: Vec<Sender<Cmd>>,
     /// Join handles, drained on drop.
     handles: Vec<JoinHandle<()>>,
+    /// Bytes per track of the drive files.
+    block_bytes: usize,
 }
 
-/// Read a full track (`buf.len()` bytes) at `offset`, zero-filling any
-/// part past EOF — never-written tracks read back as zeros, matching the
-/// memory backend and the model's "formatted" disks.
+/// Read `buf.len()` bytes — one track, or a run of adjacent ones — at
+/// `offset`, zero-filling any part past EOF: never-written tracks read
+/// back as zeros, matching the memory backend and the model's "formatted"
+/// disks.
 pub(crate) fn read_full_track(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
     let mut filled = 0;
     while filled < buf.len() {
         match read_at(file, &mut buf[filled..], offset + filled as u64) {
-            Ok(0) => break, // EOF: the rest of the track was never written
+            Ok(0) => break, // EOF: the rest was never written
             Ok(n) => filled += n,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(e) => return Err(e),
@@ -117,31 +153,73 @@ pub(crate) fn write_at(_file: &File, _data: &[u8], _offset: u64) -> io::Result<(
     Err(io::Error::new(io::ErrorKind::Unsupported, "FileBackend requires a unix platform"))
 }
 
+/// Move one drive's share of a batch: `tracks` in request order, their
+/// bytes laid track after track in one buffer. Every maximal run of tracks
+/// that are adjacent on the drive is one call of `io(bytes, offset)` — the
+/// run's byte range in that buffer and its offset in the drive file. A run
+/// whose call fails is redone track by track, so a sound track never
+/// inherits a neighbour's error. Returns the tracks that failed, by
+/// position in `tracks`, each with its own error.
+pub(crate) fn transfer_runs(
+    disk: usize,
+    tracks: &[usize],
+    block_bytes: usize,
+    mut io: impl FnMut(Range<usize>, u64) -> io::Result<()>,
+) -> Vec<(usize, DiskError)> {
+    let mut attempt = |first: usize, len: usize| -> DiskResult<()> {
+        let offset = track_offset(disk, tracks[first], block_bytes)?;
+        track_offset(disk, tracks[first + len - 1], block_bytes)?;
+        io(first * block_bytes..(first + len) * block_bytes, offset)
+            .map_err(|source| DiskError::WorkerIo { disk, source })
+    };
+    let mut failed = Vec::new();
+    let mut first = 0;
+    while first < tracks.len() {
+        let mut len = 1;
+        while first + len < tracks.len()
+            && tracks[first + len - 1].checked_add(1) == Some(tracks[first + len])
+        {
+            len += 1;
+        }
+        match attempt(first, len) {
+            Ok(()) => {}
+            Err(error) if len == 1 => failed.push((first, error)),
+            Err(_) => failed.extend(
+                (first..first + len).filter_map(|i| attempt(i, 1).err().map(|error| (i, error))),
+            ),
+        }
+        first += len;
+    }
+    failed
+}
+
 /// The worker loop: serve commands until the engine drops the channel.
 fn drive_worker(disk: usize, file: File, block_bytes: usize, rx: Receiver<Cmd>) {
     while let Ok(cmd) = rx.recv() {
-        match cmd {
-            Cmd::Read { track, mut buf, reply } => {
-                let res = track_offset(disk, track, block_bytes).and_then(|offset| {
-                    read_full_track(&file, &mut buf, offset)
-                        .map_err(|source| DiskError::WorkerIo { disk, source })
+        let (reply, failed, tracks, bytes) = match cmd {
+            Cmd::Read { tracks, mut buf, reply } => {
+                let failed = transfer_runs(disk, &tracks, block_bytes, |run, offset| {
+                    read_full_track(&file, &mut buf[run], offset)
                 });
-                // A dropped reply receiver means the engine gave up on the
-                // stripe (it is being torn down); nothing left to do.
-                let _ = reply.send(res.map(|()| buf));
+                (reply, failed, tracks, buf)
             }
-            Cmd::Write { track, data, reply } => {
-                let res = track_offset(disk, track, block_bytes).and_then(|offset| {
-                    write_at(&file, &data, offset)
-                        .map_err(|source| DiskError::WorkerIo { disk, source })
+            Cmd::Write { tracks, data, reply } => {
+                let failed = transfer_runs(disk, &tracks, block_bytes, |run, offset| {
+                    write_at(&file, &data[run], offset)
                 });
-                let _ = reply.send(res);
+                (reply, failed, tracks, data)
             }
             Cmd::Sync { reply } => {
-                let res = file.sync_data().map_err(|source| DiskError::WorkerIo { disk, source });
-                let _ = reply.send(res);
+                let failed = match file.sync_data() {
+                    Ok(()) => Vec::new(),
+                    Err(source) => vec![(0, DiskError::WorkerIo { disk, source })],
+                };
+                (reply, failed, Vec::new(), Vec::new())
             }
-        }
+        };
+        // A dropped reply receiver means the engine gave up on the batch
+        // (it is being torn down); nothing left to do.
+        let _ = reply.replies.send((reply.command, DriveReply { failed, tracks, bytes }));
     }
 }
 
@@ -169,99 +247,168 @@ impl IoEngine {
             txs.push(tx);
             handles.push(handle);
         }
-        IoEngine { txs, handles }
+        IoEngine { txs, handles, block_bytes }
     }
 
-    /// Dispatch one read per listed drive without waiting for any transfer
-    /// to complete. A drive whose worker is already gone is recorded as a
-    /// poisoned slot; the [`DiskError::WorkerLost`] surfaces at join,
-    /// keeping submission non-blocking and infallible.
-    fn dispatch_reads(
+    /// Send each drive its share of an `n`-track batch — one command per
+    /// drive that `disk_of(request index)` names, built by
+    /// `command(request indices, where to reply)` — without waiting for any
+    /// transfer to complete. A drive whose worker is already gone takes no
+    /// command and will never reply; the [`DiskError::WorkerLost`] surfaces
+    /// at join, keeping submission non-blocking and infallible.
+    fn dispatch(
         &self,
-        addrs: &[(usize, usize)],
-        block_bytes: usize,
-    ) -> PendingSlots<Vec<u8>> {
-        let mut slots = Vec::with_capacity(addrs.len());
-        for &(disk, track) in addrs {
-            let (reply_tx, reply_rx) = bounded::<DiskResult<Vec<u8>>>(1);
-            let buf = vec![0u8; block_bytes];
-            let sent = self
-                .txs
-                .get(disk)
-                .is_some_and(|tx| tx.send(Cmd::Read { track, buf, reply: reply_tx }).is_ok());
-            slots.push((disk, sent.then_some(reply_rx)));
+        n: usize,
+        disk_of: impl Fn(usize) -> usize,
+        mut command: impl FnMut(&[usize], ReplyTo) -> Cmd,
+    ) -> PendingBatch {
+        // Request indices grouped by drive; the sort is stable, so each
+        // drive keeps its tracks in request order.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| disk_of(i));
+        let (replies_tx, replies) = bounded(self.txs.len());
+        let mut commands = Vec::with_capacity(self.txs.len());
+        let mut sent = 0;
+        let mut at = 0;
+        while at < n {
+            let disk = disk_of(order[at]);
+            let len = order[at..].iter().take_while(|&&i| disk_of(i) == disk).count();
+            let reply = ReplyTo { replies: replies_tx.clone(), command: commands.len() };
+            let cmd = command(&order[at..at + len], reply);
+            sent += usize::from(self.txs.get(disk).is_some_and(|tx| tx.send(cmd).is_ok()));
+            commands.push((disk, at..at + len, false));
+            at += len;
         }
-        slots
+        PendingBatch { replies, sent, commands, order }
     }
 
-    /// Dispatch one write per listed drive without waiting (same
-    /// lost-worker contract as [`IoEngine::dispatch_reads`]).
-    fn dispatch_writes(&self, writes: &[(usize, usize, &[u8])]) -> PendingSlots<()> {
-        let mut slots = Vec::with_capacity(writes.len());
-        for &(disk, track, data) in writes {
-            let (reply_tx, reply_rx) = bounded::<DiskResult<()>>(1);
-            let sent = self.txs.get(disk).is_some_and(|tx| {
-                tx.send(Cmd::Write { track, data: data.to_vec(), reply: reply_tx }).is_ok()
-            });
-            slots.push((disk, sent.then_some(reply_rx)));
-        }
-        slots
+    /// Dispatch the reads of a batch (see [`IoEngine::dispatch`]).
+    fn dispatch_reads(&self, addrs: &[(usize, usize)]) -> PendingBatch {
+        self.dispatch(
+            addrs.len(),
+            |i| addrs[i].0,
+            |members, reply| Cmd::Read {
+                tracks: members.iter().map(|&i| addrs[i].1).collect(),
+                buf: vec![0u8; members.len() * self.block_bytes],
+                reply,
+            },
+        )
+    }
+
+    /// Dispatch the writes of a batch (see [`IoEngine::dispatch`]).
+    fn dispatch_writes(&self, writes: &[(usize, usize, &[u8])]) -> PendingBatch {
+        self.dispatch(
+            writes.len(),
+            |i| writes[i].0,
+            |members, reply| {
+                let mut data = Vec::with_capacity(members.len() * self.block_bytes);
+                for &i in members {
+                    debug_assert_eq!(writes[i].2.len(), self.block_bytes);
+                    data.extend_from_slice(writes[i].2);
+                }
+                Cmd::Write { tracks: members.iter().map(|&i| writes[i].1).collect(), data, reply }
+            },
+        )
     }
 
     /// [`IoEngine::dispatch_reads`] wrapped in a joinable ticket.
-    pub(crate) fn submit_read_stripe(
-        &self,
-        addrs: &[(usize, usize)],
-        block_bytes: usize,
-    ) -> ReadTicket {
-        ReadTicket::pending(self.dispatch_reads(addrs, block_bytes))
+    pub(crate) fn submit_reads(&self, addrs: &[(usize, usize)]) -> ReadTicket {
+        ReadTicket { inner: ReadInner::Batch(self.dispatch_reads(addrs), self.block_bytes) }
     }
 
     /// [`IoEngine::dispatch_writes`] wrapped in a joinable ticket.
-    pub(crate) fn submit_write_stripe(&self, writes: &[(usize, usize, &[u8])]) -> WriteTicket {
-        WriteTicket::pending(self.dispatch_writes(writes))
+    pub(crate) fn submit_writes(&self, writes: &[(usize, usize, &[u8])]) -> WriteTicket {
+        WriteTicket { inner: WriteInner::Batch(self.dispatch_writes(writes)) }
     }
 
-    /// Dispatch one read per listed drive, join all replies, and copy each
+    /// Dispatch the reads of a batch, join all replies, and copy each
     /// track that arrived into the caller's buffer. One outcome per track,
     /// request order.
-    pub(crate) fn read_stripe_each(
+    pub(crate) fn read_each(
         &self,
         addrs: &[(usize, usize)],
         bufs: &mut [&mut [u8]],
     ) -> TrackOutcomes {
         debug_assert_eq!(addrs.len(), bufs.len());
-        let block_bytes = bufs.first().map_or(0, |b| b.len());
-        copy_joined(join_slots(self.dispatch_reads(addrs, block_bytes)), bufs)
+        self.dispatch_reads(addrs).join(self.block_bytes, |i, track| bufs[i].copy_from_slice(track))
     }
 
-    /// Dispatch one write per listed drive and join all replies. One
-    /// outcome per track, request order.
-    pub(crate) fn write_stripe_each(&self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
-        join_slots(self.dispatch_writes(writes))
+    /// Dispatch the writes of a batch and join all replies. One outcome
+    /// per track, request order.
+    pub(crate) fn write_each(&self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+        self.dispatch_writes(writes).join(0, |_, _| {})
     }
 
-    /// Flush every drive to stable storage (joined like a stripe).
+    /// Flush every drive to stable storage (joined like a batch with one
+    /// track per drive).
     pub(crate) fn sync_all(&self) -> DiskResult<()> {
-        let slots = (self.txs.iter().enumerate())
-            .map(|(disk, tx)| {
-                let (reply_tx, reply_rx) = bounded::<DiskResult<()>>(1);
-                (disk, tx.send(Cmd::Sync { reply: reply_tx }).is_ok().then_some(reply_rx))
-            })
-            .collect();
-        first_failure(join_slots(slots)).map(drop)
+        let pending = self.dispatch(self.txs.len(), |disk| disk, |_, reply| Cmd::Sync { reply });
+        first_failure(pending.join(0, |_, _| {})).map(drop)
     }
 }
 
-/// Reply slots of an in-flight engine stripe: `(disk, receiver)`, where a
-/// `None` receiver marks a drive whose worker was already gone at
-/// submission (joined as [`DiskError::WorkerLost`]).
+/// The ring engine's reply slots, one per track: `(disk, receiver)`, where
+/// a `None` receiver marks a drive that could not be reached at submission
+/// (joined as [`DiskError::WorkerLost`]).
+#[cfg(all(target_os = "linux", feature = "io-uring"))]
 pub(crate) type PendingSlots<T> = Vec<(usize, Option<Receiver<DiskResult<T>>>)>;
 
-/// Wait for every reply of an in-flight stripe: one outcome per dispatched
-/// track, in request order. Shared by every engine and every join path, so
-/// "all replies are joined before anything is reported" holds by
-/// construction.
+/// A dispatched batch of the threaded engine.
+struct PendingBatch {
+    /// The batch's reply channel. Every command that was handed to a worker
+    /// holds a sender; a worker that dies drops its own.
+    replies: Receiver<(usize, DriveReply)>,
+    /// How many commands a worker accepted.
+    sent: usize,
+    /// Per command: the drive, which part of `order` it carries, and
+    /// whether its reply has come.
+    commands: Vec<(usize, Range<usize>, bool)>,
+    /// The batch's request indices, command after command, each command's
+    /// in the order it carries them.
+    order: Vec<usize>,
+}
+
+impl PendingBatch {
+    /// Wait for every command's reply — all are joined before anything is
+    /// reported — and return one outcome per track, in request order. A
+    /// read's `track_bytes`-byte tracks that arrived are handed to
+    /// `deliver(request index, bytes)`; a write or a sync passes 0 and is
+    /// handed nothing. A command that gets no reply — its worker was gone
+    /// at submission, or died holding it — reports
+    /// [`DiskError::WorkerLost`] on every track it carries.
+    fn join(mut self, track_bytes: usize, mut deliver: impl FnMut(usize, &[u8])) -> TrackOutcomes {
+        let mut outcomes: TrackOutcomes = self.order.iter().map(|_| Ok(())).collect();
+        for _ in 0..self.sent {
+            // Every sender gone with replies outstanding: a worker died.
+            let Ok((command, reply)) = self.replies.recv() else { break };
+            let (_, members, replied) = &mut self.commands[command];
+            *replied = true;
+            let members = &self.order[members.clone()];
+            for (at, error) in reply.failed {
+                outcomes[members[at]] = Err(error);
+            }
+            if track_bytes > 0 {
+                for (&i, track) in members.iter().zip(reply.bytes.chunks_exact(track_bytes)) {
+                    if outcomes[i].is_ok() {
+                        deliver(i, track);
+                    }
+                }
+            }
+            // The command's buffers end here, on the thread that made them.
+            drop((reply.tracks, reply.bytes));
+        }
+        for (disk, members, _) in self.commands.iter().filter(|(_, _, replied)| !replied) {
+            for &i in &self.order[members.clone()] {
+                outcomes[i] = Err(DiskError::WorkerLost { disk: *disk });
+            }
+        }
+        outcomes
+    }
+}
+
+/// Wait for every reply of the ring engine's per-track slots: one outcome
+/// per dispatched track, in request order.
+#[cfg(all(target_os = "linux", feature = "io-uring"))]
 pub(crate) fn join_slots<T>(slots: PendingSlots<T>) -> Vec<DiskResult<T>> {
     slots
         .into_iter()
@@ -272,7 +419,7 @@ pub(crate) fn join_slots<T>(slots: PendingSlots<T>) -> Vec<DiskResult<T>> {
         .collect()
 }
 
-/// The merged view of a joined stripe: every value, or the error of the
+/// The merged view of a joined transfer: every value, or the error of the
 /// first failing track in request order — deterministic, because the
 /// outcomes were all collected before this looks at any of them.
 pub(crate) fn first_failure<T>(outcomes: Vec<DiskResult<T>>) -> DiskResult<Vec<T>> {
@@ -281,6 +428,7 @@ pub(crate) fn first_failure<T>(outcomes: Vec<DiskResult<T>>) -> DiskResult<Vec<T
 
 /// Copy each successfully read track into the caller's matching buffer,
 /// keeping the per-track outcomes.
+#[cfg(all(target_os = "linux", feature = "io-uring"))]
 pub(crate) fn copy_joined(
     outcomes: Vec<DiskResult<Vec<u8>>>,
     bufs: &mut [&mut [u8]],
@@ -294,18 +442,21 @@ enum ReadInner {
     /// The transfers already happened (synchronous backend): the blocks,
     /// or the error they died with.
     Ready(DiskResult<Vec<Vec<u8>>>),
-    /// One reply channel per dispatched drive, in request order.
-    Pending(PendingSlots<Vec<u8>>),
+    /// Commands in flight on the threaded engine, and the bytes per track.
+    Batch(PendingBatch, usize),
+    /// The ring engine's reply slots, one per track, in request order.
+    #[cfg(all(target_os = "linux", feature = "io-uring"))]
+    Tracks(PendingSlots<Vec<u8>>),
 }
 
-/// A joinable handle for one submitted stripe read.
+/// A joinable handle for one submitted batch of track reads.
 ///
-/// Produced by [`crate::DiskBackend::submit_read_stripe`]; the backend may
+/// Produced by [`crate::DiskBackend::submit_read_batch`]; the backend may
 /// have executed the transfers synchronously (the default, and the memory
 /// backend) or have them in flight on per-drive worker threads (the file
 /// backend in [`crate::IoMode::Parallel`]). Either way [`ReadTicket::join`]
-/// returns the blocks in request order, or the deferred error of the
-/// lowest-indexed failing drive — deterministically, exactly as the
+/// returns the blocks in request order, or the deferred error of the first
+/// failing track in request order — deterministically, exactly as the
 /// synchronous path would have reported it. Dropping a ticket without
 /// joining abandons the results but never blocks or panics.
 pub struct ReadTicket {
@@ -313,26 +464,43 @@ pub struct ReadTicket {
 }
 
 impl ReadTicket {
-    /// Wrap an already-completed stripe read (synchronous backends).
+    /// Wrap an already-completed read (synchronous backends).
     pub fn ready(result: DiskResult<Vec<Vec<u8>>>) -> Self {
         ReadTicket { inner: ReadInner::Ready(result) }
     }
 
-    /// Wrap in-flight reply slots (engine backends). Any engine — worker
-    /// threads or a kernel ring — shares this join path, so the
-    /// lowest-drive-wins error selection and sticky deferred errors are
-    /// identical across engines by construction.
+    /// Wrap the ring engine's in-flight per-track reply slots.
+    #[cfg(all(target_os = "linux", feature = "io-uring"))]
     pub(crate) fn pending(slots: PendingSlots<Vec<u8>>) -> Self {
-        ReadTicket { inner: ReadInner::Pending(slots) }
+        ReadTicket { inner: ReadInner::Tracks(slots) }
+    }
+
+    /// One ticket for this transfer followed by `next`, both joined now:
+    /// how the array reports a batch it had to hand down in several
+    /// calls, which only the synchronous stacks under a fault layer need.
+    pub(crate) fn followed_by(self, next: ReadTicket) -> ReadTicket {
+        ReadTicket::ready(match (self.join(), next.join()) {
+            (Ok(mut tracks), Ok(more)) => {
+                tracks.extend(more);
+                Ok(tracks)
+            }
+            (Err(first), _) | (Ok(_), Err(first)) => Err(first),
+        })
     }
 
     /// Wait for every dispatched transfer and return the track bytes in
     /// request order. All replies are joined before any error is
-    /// reported, and the first (lowest-indexed) failure wins.
+    /// reported, and the first failure in request order wins.
     pub fn join(self) -> DiskResult<Vec<Vec<u8>>> {
         match self.inner {
             ReadInner::Ready(result) => result,
-            ReadInner::Pending(slots) => first_failure(join_slots(slots)),
+            ReadInner::Batch(pending, track_bytes) => {
+                let mut tracks = vec![Vec::new(); pending.order.len()];
+                let outcomes = pending.join(track_bytes, |i, track| tracks[i] = track.to_vec());
+                first_failure(outcomes).map(|_| tracks)
+            }
+            #[cfg(all(target_os = "linux", feature = "io-uring"))]
+            ReadInner::Tracks(slots) => first_failure(join_slots(slots)),
         }
     }
 }
@@ -340,34 +508,46 @@ impl ReadTicket {
 enum WriteInner {
     /// The transfers already happened (synchronous backend).
     Ready(DiskResult<()>),
-    /// One reply channel per dispatched drive, in request order.
-    Pending(PendingSlots<()>),
+    /// Commands in flight on the threaded engine.
+    Batch(PendingBatch),
+    /// The ring engine's reply slots, one per track, in request order.
+    #[cfg(all(target_os = "linux", feature = "io-uring"))]
+    Tracks(PendingSlots<()>),
 }
 
-/// A joinable handle for one submitted stripe write (see [`ReadTicket`]
-/// for the completion and error contract).
+/// A joinable handle for one submitted batch of track writes (see
+/// [`ReadTicket`] for the completion and error contract).
 pub struct WriteTicket {
     inner: WriteInner,
 }
 
 impl WriteTicket {
-    /// Wrap an already-completed stripe write (synchronous backends).
+    /// Wrap an already-completed write (synchronous backends).
     pub fn ready(result: DiskResult<()>) -> Self {
         WriteTicket { inner: WriteInner::Ready(result) }
     }
 
-    /// Wrap in-flight reply slots (engine backends; see
-    /// [`ReadTicket::pending`]).
+    /// Wrap the ring engine's in-flight per-track reply slots.
+    #[cfg(all(target_os = "linux", feature = "io-uring"))]
     pub(crate) fn pending(slots: PendingSlots<()>) -> Self {
-        WriteTicket { inner: WriteInner::Pending(slots) }
+        WriteTicket { inner: WriteInner::Tracks(slots) }
     }
 
-    /// Wait for every dispatched transfer; the first (lowest-indexed)
-    /// failure wins, deterministically.
+    /// One ticket for this transfer followed by `next`, both joined now
+    /// (see [`ReadTicket::followed_by`]).
+    pub(crate) fn followed_by(self, next: WriteTicket) -> WriteTicket {
+        let (done, more) = (self.join(), next.join());
+        WriteTicket::ready(done.and(more))
+    }
+
+    /// Wait for every dispatched transfer; the first failure in request
+    /// order wins, deterministically.
     pub fn join(self) -> DiskResult<()> {
         match self.inner {
             WriteInner::Ready(result) => result,
-            WriteInner::Pending(slots) => first_failure(join_slots(slots)).map(drop),
+            WriteInner::Batch(pending) => first_failure(pending.join(0, |_, _| {})).map(drop),
+            #[cfg(all(target_os = "linux", feature = "io-uring"))]
+            WriteInner::Tracks(slots) => first_failure(join_slots(slots)).map(drop),
         }
     }
 }
@@ -392,11 +572,11 @@ mod tests {
     /// The merged synchronous forms, as [`crate::DiskBackend`] derives them.
     impl IoEngine {
         fn read_stripe(&self, addrs: &[(usize, usize)], bufs: &mut [&mut [u8]]) -> DiskResult<()> {
-            first_failure(self.read_stripe_each(addrs, bufs)).map(drop)
+            first_failure(self.read_each(addrs, bufs)).map(drop)
         }
 
         fn write_stripe(&self, writes: &[(usize, usize, &[u8])]) -> DiskResult<()> {
-            first_failure(self.write_stripe_each(writes)).map(drop)
+            first_failure(self.write_each(writes)).map(drop)
         }
     }
 
@@ -454,6 +634,76 @@ mod tests {
     }
 
     #[test]
+    fn adjacent_tracks_of_a_drive_are_one_transfer() {
+        // (byte range in the command's buffer, file offset) of every call,
+        // and the positions that failed.
+        let shape = |tracks: &[usize], fail: &[u64]| {
+            let mut calls = Vec::new();
+            let failed = transfer_runs(3, tracks, 10, |bytes, offset| {
+                calls.push((bytes, offset));
+                if fail.contains(&offset) {
+                    Err(io::Error::other("injected"))
+                } else {
+                    Ok(())
+                }
+            });
+            (calls, failed)
+        };
+        // A consecutive-format share: one call, however many tracks.
+        let (calls, failed) = shape(&[5, 6, 7, 8], &[]);
+        assert_eq!(calls, [(0..40, 50)]);
+        assert!(failed.is_empty());
+        // Runs break where adjacency does — a gap, a step back, a repeat.
+        let (calls, _) = shape(&[5, 6, 9, 10, 3, 3], &[]);
+        assert_eq!(calls, [(0..20, 50), (20..40, 90), (40..50, 30), (50..60, 30)]);
+        // A failed run is redone track by track: the sound tracks land and
+        // the failing one keeps its own error.
+        let (calls, failed) = shape(&[1, 2, 3], &[10]);
+        assert_eq!(calls, [(0..30, 10), (0..10, 10), (10..20, 20), (20..30, 30)]);
+        assert!(matches!(failed[..], [(0, DiskError::WorkerIo { disk: 3, .. })]));
+        // An unaddressable track is its own typed error, not its run's.
+        let (calls, failed) = shape(&[7, usize::MAX - 1, usize::MAX], &[]);
+        assert_eq!(calls, [(0..10, 70)]);
+        assert!(matches!(
+            failed[..],
+            [(1, DiskError::OffsetOverflow { .. }), (2, DiskError::OffsetOverflow { .. })]
+        ));
+    }
+
+    #[test]
+    fn a_batch_is_one_command_per_drive_and_reads_back_what_stripes_wrote() {
+        const D: usize = 3;
+        let (dir, files) = tmp_files("batch", D);
+        let engine = IoEngine::spawn(files, 8, false);
+        // Global blocks 2..16 of a round-robin layout: ragged first and
+        // last stripes, five tracks on drive 2 and four on the others.
+        let addrs: Vec<(usize, usize)> = (2..16).map(|g| (g % D, 4 + g / D)).collect();
+        let payloads: Vec<[u8; 8]> = (2..16).map(|g| [g as u8; 8]).collect();
+        let writes: Vec<(usize, usize, &[u8])> =
+            addrs.iter().zip(&payloads).map(|(&(d, t), p)| (d, t, &p[..])).collect();
+        let pending = engine.dispatch_writes(&writes);
+        assert_eq!(pending.commands.len(), D, "one command per drive, however many stripes");
+        assert!(pending.join(0, |_, _| {}).iter().all(Result::is_ok));
+
+        // The same tracks stripe by stripe, then one batch that also
+        // crosses never-written tracks before and past the end of file.
+        for (addr, payload) in addrs.iter().zip(&payloads) {
+            let mut buf = [0u8; 8];
+            engine.read_stripe(&[*addr], &mut [&mut buf[..]]).unwrap();
+            assert_eq!(&buf, payload);
+        }
+        let wide: Vec<(usize, usize)> = (0..30).map(|g| (g % D, 4 + g / D)).collect();
+        let pending = engine.dispatch_reads(&wide);
+        assert_eq!(pending.commands.len(), D);
+        let tracks = ReadTicket { inner: ReadInner::Batch(pending, 8) }.join().unwrap();
+        for (g, track) in tracks.iter().enumerate() {
+            let want = if (2..16).contains(&g) { g as u8 } else { 0 };
+            assert_eq!(track, &[want; 8], "global block {g}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn tickets_overlap_and_drain_in_submission_order() {
         let (dir, files) = tmp_files("overlap", 4);
         let engine = IoEngine::spawn(files, 16, false);
@@ -462,9 +712,9 @@ mod tests {
         // submission order.
         let old: Vec<(usize, usize, &[u8])> = vec![(0, 0, &[1u8; 16]), (1, 0, &[1u8; 16])];
         let new: Vec<(usize, usize, &[u8])> = vec![(0, 0, &[2u8; 16]), (1, 0, &[2u8; 16])];
-        let t1 = engine.submit_write_stripe(&old);
-        let t2 = engine.submit_write_stripe(&new);
-        let t3 = engine.submit_read_stripe(&[(0, 0), (1, 0)], 16);
+        let t1 = engine.submit_writes(&old);
+        let t2 = engine.submit_writes(&new);
+        let t3 = engine.submit_reads(&[(0, 0), (1, 0)]);
         t1.join().unwrap();
         t2.join().unwrap();
         let data = t3.join().unwrap();
@@ -490,7 +740,7 @@ mod tests {
     #[test]
     fn poisoned_ticket_survives_sync_and_reports_at_join() {
         let (dir, engine) = read_only_engine("poison", 2);
-        let ticket = engine.submit_write_stripe(&[(1, 0, &[7u8; 8])]);
+        let ticket = engine.submit_writes(&[(1, 0, &[7u8; 8])]);
         // The error is already waiting in the reply channel, but the drive
         // keeps serving: sync_all succeeds (sync_data on a read-only handle
         // is fine), and the poisoned ticket still reports afterwards.
@@ -508,7 +758,7 @@ mod tests {
             let (dir, engine) = read_only_engine("lowest", 4);
             let writes: Vec<(usize, usize, &[u8])> =
                 (1..4).map(|d| (d, 0, &[0u8; 8][..])).collect();
-            let ticket = engine.submit_write_stripe(&writes);
+            let ticket = engine.submit_writes(&writes);
             match ticket.join() {
                 Err(DiskError::WorkerIo { disk: 1, .. }) => {}
                 other => panic!("expected the lowest failing drive (1), got {other:?}"),
@@ -518,11 +768,25 @@ mod tests {
     }
 
     #[test]
+    fn every_track_of_a_failed_batch_reports_its_own_drive() {
+        let (dir, engine) = read_only_engine("batch-fail", 2);
+        // Two adjacent tracks per drive: the merged write fails, each track
+        // is retried alone and fails under its own drive's name.
+        let writes: Vec<(usize, usize, &[u8])> =
+            [(1, 0), (0, 0), (1, 1), (0, 1)].iter().map(|&(d, t)| (d, t, &[0u8; 8][..])).collect();
+        let outcomes = engine.write_each(&writes);
+        for (outcome, &(disk, _, _)) in outcomes.iter().zip(&writes) {
+            assert!(matches!(outcome, Err(DiskError::WorkerIo { disk: d, .. }) if *d == disk));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn lost_worker_mid_pipeline_surfaces_at_join() {
         let (dir, files) = tmp_files("lost", 2);
         let mut engine = IoEngine::spawn(files, 8, false);
         // A ticket submitted while the engine was healthy...
-        let alive = engine.submit_write_stripe(&[(0, 0, &[3u8; 8])]);
+        let alive = engine.submit_writes(&[(0, 0, &[3u8; 8])]);
         // ...then the workers are torn down mid-pipeline (they drain their
         // queues before exiting, so `alive` still completes).
         engine.txs.clear();
@@ -532,9 +796,9 @@ mod tests {
         alive.join().unwrap();
         // Anything submitted afterwards is poisoned per-drive and reports
         // the lowest lost drive at join, like any other stripe failure.
-        let dead_write = engine.submit_write_stripe(&[(1, 0, &[4u8; 8])]);
+        let dead_write = engine.submit_writes(&[(1, 0, &[4u8; 8])]);
         assert!(matches!(dead_write.join(), Err(DiskError::WorkerLost { disk: 1 })));
-        let dead_read = engine.submit_read_stripe(&[(0, 0), (1, 0)], 8);
+        let dead_read = engine.submit_reads(&[(0, 0), (1, 0)]);
         assert!(matches!(dead_read.join(), Err(DiskError::WorkerLost { disk: 0 })));
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -85,7 +85,7 @@ pub use array::{DiskArray, ReadStripeTicket, WriteBacklog, WriteStripeTicket};
 pub use backend::{
     ChecksumBackend, DiskBackend, FileBackend, MemoryBackend, RetryingBackend, TrackOutcomes,
 };
-pub use block::{crc32, Block, CRC_BYTES};
+pub use block::{crc32, Block, Crc32, CRC_BYTES};
 pub use cache::BlockCacheBackend;
 pub use checkpoint::{
     CheckpointStore, JournalContents, JournalFile, CHECKPOINT_VERSION, JOURNAL_FILE, JOURNAL_MAGIC,

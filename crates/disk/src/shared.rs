@@ -459,6 +459,20 @@ mod tests {
         assert_eq!(arr.stats().parallel_ops, 11);
         assert_eq!(arr.stats().retried_blocks, 0);
         assert_eq!(shared.slots_granted(), 11, "N fault-free stripes, N slots — not N·D");
+
+        // A batch is counted — and arbitrated — stripe by stripe: the
+        // region view keeps the default, so co-tenants still interleave at
+        // stripe granularity inside another tenant's batch.
+        let (stripes, addrs) = crate::ConsecutiveLayout::new(10, 3, 4, D).unwrap().batch(0, 3);
+        let writes: Vec<(usize, usize, Block)> = (addrs.iter())
+            .map(|&(disk, track)| (disk, track, Block::from_bytes_padded(&[0xB7], 32)))
+            .collect();
+        arr.submit_write_batch(&stripes, &writes).unwrap().join().unwrap();
+        let got = arr.submit_read_batch(&stripes, &addrs).unwrap().join().unwrap();
+        assert!(got.len() == 9 && got.iter().all(|b| b.as_bytes()[0] == 0xB7));
+        assert_eq!(stripes.len(), 3);
+        assert_eq!(arr.stats().parallel_ops, 11 + 6);
+        assert_eq!(shared.slots_granted(), 11 + 6, "one slot per counted stripe of a batch");
     }
 
     #[test]

@@ -61,7 +61,7 @@
 
 use em_bsp::{BspProgram, ExecError, Executor, RunResult};
 use em_core::{ComputeMode, ComputePool, CostReport, EmError, SeqEmSimulator};
-use em_disk::{crc32, DiskArray, FaultPlan, SharedDiskSubstrate};
+use em_disk::{Crc32, DiskArray, FaultPlan, SharedDiskSubstrate};
 use parking_lot::Mutex;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -628,7 +628,7 @@ impl SimService {
             resolved,
             disks: Mutex::new(disks),
             stages: Mutex::new(Vec::new()),
-            fingerprint: Mutex::new(0),
+            fingerprint: Mutex::new(Fingerprint::default()),
             quarantined: Mutex::new(None),
             completed: AtomicBool::new(false),
         })
@@ -664,7 +664,7 @@ pub struct TenantLease {
     resolved: Option<String>,
     disks: Mutex<DiskArray>,
     stages: Mutex<Vec<CostReport>>,
-    fingerprint: Mutex<u32>,
+    fingerprint: Mutex<Fingerprint>,
     /// Set once by the first unrecoverable fault; holds the record filed
     /// in the ledger. Sticky: every later `execute` fails immediately.
     quarantined: Mutex<Option<TenantRecord>>,
@@ -704,7 +704,7 @@ impl TenantLease {
     /// far. Two runs of the same job are bit-identical iff their
     /// fingerprints (and metered stages) match.
     pub fn state_fingerprint(&self) -> u32 {
-        *self.fingerprint.lock()
+        self.fingerprint.lock().value
     }
 
     /// Whether the tenant has been quarantined by an unrecoverable fault.
@@ -729,7 +729,7 @@ impl TenantLease {
             gamma: self.spec.gamma,
             tracks: self.spec.tracks,
             resolved: self.resolved.clone(),
-            state_fingerprint: *self.fingerprint.lock(),
+            state_fingerprint: self.fingerprint.lock().value,
             outcome: TenantOutcome::Completed,
             stages: std::mem::take(&mut *self.stages.lock()),
         };
@@ -756,7 +756,7 @@ impl TenantLease {
             gamma: self.spec.gamma,
             tracks: self.spec.tracks,
             resolved: self.resolved.clone(),
-            state_fingerprint: *self.fingerprint.lock(),
+            state_fingerprint: self.fingerprint.lock().value,
             outcome: TenantOutcome::Quarantined { failed_step: step },
             stages: std::mem::take(&mut *self.stages.lock()),
         };
@@ -840,9 +840,7 @@ impl Executor for TenantLease {
             drop(disks);
             match result {
                 Ok((res, report)) => {
-                    let mut fp = self.fingerprint.lock();
-                    *fp = fold_fingerprint(*fp, &res.states);
-                    drop(fp);
+                    self.fingerprint.lock().fold(&res.states);
                     self.stages.lock().push(report);
                     return Ok(res);
                 }
@@ -877,13 +875,28 @@ impl Executor for TenantLease {
     }
 }
 
-/// Fold a stage's final states into a rolling CRC-32 fingerprint.
-fn fold_fingerprint<S: em_serial::Serial>(prev: u32, states: &[S]) -> u32 {
-    let mut chained = prev.to_le_bytes().to_vec();
-    for state in states {
-        em_serial::to_bytes_into(state, &mut chained);
+/// A tenant's rolling CRC-32 fingerprint: after each stage it becomes the
+/// CRC of `previous value ‖ state₀ ‖ state₁ ‖ …`, so every state of every
+/// stage so far is under it.
+#[derive(Default)]
+struct Fingerprint {
+    value: u32,
+    /// One state's encoding at a time goes through here into a streaming
+    /// CRC; kept so a stage costs no allocation once it is warm.
+    scratch: Vec<u8>,
+}
+
+impl Fingerprint {
+    /// Fold a stage's final states in.
+    fn fold<S: em_serial::Serial>(&mut self, states: &[S]) {
+        let mut crc = Crc32::new();
+        crc.update(&self.value.to_le_bytes());
+        for state in states {
+            em_serial::to_bytes_into(state, &mut self.scratch);
+            crc.update(&self.scratch);
+        }
+        self.value = crc.finish();
     }
-    crc32(&chained)
 }
 
 /// The solo reference for service bit-identity: the same per-stage
@@ -896,23 +909,27 @@ fn fold_fingerprint<S: em_serial::Serial>(prev: u32, states: &[S]) -> u32 {
 pub struct SoloRunner {
     sim: SeqEmSimulator,
     stages: Mutex<Vec<CostReport>>,
-    fingerprint: Mutex<u32>,
+    fingerprint: Mutex<Fingerprint>,
 }
 
 impl SoloRunner {
     /// Wrap a configured simulator.
     pub fn new(sim: SeqEmSimulator) -> Self {
-        SoloRunner { sim, stages: Mutex::new(Vec::new()), fingerprint: Mutex::new(0) }
+        SoloRunner {
+            sim,
+            stages: Mutex::new(Vec::new()),
+            fingerprint: Mutex::new(Fingerprint::default()),
+        }
     }
 
     /// Rolling CRC-32 over the serialized final states of every stage.
     pub fn state_fingerprint(&self) -> u32 {
-        *self.fingerprint.lock()
+        self.fingerprint.lock().value
     }
 
     /// The per-stage reports and final fingerprint.
     pub fn finish(self) -> (Vec<CostReport>, u32) {
-        (self.stages.into_inner(), self.fingerprint.into_inner())
+        (self.stages.into_inner(), self.fingerprint.into_inner().value)
     }
 }
 
@@ -923,9 +940,7 @@ impl Executor for SoloRunner {
         states: Vec<P::State>,
     ) -> Result<RunResult<P::State>, ExecError> {
         let (res, report) = self.sim.run(prog, states).map_err(|e| Box::new(e) as ExecError)?;
-        let mut fp = self.fingerprint.lock();
-        *fp = fold_fingerprint(*fp, &res.states);
-        drop(fp);
+        self.fingerprint.lock().fold(&res.states);
         self.stages.lock().push(report);
         Ok(res)
     }
@@ -1184,6 +1199,26 @@ mod tests {
         assert!(matches!(*err, ServiceError::DeclaredMuExceeded { declared: 4, actual: 8 }));
         // A rejected program costs nothing.
         assert_eq!(lease.stages_metered(), 0);
+    }
+
+    #[test]
+    fn fingerprint_covers_every_state_and_every_earlier_stage() {
+        fn fold<S: em_serial::Serial>(prev: u32, states: &[S]) -> u32 {
+            let mut fp = Fingerprint { value: prev, scratch: Vec::new() };
+            fp.fold(states);
+            fp.value
+        }
+        // Two state vectors that differ only in an earlier element.
+        let a = fold(0, &[1u64, 2, 3]);
+        assert_ne!(a, fold(0, &[9u64, 2, 3]));
+        assert_ne!(a, fold(0, &[1u64, 9, 3]));
+        assert_ne!(a, fold(0, &[1u64, 2, 9]));
+        // It chains: the same stage after a different history differs too.
+        assert_ne!(fold(a, &[5u64]), fold(a ^ 1, &[5u64]));
+        // And it is the CRC of `prev ‖ every state`, nothing else.
+        let mut bytes = 7u32.to_le_bytes().to_vec();
+        bytes.extend([1u64, 2].iter().flat_map(em_serial::to_bytes));
+        assert_eq!(fold(7, &[1u64, 2]), em_disk::crc32(&bytes));
     }
 
     #[test]

@@ -1,0 +1,105 @@
+#!/usr/bin/env bash
+# Parent-vs-change benchmark pairs, the way a PR that claims a gain has to
+# report them (EXPERIMENTS.md, "Layer chain"): both `embench` binaries
+# built once, then alternating `driver` runs on matched seeds, per-metric
+# medians, quartiles and win counts.
+#
+# Usage: scripts/bench-pair.sh <parent-ref> <workload> [pairs]
+#   <parent-ref>  any commit-ish of this repository (HEAD~1, a hash, main)
+#   <workload>    sort-mem | sort-file | listrank-par | service-mix
+#   [pairs]       parent/change pairs to run (default 10)
+#
+# The change is the working tree as it stands. The parent is exported with
+# `git archive` into a scratch directory, both binaries are built into
+# target directories there, and every run's `.bench_scratch` lands there
+# too: nothing is written inside benchmark/ or anywhere else in the
+# checkout. Scratch directory: $BENCH_PAIR_DIR, default
+# ${TMPDIR:-/tmp}/em-bench-pair (kept between calls, so a second workload
+# reuses the builds). Run length is the driver's own: BENCHMARK.json's
+# `run_seconds`. Needs python3 for the arithmetic.
+set -euo pipefail
+
+if [ $# -lt 2 ] || [ $# -gt 3 ]; then
+    sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
+    exit 2
+fi
+PARENT_REF="$1"
+WORKLOAD="$2"
+PAIRS="${3:-10}"
+
+ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+SCRATCH="${BENCH_PAIR_DIR:-${TMPDIR:-/tmp}/em-bench-pair}"
+SECONDS_PER_RUN="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$ROOT/BENCHMARK.json")"
+# Seeds no committed row was tuned on; pair i uses BASE_SEED + i on both sides.
+BASE_SEED="${BENCH_PAIR_SEED:-4000}"
+
+parent_sha="$(git -C "$ROOT" rev-parse --verify "$PARENT_REF^{commit}")"
+mkdir -p "$SCRATCH/bin" "$SCRATCH/runs"
+
+# The parent's source, exported once per commit.
+if [ "$(cat "$SCRATCH/parent.sha" 2>/dev/null || true)" != "$parent_sha" ]; then
+    rm -rf "$SCRATCH/parent"
+    mkdir -p "$SCRATCH/parent"
+    git -C "$ROOT" archive "$parent_sha" | tar -x -C "$SCRATCH/parent"
+    echo "$parent_sha" >"$SCRATCH/parent.sha"
+fi
+
+build() { # <side> <source root>
+    echo "building $1 ($2)" >&2
+    CARGO_TARGET_DIR="$SCRATCH/target-$1" cargo build --release --offline --quiet \
+        --manifest-path "$2/benchmark/embench/Cargo.toml"
+    cp "$SCRATCH/target-$1/release/embench" "$SCRATCH/bin/embench-$1"
+}
+build parent "$SCRATCH/parent"
+build change "$ROOT"
+
+run_side() { # <side> <pair index>
+    local out="$SCRATCH/runs/$WORKLOAD-$1-$2.json"
+    (cd "$SCRATCH" && "bin/embench-$1" driver --workload "$WORKLOAD" \
+        --seed "$((BASE_SEED + $2))" --seconds "$SECONDS_PER_RUN" --trace 0 | tail -n 1) >"$out"
+    echo "  pair $2 $1: $(python3 -c '
+import json, sys
+m = json.load(open(sys.argv[1]))["metrics"]
+print(", ".join("%s %.4g" % (k, v["value"]) for k, v in m.items()))' "$out")" >&2
+}
+
+echo "$WORKLOAD: $PAIRS pairs of ${SECONDS_PER_RUN}s runs, parent $parent_sha" >&2
+rm -f "$SCRATCH/runs/$WORKLOAD"-*.json
+for i in $(seq 1 "$PAIRS"); do
+    # Alternate which side runs first, so drift favours neither.
+    if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+    for side in $order; do run_side "$side" "$i"; done
+done
+
+python3 - "$SCRATCH/runs" "$WORKLOAD" "$PAIRS" "$ROOT/BENCHMARK.json" <<'EOF'
+import json, statistics, sys
+runs, workload, pairs, spec = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+better = {m["name"]: m["better"] for m in json.load(open(spec))["end_to_end"]}
+def load(side, i):
+    return json.load(open(f"{runs}/{workload}-{side}-{i}.json"))
+def quartiles(xs):
+    if len(xs) < 2:
+        return xs[0], xs[0]
+    q = statistics.quantiles(xs, n=4, method="inclusive")
+    return q[0], q[2]
+sides = {s: [load(s, i) for i in range(1, pairs + 1)] for s in ("parent", "change")}
+failed = {s: sum(r["failed"] for r in rs) for s, rs in sides.items()}
+attempted = {s: sum(r["attempted"] for r in rs) for s, rs in sides.items()}
+print(f"\n{workload}: {pairs} pairs; failed/attempted parent {failed['parent']}/{attempted['parent']}, "
+      f"change {failed['change']}/{attempted['change']}")
+print(f"{'metric':<18} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'delta':>8}  wins/ties/losses")
+for name, direction in better.items():
+    p = [r["metrics"][name]["value"] for r in sides["parent"]]
+    c = [r["metrics"][name]["value"] for r in sides["change"]]
+    sign = -1 if direction == "lower" else 1
+    wins = sum(sign * (y - x) > 0 for x, y in zip(p, c))
+    ties = sum(x == y for x, y in zip(p, c))
+    mp, mc = statistics.median(p), statistics.median(c)
+    (p1, p3), (c1, c3) = quartiles(p), quartiles(c)
+    delta = f"{(mc - mp) / mp * 100:+.1f}%" if mp else "n/a"
+    print(f"{name:<18} {mp:>12.5g} [{p1:.5g}, {p3:.5g}]".ljust(54)
+          + f"{mc:>12.5g} [{c1:.5g}, {c3:.5g}]".ljust(36)
+          + f"{delta:>8}  {wins}/{ties}/{pairs - wins - ties}")
+print("a gain counts when the change wins at least 9 pairs in 10 and the medians differ by more "
+      "than the parent's q3 - q1; otherwise report the metric as unresolved or unchanged")
+EOF

@@ -34,21 +34,43 @@ impl BspProgram for AddOne {
     }
 }
 
-/// Current threads of this process whose name starts with any of the
-/// given prefixes, sorted. `None` when `/proc` is unavailable.
-fn named_threads(prefixes: &[&str]) -> Option<Vec<String>> {
+/// The names of this process's current threads. `None` when `/proc` is
+/// unavailable.
+fn thread_names() -> Option<Vec<String>> {
     let tasks = std::fs::read_dir("/proc/self/task").ok()?;
-    let mut out = Vec::new();
-    for task in tasks.flatten() {
-        let comm = task.path().join("comm");
-        let Ok(name) = std::fs::read_to_string(comm) else { continue };
-        let name = name.trim().to_string();
-        if prefixes.iter().any(|p| name.starts_with(p)) {
-            out.push(name);
+    Some(
+        tasks
+            .flatten()
+            .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+            .map(|name| name.trim().to_string())
+            .collect(),
+    )
+}
+
+/// Current threads of this process whose name starts with any of the
+/// given prefixes, sorted — read once `/proc` has caught up with the thread
+/// API. It lags by a scheduling quantum both ways: a spawned worker carries
+/// its spawner's name (this test thread's) until it has run far enough to
+/// set its own, and a joined one stays listed until the kernel reaps the
+/// task. So read until no other thread still has this thread's name and
+/// two snapshots a couple of milliseconds apart agree; the sleep is also
+/// what lets a fresh worker run on a busy host.
+fn named_threads(prefixes: &[&str]) -> Option<Vec<String>> {
+    let me = std::fs::read_to_string("/proc/thread-self/comm").ok()?.trim().to_string();
+    let mut last: Option<Vec<String>> = None;
+    for _ in 0..500 {
+        let all = thread_names()?;
+        let unnamed = all.iter().filter(|name| **name == me).count() - 1;
+        let mut now: Vec<String> =
+            (all.into_iter()).filter(|name| prefixes.iter().any(|p| name.starts_with(p))).collect();
+        now.sort();
+        if unnamed == 0 && last.as_ref() == Some(&now) {
+            break;
         }
+        last = Some(now);
+        std::thread::sleep(std::time::Duration::from_millis(2));
     }
-    out.sort();
-    Some(out)
+    last
 }
 
 const PREFIXES: [&str; 3] = ["em-disk-d", "em-compute-w", "em-disk-uring"];
