@@ -14,9 +14,11 @@
 //! **Determinism is by construction, not by synchronization.** Every vp
 //! gets a pre-built [`VpWork`] slot (its context bytes and its inbox) and
 //! fills a dedicated [`VpSlot`] result (its re-encoded context and its
-//! ordered outbox, with per-sender `seq` numbers assigned vp-locally).
-//! Workers never share mutable state; the parent concatenates the slots
-//! in vp order afterwards. The bytes written to disk, the canonical
+//! outbox — a [`MsgBatch`] of its own, in send order, with per-sender
+//! `seq` numbers assigned vp-locally). Workers never share mutable state;
+//! the parent concatenates the slots in vp order afterwards, which is why
+//! a round's batch is born in `(src, seq)` order. The bytes written to
+//! disk, the canonical
 //! `(src, per-sender send order)` inbox contract of the *next* superstep,
 //! the communication ledger and every counted I/O operation are therefore
 //! bit-identical across modes — the knob only changes which OS thread
@@ -35,10 +37,10 @@
 //! rewinding — no *group* state outlives the dispatch, only the idle
 //! threads do.
 
-use crate::msg::{OutMsg, MSG_HEADER_BYTES};
+use crate::msg::{MsgBatch, MSG_HEADER_BYTES};
 use crate::{EmError, EmResult};
 use em_bsp::{BspError, BspProgram, Envelope, Mailbox, Step};
-use em_serial::{from_bytes, to_bytes, to_bytes_into};
+use em_serial::{from_bytes, to_bytes_into, Serial};
 use std::any::Any;
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -338,8 +340,9 @@ pub(crate) struct VpWork<M> {
 pub(crate) struct VpSlot {
     /// The re-encoded context (reuses the [`VpWork::ctx`] allocation).
     pub state_bytes: Vec<u8>,
-    /// Outgoing envelopes in send order, with vp-local `seq` numbers.
-    pub outbox: Vec<OutMsg>,
+    /// Outgoing messages in send order, with vp-local `seq` numbers, each
+    /// encoded once, into this batch's arena.
+    pub outbox: MsgBatch,
     /// Messages sent by this vp.
     pub msgs_sent: u64,
     /// Payload bytes sent by this vp.
@@ -372,17 +375,18 @@ fn run_one_vp<P: BspProgram>(
     let status = prog.superstep(step, &mut mb, &mut state);
     let (out, msgs_sent, bytes_sent, work) = mb.into_outgoing();
 
-    let mut outbox = Vec::with_capacity(out.len());
+    // A program's own byte count sizes the arena; one over γ fails below.
+    let mut outbox = MsgBatch::with_capacity(
+        out.len(),
+        usize::try_from(bytes_sent).map_or(gamma, |bytes| bytes.min(gamma)),
+    );
     let mut envelope_bytes = 0u64;
     for (seq, (dst, msg)) in out.into_iter().enumerate() {
         if dst >= v {
             return Err(EmError::Bsp(BspError::InvalidDestination { dst, nprocs: v }));
         }
-        // Per-message payloads stay owned allocations: `OutMsg` hands the
-        // payload off to the block cutter, so there is no buffer to reuse.
-        let payload = to_bytes(&msg);
-        envelope_bytes += (MSG_HEADER_BYTES + payload.len()) as u64;
-        outbox.push(OutMsg { dst: dst as u32, src: w.pid as u32, seq: seq as u32, payload });
+        let len = outbox.push_with(dst as u32, w.pid as u32, seq as u32, |arena| msg.encode(arena));
+        envelope_bytes += (MSG_HEADER_BYTES + len) as u64;
     }
     if envelope_bytes > gamma as u64 {
         return Err(EmError::CommBudgetExceeded {
@@ -482,6 +486,7 @@ pub(crate) fn run_group_vps<P: BspProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_serial::to_bytes;
 
     struct Echo;
     impl BspProgram for Echo {
@@ -527,13 +532,8 @@ mod tests {
                 for (a, b) in serial.iter().zip(&threaded) {
                     let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
                     assert_eq!(a.state_bytes, b.state_bytes);
-                    assert_eq!(a.outbox.len(), b.outbox.len());
-                    for (x, y) in a.outbox.iter().zip(&b.outbox) {
-                        assert_eq!(
-                            (x.dst, x.src, x.seq, &x.payload),
-                            (y.dst, y.src, y.seq, &y.payload)
-                        );
-                    }
+                    assert_eq!(a.outbox.iter().count(), 1, "Echo sends one message per vp");
+                    assert!(a.outbox.iter().eq(b.outbox.iter()), "outbox batches differ");
                     assert_eq!(
                         (a.msgs_sent, a.bytes_sent, a.recv_bytes, a.recv_msgs, a.work, a.continued),
                         (b.msgs_sent, b.bytes_sent, b.recv_bytes, b.recv_msgs, b.work, b.continued)

@@ -57,6 +57,19 @@ pub enum EmError {
     },
     /// A configuration parameter combination is invalid.
     InvalidConfig(String),
+    /// Message blocks read back from disk (or passed on by another
+    /// processor) do not form the stream that was written: a block of the
+    /// stream is missing or repeated, the stream stops inside an envelope,
+    /// or a message addresses a virtual processor the blocks were not read
+    /// for.
+    CorruptMessageStream {
+        /// Source tag of the stream's blocks (its producer's slot).
+        src_tag: u32,
+        /// Destination tag of the stream's blocks.
+        dst_tag: u32,
+        /// What was found.
+        what: &'static str,
+    },
     /// A disk fault survived the substrate's retry policy and exhausted
     /// the superstep replay budget — or was inherently unrecoverable, such
     /// as a dead drive worker. Carries the full injection/recovery tally.
@@ -103,6 +116,9 @@ impl fmt::Display for EmError {
                 "machine memory M = {m_bytes} bytes cannot hold one context ({needed} bytes needed); k = ⌊M/μ⌋ = 0"
             ),
             EmError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            EmError::CorruptMessageStream { src_tag, dst_tag, what } => {
+                write!(f, "message stream {src_tag} → {dst_tag} is corrupt on disk: {what}")
+            }
             EmError::FaultUnrecoverable { step, report, source } => write!(
                 f,
                 "superstep {step} could not be recovered ({} replays performed, {} retried blocks): {source}",

@@ -52,8 +52,8 @@ use crate::compute::{run_group_vps, VpWork};
 use crate::context_store::{BufferPool, ContextStore, PendingGroupRead};
 use crate::msg::{
     build_stream_blocks, reassemble_blocks, store_received_blocks_deferred,
-    submit_fetch_batch_raw_blocks, GroupCounts, InMsg, MsgGeometry, OutMsg, PendingRawBlocks,
-    RawBlock, ScratchState,
+    submit_fetch_batch_raw_blocks, CutScratch, GroupCounts, MsgBatch, MsgGeometry,
+    PendingRawBlocks, RawBlock, ScratchState,
 };
 use crate::report::{PhaseIo, PhaseWall};
 use crate::routing::{simulate_routing, RoutingScratch};
@@ -397,8 +397,8 @@ impl Shared {
     /// a disk-rooted error (raw or already wrapped in
     /// [`EmError::FaultUnrecoverable`]) replaces a co-failing thread's
     /// derived logic error: when a drive dies mid-exchange, the *other*
-    /// processors decode the faulty processor's partial bundles and fail
-    /// with truncated/misrouted-block errors whose root cause is the fault
+    /// processors reassemble the faulty processor's partial bundles and fail
+    /// with [`EmError::CorruptMessageStream`], whose root cause is the fault
     /// — the typed error must surface regardless of which thread registers
     /// first.
     fn fail(&self, e: EmError) {
@@ -787,6 +787,16 @@ struct Worker<'a, P, T> {
     ctx_pool: BufferPool,
     /// Same deal for the routing merge pass's bookkeeping.
     routing_scratch: RoutingScratch,
+    /// The round's delivered messages, and the messages it generates: one
+    /// batch each, refilled every round, so their index and arena stop
+    /// allocating once they have grown to the largest round.
+    inbox: MsgBatch,
+    outbox: MsgBatch,
+    cut_scratch: CutScratch,
+    /// `B`-byte buffers for the blocks the Writing Phase cuts; every block
+    /// stored on the local disks hands its buffer back. Kept apart from
+    /// `ctx_pool`, which the context path sizes to a whole context.
+    block_pool: BufferPool,
     /// This attempt's failure. A zombie keeps the lockstep protocol alive
     /// with empty bundles and touches its disks no more.
     zombie: Option<EmError>,
@@ -871,6 +881,10 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             walls: PhaseWall::default(),
             ctx_pool: BufferPool::new(),
             routing_scratch: RoutingScratch::new(),
+            inbox: MsgBatch::default(),
+            outbox: MsgBatch::default(),
+            cut_scratch: CutScratch::default(),
+            block_pool: BufferPool::new(),
             zombie: None,
             decision_no: 0,
         })
@@ -1155,25 +1169,26 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             return Ok(self.no_bundles());
         }
         let pids = self.env.shape.pids(self.i, batch);
-        let (ctx_bufs, msgs) = self.deliver(batch, &pids, pending_ctx, my_blocks)?;
-        let (new_states, outgoing) = self.compute(step, &pids, ctx_bufs, msgs)?;
-        self.write_back(att, batch, &pids, new_states, outgoing)
+        let ctx_bufs = self.deliver(batch, &pids, pending_ctx, my_blocks)?;
+        let new_states = self.compute(step, &pids, ctx_bufs)?;
+        self.write_back(att, batch, &pids, new_states)
     }
 
     /// Fetching Phase, owner half: reassemble the delivered `(src, dst)`
-    /// streams and join the round's contexts — fetched in one
-    /// fully-striped batch (the `k` regions of a round are consecutive on
-    /// this worker). A pipelined run submitted (and counted) the read
-    /// before the block-forwarding exchange; only the join happens here.
+    /// streams into the round's inbox and join the round's contexts —
+    /// fetched in one fully-striped batch (the `k` regions of a round are
+    /// consecutive on this worker). A pipelined run submitted (and
+    /// counted) the read before the block-forwarding exchange; only the
+    /// join happens here.
     fn deliver(
         &mut self,
         batch: usize,
         pids: &Range<usize>,
         pending_ctx: Option<PendingGroupRead>,
         my_blocks: Vec<RawBlock>,
-    ) -> EmResult<(Vec<Vec<u8>>, Vec<InMsg>)> {
+    ) -> EmResult<Vec<Vec<u8>>> {
         let t0 = Instant::now();
-        let msgs = reassemble_blocks(my_blocks)?;
+        reassemble_blocks(&my_blocks, pids.clone(), &mut self.inbox)?;
         let ctx_bufs = if pids.is_empty() {
             Vec::new()
         } else if let Some(pending) = pending_ctx {
@@ -1186,21 +1201,22 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             pending?.join_into(&mut self.ctx_pool)?
         };
         self.walls.fetch += t0.elapsed();
-        Ok((ctx_bufs, msgs))
+        Ok(ctx_bufs)
     }
 
-    /// Computing Phase: distribute the delivered messages to per-pid
-    /// inboxes and run the superstep for every virtual processor of the
-    /// round through the shared per-vp kernel, serial or pooled. Returns
-    /// `(serialized contexts, outgoing messages)` concatenated in vp
-    /// order. Pure with respect to the disks.
+    /// Computing Phase: decode the delivered messages into per-pid inboxes
+    /// and run the superstep for every virtual processor of the round
+    /// through the shared per-vp kernel, serial or pooled. Returns the
+    /// serialized contexts in vp order and leaves the generated messages
+    /// in `self.outbox`: the vps' batches concatenated in vp order, so its
+    /// records are in `(src, seq)` order without a sort. Pure with respect
+    /// to the disks.
     fn compute(
         &mut self,
         step: usize,
         pids: &Range<usize>,
         ctx_bufs: Vec<Vec<u8>>,
-        msgs: Vec<InMsg>,
-    ) -> EmResult<(Vec<Vec<u8>>, Vec<OutMsg>)> {
+    ) -> EmResult<Vec<Vec<u8>>> {
         let t0 = Instant::now();
         let env = self.env;
         let (shape, shared) = (env.shape, &env.shared);
@@ -1209,19 +1225,16 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             .zip(ctx_bufs)
             .map(|(pid, ctx)| VpWork { pid, ctx, inbox: Vec::new(), recv_bytes: 0, recv_msgs: 0 })
             .collect();
-        for m in msgs {
-            let dst = m.dst as usize;
-            let w = dst
-                .checked_sub(pids.start)
-                .and_then(|local| work.get_mut(local))
-                .ok_or_else(|| EmError::InvalidConfig(format!("block for pid {dst} misrouted")))?;
+        for m in self.inbox.iter() {
+            // `deliver` admitted only messages for this round's `pids`.
+            let w = &mut work[m.dst as usize - pids.start];
             w.recv_bytes += m.payload.len() as u64;
             w.recv_msgs += 1;
-            w.inbox.push((m.src, m.seq, from_bytes(&m.payload)?));
+            w.inbox.push((m.src, m.seq, from_bytes(m.payload)?));
         }
 
         let mut new_states: Vec<Vec<u8>> = Vec::with_capacity(pids.len());
-        let mut outgoing: Vec<OutMsg> = Vec::new();
+        self.outbox.clear();
         let (mut round, mut continued) = (SuperstepComm::default(), false);
         for slot in run_group_vps(
             env.prog,
@@ -1239,25 +1252,24 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             round.h_bytes = round.h_bytes.max(slot.bytes_sent).max(slot.recv_bytes);
             round.h_msgs = round.h_msgs.max(slot.msgs_sent).max(slot.recv_msgs);
             round.w_comp = round.w_comp.max(slot.work);
-            outgoing.extend(slot.outbox);
+            self.outbox.append(&slot.outbox);
             new_states.push(slot.state_bytes);
         }
         shared.add_comm(&round, continued);
         self.walls.compute += t0.elapsed();
-        Ok((new_states, outgoing))
+        Ok(new_states)
     }
 
     /// Writing Phase, producer half: write the changed contexts back in
     /// one fully-striped batch — deferred into the superstep's backlog
-    /// when pipelined — then cut the generated messages into blocks and
-    /// pick each block's target worker.
+    /// when pipelined — then cut the round's outbox into blocks and pick
+    /// each block's target worker.
     fn write_back(
         &mut self,
         att: &mut Attempt,
         batch: usize,
         pids: &Range<usize>,
         new_states: Vec<Vec<u8>>,
-        outgoing: Vec<OutMsg>,
     ) -> EmResult<Vec<Vec<RawBlock>>> {
         let t0 = Instant::now();
         let shape = self.env.shape;
@@ -1280,8 +1292,14 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         // pid of this (worker, round) slice is unique across all (worker,
         // round) pairs of the superstep — a collision-free source tag.
         let (p, k) = (shape.p, shape.k as u32);
-        let blocks =
-            build_stream_blocks(self.geom.block_bytes, outgoing, pids.start as u32, |dst| dst / k);
+        let blocks = build_stream_blocks(
+            self.geom.block_bytes,
+            &self.outbox,
+            pids.start as u32,
+            |dst| dst / k,
+            &mut self.cut_scratch,
+            &mut self.block_pool,
+        )?;
         if !blocks.is_empty() {
             self.env.shared.any_msgs.store(true, Ordering::Relaxed);
         }
@@ -1316,6 +1334,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                 &mut att.rng,
                 self.env.cfg.placement,
                 &mut att.backlog,
+                &mut self.block_pool,
             )
             .and_then(|()| self.settle(&mut att.backlog));
             self.phases.scatter += self.disks.stats().parallel_ops - ops0;

@@ -251,7 +251,7 @@ impl SimConfig {
     /// Dress an unrecoverable error in [`EmError::FaultUnrecoverable`] with
     /// the injection/recovery tally — but only for disk errors of a run
     /// that had fault machinery enabled; logic errors (γ violations,
-    /// misrouted blocks, ...) and already-wrapped errors pass through
+    /// corrupt message streams, ...) and already-wrapped errors pass through
     /// untouched.
     pub fn wrap_fault(
         &self,

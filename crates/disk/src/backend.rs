@@ -371,7 +371,11 @@ impl DiskBackend for MemoryBackend {
         if tracks.len() <= track {
             tracks.resize_with(track + 1, || None);
         }
-        tracks[track] = Some(data.to_vec().into_boxed_slice());
+        match &mut tracks[track] {
+            // Rewriting a track reuses the buffer it already holds.
+            Some(held) if held.len() == data.len() => held.copy_from_slice(data),
+            slot => *slot = Some(data.into()),
+        }
         Ok(())
     }
 
@@ -1062,6 +1066,15 @@ mod tests {
         be.read_track(0, 3, &mut buf).unwrap();
         assert_eq!(buf, [7u8; 8]);
         assert_eq!(be.tracks_used(0), 4);
+        // A rewrite replaces the bytes, whether or not the length is the
+        // one the track holds.
+        be.write_track(0, 3, &[9u8; 8]).unwrap();
+        be.read_track(0, 3, &mut buf).unwrap();
+        assert_eq!((buf, be.resident_bytes()), ([9u8; 8], 8));
+        be.write_track(0, 3, &[5u8; 12]).unwrap();
+        let mut wider = [0u8; 12];
+        be.read_track(0, 3, &mut wider).unwrap();
+        assert_eq!((wider, be.resident_bytes(), be.tracks_used(0)), ([5u8; 12], 12, 4));
     }
 
     fn file_round_trip(mode: IoMode, tag: &str) {
