@@ -794,7 +794,8 @@ struct Worker<'a, P, T> {
     outbox: MsgBatch,
     cut_scratch: CutScratch,
     /// `B`-byte buffers for the blocks the Writing Phase cuts; every block
-    /// stored on the local disks hands its buffer back. Kept apart from
+    /// stored on the local disks hands its buffer back, and Algorithm 2
+    /// borrows a window of them to move blocks through. Kept apart from
     /// `ctx_pool`, which the context path sizes to a whole context.
     block_pool: BufferPool,
     /// This attempt's failure. A zombie keeps the lockstep protocol alive
@@ -1367,7 +1368,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                 &self.geom,
                 scratch,
                 &mut self.routing_scratch,
-                &mut self.ctx_pool,
+                &mut self.block_pool,
                 self.env.pool.as_ref(),
             ) {
                 Ok((counts, _trace)) => self.counts = counts,

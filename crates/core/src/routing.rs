@@ -25,25 +25,39 @@
 //! `(round, read location, write location)` schedule of every block — that
 //! are built fanned out across the simulator's persistent [`ComputePool`]
 //! (one chunk of buckets per worker, pre-sized disjoint slots, joined in
-//! bucket order) and then *assembled* into read/write stripes by a serial
-//! per-round loop that does nothing but zip precomputed locations with
-//! fetched blocks. The schedule is closed-form, not a parallelized cursor
-//! scan: the serial Step 1 loop probes pile `(b, (b+j) mod D)` at round
-//! `j` and consumes its next entry on a hit, piles never grow, and a pile
-//! is probed exactly every `D` rounds — so entry `c` of pile `(b, dd)` is
-//! consumed at exactly round `((dd − b) mod D) + c·D`. Emitting entries in
-//! that order reproduces the serial stripes bit for bit, which makes the
+//! bucket order) and then *applied* by a serial loop that does nothing but
+//! gather the precomputed locations of the next rounds and hand them to
+//! the array as one move. The schedule is closed-form, not a parallelized
+//! cursor scan: the serial Step 1 loop probes pile `(b, (b+j) mod D)` at
+//! round `j` and consumes its next entry on a hit, piles never grow, and a
+//! pile is probed exactly every `D` rounds — so entry `c` of pile `(b, dd)`
+//! is consumed at exactly round `((dd − b) mod D) + c·D`. Emitting entries
+//! in that order reproduces the serial stripes bit for bit, which makes the
 //! fan-out invisible to everything counted: stripes, their order, counted
 //! I/O, the trace and the final layout are identical by construction, and
 //! only [`crate::PhaseWall::reorganize`] may change. The closed form also
 //! retires the serial loop's stall guard: every entry is scheduled at a
 //! finite round up front, so non-termination is impossible rather than
 //! merely detected.
+//!
+//! # Moving, not making (DESIGN.md §3.2.11)
+//!
+//! A round is one read stripe and one write stripe of the same blocks, and
+//! neither step looks inside a block. So the rounds are not issued one by
+//! one: a **window** of consecutive rounds goes to
+//! [`DiskArray::move_batch`] — all of the window's reads, then all of its
+//! writes, counted as the `2 ·` rounds parallel operations they are —
+//! through at most [`WINDOW_BLOCKS`] `B`-byte buffers borrowed from the
+//! caller's pool for the duration of the call. Reading a window ahead of
+//! its writes is safe because each step reads one region and writes
+//! another: Step 1 reads scratch tracks (allocated past the reserved
+//! areas) and writes the staging area, Step 2 reads the staging area and
+//! writes the final area, and the three never overlap.
 
 use crate::context_store::BufferPool;
 use crate::msg::{GroupCounts, MsgGeometry, ScratchState};
 use crate::{ComputePool, EmResult};
-use em_disk::{Block, DiskArray, TrackAllocator};
+use em_disk::{DiskArray, TrackAllocator};
 
 /// Observability record of one routing invocation (drives the Figure 2
 /// trace experiment and the ablation benches).
@@ -74,11 +88,18 @@ struct PlanEntry {
     write: (usize, usize),
 }
 
+/// Most blocks one [`DiskArray::move_batch`] carries: the buffers routing
+/// borrows, and so the memory Algorithm 2 holds beyond its plans. The paper
+/// needs `O(D·B)` — one round; the window is a constant number of blocks
+/// more, never more than one group's message budget (which the Fetching
+/// Phase holds in memory anyway) and never less than one round.
+const WINDOW_BLOCKS: usize = 64;
+
 /// Reusable bookkeeping for [`simulate_routing`]: the per-bucket plan
-/// buffers and the per-round read/write staging vectors of the merge pass.
+/// buffers and the location lists of the window being moved.
 ///
-/// The simulators keep one per run next to their context [`BufferPool`],
-/// so steady-state routing stops allocating fresh scratch each superstep —
+/// The simulators keep one per run next to their [`BufferPool`]s, so
+/// steady-state routing stops allocating fresh scratch each superstep —
 /// the per-bucket plan `Vec`s round-trip through the pooled plan builders
 /// (taken, refilled by a worker, stored back), so their capacity survives
 /// supersteps no matter which worker filled them. Like the pool it caches
@@ -91,12 +112,12 @@ pub struct RoutingScratch {
     plans: Vec<Vec<PlanEntry>>,
     /// Per-bucket cursors into the sorted plans during round assembly.
     plan_cursors: Vec<usize>,
-    /// Read stripe staging: `(disk, track)` per slot this round.
-    reads: Vec<(usize, usize)>,
-    /// Write locations per slot this round, aligned with `reads`.
-    meta: Vec<(usize, usize)>,
-    /// Write stripe staging; payloads drain into the caller's pool.
-    writes: Vec<(usize, usize, Block)>,
+    /// The window's rounds: how many blocks each moves.
+    stripes: Vec<usize>,
+    /// Where every block of the window is read, round by round.
+    from: Vec<(usize, usize)>,
+    /// Where each is written, aligned with `from`.
+    to: Vec<(usize, usize)>,
     /// Step 2 per-bucket staged-block totals.
     staged: Vec<usize>,
 }
@@ -108,50 +129,52 @@ impl RoutingScratch {
     }
 }
 
-/// Emit the plans' rounds in order: per round, gather the due entry of
-/// every bucket (bucket order — exactly the serial probe order), read the
-/// stripe, zip the fetched blocks with their precomputed write locations,
-/// write the stripe, and recycle the payloads into `pool`. Returns the
-/// number of non-empty rounds. Purely mechanical: every decision was made
-/// in the plans, so the loop body is identical for both routing steps.
-fn assemble_rounds(
+/// Apply the plans' rounds in order. Per round the due entry of every
+/// bucket is gathered in bucket order — exactly the serial probe order —
+/// as one read stripe and one write stripe; rounds are gathered for as long
+/// as the next one is sure to fit the lent buffers, and the window is then
+/// moved in one call. Returns the number of non-empty rounds. Purely
+/// mechanical: every decision was made in the plans, so the loop body is
+/// identical for both routing steps.
+fn move_rounds(
     disks: &mut DiskArray,
     plans: &[Vec<PlanEntry>],
     routing: &mut RoutingScratch,
-    pool: &mut BufferPool,
+    lent: &mut [Vec<u8>],
 ) -> EmResult<usize> {
     let total: usize = plans.iter().map(Vec::len).sum();
+    debug_assert!(lent.len() >= plans.len().min(total), "a round must fit the lent buffers");
     routing.plan_cursors.clear();
     routing.plan_cursors.resize(plans.len(), 0);
-    let mut emitted = 0usize;
+    let mut moved = 0usize;
     let mut rounds = 0usize;
     let mut j = 0usize;
-    while emitted < total {
-        routing.reads.clear();
-        routing.meta.clear();
-        for (bucket, plan) in plans.iter().enumerate() {
-            let cur = routing.plan_cursors[bucket];
-            if let Some(e) = plan.get(cur) {
-                if e.round == j {
-                    routing.plan_cursors[bucket] = cur + 1;
-                    routing.reads.push(e.read);
-                    routing.meta.push(e.write);
+    while moved < total {
+        routing.stripes.clear();
+        routing.from.clear();
+        routing.to.clear();
+        // A round moves at most one block per bucket, and no more than
+        // are left.
+        while routing.from.len() + plans.len().min(total - moved) <= lent.len() && moved < total {
+            let gathered = routing.from.len();
+            for (bucket, plan) in plans.iter().enumerate() {
+                let cur = routing.plan_cursors[bucket];
+                if let Some(e) = plan.get(cur) {
+                    if e.round == j {
+                        routing.plan_cursors[bucket] = cur + 1;
+                        routing.from.push(e.read);
+                        routing.to.push(e.write);
+                    }
                 }
             }
+            j += 1;
+            if routing.from.len() > gathered {
+                routing.stripes.push(routing.from.len() - gathered);
+                moved += routing.from.len() - gathered;
+            }
         }
-        j += 1;
-        if routing.reads.is_empty() {
-            continue;
-        }
-        rounds += 1;
-        emitted += routing.reads.len();
-        let blocks = disks.read_stripe(&routing.reads)?;
-        routing.writes.clear();
-        routing
-            .writes
-            .extend(routing.meta.iter().zip(blocks).map(|(&(dk, tk), block)| (dk, tk, block)));
-        disks.write_stripe(&routing.writes)?;
-        pool.put_all(routing.writes.drain(..).map(|(_, _, b)| b.into_vec()));
+        rounds += routing.stripes.len();
+        disks.move_batch(&routing.stripes, &routing.from, &routing.to, lent)?;
     }
     Ok(rounds)
 }
@@ -159,18 +182,21 @@ fn assemble_rounds(
 /// Run Algorithm 2, consuming the superstep's scratch state and returning
 /// the [`GroupCounts`] that the next superstep's Fetching Phase will use.
 ///
-/// `routing` carries the merge pass's bookkeeping capacity across
-/// supersteps, and the [`Block`] payloads of every stripe written here are
-/// recycled into `pool` — the same free list the Fetching Phase draws
-/// context buffers from — so steady-state routing is allocation-free
-/// except for the blocks materialized by the disk reads themselves.
+/// `routing` carries the bookkeeping capacity across supersteps. `pool`
+/// lends the `B`-byte buffers the blocks travel through: one window's
+/// worth (at most 64; fewer when the superstep or a group's message budget
+/// is smaller) is taken when the call starts and handed back when it ends.
+/// Afterwards the pool therefore holds at most one window more than before,
+/// however many blocks were moved, and a pool that already held a window
+/// makes routing allocation-free per block. The simulators lend the pool
+/// their message blocks are cut from, whose buffers are `B` bytes already.
 ///
 /// With `compute = Some(pool)` the whole reorganization schedule — the
 /// closed-form Step 1 gather plan and the Step 2 rotation plan (rank →
 /// staging and rotation → final placement of every block) — is built
 /// fanned out across the persistent worker pool, one chunk of buckets per
 /// worker into pre-sized disjoint slots joined in bucket order; the
-/// per-round loop then only assembles precomputed locations into stripes.
+/// serial loop then only gathers precomputed locations into moves.
 /// The stripes, their order, counted I/O, the [`RoutingTrace`] and the
 /// resulting layout are bit-identical to the serial path by construction
 /// (the schedule is a pure function of the inputs, and counting happens in
@@ -180,7 +206,7 @@ pub fn simulate_routing(
     disks: &mut DiskArray,
     alloc: &mut TrackAllocator,
     geom: &MsgGeometry,
-    scratch: ScratchState,
+    mut scratch: ScratchState,
     routing: &mut RoutingScratch,
     pool: &mut BufferPool,
     compute: Option<&ComputePool>,
@@ -189,12 +215,22 @@ pub fn simulate_routing(
     let d = geom.num_disks;
     let nb = geom.num_buckets;
     let balance_factor = scratch.balance_factor();
-    let counts = GroupCounts::compute(geom, scratch.counts.clone())?;
+    let counts = GroupCounts::compute(geom, std::mem::take(&mut scratch.counts))?;
     let total = counts.total();
     let mut trace = RoutingTrace { balance_factor, blocks: total, ..Default::default() };
     if total == 0 {
         return Ok((counts, trace));
     }
+
+    // Borrow the window's buffers for both steps.
+    let window = WINDOW_BLOCKS.min(geom.max_blocks_per_group).max(nb).min(total);
+    let mut lent: Vec<Vec<u8>> = (0..window)
+        .map(|_| {
+            let mut buf = pool.take();
+            buf.resize(geom.block_bytes, 0);
+            buf
+        })
+        .collect();
 
     // ---- Step 1: gather bucket d onto disk d, rank-ordered. ----
     // Per-bucket closed-form plans, built fanned out over the pool: entry
@@ -229,7 +265,7 @@ pub fn simulate_routing(
     // The serial loop exits right after the round consuming the last
     // block, having probed every bucket once per round up to there.
     let j_last = plans.iter().filter_map(|p| p.last()).map(|e| e.round).max().unwrap_or(0);
-    trace.step1_rounds = assemble_rounds(disks, &plans, routing, pool)?;
+    trace.step1_rounds = move_rounds(disks, &plans, routing, &mut lent)?;
     trace.idle_slots = (j_last + 1) * nb - total;
 
     // Scratch tracks are free again.
@@ -263,9 +299,11 @@ pub fn simulate_routing(
             plan
         },
     );
-    trace.step2_rounds = assemble_rounds(disks, &plans, routing, pool)?;
-    // Hand the plan buffers back for the next superstep.
+    trace.step2_rounds = move_rounds(disks, &plans, routing, &mut lent)?;
+    // Hand the plan buffers back for the next superstep, and the borrowed
+    // blocks to their pool.
     routing.plans = plans;
+    pool.put_all(lent);
 
     Ok((counts, trace))
 }
@@ -302,7 +340,7 @@ mod tests {
         let mut sent: Vec<(u32, u32, u32, Vec<u8>)> = Vec::new();
         for src_group in 0..geom.num_groups {
             let mut msgs = Vec::new();
-            for t in 0..10u32 {
+            for t in 0..20u32 {
                 let src = (src_group * geom.k) as u32 + (t % geom.k as u32);
                 let dst = ((src as usize * 7 + t as usize * 3) % geom.v) as u32;
                 let payload = vec![(src_group * 16 + t as usize) as u8; (t as usize % 37) + 1];
@@ -329,7 +367,9 @@ mod tests {
                 .unwrap();
         assert!(trace.blocks > 0);
         assert!(trace.step1_rounds >= trace.blocks.div_ceil(geom.num_disks));
-        assert_eq!(pool.len(), 2 * trace.blocks, "every written payload must be recycled");
+        // One window was borrowed and handed back, however many blocks moved.
+        assert!(trace.blocks > WINDOW_BLOCKS, "{} blocks", trace.blocks);
+        assert_eq!(pool.len(), WINDOW_BLOCKS.min(geom.max_blocks_per_group));
 
         let mut got: Vec<(u32, u32, u32, Vec<u8>)> = Vec::new();
         for g in 0..geom.num_groups {
@@ -512,6 +552,8 @@ mod tests {
                 }
                 let mut routing = RoutingScratch::new();
                 let mut buf_pool = BufferPool::new();
+                buf_pool.put_all((0..WINDOW_BLOCKS + 3).map(|_| Vec::with_capacity(64)));
+                let before = buf_pool.len();
                 let (counts, trace) = simulate_routing(
                     &mut disks,
                     &mut alloc,
@@ -522,7 +564,10 @@ mod tests {
                     pool_ref,
                 )
                 .unwrap();
-                assert_eq!(buf_pool.len(), 2 * trace.blocks, "recycling must survive pooling");
+                // A pool that already holds a window neither grows nor
+                // shrinks, and gets its own buffers back.
+                assert!(trace.blocks > WINDOW_BLOCKS && before > WINDOW_BLOCKS);
+                assert_eq!(buf_pool.len(), before, "the window must be handed back");
                 results.push((disks.stats().clone(), counts.counts.clone(), trace));
             }
             assert_eq!(results[0], results[1], "narrow pool diverged (seed {seed})");
@@ -530,8 +575,8 @@ mod tests {
         }
     }
 
-    /// Scratch tracks are recycled after routing: repeated supersteps do
-    /// not grow the disk.
+    /// Scratch tracks are recycled after routing, and the borrowed buffers
+    /// handed back: repeated supersteps grow neither the disk nor the pool.
     #[test]
     fn scratch_space_is_reused_across_supersteps() {
         let (mut disks, mut alloc, geom) = setup(8, 2, 1000, 4, 64);
@@ -539,6 +584,7 @@ mod tests {
         let mut frontier_after_first = 0;
         let mut routing = RoutingScratch::new();
         let mut pool = BufferPool::new();
+        let mut pool_len = Vec::new();
         for round in 0..5 {
             let mut scratch = ScratchState::new(&geom);
             let msgs: Vec<OutMsg> = (0..16)
@@ -565,7 +611,10 @@ mod tests {
             if round == 0 {
                 frontier_after_first = alloc.max_frontier();
             }
+            pool_len.push(pool.len());
         }
+        assert!(pool_len[1] > 0 && pool_len[1] <= WINDOW_BLOCKS);
+        assert_eq!(pool_len[4], pool_len[1], "the pool grew with supersteps: {pool_len:?}");
         // Frontier may wobble by a few tracks due to random placement, but
         // must not grow linearly with rounds.
         assert!(

@@ -554,6 +554,30 @@ impl DiskArray {
         }
     }
 
+    /// Count the stripes `call` of a read just handed to the backend — one
+    /// parallel I/O operation per non-empty stripe — and fold in what the
+    /// backend absorbed while serving it.
+    fn count_reads(&mut self, call: &[usize], addrs: &[(usize, usize)]) {
+        self.poll_retries();
+        for &(disk, _) in addrs {
+            self.stats.per_disk_reads[disk] += 1;
+        }
+        self.stats.parallel_ops += call.iter().filter(|&&len| len > 0).count() as u64;
+        self.stats.blocks_read += addrs.len() as u64;
+        self.stats.bytes_read += (addrs.len() * self.cfg.block_bytes) as u64;
+    }
+
+    /// [`DiskArray::count_reads`] for a write.
+    fn count_writes(&mut self, call: &[usize], writes: &[(usize, usize, &[u8])]) {
+        self.poll_retries();
+        for &(disk, _, _) in writes {
+            self.stats.per_disk_writes[disk] += 1;
+        }
+        self.stats.parallel_ops += call.iter().filter(|&&len| len > 0).count() as u64;
+        self.stats.blocks_written += writes.len() as u64;
+        self.stats.bytes_written += (writes.len() * self.cfg.block_bytes) as u64;
+    }
+
     /// Submit one parallel read — fetch at most one track from each listed
     /// drive — and return a joinable ticket without waiting for the
     /// transfers: [`DiskArray::submit_read_batch`] for a batch of one
@@ -608,13 +632,7 @@ impl DiskArray {
             // Until a track has been submitted there is nothing to report.
             ticket = if at == 0 { submitted } else { ticket.followed_by(submitted) };
             at += part.len();
-            self.poll_retries();
-            for &(disk, _) in part {
-                self.stats.per_disk_reads[disk] += 1;
-            }
-            self.stats.parallel_ops += call.iter().filter(|&&len| len > 0).count() as u64;
-            self.stats.blocks_read += part.len() as u64;
-            self.stats.bytes_read += (part.len() * self.cfg.block_bytes) as u64;
+            self.count_reads(call, part);
         }
         Ok(ReadStripeTicket { ticket, _guard: TicketGuard::new(&self.outstanding) })
     }
@@ -648,13 +666,7 @@ impl DiskArray {
             let submitted = self.backend.submit_write_batch(call, part);
             ticket = if at == 0 { submitted } else { ticket.followed_by(submitted) };
             at += part.len();
-            self.poll_retries();
-            for &(disk, _, _) in part {
-                self.stats.per_disk_writes[disk] += 1;
-            }
-            self.stats.parallel_ops += call.iter().filter(|&&len| len > 0).count() as u64;
-            self.stats.blocks_written += part.len() as u64;
-            self.stats.bytes_written += (part.len() * self.cfg.block_bytes) as u64;
+            self.count_writes(call, part);
         }
         Ok(WriteStripeTicket { ticket, _guard: TicketGuard::new(&self.outstanding) })
     }
@@ -680,11 +692,99 @@ impl DiskArray {
         self.submit_write_stripe(writes)?.join()
     }
 
+    /// Move a batch of blocks: read the stripes of `from` and write each
+    /// block, unchanged, to the matching entry of `to` — what a
+    /// reorganization (Algorithm 2) does, which places blocks and never
+    /// makes one. `stripes[i]` is the length of the `i`-th stripe on *both*
+    /// sides: the `i`-th read stripe's blocks are the `i`-th write stripe's.
+    /// The bytes travel through `bufs`, lent by the caller — one buffer of
+    /// exactly `B` bytes per block, overwritten and otherwise left alone —
+    /// so a move allocates nothing per block.
+    ///
+    /// Everything is validated first — the stripe rule on the reads *and*
+    /// on the writes, the capacity limit, matching lengths, the lent
+    /// buffers — and a rejected move leaves the backend and the counters
+    /// untouched. A valid move counts exactly what
+    /// [`DiskArray::read_stripe`] followed by [`DiskArray::write_stripe`],
+    /// stripe by stripe, would count (two parallel I/O operations per
+    /// non-empty stripe) and leaves the same bytes on the drives; an open
+    /// recovery epoch captures the pre-images of the written tracks as for
+    /// any other write.
+    ///
+    /// It goes down as one backend call per direction: all the reads, then
+    /// all the writes. No written track may therefore be one the same move
+    /// reads in a *later* stripe — stripe by stripe that read would see the
+    /// new bytes, here the old. (Algorithm 2's moves read one region and
+    /// write another.) Under a fault-injection layer the batch goes down
+    /// one stripe per call like every other batch (see
+    /// [`DiskArray::submit_read_batch`]), each stripe read and then written,
+    /// so every drive sees the attempts in stripe-at-a-time order. A failed
+    /// read — a [`DiskError::Corrupt`] frame, say — fails the move before
+    /// anything of that call is written.
+    ///
+    /// ```
+    /// use em_disk::{Block, DiskArray, DiskConfig};
+    ///
+    /// let mut arr = DiskArray::new_memory(DiskConfig::new(2, 8).unwrap());
+    /// arr.write_stripe(&[(0, 0, Block::from_vec(vec![1; 8])), (1, 0, Block::from_vec(vec![2; 8]))])
+    ///     .unwrap();
+    /// // Two stripes of one block each, onto the other drive's track 5.
+    /// let mut lent = vec![vec![0u8; 8]; 2];
+    /// arr.move_batch(&[1, 1], &[(0, 0), (1, 0)], &[(1, 5), (0, 5)], &mut lent).unwrap();
+    /// assert_eq!(arr.stats().parallel_ops, 1 + 2 * 2);
+    /// assert_eq!(arr.read_block(1, 5).unwrap().as_bytes(), &[1; 8]);
+    /// assert_eq!(arr.read_block(0, 5).unwrap().as_bytes(), &[2; 8]);
+    /// ```
+    pub fn move_batch(
+        &mut self,
+        stripes: &[usize],
+        from: &[(usize, usize)],
+        to: &[(usize, usize)],
+        bufs: &mut [Vec<u8>],
+    ) -> DiskResult<()> {
+        if from.len() != to.len() {
+            return Err(DiskError::InvalidConfig("a move reads and writes the same blocks"));
+        }
+        self.validate_batch(stripes, from.iter().map(|&(d, _)| d))?;
+        self.validate_batch(stripes, to.iter().map(|&(d, _)| d))?;
+        let Some(bufs) = bufs.get_mut(..from.len()) else {
+            return Err(DiskError::InvalidConfig("a move needs one lent buffer per block"));
+        };
+        if let Some(buf) = bufs.iter().find(|buf| buf.len() != self.cfg.block_bytes) {
+            return Err(DiskError::BadBlockSize { expected: self.cfg.block_bytes, got: buf.len() });
+        }
+        for &(disk, track) in to {
+            self.check_capacity(disk, track)?;
+        }
+        let mut at = 0;
+        for call in stripes.chunks(self.stripes_per_call(stripes.len())) {
+            let part = at..at + call.iter().sum::<usize>();
+            at = part.end;
+            let (from, to, bufs) = (&from[part.clone()], &to[part.clone()], &mut bufs[part]);
+            let mut lent: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+            let read = self.backend.read_batch_each(call, from, &mut lent);
+            self.count_reads(call, from);
+            first_failure(read)?;
+            let writes: Vec<(usize, usize, &[u8])> = (to.iter().zip(bufs.iter()))
+                .map(|(&(disk, track), buf)| (disk, track, buf.as_slice()))
+                .collect();
+            self.capture_pre_images(call, &writes)?;
+            let written = self.backend.write_batch_each(call, &writes);
+            self.count_writes(call, &writes);
+            first_failure(written)?;
+        }
+        Ok(())
+    }
+
     /// Read a single block. Costs a full parallel I/O operation — this is
     /// exactly the "unblocked / single-disk" penalty the model charges.
     pub fn read_block(&mut self, disk: usize, track: usize) -> DiskResult<Block> {
-        let mut v = self.read_stripe(&[(disk, track)])?;
-        Ok(v.pop().expect("one block requested"))
+        let mut blocks = self.read_stripe(&[(disk, track)])?;
+        // A backend that answers a one-track read with no track is broken;
+        // that is an error to report, not a reason to bring the process down.
+        blocks
+            .pop()
+            .ok_or(DiskError::InvalidConfig("backend returned no block for a one-track read"))
     }
 
     /// Write a single block. Costs a full parallel I/O operation.
@@ -1062,6 +1162,260 @@ mod tests {
             let joined = a.submit_write_batch(&[2, 2, 2], &writes).unwrap().join();
             assert!(matches!(joined, Err(DiskError::WorkerIo { disk: 1, .. })), "op {failing_op}");
         }
+    }
+
+    /// Algorithm 2's shape — blocks read from one region and written,
+    /// rotated over the drives, to another: ragged stripes, an all-zero
+    /// block, overwrites inside a committed and a rolled-back recovery
+    /// epoch, a track written by two stripes of one move — issued either
+    /// as moves or as `read_stripe` + `write_stripe` per stripe. Returns
+    /// every byte read back and the counters.
+    fn move_workload(a: &mut DiskArray, moved: bool) -> (Vec<u8>, IoStats) {
+        let (d, b) = (a.num_disks(), a.block_bytes());
+        let shift = |a: &mut DiskArray, stripes: &[usize], from: &[(usize, usize)], by: usize| {
+            // Each block goes `by` drives on and ten tracks up.
+            let to: Vec<(usize, usize)> =
+                from.iter().map(|&(disk, track)| ((disk + by) % d, track + 10)).collect();
+            if moved {
+                let mut lent = vec![vec![0xEE; b]; from.len() + 1];
+                a.move_batch(stripes, from, &to, &mut lent).unwrap();
+            } else {
+                let mut at = 0;
+                for &len in stripes {
+                    let blocks = a.read_stripe(&from[at..at + len]).unwrap();
+                    let writes: Vec<(usize, usize, Block)> = (to[at..at + len].iter().zip(blocks))
+                        .map(|(&(disk, track), block)| (disk, track, block))
+                        .collect();
+                    a.write_stripe(&writes).unwrap();
+                    at += len;
+                }
+            }
+        };
+        let read_back = |a: &mut DiskArray, out: &mut Vec<u8>| {
+            for track in (0..6).chain(10..16) {
+                let addrs: Vec<(usize, usize)> = (0..d).map(|disk| (disk, track)).collect();
+                let blocks = a.read_stripe(&addrs).unwrap();
+                out.extend(blocks.iter().flat_map(|block| block.as_bytes().iter().copied()));
+            }
+        };
+        for track in 0..6 {
+            let stripe: Vec<(usize, usize, Block)> = (0..d)
+                .map(|disk| {
+                    let fill =
+                        if (disk, track) == (2, 1) { 0 } else { (track * d + disk + 1) as u8 };
+                    (disk, track, Block::from_vec(vec![fill; b]))
+                })
+                .collect();
+            a.write_stripe(&stripe).unwrap();
+        }
+        let mut bytes = Vec::new();
+        // Ragged stripes, an empty one among them, onto fresh tracks.
+        let from = [(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1), (0, 2), (3, 3), (2, 3)];
+        shift(a, &[4, 3, 0, 1, 2], &from, 1);
+        a.begin_recovery_epoch().unwrap();
+        // Overwrites (pre-images captured), one track written twice: by
+        // (1, 4) on to (3, 14) and, two stripes later, by (1, 4) again.
+        shift(a, &[2, 1, 1], &[(3, 0), (0, 1), (1, 4), (1, 4)], 2);
+        a.commit_recovery_epoch();
+        read_back(a, &mut bytes);
+        a.begin_recovery_epoch().unwrap();
+        shift(a, &[4, 4], &[(0, 5), (1, 5), (2, 5), (3, 5), (0, 4), (1, 3), (2, 2), (3, 1)], 3);
+        shift(a, &[1], &[(2, 5)], 3); // a second write to a journaled track
+        read_back(a, &mut bytes);
+        a.rollback_recovery_epoch().unwrap();
+        read_back(a, &mut bytes);
+        a.sync().unwrap();
+        (bytes, a.take_stats())
+    }
+
+    #[test]
+    fn a_move_equals_read_then_write_stripe_by_stripe() {
+        use crate::{EngineKind, IoMode, RetryPolicy};
+        let pid = std::process::id();
+        let plain = DiskConfig::new(4, 32).unwrap();
+        let reference = move_workload(&mut DiskArray::new_memory(plain), false);
+        assert!(reference.1.recovery_ops > 0 && reference.0.iter().any(|&x| x != 0));
+        assert_eq!(reference.1.per_disk_reads.iter().sum::<u64>(), reference.1.blocks_read);
+        assert_eq!(move_workload(&mut DiskArray::new_memory(plain), true), reference, "memory");
+
+        // Checksummed and retried, in memory and on files: same bytes read
+        // back, same counters, same drive files.
+        let sealed = plain.with_checksums(true).with_retry(RetryPolicy::default());
+        assert_eq!(move_workload(&mut DiskArray::new_memory(sealed), false), reference);
+        assert_eq!(move_workload(&mut DiskArray::new_memory(sealed), true), reference);
+        for (mode, engine) in [
+            (IoMode::Serial, EngineKind::Threaded),
+            (IoMode::Parallel, EngineKind::Threaded),
+            (IoMode::Parallel, EngineKind::Uring),
+        ] {
+            let dir = |tag: &str| {
+                std::env::temp_dir().join(format!("em-array-move-{tag}-{mode:?}-{engine:?}-{pid}"))
+            };
+            let cfg = sealed.with_io_mode(mode).with_engine(engine);
+            let mut by_stripe = DiskArray::new_file(cfg, dir("s")).unwrap();
+            let mut by_move = DiskArray::new_file(cfg, dir("m")).unwrap();
+            let what = format!("file {mode:?} {engine:?}");
+            assert_eq!(move_workload(&mut by_stripe, false), reference, "{what}");
+            assert_eq!(move_workload(&mut by_move, true), reference, "{what}");
+            for disk in 0..4 {
+                let file = format!("disk-{disk}.bin");
+                assert_eq!(
+                    std::fs::read(dir("m").join(&file)).unwrap(),
+                    std::fs::read(dir("s").join(&file)).unwrap(),
+                    "{what}: drive {disk} bytes"
+                );
+                assert_eq!(by_move.tracks_used(disk), by_stripe.tracks_used(disk), "{what}");
+            }
+            drop((by_stripe, by_move));
+            std::fs::remove_dir_all(dir("s")).ok();
+            std::fs::remove_dir_all(dir("m")).ok();
+        }
+
+        // Behind a cache that holds the working set a move also hits and
+        // absorbs exactly what its stripes would. One that spills sees the
+        // window's reads before its writes, so its evictions — and with
+        // them its hit tally — may fall differently; nothing else may.
+        let fits = sealed.with_cache(64 * 32);
+        let by_stripe = move_workload(&mut DiskArray::new_memory(fits), false);
+        assert!(by_stripe.1.cache_hit_blocks > 0 && by_stripe.1.cache_absorbed_writes > 0);
+        assert_eq!(move_workload(&mut DiskArray::new_memory(fits), true), by_stripe, "cached");
+        let (bytes, mut stats) =
+            move_workload(&mut DiskArray::new_memory(sealed.with_cache(5 * 32)), true);
+        assert!(stats.cache_hit_blocks > 0);
+        (stats.cache_hit_blocks, stats.cache_absorbed_writes) = (0, 0);
+        assert_eq!((bytes, stats), reference, "spilling cache");
+    }
+
+    #[test]
+    fn a_move_captures_each_pre_image_once_and_rolls_back() {
+        let mut a = array(2, 8);
+        let fill = |x: u8| Block::from_vec(vec![x; 8]);
+        a.write_stripe(&[(0, 0, fill(1)), (1, 0, fill(2))]).unwrap();
+        a.write_stripe(&[(0, 1, fill(3)), (1, 1, fill(4))]).unwrap();
+        a.write_stripe(&[(0, 7, fill(5))]).unwrap();
+        a.begin_recovery_epoch().unwrap();
+        // (0, 7) is written by the first stripe and again by the third;
+        // (1, 7) was never written. Three distinct tracks, three pre-images.
+        let mut lent = vec![vec![0u8; 8]; 4];
+        let from = [(0, 0), (1, 0), (0, 1), (1, 1)];
+        a.move_batch(&[2, 1, 1], &from, &[(1, 7), (0, 7), (1, 8), (0, 7)], &mut lent).unwrap();
+        assert_eq!(a.stats().recovery_ops, 3);
+        assert_eq!(a.stats().parallel_ops, 3 + 2 * 3);
+        assert_eq!(a.read_block(0, 7).unwrap().as_bytes(), &[4; 8], "the later stripe wins");
+        assert_eq!(a.read_block(1, 7).unwrap().as_bytes(), &[1; 8]);
+        a.rollback_recovery_epoch().unwrap();
+        assert_eq!(a.read_block(0, 7).unwrap().as_bytes(), &[5; 8], "pre-epoch bytes restored");
+        assert_eq!(a.read_block(1, 7).unwrap().as_bytes(), &[0; 8], "fresh track re-zeroed");
+        assert_eq!(a.read_block(1, 8).unwrap().as_bytes(), &[0; 8], "fresh track re-zeroed");
+        assert_eq!(a.read_block(0, 1).unwrap().as_bytes(), &[3; 8], "sources untouched");
+    }
+
+    #[test]
+    fn under_a_fault_plan_a_move_goes_down_stripe_by_stripe() {
+        use crate::{FaultPlan, RetryPolicy};
+        // The same seeded plan against the same workload, moved and stripe
+        // by stripe: each stripe is read and then written before the next
+        // is touched, so every drive sees the same attempts in the same
+        // order and every scheduled fault hits the same transfer.
+        let cfg =
+            DiskConfig::new(4, 32).unwrap().with_checksums(true).with_retry(RetryPolicy::new(8));
+        let run = |moved: bool| {
+            let plan = FaultPlan::seeded(0x30BE, 4, 400, 60);
+            let stats = plan.stats();
+            let mut a = DiskArray::new_memory_with_faults(cfg, Some(plan));
+            let out = move_workload(&mut a, moved);
+            (out, stats.counts(), a.fault_op_counts())
+        };
+        let (by_stripe, by_move) = (run(false), run(true));
+        assert!(by_stripe.1.total() > 0 && by_stripe.0 .1.retried_blocks > 0);
+        assert_eq!(by_move, by_stripe);
+
+        // Unretried: the read of the second stripe fails. Stripe by stripe
+        // the first stripe has landed by then and the second's write is
+        // never attempted — and so it is for the move.
+        let cfg = DiskConfig::new(2, 8).unwrap();
+        let from = [(0, 0), (1, 0), (0, 1), (1, 1)];
+        let to = [(1, 5), (0, 5), (1, 6), (0, 6)];
+        let mut a =
+            DiskArray::new_memory_with_faults(cfg, Some(FaultPlan::none().with_transient(1, 2)));
+        let moved = a.move_batch(&[2, 2], &from, &to, &mut vec![vec![0u8; 8]; 4]);
+        assert!(matches!(moved, Err(DiskError::WorkerIo { disk: 1, .. })), "{moved:?}");
+        assert_eq!(a.fault_op_counts(), Some(vec![3, 3]));
+        assert_eq!((a.stats().parallel_ops, a.stats().blocks_written), (3, 2));
+        assert_eq!((a.tracks_used(0), a.tracks_used(1)), (6, 6));
+    }
+
+    #[test]
+    fn a_rejected_move_leaves_backend_and_counters_untouched() {
+        let mut a = array(2, 8).with_capacity_limit(4);
+        let mut lent = vec![vec![0u8; 8]; 4];
+        let ok = [(0, 0), (1, 0), (0, 1), (1, 1)];
+        // The second stripe is the illegal one, on either side.
+        let clash = [(0, 0), (1, 0), (1, 1), (1, 2)];
+        assert!(matches!(
+            a.move_batch(&[2, 2], &clash, &ok, &mut lent),
+            Err(DiskError::StripeConflict { disk: 1 })
+        ));
+        assert!(matches!(
+            a.move_batch(&[2, 2], &ok, &clash, &mut lent),
+            Err(DiskError::StripeConflict { disk: 1 })
+        ));
+        assert!(matches!(
+            a.move_batch(&[2, 2], &ok, &[(0, 2), (1, 2), (0, 3), (2, 3)], &mut lent),
+            Err(DiskError::DiskOutOfRange { disk: 2, num_disks: 2 })
+        ));
+        assert!(matches!(
+            a.move_batch(&[2, 2], &ok, &ok[..3], &mut lent),
+            Err(DiskError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            a.move_batch(&[2, 1], &ok, &ok, &mut lent),
+            Err(DiskError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            a.move_batch(&[2, 2], &ok, &[(0, 2), (1, 2), (0, 3), (1, 4)], &mut lent),
+            Err(DiskError::CapacityExceeded { disk: 1, max_tracks: 4 })
+        ));
+        // Too few lent buffers, and one that is short.
+        assert!(matches!(
+            a.move_batch(&[2, 2], &ok, &ok, &mut lent[..3]),
+            Err(DiskError::InvalidConfig(_))
+        ));
+        lent[3].truncate(7);
+        assert!(matches!(
+            a.move_batch(&[2, 2], &ok, &ok, &mut lent),
+            Err(DiskError::BadBlockSize { expected: 8, got: 7 })
+        ));
+        assert_eq!(a.stats(), &IoStats::new(2), "rejected moves must not count");
+        assert_eq!((a.tracks_used(0), a.tracks_used(1)), (0, 0));
+        // An empty move is free.
+        a.move_batch(&[], &[], &[], &mut []).unwrap();
+        assert_eq!(a.stats().parallel_ops, 0);
+    }
+
+    #[test]
+    fn a_corrupt_source_fails_the_move_before_anything_is_written() {
+        let dir = std::env::temp_dir().join(format!("em-array-move-crc-{}", std::process::id()));
+        let cfg = DiskConfig::new(2, 32).unwrap().with_checksums(true);
+        let mut a = DiskArray::new_file(cfg, &dir).unwrap();
+        for track in 0..2 {
+            let fill = |disk: usize| Block::from_vec(vec![(track * 2 + disk + 1) as u8; 32]);
+            a.write_stripe(&[(0, track, fill(0)), (1, track, fill(1))]).unwrap();
+        }
+        a.sync().unwrap();
+        // Flip a stored byte of (1, 1) — the second stripe's source —
+        // behind the substrate's back.
+        let path = dir.join("disk-1.bin");
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[32 + CRC_BYTES + 2] ^= 0x40;
+        std::fs::write(&path, raw).unwrap();
+        let (from, to) = ([(0, 0), (1, 0), (0, 1), (1, 1)], [(1, 4), (0, 4), (1, 5), (0, 5)]);
+        let moved = a.move_batch(&[2, 2], &from, &to, &mut vec![vec![0u8; 32]; 4]);
+        assert!(matches!(moved, Err(DiskError::Corrupt { disk: 1, track: 1 })), "{moved:?}");
+        assert_eq!(a.stats().blocks_written, 4, "only the set-up writes");
+        assert_eq!((a.tracks_used(0), a.tracks_used(1)), (2, 2), "nothing of the move landed");
+        drop(a);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

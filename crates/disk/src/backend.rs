@@ -379,6 +379,25 @@ impl DiskBackend for MemoryBackend {
         Ok(())
     }
 
+    /// A memcpy per track whatever the stripes are: one list of outcomes
+    /// for the whole batch, not one per stripe.
+    fn read_batch_each(
+        &mut self,
+        _stripes: &[usize],
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
+        self.read_stripe_each(addrs, bufs)
+    }
+
+    fn write_batch_each(
+        &mut self,
+        _stripes: &[usize],
+        writes: &[(usize, usize, &[u8])],
+    ) -> TrackOutcomes {
+        self.write_stripe_each(writes)
+    }
+
     fn tracks_used(&self, disk: usize) -> usize {
         self.disks[disk].len()
     }

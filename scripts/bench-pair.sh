@@ -6,8 +6,10 @@
 #
 # Usage: scripts/bench-pair.sh <parent-ref> <workload> [pairs]
 #   <parent-ref>  any commit-ish of this repository (HEAD~1, a hash, main)
-#   <workload>    sort-mem | sort-file | listrank-par | service-mix
-#   [pairs]       parent/change pairs to run (default 10)
+#   <workload>    sort-mem | sort-file | listrank-par | service-mix, or `all`:
+#                 BENCHMARK.json's workloads back to back on the one pair of
+#                 builds, in one table (what a gain claim has to report)
+#   [pairs]       parent/change pairs to run per workload (default 10)
 #
 # The change is the working tree as it stands. The parent is exported with
 # `git archive` into a scratch directory, both binaries are built into
@@ -20,7 +22,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-    sed -n '2,20p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 PARENT_REF="$1"
@@ -32,6 +34,11 @@ SCRATCH="${BENCH_PAIR_DIR:-${TMPDIR:-/tmp}/em-bench-pair}"
 SECONDS_PER_RUN="$(python3 -c 'import json,sys; print(json.load(open(sys.argv[1]))["run_seconds"])' "$ROOT/BENCHMARK.json")"
 # Seeds no committed row was tuned on; pair i uses BASE_SEED + i on both sides.
 BASE_SEED="${BENCH_PAIR_SEED:-4000}"
+if [ "$WORKLOAD" = all ]; then
+    WORKLOADS="$(python3 -c 'import json,sys; print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' "$ROOT/BENCHMARK.json")"
+else
+    WORKLOADS="$WORKLOAD"
+fi
 
 parent_sha="$(git -C "$ROOT" rev-parse --verify "$PARENT_REF^{commit}")"
 mkdir -p "$SCRATCH/bin" "$SCRATCH/runs"
@@ -53,53 +60,57 @@ build() { # <side> <source root>
 build parent "$SCRATCH/parent"
 build change "$ROOT"
 
-run_side() { # <side> <pair index>
-    local out="$SCRATCH/runs/$WORKLOAD-$1-$2.json"
-    (cd "$SCRATCH" && "bin/embench-$1" driver --workload "$WORKLOAD" \
-        --seed "$((BASE_SEED + $2))" --seconds "$SECONDS_PER_RUN" --trace 0 | tail -n 1) >"$out"
-    echo "  pair $2 $1: $(python3 -c '
+run_side() { # <workload> <side> <pair index>
+    local out="$SCRATCH/runs/$1-$2-$3.json"
+    (cd "$SCRATCH" && "bin/embench-$2" driver --workload "$1" \
+        --seed "$((BASE_SEED + $3))" --seconds "$SECONDS_PER_RUN" --trace 0 | tail -n 1) >"$out"
+    echo "  pair $3 $2: $(python3 -c '
 import json, sys
 m = json.load(open(sys.argv[1]))["metrics"]
 print(", ".join("%s %.4g" % (k, v["value"]) for k, v in m.items()))' "$out")" >&2
 }
 
-echo "$WORKLOAD: $PAIRS pairs of ${SECONDS_PER_RUN}s runs, parent $parent_sha" >&2
-rm -f "$SCRATCH/runs/$WORKLOAD"-*.json
-for i in $(seq 1 "$PAIRS"); do
-    # Alternate which side runs first, so drift favours neither.
-    if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
-    for side in $order; do run_side "$side" "$i"; done
+for workload in $WORKLOADS; do
+    echo "$workload: $PAIRS pairs of ${SECONDS_PER_RUN}s runs, parent $parent_sha" >&2
+    rm -f "$SCRATCH/runs/$workload"-*.json
+    for i in $(seq 1 "$PAIRS"); do
+        # Alternate which side runs first, so drift favours neither.
+        if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+        for side in $order; do run_side "$workload" "$side" "$i"; done
+    done
 done
 
-python3 - "$SCRATCH/runs" "$WORKLOAD" "$PAIRS" "$ROOT/BENCHMARK.json" <<'EOF'
+# shellcheck disable=SC2086 # one argument per workload is the point
+python3 - "$SCRATCH/runs" "$PAIRS" "$ROOT/BENCHMARK.json" $WORKLOADS <<'EOF'
 import json, statistics, sys
-runs, workload, pairs, spec = sys.argv[1], sys.argv[2], int(sys.argv[3]), sys.argv[4]
+runs, pairs, spec, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
 better = {m["name"]: m["better"] for m in json.load(open(spec))["end_to_end"]}
-def load(side, i):
-    return json.load(open(f"{runs}/{workload}-{side}-{i}.json"))
 def quartiles(xs):
     if len(xs) < 2:
         return xs[0], xs[0]
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
-sides = {s: [load(s, i) for i in range(1, pairs + 1)] for s in ("parent", "change")}
-failed = {s: sum(r["failed"] for r in rs) for s, rs in sides.items()}
-attempted = {s: sum(r["attempted"] for r in rs) for s, rs in sides.items()}
-print(f"\n{workload}: {pairs} pairs; failed/attempted parent {failed['parent']}/{attempted['parent']}, "
-      f"change {failed['change']}/{attempted['change']}")
-print(f"{'metric':<18} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'delta':>8}  wins/ties/losses")
-for name, direction in better.items():
-    p = [r["metrics"][name]["value"] for r in sides["parent"]]
-    c = [r["metrics"][name]["value"] for r in sides["change"]]
-    sign = -1 if direction == "lower" else 1
-    wins = sum(sign * (y - x) > 0 for x, y in zip(p, c))
-    ties = sum(x == y for x, y in zip(p, c))
-    mp, mc = statistics.median(p), statistics.median(c)
-    (p1, p3), (c1, c3) = quartiles(p), quartiles(c)
-    delta = f"{(mc - mp) / mp * 100:+.1f}%" if mp else "n/a"
-    print(f"{name:<18} {mp:>12.5g} [{p1:.5g}, {p3:.5g}]".ljust(54)
-          + f"{mc:>12.5g} [{c1:.5g}, {c3:.5g}]".ljust(36)
-          + f"{delta:>8}  {wins}/{ties}/{pairs - wins - ties}")
+print(f"\n{pairs} pairs per workload")
+print(f"{'workload':<13} {'metric':<17} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'delta':>8}  wins/ties/losses")
+for workload in workloads:
+    sides = {s: [json.load(open(f"{runs}/{workload}-{s}-{i}.json")) for i in range(1, pairs + 1)]
+             for s in ("parent", "change")}
+    for name, direction in better.items():
+        p = [r["metrics"][name]["value"] for r in sides["parent"]]
+        c = [r["metrics"][name]["value"] for r in sides["change"]]
+        sign = -1 if direction == "lower" else 1
+        wins = sum(sign * (y - x) > 0 for x, y in zip(p, c))
+        ties = sum(x == y for x, y in zip(p, c))
+        mp, mc = statistics.median(p), statistics.median(c)
+        (p1, p3), (c1, c3) = quartiles(p), quartiles(c)
+        delta = f"{(mc - mp) / mp * 100:+.1f}%" if mp else "n/a"
+        print(f"{workload:<13} {name:<17} {mp:>12.5g} [{p1:.5g}, {p3:.5g}]".ljust(67)
+              + f"{mc:>12.5g} [{c1:.5g}, {c3:.5g}]".ljust(36)
+              + f"{delta:>8}  {wins}/{ties}/{pairs - wins - ties}")
+    failed = {s: sum(r["failed"] for r in rs) for s, rs in sides.items()}
+    attempted = {s: sum(r["attempted"] for r in rs) for s, rs in sides.items()}
+    print(f"{workload:<13} failed/attempted: parent {failed['parent']}/{attempted['parent']}, "
+          f"change {failed['change']}/{attempted['change']}")
 print("a gain counts when the change wins at least 9 pairs in 10 and the medians differ by more "
       "than the parent's q3 - q1; otherwise report the metric as unresolved or unchanged")
 EOF

@@ -24,7 +24,8 @@ export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$OUT/build}"
 UNIT_CRATES=(serial disk bsp core service)
 # Root integration suites that compile against the stand-ins.
 ROOT_SUITES=(cache_modes checkpoint_restart engine_equivalence failure_injection
-    fault_recovery message_alloc_budget par_stress planner_roundtrip reorg_modes thread_leak)
+    fault_recovery message_alloc_budget par_stress planner_roundtrip reorg_modes
+    routing_alloc_budget thread_leak)
 
 SKIPPED=(
     "em-algos, em-baselines unit tests: the rand stand-in lacks gen/fill/i64 ranges"
