@@ -48,12 +48,11 @@
 //! slack is one block per source group (Algorithm 1's bound).
 
 use crate::checkpoint::{superstep_seed, Manifest};
-use crate::compute::{run_group_vps, VpWork};
+use crate::compute::{fill_inboxes, run_group_vps, Rules, VpWork};
 use crate::context_store::{BufferPool, ContextStore, PendingGroupRead};
 use crate::msg::{
-    build_stream_blocks, reassemble_blocks, store_received_blocks_deferred,
-    submit_fetch_batch_raw_blocks, CutScratch, GroupCounts, MsgBatch, MsgGeometry,
-    PendingRawBlocks, RawBlock, ScratchState,
+    store_received_blocks_deferred, submit_fetch_batch_raw_blocks, GroupCounts, MsgGeometry,
+    PendingRawBlocks, RawBlock, ScratchState, StreamSet,
 };
 use crate::report::{PhaseIo, PhaseWall};
 use crate::routing::{simulate_routing, RoutingScratch};
@@ -787,12 +786,12 @@ struct Worker<'a, P, T> {
     ctx_pool: BufferPool,
     /// Same deal for the routing merge pass's bookkeeping.
     routing_scratch: RoutingScratch,
-    /// The round's delivered messages, and the messages it generates: one
-    /// batch each, refilled every round, so their index and arena stop
-    /// allocating once they have grown to the largest round.
-    inbox: MsgBatch,
-    outbox: MsgBatch,
-    cut_scratch: CutScratch,
+    /// Where the Fetching Phase concatenates one delivered stream at a time.
+    stream_buf: Vec<u8>,
+    /// The messages a round generates, as the streams the Writing Phase
+    /// cuts; refilled every round, so it stops allocating while the rounds
+    /// stay the size they were.
+    outbox: StreamSet,
     /// `B`-byte buffers for the blocks the Writing Phase cuts; every block
     /// stored on the local disks hands its buffer back, and Algorithm 2
     /// borrows a window of them to move blocks through. Kept apart from
@@ -882,9 +881,8 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             walls: PhaseWall::default(),
             ctx_pool: BufferPool::new(),
             routing_scratch: RoutingScratch::new(),
-            inbox: MsgBatch::default(),
-            outbox: MsgBatch::default(),
-            cut_scratch: CutScratch::default(),
+            stream_buf: Vec::new(),
+            outbox: StreamSet::default(),
             block_pool: BufferPool::new(),
             zombie: None,
             decision_no: 0,
@@ -1170,26 +1168,29 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             return Ok(self.no_bundles());
         }
         let pids = self.env.shape.pids(self.i, batch);
-        let ctx_bufs = self.deliver(batch, &pids, pending_ctx, my_blocks)?;
-        let new_states = self.compute(step, &pids, ctx_bufs)?;
+        let work = self.deliver(batch, &pids, pending_ctx, my_blocks)?;
+        let new_states = self.compute(step, work)?;
         self.write_back(att, batch, &pids, new_states)
     }
 
     /// Fetching Phase, owner half: reassemble the delivered `(src, dst)`
-    /// streams into the round's inbox and join the round's contexts —
-    /// fetched in one fully-striped batch (the `k` regions of a round are
-    /// consecutive on this worker). A pipelined run submitted (and
-    /// counted) the read before the block-forwarding exchange; only the
-    /// join happens here.
+    /// streams, decoding each message into its virtual processor's inbox,
+    /// and join the round's contexts — fetched in one fully-striped batch
+    /// (the `k` regions of a round are consecutive on this worker). A
+    /// pipelined run submitted (and counted) the read before the
+    /// block-forwarding exchange; only the join happens here. Returns the
+    /// round's virtual processors, ready to run, in pid order.
     fn deliver(
         &mut self,
         batch: usize,
         pids: &Range<usize>,
         pending_ctx: Option<PendingGroupRead>,
         my_blocks: Vec<RawBlock>,
-    ) -> EmResult<Vec<Vec<u8>>> {
+    ) -> EmResult<Vec<VpWork<P::Msg>>> {
         let t0 = Instant::now();
-        reassemble_blocks(&my_blocks, pids.clone(), &mut self.inbox)?;
+        let mut work: Vec<VpWork<P::Msg>> =
+            pids.clone().map(|pid| VpWork::new(pid, Vec::new())).collect();
+        fill_inboxes(&my_blocks, pids.clone(), &mut self.stream_buf, &mut work)?;
         let ctx_bufs = if pids.is_empty() {
             Vec::new()
         } else if let Some(pending) = pending_ctx {
@@ -1201,50 +1202,32 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             self.phases.fetch_ctx += self.disks.stats().parallel_ops - ops0;
             pending?.join_into(&mut self.ctx_pool)?
         };
+        for (w, ctx) in work.iter_mut().zip(ctx_bufs) {
+            w.ctx = ctx;
+        }
         self.walls.fetch += t0.elapsed();
-        Ok(ctx_bufs)
+        Ok(work)
     }
 
-    /// Computing Phase: decode the delivered messages into per-pid inboxes
-    /// and run the superstep for every virtual processor of the round
-    /// through the shared per-vp kernel, serial or pooled. Returns the
-    /// serialized contexts in vp order and leaves the generated messages
-    /// in `self.outbox`: the vps' batches concatenated in vp order, so its
-    /// records are in `(src, seq)` order without a sort. Pure with respect
-    /// to the disks.
-    fn compute(
-        &mut self,
-        step: usize,
-        pids: &Range<usize>,
-        ctx_bufs: Vec<Vec<u8>>,
-    ) -> EmResult<Vec<Vec<u8>>> {
+    /// Computing Phase: run the superstep for every virtual processor of
+    /// the round through the shared per-vp kernel, serial or pooled.
+    /// Returns the serialized contexts in vp order and leaves the generated
+    /// messages in `self.outbox`, every stream in `(src, seq)` order. Pure
+    /// with respect to the disks.
+    fn compute(&mut self, step: usize, work: Vec<VpWork<P::Msg>>) -> EmResult<Vec<Vec<u8>>> {
         let t0 = Instant::now();
         let env = self.env;
         let (shape, shared) = (env.shape, &env.shared);
-        let mut work: Vec<VpWork<P::Msg>> = pids
-            .clone()
-            .zip(ctx_bufs)
-            .map(|(pid, ctx)| VpWork { pid, ctx, inbox: Vec::new(), recv_bytes: 0, recv_msgs: 0 })
-            .collect();
-        for m in self.inbox.iter() {
-            // `deliver` admitted only messages for this round's `pids`.
-            let w = &mut work[m.dst as usize - pids.start];
-            w.recv_bytes += m.payload.len() as u64;
-            w.recv_msgs += 1;
-            w.inbox.push((m.src, m.seq, from_bytes(m.payload)?));
-        }
-
-        let mut new_states: Vec<Vec<u8>> = Vec::with_capacity(pids.len());
-        self.outbox.clear();
+        let rules = Rules { step, v: shape.v, k: shape.k, gamma: shape.gamma };
+        let mut new_states: Vec<Vec<u8>> = Vec::with_capacity(work.len());
         let (mut round, mut continued) = (SuperstepComm::default(), false);
         for slot in run_group_vps(
             env.prog,
             env.cfg.compute,
-            step,
-            shape.v,
-            shape.gamma,
+            rules,
             work,
             env.pool.as_ref(),
+            &mut self.outbox,
         ) {
             let slot = slot?; // first error in vp order wins, as the serial loop would
             continued |= slot.continued;
@@ -1253,7 +1236,6 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             round.h_bytes = round.h_bytes.max(slot.bytes_sent).max(slot.recv_bytes);
             round.h_msgs = round.h_msgs.max(slot.msgs_sent).max(slot.recv_msgs);
             round.w_comp = round.w_comp.max(slot.work);
-            self.outbox.append(&slot.outbox);
             new_states.push(slot.state_bytes);
         }
         shared.add_comm(&round, continued);
@@ -1289,18 +1271,13 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         // One stream per (this producer, destination batch·owner), so
         // blocks are shared by all messages that the same worker will
         // simulate in the same round: the tag `batch·p + owner` is the
-        // destination's `k`-slice of the pid space, `dst / k`. The first
-        // pid of this (worker, round) slice is unique across all (worker,
-        // round) pairs of the superstep — a collision-free source tag.
-        let (p, k) = (shape.p, shape.k as u32);
-        let blocks = build_stream_blocks(
-            self.geom.block_bytes,
-            &self.outbox,
-            pids.start as u32,
-            |dst| dst / k,
-            &mut self.cut_scratch,
-            &mut self.block_pool,
-        )?;
+        // destination's `k`-slice of the pid space, `dst / k` — the stream
+        // the Computing Phase wrote each message onto. The first pid of
+        // this (worker, round) slice is unique across all (worker, round)
+        // pairs of the superstep — a collision-free source tag.
+        let p = shape.p;
+        let blocks =
+            self.outbox.cut(self.geom.block_bytes, pids.start as u32, &mut self.block_pool)?;
         if !blocks.is_empty() {
             self.env.shared.any_msgs.store(true, Ordering::Relaxed);
         }

@@ -105,12 +105,20 @@ impl PhaseIo {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseWall {
     /// Fetching Phase: context and message-region reads (Steps 1(a)/1(b)),
-    /// including pipelined submission and join time.
+    /// including pipelined submission and join time, and the one pass that
+    /// reassembles the delivered streams and decodes each message into its
+    /// virtual processor's inbox. (Before EXPERIMENTS.md's "Layer chain,
+    /// row 5" the decode was a pass of its own and was filed under
+    /// `compute`; numbers from before and after do not compare field by
+    /// field, only as `fetch + compute`.)
     pub fetch: Duration,
-    /// Computation Phase: decode, superstep, re-encode (Step 1(c)).
+    /// Computation Phase: decode the contexts, run the superstep, write the
+    /// messages it sends onto the round's streams, re-encode the contexts
+    /// (Step 1(c)).
     pub compute: Duration,
-    /// Writing Phase: message scatter and context write-back
-    /// (Steps 1(d)/1(e)), including backlog drains.
+    /// Writing Phase: context write-back, cutting the round's streams into
+    /// blocks and the message scatter (Steps 1(d)/1(e)), including backlog
+    /// drains.
     pub write: Duration,
     /// Step 2: `SimulateRouting` reorganization.
     pub reorganize: Duration,

@@ -65,9 +65,7 @@ impl<T: Serial> Serial for Vec<T> {
 
     fn encode(&self, buf: &mut Vec<u8>) {
         (self.len() as u64).encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
@@ -77,9 +75,7 @@ impl<T: Serial> Serial for Vec<T> {
         let min_elem_bytes = usize::from(std::mem::size_of::<T>() > 0);
         r.check_len(len, min_elem_bytes)?;
         let mut out = Vec::with_capacity(len.min(r.remaining().max(1)));
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
+        T::decode_into(r, len, &mut out)?;
         Ok(out)
     }
 }
@@ -91,9 +87,7 @@ impl<T: Serial> Serial for Box<[T]> {
 
     fn encode(&self, buf: &mut Vec<u8>) {
         (self.len() as u64).encode(buf);
-        for item in self.iter() {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
@@ -143,17 +137,13 @@ impl<T: Serial, const N: usize> Serial for [T; N] {
     }
 
     fn encode(&self, buf: &mut Vec<u8>) {
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_slice(self, buf);
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
         // Decode into a Vec first; N is small in practice (point coords etc.)
         let mut out = Vec::with_capacity(N);
-        for _ in 0..N {
-            out.push(T::decode(r)?);
-        }
+        T::decode_into(r, N, &mut out)?;
         out.try_into().map_err(|_| DecodeError::InvalidValue { type_name: "[T; N]" })
     }
 }

@@ -31,6 +31,8 @@ mod composite;
 mod error;
 mod primitives;
 mod reader;
+#[cfg(test)]
+mod slice_tests;
 
 #[macro_use]
 mod macros;
@@ -55,6 +57,38 @@ pub trait Serial: Sized {
     /// Decode one value from the reader, consuming exactly the bytes that
     /// `encode` produced.
     fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError>;
+
+    /// Append the encodings of `items`, back to back, to `buf`: what
+    /// `Vec<T>`, `Box<[T]>` and `[T; N]` call for their elements.
+    ///
+    /// The bytes are a fixed part of the on-disk format and may not
+    /// change: an override must append exactly what calling
+    /// [`Serial::encode`] on each item in turn appends, which is what this
+    /// default does. Override it only where a whole span can be written
+    /// faster than item by item — a type whose encoding has one fixed
+    /// width, as the primitive integers and floats do here.
+    fn encode_slice(items: &[Self], buf: &mut Vec<u8>) {
+        for item in items {
+            item.encode(buf);
+        }
+    }
+
+    /// Decode `n` values from the reader and push them onto `out`: the
+    /// inverse of [`Serial::encode_slice`].
+    ///
+    /// An override must consume the bytes, push the values and — on any
+    /// input, however short or malformed — return the [`DecodeError`] that
+    /// calling [`Serial::decode`] `n` times would, which is what this
+    /// default does. It never reserves room for `n` values on the word of
+    /// a length prefix alone; callers bound `n` by the input first
+    /// ([`Reader::check_len`]). Override it together with
+    /// [`Serial::encode_slice`], for the same types.
+    fn decode_into(r: &mut Reader<'_>, n: usize, out: &mut Vec<Self>) -> Result<(), DecodeError> {
+        for _ in 0..n {
+            out.push(Self::decode(r)?);
+        }
+        Ok(())
+    }
 }
 
 /// Encode a single value into a fresh byte vector.

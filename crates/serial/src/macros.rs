@@ -76,6 +76,41 @@ macro_rules! impl_serial_enum {
     };
 }
 
+/// Implement [`crate::Serial`] for a struct with named fields and type
+/// parameters (each parameter is bounded by `Serial`).
+///
+/// ```
+/// use em_serial::{impl_serial_struct_generic, to_bytes, from_bytes};
+///
+/// #[derive(Debug, Clone, PartialEq)]
+/// struct Pair<A, B> { left: A, right: Vec<B> }
+/// impl_serial_struct_generic!(Pair<A, B> { left, right });
+///
+/// let p = Pair { left: 1u32, right: vec![2u16, 3] };
+/// let b = to_bytes(&p);
+/// assert_eq!(from_bytes::<Pair<u32, u16>>(&b).unwrap(), p);
+/// ```
+#[macro_export]
+macro_rules! impl_serial_struct_generic {
+    ($name:ident<$($gen:ident),+> { $($field:ident),+ $(,)? }) => {
+        impl<$($gen: $crate::Serial),+> $crate::Serial for $name<$($gen),+> {
+            fn encoded_len(&self) -> usize {
+                0 $(+ $crate::Serial::encoded_len(&self.$field))+
+            }
+
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $($crate::Serial::encode(&self.$field, buf);)+
+            }
+
+            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::DecodeError> {
+                Ok($name {
+                    $($field: $crate::Serial::decode(r)?,)+
+                })
+            }
+        }
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use crate::{from_bytes, to_bytes, Serial};
@@ -111,39 +146,4 @@ mod tests {
         }
         assert!(from_bytes::<Color>(&[3]).is_err());
     }
-}
-
-/// Implement [`crate::Serial`] for a struct with named fields and type
-/// parameters (each parameter is bounded by `Serial`).
-///
-/// ```
-/// use em_serial::{impl_serial_struct_generic, to_bytes, from_bytes};
-///
-/// #[derive(Debug, Clone, PartialEq)]
-/// struct Pair<A, B> { left: A, right: Vec<B> }
-/// impl_serial_struct_generic!(Pair<A, B> { left, right });
-///
-/// let p = Pair { left: 1u32, right: vec![2u16, 3] };
-/// let b = to_bytes(&p);
-/// assert_eq!(from_bytes::<Pair<u32, u16>>(&b).unwrap(), p);
-/// ```
-#[macro_export]
-macro_rules! impl_serial_struct_generic {
-    ($name:ident<$($gen:ident),+> { $($field:ident),+ $(,)? }) => {
-        impl<$($gen: $crate::Serial),+> $crate::Serial for $name<$($gen),+> {
-            fn encoded_len(&self) -> usize {
-                0 $(+ $crate::Serial::encoded_len(&self.$field))+
-            }
-
-            fn encode(&self, buf: &mut Vec<u8>) {
-                $($crate::Serial::encode(&self.$field, buf);)+
-            }
-
-            fn decode(r: &mut $crate::Reader<'_>) -> Result<Self, $crate::DecodeError> {
-                Ok($name {
-                    $($field: $crate::Serial::decode(r)?,)+
-                })
-            }
-        }
-    };
 }

@@ -25,6 +25,43 @@ macro_rules! impl_serial_int {
                 fn decode(r: &mut Reader<'_>) -> Result<Self, DecodeError> {
                     Ok(<$ty>::from_le_bytes(r.take_array()?))
                 }
+
+                // One fixed width: a slice is one span of bytes, sized once
+                // and filled in a loop the compiler turns into a copy on a
+                // little-endian target and into byte swaps on any other.
+                fn encode_slice(items: &[Self], buf: &mut Vec<u8>) {
+                    const W: usize = std::mem::size_of::<$ty>();
+                    let start = buf.len();
+                    buf.resize(start + items.len() * W, 0);
+                    for (bytes, item) in buf[start..].chunks_exact_mut(W).zip(items) {
+                        bytes.copy_from_slice(&item.to_le_bytes());
+                    }
+                }
+
+                fn decode_into(
+                    r: &mut Reader<'_>,
+                    n: usize,
+                    out: &mut Vec<Self>,
+                ) -> Result<(), DecodeError> {
+                    const W: usize = std::mem::size_of::<$ty>();
+                    match n.checked_mul(W) {
+                        Some(span) if span <= r.remaining() => {
+                            let bytes = r.take(span)?;
+                            out.extend(bytes.chunks_exact(W).map(|word| {
+                                <$ty>::from_le_bytes(word.try_into().expect("chunks of W bytes"))
+                            }));
+                            Ok(())
+                        }
+                        // Short input: value by value up to the one that
+                        // does not fit, so the error is the same one.
+                        _ => {
+                            for _ in 0..n {
+                                out.push(Self::decode(r)?);
+                            }
+                            Ok(())
+                        }
+                    }
+                }
             }
         )*
     };

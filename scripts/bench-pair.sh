@@ -5,29 +5,42 @@
 # medians, quartiles and win counts.
 #
 # Usage: scripts/bench-pair.sh <parent-ref> <workload> [pairs]
+#        scripts/bench-pair.sh <parent-ref> <workload> trace [n]
 #   <parent-ref>  any commit-ish of this repository (HEAD~1, a hash, main)
 #   <workload>    sort-mem | sort-file | listrank-par | service-mix, or `all`:
 #                 BENCHMARK.json's workloads back to back on the one pair of
 #                 builds, in one table (what a gain claim has to report)
 #   [pairs]       parent/change pairs to run per workload (default 10)
+#   trace [n]     the per-layer half instead: n (default 3) alternations of
+#                 `embench trace` per workload, each side's core.wall.*,
+#                 core.sim_overhead_x, bsp.ref_job_ms and serial.* run by run
+#                 with medians, and `embench compare` of the first
+#                 alternation's two layers.json (every exact count must tie)
 #
 # The change is the working tree as it stands. The parent is exported with
 # `git archive` into a scratch directory, both binaries are built into
-# target directories there, and every run's `.bench_scratch` lands there
-# too: nothing is written inside benchmark/ or anywhere else in the
-# checkout. Scratch directory: $BENCH_PAIR_DIR, default
-# ${TMPDIR:-/tmp}/em-bench-pair (kept between calls, so a second workload
-# reuses the builds). Run length is the driver's own: BENCHMARK.json's
-# `run_seconds`. Needs python3 for the arithmetic.
+# target directories there, and every run's `.bench_scratch` (a traced
+# run's files: `traces/`, `tmp/`) lands there too: nothing is written
+# inside benchmark/ or anywhere else in the checkout. Scratch directory:
+# $BENCH_PAIR_DIR, default ${TMPDIR:-/tmp}/em-bench-pair (kept between
+# calls, so a second workload reuses the builds). Run length is the
+# driver's own: BENCHMARK.json's `run_seconds`. Needs python3 for the
+# arithmetic.
 set -euo pipefail
 
-if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-    sed -n '2,22p' "$0" | sed 's/^# \{0,1\}//'
+if [ $# -lt 2 ] || [ $# -gt 4 ] || { [ $# -eq 4 ] && [ "$3" != trace ]; }; then
+    sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 PARENT_REF="$1"
 WORKLOAD="$2"
-PAIRS="${3:-10}"
+if [ "${3:-}" = trace ]; then
+    MODE=trace
+    PAIRS="${4:-3}"
+else
+    MODE=driver
+    PAIRS="${3:-10}"
+fi
 
 ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 SCRATCH="${BENCH_PAIR_DIR:-${TMPDIR:-/tmp}/em-bench-pair}"
@@ -69,6 +82,51 @@ import json, sys
 m = json.load(open(sys.argv[1]))["metrics"]
 print(", ".join("%s %.4g" % (k, v["value"]) for k, v in m.items()))' "$out")" >&2
 }
+
+trace_side() { # <workload> <side> <alternation index>
+    local out="$SCRATCH/traces/$1-$2-$3"
+    rm -rf "$out"
+    mkdir -p "$out" "$SCRATCH/tmp"
+    "$SCRATCH/bin/embench-$2" trace --workload "$1" --seed "$((BASE_SEED + $3))" \
+        --seconds "$SECONDS_PER_RUN" --dir "$SCRATCH/tmp" --out "$out" >"$out/stdout.txt"
+    echo "  alternation $3 $2: $out/layers.json" >&2
+}
+
+if [ "$MODE" = trace ]; then
+    for workload in $WORKLOADS; do
+        echo "$workload: $PAIRS traced alternations of ${SECONDS_PER_RUN}s runs, parent $parent_sha" >&2
+        for i in $(seq 1 "$PAIRS"); do
+            if [ $((i % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+            for side in $order; do trace_side "$workload" "$side" "$i"; done
+        done
+    done
+    # shellcheck disable=SC2086 # one argument per workload is the point
+    python3 - "$SCRATCH/traces" "$PAIRS" $WORKLOADS <<'EOF'
+import json, statistics, sys
+traces, n, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+def shown(name):
+    return name.startswith(("core.wall.", "serial.")) or name in ("core.sim_overhead_x", "bsp.ref_job_ms")
+for workload in workloads:
+    sides = {}
+    for side in ("parent", "change"):
+        runs = [json.load(open(f"{traces}/{workload}-{side}-{i}/layers.json")) for i in range(1, n + 1)]
+        sides[side] = [next(w for w in r["workloads"] if w["name"] == workload)["metrics"] for r in runs]
+    print(f"\n{workload}: {n} traced alternations, run by run, then [the median]")
+    for name in filter(shown, sides["parent"][0]):
+        cells = []
+        for side in ("parent", "change"):
+            values = [m[name]["value"] for m in sides[side] if name in m]
+            cells.append(" / ".join(f"{v:.4g}" for v in values) + f"  [{statistics.median(values):.4g}]")
+        print(f"  {name:<28} {cells[0]:<44} -> {cells[1]}")
+EOF
+    for workload in $WORKLOADS; do
+        echo
+        echo "$workload: embench compare, alternation 1 (exact counts must tie; timings are one run each)"
+        "$SCRATCH/bin/embench-change" compare "$SCRATCH/traces/$workload-parent-1/layers.json" \
+            "$SCRATCH/traces/$workload-change-1/layers.json" || true
+    done
+    exit 0
+fi
 
 for workload in $WORKLOADS; do
     echo "$workload: $PAIRS pairs of ${SECONDS_PER_RUN}s runs, parent $parent_sha" >&2

@@ -23,13 +23,13 @@ export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$OUT/build}"
 # Library crates whose unit tests compile against the stand-ins.
 UNIT_CRATES=(serial disk bsp core service)
 # Root integration suites that compile against the stand-ins.
-ROOT_SUITES=(cache_modes checkpoint_restart engine_equivalence failure_injection
-    fault_recovery message_alloc_budget par_stress planner_roundtrip reorg_modes
-    routing_alloc_budget thread_leak)
+ROOT_SUITES=(cache_modes checkpoint_restart compute_modes cross_executor
+    engine_equivalence failure_injection fault_recovery file_backend
+    message_alloc_budget par_stress planner_roundtrip reorg_modes
+    routing_alloc_budget service thread_leak)
 
 SKIPPED=(
     "em-algos, em-baselines unit tests: the rand stand-in lacks gen/fill/i64 ranges"
-    "tests/{compute_modes,cross_executor,file_backend,service}.rs: same rand stand-in gaps"
     "crates/*/tests/proptest_*.rs: need proptest"
     "em-bench (bins, criterion benches): needs serde, serde_json, criterion"
 )

@@ -31,6 +31,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 const V: usize = 8;
 
+/// A draw from a range of signed bounds: one unsigned draw over its width,
+/// shifted — the value `rng.gen_range(range)` gives on the published `rand`,
+/// written so that the offline stand-in, which samples unsigned ranges
+/// only, compiles it (`scripts/offline-test.sh`).
+fn signed(rng: &mut StdRng, range: std::ops::Range<i64>) -> i64 {
+    range.start + rng.gen_range(0..(range.end - range.start) as u64) as i64
+}
+
 /// Threaded worker counts under test; 1 exercises the serial fallback of
 /// the pool, 8 oversubscribes the group (more workers than some groups
 /// have virtual processors).
@@ -211,8 +219,9 @@ fn prefix_sums_are_mode_invariant() {
 #[test]
 fn convex_hull_is_mode_invariant() {
     let mut rng = StdRng::seed_from_u64(203);
-    let pts: Vec<Point2> =
-        (0..250).map(|_| Point2::new(rng.gen_range(-400..400), rng.gen_range(-400..400))).collect();
+    let pts: Vec<Point2> = (0..250)
+        .map(|_| Point2::new(signed(&mut rng, -400..400), signed(&mut rng, -400..400)))
+        .collect();
     check_workload!("hull", |rec| cgm_convex_hull(rec, V, pts.clone()).unwrap());
 }
 

@@ -35,6 +35,14 @@ use rand::{Rng, SeedableRng};
 
 const V: usize = 8;
 
+/// A draw from a range of signed bounds: one unsigned draw over its width,
+/// shifted — the value `rng.gen_range(range)` gives on the published `rand`,
+/// written so that the offline stand-in, which samples unsigned ranges
+/// only, compiles it (`scripts/offline-test.sh`).
+fn signed(rng: &mut StdRng, range: std::ops::Range<i64>) -> i64 {
+    range.start + rng.gen_range(0..(range.end - range.start) as u64) as i64
+}
+
 /// A machine small enough that the EM simulators page contexts in groups.
 fn em_machine(p: usize) -> EmMachine {
     EmMachine {
@@ -382,8 +390,9 @@ fn prefix_sums_all_executors() {
 #[test]
 fn convex_hull_all_executors() {
     let mut rng = StdRng::seed_from_u64(103);
-    let pts: Vec<Point2> =
-        (0..300).map(|_| Point2::new(rng.gen_range(-500..500), rng.gen_range(-500..500))).collect();
+    let pts: Vec<Point2> = (0..300)
+        .map(|_| Point2::new(signed(&mut rng, -500..500), signed(&mut rng, -500..500)))
+        .collect();
     let want = seq_convex_hull(&pts);
     check_all(|e| e.hull(V, pts.clone()), want);
 }
@@ -395,7 +404,7 @@ fn maxima3d_all_executors() {
     xs.shuffle(&mut rng);
     let pts: Vec<Point3> = xs
         .into_iter()
-        .map(|x| Point3::new(x, rng.gen_range(-60..60), rng.gen_range(-60..60)))
+        .map(|x| Point3::new(x, signed(&mut rng, -60..60), signed(&mut rng, -60..60)))
         .collect();
     let want = seq_maxima3d(&pts);
     check_all(|e| e.maxima(V, pts.clone()), want);
@@ -405,7 +414,9 @@ fn maxima3d_all_executors() {
 fn dominance_all_executors() {
     let mut rng = StdRng::seed_from_u64(105);
     let pts: Vec<(Point2, u64)> = (0..200)
-        .map(|_| (Point2::new(rng.gen_range(-30..30), rng.gen_range(-30..30)), rng.gen_range(1..5)))
+        .map(|_| {
+            (Point2::new(signed(&mut rng, -30..30), signed(&mut rng, -30..30)), rng.gen_range(1..5))
+        })
         .collect();
     let want = seq_dominance_counts(&pts);
     check_all(|e| e.dominance(V, &pts), want);
@@ -414,8 +425,8 @@ fn dominance_all_executors() {
 #[test]
 fn predecessor_all_executors() {
     let mut rng = StdRng::seed_from_u64(106);
-    let keys: Vec<i64> = (0..150).map(|_| rng.gen_range(-400..400)).collect();
-    let queries: Vec<i64> = (0..200).map(|_| rng.gen_range(-500..500)).collect();
+    let keys: Vec<i64> = (0..150).map(|_| signed(&mut rng, -400..400)).collect();
+    let queries: Vec<i64> = (0..200).map(|_| signed(&mut rng, -500..500)).collect();
     let want = seq_predecessor(&keys, &queries);
     check_all(|e| e.predecessor(V, &keys, &queries), want);
 }
@@ -425,8 +436,8 @@ fn envelope_all_executors() {
     let mut rng = StdRng::seed_from_u64(107);
     let segs: Vec<(i64, i64, i64)> = (0..120)
         .map(|_| {
-            let x1 = rng.gen_range(-300..280);
-            (x1, x1 + rng.gen_range(1..150), rng.gen_range(-50..50))
+            let x1 = signed(&mut rng, -300..280);
+            (x1, x1 + signed(&mut rng, 1..150), signed(&mut rng, -50..50))
         })
         .collect();
     let want = seq_lower_envelope(&segs);
@@ -438,9 +449,9 @@ fn union_area_all_executors() {
     let mut rng = StdRng::seed_from_u64(108);
     let rects: Vec<Rect> = (0..100)
         .map(|_| {
-            let x1 = rng.gen_range(-200..180);
-            let y1 = rng.gen_range(-200..180);
-            Rect::new(x1, x1 + rng.gen_range(1..90), y1, y1 + rng.gen_range(1..90))
+            let x1 = signed(&mut rng, -200..180);
+            let y1 = signed(&mut rng, -200..180);
+            Rect::new(x1, x1 + signed(&mut rng, 1..90), y1, y1 + signed(&mut rng, 1..90))
         })
         .collect();
     let want = seq_union_area(&rects);

@@ -6,7 +6,7 @@ use em_bsp::{BspStarParams, SeqExecutor};
 use em_core::{EmMachine, ParEmSimulator, Recording, SeqEmSimulator};
 use em_disk::{Block, DiskArray, DiskConfig, IoMode, Pipeline};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("em-sim-it-{}-{name}", std::process::id()))
@@ -16,7 +16,7 @@ fn tmp(name: &str) -> std::path::PathBuf {
 fn sort_on_file_backend_matches_reference() {
     let dir = tmp("sort");
     let mut rng = StdRng::seed_from_u64(1);
-    let items: Vec<u64> = (0..30_000).map(|_| rng.gen()).collect();
+    let items: Vec<u64> = (0..30_000).map(|_| rng.next_u64()).collect();
     let want = em_algos::sort::cgm_sort(&SeqExecutor, 16, items.clone()).unwrap();
 
     let machine = EmMachine::uniprocessor(64 * 1024, 4, 1024, 1);
@@ -89,7 +89,9 @@ fn seeded_stripe_workload(arr: &mut DiskArray, seed: u64) -> (em_disk::IoStats, 
         let writes: Vec<(usize, usize, Block)> = (0..d)
             .map(|disk| {
                 let mut data = vec![0u8; b];
-                rng.fill(&mut data[..]);
+                for word in data.chunks_mut(8) {
+                    word.copy_from_slice(&rng.next_u64().to_le_bytes()[..word.len()]);
+                }
                 (disk, track, Block::from_vec(data))
             })
             .collect();

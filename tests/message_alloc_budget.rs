@@ -1,6 +1,7 @@
 //! The message path allocates per block and per virtual processor, not per
-//! message: from `Mailbox::send` to the next superstep's inbox a message is
-//! a record in a batch's index and bytes in its arena.
+//! message: from `Mailbox::send` to the block a message is bytes on its
+//! destination's stream, and from the block to the next superstep's inbox
+//! it is an envelope the reassembler lends to a visitor.
 //!
 //! One messaging kernel runs twice on memory disks with the same byte
 //! volume per virtual processor — once as `n` messages, once as `16·n`
@@ -10,12 +11,15 @@
 //! count. With one heap `Vec` per message it grew with the message count:
 //! at `d80793a` this kernel made 48 515 → 85 471 allocations (1.76×) on one
 //! processor and 50 552 → 87 861 (1.74×) on two — 3.2 for every message
-//! added; here it makes 29 142 → 35 447 and 31 393 → 38 172 (1.22×), the
-//! blocks' own growth, 0.55 and 0.59 per added message (sixteen header
-//! bytes are a fifteenth of a block, and a block costs the disk path a
-//! handful of allocations). Both are asserted: the ratio, and less than one
-//! allocation per added message, which a single per-message `Vec` on either
-//! half of the path breaks.
+//! added. With one batch per virtual processor, appended to the worker's
+//! and counting-sorted into blocks (`871270c`), it made 29 142 → 35 447 and
+//! 31 393 → 38 172 (1.22×): 0.55 and 0.59 per added message. Here it makes
+//! 10 762 → 12 509 (1.16×) and 12 399 → 14 178 (1.14×), 0.15 per added
+//! message — the blocks' own growth (sixteen header bytes are a fifteenth
+//! of a block, and a block costs the disk path a handful of allocations)
+//! and the inboxes' (a `Vec` of 64 messages doubles four times more often
+//! than one of 4). Both are asserted, at bounds the two earlier paths
+//! break: the ratio, and the allocations per added message.
 //!
 //! This file holds one test on purpose: the counter is process-wide.
 
@@ -137,10 +141,10 @@ fn sixteen_times_the_messages_is_not_sixteen_times_the_allocations() {
              {per_added_msg:.2} per added message"
         );
         assert!(
-            growth < 1.5 && per_added_msg < 1.0,
+            growth < 1.3 && per_added_msg < 0.3,
             "p = {p}: allocations grew {growth:.2}× ({few} → {many}, {per_added_msg:.2} per added \
              message) for the same bytes in 16× the messages: something on the message path \
-             allocates per message"
+             allocates per message, or per virtual processor and message"
         );
     }
 }

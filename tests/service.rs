@@ -19,7 +19,7 @@ use em_bsp::{BspProgram, Mailbox, Step};
 use em_core::{EmMachine, ParEmSimulator, SeqEmSimulator};
 use em_service::{AdmissionError, JobSpec, ServiceConfig, SimService, SoloRunner};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 const D: usize = 2;
 const B: usize = 512;
@@ -38,7 +38,7 @@ fn spec(name: &str, seed: u64, v: usize) -> JobSpec {
 
 fn input(n: usize, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen()).collect()
+    (0..n).map(|_| rng.next_u64()).collect()
 }
 
 #[test]
