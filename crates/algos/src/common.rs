@@ -14,6 +14,17 @@ use std::fmt;
 pub trait Rec: Serial + Clone + Send + Ord + fmt::Debug + 'static {}
 impl<T: Serial + Clone + Send + Ord + fmt::Debug + 'static> Rec for T {}
 
+/// A draw from a range of signed bounds, for the unit tests: one unsigned
+/// draw over its width, shifted — the value `rng.gen_range(range)` gives on
+/// the published `rand`, written so that the stand-in
+/// `scripts/offline-test.sh` builds against, which samples unsigned ranges
+/// only, compiles it.
+#[cfg(test)]
+pub(crate) fn signed(rng: &mut rand::rngs::StdRng, range: std::ops::Range<i64>) -> i64 {
+    use rand::Rng;
+    range.start + rng.gen_range(0..(range.end - range.start) as u64) as i64
+}
+
 /// Errors from the algorithm drivers.
 #[derive(Debug)]
 pub enum AlgoError {

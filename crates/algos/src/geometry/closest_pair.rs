@@ -285,16 +285,17 @@ pub fn seq_closest_pair(points: &[Point2]) -> (u128, Point2, Point2) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::signed;
     use em_bsp::SeqExecutor;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     #[test]
     fn sweep_matches_brute_force() {
         let mut rng = StdRng::seed_from_u64(80);
         for _ in 0..20 {
             let mut pts: Vec<Point2> = (0..60)
-                .map(|_| Point2::new(rng.gen_range(-100..100), rng.gen_range(-100..100)))
+                .map(|_| Point2::new(signed(&mut rng, -100..100), signed(&mut rng, -100..100)))
                 .collect();
             pts.sort_unstable();
             pts.dedup();
@@ -312,7 +313,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(81);
         for trial in 0..6 {
             let pts: Vec<Point2> = (0..200)
-                .map(|_| Point2::new(rng.gen_range(-5000..5000), rng.gen_range(-5000..5000)))
+                .map(|_| Point2::new(signed(&mut rng, -5000..5000), signed(&mut rng, -5000..5000)))
                 .collect();
             let want = seq_closest_pair(&pts);
             let got = cgm_closest_pair(&SeqExecutor, 7, pts).unwrap();

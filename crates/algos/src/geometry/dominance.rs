@@ -293,6 +293,7 @@ pub fn seq_dominance_counts(pts: &[(Point2, u64)]) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::signed;
     use em_bsp::SeqExecutor;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -314,7 +315,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(12);
         let pts: Vec<(Point2, u64)> = (0..250)
             .map(|_| {
-                (Point2::new(rng.gen_range(-40..40), rng.gen_range(-40..40)), rng.gen_range(1..10))
+                (
+                    Point2::new(signed(&mut rng, -40..40), signed(&mut rng, -40..40)),
+                    rng.gen_range(1..10),
+                )
             })
             .collect();
         let want = seq_dominance_counts(&pts);

@@ -288,17 +288,18 @@ pub fn seq_lower_envelope(segments: &[(i64, i64, i64)]) -> Vec<(i64, Option<i64>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::signed;
     use em_bsp::SeqExecutor;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     fn random_segments(n: usize, seed: u64) -> Vec<(i64, i64, i64)> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
             .map(|_| {
-                let x1 = rng.gen_range(-500..480);
-                let x2 = x1 + rng.gen_range(1..200);
-                (x1, x2, rng.gen_range(-100..100))
+                let x1 = signed(&mut rng, -500..480);
+                let x2 = x1 + signed(&mut rng, 1..200);
+                (x1, x2, signed(&mut rng, -100..100))
             })
             .collect()
     }

@@ -148,9 +148,10 @@ pub fn seq_convex_hull(points: &[Point2]) -> Vec<Point2> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::signed;
     use em_bsp::SeqExecutor;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     #[test]
     fn square_with_interior_points() {
@@ -168,7 +169,7 @@ mod tests {
     fn random_points_match_reference() {
         let mut rng = StdRng::seed_from_u64(6);
         let pts: Vec<Point2> = (0..400)
-            .map(|_| Point2::new(rng.gen_range(-1000..1000), rng.gen_range(-1000..1000)))
+            .map(|_| Point2::new(signed(&mut rng, -1000..1000), signed(&mut rng, -1000..1000)))
             .collect();
         let want = seq_convex_hull(&pts);
         let got = cgm_convex_hull(&SeqExecutor, 8, pts).unwrap();
@@ -198,8 +199,9 @@ mod tests {
     #[test]
     fn hull_is_convex_and_contains_all_points() {
         let mut rng = StdRng::seed_from_u64(7);
-        let pts: Vec<Point2> =
-            (0..200).map(|_| Point2::new(rng.gen_range(-50..50), rng.gen_range(-50..50))).collect();
+        let pts: Vec<Point2> = (0..200)
+            .map(|_| Point2::new(signed(&mut rng, -50..50), signed(&mut rng, -50..50)))
+            .collect();
         let hull = cgm_convex_hull(&SeqExecutor, 5, pts.clone()).unwrap();
         let m = hull.len();
         // Strictly convex turns.

@@ -201,17 +201,18 @@ pub fn seq_maxima3d(points: &[Point3]) -> Vec<Point3> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::signed;
     use em_bsp::SeqExecutor;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     fn random_points(n: usize, seed: u64) -> Vec<Point3> {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut xs: Vec<i64> = (0..n as i64).collect();
         xs.shuffle(&mut rng);
         xs.into_iter()
-            .map(|x| Point3::new(x, rng.gen_range(-100..100), rng.gen_range(-100..100)))
+            .map(|x| Point3::new(x, signed(&mut rng, -100..100), signed(&mut rng, -100..100)))
             .collect()
     }
 

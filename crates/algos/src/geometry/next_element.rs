@@ -138,15 +138,16 @@ pub fn seq_predecessor(keys: &[i64], queries: &[i64]) -> Vec<Option<i64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::signed;
     use em_bsp::SeqExecutor;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     #[test]
     fn matches_reference_random() {
         let mut rng = StdRng::seed_from_u64(11);
-        let keys: Vec<i64> = (0..200).map(|_| rng.gen_range(-500..500)).collect();
-        let queries: Vec<i64> = (0..300).map(|_| rng.gen_range(-600..600)).collect();
+        let keys: Vec<i64> = (0..200).map(|_| signed(&mut rng, -500..500)).collect();
+        let queries: Vec<i64> = (0..300).map(|_| signed(&mut rng, -600..600)).collect();
         let want = seq_predecessor(&keys, &queries);
         let got = cgm_predecessor(&SeqExecutor, 6, &keys, &queries).unwrap();
         assert_eq!(got, want);

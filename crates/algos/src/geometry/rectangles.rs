@@ -303,17 +303,19 @@ pub fn seq_union_area(rects: &[Rect]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::signed;
     use em_bsp::SeqExecutor;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::SeedableRng;
 
     fn random_rects(n: usize, seed: u64) -> Vec<Rect> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
             .map(|_| {
-                let x1 = rng.gen_range(-300..280);
-                let y1 = rng.gen_range(-300..280);
-                Rect::new(x1, x1 + rng.gen_range(1..120), y1, y1 + rng.gen_range(1..120))
+                let x1 = signed(&mut rng, -300..280);
+                let y1 = signed(&mut rng, -300..280);
+                let (w, h) = (signed(&mut rng, 1..120), signed(&mut rng, 1..120));
+                Rect::new(x1, x1 + w, y1, y1 + h)
             })
             .collect()
     }

@@ -221,14 +221,17 @@ pub fn seq_separable(a: &[Point2], b: &[Point2]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::signed;
     use em_bsp::SeqExecutor;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::{RngCore, SeedableRng};
 
     fn cloud(n: usize, cx: i64, cy: i64, r: i64, seed: u64) -> Vec<Point2> {
         let mut rng = StdRng::seed_from_u64(seed);
         (0..n)
-            .map(|_| Point2::new(cx + rng.gen_range(-r..=r), cy + rng.gen_range(-r..=r)))
+            .map(|_| {
+                Point2::new(cx + signed(&mut rng, -r..r + 1), cy + signed(&mut rng, -r..r + 1))
+            })
             .collect()
     }
 
@@ -289,9 +292,9 @@ mod tests {
     fn matches_reference_on_random_pairs() {
         let mut rng = StdRng::seed_from_u64(95);
         for _ in 0..10 {
-            let gap: i64 = rng.gen_range(-200..400);
-            let a = cloud(60, 0, 0, 150, rng.gen());
-            let b = cloud(60, 150 + gap, 0, 150, rng.gen());
+            let gap: i64 = signed(&mut rng, -200..400);
+            let a = cloud(60, 0, 0, 150, rng.next_u64());
+            let b = cloud(60, 150 + gap, 0, 150, rng.next_u64());
             let want = seq_separable(&a, &b);
             let got = cgm_separable(&SeqExecutor, 6, a, b).unwrap();
             assert_eq!(got, want, "gap {gap}");

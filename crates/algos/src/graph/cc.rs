@@ -328,7 +328,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(23);
         for _ in 0..4 {
             let n = rng.gen_range(20..60);
-            let m = rng.gen_range(5..100);
+            let m = rng.gen_range(5..100u32);
             let edges: Vec<(u64, u64)> = (0..m)
                 .map(|_| (rng.gen_range(0..n as u64), rng.gen_range(0..n as u64)))
                 .filter(|&(a, b)| a != b)

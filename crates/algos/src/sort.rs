@@ -182,7 +182,7 @@ mod tests {
     use super::*;
     use em_bsp::SeqExecutor;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn sorts_random_u64() {
@@ -205,7 +205,8 @@ mod tests {
     #[test]
     fn sorts_tuples_by_lexicographic_order() {
         let mut rng = StdRng::seed_from_u64(3);
-        let items: Vec<(u32, u64)> = (0..200).map(|_| (rng.gen_range(0..50), rng.gen())).collect();
+        let items: Vec<(u32, u64)> =
+            (0..200).map(|_| (rng.gen_range(0..50), rng.next_u64())).collect();
         let want = seq_sort(items.clone());
         let got = cgm_sort(&SeqExecutor, 5, items).unwrap();
         assert_eq!(got, want);

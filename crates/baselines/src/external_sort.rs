@@ -283,11 +283,11 @@ pub fn external_sort<T: FixedRec>(
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use rand::{Rng, RngCore, SeedableRng};
 
     fn random_u64(n: usize, seed: u64) -> Vec<u64> {
         let mut rng = StdRng::seed_from_u64(seed);
-        (0..n).map(|_| rng.gen()).collect()
+        (0..n).map(|_| rng.next_u64()).collect()
     }
 
     #[test]
@@ -331,7 +331,8 @@ mod tests {
     #[test]
     fn duplicates_and_tuples() {
         let mut rng = StdRng::seed_from_u64(33);
-        let items: Vec<(u64, u64)> = (0..1500).map(|_| (rng.gen_range(0..10), rng.gen())).collect();
+        let items: Vec<(u64, u64)> =
+            (0..1500).map(|_| (rng.gen_range(0..10), rng.next_u64())).collect();
         let mut want = items.clone();
         want.sort_unstable();
         let (got, _) = external_sort(1024, 3, 128, items).unwrap();

@@ -27,9 +27,11 @@
 //!   identically-seeded runs — the CI soak lane diffs exactly this). The
 //!   human summary moves to stderr.
 //!
-//! Every invocation also writes `results/BENCH_chaos.json`.
+//! Every invocation also writes `BENCH_chaos.json` — under `results/` for
+//! the default full-size run, under `target/bench-results/` for `--smoke`
+//! or a `--seed` override ([`em_bench::report::write_bench_json`]).
 
-use em_bench::report::{write_bench_json, PhaseWallRow, Row};
+use em_bench::report::{reject_unknown_flags, write_bench_json, Row};
 use em_bench::workloads::random_u64;
 use em_bsp::{BspProgram, BspStarParams, Executor, Mailbox, Step};
 use em_core::{CostReport, EmError, EmMachine, KillPoint, ParEmSimulator, SeqEmSimulator};
@@ -436,6 +438,11 @@ fn tenant_chaos(master_seed: u64, smoke: bool) -> (String, Vec<TenantRecord>, us
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    reject_unknown_flags(
+        &args,
+        &["--smoke", "--json", "--seed"],
+        "chaos [--smoke] [--json] [--seed S]",
+    );
     let has = |flag: &str| args.iter().any(|a| a == flag);
     let opt = |flag: &str| {
         args.iter()
@@ -445,7 +452,8 @@ fn main() {
     };
     let smoke = has("--smoke");
     let json = has("--json");
-    let master_seed = opt("--seed").unwrap_or(0xC4A05);
+    let seed_override = opt("--seed");
+    let master_seed = seed_override.unwrap_or(0xC4A05);
 
     let kills = kill_points(smoke);
     let seeds: Vec<u64> = (0..if smoke { 2 } else { 5 })
@@ -505,16 +513,15 @@ fn main() {
         cache_absorbed_writes: 0,
         note: format!("outcome {:?}", r.outcome),
     }));
-    let walls: Vec<PhaseWallRow> =
-        records.iter().map(|r| PhaseWallRow::from_stages(r.name.clone(), &r.stages)).collect();
     let config = format!(
         "kill sweep: {} cells x {} kill points ({} resumes); tenants D={D} B={B} tracks={TRACKS_PER_TENANT}",
         cells.len(),
         kills.len(),
         total_kills,
     );
-    let path = write_bench_json("chaos", master_seed, smoke, &config, &rows, &walls)
-        .expect("writing results/BENCH_chaos.json");
+    let complete = seed_override.is_none();
+    let path = write_bench_json("chaos", master_seed, smoke, complete, &config, &rows)
+        .expect("writing BENCH_chaos.json");
 
     let summary = format!(
         "chaos: {} kill/resume scenarios x {} kill points all bit-identical after resume; \

@@ -1,48 +1,33 @@
 //! Figure-style parameter sweeps for the paper's claims that have no table
-//! of their own.
+//! of their own, in counted parallel I/O operations.
 //!
 //! Usage: `figures [experiment] [--json] [--smoke]` with experiment ∈
 //! {blocking, disks, procs, balance, fig2, lambda, sibeyn, group-size,
-//! det-vs-rand, contraction, obs2, faults, compute, reorg, tune, cache,
-//! stream, engine, all}.
+//! det-vs-rand, contraction, obs2, faults, all}.
 //! `--smoke` shrinks every sweep to CI-sized inputs (seconds, debug build)
 //! while exercising the same code paths and in-process asserts.
 //!
 //! Besides the text table (or `--json` lines on stdout), every invocation
-//! writes `results/BENCH_figures.json`: seed, config, all rows, and the
-//! per-phase wall-clock breakdowns of the `compute` sweep.
+//! writes `BENCH_figures.json` — under `results/` for a full-size run of
+//! every sweep, under `target/bench-results/` otherwise
+//! ([`em_bench::report::write_bench_json`]).
 //!
-//! The `disks` and `procs` sweeps emit both memory-backend rows (counted
-//! parallel I/O ops — the primary signal) and file-backend rows whose
-//! wall-clock column is the secondary signal: real positional file I/O,
-//! serial vs worker-per-drive parallel stripe execution, and — for the
-//! "pipelined" rows — double-buffered compound supersteps (see DESIGN.md
-//! §3.2.2–§3.2.3 for when each signal is authoritative). Every pipelined
-//! row asserts, in process, that its counted [`em_disk::IoStats`] equal
-//! the corresponding `Pipeline::Off` row's bit for bit. The `stream`
-//! sweep is the N-deep generalization: a `Pipeline::Stream(n)` depth
-//! ablation (DESIGN.md §3.2.7) whose every lane asserts output, counted
-//! IoStats, per-phase op counts, message ledger *and raw drive bytes*
-//! bit-identical to `Pipeline::Off` on both simulators. The `engine`
-//! sweep applies the same asserts across stripe engines — worker threads
-//! vs io_uring (DESIGN.md §3.2.10) — skipping the uring lanes with a
-//! stderr note where the kernel ring is unavailable. The `reorg` sweep
-//! ablates the pooled reorganization-phase plan construction and the
-//! `tune` sweep the [`em_core::AutoTuner`] resolution paths (DESIGN.md
-//! §3.2.11), each asserting bit-identical counted results in process.
+//! Every sweep runs on the memory backend: what it reports is the counted
+//! cost, which no backend, engine or pipeline setting can change
+//! (`tests/file_backend.rs` and the `tests/*_modes.rs` suites hold that).
+//! Wall clock on the file path is `benchmark/embench`'s job.
 
-use em_bench::measure::{machine, measure_par, measure_par_file, measure_seq, measure_seq_file};
-use em_bench::report::{print_json, print_table, write_bench_json, PhaseWallRow, Row};
+use em_bench::measure::{machine, measure_par, measure_seq};
+use em_bench::report::{print_json, print_table, reject_unknown_flags, write_bench_json, Row};
 use em_bench::workloads::*;
 use em_core::theory;
 use em_core::{
     scatter_messages, simulate_routing, BufferPool, MsgGeometry, OutMsg, Placement, RoutingScratch,
     ScratchState,
 };
-use em_disk::{DiskArray, DiskConfig, IoMode, IoStats, Pipeline, TrackAllocator};
+use em_disk::{DiskArray, DiskConfig, TrackAllocator};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 const SEED: u64 = 0xF16;
@@ -57,20 +42,6 @@ fn pick<T>(full: T, small: T) -> T {
     } else {
         full
     }
-}
-
-/// Per-stage counted I/O of a run — the payload the pipelined rows must
-/// reproduce exactly.
-fn stage_stats(cost: &em_bench::EmRunCost) -> Vec<IoStats> {
-    cost.stages.iter().map(|r| r.io.clone()).collect()
-}
-
-/// Scratch directory for one file-backed sweep variant; wiped before and
-/// after use so reruns start from empty drive files.
-fn sweep_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("em-figures-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
 }
 
 /// F-blocking: the ×B penalty of unblocked I/O (intro's "factor 10³").
@@ -123,12 +94,7 @@ fn fig_blocking() -> Vec<Row> {
     rows
 }
 
-/// F-disks: I/O operations vs D — the ×D parallel-disk speedup. The
-/// memory rows carry the counted-ops claim; the file rows add the
-/// secondary wall-clock signal, comparing serial stripe execution (the
-/// pre-engine behaviour: one drive after another, flat in D) against the
-/// worker-per-drive parallel engine (wall clock should fall as D grows on
-/// a multi-core host).
+/// F-disks: I/O operations vs D — the ×D parallel-disk speedup.
 fn fig_disks() -> Vec<Row> {
     let n = pick(100_000usize, 4_000);
     let items = random_u64(n, SEED + 1);
@@ -155,61 +121,11 @@ fn fig_disks() -> Vec<Row> {
             cache_absorbed_writes: 0,
             note: format!("speedup {:.2}x vs D=1", base as f64 / cost.io_ops as f64),
         });
-        let mut off_stats: Option<Vec<IoStats>> = None;
-        for (mode, pl, tag) in [
-            (IoMode::Serial, Pipeline::Off, "serial io"),
-            (IoMode::Parallel, Pipeline::Off, "parallel io"),
-            (IoMode::Parallel, Pipeline::DoubleBuffer, "parallel io, pipelined"),
-        ] {
-            let dir = sweep_dir(&format!("disks-d{d}-{tag}"));
-            let (_, fcost) =
-                measure_seq_file(machine(1, m, d, 2048), SEED, &dir, mode, pl, |rec| {
-                    em_algos::sort::cgm_sort(rec, 64, items.clone()).unwrap()
-                });
-            std::fs::remove_dir_all(&dir).ok();
-            assert_eq!(
-                fcost.io_ops, cost.io_ops,
-                "file backend must count the same parallel I/O ops as memory"
-            );
-            // The pipeline knob must not change what is counted: compare
-            // the full per-stage IoStats against the Pipeline::Off run.
-            if pl == Pipeline::Off {
-                if mode == IoMode::Parallel {
-                    off_stats = Some(stage_stats(&fcost));
-                }
-            } else {
-                assert_eq!(
-                    Some(stage_stats(&fcost)),
-                    off_stats,
-                    "pipelined run must count bit-identical IoStats to Pipeline::Off"
-                );
-            }
-            rows.push(Row {
-                id: "F-disks".into(),
-                variant: format!("file sort D={d} ({tag})"),
-                n,
-                io_ops: fcost.io_ops,
-                predicted: base as f64 / d as f64,
-                lambda: fcost.lambda,
-                utilization: fcost.utilization,
-                wall_ms: fcost.wall_ms,
-                cache_hit_blocks: 0,
-                cache_absorbed_writes: 0,
-                note: if pl == Pipeline::DoubleBuffer {
-                    "IoStats asserted identical to the non-pipelined row".into()
-                } else {
-                    "wall clock is the signal on file rows".into()
-                },
-            });
-        }
     }
     rows
 }
 
-/// F-procs: per-processor I/O and wall time vs p (Theorem 1 scaling). The
-/// file rows run every processor's disks through the parallel engine
-/// (p·D I/O worker threads), adding a durable-write wall-clock column
-/// next to the counted per-processor ops.
+/// F-procs: per-processor I/O vs p (Theorem 1 scaling).
 fn fig_procs() -> Vec<Row> {
     let n = pick(120_000usize, 4_000);
     let items = random_u64(n, SEED + 2);
@@ -246,55 +162,6 @@ fn fig_procs() -> Vec<Row> {
                 cost.real_comm_bytes / 1024
             ),
         });
-        let mut off_stats: Option<Vec<IoStats>> = None;
-        for (pl, tag) in
-            [(Pipeline::Off, "parallel io"), (Pipeline::DoubleBuffer, "parallel io, pipelined")]
-        {
-            let m = 1usize << 18;
-            let dir = sweep_dir(&format!("procs-p{p}-{tag}"));
-            let (_, fcost) = if p == 1 {
-                measure_seq_file(machine(1, m, 4, 2048), SEED, &dir, IoMode::Parallel, pl, |rec| {
-                    em_algos::sort::cgm_sort(rec, 64, items.clone()).unwrap()
-                })
-            } else {
-                measure_par_file(machine(p, m, 4, 2048), SEED, &dir, IoMode::Parallel, pl, |rec| {
-                    em_algos::sort::cgm_sort(rec, 64, items.clone()).unwrap()
-                })
-            };
-            std::fs::remove_dir_all(&dir).ok();
-            assert_eq!(
-                fcost.io_ops, cost.io_ops,
-                "file backend must count the same parallel I/O ops as memory"
-            );
-            // As in `fig_disks`: pipelining must not change the counted
-            // per-stage IoStats (summed over processors for p > 1).
-            if pl == Pipeline::Off {
-                off_stats = Some(stage_stats(&fcost));
-            } else {
-                assert_eq!(
-                    Some(stage_stats(&fcost)),
-                    off_stats,
-                    "pipelined run must count bit-identical IoStats to Pipeline::Off"
-                );
-            }
-            rows.push(Row {
-                id: "F-procs".into(),
-                variant: format!("file sort p={p} ({tag})"),
-                n,
-                io_ops: fcost.io_ops / p as u64,
-                predicted: base as f64 / p as f64,
-                lambda: fcost.lambda,
-                utilization: fcost.utilization,
-                wall_ms: fcost.wall_ms,
-                cache_hit_blocks: 0,
-                cache_absorbed_writes: 0,
-                note: if pl == Pipeline::DoubleBuffer {
-                    "per-proc; IoStats asserted identical to the non-pipelined row".into()
-                } else {
-                    "per-proc; wall clock is the signal on file rows".into()
-                },
-            });
-        }
     }
     rows
 }
@@ -787,917 +654,6 @@ fn fig_faults() -> Vec<Row> {
     rows
 }
 
-/// F-compute: [`em_core::ComputeMode`] ablation — a deliberately
-/// compute-bound multi-round kernel (many mixing rounds per byte of I/O)
-/// where `Threaded(n)` should show a compute-phase wall-clock win on a
-/// multi-core host. Every threaded run asserts, in process, that its final
-/// states, its counted [`em_disk::IoStats`] and its per-phase
-/// [`em_core::PhaseIo`] operation counts are bit-identical to the Serial
-/// run: the knob may only move wall clock, never what is counted. The
-/// per-phase wall breakdowns are returned for `results/BENCH_figures.json`.
-fn fig_compute() -> (Vec<Row>, Vec<PhaseWallRow>) {
-    use em_bsp::{BspProgram, Mailbox, Step};
-    use em_core::{ComputeMode, SeqEmSimulator};
-    use em_serial::impl_serial_struct;
-
-    #[derive(Debug, Clone, PartialEq)]
-    struct MixState {
-        data: Vec<u64>,
-    }
-    impl_serial_struct!(MixState { data });
-
-    struct Mix {
-        rounds: usize,
-        inner: usize,
-        chunk: usize,
-    }
-    impl BspProgram for Mix {
-        type State = MixState;
-        type Msg = u64;
-        fn superstep(&self, step: usize, mb: &mut Mailbox<u64>, state: &mut MixState) -> Step {
-            let mut salt = 0u64;
-            for e in mb.take_incoming() {
-                salt = salt.wrapping_add(e.msg);
-            }
-            // The hot loop: `inner` sequential mixing passes over the
-            // chunk — CPU work that dwarfs the superstep's I/O volume.
-            for r in 0..self.inner as u64 {
-                for x in state.data.iter_mut() {
-                    *x = x
-                        .wrapping_add(salt ^ r)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .rotate_left(31);
-                }
-            }
-            if step < self.rounds {
-                let digest = state.data.iter().fold(0u64, |a, &x| a ^ x);
-                mb.send((mb.pid() + 1) % mb.nprocs(), digest);
-                Step::Continue
-            } else {
-                Step::Halt
-            }
-        }
-        fn max_state_bytes(&self) -> usize {
-            16 + 8 * (self.chunk + 2)
-        }
-        fn max_comm_bytes(&self) -> usize {
-            16 + 16 + 8 + 64
-        }
-    }
-
-    let v = 32usize;
-    let chunk = pick(1024usize, 128);
-    let prog = Mix { rounds: pick(6, 3), inner: pick(600, 16), chunk };
-    let states: Vec<MixState> = (0..v).map(|i| MixState { data: vec![i as u64; chunk] }).collect();
-    let mut rows = Vec::new();
-    let mut walls = Vec::new();
-    // (states, IoStats, PhaseIo, serial compute wall) of the Serial run.
-    let mut baseline: Option<(Vec<MixState>, IoStats, em_core::PhaseIo, f64)> = None;
-    for &workers in pick(&[0usize, 2, 4, 8][..], &[0usize, 2][..]) {
-        let (mode, label) = if workers == 0 {
-            (ComputeMode::Serial, "serial".to_string())
-        } else {
-            (ComputeMode::Threaded(workers), format!("threaded n={workers}"))
-        };
-        // M = 256 KiB against μ ≈ 8 KiB: one large group (k ≈ 31) so the
-        // worker pool has a wide span of virtual processors to chunk.
-        let sim = SeqEmSimulator::new(machine(1, 1 << 18, 4, 2048))
-            .with_seed(SEED)
-            .with_compute_mode(mode);
-        let t0 = std::time::Instant::now();
-        let (res, report) = sim.run(&prog, states.clone()).unwrap();
-        let wall = t0.elapsed().as_secs_f64() * 1e3;
-        let compute_ms = report.phase_wall.compute.as_secs_f64() * 1e3;
-        let serial_compute_ms = match &baseline {
-            None => {
-                baseline = Some((res.states, report.io.clone(), report.phases.clone(), compute_ms));
-                compute_ms
-            }
-            Some((b_states, b_io, b_phases, b_ms)) => {
-                assert_eq!(&res.states, b_states, "ComputeMode must not change final states");
-                assert_eq!(&report.io, b_io, "ComputeMode must not change counted IoStats");
-                assert_eq!(
-                    &report.phases, b_phases,
-                    "ComputeMode must not change per-phase I/O op counts"
-                );
-                *b_ms
-            }
-        };
-        // Timing lives only in `wall_ms` and the phase-wall records (both
-        // strippable as `…wall_ms` in determinism diffs) and on stderr —
-        // the note must stay bit-identical across reruns and modes.
-        eprintln!(
-            "F-compute mix {label}: compute {compute_ms:.1} ms ({:.2}x vs serial); {}",
-            serial_compute_ms / compute_ms.max(1e-9),
-            report.phase_wall_summary(),
-        );
-        rows.push(Row {
-            id: "F-compute".into(),
-            variant: format!("mix {label}"),
-            n: v * chunk,
-            io_ops: report.io.parallel_ops,
-            predicted: 0.0,
-            lambda: report.lambda,
-            utilization: report.io.utilization(),
-            wall_ms: wall,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
-            note: format!(
-                "k={}; states+IoStats+PhaseIo asserted identical across ComputeMode",
-                report.k
-            ),
-        });
-        walls.push(PhaseWallRow::from_wall(
-            format!("F-compute mix {label}"),
-            report.io.parallel_ops,
-            &report.phase_wall,
-        ));
-    }
-    (rows, walls)
-}
-
-/// F-reorg: parallel reorganization-phase ablation (DESIGN.md §3.2.11).
-/// Algorithm 2's per-bucket routing plans are built on an attached
-/// [`em_core::ComputePool`] while the Computation Phase stays
-/// [`ComputeMode::Serial`](em_core::ComputeMode), isolating the pooled
-/// plan construction. Every pooled lane asserts, in process, that its
-/// final states, counted [`em_disk::IoStats`] and per-phase op counts are
-/// bit-identical to the unpooled run — the routing schedule is a pure
-/// function of the inputs, so only `reorganize_wall_ms` may move.
-fn fig_reorg() -> (Vec<Row>, Vec<PhaseWallRow>) {
-    use em_bsp::{BspProgram, Mailbox, Step};
-    use em_core::{ComputeMode, ComputePool, ParEmSimulator, SeqEmSimulator};
-    use em_serial::impl_serial_struct;
-
-    #[derive(Debug, Clone, PartialEq)]
-    struct FanState {
-        data: Vec<u64>,
-    }
-    impl_serial_struct!(FanState { data });
-
-    // Routing-heavy: every virtual processor fans a batch of digests out
-    // to strided destinations each superstep, so Step 2 reorganizes many
-    // scattered blocks per superstep across every bucket.
-    struct Fan {
-        rounds: usize,
-        out: usize,
-        chunk: usize,
-    }
-    impl BspProgram for Fan {
-        type State = FanState;
-        type Msg = u64;
-        fn superstep(&self, step: usize, mb: &mut Mailbox<u64>, state: &mut FanState) -> Step {
-            let mut salt = 0u64;
-            for e in mb.take_incoming() {
-                salt = salt.wrapping_add(e.msg);
-            }
-            for x in state.data.iter_mut() {
-                *x = x.wrapping_add(salt).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(31);
-            }
-            if step < self.rounds {
-                let n = mb.nprocs();
-                let digest = state.data.iter().fold(0u64, |a, &x| a ^ x);
-                for i in 1..=self.out {
-                    mb.send((mb.pid() + i * 7 + step) % n, digest.wrapping_add(i as u64));
-                }
-                Step::Continue
-            } else {
-                Step::Halt
-            }
-        }
-        fn max_state_bytes(&self) -> usize {
-            16 + 8 * (self.chunk + 2)
-        }
-        fn max_comm_bytes(&self) -> usize {
-            (16 + 8) * (2 * self.out) + 64
-        }
-    }
-
-    let v = pick(64usize, 16);
-    let chunk = pick(256usize, 32);
-    let m = pick(1usize << 14, 1 << 12);
-    let prog = Fan { rounds: pick(8, 3), out: pick(8, 4), chunk };
-    let states: Vec<FanState> = (0..v).map(|i| FanState { data: vec![i as u64; chunk] }).collect();
-    let mut rows = Vec::new();
-    let mut walls = Vec::new();
-
-    // Small memory against μ ≈ 2 KiB forces many groups, so the
-    // reorganization works across `min(D, groups)` buckets — the span the
-    // pooled plan builders chunk over.
-    let mut seq_baseline: Option<(Vec<FanState>, IoStats, em_core::PhaseIo, f64)> = None;
-    for &workers in pick(&[0usize, 2, 4, 8][..], &[0usize, 2][..]) {
-        let label = if workers == 0 { "serial".to_string() } else { format!("pool w={workers}") };
-        let mut sim = SeqEmSimulator::new(machine(1, m, 4, 1024))
-            .with_seed(SEED)
-            .with_compute_mode(ComputeMode::Serial);
-        if workers > 0 {
-            // `Serial` compute + an attached pool: the Computation Phase
-            // stays single-threaded, so the pool accelerates exactly one
-            // thing — Algorithm 2's plan construction.
-            sim = sim.with_compute_pool(ComputePool::new(workers));
-        }
-        let t0 = std::time::Instant::now();
-        let (res, report) = sim.run(&prog, states.clone()).unwrap();
-        let wall = t0.elapsed().as_secs_f64() * 1e3;
-        let reorg_ms = report.phase_wall.reorganize.as_secs_f64() * 1e3;
-        let serial_reorg_ms = match &seq_baseline {
-            None => {
-                seq_baseline =
-                    Some((res.states, report.io.clone(), report.phases.clone(), reorg_ms));
-                reorg_ms
-            }
-            Some((b_states, b_io, b_phases, b_ms)) => {
-                assert_eq!(&res.states, b_states, "reorg pooling must not change final states");
-                assert_eq!(&report.io, b_io, "reorg pooling must not change counted IoStats");
-                assert_eq!(
-                    &report.phases, b_phases,
-                    "reorg pooling must not change per-phase I/O op counts"
-                );
-                *b_ms
-            }
-        };
-        eprintln!(
-            "F-reorg fan seq {label}: reorganize {reorg_ms:.2} ms ({:.2}x vs serial); {}",
-            serial_reorg_ms / reorg_ms.max(1e-9),
-            report.phase_wall_summary(),
-        );
-        rows.push(Row {
-            id: "F-reorg".into(),
-            variant: format!("fan seq {label}"),
-            n: v * prog.out,
-            io_ops: report.io.parallel_ops,
-            predicted: 0.0,
-            lambda: report.lambda,
-            utilization: report.io.utilization(),
-            wall_ms: wall,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
-            note: format!(
-                "k={}; states+IoStats+PhaseIo asserted identical across reorg pool widths",
-                report.k
-            ),
-        });
-        walls.push(PhaseWallRow::from_wall(
-            format!("F-reorg fan seq {label}"),
-            report.io.parallel_ops,
-            &report.phase_wall,
-        ));
-    }
-
-    // The p-processor simulator reorganizes per worker; the same pooled
-    // plan construction runs inside every worker thread.
-    let mut par_baseline: Option<(Vec<FanState>, IoStats, em_core::PhaseIo)> = None;
-    for &workers in &[0usize, 4] {
-        let label = if workers == 0 { "serial".to_string() } else { format!("pool w={workers}") };
-        let mut sim = ParEmSimulator::new(machine(2, m, 4, 1024))
-            .with_seed(SEED)
-            .with_compute_mode(ComputeMode::Serial);
-        if workers > 0 {
-            sim = sim.with_compute_pool(ComputePool::new(workers));
-        }
-        let t0 = std::time::Instant::now();
-        let (res, report) = sim.run(&prog, states.clone()).unwrap();
-        let wall = t0.elapsed().as_secs_f64() * 1e3;
-        match &par_baseline {
-            None => par_baseline = Some((res.states, report.io.clone(), report.phases.clone())),
-            Some((b_states, b_io, b_phases)) => {
-                assert_eq!(&res.states, b_states, "reorg pooling must not change final states");
-                assert_eq!(&report.io, b_io, "reorg pooling must not change counted IoStats");
-                assert_eq!(
-                    &report.phases, b_phases,
-                    "reorg pooling must not change per-phase I/O op counts"
-                );
-            }
-        }
-        eprintln!(
-            "F-reorg fan par p=2 {label}: reorganize {:.2} ms; {}",
-            report.phase_wall.reorganize.as_secs_f64() * 1e3,
-            report.phase_wall_summary(),
-        );
-        rows.push(Row {
-            id: "F-reorg".into(),
-            variant: format!("fan par p=2 {label}"),
-            n: v * prog.out,
-            io_ops: report.io.parallel_ops,
-            predicted: 0.0,
-            lambda: report.lambda,
-            utilization: report.io.utilization(),
-            wall_ms: wall,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
-            note: format!(
-                "k={}; states+IoStats+PhaseIo asserted identical across reorg pool widths",
-                report.k
-            ),
-        });
-        walls.push(PhaseWallRow::from_wall(
-            format!("F-reorg fan par p=2 {label}"),
-            report.io.parallel_ops,
-            &report.phase_wall,
-        ));
-    }
-    (rows, walls)
-}
-
-/// F-tune: [`em_core::AutoTuner`] ablation — hand-picked knobs vs the
-/// three `Auto` requests resolved from pinned inputs, the committed BENCH
-/// corpus, and the seeded calibration probe. Every auto lane asserts, in
-/// process, that the resolution was recorded in
-/// [`em_core::CostReport::resolved_config`], that an identically-seeded
-/// second run resolves identically, and that final states, per-phase op
-/// counts and counted [`em_disk::IoStats`] (the two cache tallies masked
-/// — an auto-sized cache absorbs backend traffic) are bit-identical to
-/// the manual lane: the tuner may only choose wall-clock knobs.
-fn fig_tune() -> (Vec<Row>, Vec<PhaseWallRow>) {
-    use em_bsp::{BspProgram, Mailbox, Step};
-    use em_core::{AutoTuner, ComputeMode, SeqEmSimulator, TuneInputs};
-    use em_disk::Pipeline;
-    use em_serial::impl_serial_struct;
-
-    #[derive(Debug, Clone, PartialEq)]
-    struct TuneState {
-        data: Vec<u64>,
-    }
-    impl_serial_struct!(TuneState { data });
-
-    struct Churn {
-        rounds: usize,
-        inner: usize,
-        chunk: usize,
-    }
-    impl BspProgram for Churn {
-        type State = TuneState;
-        type Msg = u64;
-        fn superstep(&self, step: usize, mb: &mut Mailbox<u64>, state: &mut TuneState) -> Step {
-            let mut salt = 0u64;
-            for e in mb.take_incoming() {
-                salt = salt.wrapping_add(e.msg);
-            }
-            for r in 0..self.inner as u64 {
-                for x in state.data.iter_mut() {
-                    *x = x
-                        .wrapping_add(salt ^ r)
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .rotate_left(31);
-                }
-            }
-            if step < self.rounds {
-                let digest = state.data.iter().fold(0u64, |a, &x| a ^ x);
-                mb.send((mb.pid() + 1) % mb.nprocs(), digest);
-                Step::Continue
-            } else {
-                Step::Halt
-            }
-        }
-        fn max_state_bytes(&self) -> usize {
-            16 + 8 * (self.chunk + 2)
-        }
-        fn max_comm_bytes(&self) -> usize {
-            16 + 16 + 8 + 64
-        }
-    }
-
-    let v = 32usize;
-    let chunk = pick(512usize, 64);
-    let prog = Churn { rounds: pick(5, 3), inner: pick(200, 8), chunk };
-    let states: Vec<TuneState> =
-        (0..v).map(|i| TuneState { data: vec![i as u64; chunk] }).collect();
-    let base_sim = || SeqEmSimulator::new(machine(1, 1 << 18, 4, 2048)).with_seed(SEED);
-
-    // Masked counted-I/O comparison: an auto-sized cache absorbs backend
-    // traffic into the two cache tallies without touching anything
-    // counted, exactly like the F-cache sweep.
-    let masked = |io: &IoStats| {
-        let mut io = io.clone();
-        io.cache_hit_blocks = 0;
-        io.cache_absorbed_writes = 0;
-        io
-    };
-
-    let mut rows = Vec::new();
-    let mut walls = Vec::new();
-    let mut baseline: Option<(Vec<TuneState>, IoStats, em_core::PhaseIo)> = None;
-    // (label, tuner, expected-note). The explicit lane pins TuneInputs, so
-    // its resolved line is a byte-stable artifact carried in the row note;
-    // corpus and probe resolutions depend on the host (core count, timer),
-    // so their lines go to stderr only.
-    let lanes: Vec<(&str, Option<AutoTuner>)> = vec![
-        ("manual serial off", None),
-        (
-            "auto explicit",
-            Some(AutoTuner::default().with_inputs(TuneInputs {
-                cores: 4,
-                compute_per_fetch_x16: 640,
-                footprint_bytes: 1 << 16,
-            })),
-        ),
-        ("auto corpus", Some(AutoTuner::default().with_corpus("results/BENCH_figures.json"))),
-        ("auto probe", Some(AutoTuner::default().with_probe(SEED))),
-    ];
-    for (label, tuner) in lanes {
-        let sim = match &tuner {
-            None => base_sim().with_compute_mode(ComputeMode::Serial).with_pipeline(Pipeline::Off),
-            Some(t) => base_sim()
-                .with_compute_mode(ComputeMode::Auto)
-                .with_pipeline(Pipeline::Auto)
-                .with_auto_cache(true)
-                .with_tuner(t.clone()),
-        };
-        let t0 = std::time::Instant::now();
-        let (res, report) = sim.run(&prog, states.clone()).unwrap();
-        let wall = t0.elapsed().as_secs_f64() * 1e3;
-        let mut note = "manual baseline".to_string();
-        if tuner.is_some() {
-            let rc = report
-                .resolved_config
-                .as_ref()
-                .unwrap_or_else(|| panic!("{label}: Auto run must record its resolution"));
-            // Identically-seeded reruns resolve identically — the tuner's
-            // determinism contract (pinned inputs are pure; the probe is
-            // quantized to one log2 bucket per host).
-            let (_, rerun) = sim.run(&prog, states.clone()).unwrap();
-            assert_eq!(
-                rerun.resolved_config.as_ref(),
-                Some(rc),
-                "{label}: identically-seeded reruns must resolve identically"
-            );
-            eprintln!("F-tune churn {label}: resolved {}", rc.deterministic_line());
-            note = if label == "auto explicit" {
-                // Pinned inputs: the line itself is deterministic.
-                rc.deterministic_line()
-            } else {
-                "resolution asserted deterministic; line on stderr".to_string()
-            };
-        } else {
-            assert!(report.resolved_config.is_none(), "manual lane must not record a resolution");
-        }
-        match &baseline {
-            None => baseline = Some((res.states, masked(&report.io), report.phases.clone())),
-            Some((b_states, b_io, b_phases)) => {
-                assert_eq!(&res.states, b_states, "AutoTuner must not change final states");
-                assert_eq!(
-                    &masked(&report.io),
-                    b_io,
-                    "AutoTuner must not change counted IoStats (cache tallies masked)"
-                );
-                assert_eq!(
-                    &report.phases, b_phases,
-                    "AutoTuner must not change per-phase I/O op counts"
-                );
-            }
-        }
-        rows.push(Row {
-            id: "F-tune".into(),
-            variant: format!("churn {label}"),
-            n: v * chunk,
-            io_ops: report.io.parallel_ops,
-            predicted: 0.0,
-            lambda: report.lambda,
-            utilization: report.io.utilization(),
-            wall_ms: wall,
-            cache_hit_blocks: report.io.cache_hit_blocks,
-            cache_absorbed_writes: report.io.cache_absorbed_writes,
-            note,
-        });
-        walls.push(PhaseWallRow::from_wall(
-            format!("F-tune churn {label}"),
-            report.io.parallel_ops,
-            &report.phase_wall,
-        ));
-    }
-    (rows, walls)
-}
-
-/// F-cache: write-back block-cache ablation — capacity sweep from 0 (no
-/// cache) past `v·μ + γ` (working-set residency) on both the uniprocessor
-/// and the `p`-processor simulator. Every cached run asserts, in process,
-/// that its final states, message ledger, per-phase operation counts and
-/// counted [`em_disk::IoStats`] — with only the two cache tallies masked —
-/// are bit-identical to the cache-off run: the cache may only absorb
-/// backend traffic (visible in `cache_hit_blocks`/`cache_absorbed_writes`
-/// and in the fetch/write wall clock), never change what is counted.
-fn fig_cache() -> (Vec<Row>, Vec<PhaseWallRow>) {
-    use em_bsp::{BspProgram, Mailbox, Step};
-    use em_core::{ParEmSimulator, SeqEmSimulator};
-
-    struct Ring {
-        rounds: usize,
-    }
-    impl BspProgram for Ring {
-        type State = u64;
-        type Msg = u64;
-        fn superstep(&self, step: usize, mb: &mut Mailbox<u64>, state: &mut u64) -> Step {
-            for e in mb.take_incoming() {
-                *state = state.wrapping_add(e.msg);
-            }
-            if step < self.rounds {
-                let v = mb.nprocs();
-                mb.send((mb.pid() + 1) % v, *state + step as u64);
-                mb.send((mb.pid() + v - 1) % v, state.wrapping_mul(3));
-                Step::Continue
-            } else {
-                Step::Halt
-            }
-        }
-        fn max_state_bytes(&self) -> usize {
-            124
-        }
-        fn max_comm_bytes(&self) -> usize {
-            2 * 24
-        }
-    }
-
-    let v = 32usize;
-    let d = 4usize;
-    let prog = Ring { rounds: pick(12, 6) };
-    let init: Vec<u64> = (0..v as u64).collect();
-    // The paper-facing residency threshold: one cache big enough for every
-    // virtual processor's context plus the superstep's message envelopes.
-    let vmug = v * prog.max_state_bytes() + prog.max_comm_bytes();
-    let caps: Vec<usize> =
-        pick(vec![0, vmug / 4, vmug / 2, vmug, 4 * vmug], vec![0, vmug, 4 * vmug]);
-
-    let mut rows = Vec::new();
-    let mut walls = Vec::new();
-    // (final states, ledger, IoStats, PhaseIo) of each sim's cache-off run.
-    type Baseline = (Vec<u64>, em_bsp::CommLedger, IoStats, em_core::PhaseIo);
-    for par in [false, true] {
-        // M = 1 KiB forces k = 8 (four groups per processor): real paging
-        // traffic every superstep, so the cache has something to absorb.
-        let mut baseline: Option<Baseline> = None;
-        for &cap in &caps {
-            let t0 = std::time::Instant::now();
-            let (res, report) = if par {
-                ParEmSimulator::new(machine(4, 1024, d, 256))
-                    .with_seed(SEED)
-                    .with_cache(cap)
-                    .run(&prog, init.clone())
-                    .unwrap()
-            } else {
-                SeqEmSimulator::new(machine(1, 1024, d, 256))
-                    .with_seed(SEED)
-                    .with_cache(cap)
-                    .run(&prog, init.clone())
-                    .unwrap()
-            };
-            let wall = t0.elapsed().as_secs_f64() * 1e3;
-            let mut masked = report.io.clone();
-            masked.cache_hit_blocks = 0;
-            masked.cache_absorbed_writes = 0;
-            match &baseline {
-                None => {
-                    assert_eq!(cap, 0, "the first sweep point is the cache-off baseline");
-                    baseline = Some((res.states, res.ledger, masked, report.phases.clone()));
-                }
-                Some((b_states, b_ledger, b_io, b_phases)) => {
-                    assert_eq!(&res.states, b_states, "cache must not change final states");
-                    assert_eq!(&res.ledger, b_ledger, "cache must not change the ledger");
-                    assert_eq!(&masked, b_io, "cache must not change counted IoStats");
-                    assert_eq!(&report.phases, b_phases, "cache must not move phase counts");
-                }
-            }
-            if cap >= vmug {
-                assert!(
-                    report.io.cache_hit_blocks > 0,
-                    "a cache at working-set capacity must absorb reads"
-                );
-                assert!(
-                    report.io.cache_absorbed_writes > 0,
-                    "a write-back cache must buffer writes until the barrier"
-                );
-            }
-            if cap == 0 {
-                assert_eq!(report.io.cache_hit_blocks, 0);
-                assert_eq!(report.io.cache_absorbed_writes, 0);
-            }
-            let label = format!(
-                "{} cache={cap}B{}",
-                if par { "par p=4" } else { "seq" },
-                if cap >= vmug && cap > 0 { " (≥v·μ+γ)" } else { "" }
-            );
-            // Timing goes to stderr and the `…wall_ms` fields only; the
-            // note stays bit-identical across reruns.
-            eprintln!("F-cache {label}: wall {wall:.1} ms; {}", report.phase_wall_summary());
-            rows.push(Row {
-                id: "F-cache".into(),
-                variant: label.clone(),
-                n: v,
-                io_ops: report.io.parallel_ops,
-                predicted: 0.0,
-                lambda: report.lambda,
-                utilization: report.io.utilization(),
-                wall_ms: wall,
-                cache_hit_blocks: report.io.cache_hit_blocks,
-                cache_absorbed_writes: report.io.cache_absorbed_writes,
-                note: format!(
-                    "hits={} absorbed={}; states+ledger+IoStats asserted identical to cache-off",
-                    report.io.cache_hit_blocks, report.io.cache_absorbed_writes
-                ),
-            });
-            walls.push(PhaseWallRow::from_wall(
-                format!("F-cache {label}"),
-                report.io.parallel_ops,
-                &report.phase_wall,
-            ));
-        }
-    }
-    (rows, walls)
-}
-
-/// All regular files under `dir` (recursively), path-sorted, with their
-/// contents — the raw bytes the simulators left on the drive files. Both
-/// simulators `sync()` at every superstep boundary, so after a run the
-/// files hold the final committed image.
-fn drive_bytes(dir: &PathBuf) -> Vec<(String, Vec<u8>)> {
-    let mut out = Vec::new();
-    let mut stack = vec![dir.clone()];
-    while let Some(d) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&d) else { continue };
-        for entry in entries {
-            let p = entry.expect("dir entry").path();
-            if p.is_dir() {
-                stack.push(p);
-            } else {
-                let rel = p.strip_prefix(dir).unwrap_or(&p).to_string_lossy().into_owned();
-                out.push((rel, std::fs::read(&p).expect("drive file readable")));
-            }
-        }
-    }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
-}
-
-/// F-stream: streaming-pipeline depth ablation — [`Pipeline::Stream`]`(n)`
-/// for n = 1…8 against the synchronous `Pipeline::Off` baseline on the
-/// `disks`/`procs` sort workload, file-backed so the window has real
-/// transfers to overlap, on both the uniprocessor and the `p`-processor
-/// simulator. Every lane asserts, in process, that its sorted output, its
-/// counted per-stage [`em_disk::IoStats`], its per-phase
-/// [`em_core::PhaseIo`] operation counts, its message ledger and the raw
-/// bytes left on the drive files are bit-identical to the `Off` run — the
-/// window depth may only move wall clock, never what is counted or
-/// stored. `DoubleBuffer` rides along to demonstrate it is `Stream(1)` by
-/// another name. The per-phase wall breakdowns land in
-/// `results/BENCH_figures.json`.
-fn fig_stream() -> (Vec<Row>, Vec<PhaseWallRow>) {
-    let n = pick(60_000usize, 3_000);
-    let items = random_u64(n, SEED + 8);
-    let d = 4usize;
-    let m = 1usize << 18;
-    // Depth ablation 1→8 plus the synchronous baseline; the first lane
-    // must stay `Off` — it seeds the fingerprint every other lane is
-    // compared against.
-    let lanes: Vec<(Pipeline, &str)> = pick(
-        vec![
-            (Pipeline::Off, "off"),
-            (Pipeline::DoubleBuffer, "double-buffer"),
-            (Pipeline::Stream(1), "stream n=1"),
-            (Pipeline::Stream(2), "stream n=2"),
-            (Pipeline::Stream(4), "stream n=4"),
-            (Pipeline::Stream(8), "stream n=8"),
-        ],
-        vec![
-            (Pipeline::Off, "off"),
-            (Pipeline::Stream(1), "stream n=1"),
-            (Pipeline::Stream(4), "stream n=4"),
-        ],
-    );
-
-    let mut rows = Vec::new();
-    let mut walls = Vec::new();
-    // The Off lane's full fingerprint: sorted output, per-stage counted
-    // IoStats, per-phase op counts, per-stage ledgers, drive bytes.
-    type Baseline = (
-        Vec<u64>,
-        Vec<IoStats>,
-        Vec<em_core::PhaseIo>,
-        Vec<em_bsp::CommLedger>,
-        Vec<(String, Vec<u8>)>,
-    );
-    for p in pick(vec![1usize, 4], vec![1usize, 2]) {
-        let mut baseline: Option<Baseline> = None;
-        let mut base_wall = 0.0f64;
-        for &(pl, tag) in &lanes {
-            let dir = sweep_dir(&format!("stream-p{p}-{}", tag.replace(' ', "-")));
-            let (out, fcost) = if p == 1 {
-                measure_seq_file(machine(1, m, d, 2048), SEED, &dir, IoMode::Parallel, pl, |rec| {
-                    em_algos::sort::cgm_sort(rec, 64, items.clone()).unwrap()
-                })
-            } else {
-                measure_par_file(machine(p, m, d, 2048), SEED, &dir, IoMode::Parallel, pl, |rec| {
-                    em_algos::sort::cgm_sort(rec, 64, items.clone()).unwrap()
-                })
-            };
-            let bytes = drive_bytes(&dir);
-            std::fs::remove_dir_all(&dir).ok();
-            let phases: Vec<em_core::PhaseIo> =
-                fcost.stages.iter().map(|r| r.phases.clone()).collect();
-            let ledgers: Vec<em_bsp::CommLedger> =
-                fcost.stages.iter().map(|r| r.comm.clone()).collect();
-            match &baseline {
-                None => {
-                    assert_eq!(pl, Pipeline::Off, "first lane is the synchronous baseline");
-                    base_wall = fcost.wall_ms.max(1e-9);
-                    baseline = Some((out, stage_stats(&fcost), phases, ledgers, bytes));
-                }
-                Some((b_out, b_io, b_phases, b_ledgers, b_bytes)) => {
-                    assert_eq!(&out, b_out, "{tag}: output diverged from Pipeline::Off");
-                    assert_eq!(
-                        &stage_stats(&fcost),
-                        b_io,
-                        "{tag}: counted IoStats diverged from Pipeline::Off"
-                    );
-                    assert_eq!(&phases, b_phases, "{tag}: per-phase op counts diverged");
-                    assert_eq!(&ledgers, b_ledgers, "{tag}: message ledger diverged");
-                    // Compare drive bytes without letting a failure dump
-                    // whole drive files.
-                    let b_names: Vec<&str> = b_bytes.iter().map(|(f, _)| f.as_str()).collect();
-                    let names: Vec<&str> = bytes.iter().map(|(f, _)| f.as_str()).collect();
-                    assert_eq!(names, b_names, "{tag}: drive file set diverged");
-                    for ((file, b), (_, g)) in b_bytes.iter().zip(&bytes) {
-                        assert!(g == b, "{tag}: drive file {file} bytes diverged");
-                    }
-                }
-            }
-            // Timing lives only in `wall_ms`, the phase-wall records and
-            // stderr; the note stays bit-identical across reruns.
-            eprintln!(
-                "F-stream p={p} {tag}: wall {:.1} ms ({:.2}x vs off)",
-                fcost.wall_ms,
-                base_wall / fcost.wall_ms.max(1e-9),
-            );
-            rows.push(Row {
-                id: "F-stream".into(),
-                variant: format!("file sort p={p} ({tag})"),
-                n,
-                io_ops: fcost.io_ops,
-                predicted: 0.0,
-                lambda: fcost.lambda,
-                utilization: fcost.utilization,
-                wall_ms: fcost.wall_ms,
-                cache_hit_blocks: 0,
-                cache_absorbed_writes: 0,
-                note: format!(
-                    "depth={}; output+IoStats+PhaseIo+ledger+drive bytes asserted identical to off",
-                    pl.depth()
-                ),
-            });
-            let mut pw = em_core::PhaseWall::default();
-            for r in &fcost.stages {
-                pw.merge_max(&r.phase_wall);
-            }
-            walls.push(PhaseWallRow::from_wall(
-                format!("F-stream file sort p={p} ({tag})"),
-                fcost.io_ops,
-                &pw,
-            ));
-        }
-    }
-    (rows, walls)
-}
-
-/// F-engine: stripe-engine ablation — the identical file-backed sort under
-/// the worker-thread-per-drive engine and the io_uring kernel-ring engine
-/// (DESIGN.md §3.2.10). The engine is a pure wall-clock knob: counting
-/// happens in `DiskArray` at submission time, above the backend, and the
-/// uring engine keeps the per-drive FIFO contract — so every uring lane
-/// asserts output, counted IoStats, per-phase op counts, message ledger
-/// *and raw drive bytes* bit-identical to the threaded lane. When io_uring
-/// is unavailable (feature off, non-Linux, or a kernel that refuses rings)
-/// the sweep emits the threaded rows only and notes the skip on stderr.
-fn fig_engine() -> (Vec<Row>, Vec<PhaseWallRow>) {
-    use em_bench::measure::{measure_par_sim, measure_seq_sim};
-    use em_core::{ParEmSimulator, SeqEmSimulator};
-    use em_disk::EngineKind;
-
-    let n = pick(60_000usize, 3_000);
-    let items = random_u64(n, SEED + 13);
-    let d = 4usize;
-    let m = 1usize << 18;
-    let uring = em_disk::uring_available();
-    if !uring {
-        eprintln!(
-            "F-engine: io_uring unavailable (feature off or kernel refusal); threaded lanes only"
-        );
-    }
-    let engines: Vec<(EngineKind, &str)> = if uring {
-        vec![(EngineKind::Threaded, "threaded"), (EngineKind::Uring, "uring")]
-    } else {
-        vec![(EngineKind::Threaded, "threaded")]
-    };
-
-    let mut rows = Vec::new();
-    let mut walls = Vec::new();
-    // The threaded lane's full fingerprint, per (p, pipeline) cell.
-    type Baseline = (
-        Vec<u64>,
-        Vec<IoStats>,
-        Vec<em_core::PhaseIo>,
-        Vec<em_bsp::CommLedger>,
-        Vec<(String, Vec<u8>)>,
-    );
-    for &(p, pl, pltag) in pick(
-        &[
-            (1usize, Pipeline::Off, "off"),
-            (1, Pipeline::Stream(4), "stream n=4"),
-            (4, Pipeline::Stream(4), "stream n=4"),
-        ][..],
-        &[(1usize, Pipeline::Off, "off"), (2, Pipeline::Stream(2), "stream n=2")][..],
-    ) {
-        let mut baseline: Option<Baseline> = None;
-        let mut base_wall = 0.0f64;
-        for &(engine, tag) in &engines {
-            let dir = sweep_dir(&format!("engine-p{p}-{}-{tag}", pltag.replace(' ', "-")));
-            let (out, fcost) = if p == 1 {
-                measure_seq_sim(
-                    SeqEmSimulator::new(machine(1, m, d, 2048))
-                        .with_seed(SEED)
-                        .with_file_backend(&dir)
-                        .with_io_mode(IoMode::Parallel)
-                        .with_pipeline(pl)
-                        .with_engine(engine),
-                    |rec| em_algos::sort::cgm_sort(rec, 64, items.clone()).unwrap(),
-                )
-            } else {
-                measure_par_sim(
-                    p,
-                    ParEmSimulator::new(machine(p, m, d, 2048))
-                        .with_seed(SEED)
-                        .with_file_backend(&dir)
-                        .with_io_mode(IoMode::Parallel)
-                        .with_pipeline(pl)
-                        .with_engine(engine),
-                    |rec| em_algos::sort::cgm_sort(rec, 64, items.clone()).unwrap(),
-                )
-            };
-            let bytes = drive_bytes(&dir);
-            std::fs::remove_dir_all(&dir).ok();
-            let phases: Vec<em_core::PhaseIo> =
-                fcost.stages.iter().map(|r| r.phases.clone()).collect();
-            let ledgers: Vec<em_bsp::CommLedger> =
-                fcost.stages.iter().map(|r| r.comm.clone()).collect();
-            match &baseline {
-                None => {
-                    assert_eq!(engine, EngineKind::Threaded, "first lane is the threaded baseline");
-                    base_wall = fcost.wall_ms.max(1e-9);
-                    baseline = Some((out, stage_stats(&fcost), phases, ledgers, bytes));
-                }
-                Some((b_out, b_io, b_phases, b_ledgers, b_bytes)) => {
-                    assert_eq!(&out, b_out, "{tag}: output diverged from threaded engine");
-                    assert_eq!(
-                        &stage_stats(&fcost),
-                        b_io,
-                        "{tag}: counted IoStats diverged from threaded engine"
-                    );
-                    assert_eq!(&phases, b_phases, "{tag}: per-phase op counts diverged");
-                    assert_eq!(&ledgers, b_ledgers, "{tag}: message ledger diverged");
-                    // Compare drive bytes without letting a failure dump
-                    // whole drive files.
-                    let b_names: Vec<&str> = b_bytes.iter().map(|(f, _)| f.as_str()).collect();
-                    let names: Vec<&str> = bytes.iter().map(|(f, _)| f.as_str()).collect();
-                    assert_eq!(names, b_names, "{tag}: drive file set diverged");
-                    for ((file, b), (_, g)) in b_bytes.iter().zip(&bytes) {
-                        assert!(g == b, "{tag}: drive file {file} bytes diverged");
-                    }
-                }
-            }
-            eprintln!(
-                "F-engine p={p} {pltag} {tag}: wall {:.1} ms ({:.2}x vs threaded)",
-                fcost.wall_ms,
-                base_wall / fcost.wall_ms.max(1e-9),
-            );
-            rows.push(Row {
-                id: "F-engine".into(),
-                variant: format!("file sort p={p} {pltag} ({tag})"),
-                n,
-                io_ops: fcost.io_ops,
-                predicted: 0.0,
-                lambda: fcost.lambda,
-                utilization: fcost.utilization,
-                wall_ms: fcost.wall_ms,
-                cache_hit_blocks: 0,
-                cache_absorbed_writes: 0,
-                note: if matches!(engine, EngineKind::Threaded) {
-                    "threaded baseline lane".into()
-                } else {
-                    "output+IoStats+PhaseIo+ledger+drive bytes asserted identical to threaded"
-                        .into()
-                },
-            });
-            let mut pw = em_core::PhaseWall::default();
-            for r in &fcost.stages {
-                pw.merge_max(&r.phase_wall);
-            }
-            walls.push(PhaseWallRow::from_wall(
-                format!("F-engine file sort p={p} {pltag} ({tag})"),
-                fcost.io_ops,
-                &pw,
-            ));
-        }
-    }
-    (rows, walls)
-}
-
 /// F-fig2: trace the two reorganization steps of Algorithm 2 (Figure 2).
 fn fig_fig2() -> Vec<Row> {
     let d = 4usize;
@@ -1763,91 +719,47 @@ fn fig_fig2() -> Vec<Row> {
     }]
 }
 
+type Sweep = fn() -> Vec<Row>;
+
+/// Every sweep, by the name the command line selects it with.
+const SWEEPS: [(&str, Sweep); 12] = [
+    ("blocking", fig_blocking),
+    ("disks", fig_disks),
+    ("procs", fig_procs),
+    ("balance", fig_balance),
+    ("lambda", fig_lambda),
+    ("sibeyn", fig_sibeyn),
+    ("group-size", fig_group_size),
+    ("det-vs-rand", fig_det_vs_rand),
+    ("contraction", fig_contraction),
+    ("obs2", fig_obs2),
+    ("faults", fig_faults),
+    ("fig2", fig_fig2),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    reject_unknown_flags(&args, &["--json", "--smoke"], "figures [experiment] [--json] [--smoke]");
     let json = args.iter().any(|a| a == "--json");
-    SMOKE.store(args.iter().any(|a| a == "--smoke"), Ordering::Relaxed);
+    let smoke = args.iter().any(|a| a == "--smoke");
+    SMOKE.store(smoke, Ordering::Relaxed);
     let which = args.iter().find(|a| !a.starts_with("--")).map(String::as_str).unwrap_or("all");
 
-    let mut rows = Vec::new();
-    let mut walls: Vec<PhaseWallRow> = Vec::new();
-    if matches!(which, "all" | "blocking") {
-        rows.extend(fig_blocking());
-    }
-    if matches!(which, "all" | "disks") {
-        rows.extend(fig_disks());
-    }
-    if matches!(which, "all" | "procs") {
-        rows.extend(fig_procs());
-    }
-    if matches!(which, "all" | "balance") {
-        rows.extend(fig_balance());
-    }
-    if matches!(which, "all" | "lambda") {
-        rows.extend(fig_lambda());
-    }
-    if matches!(which, "all" | "sibeyn") {
-        rows.extend(fig_sibeyn());
-    }
-    if matches!(which, "all" | "group-size") {
-        rows.extend(fig_group_size());
-    }
-    if matches!(which, "all" | "det-vs-rand") {
-        rows.extend(fig_det_vs_rand());
-    }
-    if matches!(which, "all" | "contraction") {
-        rows.extend(fig_contraction());
-    }
-    if matches!(which, "all" | "obs2") {
-        rows.extend(fig_obs2());
-    }
-    if matches!(which, "all" | "faults") {
-        rows.extend(fig_faults());
-    }
-    if matches!(which, "all" | "compute") {
-        let (r, w) = fig_compute();
-        rows.extend(r);
-        walls.extend(w);
-    }
-    if matches!(which, "all" | "reorg") {
-        let (r, w) = fig_reorg();
-        rows.extend(r);
-        walls.extend(w);
-    }
-    if matches!(which, "all" | "tune") {
-        let (r, w) = fig_tune();
-        rows.extend(r);
-        walls.extend(w);
-    }
-    if matches!(which, "all" | "cache") {
-        let (r, w) = fig_cache();
-        rows.extend(r);
-        walls.extend(w);
-    }
-    if matches!(which, "all" | "stream") {
-        let (r, w) = fig_stream();
-        rows.extend(r);
-        walls.extend(w);
-    }
-    if matches!(which, "all" | "engine") {
-        let (r, w) = fig_engine();
-        rows.extend(r);
-        walls.extend(w);
-    }
-    if matches!(which, "all" | "fig2") {
-        rows.extend(fig_fig2());
-    }
+    let rows: Vec<Row> = SWEEPS
+        .iter()
+        .filter(|(name, _)| which == "all" || which == *name)
+        .flat_map(|(_, sweep)| sweep())
+        .collect();
 
     if json {
         print_json(&rows);
     } else {
         print_table("Figure-style sweeps", &rows);
     }
-    let smoke = SMOKE.load(Ordering::Relaxed);
     let config = format!("M=256KiB D=4 B=2048 (per-sweep overrides inline); which={which}");
-    match write_bench_json("figures", SEED, smoke, &config, &rows, &walls) {
+    match write_bench_json("figures", SEED, smoke, which == "all", &config, &rows) {
         // Stderr so `--json` stdout stays pure JSON lines.
         Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write results/BENCH_figures.json: {e}"),
+        Err(e) => eprintln!("could not write BENCH_figures.json: {e}"),
     }
 }

@@ -11,12 +11,13 @@
 //! path but finishes in seconds in a debug build.
 //!
 //! Besides the text table (or `--json` lines on stdout), every invocation
-//! — including `--smoke` — writes `results/BENCH_table1.json` with the
-//! seed, machine config, all rows, and per-phase wall-clock breakdowns of
-//! the simulated runs.
+//! writes `BENCH_table1.json` with the seed, machine config and all rows —
+//! under `results/` for a run of every problem at scale 1, under
+//! `target/bench-results/` otherwise
+//! ([`em_bench::report::write_bench_json`]).
 
 use em_bench::measure::{machine, measure_par, measure_seq};
-use em_bench::report::{print_json, print_table, write_bench_json, PhaseWallRow, Row};
+use em_bench::report::{print_json, print_table, reject_unknown_flags, write_bench_json, Row};
 use em_bench::workloads::*;
 use em_core::theory;
 use em_disk::{DiskArray, DiskConfig};
@@ -35,7 +36,6 @@ fn baseline_disks() -> DiskArray {
 
 fn push_sim_rows(
     rows: &mut Vec<Row>,
-    walls: &mut Vec<PhaseWallRow>,
     id: &str,
     n: usize,
     n_bytes: u64,
@@ -74,11 +74,9 @@ fn push_sim_rows(
             seq.io_ops as f64 / (par.io_ops as f64 / P as f64)
         ),
     });
-    walls.push(PhaseWallRow::from_stages(format!("{id} p=1 D={D}"), &seq.stages));
-    walls.push(PhaseWallRow::from_stages(format!("{id} p={P} D={D}"), &par.stages));
 }
 
-fn sort_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
+fn sort_rows(scale: f64) -> Vec<Row> {
     let n = (200_000_f64 * scale) as usize;
     let items = random_u64(n, SEED);
     let mut rows = Vec::new();
@@ -112,11 +110,11 @@ fn sort_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
         em_algos::sort::cgm_sort(rec, V, items.clone()).unwrap()
     });
     assert_eq!(got, reference);
-    push_sim_rows(&mut rows, walls, "T1-A-sort", n, (n * 8) as u64, seq, par);
+    push_sim_rows(&mut rows, "T1-A-sort", n, (n * 8) as u64, seq, par);
     rows
 }
 
-fn permute_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
+fn permute_rows(scale: f64) -> Vec<Row> {
     let n = (150_000_f64 * scale) as usize;
     let items = random_u64(n, SEED + 1);
     let perm = random_perm(n, SEED + 2);
@@ -144,11 +142,11 @@ fn permute_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
     let (_, par) = measure_par(machine(P, M, D, B), SEED, |rec| {
         em_algos::permute::cgm_permute(rec, V, items.clone(), &perm).unwrap()
     });
-    push_sim_rows(&mut rows, walls, "T1-A-perm", n, (n * 16) as u64, seq, par);
+    push_sim_rows(&mut rows, "T1-A-perm", n, (n * 16) as u64, seq, par);
     rows
 }
 
-fn transpose_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
+fn transpose_rows(scale: f64) -> Vec<Row> {
     let r = (400_f64 * scale.sqrt()) as usize;
     let c = 300;
     let n = r * c;
@@ -177,7 +175,7 @@ fn transpose_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
     let (_, par) = measure_par(machine(P, M, D, B), SEED, |rec| {
         em_algos::transpose::cgm_transpose(rec, V, r, c, data.clone()).unwrap()
     });
-    push_sim_rows(&mut rows, walls, "T1-A-trans", n, (n * 16) as u64, seq, par);
+    push_sim_rows(&mut rows, "T1-A-trans", n, (n * 16) as u64, seq, par);
     rows
 }
 
@@ -185,7 +183,7 @@ fn transpose_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
 /// feasible for every geometry problem, so the baseline column reports the
 /// paper's formula `(n/B)·log_{M/B}(n/B)` (single-disk classical bound)
 /// evaluated, while measured rows come from the simulation.
-fn geometry_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
+fn geometry_rows(scale: f64) -> Vec<Row> {
     let mut rows = Vec::new();
     let nb = |n: usize, rec: usize| (n * rec) as u64;
 
@@ -213,7 +211,7 @@ fn geometry_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
         cache_absorbed_writes: 0,
         note: format!("hull size {}", hull.len()),
     });
-    push_sim_rows(&mut rows, walls, "T1-B-hull", n, nb(n, 16), seq, par);
+    push_sim_rows(&mut rows, "T1-B-hull", n, nb(n, 16), seq, par);
 
     // 3D maxima.
     let n = (50_000_f64 * scale) as usize;
@@ -237,7 +235,7 @@ fn geometry_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
         cache_absorbed_writes: 0,
         note: format!("maxima {}", mx.len()),
     });
-    push_sim_rows(&mut rows, walls, "T1-B-max3d", n, nb(n, 24), seq, par);
+    push_sim_rows(&mut rows, "T1-B-max3d", n, nb(n, 24), seq, par);
 
     // Weighted dominance counting.
     let n = (40_000_f64 * scale) as usize;
@@ -261,7 +259,7 @@ fn geometry_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
         cache_absorbed_writes: 0,
         note: String::new(),
     });
-    push_sim_rows(&mut rows, walls, "T1-B-dom", n, nb(n, 48), seq, par);
+    push_sim_rows(&mut rows, "T1-B-dom", n, nb(n, 48), seq, par);
 
     // Batched next-element search.
     let n = (50_000_f64 * scale) as usize;
@@ -288,7 +286,7 @@ fn geometry_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
         cache_absorbed_writes: 0,
         note: String::new(),
     });
-    push_sim_rows(&mut rows, walls, "T1-B-next", 2 * n, nb(2 * n, 17), seq, par);
+    push_sim_rows(&mut rows, "T1-B-next", 2 * n, nb(2 * n, 17), seq, par);
 
     // Lower envelope.
     let n = (30_000_f64 * scale) as usize;
@@ -313,7 +311,7 @@ fn geometry_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
         cache_absorbed_writes: 0,
         note: String::new(),
     });
-    push_sim_rows(&mut rows, walls, "T1-B-env", n, nb(2 * n, 35), seq, par);
+    push_sim_rows(&mut rows, "T1-B-env", n, nb(2 * n, 35), seq, par);
 
     // 2D closest pair (the "2D-nearest neighbors" row's core).
     let n = (50_000_f64 * scale) as usize;
@@ -338,7 +336,7 @@ fn geometry_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
         cache_absorbed_writes: 0,
         note: format!("δ² = {}", cp_seq.0),
     });
-    push_sim_rows(&mut rows, walls, "T1-B-cp", n, nb(n, 16), seq, par);
+    push_sim_rows(&mut rows, "T1-B-cp", n, nb(n, 16), seq, par);
 
     // Multi-directional separability (hull disjointness).
     let n = (40_000_f64 * scale) as usize;
@@ -381,7 +379,7 @@ fn geometry_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
         cache_absorbed_writes: 0,
         note: "disjoint clouds: separable".into(),
     });
-    push_sim_rows(&mut rows, walls, "T1-B-sep", 2 * n, nb(2 * n, 16), seq, par);
+    push_sim_rows(&mut rows, "T1-B-sep", 2 * n, nb(2 * n, 16), seq, par);
 
     // Area of union of rectangles.
     let n = (25_000_f64 * scale) as usize;
@@ -406,11 +404,11 @@ fn geometry_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
         cache_absorbed_writes: 0,
         note: String::new(),
     });
-    push_sim_rows(&mut rows, walls, "T1-B-rect", n, nb(2 * n, 41), seq, par);
+    push_sim_rows(&mut rows, "T1-B-rect", n, nb(2 * n, 41), seq, par);
     rows
 }
 
-fn graph_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
+fn graph_rows(scale: f64) -> Vec<Row> {
     let mut rows = Vec::new();
 
     // List ranking: PRAM-simulation baseline vs our simulation.
@@ -447,7 +445,7 @@ fn graph_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
     let (_, par) = measure_par(machine(P, M, D, B), SEED, |rec| {
         em_algos::graph::list_ranking::cgm_list_rank(rec, V, &succ, &weights).unwrap()
     });
-    push_sim_rows(&mut rows, walls, "T1-C-lr", n, (n * 16) as u64, seq, par);
+    push_sim_rows(&mut rows, "T1-C-lr", n, (n * 16) as u64, seq, par);
 
     // Euler tour + tree aggregates.
     let n = (15_000_f64 * scale) as usize;
@@ -471,7 +469,7 @@ fn graph_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
         cache_absorbed_writes: 0,
         note: String::new(),
     });
-    push_sim_rows(&mut rows, walls, "T1-C-et", n, (2 * n * 16) as u64, seq, par);
+    push_sim_rows(&mut rows, "T1-C-et", n, (2 * n * 16) as u64, seq, par);
 
     // Batched LCA (Euler tour + range-minimum).
     let n = (10_000_f64 * scale) as usize;
@@ -504,7 +502,7 @@ fn graph_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
         cache_absorbed_writes: 0,
         note: format!("{} queries", queries.len()),
     });
-    push_sim_rows(&mut rows, walls, "T1-C-lca", n, (3 * n * 16) as u64, seq, par);
+    push_sim_rows(&mut rows, "T1-C-lca", n, (3 * n * 16) as u64, seq, par);
 
     // Connected components + spanning forest.
     let n = (20_000_f64 * scale) as usize;
@@ -528,16 +526,47 @@ fn graph_rows(scale: f64, walls: &mut Vec<PhaseWallRow>) -> Vec<Row> {
         cache_absorbed_writes: 0,
         note: format!("m={}", edges.len()),
     });
-    push_sim_rows(&mut rows, walls, "T1-C-cc", n, (3 * n * 24) as u64, seq, par);
+    push_sim_rows(&mut rows, "T1-C-cc", n, (3 * n * 24) as u64, seq, par);
     rows
+}
+
+type Group = fn(f64) -> Vec<Row>;
+
+/// Every group of rows, with the problem names that select it.
+const GROUPS: [(&[&str], Group); 5] = [
+    (&["sort"], sort_rows),
+    (&["permute"], permute_rows),
+    (&["transpose"], transpose_rows),
+    (
+        &["hull", "maxima3d", "dominance", "next-element", "envelope", "rectangles", "geometry"],
+        geometry_rows,
+    ),
+    (&["list-ranking", "euler-tour", "lca", "cc", "graph"], graph_rows),
+];
+
+/// `--smoke`'s scale.
+const SMOKE_SCALE: f64 = 0.1;
+
+/// The rows of the problems `which` selects, in table order.
+fn rows_of(which: &str, scale: f64) -> Vec<Row> {
+    GROUPS
+        .iter()
+        .filter(|(names, _)| which == "all" || names.contains(&which))
+        .flat_map(|(_, group)| group(scale))
+        .collect()
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    reject_unknown_flags(
+        &args,
+        &["--json", "--smoke", "--scale"],
+        "table1 [problem] [--json] [--smoke] [--scale <f>]",
+    );
     let json = args.iter().any(|a| a == "--json");
     let smoke = args.iter().any(|a| a == "--smoke");
     let scale = if smoke {
-        0.1
+        SMOKE_SCALE
     } else {
         args.iter()
             .position(|a| a == "--scale")
@@ -551,33 +580,7 @@ fn main() {
         .map(String::as_str)
         .unwrap_or("all");
 
-    let mut rows = Vec::new();
-    let mut walls: Vec<PhaseWallRow> = Vec::new();
-    if matches!(which, "all" | "sort") {
-        rows.extend(sort_rows(scale, &mut walls));
-    }
-    if matches!(which, "all" | "permute") {
-        rows.extend(permute_rows(scale, &mut walls));
-    }
-    if matches!(which, "all" | "transpose") {
-        rows.extend(transpose_rows(scale, &mut walls));
-    }
-    if matches!(
-        which,
-        "all"
-            | "hull"
-            | "maxima3d"
-            | "dominance"
-            | "next-element"
-            | "envelope"
-            | "rectangles"
-            | "geometry"
-    ) {
-        rows.extend(geometry_rows(scale, &mut walls));
-    }
-    if matches!(which, "all" | "list-ranking" | "euler-tour" | "lca" | "cc" | "graph") {
-        rows.extend(graph_rows(scale, &mut walls));
-    }
+    let rows = rows_of(which, scale);
 
     if json {
         print_json(&rows);
@@ -592,9 +595,62 @@ fn main() {
         println!("PRAM baseline pays a sort per step; AV sort pays log_{{M/DB}} passes.");
     }
     let config = format!("M={M} B, D={D}, B={B} B, v={V}, p={P}, scale={scale}; which={which}");
-    match write_bench_json("table1", SEED, smoke, &config, &rows, &walls) {
+    let complete = which == "all" && scale == 1.0;
+    match write_bench_json("table1", SEED, smoke, complete, &config, &rows) {
         // Stderr so `--json` stdout stays pure JSON lines.
         Ok(path) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write results/BENCH_table1.json: {e}"),
+        Err(e) => eprintln!("could not write BENCH_table1.json: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Per problem: `io_ops`, then λ, each as baseline (0 where the
+    /// baseline is an evaluated bound) / `p = 1` / `p = 4` per processor.
+    const SMOKE_COUNTS: [(&str, [u64; 3], [usize; 3]); 15] = [
+        ("T1-A-sort", [20, 980, 299], [0, 4, 4]),
+        ("T1-A-perm", [30, 908, 227], [0, 2, 2]),
+        ("T1-A-trans", [222, 1_178, 497], [0, 2, 2]),
+        ("T1-B-hull", [0, 3_920, 1_007], [0, 6, 6]),
+        ("T1-B-max3d", [0, 1_871, 540], [0, 6, 6]),
+        ("T1-B-dom", [0, 5_277, 1_936], [0, 11, 11]),
+        ("T1-B-next", [0, 1_716, 525], [0, 6, 6]),
+        ("T1-B-env", [0, 4_488, 1_304], [0, 7, 7]),
+        ("T1-B-cp", [0, 1_931, 501], [0, 7, 7]),
+        ("T1-B-sep", [0, 7_830, 1_966], [0, 12, 12]),
+        ("T1-B-rect", [0, 7_037, 1_999], [0, 7, 7]),
+        ("T1-C-lr", [6_980, 6_552, 1_652], [12, 25, 25]),
+        ("T1-C-et", [0, 16_278, 4_207], [0, 62, 62]),
+        ("T1-C-lca", [0, 12_461, 3_211], [0, 61, 61]),
+        ("T1-C-cc", [0, 23_502, 6_041], [0, 48, 48]),
+    ];
+
+    /// Every row of Table 1 at `--smoke` scale, through the code `main`
+    /// runs, against the counts recorded when this test was written — so
+    /// that a change which moves a counted op (the simulators' random
+    /// placement, a generator's draws, an algorithm's rounds) says so
+    /// instead of leaving EXPERIMENTS.md stale, as per-superstep reseeding
+    /// did for eleven PRs.
+    ///
+    /// Re-record rule: a PR that has to change a constant here names the
+    /// cells and the edit that moved them in CHANGES.md, and regenerates
+    /// `results/table1.txt` and EXPERIMENTS.md's Table 1 in the same commit.
+    #[test]
+    fn smoke_scale_counts_are_the_recorded_ones() {
+        let rows = rows_of("all", SMOKE_SCALE);
+        let got: Vec<(&str, [u64; 3], [usize; 3])> = rows
+            .chunks(3)
+            .map(|problem| {
+                assert!(problem.iter().all(|row| row.id == problem[0].id), "three rows a problem");
+                (
+                    problem[0].id.as_str(),
+                    [problem[0].io_ops, problem[1].io_ops, problem[2].io_ops],
+                    [problem[0].lambda, problem[1].lambda, problem[2].lambda],
+                )
+            })
+            .collect();
+        assert_eq!(got, SMOKE_COUNTS);
     }
 }

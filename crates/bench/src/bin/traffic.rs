@@ -17,9 +17,12 @@
 //!   byte-identical across identically-seeded runs — the CI soak lane
 //!   diffs exactly this). The human summary moves to stderr.
 //!
-//! Every invocation also writes `results/BENCH_traffic.json`.
+//! Every invocation also writes `BENCH_traffic.json` — under `results/`
+//! for the default full-size run, under `target/bench-results/` for
+//! `--smoke` or any `--jobs`/`--workers`/`--seed` override
+//! ([`em_bench::report::write_bench_json`]).
 
-use em_bench::report::{write_bench_json, PhaseWallRow, Row};
+use em_bench::report::{reject_unknown_flags, write_bench_json, Row};
 use em_bench::workloads::{random_perm, random_u64};
 use em_bsp::Executor;
 use em_core::{EmMachine, SeqEmSimulator};
@@ -113,6 +116,11 @@ fn assert_bit_identical(job: &Job, record: &TenantRecord, solo: &[em_core::CostR
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    reject_unknown_flags(
+        &args,
+        &["--smoke", "--json", "--jobs", "--workers", "--seed"],
+        "traffic [--smoke] [--json] [--jobs N] [--workers W] [--seed S]",
+    );
     let has = |flag: &str| args.iter().any(|a| a == flag);
     let opt = |flag: &str| {
         args.iter()
@@ -122,9 +130,10 @@ fn main() {
     };
     let smoke = has("--smoke");
     let json = has("--json");
-    let master_seed = opt("--seed").unwrap_or(0x7AF_F1C);
-    let jobs = opt("--jobs").unwrap_or(if smoke { 48 } else { 240 }) as usize;
-    let workers = (opt("--workers").unwrap_or(4) as usize).max(2);
+    let (seed_arg, jobs_arg, workers_arg) = (opt("--seed"), opt("--jobs"), opt("--workers"));
+    let master_seed = seed_arg.unwrap_or(0x7AF_F1C);
+    let jobs = jobs_arg.unwrap_or(if smoke { 48 } else { 240 }) as usize;
+    let workers = (workers_arg.unwrap_or(4) as usize).max(2);
 
     let mix = job_mix(master_seed, jobs, smoke);
     let service = SimService::new(
@@ -206,16 +215,12 @@ fn main() {
             note: format!("fingerprint {:08x}", r.state_fingerprint),
         })
         .collect();
-    let walls: Vec<PhaseWallRow> = report
-        .records()
-        .iter()
-        .map(|r| PhaseWallRow::from_stages(r.name.clone(), &r.stages))
-        .collect();
     let config = format!(
         "service D={D} B={B} tracks/tenant={TRACKS_PER_TENANT} mu={MU} gamma={GAMMA} workers={workers}"
     );
-    let path = write_bench_json("traffic", master_seed, smoke, &config, &rows, &walls)
-        .expect("writing results/BENCH_traffic.json");
+    let complete = seed_arg.or(jobs_arg).or(workers_arg).is_none();
+    let path = write_bench_json("traffic", master_seed, smoke, complete, &config, &rows)
+        .expect("writing BENCH_traffic.json");
 
     let summary = format!(
         "traffic: {jobs} jobs as concurrent tenants (peak {peak} in flight, {} arbiter slots), \

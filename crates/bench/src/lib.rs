@@ -11,8 +11,12 @@
 //!   p-processor scaling, the Lemma 2 bucket-balance tail, the Figure 2
 //!   reorganization trace, λ-dependence, the Sibeyn–Kaufmann comparison,
 //!   group-size (k) ablation and random-vs-deterministic placement.
+//! * `traffic` and `chaos` binaries — the service load generator and the
+//!   crash/fault soak, whose payload is their in-process asserts.
 //!
-//! Shared here: seeded workload generators and measurement plumbing.
+//! Everything here is counted parallel I/O; wall clock is measured by
+//! `benchmark/embench`. Shared here: seeded workload generators and
+//! measurement plumbing.
 
 #![warn(missing_docs)]
 
@@ -21,4 +25,4 @@ pub mod report;
 pub mod workloads;
 
 pub use measure::{measure_par, measure_seq, EmRunCost};
-pub use report::{print_table, write_bench_json, PhaseWallRow, Row};
+pub use report::{print_table, write_bench_json, Row};

@@ -1,18 +1,12 @@
 //! Measurement plumbing: run a CGM pipeline on a recording EM simulator
 //! and collapse the per-stage cost reports into one comparable record.
 //!
-//! Wall-clock methodology: the timed region wraps the whole pipeline, and
-//! the simulators sync their disks at every superstep boundary (including
-//! the last one) *inside* `run()` — so for file-backed runs the measured
-//! wall clock covers durable writes, not just submitted ones. Counted
-//! parallel I/O operations remain the primary, backend- and
-//! `IoMode`-independent signal; wall clock is the secondary signal and is
-//! only meaningful on the file backend (see DESIGN.md).
+//! Counted parallel I/O operations are the signal. The `wall_ms` next to
+//! them times the whole pipeline on the memory backend and is there for
+//! orientation only: wall clock is `benchmark/embench`'s to measure.
 
 use em_bsp::BspStarParams;
 use em_core::{CostReport, EmMachine, ParEmSimulator, Recording, SeqEmSimulator};
-use em_disk::{IoMode, Pipeline};
-use std::path::Path;
 use std::time::Instant;
 
 /// One EM-simulated run's aggregate cost.
@@ -79,98 +73,34 @@ pub fn machine(p: usize, m: usize, d: usize, b: usize) -> EmMachine {
     }
 }
 
+/// Time `pipeline` on the recording simulator `sim` of `p` processors
+/// and collapse what it recorded.
+fn measure<S, T>(sim: S, p: usize, pipeline: impl FnOnce(&Recording<S>) -> T) -> (T, EmRunCost) {
+    let rec = Recording::new(sim);
+    let t0 = Instant::now();
+    let out = pipeline(&rec);
+    let wall = t0.elapsed().as_secs_f64() * 1e3;
+    (out, collapse(rec.take_reports(), p, wall))
+}
+
 /// Run `pipeline` against a recording uniprocessor simulator and collapse
-/// the cost. The timed region includes the simulator's final durable
-/// `sync()` (performed inside `run()` at the last superstep boundary), so
-/// file-backed wall clocks cover writes that actually reached the files.
+/// the cost.
 pub fn measure_seq<T>(
     mach: EmMachine,
     seed: u64,
     pipeline: impl FnOnce(&Recording<SeqEmSimulator>) -> T,
 ) -> (T, EmRunCost) {
-    measure_seq_sim(SeqEmSimulator::new(mach).with_seed(seed), pipeline)
-}
-
-/// [`measure_seq`] on a file backend under `dir`, with an explicit
-/// [`IoMode`] and [`Pipeline`] policy. Counted I/O is identical to the
-/// memory run — and, by construction, identical across pipeline modes
-/// (ops are counted at submission time) — only the wall clock (and the
-/// bytes on disk) differ.
-pub fn measure_seq_file<T>(
-    mach: EmMachine,
-    seed: u64,
-    dir: impl AsRef<Path>,
-    mode: IoMode,
-    pl: Pipeline,
-    pipeline: impl FnOnce(&Recording<SeqEmSimulator>) -> T,
-) -> (T, EmRunCost) {
-    let sim = SeqEmSimulator::new(mach)
-        .with_seed(seed)
-        .with_file_backend(dir.as_ref())
-        .with_io_mode(mode)
-        .with_pipeline(pl);
-    measure_seq_sim(sim, pipeline)
-}
-
-/// [`measure_seq`] against a caller-configured simulator, for sweeps that
-/// toggle knobs the convenience helpers don't expose (stripe engine, core
-/// pinning, compute mode, fault plans).
-pub fn measure_seq_sim<T>(
-    sim: SeqEmSimulator,
-    pipeline: impl FnOnce(&Recording<SeqEmSimulator>) -> T,
-) -> (T, EmRunCost) {
-    let rec = Recording::new(sim);
-    let t0 = Instant::now();
-    let out = pipeline(&rec);
-    let wall = t0.elapsed().as_secs_f64() * 1e3;
-    let stages = rec.take_reports();
-    (out, collapse(stages, 1, wall))
+    measure(SeqEmSimulator::new(mach).with_seed(seed), 1, pipeline)
 }
 
 /// Run `pipeline` against a recording `p`-processor simulator and collapse
-/// the cost. As with [`measure_seq`], the timed region covers each
-/// processor's final durable `sync()`.
+/// the cost.
 pub fn measure_par<T>(
     mach: EmMachine,
     seed: u64,
     pipeline: impl FnOnce(&Recording<ParEmSimulator>) -> T,
 ) -> (T, EmRunCost) {
-    let p = mach.p;
-    measure_par_sim(p, ParEmSimulator::new(mach).with_seed(seed), pipeline)
-}
-
-/// [`measure_par`] on file backends under `dir/proc-<i>/`, with an
-/// explicit [`IoMode`] and [`Pipeline`] policy.
-pub fn measure_par_file<T>(
-    mach: EmMachine,
-    seed: u64,
-    dir: impl AsRef<Path>,
-    mode: IoMode,
-    pl: Pipeline,
-    pipeline: impl FnOnce(&Recording<ParEmSimulator>) -> T,
-) -> (T, EmRunCost) {
-    let p = mach.p;
-    let sim = ParEmSimulator::new(mach)
-        .with_seed(seed)
-        .with_file_backend(dir.as_ref())
-        .with_io_mode(mode)
-        .with_pipeline(pl);
-    measure_par_sim(p, sim, pipeline)
-}
-
-/// [`measure_par`] against a caller-configured simulator; `p` is the
-/// processor count used for the per-processor collapse.
-pub fn measure_par_sim<T>(
-    p: usize,
-    sim: ParEmSimulator,
-    pipeline: impl FnOnce(&Recording<ParEmSimulator>) -> T,
-) -> (T, EmRunCost) {
-    let rec = Recording::new(sim);
-    let t0 = Instant::now();
-    let out = pipeline(&rec);
-    let wall = t0.elapsed().as_secs_f64() * 1e3;
-    let stages = rec.take_reports();
-    (out, collapse(stages, p, wall))
+    measure(ParEmSimulator::new(mach).with_seed(seed), mach.p, pipeline)
 }
 
 #[cfg(test)]

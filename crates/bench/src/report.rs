@@ -1,11 +1,10 @@
 //! Table rendering and machine-readable result output.
 
-use em_core::{CostReport, PhaseWall};
-use serde::Serialize;
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// One experiment row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Row {
     /// Experiment / problem id (e.g. "T1-A-sort").
     pub id: String,
@@ -33,8 +32,65 @@ pub struct Row {
     pub note: String,
 }
 
-/// Print rows as an aligned text table.
+impl Row {
+    /// The row as one JSON object on one line, fields in declaration
+    /// order. `wall_ms` is the only field that differs between two runs on
+    /// one seed (the CI determinism diffs strip it by name).
+    pub fn to_json(&self) -> String {
+        format!(
+            "{{\"id\":{},\"variant\":{},\"n\":{},\"io_ops\":{},\"predicted\":{},\"lambda\":{},\
+             \"utilization\":{},\"wall_ms\":{},\"cache_hit_blocks\":{},\
+             \"cache_absorbed_writes\":{},\"note\":{}}}",
+            json_string(&self.id),
+            json_string(&self.variant),
+            self.n,
+            self.io_ops,
+            json_number(self.predicted),
+            self.lambda,
+            json_number(self.utilization),
+            json_number(self.wall_ms),
+            self.cache_hit_blocks,
+            self.cache_absorbed_writes,
+            json_string(&self.note),
+        )
+    }
+}
+
+/// Where the numbers were taken — core count, kernel, build profile —
+/// printed above every table and carried in every `BENCH_<name>.json`,
+/// because a `wall_ms` means nothing without it.
+struct Host {
+    nproc: usize,
+    kernel: String,
+    debug_build: bool,
+}
+
+impl Host {
+    fn probe() -> Self {
+        Host {
+            nproc: std::thread::available_parallelism().map_or(1, usize::from),
+            kernel: std::fs::read_to_string("/proc/version").unwrap_or_default().trim().to_string(),
+            debug_build: cfg!(debug_assertions),
+        }
+    }
+
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"nproc\":{},\"kernel\":{},\"debug_build\":{}}}",
+            self.nproc,
+            json_string(&self.kernel),
+            self.debug_build
+        )
+    }
+}
+
+/// Print rows as an aligned text table under a host line.
 pub fn print_table(title: &str, rows: &[Row]) {
+    let host = Host::probe();
+    println!(
+        "# host: nproc={} debug_build={} kernel={}",
+        host.nproc, host.debug_build, host.kernel
+    );
     println!("\n== {title} ==");
     println!(
         "{:<14} {:<26} {:>9} {:>10} {:>12} {:>5} {:>6} {:>9}  note",
@@ -51,76 +107,12 @@ pub fn print_table(title: &str, rows: &[Row]) {
 /// Emit rows as JSON lines (consumed when updating EXPERIMENTS.md).
 pub fn print_json(rows: &[Row]) {
     for r in rows {
-        println!("{}", serde_json::to_string(r).expect("row serializes"));
+        println!("{}", r.to_json());
     }
 }
 
-/// One run's per-phase wall-clock breakdown, in milliseconds.
-///
-/// Every wall-clock field name ends in `wall_ms` so determinism diffs can
-/// strip the whole family with one pattern (see the `determinism` job in
-/// `.github/workflows/ci.yml`); everything else in the record is expected
-/// to be bit-identical across `IoMode`/`Pipeline`/`ComputeMode` knobs and
-/// across identically-seeded reruns.
-#[derive(Debug, Clone, Serialize)]
-pub struct PhaseWallRow {
-    /// Label for the run the breakdown belongs to (experiment + variant).
-    pub variant: String,
-    /// Counted parallel I/O operations of the same run (primary signal,
-    /// deterministic — kept here so the JSON is self-describing).
-    pub io_ops: u64,
-    /// Fetching Phase (context + message-region reads).
-    pub fetch_wall_ms: f64,
-    /// Computation Phase (decode, superstep, re-encode).
-    pub compute_wall_ms: f64,
-    /// Writing Phase (message scatter + context write-back).
-    pub write_wall_ms: f64,
-    /// `SimulateRouting` reorganization.
-    pub reorganize_wall_ms: f64,
-    /// Superstep-boundary durability barrier.
-    pub sync_wall_ms: f64,
-    /// Sum of the five phases.
-    pub total_wall_ms: f64,
-}
-
-fn ms(d: std::time::Duration) -> f64 {
-    d.as_secs_f64() * 1e3
-}
-
-impl PhaseWallRow {
-    /// Build a row from a single labelled [`PhaseWall`].
-    pub fn from_wall(variant: impl Into<String>, io_ops: u64, wall: &PhaseWall) -> Self {
-        PhaseWallRow {
-            variant: variant.into(),
-            io_ops,
-            fetch_wall_ms: ms(wall.fetch),
-            compute_wall_ms: ms(wall.compute),
-            write_wall_ms: ms(wall.write),
-            reorganize_wall_ms: ms(wall.reorganize),
-            sync_wall_ms: ms(wall.sync),
-            total_wall_ms: ms(wall.total()),
-        }
-    }
-
-    /// Build a row from pipeline stages, summing the per-stage timers.
-    pub fn from_stages(variant: impl Into<String>, stages: &[CostReport]) -> Self {
-        let mut wall = PhaseWall::default();
-        for s in stages {
-            wall.fetch += s.phase_wall.fetch;
-            wall.compute += s.phase_wall.compute;
-            wall.write += s.phase_wall.write;
-            wall.reorganize += s.phase_wall.reorganize;
-            wall.sync += s.phase_wall.sync;
-        }
-        let io_ops = stages.iter().map(|s| s.io.parallel_ops).sum();
-        PhaseWallRow::from_wall(variant, io_ops, &wall)
-    }
-}
-
-/// Minimal JSON string escaping for the scalar header fields (the record
-/// arrays go through serde). Kept local so the writer has no requirements
-/// beyond what the vendored/offline serde surface guarantees.
-fn json_escape(s: &str) -> String {
+/// A JSON string literal.
+fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -130,7 +122,9 @@ fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }
@@ -138,139 +132,134 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Render one array of serializable records with each element on its own
-/// line, so line-oriented tooling (the CI determinism sed, grep) can
-/// process the file record-at-a-time while it stays a single valid JSON
-/// document.
-fn json_array_lines<T: Serialize>(items: &[T], indent: &str) -> String {
-    let body: Vec<String> = items
-        .iter()
-        .map(|i| format!("{indent}  {}", serde_json::to_string(i).expect("record serializes")))
-        .collect();
-    if body.is_empty() {
-        "[]".to_string()
+/// A JSON number: shortest digits that read back as `x`, always with a
+/// fraction or an exponent (`0.0`, never `0`); `null` when not finite.
+fn json_number(x: f64) -> String {
+    if x.is_finite() {
+        format!("{x:?}")
     } else {
-        format!("[\n{}\n{indent}]", body.join(",\n"))
+        "null".to_string()
     }
 }
 
-/// Write `results/BENCH_<name>.json` (creating `results/` as needed) and
-/// return the path. Called unconditionally by the bench binaries — also
-/// under `--smoke` — so CI exercises the same writer as a full run.
+/// Where a run's document belongs: the committed artefacts live under
+/// `results/`, and only a full-size run of every sweep of a binary may
+/// replace one; every other run — `--smoke`, a single sweep, a scaled or
+/// re-seeded run — leaves the same document under `target/bench-results/`.
+fn bench_dir(smoke: bool, complete: bool) -> &'static Path {
+    Path::new(if complete && !smoke { "results" } else { "target/bench-results" })
+}
+
+/// Write `BENCH_<name>.json` and return its path: under `results/` when
+/// `complete` — the run was full size, on the default seed, and ran every
+/// sweep the binary has — and under `target/bench-results/` otherwise, so
+/// that a partial run can never replace a committed artefact. Both are
+/// relative to the current directory and created as needed.
 ///
-/// The document is `{bench, seed, smoke, config, rows, phase_walls}` with
-/// one record per line inside the two arrays; all wall-clock fields end
-/// in `wall_ms` and everything else is deterministic for a fixed seed.
+/// The document is `{bench, seed, smoke, config, host, rows}` with one row
+/// per line; `wall_ms` and `host` aside, everything in it is deterministic
+/// for a fixed seed.
 pub fn write_bench_json(
     name: &str,
     seed: u64,
     smoke: bool,
+    complete: bool,
     config: &str,
     rows: &[Row],
-    phase_walls: &[PhaseWallRow],
 ) -> std::io::Result<PathBuf> {
-    write_bench_json_under(Path::new("results"), name, seed, smoke, config, rows, phase_walls)
+    write_bench_json_under(bench_dir(smoke, complete), name, seed, smoke, config, rows)
 }
 
-/// [`write_bench_json`] with an explicit output directory (testing hook).
-#[allow(clippy::too_many_arguments)]
-pub fn write_bench_json_under(
+fn write_bench_json_under(
     dir: &Path,
     name: &str,
     seed: u64,
     smoke: bool,
     config: &str,
     rows: &[Row],
-    phase_walls: &[PhaseWallRow],
 ) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("BENCH_{name}.json"));
+    let rows = if rows.is_empty() {
+        "[]".to_string()
+    } else {
+        let lines: Vec<String> = rows.iter().map(|r| format!("    {}", r.to_json())).collect();
+        format!("[\n{}\n  ]", lines.join(",\n"))
+    };
     let payload = format!(
         "{{\n  \"bench\": {},\n  \"seed\": {seed},\n  \"smoke\": {smoke},\n  \
-         \"config\": {},\n  \"rows\": {},\n  \"phase_walls\": {}\n}}\n",
-        json_escape(name),
-        json_escape(config),
-        json_array_lines(rows, "  "),
-        json_array_lines(phase_walls, "  "),
+         \"config\": {},\n  \"host\": {},\n  \"rows\": {rows}\n}}\n",
+        json_string(name),
+        json_string(config),
+        Host::probe().to_json(),
     );
     std::fs::write(&path, payload)?;
     Ok(path)
+}
+
+/// Exit with `usage` when `args` holds a `--flag` the binary does not
+/// know, instead of running (and writing) as if it had not been given.
+pub fn reject_unknown_flags(args: &[String], known: &[&str], usage: &str) {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !known.contains(&a.as_str())) {
+        eprintln!("unknown option {flag}\nusage: {usage}");
+        std::process::exit(2);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn rows_serialize() {
-        let r = Row {
+    fn row() -> Row {
+        Row {
             id: "T1-A-sort".into(),
-            variant: "baseline".into(),
+            variant: "sim \"p=4\"".into(),
             n: 1000,
             io_ops: 42,
             predicted: 40.0,
-            lambda: 0,
-            utilization: 0.95,
-            wall_ms: 1.5,
+            lambda: 4,
+            utilization: 0.9483648881239243,
+            wall_ms: 46.960077000000005,
             cache_hit_blocks: 0,
             cache_absorbed_writes: 0,
             note: String::new(),
-        };
-        let s = serde_json::to_string(&r).unwrap();
-        assert!(s.contains("T1-A-sort"));
-        assert!(
-            s.contains("\"cache_hit_blocks\":0") && s.contains("\"cache_absorbed_writes\":0"),
-            "cache tallies must be emitted even when zero: {s}"
-        );
+        }
     }
 
     #[test]
-    fn bench_json_round_trips_and_strips_walls() {
-        let rows = vec![Row {
-            id: "F-compute".into(),
-            variant: "threaded n=2".into(),
-            n: 64,
-            io_ops: 42,
-            predicted: 0.0,
-            lambda: 4,
-            utilization: 0.9,
-            wall_ms: 12.5,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
-            note: String::new(),
-        }];
-        let wall = PhaseWall {
-            fetch: std::time::Duration::from_millis(3),
-            compute: std::time::Duration::from_millis(40),
-            write: std::time::Duration::from_millis(5),
-            reorganize: std::time::Duration::from_millis(2),
-            sync: std::time::Duration::from_millis(1),
-        };
-        let walls = vec![PhaseWallRow::from_wall("F-compute threaded n=2", 42, &wall)];
+    fn a_row_is_one_json_object_with_the_committed_field_names_and_order() {
+        assert_eq!(
+            row().to_json(),
+            "{\"id\":\"T1-A-sort\",\"variant\":\"sim \\\"p=4\\\"\",\"n\":1000,\"io_ops\":42,\
+             \"predicted\":40.0,\"lambda\":4,\"utilization\":0.9483648881239243,\
+             \"wall_ms\":46.960077000000005,\"cache_hit_blocks\":0,\"cache_absorbed_writes\":0,\
+             \"note\":\"\"}"
+        );
+        assert_eq!(json_number(f64::NAN), "null");
+        assert_eq!(json_number(0.0), "0.0");
+    }
+
+    #[test]
+    fn only_a_complete_full_size_run_is_written_under_results() {
+        assert_eq!(bench_dir(false, true), Path::new("results"));
+        for (smoke, complete) in [(true, true), (false, false), (true, false)] {
+            assert_eq!(bench_dir(smoke, complete), Path::new("target/bench-results"));
+        }
+    }
+
+    #[test]
+    fn the_document_holds_one_row_a_line_under_a_host_header() {
         let dir = std::env::temp_dir().join(format!("em-bench-report-{}", std::process::id()));
-        let path =
-            write_bench_json_under(&dir, "test", 7, true, "M=64KiB D=4", &rows, &walls).unwrap();
+        let path = write_bench_json_under(&dir, "test", 7, true, "M=64KiB", &[row()]).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-        assert!(path.file_name().unwrap().to_str().unwrap() == "BENCH_test.json");
-        assert!(text.contains("\"bench\": \"test\""));
-        assert!(text.contains("\"seed\": 7"));
-        assert!(text.contains("\"smoke\": true"));
-        assert!(text.contains("\"io_ops\":42"));
-        assert!(text.contains("compute_wall_ms"));
-        // Record-per-line layout: each row and each phase-wall record sits
-        // on its own line, so the CI determinism sed can strip the
-        // wall-clock family (every such field ends in `wall_ms`) without a
-        // JSON parser. Every time-dependent value in this record lives in
-        // a `…wall_ms` field; nothing else here may vary across reruns.
-        let row_lines =
-            text.lines().filter(|l| l.trim_start().starts_with('{') && l.contains("\"id\""));
-        assert_eq!(row_lines.count(), 1);
-        let wall_line = text
-            .lines()
-            .find(|l| l.contains("compute_wall_ms"))
-            .expect("phase-wall record present");
-        assert!(wall_line.contains("fetch_wall_ms"));
-        assert!(wall_line.contains("total_wall_ms"));
+        assert_eq!(path.file_name().unwrap(), "BENCH_test.json");
+        assert!(text.contains("\"bench\": \"test\"") && text.contains("\"seed\": 7"));
+        assert!(text.contains("\"smoke\": true") && text.contains("\"host\": {\"nproc\":"));
+        // One row per line, so the CI determinism sed can strip `wall_ms`
+        // without a JSON parser.
+        let row_lines: Vec<&str> =
+            text.lines().filter(|l| l.trim_start().starts_with("{\"id\"")).collect();
+        assert_eq!(row_lines, [format!("    {}", row().to_json())]);
     }
 }

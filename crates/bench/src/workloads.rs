@@ -1,16 +1,28 @@
 //! Seeded workload generators for the experiments (the paper's problems
 //! take synthetic inputs; all generators are deterministic per seed).
+//!
+//! The draws are written against the part of `rand` that
+//! `scripts/offline-test.sh`'s stand-in has — `next_u64` and unsigned
+//! ranges — and give the values `gen()` and signed `gen_range` give on the
+//! published crate, so the committed counts reproduce on either.
 
 use em_algos::geometry::rectangles::Rect;
 use em_algos::geometry::{Point2, Point3};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
+use std::ops::Range;
+
+/// A draw from a range of signed bounds: one unsigned draw over its width,
+/// shifted.
+fn signed(rng: &mut StdRng, range: Range<i64>) -> i64 {
+    range.start + rng.gen_range(0..(range.end - range.start) as u64) as i64
+}
 
 /// Uniform random `u64` records.
 pub fn random_u64(n: usize, seed: u64) -> Vec<u64> {
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.gen()).collect()
+    (0..n).map(|_| rng.next_u64()).collect()
 }
 
 /// A uniform random permutation of `0..n`.
@@ -26,8 +38,8 @@ pub fn random_points_disc(n: usize, r: i64, seed: u64) -> Vec<Point2> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut out = Vec::with_capacity(n);
     while out.len() < n {
-        let x = rng.gen_range(-r..=r);
-        let y = rng.gen_range(-r..=r);
+        let x = signed(&mut rng, -r..r + 1);
+        let y = signed(&mut rng, -r..r + 1);
         if x * x + y * y <= r * r {
             out.push(Point2::new(x, y));
         }
@@ -44,8 +56,8 @@ pub fn random_points_3d(n: usize, seed: u64) -> Vec<Point3> {
         .map(|x| {
             Point3::new(
                 x,
-                rng.gen_range(-1_000_000..1_000_000),
-                rng.gen_range(-1_000_000..1_000_000),
+                signed(&mut rng, -1_000_000..1_000_000),
+                signed(&mut rng, -1_000_000..1_000_000),
             )
         })
         .collect()
@@ -58,8 +70,8 @@ pub fn random_weighted_points(n: usize, seed: u64) -> Vec<(Point2, u64)> {
         .map(|_| {
             (
                 Point2::new(
-                    rng.gen_range(-1_000_000..1_000_000),
-                    rng.gen_range(-1_000_000..1_000_000),
+                    signed(&mut rng, -1_000_000..1_000_000),
+                    signed(&mut rng, -1_000_000..1_000_000),
                 ),
                 rng.gen_range(1..100),
             )
@@ -72,8 +84,8 @@ pub fn random_segments(n: usize, len: i64, seed: u64) -> Vec<(i64, i64, i64)> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
-            let x1 = rng.gen_range(-1_000_000..1_000_000);
-            (x1, x1 + rng.gen_range(1..2 * len), rng.gen_range(-100_000..100_000))
+            let x1 = signed(&mut rng, -1_000_000..1_000_000);
+            (x1, x1 + signed(&mut rng, 1..2 * len), signed(&mut rng, -100_000..100_000))
         })
         .collect()
 }
@@ -83,9 +95,10 @@ pub fn random_rects(n: usize, side: i64, seed: u64) -> Vec<Rect> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|_| {
-            let x1 = rng.gen_range(-1_000_000..1_000_000);
-            let y1 = rng.gen_range(-1_000_000..1_000_000);
-            Rect::new(x1, x1 + rng.gen_range(1..2 * side), y1, y1 + rng.gen_range(1..2 * side))
+            let x1 = signed(&mut rng, -1_000_000..1_000_000);
+            let y1 = signed(&mut rng, -1_000_000..1_000_000);
+            let (w, h) = (signed(&mut rng, 1..2 * side), signed(&mut rng, 1..2 * side));
+            Rect::new(x1, x1 + w, y1, y1 + h)
         })
         .collect()
 }

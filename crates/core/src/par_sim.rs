@@ -1590,9 +1590,7 @@ mod tests {
         assert_eq!(a.states, reference.states, "Pipeline::Off must match the reference");
         // 4 batches: depth 2 keeps several rounds in flight, depth 8 a
         // window wider than the whole superstep.
-        for pipeline in
-            [Pipeline::DoubleBuffer, Pipeline::Stream(1), Pipeline::Stream(2), Pipeline::Stream(8)]
-        {
+        for pipeline in [Pipeline::Stream(1), Pipeline::Stream(2), Pipeline::Stream(8)] {
             let pipelined = base.clone().with_pipeline(pipeline);
             let (b, rb) = pipelined.run(&DIFFUSE, init.clone()).unwrap();
             assert_eq!(a.states, b.states, "{pipeline:?}");
@@ -1633,7 +1631,7 @@ mod tests {
         let base = ParEmSimulator::new(machine(4, 256, 2, 64)).with_seed(5);
         let (a, ra) = base.run(&prog, vec![0u64; v]).unwrap();
         for n in [1usize, 2, 8] {
-            for pipeline in [Pipeline::Off, Pipeline::DoubleBuffer, Pipeline::Stream(4)] {
+            for pipeline in [Pipeline::Off, Pipeline::Stream(1), Pipeline::Stream(4)] {
                 let threaded = base
                     .clone()
                     .with_pipeline(pipeline)
@@ -1652,7 +1650,7 @@ mod tests {
     fn pipelined_parallel_file_backend_matches_reference() {
         let prog = AllToAll { mu: 124 };
         let reference = run_sequential(&prog, vec![0u64; 16]).unwrap();
-        for (tag, pipeline) in [("db", Pipeline::DoubleBuffer), ("s3", Pipeline::Stream(3))] {
+        for (tag, pipeline) in [("db", Pipeline::Stream(1)), ("s3", Pipeline::Stream(3))] {
             let dir =
                 std::env::temp_dir().join(format!("em-par-pipe-{tag}-{}", std::process::id()));
             let sim = ParEmSimulator::new(machine(2, 256, 2, 64))
@@ -1763,7 +1761,7 @@ mod tests {
     /// drive `D − 1`: 55 ops) differ.
     #[test]
     fn batched_sweeps_leave_what_the_parent_commit_left() {
-        use em_disk::{EngineKind, IoMode, RetryPolicy};
+        use em_disk::{IoMode, RetryPolicy};
         // Recorded at `9c0bd1a`.
         const KILLED: u32 = 0x8BA6_AFB5;
         const RESUMED: u32 = 0xF26E_971F;
@@ -1788,7 +1786,6 @@ mod tests {
             .with_seed(0xD3D97)
             .with_file_backend(&dir)
             .with_io_mode(IoMode::Parallel)
-            .with_engine(EngineKind::Threaded)
             .with_checksums(true)
             .with_retry(RetryPolicy::default())
             .with_checkpointing(true);

@@ -93,7 +93,7 @@ impl PhaseIo {
 ///
 /// This is the *secondary* signal of DESIGN.md §3.2.2 — host-dependent
 /// and page-cache-sensitive — split by phase so that a speedup (from
-/// [`crate::ComputeMode::Threaded`], [`em_disk::Pipeline::DoubleBuffer`],
+/// [`crate::ComputeMode::Threaded`], [`em_disk::Pipeline::Stream`],
 /// ...) is attributable. Deliberately a separate struct from [`PhaseIo`]:
 /// the counted per-phase I/O operations are asserted bit-identical across
 /// the `IoMode`/`Pipeline`/`ComputeMode` knobs, while wall clocks may —

@@ -152,13 +152,9 @@ mod tests {
         // The workload has 8 groups: depth 2 keeps several in flight,
         // depth 8 covers a window deeper than the remaining groups, and
         // depth 32 a window wider than the whole superstep.
-        for pipeline in [
-            Pipeline::DoubleBuffer,
-            Pipeline::Stream(1),
-            Pipeline::Stream(2),
-            Pipeline::Stream(8),
-            Pipeline::Stream(32),
-        ] {
+        for pipeline in
+            [Pipeline::Stream(1), Pipeline::Stream(2), Pipeline::Stream(8), Pipeline::Stream(32)]
+        {
             let pipelined = base.clone().with_pipeline(pipeline);
             let (b, rb) = pipelined.run(&prog, vec![0u64; 16]).unwrap();
             assert_eq!(a.states, b.states, "{pipeline:?}");
@@ -214,7 +210,7 @@ mod tests {
         let base = SeqEmSimulator::new(machine(256, 4, 64)).with_seed(42);
         let (a, ra) = base.run(&prog, vec![0u64; 16]).unwrap();
         for n in [1usize, 2, 8] {
-            for pipeline in [Pipeline::Off, Pipeline::DoubleBuffer, Pipeline::Stream(4)] {
+            for pipeline in [Pipeline::Off, Pipeline::Stream(1), Pipeline::Stream(4)] {
                 let threaded = base
                     .clone()
                     .with_pipeline(pipeline)
@@ -233,7 +229,7 @@ mod tests {
     fn pipelined_file_backend_matches_reference() {
         let prog = AllToAll { mu: 124 };
         let reference = run_sequential(&prog, vec![0u64; 16]).unwrap();
-        for (tag, pipeline) in [("db", Pipeline::DoubleBuffer), ("s3", Pipeline::Stream(3))] {
+        for (tag, pipeline) in [("db", Pipeline::Stream(1)), ("s3", Pipeline::Stream(3))] {
             let dir =
                 std::env::temp_dir().join(format!("em-seq-pipe-{tag}-{}", std::process::id()));
             let sim = SeqEmSimulator::new(machine(256, 4, 64))

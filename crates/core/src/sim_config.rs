@@ -15,9 +15,7 @@ use crate::msg::Placement;
 use crate::report::{FaultReport, RecoveryPolicy};
 use crate::tune::{AutoTuner, ResolvedConfig};
 use crate::{EmError, EmResult};
-use em_disk::{
-    DiskArray, DiskConfig, EngineKind, FaultPlan, FaultStats, IoMode, Pipeline, RetryPolicy,
-};
+use em_disk::{DiskArray, DiskConfig, FaultPlan, FaultStats, IoMode, Pipeline, RetryPolicy};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex as StdMutex};
 
@@ -45,7 +43,6 @@ pub(crate) struct SimConfig {
     pub auto_cache: bool,
     pub checkpoint: bool,
     pub kill: Option<KillPoint>,
-    pub engine: EngineKind,
     pub pin_workers: bool,
     pub tuner: AutoTuner,
     /// The tuner's choices, recorded when a resolution ran (on the clone
@@ -80,7 +77,6 @@ impl SimConfig {
             auto_cache: false,
             checkpoint: false,
             kill: None,
-            engine: EngineKind::default(),
             pin_workers: false,
             tuner: AutoTuner::default(),
             resolved: None,
@@ -155,7 +151,6 @@ impl SimConfig {
             .with_checksums(self.checksums)
             .with_cache(self.cache_bytes)
             .with_auto_cache(self.auto_cache)
-            .with_engine(self.engine)
             .with_pinned_workers(self.pin_workers);
         Ok(match self.retry {
             Some(policy) => cfg.with_retry(policy),
@@ -339,8 +334,8 @@ macro_rules! sim_facade {
             /// first, round `j+n`'s contexts *and* message blocks are
             /// submitted before round `j` is joined. Every round's writes
             /// drain in the background, joined before Algorithm 2's
-            /// reorganization. [`Pipeline::DoubleBuffer`] is exactly
-            /// `Stream(1)` — the classic one-group-ahead double buffer.
+            /// reorganization. `Stream(1)` is the classic one-group-ahead
+            /// double buffer.
             /// Counted I/O, per-phase attribution, final states, the RNG
             /// streams and seeded I/O traces are identical at every depth
             /// — the knob changes only *when* transfers complete.
@@ -361,15 +356,10 @@ macro_rules! sim_facade {
                 self
             }
 
-            /// Prefer a stripe-execution engine for the file backend
-            /// ([`EngineKind::Threaded`] by default). [`EngineKind::Uring`]
-            /// is a *preference*: it silently falls back to worker threads
-            /// when the `io-uring` feature is off or the kernel refuses a
-            /// ring ([`em_disk::uring_available`]). Counted I/O, final
-            /// states and seeded traces are identical under every engine
-            /// — the knob is wall-clock only.
-            pub fn with_engine(mut self, engine: EngineKind) -> Self {
-                self.cfg.engine = engine;
+            /// Does nothing: [`EngineKind`] has one value, the file
+            /// backend's worker thread per drive. Kept because the
+            /// benchmark calls it (ROADMAP item 1(ii)).
+            pub fn with_engine(self, _engine: EngineKind) -> Self {
                 self
             }
 
@@ -481,8 +471,8 @@ macro_rules! sim_facade {
             /// Replace the default [`AutoTuner`] that resolves `Auto` knob
             /// requests ([`ComputeMode::Auto`], [`Pipeline::Auto`],
             /// [`Self::with_auto_cache`]). The default tuner uses the host
-            /// core count and the corpus-derived compute/fetch ratio;
-            /// tests and CI determinism lanes pin inputs via
+            /// core count and the built-in compute/fetch ratio; tests and
+            /// CI determinism lanes pin inputs via
             /// [`AutoTuner::with_inputs`].
             pub fn with_tuner(mut self, tuner: AutoTuner) -> Self {
                 self.cfg.tuner = tuner;

@@ -13,21 +13,16 @@
 //! wall-clock speed, and reproducibility reduces to the inputs being
 //! stable.
 //!
-//! The inputs come from one of four [`TuneSource`]s, in the order a
+//! The inputs come from one of three [`TuneSource`]s, in the order a
 //! resolution attempts them:
 //!
 //! 1. [`TuneSource::Explicit`] — the caller pinned [`TuneInputs`] (tests,
 //!    CI determinism lanes, service configs that must not drift).
-//! 2. [`TuneSource::Corpus`] — the compute/fetch ratio is read from a
-//!    committed `results/BENCH_*.json` corpus file (the `figures compute`
-//!    sweep's serial phase-wall row); committed bytes are stable, so the
-//!    parse is too.
-//! 3. [`TuneSource::Probe`] — an opt-in seeded in-process microbenchmark
+//! 2. [`TuneSource::Probe`] — an opt-in seeded in-process microbenchmark
 //!    measures the ratio on the current host and quantizes it to the
 //!    nearest power of two, so run-to-run timer noise on one host
 //!    collapses onto the same bucket.
-//! 4. [`TuneSource::Default`] — the ratio the committed BENCH corpus
-//!    shows for the mixed workload (compute ≈ 40× fetch).
+//! 3. [`TuneSource::Default`] — a built-in ratio, compute ≈ 40× fetch.
 //!
 //! The chosen values, the inputs and the source are recorded in
 //! [`ResolvedConfig`] and carried in `CostReport::resolved_config`, so a
@@ -38,13 +33,16 @@
 use crate::compute::ComputeMode;
 use em_disk::Pipeline;
 
-/// Default compute/fetch wall ratio (×16) when no corpus, probe or
-/// explicit inputs are supplied: the committed `results/BENCH_*.json`
-/// corpus shows compute dominating fetch ≈ 40:1 on the mixed workload.
+/// Default compute/fetch wall ratio (×16) when neither a probe nor
+/// explicit inputs are supplied. 40:1 is what the `ComputeMode` ablation
+/// of PR 4 measured on its compute-bound mixing kernel (v = 32, 1024 u64
+/// per vp, 600 inner rounds, serial lane: compute phase 78 ms, fetch
+/// 1.4–1.7 ms, rounded down) — the one workload that was ever measured for
+/// this purpose, not a property of the repository's programs in general.
 const DEFAULT_RATIO_X16: u32 = 40 * 16;
 
-/// Widest `Threaded(n)` the tuner will pick: beyond the corpus-measured
-/// scaling knee, extra in-group workers only add dispatch overhead.
+/// Widest `Threaded(n)` the tuner will pick: beyond eight in-group
+/// workers, extra ones only add dispatch overhead.
 const MAX_AUTO_WORKERS: usize = 8;
 
 /// Upper bound on an auto-resolved cache capacity.
@@ -68,10 +66,8 @@ pub struct TuneInputs {
 /// Where a resolution's [`TuneInputs`] came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TuneSource {
-    /// Built-in constants (corpus-derived 40:1 ratio, host core count).
+    /// Built-in constants (40:1 ratio, host core count).
     Default,
-    /// Ratio parsed from a committed `results/BENCH_*.json` file.
-    Corpus,
     /// Ratio measured by the seeded in-process calibration probe.
     Probe,
     /// Inputs pinned verbatim by the caller.
@@ -82,7 +78,6 @@ impl TuneSource {
     fn as_str(&self) -> &'static str {
         match self {
             TuneSource::Default => "default",
-            TuneSource::Corpus => "corpus",
             TuneSource::Probe => "probe",
             TuneSource::Explicit => "explicit",
         }
@@ -137,7 +132,6 @@ impl ResolvedConfig {
         let pipeline = match self.pipeline {
             None => "-".to_string(),
             Some(Pipeline::Off) => "off".to_string(),
-            Some(Pipeline::DoubleBuffer) => "stream(1)".to_string(),
             Some(Pipeline::Stream(n)) => format!("stream({n})"),
             Some(Pipeline::Auto) => "auto".to_string(),
         };
@@ -158,10 +152,9 @@ impl ResolvedConfig {
 
 /// Resolves the simulators' `Auto` knob requests into concrete values.
 ///
-/// Plain data — `Clone`, no threads, no I/O until [`AutoTuner::resolve`]
-/// (and even then only the opt-in corpus read / probe run). The default
-/// tuner takes the host core count and the corpus-derived 40:1 ratio;
-/// builders narrow it:
+/// Plain data — `Clone`, no threads, no I/O (a resolution runs at most
+/// the opt-in probe). The default tuner takes the host core count and the
+/// built-in 40:1 ratio; builders narrow it:
 ///
 /// ```
 /// use em_core::{AutoTuner, ComputeMode, TuneInputs};
@@ -180,8 +173,6 @@ impl ResolvedConfig {
 pub struct AutoTuner {
     /// Pinned inputs ([`TuneSource::Explicit`]); wins over everything.
     explicit: Option<TuneInputs>,
-    /// Corpus file to parse the ratio from ([`TuneSource::Corpus`]).
-    corpus_path: Option<std::path::PathBuf>,
     /// Seed for the opt-in calibration probe ([`TuneSource::Probe`]).
     probe_seed: Option<u64>,
 }
@@ -191,16 +182,6 @@ impl AutoTuner {
     /// becomes a pure function, independent of the host.
     pub fn with_inputs(mut self, inputs: TuneInputs) -> Self {
         self.explicit = Some(inputs);
-        self
-    }
-
-    /// Read the compute/fetch ratio from a committed `BENCH_*.json`
-    /// corpus file ([`TuneSource::Corpus`]). The file's `figures compute`
-    /// serial phase-wall row supplies the ratio; a missing or unparsable
-    /// file falls back to the built-in default rather than erroring — a
-    /// tuner may never fail a run over a hint.
-    pub fn with_corpus(mut self, path: impl Into<std::path::PathBuf>) -> Self {
-        self.corpus_path = Some(path.into());
         self
     }
 
@@ -220,12 +201,6 @@ impl AutoTuner {
             return (inputs, TuneSource::Explicit);
         }
         let cores = std::thread::available_parallelism().map(|n| n.get() as u32).unwrap_or(1);
-        if let Some(ratio) = self.corpus_path.as_deref().and_then(corpus_ratio_x16) {
-            return (
-                TuneInputs { cores, compute_per_fetch_x16: ratio, footprint_bytes },
-                TuneSource::Corpus,
-            );
-        }
         if let Some(seed) = self.probe_seed {
             let ratio = probe_ratio_x16(seed);
             return (
@@ -242,9 +217,8 @@ impl AutoTuner {
     /// Resolve the requested `Auto` knobs against a `v·μ+γ` footprint.
     ///
     /// Returns `None` when nothing was requested as `Auto` — the common
-    /// case, which must stay allocation- and I/O-free. The policy (each
-    /// rule traceable to the committed BENCH corpus, see DESIGN.md
-    /// §3.2.11):
+    /// case, which must stay allocation- and I/O-free. The policy
+    /// (DESIGN.md §3.2.11):
     ///
     /// * **compute** — `Serial` on a single core or when compute fails to
     ///   dominate fetch at least 2:1 (pool dispatch would be pure
@@ -289,40 +263,8 @@ impl AutoTuner {
     }
 }
 
-/// Parse the compute/fetch ratio (×16) out of a `BENCH_*.json` corpus
-/// file: the `phase_walls` row whose variant is the `figures compute`
-/// sweep's serial lane carries `compute_wall_ms` and `fetch_wall_ms`.
-///
-/// Line-oriented string scanning on purpose: `em-core` has no JSON
-/// dependency, the bench writer emits one record per line, and a hint
-/// parser that rejects the file is strictly better than one that guesses.
-fn corpus_ratio_x16(path: &std::path::Path) -> Option<u32> {
-    let text = std::fs::read_to_string(path).ok()?;
-    for line in text.lines() {
-        if !line.contains("\"F-compute mix serial\"") {
-            continue;
-        }
-        let compute = json_number_field(line, "\"compute_wall_ms\":")?;
-        let fetch = json_number_field(line, "\"fetch_wall_ms\":")?;
-        if !(compute.is_finite() && fetch.is_finite()) || compute < 0.0 || fetch <= 0.0 {
-            return None;
-        }
-        let ratio = (compute / fetch * 16.0).round();
-        return Some(ratio.clamp(1.0, u32::MAX as f64) as u32);
-    }
-    None
-}
-
-/// Extract the numeric value following `key` in a one-record JSON line.
-fn json_number_field(line: &str, key: &str) -> Option<f64> {
-    let start = line.find(key)? + key.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// Seeded calibration probe: time a fixed compute kernel (the `figures
-/// compute` mixing loop) against a fixed memory-backend block copy, and
+/// Seeded calibration probe: time a fixed compute kernel (a
+/// multiplicative mixing loop) against a fixed memory-backend block copy, and
 /// return their wall ratio quantized to the nearest power of two (×16).
 ///
 /// The quantization is the determinism story: raw timings jitter run to
@@ -451,33 +393,13 @@ mod tests {
     }
 
     #[test]
-    fn corpus_parse_reads_the_serial_compute_row() {
-        let dir = std::env::temp_dir().join(format!("em-tune-corpus-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_test.json");
-        std::fs::write(
-            &path,
-            concat!(
-                "{\"bench\":\"figures\",\"rows\":[\n",
-                "{\"variant\":\"F-compute mix serial\",\"io_ops\":10,\
-                 \"fetch_wall_ms\":2.0,\"compute_wall_ms\":80.0,\"write_wall_ms\":1.0}\n",
-                "]}\n",
-            ),
-        )
-        .unwrap();
-        assert_eq!(corpus_ratio_x16(&path), Some(640), "80/2 = 40:1 → 640");
-        let rc = AutoTuner::default().with_corpus(&path).resolve(true, false, false, 4096).unwrap();
-        assert_eq!(rc.source, TuneSource::Corpus);
-        assert_eq!(rc.inputs.compute_per_fetch_x16, 640);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn missing_corpus_falls_back_to_default() {
-        let rc = AutoTuner::default()
-            .with_corpus("/nonexistent/BENCH_nope.json")
-            .resolve(true, false, false, 4096)
-            .unwrap();
+    fn precedence_is_explicit_then_probe_then_default() {
+        let resolve = |t: AutoTuner| t.resolve(true, false, false, 4096).unwrap();
+        let pinned = inputs(4, 64, 4096);
+        let rc = resolve(AutoTuner::default().with_probe(7).with_inputs(pinned));
+        assert_eq!((rc.source, rc.inputs), (TuneSource::Explicit, pinned));
+        assert_eq!(resolve(AutoTuner::default().with_probe(7)).source, TuneSource::Probe);
+        let rc = resolve(AutoTuner::default());
         assert_eq!(rc.source, TuneSource::Default);
         assert_eq!(rc.inputs.compute_per_fetch_x16, DEFAULT_RATIO_X16);
     }

@@ -108,7 +108,7 @@ impl DiskArray {
             cfg.num_disks,
             Self::storage_block_bytes(&cfg),
             cfg.io_mode,
-            cfg.engine,
+            crate::EngineKind::Threaded,
             cfg.pin_workers,
         )?);
         Ok(Self::with_backend_and_faults(cfg, backend, plan))
@@ -139,7 +139,6 @@ impl DiskArray {
             cfg.num_disks,
             Self::storage_block_bytes(&cfg),
             cfg.io_mode,
-            cfg.engine,
             cfg.pin_workers,
         )?);
         Ok(Self::with_backend_and_faults(cfg, backend, plan))
@@ -1038,7 +1037,7 @@ mod tests {
 
     #[test]
     fn a_batch_equals_its_stripes_one_by_one() {
-        use crate::{EngineKind, IoMode, RetryPolicy};
+        use crate::{IoMode, RetryPolicy};
         let pid = std::process::id();
         let drive_files = |dir: &std::path::Path| -> Vec<Vec<u8>> {
             (0..4).map(|d| std::fs::read(dir.join(format!("disk-{d}.bin"))).unwrap()).collect()
@@ -1053,21 +1052,15 @@ mod tests {
             let batched = consecutive_workload(&mut DiskArray::new_memory(cfg), true);
             assert_eq!(batched, reference, "memory, checksums {checksums}");
 
-            // The ring engine is a preference: where the kernel has no
-            // ring, its lane runs the threaded engine a second time.
-            for (mode, engine) in [
-                (IoMode::Serial, EngineKind::Threaded),
-                (IoMode::Parallel, EngineKind::Threaded),
-                (IoMode::Parallel, EngineKind::Uring),
-            ] {
+            for mode in [IoMode::Serial, IoMode::Parallel] {
                 let dir = |tag: &str| {
                     std::env::temp_dir()
-                        .join(format!("em-array-batch-{tag}-{mode:?}-{engine:?}-{checksums}-{pid}"))
+                        .join(format!("em-array-batch-{tag}-{mode:?}-{checksums}-{pid}"))
                 };
-                let cfg = cfg.with_io_mode(mode).with_engine(engine);
+                let cfg = cfg.with_io_mode(mode);
                 let mut by_stripe = DiskArray::new_file(cfg, dir("s")).unwrap();
                 let mut by_batch = DiskArray::new_file(cfg, dir("b")).unwrap();
-                let what = format!("file {mode:?} {engine:?}, checksums {checksums}");
+                let what = format!("file {mode:?}, checksums {checksums}");
                 assert_eq!(consecutive_workload(&mut by_stripe, false), reference, "{what}");
                 assert_eq!(consecutive_workload(&mut by_batch, true), reference, "{what}");
                 assert_eq!(drive_files(&dir("b")), drive_files(&dir("s")), "{what}: drive bytes");
@@ -1230,7 +1223,7 @@ mod tests {
 
     #[test]
     fn a_move_equals_read_then_write_stripe_by_stripe() {
-        use crate::{EngineKind, IoMode, RetryPolicy};
+        use crate::{IoMode, RetryPolicy};
         let pid = std::process::id();
         let plain = DiskConfig::new(4, 32).unwrap();
         let reference = move_workload(&mut DiskArray::new_memory(plain), false);
@@ -1243,18 +1236,14 @@ mod tests {
         let sealed = plain.with_checksums(true).with_retry(RetryPolicy::default());
         assert_eq!(move_workload(&mut DiskArray::new_memory(sealed), false), reference);
         assert_eq!(move_workload(&mut DiskArray::new_memory(sealed), true), reference);
-        for (mode, engine) in [
-            (IoMode::Serial, EngineKind::Threaded),
-            (IoMode::Parallel, EngineKind::Threaded),
-            (IoMode::Parallel, EngineKind::Uring),
-        ] {
+        for mode in [IoMode::Serial, IoMode::Parallel] {
             let dir = |tag: &str| {
-                std::env::temp_dir().join(format!("em-array-move-{tag}-{mode:?}-{engine:?}-{pid}"))
+                std::env::temp_dir().join(format!("em-array-move-{tag}-{mode:?}-{pid}"))
             };
-            let cfg = sealed.with_io_mode(mode).with_engine(engine);
+            let cfg = sealed.with_io_mode(mode);
             let mut by_stripe = DiskArray::new_file(cfg, dir("s")).unwrap();
             let mut by_move = DiskArray::new_file(cfg, dir("m")).unwrap();
-            let what = format!("file {mode:?} {engine:?}");
+            let what = format!("file {mode:?}");
             assert_eq!(move_workload(&mut by_stripe, false), reference, "{what}");
             assert_eq!(move_workload(&mut by_move, true), reference, "{what}");
             for disk in 0..4 {
@@ -1549,7 +1538,7 @@ mod tests {
         // synchronous calls must produce bit-identical IoStats.
         let run = |pipelined: bool| {
             let cfg = DiskConfig::new(3, 16).unwrap().with_pipeline(if pipelined {
-                Pipeline::DoubleBuffer
+                Pipeline::Stream(1)
             } else {
                 Pipeline::Off
             });

@@ -737,42 +737,16 @@ enum FileIo {
     /// One worker thread per drive; stripes are dispatched to all listed
     /// drives at once and joined before the operation returns.
     Parallel(IoEngine),
-    /// Kernel-side submission queues (`io_uring`); one ring shared by all
-    /// drives, completions reaped by a single reaper thread.
-    #[cfg(all(target_os = "linux", feature = "io-uring"))]
-    Uring(crate::uring::UringEngine),
 }
 
 impl FileIo {
-    /// Pick the execution strategy for `files` from the configured mode,
-    /// engine preference and pinning flag. [`EngineKind::Uring`] is a
-    /// *preference*: when the `io-uring` feature is off, the kernel lacks
-    /// the syscalls, or ring setup fails at runtime, the threaded engine is
-    /// used instead — requesting it is always safe and never changes
-    /// behaviour, only wall clock.
-    fn spawn(
-        files: Vec<File>,
-        block_bytes: usize,
-        mode: IoMode,
-        engine: EngineKind,
-        pin: bool,
-    ) -> Self {
+    /// Pick the execution strategy for `files` from the configured mode
+    /// and pinning flag: a single drive has nothing to overlap, so it is
+    /// always served on the calling thread.
+    fn spawn(files: Vec<File>, block_bytes: usize, mode: IoMode, pin: bool) -> Self {
         if files.len() <= 1 || mode == IoMode::Serial {
             return FileIo::Serial(files);
         }
-        #[cfg(all(target_os = "linux", feature = "io-uring"))]
-        let files = if engine == EngineKind::Uring {
-            match crate::uring::UringEngine::spawn(files, block_bytes, pin) {
-                Ok(eng) => return FileIo::Uring(eng),
-                // Ring setup failed (old kernel, seccomp, rlimit): the
-                // files come back untouched and the threaded engine takes
-                // over.
-                Err(files) => files,
-            }
-        } else {
-            files
-        };
-        let _ = engine;
         FileIo::Parallel(IoEngine::spawn(files, block_bytes, pin))
     }
 }
@@ -818,15 +792,16 @@ impl FileBackend {
         Self::create_with_opts(dir, num_disks, block_bytes, mode, EngineKind::Threaded, false)
     }
 
-    /// [`FileBackend::create_with_mode`] with an explicit engine preference
-    /// and worker pinning flag (normally sourced from
-    /// [`crate::DiskConfig::engine`] / [`crate::DiskConfig::pin_workers`]).
+    /// [`FileBackend::create_with_mode`] with an explicit worker pinning
+    /// flag (normally [`crate::DiskConfig::pin_workers`]). [`EngineKind`]
+    /// has one value, so `_engine` selects nothing: the argument is kept
+    /// because the benchmark passes it (ROADMAP item 1(ii)).
     pub fn create_with_opts<P: AsRef<Path>>(
         dir: P,
         num_disks: usize,
         block_bytes: usize,
         mode: IoMode,
-        engine: EngineKind,
+        _engine: EngineKind,
         pin_workers: bool,
     ) -> DiskResult<Self> {
         std::fs::create_dir_all(dir.as_ref())?;
@@ -855,7 +830,7 @@ impl FileBackend {
             files.push(file);
             paths.push(path);
         }
-        let io = FileIo::spawn(files, block_bytes, mode, engine, pin_workers);
+        let io = FileIo::spawn(files, block_bytes, mode, pin_workers);
         Ok(FileBackend { io, paths, block_bytes, tracks_used: vec![0; num_disks] })
     }
 
@@ -877,17 +852,16 @@ impl FileBackend {
         block_bytes: usize,
         mode: IoMode,
     ) -> DiskResult<Self> {
-        Self::open_with_opts(dir, num_disks, block_bytes, mode, EngineKind::Threaded, false)
+        Self::open_with_opts(dir, num_disks, block_bytes, mode, false)
     }
 
-    /// [`FileBackend::open_with_mode`] with an explicit engine preference
-    /// and worker pinning flag.
+    /// [`FileBackend::open_with_mode`] with an explicit worker pinning
+    /// flag.
     pub fn open_with_opts<P: AsRef<Path>>(
         dir: P,
         num_disks: usize,
         block_bytes: usize,
         mode: IoMode,
-        engine: EngineKind,
         pin_workers: bool,
     ) -> DiskResult<Self> {
         let mut files = Vec::with_capacity(num_disks);
@@ -904,7 +878,7 @@ impl FileBackend {
             files.push(file);
             paths.push(path);
         }
-        let io = FileIo::spawn(files, block_bytes, mode, engine, pin_workers);
+        let io = FileIo::spawn(files, block_bytes, mode, pin_workers);
         Ok(FileBackend { io, paths, block_bytes, tracks_used })
     }
 
@@ -913,22 +887,10 @@ impl FileBackend {
         &self.paths
     }
 
-    /// True when stripes overlap across drives (worker threads or a
-    /// kernel ring) instead of running serially on the calling thread.
+    /// True when stripes overlap across drives (one worker thread each)
+    /// instead of running serially on the calling thread.
     pub fn is_parallel(&self) -> bool {
         !matches!(self.io, FileIo::Serial(_))
-    }
-
-    /// The engine actually executing stripes, after runtime fallback:
-    /// [`EngineKind::Uring`] only when a ring was successfully set up;
-    /// [`EngineKind::Threaded`] for both the worker engine and the
-    /// single-drive/serial path.
-    pub fn active_engine(&self) -> EngineKind {
-        match &self.io {
-            #[cfg(all(target_os = "linux", feature = "io-uring"))]
-            FileIo::Uring(_) => EngineKind::Uring,
-            _ => EngineKind::Threaded,
-        }
     }
 
     fn note_write(&mut self, disk: usize, track: usize) {
@@ -961,11 +923,10 @@ impl DiskBackend for FileBackend {
         self.write_batch_each(&[writes.len()], writes)
     }
 
-    /// Every execution strategy takes a batch as one list of tracks,
+    /// Both execution strategies take a batch as one list of tracks,
     /// wherever its stripes end: the serial path moves them one after
-    /// another, the threaded engine gives each drive its share as one
-    /// command, and the ring engine queues one operation per track behind
-    /// its per-drive FIFOs — the same bytes at the same offsets on each.
+    /// another and the threaded engine gives each drive its share as one
+    /// command — the same bytes at the same offsets on each.
     fn read_batch_each(
         &mut self,
         _stripes: &[usize],
@@ -980,8 +941,6 @@ impl DiskBackend for FileBackend {
                 })
                 .collect(),
             FileIo::Parallel(engine) => engine.read_each(addrs, bufs),
-            #[cfg(all(target_os = "linux", feature = "io-uring"))]
-            FileIo::Uring(engine) => engine.read_stripe_each(addrs, bufs),
         }
     }
 
@@ -999,8 +958,6 @@ impl DiskBackend for FileBackend {
                 })
                 .collect(),
             FileIo::Parallel(engine) => engine.write_each(writes),
-            #[cfg(all(target_os = "linux", feature = "io-uring"))]
-            FileIo::Uring(engine) => engine.write_stripe_each(writes),
         };
         for (&(disk, track, _), outcome) in writes.iter().zip(&outcomes) {
             if outcome.is_ok() {
@@ -1018,8 +975,6 @@ impl DiskBackend for FileBackend {
     ) -> ReadTicket {
         match &self.io {
             FileIo::Parallel(engine) => engine.submit_reads(addrs),
-            #[cfg(all(target_os = "linux", feature = "io-uring"))]
-            FileIo::Uring(engine) => engine.submit_read_stripe(addrs, block_bytes),
             FileIo::Serial(_) => read_batch_now(self, stripes, addrs, block_bytes),
         }
     }
@@ -1031,8 +986,6 @@ impl DiskBackend for FileBackend {
     ) -> WriteTicket {
         let ticket = match &self.io {
             FileIo::Parallel(engine) => engine.submit_writes(writes),
-            #[cfg(all(target_os = "linux", feature = "io-uring"))]
-            FileIo::Uring(engine) => engine.submit_write_stripe(writes),
             FileIo::Serial(_) => {
                 let done = first_failure(self.write_batch_each(stripes, writes));
                 return WriteTicket::ready(done.map(drop));
@@ -1059,8 +1012,6 @@ impl DiskBackend for FileBackend {
                 Ok(())
             }
             FileIo::Parallel(engine) => engine.sync_all(),
-            #[cfg(all(target_os = "linux", feature = "io-uring"))]
-            FileIo::Uring(engine) => engine.sync_all(),
         }
     }
 }

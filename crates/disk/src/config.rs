@@ -33,15 +33,13 @@ pub enum IoMode {
 ///
 /// The knob is a single scalar — the *window depth* returned by
 /// [`Pipeline::depth`]: how many work units ahead of the one currently
-/// being joined a simulator may have submitted. [`Pipeline::DoubleBuffer`]
-/// is kept as a readable alias for the classic one-ahead scheme and is
-/// exactly [`Pipeline::Stream`]`(1)`:
+/// being joined a simulator may have submitted. The classic one-ahead
+/// double-buffering scheme is [`Pipeline::Stream`]`(1)`:
 ///
 /// ```
 /// use em_disk::Pipeline;
 ///
 /// assert_eq!(Pipeline::Off.depth(), 0);
-/// assert_eq!(Pipeline::DoubleBuffer.depth(), Pipeline::Stream(1).depth());
 /// assert_eq!(Pipeline::Stream(4).depth(), 4);
 /// // Stream(0) requests no overlap at all — it behaves like Off.
 /// assert_eq!(Pipeline::Stream(0).depth(), Pipeline::Off.depth());
@@ -51,19 +49,15 @@ pub enum Pipeline {
     /// Every stripe is joined before the next one is submitted (the
     /// classic fetch → compute → write group loop).
     Off,
-    /// Double-buffer compound supersteps: while group `g` computes, group
-    /// `g+1`'s contexts and inbound message blocks are already in flight
-    /// and group `g-1`'s outbound blocks and contexts drain in the
-    /// background. An alias for [`Pipeline::Stream`]`(1)` — the two are
-    /// indistinguishable in behaviour, traces and wall clock.
-    DoubleBuffer,
     /// Stream compound supersteps through a bounded window of up to `n`
     /// work units concurrently in flight across fetch (submitted read
     /// tickets), compute and write ([`crate::WriteBacklog`]), with the
     /// reorganization drain and the barrier `sync()` as the only full
-    /// joins. `Stream(0)` degenerates to [`Pipeline::Off`] and
-    /// `Stream(1)` to [`Pipeline::DoubleBuffer`]; larger depths only add
-    /// more prefetch distance — never different submissions.
+    /// joins. `Stream(0)` degenerates to [`Pipeline::Off`]; `Stream(1)` is
+    /// double buffering — while group `g` computes, group `g+1`'s contexts
+    /// and inbound message blocks are already in flight and group `g-1`'s
+    /// outbound blocks and contexts drain in the background; larger depths
+    /// only add more prefetch distance — never different submissions.
     Stream(usize),
     /// Ask the runtime to choose a concrete depth. Simulators resolve
     /// `Auto` into a concrete [`Pipeline::Stream`] depth *before* disks
@@ -85,7 +79,6 @@ impl Pipeline {
     pub fn depth(&self) -> usize {
         match self {
             Pipeline::Off => 0,
-            Pipeline::DoubleBuffer => 1,
             Pipeline::Stream(n) => *n,
             Pipeline::Auto => 0,
         }
@@ -98,28 +91,22 @@ impl Pipeline {
     }
 }
 
-/// Which asynchronous engine executes file-backed parallel stripes.
-///
-/// Like [`IoMode`] and [`Pipeline`], the engine knob changes *how*
-/// transfers reach the platters — never which stripes are submitted or
-/// what [`crate::IoStats`] count: counting happens in
-/// [`DiskArray`](crate::DiskArray) at submission time, above the backend,
-/// so counted parallel ops are bit-identical across engines by
-/// construction. The memory backend and [`IoMode::Serial`] ignore the
-/// knob entirely.
+/// The asynchronous engine behind file-backed parallel stripes. There is
+/// one: a dedicated worker thread per drive. The type, the simulators'
+/// `with_engine` and [`uring_available`] remain because the benchmark
+/// names them (ROADMAP item 1(ii)); none of them selects anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
     /// One dedicated worker thread per drive (`em-disk-d{idx}`), each
-    /// draining a FIFO of track commands (the default).
+    /// draining a FIFO of track commands.
     #[default]
     Threaded,
-    /// A Linux `io_uring` submission/completion ring shared by all drives,
-    /// with one reaper thread harvesting completions. Requires the
-    /// `io-uring` cargo feature *and* runtime kernel support
-    /// ([`crate::uring_available`]); otherwise the backend silently falls
-    /// back to [`EngineKind::Threaded`] — the fallback changes wall clock
-    /// only, never behaviour, so requesting `Uring` is always safe.
-    Uring,
+}
+
+/// Always `false`: the `io_uring` engine this used to probe for was
+/// deleted (`git show a81af6a:crates/disk/src/uring.rs`).
+pub fn uring_available() -> bool {
+    false
 }
 
 /// Bounded, deterministic retry schedule for transient track-transfer
@@ -198,10 +185,6 @@ pub struct DiskConfig {
     /// [`IoStats::cache_hit_blocks`](crate::IoStats::cache_hit_blocks) /
     /// [`IoStats::cache_absorbed_writes`](crate::IoStats::cache_absorbed_writes).
     pub cache_bytes: usize,
-    /// Which asynchronous engine executes file-backed parallel stripes
-    /// (default [`EngineKind::Threaded`]; [`EngineKind::Uring`] falls back
-    /// to threaded where io_uring is unavailable).
-    pub engine: EngineKind,
     /// Whether worker threads (drive workers and the simulator's compute
     /// pool) are best-effort pinned to CPU cores at spawn (default off).
     /// Pinning is a wall-clock-only knob: drive worker `d` goes to core
@@ -237,18 +220,9 @@ impl DiskConfig {
             checksums: false,
             retry: None,
             cache_bytes: 0,
-            engine: EngineKind::Threaded,
             pin_workers: false,
             auto_cache: false,
         })
-    }
-
-    /// Select the asynchronous engine for file-backed parallel stripes
-    /// (see [`EngineKind`]; `Uring` falls back to `Threaded` where
-    /// io_uring is unavailable).
-    pub fn with_engine(mut self, engine: EngineKind) -> Self {
-        self.engine = engine;
-        self
     }
 
     /// Request best-effort CPU pinning of worker threads at spawn (see
@@ -400,8 +374,8 @@ mod tests {
     fn pipeline_defaults_to_off_and_is_overridable() {
         let cfg = DiskConfig::new(4, 64).unwrap();
         assert_eq!(cfg.pipeline, Pipeline::Off);
-        let cfg = cfg.with_pipeline(Pipeline::DoubleBuffer);
-        assert_eq!(cfg.pipeline, Pipeline::DoubleBuffer);
+        let cfg = cfg.with_pipeline(Pipeline::Stream(1));
+        assert_eq!(cfg.pipeline, Pipeline::Stream(1));
         assert_eq!(cfg.io_mode, IoMode::Parallel, "pipeline knob must not disturb io_mode");
         let cfg = cfg.with_pipeline(Pipeline::Stream(8));
         assert_eq!(cfg.pipeline, Pipeline::Stream(8));
@@ -410,7 +384,6 @@ mod tests {
     #[test]
     fn pipeline_depth_maps_every_variant_onto_the_window_scalar() {
         assert_eq!(Pipeline::Off.depth(), 0);
-        assert_eq!(Pipeline::DoubleBuffer.depth(), 1, "DoubleBuffer is Stream(1)");
         for n in [0, 1, 2, 7, 64] {
             assert_eq!(Pipeline::Stream(n).depth(), n);
         }
@@ -464,14 +437,12 @@ mod tests {
     }
 
     #[test]
-    fn engine_and_pinning_default_off_and_are_overridable() {
+    fn pinning_defaults_off_and_is_overridable() {
         let cfg = DiskConfig::new(4, 64).unwrap();
-        assert_eq!(cfg.engine, EngineKind::Threaded);
         assert!(!cfg.pin_workers);
-        let cfg = cfg.with_engine(EngineKind::Uring).with_pinned_workers(true);
-        assert_eq!(cfg.engine, EngineKind::Uring);
+        let cfg = cfg.with_pinned_workers(true);
         assert!(cfg.pin_workers);
-        assert_eq!(cfg.io_mode, IoMode::Parallel, "engine knob must not disturb io_mode");
+        assert_eq!(cfg.io_mode, IoMode::Parallel, "pinning knob must not disturb io_mode");
         assert_eq!((cfg.num_disks, cfg.block_bytes), (4, 64), "shape unchanged");
     }
 

@@ -116,7 +116,7 @@ impl ConsecutiveLayout {
 
     /// [`ConsecutiveLayout::batch`] with each stripe's addresses in a
     /// vector of its own. No transfer path calls it any more; it stays for
-    /// `tests/proptest_disk.rs`, which checks stripe legality through it.
+    /// `tests/prop_disk.rs`, which checks stripe legality through it.
     pub fn stripes(&self, first_region: usize, count: usize) -> Vec<Vec<(usize, usize)>> {
         let (stripes, addrs) = self.batch(first_region, count);
         let mut rest = addrs.as_slice();

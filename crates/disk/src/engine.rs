@@ -347,12 +347,6 @@ impl IoEngine {
     }
 }
 
-/// The ring engine's reply slots, one per track: `(disk, receiver)`, where
-/// a `None` receiver marks a drive that could not be reached at submission
-/// (joined as [`DiskError::WorkerLost`]).
-#[cfg(all(target_os = "linux", feature = "io-uring"))]
-pub(crate) type PendingSlots<T> = Vec<(usize, Option<Receiver<DiskResult<T>>>)>;
-
 /// A dispatched batch of the threaded engine.
 struct PendingBatch {
     /// The batch's reply channel. Every command that was handed to a worker
@@ -406,36 +400,11 @@ impl PendingBatch {
     }
 }
 
-/// Wait for every reply of the ring engine's per-track slots: one outcome
-/// per dispatched track, in request order.
-#[cfg(all(target_os = "linux", feature = "io-uring"))]
-pub(crate) fn join_slots<T>(slots: PendingSlots<T>) -> Vec<DiskResult<T>> {
-    slots
-        .into_iter()
-        .map(|(disk, rx)| match rx.map(|rx| rx.recv()) {
-            Some(Ok(outcome)) => outcome,
-            Some(Err(_)) | None => Err(DiskError::WorkerLost { disk }),
-        })
-        .collect()
-}
-
 /// The merged view of a joined transfer: every value, or the error of the
 /// first failing track in request order — deterministic, because the
 /// outcomes were all collected before this looks at any of them.
 pub(crate) fn first_failure<T>(outcomes: Vec<DiskResult<T>>) -> DiskResult<Vec<T>> {
     outcomes.into_iter().collect()
-}
-
-/// Copy each successfully read track into the caller's matching buffer,
-/// keeping the per-track outcomes.
-#[cfg(all(target_os = "linux", feature = "io-uring"))]
-pub(crate) fn copy_joined(
-    outcomes: Vec<DiskResult<Vec<u8>>>,
-    bufs: &mut [&mut [u8]],
-) -> TrackOutcomes {
-    (outcomes.into_iter().zip(bufs.iter_mut()))
-        .map(|(outcome, buf)| outcome.map(|track| buf.copy_from_slice(&track)))
-        .collect()
 }
 
 enum ReadInner {
@@ -444,9 +413,6 @@ enum ReadInner {
     Ready(DiskResult<Vec<Vec<u8>>>),
     /// Commands in flight on the threaded engine, and the bytes per track.
     Batch(PendingBatch, usize),
-    /// The ring engine's reply slots, one per track, in request order.
-    #[cfg(all(target_os = "linux", feature = "io-uring"))]
-    Tracks(PendingSlots<Vec<u8>>),
 }
 
 /// A joinable handle for one submitted batch of track reads.
@@ -467,12 +433,6 @@ impl ReadTicket {
     /// Wrap an already-completed read (synchronous backends).
     pub fn ready(result: DiskResult<Vec<Vec<u8>>>) -> Self {
         ReadTicket { inner: ReadInner::Ready(result) }
-    }
-
-    /// Wrap the ring engine's in-flight per-track reply slots.
-    #[cfg(all(target_os = "linux", feature = "io-uring"))]
-    pub(crate) fn pending(slots: PendingSlots<Vec<u8>>) -> Self {
-        ReadTicket { inner: ReadInner::Tracks(slots) }
     }
 
     /// One ticket for this transfer followed by `next`, both joined now:
@@ -499,8 +459,6 @@ impl ReadTicket {
                 let outcomes = pending.join(track_bytes, |i, track| tracks[i] = track.to_vec());
                 first_failure(outcomes).map(|_| tracks)
             }
-            #[cfg(all(target_os = "linux", feature = "io-uring"))]
-            ReadInner::Tracks(slots) => first_failure(join_slots(slots)),
         }
     }
 }
@@ -510,9 +468,6 @@ enum WriteInner {
     Ready(DiskResult<()>),
     /// Commands in flight on the threaded engine.
     Batch(PendingBatch),
-    /// The ring engine's reply slots, one per track, in request order.
-    #[cfg(all(target_os = "linux", feature = "io-uring"))]
-    Tracks(PendingSlots<()>),
 }
 
 /// A joinable handle for one submitted batch of track writes (see
@@ -525,12 +480,6 @@ impl WriteTicket {
     /// Wrap an already-completed write (synchronous backends).
     pub fn ready(result: DiskResult<()>) -> Self {
         WriteTicket { inner: WriteInner::Ready(result) }
-    }
-
-    /// Wrap the ring engine's in-flight per-track reply slots.
-    #[cfg(all(target_os = "linux", feature = "io-uring"))]
-    pub(crate) fn pending(slots: PendingSlots<()>) -> Self {
-        WriteTicket { inner: WriteInner::Tracks(slots) }
     }
 
     /// One ticket for this transfer followed by `next`, both joined now
@@ -546,8 +495,6 @@ impl WriteTicket {
         match self.inner {
             WriteInner::Ready(result) => result,
             WriteInner::Batch(pending) => first_failure(pending.join(0, |_, _| {})).map(drop),
-            #[cfg(all(target_os = "linux", feature = "io-uring"))]
-            WriteInner::Tracks(slots) => first_failure(join_slots(slots)).map(drop),
         }
     }
 }

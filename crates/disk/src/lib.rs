@@ -77,7 +77,6 @@ mod fault;
 mod linked;
 mod shared;
 mod stats;
-mod uring;
 
 pub use affinity::pin_thread_to_core;
 pub use alloc::TrackAllocator;
@@ -91,7 +90,7 @@ pub use checkpoint::{
     CheckpointStore, JournalContents, JournalFile, CHECKPOINT_VERSION, JOURNAL_FILE, JOURNAL_MAGIC,
     MANIFEST_MAGIC,
 };
-pub use config::{DiskConfig, EngineKind, IoMode, Pipeline, RetryPolicy};
+pub use config::{uring_available, DiskConfig, EngineKind, IoMode, Pipeline, RetryPolicy};
 pub use consecutive::{check_consecutive_format, ConsecutiveLayout};
 pub use engine::{ReadTicket, WriteTicket};
 pub use error::DiskError;
@@ -99,7 +98,6 @@ pub use fault::{FaultCounts, FaultInjectingBackend, FaultKind, FaultPlan, FaultS
 pub use linked::BucketStore;
 pub use shared::{RegionBackend, SharedDiskSubstrate};
 pub use stats::IoStats;
-pub use uring::uring_available;
 
 /// Convenience alias used throughout the workspace.
 pub type DiskResult<T> = Result<T, DiskError>;

@@ -14,6 +14,13 @@ use em_sim::core::{EmMachine, Recording, SeqEmSimulator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// A draw from a range of signed bounds: one unsigned draw over its width,
+/// shifted (what `rng.gen_range(range)` gives, written so that the `rand`
+/// stand-in of `scripts/offline-test.sh` compiles it too).
+fn signed(rng: &mut StdRng, range: std::ops::Range<i64>) -> i64 {
+    range.start + rng.gen_range(0..(range.end - range.start) as u64) as i64
+}
+
 fn main() {
     let n = 40_000usize;
     let v = 32;
@@ -23,8 +30,8 @@ fn main() {
     // population) attached.
     let mut pts = Vec::with_capacity(n);
     while pts.len() < n {
-        let x: i64 = rng.gen_range(-1_000_000..=1_000_000);
-        let y: i64 = rng.gen_range(-1_000_000..=1_000_000);
+        let x = signed(&mut rng, -1_000_000..1_000_001);
+        let y = signed(&mut rng, -1_000_000..1_000_001);
         if x * x + y * y <= 1_000_000i64 * 1_000_000 {
             pts.push(Point2::new(x, y));
         }
@@ -47,8 +54,8 @@ fn main() {
 
     // 3. Batched next-element search — snap river gauge readings to the
     //    nearest station at or below them.
-    let stations: Vec<i64> = (0..2000).map(|_| rng.gen_range(-500_000..500_000)).collect();
-    let readings: Vec<i64> = (0..10_000).map(|_| rng.gen_range(-600_000..600_000)).collect();
+    let stations: Vec<i64> = (0..2000).map(|_| signed(&mut rng, -500_000..500_000)).collect();
+    let readings: Vec<i64> = (0..10_000).map(|_| signed(&mut rng, -600_000..600_000)).collect();
     let snapped = cgm_predecessor(&rec, v, &stations, &readings).unwrap();
     let hits = snapped.iter().filter(|s| s.is_some()).count();
     println!("next-element: {hits}/{} readings snapped", readings.len());

@@ -10,7 +10,7 @@ use em_sim::baselines::ExternalSort;
 use em_sim::core::{EmMachine, Recording, SeqEmSimulator};
 use em_sim::disk::{DiskArray, DiskConfig};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 use std::time::Instant;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
     let v = 64;
 
     let mut rng = StdRng::seed_from_u64(42);
-    let items: Vec<u64> = (0..n).map(|_| rng.gen()).collect();
+    let items: Vec<u64> = (0..n).map(|_| rng.next_u64()).collect();
     let dir = std::env::temp_dir().join(format!("em-sim-sort-{}", std::process::id()));
     println!("sorting {n} u64 records with M = {m} B on {d} file-backed disks under {dir:?}\n");
 

@@ -1,15 +1,16 @@
 #!/usr/bin/env bash
 # Tier-1 where the crate registry is not reachable.
 #
-# `cargo test` at the repo root needs proptest, criterion and serde in
-# source form. Everything else the workspace uses from crates.io (rand,
-# crossbeam-channel, parking_lot) has a stand-in under
+# `cargo test` at the repo root needs rand, crossbeam-channel and
+# parking_lot from crates.io; each has a stand-in under
 # benchmark/embench/stubs. This script generates, under target/offline/,
-# one throw-away package per library crate ([lib] path pointing at the
-# crate's src/lib.rs, normal dependencies only) plus one for the root
-# tests/*.rs, all patched onto those stand-ins, runs
-# `cargo test --release --offline` on each and on benchmark/embench, and
-# prints what it had to skip and why.
+# one throw-away package per workspace crate ([lib] path pointing at the
+# crate's src/lib.rs, its tests/*.rs and src/bin/*.rs as targets) plus one
+# for the root tests/*.rs and examples/*.rs, all patched onto those
+# stand-ins, and runs on each what `cargo test` at the root would: unit
+# tests, integration tests, the four examples, the four em-bench binaries
+# at --smoke scale (their in-process asserts are the payload), and
+# benchmark/embench's own tests. Nothing in the repository is skipped.
 #
 # Usage: scripts/offline-test.sh [cargo-test-args...]   (e.g. `-- --nocapture`)
 set -euo pipefail
@@ -20,19 +21,7 @@ STUBS="$ROOT/benchmark/embench/stubs"
 # One shared build directory, so each layer crate compiles once.
 export CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$OUT/build}"
 
-# Library crates whose unit tests compile against the stand-ins.
-UNIT_CRATES=(serial disk bsp core service)
-# Root integration suites that compile against the stand-ins.
-ROOT_SUITES=(cache_modes checkpoint_restart compute_modes cross_executor
-    engine_equivalence failure_injection fault_recovery file_backend
-    message_alloc_budget par_stress planner_roundtrip reorg_modes
-    routing_alloc_budget service thread_leak)
-
-SKIPPED=(
-    "em-algos, em-baselines unit tests: the rand stand-in lacks gen/fill/i64 ranges"
-    "crates/*/tests/proptest_*.rs: need proptest"
-    "em-bench (bins, criterion benches): needs serde, serde_json, criterion"
-)
+CRATES=(serial disk bsp core service algos baselines bench)
 
 # A [dependencies] table on the given layer crates plus the three
 # crates.io names, then the patch onto the stand-ins.
@@ -57,19 +46,30 @@ debug = "line-tables-only"
 EOF
 }
 
-# What a crate's unit tests use: the layers below it (em-service's also
-# sort with em-algos).
-lower_layers() {
+# The other workspace crates a crate's targets use (dev-dependencies
+# included).
+uses() {
     case "$1" in
         serial) echo "" ;;
-        disk) echo "serial" ;;
-        bsp) echo "serial" ;;
-        core) echo "serial disk bsp" ;;
+        disk | bsp) echo "serial" ;;
+        core | baselines) echo "serial disk bsp" ;;
+        algos) echo "serial disk bsp core" ;;
         service) echo "serial disk bsp core algos" ;;
+        bench) echo "serial disk bsp core algos baselines service" ;;
     esac
 }
 
-gen_unit_pkg() {
+# A [[kind]] target per file matching the glob, named after the file.
+targets() {
+    local kind="$1" f
+    shift
+    for f in "$@"; do
+        [ -e "$f" ] || continue
+        printf '[[%s]]\nname = "%s"\npath = "%s"\n\n' "$kind" "$(basename "$f" .rs)" "$f"
+    done
+}
+
+gen_crate_pkg() {
     local c="$1" dir="$OUT/em-$1"
     mkdir -p "$dir"
     {
@@ -86,17 +86,16 @@ path = "$ROOT/crates/$c/src/lib.rs"
 
 [workspace]
 
-[features]
-io-uring = []
-
 EOF
+        targets test "$ROOT/crates/$c"/tests/*.rs
+        targets bin "$ROOT/crates/$c"/src/bin/*.rs
         # shellcheck disable=SC2046 # one word per layer is the point
-        deps_block $(lower_layers "$c")
+        deps_block $(uses "$c")
     } >"$dir/Cargo.toml"
 }
 
 gen_root_pkg() {
-    local dir="$OUT/root-suites" t
+    local dir="$OUT/root-suites"
     mkdir -p "$dir"
     {
         cat <<EOF
@@ -112,38 +111,54 @@ path = "$ROOT/src/lib.rs"
 
 [workspace]
 
-[features]
-io-uring = []
-
 EOF
-        for t in "${ROOT_SUITES[@]}"; do
-            printf '[[test]]\nname = "%s"\npath = "%s/tests/%s.rs"\n\n' "$t" "$ROOT" "$t"
-        done
+        targets test "$ROOT"/tests/*.rs
+        targets example "$ROOT"/examples/*.rs
         deps_block serial disk bsp core algos baselines service
     } >"$dir/Cargo.toml"
 }
 
 FAILED=()
-run() {
-    local label="$1" manifest="$2"
-    shift 2
+# step <label> <command...>: run it, remember the label if it fails.
+step() {
+    local label="$1"
+    shift
     echo "=== $label"
-    if ! cargo test --release --offline --manifest-path "$manifest" "$@"; then
+    if ! "$@"; then
         FAILED+=("$label")
     fi
 }
 
-for c in "${UNIT_CRATES[@]}"; do
-    gen_unit_pkg "$c"
-    run "em-$c (unit tests)" "$OUT/em-$c/Cargo.toml" --lib "$@"
+test_pkg() {
+    local manifest="$1"
+    shift
+    cargo test --release --offline --manifest-path "$manifest" "$@"
+}
+
+# Binaries run from the repo root: `--smoke` documents land in
+# target/bench-results/, never in results/.
+run_bin() {
+    local manifest="$1"
+    shift
+    (cd "$ROOT" && cargo run --release --offline --quiet --manifest-path "$manifest" "$@")
+}
+
+for c in "${CRATES[@]}"; do
+    gen_crate_pkg "$c"
+    step "em-$c (unit + integration tests)" test_pkg "$OUT/em-$c/Cargo.toml" "$@"
+done
+for bin in table1 figures traffic chaos; do
+    step "em-bench: $bin --smoke" run_bin "$OUT/em-bench/Cargo.toml" --bin "$bin" -- --smoke
 done
 gen_root_pkg
-run "root suites: ${ROOT_SUITES[*]}" "$OUT/root-suites/Cargo.toml" --tests "$@"
-run "embench" "$ROOT/benchmark/embench/Cargo.toml" --workspace "$@"
+step "root suites" test_pkg "$OUT/root-suites/Cargo.toml" "$@"
+for example in "$ROOT"/examples/*.rs; do
+    example="$(basename "$example" .rs)"
+    step "example: $example" run_bin "$OUT/root-suites/Cargo.toml" --example "$example"
+done
+step "embench" cargo test --release --offline \
+    --manifest-path "$ROOT/benchmark/embench/Cargo.toml" --workspace "$@"
 
-echo
-echo "=== skipped here (run them with \`cargo test\` on a networked host)"
-printf '  - %s\n' "${SKIPPED[@]}"
 if [ "${#FAILED[@]}" -gt 0 ]; then
     echo
     echo "=== FAILED"
@@ -151,4 +166,4 @@ if [ "${#FAILED[@]}" -gt 0 ]; then
     exit 1
 fi
 echo
-echo "offline tier-1: all runnable suites passed"
+echo "offline tier-1: every suite passed; nothing skipped"

@@ -140,8 +140,7 @@ fn assert_fingerprints_match(base: &Fingerprint, got: &Fingerprint, what: &str) 
 }
 
 /// The full lane matrix: cache {off, small, working-set} × both simulators
-/// × pipeline {`Off`, `DoubleBuffer` ≡ `Stream(1)`, `Stream(2)`,
-/// `Stream(8)`} × `ComputeMode::{Serial, Threaded(2)}` on a sort
+/// × pipeline {`Off`, `Stream(1)`, `Stream(2)`, `Stream(8)`} × `ComputeMode::{Serial, Threaded(2)}` on a sort
 /// workload over a file backend, requiring identical outputs and identical
 /// [`Fingerprint`]s, and requiring the cached lanes to actually absorb
 /// traffic (hits and buffered writes both nonzero).
@@ -150,9 +149,7 @@ fn sort_fingerprint_is_cache_invariant() {
     let mut rng = StdRng::seed_from_u64(300);
     let items: Vec<u64> = (0..500).map(|_| rng.gen_range(0..4000)).collect();
 
-    for pipeline in
-        [Pipeline::Off, Pipeline::DoubleBuffer, Pipeline::Stream(2), Pipeline::Stream(8)]
-    {
+    for pipeline in [Pipeline::Off, Pipeline::Stream(1), Pipeline::Stream(2), Pipeline::Stream(8)] {
         for mode in [ComputeMode::Serial, ComputeMode::Threaded(2)] {
             // Uniprocessor simulator.
             let run_seq = |cache: usize| {

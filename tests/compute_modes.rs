@@ -125,8 +125,8 @@ fn assert_fingerprints_match(base: &Fingerprint, got: &Fingerprint, what: &str) 
 }
 
 /// Run one workload through Serial and every `Threaded(n)` on both
-/// simulators and every pipeline lane (`Off`, `DoubleBuffer` ≡
-/// `Stream(1)`, `Stream(2)`, `Stream(8)`), each on a fresh file backend,
+/// simulators and every pipeline lane (`Off`, `Stream(1)`,
+/// `Stream(2)`, `Stream(8)`), each on a fresh file backend,
 /// and require identical outputs and identical [`Fingerprint`]s.
 fn check_workload<T, FS, FP>(name: &str, seq_f: FS, par_f: FP)
 where
@@ -134,9 +134,7 @@ where
     FS: Fn(&Recording<SeqEmSimulator>) -> T,
     FP: Fn(&Recording<ParEmSimulator>) -> T,
 {
-    for pipeline in
-        [Pipeline::Off, Pipeline::DoubleBuffer, Pipeline::Stream(2), Pipeline::Stream(8)]
-    {
+    for pipeline in [Pipeline::Off, Pipeline::Stream(1), Pipeline::Stream(2), Pipeline::Stream(8)] {
         // Uniprocessor simulator.
         let run_seq = |mode: ComputeMode| {
             let dir = scratch_dir();

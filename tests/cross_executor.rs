@@ -57,8 +57,8 @@ fn em_machine(p: usize) -> EmMachine {
 
 /// Run `f` against all four executors and assert the outputs agree. The
 /// two EM simulators additionally run with the streaming fetch/compute/
-/// write pipeline at several window depths ([`Pipeline::DoubleBuffer`] ≡
-/// `Stream(1)`, plus `Stream(2)` and `Stream(8)`) and with
+/// write pipeline at several window depths (`Stream(1)`, `Stream(2)` and
+/// `Stream(8)`) and with
 /// [`ComputeMode::Threaded`] in-group compute — no overlap knob may
 /// change any observable result.
 fn check_all<T: PartialEq + std::fmt::Debug>(f: impl Fn(&dyn ExecDyn) -> T, reference: T) {
@@ -66,8 +66,8 @@ fn check_all<T: PartialEq + std::fmt::Debug>(f: impl Fn(&dyn ExecDyn) -> T, refe
     let thr = ThreadedRunner::new(4);
     let em1 = SeqEmSimulator::new(em_machine(1)).with_seed(77);
     let emp = ParEmSimulator::new(em_machine(3)).with_seed(78);
-    let em1_pipe = em1.clone().with_pipeline(Pipeline::DoubleBuffer);
-    let emp_pipe = emp.clone().with_pipeline(Pipeline::DoubleBuffer);
+    let em1_pipe = em1.clone().with_pipeline(Pipeline::Stream(1));
+    let emp_pipe = emp.clone().with_pipeline(Pipeline::Stream(1));
     let em1_s2 = em1.clone().with_pipeline(Pipeline::Stream(2));
     let emp_s2 = emp.clone().with_pipeline(Pipeline::Stream(2));
     let em1_mt = em1.clone().with_compute_mode(ComputeMode::Threaded(4));
@@ -254,7 +254,7 @@ fn inbox_ordering_holds_under_faults_and_replay() {
     for salt in [0u64, 0x9E37, 0xBEEF] {
         let plan = || FaultPlan::seeded(base_seed ^ salt, 4, 300, 30);
         for pipeline in
-            [Pipeline::Off, Pipeline::DoubleBuffer, Pipeline::Stream(2), Pipeline::Stream(8)]
+            [Pipeline::Off, Pipeline::Stream(1), Pipeline::Stream(2), Pipeline::Stream(8)]
         {
             let (res, _) = SeqEmSimulator::new(em_machine(1))
                 .with_seed(77)

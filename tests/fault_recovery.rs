@@ -103,7 +103,7 @@ fn recoverable_plan(seed: u64) -> FaultPlan {
 #[test]
 fn seq_seeded_faults_recover_to_identical_run() {
     let prog = Diffuse;
-    for pipeline in [Pipeline::Off, Pipeline::DoubleBuffer] {
+    for pipeline in [Pipeline::Off, Pipeline::Stream(1)] {
         let base = SeqEmSimulator::new(machine(1, 256, D, 64))
             .with_seed(9)
             .with_pipeline(pipeline)
@@ -139,7 +139,7 @@ fn seq_seeded_faults_recover_to_identical_run() {
 #[test]
 fn par_seeded_faults_recover_to_identical_run() {
     let prog = Diffuse;
-    for pipeline in [Pipeline::Off, Pipeline::DoubleBuffer] {
+    for pipeline in [Pipeline::Off, Pipeline::Stream(1)] {
         let base = ParEmSimulator::new(machine(3, 256, D, 64))
             .with_seed(2)
             .with_pipeline(pipeline)
@@ -275,7 +275,7 @@ fn par_single_transient_sweep_replays_or_reports() {
 fn retry_budget_exhaustion_inside_a_stripe_is_rolled_back_and_replayed() {
     let prog = Diffuse;
     let policy = RetryPolicy::new(3);
-    for pipeline in [Pipeline::Off, Pipeline::DoubleBuffer] {
+    for pipeline in [Pipeline::Off, Pipeline::Stream(1)] {
         let base = SeqEmSimulator::new(machine(1, 256, D, 64))
             .with_seed(9)
             .with_pipeline(pipeline)
@@ -396,7 +396,7 @@ fn replay_budget_exhaustion_is_typed() {
 #[test]
 fn faultless_run_with_recovery_enabled_is_identical() {
     let prog = Diffuse;
-    for pipeline in [Pipeline::Off, Pipeline::DoubleBuffer] {
+    for pipeline in [Pipeline::Off, Pipeline::Stream(1)] {
         // Sequential simulator.
         let plain =
             SeqEmSimulator::new(machine(1, 256, D, 64)).with_seed(9).with_pipeline(pipeline);

@@ -175,7 +175,7 @@ fn simulator_iostats_identical_across_backends_and_io_modes() {
     let dir_db = tmp("sim-doublebuffer");
     let (db_out, db_stats) = run(SeqEmSimulator::new(machine)
         .with_file_backend(&dir_db)
-        .with_pipeline(Pipeline::DoubleBuffer));
+        .with_pipeline(Pipeline::Stream(1)));
 
     assert_eq!(mem_out, ser_out);
     assert_eq!(mem_out, par_out);
@@ -192,7 +192,7 @@ fn simulator_iostats_identical_across_backends_and_io_modes() {
 #[test]
 fn pipelined_simulator_leaves_identical_drive_files() {
     // Strongest form of the pipeline contract on real files: with the same
-    // seed, Off and DoubleBuffer runs leave byte-identical drive files —
+    // seed, Off and Stream(1) runs leave byte-identical drive files —
     // every write went to the same track with the same contents.
     let machine = EmMachine::uniprocessor(32 * 1024, 4, 512, 1);
     let items: Vec<u64> = (0..5_000).map(|i| i * 2654435761 % 100_000).collect();
@@ -209,7 +209,7 @@ fn pipelined_simulator_leaves_identical_drive_files() {
     let dir_off = tmp("pipe-off");
     let dir_db = tmp("pipe-db");
     let (a_out, a_ops) = run(&dir_off, Pipeline::Off);
-    let (b_out, b_ops) = run(&dir_db, Pipeline::DoubleBuffer);
+    let (b_out, b_ops) = run(&dir_db, Pipeline::Stream(1));
     assert_eq!(a_out, b_out);
     assert_eq!(a_ops, b_ops, "pipelining must not change counted parallel I/O ops");
     for d in 0..4 {
@@ -249,7 +249,7 @@ fn parallel_simulator_iostats_identical_across_io_modes() {
     let dir_db = tmp("psim-doublebuffer");
     let (a_out, a_ops) = run(&dir_s, IoMode::Serial, Pipeline::Off);
     let (b_out, b_ops) = run(&dir_p, IoMode::Parallel, Pipeline::Off);
-    let (c_out, c_ops) = run(&dir_db, IoMode::Parallel, Pipeline::DoubleBuffer);
+    let (c_out, c_ops) = run(&dir_db, IoMode::Parallel, Pipeline::Stream(1));
     assert_eq!(a_out, b_out);
     assert_eq!(a_ops, b_ops, "IoMode must not change counted parallel I/O ops");
     assert_eq!(a_out, c_out);

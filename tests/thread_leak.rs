@@ -1,9 +1,8 @@
 //! Teardown hygiene: the persistent runtimes must not leak OS threads.
 //!
 //! The worker threads carry stable names — `em-disk-d{idx}` per drive,
-//! `em-compute-w{idx}` per compute-pool worker, `em-disk-uring` for the
-//! kernel-ring reaper — so this suite can count them by prefix via
-//! `/proc/self/task/*/comm` and pin two contracts:
+//! `em-compute-w{idx}` per compute-pool worker — so this suite can count
+//! them by prefix via `/proc/self/task/*/comm` and pin two contracts:
 //!
 //! 1. **Persistence**: across repeated `build_disks()`/`run_on()`/
 //!    `resume()` cycles on one simulator, and across `SimService` job
@@ -73,7 +72,7 @@ fn named_threads(prefixes: &[&str]) -> Option<Vec<String>> {
     last
 }
 
-const PREFIXES: [&str; 3] = ["em-disk-d", "em-compute-w", "em-disk-uring"];
+const PREFIXES: [&str; 2] = ["em-disk-d", "em-compute-w"];
 
 #[test]
 fn runtimes_reuse_threads_and_tear_down_cleanly() {
