@@ -23,6 +23,7 @@
 //! by unit, property and differential tests.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod common;
 pub mod geometry;

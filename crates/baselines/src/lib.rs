@@ -19,6 +19,7 @@
 //!   blocking adaptation (the concurrent-work comparator of Section 2.1).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod external_permute;
 pub mod external_sort;

@@ -19,6 +19,7 @@
 //! measurement plumbing.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod measure;
 pub mod report;

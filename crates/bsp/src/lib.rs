@@ -23,6 +23,7 @@
 //! [`BspParams`], [`BspStarParams`] and [`CgmParams`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod collectives;
 mod cost;

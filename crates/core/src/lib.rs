@@ -44,6 +44,7 @@
 //! operations are counted exactly.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod checkpoint;
 mod compute;
@@ -61,10 +62,8 @@ mod sim_config;
 #[cfg(test)]
 mod test_programs;
 pub mod theory;
-mod tune;
 
 pub use checkpoint::KillPoint;
-pub use compute::{ComputeMode, ComputePool};
 pub use context_store::{BufferPool, ContextStore, PendingGroupRead};
 pub use error::EmError;
 pub use exec::Recording;
@@ -79,7 +78,6 @@ pub use planner::{Plan, Planner, ProblemProfile};
 pub use report::{CostReport, FaultReport, PhaseIo, PhaseWall, RecoveryPolicy};
 pub use routing::{simulate_routing, RoutingScratch, RoutingTrace};
 pub use seq_sim::SeqEmSimulator;
-pub use tune::{AutoTuner, ResolvedConfig, TuneInputs, TuneSource};
 
 /// Result alias for simulation operations.
 pub type EmResult<T> = Result<T, EmError>;

@@ -52,7 +52,7 @@ use crate::compute::{fill_inboxes, run_group_vps, Rules, VpWork};
 use crate::context_store::{BufferPool, ContextStore, PendingGroupRead};
 use crate::msg::{
     store_received_blocks_deferred, submit_fetch_batch_raw_blocks, GroupCounts, MsgGeometry,
-    PendingRawBlocks, RawBlock, ScratchState, StreamSet,
+    PendingRawBlocks, RawBlock, ScratchState, StreamSet, MSG_HEADER_BYTES,
 };
 use crate::report::{PhaseIo, PhaseWall};
 use crate::routing::{simulate_routing, RoutingScratch};
@@ -417,10 +417,6 @@ struct RunEnv<'a, P> {
     prog: &'a P,
     cfg: &'a SimConfig,
     shape: Shape,
-    /// One persistent compute pool (sized `n·p`) shared by all workers;
-    /// acquired once per run, reused across supersteps, batches, replays
-    /// and subsequent runs of this simulator.
-    pool: Option<ComputePool>,
     fault_stats: Option<Arc<FaultStats>>,
     start_step: usize,
     /// A resumed finished run has nothing left to replay; it skips
@@ -466,15 +462,6 @@ pub(crate) fn run_engine<P: BspProgram>(
     }
     let mu = prog.max_state_bytes();
     let gamma = prog.max_comm_bytes().max(MSG_HEADER_BYTES);
-    // `run`/`resume` resolve before the disks exist; this covers `run_on`
-    // callers with their own arrays. Compute and pipeline resolutions
-    // apply fully here; a tuned cache capacity cannot be retrofitted onto
-    // caller-built arrays, so on this path the unresolved `auto_cache`
-    // request simply leaves the cache off (inert by the substrate's
-    // contract).
-    if let Some(rc) = cfg.resolve_auto(v, mu, gamma) {
-        return run_engine(&cfg.apply_resolution(rc), disks, prog, start);
-    }
     let shape = Shape::new(&cfg.machine, v, mu, gamma)?;
     let p = shape.p;
 
@@ -497,7 +484,6 @@ pub(crate) fn run_engine<P: BspProgram>(
         prog,
         cfg,
         shape,
-        pool: cfg.compute_pool(),
         fault_stats: cfg.fault_plan.as_ref().map(|plan| plan.stats()),
         start_step,
         step_limit: if finished { start_step } else { cfg.max_supersteps },
@@ -606,7 +592,6 @@ pub(crate) fn run_engine<P: BspProgram>(
         faults: cfg.fault_run().then(|| {
             cfg.fault_report(&fault_stats, (io.retried_blocks, io.recovery_ops), tallies, None)
         }),
-        resolved_config: cfg.resolved,
         io,
     };
     Ok((RunResult { states, ledger }, report))
@@ -674,12 +659,6 @@ pub(crate) fn resume_engine<P: BspProgram>(
     }
     let resume_step = latest.iter().map(|m| m.next_step).min().expect("p >= 1 workers");
     let v = latest[0].v as usize;
-    // `v` is only known from the manifests, so `Auto` knob resolution
-    // happens here: re-enter on the resolved clone (which has no `Auto`
-    // request left, so it proceeds straight through).
-    if let Some(rc) = cfg.resolve_auto(v, mu, gamma) {
-        return resume_engine(&cfg.apply_resolution(rc), prog);
-    }
     let shape = Shape::new(&cfg.machine, v, mu, gamma)?;
 
     // Pass 2: load each processor's manifest at the resume barrier, undo
@@ -1210,7 +1189,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
     }
 
     /// Computing Phase: run the superstep for every virtual processor of
-    /// the round through the shared per-vp kernel, serial or pooled.
+    /// the round through the per-vp kernel, in vp order.
     /// Returns the serialized contexts in vp order and leaves the generated
     /// messages in `self.outbox`, every stream in `(src, seq)` order. Pure
     /// with respect to the disks.
@@ -1221,15 +1200,8 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         let rules = Rules { step, v: shape.v, k: shape.k, gamma: shape.gamma };
         let mut new_states: Vec<Vec<u8>> = Vec::with_capacity(work.len());
         let (mut round, mut continued) = (SuperstepComm::default(), false);
-        for slot in run_group_vps(
-            env.prog,
-            env.cfg.compute,
-            rules,
-            work,
-            env.pool.as_ref(),
-            &mut self.outbox,
-        ) {
-            let slot = slot?; // first error in vp order wins, as the serial loop would
+        for slot in run_group_vps(env.prog, rules, work, &mut self.outbox) {
+            let slot = slot?; // the first error in vp order is the round's
             continued |= slot.continued;
             round.msgs += slot.msgs_sent;
             round.bytes += slot.bytes_sent;
@@ -1346,7 +1318,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                 scratch,
                 &mut self.routing_scratch,
                 &mut self.block_pool,
-                self.env.pool.as_ref(),
+                None,
             ) {
                 Ok((counts, _trace)) => self.counts = counts,
                 Err(e) => self.zombie = Some(e),
@@ -1622,28 +1594,6 @@ mod tests {
         let (_, rb) = base.clone().with_cache(1 << 16).run(&prog, vec![0u64; v]).unwrap();
         assert!(rb.io.cache_absorbed_writes > 0, "writes must be buffered until the barrier");
         assert_eq!(ra.io.cache_absorbed_writes, 0);
-    }
-
-    #[test]
-    fn threaded_compute_parallel_run_is_bit_identical() {
-        let v = 32;
-        let prog = AllToAll { mu: 124 };
-        let base = ParEmSimulator::new(machine(4, 256, 2, 64)).with_seed(5);
-        let (a, ra) = base.run(&prog, vec![0u64; v]).unwrap();
-        for n in [1usize, 2, 8] {
-            for pipeline in [Pipeline::Off, Pipeline::Stream(1), Pipeline::Stream(4)] {
-                let threaded = base
-                    .clone()
-                    .with_pipeline(pipeline)
-                    .with_compute_mode(ComputeMode::Threaded(n));
-                let (b, rb) = threaded.run(&prog, vec![0u64; v]).unwrap();
-                assert_eq!(a.states, b.states);
-                assert_eq!(a.ledger, b.ledger);
-                assert_eq!(ra.io, rb.io, "counted I/O must not depend on ComputeMode");
-                assert_eq!(ra.phases, rb.phases);
-                assert_eq!(ra.tracks_per_disk, rb.tracks_per_disk);
-            }
-        }
     }
 
     #[test]

@@ -93,15 +93,14 @@ impl PhaseIo {
 ///
 /// This is the *secondary* signal of DESIGN.md §3.2.2 — host-dependent
 /// and page-cache-sensitive — split by phase so that a speedup (from
-/// [`crate::ComputeMode::Threaded`], [`em_disk::Pipeline::Stream`],
-/// ...) is attributable. Deliberately a separate struct from [`PhaseIo`]:
-/// the counted per-phase I/O operations are asserted bit-identical across
-/// the `IoMode`/`Pipeline`/`ComputeMode` knobs, while wall clocks may —
-/// and should — differ. On the parallel simulator each field is the
-/// maximum across worker threads (the phases run concurrently, so the
-/// slowest worker bounds the wall). Replayed supersteps keep their
-/// timers: the time genuinely elapsed, even if the attempt was rolled
-/// back.
+/// [`em_disk::Pipeline::Stream`], ...) is attributable. Deliberately a
+/// separate struct from [`PhaseIo`]: the counted per-phase I/O operations
+/// are asserted bit-identical across the `IoMode`/`Pipeline` knobs, while
+/// wall clocks may — and should — differ. On the parallel simulator each
+/// field is the maximum across worker threads (the phases run
+/// concurrently, so the slowest worker bounds the wall). Replayed
+/// supersteps keep their timers: the time genuinely elapsed, even if the
+/// attempt was rolled back.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseWall {
     /// Fetching Phase: context and message-region reads (Steps 1(a)/1(b)),
@@ -181,11 +180,6 @@ pub struct CostReport {
     /// Fault-injection and recovery tallies; `None` unless the run had a
     /// fault plan or recovery enabled.
     pub faults: Option<FaultReport>,
-    /// The concrete knob values the [`crate::AutoTuner`] chose; `None`
-    /// unless at least one knob was requested as `Auto`. Identically
-    /// seeded runs on one host carry byte-identical resolutions (see
-    /// [`crate::ResolvedConfig::deterministic_line`]).
-    pub resolved_config: Option<crate::ResolvedConfig>,
 }
 
 impl CostReport {

@@ -19,28 +19,20 @@
 //! every group's blocks consecutive and striped round-robin (standard
 //! consecutive format, Figure 2).
 //!
-//! # Parallel plan construction (DESIGN.md §3.2.11)
+//! # Plans, then moves
 //!
 //! Both steps are executed from **per-bucket plans** — the complete
-//! `(round, read location, write location)` schedule of every block — that
-//! are built fanned out across the simulator's persistent [`ComputePool`]
-//! (one chunk of buckets per worker, pre-sized disjoint slots, joined in
-//! bucket order) and then *applied* by a serial loop that does nothing but
-//! gather the precomputed locations of the next rounds and hand them to
-//! the array as one move. The schedule is closed-form, not a parallelized
-//! cursor scan: the serial Step 1 loop probes pile `(b, (b+j) mod D)` at
-//! round `j` and consumes its next entry on a hit, piles never grow, and a
-//! pile is probed exactly every `D` rounds — so entry `c` of pile `(b, dd)`
-//! is consumed at exactly round `((dd − b) mod D) + c·D`. Emitting entries
-//! in that order reproduces the serial stripes bit for bit, which makes the
-//! fan-out invisible to everything counted: stripes, their order, counted
-//! I/O, the trace and the final layout are identical by construction, and
-//! only [`crate::PhaseWall::reorganize`] may change. The closed form also
-//! retires the serial loop's stall guard: every entry is scheduled at a
-//! finite round up front, so non-termination is impossible rather than
-//! merely detected.
+//! `(round, read location, write location)` schedule of every block —
+//! built first and then *applied* by a loop that does nothing but gather
+//! the precomputed locations of the next rounds and hand them to the array
+//! as one move. The schedule is closed-form, not a cursor scan: Step 1
+//! probes pile `(b, (b+j) mod D)` at round `j` and consumes its next entry
+//! on a hit, piles never grow, and a pile is probed exactly every `D`
+//! rounds — so entry `c` of pile `(b, dd)` is consumed at exactly round
+//! `((dd − b) mod D) + c·D`. Every entry is scheduled at a finite round up
+//! front, so non-termination is impossible rather than merely detected.
 //!
-//! # Moving, not making (DESIGN.md §3.2.11)
+//! # Moving, not making (DESIGN.md §3.2.5)
 //!
 //! A round is one read stripe and one write stripe of the same blocks, and
 //! neither step looks inside a block. So the rounds are not issued one by
@@ -56,7 +48,7 @@
 
 use crate::context_store::BufferPool;
 use crate::msg::{GroupCounts, MsgGeometry, ScratchState};
-use crate::{ComputePool, EmResult};
+use crate::EmResult;
 use em_disk::{DiskArray, TrackAllocator};
 
 /// Observability record of one routing invocation (drives the Figure 2
@@ -99,16 +91,13 @@ const WINDOW_BLOCKS: usize = 64;
 /// buffers and the location lists of the window being moved.
 ///
 /// The simulators keep one per run next to their [`BufferPool`]s, so
-/// steady-state routing stops allocating fresh scratch each superstep —
-/// the per-bucket plan `Vec`s round-trip through the pooled plan builders
-/// (taken, refilled by a worker, stored back), so their capacity survives
-/// supersteps no matter which worker filled them. Like the pool it caches
-/// only *capacity*, never content — every call re-derives all state from
-/// its inputs, so recovery replay needs no snapshot of it and an empty
-/// default is always valid.
+/// steady-state routing stops allocating fresh scratch each superstep.
+/// Like the pool it caches only *capacity*, never content — every call
+/// re-derives all state from its inputs, so recovery replay needs no
+/// snapshot of it and an empty default is always valid.
 #[derive(Debug, Default)]
 pub struct RoutingScratch {
-    /// Per-bucket plan buffers, recycled through the pooled builders.
+    /// Per-bucket plan buffers.
     plans: Vec<Vec<PlanEntry>>,
     /// Per-bucket cursors into the sorted plans during round assembly.
     plan_cursors: Vec<usize>,
@@ -118,8 +107,6 @@ pub struct RoutingScratch {
     from: Vec<(usize, usize)>,
     /// Where each is written, aligned with `from`.
     to: Vec<(usize, usize)>,
-    /// Step 2 per-bucket staged-block totals.
-    staged: Vec<usize>,
 }
 
 impl RoutingScratch {
@@ -191,17 +178,9 @@ fn move_rounds(
 /// makes routing allocation-free per block. The simulators lend the pool
 /// their message blocks are cut from, whose buffers are `B` bytes already.
 ///
-/// With `compute = Some(pool)` the whole reorganization schedule — the
-/// closed-form Step 1 gather plan and the Step 2 rotation plan (rank →
-/// staging and rotation → final placement of every block) — is built
-/// fanned out across the persistent worker pool, one chunk of buckets per
-/// worker into pre-sized disjoint slots joined in bucket order; the
-/// serial loop then only gathers precomputed locations into moves.
-/// The stripes, their order, counted I/O, the [`RoutingTrace`] and the
-/// resulting layout are bit-identical to the serial path by construction
-/// (the schedule is a pure function of the inputs, and counting happens in
-/// [`DiskArray`] at submission); only [`crate::PhaseWall::reorganize`]
-/// changes.
+/// `_compute` selects nothing: only `None` inhabits it. The parameter
+/// remains because the benchmark's ladder passes `None` there (ROADMAP,
+/// "For the next `[benchmark]` PR").
 pub fn simulate_routing(
     disks: &mut DiskArray,
     alloc: &mut TrackAllocator,
@@ -209,9 +188,8 @@ pub fn simulate_routing(
     mut scratch: ScratchState,
     routing: &mut RoutingScratch,
     pool: &mut BufferPool,
-    compute: Option<&ComputePool>,
+    _compute: Option<&std::convert::Infallible>,
 ) -> EmResult<(GroupCounts, RoutingTrace)> {
-    let compute_workers = compute.map_or(1, ComputePool::workers);
     let d = geom.num_disks;
     let nb = geom.num_buckets;
     let balance_factor = scratch.balance_factor();
@@ -233,37 +211,31 @@ pub fn simulate_routing(
         .collect();
 
     // ---- Step 1: gather bucket d onto disk d, rank-ordered. ----
-    // Per-bucket closed-form plans, built fanned out over the pool: entry
-    // `c` of pile `(bucket, dd)` is consumed at round
-    // `((dd − bucket) mod D) + c·D` (see the module docs for why this is
-    // exactly the serial cursor scan's schedule), reads its scratch track
-    // and writes the bucket's staging track at its in-bucket rank. Rounds
-    // are unique within a bucket — distinct piles occupy distinct residue
-    // classes mod D — so the per-bucket sort fully determines the order.
-    routing.plans.resize_with(nb, Vec::new);
-    let plans = ComputePool::map_ordered(
-        compute,
-        compute_workers,
-        std::mem::take(&mut routing.plans),
-        |bucket, mut plan| {
-            plan.clear();
-            for (dd, refs) in scratch.refs[bucket].iter().enumerate() {
-                let off = (dd + d - bucket % d) % d;
-                for (c, r) in refs.iter().enumerate() {
-                    let rank = counts.prefix_in_bucket[r.group as usize] + r.gseq as usize;
-                    plan.push(PlanEntry {
-                        round: off + c * d,
-                        read: (dd, r.track),
-                        write: geom.stage_location(bucket, rank),
-                    });
-                }
+    // Per-bucket closed-form plans: entry `c` of pile `(bucket, dd)` is
+    // consumed at round `((dd − bucket) mod D) + c·D` (see the module
+    // docs), reads its scratch track and writes the bucket's staging track
+    // at its in-bucket rank. Rounds are unique within a bucket — distinct
+    // piles occupy distinct residue classes mod D — so the per-bucket sort
+    // fully determines the order.
+    let mut plans = std::mem::take(&mut routing.plans);
+    plans.resize_with(nb, Vec::new);
+    for (bucket, plan) in plans.iter_mut().enumerate() {
+        plan.clear();
+        for (dd, refs) in scratch.refs[bucket].iter().enumerate() {
+            let off = (dd + d - bucket % d) % d;
+            for (c, r) in refs.iter().enumerate() {
+                let rank = counts.prefix_in_bucket[r.group as usize] + r.gseq as usize;
+                plan.push(PlanEntry {
+                    round: off + c * d,
+                    read: (dd, r.track),
+                    write: geom.stage_location(bucket, rank),
+                });
             }
-            plan.sort_unstable_by_key(|e| e.round);
-            plan
-        },
-    );
-    // The serial loop exits right after the round consuming the last
-    // block, having probed every bucket once per round up to there.
+        }
+        plan.sort_unstable_by_key(|e| e.round);
+    }
+    // Step 1 ends right after the round consuming the last block, having
+    // probed every bucket once per round up to there.
     let j_last = plans.iter().filter_map(|p| p.last()).map(|e| e.round).max().unwrap_or(0);
     trace.step1_rounds = move_rounds(disks, &plans, routing, &mut lent)?;
     trace.idle_slots = (j_last + 1) * nb - total;
@@ -278,27 +250,16 @@ pub fn simulate_routing(
     }
 
     // ---- Step 2: rotate staged blocks into the final striped regions. ----
-    // Same fan-out, trivial schedule: the bucket's `j`-th staged block
-    // moves in round `j` from its staging track to its final location.
-    routing.staged.clear();
-    routing.staged.extend((0..nb).map(|b| counts.bucket_total(geom, b)));
-    let staged_totals = &routing.staged;
-    let plans = ComputePool::map_ordered(
-        compute,
-        compute_workers,
-        plans, // reuse the Step 1 buffers' capacity
-        |bucket, mut plan| {
-            plan.clear();
-            for j in 0..staged_totals[bucket] {
-                plan.push(PlanEntry {
-                    round: j,
-                    read: geom.stage_location(bucket, j),
-                    write: geom.final_location(bucket, j),
-                });
-            }
-            plan
-        },
-    );
+    // The bucket's `j`-th staged block moves in round `j` from its staging
+    // track to its final location.
+    for (bucket, plan) in plans.iter_mut().enumerate() {
+        plan.clear();
+        plan.extend((0..counts.bucket_total(geom, bucket)).map(|j| PlanEntry {
+            round: j,
+            read: geom.stage_location(bucket, j),
+            write: geom.final_location(bucket, j),
+        }));
+    }
     trace.step2_rounds = move_rounds(disks, &plans, routing, &mut lent)?;
     // Hand the plan buffers back for the next superstep, and the borrowed
     // blocks to their pool.
@@ -454,124 +415,6 @@ mod tests {
                 (0..total).map(|r| geom.final_location(bucket, r)).collect();
             em_disk::check_consecutive_format(&locs, geom.num_disks)
                 .expect("bucket blocks must satisfy Definition 2");
-        }
-    }
-
-    /// The pooled merge/scatter path must produce bit-identical layouts
-    /// and counted I/O to the serial path — same stripes, same order.
-    #[test]
-    fn pooled_routing_matches_serial_routing_exactly() {
-        let compute = ComputePool::new(3);
-        let mut results = Vec::new();
-        for pool_ref in [None, Some(&compute)] {
-            let (mut disks, mut alloc, geom) = setup(16, 2, 2000, 4, 64);
-            let mut scratch = ScratchState::new(&geom);
-            let mut rng = StdRng::seed_from_u64(7);
-            for src_group in 0..geom.num_groups {
-                let msgs: Vec<OutMsg> = (0..12u32)
-                    .map(|t| OutMsg {
-                        dst: ((src_group * 5 + t as usize * 3) % geom.v) as u32,
-                        src: (src_group * geom.k) as u32,
-                        seq: t,
-                        payload: vec![t as u8; (t as usize % 29) + 1],
-                    })
-                    .collect();
-                scatter_messages(
-                    &mut disks,
-                    &mut alloc,
-                    &geom,
-                    &mut scratch,
-                    src_group,
-                    msgs,
-                    &mut rng,
-                    Placement::RoundRobin,
-                )
-                .unwrap();
-            }
-            let (counts, trace) = simulate_routing(
-                &mut disks,
-                &mut alloc,
-                &geom,
-                scratch,
-                &mut RoutingScratch::new(),
-                &mut BufferPool::new(),
-                pool_ref,
-            )
-            .unwrap();
-            let fetched: Vec<_> = (0..geom.num_groups)
-                .map(|g| {
-                    fetch_group_messages(&mut disks, &geom, &counts, g)
-                        .unwrap()
-                        .into_iter()
-                        .map(|m| (m.dst, m.src, m.seq, m.payload))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            results.push((disks.stats().clone(), trace, fetched));
-        }
-        assert_eq!(results[0], results[1], "pooled routing diverged from serial");
-    }
-
-    /// The closed-form schedule under *skewed* scratch distributions
-    /// (random placement piles everything unevenly, forcing idle slots
-    /// and empty leading rounds) must agree with itself across pool
-    /// widths — including the idle-slot and round tallies, which encode
-    /// the serial cursor scan's exact dynamics.
-    #[test]
-    fn skewed_distributions_agree_across_pool_widths() {
-        for seed in [11u64, 23, 99] {
-            let mut results = Vec::new();
-            let wide = ComputePool::new(8);
-            let narrow = ComputePool::new(2);
-            for pool_ref in [None, Some(&narrow), Some(&wide)] {
-                let (mut disks, mut alloc, geom) = setup(24, 3, 3000, 4, 64);
-                let mut scratch = ScratchState::new(&geom);
-                let mut rng = StdRng::seed_from_u64(seed);
-                for src_group in 0..geom.num_groups {
-                    // Skew: most traffic targets one group.
-                    let msgs: Vec<OutMsg> = (0..15u32)
-                        .map(|t| OutMsg {
-                            dst: if t % 4 == 0 { (src_group * 11 + t as usize) % geom.v } else { 1 }
-                                as u32,
-                            src: (src_group * geom.k) as u32,
-                            seq: t,
-                            payload: vec![t as u8; (t as usize % 23) + 1],
-                        })
-                        .collect();
-                    scatter_messages(
-                        &mut disks,
-                        &mut alloc,
-                        &geom,
-                        &mut scratch,
-                        src_group,
-                        msgs,
-                        &mut rng,
-                        Placement::Random,
-                    )
-                    .unwrap();
-                }
-                let mut routing = RoutingScratch::new();
-                let mut buf_pool = BufferPool::new();
-                buf_pool.put_all((0..WINDOW_BLOCKS + 3).map(|_| Vec::with_capacity(64)));
-                let before = buf_pool.len();
-                let (counts, trace) = simulate_routing(
-                    &mut disks,
-                    &mut alloc,
-                    &geom,
-                    scratch,
-                    &mut routing,
-                    &mut buf_pool,
-                    pool_ref,
-                )
-                .unwrap();
-                // A pool that already holds a window neither grows nor
-                // shrinks, and gets its own buffers back.
-                assert!(trace.blocks > WINDOW_BLOCKS && before > WINDOW_BLOCKS);
-                assert_eq!(buf_pool.len(), before, "the window must be handed back");
-                results.push((disks.stats().clone(), counts.counts.clone(), trace));
-            }
-            assert_eq!(results[0], results[1], "narrow pool diverged (seed {seed})");
-            assert_eq!(results[0], results[2], "wide pool diverged (seed {seed})");
         }
     }
 

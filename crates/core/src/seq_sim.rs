@@ -205,27 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_compute_is_bit_identical_to_serial() {
-        let prog = AllToAll { mu: 124 };
-        let base = SeqEmSimulator::new(machine(256, 4, 64)).with_seed(42);
-        let (a, ra) = base.run(&prog, vec![0u64; 16]).unwrap();
-        for n in [1usize, 2, 8] {
-            for pipeline in [Pipeline::Off, Pipeline::Stream(1), Pipeline::Stream(4)] {
-                let threaded = base
-                    .clone()
-                    .with_pipeline(pipeline)
-                    .with_compute_mode(ComputeMode::Threaded(n));
-                let (b, rb) = threaded.run(&prog, vec![0u64; 16]).unwrap();
-                assert_eq!(a.states, b.states);
-                assert_eq!(a.ledger, b.ledger);
-                assert_eq!(ra.io, rb.io, "counted I/O must not depend on ComputeMode");
-                assert_eq!(ra.phases, rb.phases);
-                assert_eq!(ra.tracks_per_disk, rb.tracks_per_disk);
-            }
-        }
-    }
-
-    #[test]
     fn pipelined_file_backend_matches_reference() {
         let prog = AllToAll { mu: 124 };
         let reference = run_sequential(&prog, vec![0u64; 16]).unwrap();

@@ -1,6 +1,5 @@
 //! Everything about a simulation that is *not* the algorithm: the knobs,
-//! the persistent compute pool, `Auto` resolution, disk construction,
-//! run validation and the fault wrapper.
+//! disk construction, run validation and the fault wrapper.
 //!
 //! Both entry points — [`SeqEmSimulator`](crate::SeqEmSimulator) and
 //! [`ParEmSimulator`](crate::ParEmSimulator) — wrap one [`SimConfig`] and
@@ -9,15 +8,13 @@
 //! nothing else.
 
 use crate::checkpoint::KillPoint;
-use crate::compute::{ComputeMode, ComputePool};
 use crate::machine::EmMachine;
 use crate::msg::Placement;
 use crate::report::{FaultReport, RecoveryPolicy};
-use crate::tune::{AutoTuner, ResolvedConfig};
 use crate::{EmError, EmResult};
 use em_disk::{DiskArray, DiskConfig, FaultPlan, FaultStats, IoMode, Pipeline, RetryPolicy};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex as StdMutex};
+use std::sync::Arc;
 
 /// The knob set shared by both simulator types.
 #[derive(Debug, Clone)]
@@ -34,25 +31,14 @@ pub(crate) struct SimConfig {
     pub per_proc_dirs: bool,
     pub io_mode: IoMode,
     pub pipeline: Pipeline,
-    pub compute: ComputeMode,
     pub fault_plan: Option<FaultPlan>,
     pub checksums: bool,
     pub retry: Option<RetryPolicy>,
     pub recovery: Option<RecoveryPolicy>,
     pub cache_bytes: usize,
-    pub auto_cache: bool,
     pub checkpoint: bool,
     pub kill: Option<KillPoint>,
     pub pin_workers: bool,
-    pub tuner: AutoTuner,
-    /// The tuner's choices, recorded when a resolution ran (on the clone
-    /// [`Self::apply_resolution`] returns; the original stays `None`).
-    pub resolved: Option<ResolvedConfig>,
-    /// Lazily created persistent compute pool shared by the `p` processor
-    /// threads of every run of this simulator (and of its clones — the
-    /// cell is behind an `Arc`). `None` until the first `Threaded` run, or
-    /// preset via `with_compute_pool`.
-    pub pool: Arc<StdMutex<Option<ComputePool>>>,
 }
 
 impl SimConfig {
@@ -68,78 +54,15 @@ impl SimConfig {
             per_proc_dirs,
             io_mode: IoMode::Parallel,
             pipeline: Pipeline::Off,
-            compute: ComputeMode::Serial,
             fault_plan: None,
             checksums: false,
             retry: None,
             recovery: None,
             cache_bytes: 0,
-            auto_cache: false,
             checkpoint: false,
             kill: None,
             pin_workers: false,
-            tuner: AutoTuner::default(),
-            resolved: None,
-            pool: Arc::new(StdMutex::new(None)),
         }
-    }
-
-    /// The persistent compute pool for a run: an attached pool if one is
-    /// present (always reused — dispatches queue when chunks outnumber its
-    /// workers, which cannot affect determinism since chunking is governed
-    /// by [`ComputeMode`] alone), otherwise one lazily created and cached
-    /// for [`ComputeMode::Threaded`]`(n > 1)` — sized `n·p` so every
-    /// processor's chunks can run concurrently — or `None` for effectively
-    /// serial modes.
-    pub fn compute_pool(&self) -> Option<ComputePool> {
-        let mut guard = self.pool.lock().expect("compute pool cell");
-        if let Some(pool) = guard.as_ref() {
-            return Some(pool.clone());
-        }
-        match self.compute {
-            ComputeMode::Threaded(n) if n > 1 => Some(
-                guard
-                    .get_or_insert_with(|| {
-                        ComputePool::with_pinning(
-                            n.saturating_mul(self.machine.p.max(1)),
-                            self.pin_workers,
-                        )
-                    })
-                    .clone(),
-            ),
-            _ => None,
-        }
-    }
-
-    /// Run the tuner for the current `Auto` requests; `None` when nothing
-    /// is requested as `Auto`.
-    pub fn resolve_auto(&self, v: usize, mu: usize, gamma: usize) -> Option<ResolvedConfig> {
-        let footprint = (v as u64).saturating_mul(mu as u64).saturating_add(gamma as u64);
-        self.tuner.resolve(
-            self.compute.is_auto(),
-            self.pipeline.is_auto(),
-            self.auto_cache,
-            footprint,
-        )
-    }
-
-    /// A clone with the resolution's concrete values substituted for the
-    /// `Auto` requests; it has no `Auto` request left, so re-entering
-    /// `run`/`resume` on it cannot resolve again.
-    pub fn apply_resolution(&self, rc: ResolvedConfig) -> Self {
-        let mut resolved = self.clone();
-        if let Some(mode) = rc.compute {
-            resolved.compute = mode;
-        }
-        if let Some(pipeline) = rc.pipeline {
-            resolved.pipeline = pipeline;
-        }
-        if let Some(bytes) = rc.cache_bytes {
-            resolved.cache_bytes = bytes;
-        }
-        resolved.auto_cache = false;
-        resolved.resolved = Some(rc);
-        resolved
     }
 
     pub fn disk_config(&self) -> EmResult<DiskConfig> {
@@ -150,7 +73,6 @@ impl SimConfig {
             .with_pipeline(self.pipeline)
             .with_checksums(self.checksums)
             .with_cache(self.cache_bytes)
-            .with_auto_cache(self.auto_cache)
             .with_pinned_workers(self.pin_workers);
         Ok(match self.retry {
             Some(policy) => cfg.with_retry(policy),
@@ -271,12 +193,10 @@ impl SimConfig {
 /// glob-imports this next to invoking the macro.
 pub(crate) mod facade_scope {
     pub(crate) use crate::checkpoint::KillPoint;
-    pub(crate) use crate::compute::{ComputeMode, ComputePool};
     pub(crate) use crate::machine::EmMachine;
-    pub(crate) use crate::msg::{Placement, MSG_HEADER_BYTES};
+    pub(crate) use crate::msg::Placement;
     pub(crate) use crate::par_sim::{resume_engine, run_engine, Start};
     pub(crate) use crate::report::{CostReport, RecoveryPolicy};
-    pub(crate) use crate::tune::{AutoTuner, ResolvedConfig};
     pub(crate) use crate::EmResult;
     pub(crate) use em_bsp::{BspProgram, RunResult};
     pub(crate) use em_disk::{
@@ -344,18 +264,6 @@ macro_rules! sim_facade {
                 self
             }
 
-            /// Run each processor's share of a round's Computation Phase
-            /// on a persistent worker pool ([`ComputeMode::Serial`] by
-            /// default — note a `Threaded(n)` run uses up to `p·n` compute
-            /// threads). Final states, the message ledger, counted I/O,
-            /// the RNG streams and seeded I/O traces are identical in
-            /// every mode — the knob only changes which OS threads execute
-            /// the per-virtual-processor kernel (see [`ComputeMode`]).
-            pub fn with_compute_mode(mut self, mode: ComputeMode) -> Self {
-                self.cfg.compute = mode;
-                self
-            }
-
             /// Does nothing: [`EngineKind`] has one value, the file
             /// backend's worker thread per drive. Kept because the
             /// benchmark calls it (ROADMAP item 1(ii)).
@@ -363,25 +271,11 @@ macro_rules! sim_facade {
                 self
             }
 
-            /// Best-effort pin worker threads (drive workers and the
-            /// compute pool) to cores, off by default. Purely a wall-clock
-            /// knob; the request is advisory and may be refused by the
-            /// kernel.
+            /// Best-effort pin the file backend's drive workers to cores,
+            /// off by default. Purely a wall-clock knob; the request is
+            /// advisory and may be refused by the kernel.
             pub fn with_pinned_workers(mut self, pin: bool) -> Self {
                 self.cfg.pin_workers = pin;
-                self
-            }
-
-            /// Attach an existing persistent [`ComputePool`] — shared by
-            /// all `p` processor threads — instead of letting the
-            /// simulator lazily create its own (sized `n·p`) on the first
-            /// `Threaded` run. Several simulators (e.g. the tenants of a
-            /// shared service) can hold clones of one pool; dispatches
-            /// queue when chunks outnumber workers, and chunking — hence
-            /// determinism — is governed solely by
-            /// [`ComputeMode::Threaded`], never by pool size.
-            pub fn with_compute_pool(self, pool: ComputePool) -> Self {
-                *self.cfg.pool.lock().expect("compute pool cell") = Some(pool);
                 self
             }
 
@@ -448,34 +342,6 @@ macro_rules! sim_facade {
             /// [`em_disk::IoStats::cache_absorbed_writes`].
             pub fn with_cache(mut self, capacity_bytes: usize) -> Self {
                 self.cfg.cache_bytes = capacity_bytes;
-                self.cfg.auto_cache = false;
-                self
-            }
-
-            /// Let the [`AutoTuner`] size each processor's block cache
-            /// instead of pinning a capacity with [`Self::with_cache`]
-            /// (the two are mutually exclusive; whichever is set last
-            /// wins). The capacity is resolved from the run's `v·μ+γ`
-            /// footprint before any disk is built; like every tuned knob
-            /// it cannot change counted I/O, final states or seeded traces
-            /// — only wall clock. The choice is recorded in
-            /// [`CostReport::resolved_config`].
-            pub fn with_auto_cache(mut self, on: bool) -> Self {
-                self.cfg.auto_cache = on;
-                if on {
-                    self.cfg.cache_bytes = 0;
-                }
-                self
-            }
-
-            /// Replace the default [`AutoTuner`] that resolves `Auto` knob
-            /// requests ([`ComputeMode::Auto`], [`Pipeline::Auto`],
-            /// [`Self::with_auto_cache`]). The default tuner uses the host
-            /// core count and the built-in compute/fetch ratio; tests and
-            /// CI determinism lanes pin inputs via
-            /// [`AutoTuner::with_inputs`].
-            pub fn with_tuner(mut self, tuner: AutoTuner) -> Self {
-                self.cfg.tuner = tuner;
                 self
             }
 
@@ -529,50 +395,6 @@ macro_rules! sim_facade {
                 &self.cfg.machine
             }
 
-            /// The configured [`ComputeMode`].
-            pub fn compute_mode(&self) -> ComputeMode {
-                self.cfg.compute
-            }
-
-            /// Whether a persistent [`ComputePool`] is currently attached
-            /// — either via [`Self::with_compute_pool`] or lazily created
-            /// by an earlier `Threaded` run of this simulator (or of a
-            /// clone).
-            pub fn has_compute_pool(&self) -> bool {
-                self.cfg.pool.lock().expect("compute pool cell").is_some()
-            }
-
-            /// Whether any knob is currently requested as `Auto` (and
-            /// therefore still awaiting resolution).
-            pub fn has_auto_request(&self) -> bool {
-                self.cfg.compute.is_auto() || self.cfg.pipeline.is_auto() || self.cfg.auto_cache
-            }
-
-            /// The [`AutoTuner`] resolution behind this simulator's knobs:
-            /// `None` unless this value came out of
-            /// [`Self::resolved_for`] (runs resolve on an internal clone
-            /// and record the choice in [`CostReport::resolved_config`]
-            /// instead).
-            pub fn resolved_config(&self) -> Option<&ResolvedConfig> {
-                self.cfg.resolved.as_ref()
-            }
-
-            /// Resolve any `Auto` knob requests against a known problem
-            /// shape — `v` virtual processors with state budget `mu` and
-            /// per-processor communication budget `gamma` — returning a
-            /// simulator whose knobs are all concrete and whose
-            /// [`Self::resolved_config`] records the tuner's choices (a
-            /// plain clone when nothing is `Auto`). [`Self::run`] and
-            /// [`Self::resume`] do this implicitly; `em-service` calls it
-            /// at admission so the resolution lands in the tenant ledger
-            /// before pool shares are granted.
-            pub fn resolved_for(&self, v: usize, mu: usize, gamma: usize) -> Self {
-                match self.cfg.resolve_auto(v, mu, gamma) {
-                    Some(rc) => $sim { cfg: self.cfg.apply_resolution(rc) },
-                    None => self.clone(),
-                }
-            }
-
             /// The [`DiskConfig`] each processor's private array is built
             /// with — the shape every array passed to [`Self::run_on`]
             /// must have.
@@ -594,15 +416,8 @@ macro_rules! sim_facade {
                 prog: &P,
                 states: Vec<P::State>,
             ) -> EmResult<(RunResult<P::State>, CostReport)> {
-                // Resolve `Auto` knob requests *before* the disks are
-                // built, so a tuned cache capacity (and pipeline) shape
-                // the arrays themselves.
-                let gamma = prog.max_comm_bytes().max(MSG_HEADER_BYTES);
-                let rc = self.cfg.resolve_auto(states.len(), prog.max_state_bytes(), gamma);
-                let resolved = rc.map(|rc| self.cfg.apply_resolution(rc));
-                let cfg = resolved.as_ref().unwrap_or(&self.cfg);
-                let mut disks = cfg.build_disks()?;
-                run_engine(cfg, &mut disks, prog, Start::Fresh(states))
+                let mut disks = self.cfg.build_disks()?;
+                run_engine(&self.cfg, &mut disks, prog, Start::Fresh(states))
             }
 
             /// Resume a checkpointed run after a (real or simulated)

@@ -2,13 +2,12 @@
 //!
 //! Pinning is a wall-clock-only knob behind
 //! [`DiskConfig::pin_workers`](crate::DiskConfig::pin_workers): drive
-//! workers and compute-pool workers ask to stay on one core so large-λ,
-//! large-`D` sweeps measure transfer overlap instead of scheduler
-//! migrations. The request is advisory — on platforms without thread
-//! affinity, or when the kernel refuses (cpuset restrictions, sandboxes),
-//! the thread simply runs unpinned. Nothing behavioural may depend on the
-//! outcome, which is why the helper returns a `bool` nobody is required
-//! to check.
+//! workers ask to stay on one core so large-λ, large-`D` sweeps measure
+//! transfer overlap instead of scheduler migrations. The request is
+//! advisory — on platforms without thread affinity, or when the kernel
+//! refuses (cpuset restrictions, sandboxes), the thread simply runs
+//! unpinned. Nothing behavioural may depend on the outcome, which is why
+//! the helper returns a `bool` nobody is required to check.
 //!
 //! The Linux implementation calls `sched_setaffinity(2)` directly through
 //! the C library `std` already links; no external crate is involved.
@@ -31,7 +30,7 @@ mod sys {
 /// platform, restricted cpuset, core out of range) leaves the thread
 /// unpinned and is always safe to ignore.
 #[cfg(target_os = "linux")]
-pub fn pin_thread_to_core(core: usize) -> bool {
+pub(crate) fn pin_thread_to_core(core: usize) -> bool {
     let mut mask = [0u64; sys::SETSIZE_WORDS];
     let bit = core % (sys::SETSIZE_WORDS * 64);
     mask[bit / 64] = 1u64 << (bit % 64);
@@ -43,7 +42,7 @@ pub fn pin_thread_to_core(core: usize) -> bool {
 /// Best-effort pin the calling thread to `core` — no-op on platforms
 /// without thread affinity (always returns `false`).
 #[cfg(not(target_os = "linux"))]
-pub fn pin_thread_to_core(_core: usize) -> bool {
+pub(crate) fn pin_thread_to_core(_core: usize) -> bool {
     false
 }
 

@@ -59,35 +59,18 @@ pub enum Pipeline {
     /// outbound blocks and contexts drain in the background; larger depths
     /// only add more prefetch distance — never different submissions.
     Stream(usize),
-    /// Ask the runtime to choose a concrete depth. Simulators resolve
-    /// `Auto` into a concrete [`Pipeline::Stream`] depth *before* disks
-    /// are built (`em-core`'s `AutoTuner`, recorded in the run's
-    /// `CostReport::resolved_config`); an unresolved `Auto` that reaches
-    /// the substrate behaves like [`Pipeline::Off`] (`depth() == 0`), so
-    /// the knob can never change counted I/O on its own.
-    Auto,
 }
 
 impl Pipeline {
     /// The in-flight window depth this knob requests: how many work units
     /// (groups/batches) ahead of the one being joined a simulator may
-    /// have submitted. 0 means fully synchronous. An unresolved
-    /// [`Pipeline::Auto`] maps to 0 — the conservative synchronous
-    /// schedule — because resolution is the simulator's job, not the
-    /// substrate's.
+    /// have submitted. 0 means fully synchronous.
     #[inline]
     pub fn depth(&self) -> usize {
         match self {
             Pipeline::Off => 0,
             Pipeline::Stream(n) => *n,
-            Pipeline::Auto => 0,
         }
-    }
-
-    /// Whether this is the unresolved [`Pipeline::Auto`] request.
-    #[inline]
-    pub fn is_auto(&self) -> bool {
-        matches!(self, Pipeline::Auto)
     }
 }
 
@@ -185,20 +168,11 @@ pub struct DiskConfig {
     /// [`IoStats::cache_hit_blocks`](crate::IoStats::cache_hit_blocks) /
     /// [`IoStats::cache_absorbed_writes`](crate::IoStats::cache_absorbed_writes).
     pub cache_bytes: usize,
-    /// Whether worker threads (drive workers and the simulator's compute
-    /// pool) are best-effort pinned to CPU cores at spawn (default off).
-    /// Pinning is a wall-clock-only knob: drive worker `d` goes to core
-    /// `d mod ncpus` and compute worker `i` to core `i mod ncpus`; on
-    /// platforms without thread affinity the request is a no-op.
+    /// Whether the drive worker threads are best-effort pinned to CPU
+    /// cores at spawn (default off). Pinning is a wall-clock-only knob:
+    /// drive worker `d` goes to core `d mod ncpus`; on platforms without
+    /// thread affinity the request is a no-op.
     pub pin_workers: bool,
-    /// Whether the cache capacity should be chosen by the runtime instead
-    /// of [`DiskConfig::cache_bytes`] (default off). Simulators resolve
-    /// the request into a concrete `cache_bytes` value against the run's
-    /// `v·μ+γ` footprint *before* disks are built (`em-core`'s
-    /// `AutoTuner`); the substrate itself never interprets the flag, so —
-    /// like every knob — it can only ever change wall clock, never
-    /// counted [`crate::IoStats`].
-    pub auto_cache: bool,
 }
 
 impl DiskConfig {
@@ -221,11 +195,10 @@ impl DiskConfig {
             retry: None,
             cache_bytes: 0,
             pin_workers: false,
-            auto_cache: false,
         })
     }
 
-    /// Request best-effort CPU pinning of worker threads at spawn (see
+    /// Request best-effort CPU pinning of the drive workers at spawn (see
     /// [`DiskConfig::pin_workers`]).
     pub fn with_pinned_workers(mut self, pin: bool) -> Self {
         self.pin_workers = pin;
@@ -304,26 +277,6 @@ impl DiskConfig {
     /// ```
     pub fn with_cache(mut self, capacity_bytes: usize) -> Self {
         self.cache_bytes = capacity_bytes;
-        self.auto_cache = false;
-        self
-    }
-
-    /// Ask the runtime to choose the cache capacity (see
-    /// [`DiskConfig::auto_cache`]). Simulators resolve the request into a
-    /// concrete [`DiskConfig::cache_bytes`] before disks are built; the
-    /// substrate itself treats an unresolved request as "cache off".
-    ///
-    /// ```
-    /// use em_disk::DiskConfig;
-    ///
-    /// let cfg = DiskConfig::new(4, 256).unwrap().with_auto_cache(true);
-    /// assert!(cfg.auto_cache);
-    /// assert_eq!(cfg.cache_tracks(), 0, "unresolved request leaves the cache off");
-    /// // An explicit capacity withdraws the request.
-    /// assert!(!cfg.with_cache(1024).auto_cache);
-    /// ```
-    pub fn with_auto_cache(mut self, on: bool) -> Self {
-        self.auto_cache = on;
         self
     }
 
@@ -387,21 +340,6 @@ mod tests {
         for n in [0, 1, 2, 7, 64] {
             assert_eq!(Pipeline::Stream(n).depth(), n);
         }
-        assert_eq!(Pipeline::Auto.depth(), 0, "unresolved Auto is synchronous");
-        assert!(Pipeline::Auto.is_auto());
-        assert!(!Pipeline::Stream(2).is_auto());
-    }
-
-    #[test]
-    fn auto_cache_defaults_off_and_explicit_capacity_withdraws_it() {
-        let cfg = DiskConfig::new(4, 64).unwrap();
-        assert!(!cfg.auto_cache);
-        let cfg = cfg.with_auto_cache(true);
-        assert!(cfg.auto_cache);
-        assert_eq!(cfg.cache_tracks(), 0, "unresolved request leaves the cache off");
-        let cfg = cfg.with_cache(256);
-        assert!(!cfg.auto_cache, "explicit capacity withdraws the auto request");
-        assert_eq!(cfg.cache_tracks(), 4);
     }
 
     #[test]

@@ -239,7 +239,7 @@ impl IoEngine {
                 .name(format!("em-disk-d{disk}"))
                 .spawn(move || {
                     if pin {
-                        crate::pin_thread_to_core(disk % ncpus);
+                        crate::affinity::pin_thread_to_core(disk % ncpus);
                     }
                     drive_worker(disk, file, block_bytes, rx)
                 })

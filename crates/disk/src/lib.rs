@@ -78,7 +78,6 @@ mod linked;
 mod shared;
 mod stats;
 
-pub use affinity::pin_thread_to_core;
 pub use alloc::TrackAllocator;
 pub use array::{DiskArray, ReadStripeTicket, WriteBacklog, WriteStripeTicket};
 pub use backend::{

@@ -26,6 +26,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod composite;
 mod error;

@@ -58,9 +58,10 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use em_bsp::{BspProgram, ExecError, Executor, RunResult};
-use em_core::{ComputeMode, ComputePool, CostReport, EmError, SeqEmSimulator};
+use em_core::{CostReport, EmError, SeqEmSimulator};
 use em_disk::{Crc32, DiskArray, FaultPlan, SharedDiskSubstrate};
 use parking_lot::Mutex;
 use std::fmt;
@@ -434,12 +435,6 @@ struct ServiceInner {
     cfg: ServiceConfig,
     substrate: SharedDiskSubstrate,
     pool: Mutex<PoolState>,
-    /// One persistent compute pool shared by every `Threaded` tenant the
-    /// service admits: job churn never pays compute-thread spawn cost, and
-    /// the service's thread count stays bounded regardless of how many
-    /// tenants come and go. Lazily created by the first `Threaded`
-    /// admission.
-    compute: Mutex<Option<ComputePool>>,
 }
 
 impl ServiceInner {
@@ -467,7 +462,6 @@ impl SimService {
                 substrate: SharedDiskSubstrate::new(cfg.num_disks, cfg.tracks_per_disk),
                 cfg,
                 pool: Mutex::new(PoolState { reserved_bytes: 0, active: 0, records: Vec::new() }),
-                compute: Mutex::new(None),
             }),
         }
     }
@@ -505,32 +499,9 @@ impl SimService {
         self.admit_with(spec, sim)
     }
 
-    /// The service-wide persistent compute pool, lazily created on the
-    /// first `Threaded` admission and shared by every later one. Sized to
-    /// the host's parallelism — chunking (hence determinism) is governed
-    /// by each tenant's [`ComputeMode`], never by pool size, so tenants
-    /// with different `Threaded(n)` settings share it safely.
-    fn shared_compute_pool(&self) -> ComputePool {
-        self.inner
-            .compute
-            .lock()
-            .get_or_insert_with(|| {
-                let workers =
-                    std::thread::available_parallelism().map(usize::from).unwrap_or(1).max(2);
-                ComputePool::new(workers)
-            })
-            .clone()
-    }
-
-    /// Worker threads in the service's shared compute pool, if it has
-    /// been created (observability for pool-reuse tests).
-    pub fn compute_pool_workers(&self) -> Option<usize> {
-        self.inner.compute.lock().as_ref().map(ComputePool::workers)
-    }
-
-    /// Admit a job with a caller-configured simulator (pipeline, cache,
-    /// compute mode…). The simulator's machine must match `spec.machine`'s
-    /// disk shape, which in turn must match the shared array.
+    /// Admit a job with a caller-configured simulator (pipeline, cache…).
+    /// The simulator's machine must match `spec.machine`'s disk shape,
+    /// which in turn must match the shared array.
     ///
     /// Checks run in a fixed order — shape, γ envelope, compute slots,
     /// memory budget, track region — and a failure at any point leaves
@@ -541,23 +512,6 @@ impl SimService {
         spec: JobSpec,
         sim: SeqEmSimulator,
     ) -> Result<TenantLease, AdmissionError> {
-        // Resolve any `Auto` knob requests now, against the *declared*
-        // spec shape, so the tenant's effective configuration is fixed
-        // before pool shares are granted and before its disk array is
-        // built — and so the resolution can be logged in the ledger. The
-        // resolution only picks wall-clock knobs; it cannot change the
-        // tenant's counted I/O or final states.
-        let sim = sim.resolved_for(spec.v, spec.mu, spec.gamma);
-        let resolved = sim.resolved_config().map(|rc| rc.deterministic_line());
-        // A `Threaded` tenant without its own pool shares the service's
-        // persistent one: repeated admissions reuse the same
-        // `em-compute-w*` threads instead of spawning per-tenant pools.
-        let sim = match sim.compute_mode() {
-            ComputeMode::Threaded(n) if n > 1 && !sim.has_compute_pool() => {
-                sim.with_compute_pool(self.shared_compute_pool())
-            }
-            _ => sim,
-        };
         let cfg = &self.inner.cfg;
         let machine = sim.machine();
         if machine.d != cfg.num_disks || machine.b_bytes != cfg.block_bytes {
@@ -625,7 +579,6 @@ impl SimService {
             spec,
             base,
             sim,
-            resolved,
             disks: Mutex::new(disks),
             stages: Mutex::new(Vec::new()),
             fingerprint: Mutex::new(Fingerprint::default()),
@@ -659,9 +612,6 @@ pub struct TenantLease {
     spec: JobSpec,
     base: usize,
     sim: SeqEmSimulator,
-    /// The admission-time [`em_core::AutoTuner`] resolution, rendered as
-    /// its deterministic line; `None` when no knob was requested `Auto`.
-    resolved: Option<String>,
     disks: Mutex<DiskArray>,
     stages: Mutex<Vec<CostReport>>,
     fingerprint: Mutex<Fingerprint>,
@@ -686,13 +636,6 @@ impl TenantLease {
     /// The tenant's simulator (to inspect its machine or knobs).
     pub fn simulator(&self) -> &SeqEmSimulator {
         &self.sim
-    }
-
-    /// The admission-time `Auto` knob resolution as its deterministic
-    /// line ([`em_core::ResolvedConfig::deterministic_line`]); `None`
-    /// when the admitted simulator had no `Auto` request.
-    pub fn resolved_line(&self) -> Option<&str> {
-        self.resolved.as_deref()
     }
 
     /// Stages metered so far.
@@ -728,7 +671,6 @@ impl TenantLease {
             mu: self.spec.mu,
             gamma: self.spec.gamma,
             tracks: self.spec.tracks,
-            resolved: self.resolved.clone(),
             state_fingerprint: self.fingerprint.lock().value,
             outcome: TenantOutcome::Completed,
             stages: std::mem::take(&mut *self.stages.lock()),
@@ -755,7 +697,6 @@ impl TenantLease {
             mu: self.spec.mu,
             gamma: self.spec.gamma,
             tracks: self.spec.tracks,
-            resolved: self.resolved.clone(),
             state_fingerprint: self.fingerprint.lock().value,
             outcome: TenantOutcome::Quarantined { failed_step: step },
             stages: std::mem::take(&mut *self.stages.lock()),
@@ -975,10 +916,6 @@ pub struct TenantRecord {
     pub gamma: usize,
     /// Reserved tracks per drive.
     pub tracks: usize,
-    /// The admission-time `Auto` knob resolution
-    /// ([`em_core::ResolvedConfig::deterministic_line`]); `None` when the
-    /// tenant's simulator had no `Auto` request.
-    pub resolved: Option<String>,
     /// Rolling CRC-32 of all stages' serialized final states.
     pub state_fingerprint: u32,
     /// How the tenant ended: completed, or quarantined by a fault.
@@ -1041,16 +978,10 @@ impl TenantRecord {
             TenantOutcome::Completed => "completed".to_string(),
             TenantOutcome::Quarantined { failed_step } => format!("quarantined:{failed_step}"),
         };
-        // The resolution line is integer-only and quote-free by
-        // construction, so `{:?}` renders it as a plain JSON string.
-        let resolved = match &self.resolved {
-            Some(line) => format!("{line:?}"),
-            None => "null".to_string(),
-        };
         format!(
             concat!(
                 "{{\"name\":{:?},\"seed\":{},\"v\":{},\"mu\":{},\"gamma\":{},",
-                "\"tracks\":{},\"resolved\":{},\"fingerprint\":{},\"outcome\":{:?},",
+                "\"tracks\":{},\"fingerprint\":{},\"outcome\":{:?},",
                 "\"stages\":[{}]}}"
             ),
             self.name,
@@ -1059,7 +990,6 @@ impl TenantRecord {
             self.mu,
             self.gamma,
             self.tracks,
-            resolved,
             self.state_fingerprint,
             outcome,
             stages.join(","),
@@ -1342,37 +1272,6 @@ mod tests {
             .map(String::from)
             .collect();
         assert_eq!(solo_lines, multi_lines);
-    }
-
-    #[test]
-    fn threaded_tenants_share_one_persistent_compute_pool() {
-        let service = SimService::new(ServiceConfig::new(2, 64, 4096, 1 << 20));
-        assert_eq!(service.compute_pool_workers(), None);
-        let mut states = Vec::new();
-        for round in 0..3u64 {
-            let sim = SeqEmSimulator::new(machine())
-                .with_seed(7)
-                .with_compute_mode(ComputeMode::Threaded(2));
-            let lease = service.admit_with(spec("pooled", round, 8), sim).unwrap();
-            assert!(
-                lease.simulator().has_compute_pool(),
-                "Threaded admission must attach the shared pool"
-            );
-            states.push(lease.execute(&AddOne, (0..8u64).collect()).unwrap().states);
-            lease.complete();
-        }
-        let workers = service.compute_pool_workers().expect("pool created at first admission");
-        assert!(workers >= 2);
-        // Pooled tenants compute exactly what a serial solo run computes.
-        let solo = SeqEmSimulator::new(machine()).with_seed(7);
-        let (solo_out, _) = solo.run(&AddOne, (0..8u64).collect()).unwrap();
-        for s in &states {
-            assert_eq!(s, &solo_out.states);
-        }
-        // Serial admissions never create or attach a pool.
-        let lease = service.admit(spec("serial", 99, 8)).unwrap();
-        assert!(!lease.simulator().has_compute_pool());
-        lease.complete();
     }
 
     #[test]

@@ -85,14 +85,7 @@ fn main() {
     //    (`Stream(1)` is classic double buffering) — counted I/O and
     //    final states are bit-identical to a plain run; the summary's
     //    cache_hits / cache_absorbed tallies show the traffic the cache
-    //    soaked up. (`with_compute_mode(Threaded(n))` — a persistent
-    //    in-group worker pool that also parallelizes reorganization
-    //    planning — and `with_pinned_workers` are further
-    //    wall-clock-only knobs under the same contract, and
-    //    `ComputeMode::Auto` + `Pipeline::Auto` +
-    //    `with_auto_cache(true)` let an `AutoTuner` pick them, recording
-    //    the choice in `CostReport::resolved_config`; DESIGN.md
-    //    §3.2.10–§3.2.11.)
+    //    soaked up.
     let machine = EmMachine::uniprocessor(64 * 1024, 4, 1024, 1);
     let sim = SeqEmSimulator::new(machine).with_cache(32 * 1024).with_pipeline(Pipeline::Stream(2));
     let (res, report) = sim.run(&prog, states.clone()).unwrap();

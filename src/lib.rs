@@ -1,5 +1,6 @@
 //! Facade crate re-exporting the em-sim workspace.
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use em_algos as algos;
 pub use em_baselines as baselines;

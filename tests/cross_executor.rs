@@ -27,7 +27,7 @@ use em_algos::sort::{cgm_sort, seq_sort};
 use em_algos::transpose::{cgm_transpose, seq_transpose};
 use em_bsp::BspStarParams;
 use em_bsp::{Executor, SeqExecutor, ThreadedRunner};
-use em_core::{ComputeMode, EmMachine, ParEmSimulator, SeqEmSimulator};
+use em_core::{EmMachine, ParEmSimulator, SeqEmSimulator};
 use em_disk::Pipeline;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -58,9 +58,7 @@ fn em_machine(p: usize) -> EmMachine {
 /// Run `f` against all four executors and assert the outputs agree. The
 /// two EM simulators additionally run with the streaming fetch/compute/
 /// write pipeline at several window depths (`Stream(1)`, `Stream(2)` and
-/// `Stream(8)`) and with
-/// [`ComputeMode::Threaded`] in-group compute — no overlap knob may
-/// change any observable result.
+/// `Stream(8)`) — no overlap knob may change any observable result.
 fn check_all<T: PartialEq + std::fmt::Debug>(f: impl Fn(&dyn ExecDyn) -> T, reference: T) {
     let seq = SeqExecutor;
     let thr = ThreadedRunner::new(4);
@@ -70,12 +68,8 @@ fn check_all<T: PartialEq + std::fmt::Debug>(f: impl Fn(&dyn ExecDyn) -> T, refe
     let emp_pipe = emp.clone().with_pipeline(Pipeline::Stream(1));
     let em1_s2 = em1.clone().with_pipeline(Pipeline::Stream(2));
     let emp_s2 = emp.clone().with_pipeline(Pipeline::Stream(2));
-    let em1_mt = em1.clone().with_compute_mode(ComputeMode::Threaded(4));
-    let emp_mt = emp.clone().with_compute_mode(ComputeMode::Threaded(4));
-    let em1_mt_pipe = em1_pipe.clone().with_compute_mode(ComputeMode::Threaded(2));
-    let emp_mt_pipe = emp_pipe.clone().with_compute_mode(ComputeMode::Threaded(2));
-    let em1_mt_s8 = em1_mt.clone().with_pipeline(Pipeline::Stream(8));
-    let emp_mt_s8 = emp_mt.clone().with_pipeline(Pipeline::Stream(8));
+    let em1_s8 = em1.clone().with_pipeline(Pipeline::Stream(8));
+    let emp_s8 = emp.clone().with_pipeline(Pipeline::Stream(8));
     assert_eq!(f(&seq), reference, "sequential reference executor");
     assert_eq!(f(&thr), reference, "threaded runner");
     assert_eq!(f(&em1), reference, "uniprocessor EM simulation");
@@ -84,12 +78,8 @@ fn check_all<T: PartialEq + std::fmt::Debug>(f: impl Fn(&dyn ExecDyn) -> T, refe
     assert_eq!(f(&emp_pipe), reference, "3-processor EM simulation (pipelined)");
     assert_eq!(f(&em1_s2), reference, "uniprocessor EM simulation (stream depth 2)");
     assert_eq!(f(&emp_s2), reference, "3-processor EM simulation (stream depth 2)");
-    assert_eq!(f(&em1_mt), reference, "uniprocessor EM simulation (threaded compute)");
-    assert_eq!(f(&emp_mt), reference, "3-processor EM simulation (threaded compute)");
-    assert_eq!(f(&em1_mt_pipe), reference, "uniprocessor EM simulation (pipelined + threaded)");
-    assert_eq!(f(&emp_mt_pipe), reference, "3-processor EM simulation (pipelined + threaded)");
-    assert_eq!(f(&em1_mt_s8), reference, "uniprocessor EM simulation (stream depth 8 + threaded)");
-    assert_eq!(f(&emp_mt_s8), reference, "3-processor EM simulation (stream depth 8 + threaded)");
+    assert_eq!(f(&em1_s8), reference, "uniprocessor EM simulation (stream depth 8)");
+    assert_eq!(f(&emp_s8), reference, "3-processor EM simulation (stream depth 8)");
 }
 
 /// Object-safe shim so `check_all` can take any executor.
