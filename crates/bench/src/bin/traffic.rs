@@ -223,9 +223,12 @@ fn main() {
         .expect("writing BENCH_traffic.json");
 
     let summary = format!(
-        "traffic: {jobs} jobs as concurrent tenants (peak {peak} in flight, {} arbiter slots), \
+        "traffic: {jobs} jobs as concurrent tenants (peak {peak} in flight; shared media: \
+         {} transfers, {} stripe slots, {} contended), \
          {total_ops} counted parallel I/O ops, all bit-identical to solo runs -> {}",
+        service.transfers(),
         service.slots_granted(),
+        service.contended(),
         path.display()
     );
     if json {

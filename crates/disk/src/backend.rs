@@ -38,12 +38,13 @@ use std::path::{Path, PathBuf};
 /// request order plus the length of each stripe, and report one outcome per
 /// track under the same contract. The default implementation is the
 /// stripe-by-stripe loop, so a backend that must see every stripe on its
-/// own — one arbiter slot per stripe ([`crate::RegionBackend`]), one cache
-/// lookup per stripe ([`crate::BlockCacheBackend`]), one draw per track of
-/// a per-drive fault schedule ([`crate::FaultInjectingBackend`]) — gets
-/// exactly that by not overriding it. Backends with real parallelism (the
-/// file backend's threaded engine) override the `_batch_each` pair to give
-/// each drive its whole share at once, and [`ChecksumBackend`] and
+/// own — one cache lookup per stripe ([`crate::BlockCacheBackend`]), one
+/// draw per track of a per-drive fault schedule
+/// ([`crate::FaultInjectingBackend`]) — gets exactly that by not
+/// overriding it. Backends with real parallelism (the file backend's
+/// threaded engine) override the `_batch_each` pair to give each drive its
+/// whole share at once, [`crate::RegionBackend`] overrides it to take the
+/// shared media once per transfer, and [`ChecksumBackend`] and
 /// [`RetryingBackend`] override it to do their per-track work around a
 /// *single* inner batch call, so one dispatch per drive at the bottom
 /// survives the stack above it. In every layer that overrides the batch, a

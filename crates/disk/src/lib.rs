@@ -26,8 +26,8 @@
 //!   [`IoStats::cache_hit_blocks`]/[`IoStats::cache_absorbed_writes`].
 //! * [`SharedDiskSubstrate`] — a multi-tenant store: one set of physical
 //!   drives carved into disjoint per-tenant track regions, each exposed as
-//!   a [`RegionBackend`] under the tenant's own [`DiskArray`]. Concurrent
-//!   stripes are serialized by a fair round-robin arbiter; counting stays
+//!   a [`RegionBackend`] under the tenant's own [`DiskArray`]. Transfers
+//!   exclude one another on the media, one lock hold each; counting stays
 //!   in each tenant's array, so per-tenant [`IoStats`] are bit-identical
 //!   to the same run on a private array.
 //!

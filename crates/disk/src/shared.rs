@@ -1,5 +1,5 @@
 //! A shared multi-tenant disk substrate: one physical store, many
-//! disjoint track regions, fair stripe scheduling.
+//! disjoint track regions, one transfer on the media at a time.
 //!
 //! [`SharedDiskSubstrate`] owns `D` physical drives (an in-memory store in
 //! this version) whose track space is carved into disjoint per-tenant
@@ -13,24 +13,32 @@
 //!
 //! * **Isolation** — regions are disjoint by construction, and a transfer
 //!   addressed past the region end fails with
-//!   [`DiskError::CapacityExceeded`] before touching the store. A tenant
-//!   cannot read, write or even observe another tenant's tracks.
+//!   [`DiskError::CapacityExceeded`] before touching the store. A view
+//!   reads a track it has not itself written as zeros, without touching
+//!   the store — the model's formatted disk — so a recycled region shows
+//!   nothing of the tenant that held it before. A tenant cannot read,
+//!   write or even observe another tenant's tracks.
 //! * **Counting above sharing** — each tenant's [`crate::IoStats`] are
 //!   counted by the tenant's own `DiskArray` at submission time, *above*
-//!   this layer. Co-tenancy can therefore delay a transfer (fairness is a
-//!   wall-clock concern) but can never change what any tenant's counted
-//!   parallel I/O looks like: it is bit-identical to the same run on a
-//!   private array.
+//!   this layer. Co-tenancy can therefore delay a transfer (a wall-clock
+//!   concern) but can never change what any tenant's counted parallel I/O
+//!   looks like: it is bit-identical to the same run on a private array.
 //!
-//! Concurrent stripes from different tenants are serialized by a **fair
-//! round-robin arbiter**: when several tenants are waiting for the media,
-//! grants cycle through the waiters in tenant-id order, so a chatty tenant
-//! cannot starve a quiet one. A tenant alone on the substrate is granted
-//! back-to-back slots without waiting.
+//! Transfers are **mutually exclusive** on the media: a transfer — a
+//! stripe, or a batch of stripes handed down as one — takes the media lock
+//! once and holds it for the bound check and the memcpy of its tracks, so
+//! a hold is bounded by one transfer (at most one group's sweep, `≤ M`
+//! bytes). The order among tenants waiting for the lock is the OS mutex's
+//! and is **not promised**. A strict hand-off arbiter is deliberately not
+//! built: with holds this short it convoys — every stripe would pay a
+//! futex park and a wake, which is why std's and parking_lot's mutexes
+//! barge — and nothing metered depends on the order. What the substrate
+//! does report is how often a transfer found the media taken
+//! ([`SharedDiskSubstrate::contended`]).
 
 use crate::backend::{DiskBackend, MemoryBackend, TrackOutcomes};
 use crate::{DiskError, DiskResult};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 /// Book-keeping guarded by the substrate mutex.
 struct SharedState {
@@ -42,21 +50,18 @@ struct SharedState {
     frontier: usize,
     /// Released regions available for reuse, as `(base, len)` pairs.
     free: Vec<(usize, usize)>,
-    /// Tenant-id allocator for [`RegionBackend`] handles.
-    next_tenant: usize,
-    /// Tenants currently blocked waiting for a stripe slot.
-    waiting: Vec<usize>,
-    /// Tenant that held the most recent slot (round-robin pivot).
-    last_granted: usize,
-    /// Total stripe slots granted since creation (observability).
+    /// Transfers (lock holds) served since creation.
+    transfers: u64,
+    /// Stripes those transfers carried: one slot per counted stripe.
     slots_granted: u64,
+    /// Transfers that found the media lock taken and had to block.
+    contended: u64,
 }
 
 struct SharedInner {
     num_disks: usize,
     tracks_per_disk: usize,
     state: Mutex<SharedState>,
-    turnstile: Condvar,
 }
 
 impl SharedInner {
@@ -66,12 +71,29 @@ impl SharedInner {
     fn lock(&self) -> MutexGuard<'_, SharedState> {
         self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
+
+    /// Take the media for one transfer of `stripes` stripes, counting it —
+    /// and counting it as contended when the lock was not free.
+    fn lock_for_transfer(&self, stripes: usize) -> MutexGuard<'_, SharedState> {
+        let mut st = match self.state.try_lock() {
+            Ok(st) => st,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => {
+                let mut st = self.lock();
+                st.contended += 1;
+                st
+            }
+        };
+        st.transfers += 1;
+        st.slots_granted += stripes as u64;
+        st
+    }
 }
 
 /// A shared disk array substrate serving many tenants at once.
 ///
 /// Cloning the handle is cheap (it is an [`Arc`]); all clones refer to the
-/// same physical store, region map and arbiter.
+/// same physical store, region map and media lock.
 ///
 /// ```
 /// use em_disk::{DiskArray, DiskConfig, SharedDiskSubstrate};
@@ -111,12 +133,10 @@ impl SharedDiskSubstrate {
                     store: MemoryBackend::new(num_disks),
                     frontier: 0,
                     free: Vec::new(),
-                    next_tenant: 0,
-                    waiting: Vec::new(),
-                    last_granted: 0,
+                    transfers: 0,
                     slots_granted: 0,
+                    contended: 0,
                 }),
-                turnstile: Condvar::new(),
             }),
         }
     }
@@ -164,9 +184,9 @@ impl SharedDiskSubstrate {
     }
 
     /// Return a previously reserved region to the free pool. The caller
-    /// must no longer hold a [`RegionBackend`] over it; the tracks are
-    /// *not* scrubbed, so reuse relies on the next tenant's own formatting
-    /// discipline (the simulators rewrite every region they allocate).
+    /// must no longer hold a [`RegionBackend`] over it. The tracks are not
+    /// scrubbed and need not be: the next view over them reads every track
+    /// it has not itself written as zeros.
     pub fn release_region(&self, base: usize, tracks: usize) {
         if tracks == 0 {
             return;
@@ -192,38 +212,39 @@ impl SharedDiskSubstrate {
         }
     }
 
-    /// A [`DiskBackend`] view of the region `[base, base + tracks)` with a
-    /// fresh tenant id for arbitration. Track 0 of the view is physical
-    /// track `base`; addresses at or past `tracks` fail with
-    /// [`DiskError::CapacityExceeded`].
+    /// A fresh [`DiskBackend`] view of the region `[base, base + tracks)`:
+    /// every track reads as zeros until this view writes it. Track 0 of
+    /// the view is physical track `base`; addresses at or past `tracks`
+    /// fail with [`DiskError::CapacityExceeded`].
     pub fn region(&self, base: usize, tracks: usize) -> RegionBackend {
-        let tenant = {
-            let mut st = self.inner.lock();
-            let id = st.next_tenant;
-            st.next_tenant += 1;
-            id
-        };
         RegionBackend {
             shared: self.inner.clone(),
-            tenant,
             base,
             max_tracks: tracks,
             tracks_used: vec![0; self.inner.num_disks],
+            written: vec![0; self.inner.num_disks * tracks.div_ceil(WORD_BITS)],
         }
     }
 
-    /// Total fair stripe slots granted since creation.
+    /// Transfers served since creation: each took the media lock once,
+    /// whether it carried one stripe or a batch of them.
+    pub fn transfers(&self) -> u64 {
+        self.inner.lock().transfers
+    }
+
+    /// Stripe slots granted since creation: one per stripe of every
+    /// transfer, i.e. one per parallel I/O operation the tenants' arrays
+    /// counted (a retry round is a transfer of its own).
     pub fn slots_granted(&self) -> u64 {
         self.inner.lock().slots_granted
     }
-}
 
-/// Next tenant to grant: the smallest waiting id strictly greater than
-/// `last`, wrapping to the smallest waiting id — i.e. round-robin in
-/// tenant-id order over the tenants actually waiting.
-fn next_grant(waiting: &[usize], last: usize) -> Option<usize> {
-    let above = waiting.iter().copied().filter(|&t| t > last).min();
-    above.or_else(|| waiting.iter().copied().min())
+    /// Transfers that found the media lock taken and had to block for it.
+    /// Depends on thread timing: an observation, never part of a metered
+    /// or reproducible result.
+    pub fn contended(&self) -> u64 {
+        self.inner.lock().contended
+    }
 }
 
 /// One tenant's bounded, offset view of a [`SharedDiskSubstrate`].
@@ -231,17 +252,23 @@ fn next_grant(waiting: &[usize], last: usize) -> Option<usize> {
 /// Implements [`DiskBackend`], so it slots under a private
 /// [`crate::DiskArray`] exactly like a raw [`MemoryBackend`] would — the
 /// tenant's decorators (checksums, retry, cache) and counters all live in
-/// the tenant's own array, above this view. Each stripe acquires one fair
-/// arbiter slot for the whole `≤ D`-track transfer — through any decorator
-/// stack, since the decorators pass stripes down whole; a single-track
-/// call is a one-track stripe.
+/// the tenant's own array, above this view. A transfer takes the media
+/// lock once, however many stripes it carries; a stripe is the batch of
+/// one stripe and a single-track call the stripe of one track.
 pub struct RegionBackend {
     shared: Arc<SharedInner>,
-    tenant: usize,
     base: usize,
     max_tracks: usize,
     tracks_used: Vec<usize>,
+    /// One bit per track of the region, `⌈max_tracks / 64⌉` words per
+    /// drive: set once this view has written the track. Private to the
+    /// view, so consulting it takes no lock, and a track whose bit is clear
+    /// is never read from the store — whatever a previous holder of the
+    /// region left there.
+    written: Vec<u64>,
 }
+
+const WORD_BITS: usize = u64::BITS as usize;
 
 impl RegionBackend {
     /// The region's base track on the physical store.
@@ -254,11 +281,6 @@ impl RegionBackend {
         self.max_tracks
     }
 
-    /// The arbiter tenant id of this view.
-    pub fn tenant_id(&self) -> usize {
-        self.tenant
-    }
-
     fn check(&self, disk: usize, track: usize) -> DiskResult<()> {
         if track >= self.max_tracks {
             return Err(DiskError::CapacityExceeded { disk, max_tracks: self.max_tracks });
@@ -266,30 +288,21 @@ impl RegionBackend {
         Ok(())
     }
 
-    /// Run `op` on the physical store while holding one fair stripe slot.
-    ///
-    /// Waiting tenants are granted the media round-robin in tenant-id
-    /// order ([`next_grant`]); the slot is held for the duration of the
-    /// physical transfer, which is the model's "one parallel I/O at a
-    /// time on the media" semantics.
-    fn with_slot<R>(&self, op: impl FnOnce(&mut MemoryBackend) -> R) -> R {
-        let mut st = self.shared.lock();
-        st.waiting.push(self.tenant);
-        while next_grant(&st.waiting, st.last_granted) != Some(self.tenant) {
-            st = self.shared.turnstile.wait(st).unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        let pos = st.waiting.iter().position(|&t| t == self.tenant).expect("registered above");
-        st.waiting.swap_remove(pos);
-        st.last_granted = self.tenant;
-        st.slots_granted += 1;
-        let out = op(&mut st.store);
-        drop(st);
-        self.shared.turnstile.notify_all();
-        out
+    /// Word index and mask of in-range `(disk, track)`'s bit in `written`.
+    fn written_bit(&self, disk: usize, track: usize) -> (usize, u64) {
+        let words_per_disk = self.max_tracks.div_ceil(WORD_BITS);
+        (disk * words_per_disk + track / WORD_BITS, 1 << (track % WORD_BITS))
+    }
+
+    fn is_written(&self, disk: usize, track: usize) -> bool {
+        let (word, mask) = self.written_bit(disk, track);
+        self.written[word] & mask != 0
     }
 
     fn note_write(&mut self, disk: usize, track: usize) {
         self.tracks_used[disk] = self.tracks_used[disk].max(track + 1);
+        let (word, mask) = self.written_bit(disk, track);
+        self.written[word] |= mask;
     }
 }
 
@@ -311,26 +324,53 @@ impl DiskBackend for RegionBackend {
         addrs: &[(usize, usize)],
         bufs: &mut [&mut [u8]],
     ) -> TrackOutcomes {
-        self.with_slot(|store| {
-            (addrs.iter().zip(bufs.iter_mut()))
-                .map(|(&(disk, track), buf)| {
-                    self.check(disk, track)?;
-                    store.read_track(disk, self.base + track, buf)
-                })
-                .collect()
-        })
+        self.read_batch_each(&[addrs.len()], addrs, bufs)
     }
 
     fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
-        let outcomes: TrackOutcomes = self.with_slot(|store| {
-            writes
-                .iter()
-                .map(|&(disk, track, data)| {
-                    self.check(disk, track)?;
-                    store.write_track(disk, self.base + track, data)
-                })
-                .collect()
-        });
+        self.write_batch_each(&[writes.len()], writes)
+    }
+
+    /// One hold of the media lock for the whole batch: the bound check and
+    /// the memcpy of each track, nothing else.
+    fn read_batch_each(
+        &mut self,
+        stripes: &[usize],
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
+        let mut outcomes = TrackOutcomes::with_capacity(addrs.len());
+        let mut st = self.shared.lock_for_transfer(stripes.len());
+        for (&(disk, track), buf) in addrs.iter().zip(bufs.iter_mut()) {
+            outcomes.push(match self.check(disk, track) {
+                Ok(()) if self.is_written(disk, track) => {
+                    st.store.read_track(disk, self.base + track, buf)
+                }
+                Ok(()) => {
+                    buf.fill(0);
+                    Ok(())
+                }
+                Err(e) => Err(e),
+            });
+        }
+        drop(st);
+        outcomes
+    }
+
+    fn write_batch_each(
+        &mut self,
+        stripes: &[usize],
+        writes: &[(usize, usize, &[u8])],
+    ) -> TrackOutcomes {
+        let mut outcomes = TrackOutcomes::with_capacity(writes.len());
+        let mut st = self.shared.lock_for_transfer(stripes.len());
+        for &(disk, track, data) in writes {
+            outcomes.push(
+                (self.check(disk, track))
+                    .and_then(|()| st.store.write_track(disk, self.base + track, data)),
+            );
+        }
+        drop(st);
         for (&(disk, track, _), outcome) in writes.iter().zip(&outcomes) {
             if outcome.is_ok() {
                 self.note_write(disk, track);
@@ -438,7 +478,7 @@ mod tests {
     #[test]
     fn decorated_tenant_takes_one_slot_per_stripe() {
         // Checksums and retry sit between the tenant's array and its
-        // region view; they pass each stripe down whole, so the arbiter
+        // region view; they pass each stripe down whole, so the media
         // grants one slot per counted operation, not one per track.
         use crate::RetryPolicy;
         const D: usize = 4;
@@ -459,10 +499,10 @@ mod tests {
         assert_eq!(arr.stats().parallel_ops, 11);
         assert_eq!(arr.stats().retried_blocks, 0);
         assert_eq!(shared.slots_granted(), 11, "N fault-free stripes, N slots — not N·D");
+        assert_eq!(shared.transfers(), 11, "a stripe on its own is one transfer");
 
-        // A batch is counted — and arbitrated — stripe by stripe: the
-        // region view keeps the default, so co-tenants still interleave at
-        // stripe granularity inside another tenant's batch.
+        // A batch is counted stripe by stripe but takes the media once:
+        // co-tenants interleave between transfers, not inside one.
         let (stripes, addrs) = crate::ConsecutiveLayout::new(10, 3, 4, D).unwrap().batch(0, 3);
         let writes: Vec<(usize, usize, Block)> = (addrs.iter())
             .map(|&(disk, track)| (disk, track, Block::from_bytes_padded(&[0xB7], 32)))
@@ -473,43 +513,137 @@ mod tests {
         assert_eq!(stripes.len(), 3);
         assert_eq!(arr.stats().parallel_ops, 11 + 6);
         assert_eq!(shared.slots_granted(), 11 + 6, "one slot per counted stripe of a batch");
+        assert_eq!(shared.transfers(), 11 + 2, "a 3-stripe write and a 3-stripe read");
+        assert_eq!(shared.contended(), 0, "nobody else was on the media");
     }
 
     #[test]
-    fn round_robin_grant_order() {
-        // With waiters {1, 2, 5} the grants cycle 1 → 2 → 5 → 1 …
-        assert_eq!(next_grant(&[5, 1, 2], 0), Some(1));
-        assert_eq!(next_grant(&[5, 1, 2], 1), Some(2));
-        assert_eq!(next_grant(&[5, 1, 2], 2), Some(5));
-        assert_eq!(next_grant(&[5, 1, 2], 5), Some(1));
-        assert_eq!(next_grant(&[], 3), None);
-        // A lone waiter is always next, regardless of the pivot.
-        assert_eq!(next_grant(&[7], 7), Some(7));
+    fn recycled_region_reads_as_formatted() {
+        let shared = SharedDiskSubstrate::new(1, 8);
+        let base = shared.reserve_region(4).unwrap();
+        shared.region(base, 4).write_track(0, 0, &[7u8; 32]).unwrap();
+        shared.release_region(base, 4);
+        assert_eq!(shared.reserve_region(4), Some(base));
+        let mut next = shared.region(base, 4);
+        let mut buf = [0xFFu8; 32];
+        next.read_track(0, 0, &mut buf).unwrap();
+        assert_eq!(buf, [0u8; 32], "the last tenant's bytes are not observable");
+        assert_eq!(next.tracks_used(0), 0);
+        // What the new holder writes is what it reads.
+        next.write_track(0, 0, &[9u8; 32]).unwrap();
+        next.read_track(0, 0, &mut buf).unwrap();
+        assert_eq!(buf, [9u8; 32]);
+    }
+
+    #[test]
+    fn recycled_region_holding_a_frame_of_another_length_reads_as_formatted() {
+        // A checksummed predecessor leaves 36-byte frames; a plain 32-byte
+        // successor must neither see them nor trip over their length.
+        let shared = SharedDiskSubstrate::new(2, 8);
+        let base = shared.reserve_region(4).unwrap();
+        let mut first = DiskArray::with_backend(
+            cfg(2, 32).with_checksums(true),
+            Box::new(shared.region(base, 4)),
+        );
+        first.write_stripe(&stripe(2, 0, 7, 32)).unwrap();
+        drop(first);
+        shared.release_region(base, 4);
+        assert_eq!(shared.reserve_region(4), Some(base));
+        let mut next = DiskArray::with_backend(cfg(2, 32), Box::new(shared.region(base, 4)));
+        let got = next.read_stripe(&[(0, 0), (1, 0)]).unwrap();
+        assert!(got.iter().all(|b| b.as_bytes() == [0u8; 32]));
+        next.write_stripe(&stripe(2, 0, 9, 32)).unwrap();
+        let got = next.read_stripe(&[(0, 0), (1, 0)]).unwrap();
+        assert!(got.iter().all(|b| b.as_bytes()[0] == 9));
     }
 
     #[test]
     fn concurrent_tenants_make_progress_and_stay_isolated() {
-        let shared = SharedDiskSubstrate::new(2, 256);
+        const D: usize = 2;
+        let shared = SharedDiskSubstrate::new(D, 256);
         let rounds = 50usize;
+        // Round `r` also moves a batch of 1–4 full stripes.
+        let batch_stripes = |r: usize| 1 + r % 4;
+        let in_batches: usize = (0..rounds).map(batch_stripes).sum();
         std::thread::scope(|scope| {
             for t in 0..4usize {
                 let shared = shared.clone();
                 scope.spawn(move || {
                     let base = shared.reserve_region(32).unwrap();
                     let mut arr =
-                        DiskArray::with_backend(cfg(2, 32), Box::new(shared.region(base, 32)));
+                        DiskArray::with_backend(cfg(D, 32), Box::new(shared.region(base, 32)));
                     for r in 0..rounds {
                         let tag = (t * rounds + r) as u8;
-                        arr.write_stripe(&stripe(2, r % 32, tag, 32)).unwrap();
+                        arr.write_stripe(&stripe(D, r % 32, tag, 32)).unwrap();
                         let got = arr.read_stripe(&[(0, r % 32), (1, r % 32)]).unwrap();
                         assert_eq!(got[0].as_bytes()[0], tag, "tenant {t} round {r}");
                         assert_eq!(got[1].as_bytes()[0], tag, "tenant {t} round {r}");
+
+                        let stripes = vec![D; batch_stripes(r)];
+                        let addrs: Vec<(usize, usize)> = (0..stripes.len())
+                            .flat_map(|s| (0..D).map(move |disk| (disk, r % 28 + s)))
+                            .collect();
+                        let writes: Vec<(usize, usize, Block)> = (addrs.iter())
+                            .map(|&(disk, track)| {
+                                (disk, track, Block::from_bytes_padded(&[!tag], 32))
+                            })
+                            .collect();
+                        arr.submit_write_batch(&stripes, &writes).unwrap().join().unwrap();
+                        let got = arr.submit_read_batch(&stripes, &addrs).unwrap().join().unwrap();
+                        assert_eq!(got.len(), addrs.len());
+                        assert!(
+                            got.iter().all(|b| b.as_bytes()[0] == !tag),
+                            "tenant {t} round {r}"
+                        );
                     }
-                    assert_eq!(arr.stats().parallel_ops, 2 * rounds as u64);
+                    assert_eq!(arr.stats().parallel_ops, 2 * (rounds + in_batches) as u64);
                 });
             }
         });
-        // Every stripe acquired exactly one slot.
-        assert_eq!(shared.slots_granted(), 4 * 2 * rounds as u64);
+        // Every counted stripe took exactly one slot, every call one transfer.
+        assert_eq!(shared.slots_granted(), 4 * 2 * (rounds + in_batches) as u64);
+        assert_eq!(shared.transfers(), 4 * 4 * rounds as u64);
+    }
+
+    #[test]
+    fn a_tenant_that_panics_inside_a_transfer_leaves_the_others_served() {
+        // The panic happens under the media lock (a 16-byte buffer against
+        // a 32-byte track) and poisons it; co-tenants transfer both while
+        // the culprit runs and — held back on a channel — after it has died.
+        let shared = SharedDiskSubstrate::new(2, 64);
+        let rounds = 20usize;
+        std::thread::scope(|scope| {
+            let culprit = scope.spawn(|| {
+                let mut region = shared.region(shared.reserve_region(4).unwrap(), 4);
+                region.write_track(0, 0, &[1u8; 32]).unwrap();
+                region.read_track(0, 0, &mut [0u8; 16])
+            });
+            let mut died = Vec::new();
+            for t in 0..3usize {
+                let shared = &shared;
+                let (tell, told) = std::sync::mpsc::channel::<()>();
+                died.push(tell);
+                scope.spawn(move || {
+                    let base = shared.reserve_region(8).unwrap();
+                    let mut arr =
+                        DiskArray::with_backend(cfg(2, 32), Box::new(shared.region(base, 8)));
+                    for r in 0..2 * rounds {
+                        if r == rounds {
+                            told.recv().unwrap();
+                        }
+                        let tag = (t * 2 * rounds + r) as u8;
+                        arr.write_stripe(&stripe(2, r % 8, tag, 32)).unwrap();
+                        let got = arr.read_stripe(&[(0, r % 8), (1, r % 8)]).unwrap();
+                        assert!(got.iter().all(|b| b.as_bytes()[0] == tag), "tenant {t} round {r}");
+                    }
+                });
+            }
+            assert!(culprit.join().is_err(), "the short buffer panics inside the store");
+            died.iter().for_each(|tell| tell.send(()).unwrap());
+        });
+        // The culprit's write and the read it died in, then everybody else's.
+        assert_eq!(shared.slots_granted(), 2 + 3 * 2 * 2 * rounds as u64);
+        assert_eq!(shared.transfers(), shared.slots_granted());
+        assert!(shared.reserve_region(4).is_some(), "the region map survives the poisoned lock");
     }
 }

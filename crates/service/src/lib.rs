@@ -13,11 +13,12 @@
 //!   memory budget and a disjoint track region of the shared substrate.
 //!   A job that does not fit is rejected with a typed [`AdmissionError`]
 //!   — and an admitted tenant is never disturbed by later rejections.
-//! * **Isolation + fairness**: each tenant runs on its own
+//! * **Isolation + exclusion**: each tenant runs on its own
 //!   [`DiskArray`] over a [`em_disk::RegionBackend`] slice of one
-//!   [`SharedDiskSubstrate`]; concurrent stripes are serialized by the
-//!   substrate's fair round-robin arbiter, so co-tenancy affects wall
-//!   clock only.
+//!   [`SharedDiskSubstrate`]; a transfer holds the shared media for its
+//!   own tracks only (at most one group's sweep) and the order among
+//!   waiting tenants is the OS mutex's, not promised — co-tenancy
+//!   affects wall clock only.
 //! * **Metering**: every tenant's [`CostReport`] (counted
 //!   [`em_disk::IoStats`], per-phase I/O, `PhaseWall` timings) is
 //!   accumulated per stage and filed into a [`ServiceReport`] ledger at
@@ -487,9 +488,23 @@ impl SimService {
         self.inner.substrate.tracks_free()
     }
 
-    /// Total fair stripe slots granted by the substrate arbiter.
+    /// Transfers the shared media has served: one lock hold each, whether
+    /// a single stripe or a batch of them.
+    pub fn transfers(&self) -> u64 {
+        self.inner.substrate.transfers()
+    }
+
+    /// Stripe slots the shared media has granted: one per stripe of every
+    /// transfer, i.e. one per parallel I/O operation the tenants counted.
     pub fn slots_granted(&self) -> u64 {
         self.inner.substrate.slots_granted()
+    }
+
+    /// Transfers that found the shared media taken and had to block.
+    /// Depends on thread timing, so it is never part of
+    /// [`ServiceReport::deterministic_json`].
+    pub fn contended(&self) -> u64 {
+        self.inner.substrate.contended()
     }
 
     /// Admit a job with a default simulator
@@ -1067,6 +1082,12 @@ mod tests {
         assert_eq!(service.active_tenants(), 0);
         assert_eq!(service.reserved_bytes(), 0);
         assert_eq!(service.tracks_free(), 4096);
+        // The shared media carried every counted stripe (and the input
+        // load, which precedes the report's counters), in fewer lock holds
+        // than stripes, with nobody to contend with.
+        assert!(service.slots_granted() >= solo_report.io.parallel_ops);
+        assert!((1..service.slots_granted()).contains(&service.transfers()));
+        assert_eq!(service.contended(), 0);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 #   [pairs]       parent/change pairs to run per workload (default 10)
 #   trace [n]     the per-layer half instead: n (default 3) alternations of
 #                 `embench trace` per workload, each side's core.wall.*,
-#                 core.sim_overhead_x, bsp.ref_job_ms and serial.* run by run
-#                 with medians, and `embench compare` of the first
-#                 alternation's two layers.json (every exact count must tie)
+#                 core.sim_overhead_x, bsp.ref_job_ms, serial.* and service.*
+#                 (0 off service-mix) run by run with medians, and `embench
+#                 compare` of the first alternation's two layers.json (every
+#                 exact count must tie)
 #
 # The change is the working tree as it stands. The parent is exported with
 # `git archive` into a scratch directory, both binaries are built into
@@ -29,7 +30,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 4 ] || { [ $# -eq 4 ] && [ "$3" != trace ]; }; then
-    sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,29p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 PARENT_REF="$1"
@@ -105,7 +106,7 @@ if [ "$MODE" = trace ]; then
 import json, statistics, sys
 traces, n, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
 def shown(name):
-    return name.startswith(("core.wall.", "serial.")) or name in ("core.sim_overhead_x", "bsp.ref_job_ms")
+    return name.startswith(("core.wall.", "serial.", "service.")) or name in ("core.sim_overhead_x", "bsp.ref_job_ms")
 for workload in workloads:
     sides = {}
     for side in ("parent", "change"):
