@@ -23,21 +23,28 @@
 //!
 //! On-disk encoding of one context: `u32` length prefix followed by the
 //! serialized state, zero-padded to the region size.
+//!
+//! No block is made on either side. A write lays the group's regions end to
+//! end in one pooled buffer and hands its `B`-byte chunks to the array as
+//! slices; a read lends `B`-byte buffers for the blocks to land in, copies
+//! each context's payload straight out of them into a pooled context
+//! buffer, and gives them back.
 
 use crate::{EmError, EmResult};
-use em_disk::{
-    Block, ConsecutiveLayout, DiskArray, ReadStripeTicket, TrackAllocator, WriteBacklog,
-};
+use em_disk::{ConsecutiveLayout, DiskArray, ReadStripeTicket, TrackAllocator, WriteBacklog};
 
 /// A free list of byte buffers recycled across group reads and writes.
 ///
-/// The simulators keep one per run: [`PendingGroupRead::join_into`] draws
-/// decoded-context buffers from it, and after a group's contexts are
-/// written back (the [`Block`] copies are made at submission) the buffers
-/// return via [`BufferPool::put_all`]. Steady state is therefore
-/// allocation-free in the context path: a run touches at most one group's
-/// worth of live buffers plus the pool. An empty pool is always valid —
-/// `take` falls back to a fresh allocation.
+/// The simulators keep two per worker (DESIGN §3.2.5): one of context-sized
+/// buffers — [`PendingGroupRead::join_into`] draws the decoded contexts
+/// from it, [`ContextStore::submit_write_group`] its staging buffer, and
+/// the contexts return via [`BufferPool::put_all`] once their write is
+/// submitted (the array has copied or written the bytes by then) — and one
+/// of `B`-byte block buffers, which [`ContextStore::submit_read_group`]
+/// lends to the array and `join_into` hands back. Steady state is
+/// therefore allocation-free in the context path: a run touches at most
+/// one group's worth of live buffers plus the pools. An empty pool is
+/// always valid — `take` falls back to a fresh allocation.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     free: Vec<Vec<u8>>,
@@ -127,12 +134,18 @@ impl ContextStore {
         bufs: &[Vec<u8>],
     ) -> EmResult<()> {
         let mut backlog = WriteBacklog::new();
-        self.submit_write_group(disks, first, bufs, &mut backlog)?;
+        self.submit_write_group(disks, first, bufs, &mut backlog, &mut BufferPool::new())?;
         backlog.drain()?;
         Ok(())
     }
 
     /// Submit the stripes of [`Self::write_group`] without waiting for them.
+    ///
+    /// The group's regions — each its length prefix, the serialized state
+    /// and zero padding — are laid end to end in one buffer drawn from
+    /// `pool`, and its `B`-byte chunks go down as slices of it; the array
+    /// has copied or written them when the submission returns, so the
+    /// buffer is back in `pool` when this returns.
     ///
     /// The tickets land in `backlog`; counted I/O is identical to the
     /// synchronous call because [`DiskArray`] counts at submission. The
@@ -144,37 +157,35 @@ impl ContextStore {
         first: usize,
         bufs: &[Vec<u8>],
         backlog: &mut WriteBacklog,
+        pool: &mut BufferPool,
     ) -> EmResult<()> {
-        let bb = disks.block_bytes();
-        // Assemble the regions' raw bytes, then cut into blocks in
-        // global-index order. One staging buffer serves every context in
-        // the group.
-        let mut writes: Vec<(usize, usize, Block)> =
-            Vec::with_capacity(bufs.len() * self.layout.blocks_per_region);
-        let mut region: Vec<u8> = Vec::with_capacity(self.capacity_bytes);
-        for (off, buf) in bufs.iter().enumerate() {
-            let pid = first + off;
-            if 4 + buf.len() > self.capacity_bytes {
-                return Err(EmError::ContextOverflow {
-                    pid,
-                    need: buf.len(),
-                    capacity: self.payload_capacity(),
-                });
-            }
-            region.clear();
-            region.extend_from_slice(&(buf.len() as u32).to_le_bytes());
-            region.extend_from_slice(buf);
-            region.resize(self.capacity_bytes, 0);
-            for (i, chunk) in region.chunks(bb).enumerate() {
-                let (disk, track) = self.layout.location(pid, i);
-                writes.push((disk, track, Block::from_bytes_padded(chunk, bb)));
-            }
+        if let Some((off, buf)) =
+            bufs.iter().enumerate().find(|(_, buf)| 4 + buf.len() > self.capacity_bytes)
+        {
+            return Err(EmError::ContextOverflow {
+                pid: first + off,
+                need: buf.len(),
+                capacity: self.payload_capacity(),
+            });
         }
-        // Consecutive global indices stripe cleanly: every chunk of D
-        // successive writes targets distinct disks. The whole run is one
-        // batch of those stripes.
+        let mut staged = pool.take();
+        staged.reserve(bufs.len() * self.capacity_bytes);
+        for (off, buf) in bufs.iter().enumerate() {
+            staged.extend_from_slice(&(buf.len() as u32).to_le_bytes());
+            staged.extend_from_slice(buf);
+            staged.resize((off + 1) * self.capacity_bytes, 0);
+        }
+        // The blocks in global-index order. Consecutive global indices
+        // stripe cleanly: every chunk of D successive writes targets
+        // distinct disks, and the whole run is one batch of those stripes.
+        let (_, addrs) = self.layout.batch(first, bufs.len());
+        let writes: Vec<(usize, usize, &[u8])> = (addrs.iter())
+            .zip(staged.chunks_exact(disks.block_bytes()))
+            .map(|(&(disk, track), chunk)| (disk, track, chunk))
+            .collect();
         let stripes: Vec<usize> = writes.chunks(disks.num_disks()).map(<[_]>::len).collect();
         backlog.push(disks.submit_write_batch(&stripes, &writes)?);
+        pool.put(staged);
         Ok(())
     }
 
@@ -186,21 +197,25 @@ impl ContextStore {
         first: usize,
         count: usize,
     ) -> EmResult<Vec<Vec<u8>>> {
-        self.submit_read_group(disks, first, count)?.join()
+        self.submit_read_group(disks, first, count, &mut BufferPool::new())?.join()
     }
 
-    /// Submit the stripe reads of [`Self::read_group`] and return a handle;
-    /// [`PendingGroupRead::join`] waits for the transfers and decodes the
-    /// contexts. Counted I/O happens here, at submission, so prefetching a
-    /// group early costs exactly what fetching it on demand costs.
+    /// Submit the stripe reads of [`Self::read_group`] into `B`-byte
+    /// buffers lent from `blocks` and return a handle;
+    /// [`PendingGroupRead::join_into`] waits for the transfers, decodes the
+    /// contexts and gives the buffers back. Counted I/O happens here, at
+    /// submission, so prefetching a group early costs exactly what fetching
+    /// it on demand costs.
     pub fn submit_read_group(
         &self,
         disks: &mut DiskArray,
         first: usize,
         count: usize,
+        blocks: &mut BufferPool,
     ) -> EmResult<PendingGroupRead> {
         let (stripes, addrs) = self.layout.batch(first, count);
-        let ticket = disks.submit_read_batch(&stripes, &addrs)?;
+        let lent = addrs.iter().map(|_| blocks.take()).collect();
+        let ticket = disks.submit_read_batch_into(&stripes, &addrs, lent)?;
         Ok(PendingGroupRead { ticket, first, count, capacity_bytes: self.capacity_bytes })
     }
 }
@@ -218,39 +233,56 @@ impl PendingGroupRead {
     /// so the first failing track in request order wins deterministically)
     /// and decode the length-prefixed contexts.
     pub fn join(self) -> EmResult<Vec<Vec<u8>>> {
-        self.join_into(&mut BufferPool::new())
+        self.join_into(&mut BufferPool::new(), &mut BufferPool::new())
     }
 
-    /// [`PendingGroupRead::join`], drawing the decoded-context buffers from
-    /// `pool` instead of allocating. The simulators recycle each group's
-    /// buffers back into the pool after writing the group, so the context
-    /// path stops allocating once the pool is warm.
-    pub fn join_into(self, pool: &mut BufferPool) -> EmResult<Vec<Vec<u8>>> {
+    /// [`PendingGroupRead::join`], copying each context's payload straight
+    /// from the blocks it arrived in into a buffer drawn from `contexts`,
+    /// then giving the block buffers to `blocks` — the pool
+    /// [`ContextStore::submit_read_group`] lent them from. The simulators
+    /// recycle each group's context buffers back into `contexts` after
+    /// writing the group, so the context path stops allocating once both
+    /// pools are warm.
+    pub fn join_into(
+        self,
+        contexts: &mut BufferPool,
+        blocks: &mut BufferPool,
+    ) -> EmResult<Vec<Vec<u8>>> {
         let payload_capacity = self.capacity_bytes - 4;
-        let blocks = self.ticket.join()?;
-        let mut raw: Vec<u8> = pool.take();
-        raw.reserve(self.count * self.capacity_bytes);
-        for block in &blocks {
-            raw.extend_from_slice(block.as_bytes());
-        }
+        let read = self.ticket.join_bufs()?;
+        // Every block arrives in one `B`-byte buffer; an empty group has
+        // none, and no context to cut out of them.
+        let (bb, arrived) = (read.first().map_or(0, Vec::len), &read[..]);
+        // Bytes `at..at + len` of the blocks laid end to end, as the slices
+        // of the blocks they lie in.
+        let spans = |at: usize, len: usize| {
+            (at / bb..(at + len).div_ceil(bb)).map(move |i| {
+                &arrived[i][at.max(i * bb) - i * bb..(at + len).min((i + 1) * bb) - i * bb]
+            })
+        };
         let mut out = Vec::with_capacity(self.count);
         for r in 0..self.count {
-            let region = &raw[r * self.capacity_bytes..(r + 1) * self.capacity_bytes];
-            let len = u32::from_le_bytes(region[..4].try_into().expect("4-byte prefix")) as usize;
+            let start = r * self.capacity_bytes;
+            let mut prefix = [0u8; 4];
+            for (byte, &b) in prefix.iter_mut().zip(spans(start, 4).flatten()) {
+                *byte = b;
+            }
+            let len = u32::from_le_bytes(prefix) as usize;
             if len > payload_capacity {
-                pool.put(raw);
-                pool.put_all(out);
+                contexts.put_all(out);
+                blocks.put_all(read);
                 return Err(EmError::ContextOverflow {
                     pid: self.first + r,
                     need: len,
                     capacity: payload_capacity,
                 });
             }
-            let mut ctx = pool.take();
-            ctx.extend_from_slice(&region[4..4 + len]);
+            let mut ctx = contexts.take();
+            ctx.reserve(len);
+            spans(start + 4, len).for_each(|span| ctx.extend_from_slice(span));
             out.push(ctx);
         }
-        pool.put(raw);
+        blocks.put_all(read);
         Ok(out)
     }
 }
@@ -269,11 +301,14 @@ mod tests {
 
     #[test]
     fn round_trip_group() {
-        let (mut disks, store) = setup(8, 60, 4, 32);
-        let bufs: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8 + 1; 10 + i]).collect();
-        store.write_group(&mut disks, 2, &bufs).unwrap();
-        let back = store.read_group(&mut disks, 2, 4).unwrap();
-        assert_eq!(back, bufs);
+        // Three-byte blocks split even the length prefix.
+        for b in [32, 3] {
+            let (mut disks, store) = setup(8, 60, 4, b);
+            let bufs: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8 + 1; 10 + i]).collect();
+            store.write_group(&mut disks, 2, &bufs).unwrap();
+            let back = store.read_group(&mut disks, 2, 4).unwrap();
+            assert_eq!(back, bufs, "B = {b}");
+        }
     }
 
     #[test]
@@ -316,13 +351,13 @@ mod tests {
         store.write_group(&mut disks, 0, &bufs).unwrap();
         let sync_stats = disks.take_stats();
 
-        let mut backlog = WriteBacklog::new();
-        store.submit_write_group(&mut disks, 0, &bufs, &mut backlog).unwrap();
+        let (mut backlog, mut pool) = (WriteBacklog::new(), BufferPool::new());
+        store.submit_write_group(&mut disks, 0, &bufs, &mut backlog, &mut pool).unwrap();
         // Overlap: both groups' reads submitted while writes are in flight
         // is illegal (read-after-write); drain first, as the simulators do.
         backlog.drain().unwrap();
-        let a = store.submit_read_group(&mut disks, 0, 4).unwrap();
-        let b = store.submit_read_group(&mut disks, 4, 4).unwrap();
+        let a = store.submit_read_group(&mut disks, 0, 4, &mut pool).unwrap();
+        let b = store.submit_read_group(&mut disks, 4, 4, &mut pool).unwrap();
         let mut back = a.join().unwrap();
         back.extend(b.join().unwrap());
         assert_eq!(back, bufs);
@@ -408,21 +443,48 @@ mod tests {
         assert_eq!(disks.stats().blocks_moved(), 2 * 2 * k as u64);
     }
 
+    /// Where every pooled buffer's bytes live, in order: equal lists mean
+    /// the same allocations.
+    fn held(pool: &BufferPool) -> Vec<usize> {
+        let mut at: Vec<usize> = pool.free.iter().map(|buf| buf.as_ptr() as usize).collect();
+        at.sort_unstable();
+        at
+    }
+
     #[test]
     fn pooled_join_round_trips_and_recycles() {
-        let (mut disks, store) = setup(8, 60, 4, 32);
-        let bufs: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8 + 1; 10 + i]).collect();
+        // Regions of three 8-byte blocks: payloads start inside a block and
+        // end in any of the three.
+        let (mut disks, store) = setup(8, 20, 4, 8);
+        let bufs: Vec<Vec<u8>> = (0..4).map(|i| vec![i as u8 + 1; 3 + 5 * i]).collect();
         store.write_group(&mut disks, 0, &bufs).unwrap();
-        let mut pool = BufferPool::new();
-        let back = store.submit_read_group(&mut disks, 0, 4).unwrap().join_into(&mut pool).unwrap();
-        assert_eq!(back, bufs);
-        pool.put_all(back);
-        let warm = pool.len();
-        assert!(warm >= 4, "contexts plus the raw staging buffer are pooled");
-        let back2 =
-            store.submit_read_group(&mut disks, 0, 4).unwrap().join_into(&mut pool).unwrap();
-        assert_eq!(back2, bufs);
-        assert!(pool.len() < warm, "the warm pool supplied the second read");
+        let (mut contexts, mut blocks) = (BufferPool::new(), BufferPool::new());
+        // A round's sweep: read the group, write it back, recycle.
+        let mut sweep = |contexts: &mut BufferPool, blocks: &mut BufferPool| {
+            let pending = store.submit_read_group(&mut disks, 0, 4, blocks).unwrap();
+            let back = pending.join_into(contexts, blocks).unwrap();
+            assert_eq!(back, bufs);
+            let mut backlog = WriteBacklog::new();
+            store.submit_write_group(&mut disks, 0, &back, &mut backlog, contexts).unwrap();
+            backlog.drain().unwrap();
+            contexts.put_all(back);
+        };
+        sweep(&mut contexts, &mut blocks);
+        assert_eq!(blocks.len(), 4 * store.blocks_per_context(), "every lent block came back");
+        assert_eq!(contexts.len(), 4 + 1, "the contexts and the write's staging buffer");
+        // Warm, a sweep makes no block buffer: the blocks land in the ones
+        // lent and go back, and the write cuts none.
+        let cold = held(&blocks);
+        sweep(&mut contexts, &mut blocks);
+        assert_eq!(held(&blocks), cold, "the warm sweep made a block buffer");
+        assert!(blocks.free.iter().all(|buf| buf.capacity() == 8));
+        // The context pool is a free list: the second sweep hands last
+        // round's largest buffer to the smallest context and regrows the
+        // small ones once. From then on it makes nothing either.
+        let warm = held(&contexts);
+        sweep(&mut contexts, &mut blocks);
+        assert_eq!((held(&contexts), held(&blocks)), (warm, cold), "a warm sweep allocated");
+        assert_eq!(store.read_group(&mut disks, 0, 4).unwrap(), bufs);
     }
 
     #[test]

@@ -60,7 +60,7 @@ use crate::sim_config::{facade_scope::*, sim_facade, SimConfig};
 use crate::EmError;
 use em_bsp::{BspError, CommLedger, SuperstepComm};
 use em_disk::{CheckpointStore, FaultStats, IoStats, JournalFile, TrackAllocator, WriteBacklog};
-use em_serial::{from_bytes, to_bytes};
+use em_serial::{from_bytes, to_bytes_into};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -880,9 +880,26 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                 for batch in 0..shape.num_batches {
                     let n = shape.pids(self.i, batch).len();
                     if n > 0 {
-                        let bufs: Vec<Vec<u8>> =
-                            states[next..next + n].iter().map(to_bytes).collect();
-                        self.ctx.write_group(self.disks, shape.region(batch), &bufs)?;
+                        // Encoded into pooled buffers, which go back for
+                        // the next group: the pool ends load about one
+                        // group long, not holding the whole input.
+                        let bufs: Vec<Vec<u8>> = (states[next..next + n].iter())
+                            .map(|state| {
+                                let mut buf = self.ctx_pool.take();
+                                to_bytes_into(state, &mut buf);
+                                buf
+                            })
+                            .collect();
+                        let mut backlog = WriteBacklog::new();
+                        self.ctx.submit_write_group(
+                            self.disks,
+                            shape.region(batch),
+                            &bufs,
+                            &mut backlog,
+                            &mut self.ctx_pool,
+                        )?;
+                        backlog.drain()?;
+                        self.ctx_pool.put_all(bufs);
                         next += n;
                     }
                 }
@@ -1056,14 +1073,20 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             None
         } else {
             let ops0 = self.disks.stats().parallel_ops;
-            let pending = self.ctx.submit_read_group(self.disks, shape.region(batch), n);
+            let region = shape.region(batch);
+            let pending = self.ctx.submit_read_group(self.disks, region, n, &mut self.block_pool);
             self.phases.fetch_ctx += self.disks.stats().parallel_ops - ops0;
             Some(pending?)
         };
         let msgs = if shape.p == 1 {
             let ops0 = self.disks.stats().parallel_ops;
-            let pending =
-                submit_fetch_batch_raw_blocks(self.disks, &self.geom, &self.counts, batch);
+            let pending = submit_fetch_batch_raw_blocks(
+                self.disks,
+                &self.geom,
+                &self.counts,
+                batch,
+                &mut self.block_pool,
+            );
             self.phases.fetch_msg += self.disks.stats().parallel_ops - ops0;
             Some(pending?)
         } else {
@@ -1117,7 +1140,13 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             let ops0 = self.disks.stats().parallel_ops;
             let blocks = match pending_msgs {
                 Some(pending) => Ok(pending),
-                None => submit_fetch_batch_raw_blocks(self.disks, &self.geom, &self.counts, batch),
+                None => submit_fetch_batch_raw_blocks(
+                    self.disks,
+                    &self.geom,
+                    &self.counts,
+                    batch,
+                    &mut self.block_pool,
+                ),
             }
             .and_then(PendingRawBlocks::join);
             self.phases.fetch_msg += self.disks.stats().parallel_ops - ops0;
@@ -1157,8 +1186,10 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
     /// and join the round's contexts — fetched in one fully-striped batch
     /// (the `k` regions of a round are consecutive on this worker). A
     /// pipelined run submitted (and counted) the read before the
-    /// block-forwarding exchange; only the join happens here. Returns the
-    /// round's virtual processors, ready to run, in pid order.
+    /// block-forwarding exchange; only the join happens here. The delivered
+    /// blocks' buffers — read on this worker or forwarded to it — join this
+    /// worker's block pool. Returns the round's virtual processors, ready
+    /// to run, in pid order.
     fn deliver(
         &mut self,
         batch: usize,
@@ -1170,16 +1201,18 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         let mut work: Vec<VpWork<P::Msg>> =
             pids.clone().map(|pid| VpWork::new(pid, Vec::new())).collect();
         fill_inboxes(&my_blocks, pids.clone(), &mut self.stream_buf, &mut work)?;
+        self.block_pool.put_all(my_blocks.into_iter().map(|block| block.bytes));
         let ctx_bufs = if pids.is_empty() {
             Vec::new()
         } else if let Some(pending) = pending_ctx {
-            pending.join_into(&mut self.ctx_pool)?
+            pending.join_into(&mut self.ctx_pool, &mut self.block_pool)?
         } else {
             let ops0 = self.disks.stats().parallel_ops;
             let region = self.env.shape.region(batch);
-            let pending = self.ctx.submit_read_group(self.disks, region, pids.len());
+            let pending =
+                self.ctx.submit_read_group(self.disks, region, pids.len(), &mut self.block_pool);
             self.phases.fetch_ctx += self.disks.stats().parallel_ops - ops0;
-            pending?.join_into(&mut self.ctx_pool)?
+            pending?.join_into(&mut self.ctx_pool, &mut self.block_pool)?
         };
         for (w, ctx) in work.iter_mut().zip(ctx_bufs) {
             w.ctx = ctx;
@@ -1232,12 +1265,18 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             let ops0 = self.disks.stats().parallel_ops;
             let written = self
                 .ctx
-                .submit_write_group(self.disks, shape.region(batch), &new_states, &mut att.backlog)
+                .submit_write_group(
+                    self.disks,
+                    shape.region(batch),
+                    &new_states,
+                    &mut att.backlog,
+                    &mut self.ctx_pool,
+                )
                 .and_then(|()| self.settle(&mut att.backlog));
             self.phases.write_ctx += self.disks.stats().parallel_ops - ops0;
             written?;
         }
-        // The submitted stripes hold their own copies of the bytes.
+        // The array copied or wrote the bytes at submission.
         self.ctx_pool.put_all(new_states);
 
         // One stream per (this producer, destination batch·owner), so
@@ -1484,14 +1523,18 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
 
     /// Read the final contexts back (batched per round) and hand over this
     /// worker's meters.
-    fn finish(self) -> EmResult<WorkerOutput<P::State>> {
+    fn finish(mut self) -> EmResult<WorkerOutput<P::State>> {
         let shape = self.env.shape;
         let mut states = Vec::with_capacity(shape.owned(self.i));
         for batch in 0..shape.num_batches {
             let n = shape.pids(self.i, batch).len();
             if n > 0 {
-                for buf in self.ctx.read_group(self.disks, shape.region(batch), n)? {
+                let region = shape.region(batch);
+                let pending =
+                    self.ctx.submit_read_group(self.disks, region, n, &mut self.block_pool)?;
+                for buf in pending.join_into(&mut self.ctx_pool, &mut self.block_pool)? {
                     states.push(from_bytes::<P::State>(&buf)?);
+                    self.ctx_pool.put(buf);
                 }
             }
         }
@@ -1877,5 +1920,69 @@ mod tests {
         assert_eq!(a.ledger, b.ledger);
         assert_eq!(ra.io.parallel_ops, rb.io.parallel_ops);
         std::fs::remove_dir_all(&base_dir).ok();
+    }
+
+    /// Drive one worker of a `p = 1` run phase by phase over `v` virtual
+    /// processors for three supersteps, checking each round's `deliver`
+    /// against its block pool; returns both pools' lengths after load and
+    /// after every superstep.
+    fn pool_lengths(v: usize) -> Vec<(usize, usize)> {
+        let sim = ParEmSimulator::new(machine(1, 256, 2, 64)).with_seed(5);
+        let cfg = &sim.cfg;
+        let gamma = DIFFUSE.max_comm_bytes().max(MSG_HEADER_BYTES);
+        let shape = Shape::new(&cfg.machine, v, DIFFUSE.max_state_bytes(), gamma).unwrap();
+        let env = RunEnv {
+            prog: &DIFFUSE,
+            cfg,
+            shape,
+            fault_stats: None,
+            start_step: 0,
+            step_limit: cfg.max_supersteps,
+            shared: Shared::new(RunGlobals::default()),
+        };
+        let mut disks = cfg.build_disks().unwrap();
+        let mut w = Worker::new(&env, 0, &mut disks[0], Inline).unwrap();
+        w.load(WorkerStart::Fresh((0..v as u64).collect())).unwrap();
+        let mut lengths = vec![(w.ctx_pool.len(), w.block_pool.len())];
+        for step in 0..3 {
+            let mut att = w.begin_attempt(step);
+            for batch in 0..shape.num_batches {
+                let pids = shape.pids(0, batch);
+                let (pending_ctx, my_blocks) = w.fetch_and_forward(&mut att, batch);
+                assert!(pending_ctx.is_none(), "unpipelined: deliver reads the contexts");
+                assert_eq!(my_blocks.is_empty(), step == 0, "step {step}: messages to deliver");
+                // `deliver` pools the message blocks, then borrows the
+                // context read's blocks from the pool and returns them.
+                let ctx_blocks = pids.len() * w.ctx.blocks_per_context();
+                let after = (w.block_pool.len() + my_blocks.len()).max(ctx_blocks);
+                let work = w.deliver(batch, &pids, pending_ctx, my_blocks).unwrap();
+                assert_eq!(w.block_pool.len(), after, "step {step}, round {batch}: block lost");
+                let states = w.compute(step, work).unwrap();
+                let bundles = w.write_back(&mut att, batch, &pids, states).unwrap();
+                w.exchange_and_store(&mut att, bundles);
+            }
+            w.reorganize(att);
+            assert!(w.zombie.is_none(), "step {step}: {:?}", w.zombie);
+            lengths.push((w.ctx_pool.len(), w.block_pool.len()));
+        }
+        lengths
+    }
+
+    /// Each of a worker's pools holds about one round's buffers — however
+    /// many virtual processors it owns, however many supersteps it runs
+    /// (DESIGN §3.2.5): load encodes the input into the context pool's
+    /// buffers and gives them back group by group, and every block a round
+    /// delivers returns to the block pool. The block pool's largest lend is
+    /// Algorithm 2's window, which these runs fill (at `v = 16` a
+    /// superstep moves fewer blocks than a window, so it holds fewer).
+    #[test]
+    fn worker_pools_hold_one_rounds_buffers() {
+        let (small, large) = (pool_lengths(128), pool_lengths(512));
+        let k = 2;
+        assert_eq!(small[0], (k + 1, 0), "load: one group's contexts and the staging buffer");
+        assert_eq!(small, large, "the pools grew with the input");
+        let window = crate::routing::WINDOW_BLOCKS;
+        assert_eq!(small[1..], [(k + 1, window); 3], "the pools grew with the supersteps");
+        assert!(pool_lengths(16).iter().all(|&(c, b)| c == k + 1 && b < window));
     }
 }

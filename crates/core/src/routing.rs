@@ -85,7 +85,7 @@ struct PlanEntry {
 /// needs `O(D·B)` — one round; the window is a constant number of blocks
 /// more, never more than one group's message budget (which the Fetching
 /// Phase holds in memory anyway) and never less than one round.
-const WINDOW_BLOCKS: usize = 64;
+pub(crate) const WINDOW_BLOCKS: usize = 64;
 
 /// Reusable bookkeeping for [`simulate_routing`]: the per-bucket plan
 /// buffers and the location lists of the window being moved.

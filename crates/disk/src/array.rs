@@ -588,9 +588,9 @@ impl DiskArray {
     /// Submit one parallel write — store at most one track on each listed
     /// drive — and return a joinable ticket without waiting:
     /// [`DiskArray::submit_write_batch`] for a batch of one stripe.
-    pub fn submit_write_stripe(
+    pub fn submit_write_stripe<T: AsRef<[u8]>>(
         &mut self,
-        writes: &[(usize, usize, Block)],
+        writes: &[(usize, usize, T)],
     ) -> DiskResult<WriteStripeTicket> {
         self.submit_write_batch(&[writes.len()], writes)
     }
@@ -617,17 +617,67 @@ impl DiskArray {
     /// per-drive operation index: then the batch goes down one stripe per
     /// call, so every drive sees first attempts, retries and pre-image
     /// reads in exactly the order stripe-at-a-time submission gives them.
+    ///
+    /// The blocks land in buffers the array allocates, one per track;
+    /// [`DiskArray::submit_read_batch_into`] is the same call into buffers
+    /// the caller lends.
     pub fn submit_read_batch(
         &mut self,
         stripes: &[usize],
         addrs: &[(usize, usize)],
     ) -> DiskResult<ReadStripeTicket> {
+        self.submit_read_batch_into(stripes, addrs, Vec::new())
+    }
+
+    /// [`DiskArray::submit_read_batch`] into buffers lent by the caller, the
+    /// way [`DiskArray::move_batch`] takes them: `lent[i]` receives track
+    /// `i`, each buffer is resized to exactly `B` bytes and overwritten, and
+    /// [`ReadStripeTicket::join_bufs`] hands them back filled, in request
+    /// order — so a caller that recycles them reads without allocating per
+    /// block. Lending fewer buffers than tracks is allowed: the array
+    /// supplies the rest (lending none is [`DiskArray::submit_read_batch`]).
+    /// Lending more is rejected like every other malformed request — with
+    /// [`DiskError::InvalidConfig`], before anything is submitted or
+    /// counted.
+    ///
+    /// ```
+    /// use em_disk::{Block, DiskArray, DiskConfig};
+    ///
+    /// let mut arr = DiskArray::new_memory(DiskConfig::new(2, 8).unwrap());
+    /// arr.write_stripe(&[(0, 0, Block::from_vec(vec![1; 8])), (1, 0, Block::from_vec(vec![2; 8]))])
+    ///     .unwrap();
+    /// // One buffer from an earlier read, one empty: both come back `B` long.
+    /// let lent = vec![vec![9; 8], Vec::with_capacity(8)];
+    /// let bufs = arr.submit_read_batch_into(&[2], &[(1, 0), (0, 0)], lent)?.join_bufs()?;
+    /// assert_eq!(bufs, [[2; 8], [1; 8]]);
+    /// # Ok::<(), em_disk::DiskError>(())
+    /// ```
+    pub fn submit_read_batch_into(
+        &mut self,
+        stripes: &[usize],
+        addrs: &[(usize, usize)],
+        mut lent: Vec<Vec<u8>>,
+    ) -> DiskResult<ReadStripeTicket> {
         self.validate_batch(stripes, addrs.iter().map(|&(d, _)| d))?;
+        if lent.len() > addrs.len() {
+            return Err(DiskError::InvalidConfig("a read takes at most one lent buffer per track"));
+        }
+        lent.resize_with(addrs.len(), Vec::new);
+        for buf in &mut lent {
+            buf.resize(self.cfg.block_bytes, 0);
+        }
         let mut ticket = ReadTicket::ready(Ok(Vec::new()));
         let mut at = 0;
         for call in stripes.chunks(self.stripes_per_call(stripes.len())) {
             let part = &addrs[at..at + call.iter().sum::<usize>()];
-            let submitted = self.backend.submit_read_batch(call, part, self.cfg.block_bytes);
+            // The last call takes what is left; only a fault layer's
+            // stripe-by-stripe calls split the buffers.
+            let bufs = if at + part.len() == addrs.len() {
+                std::mem::take(&mut lent)
+            } else {
+                lent.drain(..part.len()).collect()
+            };
+            let submitted = self.backend.submit_read_batch(call, part, bufs);
             // Until a track has been submitted there is nothing to report.
             ticket = if at == 0 { submitted } else { ticket.followed_by(submitted) };
             at += part.len();
@@ -640,23 +690,26 @@ impl DiskArray {
     /// joinable ticket without waiting (same arguments and the same
     /// validate-everything-then-count-at-submission contract as
     /// [`DiskArray::submit_read_batch`]).
-    pub fn submit_write_batch(
+    ///
+    /// Each track's bytes are anything that is a `[u8]` of exactly `B`
+    /// bytes — a [`Block`], a `Vec<u8>`, or a slice of the caller's own
+    /// buffer — and are copied or written before this returns, so the
+    /// caller may reuse its memory as soon as it has the ticket.
+    pub fn submit_write_batch<T: AsRef<[u8]>>(
         &mut self,
         stripes: &[usize],
-        writes: &[(usize, usize, Block)],
+        writes: &[(usize, usize, T)],
     ) -> DiskResult<WriteStripeTicket> {
         self.validate_batch(stripes, writes.iter().map(|(d, _, _)| *d))?;
-        for (disk, track, block) in writes {
-            if block.len() != self.cfg.block_bytes {
-                return Err(DiskError::BadBlockSize {
-                    expected: self.cfg.block_bytes,
-                    got: block.len(),
-                });
+        for (disk, track, data) in writes {
+            let got = data.as_ref().len();
+            if got != self.cfg.block_bytes {
+                return Err(DiskError::BadBlockSize { expected: self.cfg.block_bytes, got });
             }
             self.check_capacity(*disk, *track)?;
         }
         let tracks: Vec<(usize, usize, &[u8])> =
-            writes.iter().map(|(d, t, b)| (*d, *t, b.as_bytes())).collect();
+            writes.iter().map(|(d, t, data)| (*d, *t, data.as_ref())).collect();
         let mut ticket = WriteTicket::ready(Ok(()));
         let mut at = 0;
         for call in stripes.chunks(self.stripes_per_call(stripes.len())) {
@@ -687,7 +740,7 @@ impl DiskArray {
     /// before any byte is submitted, so a rejected stripe leaves both the
     /// backend and the counters untouched. Equivalent to
     /// [`DiskArray::submit_write_stripe`] followed by an immediate join.
-    pub fn write_stripe(&mut self, writes: &[(usize, usize, Block)]) -> DiskResult<()> {
+    pub fn write_stripe<T: AsRef<[u8]>>(&mut self, writes: &[(usize, usize, T)]) -> DiskResult<()> {
         self.submit_write_stripe(writes)?.join()
     }
 
@@ -821,10 +874,10 @@ impl Drop for TicketGuard {
 /// of a batch of stripes.
 ///
 /// The operation was already validated and counted by
-/// [`DiskArray::submit_read_batch`]; `join` waits for the transfers (a
+/// [`DiskArray::submit_read_batch_into`]; `join` waits for the transfers (a
 /// no-op on synchronous backends) and returns the blocks in request
-/// order, or the deferred error of the first failing track in request
-/// order.
+/// order — `join_bufs` the buffers they landed in — or the deferred error
+/// of the first failing track in request order.
 ///
 /// A ticket must be joined — or explicitly dropped, which abandons the
 /// result — before the issuing array's next barrier
@@ -838,7 +891,15 @@ pub struct ReadStripeTicket {
 impl ReadStripeTicket {
     /// Wait for the submitted transfers and return the blocks.
     pub fn join(self) -> DiskResult<Vec<Block>> {
-        Ok(self.ticket.join()?.into_iter().map(Block::from_vec).collect())
+        Ok(self.join_bufs()?.into_iter().map(Block::from_vec).collect())
+    }
+
+    /// Wait for the submitted transfers and hand back the buffers they
+    /// landed in — those lent to [`DiskArray::submit_read_batch_into`], then
+    /// any the array supplied — each exactly `B` bytes, in request order.
+    /// On an error the buffers are dropped with the result.
+    pub fn join_bufs(self) -> DiskResult<Vec<Vec<u8>>> {
+        self.ticket.join()
     }
 }
 
@@ -972,12 +1033,25 @@ mod tests {
         assert!((a.stats().utilization() - 1.0 / 8.0).abs() < 1e-12);
     }
 
+    /// How [`consecutive_workload`] hands its transfers to the array.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Transfers {
+        /// `write_stripe` and `read_stripe`, one stripe at a time.
+        Stripes,
+        /// One `submit_write_batch` of `Block`s and one `submit_read_batch`
+        /// per run of regions.
+        Batches,
+        /// The same batches, writing slices of one buffer and reading into
+        /// lent buffers: stale, empty and over-long ones, and one too few.
+        Lent,
+    }
+
     /// A consecutive-format workload — ragged first and last stripes,
     /// overwrites, a committed and a rolled-back recovery epoch, reads that
     /// cross never-written tracks (inside the files and past their ends) —
-    /// issued either as batches or stripe by stripe. Returns every byte
-    /// read and the counters.
-    fn consecutive_workload(a: &mut DiskArray, batched: bool) -> (Vec<u8>, IoStats) {
+    /// issued as `how` says. Returns every byte read, the rolled-back
+    /// epoch's pre-images in capture order, and the counters.
+    fn consecutive_workload(a: &mut DiskArray, how: Transfers) -> (Vec<u8>, IoStats) {
         use crate::ConsecutiveLayout;
         let (d, b) = (a.num_disks(), a.block_bytes());
         // Three blocks per region on four drives: no region starts or ends
@@ -992,31 +1066,59 @@ mod tests {
                     (disk, track, Block::from_vec(vec![if i == 4 { 0 } else { fill }; b]))
                 })
                 .collect();
-            if batched {
-                a.submit_write_batch(&stripes, &writes).unwrap().join().unwrap();
-            } else {
-                let mut at = 0;
-                for len in stripes {
-                    a.write_stripe(&writes[at..at + len]).unwrap();
-                    at += len;
+            match how {
+                Transfers::Stripes => {
+                    let mut at = 0;
+                    for len in stripes {
+                        a.write_stripe(&writes[at..at + len]).unwrap();
+                        at += len;
+                    }
+                }
+                Transfers::Batches => {
+                    a.submit_write_batch(&stripes, &writes).unwrap().join().unwrap()
+                }
+                Transfers::Lent => {
+                    let staged: Vec<u8> =
+                        writes.iter().flat_map(|w| w.2.as_bytes()).copied().collect();
+                    let slices: Vec<(usize, usize, &[u8])> = (addrs.iter().zip(staged.chunks(b)))
+                        .map(|(&(disk, track), chunk)| (disk, track, chunk))
+                        .collect();
+                    a.submit_write_batch(&stripes, &slices).unwrap().join().unwrap();
                 }
             }
         };
         let read = |a: &mut DiskArray, first: usize, count: usize, out: &mut Vec<u8>| {
             let (stripes, addrs) = layout.batch(first, count);
-            let blocks = if batched {
-                a.submit_read_batch(&stripes, &addrs).unwrap().join().unwrap()
-            } else {
-                let mut at = 0;
-                (stripes.iter())
-                    .flat_map(|&len| {
-                        at += len;
-                        a.read_stripe(&addrs[at - len..at]).unwrap()
-                    })
-                    .collect()
+            let bufs: Vec<Vec<u8>> = match how {
+                Transfers::Stripes => {
+                    let mut at = 0;
+                    (stripes.iter())
+                        .flat_map(|&len| {
+                            at += len;
+                            a.read_stripe(&addrs[at - len..at]).unwrap()
+                        })
+                        .map(Block::into_vec)
+                        .collect()
+                }
+                Transfers::Batches => {
+                    let blocks = a.submit_read_batch(&stripes, &addrs).unwrap().join().unwrap();
+                    blocks.into_iter().map(Block::into_vec).collect()
+                }
+                Transfers::Lent => {
+                    let lent = (1..addrs.len())
+                        .map(|i| match i % 3 {
+                            0 => vec![0xEE; b],
+                            1 => Vec::new(),
+                            _ => vec![0x11; 2 * b],
+                        })
+                        .collect();
+                    let ticket = a.submit_read_batch_into(&stripes, &addrs, lent).unwrap();
+                    ticket.join_bufs().unwrap()
+                }
             };
-            assert_eq!(blocks.len(), addrs.len());
-            out.extend(blocks.iter().flat_map(|block| block.as_bytes().iter().copied()));
+            assert_eq!(bufs.len(), addrs.len());
+            assert!(bufs.iter().all(|buf| buf.len() == b));
+            out.extend(bufs.concat());
         };
         let mut bytes = Vec::new();
         write(a, 1, 5, 0x40);
@@ -1029,6 +1131,11 @@ mod tests {
         write(a, 4, 6, 0x20);
         write(a, 4, 1, 0x21); // second write to journaled tracks
         read(a, 3, 4, &mut bytes);
+        let journal = a.journal.as_ref().expect("an epoch is open");
+        for key in &journal.order {
+            bytes.extend([key.0 as u8, key.1 as u8]);
+            bytes.extend(&journal.pre[key]);
+        }
         a.rollback_recovery_epoch().unwrap();
         read(a, 0, 12, &mut bytes);
         a.sync().unwrap();
@@ -1047,9 +1154,10 @@ mod tests {
             if checksums {
                 cfg = cfg.with_retry(RetryPolicy::default());
             }
-            let reference = consecutive_workload(&mut DiskArray::new_memory(cfg), false);
+            let reference =
+                consecutive_workload(&mut DiskArray::new_memory(cfg), Transfers::Stripes);
             assert!(reference.1.recovery_ops > 0 && reference.0.iter().any(|&x| x != 0));
-            let batched = consecutive_workload(&mut DiskArray::new_memory(cfg), true);
+            let batched = consecutive_workload(&mut DiskArray::new_memory(cfg), Transfers::Batches);
             assert_eq!(batched, reference, "memory, checksums {checksums}");
 
             for mode in [IoMode::Serial, IoMode::Parallel] {
@@ -1061,8 +1169,16 @@ mod tests {
                 let mut by_stripe = DiskArray::new_file(cfg, dir("s")).unwrap();
                 let mut by_batch = DiskArray::new_file(cfg, dir("b")).unwrap();
                 let what = format!("file {mode:?}, checksums {checksums}");
-                assert_eq!(consecutive_workload(&mut by_stripe, false), reference, "{what}");
-                assert_eq!(consecutive_workload(&mut by_batch, true), reference, "{what}");
+                assert_eq!(
+                    consecutive_workload(&mut by_stripe, Transfers::Stripes),
+                    reference,
+                    "{what}"
+                );
+                assert_eq!(
+                    consecutive_workload(&mut by_batch, Transfers::Batches),
+                    reference,
+                    "{what}"
+                );
                 assert_eq!(drive_files(&dir("b")), drive_files(&dir("s")), "{what}: drive bytes");
                 for disk in 0..4 {
                     assert_eq!(by_batch.tracks_used(disk), by_stripe.tracks_used(disk), "{what}");
@@ -1102,24 +1218,163 @@ mod tests {
         assert_eq!(a.stats().parallel_ops, 2);
     }
 
+    /// Reads into lent buffers and writes of slices move the bytes, make
+    /// the errors, count the operations and journal the pre-images that
+    /// reads into fresh buffers and writes of `Block`s do, on every stack:
+    /// memory, checksummed and retried, behind a cache that holds the
+    /// working set and one that spills, files in both I/O modes (plain —
+    /// the threaded engine's own lent path — and checksummed and retried),
+    /// and a tenant's region of shared media. The fault-plan stack is
+    /// `under_a_fault_plan_a_batch_goes_down_stripe_by_stripe`'s.
+    #[test]
+    fn lent_reads_and_slice_writes_equal_block_ones_on_every_stack() {
+        use crate::{IoMode, RetryPolicy, SharedDiskSubstrate};
+        let plain = DiskConfig::new(4, 32).unwrap();
+        let sealed = plain.with_checksums(true).with_retry(RetryPolicy::default());
+        let both = |a: &mut DiskArray, b: &mut DiskArray, what: &str| {
+            let blocks = consecutive_workload(a, Transfers::Batches);
+            assert!(blocks.1.recovery_ops > 0 && blocks.0.iter().any(|&x| x != 0), "{what}");
+            assert_eq!(consecutive_workload(b, Transfers::Lent), blocks, "{what}");
+        };
+        for cfg in [plain, sealed, sealed.with_cache(64 * 32), sealed.with_cache(5 * 32)] {
+            let what = format!("memory, {cfg:?}");
+            both(&mut DiskArray::new_memory(cfg), &mut DiskArray::new_memory(cfg), &what);
+        }
+
+        let pid = std::process::id();
+        for mode in [IoMode::Serial, IoMode::Parallel] {
+            for cfg in [plain, sealed] {
+                let what = format!("file {mode:?}, checksums {}", cfg.checksums);
+                let dir = |tag: &str| {
+                    std::env::temp_dir()
+                        .join(format!("em-array-lent-{tag}-{mode:?}-{}-{pid}", cfg.checksums))
+                };
+                let cfg = cfg.with_io_mode(mode);
+                let mut by_blocks = DiskArray::new_file(cfg, dir("b")).unwrap();
+                let mut by_lent = DiskArray::new_file(cfg, dir("l")).unwrap();
+                both(&mut by_blocks, &mut by_lent, &what);
+                for disk in 0..4 {
+                    let file = format!("disk-{disk}.bin");
+                    assert_eq!(
+                        std::fs::read(dir("l").join(&file)).unwrap(),
+                        std::fs::read(dir("b").join(&file)).unwrap(),
+                        "{what}: drive {disk} bytes"
+                    );
+                    assert_eq!(by_lent.tracks_used(disk), by_blocks.tracks_used(disk), "{what}");
+                }
+                drop((by_blocks, by_lent));
+                std::fs::remove_dir_all(dir("b")).ok();
+                std::fs::remove_dir_all(dir("l")).ok();
+            }
+        }
+
+        let shared = SharedDiskSubstrate::new(4, 64);
+        for cfg in [plain, sealed] {
+            let tenant = || {
+                let region = shared.region(shared.reserve_region(16).unwrap(), 16);
+                DiskArray::with_backend(cfg, Box::new(region))
+            };
+            let (mut by_blocks, mut by_lent) = (tenant(), tenant());
+            both(&mut by_blocks, &mut by_lent, &format!("region, checksums {}", cfg.checksums));
+        }
+    }
+
+    #[test]
+    fn a_lent_read_takes_a_buffer_a_track_at_most_and_its_ticket_holds_the_barrier() {
+        let mut a = array(2, 8).with_capacity_limit(4);
+        a.write_stripe(&[(0, 0, [1u8; 8]), (1, 0, [2u8; 8])]).unwrap();
+        let written = a.stats().clone();
+        let addrs = [(0, 0), (1, 0)];
+        // A buffer more than tracks, and a short slice to write: rejected
+        // before anything reaches the backend or the counters.
+        assert!(matches!(
+            a.submit_read_batch_into(&[2], &addrs, vec![vec![0; 8]; 3]).err(),
+            Some(DiskError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            a.submit_read_batch_into(&[2], &[(1, 0), (1, 1)], vec![vec![0; 8]; 2]).err(),
+            Some(DiskError::StripeConflict { disk: 1 })
+        ));
+        assert!(matches!(
+            a.write_stripe(&[(0, 1, &[7u8; 8][..]), (1, 1, &[7u8; 7][..])]),
+            Err(DiskError::BadBlockSize { expected: 8, got: 7 })
+        ));
+        assert_eq!(a.stats(), &written, "rejected transfers must not count");
+        assert_eq!((a.tracks_used(0), a.tracks_used(1)), (1, 1));
+        // A lent ticket is in the barrier census like any other.
+        let lent = vec![vec![0xEE; 8], Vec::with_capacity(8)];
+        let at: Vec<*const u8> = lent.iter().map(|buf| buf.as_ptr()).collect();
+        let ticket = a.submit_read_batch_into(&[2], &addrs, lent).unwrap();
+        assert!(matches!(a.sync(), Err(DiskError::UnjoinedTickets { outstanding: 1 })));
+        assert!(matches!(
+            a.begin_recovery_epoch(),
+            Err(DiskError::UnjoinedTickets { outstanding: 1 })
+        ));
+        let bufs = ticket.join_bufs().unwrap();
+        assert_eq!(bufs, [[1u8; 8], [2u8; 8]]);
+        assert_eq!(bufs[0].as_ptr(), at[0], "the lent buffer, not a copy, comes back");
+        a.sync().unwrap();
+        assert_eq!(a.stats().parallel_ops, written.parallel_ops + 1);
+    }
+
+    /// On the threaded engine a lent read is in flight until it is joined:
+    /// joined after later submissions — a write over the same tracks and a
+    /// read of them — it still returns what the drives held when it was
+    /// submitted (each drive serves its commands in order), in the buffers
+    /// it was lent.
+    #[test]
+    fn a_lent_read_on_the_threaded_engine_lands_in_its_buffers_when_joined() {
+        use crate::IoMode;
+        let dir = std::env::temp_dir().join(format!("em-array-lent-async-{}", std::process::id()));
+        let cfg = DiskConfig::new(3, 16).unwrap().with_io_mode(IoMode::Parallel);
+        let mut a = DiskArray::new_file(cfg, &dir).unwrap();
+        let old: Vec<(usize, usize, [u8; 16])> =
+            (0..6).map(|g| (g % 3, 2 + g / 3, [g as u8 + 1; 16])).collect();
+        a.submit_write_batch(&[3, 3], &old).unwrap().join().unwrap();
+        let addrs: Vec<(usize, usize)> =
+            old.iter().map(|&(disk, track, _)| (disk, track)).collect();
+        let lent = vec![vec![0xEE; 16]; 6];
+        let at: Vec<*const u8> = lent.iter().map(|buf| buf.as_ptr()).collect();
+        let first = a.submit_read_batch_into(&[3, 3], &addrs, lent).unwrap();
+        let new = [0x77u8; 16];
+        let writes: Vec<(usize, usize, &[u8])> =
+            addrs.iter().map(|&(disk, track)| (disk, track, &new[..])).collect();
+        let write = a.submit_write_batch(&[3, 3], &writes).unwrap();
+        let again = a.submit_read_batch_into(&[3, 3], &addrs, Vec::new()).unwrap();
+        write.join().unwrap();
+        assert!(again.join_bufs().unwrap().iter().all(|buf| buf == &new));
+        let got = first.join_bufs().unwrap();
+        for (g, buf) in got.iter().enumerate() {
+            assert_eq!(buf, &[g as u8 + 1; 16], "block {g}");
+            assert_eq!(buf.as_ptr(), at[g], "block {g} in its lent buffer");
+        }
+        a.sync().unwrap();
+        assert_eq!(a.stats().parallel_ops, 2 * 4);
+        drop(a);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn under_a_fault_plan_a_batch_goes_down_stripe_by_stripe() {
         use crate::{FaultPlan, RetryPolicy};
-        // The same seeded plan against the same workload, batched and
-        // stripe by stripe: the per-drive attempt order — and so which
-        // transfer each scheduled fault hits — must not depend on batching.
+        // The same seeded plan against the same workload, batched — into
+        // lent buffers or not — and stripe by stripe: the per-drive attempt
+        // order — and so which transfer each scheduled fault hits — must
+        // not depend on batching, and lent buffers split and re-join
+        // across the batch's per-stripe calls.
         let cfg =
             DiskConfig::new(4, 32).unwrap().with_checksums(true).with_retry(RetryPolicy::new(8));
-        let run = |batched: bool| {
+        let run = |how: Transfers| {
             let plan = FaultPlan::seeded(0xBA7C, 4, 400, 60);
             let stats = plan.stats();
             let mut a = DiskArray::new_memory_with_faults(cfg, Some(plan));
-            let out = consecutive_workload(&mut a, batched);
+            let out = consecutive_workload(&mut a, how);
             (out, stats.counts(), a.fault_op_counts())
         };
-        let (by_stripe, by_batch) = (run(false), run(true));
+        let by_stripe = run(Transfers::Stripes);
         assert!(by_stripe.1.total() > 0 && by_stripe.0 .1.retried_blocks > 0);
-        assert_eq!(by_batch, by_stripe);
+        assert_eq!(run(Transfers::Batches), by_stripe);
+        assert_eq!(run(Transfers::Lent), by_stripe);
 
         // A burst that exhausts a 3-attempt budget only when one track
         // takes all of it: drive 0's operations 1, 2 and 3. Stripe by
@@ -1150,6 +1405,16 @@ mod tests {
             let joined = a.submit_read_batch(&[2, 2, 2], &addrs).unwrap().join();
             assert!(matches!(joined, Err(DiskError::WorkerIo { disk: 1, .. })), "op {failing_op}");
             assert_eq!(a.submit_read_batch(&[2, 2, 2], &addrs).unwrap().join().unwrap().len(), 6);
+            let plan = FaultPlan::none().with_transient(1, failing_op);
+            let mut lent = DiskArray::new_memory_with_faults(cfg, Some(plan));
+            let joined =
+                lent.submit_read_batch_into(&[2, 2, 2], &addrs, vec![vec![0; 8]; 6]).unwrap();
+            let joined = joined.join_bufs();
+            assert!(matches!(joined, Err(DiskError::WorkerIo { disk: 1, .. })), "op {failing_op}");
+            let bufs = lent.submit_read_batch_into(&[2, 2, 2], &addrs, Vec::new()).unwrap();
+            assert_eq!(bufs.join_bufs().unwrap().len(), 6);
+            assert_eq!(lent.stats(), a.stats(), "op {failing_op}");
+            assert_eq!(lent.fault_op_counts(), a.fault_op_counts(), "op {failing_op}");
             let plan = FaultPlan::none().with_transient(1, failing_op);
             let mut a = DiskArray::new_memory_with_faults(cfg, Some(plan));
             let joined = a.submit_write_batch(&[2, 2, 2], &writes).unwrap().join();
@@ -1411,7 +1676,7 @@ mod tests {
     fn empty_stripe_is_free() {
         let mut a = array(2, 8);
         assert!(a.read_stripe(&[]).unwrap().is_empty());
-        a.write_stripe(&[]).unwrap();
+        a.write_stripe::<Block>(&[]).unwrap();
         assert_eq!(a.stats().parallel_ops, 0);
     }
 

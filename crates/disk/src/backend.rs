@@ -54,6 +54,13 @@ use std::path::{Path, PathBuf};
 /// [`DiskBackend::read_stripe`] / [`DiskBackend::write_stripe`] are the
 /// merged view — `Ok` when every track succeeded, else the error of the
 /// first failing track in request order — and are never overridden.
+///
+/// Bytes never pass through a backend in buffers it made. A read fills
+/// buffers its caller lends — slices for the `_each` entry points, owned
+/// `Vec`s for [`DiskBackend::submit_read_batch`], whose ticket hands the
+/// same `Vec`s back at join — and a write reads slices of its caller's
+/// memory, copying them (the threaded engine) or consuming them (every
+/// synchronous layer) before the submission returns.
 pub trait DiskBackend: Send {
     /// Number of drives this backend was created with.
     fn num_disks(&self) -> usize;
@@ -142,23 +149,28 @@ pub trait DiskBackend: Send {
         first_failure(self.write_stripe_each(writes)).map(drop)
     }
 
-    /// Submit a batch read (see [`DiskBackend::read_batch_each`] for the
-    /// arguments) and return a joinable ticket.
+    /// Submit a batch read (see [`DiskBackend::read_batch_each`] for
+    /// `stripes` and `addrs`) into `lent` — one buffer per track, each
+    /// exactly one block long, lent by the array's caller — and return a
+    /// joinable ticket. A successful [`ReadTicket::join`] hands the same
+    /// buffers back, track `i`'s bytes in `lent[i]`; nothing is allocated
+    /// per track.
     ///
-    /// The default implementation executes the batch synchronously and
-    /// wraps the outcome in an already-completed ticket, so every backend
-    /// supports the submission API; backends with real asynchrony (the
-    /// file backend's engines) override this to return with the transfers
-    /// still in flight. Submission itself never fails — validation happens
-    /// in the array front-end before this is called, and I/O errors are
-    /// deferred to [`ReadTicket::join`].
+    /// The default implementation reads the batch into `lent` synchronously
+    /// and wraps the outcome in an already-completed ticket, so every
+    /// backend supports the submission API; backends with real asynchrony
+    /// (the file backend's threaded engine) override this to return with
+    /// the transfers still in flight, keeping `lent` in the ticket until the
+    /// join copies each track in. Submission itself never fails —
+    /// validation happens in the array front-end before this is called, and
+    /// I/O errors are deferred to [`ReadTicket::join`].
     fn submit_read_batch(
         &mut self,
         stripes: &[usize],
         addrs: &[(usize, usize)],
-        block_bytes: usize,
+        lent: Vec<Vec<u8>>,
     ) -> ReadTicket {
-        read_batch_now(self, stripes, addrs, block_bytes)
+        read_batch_now(self, stripes, addrs, lent)
     }
 
     /// Submit a batch write and return a joinable ticket (same contract
@@ -232,19 +244,18 @@ pub trait DiskBackend: Send {
     }
 }
 
-/// Execute a batch read on the calling thread and wrap the merged outcome
-/// in an already-completed ticket — what submission means on a backend
-/// with nothing in flight.
+/// Execute a batch read into the lent buffers on the calling thread and
+/// wrap the merged outcome in an already-completed ticket — what submission
+/// means on a backend with nothing in flight.
 fn read_batch_now<B: DiskBackend + ?Sized>(
     backend: &mut B,
     stripes: &[usize],
     addrs: &[(usize, usize)],
-    block_bytes: usize,
+    mut lent: Vec<Vec<u8>>,
 ) -> ReadTicket {
-    let mut data: Vec<Vec<u8>> = addrs.iter().map(|_| vec![0u8; block_bytes]).collect();
-    let mut bufs: Vec<&mut [u8]> = data.iter_mut().map(Vec::as_mut_slice).collect();
+    let mut bufs: Vec<&mut [u8]> = lent.iter_mut().map(Vec::as_mut_slice).collect();
     let res = first_failure(backend.read_batch_each(stripes, addrs, &mut bufs));
-    ReadTicket::ready(res.map(|_| data))
+    ReadTicket::ready(res.map(|_| lent))
 }
 
 /// One outcome per track of a stripe or a batch, in request order (see
@@ -293,9 +304,9 @@ impl<B: DiskBackend + ?Sized> DiskBackend for Box<B> {
         &mut self,
         stripes: &[usize],
         addrs: &[(usize, usize)],
-        block_bytes: usize,
+        lent: Vec<Vec<u8>>,
     ) -> ReadTicket {
-        (**self).submit_read_batch(stripes, addrs, block_bytes)
+        (**self).submit_read_batch(stripes, addrs, lent)
     }
     fn submit_write_batch(
         &mut self,
@@ -972,11 +983,11 @@ impl DiskBackend for FileBackend {
         &mut self,
         stripes: &[usize],
         addrs: &[(usize, usize)],
-        block_bytes: usize,
+        lent: Vec<Vec<u8>>,
     ) -> ReadTicket {
         match &self.io {
-            FileIo::Parallel(engine) => engine.submit_reads(addrs),
-            FileIo::Serial(_) => read_batch_now(self, stripes, addrs, block_bytes),
+            FileIo::Parallel(engine) => engine.submit_reads(addrs, lent),
+            FileIo::Serial(_) => read_batch_now(self, stripes, addrs, lent),
         }
     }
 

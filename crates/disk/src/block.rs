@@ -70,6 +70,14 @@ impl Block {
     }
 }
 
+/// A block is one track's bytes wherever a write takes any `AsRef<[u8]>`
+/// ([`crate::DiskArray::submit_write_batch`]).
+impl AsRef<[u8]> for Block {
+    fn as_ref(&self) -> &[u8] {
+        &self.data
+    }
+}
+
 /// Number of bytes a CRC32 frame suffix adds to each stored track when
 /// [`crate::DiskConfig::checksums`] is enabled.
 pub const CRC_BYTES: usize = 4;

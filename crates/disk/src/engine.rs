@@ -311,9 +311,14 @@ impl IoEngine {
         )
     }
 
-    /// [`IoEngine::dispatch_reads`] wrapped in a joinable ticket.
-    pub(crate) fn submit_reads(&self, addrs: &[(usize, usize)]) -> ReadTicket {
-        ReadTicket { inner: ReadInner::Batch(self.dispatch_reads(addrs), self.block_bytes) }
+    /// [`IoEngine::dispatch_reads`] wrapped in a joinable ticket that keeps
+    /// `lent` — one track-sized buffer per track — to copy each arrived
+    /// track into at join.
+    pub(crate) fn submit_reads(&self, addrs: &[(usize, usize)], lent: Vec<Vec<u8>>) -> ReadTicket {
+        debug_assert!(
+            lent.len() == addrs.len() && lent.iter().all(|b| b.len() == self.block_bytes)
+        );
+        ReadTicket { inner: ReadInner::Batch(self.dispatch_reads(addrs), lent) }
     }
 
     /// [`IoEngine::dispatch_writes`] wrapped in a joinable ticket.
@@ -411,8 +416,9 @@ enum ReadInner {
     /// The transfers already happened (synchronous backend): the blocks,
     /// or the error they died with.
     Ready(DiskResult<Vec<Vec<u8>>>),
-    /// Commands in flight on the threaded engine, and the bytes per track.
-    Batch(PendingBatch, usize),
+    /// Commands in flight on the threaded engine, and the lent buffers —
+    /// each one track long — the tracks are copied into when they arrive.
+    Batch(PendingBatch, Vec<Vec<u8>>),
 }
 
 /// A joinable handle for one submitted batch of track reads.
@@ -420,11 +426,12 @@ enum ReadInner {
 /// Produced by [`crate::DiskBackend::submit_read_batch`]; the backend may
 /// have executed the transfers synchronously (the default, and the memory
 /// backend) or have them in flight on per-drive worker threads (the file
-/// backend in [`crate::IoMode::Parallel`]). Either way [`ReadTicket::join`]
-/// returns the blocks in request order, or the deferred error of the first
-/// failing track in request order — deterministically, exactly as the
-/// synchronous path would have reported it. Dropping a ticket without
-/// joining abandons the results but never blocks or panics.
+/// backend in [`crate::IoMode::Parallel`]). Either way the tracks land in
+/// the buffers lent at submission and [`ReadTicket::join`] hands those back
+/// in request order, or the deferred error of the first failing track in
+/// request order — deterministically, exactly as the synchronous path
+/// would have reported it. Dropping a ticket without joining abandons the
+/// results but never blocks or panics.
 pub struct ReadTicket {
     inner: ReadInner,
 }
@@ -449,15 +456,17 @@ impl ReadTicket {
     }
 
     /// Wait for every dispatched transfer and return the track bytes in
-    /// request order. All replies are joined before any error is
-    /// reported, and the first failure in request order wins.
+    /// request order, in the buffers lent at submission. All replies are
+    /// joined before any error is reported, and the first failure in
+    /// request order wins.
     pub fn join(self) -> DiskResult<Vec<Vec<u8>>> {
         match self.inner {
             ReadInner::Ready(result) => result,
-            ReadInner::Batch(pending, track_bytes) => {
-                let mut tracks = vec![Vec::new(); pending.order.len()];
-                let outcomes = pending.join(track_bytes, |i, track| tracks[i] = track.to_vec());
-                first_failure(outcomes).map(|_| tracks)
+            ReadInner::Batch(pending, mut lent) => {
+                // No tracks, no length: an empty batch is handed nothing.
+                let track_bytes = lent.first().map_or(0, Vec::len);
+                let outcomes = pending.join(track_bytes, |i, track| lent[i].copy_from_slice(track));
+                first_failure(outcomes).map(|_| lent)
             }
         }
     }
@@ -642,7 +651,8 @@ mod tests {
         let wide: Vec<(usize, usize)> = (0..30).map(|g| (g % D, 4 + g / D)).collect();
         let pending = engine.dispatch_reads(&wide);
         assert_eq!(pending.commands.len(), D);
-        let tracks = ReadTicket { inner: ReadInner::Batch(pending, 8) }.join().unwrap();
+        let lent = vec![vec![0xEE; 8]; wide.len()];
+        let tracks = ReadTicket { inner: ReadInner::Batch(pending, lent) }.join().unwrap();
         for (g, track) in tracks.iter().enumerate() {
             let want = if (2..16).contains(&g) { g as u8 } else { 0 };
             assert_eq!(track, &[want; 8], "global block {g}");
@@ -661,7 +671,7 @@ mod tests {
         let new: Vec<(usize, usize, &[u8])> = vec![(0, 0, &[2u8; 16]), (1, 0, &[2u8; 16])];
         let t1 = engine.submit_writes(&old);
         let t2 = engine.submit_writes(&new);
-        let t3 = engine.submit_reads(&[(0, 0), (1, 0)]);
+        let t3 = engine.submit_reads(&[(0, 0), (1, 0)], vec![vec![0; 16]; 2]);
         t1.join().unwrap();
         t2.join().unwrap();
         let data = t3.join().unwrap();
@@ -745,7 +755,7 @@ mod tests {
         // the lowest lost drive at join, like any other stripe failure.
         let dead_write = engine.submit_writes(&[(1, 0, &[4u8; 8])]);
         assert!(matches!(dead_write.join(), Err(DiskError::WorkerLost { disk: 1 })));
-        let dead_read = engine.submit_reads(&[(0, 0), (1, 0)]);
+        let dead_read = engine.submit_reads(&[(0, 0), (1, 0)], vec![vec![0; 8]; 2]);
         assert!(matches!(dead_read.join(), Err(DiskError::WorkerLost { disk: 0 })));
         std::fs::remove_dir_all(&dir).ok();
     }

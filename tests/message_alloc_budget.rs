@@ -13,13 +13,16 @@
 //! processor and 50 552 → 87 861 (1.74×) on two — 3.2 for every message
 //! added. With one batch per virtual processor, appended to the worker's
 //! and counting-sorted into blocks (`871270c`), it made 29 142 → 35 447 and
-//! 31 393 → 38 172 (1.22×): 0.55 and 0.59 per added message. Here it makes
-//! 10 762 → 12 509 (1.16×) and 12 399 → 14 178 (1.14×), 0.15 per added
-//! message — the blocks' own growth (sixteen header bytes are a fifteenth
-//! of a block, and a block costs the disk path a handful of allocations)
-//! and the inboxes' (a `Vec` of 64 messages doubles four times more often
-//! than one of 4). Both are asserted, at bounds the two earlier paths
-//! break: the ratio, and the allocations per added message.
+//! 31 393 → 38 172 (1.22×): 0.55 and 0.59 per added message. With one
+//! stream per destination (`ee53293`) it made 10 760 → 12 507 (1.16×) and
+//! 12 396 → 14 175 (1.14×), 0.15 per added message. Here, where context
+//! and fetched message blocks land in pooled buffers instead of a fresh
+//! allocation each, it makes 6 775 → 7 754 (1.14×) and 8 382 → 9 358
+//! (1.12×), 0.08 per added message — the blocks' own growth (sixteen
+//! header bytes are a fifteenth of a block) and the inboxes' (a `Vec` of
+//! 64 messages doubles four times more often than one of 4). Both are
+//! asserted, at bounds the two earlier paths break: the ratio, and the
+//! allocations per added message.
 //!
 //! This file holds one test on purpose: the counter is process-wide.
 
