@@ -4,9 +4,9 @@
 //!
 //! 1. *Kill/resume matrix* — a state-dependent multi-superstep workload is
 //!    killed at every barrier (after the manifest committed, mid-manifest
-//!    write, and mid-superstep) on both simulators and both pipeline
-//!    modes, then resumed; final states, the communication ledger and the
-//!    counted parallel I/O must be bit-identical to the uninterrupted run.
+//!    write, and mid-superstep) on both simulators, then resumed; final
+//!    states, the communication ledger and the counted parallel I/O must
+//!    be bit-identical to the uninterrupted run.
 //! 2. *Kill × fault-plan matrix* — the same sweep with injected transient
 //!    disk faults absorbed by the retry policy, proving fault-schedule
 //!    op counters survive a crash (a resumed run replays the *same*
@@ -35,7 +35,7 @@ use em_bench::report::{reject_unknown_flags, write_bench_json, Row};
 use em_bench::workloads::random_u64;
 use em_bsp::{BspProgram, BspStarParams, Executor, Mailbox, Step};
 use em_core::{CostReport, EmError, EmMachine, KillPoint, ParEmSimulator, SeqEmSimulator};
-use em_disk::{FaultPlan, Pipeline, RetryPolicy};
+use em_disk::{FaultPlan, RetryPolicy};
 use em_service::{
     JobPolicy, JobSpec, ServiceConfig, ServiceError, SimService, SoloRunner, TenantOutcome,
     TenantRecord,
@@ -166,20 +166,13 @@ fn assert_resume_matches(
     );
 }
 
-fn seq_cell(
-    scenario: &str,
-    pipeline: Pipeline,
-    seed: u64,
-    faults: Option<FaultPlan>,
-    kills: &[KillPoint],
-) -> Cell {
+fn seq_cell(scenario: &str, seed: u64, faults: Option<FaultPlan>, kills: &[KillPoint]) -> Cell {
     let v = 16;
     let machine = EmMachine::uniprocessor(256, 2, 64, 1);
     let base = scratch(scenario);
     let make = |dir: &Path| {
         let mut sim = SeqEmSimulator::new(machine)
             .with_seed(seed)
-            .with_pipeline(pipeline)
             .with_file_backend(dir)
             .with_checkpointing(true);
         if let Some(plan) = &faults {
@@ -211,13 +204,7 @@ fn seq_cell(
     }
 }
 
-fn par_cell(
-    scenario: &str,
-    pipeline: Pipeline,
-    seed: u64,
-    faults: Option<FaultPlan>,
-    kills: &[KillPoint],
-) -> Cell {
+fn par_cell(scenario: &str, seed: u64, faults: Option<FaultPlan>, kills: &[KillPoint]) -> Cell {
     let v = 24;
     let p = 3;
     let machine = EmMachine {
@@ -232,7 +219,6 @@ fn par_cell(
     let make = |dir: &Path| {
         let mut sim = ParEmSimulator::new(machine)
             .with_seed(seed)
-            .with_pipeline(pipeline)
             .with_file_backend(dir)
             .with_checkpointing(true);
         if let Some(plan) = &faults {
@@ -464,32 +450,16 @@ fn main() {
 
     let mut cells: Vec<Cell> = Vec::new();
     for &seed in &seeds {
-        cells.push(seq_cell(&format!("seq-off-s{seed:x}"), Pipeline::Off, seed, None, &kills));
-        cells.push(seq_cell(
-            &format!("seq-stream2-s{seed:x}"),
-            Pipeline::Stream(2),
-            seed,
-            None,
-            &kills,
-        ));
-        cells.push(par_cell(&format!("par-off-s{seed:x}"), Pipeline::Off, seed, None, &kills));
-        cells.push(par_cell(
-            &format!("par-stream2-s{seed:x}"),
-            Pipeline::Stream(2),
-            seed,
-            None,
-            &kills,
-        ));
+        cells.push(seq_cell(&format!("seq-off-s{seed:x}"), seed, None, &kills));
+        cells.push(par_cell(&format!("par-off-s{seed:x}"), seed, None, &kills));
         cells.push(seq_cell(
             &format!("seq-faults-s{seed:x}"),
-            Pipeline::Off,
             seed,
             Some(transient_plan()),
             &kills,
         ));
         cells.push(par_cell(
             &format!("par-faults-s{seed:x}"),
-            Pipeline::Off,
             seed,
             Some(transient_plan()),
             &kills,

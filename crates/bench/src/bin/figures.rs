@@ -13,7 +13,7 @@
 //! ([`em_bench::report::write_bench_json`]).
 //!
 //! Every sweep runs on the memory backend: what it reports is the counted
-//! cost, which no backend, engine or pipeline setting can change
+//! cost, which no backend or engine setting can change
 //! (`tests/file_backend.rs` and the `tests/*_modes.rs` suites hold that).
 //! Wall clock on the file path is `benchmark/embench`'s job.
 

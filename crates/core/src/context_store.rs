@@ -31,7 +31,7 @@
 //! buffer, and gives them back.
 
 use crate::{EmError, EmResult};
-use em_disk::{ConsecutiveLayout, DiskArray, ReadStripeTicket, TrackAllocator, WriteBacklog};
+use em_disk::{ConsecutiveLayout, DiskArray, ReadStripeTicket, TrackAllocator};
 
 /// A free list of byte buffers recycled across group reads and writes.
 ///
@@ -133,30 +133,21 @@ impl ContextStore {
         first: usize,
         bufs: &[Vec<u8>],
     ) -> EmResult<()> {
-        let mut backlog = WriteBacklog::new();
-        self.submit_write_group(disks, first, bufs, &mut backlog, &mut BufferPool::new())?;
-        backlog.drain()?;
-        Ok(())
+        self.submit_write_group(disks, first, bufs, &mut BufferPool::new())
     }
 
-    /// Submit the stripes of [`Self::write_group`] without waiting for them.
+    /// Submit the stripes of [`Self::write_group`] as one batch and join
+    /// it.
     ///
     /// The group's regions — each its length prefix, the serialized state
     /// and zero padding — are laid end to end in one buffer drawn from
-    /// `pool`, and its `B`-byte chunks go down as slices of it; the array
-    /// has copied or written them when the submission returns, so the
-    /// buffer is back in `pool` when this returns.
-    ///
-    /// The tickets land in `backlog`; counted I/O is identical to the
-    /// synchronous call because [`DiskArray`] counts at submission. The
-    /// caller must [`WriteBacklog::drain`] before reading these regions
-    /// back (the simulators drain before Algorithm 2's reorganization).
+    /// `pool`, and its `B`-byte chunks go down as slices of it; the buffer
+    /// is back in `pool` when this returns.
     pub fn submit_write_group(
         &self,
         disks: &mut DiskArray,
         first: usize,
         bufs: &[Vec<u8>],
-        backlog: &mut WriteBacklog,
         pool: &mut BufferPool,
     ) -> EmResult<()> {
         if let Some((off, buf)) =
@@ -184,9 +175,9 @@ impl ContextStore {
             .map(|(&(disk, track), chunk)| (disk, track, chunk))
             .collect();
         let stripes: Vec<usize> = writes.chunks(disks.num_disks()).map(<[_]>::len).collect();
-        backlog.push(disks.submit_write_batch(&stripes, &writes)?);
+        let written = disks.submit_write_batch(&stripes, &writes).and_then(|t| t.join());
         pool.put(staged);
-        Ok(())
+        Ok(written?)
     }
 
     /// Read back the serialized contexts of `count` virtual processors
@@ -290,6 +281,7 @@ impl PendingGroupRead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_programs::BatchCounting;
     use em_disk::DiskConfig;
 
     fn setup(v: usize, mu: usize, d: usize, b: usize) -> (DiskArray, ContextStore) {
@@ -344,77 +336,32 @@ mod tests {
 
     #[test]
     fn submitted_group_io_round_trips_and_counts_identically() {
-        // Deferred writes + prefetch-style reads must move the same data and
+        // Pooled writes and submitted reads must move the same data and
         // count the same ops as the synchronous entry points.
         let (mut disks, store) = setup(8, 60, 4, 32);
         let bufs: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; 60]).collect();
         store.write_group(&mut disks, 0, &bufs).unwrap();
         let sync_stats = disks.take_stats();
 
-        let (mut backlog, mut pool) = (WriteBacklog::new(), BufferPool::new());
-        store.submit_write_group(&mut disks, 0, &bufs, &mut backlog, &mut pool).unwrap();
-        // Overlap: both groups' reads submitted while writes are in flight
-        // is illegal (read-after-write); drain first, as the simulators do.
-        backlog.drain().unwrap();
+        let mut pool = BufferPool::new();
+        store.submit_write_group(&mut disks, 0, &bufs, &mut pool).unwrap();
         let a = store.submit_read_group(&mut disks, 0, 4, &mut pool).unwrap();
         let b = store.submit_read_group(&mut disks, 4, 4, &mut pool).unwrap();
         let mut back = a.join().unwrap();
         back.extend(b.join().unwrap());
         assert_eq!(back, bufs);
-        let mut deferred_stats = disks.take_stats();
-        // The deferred run also performed the reads; remove them to compare
+        let mut submitted_stats = disks.take_stats();
+        // The submitted run also performed the reads; remove them to compare
         // the write halves, then compare the read half against a sync read.
         store.read_group(&mut disks, 0, 8).unwrap();
         let read_stats = disks.take_stats();
-        deferred_stats.parallel_ops -= read_stats.parallel_ops;
-        deferred_stats.blocks_read -= read_stats.blocks_read;
-        deferred_stats.bytes_read -= read_stats.bytes_read;
-        for (a, b) in deferred_stats.per_disk_reads.iter_mut().zip(&read_stats.per_disk_reads) {
+        submitted_stats.parallel_ops -= read_stats.parallel_ops;
+        submitted_stats.blocks_read -= read_stats.blocks_read;
+        submitted_stats.bytes_read -= read_stats.bytes_read;
+        for (a, b) in submitted_stats.per_disk_reads.iter_mut().zip(&read_stats.per_disk_reads) {
             *a -= b;
         }
-        assert_eq!(deferred_stats, sync_stats);
-    }
-
-    /// A memory backend that counts the batch calls reaching it and how
-    /// many stripes they carried.
-    struct BatchCounting {
-        inner: em_disk::MemoryBackend,
-        /// `(read batches, write batches, stripes in them)`.
-        calls: std::sync::Arc<std::sync::Mutex<(u64, u64, u64)>>,
-    }
-
-    impl em_disk::DiskBackend for BatchCounting {
-        fn num_disks(&self) -> usize {
-            self.inner.num_disks()
-        }
-        fn read_track(&mut self, d: usize, t: usize, buf: &mut [u8]) -> em_disk::DiskResult<()> {
-            self.inner.read_track(d, t, buf)
-        }
-        fn write_track(&mut self, d: usize, t: usize, data: &[u8]) -> em_disk::DiskResult<()> {
-            self.inner.write_track(d, t, data)
-        }
-        fn read_batch_each(
-            &mut self,
-            stripes: &[usize],
-            addrs: &[(usize, usize)],
-            bufs: &mut [&mut [u8]],
-        ) -> em_disk::TrackOutcomes {
-            let mut calls = self.calls.lock().unwrap();
-            (calls.0, calls.2) = (calls.0 + 1, calls.2 + stripes.len() as u64);
-            self.inner.read_batch_each(stripes, addrs, bufs)
-        }
-        fn write_batch_each(
-            &mut self,
-            stripes: &[usize],
-            writes: &[(usize, usize, &[u8])],
-        ) -> em_disk::TrackOutcomes {
-            let mut calls = self.calls.lock().unwrap();
-            (calls.1, calls.2) = (calls.1 + 1, calls.2 + stripes.len() as u64);
-            self.inner.write_batch_each(stripes, writes)
-        }
-        fn tracks_used(&self, disk: usize) -> usize {
-            self.inner.tracks_used(disk)
-        }
+        assert_eq!(submitted_stats, sync_stats);
     }
 
     #[test]
@@ -426,7 +373,8 @@ mod tests {
         let cfg =
             DiskConfig::new(d, b).unwrap().with_checksums(true).with_retry(RetryPolicy::default());
         let calls = std::sync::Arc::new(std::sync::Mutex::new((0, 0, 0)));
-        let raw = BatchCounting { inner: em_disk::MemoryBackend::new(d), calls: calls.clone() };
+        let raw =
+            BatchCounting { inner: Box::new(em_disk::MemoryBackend::new(d)), calls: calls.clone() };
         let mut disks = DiskArray::with_backend(cfg, Box::new(raw));
         // Contexts 1..7 of two blocks each: global blocks 2..14, a start
         // that is not on drive 0. Batching must not move the stripe cuts
@@ -464,9 +412,7 @@ mod tests {
             let pending = store.submit_read_group(&mut disks, 0, 4, blocks).unwrap();
             let back = pending.join_into(contexts, blocks).unwrap();
             assert_eq!(back, bufs);
-            let mut backlog = WriteBacklog::new();
-            store.submit_write_group(&mut disks, 0, &back, &mut backlog, contexts).unwrap();
-            backlog.drain().unwrap();
+            store.submit_write_group(&mut disks, 0, &back, contexts).unwrap();
             contexts.put_all(back);
         };
         sweep(&mut contexts, &mut blocks);

@@ -69,9 +69,8 @@ pub use error::EmError;
 pub use exec::Recording;
 pub use machine::{EmMachine, ModelCheck};
 pub use msg::{
-    fetch_group_messages, scatter_messages, scatter_messages_deferred, submit_fetch_group_messages,
-    GroupCounts, InMsg, MsgGeometry, OutMsg, PendingGroupMsgs, PendingRawBlocks, Placement,
-    ScratchState, BLOCK_HEADER_BYTES, MSG_HEADER_BYTES,
+    fetch_group_messages, scatter_messages, GroupCounts, InMsg, MsgGeometry, OutMsg,
+    PendingRawBlocks, Placement, ScratchState, BLOCK_HEADER_BYTES, MSG_HEADER_BYTES,
 };
 pub use par_sim::ParEmSimulator;
 pub use planner::{Plan, Planner, ProblemProfile};

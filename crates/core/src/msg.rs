@@ -81,7 +81,7 @@
 use crate::context_store::BufferPool;
 use crate::{EmError, EmResult};
 use em_bsp::BspError;
-use em_disk::{DiskArray, ReadStripeTicket, TrackAllocator, WriteBacklog};
+use em_disk::{DiskArray, ReadStripeTicket, TrackAllocator};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use std::ops::Range;
@@ -559,6 +559,13 @@ impl OutMsg {
 /// `D`, assigning blocks to disks with a fresh random permutation per
 /// cycle, maintaining the destination buckets in (the in-memory analogue
 /// of) standard linked format.
+///
+/// This is the `p = 1` composition of the two halves Algorithm 3 runs on
+/// different processors, entered from a message list instead of a round's
+/// streams: cut one stream per destination group (`StreamSet::cut`, tagged
+/// with `src_group`), then store the blocks in write cycles
+/// (`store_received_blocks`). A destination outside the geometry is
+/// [`BspError::InvalidDestination`].
 #[allow(clippy::too_many_arguments)]
 pub fn scatter_messages(
     disks: &mut DiskArray,
@@ -570,47 +577,6 @@ pub fn scatter_messages(
     rng: &mut StdRng,
     placement: Placement,
 ) -> EmResult<()> {
-    let mut backlog = WriteBacklog::new();
-    scatter_messages_deferred(
-        disks,
-        alloc,
-        geom,
-        scratch,
-        src_group,
-        msgs,
-        rng,
-        placement,
-        &mut backlog,
-    )?;
-    backlog.drain()?;
-    Ok(())
-}
-
-/// [`scatter_messages`] with deferred completion: every write cycle is
-/// submitted (and counted) exactly as in the synchronous call — the RNG
-/// draws, the track allocations and the scratch bookkeeping all happen
-/// here, in source-group order — but the tickets land in `backlog` instead
-/// of being joined. The caller must [`WriteBacklog::drain`] before
-/// Algorithm 2 reads the scratch tracks.
-///
-/// This is the `p = 1` composition of the two halves Algorithm 3 runs on
-/// different processors, entered from a message list instead of a round's
-/// streams: cut one stream per destination group (`StreamSet::cut`, tagged
-/// with `src_group`), then store the blocks in write cycles
-/// (`store_received_blocks_deferred`). A destination outside the geometry
-/// is [`BspError::InvalidDestination`].
-#[allow(clippy::too_many_arguments)]
-pub fn scatter_messages_deferred(
-    disks: &mut DiskArray,
-    alloc: &mut TrackAllocator,
-    geom: &MsgGeometry,
-    scratch: &mut ScratchState,
-    src_group: usize,
-    msgs: Vec<OutMsg>,
-    rng: &mut StdRng,
-    placement: Placement,
-    backlog: &mut WriteBacklog,
-) -> EmResult<()> {
     if let Some(m) = msgs.iter().find(|m| geom.group_of(m.dst as usize) >= geom.num_groups) {
         return Err(BspError::InvalidDestination { dst: m.dst as usize, nprocs: geom.v }.into());
     }
@@ -620,7 +586,7 @@ pub fn scatter_messages_deferred(
     let mut set = StreamSet::default();
     set.push_out_msgs(msgs, |dst| geom.group_of(dst as usize) as u32)?;
     let blocks = set.cut(geom.block_bytes, src_group as u32, &mut pool)?;
-    store_received_blocks_deferred(
+    store_received_blocks(
         disks,
         alloc,
         geom,
@@ -629,7 +595,6 @@ pub fn scatter_messages_deferred(
         |tag| tag as usize,
         rng,
         placement,
-        backlog,
         &mut pool,
     )
 }
@@ -651,53 +616,22 @@ pub struct InMsg {
 
 /// Fetching Phase for one destination group (Algorithm 1, Step 1(b)):
 /// read the group's blocks from their fixed final locations with full
-/// `D`-way parallelism and reassemble the message streams.
+/// `D`-way parallelism, reassemble the message streams and copy each
+/// message out, in reassembly order: stream by stream, `(src_tag,
+/// dst_tag)` ascending, each in the order it was written. (Whoever
+/// scattered the messages chose their `src` and `seq` freely, so no order
+/// among them is expected here.) A block that belongs to another group's
+/// region fails the read: its messages address virtual processors outside
+/// this group. A one-shot call has no next round to lend buffers to: the
+/// blocks land in fresh ones, dropped on return.
 pub fn fetch_group_messages(
     disks: &mut DiskArray,
     geom: &MsgGeometry,
     counts: &GroupCounts,
     group: usize,
 ) -> EmResult<Vec<InMsg>> {
-    submit_fetch_group_messages(disks, geom, counts, group)?.join()
-}
-
-/// Submit the stripe reads of [`fetch_group_messages`] and return a
-/// pending handle; [`PendingGroupMsgs::join`] waits for the blocks and
-/// reassembles the streams. Counted I/O happens here, at submission. A
-/// one-shot call has no next round to lend buffers to: the blocks land in
-/// fresh ones, dropped after the join.
-pub fn submit_fetch_group_messages(
-    disks: &mut DiskArray,
-    geom: &MsgGeometry,
-    counts: &GroupCounts,
-    group: usize,
-) -> EmResult<PendingGroupMsgs> {
-    Ok(PendingGroupMsgs {
-        raw: submit_fetch_batch_raw_blocks(disks, geom, counts, group, &mut BufferPool::new())?,
-        dst_pids: group * geom.k..(group + 1) * geom.k,
-    })
-}
-
-/// Message blocks in flight from [`submit_fetch_group_messages`].
-pub struct PendingGroupMsgs {
-    raw: PendingRawBlocks,
-    /// The group's virtual processors: whom its messages may address.
-    dst_pids: Range<usize>,
-}
-
-impl PendingGroupMsgs {
-    /// Wait for the submitted batch (every track is joined even on failure,
-    /// so the first failing track in request order wins deterministically),
-    /// reassemble the group's message streams and copy each message out, in
-    /// reassembly order: stream by stream, `(src_tag, dst_tag)` ascending,
-    /// each in the order it was written. (Whoever scattered the messages
-    /// chose their `src` and `seq` freely, so no order among them is
-    /// expected here.) A block that belongs to another group's region fails
-    /// the read: its messages address virtual processors outside this
-    /// group.
-    pub fn join(self) -> EmResult<Vec<InMsg>> {
-        reassemble_owned(&self.raw.join()?, self.dst_pids)
-    }
+    let raw = submit_fetch_batch_raw_blocks(disks, geom, counts, group, &mut BufferPool::new())?;
+    reassemble_owned(&raw.join()?, group * geom.k..(group + 1) * geom.k)
 }
 
 // ---------------------------------------------------------------------------
@@ -733,16 +667,14 @@ pub struct RawBlock {
 /// virtual processors in the parallel simulation).
 ///
 /// The cycles are laid out one after the other — each drawing its
-/// permutation and allocating its tracks in turn — and then submitted (and
+/// permutation and allocating its tracks in turn — and then written (and
 /// counted: one parallel operation a cycle) as **one** batch of as many
-/// stripes, whose one ticket lands in `backlog`; drain it before routing
-/// reads the scratch area. A group that overflows its region fails the call
-/// before anything is submitted. The blocks go down as the buffers they
-/// are, and the array has copied or written them when the submission
-/// returns, so the buffers go to `pool` — where [`StreamSet::cut`] and the
-/// next fetch find them.
+/// stripes. A group that overflows its region fails the call before
+/// anything is submitted. The blocks go down as the buffers they are, and
+/// the buffers then go to `pool` — where [`StreamSet::cut`] and the next
+/// fetch find them.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn store_received_blocks_deferred(
+pub(crate) fn store_received_blocks(
     disks: &mut DiskArray,
     alloc: &mut TrackAllocator,
     geom: &MsgGeometry,
@@ -751,7 +683,6 @@ pub(crate) fn store_received_blocks_deferred(
     tag_to_group: impl Fn(u32) -> usize,
     rng: &mut StdRng,
     placement: Placement,
-    backlog: &mut WriteBacklog,
     pool: &mut BufferPool,
 ) -> EmResult<()> {
     let d = geom.num_disks;
@@ -797,11 +728,13 @@ pub(crate) fn store_received_blocks_deferred(
         cycles.push(cycle_len);
         scratch.write_cycles += 1;
     }
-    if !cycles.is_empty() {
-        backlog.push(disks.submit_write_batch(&cycles, &writes)?);
-    }
+    let written = if cycles.is_empty() {
+        Ok(())
+    } else {
+        disks.submit_write_batch(&cycles, &writes).and_then(|t| t.join())
+    };
     pool.put_all(writes.into_iter().map(|(_, _, bytes)| bytes));
-    Ok(())
+    Ok(written?)
 }
 
 /// Fetching Phase, read side: submit the reads of one group's raw blocks
@@ -1202,7 +1135,7 @@ mod tests {
             out
         }
 
-        /// One `submit_write_stripe`, and one ticket, per write cycle.
+        /// One write stripe per write cycle.
         #[allow(clippy::too_many_arguments)]
         pub fn store_cycle_by_cycle(
             disks: &mut DiskArray,
@@ -1213,7 +1146,6 @@ mod tests {
             tag_to_group: impl Fn(u32) -> usize,
             rng: &mut StdRng,
             placement: Placement,
-            backlog: &mut WriteBacklog,
         ) -> EmResult<()> {
             let d = geom.num_disks;
             let mut perm: Vec<usize> = (0..d).collect();
@@ -1246,7 +1178,7 @@ mod tests {
                     raw.bytes[12..16].copy_from_slice(&(gseq as u32).to_le_bytes());
                     writes.push((disk, track, Block::from_vec(raw.bytes)));
                 }
-                backlog.push(disks.submit_write_stripe(&writes)?);
+                disks.write_stripe(&writes)?;
                 writes.clear();
                 scratch.write_cycles += 1;
             }
@@ -1411,15 +1343,16 @@ mod tests {
         assert_eq!(set.capacity(), 0);
     }
 
-    /// Everything a Writing Phase's storing half reads and writes.
+    /// Everything a Writing Phase's storing half reads and writes, and
+    /// the batch calls that reach its raw drives.
     struct Store {
         disks: DiskArray,
         alloc: TrackAllocator,
         geom: MsgGeometry,
         scratch: ScratchState,
         rng: StdRng,
-        backlog: WriteBacklog,
         dir: std::path::PathBuf,
+        calls: std::sync::Arc<std::sync::Mutex<(u64, u64, u64)>>,
     }
 
     impl Store {
@@ -1427,18 +1360,22 @@ mod tests {
         /// retried files under `dir`.
         fn new(dir: std::path::PathBuf, on_files: bool) -> Store {
             let (v, k, d, b) = (48, 3, 5, 128);
-            let cfg = em_disk::DiskConfig::new(d, b).unwrap();
-            let disks = if on_files {
-                let cfg = cfg.with_checksums(true).with_retry(em_disk::RetryPolicy::default());
-                DiskArray::new_file(cfg, &dir).unwrap()
+            let mut cfg = DiskConfig::new(d, b).unwrap();
+            let inner: Box<dyn em_disk::DiskBackend> = if on_files {
+                cfg = cfg.with_checksums(true).with_retry(em_disk::RetryPolicy::default());
+                let track_bytes = DiskArray::storage_block_bytes(&cfg);
+                Box::new(em_disk::FileBackend::create(&dir, d, track_bytes).unwrap())
             } else {
-                DiskArray::new_memory(cfg)
+                Box::new(em_disk::MemoryBackend::new(d))
             };
+            let calls = std::sync::Arc::new(std::sync::Mutex::new((0, 0, 0)));
+            let raw = crate::test_programs::BatchCounting { inner, calls: calls.clone() };
+            let disks = DiskArray::with_backend(cfg, Box::new(raw));
             let mut alloc = TrackAllocator::new(d);
             let geom = MsgGeometry::allocate(&mut alloc, v, k, 1 << 16, d, b).unwrap();
             let scratch = ScratchState::new(&geom);
-            let (rng, backlog) = (StdRng::seed_from_u64(0xB47C), WriteBacklog::new());
-            Store { disks, alloc, geom, scratch, rng, backlog, dir }
+            let rng = StdRng::seed_from_u64(0xB47C);
+            Store { disks, alloc, geom, scratch, rng, dir, calls }
         }
 
         /// Every file in `dir`, by name.
@@ -1474,8 +1411,8 @@ mod tests {
                     let mut set = StreamSet::default();
                     set.push_out_msgs(msgs, |dst| dst / got.geom.k as u32).unwrap();
                     let blocks = set.cut(got.geom.block_bytes, round as u32, &mut pool).unwrap();
-                    rounds_with_blocks += usize::from(!blocks.is_empty());
-                    store_received_blocks_deferred(
+                    rounds_with_blocks += u64::from(!blocks.is_empty());
+                    store_received_blocks(
                         &mut got.disks,
                         &mut got.alloc,
                         &got.geom,
@@ -1484,7 +1421,6 @@ mod tests {
                         |tag| tag as usize,
                         &mut got.rng,
                         placement,
-                        &mut got.backlog,
                         &mut pool,
                     )
                     .unwrap();
@@ -1497,15 +1433,16 @@ mod tests {
                         |tag| tag as usize,
                         &mut want.rng,
                         placement,
-                        &mut want.backlog,
                     )
                     .unwrap();
                 }
-                assert_eq!(got.backlog.len(), rounds_with_blocks, "{what}: one ticket a round");
-                assert_eq!(want.backlog.len(), want.scratch.write_cycles, "{what}: one a cycle");
-                got.backlog.drain().unwrap();
-                want.backlog.drain().unwrap();
-
+                let writes = |store: &Store| store.calls.lock().unwrap().1;
+                assert_eq!(writes(&got), rounds_with_blocks, "{what}: one write batch a round");
+                assert_eq!(
+                    writes(&want) as usize,
+                    want.scratch.write_cycles,
+                    "{what}: one a cycle"
+                );
                 assert_eq!(got.disks.stats(), want.disks.stats(), "{what}: IoStats");
                 let cycles = want.scratch.write_cycles;
                 assert!(cycles > 50, "{what}: {cycles} cycles");

@@ -49,9 +49,9 @@
 
 use crate::checkpoint::{superstep_seed, Manifest};
 use crate::compute::{fill_inboxes, run_group_vps, Rules, VpWork};
-use crate::context_store::{BufferPool, ContextStore, PendingGroupRead};
+use crate::context_store::{BufferPool, ContextStore};
 use crate::msg::{
-    store_received_blocks_deferred, submit_fetch_batch_raw_blocks, GroupCounts, MsgGeometry,
+    store_received_blocks, submit_fetch_batch_raw_blocks, GroupCounts, MsgGeometry,
     PendingRawBlocks, RawBlock, ScratchState, StreamSet, MSG_HEADER_BYTES,
 };
 use crate::report::{PhaseIo, PhaseWall};
@@ -59,13 +59,12 @@ use crate::routing::{simulate_routing, RoutingScratch};
 use crate::sim_config::{facade_scope::*, sim_facade, SimConfig};
 use crate::EmError;
 use em_bsp::{BspError, CommLedger, SuperstepComm};
-use em_disk::{CheckpointStore, FaultStats, IoStats, JournalFile, TrackAllocator, WriteBacklog};
+use em_disk::{CheckpointStore, FaultStats, IoStats, JournalFile, TrackAllocator};
 use em_serial::{from_bytes, to_bytes_into};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -794,13 +793,6 @@ struct Attempt {
     /// to snapshot or persist beyond the base seed.
     rng: StdRng,
     scratch: ScratchState,
-    backlog: WriteBacklog,
-    /// Streaming window: the reads of up to `depth` rounds are in flight
-    /// at once. One entry per prefetched round (`None` halves for a round
-    /// with no local pids, and for message blocks at `p ≥ 2`) keeps the
-    /// window aligned with the batch sequence.
-    window: VecDeque<(Option<PendingGroupRead>, Option<PendingRawBlocks>)>,
-    next_prefetch: usize,
 }
 
 impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
@@ -890,15 +882,12 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                                 buf
                             })
                             .collect();
-                        let mut backlog = WriteBacklog::new();
                         self.ctx.submit_write_group(
                             self.disks,
                             shape.region(batch),
                             &bufs,
-                            &mut backlog,
                             &mut self.ctx_pool,
                         )?;
-                        backlog.drain()?;
                         self.ctx_pool.put_all(bufs);
                         next += n;
                     }
@@ -983,15 +972,14 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                     self.balances.len(),
                 );
                 for batch in 0..self.env.shape.num_batches {
-                    let (pending_ctx, my_blocks) = self.fetch_and_forward(&mut att, batch);
-                    let to_store =
-                        match self.simulate_round(&mut att, step, batch, pending_ctx, my_blocks) {
-                            Ok(bundles) => bundles,
-                            Err(e) => {
-                                self.zombie = Some(e);
-                                self.no_bundles()
-                            }
-                        };
+                    let my_blocks = self.fetch_and_forward(batch);
+                    let to_store = match self.simulate_round(&mut att, step, batch, my_blocks) {
+                        Ok(bundles) => bundles,
+                        Err(e) => {
+                            self.zombie = Some(e);
+                            self.no_bundles()
+                        }
+                    };
                     self.exchange_and_store(&mut att, to_store);
                 }
                 self.reorganize(att);
@@ -1033,7 +1021,6 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         if let Err(e) = begun {
             self.zombie.get_or_insert(e.into());
         }
-        let depth = self.env.cfg.pipeline.depth();
         Attempt {
             rng: StdRng::seed_from_u64(superstep_seed(
                 self.env.cfg.seed,
@@ -1041,9 +1028,6 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                 step as u64,
             )),
             scratch: ScratchState::new(&self.geom),
-            backlog: WriteBacklog::new(),
-            window: VecDeque::with_capacity(depth.min(self.env.shape.num_batches)),
-            next_prefetch: 0,
         }
     }
 
@@ -1052,102 +1036,23 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         (0..self.env.shape.p).map(|_| Vec::new()).collect()
     }
 
-    /// Unpipelined runs complete every write before the next submission.
-    fn settle(&self, backlog: &mut WriteBacklog) -> EmResult<()> {
-        if self.env.cfg.pipeline.depth() == 0 {
-            backlog.drain()?;
-        }
-        Ok(())
-    }
-
-    /// Submit (and count) round `batch`'s context stripes — and, at
-    /// `p = 1`, where nothing has to be forwarded before it can be used,
-    /// its message stripes — without waiting for the transfers.
-    fn submit_round_fetch(
-        &mut self,
-        batch: usize,
-    ) -> EmResult<(Option<PendingGroupRead>, Option<PendingRawBlocks>)> {
-        let shape = self.env.shape;
-        let n = shape.pids(self.i, batch).len();
-        let ctx = if n == 0 {
-            None
-        } else {
+    /// Fetching Phase, disk and network half: read this round's message
+    /// blocks from the local disks and forward each to the worker
+    /// simulating its destination. Returns the blocks this worker must
+    /// deliver.
+    fn fetch_and_forward(&mut self, batch: usize) -> Vec<RawBlock> {
+        let t0 = Instant::now();
+        let p = self.env.shape.p;
+        let mut fwd = self.no_bundles();
+        if self.zombie.is_none() {
             let ops0 = self.disks.stats().parallel_ops;
-            let region = shape.region(batch);
-            let pending = self.ctx.submit_read_group(self.disks, region, n, &mut self.block_pool);
-            self.phases.fetch_ctx += self.disks.stats().parallel_ops - ops0;
-            Some(pending?)
-        };
-        let msgs = if shape.p == 1 {
-            let ops0 = self.disks.stats().parallel_ops;
-            let pending = submit_fetch_batch_raw_blocks(
+            let blocks = submit_fetch_batch_raw_blocks(
                 self.disks,
                 &self.geom,
                 &self.counts,
                 batch,
                 &mut self.block_pool,
-            );
-            self.phases.fetch_msg += self.disks.stats().parallel_ops - ops0;
-            Some(pending?)
-        } else {
-            None
-        };
-        Ok((ctx, msgs))
-    }
-
-    /// Fetching Phase, disk and network half: top up the streaming
-    /// window, read this round's message blocks from the local disks and
-    /// forward each to the worker simulating its destination. Returns the
-    /// round's in-flight context read (when prefetched) and the blocks
-    /// this worker must deliver.
-    fn fetch_and_forward(
-        &mut self,
-        att: &mut Attempt,
-        batch: usize,
-    ) -> (Option<PendingGroupRead>, Vec<RawBlock>) {
-        let t0 = Instant::now();
-        let (p, num_batches) = (self.env.shape.p, self.env.shape.num_batches);
-        let depth = self.env.cfg.pipeline.depth();
-        // Prefetch the window's rounds so their local reads overlap the
-        // block-forwarding exchanges below (counted at submit): round
-        // `batch + depth − 1`'s read goes out before round `batch`'s
-        // exchange. With one worker there is no exchange to hide a read
-        // behind, so the window reaches one round further — round
-        // `batch + depth` is submitted before round `batch` is joined
-        // (depth 1 is the classic double buffer). Submission order within
-        // each phase — and therefore the RNG stream, the track allocations
-        // and every counted stripe — is depth-invariant.
-        let reach = batch + depth + usize::from(p == 1);
-        while depth > 0 && self.zombie.is_none() && att.next_prefetch < num_batches.min(reach) {
-            let entry = self.submit_round_fetch(att.next_prefetch).unwrap_or_else(|e| {
-                self.zombie = Some(e);
-                (None, None)
-            });
-            att.window.push_back(entry);
-            att.next_prefetch += 1;
-        }
-        let (mut pending_ctx, mut pending_msgs) = att.window.pop_front().unwrap_or((None, None));
-        if self.zombie.is_some() {
-            // A failing attempt joins nothing more: drop the in-flight
-            // reads so the barrier's unjoined-ticket check sees a clean
-            // array.
-            (pending_ctx, pending_msgs) = (None, None);
-            att.window.clear();
-        }
-
-        let mut fwd = self.no_bundles();
-        if self.zombie.is_none() {
-            let ops0 = self.disks.stats().parallel_ops;
-            let blocks = match pending_msgs {
-                Some(pending) => Ok(pending),
-                None => submit_fetch_batch_raw_blocks(
-                    self.disks,
-                    &self.geom,
-                    &self.counts,
-                    batch,
-                    &mut self.block_pool,
-                ),
-            }
+            )
             .and_then(PendingRawBlocks::join);
             self.phases.fetch_msg += self.disks.stats().parallel_ops - ops0;
             match blocks {
@@ -1158,7 +1063,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         }
         let mine = self.net.exchange(fwd);
         self.walls.fetch += t0.elapsed();
-        (pending_ctx, mine)
+        mine
     }
 
     /// Everything a round does between its two exchanges: deliver, compute,
@@ -1169,24 +1074,21 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         att: &mut Attempt,
         step: usize,
         batch: usize,
-        pending_ctx: Option<PendingGroupRead>,
         my_blocks: Vec<RawBlock>,
     ) -> EmResult<Vec<Vec<RawBlock>>> {
         if self.zombie.is_some() {
             return Ok(self.no_bundles());
         }
         let pids = self.env.shape.pids(self.i, batch);
-        let work = self.deliver(batch, &pids, pending_ctx, my_blocks)?;
+        let work = self.deliver(batch, &pids, my_blocks)?;
         let new_states = self.compute(step, work)?;
         self.write_back(att, batch, &pids, new_states)
     }
 
     /// Fetching Phase, owner half: reassemble the delivered `(src, dst)`
     /// streams, decoding each message into its virtual processor's inbox,
-    /// and join the round's contexts — fetched in one fully-striped batch
-    /// (the `k` regions of a round are consecutive on this worker). A
-    /// pipelined run submitted (and counted) the read before the
-    /// block-forwarding exchange; only the join happens here. The delivered
+    /// and read the round's contexts — in one fully-striped batch (the `k`
+    /// regions of a round are consecutive on this worker). The delivered
     /// blocks' buffers — read on this worker or forwarded to it — join this
     /// worker's block pool. Returns the round's virtual processors, ready
     /// to run, in pid order.
@@ -1194,7 +1096,6 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         &mut self,
         batch: usize,
         pids: &Range<usize>,
-        pending_ctx: Option<PendingGroupRead>,
         my_blocks: Vec<RawBlock>,
     ) -> EmResult<Vec<VpWork<P::Msg>>> {
         let t0 = Instant::now();
@@ -1204,8 +1105,6 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         self.block_pool.put_all(my_blocks.into_iter().map(|block| block.bytes));
         let ctx_bufs = if pids.is_empty() {
             Vec::new()
-        } else if let Some(pending) = pending_ctx {
-            pending.join_into(&mut self.ctx_pool, &mut self.block_pool)?
         } else {
             let ops0 = self.disks.stats().parallel_ops;
             let region = self.env.shape.region(batch);
@@ -1249,9 +1148,8 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
     }
 
     /// Writing Phase, producer half: write the changed contexts back in
-    /// one fully-striped batch — deferred into the superstep's backlog
-    /// when pipelined — then cut the round's outbox into blocks and pick
-    /// each block's target worker.
+    /// one fully-striped batch, then cut the round's outbox into blocks and
+    /// pick each block's target worker.
     fn write_back(
         &mut self,
         att: &mut Attempt,
@@ -1263,16 +1161,12 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         let shape = self.env.shape;
         if !pids.is_empty() {
             let ops0 = self.disks.stats().parallel_ops;
-            let written = self
-                .ctx
-                .submit_write_group(
-                    self.disks,
-                    shape.region(batch),
-                    &new_states,
-                    &mut att.backlog,
-                    &mut self.ctx_pool,
-                )
-                .and_then(|()| self.settle(&mut att.backlog));
+            let written = self.ctx.submit_write_group(
+                self.disks,
+                shape.region(batch),
+                &new_states,
+                &mut self.ctx_pool,
+            );
             self.phases.write_ctx += self.disks.stats().parallel_ops - ops0;
             written?;
         }
@@ -1313,7 +1207,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         if self.zombie.is_none() {
             let p = self.env.shape.p;
             let ops0 = self.disks.stats().parallel_ops;
-            let stored = store_received_blocks_deferred(
+            let stored = store_received_blocks(
                 self.disks,
                 &mut self.alloc,
                 &self.geom,
@@ -1322,10 +1216,8 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                 |tag| tag as usize / p,
                 &mut att.rng,
                 self.env.cfg.placement,
-                &mut att.backlog,
                 &mut self.block_pool,
-            )
-            .and_then(|()| self.settle(&mut att.backlog));
+            );
             self.phases.scatter += self.disks.stats().parallel_ops - ops0;
             if let Err(e) = stored {
                 self.zombie = Some(e);
@@ -1337,24 +1229,15 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
     /// Step 2 — reorganize the superstep's scattered blocks locally with
     /// Algorithm 2 — then the superstep boundary's `sync()`.
     fn reorganize(&mut self, att: Attempt) {
-        let Attempt { scratch, mut backlog, .. } = att;
-        // Deferred writes must be on disk — and their errors known —
-        // before the reorganization (or a rollback) reuses their tracks.
-        let t0 = Instant::now();
-        if let Err(e) = backlog.drain() {
-            self.zombie.get_or_insert(e.into());
-        }
-        self.walls.write += t0.elapsed();
-
         if self.zombie.is_none() {
-            self.balances.push(scratch.balance_factor());
+            self.balances.push(att.scratch.balance_factor());
             let t0 = Instant::now();
             let ops0 = self.disks.stats().parallel_ops;
             match simulate_routing(
                 self.disks,
                 &mut self.alloc,
                 &self.geom,
-                scratch,
+                att.scratch,
                 &mut self.routing_scratch,
                 &mut self.block_pool,
                 None,
@@ -1561,10 +1444,9 @@ mod tests {
     use crate::test_programs::{AllToAll, Chatty, Diffuse};
     use crate::SeqEmSimulator;
     use em_bsp::{run_sequential, BspStarParams};
-    use em_disk::Pipeline;
     use std::path::Path;
 
-    /// The diffusion workload of the pipeline and crash tests.
+    /// The diffusion workload of the crash tests.
     const DIFFUSE: Diffuse = Diffuse { rounds: 4 };
 
     fn machine(p: usize, m: usize, d: usize, b: usize) -> EmMachine {
@@ -1595,28 +1477,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_parallel_run_is_bit_identical() {
-        // Distinct initial states, so a stale context read shows.
-        let v = 32;
-        let init: Vec<u64> = (0..v as u64).map(|x| x * 11 + 3).collect();
-        let reference = run_sequential(&DIFFUSE, init.clone()).unwrap();
-        let base = ParEmSimulator::new(machine(4, 256, 2, 64)).with_seed(5);
-        let (a, ra) = base.run(&DIFFUSE, init.clone()).unwrap();
-        assert_eq!(a.states, reference.states, "Pipeline::Off must match the reference");
-        // 4 batches: depth 2 keeps several rounds in flight, depth 8 a
-        // window wider than the whole superstep.
-        for pipeline in [Pipeline::Stream(1), Pipeline::Stream(2), Pipeline::Stream(8)] {
-            let pipelined = base.clone().with_pipeline(pipeline);
-            let (b, rb) = pipelined.run(&DIFFUSE, init.clone()).unwrap();
-            assert_eq!(a.states, b.states, "{pipeline:?}");
-            assert_eq!(a.ledger, b.ledger, "{pipeline:?}");
-            assert_eq!(ra.io, rb.io, "counted I/O must not depend on {pipeline:?}");
-            assert_eq!(ra.phases, rb.phases, "{pipeline:?}");
-            assert_eq!(ra.tracks_per_disk, rb.tracks_per_disk, "{pipeline:?}");
-        }
-    }
-
-    #[test]
     fn cached_parallel_run_is_bit_identical() {
         let v = 32;
         let prog = AllToAll { mu: 124 };
@@ -1637,22 +1497,6 @@ mod tests {
         let (_, rb) = base.clone().with_cache(1 << 16).run(&prog, vec![0u64; v]).unwrap();
         assert!(rb.io.cache_absorbed_writes > 0, "writes must be buffered until the barrier");
         assert_eq!(ra.io.cache_absorbed_writes, 0);
-    }
-
-    #[test]
-    fn pipelined_parallel_file_backend_matches_reference() {
-        let prog = AllToAll { mu: 124 };
-        let reference = run_sequential(&prog, vec![0u64; 16]).unwrap();
-        for (tag, pipeline) in [("db", Pipeline::Stream(1)), ("s3", Pipeline::Stream(3))] {
-            let dir =
-                std::env::temp_dir().join(format!("em-par-pipe-{tag}-{}", std::process::id()));
-            let sim = ParEmSimulator::new(machine(2, 256, 2, 64))
-                .with_file_backend(&dir)
-                .with_pipeline(pipeline);
-            let (res, _) = sim.run(&prog, vec![0u64; 16]).unwrap();
-            assert_eq!(res.states, reference.states, "{pipeline:?}");
-            std::fs::remove_dir_all(&dir).ok();
-        }
     }
 
     /// Every regular file directly inside `dir`, by name.
@@ -1696,25 +1540,20 @@ mod tests {
         let seq = SeqEmSimulator::new(machine(1, 256, 2, 64)).with_seed(0xE1);
         let par = ParEmSimulator::new(machine(1, 256, 2, 64)).with_seed(0xE1);
 
-        for (tag, pipeline) in [("off", Pipeline::Off), ("s2", Pipeline::Stream(2))] {
-            let (seq, par) =
-                (seq.clone().with_pipeline(pipeline), par.clone().with_pipeline(pipeline));
-            let a = seq.run(&DIFFUSE, init.clone()).unwrap();
-            let b = par.run(&DIFFUSE, init.clone()).unwrap();
-            assert_eq!(a.0.states, reference.states, "{tag}");
-            assert_eq!((a.1.k, a.1.num_groups, a.1.lambda), (2, 7, 5), "{tag}");
-            assert_same(&format!("memory/{tag}"), &a, &b);
+        let a = seq.run(&DIFFUSE, init.clone()).unwrap();
+        let b = par.run(&DIFFUSE, init.clone()).unwrap();
+        assert_eq!(a.0.states, reference.states);
+        assert_eq!((a.1.k, a.1.num_groups, a.1.lambda), (2, 7, 5));
+        assert_same("memory", &a, &b);
 
-            let (seq_dir, par_dir) =
-                (base.join(format!("seq-{tag}")), base.join(format!("par-{tag}")));
-            let fa = seq.with_file_backend(&seq_dir).run(&DIFFUSE, init.clone()).unwrap();
-            let fb = par.with_file_backend(&par_dir).run(&DIFFUSE, init.clone()).unwrap();
-            assert_same(&format!("file/{tag}"), &fa, &fb);
-            assert_same(&format!("file vs memory/{tag}"), &a, &fa);
-            let drives = dir_bytes(&seq_dir);
-            assert!(!drives.is_empty(), "{tag}: the run left no drive files");
-            assert_eq!(drives, dir_bytes(&par_dir.join("proc-0")), "{tag}: drive-file bytes");
-        }
+        let (seq_dir, par_dir) = (base.join("seq"), base.join("par"));
+        let fa = seq.clone().with_file_backend(&seq_dir).run(&DIFFUSE, init.clone()).unwrap();
+        let fb = par.clone().with_file_backend(&par_dir).run(&DIFFUSE, init.clone()).unwrap();
+        assert_same("file", &fa, &fb);
+        assert_same("file vs memory", &a, &fa);
+        let drives = dir_bytes(&seq_dir);
+        assert!(!drives.is_empty(), "the run left no drive files");
+        assert_eq!(drives, dir_bytes(&par_dir.join("proc-0")), "drive-file bytes");
 
         // One crash lane: both die mid-superstep 2 and resume to the
         // uninterrupted result, manifests and journals byte for byte.
@@ -1948,14 +1787,13 @@ mod tests {
             let mut att = w.begin_attempt(step);
             for batch in 0..shape.num_batches {
                 let pids = shape.pids(0, batch);
-                let (pending_ctx, my_blocks) = w.fetch_and_forward(&mut att, batch);
-                assert!(pending_ctx.is_none(), "unpipelined: deliver reads the contexts");
+                let my_blocks = w.fetch_and_forward(batch);
                 assert_eq!(my_blocks.is_empty(), step == 0, "step {step}: messages to deliver");
                 // `deliver` pools the message blocks, then borrows the
                 // context read's blocks from the pool and returns them.
                 let ctx_blocks = pids.len() * w.ctx.blocks_per_context();
                 let after = (w.block_pool.len() + my_blocks.len()).max(ctx_blocks);
-                let work = w.deliver(batch, &pids, pending_ctx, my_blocks).unwrap();
+                let work = w.deliver(batch, &pids, my_blocks).unwrap();
                 assert_eq!(w.block_pool.len(), after, "step {step}, round {batch}: block lost");
                 let states = w.compute(step, work).unwrap();
                 let bundles = w.write_back(&mut att, batch, &pids, states).unwrap();

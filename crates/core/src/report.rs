@@ -92,21 +92,20 @@ impl PhaseIo {
 /// Wall-clock time attributed to each phase of the simulation.
 ///
 /// This is the *secondary* signal of DESIGN.md §3.2.2 — host-dependent
-/// and page-cache-sensitive — split by phase so that a speedup (from
-/// [`em_disk::Pipeline::Stream`], ...) is attributable. Deliberately a
-/// separate struct from [`PhaseIo`]: the counted per-phase I/O operations
-/// are asserted bit-identical across the `IoMode`/`Pipeline` knobs, while
-/// wall clocks may — and should — differ. On the parallel simulator each
-/// field is the maximum across worker threads (the phases run
-/// concurrently, so the slowest worker bounds the wall). Replayed
-/// supersteps keep their timers: the time genuinely elapsed, even if the
-/// attempt was rolled back.
+/// and page-cache-sensitive — split by phase so that a speedup is
+/// attributable. Deliberately a separate struct from [`PhaseIo`]: the
+/// counted per-phase I/O operations are asserted bit-identical across the
+/// `IoMode`, cache and backend knobs, while wall clocks may — and should —
+/// differ. On the parallel simulator each field is the maximum across
+/// worker threads (the phases run concurrently, so the slowest worker
+/// bounds the wall). Replayed supersteps keep their timers: the time
+/// genuinely elapsed, even if the attempt was rolled back.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseWall {
     /// Fetching Phase: context and message-region reads (Steps 1(a)/1(b)),
-    /// including pipelined submission and join time, and the one pass that
-    /// reassembles the delivered streams and decodes each message into its
-    /// virtual processor's inbox. (Before EXPERIMENTS.md's "Layer chain,
+    /// submission and join, and the one pass that reassembles the
+    /// delivered streams and decodes each message into its virtual
+    /// processor's inbox. (Before EXPERIMENTS.md's "Layer chain,
     /// row 5" the decode was a pass of its own and was filed under
     /// `compute`; numbers from before and after do not compare field by
     /// field, only as `fetch + compute`.)
@@ -116,8 +115,8 @@ pub struct PhaseWall {
     /// (Step 1(c)).
     pub compute: Duration,
     /// Writing Phase: context write-back, cutting the round's streams into
-    /// blocks and the message scatter (Steps 1(d)/1(e)), including backlog
-    /// drains.
+    /// blocks and the message scatter (Steps 1(d)/1(e)), each write joined
+    /// where it is submitted.
     pub write: Duration,
     /// Step 2: `SimulateRouting` reorganization.
     pub reorganize: Duration,

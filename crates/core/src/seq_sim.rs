@@ -145,39 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_run_is_bit_identical_to_synchronous() {
-        let prog = AllToAll { mu: 124 };
-        let base = SeqEmSimulator::new(machine(256, 4, 64)).with_seed(42);
-        let (a, ra) = base.run(&prog, vec![0u64; 16]).unwrap();
-        // The workload has 8 groups: depth 2 keeps several in flight,
-        // depth 8 covers a window deeper than the remaining groups, and
-        // depth 32 a window wider than the whole superstep.
-        for pipeline in
-            [Pipeline::Stream(1), Pipeline::Stream(2), Pipeline::Stream(8), Pipeline::Stream(32)]
-        {
-            let pipelined = base.clone().with_pipeline(pipeline);
-            let (b, rb) = pipelined.run(&prog, vec![0u64; 16]).unwrap();
-            assert_eq!(a.states, b.states, "{pipeline:?}");
-            assert_eq!(a.ledger, b.ledger, "{pipeline:?}");
-            assert_eq!(ra.io, rb.io, "counted I/O must not depend on {pipeline:?}");
-            assert_eq!(ra.phases, rb.phases, "phase attribution must not depend on {pipeline:?}");
-            assert_eq!(ra.tracks_per_disk, rb.tracks_per_disk, "{pipeline:?}");
-        }
-    }
-
-    #[test]
-    fn stream_zero_is_exactly_off() {
-        let prog = AllToAll { mu: 124 };
-        let base = SeqEmSimulator::new(machine(256, 4, 64)).with_seed(42);
-        let (a, ra) = base.run(&prog, vec![0u64; 16]).unwrap();
-        let (b, rb) =
-            base.clone().with_pipeline(Pipeline::Stream(0)).run(&prog, vec![0u64; 16]).unwrap();
-        assert_eq!(a.states, b.states);
-        assert_eq!(ra.io, rb.io);
-        assert_eq!(ra.phases, rb.phases);
-    }
-
-    #[test]
     fn cached_run_is_bit_identical_to_uncached() {
         let prog = AllToAll { mu: 124 };
         let base = SeqEmSimulator::new(machine(256, 4, 64)).with_seed(42);
@@ -202,23 +169,6 @@ mod tests {
         assert!(rb.io.cache_absorbed_writes > 0, "writes must be buffered until the barrier");
         assert_eq!(ra.io.cache_hit_blocks, 0);
         assert_eq!(ra.io.cache_absorbed_writes, 0);
-    }
-
-    #[test]
-    fn pipelined_file_backend_matches_reference() {
-        let prog = AllToAll { mu: 124 };
-        let reference = run_sequential(&prog, vec![0u64; 16]).unwrap();
-        for (tag, pipeline) in [("db", Pipeline::Stream(1)), ("s3", Pipeline::Stream(3))] {
-            let dir =
-                std::env::temp_dir().join(format!("em-seq-pipe-{tag}-{}", std::process::id()));
-            let sim = SeqEmSimulator::new(machine(256, 4, 64))
-                .with_file_backend(&dir)
-                .with_pipeline(pipeline);
-            let (res, report) = sim.run(&prog, vec![0u64; 16]).unwrap();
-            assert_eq!(res.states, reference.states, "{pipeline:?}");
-            assert!(report.io.parallel_ops > 0);
-            std::fs::remove_dir_all(&dir).ok();
-        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::machine::EmMachine;
 use crate::msg::Placement;
 use crate::report::{FaultReport, RecoveryPolicy};
 use crate::{EmError, EmResult};
-use em_disk::{DiskArray, DiskConfig, FaultPlan, FaultStats, IoMode, Pipeline, RetryPolicy};
+use em_disk::{DiskArray, DiskConfig, FaultPlan, FaultStats, IoMode, RetryPolicy};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -30,7 +30,6 @@ pub(crate) struct SimConfig {
     /// itself (Algorithm 1's, which only ever has processor 0).
     pub per_proc_dirs: bool,
     pub io_mode: IoMode,
-    pub pipeline: Pipeline,
     pub fault_plan: Option<FaultPlan>,
     pub checksums: bool,
     pub retry: Option<RetryPolicy>,
@@ -53,7 +52,6 @@ impl SimConfig {
             file_dir: None,
             per_proc_dirs,
             io_mode: IoMode::Parallel,
-            pipeline: Pipeline::Off,
             fault_plan: None,
             checksums: false,
             retry: None,
@@ -70,7 +68,6 @@ impl SimConfig {
             .machine
             .disk_config()?
             .with_io_mode(self.io_mode)
-            .with_pipeline(self.pipeline)
             .with_checksums(self.checksums)
             .with_cache(self.cache_bytes)
             .with_pinned_workers(self.pin_workers);
@@ -244,23 +241,10 @@ macro_rules! sim_facade {
                 self
             }
 
-            /// Overlap each processor's disk transfers with computation
-            /// and with the inter-processor exchanges ([`Pipeline::Off`]
-            /// by default). With [`Pipeline::Stream(n)`](Pipeline::Stream)
-            /// a bounded window of rounds is in flight at once. At `p ≥ 2`
-            /// round `j+n-1`'s context read is submitted before round
-            /// `j`'s block-forwarding exchange runs; at `p = 1`, with no
-            /// exchange to hide a read behind and no block to forward
-            /// first, round `j+n`'s contexts *and* message blocks are
-            /// submitted before round `j` is joined. Every round's writes
-            /// drain in the background, joined before Algorithm 2's
-            /// reorganization. `Stream(1)` is the classic one-group-ahead
-            /// double buffer.
-            /// Counted I/O, per-phase attribution, final states, the RNG
-            /// streams and seeded I/O traces are identical at every depth
-            /// — the knob changes only *when* transfers complete.
-            pub fn with_pipeline(mut self, pipeline: Pipeline) -> Self {
-                self.cfg.pipeline = pipeline;
+            /// Does nothing: [`Pipeline`] has one value, and every
+            /// transfer is joined where it is submitted. Kept because
+            /// `benchmark/` names it.
+            pub fn with_pipeline(self, _pipeline: Pipeline) -> Self {
                 self
             }
 

@@ -1,6 +1,9 @@
-//! The BSP programs the simulator unit tests share.
+//! The BSP programs the simulator unit tests share, and a backend that
+//! counts the batches reaching it.
 
 use em_bsp::{BspProgram, Mailbox, Step};
+use em_disk::{DiskBackend, DiskResult, TrackOutcomes};
+use std::sync::{Arc, Mutex};
 
 /// All-to-all exchange and sum — the standard differential check.
 /// Declares μ = `mu` (over-declaration is allowed and lets tests force
@@ -37,8 +40,8 @@ impl BspProgram for AllToAll {
 
 /// Nearest-neighbour diffusion for `rounds` supersteps: a state-dependent
 /// multi-superstep workload. Every superstep folds the incoming messages
-/// into the state, so a stale or misaligned context read (e.g. a window
-/// handing batch b the contexts of batch b-1), or resuming from the wrong
+/// into the state, so a stale or misaligned context read (e.g. batch b
+/// handed the contexts of batch b-1), or resuming from the wrong
 /// barrier, changes the final states — which the symmetric all-to-all
 /// workload cannot detect because it never reads its prior state.
 pub(crate) struct Diffuse {
@@ -93,5 +96,47 @@ impl BspProgram for Chatty {
     }
     fn max_comm_bytes(&self) -> usize {
         48 // two messages' worth; pid 3 exceeds it
+    }
+}
+
+/// A backend that counts the batch calls reaching it and how many stripes
+/// they carried.
+pub(crate) struct BatchCounting {
+    pub inner: Box<dyn DiskBackend>,
+    /// `(read batches, write batches, stripes in them)`.
+    pub calls: Arc<Mutex<(u64, u64, u64)>>,
+}
+
+impl DiskBackend for BatchCounting {
+    fn num_disks(&self) -> usize {
+        self.inner.num_disks()
+    }
+    fn read_track(&mut self, d: usize, t: usize, buf: &mut [u8]) -> DiskResult<()> {
+        self.inner.read_track(d, t, buf)
+    }
+    fn write_track(&mut self, d: usize, t: usize, data: &[u8]) -> DiskResult<()> {
+        self.inner.write_track(d, t, data)
+    }
+    fn read_batch_each(
+        &mut self,
+        stripes: &[usize],
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
+        let mut calls = self.calls.lock().unwrap();
+        (calls.0, calls.2) = (calls.0 + 1, calls.2 + stripes.len() as u64);
+        self.inner.read_batch_each(stripes, addrs, bufs)
+    }
+    fn write_batch_each(
+        &mut self,
+        stripes: &[usize],
+        writes: &[(usize, usize, &[u8])],
+    ) -> TrackOutcomes {
+        let mut calls = self.calls.lock().unwrap();
+        (calls.1, calls.2) = (calls.1 + 1, calls.2 + stripes.len() as u64);
+        self.inner.write_batch_each(stripes, writes)
+    }
+    fn tracks_used(&self, disk: usize) -> usize {
+        self.inner.tracks_used(disk)
     }
 }

@@ -5,7 +5,7 @@ use crate::checkpoint::{JournalContents, JournalFile};
 use crate::engine::first_failure;
 use crate::{
     Block, BlockCacheBackend, ChecksumBackend, DiskBackend, DiskConfig, DiskError, DiskResult,
-    FaultInjectingBackend, FaultPlan, FileBackend, IoStats, MemoryBackend, Pipeline, ReadTicket,
+    FaultInjectingBackend, FaultPlan, FileBackend, IoStats, MemoryBackend, ReadTicket,
     RetryingBackend, WriteTicket, CRC_BYTES,
 };
 use std::collections::{HashMap, HashSet};
@@ -61,10 +61,10 @@ pub struct DiskArray {
     /// backend call, exactly the order stripe-at-a-time submission gives.
     fault_layer: bool,
     /// Live count of stripe tickets handed out by the submit calls and
-    /// neither joined nor dropped yet. Barriers check it so pipelined
-    /// callers that reach `sync()`/`begin_recovery_epoch()` with work
-    /// still in their window fail with a typed
-    /// [`DiskError::UnjoinedTickets`] instead of an implicit drain.
+    /// neither joined nor dropped yet. Barriers check it so callers that
+    /// reach `sync()`/`begin_recovery_epoch()` still holding a ticket fail
+    /// with a typed [`DiskError::UnjoinedTickets`] instead of an implicit
+    /// drain.
     outstanding: Arc<AtomicUsize>,
 }
 
@@ -236,13 +236,6 @@ impl DiskArray {
     /// `B` in bytes.
     pub fn block_bytes(&self) -> usize {
         self.cfg.block_bytes
-    }
-
-    /// Whether callers should overlap adjacent groups' I/O (a simulator
-    /// policy knob carried on the configuration; the array itself behaves
-    /// identically either way).
-    pub fn pipeline(&self) -> Pipeline {
-        self.cfg.pipeline
     }
 
     /// Counters accumulated so far.
@@ -914,56 +907,6 @@ impl WriteStripeTicket {
     /// Wait for the submitted transfers to land.
     pub fn join(self) -> DiskResult<()> {
         self.ticket.join()
-    }
-}
-
-/// A FIFO of submitted-but-unjoined stripe writes.
-///
-/// Pipelined simulators push every deferred write here and drain the
-/// backlog at a barrier (before routing reads the written blocks, and
-/// before the superstep-boundary `sync()`). Draining joins tickets in
-/// submission order and — like a single stripe — reports the earliest
-/// failure after joining *all* of them, so error selection stays
-/// deterministic no matter how the in-flight transfers interleaved.
-#[derive(Default)]
-pub struct WriteBacklog {
-    tickets: Vec<WriteStripeTicket>,
-}
-
-impl WriteBacklog {
-    /// An empty backlog.
-    pub fn new() -> Self {
-        WriteBacklog::default()
-    }
-
-    /// Defer a submitted write until the next [`WriteBacklog::drain`].
-    pub fn push(&mut self, ticket: WriteStripeTicket) {
-        self.tickets.push(ticket);
-    }
-
-    /// Number of writes currently deferred.
-    pub fn len(&self) -> usize {
-        self.tickets.len()
-    }
-
-    /// True when nothing is deferred.
-    pub fn is_empty(&self) -> bool {
-        self.tickets.is_empty()
-    }
-
-    /// Join every deferred write in submission order; the earliest failure
-    /// is reported after all tickets have been joined.
-    pub fn drain(&mut self) -> DiskResult<()> {
-        let mut first_err: Option<DiskError> = None;
-        for ticket in self.tickets.drain(..) {
-            if let Err(e) = ticket.join() {
-                first_err.get_or_insert(e);
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
     }
 }
 
@@ -1744,24 +1687,6 @@ mod tests {
     }
 
     #[test]
-    fn write_backlog_drains_in_submission_order() {
-        let mut a = array(2, 8);
-        let mut backlog = WriteBacklog::new();
-        assert!(backlog.is_empty());
-        for t in 0..3 {
-            let writes: Vec<_> = (0..2)
-                .map(|d| (d, t, Block::from_bytes_padded(&[(10 * t + d) as u8], 8)))
-                .collect();
-            backlog.push(a.submit_write_stripe(&writes).unwrap());
-        }
-        assert_eq!(backlog.len(), 3);
-        backlog.drain().unwrap();
-        assert!(backlog.is_empty());
-        assert_eq!(a.read_block(1, 2).unwrap().as_bytes()[0], 21);
-        assert_eq!(a.stats().parallel_ops, 4);
-    }
-
-    #[test]
     fn barrier_with_unjoined_tickets_is_a_typed_error() {
         let mut a = array(2, 8);
         let wt = a.submit_write_stripe(&[(0, 0, Block::zeroed(8))]).unwrap();
@@ -1790,31 +1715,24 @@ mod tests {
         let rt = a.submit_read_stripe(&[(0, 0)]).unwrap();
         drop(rt);
         a.sync().unwrap();
-        let mut backlog = WriteBacklog::new();
-        backlog.push(a.submit_write_stripe(&[(1, 0, Block::zeroed(8))]).unwrap());
+        let wt = a.submit_write_stripe(&[(1, 0, Block::zeroed(8))]).unwrap();
         assert!(matches!(a.sync(), Err(DiskError::UnjoinedTickets { outstanding: 1 })));
-        backlog.drain().unwrap();
+        wt.join().unwrap();
         a.sync().unwrap();
     }
 
     #[test]
-    fn pipelined_and_synchronous_arrays_count_identically() {
+    fn submitted_and_synchronous_arrays_count_identically() {
         // The same logical workload issued through tickets vs the
         // synchronous calls must produce bit-identical IoStats.
-        let run = |pipelined: bool| {
-            let cfg = DiskConfig::new(3, 16).unwrap().with_pipeline(if pipelined {
-                Pipeline::Stream(1)
-            } else {
-                Pipeline::Off
-            });
-            let mut a = DiskArray::new_memory(cfg);
+        let run = |submitted: bool| {
+            let mut a = DiskArray::new_memory(DiskConfig::new(3, 16).unwrap());
             let writes: Vec<_> =
                 (0..3).map(|d| (d, 1, Block::from_bytes_padded(&[d as u8], 16))).collect();
-            if pipelined {
-                let mut backlog = WriteBacklog::new();
-                backlog.push(a.submit_write_stripe(&writes).unwrap());
+            if submitted {
+                let wt = a.submit_write_stripe(&writes).unwrap();
                 let rt = a.submit_read_stripe(&[(0, 1), (2, 1)]).unwrap();
-                backlog.drain().unwrap();
+                wt.join().unwrap();
                 rt.join().unwrap();
             } else {
                 a.write_stripe(&writes).unwrap();

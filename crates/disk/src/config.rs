@@ -19,59 +19,14 @@ pub enum IoMode {
     Parallel,
 }
 
-/// Whether a simulator may overlap disk transfers of adjacent work units
-/// (groups/batches) within one compound superstep, and how many of them
-/// may be in flight at once.
-///
-/// Like [`IoMode`], the pipeline knob changes *when* transfers execute —
-/// never which stripes are submitted, what [`crate::IoStats`] count, or
-/// what a seeded run computes. Counting happens in
-/// [`DiskArray`](crate::DiskArray) at submission time, so the counted cost
-/// of a run is bit-identical at every depth by construction.
-/// The superstep-boundary `sync()` is the barrier: no transfer submitted
-/// inside a superstep may still be in flight after it.
-///
-/// The knob is a single scalar — the *window depth* returned by
-/// [`Pipeline::depth`]: how many work units ahead of the one currently
-/// being joined a simulator may have submitted. The classic one-ahead
-/// double-buffering scheme is [`Pipeline::Stream`]`(1)`:
-///
-/// ```
-/// use em_disk::Pipeline;
-///
-/// assert_eq!(Pipeline::Off.depth(), 0);
-/// assert_eq!(Pipeline::Stream(4).depth(), 4);
-/// // Stream(0) requests no overlap at all — it behaves like Off.
-/// assert_eq!(Pipeline::Stream(0).depth(), Pipeline::Off.depth());
-/// ```
+/// How a simulator orders its transfers. There is one order: every
+/// transfer is joined where it is submitted (fetch → compute → write, one
+/// group after another). The type and the simulators' `with_pipeline`
+/// select nothing; `benchmark/` names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pipeline {
-    /// Every stripe is joined before the next one is submitted (the
-    /// classic fetch → compute → write group loop).
+    /// Every transfer is joined before the next one is submitted.
     Off,
-    /// Stream compound supersteps through a bounded window of up to `n`
-    /// work units concurrently in flight across fetch (submitted read
-    /// tickets), compute and write ([`crate::WriteBacklog`]), with the
-    /// reorganization drain and the barrier `sync()` as the only full
-    /// joins. `Stream(0)` degenerates to [`Pipeline::Off`]; `Stream(1)` is
-    /// double buffering — while group `g` computes, group `g+1`'s contexts
-    /// and inbound message blocks are already in flight and group `g-1`'s
-    /// outbound blocks and contexts drain in the background; larger depths
-    /// only add more prefetch distance — never different submissions.
-    Stream(usize),
-}
-
-impl Pipeline {
-    /// The in-flight window depth this knob requests: how many work units
-    /// (groups/batches) ahead of the one being joined a simulator may
-    /// have submitted. 0 means fully synchronous.
-    #[inline]
-    pub fn depth(&self) -> usize {
-        match self {
-            Pipeline::Off => 0,
-            Pipeline::Stream(n) => *n,
-        }
-    }
 }
 
 /// The asynchronous engine behind file-backed parallel stripes. There is
@@ -147,9 +102,6 @@ pub struct DiskConfig {
     pub block_bytes: usize,
     /// How file-backed stripes execute (default [`IoMode::Parallel`]).
     pub io_mode: IoMode,
-    /// Whether simulators overlap adjacent groups' I/O (default
-    /// [`Pipeline::Off`]).
-    pub pipeline: Pipeline,
     /// Whether each stored track carries a CRC32 frame suffix, verified on
     /// every read (default off). Corruption surfaces as
     /// [`DiskError::Corrupt`](crate::DiskError::Corrupt). The checksum
@@ -177,8 +129,7 @@ pub struct DiskConfig {
 
 impl DiskConfig {
     /// Create a configuration, validating that both parameters are nonzero.
-    /// The I/O mode defaults to [`IoMode::Parallel`]; pipelining defaults
-    /// to [`Pipeline::Off`].
+    /// The I/O mode defaults to [`IoMode::Parallel`].
     pub fn new(num_disks: usize, block_bytes: usize) -> Result<Self, DiskError> {
         if num_disks == 0 {
             return Err(DiskError::InvalidConfig("num_disks must be >= 1"));
@@ -190,7 +141,6 @@ impl DiskConfig {
             num_disks,
             block_bytes,
             io_mode: IoMode::Parallel,
-            pipeline: Pipeline::Off,
             checksums: false,
             retry: None,
             cache_bytes: 0,
@@ -208,20 +158,6 @@ impl DiskConfig {
     /// Select how file-backed stripes execute.
     pub fn with_io_mode(mut self, mode: IoMode) -> Self {
         self.io_mode = mode;
-        self
-    }
-
-    /// Select whether — and how deep — simulators overlap adjacent
-    /// groups' I/O (see [`Pipeline`]).
-    ///
-    /// ```
-    /// use em_disk::{DiskConfig, Pipeline};
-    ///
-    /// let cfg = DiskConfig::new(4, 256).unwrap().with_pipeline(Pipeline::Stream(4));
-    /// assert_eq!(cfg.pipeline.depth(), 4);
-    /// ```
-    pub fn with_pipeline(mut self, pipeline: Pipeline) -> Self {
-        self.pipeline = pipeline;
         self
     }
 
@@ -321,25 +257,6 @@ mod tests {
         // The mode does not affect configuration equality of shape fields.
         assert_eq!(cfg.num_disks, 4);
         assert_eq!(cfg.block_bytes, 64);
-    }
-
-    #[test]
-    fn pipeline_defaults_to_off_and_is_overridable() {
-        let cfg = DiskConfig::new(4, 64).unwrap();
-        assert_eq!(cfg.pipeline, Pipeline::Off);
-        let cfg = cfg.with_pipeline(Pipeline::Stream(1));
-        assert_eq!(cfg.pipeline, Pipeline::Stream(1));
-        assert_eq!(cfg.io_mode, IoMode::Parallel, "pipeline knob must not disturb io_mode");
-        let cfg = cfg.with_pipeline(Pipeline::Stream(8));
-        assert_eq!(cfg.pipeline, Pipeline::Stream(8));
-    }
-
-    #[test]
-    fn pipeline_depth_maps_every_variant_onto_the_window_scalar() {
-        assert_eq!(Pipeline::Off.depth(), 0);
-        for n in [0, 1, 2, 7, 64] {
-            assert_eq!(Pipeline::Stream(n).depth(), n);
-        }
     }
 
     #[test]

@@ -77,9 +77,9 @@ pub enum DiskError {
     /// A barrier (`sync()` or `begin_recovery_epoch()`) was reached while
     /// the caller still held unjoined stripe tickets. Barriers never drain
     /// tickets implicitly — every submitted stripe must be joined (or its
-    /// ticket explicitly dropped) first, so pipelined callers that forget
-    /// a drain point fail loudly instead of deadlocking or silently
-    /// reordering against the barrier.
+    /// ticket explicitly dropped) first, so a caller that forgets a join
+    /// fails loudly instead of deadlocking or silently reordering against
+    /// the barrier.
     UnjoinedTickets {
         /// Tickets submitted but neither joined nor dropped.
         outstanding: usize,

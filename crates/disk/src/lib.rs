@@ -79,7 +79,7 @@ mod shared;
 mod stats;
 
 pub use alloc::TrackAllocator;
-pub use array::{DiskArray, ReadStripeTicket, WriteBacklog, WriteStripeTicket};
+pub use array::{DiskArray, ReadStripeTicket, WriteStripeTicket};
 pub use backend::{
     ChecksumBackend, DiskBackend, FileBackend, MemoryBackend, RetryingBackend, TrackOutcomes,
 };

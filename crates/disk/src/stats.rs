@@ -9,9 +9,9 @@
 //! Counters are incremented by [`crate::DiskArray`] **at submission time**
 //! (after validation, before any transfer is joined), and every field is an
 //! order-independent sum. Together those two facts make the counted cost of
-//! a run independent of *when* its transfers complete: a pipelined run that
-//! overlaps submitted stripes with computation ([`crate::Pipeline`]) counts
-//! bit-identically to the same run joining every stripe immediately.
+//! a run independent of *when* its transfers complete: a caller that holds
+//! a submitted ticket while it does other work counts bit-identically to one
+//! that joins every stripe immediately.
 
 /// Counters for one disk array.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -514,7 +514,7 @@ impl SimService {
         self.admit_with(spec, sim)
     }
 
-    /// Admit a job with a caller-configured simulator (pipeline, cache…).
+    /// Admit a job with a caller-configured simulator (cache, placement…).
     /// The simulator's machine must match `spec.machine`'s disk shape,
     /// which in turn must match the shared array.
     ///

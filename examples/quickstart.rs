@@ -9,7 +9,6 @@ use em_sim::bsp::{
     run_sequential, BspProgram, BspStarParams, Executor, Mailbox, Step, ThreadedRunner,
 };
 use em_sim::core::{EmMachine, KillPoint, ParEmSimulator, SeqEmSimulator};
-use em_sim::disk::Pipeline;
 use em_sim::serial::impl_serial_struct;
 use em_sim::service::{JobSpec, ServiceConfig, SimService};
 
@@ -80,14 +79,11 @@ fn main() {
 
     // 3. The paper's simulation: a machine with 64 KiB of memory and 4
     //    disks executes the same program out of core. `with_cache` turns
-    //    on the write-back block cache and `with_pipeline` streams each
-    //    compound superstep through a 2-deep window of groups in flight
-    //    (`Stream(1)` is classic double buffering) — counted I/O and
-    //    final states are bit-identical to a plain run; the summary's
-    //    cache_hits / cache_absorbed tallies show the traffic the cache
-    //    soaked up.
+    //    on the write-back block cache — counted I/O and final states are
+    //    bit-identical to a plain run; the summary's cache_hits /
+    //    cache_absorbed tallies show the traffic the cache soaked up.
     let machine = EmMachine::uniprocessor(64 * 1024, 4, 1024, 1);
-    let sim = SeqEmSimulator::new(machine).with_cache(32 * 1024).with_pipeline(Pipeline::Stream(2));
+    let sim = SeqEmSimulator::new(machine).with_cache(32 * 1024);
     let (res, report) = sim.run(&prog, states.clone()).unwrap();
     assert_eq!(res.states, reference.states);
     println!("\nuniprocessor EM simulation (Algorithms 1+2, 32 KiB cache):");

@@ -3,8 +3,8 @@
 //! cache-off run — same final outputs, same message ledger, same counted
 //! I/O (total and per phase, with only the two absorbed-traffic tallies
 //! `cache_hit_blocks`/`cache_absorbed_writes` masked), and the same bytes
-//! on the drive files — across both EM simulators, both pipeline modes,
-//! and under seeded fault injection with retries and superstep replay.
+//! on the drive files — across both EM simulators and under seeded fault
+//! injection with retries and superstep replay.
 //!
 //! The cache sits *above* the retry/checksum/fault layers, so enabling it
 //! changes the raw per-drive operation sequence those layers see. The
@@ -17,7 +17,7 @@
 use em_algos::sort::cgm_sort;
 use em_bsp::{BspStarParams, CommLedger};
 use em_core::{CostReport, EmMachine, ParEmSimulator, PhaseIo, Recording, SeqEmSimulator};
-use em_disk::{IoStats, Pipeline};
+use em_disk::IoStats;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
@@ -137,76 +137,71 @@ fn assert_fingerprints_match(base: &Fingerprint, got: &Fingerprint, what: &str) 
 }
 
 /// The full lane matrix: cache {off, small, working-set} × both simulators
-/// × pipeline {`Off`, `Stream(1)`, `Stream(2)`, `Stream(8)`} on a sort
-/// workload over a file backend, requiring identical outputs and identical
-/// [`Fingerprint`]s, and requiring the cached lanes to actually absorb
-/// traffic (hits and buffered writes both nonzero).
+/// on a sort workload over a file backend, requiring identical outputs and
+/// identical [`Fingerprint`]s, and requiring the cached lanes to actually
+/// absorb traffic (hits and buffered writes both nonzero).
 #[test]
 fn sort_fingerprint_is_cache_invariant() {
     let mut rng = StdRng::seed_from_u64(300);
     let items: Vec<u64> = (0..500).map(|_| rng.gen_range(0..4000)).collect();
 
-    for pipeline in [Pipeline::Off, Pipeline::Stream(1), Pipeline::Stream(2), Pipeline::Stream(8)] {
-        // Uniprocessor simulator.
-        let run_seq = |cache: usize| {
-            let dir = scratch_dir();
-            let rec = Recording::new(
-                SeqEmSimulator::new(em_machine(1))
-                    .with_seed(77)
-                    .with_pipeline(pipeline)
-                    .with_cache(cache)
-                    .with_file_backend(&dir),
-            );
-            let out = cgm_sort(&rec, V, items.clone()).unwrap();
-            let reports = rec.take_reports();
-            let absorbed: u64 = reports.iter().map(|r| r.io.cache_absorbed_writes).sum();
-            let hits: u64 = reports.iter().map(|r| r.io.cache_hit_blocks).sum();
-            let fp = fingerprint(&reports, &dir);
-            std::fs::remove_dir_all(&dir).ok();
-            (out, fp, hits, absorbed)
-        };
-        let (base_out, base_fp, hits, absorbed) = run_seq(0);
-        assert_eq!((hits, absorbed), (0, 0), "cache-off run must tally nothing");
-        for cache in CACHES {
-            let what = format!("sort: seq sim, {pipeline:?}, cache={cache}B");
-            let (out, fp, hits, absorbed) = run_seq(cache);
-            assert_eq!(out, base_out, "{what}: output diverged");
-            assert_fingerprints_match(&base_fp, &fp, &what);
-            // A working-set-sized cache must see read hits; the 2-track
-            // one may thrash its way to zero, but both must buffer
-            // writes until the barrier.
-            if cache >= CACHES[1] {
-                assert!(hits > 0, "{what}: expected cache hits");
-            }
-            assert!(absorbed > 0, "{what}: expected buffered writes");
+    // Uniprocessor simulator.
+    let run_seq = |cache: usize| {
+        let dir = scratch_dir();
+        let rec = Recording::new(
+            SeqEmSimulator::new(em_machine(1))
+                .with_seed(77)
+                .with_cache(cache)
+                .with_file_backend(&dir),
+        );
+        let out = cgm_sort(&rec, V, items.clone()).unwrap();
+        let reports = rec.take_reports();
+        let absorbed: u64 = reports.iter().map(|r| r.io.cache_absorbed_writes).sum();
+        let hits: u64 = reports.iter().map(|r| r.io.cache_hit_blocks).sum();
+        let fp = fingerprint(&reports, &dir);
+        std::fs::remove_dir_all(&dir).ok();
+        (out, fp, hits, absorbed)
+    };
+    let (base_out, base_fp, hits, absorbed) = run_seq(0);
+    assert_eq!((hits, absorbed), (0, 0), "cache-off run must tally nothing");
+    for cache in CACHES {
+        let what = format!("sort: seq sim, cache={cache}B");
+        let (out, fp, hits, absorbed) = run_seq(cache);
+        assert_eq!(out, base_out, "{what}: output diverged");
+        assert_fingerprints_match(&base_fp, &fp, &what);
+        // A working-set-sized cache must see read hits; the 2-track
+        // one may thrash its way to zero, but both must buffer
+        // writes until the barrier.
+        if cache >= CACHES[1] {
+            assert!(hits > 0, "{what}: expected cache hits");
         }
+        assert!(absorbed > 0, "{what}: expected buffered writes");
+    }
 
-        // 3-processor simulator.
-        let run_par = |cache: usize| {
-            let dir = scratch_dir();
-            let rec = Recording::new(
-                ParEmSimulator::new(em_machine(3))
-                    .with_seed(78)
-                    .with_pipeline(pipeline)
-                    .with_cache(cache)
-                    .with_file_backend(&dir),
-            );
-            let out = cgm_sort(&rec, V, items.clone()).unwrap();
-            let reports = rec.take_reports();
-            let absorbed: u64 = reports.iter().map(|r| r.io.cache_absorbed_writes).sum();
-            let fp = fingerprint(&reports, &dir);
-            std::fs::remove_dir_all(&dir).ok();
-            (out, fp, absorbed)
-        };
-        let (base_out, base_fp, absorbed) = run_par(0);
-        assert_eq!(absorbed, 0, "cache-off run must tally nothing");
-        for cache in CACHES {
-            let what = format!("sort: par sim, {pipeline:?}, cache={cache}B");
-            let (out, fp, absorbed) = run_par(cache);
-            assert_eq!(out, base_out, "{what}: output diverged");
-            assert_fingerprints_match(&base_fp, &fp, &what);
-            assert!(absorbed > 0, "{what}: expected buffered writes");
-        }
+    // 3-processor simulator.
+    let run_par = |cache: usize| {
+        let dir = scratch_dir();
+        let rec = Recording::new(
+            ParEmSimulator::new(em_machine(3))
+                .with_seed(78)
+                .with_cache(cache)
+                .with_file_backend(&dir),
+        );
+        let out = cgm_sort(&rec, V, items.clone()).unwrap();
+        let reports = rec.take_reports();
+        let absorbed: u64 = reports.iter().map(|r| r.io.cache_absorbed_writes).sum();
+        let fp = fingerprint(&reports, &dir);
+        std::fs::remove_dir_all(&dir).ok();
+        (out, fp, absorbed)
+    };
+    let (base_out, base_fp, absorbed) = run_par(0);
+    assert_eq!(absorbed, 0, "cache-off run must tally nothing");
+    for cache in CACHES {
+        let what = format!("sort: par sim, cache={cache}B");
+        let (out, fp, absorbed) = run_par(cache);
+        assert_eq!(out, base_out, "{what}: output diverged");
+        assert_fingerprints_match(&base_fp, &fp, &what);
+        assert!(absorbed > 0, "{what}: expected buffered writes");
     }
 }
 

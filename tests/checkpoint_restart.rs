@@ -11,7 +11,6 @@
 
 use em_bsp::{BspProgram, BspStarParams, Mailbox, Step};
 use em_core::{EmError, EmMachine, KillPoint, ParEmSimulator, SeqEmSimulator};
-use em_disk::Pipeline;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -87,16 +86,14 @@ fn all_kill_points() -> Vec<KillPoint> {
         .collect()
 }
 
-fn sweep_seq(pipeline: Pipeline, tag: &str) {
+#[test]
+fn seq_kill_sweep_every_barrier_is_bit_identical() {
+    let tag = "seq";
     let v = 16;
     let machine = EmMachine::uniprocessor(256, 2, 64, 1);
     let base = tmp(tag);
     let make = |dir: std::path::PathBuf| {
-        SeqEmSimulator::new(machine)
-            .with_seed(11)
-            .with_pipeline(pipeline)
-            .with_file_backend(dir)
-            .with_checkpointing(true)
+        SeqEmSimulator::new(machine).with_seed(11).with_file_backend(dir).with_checkpointing(true)
     };
     let dir_a = base.join("uninterrupted");
     let (a, ra) = make(dir_a.clone()).run(&Diffuse, init_states(v)).unwrap();
@@ -118,7 +115,9 @@ fn sweep_seq(pipeline: Pipeline, tag: &str) {
     std::fs::remove_dir_all(&base).ok();
 }
 
-fn sweep_par(pipeline: Pipeline, tag: &str) {
+#[test]
+fn par_kill_sweep_every_barrier_is_bit_identical() {
+    let tag = "par";
     let v = 24;
     let p = 3;
     let machine = EmMachine {
@@ -131,11 +130,7 @@ fn sweep_par(pipeline: Pipeline, tag: &str) {
     };
     let base = tmp(tag);
     let make = |dir: std::path::PathBuf| {
-        ParEmSimulator::new(machine)
-            .with_seed(11)
-            .with_pipeline(pipeline)
-            .with_file_backend(dir)
-            .with_checkpointing(true)
+        ParEmSimulator::new(machine).with_seed(11).with_file_backend(dir).with_checkpointing(true)
     };
     let dir_a = base.join("uninterrupted");
     let (a, ra) = make(dir_a.clone()).run(&Diffuse, init_states(v)).unwrap();
@@ -156,26 +151,6 @@ fn sweep_par(pipeline: Pipeline, tag: &str) {
         assert_eq!(bytes_a, durable_fingerprint(&dir_b), "{tag}/{kill:?}: drive bytes");
     }
     std::fs::remove_dir_all(&base).ok();
-}
-
-#[test]
-fn seq_kill_sweep_every_barrier_is_bit_identical() {
-    sweep_seq(Pipeline::Off, "seq-off");
-}
-
-#[test]
-fn seq_kill_sweep_streaming_pipeline_is_bit_identical() {
-    sweep_seq(Pipeline::Stream(2), "seq-stream2");
-}
-
-#[test]
-fn par_kill_sweep_every_barrier_is_bit_identical() {
-    sweep_par(Pipeline::Off, "par-off");
-}
-
-#[test]
-fn par_kill_sweep_streaming_pipeline_is_bit_identical() {
-    sweep_par(Pipeline::Stream(2), "par-stream2");
 }
 
 #[test]

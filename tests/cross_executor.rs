@@ -28,7 +28,6 @@ use em_algos::transpose::{cgm_transpose, seq_transpose};
 use em_bsp::BspStarParams;
 use em_bsp::{Executor, SeqExecutor, ThreadedRunner};
 use em_core::{EmMachine, ParEmSimulator, SeqEmSimulator};
-use em_disk::Pipeline;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -55,31 +54,16 @@ fn em_machine(p: usize) -> EmMachine {
     }
 }
 
-/// Run `f` against all four executors and assert the outputs agree. The
-/// two EM simulators additionally run with the streaming fetch/compute/
-/// write pipeline at several window depths (`Stream(1)`, `Stream(2)` and
-/// `Stream(8)`) — no overlap knob may change any observable result.
+/// Run `f` against all four executors and assert the outputs agree.
 fn check_all<T: PartialEq + std::fmt::Debug>(f: impl Fn(&dyn ExecDyn) -> T, reference: T) {
     let seq = SeqExecutor;
     let thr = ThreadedRunner::new(4);
     let em1 = SeqEmSimulator::new(em_machine(1)).with_seed(77);
     let emp = ParEmSimulator::new(em_machine(3)).with_seed(78);
-    let em1_pipe = em1.clone().with_pipeline(Pipeline::Stream(1));
-    let emp_pipe = emp.clone().with_pipeline(Pipeline::Stream(1));
-    let em1_s2 = em1.clone().with_pipeline(Pipeline::Stream(2));
-    let emp_s2 = emp.clone().with_pipeline(Pipeline::Stream(2));
-    let em1_s8 = em1.clone().with_pipeline(Pipeline::Stream(8));
-    let emp_s8 = emp.clone().with_pipeline(Pipeline::Stream(8));
     assert_eq!(f(&seq), reference, "sequential reference executor");
     assert_eq!(f(&thr), reference, "threaded runner");
     assert_eq!(f(&em1), reference, "uniprocessor EM simulation");
     assert_eq!(f(&emp), reference, "3-processor EM simulation");
-    assert_eq!(f(&em1_pipe), reference, "uniprocessor EM simulation (pipelined)");
-    assert_eq!(f(&emp_pipe), reference, "3-processor EM simulation (pipelined)");
-    assert_eq!(f(&em1_s2), reference, "uniprocessor EM simulation (stream depth 2)");
-    assert_eq!(f(&emp_s2), reference, "3-processor EM simulation (stream depth 2)");
-    assert_eq!(f(&em1_s8), reference, "uniprocessor EM simulation (stream depth 8)");
-    assert_eq!(f(&emp_s8), reference, "3-processor EM simulation (stream depth 8)");
 }
 
 /// Object-safe shim so `check_all` can take any executor.
@@ -217,7 +201,7 @@ impl em_bsp::BspProgram for ChainFold {
 
 /// The canonical `(src, per-sender send order)` inbox ordering must hold on
 /// every engine — including EM simulations that retry faulted I/O and
-/// replay whole supersteps, at every pipeline depth.
+/// replay whole supersteps.
 #[test]
 fn inbox_ordering_holds_under_faults_and_replay() {
     use em_bsp::run_sequential;
@@ -243,103 +227,26 @@ fn inbox_ordering_holds_under_faults_and_replay() {
         .unwrap_or(0xF16);
     for salt in [0u64, 0x9E37, 0xBEEF] {
         let plan = || FaultPlan::seeded(base_seed ^ salt, 4, 300, 30);
-        for pipeline in
-            [Pipeline::Off, Pipeline::Stream(1), Pipeline::Stream(2), Pipeline::Stream(8)]
-        {
-            let (res, _) = SeqEmSimulator::new(em_machine(1))
-                .with_seed(77)
-                .with_pipeline(pipeline)
-                .with_checksums(true)
-                .with_fault_plan(plan())
-                .with_retry(RetryPolicy::new(4))
-                .with_recovery(RecoveryPolicy::new(64))
-                .run(&ChainFold, init.clone())
-                .unwrap();
-            assert_eq!(res.states, reference, "seq EM, salt {salt:#x}, {pipeline:?}");
-
-            let (res, _) = ParEmSimulator::new(em_machine(3))
-                .with_seed(78)
-                .with_pipeline(pipeline)
-                .with_checksums(true)
-                .with_fault_plan(plan())
-                .with_retry(RetryPolicy::new(4))
-                .with_recovery(RecoveryPolicy::new(64))
-                .run(&ChainFold, init.clone())
-                .unwrap();
-            assert_eq!(res.states, reference, "par EM, salt {salt:#x}, {pipeline:?}");
-        }
-    }
-}
-
-/// Killing a drive while the streaming window has ≥2 groups in flight
-/// must surface the same typed error as the synchronous path — and must
-/// *not* trip the barrier's unjoined-ticket check: a failing attempt
-/// drops its window tickets before the recovery machinery touches the
-/// array (DESIGN.md §3.2.7).
-#[test]
-fn drive_death_with_streaming_window_in_flight_is_typed() {
-    use em_bsp::run_sequential;
-    use em_core::{EmError, RecoveryPolicy};
-    use em_disk::{DiskError, FaultPlan, RetryPolicy};
-
-    // 256 B of simulated memory with μ = 124 pages k = 2 contexts per
-    // group: V = 8 virtual processors form 4 groups, so a Stream(4)
-    // window is fully primed — four group fetches in flight — before the
-    // first join.
-    let machine = |p: usize| EmMachine {
-        p,
-        m_bytes: 256,
-        d: 4,
-        b_bytes: 64,
-        g_io: 1,
-        router: BspStarParams { p, g: 1.0, b: 64, l: 1.0 },
-    };
-    let init: Vec<u64> = (0..V as u64).map(|i| i * 7 + 1).collect();
-    let reference = run_sequential(&ChainFold, init.clone()).unwrap().states;
-
-    let mut deaths_seen = 0;
-    for death_op in [2u64, 8, 20, 40] {
-        let plan = || FaultPlan::none().with_worker_death(0, death_op);
-        let res = SeqEmSimulator::new(machine(1))
+        let (res, _) = SeqEmSimulator::new(em_machine(1))
             .with_seed(77)
-            .with_pipeline(Pipeline::Stream(4))
             .with_checksums(true)
             .with_fault_plan(plan())
             .with_retry(RetryPolicy::new(4))
-            .with_recovery(RecoveryPolicy::new(8))
-            .run(&ChainFold, init.clone());
-        match res {
-            Err(EmError::FaultUnrecoverable { report, source, .. }) => {
-                deaths_seen += 1;
-                assert!(report.injected.dead_ops > 0, "death op {death_op}");
-                assert!(
-                    matches!(*source, EmError::Disk(DiskError::WorkerLost { disk: 0 })),
-                    "death op {death_op}: want WorkerLost (the window must drain \
-                     before the barrier), got {source}"
-                );
-            }
-            // The drive outlived the schedule: the run must be clean.
-            Ok((res, _)) => assert_eq!(res.states, reference, "death op {death_op}"),
-            Err(e) => panic!("death op {death_op}: unexpected error {e}"),
-        }
+            .with_recovery(RecoveryPolicy::new(64))
+            .run(&ChainFold, init.clone())
+            .unwrap();
+        assert_eq!(res.states, reference, "seq EM, salt {salt:#x}");
 
-        let res = ParEmSimulator::new(machine(3))
+        let (res, _) = ParEmSimulator::new(em_machine(3))
             .with_seed(78)
-            .with_pipeline(Pipeline::Stream(4))
             .with_checksums(true)
             .with_fault_plan(plan())
             .with_retry(RetryPolicy::new(4))
-            .with_recovery(RecoveryPolicy::new(8))
-            .run(&ChainFold, init.clone());
-        match res {
-            Err(EmError::FaultUnrecoverable { report, .. }) => {
-                assert!(report.injected.dead_ops > 0, "par death op {death_op}");
-            }
-            Ok((res, _)) => assert_eq!(res.states, reference, "par death op {death_op}"),
-            Err(e) => panic!("par death op {death_op}: unexpected error {e}"),
-        }
+            .with_recovery(RecoveryPolicy::new(64))
+            .run(&ChainFold, init.clone())
+            .unwrap();
+        assert_eq!(res.states, reference, "par EM, salt {salt:#x}");
     }
-    assert!(deaths_seen > 0, "at least one schedule must kill the drive mid-run");
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! all *recoverable* (transients, torn writes, bit flips — no worker
 //! deaths), a run with checksums, a retry policy and a recovery policy
 //! must produce final program states **byte-identical** to the fault-free
-//! run, on both EM simulators and in both pipeline modes, while the
+//! run, on both EM simulators, while the
 //! paper-facing counted parallel I/O (`IoStats::parallel_ops`) stays
 //! exactly what the fault-free run counted. Retry and recovery traffic is
 //! tallied separately (`retried_blocks`, `recovery_ops`).
@@ -16,7 +16,7 @@
 
 use em_bsp::{run_sequential, BspProgram, BspStarParams, Mailbox, Step};
 use em_core::{EmError, EmMachine, ParEmSimulator, RecoveryPolicy, SeqEmSimulator};
-use em_disk::{DiskError, FaultPlan, Pipeline, RetryPolicy};
+use em_disk::{DiskError, FaultPlan, RetryPolicy};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
@@ -103,70 +103,60 @@ fn recoverable_plan(seed: u64) -> FaultPlan {
 #[test]
 fn seq_seeded_faults_recover_to_identical_run() {
     let prog = Diffuse;
-    for pipeline in [Pipeline::Off, Pipeline::Stream(1)] {
-        let base = SeqEmSimulator::new(machine(1, 256, D, 64))
-            .with_seed(9)
-            .with_pipeline(pipeline)
-            .with_checksums(true);
-        let (clean, clean_report) = base.run(&prog, init_states()).unwrap();
-        assert!(clean_report.faults.is_none(), "no plan, no recovery => no fault report");
-        assert_eq!(clean.states, run_sequential(&prog, init_states()).unwrap().states);
+    let base = SeqEmSimulator::new(machine(1, 256, D, 64)).with_seed(9).with_checksums(true);
+    let (clean, clean_report) = base.run(&prog, init_states()).unwrap();
+    assert!(clean_report.faults.is_none(), "no plan, no recovery => no fault report");
+    assert_eq!(clean.states, run_sequential(&prog, init_states()).unwrap().states);
 
-        let faulty_sim = base
-            .clone()
-            .with_fault_plan(recoverable_plan(fault_seed()))
-            .with_retry(RetryPolicy::new(4))
-            .with_recovery(RecoveryPolicy::new(64));
-        let (faulty, report) = faulty_sim.run(&prog, init_states()).unwrap();
+    let faulty_sim = base
+        .clone()
+        .with_fault_plan(recoverable_plan(fault_seed()))
+        .with_retry(RetryPolicy::new(4))
+        .with_recovery(RecoveryPolicy::new(64));
+    let (faulty, report) = faulty_sim.run(&prog, init_states()).unwrap();
 
-        assert_eq!(faulty.states, clean.states, "pipeline {pipeline:?}");
-        assert_eq!(faulty.ledger, clean.ledger);
-        assert_eq!(report.lambda, clean_report.lambda);
-        assert_eq!(
-            report.io.parallel_ops, clean_report.io.parallel_ops,
-            "counted parallel I/O must not include retry/recovery traffic"
-        );
-        assert_eq!(report.phases, clean_report.phases);
+    assert_eq!(faulty.states, clean.states);
+    assert_eq!(faulty.ledger, clean.ledger);
+    assert_eq!(report.lambda, clean_report.lambda);
+    assert_eq!(
+        report.io.parallel_ops, clean_report.io.parallel_ops,
+        "counted parallel I/O must not include retry/recovery traffic"
+    );
+    assert_eq!(report.phases, clean_report.phases);
 
-        let faults = report.faults.expect("fault plan => fault report");
-        assert!(faults.failed_superstep.is_none());
-        if seed_pinned() {
-            assert!(faults.injected.total() > 0, "default seed must actually fire faults");
-        }
+    let faults = report.faults.expect("fault plan => fault report");
+    assert!(faults.failed_superstep.is_none());
+    if seed_pinned() {
+        assert!(faults.injected.total() > 0, "default seed must actually fire faults");
     }
 }
 
 #[test]
 fn par_seeded_faults_recover_to_identical_run() {
     let prog = Diffuse;
-    for pipeline in [Pipeline::Off, Pipeline::Stream(1)] {
-        let base = ParEmSimulator::new(machine(3, 256, D, 64))
-            .with_seed(2)
-            .with_pipeline(pipeline)
-            .with_checksums(true);
-        let (clean, clean_report) = base.run(&prog, init_states()).unwrap();
-        assert!(clean_report.faults.is_none());
+    let base = ParEmSimulator::new(machine(3, 256, D, 64)).with_seed(2).with_checksums(true);
+    let (clean, clean_report) = base.run(&prog, init_states()).unwrap();
+    assert!(clean_report.faults.is_none());
 
-        let faulty_sim = base
-            .clone()
-            .with_fault_plan(recoverable_plan(fault_seed()))
-            .with_retry(RetryPolicy::new(4))
-            .with_recovery(RecoveryPolicy::new(64));
-        let (faulty, report) = faulty_sim.run(&prog, init_states()).unwrap();
+    let faulty_sim = base
+        .clone()
+        .with_fault_plan(recoverable_plan(fault_seed()))
+        .with_retry(RetryPolicy::new(4))
+        .with_recovery(RecoveryPolicy::new(64));
+    let (faulty, report) = faulty_sim.run(&prog, init_states()).unwrap();
 
-        assert_eq!(faulty.states, clean.states, "pipeline {pipeline:?}");
-        assert_eq!(faulty.ledger, clean.ledger);
-        assert_eq!(report.lambda, clean_report.lambda);
-        assert_eq!(report.io.parallel_ops, clean_report.io.parallel_ops);
-        assert_eq!(report.phases, clean_report.phases);
+    assert_eq!(faulty.states, clean.states);
+    assert_eq!(faulty.ledger, clean.ledger);
+    assert_eq!(report.lambda, clean_report.lambda);
+    assert_eq!(report.io.parallel_ops, clean_report.io.parallel_ops);
+    assert_eq!(report.phases, clean_report.phases);
 
-        let faults = report.faults.expect("fault plan => fault report");
-        assert!(faults.failed_superstep.is_none());
-        if seed_pinned() {
-            // Each of the three worker threads runs its own copy of the
-            // plan, so the shared counters see every firing.
-            assert!(faults.injected.total() > 0);
-        }
+    let faults = report.faults.expect("fault plan => fault report");
+    assert!(faults.failed_superstep.is_none());
+    if seed_pinned() {
+        // Each of the three worker threads runs its own copy of the
+        // plan, so the shared counters see every firing.
+        assert!(faults.injected.total() > 0);
     }
 }
 
@@ -275,89 +265,91 @@ fn par_single_transient_sweep_replays_or_reports() {
 fn retry_budget_exhaustion_inside_a_stripe_is_rolled_back_and_replayed() {
     let prog = Diffuse;
     let policy = RetryPolicy::new(3);
-    for pipeline in [Pipeline::Off, Pipeline::Stream(1)] {
-        let base = SeqEmSimulator::new(machine(1, 256, D, 64))
-            .with_seed(9)
-            .with_pipeline(pipeline)
-            .with_checksums(true);
-        let (clean, clean_report) = base.run(&prog, init_states()).unwrap();
+    let base = SeqEmSimulator::new(machine(1, 256, D, 64)).with_seed(9).with_checksums(true);
+    let (clean, clean_report) = base.run(&prog, init_states()).unwrap();
 
-        let mut replayed = 0usize;
-        for disk in 0..D {
-            for op in (20..160).step_by(9) {
-                let mut plan = FaultPlan::none();
-                for attempt in 0..policy.max_attempts as u64 {
-                    plan = plan.with_transient(disk, op + attempt);
+    let mut replayed = 0usize;
+    for disk in 0..D {
+        for op in (20..160).step_by(9) {
+            let mut plan = FaultPlan::none();
+            for attempt in 0..policy.max_attempts as u64 {
+                plan = plan.with_transient(disk, op + attempt);
+            }
+            let sim = base
+                .clone()
+                .with_fault_plan(plan)
+                .with_retry(policy)
+                .with_recovery(RecoveryPolicy::new(4));
+            match sim.run(&prog, init_states()) {
+                Ok((res, report)) => {
+                    assert_eq!(res.states, clean.states, "disk {disk} op {op}");
+                    assert_eq!(res.ledger, clean.ledger);
+                    assert_eq!(report.io.parallel_ops, clean_report.io.parallel_ops);
+                    assert_eq!(report.phases, clean_report.phases);
+                    let faults = report.faults.expect("fault run => fault report");
+                    assert_eq!(faults.injected.transient, policy.max_attempts as u64);
+                    assert_eq!(faults.retried_blocks, policy.max_attempts as u64 - 1);
+                    assert_eq!(faults.replays, 1, "the exhausted stripe fails its superstep");
+                    assert_eq!(faults.recovered_supersteps, 1);
+                    replayed += 1;
                 }
-                let sim = base
-                    .clone()
-                    .with_fault_plan(plan)
-                    .with_retry(policy)
-                    .with_recovery(RecoveryPolicy::new(4));
-                match sim.run(&prog, init_states()) {
-                    Ok((res, report)) => {
-                        assert_eq!(res.states, clean.states, "{pipeline:?} disk {disk} op {op}");
-                        assert_eq!(res.ledger, clean.ledger);
-                        assert_eq!(report.io.parallel_ops, clean_report.io.parallel_ops);
-                        assert_eq!(report.phases, clean_report.phases);
-                        let faults = report.faults.expect("fault run => fault report");
-                        assert_eq!(faults.injected.transient, policy.max_attempts as u64);
-                        assert_eq!(faults.retried_blocks, policy.max_attempts as u64 - 1);
-                        assert_eq!(faults.replays, 1, "the exhausted stripe fails its superstep");
-                        assert_eq!(faults.recovered_supersteps, 1);
-                        replayed += 1;
-                    }
-                    // Outside the replay envelope (initial load, final read).
-                    Err(EmError::FaultUnrecoverable { report, source, .. }) => {
-                        assert_eq!(report.injected.transient, policy.max_attempts as u64);
-                        assert!(matches!(*source, EmError::Disk(ref e) if e.is_transient()));
-                    }
-                    Err(e) => panic!("unexpected error for disk {disk} op {op}: {e}"),
+                // Outside the replay envelope (initial load, final read).
+                Err(EmError::FaultUnrecoverable { report, source, .. }) => {
+                    assert_eq!(report.injected.transient, policy.max_attempts as u64);
+                    assert!(matches!(*source, EmError::Disk(ref e) if e.is_transient()));
                 }
+                Err(e) => panic!("unexpected error for disk {disk} op {op}: {e}"),
             }
         }
-        assert!(replayed > 0, "{pipeline:?}: some bursts must land inside a superstep");
     }
+    assert!(replayed > 0, "some bursts must land inside a superstep");
 }
 
 // ---------------------------------------------------------------------------
 // Unrecoverable faults: typed error with a populated report, no panic.
 // ---------------------------------------------------------------------------
 
+/// A drive that dies — in the initial load, early or late in the
+/// supersteps — ends the run with the typed error, never a panic.
 #[test]
 fn worker_death_is_typed_and_reported_on_both_simulators() {
     let prog = Diffuse;
-    let plan = || FaultPlan::none().with_worker_death(0, 30);
-    assert!(plan().has_deaths());
+    for death_op in [2u64, 8, 20, 30, 40] {
+        let plan = || FaultPlan::none().with_worker_death(0, death_op);
+        assert!(plan().has_deaths());
 
-    let err = SeqEmSimulator::new(machine(1, 256, D, 64))
-        .with_checksums(true)
-        .with_fault_plan(plan())
-        .with_retry(RetryPolicy::new(4))
-        .with_recovery(RecoveryPolicy::new(8))
-        .run(&prog, init_states())
-        .unwrap_err();
-    match err {
-        EmError::FaultUnrecoverable { report, source, .. } => {
-            assert!(report.injected.dead_ops > 0);
-            assert!(matches!(*source, EmError::Disk(DiskError::WorkerLost { disk: 0 })));
-            assert!(matches!(*source, EmError::Disk(ref e) if !e.is_transient()));
+        let err = SeqEmSimulator::new(machine(1, 256, D, 64))
+            .with_checksums(true)
+            .with_fault_plan(plan())
+            .with_retry(RetryPolicy::new(4))
+            .with_recovery(RecoveryPolicy::new(8))
+            .run(&prog, init_states())
+            .unwrap_err();
+        match err {
+            EmError::FaultUnrecoverable { report, source, .. } => {
+                assert!(report.injected.dead_ops > 0, "death op {death_op}");
+                assert!(
+                    matches!(*source, EmError::Disk(DiskError::WorkerLost { disk: 0 })),
+                    "death op {death_op}: {source}"
+                );
+                assert!(matches!(*source, EmError::Disk(ref e) if !e.is_transient()));
+            }
+            e => panic!("death op {death_op}: expected FaultUnrecoverable, got {e}"),
         }
-        e => panic!("expected FaultUnrecoverable, got {e}"),
-    }
 
-    let err = ParEmSimulator::new(machine(3, 256, D, 64))
-        .with_checksums(true)
-        .with_fault_plan(plan())
-        .with_retry(RetryPolicy::new(4))
-        .with_recovery(RecoveryPolicy::new(8))
-        .run(&prog, init_states())
-        .unwrap_err();
-    match err {
-        EmError::FaultUnrecoverable { report, .. } => {
-            assert!(report.injected.dead_ops > 0);
+        let err = ParEmSimulator::new(machine(3, 256, D, 64))
+            .with_checksums(true)
+            .with_fault_plan(plan())
+            .with_retry(RetryPolicy::new(4))
+            .with_recovery(RecoveryPolicy::new(8))
+            .run(&prog, init_states())
+            .unwrap_err();
+        match err {
+            EmError::FaultUnrecoverable { report, .. } => {
+                assert!(report.injected.dead_ops > 0, "par death op {death_op}");
+            }
+            e => panic!("par death op {death_op}: expected FaultUnrecoverable, got {e}"),
         }
-        e => panic!("expected FaultUnrecoverable, got {e}"),
     }
 }
 
@@ -396,49 +388,45 @@ fn replay_budget_exhaustion_is_typed() {
 #[test]
 fn faultless_run_with_recovery_enabled_is_identical() {
     let prog = Diffuse;
-    for pipeline in [Pipeline::Off, Pipeline::Stream(1)] {
-        // Sequential simulator.
-        let plain =
-            SeqEmSimulator::new(machine(1, 256, D, 64)).with_seed(9).with_pipeline(pipeline);
-        let (a, ra) = plain.run(&prog, init_states()).unwrap();
-        let guarded = plain
-            .clone()
-            .with_checksums(true)
-            .with_retry(RetryPolicy::new(3))
-            .with_recovery(RecoveryPolicy::default());
-        let (b, rb) = guarded.run(&prog, init_states()).unwrap();
-        assert_eq!(a.states, b.states);
-        assert_eq!(a.ledger, b.ledger);
-        assert_eq!(
-            ra.io.parallel_ops, rb.io.parallel_ops,
-            "recovery epochs must not change counted I/O"
-        );
-        assert_eq!(ra.phases, rb.phases);
-        assert_eq!(ra.tracks_per_disk, rb.tracks_per_disk);
-        let faults = rb.faults.expect("recovery enabled => fault report");
-        assert_eq!(faults.injected.total(), 0);
-        assert_eq!(faults.retried_blocks, 0);
-        assert_eq!(faults.replays, 0);
-        assert_eq!(faults.recovered_supersteps, 0);
+    // Sequential simulator.
+    let plain = SeqEmSimulator::new(machine(1, 256, D, 64)).with_seed(9);
+    let (a, ra) = plain.run(&prog, init_states()).unwrap();
+    let guarded = plain
+        .clone()
+        .with_checksums(true)
+        .with_retry(RetryPolicy::new(3))
+        .with_recovery(RecoveryPolicy::default());
+    let (b, rb) = guarded.run(&prog, init_states()).unwrap();
+    assert_eq!(a.states, b.states);
+    assert_eq!(a.ledger, b.ledger);
+    assert_eq!(
+        ra.io.parallel_ops, rb.io.parallel_ops,
+        "recovery epochs must not change counted I/O"
+    );
+    assert_eq!(ra.phases, rb.phases);
+    assert_eq!(ra.tracks_per_disk, rb.tracks_per_disk);
+    let faults = rb.faults.expect("recovery enabled => fault report");
+    assert_eq!(faults.injected.total(), 0);
+    assert_eq!(faults.retried_blocks, 0);
+    assert_eq!(faults.replays, 0);
+    assert_eq!(faults.recovered_supersteps, 0);
 
-        // Parallel simulator.
-        let plain =
-            ParEmSimulator::new(machine(3, 256, D, 64)).with_seed(2).with_pipeline(pipeline);
-        let (a, ra) = plain.run(&prog, init_states()).unwrap();
-        let guarded = plain
-            .clone()
-            .with_checksums(true)
-            .with_retry(RetryPolicy::new(3))
-            .with_recovery(RecoveryPolicy::default());
-        let (b, rb) = guarded.run(&prog, init_states()).unwrap();
-        assert_eq!(a.states, b.states);
-        assert_eq!(a.ledger, b.ledger);
-        assert_eq!(ra.io.parallel_ops, rb.io.parallel_ops);
-        assert_eq!(ra.phases, rb.phases);
-        let faults = rb.faults.expect("recovery enabled => fault report");
-        assert_eq!(faults.replays, 0);
-        assert_eq!(faults.recovered_supersteps, 0);
-    }
+    // Parallel simulator.
+    let plain = ParEmSimulator::new(machine(3, 256, D, 64)).with_seed(2);
+    let (a, ra) = plain.run(&prog, init_states()).unwrap();
+    let guarded = plain
+        .clone()
+        .with_checksums(true)
+        .with_retry(RetryPolicy::new(3))
+        .with_recovery(RecoveryPolicy::default());
+    let (b, rb) = guarded.run(&prog, init_states()).unwrap();
+    assert_eq!(a.states, b.states);
+    assert_eq!(a.ledger, b.ledger);
+    assert_eq!(ra.io.parallel_ops, rb.io.parallel_ops);
+    assert_eq!(ra.phases, rb.phases);
+    let faults = rb.faults.expect("recovery enabled => fault report");
+    assert_eq!(faults.replays, 0);
+    assert_eq!(faults.recovered_supersteps, 0);
 }
 
 // ---------------------------------------------------------------------------

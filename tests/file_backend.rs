@@ -4,7 +4,7 @@
 
 use em_bsp::{BspStarParams, SeqExecutor};
 use em_core::{EmMachine, ParEmSimulator, Recording, SeqEmSimulator};
-use em_disk::{Block, DiskArray, DiskConfig, IoMode, Pipeline};
+use em_disk::{Block, DiskArray, DiskConfig, IoMode};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -172,54 +172,13 @@ fn simulator_iostats_identical_across_backends_and_io_modes() {
     let (par_out, par_stats) =
         run(SeqEmSimulator::new(machine).with_file_backend(&dir_p).with_io_mode(IoMode::Parallel));
 
-    let dir_db = tmp("sim-doublebuffer");
-    let (db_out, db_stats) = run(SeqEmSimulator::new(machine)
-        .with_file_backend(&dir_db)
-        .with_pipeline(Pipeline::Stream(1)));
-
     assert_eq!(mem_out, ser_out);
     assert_eq!(mem_out, par_out);
-    assert_eq!(mem_out, db_out);
     assert_eq!(mem_stats, ser_stats, "memory vs file-serial simulator IoStats diverge");
     assert_eq!(mem_stats, par_stats, "memory vs file-parallel simulator IoStats diverge");
-    assert_eq!(mem_stats, db_stats, "memory vs file-double-buffered simulator IoStats diverge");
 
     std::fs::remove_dir_all(&dir_s).ok();
     std::fs::remove_dir_all(&dir_p).ok();
-    std::fs::remove_dir_all(&dir_db).ok();
-}
-
-#[test]
-fn pipelined_simulator_leaves_identical_drive_files() {
-    // Strongest form of the pipeline contract on real files: with the same
-    // seed, Off and Stream(1) runs leave byte-identical drive files —
-    // every write went to the same track with the same contents.
-    let machine = EmMachine::uniprocessor(32 * 1024, 4, 512, 1);
-    let items: Vec<u64> = (0..5_000).map(|i| i * 2654435761 % 100_000).collect();
-    let run = |dir: &std::path::Path, pipeline: Pipeline| {
-        let rec = Recording::new(
-            SeqEmSimulator::new(machine)
-                .with_seed(11)
-                .with_file_backend(dir)
-                .with_pipeline(pipeline),
-        );
-        let out = em_algos::sort::cgm_sort(&rec, 16, items.clone()).unwrap();
-        (out, rec.total_io_ops())
-    };
-    let dir_off = tmp("pipe-off");
-    let dir_db = tmp("pipe-db");
-    let (a_out, a_ops) = run(&dir_off, Pipeline::Off);
-    let (b_out, b_ops) = run(&dir_db, Pipeline::Stream(1));
-    assert_eq!(a_out, b_out);
-    assert_eq!(a_ops, b_ops, "pipelining must not change counted parallel I/O ops");
-    for d in 0..4 {
-        let a = std::fs::read(dir_off.join(format!("disk-{d}.bin"))).unwrap();
-        let b = std::fs::read(dir_db.join(format!("disk-{d}.bin"))).unwrap();
-        assert_eq!(a, b, "on-disk bytes of drive {d} differ with pipelining");
-        assert!(!a.is_empty());
-    }
-    std::fs::remove_dir_all(&dir_off).ok();
-    std::fs::remove_dir_all(&dir_db).ok();
 }
 
 #[test]
@@ -233,28 +192,19 @@ fn parallel_simulator_iostats_identical_across_io_modes() {
         router: BspStarParams { p: 2, g: 1.0, b: 512, l: 1.0 },
     };
     let items: Vec<u64> = (0..6_000).map(|i| i * 2654435761 % 50_000).collect();
-    let run = |dir: &std::path::Path, mode: IoMode, pipeline: Pipeline| {
+    let run = |dir: &std::path::Path, mode: IoMode| {
         let rec = Recording::new(
-            ParEmSimulator::new(machine)
-                .with_seed(3)
-                .with_file_backend(dir)
-                .with_io_mode(mode)
-                .with_pipeline(pipeline),
+            ParEmSimulator::new(machine).with_seed(3).with_file_backend(dir).with_io_mode(mode),
         );
         let out = em_algos::sort::cgm_sort(&rec, 16, items.clone()).unwrap();
         (out, rec.total_io_ops())
     };
     let dir_s = tmp("psim-serial");
     let dir_p = tmp("psim-parallel");
-    let dir_db = tmp("psim-doublebuffer");
-    let (a_out, a_ops) = run(&dir_s, IoMode::Serial, Pipeline::Off);
-    let (b_out, b_ops) = run(&dir_p, IoMode::Parallel, Pipeline::Off);
-    let (c_out, c_ops) = run(&dir_db, IoMode::Parallel, Pipeline::Stream(1));
+    let (a_out, a_ops) = run(&dir_s, IoMode::Serial);
+    let (b_out, b_ops) = run(&dir_p, IoMode::Parallel);
     assert_eq!(a_out, b_out);
     assert_eq!(a_ops, b_ops, "IoMode must not change counted parallel I/O ops");
-    assert_eq!(a_out, c_out);
-    assert_eq!(a_ops, c_ops, "pipelining must not change counted parallel I/O ops");
     std::fs::remove_dir_all(&dir_s).ok();
     std::fs::remove_dir_all(&dir_p).ok();
-    std::fs::remove_dir_all(&dir_db).ok();
 }
