@@ -120,8 +120,6 @@ impl Cell {
             lambda: self.lambda,
             utilization: 0.0,
             wall_ms: 0.0,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
             note: format!(
                 "state {:016x} ledger {:016x}; {} kill points resumed bit-identical",
                 self.state_fp, self.ledger_fp, self.kills
@@ -479,8 +477,6 @@ fn main() {
         lambda: r.stages.iter().map(|s| s.lambda).sum(),
         utilization: 0.0,
         wall_ms: r.stages.iter().map(|s| s.wall.as_secs_f64() * 1e3).sum(),
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: format!("outcome {:?}", r.outcome),
     }));
     let config = format!(

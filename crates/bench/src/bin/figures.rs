@@ -66,8 +66,6 @@ fn fig_blocking() -> Vec<Row> {
             lambda: 0,
             utilization: stats.io.utilization(),
             wall_ms: 0.0,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
             note: format!("{} records/block", b / 8),
         });
     }
@@ -88,8 +86,6 @@ fn fig_blocking() -> Vec<Row> {
             io.parallel_ops / blocked_at_4096
         ),
         wall_ms: 0.0,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
     });
     rows
 }
@@ -117,8 +113,6 @@ fn fig_disks() -> Vec<Row> {
             lambda: cost.lambda,
             utilization: cost.utilization,
             wall_ms: cost.wall_ms,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
             note: format!("speedup {:.2}x vs D=1", base as f64 / cost.io_ops as f64),
         });
     }
@@ -154,8 +148,6 @@ fn fig_procs() -> Vec<Row> {
             lambda: cost.lambda,
             utilization: cost.utilization,
             wall_ms: cost.wall_ms,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
             note: format!(
                 "per-proc; speedup {:.2}x; real comm {} KiB",
                 base as f64 / per_proc.max(1) as f64,
@@ -228,8 +220,6 @@ fn fig_balance() -> Vec<Row> {
             lambda: 0,
             utilization: 0.0,
             wall_ms: 0.0,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
             note: format!(
                 "worst l={worst:.2} mean l={:.2}; Lemma2 Pr[X≥l·R/D]≤{:.1e}",
                 sum / trials as f64,
@@ -309,8 +299,6 @@ fn fig_lambda() -> Vec<Row> {
             lambda: cost.lambda,
             utilization: cost.utilization,
             wall_ms: cost.wall_ms,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
             note: format!("{:.0} ops/superstep", cost.io_ops as f64 / cost.lambda as f64),
         });
     }
@@ -372,8 +360,6 @@ fn fig_sibeyn() -> Vec<Row> {
             lambda: 2,
             utilization: io_a.utilization(),
             wall_ms: 0.0,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
             note: "v×v matrix, no blocking adaptation".into(),
         });
         rows.push(Row {
@@ -385,8 +371,6 @@ fn fig_sibeyn() -> Vec<Row> {
             lambda: cost.lambda,
             utilization: cost.utilization,
             wall_ms: cost.wall_ms,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
             note: format!("ratio {:.1}x", io_a.parallel_ops as f64 / cost.io_ops.max(1) as f64),
         });
     }
@@ -414,8 +398,6 @@ fn fig_group_size() -> Vec<Row> {
             lambda: cost.lambda,
             utilization: cost.utilization,
             wall_ms: cost.wall_ms,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
             note: format!("k={} groups={}", r.k, r.num_groups),
         });
     }
@@ -452,8 +434,6 @@ fn fig_det_vs_rand() -> Vec<Row> {
             lambda: reports.iter().map(|r| r.lambda).sum(),
             utilization: 0.0,
             wall_ms: wall,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
             note: format!("worst balance {balance:.2}"),
         });
     }
@@ -485,8 +465,6 @@ fn fig_contraction() -> Vec<Row> {
             lambda: jump.lambda,
             utilization: jump.utilization,
             wall_ms: jump.wall_ms,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
             note: format!("msg bytes {}", jump.msg_bytes),
         });
         rows.push(Row {
@@ -498,8 +476,6 @@ fn fig_contraction() -> Vec<Row> {
             lambda: contract.lambda,
             utilization: contract.utilization,
             wall_ms: contract.wall_ms,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
             note: format!(
                 "msg bytes {} ({:.1}x less traffic, {:.2}x ops)",
                 contract.msg_bytes,
@@ -542,8 +518,6 @@ fn fig_obs2() -> Vec<Row> {
             lambda: cost.lambda,
             utilization: cost.utilization,
             wall_ms: cost.wall_ms,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
             note: format!(
                 "c=comp/T={:.2} comm/T={:.4} io/T={:.4}",
                 r.comp_ratio, r.comm_ratio, r.io_ratio
@@ -638,8 +612,6 @@ fn fig_faults() -> Vec<Row> {
             lambda: report.lambda,
             utilization: report.io.utilization(),
             wall_ms: wall,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
             note: format!(
                 "injected={} retried={} replays={} recovered_steps={} recovery_ops={} wall {:.2}x",
                 f.injected.total(),
@@ -707,8 +679,6 @@ fn fig_fig2() -> Vec<Row> {
         lambda: 0,
         utilization: disks.stats().utilization(),
         wall_ms: 0.0,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: format!(
             "step1 rounds={} step2 rounds={} idle={} balance={balance:.2} groups_filled={}",
             trace.step1_rounds,

@@ -52,8 +52,6 @@ fn push_sim_rows(
         lambda: seq.lambda,
         utilization: seq.utilization,
         wall_ms: seq.wall_ms,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: format!("balance≤{:.2}", seq.worst_balance),
     });
     let predp =
@@ -67,8 +65,6 @@ fn push_sim_rows(
         lambda: par.lambda,
         utilization: par.utilization,
         wall_ms: par.wall_ms,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: format!(
             "per-proc ops; speedup {:.1}x vs p=1",
             seq.io_ops as f64 / (par.io_ops as f64 / P as f64)
@@ -95,8 +91,6 @@ fn sort_rows(scale: f64) -> Vec<Row> {
         lambda: 0,
         utilization: stats.io.utilization(),
         wall_ms: 0.0,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: format!("runs={} passes={}", stats.runs, stats.passes),
     });
 
@@ -131,8 +125,6 @@ fn permute_rows(scale: f64) -> Vec<Row> {
         lambda: 0,
         utilization: stats.io.utilization(),
         wall_ms: 0.0,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: String::new(),
     });
 
@@ -164,8 +156,6 @@ fn transpose_rows(scale: f64) -> Vec<Row> {
         lambda: 0,
         utilization: stats.io.utilization(),
         wall_ms: 0.0,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: format!("{r}x{c}"),
     });
 
@@ -207,8 +197,6 @@ fn geometry_rows(scale: f64) -> Vec<Row> {
         lambda: 0,
         utilization: 0.0,
         wall_ms: 0.0,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: format!("hull size {}", hull.len()),
     });
     push_sim_rows(&mut rows, "T1-B-hull", n, nb(n, 16), seq, par);
@@ -231,8 +219,6 @@ fn geometry_rows(scale: f64) -> Vec<Row> {
         lambda: 0,
         utilization: 0.0,
         wall_ms: 0.0,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: format!("maxima {}", mx.len()),
     });
     push_sim_rows(&mut rows, "T1-B-max3d", n, nb(n, 24), seq, par);
@@ -255,8 +241,6 @@ fn geometry_rows(scale: f64) -> Vec<Row> {
         lambda: 0,
         utilization: 0.0,
         wall_ms: 0.0,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: String::new(),
     });
     push_sim_rows(&mut rows, "T1-B-dom", n, nb(n, 48), seq, par);
@@ -282,8 +266,6 @@ fn geometry_rows(scale: f64) -> Vec<Row> {
         lambda: 0,
         utilization: 0.0,
         wall_ms: 0.0,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: String::new(),
     });
     push_sim_rows(&mut rows, "T1-B-next", 2 * n, nb(2 * n, 17), seq, par);
@@ -307,8 +289,6 @@ fn geometry_rows(scale: f64) -> Vec<Row> {
         lambda: 0,
         utilization: 0.0,
         wall_ms: 0.0,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: String::new(),
     });
     push_sim_rows(&mut rows, "T1-B-env", n, nb(2 * n, 35), seq, par);
@@ -332,8 +312,6 @@ fn geometry_rows(scale: f64) -> Vec<Row> {
         lambda: 0,
         utilization: 0.0,
         wall_ms: 0.0,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: format!("δ² = {}", cp_seq.0),
     });
     push_sim_rows(&mut rows, "T1-B-cp", n, nb(n, 16), seq, par);
@@ -375,8 +353,6 @@ fn geometry_rows(scale: f64) -> Vec<Row> {
         lambda: 0,
         utilization: 0.0,
         wall_ms: 0.0,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: "disjoint clouds: separable".into(),
     });
     push_sim_rows(&mut rows, "T1-B-sep", 2 * n, nb(2 * n, 16), seq, par);
@@ -400,8 +376,6 @@ fn geometry_rows(scale: f64) -> Vec<Row> {
         lambda: 0,
         utilization: 0.0,
         wall_ms: 0.0,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: String::new(),
     });
     push_sim_rows(&mut rows, "T1-B-rect", n, nb(2 * n, 41), seq, par);
@@ -434,8 +408,6 @@ fn graph_rows(scale: f64) -> Vec<Row> {
         lambda: steps,
         utilization: pram_io.utilization(),
         wall_ms: 0.0,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: format!("{steps} PRAM steps, 2 sorts each"),
     });
     let (got, seq) = measure_seq(machine(1, M, D, B), SEED, |rec| {
@@ -465,8 +437,6 @@ fn graph_rows(scale: f64) -> Vec<Row> {
         lambda: 0,
         utilization: 0.0,
         wall_ms: 0.0,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: String::new(),
     });
     push_sim_rows(&mut rows, "T1-C-et", n, (2 * n * 16) as u64, seq, par);
@@ -498,8 +468,6 @@ fn graph_rows(scale: f64) -> Vec<Row> {
         lambda: 0,
         utilization: 0.0,
         wall_ms: 0.0,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: format!("{} queries", queries.len()),
     });
     push_sim_rows(&mut rows, "T1-C-lca", n, (3 * n * 16) as u64, seq, par);
@@ -522,8 +490,6 @@ fn graph_rows(scale: f64) -> Vec<Row> {
         lambda: 0,
         utilization: 0.0,
         wall_ms: 0.0,
-        cache_hit_blocks: 0,
-        cache_absorbed_writes: 0,
         note: format!("m={}", edges.len()),
     });
     push_sim_rows(&mut rows, "T1-C-cc", n, (3 * n * 24) as u64, seq, par);

@@ -210,8 +210,6 @@ fn main() {
             lambda: r.stages.iter().map(|s| s.lambda).sum(),
             utilization: 0.0,
             wall_ms: r.stages.iter().map(|s| s.wall.as_secs_f64() * 1e3).sum(),
-            cache_hit_blocks: r.stages.iter().map(|s| s.io.cache_hit_blocks).sum(),
-            cache_absorbed_writes: r.stages.iter().map(|s| s.io.cache_absorbed_writes).sum(),
             note: format!("fingerprint {:08x}", r.state_fingerprint),
         })
         .collect();

@@ -22,12 +22,6 @@ pub struct Row {
     pub utilization: f64,
     /// Wall-clock milliseconds.
     pub wall_ms: f64,
-    /// Reads absorbed by the write-back block cache
-    /// ([`em_disk::IoStats::cache_hit_blocks`]; 0 when the cache is off).
-    pub cache_hit_blocks: u64,
-    /// Writes buffered by the cache until the barrier flush
-    /// ([`em_disk::IoStats::cache_absorbed_writes`]; 0 when off).
-    pub cache_absorbed_writes: u64,
     /// Free-form notes (speedup factors etc.).
     pub note: String,
 }
@@ -39,8 +33,7 @@ impl Row {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"id\":{},\"variant\":{},\"n\":{},\"io_ops\":{},\"predicted\":{},\"lambda\":{},\
-             \"utilization\":{},\"wall_ms\":{},\"cache_hit_blocks\":{},\
-             \"cache_absorbed_writes\":{},\"note\":{}}}",
+             \"utilization\":{},\"wall_ms\":{},\"note\":{}}}",
             json_string(&self.id),
             json_string(&self.variant),
             self.n,
@@ -49,8 +42,6 @@ impl Row {
             self.lambda,
             json_number(self.utilization),
             json_number(self.wall_ms),
-            self.cache_hit_blocks,
-            self.cache_absorbed_writes,
             json_string(&self.note),
         )
     }
@@ -220,8 +211,6 @@ mod tests {
             lambda: 4,
             utilization: 0.9483648881239243,
             wall_ms: 46.960077000000005,
-            cache_hit_blocks: 0,
-            cache_absorbed_writes: 0,
             note: String::new(),
         }
     }
@@ -232,8 +221,7 @@ mod tests {
             row().to_json(),
             "{\"id\":\"T1-A-sort\",\"variant\":\"sim \\\"p=4\\\"\",\"n\":1000,\"io_ops\":42,\
              \"predicted\":40.0,\"lambda\":4,\"utilization\":0.9483648881239243,\
-             \"wall_ms\":46.960077000000005,\"cache_hit_blocks\":0,\"cache_absorbed_writes\":0,\
-             \"note\":\"\"}"
+             \"wall_ms\":46.960077000000005,\"note\":\"\"}"
         );
         assert_eq!(json_number(f64::NAN), "null");
         assert_eq!(json_number(0.0), "0.0");

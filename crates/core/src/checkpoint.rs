@@ -255,8 +255,6 @@ impl Manifest {
         put_u64s(&mut out, &self.io.per_disk_writes);
         put_u64(&mut out, self.io.retried_blocks);
         put_u64(&mut out, self.io.recovery_ops);
-        put_u64(&mut out, self.io.cache_hit_blocks);
-        put_u64(&mut out, self.io.cache_absorbed_writes);
         put_u64(&mut out, self.balances.len() as u64);
         for &b in &self.balances {
             put_u64(&mut out, b.to_bits());
@@ -324,8 +322,6 @@ impl Manifest {
         io.per_disk_writes = c.u64s()?;
         io.retried_blocks = c.u64()?;
         io.recovery_ops = c.u64()?;
-        io.cache_hit_blocks = c.u64()?;
-        io.cache_absorbed_writes = c.u64()?;
         let n_bal = c.u64()? as usize;
         if n_bal > buf.len() {
             return Err(Cursor::truncated());
@@ -459,8 +455,6 @@ mod tests {
                 io.per_disk_writes = vec![15, 15, 15, 15];
                 io.retried_blocks = 1;
                 io.recovery_ops = 5;
-                io.cache_hit_blocks = 0;
-                io.cache_absorbed_writes = 0;
                 io
             },
             balances: vec![1.0, 1.25, 0.75],

@@ -31,20 +31,19 @@
 //! buffer, and gives them back.
 
 use crate::{EmError, EmResult};
-use em_disk::{ConsecutiveLayout, DiskArray, ReadStripeTicket, TrackAllocator};
+use em_disk::{ConsecutiveLayout, DiskArray, TrackAllocator};
 
 /// A free list of byte buffers recycled across group reads and writes.
 ///
 /// The simulators keep two per worker (DESIGN §3.2.5): one of context-sized
-/// buffers — [`PendingGroupRead::join_into`] draws the decoded contexts
-/// from it, [`ContextStore::submit_write_group`] its staging buffer, and
+/// buffers — [`ContextStore::read_group_into`] draws the decoded contexts
+/// from it, [`ContextStore::write_group_into`] its staging buffer, and
 /// the contexts return via [`BufferPool::put_all`] once their write is
-/// submitted (the array has copied or written the bytes by then) — and one
-/// of `B`-byte block buffers, which [`ContextStore::submit_read_group`]
-/// lends to the array and `join_into` hands back. Steady state is
-/// therefore allocation-free in the context path: a run touches at most
-/// one group's worth of live buffers plus the pools. An empty pool is
-/// always valid — `take` falls back to a fresh allocation.
+/// done — and one of `B`-byte block buffers, which
+/// [`ContextStore::read_group_into`] lends to the array and gets back.
+/// Steady state is therefore allocation-free in the context path: a run
+/// touches at most one group's worth of live buffers plus the pools. An
+/// empty pool is always valid — `take` falls back to a fresh allocation.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     free: Vec<Vec<u8>>,
@@ -133,17 +132,16 @@ impl ContextStore {
         first: usize,
         bufs: &[Vec<u8>],
     ) -> EmResult<()> {
-        self.submit_write_group(disks, first, bufs, &mut BufferPool::new())
+        self.write_group_into(disks, first, bufs, &mut BufferPool::new())
     }
 
-    /// Submit the stripes of [`Self::write_group`] as one batch and join
-    /// it.
+    /// [`Self::write_group`] as one batch, staged in a buffer from `pool`.
     ///
     /// The group's regions — each its length prefix, the serialized state
     /// and zero padding — are laid end to end in one buffer drawn from
     /// `pool`, and its `B`-byte chunks go down as slices of it; the buffer
     /// is back in `pool` when this returns.
-    pub fn submit_write_group(
+    pub fn write_group_into(
         &self,
         disks: &mut DiskArray,
         first: usize,
@@ -188,59 +186,29 @@ impl ContextStore {
         first: usize,
         count: usize,
     ) -> EmResult<Vec<Vec<u8>>> {
-        self.submit_read_group(disks, first, count, &mut BufferPool::new())?.join()
+        self.read_group_into(disks, first, count, &mut BufferPool::new(), &mut BufferPool::new())
     }
 
-    /// Submit the stripe reads of [`Self::read_group`] into `B`-byte
-    /// buffers lent from `blocks` and return a handle;
-    /// [`PendingGroupRead::join_into`] waits for the transfers, decodes the
-    /// contexts and gives the buffers back. Counted I/O happens here, at
-    /// submission, so prefetching a group early costs exactly what fetching
-    /// it on demand costs.
-    pub fn submit_read_group(
+    /// [`Self::read_group`] as one batch into `B`-byte buffers lent from
+    /// `blocks`, copying each context's payload straight from the blocks it
+    /// arrived in into a buffer drawn from `contexts`, then giving the
+    /// block buffers back to `blocks`. Every track is attempted even on
+    /// failure, so the first failing track in request order wins
+    /// deterministically. The simulators recycle each group's context
+    /// buffers back into `contexts` after writing the group, so the context
+    /// path stops allocating once both pools are warm.
+    pub fn read_group_into(
         &self,
         disks: &mut DiskArray,
         first: usize,
         count: usize,
-        blocks: &mut BufferPool,
-    ) -> EmResult<PendingGroupRead> {
-        let (stripes, addrs) = self.layout.batch(first, count);
-        let lent = addrs.iter().map(|_| blocks.take()).collect();
-        let ticket = disks.submit_read_batch_into(&stripes, &addrs, lent)?;
-        Ok(PendingGroupRead { ticket, first, count, capacity_bytes: self.capacity_bytes })
-    }
-}
-
-/// Contexts in flight from [`ContextStore::submit_read_group`].
-pub struct PendingGroupRead {
-    ticket: ReadStripeTicket,
-    first: usize,
-    count: usize,
-    capacity_bytes: usize,
-}
-
-impl PendingGroupRead {
-    /// Wait for the submitted batch (every track is joined even on failure,
-    /// so the first failing track in request order wins deterministically)
-    /// and decode the length-prefixed contexts.
-    pub fn join(self) -> EmResult<Vec<Vec<u8>>> {
-        self.join_into(&mut BufferPool::new(), &mut BufferPool::new())
-    }
-
-    /// [`PendingGroupRead::join`], copying each context's payload straight
-    /// from the blocks it arrived in into a buffer drawn from `contexts`,
-    /// then giving the block buffers to `blocks` — the pool
-    /// [`ContextStore::submit_read_group`] lent them from. The simulators
-    /// recycle each group's context buffers back into `contexts` after
-    /// writing the group, so the context path stops allocating once both
-    /// pools are warm.
-    pub fn join_into(
-        self,
         contexts: &mut BufferPool,
         blocks: &mut BufferPool,
     ) -> EmResult<Vec<Vec<u8>>> {
-        let payload_capacity = self.capacity_bytes - 4;
-        let read = self.ticket.join_bufs()?;
+        let (stripes, addrs) = self.layout.batch(first, count);
+        let lent = addrs.iter().map(|_| blocks.take()).collect();
+        let read = disks.submit_read_batch_into(&stripes, &addrs, lent)?.join_bufs()?;
+        let payload_capacity = self.payload_capacity();
         // Every block arrives in one `B`-byte buffer; an empty group has
         // none, and no context to cut out of them.
         let (bb, arrived) = (read.first().map_or(0, Vec::len), &read[..]);
@@ -251,8 +219,8 @@ impl PendingGroupRead {
                 &arrived[i][at.max(i * bb) - i * bb..(at + len).min((i + 1) * bb) - i * bb]
             })
         };
-        let mut out = Vec::with_capacity(self.count);
-        for r in 0..self.count {
+        let mut out = Vec::with_capacity(count);
+        for r in 0..count {
             let start = r * self.capacity_bytes;
             let mut prefix = [0u8; 4];
             for (byte, &b) in prefix.iter_mut().zip(spans(start, 4).flatten()) {
@@ -263,7 +231,7 @@ impl PendingGroupRead {
                 contexts.put_all(out);
                 blocks.put_all(read);
                 return Err(EmError::ContextOverflow {
-                    pid: self.first + r,
+                    pid: first + r,
                     need: len,
                     capacity: payload_capacity,
                 });
@@ -335,33 +303,31 @@ mod tests {
     }
 
     #[test]
-    fn submitted_group_io_round_trips_and_counts_identically() {
-        // Pooled writes and submitted reads must move the same data and
-        // count the same ops as the synchronous entry points.
+    fn pooled_group_io_round_trips_and_counts_identically() {
+        // Pooled writes and reads must move the same data and count the
+        // same ops as the unpooled entry points.
         let (mut disks, store) = setup(8, 60, 4, 32);
         let bufs: Vec<Vec<u8>> = (0..8).map(|i| vec![i as u8; 60]).collect();
         store.write_group(&mut disks, 0, &bufs).unwrap();
         let sync_stats = disks.take_stats();
 
-        let mut pool = BufferPool::new();
-        store.submit_write_group(&mut disks, 0, &bufs, &mut pool).unwrap();
-        let a = store.submit_read_group(&mut disks, 0, 4, &mut pool).unwrap();
-        let b = store.submit_read_group(&mut disks, 4, 4, &mut pool).unwrap();
-        let mut back = a.join().unwrap();
-        back.extend(b.join().unwrap());
+        let (mut contexts, mut blocks) = (BufferPool::new(), BufferPool::new());
+        store.write_group_into(&mut disks, 0, &bufs, &mut contexts).unwrap();
+        let mut back = store.read_group_into(&mut disks, 0, 4, &mut contexts, &mut blocks).unwrap();
+        back.extend(store.read_group_into(&mut disks, 4, 4, &mut contexts, &mut blocks).unwrap());
         assert_eq!(back, bufs);
-        let mut submitted_stats = disks.take_stats();
-        // The submitted run also performed the reads; remove them to compare
-        // the write halves, then compare the read half against a sync read.
+        let mut pooled_stats = disks.take_stats();
+        // The pooled run also performed the reads; remove them to compare
+        // the write halves, then compare the read half against a plain read.
         store.read_group(&mut disks, 0, 8).unwrap();
         let read_stats = disks.take_stats();
-        submitted_stats.parallel_ops -= read_stats.parallel_ops;
-        submitted_stats.blocks_read -= read_stats.blocks_read;
-        submitted_stats.bytes_read -= read_stats.bytes_read;
-        for (a, b) in submitted_stats.per_disk_reads.iter_mut().zip(&read_stats.per_disk_reads) {
+        pooled_stats.parallel_ops -= read_stats.parallel_ops;
+        pooled_stats.blocks_read -= read_stats.blocks_read;
+        pooled_stats.bytes_read -= read_stats.bytes_read;
+        for (a, b) in pooled_stats.per_disk_reads.iter_mut().zip(&read_stats.per_disk_reads) {
             *a -= b;
         }
-        assert_eq!(submitted_stats, sync_stats);
+        assert_eq!(pooled_stats, sync_stats);
     }
 
     #[test]
@@ -409,10 +375,9 @@ mod tests {
         let (mut contexts, mut blocks) = (BufferPool::new(), BufferPool::new());
         // A round's sweep: read the group, write it back, recycle.
         let mut sweep = |contexts: &mut BufferPool, blocks: &mut BufferPool| {
-            let pending = store.submit_read_group(&mut disks, 0, 4, blocks).unwrap();
-            let back = pending.join_into(contexts, blocks).unwrap();
+            let back = store.read_group_into(&mut disks, 0, 4, contexts, blocks).unwrap();
             assert_eq!(back, bufs);
-            store.submit_write_group(&mut disks, 0, &back, contexts).unwrap();
+            store.write_group_into(&mut disks, 0, &back, contexts).unwrap();
             contexts.put_all(back);
         };
         sweep(&mut contexts, &mut blocks);

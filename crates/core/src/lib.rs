@@ -64,13 +64,13 @@ mod test_programs;
 pub mod theory;
 
 pub use checkpoint::KillPoint;
-pub use context_store::{BufferPool, ContextStore, PendingGroupRead};
+pub use context_store::{BufferPool, ContextStore};
 pub use error::EmError;
 pub use exec::Recording;
 pub use machine::{EmMachine, ModelCheck};
 pub use msg::{
-    fetch_group_messages, scatter_messages, GroupCounts, InMsg, MsgGeometry, OutMsg,
-    PendingRawBlocks, Placement, ScratchState, BLOCK_HEADER_BYTES, MSG_HEADER_BYTES,
+    fetch_group_messages, scatter_messages, GroupCounts, InMsg, MsgGeometry, OutMsg, Placement,
+    ScratchState, BLOCK_HEADER_BYTES, MSG_HEADER_BYTES,
 };
 pub use par_sim::ParEmSimulator;
 pub use planner::{Plan, Planner, ProblemProfile};

@@ -59,7 +59,7 @@
 //! from the moment it is cut or read to the moment it is stored or its
 //! messages delivered: the cutter takes one per block, the store hands each
 //! to the array as the track's bytes and puts it back, and the Fetching
-//! Phase lends one per block it reads ([`PendingRawBlocks::join`] returns
+//! Phase lends one per block it reads ([`fetch_batch_raw_blocks`] returns
 //! the blocks in them) and puts them back once the round's inboxes are
 //! filled. At `p ≥ 2` a block crosses workers twice a round — cut on one
 //! and stored on another, read on one and delivered on another — and joins
@@ -81,7 +81,7 @@
 use crate::context_store::BufferPool;
 use crate::{EmError, EmResult};
 use em_bsp::BspError;
-use em_disk::{DiskArray, ReadStripeTicket, TrackAllocator};
+use em_disk::{DiskArray, TrackAllocator};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use std::ops::Range;
@@ -630,8 +630,8 @@ pub fn fetch_group_messages(
     counts: &GroupCounts,
     group: usize,
 ) -> EmResult<Vec<InMsg>> {
-    let raw = submit_fetch_batch_raw_blocks(disks, geom, counts, group, &mut BufferPool::new())?;
-    reassemble_owned(&raw.join()?, group * geom.k..(group + 1) * geom.k)
+    let raw = fetch_batch_raw_blocks(disks, geom, counts, group, &mut BufferPool::new())?;
+    reassemble_owned(&raw, group * geom.k..(group + 1) * geom.k)
 }
 
 // ---------------------------------------------------------------------------
@@ -737,21 +737,20 @@ pub(crate) fn store_received_blocks(
     Ok(written?)
 }
 
-/// Fetching Phase, read side: submit the reads of one group's raw blocks
-/// from their fixed final locations — one batch of full `D`-way stripes —
-/// into `B`-byte buffers lent from `pool`; the returned handle's
-/// [`PendingRawBlocks::join`] waits for the blocks and tags them, each in
-/// the buffer it landed in. In Algorithm 3 the caller forwards each block
-/// to the processor simulating its destination, which gives the buffer to
-/// its own block pool once the block's messages are delivered. Counted I/O
-/// happens here, at submission.
-pub fn submit_fetch_batch_raw_blocks(
+/// Fetching Phase, read side: read one group's raw blocks from their fixed
+/// final locations — one batch of full `D`-way stripes — into `B`-byte
+/// buffers lent from `pool`, and tag each block, in the buffer it landed
+/// in, with its destination. The first failing track in request order
+/// fails the call. In Algorithm 3 the caller forwards each block to the
+/// processor simulating its destination, which gives the buffer to its own
+/// block pool once the block's messages are delivered.
+pub fn fetch_batch_raw_blocks(
     disks: &mut DiskArray,
     geom: &MsgGeometry,
     counts: &GroupCounts,
     batch: usize,
     pool: &mut BufferPool,
-) -> EmResult<PendingRawBlocks> {
+) -> EmResult<Vec<RawBlock>> {
     // Consecutive in-bucket ranks sit on consecutive drives, then on the
     // next track: every `D` of them are one stripe, and the group's whole
     // final region is one batch.
@@ -759,21 +758,8 @@ pub fn submit_fetch_batch_raw_blocks(
         (0..counts.counts[batch]).map(|i| counts.locate(geom, batch, i)).collect();
     let stripes: Vec<usize> = addrs.chunks(geom.num_disks).map(<[_]>::len).collect();
     let lent = addrs.iter().map(|_| pool.take()).collect();
-    Ok(PendingRawBlocks { ticket: disks.submit_read_batch_into(&stripes, &addrs, lent)? })
-}
-
-/// Raw batch blocks in flight from `submit_fetch_batch_raw_blocks`.
-pub struct PendingRawBlocks {
-    ticket: ReadStripeTicket,
-}
-
-impl PendingRawBlocks {
-    /// Wait for the submitted batch (the first failing track in request
-    /// order wins) and tag each block with its destination.
-    pub fn join(self) -> EmResult<Vec<RawBlock>> {
-        let blocks = self.ticket.join_bufs()?;
-        Ok(blocks.into_iter().map(|bytes| RawBlock { dst_tag: word(&bytes, 0), bytes }).collect())
-    }
+    let blocks = disks.submit_read_batch_into(&stripes, &addrs, lent)?.join_bufs()?;
+    Ok(blocks.into_iter().map(|bytes| RawBlock { dst_tag: word(&bytes, 0), bytes }).collect())
 }
 
 /// Little-endian `u32` at `bytes[at..at + 4]`.
@@ -1662,8 +1648,7 @@ mod tests {
         let mut pool = BufferPool::new();
         for group in 0..geom.num_groups {
             let fetch = |disks: &mut DiskArray, pool: &mut BufferPool| {
-                let pending = submit_fetch_batch_raw_blocks(disks, &geom, &counts, group, pool);
-                pending.unwrap().join().unwrap()
+                fetch_batch_raw_blocks(disks, &geom, &counts, group, pool).unwrap()
             };
             let cold = fetch(&mut disks, &mut BufferPool::new());
             assert_eq!(cold.len(), counts.counts[group]);

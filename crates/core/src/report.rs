@@ -95,7 +95,7 @@ impl PhaseIo {
 /// and page-cache-sensitive — split by phase so that a speedup is
 /// attributable. Deliberately a separate struct from [`PhaseIo`]: the
 /// counted per-phase I/O operations are asserted bit-identical across the
-/// `IoMode`, cache and backend knobs, while wall clocks may — and should —
+/// `IoMode` and backend knobs, while wall clocks may — and should —
 /// differ. On the parallel simulator each field is the maximum across
 /// worker threads (the phases run concurrently, so the slowest worker
 /// bounds the wall). Replayed supersteps keep their timers: the time
@@ -198,8 +198,7 @@ impl CostReport {
     /// Render a compact human-readable summary.
     pub fn summary(&self) -> String {
         format!(
-            "v={} k={} groups={} p={} λ={} | io_ops={} blocks={} util={:.2} io_time={} \
-             cache_hits={} cache_absorbed={} | \
+            "v={} k={} groups={} p={} λ={} | io_ops={} blocks={} util={:.2} io_time={} | \
              phases: ctx_r={} msg_r={} scatter={} ctx_w={} routing={} | msgs={} bytes={} | \
              tracks/disk={} balance≤{:.2} wall={:?}",
             self.v,
@@ -211,8 +210,6 @@ impl CostReport {
             self.io.blocks_moved(),
             self.io.utilization(),
             self.io_time,
-            self.io.cache_hit_blocks,
-            self.io.cache_absorbed_writes,
             self.phases.fetch_ctx,
             self.phases.fetch_msg,
             self.phases.scatter,

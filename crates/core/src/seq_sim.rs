@@ -145,33 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn cached_run_is_bit_identical_to_uncached() {
-        let prog = AllToAll { mu: 124 };
-        let base = SeqEmSimulator::new(machine(256, 4, 64)).with_seed(42);
-        let (a, ra) = base.run(&prog, vec![0u64; 16]).unwrap();
-        // One track's worth, and full residency (v·μ + γ comfortably).
-        for cache_bytes in [64usize, 1 << 16] {
-            let cached = base.clone().with_cache(cache_bytes);
-            let (b, rb) = cached.run(&prog, vec![0u64; 16]).unwrap();
-            assert_eq!(a.states, b.states);
-            assert_eq!(a.ledger, b.ledger);
-            let mut masked = rb.io.clone();
-            masked.cache_hit_blocks = 0;
-            masked.cache_absorbed_writes = 0;
-            assert_eq!(ra.io, masked, "counted I/O must not depend on the cache knob");
-            assert_eq!(ra.phases, rb.phases, "phase attribution must not depend on the cache");
-            assert_eq!(ra.tracks_per_disk, rb.tracks_per_disk);
-        }
-        // At full residency the workload's repeated context traffic must
-        // actually be absorbed.
-        let (_, rb) = base.clone().with_cache(1 << 16).run(&prog, vec![0u64; 16]).unwrap();
-        assert!(rb.io.cache_hit_blocks > 0, "resident re-reads must hit the cache");
-        assert!(rb.io.cache_absorbed_writes > 0, "writes must be buffered until the barrier");
-        assert_eq!(ra.io.cache_hit_blocks, 0);
-        assert_eq!(ra.io.cache_absorbed_writes, 0);
-    }
-
-    #[test]
     fn comm_budget_violation_is_detected() {
         let sim = SeqEmSimulator::new(machine(1 << 12, 2, 64));
         let err = sim.run(&Chatty, vec![0u64; 4]).unwrap_err();

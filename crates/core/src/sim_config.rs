@@ -34,7 +34,6 @@ pub(crate) struct SimConfig {
     pub checksums: bool,
     pub retry: Option<RetryPolicy>,
     pub recovery: Option<RecoveryPolicy>,
-    pub cache_bytes: usize,
     pub checkpoint: bool,
     pub kill: Option<KillPoint>,
     pub pin_workers: bool,
@@ -56,7 +55,6 @@ impl SimConfig {
             checksums: false,
             retry: None,
             recovery: None,
-            cache_bytes: 0,
             checkpoint: false,
             kill: None,
             pin_workers: false,
@@ -69,7 +67,6 @@ impl SimConfig {
             .disk_config()?
             .with_io_mode(self.io_mode)
             .with_checksums(self.checksums)
-            .with_cache(self.cache_bytes)
             .with_pinned_workers(self.pin_workers);
         Ok(match self.retry {
             Some(policy) => cfg.with_retry(policy),
@@ -310,22 +307,6 @@ macro_rules! sim_facade {
             /// and seeded traces are identical to a run without recovery.
             pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
                 self.cfg.recovery = Some(policy);
-                self
-            }
-
-            /// Layer a write-back block cache of `capacity_bytes` over
-            /// each processor's disk array
-            /// ([`em_disk::BlockCacheBackend`]; 0 — the default — disables
-            /// it). Reads of resident tracks and repeated writes are
-            /// absorbed until each superstep's barrier `sync()`, which
-            /// flushes dirty tracks in deterministic `(track, disk)`
-            /// order. Counted I/O, final states, the RNG streams and
-            /// seeded traces are identical with the cache on or off; the
-            /// absorbed traffic is tallied in
-            /// [`em_disk::IoStats::cache_hit_blocks`] /
-            /// [`em_disk::IoStats::cache_absorbed_writes`].
-            pub fn with_cache(mut self, capacity_bytes: usize) -> Self {
-                self.cfg.cache_bytes = capacity_bytes;
                 self
             }
 

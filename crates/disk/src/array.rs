@@ -4,9 +4,9 @@ use crate::backend::sub_batch;
 use crate::checkpoint::{JournalContents, JournalFile};
 use crate::engine::first_failure;
 use crate::{
-    Block, BlockCacheBackend, ChecksumBackend, DiskBackend, DiskConfig, DiskError, DiskResult,
-    FaultInjectingBackend, FaultPlan, FileBackend, IoStats, MemoryBackend, ReadTicket,
-    RetryingBackend, WriteTicket, CRC_BYTES,
+    Block, ChecksumBackend, DiskBackend, DiskConfig, DiskError, DiskResult, FaultInjectingBackend,
+    FaultPlan, FileBackend, IoStats, MemoryBackend, ReadTicket, RetryingBackend, WriteTicket,
+    CRC_BYTES,
 };
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -183,13 +183,6 @@ impl DiskArray {
         if let Some(policy) = cfg.retry {
             backend = Box::new(RetryingBackend::new(backend, policy));
         }
-        // The write-back cache is the outermost layer, directly under the
-        // array: it caches logical blocks (above the checksum framing) and
-        // its misses and flushes pass through retry and checksum like any
-        // other transfer.
-        if cfg.cache_tracks() > 0 {
-            backend = Box::new(BlockCacheBackend::new(backend, cfg.cache_tracks()));
-        }
         DiskArray {
             stats: IoStats::new(cfg.num_disks),
             seen: vec![0; cfg.num_disks],
@@ -256,13 +249,10 @@ impl DiskArray {
         out
     }
 
-    /// Fold the backend's absorbed-traffic tallies (retries, cache hits,
-    /// buffered writes) into the stats. Called on every submission and
-    /// sync, so `stats()` lags by at most one call.
+    /// Fold the backend's retry tally into the stats. Called on every
+    /// submission and sync, so `stats()` lags by at most one call.
     fn poll_retries(&mut self) {
         self.stats.retried_blocks += self.backend.take_retried_blocks();
-        self.stats.cache_hit_blocks += self.backend.take_cache_hit_blocks();
-        self.stats.cache_absorbed_writes += self.backend.take_cache_absorbed_writes();
     }
 
     /// Highest written track index + 1 on `disk`.
@@ -292,15 +282,11 @@ impl DiskArray {
     /// [`IoStats::recovery_ops`] instead, so enabling recovery never
     /// changes the paper-facing counted I/O of a run.
     ///
-    /// Opening an epoch first flushes any write-back cache, so the media
-    /// itself holds the committed pre-epoch bytes the journal's pre-images
-    /// describe — a rollback then restores exactly that physical state.
     /// Like [`DiskArray::sync`], it is a barrier: unjoined stripe tickets
     /// at this point are a caller bug and fail with
     /// [`DiskError::UnjoinedTickets`].
     pub fn begin_recovery_epoch(&mut self) -> DiskResult<()> {
         self.check_no_unjoined_tickets()?;
-        self.backend.flush_cache()?;
         self.poll_retries();
         self.journal = Some(RecoveryJournal {
             pre: HashMap::new(),
@@ -327,8 +313,7 @@ impl DiskArray {
     /// it to its pre-epoch content and wind the counted stats back to the
     /// epoch snapshot, folding both the discarded operations and the
     /// rollback writes into [`IoStats::recovery_ops`].
-    /// `retried_blocks`, `cache_hit_blocks` and `cache_absorbed_writes`
-    /// keep their live values — that absorbed traffic happened.
+    /// `retried_blocks` keeps its live value — those retries happened.
     ///
     /// After a successful rollback the backend holds exactly the bytes it
     /// held at [`DiskArray::begin_recovery_epoch`], which is what makes a
@@ -359,16 +344,10 @@ impl DiskArray {
             rollback_ops += 1;
         }
         drop(stripe);
-        // Push the restored pre-images through any cache layer so the
-        // media — not just the logical view — is back to its epoch-begin
-        // bytes before the replay starts.
-        self.backend.flush_cache()?;
         self.pre_image_pool.extend(journal.pre.into_values());
         self.poll_retries();
         let mut restored = journal.stats_at_begin.clone();
         restored.retried_blocks = self.stats.retried_blocks;
-        restored.cache_hit_blocks = self.stats.cache_hit_blocks;
-        restored.cache_absorbed_writes = self.stats.cache_absorbed_writes;
         restored.recovery_ops = self.stats.recovery_ops + discarded + rollback_ops;
         self.stats = restored;
         Ok(())
@@ -464,7 +443,7 @@ impl DiskArray {
     }
 
     /// Undo a killed process's partial superstep: write the journal's
-    /// pre-images back in reverse capture order, flush, and sync, leaving
+    /// pre-images back in reverse capture order and sync, leaving
     /// the drive files bit-identical to the barrier the journal's epoch
     /// began at. Undo is idempotent — every pre-image was captured at
     /// epoch start, so re-applying after a crash mid-undo is safe.
@@ -482,7 +461,6 @@ impl DiskArray {
             self.backend.write_track(*disk, *track, pre)?;
             self.stats.recovery_ops += 1;
         }
-        self.backend.flush_cache()?;
         self.backend.sync()?;
         self.poll_retries();
         Ok(())
@@ -1164,8 +1142,7 @@ mod tests {
     /// Reads into lent buffers and writes of slices move the bytes, make
     /// the errors, count the operations and journal the pre-images that
     /// reads into fresh buffers and writes of `Block`s do, on every stack:
-    /// memory, checksummed and retried, behind a cache that holds the
-    /// working set and one that spills, files in both I/O modes (plain —
+    /// memory, checksummed and retried, files in both I/O modes (plain —
     /// the threaded engine's own lent path — and checksummed and retried),
     /// and a tenant's region of shared media. The fault-plan stack is
     /// `under_a_fault_plan_a_batch_goes_down_stripe_by_stripe`'s.
@@ -1179,7 +1156,7 @@ mod tests {
             assert!(blocks.1.recovery_ops > 0 && blocks.0.iter().any(|&x| x != 0), "{what}");
             assert_eq!(consecutive_workload(b, Transfers::Lent), blocks, "{what}");
         };
-        for cfg in [plain, sealed, sealed.with_cache(64 * 32), sealed.with_cache(5 * 32)] {
+        for cfg in [plain, sealed] {
             let what = format!("memory, {cfg:?}");
             both(&mut DiskArray::new_memory(cfg), &mut DiskArray::new_memory(cfg), &what);
         }
@@ -1467,20 +1444,6 @@ mod tests {
             std::fs::remove_dir_all(dir("s")).ok();
             std::fs::remove_dir_all(dir("m")).ok();
         }
-
-        // Behind a cache that holds the working set a move also hits and
-        // absorbs exactly what its stripes would. One that spills sees the
-        // window's reads before its writes, so its evictions — and with
-        // them its hit tally — may fall differently; nothing else may.
-        let fits = sealed.with_cache(64 * 32);
-        let by_stripe = move_workload(&mut DiskArray::new_memory(fits), false);
-        assert!(by_stripe.1.cache_hit_blocks > 0 && by_stripe.1.cache_absorbed_writes > 0);
-        assert_eq!(move_workload(&mut DiskArray::new_memory(fits), true), by_stripe, "cached");
-        let (bytes, mut stats) =
-            move_workload(&mut DiskArray::new_memory(sealed.with_cache(5 * 32)), true);
-        assert!(stats.cache_hit_blocks > 0);
-        (stats.cache_hit_blocks, stats.cache_absorbed_writes) = (0, 0);
-        assert_eq!((bytes, stats), reference, "spilling cache");
     }
 
     #[test]
@@ -1772,39 +1735,6 @@ mod tests {
         let mut masked = faulty_stats.clone();
         masked.retried_blocks = clean_stats.retried_blocks;
         assert_eq!(masked, clean_stats, "only the retry counter may differ");
-    }
-
-    #[test]
-    fn cached_array_counts_identically_to_an_uncached_run() {
-        let workload = |mut a: DiskArray| -> (IoStats, Vec<u8>) {
-            for t in 0..4 {
-                let writes: Vec<_> = (0..3)
-                    .map(|d| (d, t, Block::from_bytes_padded(&[(d * 16 + t) as u8 + 1], 16)))
-                    .collect();
-                a.write_stripe(&writes).unwrap();
-            }
-            // Re-read tracks just written (cache hits) plus one never-written
-            // track (miss that must read zeros through the stack).
-            let mut bytes: Vec<u8> = Vec::new();
-            for addrs in [[(0, 2), (1, 2), (2, 2)], [(0, 0), (1, 3), (2, 5)]] {
-                let blocks = a.read_stripe(&addrs).unwrap();
-                bytes.extend(blocks.iter().flat_map(|b| b.as_bytes().to_vec()));
-            }
-            a.sync().unwrap();
-            (a.take_stats(), bytes)
-        };
-        let cfg = DiskConfig::new(3, 16).unwrap().with_checksums(true);
-        let (plain_stats, plain_bytes) = workload(DiskArray::new_memory(cfg));
-        let (cached_stats, cached_bytes) = workload(DiskArray::new_memory(cfg.with_cache(16 * 64)));
-        assert_eq!(cached_bytes, plain_bytes, "cache must be transparent to content");
-        assert!(cached_stats.cache_hit_blocks >= 3, "re-reads must hit the cache");
-        assert!(cached_stats.cache_absorbed_writes >= 12, "writes must be buffered");
-        assert_eq!(plain_stats.cache_hit_blocks, 0);
-        assert_eq!(plain_stats.cache_absorbed_writes, 0);
-        let mut masked = cached_stats.clone();
-        masked.cache_hit_blocks = 0;
-        masked.cache_absorbed_writes = 0;
-        assert_eq!(masked, plain_stats, "only the cache tallies may differ");
     }
 
     #[test]

@@ -38,8 +38,7 @@ use std::path::{Path, PathBuf};
 /// request order plus the length of each stripe, and report one outcome per
 /// track under the same contract. The default implementation is the
 /// stripe-by-stripe loop, so a backend that must see every stripe on its
-/// own — one cache lookup per stripe ([`crate::BlockCacheBackend`]), one
-/// draw per track of a per-drive fault schedule
+/// own — one draw per track of a per-drive fault schedule
 /// ([`crate::FaultInjectingBackend`]) — gets exactly that by not
 /// overriding it. Backends with real parallelism (the file backend's
 /// threaded engine) override the `_batch_each` pair to give each drive its
@@ -200,28 +199,6 @@ pub trait DiskBackend: Send {
         0
     }
 
-    /// Drain the count of block reads served from a cache layer since the
-    /// last call (same drain-and-forward contract as
-    /// [`DiskBackend::take_retried_blocks`]; only
-    /// [`crate::BlockCacheBackend`] produces a nonzero count).
-    fn take_cache_hit_blocks(&mut self) -> u64 {
-        0
-    }
-
-    /// Drain the count of block writes absorbed (buffered until a flush)
-    /// by a cache layer since the last call.
-    fn take_cache_absorbed_writes(&mut self) -> u64 {
-        0
-    }
-
-    /// Write every dirty cached block through to the layer below. A no-op
-    /// for backends without a cache. Called by the array inside `sync()`
-    /// and at recovery-epoch boundaries, so durability barriers and the
-    /// pre-image journal always observe fully flushed storage.
-    fn flush_cache(&mut self) -> DiskResult<()> {
-        Ok(())
-    }
-
     /// Per-drive counts of track transfers seen by a fault-injection layer
     /// since it was constructed (or since the counters were last
     /// restored). `None` when no layer in the stack injects faults.
@@ -323,15 +300,6 @@ impl<B: DiskBackend + ?Sized> DiskBackend for Box<B> {
     }
     fn take_retried_blocks(&mut self) -> u64 {
         (**self).take_retried_blocks()
-    }
-    fn take_cache_hit_blocks(&mut self) -> u64 {
-        (**self).take_cache_hit_blocks()
-    }
-    fn take_cache_absorbed_writes(&mut self) -> u64 {
-        (**self).take_cache_absorbed_writes()
-    }
-    fn flush_cache(&mut self) -> DiskResult<()> {
-        (**self).flush_cache()
     }
     fn fault_op_counts(&self) -> Option<Vec<u64>> {
         (**self).fault_op_counts()
@@ -557,18 +525,6 @@ impl<B: DiskBackend> DiskBackend for ChecksumBackend<B> {
         self.inner.take_retried_blocks()
     }
 
-    fn take_cache_hit_blocks(&mut self) -> u64 {
-        self.inner.take_cache_hit_blocks()
-    }
-
-    fn take_cache_absorbed_writes(&mut self) -> u64 {
-        self.inner.take_cache_absorbed_writes()
-    }
-
-    fn flush_cache(&mut self) -> DiskResult<()> {
-        self.inner.flush_cache()
-    }
-
     fn fault_op_counts(&self) -> Option<Vec<u64>> {
         self.inner.fault_op_counts()
     }
@@ -719,18 +675,6 @@ impl<B: DiskBackend> DiskBackend for RetryingBackend<B> {
 
     fn take_retried_blocks(&mut self) -> u64 {
         std::mem::take(&mut self.retried) + self.inner.take_retried_blocks()
-    }
-
-    fn take_cache_hit_blocks(&mut self) -> u64 {
-        self.inner.take_cache_hit_blocks()
-    }
-
-    fn take_cache_absorbed_writes(&mut self) -> u64 {
-        self.inner.take_cache_absorbed_writes()
-    }
-
-    fn flush_cache(&mut self) -> DiskResult<()> {
-        self.inner.flush_cache()
     }
 
     fn fault_op_counts(&self) -> Option<Vec<u64>> {

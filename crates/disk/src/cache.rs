@@ -1,20 +1,13 @@
 //! Write-back block cache: absorb reads of resident tracks and buffer
-//! writes until the barrier flush.
+//! writes until the next `sync()`.
 //!
-//! [`BlockCacheBackend`] is a [`DiskBackend`] decorator that sits at the
-//! very top of the backend stack, directly under the
-//! [`DiskArray`](crate::DiskArray) front-end — above retries and checksums
-//! (`Cache(Retrying(Checksum(FaultInjecting(raw))))`) — so it caches
-//! *logical* `B`-byte blocks and every miss or flush still passes through
-//! the full fault-tolerance machinery below it.
-//!
-//! The cache changes wall clock only. The array counts parallel I/O at
-//! submission, before the backend sees the request, so counted
-//! [`IoStats`](crate::IoStats) are bit-identical with the cache on or off
-//! by construction; absorbed traffic is tallied separately in
-//! [`IoStats::cache_hit_blocks`](crate::IoStats::cache_hit_blocks) and
-//! [`IoStats::cache_absorbed_writes`](crate::IoStats::cache_absorbed_writes),
-//! exactly like `retried_blocks` tallies absorbed retry traffic.
+//! [`BlockCacheBackend`] is a [`DiskBackend`] decorator over any backend
+//! stack, caching whole `B`-byte tracks; every miss or flush passes through
+//! the layers below it. No [`DiskArray`](crate::DiskArray) builds one: it
+//! is no part of the canonical stack, and stays only because the
+//! benchmark's per-layer ladder wraps a backend in one to time cache hits
+//! and spills. Its hits are tallied here, in
+//! [`BlockCacheBackend::take_cache_hit_blocks`].
 //!
 //! Determinism: the cache holds no randomness at all. Eviction is LRU over
 //! a strictly increasing access counter (every access gets a unique tick,
@@ -41,9 +34,8 @@ struct CacheEntry {
 ///   hits); misses read through the inner backend — still as one `≤ D`-way
 ///   stripe for the missing subset — and allocate the fetched tracks. A
 ///   miss stripe in which any track failed allocates nothing.
-/// * **Writes** are absorbed into the cache and marked dirty (tallied as
-///   absorbed writes); they reach the inner backend only when evicted or
-///   flushed.
+/// * **Writes** are absorbed into the cache and marked dirty; they reach
+///   the inner backend only when evicted or flushed.
 /// * **`sync()`** flushes every dirty track and then syncs the inner
 ///   backend, so a durability barrier means the same thing with or
 ///   without the cache. Entries stay resident (clean) across a flush —
@@ -60,7 +52,6 @@ pub struct BlockCacheBackend<B: DiskBackend> {
     lru: BTreeMap<u64, (usize, usize)>,
     tick: u64,
     hits: u64,
-    absorbed: u64,
     /// Per-drive high-water mark of absorbed writes, so
     /// [`DiskBackend::tracks_used`] accounts for tracks that have not been
     /// flushed yet.
@@ -79,9 +70,14 @@ impl<B: DiskBackend> BlockCacheBackend<B> {
             lru: BTreeMap::new(),
             tick: 0,
             hits: 0,
-            absorbed: 0,
             high_water: vec![0; d],
         }
+    }
+
+    /// Drain the count of block reads served from the cache since the last
+    /// call.
+    pub fn take_cache_hit_blocks(&mut self) -> u64 {
+        std::mem::take(&mut self.hits)
     }
 
     /// Tracks currently resident (for tests and capacity diagnostics).
@@ -135,9 +131,43 @@ impl<B: DiskBackend> BlockCacheBackend<B> {
     }
 
     fn absorb_write(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
-        self.absorbed += 1;
         self.high_water[disk] = self.high_water[disk].max(track + 1);
         self.insert((disk, track), data.to_vec(), true)
+    }
+
+    /// Write every dirty track through to the inner backend. Deterministic
+    /// order: dirty keys sorted by (track, disk), greedily batched into
+    /// one-track-per-drive stripes. Sorting by track first keeps
+    /// consecutive entries on distinct drives for striped layouts, so
+    /// flushes stay close to fully D-way parallel on the engine below.
+    fn flush(&mut self) -> DiskResult<()> {
+        let mut dirty: Vec<(usize, usize)> =
+            self.map.iter().filter(|(_, e)| e.dirty).map(|(&k, _)| k).collect();
+        if dirty.is_empty() {
+            return Ok(());
+        }
+        dirty.sort_unstable_by_key(|&(disk, track)| (track, disk));
+        let mut used = vec![false; self.high_water.len()];
+        let mut stripe: Vec<(usize, usize, &[u8])> = Vec::new();
+        for &(disk, track) in &dirty {
+            if used[disk] || stripe.len() == used.len() {
+                self.inner.write_stripe(&stripe)?;
+                stripe.clear();
+                used.fill(false);
+            }
+            used[disk] = true;
+            stripe.push((disk, track, self.map[&(disk, track)].data.as_slice()));
+        }
+        if !stripe.is_empty() {
+            self.inner.write_stripe(&stripe)?;
+        }
+        drop(stripe);
+        // Entries stay resident and clean: a warm cache keeps serving
+        // reads after the flush.
+        for key in dirty {
+            self.map.get_mut(&key).expect("flushed key is resident").dirty = false;
+        }
+        Ok(())
     }
 }
 
@@ -205,7 +235,7 @@ impl<B: DiskBackend> DiskBackend for BlockCacheBackend<B> {
     }
 
     fn sync(&mut self) -> DiskResult<()> {
-        self.flush_cache()?;
+        self.flush()?;
         self.inner.sync()
     }
 
@@ -219,49 +249,6 @@ impl<B: DiskBackend> DiskBackend for BlockCacheBackend<B> {
 
     fn restore_fault_op_counts(&mut self, counts: &[u64]) {
         self.inner.restore_fault_op_counts(counts)
-    }
-
-    fn take_cache_hit_blocks(&mut self) -> u64 {
-        std::mem::take(&mut self.hits) + self.inner.take_cache_hit_blocks()
-    }
-
-    fn take_cache_absorbed_writes(&mut self) -> u64 {
-        std::mem::take(&mut self.absorbed) + self.inner.take_cache_absorbed_writes()
-    }
-
-    fn flush_cache(&mut self) -> DiskResult<()> {
-        // Deterministic flush order: dirty keys sorted by (track, disk),
-        // greedily batched into one-track-per-drive stripes. Sorting by
-        // track first keeps consecutive entries on distinct drives for the
-        // striped layouts the simulators produce, so flushes stay close to
-        // fully D-way parallel on the engine below.
-        let mut dirty: Vec<(usize, usize)> =
-            self.map.iter().filter(|(_, e)| e.dirty).map(|(&k, _)| k).collect();
-        if dirty.is_empty() {
-            return Ok(());
-        }
-        dirty.sort_unstable_by_key(|&(disk, track)| (track, disk));
-        let mut used = vec![false; self.high_water.len()];
-        let mut stripe: Vec<(usize, usize, &[u8])> = Vec::new();
-        for &(disk, track) in &dirty {
-            if used[disk] || stripe.len() == used.len() {
-                self.inner.write_stripe(&stripe)?;
-                stripe.clear();
-                used.fill(false);
-            }
-            used[disk] = true;
-            stripe.push((disk, track, self.map[&(disk, track)].data.as_slice()));
-        }
-        if !stripe.is_empty() {
-            self.inner.write_stripe(&stripe)?;
-        }
-        drop(stripe);
-        // Entries stay resident and clean: a warm cache keeps serving
-        // reads after the barrier.
-        for key in dirty {
-            self.map.get_mut(&key).expect("flushed key is resident").dirty = false;
-        }
-        Ok(())
     }
 }
 
@@ -388,12 +375,11 @@ mod tests {
         c.write_track(1, 0, &[2u8; 8]).unwrap();
         assert_eq!(c.inner.writes, 0, "writes buffered, none landed");
         assert_eq!(c.dirty_tracks(), 2);
-        assert_eq!(c.take_cache_absorbed_writes(), 2);
-        c.flush_cache().unwrap();
+        c.flush().unwrap();
         assert_eq!(c.inner.writes, 2, "flush lands every dirty track");
         assert_eq!(c.dirty_tracks(), 0);
         // Flushing again is free: nothing is dirty.
-        c.flush_cache().unwrap();
+        c.flush().unwrap();
         assert_eq!(c.inner.writes, 2);
         let mut buf = [0u8; 8];
         c.inner.read_track(1, 0, &mut buf).unwrap();
@@ -423,7 +409,7 @@ mod tests {
         c.read_track(0, 0, &mut buf).unwrap();
         assert_eq!(buf, [9u8; 4]);
         assert_eq!(c.inner.reads, 1, "first read misses");
-        c.flush_cache().unwrap();
+        c.flush().unwrap();
         c.read_track(0, 0, &mut buf).unwrap();
         assert_eq!(c.inner.reads, 1, "entry survives the flush and hits");
         assert_eq!(c.take_cache_hit_blocks(), 1);
@@ -526,7 +512,7 @@ mod tests {
         // Dirty tracks flush as one stripe per legal batch.
         cached.write_stripe(&writes).unwrap();
         assert_eq!(calls.take(), (0, 0), "absorbed");
-        cached.flush_cache().unwrap();
+        cached.flush().unwrap();
         assert_eq!(calls.take(), (0, 1));
     }
 
@@ -606,7 +592,7 @@ mod tests {
             c.write_track(0, t, &[t as u8 + 1; 4]).unwrap();
         }
         c.write_track(1, 0, &[9u8; 4]).unwrap();
-        c.flush_cache().unwrap();
+        c.flush().unwrap();
         assert_eq!(c.inner.writes, 4);
         let mut buf = [0u8; 4];
         for t in 0..3 {
@@ -623,7 +609,7 @@ mod tests {
         c.write_track(0, 6, &[1u8; 4]).unwrap();
         assert_eq!(c.tracks_used(0), 7, "high-water covers buffered writes");
         assert_eq!(c.tracks_used(1), 0);
-        c.flush_cache().unwrap();
+        c.flush().unwrap();
         assert_eq!(c.tracks_used(0), 7);
     }
 

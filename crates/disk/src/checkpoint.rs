@@ -37,7 +37,7 @@ pub const MANIFEST_MAGIC: &[u8; 8] = b"EMCKPT01";
 /// Magic prefix of the pre-image journal.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"EMJRNL01";
 /// On-disk format version written into manifests and journal headers.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// How many committed manifests are retained (the newest may always be
 /// torn by a crash, so its predecessor must survive).
@@ -374,6 +374,26 @@ mod tests {
         // A fully committed 5 then wins.
         store.commit_manifest(5, b"now-good").unwrap();
         assert_eq!(store.latest_manifest().unwrap(), Some((5, b"now-good".to_vec())));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn manifest_framed_with_another_version_is_not_loaded() {
+        let dir = tmp("version");
+        let store = CheckpointStore::attach(&dir).unwrap();
+        store.commit_manifest(4, b"committed").unwrap();
+        store.commit_manifest(5, b"old-layout").unwrap();
+        // Restamp manifest 5 as the previous format, CRC and all: only the
+        // version check can tell it apart.
+        let path = store.manifest_path(5);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&(CHECKPOINT_VERSION - 1).to_le_bytes());
+        let body = bytes.len() - 4;
+        let crc = crc32(&bytes[8..body]);
+        bytes[body..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(store.load_manifest(5).unwrap(), None);
+        assert_eq!(store.latest_manifest().unwrap(), Some((4, b"committed".to_vec())));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -110,16 +110,6 @@ pub struct DiskConfig {
     pub checksums: bool,
     /// Bounded retry of transient track-transfer failures (default off).
     pub retry: Option<RetryPolicy>,
-    /// Capacity in bytes of the write-back block cache layered over the
-    /// whole backend stack (default 0 = no cache). Rounded down to whole
-    /// tracks; capacities smaller than one track leave the cache off. Like
-    /// every other knob the cache changes only wall clock: counting
-    /// happens in [`DiskArray`](crate::DiskArray) at submission, so
-    /// counted [`crate::IoStats`] are bit-identical with the cache on or
-    /// off, and absorbed traffic is tallied separately in
-    /// [`IoStats::cache_hit_blocks`](crate::IoStats::cache_hit_blocks) /
-    /// [`IoStats::cache_absorbed_writes`](crate::IoStats::cache_absorbed_writes).
-    pub cache_bytes: usize,
     /// Whether the drive worker threads are best-effort pinned to CPU
     /// cores at spawn (default off). Pinning is a wall-clock-only knob:
     /// drive worker `d` goes to core `d mod ncpus`; on platforms without
@@ -143,7 +133,6 @@ impl DiskConfig {
             io_mode: IoMode::Parallel,
             checksums: false,
             retry: None,
-            cache_bytes: 0,
             pin_workers: false,
         })
     }
@@ -197,30 +186,6 @@ impl DiskConfig {
     pub fn with_retry(mut self, policy: RetryPolicy) -> Self {
         self.retry = Some(policy);
         self
-    }
-
-    /// Set the write-back block-cache capacity in bytes (0 disables it).
-    /// The cache is the outermost backend decorator and counting happens
-    /// above it, so counted [`crate::IoStats`] stay bit-identical at any
-    /// capacity; absorbed traffic lands in the two cache tallies.
-    ///
-    /// ```
-    /// use em_disk::DiskConfig;
-    ///
-    /// let cfg = DiskConfig::new(4, 256).unwrap().with_cache(1024);
-    /// assert_eq!(cfg.cache_tracks(), 4, "1024 bytes hold 4 whole 256-byte tracks");
-    /// assert_eq!(cfg.with_cache(0).cache_tracks(), 0, "0 disables the cache");
-    /// ```
-    pub fn with_cache(mut self, capacity_bytes: usize) -> Self {
-        self.cache_bytes = capacity_bytes;
-        self
-    }
-
-    /// Whole tracks the configured cache can hold (0 when the cache is
-    /// off or the capacity is smaller than one track).
-    #[inline]
-    pub fn cache_tracks(&self) -> usize {
-        self.cache_bytes / self.block_bytes
     }
 
     /// Number of blocks needed to hold `bytes` bytes.
@@ -278,17 +243,6 @@ mod tests {
         assert_eq!(p.delay_before(3).as_micros(), 40);
         assert_eq!(RetryPolicy::new(0).max_attempts, 1, "at least one attempt");
         assert_eq!(RetryPolicy::default().delay_before(3).as_micros(), 0);
-    }
-
-    #[test]
-    fn cache_defaults_off_and_rounds_down_to_tracks() {
-        let cfg = DiskConfig::new(4, 64).unwrap();
-        assert_eq!(cfg.cache_bytes, 0);
-        assert_eq!(cfg.cache_tracks(), 0);
-        let cfg = cfg.with_cache(200);
-        assert_eq!(cfg.cache_tracks(), 3, "200 bytes hold 3 whole 64-byte tracks");
-        assert_eq!(cfg.with_cache(63).cache_tracks(), 0, "sub-track capacity leaves the cache off");
-        assert_eq!(cfg.block_bytes, 64, "cache knob must not disturb the shape");
     }
 
     #[test]

@@ -18,12 +18,6 @@
 //!   `≤ D` transfers of one stripe overlap in time — real `D`-way
 //!   parallelism, joined before the operation returns so callers, counted
 //!   [`IoStats`] and seeded I/O traces are unaffected.
-//! * [`BlockCacheBackend`] — optional write-back cache over the whole
-//!   backend stack ([`DiskConfig::with_cache`]): reads of resident tracks
-//!   and buffered writes cost no backend I/O until the barrier flush,
-//!   while counted [`IoStats`] stay bit-identical by construction and the
-//!   absorbed traffic is tallied in
-//!   [`IoStats::cache_hit_blocks`]/[`IoStats::cache_absorbed_writes`].
 //! * [`SharedDiskSubstrate`] — a multi-tenant store: one set of physical
 //!   drives carved into disjoint per-tenant track regions, each exposed as
 //!   a [`RegionBackend`] under the tenant's own [`DiskArray`]. Transfers
@@ -37,17 +31,19 @@
 //! outermost first:
 //!
 //! ```text
-//! DiskArray( Cache( Retrying( Checksum( FaultInjecting( raw ) ) ) ) )
+//! DiskArray( Retrying( Checksum( FaultInjecting( raw ) ) ) )
 //! ```
 //!
 //! Counting lives in [`DiskArray`] itself, *above* every decorator, so no
 //! layer can change counted [`IoStats`]. Fault injection sits at the
 //! bottom — directly on the raw media — so injected corruption is subject
 //! to CRC verification and injected transients to the retry policy,
-//! exactly like real media faults; the cache is the outermost layer, so a
-//! hit short-circuits the whole stack and a flush re-traverses it like a
-//! direct write. Every layer is opt-in via [`DiskConfig`]; the stack
-//! order is not configurable.
+//! exactly like real media faults. Every layer is opt-in via
+//! [`DiskConfig`]; the stack order is not configurable.
+//!
+//! [`BlockCacheBackend`], a write-back cache decorator, is no part of that
+//! stack: no array builds one. It is kept for the benchmark's per-layer
+//! ladder, which wraps a backend in one to time cache hits and spills.
 //!
 //! On top of the raw [`DiskArray`] this crate implements the paper's two
 //! on-disk layouts:

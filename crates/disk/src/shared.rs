@@ -251,7 +251,7 @@ impl SharedDiskSubstrate {
 ///
 /// Implements [`DiskBackend`], so it slots under a private
 /// [`crate::DiskArray`] exactly like a raw [`MemoryBackend`] would — the
-/// tenant's decorators (checksums, retry, cache) and counters all live in
+/// tenant's decorators (checksums, retry) and counters all live in
 /// the tenant's own array, above this view. A transfer takes the media
 /// lock once, however many stripes it carries; a stripe is the batch of
 /// one stripe and a single-track call the stripe of one track.

@@ -40,16 +40,6 @@ pub struct IoStats {
     /// track contents. Kept separate from `parallel_ops` for the same
     /// reason as `retried_blocks`.
     pub recovery_ops: u64,
-    /// Block reads served from a [`crate::BlockCacheBackend`] without
-    /// touching the backend below it. Counted operations are unchanged —
-    /// the array counts at submission, before the cache absorbs the
-    /// transfer — so this tallies the *absorbed* read traffic, exactly
-    /// like `retried_blocks` tallies absorbed retry traffic.
-    pub cache_hit_blocks: u64,
-    /// Block writes buffered by a [`crate::BlockCacheBackend`] until the
-    /// barrier flush instead of landing immediately. Same contract as
-    /// `cache_hit_blocks`: counted I/O is unaffected.
-    pub cache_absorbed_writes: u64,
 }
 
 impl IoStats {
@@ -117,8 +107,6 @@ impl IoStats {
         }
         self.retried_blocks += other.retried_blocks;
         self.recovery_ops += other.recovery_ops;
-        self.cache_hit_blocks += other.cache_hit_blocks;
-        self.cache_absorbed_writes += other.cache_absorbed_writes;
     }
 
     /// Reset all counters to zero, preserving the drive count.
@@ -130,23 +118,19 @@ impl IoStats {
 
 impl std::fmt::Display for IoStats {
     /// Compact one-line rendering used wherever stats are reported. The
-    /// absorbed-traffic tallies (`retried`, `recovery`, `cache_hits`,
-    /// `cache_absorbed`) are always emitted — they read 0 when the
-    /// corresponding layer is off, so reports stay field-stable across
-    /// configurations.
+    /// absorbed-traffic tallies (`retried`, `recovery`) are always emitted
+    /// — they read 0 when the corresponding layer is off, so reports stay
+    /// field-stable across configurations.
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "ops={} blocks_r={} blocks_w={} util={:.2} retried={} recovery={} \
-             cache_hits={} cache_absorbed={}",
+            "ops={} blocks_r={} blocks_w={} util={:.2} retried={} recovery={}",
             self.parallel_ops,
             self.blocks_read,
             self.blocks_written,
             self.utilization(),
             self.retried_blocks,
             self.recovery_ops,
-            self.cache_hit_blocks,
-            self.cache_absorbed_writes,
         )
     }
 }
@@ -166,8 +150,6 @@ mod tests {
             per_disk_writes: vec![4, 4, 4, 4],
             retried_blocks: 3,
             recovery_ops: 2,
-            cache_hit_blocks: 5,
-            cache_absorbed_writes: 7,
         }
     }
 
@@ -199,8 +181,6 @@ mod tests {
         assert_eq!(a.per_disk_reads, vec![24, 24, 0, 0]);
         assert_eq!(a.retried_blocks, 6);
         assert_eq!(a.recovery_ops, 4);
-        assert_eq!(a.cache_hit_blocks, 10);
-        assert_eq!(a.cache_absorbed_writes, 14);
     }
 
     #[test]
@@ -211,14 +191,11 @@ mod tests {
     }
 
     #[test]
-    fn display_emits_cache_fields_even_when_zero() {
-        let s = IoStats::new(2);
-        let line = s.to_string();
-        assert!(line.contains("cache_hits=0"));
-        assert!(line.contains("cache_absorbed=0"));
+    fn display_emits_absorbed_tallies_even_when_zero() {
+        let line = IoStats::new(2).to_string();
+        assert!(line.contains("retried=0 recovery=0"));
         let line = sample().to_string();
-        assert!(line.contains("cache_hits=5"));
-        assert!(line.contains("cache_absorbed=7"));
+        assert!(line.contains("retried=3 recovery=2"));
     }
 
     #[test]

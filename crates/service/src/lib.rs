@@ -514,7 +514,7 @@ impl SimService {
         self.admit_with(spec, sim)
     }
 
-    /// Admit a job with a caller-configured simulator (cache, placement…).
+    /// Admit a job with a caller-configured simulator (placement, retry…).
     /// The simulator's machine must match `spec.machine`'s disk shape,
     /// which in turn must match the shared array.
     ///
@@ -962,7 +962,6 @@ impl TenantRecord {
                         "\"bytes_read\":{},\"bytes_written\":{},",
                         "\"per_disk_reads\":{},\"per_disk_writes\":{},",
                         "\"retried_blocks\":{},\"recovery_ops\":{},",
-                        "\"cache_hit_blocks\":{},\"cache_absorbed_writes\":{},",
                         "\"lambda\":{},\"io_time\":{},\"real_comm_bytes\":{},",
                         "\"fetch_ctx\":{},\"fetch_msg\":{},\"scatter\":{},",
                         "\"write_ctx\":{},\"routing\":{}}}"
@@ -976,8 +975,6 @@ impl TenantRecord {
                     per_disk(&s.io.per_disk_writes),
                     s.io.retried_blocks,
                     s.io.recovery_ops,
-                    s.io.cache_hit_blocks,
-                    s.io.cache_absorbed_writes,
                     s.lambda,
                     s.io_time,
                     s.real_comm_bytes,

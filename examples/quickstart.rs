@@ -78,15 +78,12 @@ fn main() {
     println!("threaded:  identical result on 4 worker threads");
 
     // 3. The paper's simulation: a machine with 64 KiB of memory and 4
-    //    disks executes the same program out of core. `with_cache` turns
-    //    on the write-back block cache — counted I/O and final states are
-    //    bit-identical to a plain run; the summary's cache_hits /
-    //    cache_absorbed tallies show the traffic the cache soaked up.
+    //    disks executes the same program out of core.
     let machine = EmMachine::uniprocessor(64 * 1024, 4, 1024, 1);
-    let sim = SeqEmSimulator::new(machine).with_cache(32 * 1024);
+    let sim = SeqEmSimulator::new(machine);
     let (res, report) = sim.run(&prog, states.clone()).unwrap();
     assert_eq!(res.states, reference.states);
-    println!("\nuniprocessor EM simulation (Algorithms 1+2, 32 KiB cache):");
+    println!("\nuniprocessor EM simulation (Algorithms 1+2):");
     println!("  {}", report.summary());
     for check in &report.checks {
         println!(

@@ -82,6 +82,38 @@ impl BspProgram for Diffuse {
     }
 }
 
+/// Three neighbours a round, folded into the state non-commutatively: a
+/// replay that reorders an inbox or loses a write shows in the final
+/// states even where [`Diffuse`]'s sums would not.
+struct ChainFold;
+
+impl BspProgram for ChainFold {
+    type State = u64;
+    type Msg = u64;
+    fn superstep(&self, step: usize, mb: &mut Mailbox<u64>, state: &mut u64) -> Step {
+        for e in mb.take_incoming() {
+            *state = state
+                .wrapping_mul(0x0000_0100_0000_01B3)
+                .wrapping_add(((e.src as u64) << 32) ^ e.msg);
+        }
+        let v = mb.nprocs();
+        if step < 4 {
+            for j in 1..=3u64 {
+                mb.send((mb.pid() + j as usize) % v, *state ^ j);
+            }
+            Step::Continue
+        } else {
+            Step::Halt
+        }
+    }
+    fn max_state_bytes(&self) -> usize {
+        124
+    }
+    fn max_comm_bytes(&self) -> usize {
+        3 * 24
+    }
+}
+
 const V: usize = 24;
 const D: usize = 2;
 
@@ -102,18 +134,22 @@ fn recoverable_plan(seed: u64) -> FaultPlan {
 
 #[test]
 fn seq_seeded_faults_recover_to_identical_run() {
-    let prog = Diffuse;
+    seq_seeded_recovery(&Diffuse);
+    seq_seeded_recovery(&ChainFold);
+}
+
+fn seq_seeded_recovery<P: BspProgram<State = u64>>(prog: &P) {
     let base = SeqEmSimulator::new(machine(1, 256, D, 64)).with_seed(9).with_checksums(true);
-    let (clean, clean_report) = base.run(&prog, init_states()).unwrap();
+    let (clean, clean_report) = base.run(prog, init_states()).unwrap();
     assert!(clean_report.faults.is_none(), "no plan, no recovery => no fault report");
-    assert_eq!(clean.states, run_sequential(&prog, init_states()).unwrap().states);
+    assert_eq!(clean.states, run_sequential(prog, init_states()).unwrap().states);
 
     let faulty_sim = base
         .clone()
         .with_fault_plan(recoverable_plan(fault_seed()))
         .with_retry(RetryPolicy::new(4))
         .with_recovery(RecoveryPolicy::new(64));
-    let (faulty, report) = faulty_sim.run(&prog, init_states()).unwrap();
+    let (faulty, report) = faulty_sim.run(prog, init_states()).unwrap();
 
     assert_eq!(faulty.states, clean.states);
     assert_eq!(faulty.ledger, clean.ledger);
@@ -133,17 +169,22 @@ fn seq_seeded_faults_recover_to_identical_run() {
 
 #[test]
 fn par_seeded_faults_recover_to_identical_run() {
-    let prog = Diffuse;
+    par_seeded_recovery(&Diffuse);
+    par_seeded_recovery(&ChainFold);
+}
+
+fn par_seeded_recovery<P: BspProgram<State = u64>>(prog: &P) {
     let base = ParEmSimulator::new(machine(3, 256, D, 64)).with_seed(2).with_checksums(true);
-    let (clean, clean_report) = base.run(&prog, init_states()).unwrap();
+    let (clean, clean_report) = base.run(prog, init_states()).unwrap();
     assert!(clean_report.faults.is_none());
+    assert_eq!(clean.states, run_sequential(prog, init_states()).unwrap().states);
 
     let faulty_sim = base
         .clone()
         .with_fault_plan(recoverable_plan(fault_seed()))
         .with_retry(RetryPolicy::new(4))
         .with_recovery(RecoveryPolicy::new(64));
-    let (faulty, report) = faulty_sim.run(&prog, init_states()).unwrap();
+    let (faulty, report) = faulty_sim.run(prog, init_states()).unwrap();
 
     assert_eq!(faulty.states, clean.states);
     assert_eq!(faulty.ledger, clean.ledger);
