@@ -10,7 +10,7 @@
 //! They are also, on every drive, *consecutive tracks* — the point of the
 //! format. A group sweep (load, fetch, write-back, final read-back)
 //! therefore reaches the array as **one batch**
-//! ([`DiskArray::submit_read_batch`] / [`DiskArray::submit_write_batch`]):
+//! ([`DiskArray::read_batch_into`] / [`DiskArray::write_batch`]):
 //! moved as one command and one sequential transfer per drive, counted as
 //! the parallel I/O operations its stripes are. Over the group's
 //! `n = k·⌈(4+μ)/B⌉` blocks a write is cut into `⌈n/D⌉` stripes of `D`
@@ -173,7 +173,7 @@ impl ContextStore {
             .map(|(&(disk, track), chunk)| (disk, track, chunk))
             .collect();
         let stripes: Vec<usize> = writes.chunks(disks.num_disks()).map(<[_]>::len).collect();
-        let written = disks.submit_write_batch(&stripes, &writes).and_then(|t| t.join());
+        let written = disks.write_batch(&stripes, &writes);
         pool.put(staged);
         Ok(written?)
     }
@@ -207,7 +207,7 @@ impl ContextStore {
     ) -> EmResult<Vec<Vec<u8>>> {
         let (stripes, addrs) = self.layout.batch(first, count);
         let lent = addrs.iter().map(|_| blocks.take()).collect();
-        let read = disks.submit_read_batch_into(&stripes, &addrs, lent)?.join_bufs()?;
+        let read = disks.read_batch_into(&stripes, &addrs, lent)?;
         let payload_capacity = self.payload_capacity();
         // Every block arrives in one `B`-byte buffer; an empty group has
         // none, and no context to cut out of them.

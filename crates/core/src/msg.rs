@@ -728,11 +728,7 @@ pub(crate) fn store_received_blocks(
         cycles.push(cycle_len);
         scratch.write_cycles += 1;
     }
-    let written = if cycles.is_empty() {
-        Ok(())
-    } else {
-        disks.submit_write_batch(&cycles, &writes).and_then(|t| t.join())
-    };
+    let written = if cycles.is_empty() { Ok(()) } else { disks.write_batch(&cycles, &writes) };
     pool.put_all(writes.into_iter().map(|(_, _, bytes)| bytes));
     Ok(written?)
 }
@@ -758,7 +754,7 @@ pub fn fetch_batch_raw_blocks(
         (0..counts.counts[batch]).map(|i| counts.locate(geom, batch, i)).collect();
     let stripes: Vec<usize> = addrs.chunks(geom.num_disks).map(<[_]>::len).collect();
     let lent = addrs.iter().map(|_| pool.take()).collect();
-    let blocks = disks.submit_read_batch_into(&stripes, &addrs, lent)?.join_bufs()?;
+    let blocks = disks.read_batch_into(&stripes, &addrs, lent)?;
     Ok(blocks.into_iter().map(|bytes| RawBlock { dst_tag: word(&bytes, 0), bytes }).collect())
 }
 

@@ -5,13 +5,10 @@ use crate::checkpoint::{JournalContents, JournalFile};
 use crate::engine::first_failure;
 use crate::{
     Block, ChecksumBackend, DiskBackend, DiskConfig, DiskError, DiskResult, FaultInjectingBackend,
-    FaultPlan, FileBackend, IoStats, MemoryBackend, ReadTicket, RetryingBackend, WriteTicket,
-    CRC_BYTES,
+    FaultPlan, FileBackend, IoStats, MemoryBackend, RetryingBackend, CRC_BYTES,
 };
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// An array of `D` track-addressed drives with blocked, `D`-way-parallel
 /// I/O — the storage half of one EM-BSP processor.
@@ -60,12 +57,6 @@ pub struct DiskArray {
     /// the schedule's meaning: a batch then goes down one stripe per
     /// backend call, exactly the order stripe-at-a-time submission gives.
     fault_layer: bool,
-    /// Live count of stripe tickets handed out by the submit calls and
-    /// neither joined nor dropped yet. Barriers check it so callers that
-    /// reach `sync()`/`begin_recovery_epoch()` still holding a ticket fail
-    /// with a typed [`DiskError::UnjoinedTickets`] instead of an implicit
-    /// drain.
-    outstanding: Arc<AtomicUsize>,
 }
 
 /// Undo log for one recovery epoch (one compound superstep): the content
@@ -194,19 +185,7 @@ impl DiskArray {
             journal: None,
             durable: None,
             pre_image_pool: Vec::new(),
-            outstanding: Arc::new(AtomicUsize::new(0)),
         }
-    }
-
-    /// Return [`DiskError::UnjoinedTickets`] if the caller still holds
-    /// submitted-but-unjoined stripe tickets — the precondition of every
-    /// barrier operation.
-    fn check_no_unjoined_tickets(&self) -> DiskResult<()> {
-        let outstanding = self.outstanding.load(Ordering::Acquire);
-        if outstanding != 0 {
-            return Err(DiskError::UnjoinedTickets { outstanding });
-        }
-        Ok(())
     }
 
     /// Impose a per-drive capacity limit of `max_tracks` tracks; writes
@@ -261,12 +240,7 @@ impl DiskArray {
     }
 
     /// Flush the backend (meaningful for files).
-    ///
-    /// `sync()` is a barrier, not a drain: reaching it while stripe
-    /// tickets are still unjoined is a caller bug and fails with
-    /// [`DiskError::UnjoinedTickets`] before touching the backend.
     pub fn sync(&mut self) -> DiskResult<()> {
-        self.check_no_unjoined_tickets()?;
         self.backend.sync()?;
         self.poll_retries();
         Ok(())
@@ -281,12 +255,7 @@ impl DiskArray {
     /// they are **not** counted parallel I/O; they are tallied in
     /// [`IoStats::recovery_ops`] instead, so enabling recovery never
     /// changes the paper-facing counted I/O of a run.
-    ///
-    /// Like [`DiskArray::sync`], it is a barrier: unjoined stripe tickets
-    /// at this point are a caller bug and fail with
-    /// [`DiskError::UnjoinedTickets`].
     pub fn begin_recovery_epoch(&mut self) -> DiskResult<()> {
-        self.check_no_unjoined_tickets()?;
         self.poll_retries();
         self.journal = Some(RecoveryJournal {
             pre: HashMap::new(),
@@ -450,14 +419,26 @@ impl DiskArray {
     ///
     /// The restoring writes are tallied in [`IoStats::recovery_ops`],
     /// never in the paper-facing counted `parallel_ops`.
+    ///
+    /// The journal is bytes a killed process left behind, so every record
+    /// is checked before the first one is written back: a drive the array
+    /// does not have ([`DiskError::DiskOutOfRange`]), a pre-image that is
+    /// not one block ([`DiskError::BadBlockSize`]) or a track past the
+    /// capacity limit fails the undo with the drives untouched.
     pub fn apply_journal_undo(&mut self, contents: &JournalContents) -> DiskResult<()> {
-        for (disk, track, pre) in contents.records.iter().rev() {
+        for &(disk, track, ref pre) in &contents.records {
+            if disk >= self.cfg.num_disks {
+                return Err(DiskError::DiskOutOfRange { disk, num_disks: self.cfg.num_disks });
+            }
             if pre.len() != self.cfg.block_bytes {
                 return Err(DiskError::BadBlockSize {
                     expected: self.cfg.block_bytes,
                     got: pre.len(),
                 });
             }
+            self.check_capacity(disk, track)?;
+        }
+        for (disk, track, pre) in contents.records.iter().rev() {
             self.backend.write_track(*disk, *track, pre)?;
             self.stats.recovery_ops += 1;
         }
@@ -548,68 +529,55 @@ impl DiskArray {
         self.stats.bytes_written += (writes.len() * self.cfg.block_bytes) as u64;
     }
 
-    /// Submit one parallel read — fetch at most one track from each listed
-    /// drive — and return a joinable ticket without waiting for the
-    /// transfers: [`DiskArray::submit_read_batch`] for a batch of one
-    /// stripe.
+    /// [`DiskArray::read_stripe`] with its blocks held in a
+    /// [`ReadStripeTicket`] that [`ReadStripeTicket::join`] hands back.
+    /// Transfers block, so the ticket holds a finished result, and a failed
+    /// stripe — rejected or not — is reported here, never at the join. It
+    /// adds nothing to the blocking call and stays only for callers written
+    /// against a submit-then-join shape: the benchmark's submit-and-join
+    /// rung.
     pub fn submit_read_stripe(&mut self, addrs: &[(usize, usize)]) -> DiskResult<ReadStripeTicket> {
-        self.submit_read_batch(&[addrs.len()], addrs)
+        self.read_stripe(addrs).map(ReadStripeTicket)
     }
 
-    /// Submit one parallel write — store at most one track on each listed
-    /// drive — and return a joinable ticket without waiting:
-    /// [`DiskArray::submit_write_batch`] for a batch of one stripe.
+    /// [`DiskArray::write_stripe`] as a [`WriteStripeTicket`] (see
+    /// [`DiskArray::submit_read_stripe`] for why it exists).
     pub fn submit_write_stripe<T: AsRef<[u8]>>(
         &mut self,
         writes: &[(usize, usize, T)],
     ) -> DiskResult<WriteStripeTicket> {
-        self.submit_write_batch(&[writes.len()], writes)
+        self.write_stripe(writes).map(|()| WriteStripeTicket(()))
     }
 
-    /// Submit a batch of parallel reads as one transfer and return a
-    /// joinable ticket without waiting for it. `addrs` lists the tracks of
-    /// every stripe in request order and `stripes[i]` is the length of the
-    /// `i`-th stripe — the form in which a run of regions in standard
+    /// Read a batch of parallel stripes as one transfer into buffers lent
+    /// by the caller, and hand them back filled. `addrs` lists the tracks
+    /// of every stripe in request order and `stripes[i]` is the length of
+    /// the `i`-th stripe — the form in which a run of regions in standard
     /// consecutive format ([`crate::ConsecutiveLayout::batch`]) is handed
     /// to the drives: one command and one sequential transfer per drive,
     /// however many stripes the run spans.
     ///
-    /// Every stripe is validated first, and a rejected batch leaves both
-    /// the backend and the counters untouched; a *valid* batch is counted
-    /// at submission exactly as its stripes submitted one by one would be
-    /// (one parallel I/O operation per non-empty stripe, even if it names
-    /// fewer than `D` drives), so counted [`IoStats`] depend neither on how
-    /// stripes are batched nor on when — or in what order relative to
-    /// other tickets — the caller joins. I/O errors are deferred to
-    /// [`ReadStripeTicket::join`].
+    /// `lent[i]` receives track `i`: each buffer is resized to exactly `B`
+    /// bytes and overwritten, and the same buffers come back in request
+    /// order, so a caller that recycles them reads without allocating per
+    /// block. Lending fewer buffers than tracks is allowed — the array
+    /// supplies the rest; lending none reads into fresh buffers. On an
+    /// error the buffers are dropped with the result.
+    ///
+    /// Everything is validated first — the stripe rule, the lent buffers
+    /// (more than one a track is [`DiskError::InvalidConfig`]) — and a
+    /// rejected batch leaves both the backend and the counters untouched. A
+    /// valid batch counts exactly what its stripes read one by one would:
+    /// one parallel I/O operation per non-empty stripe, even if it names
+    /// fewer than `D` drives.
     ///
     /// One backend call carries the whole batch — unless the stack holds a
     /// fault-injection layer, whose [`FaultPlan`] schedule is keyed by
     /// per-drive operation index: then the batch goes down one stripe per
     /// call, so every drive sees first attempts, retries and pre-image
-    /// reads in exactly the order stripe-at-a-time submission gives them.
-    ///
-    /// The blocks land in buffers the array allocates, one per track;
-    /// [`DiskArray::submit_read_batch_into`] is the same call into buffers
-    /// the caller lends.
-    pub fn submit_read_batch(
-        &mut self,
-        stripes: &[usize],
-        addrs: &[(usize, usize)],
-    ) -> DiskResult<ReadStripeTicket> {
-        self.submit_read_batch_into(stripes, addrs, Vec::new())
-    }
-
-    /// [`DiskArray::submit_read_batch`] into buffers lent by the caller, the
-    /// way [`DiskArray::move_batch`] takes them: `lent[i]` receives track
-    /// `i`, each buffer is resized to exactly `B` bytes and overwritten, and
-    /// [`ReadStripeTicket::join_bufs`] hands them back filled, in request
-    /// order — so a caller that recycles them reads without allocating per
-    /// block. Lending fewer buffers than tracks is allowed: the array
-    /// supplies the rest (lending none is [`DiskArray::submit_read_batch`]).
-    /// Lending more is rejected like every other malformed request — with
-    /// [`DiskError::InvalidConfig`], before anything is submitted or
-    /// counted.
+    /// reads in exactly the order stripe-at-a-time calls give them. Every
+    /// call is made and counted even after an earlier one failed, and the
+    /// first failing track in request order is the batch's error.
     ///
     /// ```
     /// use em_disk::{Block, DiskArray, DiskConfig};
@@ -619,16 +587,16 @@ impl DiskArray {
     ///     .unwrap();
     /// // One buffer from an earlier read, one empty: both come back `B` long.
     /// let lent = vec![vec![9; 8], Vec::with_capacity(8)];
-    /// let bufs = arr.submit_read_batch_into(&[2], &[(1, 0), (0, 0)], lent)?.join_bufs()?;
+    /// let bufs = arr.read_batch_into(&[2], &[(1, 0), (0, 0)], lent)?;
     /// assert_eq!(bufs, [[2; 8], [1; 8]]);
     /// # Ok::<(), em_disk::DiskError>(())
     /// ```
-    pub fn submit_read_batch_into(
+    pub fn read_batch_into(
         &mut self,
         stripes: &[usize],
         addrs: &[(usize, usize)],
         mut lent: Vec<Vec<u8>>,
-    ) -> DiskResult<ReadStripeTicket> {
+    ) -> DiskResult<Vec<Vec<u8>>> {
         self.validate_batch(stripes, addrs.iter().map(|&(d, _)| d))?;
         if lent.len() > addrs.len() {
             return Err(DiskError::InvalidConfig("a read takes at most one lent buffer per track"));
@@ -637,40 +605,32 @@ impl DiskArray {
         for buf in &mut lent {
             buf.resize(self.cfg.block_bytes, 0);
         }
-        let mut ticket = ReadTicket::ready(Ok(Vec::new()));
+        let mut bufs: Vec<&mut [u8]> = lent.iter_mut().map(Vec::as_mut_slice).collect();
+        let mut read = Ok(());
         let mut at = 0;
         for call in stripes.chunks(self.stripes_per_call(stripes.len())) {
-            let part = &addrs[at..at + call.iter().sum::<usize>()];
-            // The last call takes what is left; only a fault layer's
-            // stripe-by-stripe calls split the buffers.
-            let bufs = if at + part.len() == addrs.len() {
-                std::mem::take(&mut lent)
-            } else {
-                lent.drain(..part.len()).collect()
-            };
-            let submitted = self.backend.submit_read_batch(call, part, bufs);
-            // Until a track has been submitted there is nothing to report.
-            ticket = if at == 0 { submitted } else { ticket.followed_by(submitted) };
-            at += part.len();
-            self.count_reads(call, part);
+            let (from, to) = (at, at + call.iter().sum::<usize>());
+            at = to;
+            let outcomes =
+                self.backend.read_batch_each(call, &addrs[from..to], &mut bufs[from..to]);
+            self.count_reads(call, &addrs[from..to]);
+            read = read.and(first_failure(outcomes).map(drop));
         }
-        Ok(ReadStripeTicket { ticket, _guard: TicketGuard::new(&self.outstanding) })
+        read.map(|()| lent)
     }
 
-    /// Submit a batch of parallel writes as one transfer and return a
-    /// joinable ticket without waiting (same arguments and the same
-    /// validate-everything-then-count-at-submission contract as
-    /// [`DiskArray::submit_read_batch`]).
+    /// Write a batch of parallel stripes as one transfer (same arguments,
+    /// validation, counting and fault-layer rule as
+    /// [`DiskArray::read_batch_into`]; the capacity limit is checked too).
     ///
     /// Each track's bytes are anything that is a `[u8]` of exactly `B`
     /// bytes — a [`Block`], a `Vec<u8>`, or a slice of the caller's own
-    /// buffer — and are copied or written before this returns, so the
-    /// caller may reuse its memory as soon as it has the ticket.
-    pub fn submit_write_batch<T: AsRef<[u8]>>(
+    /// buffer — and the call returns once every track has landed.
+    pub fn write_batch<T: AsRef<[u8]>>(
         &mut self,
         stripes: &[usize],
         writes: &[(usize, usize, T)],
-    ) -> DiskResult<WriteStripeTicket> {
+    ) -> DiskResult<()> {
         self.validate_batch(stripes, writes.iter().map(|(d, _, _)| *d))?;
         for (disk, track, data) in writes {
             let got = data.as_ref().len();
@@ -681,17 +641,17 @@ impl DiskArray {
         }
         let tracks: Vec<(usize, usize, &[u8])> =
             writes.iter().map(|(d, t, data)| (*d, *t, data.as_ref())).collect();
-        let mut ticket = WriteTicket::ready(Ok(()));
+        let mut written = Ok(());
         let mut at = 0;
         for call in stripes.chunks(self.stripes_per_call(stripes.len())) {
             let part = &tracks[at..at + call.iter().sum::<usize>()];
-            self.capture_pre_images(call, part)?;
-            let submitted = self.backend.submit_write_batch(call, part);
-            ticket = if at == 0 { submitted } else { ticket.followed_by(submitted) };
             at += part.len();
+            self.capture_pre_images(call, part)?;
+            let outcomes = self.backend.write_batch_each(call, part);
             self.count_writes(call, part);
+            written = written.and(first_failure(outcomes).map(drop));
         }
-        Ok(WriteStripeTicket { ticket, _guard: TicketGuard::new(&self.outstanding) })
+        written
     }
 
     /// One parallel read: fetch at most one track from each listed drive.
@@ -699,20 +659,19 @@ impl DiskArray {
     /// Counts exactly one parallel I/O operation (even if `addrs` names
     /// fewer than `D` drives). Returns blocks in request order. On backends
     /// with real parallelism the `≤ D` transfers overlap; the call returns
-    /// only after all of them complete. Equivalent to
-    /// [`DiskArray::submit_read_stripe`] followed by an immediate join.
+    /// only after all of them complete.
     pub fn read_stripe(&mut self, addrs: &[(usize, usize)]) -> DiskResult<Vec<Block>> {
-        self.submit_read_stripe(addrs)?.join()
+        let bufs = self.read_batch_into(&[addrs.len()], addrs, Vec::new())?;
+        Ok(bufs.into_iter().map(Block::from_vec).collect())
     }
 
     /// One parallel write: store at most one track on each listed drive.
     ///
     /// Counts exactly one parallel I/O operation. All validation happens
-    /// before any byte is submitted, so a rejected stripe leaves both the
-    /// backend and the counters untouched. Equivalent to
-    /// [`DiskArray::submit_write_stripe`] followed by an immediate join.
+    /// before any byte is written, so a rejected stripe leaves both the
+    /// backend and the counters untouched.
     pub fn write_stripe<T: AsRef<[u8]>>(&mut self, writes: &[(usize, usize, T)]) -> DiskResult<()> {
-        self.submit_write_stripe(writes)?.join()
+        self.write_batch(&[writes.len()], writes)
     }
 
     /// Move a batch of blocks: read the stripes of `from` and write each
@@ -740,7 +699,7 @@ impl DiskArray {
     /// new bytes, here the old. (Algorithm 2's moves read one region and
     /// write another.) Under a fault-injection layer the batch goes down
     /// one stripe per call like every other batch (see
-    /// [`DiskArray::submit_read_batch`]), each stripe read and then written,
+    /// [`DiskArray::read_batch_into`]), each stripe read and then written,
     /// so every drive sees the attempts in stripe-at-a-time order. A failed
     /// read — a [`DiskError::Corrupt`] frame, say — fails the move before
     /// anything of that call is written.
@@ -816,75 +775,25 @@ impl DiskArray {
     }
 }
 
-/// Membership token in the issuing array's unjoined-ticket census.
-///
-/// Created when a stripe ticket is handed out and decremented exactly once
-/// on `Drop` — whether the ticket is consumed by `join` (which moves the
-/// ticket, dropping it at the end of the call) or abandoned on an error
-/// path. The count is what lets the barriers (`sync()`,
-/// `begin_recovery_epoch()`) reject callers that still hold in-flight
-/// work, per [`DiskError::UnjoinedTickets`].
-struct TicketGuard {
-    outstanding: Arc<AtomicUsize>,
-}
-
-impl TicketGuard {
-    fn new(outstanding: &Arc<AtomicUsize>) -> Self {
-        outstanding.fetch_add(1, Ordering::AcqRel);
-        TicketGuard { outstanding: Arc::clone(outstanding) }
-    }
-}
-
-impl Drop for TicketGuard {
-    fn drop(&mut self) {
-        self.outstanding.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-/// A joinable handle for one counted, submitted read — of one stripe or
-/// of a batch of stripes.
-///
-/// The operation was already validated and counted by
-/// [`DiskArray::submit_read_batch_into`]; `join` waits for the transfers (a
-/// no-op on synchronous backends) and returns the blocks in request
-/// order — `join_bufs` the buffers they landed in — or the deferred error
-/// of the first failing track in request order.
-///
-/// A ticket must be joined — or explicitly dropped, which abandons the
-/// result — before the issuing array's next barrier
-/// ([`DiskArray::sync`] / [`DiskArray::begin_recovery_epoch`]); a barrier
-/// reached with live tickets fails with [`DiskError::UnjoinedTickets`].
-pub struct ReadStripeTicket {
-    ticket: ReadTicket,
-    _guard: TicketGuard,
-}
+/// A stripe read that has already run, as [`DiskArray::submit_read_stripe`]
+/// returns it.
+pub struct ReadStripeTicket(Vec<Block>);
 
 impl ReadStripeTicket {
-    /// Wait for the submitted transfers and return the blocks.
+    /// The stripe's blocks, in request order.
     pub fn join(self) -> DiskResult<Vec<Block>> {
-        Ok(self.join_bufs()?.into_iter().map(Block::from_vec).collect())
-    }
-
-    /// Wait for the submitted transfers and hand back the buffers they
-    /// landed in — those lent to [`DiskArray::submit_read_batch_into`], then
-    /// any the array supplied — each exactly `B` bytes, in request order.
-    /// On an error the buffers are dropped with the result.
-    pub fn join_bufs(self) -> DiskResult<Vec<Vec<u8>>> {
-        self.ticket.join()
+        Ok(self.0)
     }
 }
 
-/// A joinable handle for one counted, submitted write (same contract as
-/// [`ReadStripeTicket`], including the barrier rule).
-pub struct WriteStripeTicket {
-    ticket: WriteTicket,
-    _guard: TicketGuard,
-}
+/// A stripe write that has already landed, as
+/// [`DiskArray::submit_write_stripe`] returns it.
+pub struct WriteStripeTicket(());
 
 impl WriteStripeTicket {
-    /// Wait for the submitted transfers to land.
+    /// Always `Ok`: the write's outcome was the submission's.
     pub fn join(self) -> DiskResult<()> {
-        self.ticket.join()
+        Ok(())
     }
 }
 
@@ -959,8 +868,8 @@ mod tests {
     enum Transfers {
         /// `write_stripe` and `read_stripe`, one stripe at a time.
         Stripes,
-        /// One `submit_write_batch` of `Block`s and one `submit_read_batch`
-        /// per run of regions.
+        /// One `write_batch` of `Block`s and one `read_batch_into` that
+        /// lends nothing per run of regions.
         Batches,
         /// The same batches, writing slices of one buffer and reading into
         /// lent buffers: stale, empty and over-long ones, and one too few.
@@ -995,16 +904,14 @@ mod tests {
                         at += len;
                     }
                 }
-                Transfers::Batches => {
-                    a.submit_write_batch(&stripes, &writes).unwrap().join().unwrap()
-                }
+                Transfers::Batches => a.write_batch(&stripes, &writes).unwrap(),
                 Transfers::Lent => {
                     let staged: Vec<u8> =
                         writes.iter().flat_map(|w| w.2.as_bytes()).copied().collect();
                     let slices: Vec<(usize, usize, &[u8])> = (addrs.iter().zip(staged.chunks(b)))
                         .map(|(&(disk, track), chunk)| (disk, track, chunk))
                         .collect();
-                    a.submit_write_batch(&stripes, &slices).unwrap().join().unwrap();
+                    a.write_batch(&stripes, &slices).unwrap();
                 }
             }
         };
@@ -1021,10 +928,7 @@ mod tests {
                         .map(Block::into_vec)
                         .collect()
                 }
-                Transfers::Batches => {
-                    let blocks = a.submit_read_batch(&stripes, &addrs).unwrap().join().unwrap();
-                    blocks.into_iter().map(Block::into_vec).collect()
-                }
+                Transfers::Batches => a.read_batch_into(&stripes, &addrs, Vec::new()).unwrap(),
                 Transfers::Lent => {
                     let lent = (1..addrs.len())
                         .map(|i| match i % 3 {
@@ -1033,8 +937,7 @@ mod tests {
                             _ => vec![0x11; 2 * b],
                         })
                         .collect();
-                    let ticket = a.submit_read_batch_into(&stripes, &addrs, lent).unwrap();
-                    ticket.join_bufs().unwrap()
+                    a.read_batch_into(&stripes, &addrs, lent).unwrap()
                 }
             };
             assert_eq!(bufs.len(), addrs.len());
@@ -1117,34 +1020,27 @@ mod tests {
         // The second stripe is the illegal one; the first must not land.
         let conflict = [(0, 0), (1, 0), (1, 1), (1, 2)];
         assert!(matches!(
-            a.submit_read_batch(&[2, 2], &conflict).err(),
-            Some(DiskError::StripeConflict { disk: 1 })
+            a.read_batch_into(&[2, 2], &conflict, Vec::new()),
+            Err(DiskError::StripeConflict { disk: 1 })
         ));
         let writes: Vec<(usize, usize, Block)> =
             [(0, 0), (1, 0), (0, 9)].iter().map(|&(d, t)| (d, t, Block::zeroed(8))).collect();
+        assert!(matches!(a.write_batch(&[2, 1], &writes), Err(DiskError::CapacityExceeded { .. })));
         assert!(matches!(
-            a.submit_write_batch(&[2, 1], &writes).err(),
-            Some(DiskError::CapacityExceeded { .. })
+            a.read_batch_into(&[3], &conflict, Vec::new()),
+            Err(DiskError::InvalidConfig(_))
         ));
-        assert!(matches!(
-            a.submit_read_batch(&[3], &conflict).err(),
-            Some(DiskError::InvalidConfig(_))
-        ));
-        assert_eq!(a.stats(), &IoStats::new(2), "failed submissions must not count");
+        assert_eq!(a.stats(), &IoStats::new(2), "failed transfers must not count");
         assert_eq!(a.tracks_used(0), 0);
-        // One ticket per batch in the barrier census.
-        let ticket = a.submit_read_batch(&[2, 1], &conflict[..3]).unwrap();
-        assert!(matches!(a.sync(), Err(DiskError::UnjoinedTickets { outstanding: 1 })));
-        assert_eq!(ticket.join().unwrap().len(), 3);
+        assert_eq!(a.read_batch_into(&[2, 1], &conflict[..3], Vec::new()).unwrap().len(), 3);
         assert_eq!(a.stats().parallel_ops, 2);
     }
 
     /// Reads into lent buffers and writes of slices move the bytes, make
     /// the errors, count the operations and journal the pre-images that
     /// reads into fresh buffers and writes of `Block`s do, on every stack:
-    /// memory, checksummed and retried, files in both I/O modes (plain —
-    /// the threaded engine's own lent path — and checksummed and retried),
-    /// and a tenant's region of shared media. The fault-plan stack is
+    /// memory, checksummed and retried, files in both I/O modes (plain, and
+    /// checksummed and retried), and a tenant's region of shared media. The fault-plan stack is
     /// `under_a_fault_plan_a_batch_goes_down_stripe_by_stripe`'s.
     #[test]
     fn lent_reads_and_slice_writes_equal_block_ones_on_every_stack() {
@@ -1200,7 +1096,7 @@ mod tests {
     }
 
     #[test]
-    fn a_lent_read_takes_a_buffer_a_track_at_most_and_its_ticket_holds_the_barrier() {
+    fn a_lent_read_takes_a_buffer_a_track_at_most_and_hands_the_same_ones_back() {
         let mut a = array(2, 8).with_capacity_limit(4);
         a.write_stripe(&[(0, 0, [1u8; 8]), (1, 0, [2u8; 8])]).unwrap();
         let written = a.stats().clone();
@@ -1208,12 +1104,12 @@ mod tests {
         // A buffer more than tracks, and a short slice to write: rejected
         // before anything reaches the backend or the counters.
         assert!(matches!(
-            a.submit_read_batch_into(&[2], &addrs, vec![vec![0; 8]; 3]).err(),
-            Some(DiskError::InvalidConfig(_))
+            a.read_batch_into(&[2], &addrs, vec![vec![0; 8]; 3]),
+            Err(DiskError::InvalidConfig(_))
         ));
         assert!(matches!(
-            a.submit_read_batch_into(&[2], &[(1, 0), (1, 1)], vec![vec![0; 8]; 2]).err(),
-            Some(DiskError::StripeConflict { disk: 1 })
+            a.read_batch_into(&[2], &[(1, 0), (1, 1)], vec![vec![0; 8]; 2]),
+            Err(DiskError::StripeConflict { disk: 1 })
         ));
         assert!(matches!(
             a.write_stripe(&[(0, 1, &[7u8; 8][..]), (1, 1, &[7u8; 7][..])]),
@@ -1221,57 +1117,13 @@ mod tests {
         ));
         assert_eq!(a.stats(), &written, "rejected transfers must not count");
         assert_eq!((a.tracks_used(0), a.tracks_used(1)), (1, 1));
-        // A lent ticket is in the barrier census like any other.
         let lent = vec![vec![0xEE; 8], Vec::with_capacity(8)];
         let at: Vec<*const u8> = lent.iter().map(|buf| buf.as_ptr()).collect();
-        let ticket = a.submit_read_batch_into(&[2], &addrs, lent).unwrap();
-        assert!(matches!(a.sync(), Err(DiskError::UnjoinedTickets { outstanding: 1 })));
-        assert!(matches!(
-            a.begin_recovery_epoch(),
-            Err(DiskError::UnjoinedTickets { outstanding: 1 })
-        ));
-        let bufs = ticket.join_bufs().unwrap();
+        let bufs = a.read_batch_into(&[2], &addrs, lent).unwrap();
         assert_eq!(bufs, [[1u8; 8], [2u8; 8]]);
         assert_eq!(bufs[0].as_ptr(), at[0], "the lent buffer, not a copy, comes back");
         a.sync().unwrap();
         assert_eq!(a.stats().parallel_ops, written.parallel_ops + 1);
-    }
-
-    /// On the threaded engine a lent read is in flight until it is joined:
-    /// joined after later submissions — a write over the same tracks and a
-    /// read of them — it still returns what the drives held when it was
-    /// submitted (each drive serves its commands in order), in the buffers
-    /// it was lent.
-    #[test]
-    fn a_lent_read_on_the_threaded_engine_lands_in_its_buffers_when_joined() {
-        use crate::IoMode;
-        let dir = std::env::temp_dir().join(format!("em-array-lent-async-{}", std::process::id()));
-        let cfg = DiskConfig::new(3, 16).unwrap().with_io_mode(IoMode::Parallel);
-        let mut a = DiskArray::new_file(cfg, &dir).unwrap();
-        let old: Vec<(usize, usize, [u8; 16])> =
-            (0..6).map(|g| (g % 3, 2 + g / 3, [g as u8 + 1; 16])).collect();
-        a.submit_write_batch(&[3, 3], &old).unwrap().join().unwrap();
-        let addrs: Vec<(usize, usize)> =
-            old.iter().map(|&(disk, track, _)| (disk, track)).collect();
-        let lent = vec![vec![0xEE; 16]; 6];
-        let at: Vec<*const u8> = lent.iter().map(|buf| buf.as_ptr()).collect();
-        let first = a.submit_read_batch_into(&[3, 3], &addrs, lent).unwrap();
-        let new = [0x77u8; 16];
-        let writes: Vec<(usize, usize, &[u8])> =
-            addrs.iter().map(|&(disk, track)| (disk, track, &new[..])).collect();
-        let write = a.submit_write_batch(&[3, 3], &writes).unwrap();
-        let again = a.submit_read_batch_into(&[3, 3], &addrs, Vec::new()).unwrap();
-        write.join().unwrap();
-        assert!(again.join_bufs().unwrap().iter().all(|buf| buf == &new));
-        let got = first.join_bufs().unwrap();
-        for (g, buf) in got.iter().enumerate() {
-            assert_eq!(buf, &[g as u8 + 1; 16], "block {g}");
-            assert_eq!(buf.as_ptr(), at[g], "block {g} in its lent buffer");
-        }
-        a.sync().unwrap();
-        assert_eq!(a.stats().parallel_ops, 2 * 4);
-        drop(a);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1310,8 +1162,8 @@ mod tests {
         assert!(outcomes[0].is_ok() && outcomes[2].is_ok());
         assert!(matches!(outcomes[1], Err(DiskError::WorkerIo { disk: 0, .. })));
         let mut by_batch = DiskArray::new_memory_with_faults(cfg, Some(burst()));
-        let joined = by_batch.submit_write_batch(&[2, 2, 2], &writes).unwrap().join();
-        assert!(matches!(joined, Err(DiskError::WorkerIo { disk: 0, .. })), "{joined:?}");
+        let written = by_batch.write_batch(&[2, 2, 2], &writes);
+        assert!(matches!(written, Err(DiskError::WorkerIo { disk: 0, .. })), "{written:?}");
         assert_eq!(by_batch.fault_op_counts(), by_stripe.fault_op_counts());
         assert_eq!(by_batch.stats(), by_stripe.stats());
 
@@ -1322,23 +1174,20 @@ mod tests {
         for failing_op in 0..3 {
             let plan = FaultPlan::none().with_transient(1, failing_op);
             let mut a = DiskArray::new_memory_with_faults(cfg, Some(plan));
-            let joined = a.submit_read_batch(&[2, 2, 2], &addrs).unwrap().join();
-            assert!(matches!(joined, Err(DiskError::WorkerIo { disk: 1, .. })), "op {failing_op}");
-            assert_eq!(a.submit_read_batch(&[2, 2, 2], &addrs).unwrap().join().unwrap().len(), 6);
+            let read = a.read_batch_into(&[2, 2, 2], &addrs, Vec::new());
+            assert!(matches!(read, Err(DiskError::WorkerIo { disk: 1, .. })), "op {failing_op}");
+            assert_eq!(a.read_batch_into(&[2, 2, 2], &addrs, Vec::new()).unwrap().len(), 6);
             let plan = FaultPlan::none().with_transient(1, failing_op);
             let mut lent = DiskArray::new_memory_with_faults(cfg, Some(plan));
-            let joined =
-                lent.submit_read_batch_into(&[2, 2, 2], &addrs, vec![vec![0; 8]; 6]).unwrap();
-            let joined = joined.join_bufs();
-            assert!(matches!(joined, Err(DiskError::WorkerIo { disk: 1, .. })), "op {failing_op}");
-            let bufs = lent.submit_read_batch_into(&[2, 2, 2], &addrs, Vec::new()).unwrap();
-            assert_eq!(bufs.join_bufs().unwrap().len(), 6);
+            let read = lent.read_batch_into(&[2, 2, 2], &addrs, vec![vec![0; 8]; 6]);
+            assert!(matches!(read, Err(DiskError::WorkerIo { disk: 1, .. })), "op {failing_op}");
+            assert_eq!(lent.read_batch_into(&[2, 2, 2], &addrs, Vec::new()).unwrap().len(), 6);
             assert_eq!(lent.stats(), a.stats(), "op {failing_op}");
             assert_eq!(lent.fault_op_counts(), a.fault_op_counts(), "op {failing_op}");
             let plan = FaultPlan::none().with_transient(1, failing_op);
             let mut a = DiskArray::new_memory_with_faults(cfg, Some(plan));
-            let joined = a.submit_write_batch(&[2, 2, 2], &writes).unwrap().join();
-            assert!(matches!(joined, Err(DiskError::WorkerIo { disk: 1, .. })), "op {failing_op}");
+            let written = a.write_batch(&[2, 2, 2], &writes);
+            assert!(matches!(written, Err(DiskError::WorkerIo { disk: 1, .. })), "op {failing_op}");
         }
     }
 
@@ -1650,41 +1499,6 @@ mod tests {
     }
 
     #[test]
-    fn barrier_with_unjoined_tickets_is_a_typed_error() {
-        let mut a = array(2, 8);
-        let wt = a.submit_write_stripe(&[(0, 0, Block::zeroed(8))]).unwrap();
-        let rt = a.submit_read_stripe(&[(1, 0)]).unwrap();
-        assert!(matches!(a.sync(), Err(DiskError::UnjoinedTickets { outstanding: 2 })));
-        assert!(matches!(
-            a.begin_recovery_epoch(),
-            Err(DiskError::UnjoinedTickets { outstanding: 2 })
-        ));
-        assert!(!a.recovery_epoch_active(), "rejected barrier must not arm a journal");
-        wt.join().unwrap();
-        assert!(matches!(a.sync(), Err(DiskError::UnjoinedTickets { outstanding: 1 })));
-        rt.join().unwrap();
-        a.sync().unwrap();
-        a.begin_recovery_epoch().unwrap();
-        a.commit_recovery_epoch();
-        let err = DiskError::UnjoinedTickets { outstanding: 3 };
-        assert!(!err.is_transient(), "a missed drain point is a caller bug, not a media fault");
-    }
-
-    #[test]
-    fn dropped_tickets_release_the_barrier() {
-        // An abandoned ticket (error-path cleanup) must not wedge every
-        // later barrier: the guard decrements on drop, joined or not.
-        let mut a = array(2, 8);
-        let rt = a.submit_read_stripe(&[(0, 0)]).unwrap();
-        drop(rt);
-        a.sync().unwrap();
-        let wt = a.submit_write_stripe(&[(1, 0, Block::zeroed(8))]).unwrap();
-        assert!(matches!(a.sync(), Err(DiskError::UnjoinedTickets { outstanding: 1 })));
-        wt.join().unwrap();
-        a.sync().unwrap();
-    }
-
-    #[test]
     fn submitted_and_synchronous_arrays_count_identically() {
         // The same logical workload issued through tickets vs the
         // synchronous calls must produce bit-identical IoStats.
@@ -1847,5 +1661,52 @@ mod tests {
         let blocks = a.read_stripe(&[(0, 5), (1, 5), (2, 5)]).unwrap();
         assert_eq!(blocks[2].as_bytes()[0], 14);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_hostile_journal_record_fails_the_undo_with_the_drives_untouched() {
+        use crate::{IoMode, JournalFile};
+        let pid = std::process::id();
+        // Each journal: a hostile record, then a sound one. Undo runs in
+        // reverse, so the sound record would land before the hostile one
+        // is reached — unless every record is checked first. A record for
+        // drive 1 of a one-drive array (served on the calling thread), for
+        // drive 7 of four (the threaded engine), a pre-image half a block
+        // long.
+        let cases =
+            [(1, IoMode::Serial, 1, 16), (4, IoMode::Parallel, 7, 16), (4, IoMode::Parallel, 2, 8)];
+        for (case, &(d, mode, hostile_disk, pre_len)) in cases.iter().enumerate() {
+            let dir = std::env::temp_dir().join(format!("em-array-undo-{case}-{pid}"));
+            let mut a =
+                DiskArray::new_file(DiskConfig::new(d, 16).unwrap().with_io_mode(mode), &dir)
+                    .unwrap();
+            let stripe: Vec<(usize, usize, [u8; 16])> =
+                (0..d).map(|disk| (disk, 0, [disk as u8 + 1; 16])).collect();
+            a.write_stripe(&stripe).unwrap();
+            a.sync().unwrap();
+            let drives = || -> Vec<Vec<u8>> {
+                (0..d)
+                    .map(|disk| std::fs::read(dir.join(format!("disk-{disk}.bin"))).unwrap())
+                    .collect()
+            };
+            let before = drives();
+            let mut journal = JournalFile::attach(&dir).unwrap();
+            journal.begin_epoch(1).unwrap();
+            journal.append(hostile_disk, 0, &vec![0xAB; pre_len]).unwrap();
+            journal.append(0, 0, &[0xCD; 16]).unwrap();
+            let contents = JournalFile::read(&dir).unwrap().expect("two sound frames");
+            assert_eq!(contents.records.len(), 2);
+            let undone = a.apply_journal_undo(&contents);
+            match (&undone, pre_len) {
+                (Err(DiskError::BadBlockSize { expected: 16, got: 8 }), 8) => {}
+                (Err(DiskError::DiskOutOfRange { disk, num_disks }), 16)
+                    if (*disk, *num_disks) == (hostile_disk, d) => {}
+                other => panic!("case {case}: expected a typed rejection, got {other:?}"),
+            }
+            assert_eq!(drives(), before, "case {case}: nothing written back");
+            assert_eq!(a.stats().recovery_ops, 0, "case {case}");
+            drop(a);
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -11,7 +11,7 @@
 
 use crate::block::{crc32, CRC_BYTES};
 use crate::engine::{first_failure, read_full_track, track_offset, write_at, IoEngine};
-use crate::{DiskError, DiskResult, EngineKind, IoMode, ReadTicket, RetryPolicy, WriteTicket};
+use crate::{DiskError, DiskResult, EngineKind, IoMode, RetryPolicy};
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 
@@ -54,12 +54,11 @@ use std::path::{Path, PathBuf};
 /// merged view — `Ok` when every track succeeded, else the error of the
 /// first failing track in request order — and are never overridden.
 ///
-/// Bytes never pass through a backend in buffers it made. A read fills
-/// buffers its caller lends — slices for the `_each` entry points, owned
-/// `Vec`s for [`DiskBackend::submit_read_batch`], whose ticket hands the
-/// same `Vec`s back at join — and a write reads slices of its caller's
-/// memory, copying them (the threaded engine) or consuming them (every
-/// synchronous layer) before the submission returns.
+/// Every entry point blocks: it returns only after each listed transfer
+/// has completed. Bytes never pass through a backend in buffers it made:
+/// a read fills slices its caller lends, and a write reads slices of its
+/// caller's memory, copying them (the threaded engine) or consuming them
+/// (every other layer) before the call returns.
 pub trait DiskBackend: Send {
     /// Number of drives this backend was created with.
     fn num_disks(&self) -> usize;
@@ -148,40 +147,6 @@ pub trait DiskBackend: Send {
         first_failure(self.write_stripe_each(writes)).map(drop)
     }
 
-    /// Submit a batch read (see [`DiskBackend::read_batch_each`] for
-    /// `stripes` and `addrs`) into `lent` — one buffer per track, each
-    /// exactly one block long, lent by the array's caller — and return a
-    /// joinable ticket. A successful [`ReadTicket::join`] hands the same
-    /// buffers back, track `i`'s bytes in `lent[i]`; nothing is allocated
-    /// per track.
-    ///
-    /// The default implementation reads the batch into `lent` synchronously
-    /// and wraps the outcome in an already-completed ticket, so every
-    /// backend supports the submission API; backends with real asynchrony
-    /// (the file backend's threaded engine) override this to return with
-    /// the transfers still in flight, keeping `lent` in the ticket until the
-    /// join copies each track in. Submission itself never fails —
-    /// validation happens in the array front-end before this is called, and
-    /// I/O errors are deferred to [`ReadTicket::join`].
-    fn submit_read_batch(
-        &mut self,
-        stripes: &[usize],
-        addrs: &[(usize, usize)],
-        lent: Vec<Vec<u8>>,
-    ) -> ReadTicket {
-        read_batch_now(self, stripes, addrs, lent)
-    }
-
-    /// Submit a batch write and return a joinable ticket (same contract
-    /// as [`DiskBackend::submit_read_batch`]).
-    fn submit_write_batch(
-        &mut self,
-        stripes: &[usize],
-        writes: &[(usize, usize, &[u8])],
-    ) -> WriteTicket {
-        WriteTicket::ready(first_failure(self.write_batch_each(stripes, writes)).map(drop))
-    }
-
     /// Highest track index written so far on `disk`, plus one (0 if never
     /// written). Used for disk-space accounting.
     fn tracks_used(&self, disk: usize) -> usize;
@@ -221,26 +186,12 @@ pub trait DiskBackend: Send {
     }
 }
 
-/// Execute a batch read into the lent buffers on the calling thread and
-/// wrap the merged outcome in an already-completed ticket — what submission
-/// means on a backend with nothing in flight.
-fn read_batch_now<B: DiskBackend + ?Sized>(
-    backend: &mut B,
-    stripes: &[usize],
-    addrs: &[(usize, usize)],
-    mut lent: Vec<Vec<u8>>,
-) -> ReadTicket {
-    let mut bufs: Vec<&mut [u8]> = lent.iter_mut().map(Vec::as_mut_slice).collect();
-    let res = first_failure(backend.read_batch_each(stripes, addrs, &mut bufs));
-    ReadTicket::ready(res.map(|_| lent))
-}
-
 /// One outcome per track of a stripe or a batch, in request order (see
 /// [`DiskBackend::read_stripe_each`]).
 pub type TrackOutcomes = Vec<DiskResult<()>>;
 
 /// Boxed backends forward every method (including the overridable stripe
-/// and submission fast paths) to the inner backend, so decorator layers can
+/// and batch fast paths) to the inner backend, so decorator layers can
 /// compose over `Box<dyn DiskBackend>` without losing overrides.
 impl<B: DiskBackend + ?Sized> DiskBackend for Box<B> {
     fn num_disks(&self) -> usize {
@@ -276,21 +227,6 @@ impl<B: DiskBackend + ?Sized> DiskBackend for Box<B> {
         writes: &[(usize, usize, &[u8])],
     ) -> TrackOutcomes {
         (**self).write_batch_each(stripes, writes)
-    }
-    fn submit_read_batch(
-        &mut self,
-        stripes: &[usize],
-        addrs: &[(usize, usize)],
-        lent: Vec<Vec<u8>>,
-    ) -> ReadTicket {
-        (**self).submit_read_batch(stripes, addrs, lent)
-    }
-    fn submit_write_batch(
-        &mut self,
-        stripes: &[usize],
-        writes: &[(usize, usize, &[u8])],
-    ) -> WriteTicket {
-        (**self).submit_write_batch(stripes, writes)
     }
     fn tracks_used(&self, disk: usize) -> usize {
         (**self).tracks_used(disk)
@@ -563,7 +499,7 @@ pub(crate) fn sub_batch(stripes: &[usize], kept: &[usize]) -> Vec<usize> {
 /// across the stripes of a batch a drive sees every first attempt before
 /// any retry, which is why the array hands a batch down stripe by stripe
 /// when a per-drive fault schedule is listening (see
-/// [`crate::DiskArray::submit_read_batch`]). A track that is still failing
+/// [`crate::DiskArray::read_batch_into`]). A track that is still failing
 /// after `max_attempts` keeps its last error — by then the transfer's
 /// other tracks have all been attempted too. Per-track retries are
 /// tallied and drained by the array into
@@ -921,38 +857,6 @@ impl DiskBackend for FileBackend {
             }
         }
         outcomes
-    }
-
-    fn submit_read_batch(
-        &mut self,
-        stripes: &[usize],
-        addrs: &[(usize, usize)],
-        lent: Vec<Vec<u8>>,
-    ) -> ReadTicket {
-        match &self.io {
-            FileIo::Parallel(engine) => engine.submit_reads(addrs, lent),
-            FileIo::Serial(_) => read_batch_now(self, stripes, addrs, lent),
-        }
-    }
-
-    fn submit_write_batch(
-        &mut self,
-        stripes: &[usize],
-        writes: &[(usize, usize, &[u8])],
-    ) -> WriteTicket {
-        let ticket = match &self.io {
-            FileIo::Parallel(engine) => engine.submit_writes(writes),
-            FileIo::Serial(_) => {
-                let done = first_failure(self.write_batch_each(stripes, writes));
-                return WriteTicket::ready(done.map(drop));
-            }
-        };
-        // The addresses are known at submission, so space accounting stays
-        // deterministic regardless of when the transfers land.
-        for &(disk, track, _) in writes {
-            self.note_write(disk, track);
-        }
-        ticket
     }
 
     fn tracks_used(&self, disk: usize) -> usize {

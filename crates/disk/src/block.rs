@@ -71,7 +71,7 @@ impl Block {
 }
 
 /// A block is one track's bytes wherever a write takes any `AsRef<[u8]>`
-/// ([`crate::DiskArray::submit_write_batch`]).
+/// ([`crate::DiskArray::write_batch`]).
 impl AsRef<[u8]> for Block {
     fn as_ref(&self) -> &[u8] {
         &self.data

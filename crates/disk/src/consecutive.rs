@@ -17,8 +17,8 @@
 //! It is also, on every drive, a run of *consecutive tracks* — condition
 //! (iii) is what the format is for. [`ConsecutiveLayout::batch`] therefore
 //! describes such a run as one batch of stripes, which
-//! [`crate::DiskArray::submit_read_batch`] /
-//! [`crate::DiskArray::submit_write_batch`] hand to the drives as one
+//! [`crate::DiskArray::read_batch_into`] /
+//! [`crate::DiskArray::write_batch`] hand to the drives as one
 //! command and one sequential transfer each, counted stripe by stripe as
 //! the model charges it.
 
@@ -84,7 +84,7 @@ impl ConsecutiveLayout {
     }
 
     /// The blocks of regions `[first, first + count)` as one batch of
-    /// parallel stripes, in the form [`crate::DiskArray::submit_read_batch`]
+    /// parallel stripes, in the form [`crate::DiskArray::read_batch_into`]
     /// takes: the stripe lengths, and every block's `(disk, track)` in
     /// global-index order. Each stripe touches each drive at most once, so
     /// it is a legal single parallel I/O operation, and all but the first

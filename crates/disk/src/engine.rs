@@ -21,17 +21,10 @@
 //! * **Ownership** — a drive's `File` lives on its worker thread; the
 //!   engine only holds the command channel. No file handle is ever shared,
 //!   so per-drive positional I/O needs no locking.
-//! * **Submission and join are separable** — `submit_reads` /
-//!   `submit_writes` dispatch one command per listed drive and return a
-//!   [`ReadTicket`] / [`WriteTicket`] immediately; `join` on the ticket
-//!   blocks until every listed drive has replied. The synchronous
-//!   `read_each`/`write_each` are dispatch-then-join, so at the
-//!   [`DiskArray`](crate::DiskArray) level the one-op-per-stripe cost
-//!   accounting and the deterministic, seed-stable I/O traces are
-//!   identical whether or not a caller overlaps tickets with other work.
-//!   Per-drive command channels are FIFO, and a command's tracks move in
-//!   request order: two transfers touching the same drive execute in
-//!   submission order even when their joins overlap.
+//! * **Blocking** — `read_each` / `write_each` dispatch one command per
+//!   listed drive, then join every reply before they return, so a caller
+//!   never observes a transfer in flight. Per-drive command channels are
+//!   FIFO, and a command's tracks move in request order.
 //! * **Error propagation** — each batch has one reply channel, and a
 //!   command's reply names the tracks of the command that failed, each
 //!   with its own error. A failed transfer comes back as
@@ -41,11 +34,9 @@
 //!   channel torn down) never replies, which surfaces as
 //!   [`DiskError::WorkerLost`] on every track it was sent. All replies are
 //!   joined first ([`PendingBatch::join`]: one outcome per track, request
-//!   order — the form the decorator stack consumes); a ticket's `join`
-//!   then reports the first failing track's error, so error selection is
-//!   deterministic whatever order the drives finished in. A deferred error
-//!   is *sticky*: it stays queued in the ticket's reply channel until the
-//!   ticket is joined, even across an intervening `sync_all`.
+//!   order — the form the decorator stack consumes), so error selection by
+//!   the first failing track is deterministic whatever order the drives
+//!   finished in.
 //! * **Shutdown** — dropping the engine closes every command channel;
 //!   workers drain and exit, and the engine joins them. A worker that
 //!   errored stays alive and keeps serving subsequent commands (the drive
@@ -311,21 +302,6 @@ impl IoEngine {
         )
     }
 
-    /// [`IoEngine::dispatch_reads`] wrapped in a joinable ticket that keeps
-    /// `lent` — one track-sized buffer per track — to copy each arrived
-    /// track into at join.
-    pub(crate) fn submit_reads(&self, addrs: &[(usize, usize)], lent: Vec<Vec<u8>>) -> ReadTicket {
-        debug_assert!(
-            lent.len() == addrs.len() && lent.iter().all(|b| b.len() == self.block_bytes)
-        );
-        ReadTicket { inner: ReadInner::Batch(self.dispatch_reads(addrs), lent) }
-    }
-
-    /// [`IoEngine::dispatch_writes`] wrapped in a joinable ticket.
-    pub(crate) fn submit_writes(&self, writes: &[(usize, usize, &[u8])]) -> WriteTicket {
-        WriteTicket { inner: WriteInner::Batch(self.dispatch_writes(writes)) }
-    }
-
     /// Dispatch the reads of a batch, join all replies, and copy each
     /// track that arrived into the caller's buffer. One outcome per track,
     /// request order.
@@ -410,102 +386,6 @@ impl PendingBatch {
 /// outcomes were all collected before this looks at any of them.
 pub(crate) fn first_failure<T>(outcomes: Vec<DiskResult<T>>) -> DiskResult<Vec<T>> {
     outcomes.into_iter().collect()
-}
-
-enum ReadInner {
-    /// The transfers already happened (synchronous backend): the blocks,
-    /// or the error they died with.
-    Ready(DiskResult<Vec<Vec<u8>>>),
-    /// Commands in flight on the threaded engine, and the lent buffers —
-    /// each one track long — the tracks are copied into when they arrive.
-    Batch(PendingBatch, Vec<Vec<u8>>),
-}
-
-/// A joinable handle for one submitted batch of track reads.
-///
-/// Produced by [`crate::DiskBackend::submit_read_batch`]; the backend may
-/// have executed the transfers synchronously (the default, and the memory
-/// backend) or have them in flight on per-drive worker threads (the file
-/// backend in [`crate::IoMode::Parallel`]). Either way the tracks land in
-/// the buffers lent at submission and [`ReadTicket::join`] hands those back
-/// in request order, or the deferred error of the first failing track in
-/// request order — deterministically, exactly as the synchronous path
-/// would have reported it. Dropping a ticket without joining abandons the
-/// results but never blocks or panics.
-pub struct ReadTicket {
-    inner: ReadInner,
-}
-
-impl ReadTicket {
-    /// Wrap an already-completed read (synchronous backends).
-    pub fn ready(result: DiskResult<Vec<Vec<u8>>>) -> Self {
-        ReadTicket { inner: ReadInner::Ready(result) }
-    }
-
-    /// One ticket for this transfer followed by `next`, both joined now:
-    /// how the array reports a batch it had to hand down in several
-    /// calls, which only the synchronous stacks under a fault layer need.
-    pub(crate) fn followed_by(self, next: ReadTicket) -> ReadTicket {
-        ReadTicket::ready(match (self.join(), next.join()) {
-            (Ok(mut tracks), Ok(more)) => {
-                tracks.extend(more);
-                Ok(tracks)
-            }
-            (Err(first), _) | (Ok(_), Err(first)) => Err(first),
-        })
-    }
-
-    /// Wait for every dispatched transfer and return the track bytes in
-    /// request order, in the buffers lent at submission. All replies are
-    /// joined before any error is reported, and the first failure in
-    /// request order wins.
-    pub fn join(self) -> DiskResult<Vec<Vec<u8>>> {
-        match self.inner {
-            ReadInner::Ready(result) => result,
-            ReadInner::Batch(pending, mut lent) => {
-                // No tracks, no length: an empty batch is handed nothing.
-                let track_bytes = lent.first().map_or(0, Vec::len);
-                let outcomes = pending.join(track_bytes, |i, track| lent[i].copy_from_slice(track));
-                first_failure(outcomes).map(|_| lent)
-            }
-        }
-    }
-}
-
-enum WriteInner {
-    /// The transfers already happened (synchronous backend).
-    Ready(DiskResult<()>),
-    /// Commands in flight on the threaded engine.
-    Batch(PendingBatch),
-}
-
-/// A joinable handle for one submitted batch of track writes (see
-/// [`ReadTicket`] for the completion and error contract).
-pub struct WriteTicket {
-    inner: WriteInner,
-}
-
-impl WriteTicket {
-    /// Wrap an already-completed write (synchronous backends).
-    pub fn ready(result: DiskResult<()>) -> Self {
-        WriteTicket { inner: WriteInner::Ready(result) }
-    }
-
-    /// One ticket for this transfer followed by `next`, both joined now
-    /// (see [`ReadTicket::followed_by`]).
-    pub(crate) fn followed_by(self, next: WriteTicket) -> WriteTicket {
-        let (done, more) = (self.join(), next.join());
-        WriteTicket::ready(done.and(more))
-    }
-
-    /// Wait for every dispatched transfer; the first failure in request
-    /// order wins, deterministically.
-    pub fn join(self) -> DiskResult<()> {
-        match self.inner {
-            WriteInner::Ready(result) => result,
-            WriteInner::Batch(pending) => first_failure(pending.join(0, |_, _| {})).map(drop),
-        }
-    }
 }
 
 impl Drop for IoEngine {
@@ -651,31 +531,13 @@ mod tests {
         let wide: Vec<(usize, usize)> = (0..30).map(|g| (g % D, 4 + g / D)).collect();
         let pending = engine.dispatch_reads(&wide);
         assert_eq!(pending.commands.len(), D);
-        let lent = vec![vec![0xEE; 8]; wide.len()];
-        let tracks = ReadTicket { inner: ReadInner::Batch(pending, lent) }.join().unwrap();
+        let mut tracks = vec![[0xEEu8; 8]; wide.len()];
+        let outcomes = pending.join(8, |i, track| tracks[i].copy_from_slice(track));
+        assert!(outcomes.iter().all(Result::is_ok));
         for (g, track) in tracks.iter().enumerate() {
             let want = if (2..16).contains(&g) { g as u8 } else { 0 };
             assert_eq!(track, &[want; 8], "global block {g}");
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn tickets_overlap_and_drain_in_submission_order() {
-        let (dir, files) = tmp_files("overlap", 4);
-        let engine = IoEngine::spawn(files, 16, false);
-        // Several writes in flight at once, including two generations on
-        // the same (disk, track) — per-drive FIFO must apply them in
-        // submission order.
-        let old: Vec<(usize, usize, &[u8])> = vec![(0, 0, &[1u8; 16]), (1, 0, &[1u8; 16])];
-        let new: Vec<(usize, usize, &[u8])> = vec![(0, 0, &[2u8; 16]), (1, 0, &[2u8; 16])];
-        let t1 = engine.submit_writes(&old);
-        let t2 = engine.submit_writes(&new);
-        let t3 = engine.submit_reads(&[(0, 0), (1, 0)], vec![vec![0; 16]; 2]);
-        t1.join().unwrap();
-        t2.join().unwrap();
-        let data = t3.join().unwrap();
-        assert_eq!(data, vec![vec![2u8; 16]; 2], "later submission must win on the same track");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -695,17 +557,20 @@ mod tests {
     }
 
     #[test]
-    fn poisoned_ticket_survives_sync_and_reports_at_join() {
-        let (dir, engine) = read_only_engine("poison", 2);
-        let ticket = engine.submit_writes(&[(1, 0, &[7u8; 8])]);
-        // The error is already waiting in the reply channel, but the drive
-        // keeps serving: sync_all succeeds (sync_data on a read-only handle
-        // is fine), and the poisoned ticket still reports afterwards.
-        engine.sync_all().unwrap();
-        match ticket.join() {
-            Err(DiskError::WorkerIo { disk: 1, .. }) => {}
-            other => panic!("expected WorkerIo on drive 1 after sync, got {other:?}"),
+    fn a_failed_write_leaves_the_drive_serving() {
+        let (dir, files) = tmp_files("serving", 2);
+        let engine = IoEngine::spawn(files, 8, false);
+        // Drive 1's worker fails the write of a track no file offset can
+        // reach, and keeps serving: the sync and the next write go through.
+        match engine.write_stripe(&[(0, 0, &[6u8; 8]), (1, usize::MAX, &[7u8; 8])]) {
+            Err(DiskError::OffsetOverflow { disk: 1, .. }) => {}
+            other => panic!("expected drive 1's OffsetOverflow, got {other:?}"),
         }
+        engine.sync_all().unwrap();
+        engine.write_stripe(&[(1, 0, &[7u8; 8])]).unwrap();
+        let (mut a, mut b) = ([0u8; 8], [0u8; 8]);
+        engine.read_stripe(&[(0, 0), (1, 0)], &mut [&mut a[..], &mut b[..]]).unwrap();
+        assert_eq!((a, b), ([6u8; 8], [7u8; 8]));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -715,8 +580,7 @@ mod tests {
             let (dir, engine) = read_only_engine("lowest", 4);
             let writes: Vec<(usize, usize, &[u8])> =
                 (1..4).map(|d| (d, 0, &[0u8; 8][..])).collect();
-            let ticket = engine.submit_writes(&writes);
-            match ticket.join() {
+            match engine.write_stripe(&writes) {
                 Err(DiskError::WorkerIo { disk: 1, .. }) => {}
                 other => panic!("expected the lowest failing drive (1), got {other:?}"),
             }
@@ -739,24 +603,22 @@ mod tests {
     }
 
     #[test]
-    fn lost_worker_mid_pipeline_surfaces_at_join() {
+    fn a_lost_worker_is_typed_on_every_track_it_was_sent() {
         let (dir, files) = tmp_files("lost", 2);
         let mut engine = IoEngine::spawn(files, 8, false);
-        // A ticket submitted while the engine was healthy...
-        let alive = engine.submit_writes(&[(0, 0, &[3u8; 8])]);
-        // ...then the workers are torn down mid-pipeline (they drain their
-        // queues before exiting, so `alive` still completes).
+        engine.write_stripe(&[(0, 0, &[3u8; 8])]).unwrap();
+        // The workers are torn down (they drain their queues and exit).
         engine.txs.clear();
         for handle in engine.handles.drain(..) {
             handle.join().unwrap();
         }
-        alive.join().unwrap();
-        // Anything submitted afterwards is poisoned per-drive and reports
-        // the lowest lost drive at join, like any other stripe failure.
-        let dead_write = engine.submit_writes(&[(1, 0, &[4u8; 8])]);
-        assert!(matches!(dead_write.join(), Err(DiskError::WorkerLost { disk: 1 })));
-        let dead_read = engine.submit_reads(&[(0, 0), (1, 0)], vec![vec![0; 8]; 2]);
-        assert!(matches!(dead_read.join(), Err(DiskError::WorkerLost { disk: 0 })));
+        // Every later transfer fails per drive, and the merged form reports
+        // the lowest lost drive, like any other stripe failure.
+        let outcomes = engine.write_each(&[(1, 0, &[4u8; 8])]);
+        assert!(matches!(outcomes[..], [Err(DiskError::WorkerLost { disk: 1 })]));
+        let (mut a, mut b) = ([0u8; 8], [0u8; 8]);
+        let read = engine.read_stripe(&[(0, 0), (1, 0)], &mut [&mut a[..], &mut b[..]]);
+        assert!(matches!(read, Err(DiskError::WorkerLost { disk: 0 })));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

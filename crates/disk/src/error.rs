@@ -74,16 +74,6 @@ pub enum DiskError {
         /// The offending track index (or track count, when reattaching).
         track: u64,
     },
-    /// A barrier (`sync()` or `begin_recovery_epoch()`) was reached while
-    /// the caller still held unjoined stripe tickets. Barriers never drain
-    /// tickets implicitly — every submitted stripe must be joined (or its
-    /// ticket explicitly dropped) first, so a caller that forgets a join
-    /// fails loudly instead of deadlocking or silently reordering against
-    /// the barrier.
-    UnjoinedTickets {
-        /// Tickets submitted but neither joined nor dropped.
-        outstanding: usize,
-    },
 }
 
 impl DiskError {
@@ -128,12 +118,6 @@ impl fmt::Display for DiskError {
             }
             DiskError::OffsetOverflow { disk, track } => {
                 write!(f, "track {track} on drive {disk} is beyond the addressable file offsets")
-            }
-            DiskError::UnjoinedTickets { outstanding } => {
-                write!(
-                    f,
-                    "barrier reached with {outstanding} unjoined stripe ticket(s); join or drop every submitted stripe before sync()/begin_recovery_epoch()"
-                )
             }
         }
     }

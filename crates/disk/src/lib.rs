@@ -87,7 +87,6 @@ pub use checkpoint::{
 };
 pub use config::{uring_available, DiskConfig, EngineKind, IoMode, Pipeline, RetryPolicy};
 pub use consecutive::{check_consecutive_format, ConsecutiveLayout};
-pub use engine::{ReadTicket, WriteTicket};
 pub use error::DiskError;
 pub use fault::{FaultCounts, FaultInjectingBackend, FaultKind, FaultPlan, FaultStats};
 pub use linked::BucketStore;

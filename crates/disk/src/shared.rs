@@ -507,9 +507,9 @@ mod tests {
         let writes: Vec<(usize, usize, Block)> = (addrs.iter())
             .map(|&(disk, track)| (disk, track, Block::from_bytes_padded(&[0xB7], 32)))
             .collect();
-        arr.submit_write_batch(&stripes, &writes).unwrap().join().unwrap();
-        let got = arr.submit_read_batch(&stripes, &addrs).unwrap().join().unwrap();
-        assert!(got.len() == 9 && got.iter().all(|b| b.as_bytes()[0] == 0xB7));
+        arr.write_batch(&stripes, &writes).unwrap();
+        let got = arr.read_batch_into(&stripes, &addrs, Vec::new()).unwrap();
+        assert!(got.len() == 9 && got.iter().all(|b| b[0] == 0xB7));
         assert_eq!(stripes.len(), 3);
         assert_eq!(arr.stats().parallel_ops, 11 + 6);
         assert_eq!(shared.slots_granted(), 11 + 6, "one slot per counted stripe of a batch");
@@ -588,13 +588,10 @@ mod tests {
                                 (disk, track, Block::from_bytes_padded(&[!tag], 32))
                             })
                             .collect();
-                        arr.submit_write_batch(&stripes, &writes).unwrap().join().unwrap();
-                        let got = arr.submit_read_batch(&stripes, &addrs).unwrap().join().unwrap();
+                        arr.write_batch(&stripes, &writes).unwrap();
+                        let got = arr.read_batch_into(&stripes, &addrs, Vec::new()).unwrap();
                         assert_eq!(got.len(), addrs.len());
-                        assert!(
-                            got.iter().all(|b| b.as_bytes()[0] == !tag),
-                            "tenant {t} round {r}"
-                        );
+                        assert!(got.iter().all(|b| b[0] == !tag), "tenant {t} round {r}");
                     }
                     assert_eq!(arr.stats().parallel_ops, 2 * (rounds + in_batches) as u64);
                 });

@@ -6,12 +6,11 @@
 //! operations and per-drive block traffic so experiments can report both the
 //! charged cost `G · parallel_ops` and the achieved drive utilization.
 //!
-//! Counters are incremented by [`crate::DiskArray`] **at submission time**
-//! (after validation, before any transfer is joined), and every field is an
-//! order-independent sum. Together those two facts make the counted cost of
-//! a run independent of *when* its transfers complete: a caller that holds
-//! a submitted ticket while it does other work counts bit-identically to one
-//! that joins every stripe immediately.
+//! Counters are incremented by [`crate::DiskArray`] **where it calls the
+//! backend** (after validation, one parallel I/O operation per non-empty
+//! stripe), and every field is an order-independent sum. Together those two
+//! facts make the counted cost of a run independent of how its stripes are
+//! batched and of what the backend stack does with them.
 
 /// Counters for one disk array.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -2,7 +2,9 @@
 # Parent-vs-change benchmark pairs, the way a PR that claims a gain has to
 # report them (EXPERIMENTS.md, "Layer chain"): both `embench` binaries
 # built once, then alternating `driver` runs on matched seeds, per-metric
-# medians, quartiles and win counts.
+# medians, quartiles and win counts, each row checked against its bound in
+# BENCHMARK.json (OVER: the change's median is worse than the parent's by
+# more than the bound — the rule that rejects a change).
 #
 # Usage: scripts/bench-pair.sh <parent-ref> <workload> [pairs]
 #        scripts/bench-pair.sh <parent-ref> <workload> trace [n]
@@ -30,7 +32,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 4 ] || { [ $# -eq 4 ] && [ "$3" != trace ]; }; then
-    sed -n '2,29p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'
     exit 2
 fi
 PARENT_REF="$1"
@@ -143,14 +145,17 @@ done
 python3 - "$SCRATCH/runs" "$PAIRS" "$ROOT/BENCHMARK.json" $WORKLOADS <<'EOF'
 import json, statistics, sys
 runs, pairs, spec, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
-better = {m["name"]: m["better"] for m in json.load(open(spec))["end_to_end"]}
+metrics = json.load(open(spec))["end_to_end"]
+better = {m["name"]: m["better"] for m in metrics}
+bound = {m["name"]: m["bound"] for m in metrics}
 def quartiles(xs):
     if len(xs) < 2:
         return xs[0], xs[0]
     q = statistics.quantiles(xs, n=4, method="inclusive")
     return q[0], q[2]
 print(f"\n{pairs} pairs per workload")
-print(f"{'workload':<13} {'metric':<17} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'delta':>8}  wins/ties/losses")
+print(f"{'workload':<13} {'metric':<17} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'delta':>8} {'bound':>6}  wins/ties/losses")
+over = []
 for workload in workloads:
     sides = {s: [json.load(open(f"{runs}/{workload}-{s}-{i}.json")) for i in range(1, pairs + 1)]
              for s in ("parent", "change")}
@@ -163,13 +168,21 @@ for workload in workloads:
         mp, mc = statistics.median(p), statistics.median(c)
         (p1, p3), (c1, c3) = quartiles(p), quartiles(c)
         delta = f"{(mc - mp) / mp * 100:+.1f}%" if mp else "n/a"
+        # The rule that rejects a change: its median worse than the
+        # parent's by more than the metric's bound in BENCHMARK.json.
+        worse = sign * (mp - mc) / abs(mp) if mp else (0.0 if mc == mp else float("inf"))
+        flag = "OVER" if worse > bound[name] else f"{bound[name] * 100:.0f}%"
+        if flag == "OVER":
+            over.append(f"{workload}/{name} ({delta})")
         print(f"{workload:<13} {name:<17} {mp:>12.5g} [{p1:.5g}, {p3:.5g}]".ljust(67)
               + f"{mc:>12.5g} [{c1:.5g}, {c3:.5g}]".ljust(36)
-              + f"{delta:>8}  {wins}/{ties}/{pairs - wins - ties}")
+              + f"{delta:>8} {flag:>6}  {wins}/{ties}/{pairs - wins - ties}")
     failed = {s: sum(r["failed"] for r in rs) for s, rs in sides.items()}
     attempted = {s: sum(r["attempted"] for r in rs) for s, rs in sides.items()}
     print(f"{workload:<13} failed/attempted: parent {failed['parent']}/{attempted['parent']}, "
           f"change {failed['change']}/{attempted['change']}")
 print("a gain counts when the change wins at least 9 pairs in 10 and the medians differ by more "
       "than the parent's q3 - q1; otherwise report the metric as unresolved or unchanged")
+print("rows OVER their BENCHMARK.json bound (the change's median worse than the parent's by more "
+      "than the bound): " + (", ".join(over) if over else "none"))
 EOF

@@ -18,10 +18,10 @@
 //!   they came from.
 //!
 //! At `d99d28c`, where every round made its blocks (a zero-filled buffer
-//! per block read, a ticket and three `Vec`s per round, twice) and `put`
-//! them into the context pool, which nothing drains, this kernel made
-//! 4 659 (`p = 1`) and 5 014 (`p = 2`) allocations per added superstep and
-//! held 4 242 KiB and 4 289 KiB more in superstep 16 than in superstep 4
+//! per block read, a completion handle and three `Vec`s per round, twice)
+//! and `put` them into the context pool, which nothing drains, this kernel
+//! made 4 659 (`p = 1`) and 5 014 (`p = 2`) allocations per added superstep
+//! and held 4 242 KiB and 4 289 KiB more in superstep 16 than in superstep 4
 //! (12 supersteps · 2 · ~700 blocks · 256 bytes); here it makes 1 788 and
 //! 1 983, and holds 672 bytes and 30 KiB more. Both assertions fail there.
 //!
