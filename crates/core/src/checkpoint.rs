@@ -4,7 +4,8 @@
 //! [`ParEmSimulator`](crate::ParEmSimulator) can persist a *manifest* at
 //! every barrier sync describing exactly the state needed to resume the
 //! run after a process crash: the next superstep to execute, the track
-//! allocator frontier, the group counts of the last completed superstep,
+//! allocator's held tracks, the group counts of the last completed
+//! superstep and the final region they were routed into,
 //! the committed [`IoStats`], the communication ledger and the fault
 //! injection schedule position. Manifests are written through
 //! [`em_disk::CheckpointStore`] (write-new → fsync → rename), so a crash
@@ -88,6 +89,10 @@ pub(crate) fn superstep_seed(seed: u64, worker: u64, step: u64) -> u64 {
 /// program geometry, machine shape, seed or worker identity differ from
 /// the checkpointed run, because replay determinism would be silently
 /// lost.
+///
+/// The final region's base and stride follow the fixed-size header, so
+/// they sit at fixed payload offsets: [`REGION_BASE_AT`] (77) and the
+/// eight bytes after it.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Manifest {
     /// Number of virtual processors.
@@ -114,6 +119,11 @@ pub(crate) struct Manifest {
     pub next_step: u64,
     /// Whether the program had already terminated at this barrier.
     pub finished: bool,
+    /// `GroupCounts::base`: where the last completed superstep's final
+    /// region starts.
+    pub region_base: u64,
+    /// `GroupCounts::bucket_tracks`: that region's tracks per bucket.
+    pub bucket_tracks: u64,
     /// `GroupCounts::counts` of the last completed superstep.
     pub counts: Vec<u64>,
     /// `GroupCounts::prefix_in_bucket` of the last completed superstep.
@@ -140,6 +150,10 @@ pub(crate) struct Manifest {
     /// Total in-process replays so far.
     pub replays: u64,
 }
+
+/// Payload offset of [`Manifest::region_base`]: after six `u64`s, a `u32`,
+/// a `u64`, two `u32`s, a `u64` and the `finished` byte.
+const REGION_BASE_AT: usize = 6 * 8 + 4 + 8 + 2 * 4 + 8 + 1;
 
 fn put_u32(out: &mut Vec<u8>, x: u32) {
     out.extend_from_slice(&x.to_le_bytes());
@@ -227,6 +241,9 @@ impl Manifest {
         put_u32(&mut out, self.worker);
         put_u64(&mut out, self.next_step);
         out.push(self.finished as u8);
+        debug_assert_eq!(out.len(), REGION_BASE_AT);
+        put_u64(&mut out, self.region_base);
+        put_u64(&mut out, self.bucket_tracks);
         put_u64s(&mut out, &self.counts);
         put_u64s(&mut out, &self.prefix);
         put_u64s(&mut out, &self.alloc_next);
@@ -290,6 +307,8 @@ impl Manifest {
         let worker = c.u32()?;
         let next_step = c.u64()?;
         let finished = c.take(1)?[0] != 0;
+        let region_base = c.u64()?;
+        let bucket_tracks = c.u64()?;
         let counts = c.u64s()?;
         let prefix = c.u64s()?;
         let alloc_next = c.u64s()?;
@@ -362,6 +381,8 @@ impl Manifest {
             worker,
             next_step,
             finished,
+            region_base,
+            bucket_tracks,
             counts,
             prefix,
             alloc_next,
@@ -438,6 +459,8 @@ mod tests {
             worker: 0,
             next_step: 3,
             finished: false,
+            region_base: 6,
+            bucket_tracks: 1,
             counts: vec![4, 4, 4, 4],
             prefix: vec![0, 1, 2, 3],
             alloc_next: vec![7, 7, 6, 6],
@@ -494,6 +517,18 @@ mod tests {
     fn truncated_payload_is_rejected() {
         let bytes = sample().encode();
         for cut in [0, 1, 8, 17, bytes.len() / 2, bytes.len() - 1] {
+            assert!(Manifest::decode(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn the_region_sits_at_its_fixed_offsets() {
+        let bytes = sample().encode();
+        let at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
+        assert_eq!(REGION_BASE_AT, 77);
+        assert_eq!((at(REGION_BASE_AT), at(REGION_BASE_AT + 8)), (6, 1));
+        // Cut inside either field: typed, not a panic.
+        for cut in [REGION_BASE_AT, REGION_BASE_AT + 3, REGION_BASE_AT + 8, REGION_BASE_AT + 15] {
             assert!(Manifest::decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }
     }

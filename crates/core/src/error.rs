@@ -37,14 +37,15 @@ pub enum EmError {
         /// Declared budget γ.
         budget: usize,
     },
-    /// The message blocks destined for one group exceeded the group's
-    /// preallocated disk region (receive-side γ violation).
+    /// The message blocks destined for one group exceeded what γ allows
+    /// it — `k·γ` envelope bytes plus one partial block per stream
+    /// (receive-side γ violation).
     GroupRegionOverflow {
         /// Destination group.
         group: usize,
         /// Blocks generated for it.
         blocks: usize,
-        /// Region capacity in blocks.
+        /// Blocks γ allows the group.
         capacity: usize,
     },
     /// The machine's memory cannot hold even one virtual processor's
@@ -109,7 +110,7 @@ impl fmt::Display for EmError {
             ),
             EmError::GroupRegionOverflow { group, blocks, capacity } => write!(
                 f,
-                "group {group} received {blocks} message blocks, exceeding its region of {capacity} blocks"
+                "group {group} received {blocks} message blocks, exceeding the {capacity} its γ allows"
             ),
             EmError::MemoryTooSmall { m_bytes, needed } => write!(
                 f,

@@ -142,8 +142,7 @@ struct RunGlobals {
 /// One processor's committed bookkeeping, as its manifest carries it.
 struct WorkerBook {
     counts: GroupCounts,
-    alloc_next: Vec<usize>,
-    alloc_free: Vec<Vec<usize>>,
+    alloc: TrackAllocator,
     phases: PhaseIo,
     committed_io: IoStats,
     balances: Vec<f64>,
@@ -151,16 +150,30 @@ struct WorkerBook {
 
 impl WorkerBook {
     /// The manifest → bookkeeping half of the conversion
-    /// ([`Worker::manifest`] is the other).
-    fn from_manifest(m: Manifest) -> (Self, RunGlobals) {
+    /// ([`Worker::manifest`] is the other), for worker `i` of `shape`. The
+    /// bookkeeping must describe what a barrier leaves on that worker's
+    /// drives (see [`restore_committed_layout`]); a manifest that does not
+    /// is [`EmError::InvalidConfig`] before any worker starts.
+    fn from_manifest(
+        m: Manifest,
+        shape: &Shape,
+        i: usize,
+        cfg: &DiskConfig,
+    ) -> EmResult<(Self, RunGlobals)> {
         let to_usize = |xs: &[u64]| xs.iter().map(|&x| x as usize).collect::<Vec<usize>>();
+        let (mut alloc, ctx, geom) = shape.layout(i, cfg)?;
+        let counts = GroupCounts {
+            counts: to_usize(&m.counts),
+            prefix_in_bucket: to_usize(&m.prefix),
+            base: m.region_base as usize,
+            bucket_tracks: m.bucket_tracks as usize,
+        };
+        let free = m.alloc_free.iter().map(|f| to_usize(f)).collect();
+        let state = (to_usize(&m.alloc_next), free);
+        restore_committed_layout(&mut alloc, ctx.tracks_per_disk(), &geom, &counts, state)?;
         let book = WorkerBook {
-            counts: GroupCounts {
-                counts: to_usize(&m.counts),
-                prefix_in_bucket: to_usize(&m.prefix),
-            },
-            alloc_next: to_usize(&m.alloc_next),
-            alloc_free: m.alloc_free.iter().map(|f| to_usize(f)).collect(),
+            counts,
+            alloc,
             phases: m.phases,
             committed_io: m.io,
             balances: m.balances,
@@ -171,8 +184,52 @@ impl WorkerBook {
             recovered: m.recovered,
             replays: m.replays,
         };
-        (book, globals)
+        Ok((book, globals))
     }
+}
+
+/// Restore a worker's allocator from a manifest's `(frontier, free)`
+/// state, checked against what a barrier leaves on the worker's drives:
+/// group counts that fit the geometry and give the recorded region
+/// stride, and an allocator that holds the contexts (`ctx` tracks from
+/// track 0) and that final region — all of both and nothing else, so every
+/// other track below a drive's frontier is on its free list. The frontier
+/// is checked against the free list's length before anything is sized by
+/// it.
+fn restore_committed_layout(
+    alloc: &mut TrackAllocator,
+    ctx: usize,
+    geom: &MsgGeometry,
+    counts: &GroupCounts,
+    (frontier, free): (Vec<usize>, Vec<Vec<usize>>),
+) -> EmResult<()> {
+    let bad = |what: &str| {
+        Err(EmError::InvalidConfig(format!("checkpoint manifest is inconsistent: {what}")))
+    };
+    if counts.counts.len() != geom.num_groups
+        || counts.prefix_in_bucket.len() != geom.num_groups
+        || counts.counts.iter().any(|&c| c > geom.max_blocks_per_group)
+    {
+        return bad("group counts do not fit the group geometry");
+    }
+    let recomputed =
+        GroupCounts { base: counts.base, ..GroupCounts::compute(geom, counts.counts.clone()) };
+    if recomputed != *counts {
+        return bad("the final region's stride or prefixes disagree with the group counts");
+    }
+    let (base, tracks) = counts.region(geom);
+    let held = ctx + tracks;
+    let sizes_agree = frontier.len() == geom.num_disks
+        && free.len() == geom.num_disks
+        && frontier.iter().zip(&free).all(|(&top, free)| top == held + free.len());
+    if base.checked_add(tracks).is_none() || (tracks > 0 && base < ctx) || !sizes_agree {
+        return bad("the allocator does not hold exactly the contexts and the final region");
+    }
+    alloc.restore_state(frontier, free)?;
+    if !(0..geom.num_disks).all(|d| alloc.holds(d, 0, ctx) && alloc.holds(d, base, tracks)) {
+        return bad("the allocator does not hold exactly the contexts and the final region");
+    }
+    Ok(())
 }
 
 /// The geometry of one run, fixed before any worker starts.
@@ -218,6 +275,44 @@ impl Shape {
     /// round's regions are consecutive from there.
     fn region(&self, batch: usize) -> usize {
         batch * self.k
+    }
+
+    /// Worker `i`'s disk layout before its first superstep: an allocator
+    /// holding the context region, the context store and the message
+    /// geometry.
+    fn layout(
+        &self,
+        i: usize,
+        cfg: &DiskConfig,
+    ) -> EmResult<(TrackAllocator, ContextStore, MsgGeometry)> {
+        let mut alloc = TrackAllocator::new(cfg.num_disks);
+        // Context store: one region per virtual processor this worker
+        // actually owns (all `v` of them at p = 1).
+        let ctx = ContextStore::allocate(
+            &mut alloc,
+            cfg.num_disks,
+            cfg.block_bytes,
+            self.owned(i),
+            self.mu,
+        )?;
+        // Message geometry: groups are batches of k·p pids. Partial-block
+        // slack: each of the p·num_batches producer slots can leave one
+        // partial block per owner stream of a batch (p streams). At p = 1
+        // that is one per source group — Algorithm 1's bound.
+        let slack = if self.p == 1 {
+            self.num_batches
+        } else {
+            self.p * self.p * self.num_batches + self.num_batches
+        };
+        let geom = MsgGeometry::new(
+            self.v.max(self.batch_unit()),
+            self.batch_unit(),
+            self.gamma,
+            cfg.num_disks,
+            cfg.block_bytes,
+            slack,
+        )?;
+        Ok((alloc, ctx, geom))
     }
 
     /// Deal the initial states out to their owners, each in the order it
@@ -660,11 +755,12 @@ pub(crate) fn resume_engine<P: BspProgram>(
     let v = latest[0].v as usize;
     let shape = Shape::new(&cfg.machine, v, mu, gamma)?;
 
-    // Pass 2: load each processor's manifest at the resume barrier, undo
-    // any journaled writes past it, and reattach the real array. The undo
-    // runs on a plain array — no retry or fault injection — so the
-    // restoring writes neither advance nor consume the fault schedule the
-    // real array restores below.
+    // Pass 2: load each processor's manifest at the resume barrier and
+    // check it against the processor's layout, undo any journaled writes
+    // past it, and reattach the real array. The undo runs on a plain
+    // array — no retry or fault injection — so the restoring writes
+    // neither advance nor consume the fault schedule the real array
+    // restores below.
     let mut workers = Vec::with_capacity(p);
     let mut disks = Vec::with_capacity(p);
     let mut run_wide = None;
@@ -688,6 +784,8 @@ pub(crate) fn resume_engine<P: BspProgram>(
                 .into(),
             ));
         }
+        let (finished, fault_ops) = (m.finished, m.fault_ops.clone());
+        let (book, globals) = WorkerBook::from_manifest(m, &shape, i, &disk_cfg)?;
         if let Some(journal) = JournalFile::read(dir)? {
             if journal.epoch > resume_step {
                 let plain = cfg
@@ -699,12 +797,10 @@ pub(crate) fn resume_engine<P: BspProgram>(
             }
         }
         let mut arr = DiskArray::open_file_with_faults(disk_cfg, dir, cfg.fault_plan.clone())?;
-        if let Some(ops) = &m.fault_ops {
+        if let Some(ops) = &fault_ops {
             arr.restore_fault_op_counts(ops);
         }
         disks.push(arr);
-        let finished = m.finished;
-        let (book, globals) = WorkerBook::from_manifest(m);
         workers.push(book);
         if i == 0 {
             run_wide = Some((finished, globals));
@@ -808,34 +904,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         } else {
             None
         };
-        let mut alloc = TrackAllocator::new(cfg.num_disks);
-        // Context store: one region per virtual processor this worker
-        // actually owns (all `v` of them at p = 1).
-        let ctx = ContextStore::allocate(
-            &mut alloc,
-            cfg.num_disks,
-            cfg.block_bytes,
-            shape.owned(i),
-            shape.mu,
-        )?;
-        // Message geometry: groups are batches of k·p pids. Partial-block
-        // slack: each of the p·num_batches producer slots can leave one
-        // partial block per owner stream of a batch (p streams). At p = 1
-        // that is one per source group — Algorithm 1's bound.
-        let slack = if shape.p == 1 {
-            shape.num_batches
-        } else {
-            shape.p * shape.p * shape.num_batches + shape.num_batches
-        };
-        let geom = MsgGeometry::allocate_with_slack(
-            &mut alloc,
-            shape.v.max(shape.batch_unit()),
-            shape.batch_unit(),
-            shape.gamma,
-            cfg.num_disks,
-            cfg.block_bytes,
-            slack,
-        )?;
+        let (alloc, ctx, geom) = shape.layout(i, &cfg)?;
         Ok(Worker {
             env,
             i,
@@ -908,7 +977,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             }
             WorkerStart::Resume(book) => {
                 self.disks.reset_stats();
-                self.alloc.restore_state(book.alloc_next, book.alloc_free);
+                self.alloc = book.alloc;
                 self.counts = book.counts;
                 self.phases = book.phases;
                 self.committed_io = book.committed_io;
@@ -942,6 +1011,8 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             worker: self.i as u32,
             next_step: next_step as u64,
             finished,
+            region_base: self.counts.base as u64,
+            bucket_tracks: self.counts.bucket_tracks as u64,
             counts: to_u64(&self.counts.counts),
             prefix: to_u64(&self.counts.prefix_in_bucket),
             alloc_next: to_u64(&next),
@@ -1021,13 +1092,15 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         if let Err(e) = begun {
             self.zombie.get_or_insert(e.into());
         }
+        let mut scratch = ScratchState::new(&self.geom);
+        scratch.fetched_region = self.counts.region(&self.geom);
         Attempt {
             rng: StdRng::seed_from_u64(superstep_seed(
                 self.env.cfg.seed,
                 self.i as u64,
                 step as u64,
             )),
-            scratch: ScratchState::new(&self.geom),
+            scratch,
         }
     }
 
@@ -1580,16 +1653,20 @@ mod tests {
     #[test]
     fn batched_sweeps_leave_what_the_parent_commit_left() {
         use em_disk::{IoMode, RetryPolicy};
-        // Recorded at `9c0bd1a`, except the two media CRCs: checkpoint
-        // format 2 dropped two always-zero `u64`s from the manifest, so
-        // they were re-recorded then — every drive and journal file was
-        // still `9c0bd1a`'s.
-        const KILLED: u32 = 0x5827_65A5;
-        const RESUMED: u32 = 0xE868_8C69;
+        // Recorded at `9c0bd1a`, except the two media CRCs and `TRACKS`.
+        // Checkpoint format 2 dropped two always-zero `u64`s from the
+        // manifest, so the CRCs were re-recorded then — every drive and
+        // journal file was still `9c0bd1a`'s. Format 3 sizes each
+        // superstep's message regions from its traffic: the same blocks
+        // land on the same drives at lower tracks, and the manifest
+        // records the final region, so both CRCs and the footprint (53
+        // tracks before) were re-recorded again; every count stands.
+        const KILLED: u32 = 0xF53B_4D24;
+        const RESUMED: u32 = 0x516F_EFAA;
         const IO: (u64, u64, u64) = (315, 468, 442);
         const PER_DISK: (&[u64], &[u64]) = (&[99, 103, 111, 83, 72], &[93, 98, 106, 78, 67]);
         const PHASES: [u64; 5] = [55, 28, 28, 35, 158];
-        const TRACKS: usize = 53;
+        const TRACKS: usize = 31;
         // CRC-32 over every file a run left — drive files, journal,
         // manifests — by name, length and bytes.
         fn media(dir: &Path) -> u32 {

@@ -1,20 +1,35 @@
 //! Algorithm 2 — `SimulateRouting`: reorganize the scratch message blocks
-//! written during the superstep into each destination group's fixed,
-//! consecutive, fully-striped final region.
+//! written during the superstep into each destination group's
+//! consecutive, fully-striped place in the superstep's final region.
+//!
+//! **Space** comes from the superstep's own traffic. When routing starts
+//! every group's block count is known, so it first releases the final
+//! region the superstep's messages were fetched from
+//! ([`ScratchState::fetched_region`]), then takes, while the scratch
+//! tracks are still held, one staging track per block on one of its
+//! bucket's drives and a final region of exactly `num_buckets · T` tracks, `T` the
+//! largest bucket's blocks over `D`, rounded up (see [`crate::msg`],
+//! "Buckets and regions"). Scratch tracks are freed after Step 1 and
+//! staging tracks after Step 2, so between supersteps only the final
+//! region is held.
 //!
 //! **Step 1** (gather per bucket): in parallel rounds `j = 0, 1, …`, read
 //! one block of bucket `d` from disk `(d + j) mod D` (a bijection in `d`,
-//! hence a legal stripe) and write the fetched blocks back one-bucket-per-
-//! disk: the block of bucket `d` goes to disk `d`'s staging area at the
-//! deterministic track given by the block's in-bucket rank (prefix of its
-//! group + `gseq`). If a bucket has no remaining block on the designated
-//! disk, its slot idles that round — this is exactly the imbalance that
-//! Lemma 2 bounds with high probability, and it is visible in the measured
-//! operation counts.
+//! hence a legal stripe) and write the fetched blocks back one bucket per
+//! disk: the block of bucket `d` with in-bucket rank `r` (prefix of its
+//! group + `gseq`) goes onto rank `r`'s staging track on disk `d`. With
+//! fewer buckets than disks, bucket `d` owns disks `d, d + num_buckets,
+//! …` and stages its ranks on them round-robin, so no drive holds a whole
+//! bucket (on `listrank-par`, one bucket, that was a whole superstep's
+//! blocks on disk 0). Buckets own disjoint disks, so a round's one block
+//! per bucket is still a legal stripe. If a
+//! bucket has no remaining block on the designated disk, its slot idles
+//! that round — this is exactly the imbalance that Lemma 2 bounds with
+//! high probability, and it is visible in the measured operation counts.
 //!
 //! **Step 2** (scatter to final format): in rounds `j`, read the `j`-th
-//! staged block from every disk `d` in parallel and write it to disk
-//! `(d + j) mod D`, track `msg_base + d·T + ⌊j/D⌋` — the paper's rotation,
+//! staged block of every bucket `d` in parallel and write it to disk
+//! `(d + j) mod D`, track `base + d·T + ⌊j/D⌋` — the paper's rotation,
 //! which simultaneously (a) never collides within a round and (b) leaves
 //! every group's blocks consecutive and striped round-robin (standard
 //! consecutive format, Figure 2).
@@ -41,10 +56,11 @@
 //! writes, counted as the `2 ·` rounds parallel operations they are —
 //! through at most [`WINDOW_BLOCKS`] `B`-byte buffers borrowed from the
 //! caller's pool for the duration of the call. Reading a window ahead of
-//! its writes is safe because each step reads one region and writes
-//! another: Step 1 reads scratch tracks (allocated past the reserved
-//! areas) and writes the staging area, Step 2 reads the staging area and
-//! writes the final area, and the three never overlap.
+//! its writes is safe because each step reads one set of tracks and writes
+//! another, and all three are held at once: Step 1 reads scratch tracks
+//! and writes staging tracks, Step 2 reads the staging tracks and writes
+//! the final region, and the region was reserved while the single tracks
+//! of both kinds were live, so the allocator placed it clear of them.
 
 use crate::context_store::BufferPool;
 use crate::msg::{GroupCounts, MsgGeometry, ScratchState};
@@ -88,7 +104,8 @@ struct PlanEntry {
 pub(crate) const WINDOW_BLOCKS: usize = 64;
 
 /// Reusable bookkeeping for [`simulate_routing`]: the per-bucket plan
-/// buffers and the location lists of the window being moved.
+/// buffers, staging tracks and the location lists of the window being
+/// moved.
 ///
 /// The simulators keep one per run next to their [`BufferPool`]s, so
 /// steady-state routing stops allocating fresh scratch each superstep.
@@ -101,6 +118,9 @@ pub struct RoutingScratch {
     plans: Vec<Vec<PlanEntry>>,
     /// Per-bucket cursors into the sorted plans during round assembly.
     plan_cursors: Vec<usize>,
+    /// Per bucket, the staging track of each in-bucket rank, on drive
+    /// [`stage_drive`] of the rank.
+    stage: Vec<Vec<usize>>,
     /// The window's rounds: how many blocks each moves.
     stripes: Vec<usize>,
     /// Where every block of the window is read, round by round.
@@ -114,6 +134,14 @@ impl RoutingScratch {
     pub fn new() -> Self {
         RoutingScratch::default()
     }
+}
+
+/// The drive bucket `bucket` of `nb` stages its block of in-bucket rank
+/// `rank` on, with `d` drives: the bucket owns drives `bucket, bucket + nb,
+/// …` below `d` — drive `bucket` alone when `nb = d` — and takes them
+/// round-robin by rank.
+fn stage_drive(bucket: usize, rank: usize, nb: usize, d: usize) -> usize {
+    bucket + rank % (d - bucket).div_ceil(nb) * nb
 }
 
 /// Apply the plans' rounds in order. Per round the due entry of every
@@ -167,7 +195,9 @@ fn move_rounds(
 }
 
 /// Run Algorithm 2, consuming the superstep's scratch state and returning
-/// the [`GroupCounts`] that the next superstep's Fetching Phase will use.
+/// the [`GroupCounts`] that the next superstep's Fetching Phase will use,
+/// their final region reserved in `alloc`. The region named by
+/// `scratch.fetched_region` is released first.
 ///
 /// `routing` carries the bookkeeping capacity across supersteps. `pool`
 /// lends the `B`-byte buffers the blocks travel through: one window's
@@ -193,12 +223,29 @@ pub fn simulate_routing(
     let d = geom.num_disks;
     let nb = geom.num_buckets;
     let balance_factor = scratch.balance_factor();
-    let counts = GroupCounts::compute(geom, std::mem::take(&mut scratch.counts))?;
+    let mut counts = GroupCounts::compute(geom, std::mem::take(&mut scratch.counts));
     let total = counts.total();
     let mut trace = RoutingTrace { balance_factor, blocks: total, ..Default::default() };
+    // Every block of the previous superstep's region was fetched.
+    let (fetched_base, fetched_tracks) = scratch.fetched_region;
+    alloc.release_region(fetched_base, fetched_tracks);
     if total == 0 {
         return Ok((counts, trace));
     }
+
+    // Space for this superstep's blocks, taken while the scratch tracks
+    // are held: a staging track per block on one of its bucket's drives,
+    // then the final region, clear of both.
+    let mut stage = std::mem::take(&mut routing.stage);
+    stage.resize_with(nb, Vec::new);
+    for (bucket, tracks) in stage.iter_mut().enumerate() {
+        tracks.clear();
+        tracks.extend(
+            (0..counts.bucket_total(geom, bucket))
+                .map(|rank| alloc.alloc_track(stage_drive(bucket, rank, nb, d))),
+        );
+    }
+    counts.base = alloc.reserve_region(counts.region(geom).1);
 
     // Borrow the window's buffers for both steps.
     let window = WINDOW_BLOCKS.min(geom.max_blocks_per_group).max(nb).min(total);
@@ -210,11 +257,11 @@ pub fn simulate_routing(
         })
         .collect();
 
-    // ---- Step 1: gather bucket d onto disk d, rank-ordered. ----
+    // ---- Step 1: gather bucket d onto its disks, rank-ordered. ----
     // Per-bucket closed-form plans: entry `c` of pile `(bucket, dd)` is
     // consumed at round `((dd − bucket) mod D) + c·D` (see the module
     // docs), reads its scratch track and writes the bucket's staging track
-    // at its in-bucket rank. Rounds are unique within a bucket — distinct
+    // of its in-bucket rank. Rounds are unique within a bucket — distinct
     // piles occupy distinct residue classes mod D — so the per-bucket sort
     // fully determines the order.
     let mut plans = std::mem::take(&mut routing.plans);
@@ -228,7 +275,7 @@ pub fn simulate_routing(
                 plan.push(PlanEntry {
                     round: off + c * d,
                     read: (dd, r.track),
-                    write: geom.stage_location(bucket, rank),
+                    write: (stage_drive(bucket, rank, nb, d), stage[bucket][rank]),
                 });
             }
         }
@@ -249,21 +296,27 @@ pub fn simulate_routing(
         }
     }
 
-    // ---- Step 2: rotate staged blocks into the final striped regions. ----
+    // ---- Step 2: rotate staged blocks into the final striped region. ----
     // The bucket's `j`-th staged block moves in round `j` from its staging
     // track to its final location.
     for (bucket, plan) in plans.iter_mut().enumerate() {
         plan.clear();
-        plan.extend((0..counts.bucket_total(geom, bucket)).map(|j| PlanEntry {
+        plan.extend(stage[bucket].iter().enumerate().map(|(j, &track)| PlanEntry {
             round: j,
-            read: geom.stage_location(bucket, j),
-            write: geom.final_location(bucket, j),
+            read: (stage_drive(bucket, j, nb, d), track),
+            write: counts.final_location(geom, bucket, j),
         }));
     }
     trace.step2_rounds = move_rounds(disks, &plans, routing, &mut lent)?;
-    // Hand the plan buffers back for the next superstep, and the borrowed
-    // blocks to their pool.
+    // Staging tracks are free again. Hand the plan and staging buffers
+    // back for the next superstep, and the borrowed blocks to their pool.
+    for (bucket, tracks) in stage.iter().enumerate() {
+        for (rank, &track) in tracks.iter().enumerate() {
+            alloc.free_track(stage_drive(bucket, rank, nb, d), track);
+        }
+    }
     routing.plans = plans;
+    routing.stage = stage;
     pool.put_all(lent);
 
     Ok((counts, trace))
@@ -403,23 +456,78 @@ mod tests {
         assert_eq!(total, 20);
     }
 
+    /// With fewer buckets than drives a bucket's staged blocks go over all
+    /// of its drives: one group on four drives holds about a quarter of
+    /// the superstep on each drive for scratch, staging and final region,
+    /// where staging on the bucket's drive alone put every block there.
+    #[test]
+    fn one_bucket_stages_over_every_drive() {
+        let (mut disks, mut alloc, geom) = setup(4, 4, 20_000, 4, 64);
+        assert_eq!(geom.num_buckets, 1);
+        let mut scratch = ScratchState::new(&geom);
+        let msgs: Vec<OutMsg> = (0..200)
+            .map(|i| OutMsg {
+                dst: (i % 4) as u32,
+                src: 0,
+                seq: i as u32,
+                payload: vec![i as u8; 30],
+            })
+            .collect();
+        let mut rng = StdRng::seed_from_u64(5);
+        scatter_messages(
+            &mut disks,
+            &mut alloc,
+            &geom,
+            &mut scratch,
+            0,
+            msgs,
+            &mut rng,
+            Placement::RoundRobin,
+        )
+        .unwrap();
+        let (counts, trace) = simulate_routing(
+            &mut disks,
+            &mut alloc,
+            &geom,
+            scratch,
+            &mut RoutingScratch::new(),
+            &mut BufferPool::new(),
+            None,
+        )
+        .unwrap();
+        let per_drive = trace.blocks.div_ceil(geom.num_disks);
+        assert!(trace.blocks > 4 * geom.num_disks, "{} blocks", trace.blocks);
+        for disk in 0..geom.num_disks {
+            assert!(
+                alloc.frontier(disk) <= 3 * per_drive + 1,
+                "disk {disk}: {} tracks for {} blocks",
+                alloc.frontier(disk),
+                trace.blocks
+            );
+        }
+        assert_eq!(fetch_group_messages(&mut disks, &geom, &counts, 0).unwrap().len(), 200);
+    }
+
     /// Routing must leave every group's final blocks in standard
     /// consecutive format (Definition 2) within the message area.
     #[test]
     fn final_layout_is_consecutive_per_bucket() {
         let (_, _, geom) = setup(16, 2, 500, 4, 64);
-        let counts = GroupCounts::compute(&geom, vec![3, 2, 4, 1, 0, 5, 2, 3]).unwrap();
+        let counts = GroupCounts::compute(&geom, vec![3, 2, 4, 1, 0, 5, 2, 3]);
         for bucket in 0..geom.num_buckets {
             let total = counts.bucket_total(&geom, bucket);
             let locs: Vec<(usize, usize)> =
-                (0..total).map(|r| geom.final_location(bucket, r)).collect();
+                (0..total).map(|r| counts.final_location(&geom, bucket, r)).collect();
             em_disk::check_consecutive_format(&locs, geom.num_disks)
                 .expect("bucket blocks must satisfy Definition 2");
         }
     }
 
-    /// Scratch tracks are recycled after routing, and the borrowed buffers
-    /// handed back: repeated supersteps grow neither the disk nor the pool.
+    /// Scratch and staging tracks are recycled after routing, each
+    /// superstep's final region is released by the next one's routing, and
+    /// the borrowed buffers are handed back: repeated supersteps grow
+    /// neither the disk nor the pool. Like the simulators, each superstep's
+    /// scratch state names the region its messages were fetched from.
     #[test]
     fn scratch_space_is_reused_across_supersteps() {
         let (mut disks, mut alloc, geom) = setup(8, 2, 1000, 4, 64);
@@ -428,8 +536,10 @@ mod tests {
         let mut routing = RoutingScratch::new();
         let mut pool = BufferPool::new();
         let mut pool_len = Vec::new();
+        let mut counts = GroupCounts::empty(geom.num_groups);
         for round in 0..5 {
             let mut scratch = ScratchState::new(&geom);
+            scratch.fetched_region = counts.region(&geom);
             let msgs: Vec<OutMsg> = (0..16)
                 .map(|i| OutMsg {
                     dst: (i % 8) as u32,
@@ -449,8 +559,23 @@ mod tests {
                 Placement::Random,
             )
             .unwrap();
-            simulate_routing(&mut disks, &mut alloc, &geom, scratch, &mut routing, &mut pool, None)
-                .unwrap();
+            counts = simulate_routing(
+                &mut disks,
+                &mut alloc,
+                &geom,
+                scratch,
+                &mut routing,
+                &mut pool,
+                None,
+            )
+            .unwrap()
+            .0;
+            // Between supersteps only the final region is held.
+            let (base, tracks) = counts.region(&geom);
+            for disk in 0..geom.num_disks {
+                assert!(alloc.holds(disk, base, tracks));
+                assert_eq!(alloc.held_tracks(disk), tracks, "round {round}, disk {disk}");
+            }
             if round == 0 {
                 frontier_after_first = alloc.max_frontier();
             }

@@ -1,101 +1,220 @@
 //! Track allocation.
 //!
-//! The simulation reserves two kinds of disk space:
+//! The simulation holds two kinds of disk space, both from one allocator
+//! that knows, per drive, which tracks are held:
 //!
-//! * **Regions** — fixed areas of `t` consecutive tracks *at the same
-//!   positions on every drive* (contexts and reorganized message groups in
-//!   standard consecutive format). These come from a bump allocator shared
-//!   by all drives so region base tracks line up across the array.
-//! * **Scratch tracks** — single tracks allocated on a *specific* drive as
-//!   message blocks arrive during the Writing Phase (standard linked
-//!   format: "whenever we write a block of bucket i to disk D_j, we
-//!   allocate a free track on D_j"). Freed scratch tracks are recycled
-//!   through per-drive free lists.
+//! * **Regions** — `t` consecutive tracks *at the same positions on every
+//!   drive* (contexts, and one superstep's reorganized message groups in
+//!   standard consecutive format). [`TrackAllocator::reserve_region`]
+//!   takes the lowest base at which `t` tracks are free on every drive —
+//!   first fit — and a region can be released again, so the space of a
+//!   region whose contents are consumed is reused by the next one.
+//! * **Single tracks** — one track on a *specific* drive, taken as message
+//!   blocks arrive during the Writing Phase (standard linked format:
+//!   "whenever we write a block of bucket i to disk D_j, we allocate a free
+//!   track on D_j") and while Algorithm 2 stages them.
+//!   [`TrackAllocator::alloc_track`] hands out the drive's lowest free
+//!   track.
+//!
+//! Held tracks are one bit each. Each drive also keeps a mark below which
+//! every track is held, so the search for the lowest free track starts
+//! there and moves past each run of held tracks once, not once per block.
+//!
+//! A drive's *frontier* is one past the highest track it ever handed out.
+//! Releasing space never lowers it, so [`TrackAllocator::max_frontier`] is
+//! the run's peak footprint — the space Lemma 1 bounds by `O(vμ/DB)`.
+
+use crate::{DiskError, DiskResult};
 
 /// Allocator of tracks for an array of `D` drives.
 #[derive(Debug, Clone)]
 pub struct TrackAllocator {
-    /// Next unallocated track per drive.
-    next: Vec<usize>,
-    /// Recycled single tracks per drive.
-    free: Vec<Vec<usize>>,
+    /// Per drive, one bit per track (bit `t % 64` of word `t / 64`), set
+    /// while the track is held. Tracks past a drive's words are free.
+    held: Vec<Vec<u64>>,
+    /// Per drive, one past the highest track ever handed out.
+    frontier: Vec<usize>,
+    /// Per drive, a track below which every track is held.
+    first_free: Vec<usize>,
 }
 
 impl TrackAllocator {
-    /// A fresh allocator for `num_disks` drives, starting at track 0.
+    /// A fresh allocator for `num_disks` drives with every track free.
     pub fn new(num_disks: usize) -> Self {
-        TrackAllocator { next: vec![0; num_disks], free: vec![Vec::new(); num_disks] }
+        TrackAllocator {
+            held: vec![Vec::new(); num_disks],
+            frontier: vec![0; num_disks],
+            first_free: vec![0; num_disks],
+        }
     }
 
     /// Number of drives managed.
     pub fn num_disks(&self) -> usize {
-        self.next.len()
+        self.frontier.len()
     }
 
     /// Reserve `tracks_per_disk` consecutive tracks at a common base track
-    /// on *every* drive; returns the base track.
-    ///
-    /// The base is the maximum of the per-drive frontiers, so previously
-    /// allocated scratch tracks below it stay valid.
+    /// on *every* drive; returns the base track: the lowest one at which
+    /// that many tracks are free on all drives. Reserving nothing holds
+    /// nothing and returns 0.
     pub fn reserve_region(&mut self, tracks_per_disk: usize) -> usize {
-        let base = self.next.iter().copied().max().unwrap_or(0);
-        for n in self.next.iter_mut() {
-            *n = base + tracks_per_disk;
+        if tracks_per_disk == 0 {
+            return 0;
+        }
+        // Below every drive's mark all tracks are held, so no run of free
+        // tracks starts before the lowest mark.
+        let from = self.first_free.iter().copied().min().unwrap_or(0) / 64;
+        let words = self.held.iter().map(Vec::len).max().unwrap_or(0);
+        let mut run = from * 64;
+        let base = 'search: {
+            for w in from..words {
+                let mut union = self.held.iter().fold(0, |u, h| u | h.get(w).copied().unwrap_or(0));
+                while union != 0 {
+                    let held = w * 64 + union.trailing_zeros() as usize;
+                    if held >= run + tracks_per_disk {
+                        break 'search run;
+                    }
+                    run = held + 1;
+                    union &= union - 1;
+                }
+            }
+            run
+        };
+        for disk in 0..self.num_disks() {
+            set_range(&mut self.held[disk], base, base + tracks_per_disk);
+            self.frontier[disk] = self.frontier[disk].max(base + tracks_per_disk);
         }
         base
     }
 
-    /// Allocate one scratch track on drive `disk`, reusing a freed track if
-    /// available.
-    pub fn alloc_track(&mut self, disk: usize) -> usize {
-        if let Some(t) = self.free[disk].pop() {
-            return t;
+    /// Release a region [`TrackAllocator::reserve_region`] returned: its
+    /// tracks are free again on every drive.
+    pub fn release_region(&mut self, base: usize, tracks_per_disk: usize) {
+        if tracks_per_disk == 0 {
+            return;
         }
-        let t = self.next[disk];
-        self.next[disk] += 1;
-        t
+        for disk in 0..self.num_disks() {
+            debug_assert!(self.holds(disk, base, tracks_per_disk), "releasing a free region");
+            clear_range(&mut self.held[disk], base, base + tracks_per_disk);
+            self.first_free[disk] = self.first_free[disk].min(base);
+        }
     }
 
-    /// Return a scratch track to drive `disk`'s free list.
+    /// Allocate one track on drive `disk`: its lowest free track.
+    pub fn alloc_track(&mut self, disk: usize) -> usize {
+        let words = &mut self.held[disk];
+        let mut w = self.first_free[disk] / 64;
+        while words.get(w) == Some(&u64::MAX) {
+            w += 1;
+        }
+        // Every track below the mark is held, so the word's lowest free
+        // bit is at or above it.
+        let track = w * 64 + words.get(w).map_or(0, |&word| word.trailing_ones() as usize);
+        set_range(words, track, track + 1);
+        self.first_free[disk] = track + 1;
+        self.frontier[disk] = self.frontier[disk].max(track + 1);
+        track
+    }
+
+    /// Free one track of drive `disk`.
     pub fn free_track(&mut self, disk: usize, track: usize) {
-        debug_assert!(track < self.next[disk], "freeing unallocated track");
-        self.free[disk].push(track);
+        debug_assert!(self.holds(disk, track, 1), "freeing a free track");
+        clear_range(&mut self.held[disk], track, track + 1);
+        self.first_free[disk] = self.first_free[disk].min(track);
     }
 
-    /// Return many scratch tracks at once.
+    /// Free many `(disk, track)`s at once.
     pub fn free_tracks<I: IntoIterator<Item = (usize, usize)>>(&mut self, iter: I) {
         for (disk, track) in iter {
             self.free_track(disk, track);
         }
     }
 
-    /// Current allocation frontier (high-water mark) of drive `disk`.
+    /// Whether drive `disk` holds all of tracks `base..base + tracks`.
+    pub fn holds(&self, disk: usize, base: usize, tracks: usize) -> bool {
+        let words = &self.held[disk];
+        (base..base + tracks).all(|t| words.get(t / 64).is_some_and(|w| w >> (t % 64) & 1 == 1))
+    }
+
+    /// Tracks drive `disk` holds now.
+    pub fn held_tracks(&self, disk: usize) -> usize {
+        self.held[disk].iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// One past the highest track drive `disk` ever handed out.
     pub fn frontier(&self, disk: usize) -> usize {
-        self.next[disk]
+        self.frontier[disk]
     }
 
-    /// Largest frontier across all drives — the array's disk-space usage in
-    /// tracks per drive, the quantity bounded by `O(vμ/DB)` in Lemma 1.
+    /// Largest frontier across all drives — the array's peak disk-space
+    /// usage in tracks per drive, the quantity bounded by `O(vμ/DB)` in
+    /// Lemma 1.
     pub fn max_frontier(&self) -> usize {
-        self.next.iter().copied().max().unwrap_or(0)
+        self.frontier.iter().copied().max().unwrap_or(0)
     }
 
-    /// Snapshot the allocator's full state (per-drive frontiers and free
-    /// lists) for a durable checkpoint.
+    /// Snapshot the allocator's full state for a durable checkpoint: per
+    /// drive, the frontier and the free tracks below it, ascending.
     pub fn export_state(&self) -> (Vec<usize>, Vec<Vec<usize>>) {
-        (self.next.clone(), self.free.clone())
+        let free = (0..self.num_disks())
+            .map(|disk| {
+                let words = &self.held[disk];
+                (0..self.frontier[disk])
+                    .filter(|&t| words.get(t / 64).is_none_or(|w| w >> (t % 64) & 1 == 0))
+                    .collect()
+            })
+            .collect();
+        (self.frontier.clone(), free)
     }
 
     /// Restore a state previously exported with
-    /// [`TrackAllocator::export_state`]. The drive count must match.
-    ///
-    /// # Panics
-    /// Panics if either vector's length differs from `num_disks()`.
-    pub fn restore_state(&mut self, next: Vec<usize>, free: Vec<Vec<usize>>) {
-        assert_eq!(next.len(), self.next.len(), "allocator drive count mismatch");
-        assert_eq!(free.len(), self.free.len(), "allocator drive count mismatch");
-        self.next = next;
-        self.free = free;
+    /// [`TrackAllocator::export_state`]: every track below a drive's
+    /// frontier is held except the listed free ones. A state that names a
+    /// different drive count, a free track at or past its drive's frontier
+    /// or the same free track twice is [`DiskError::InvalidConfig`], and
+    /// leaves the allocator as it was.
+    pub fn restore_state(&mut self, frontier: Vec<usize>, free: Vec<Vec<usize>>) -> DiskResult<()> {
+        if frontier.len() != self.num_disks() || free.len() != self.num_disks() {
+            return Err(DiskError::InvalidConfig("allocator state names another drive count"));
+        }
+        let mut held = Vec::with_capacity(frontier.len());
+        let mut first_free = Vec::with_capacity(frontier.len());
+        for (&top, free) in frontier.iter().zip(&free) {
+            if free.iter().any(|&t| t >= top) {
+                return Err(DiskError::InvalidConfig(
+                    "allocator state frees a track past its frontier",
+                ));
+            }
+            let mut words = Vec::new();
+            set_range(&mut words, 0, top);
+            for &t in free {
+                if words[t / 64] >> (t % 64) & 1 == 0 {
+                    return Err(DiskError::InvalidConfig("allocator state frees a track twice"));
+                }
+                clear_range(&mut words, t, t + 1);
+            }
+            first_free.push(free.iter().copied().min().unwrap_or(top));
+            held.push(words);
+        }
+        *self = TrackAllocator { held, frontier, first_free };
+        Ok(())
+    }
+}
+
+/// Set bits `start..end`, growing `words` as needed.
+fn set_range(words: &mut Vec<u64>, start: usize, end: usize) {
+    if end > words.len() * 64 {
+        words.resize(end.div_ceil(64), 0);
+    }
+    for t in start..end {
+        words[t / 64] |= 1 << (t % 64);
+    }
+}
+
+/// Clear bits `start..end` (all within `words`).
+fn clear_range(words: &mut [u64], start: usize, end: usize) {
+    for t in start..end {
+        words[t / 64] &= !(1 << (t % 64));
     }
 }
 
@@ -119,11 +238,14 @@ mod tests {
         assert_eq!(a.alloc_track(0), 0);
         assert_eq!(a.alloc_track(0), 1);
         assert_eq!(a.alloc_track(1), 0);
-        // A region reserved afterwards starts above every frontier.
+        // A region reserved afterwards starts above every held track.
         let base = a.reserve_region(4);
         assert_eq!(base, 2);
         assert_eq!(a.frontier(0), 6);
         assert_eq!(a.frontier(1), 6);
+        // Drive 1's track 1 lies below the region and is still free.
+        assert_eq!(a.alloc_track(1), 1);
+        assert_eq!(a.alloc_track(1), 6);
     }
 
     #[test]
@@ -136,5 +258,84 @@ mod tests {
         a.free_tracks([(0, t1)]);
         assert_eq!(a.alloc_track(0), t1);
         assert_eq!(a.max_frontier(), 2);
+    }
+
+    #[test]
+    fn a_released_region_is_reused_first_fit() {
+        let mut a = TrackAllocator::new(2);
+        let ctx = a.reserve_region(3);
+        let r = a.reserve_region(8);
+        let above = a.reserve_region(2);
+        assert_eq!((ctx, r, above), (0, 3, 11));
+        a.release_region(r, 8);
+        // A smaller region fits the hole at its lowest track...
+        assert_eq!(a.reserve_region(5), 3);
+        // ...a larger one does not, and goes past every held track...
+        assert_eq!(a.reserve_region(4), 13);
+        // ...and what is left of the hole takes the next one that fits.
+        assert_eq!(a.reserve_region(3), 8);
+        // A single track held on one drive keeps a region off that track
+        // on every drive.
+        a.release_region(8, 3);
+        assert_eq!(a.alloc_track(1), 8);
+        assert_eq!(a.reserve_region(2), 9);
+        assert_eq!(a.max_frontier(), 17);
+    }
+
+    #[test]
+    fn the_lowest_free_track_comes_first() {
+        let mut a = TrackAllocator::new(1);
+        let tracks: Vec<usize> = (0..200).map(|_| a.alloc_track(0)).collect();
+        assert_eq!(tracks, (0..200).collect::<Vec<_>>());
+        for t in [150, 7, 64, 199, 63] {
+            a.free_track(0, t);
+        }
+        let again: Vec<usize> = (0..6).map(|_| a.alloc_track(0)).collect();
+        assert_eq!(again, [7, 63, 64, 150, 199, 200]);
+        // A region in the way is stepped over, not split.
+        a.free_track(0, 10);
+        let base = a.reserve_region(70);
+        assert_eq!(base, 201);
+        assert_eq!(a.alloc_track(0), 10);
+        assert_eq!(a.alloc_track(0), 271);
+    }
+
+    #[test]
+    fn the_frontier_never_drops() {
+        let mut a = TrackAllocator::new(2);
+        let base = a.reserve_region(40);
+        let t = a.alloc_track(1);
+        assert_eq!((a.frontier(0), a.frontier(1)), (40, 41));
+        a.release_region(base, 40);
+        a.free_track(1, t);
+        assert_eq!((a.frontier(0), a.frontier(1)), (40, 41));
+        assert_eq!((a.held_tracks(0), a.held_tracks(1)), (0, 0));
+        assert_eq!(a.reserve_region(10), 0);
+        assert_eq!(a.max_frontier(), 41);
+    }
+
+    #[test]
+    fn state_round_trips_and_bad_states_are_typed() {
+        let mut a = TrackAllocator::new(2);
+        a.reserve_region(5);
+        let (t0, t1) = (a.alloc_track(0), a.alloc_track(1));
+        a.reserve_region(3);
+        a.free_track(0, t0);
+        a.release_region(0, 2);
+        let (frontier, free) = a.export_state();
+        assert_eq!(frontier, [9, 9]);
+        assert_eq!(free, [vec![0, 1, 5], vec![0, 1]]);
+        let mut b = TrackAllocator::new(2);
+        b.restore_state(frontier.clone(), free.clone()).unwrap();
+        assert_eq!(b.export_state(), a.export_state());
+        assert!(b.holds(1, t1, 1) && !b.holds(0, t0, 1));
+        assert_eq!((b.alloc_track(0), a.alloc_track(0)), (0, 0));
+        assert_eq!(b.reserve_region(2), a.reserve_region(2));
+
+        let mut c = TrackAllocator::new(2);
+        assert!(c.restore_state(vec![9], free.clone()).is_err());
+        assert!(c.restore_state(frontier.clone(), vec![vec![9], vec![]]).is_err());
+        assert!(c.restore_state(frontier, vec![vec![1, 1], vec![]]).is_err());
+        assert_eq!(c.max_frontier(), 0, "a rejected state leaves the allocator as it was");
     }
 }

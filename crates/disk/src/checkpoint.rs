@@ -37,7 +37,7 @@ pub const MANIFEST_MAGIC: &[u8; 8] = b"EMCKPT01";
 /// Magic prefix of the pre-image journal.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"EMJRNL01";
 /// On-disk format version written into manifests and journal headers.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// How many committed manifests are retained (the newest may always be
 /// torn by a crash, so its predecessor must survive).

@@ -945,6 +945,14 @@ impl TenantRecord {
         self.stages.iter().map(|s| s.io.parallel_ops).sum()
     }
 
+    /// Tracks per drive the job actually used: the largest stage's
+    /// `tracks_per_disk`. Each stage starts over at track 0 of the tenant's
+    /// region, so this is the part of the reserved [`TenantRecord::tracks`]
+    /// the job touched.
+    pub fn footprint_tracks(&self) -> usize {
+        self.stages.iter().map(|s| s.tracks_per_disk).max().unwrap_or(0)
+    }
+
     /// Serialize the record's *deterministic* fields as one JSON object
     /// (no wall-clock times, tenant ids or physical base tracks).
     pub fn deterministic_json(&self) -> String {

@@ -183,3 +183,145 @@ fn double_crash_resume_still_matches() {
     assert_eq!(durable_fingerprint(&dir_a), durable_fingerprint(&dir_b));
     std::fs::remove_dir_all(&base).ok();
 }
+
+/// Traffic that swells and ebbs: six messages a virtual processor in even
+/// supersteps, one in odd ones. Each superstep's final region is sized
+/// from its own traffic and reserved where the allocator first finds room,
+/// so the region moves to another base from one barrier to the next.
+struct Surge;
+impl BspProgram for Surge {
+    type State = u64;
+    type Msg = u64;
+    fn superstep(&self, step: usize, mb: &mut Mailbox<u64>, state: &mut u64) -> Step {
+        let v = mb.nprocs();
+        for e in mb.take_incoming() {
+            *state = state.wrapping_mul(31).wrapping_add(e.msg);
+        }
+        if step + 1 == SURGE_STEPS {
+            return Step::Halt;
+        }
+        let fan = if step.is_multiple_of(2) { 6 } else { 1 };
+        for i in 0..fan {
+            mb.send((mb.pid() + 3 * i + 1) % v, state.wrapping_add(i as u64));
+        }
+        Step::Continue
+    }
+    fn max_state_bytes(&self) -> usize {
+        124
+    }
+    fn max_comm_bytes(&self) -> usize {
+        6 * 24
+    }
+}
+
+const SURGE_STEPS: usize = 6;
+
+/// Where a manifest payload keeps the final region's base: after its
+/// fixed-size header (six `u64`s, a `u32`, a `u64`, two `u32`s, a `u64`
+/// and a byte); the region's tracks per bucket are the next eight bytes.
+const REGION_BASE_AT: usize = 77;
+
+fn region_field(payload: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(payload[at..at + 8].try_into().unwrap())
+}
+
+/// Kill at the barrier of every superstep whose final region moved to
+/// another base, and in the middle of it; resume must match the
+/// uninterrupted run bit for bit — states, `IoStats`, `PhaseIo` and drive
+/// bytes. Then corrupt or truncate either region field of the committed
+/// manifest: resume reports a typed error.
+#[test]
+fn a_moved_final_region_survives_kill_and_resume() {
+    let machine = |p: usize| EmMachine {
+        p,
+        m_bytes: 256,
+        d: 2,
+        b_bytes: 64,
+        g_io: 1,
+        router: BspStarParams { p, g: 1.0, b: 64, l: 1.0 },
+    };
+    for p in [1, 2] {
+        let tag = format!("surge-p{p}");
+        let base = tmp(&tag);
+        let v = 16;
+        // Each case's checkpoints (processor 0's) and its resumed run.
+        let run = |dir: &Path, kill: Option<KillPoint>| {
+            let (seq, par) = (
+                SeqEmSimulator::new(machine(1)).with_seed(7).with_file_backend(dir),
+                ParEmSimulator::new(machine(p)).with_seed(7).with_file_backend(dir),
+            );
+            let (seq, par) = (seq.with_checkpointing(true), par.with_checkpointing(true));
+            let proc0 = if p == 1 { dir.to_path_buf() } else { dir.join("proc-0") };
+            let result = match (p, kill) {
+                (1, None) => seq.run(&Surge, init_states(v)),
+                (1, Some(kill)) => seq.clone().with_kill_point(kill).run(&Surge, init_states(v)),
+                (_, None) => par.run(&Surge, init_states(v)),
+                (_, Some(kill)) => par.clone().with_kill_point(kill).run(&Surge, init_states(v)),
+            };
+            let resume = move || if p == 1 { seq.resume(&Surge) } else { par.resume(&Surge) };
+            (result, em_disk::CheckpointStore::attach(proc0).unwrap(), resume)
+        };
+        let dir_a = base.join("uninterrupted");
+        let (a, ra) = run(&dir_a, None).0.unwrap();
+        let bytes_a = durable_fingerprint(&dir_a);
+
+        let mut moved = Vec::new();
+        for b in 1..SURGE_STEPS - 1 {
+            let dir = base.join(format!("at-barrier-{b}"));
+            let (err, store, _) = run(&dir, Some(KillPoint::AtBarrier(b)));
+            assert!(matches!(err, Err(EmError::Killed { .. })), "{tag}/{b}");
+            let before = store.load_manifest(b as u64).unwrap().unwrap();
+            let after = store.load_manifest(b as u64 + 1).unwrap().unwrap();
+            let stride = region_field(&after, REGION_BASE_AT + 8);
+            if stride > 0
+                && region_field(&before, REGION_BASE_AT) != region_field(&after, REGION_BASE_AT)
+            {
+                moved.push((b, after));
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        assert!(!moved.is_empty(), "{tag}: no superstep moved its final region");
+
+        for (b, committed) in moved {
+            for kill in [KillPoint::AtBarrier(b), KillPoint::MidSuperstep(b)] {
+                let dir = base.join(format!("{kill:?}"));
+                let (err, _, resume) = run(&dir, Some(kill));
+                assert!(matches!(err, Err(EmError::Killed { .. })), "{tag}/{kill:?}");
+                let (r, rr) = resume().unwrap();
+                assert_eq!(a.states, r.states, "{tag}/{kill:?}: states");
+                assert_eq!(a.ledger, r.ledger, "{tag}/{kill:?}: ledger");
+                assert_eq!(ra.io, rr.io, "{tag}/{kill:?}: IoStats");
+                assert_eq!(ra.phases, rr.phases, "{tag}/{kill:?}: phases");
+                assert_eq!(ra.tracks_per_disk, rr.tracks_per_disk, "{tag}/{kill:?}: tracks");
+                assert_eq!(bytes_a, durable_fingerprint(&dir), "{tag}/{kill:?}: drive bytes");
+                std::fs::remove_dir_all(&dir).ok();
+            }
+
+            // The committed manifest of that barrier, with either field
+            // off by one or cut inside either field.
+            let off_by_one = |at: usize| {
+                let mut bad = committed.clone();
+                let field = region_field(&bad, at) + 1;
+                bad[at..at + 8].copy_from_slice(&field.to_le_bytes());
+                bad
+            };
+            let damaged = [
+                ("base + 1", off_by_one(REGION_BASE_AT)),
+                ("stride + 1", off_by_one(REGION_BASE_AT + 8)),
+                ("cut in base", committed[..REGION_BASE_AT + 3].to_vec()),
+                ("cut in stride", committed[..REGION_BASE_AT + 11].to_vec()),
+            ];
+            for (what, payload) in damaged {
+                let dir = base.join(format!("damaged-{b}"));
+                let (_, store, resume) = run(&dir, Some(KillPoint::AtBarrier(b)));
+                store.commit_manifest(b as u64 + 1, &payload).unwrap();
+                match resume() {
+                    Err(EmError::InvalidConfig(_)) => {}
+                    other => panic!("{tag}/{b}, {what}: {:?}", other.map(|(_, r)| r.io)),
+                }
+                std::fs::remove_dir_all(&dir).ok();
+            }
+        }
+        std::fs::remove_dir_all(&base).ok();
+    }
+}

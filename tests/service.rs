@@ -12,13 +12,19 @@
 //!   interleaving.
 //! * **Re-entrancy** — the constructor/run split of the simulators: one
 //!   simulator value executes many runs, on built or borrowed arrays.
+//! * **Footprint within reservation** — what a job's stages use of its
+//!   tenant's region ([`em_service::TenantRecord::footprint_tracks`]) stays
+//!   within the tracks the tenant reserved.
 
+use em_algos::permute::cgm_permute;
 use em_algos::prefix::cgm_prefix_sums;
 use em_algos::sort::cgm_sort;
+use em_algos::transpose::cgm_transpose;
 use em_bsp::{BspProgram, Mailbox, Step};
 use em_core::{EmMachine, ParEmSimulator, SeqEmSimulator};
 use em_service::{AdmissionError, JobSpec, ServiceConfig, SimService, SoloRunner};
 use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
 use rand::{RngCore, SeedableRng};
 
 const D: usize = 2;
@@ -222,4 +228,51 @@ fn simulators_are_reentrant_and_run_on_borrowed_arrays() {
     let mut arrays = psim.build_disks().unwrap();
     arrays.pop();
     assert!(psim.run_on(arrays, &Scale(2), (0..8u64).collect()).is_err());
+}
+
+/// The benchmark's `service-mix` job pool — sort, permute, prefix sums and
+/// transpose at seven sizes each, for `v` = 8 and 16 — on its machine,
+/// budgets and per-tenant reservation: every job's footprint stays within
+/// the tracks its tenant reserved, which admission leaves as declared.
+#[test]
+fn service_mix_jobs_stay_within_their_reserved_tracks() {
+    const TRACKS: usize = 2048;
+    const BUDGET: usize = 64 << 10;
+    let machine = EmMachine::uniprocessor(128 << 10, 2, 1024, 1);
+    let service = SimService::new(ServiceConfig::new(2, 1024, TRACKS + 64, BUDGET * 64 + BUDGET));
+    let mut largest = (0, String::new());
+    for v in [8, 16] {
+        for size in 0..7 {
+            let n = 512 + size * 256;
+            for kind in ["sort", "permute", "prefix", "transpose"] {
+                let name = format!("{kind}-{n}-v{v}");
+                let seed = (n * v) as u64;
+                let spec = JobSpec::new(name.clone(), seed, machine, v)
+                    .with_budgets(BUDGET, BUDGET)
+                    .with_tracks(TRACKS);
+                let lease = service.admit(spec).unwrap();
+                let items = input(n, seed);
+                let ok = match kind {
+                    "sort" => cgm_sort(&lease, v, items).is_ok(),
+                    "permute" => {
+                        let mut perm: Vec<usize> = (0..n).collect();
+                        perm.shuffle(&mut StdRng::seed_from_u64(seed));
+                        cgm_permute(&lease, v, items, &perm).is_ok()
+                    }
+                    "prefix" => cgm_prefix_sums(&lease, v, items).is_ok(),
+                    _ => cgm_transpose(&lease, v, n / 8, 8, items).is_ok(),
+                };
+                assert!(ok, "{name} failed");
+                let record = lease.complete();
+                assert_eq!(record.tracks, TRACKS, "{name}: admission reserves what was asked");
+                let used = record.footprint_tracks();
+                assert!(used > 0 && used <= record.tracks, "{name}: {used} of {TRACKS} tracks");
+                largest = largest.max((used, name));
+            }
+        }
+    }
+    println!(
+        "largest footprint: {} of {TRACKS} reserved tracks a drive ({})",
+        largest.0, largest.1
+    );
 }
