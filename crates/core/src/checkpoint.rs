@@ -437,6 +437,15 @@ impl Manifest {
         if self.worker != worker {
             return mismatch("worker index");
         }
+        // Per-drive vectors: one entry per drive, or a resume would index
+        // past them (the fault counters) or fold them in at another width.
+        let drives = num_disks as usize;
+        if self.fault_ops.as_ref().is_some_and(|ops| ops.len() != drives) {
+            return mismatch("fault counter drive count");
+        }
+        if self.io.per_disk_reads.len() != drives || self.io.per_disk_writes.len() != drives {
+            return mismatch("per-drive I/O counter drive count");
+        }
         Ok(())
     }
 }
@@ -551,6 +560,13 @@ mod tests {
         assert!(m.check_shape(128, 512, 0xD15C_5EED, 4, 512, 1, 0).is_err());
         assert!(m.check_shape(128, 512, 0xD15C_5EED, 4, 256, 2, 0).is_err());
         assert!(m.check_shape(128, 512, 0xD15C_5EED, 4, 256, 1, 1).is_err());
+        for bad in [
+            Manifest { fault_ops: Some(vec![10, 11, 12, 13, 14]), ..m.clone() },
+            Manifest { io: IoStats { per_disk_reads: vec![20; 3], ..m.io.clone() }, ..m.clone() },
+            Manifest { io: IoStats { per_disk_writes: vec![15; 5], ..m.io.clone() }, ..m.clone() },
+        ] {
+            assert!(bad.check_shape(128, 512, 0xD15C_5EED, 4, 256, 1, 0).is_err());
+        }
     }
 
     #[test]

@@ -788,17 +788,13 @@ pub(crate) fn resume_engine<P: BspProgram>(
         let (book, globals) = WorkerBook::from_manifest(m, &shape, i, &disk_cfg)?;
         if let Some(journal) = JournalFile::read(dir)? {
             if journal.epoch > resume_step {
-                let plain = cfg
-                    .machine
-                    .disk_config()?
-                    .with_io_mode(cfg.io_mode)
-                    .with_checksums(cfg.checksums);
+                let plain = cfg.machine.disk_config()?.with_checksums(cfg.checksums);
                 DiskArray::open_file(plain, dir)?.apply_journal_undo(&journal)?;
             }
         }
         let mut arr = DiskArray::open_file_with_faults(disk_cfg, dir, cfg.fault_plan.clone())?;
         if let Some(ops) = &fault_ops {
-            arr.restore_fault_op_counts(ops);
+            arr.restore_fault_op_counts(ops)?;
         }
         disks.push(arr);
         workers.push(book);

@@ -95,7 +95,7 @@ impl PhaseIo {
 /// and page-cache-sensitive — split by phase so that a speedup is
 /// attributable. Deliberately a separate struct from [`PhaseIo`]: the
 /// counted per-phase I/O operations are asserted bit-identical across the
-/// `IoMode` and backend knobs, while wall clocks may — and should —
+/// backends and execution knobs, while wall clocks may — and should —
 /// differ. On the parallel simulator each field is the maximum across
 /// worker threads (the phases run concurrently, so the slowest worker
 /// bounds the wall). Replayed supersteps keep their timers: the time

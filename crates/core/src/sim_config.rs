@@ -12,7 +12,7 @@ use crate::machine::EmMachine;
 use crate::msg::Placement;
 use crate::report::{FaultReport, RecoveryPolicy};
 use crate::{EmError, EmResult};
-use em_disk::{DiskArray, DiskConfig, FaultPlan, FaultStats, IoMode, RetryPolicy};
+use em_disk::{DiskArray, DiskConfig, FaultPlan, FaultStats, RetryPolicy};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -29,7 +29,6 @@ pub(crate) struct SimConfig {
     /// (Algorithm 3's entry point, whatever `p` is) or in the directory
     /// itself (Algorithm 1's, which only ever has processor 0).
     pub per_proc_dirs: bool,
-    pub io_mode: IoMode,
     pub fault_plan: Option<FaultPlan>,
     pub checksums: bool,
     pub retry: Option<RetryPolicy>,
@@ -50,7 +49,6 @@ impl SimConfig {
             max_supersteps: em_bsp::DEFAULT_MAX_SUPERSTEPS,
             file_dir: None,
             per_proc_dirs,
-            io_mode: IoMode::Parallel,
             fault_plan: None,
             checksums: false,
             retry: None,
@@ -65,7 +63,6 @@ impl SimConfig {
         let cfg = self
             .machine
             .disk_config()?
-            .with_io_mode(self.io_mode)
             .with_checksums(self.checksums)
             .with_pinned_workers(self.pin_workers);
         Ok(match self.retry {
@@ -228,13 +225,12 @@ macro_rules! sim_facade {
                 self
             }
 
-            /// Choose how each processor's file backend executes stripes
-            /// ([`IoMode::Parallel`] by default — one worker thread per
-            /// drive, so a `p`-processor file-backed run uses up to `p·D`
-            /// I/O threads). Ignored by the memory backend; counted I/O
-            /// and final states are identical either way.
-            pub fn with_io_mode(mut self, mode: IoMode) -> Self {
-                self.cfg.io_mode = mode;
+            /// Does nothing: [`IoMode`] has one value. A file backend of
+            /// more than one drive runs a worker thread per drive (so a
+            /// `p`-processor file-backed run uses up to `p·D` I/O threads)
+            /// and a one-drive backend runs on the calling thread. Kept
+            /// because the benchmark calls it.
+            pub fn with_io_mode(self, _mode: IoMode) -> Self {
                 self
             }
 

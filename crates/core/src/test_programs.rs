@@ -2,7 +2,7 @@
 //! counts the batches reaching it.
 
 use em_bsp::{BspProgram, Mailbox, Step};
-use em_disk::{DiskBackend, DiskResult, TrackOutcomes};
+use em_disk::{DiskBackend, TrackOutcomes};
 use std::sync::{Arc, Mutex};
 
 /// All-to-all exchange and sum — the standard differential check.
@@ -110,12 +110,6 @@ pub(crate) struct BatchCounting {
 impl DiskBackend for BatchCounting {
     fn num_disks(&self) -> usize {
         self.inner.num_disks()
-    }
-    fn read_track(&mut self, d: usize, t: usize, buf: &mut [u8]) -> DiskResult<()> {
-        self.inner.read_track(d, t, buf)
-    }
-    fn write_track(&mut self, d: usize, t: usize, data: &[u8]) -> DiskResult<()> {
-        self.inner.write_track(d, t, data)
     }
     fn read_batch_each(
         &mut self,

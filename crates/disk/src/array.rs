@@ -81,8 +81,8 @@ impl DiskArray {
         Self::with_backend_and_faults(cfg, backend, plan)
     }
 
-    /// Create an array backed by one file per drive inside `dir`, honouring
-    /// `cfg.io_mode` (per-drive worker threads when [`crate::IoMode::Parallel`]).
+    /// Create an array backed by one file per drive inside `dir` (a worker
+    /// thread per drive when there is more than one).
     pub fn new_file<P: AsRef<Path>>(cfg: DiskConfig, dir: P) -> DiskResult<Self> {
         Self::new_file_with_faults(cfg, dir, None)
     }
@@ -98,7 +98,7 @@ impl DiskArray {
             dir,
             cfg.num_disks,
             Self::storage_block_bytes(&cfg),
-            cfg.io_mode,
+            crate::IoMode::Parallel,
             crate::EngineKind::Threaded,
             cfg.pin_workers,
         )?);
@@ -129,7 +129,6 @@ impl DiskArray {
             dir,
             cfg.num_disks,
             Self::storage_block_bytes(&cfg),
-            cfg.io_mode,
             cfg.pin_workers,
         )?);
         Ok(Self::with_backend_and_faults(cfg, backend, plan))
@@ -439,7 +438,7 @@ impl DiskArray {
             self.check_capacity(disk, track)?;
         }
         for (disk, track, pre) in contents.records.iter().rev() {
-            self.backend.write_track(*disk, *track, pre)?;
+            self.backend.write_stripe(&[(*disk, *track, pre)])?;
             self.stats.recovery_ops += 1;
         }
         self.backend.sync()?;
@@ -456,9 +455,10 @@ impl DiskArray {
 
     /// Restore fault-injection counters persisted at the last barrier, so
     /// the resumed run sees the same remaining schedule as an
-    /// uninterrupted one. A no-op without a fault layer.
-    pub fn restore_fault_op_counts(&mut self, counts: &[u64]) {
-        self.backend.restore_fault_op_counts(counts);
+    /// uninterrupted one. A no-op without a fault layer; counts for
+    /// another number of drives are [`DiskError::InvalidConfig`].
+    pub fn restore_fault_op_counts(&mut self, counts: &[u64]) -> DiskResult<()> {
+        self.backend.restore_fault_op_counts(counts)
     }
 
     /// Check the stripe rule — in-range drives, at most one track per drive
@@ -968,7 +968,7 @@ mod tests {
 
     #[test]
     fn a_batch_equals_its_stripes_one_by_one() {
-        use crate::{IoMode, RetryPolicy};
+        use crate::RetryPolicy;
         let pid = std::process::id();
         let drive_files = |dir: &std::path::Path| -> Vec<Vec<u8>> {
             (0..4).map(|d| std::fs::read(dir.join(format!("disk-{d}.bin"))).unwrap()).collect()
@@ -984,33 +984,29 @@ mod tests {
             let batched = consecutive_workload(&mut DiskArray::new_memory(cfg), Transfers::Batches);
             assert_eq!(batched, reference, "memory, checksums {checksums}");
 
-            for mode in [IoMode::Serial, IoMode::Parallel] {
-                let dir = |tag: &str| {
-                    std::env::temp_dir()
-                        .join(format!("em-array-batch-{tag}-{mode:?}-{checksums}-{pid}"))
-                };
-                let cfg = cfg.with_io_mode(mode);
-                let mut by_stripe = DiskArray::new_file(cfg, dir("s")).unwrap();
-                let mut by_batch = DiskArray::new_file(cfg, dir("b")).unwrap();
-                let what = format!("file {mode:?}, checksums {checksums}");
-                assert_eq!(
-                    consecutive_workload(&mut by_stripe, Transfers::Stripes),
-                    reference,
-                    "{what}"
-                );
-                assert_eq!(
-                    consecutive_workload(&mut by_batch, Transfers::Batches),
-                    reference,
-                    "{what}"
-                );
-                assert_eq!(drive_files(&dir("b")), drive_files(&dir("s")), "{what}: drive bytes");
-                for disk in 0..4 {
-                    assert_eq!(by_batch.tracks_used(disk), by_stripe.tracks_used(disk), "{what}");
-                }
-                drop((by_stripe, by_batch));
-                std::fs::remove_dir_all(dir("s")).ok();
-                std::fs::remove_dir_all(dir("b")).ok();
+            let dir = |tag: &str| {
+                std::env::temp_dir().join(format!("em-array-batch-{tag}-{checksums}-{pid}"))
+            };
+            let mut by_stripe = DiskArray::new_file(cfg, dir("s")).unwrap();
+            let mut by_batch = DiskArray::new_file(cfg, dir("b")).unwrap();
+            let what = format!("file, checksums {checksums}");
+            assert_eq!(
+                consecutive_workload(&mut by_stripe, Transfers::Stripes),
+                reference,
+                "{what}"
+            );
+            assert_eq!(
+                consecutive_workload(&mut by_batch, Transfers::Batches),
+                reference,
+                "{what}"
+            );
+            assert_eq!(drive_files(&dir("b")), drive_files(&dir("s")), "{what}: drive bytes");
+            for disk in 0..4 {
+                assert_eq!(by_batch.tracks_used(disk), by_stripe.tracks_used(disk), "{what}");
             }
+            drop((by_stripe, by_batch));
+            std::fs::remove_dir_all(dir("s")).ok();
+            std::fs::remove_dir_all(dir("b")).ok();
         }
     }
 
@@ -1039,12 +1035,12 @@ mod tests {
     /// Reads into lent buffers and writes of slices move the bytes, make
     /// the errors, count the operations and journal the pre-images that
     /// reads into fresh buffers and writes of `Block`s do, on every stack:
-    /// memory, checksummed and retried, files in both I/O modes (plain, and
-    /// checksummed and retried), and a tenant's region of shared media. The fault-plan stack is
+    /// memory, checksummed and retried, files (plain, and checksummed and
+    /// retried), and a tenant's region of shared media. The fault-plan stack is
     /// `under_a_fault_plan_a_batch_goes_down_stripe_by_stripe`'s.
     #[test]
     fn lent_reads_and_slice_writes_equal_block_ones_on_every_stack() {
-        use crate::{IoMode, RetryPolicy, SharedDiskSubstrate};
+        use crate::{RetryPolicy, SharedDiskSubstrate};
         let plain = DiskConfig::new(4, 32).unwrap();
         let sealed = plain.with_checksums(true).with_retry(RetryPolicy::default());
         let both = |a: &mut DiskArray, b: &mut DiskArray, what: &str| {
@@ -1058,30 +1054,26 @@ mod tests {
         }
 
         let pid = std::process::id();
-        for mode in [IoMode::Serial, IoMode::Parallel] {
-            for cfg in [plain, sealed] {
-                let what = format!("file {mode:?}, checksums {}", cfg.checksums);
-                let dir = |tag: &str| {
-                    std::env::temp_dir()
-                        .join(format!("em-array-lent-{tag}-{mode:?}-{}-{pid}", cfg.checksums))
-                };
-                let cfg = cfg.with_io_mode(mode);
-                let mut by_blocks = DiskArray::new_file(cfg, dir("b")).unwrap();
-                let mut by_lent = DiskArray::new_file(cfg, dir("l")).unwrap();
-                both(&mut by_blocks, &mut by_lent, &what);
-                for disk in 0..4 {
-                    let file = format!("disk-{disk}.bin");
-                    assert_eq!(
-                        std::fs::read(dir("l").join(&file)).unwrap(),
-                        std::fs::read(dir("b").join(&file)).unwrap(),
-                        "{what}: drive {disk} bytes"
-                    );
-                    assert_eq!(by_lent.tracks_used(disk), by_blocks.tracks_used(disk), "{what}");
-                }
-                drop((by_blocks, by_lent));
-                std::fs::remove_dir_all(dir("b")).ok();
-                std::fs::remove_dir_all(dir("l")).ok();
+        for cfg in [plain, sealed] {
+            let what = format!("file, checksums {}", cfg.checksums);
+            let dir = |tag: &str| {
+                std::env::temp_dir().join(format!("em-array-lent-{tag}-{}-{pid}", cfg.checksums))
+            };
+            let mut by_blocks = DiskArray::new_file(cfg, dir("b")).unwrap();
+            let mut by_lent = DiskArray::new_file(cfg, dir("l")).unwrap();
+            both(&mut by_blocks, &mut by_lent, &what);
+            for disk in 0..4 {
+                let file = format!("disk-{disk}.bin");
+                assert_eq!(
+                    std::fs::read(dir("l").join(&file)).unwrap(),
+                    std::fs::read(dir("b").join(&file)).unwrap(),
+                    "{what}: drive {disk} bytes"
+                );
+                assert_eq!(by_lent.tracks_used(disk), by_blocks.tracks_used(disk), "{what}");
             }
+            drop((by_blocks, by_lent));
+            std::fs::remove_dir_all(dir("b")).ok();
+            std::fs::remove_dir_all(dir("l")).ok();
         }
 
         let shared = SharedDiskSubstrate::new(4, 64);
@@ -1257,7 +1249,7 @@ mod tests {
 
     #[test]
     fn a_move_equals_read_then_write_stripe_by_stripe() {
-        use crate::{IoMode, RetryPolicy};
+        use crate::RetryPolicy;
         let pid = std::process::id();
         let plain = DiskConfig::new(4, 32).unwrap();
         let reference = move_workload(&mut DiskArray::new_memory(plain), false);
@@ -1270,29 +1262,23 @@ mod tests {
         let sealed = plain.with_checksums(true).with_retry(RetryPolicy::default());
         assert_eq!(move_workload(&mut DiskArray::new_memory(sealed), false), reference);
         assert_eq!(move_workload(&mut DiskArray::new_memory(sealed), true), reference);
-        for mode in [IoMode::Serial, IoMode::Parallel] {
-            let dir = |tag: &str| {
-                std::env::temp_dir().join(format!("em-array-move-{tag}-{mode:?}-{pid}"))
-            };
-            let cfg = sealed.with_io_mode(mode);
-            let mut by_stripe = DiskArray::new_file(cfg, dir("s")).unwrap();
-            let mut by_move = DiskArray::new_file(cfg, dir("m")).unwrap();
-            let what = format!("file {mode:?}");
-            assert_eq!(move_workload(&mut by_stripe, false), reference, "{what}");
-            assert_eq!(move_workload(&mut by_move, true), reference, "{what}");
-            for disk in 0..4 {
-                let file = format!("disk-{disk}.bin");
-                assert_eq!(
-                    std::fs::read(dir("m").join(&file)).unwrap(),
-                    std::fs::read(dir("s").join(&file)).unwrap(),
-                    "{what}: drive {disk} bytes"
-                );
-                assert_eq!(by_move.tracks_used(disk), by_stripe.tracks_used(disk), "{what}");
-            }
-            drop((by_stripe, by_move));
-            std::fs::remove_dir_all(dir("s")).ok();
-            std::fs::remove_dir_all(dir("m")).ok();
+        let dir = |tag: &str| std::env::temp_dir().join(format!("em-array-move-{tag}-{pid}"));
+        let mut by_stripe = DiskArray::new_file(sealed, dir("s")).unwrap();
+        let mut by_move = DiskArray::new_file(sealed, dir("m")).unwrap();
+        assert_eq!(move_workload(&mut by_stripe, false), reference, "file");
+        assert_eq!(move_workload(&mut by_move, true), reference, "file");
+        for disk in 0..4 {
+            let file = format!("disk-{disk}.bin");
+            assert_eq!(
+                std::fs::read(dir("m").join(&file)).unwrap(),
+                std::fs::read(dir("s").join(&file)).unwrap(),
+                "file: drive {disk} bytes"
+            );
+            assert_eq!(by_move.tracks_used(disk), by_stripe.tracks_used(disk), "file");
         }
+        drop((by_stripe, by_move));
+        std::fs::remove_dir_all(dir("s")).ok();
+        std::fs::remove_dir_all(dir("m")).ok();
     }
 
     #[test]
@@ -1433,34 +1419,6 @@ mod tests {
         assert!(a.read_stripe(&[]).unwrap().is_empty());
         a.write_stripe::<Block>(&[]).unwrap();
         assert_eq!(a.stats().parallel_ops, 0);
-    }
-
-    #[test]
-    fn serial_and_parallel_file_arrays_count_identically() {
-        use crate::IoMode;
-        let pid = std::process::id();
-        let mk = |mode: IoMode, tag: &str| {
-            let dir = std::env::temp_dir().join(format!("em-array-mode-{tag}-{pid}"));
-            let cfg = DiskConfig::new(4, 16).unwrap().with_io_mode(mode);
-            (dir.clone(), DiskArray::new_file(cfg, dir).unwrap())
-        };
-        let (dir_s, mut serial) = mk(IoMode::Serial, "s");
-        let (dir_p, mut parallel) = mk(IoMode::Parallel, "p");
-        for a in [&mut serial, &mut parallel] {
-            for t in 0..3 {
-                let writes: Vec<_> = (0..4)
-                    .map(|d| (d, t, Block::from_bytes_padded(&[(d * 8 + t) as u8], 16)))
-                    .collect();
-                a.write_stripe(&writes).unwrap();
-            }
-            let blocks = a.read_stripe(&[(0, 1), (1, 1), (2, 1), (3, 1)]).unwrap();
-            assert_eq!(blocks[2].as_bytes()[0], 17);
-            a.sync().unwrap();
-        }
-        assert_eq!(serial.stats(), parallel.stats());
-        assert_eq!(serial.tracks_used(0), parallel.tracks_used(0));
-        std::fs::remove_dir_all(&dir_s).ok();
-        std::fs::remove_dir_all(&dir_p).ok();
     }
 
     #[test]
@@ -1665,7 +1623,7 @@ mod tests {
 
     #[test]
     fn a_hostile_journal_record_fails_the_undo_with_the_drives_untouched() {
-        use crate::{IoMode, JournalFile};
+        use crate::JournalFile;
         let pid = std::process::id();
         // Each journal: a hostile record, then a sound one. Undo runs in
         // reverse, so the sound record would land before the hostile one
@@ -1673,13 +1631,10 @@ mod tests {
         // drive 1 of a one-drive array (served on the calling thread), for
         // drive 7 of four (the threaded engine), a pre-image half a block
         // long.
-        let cases =
-            [(1, IoMode::Serial, 1, 16), (4, IoMode::Parallel, 7, 16), (4, IoMode::Parallel, 2, 8)];
-        for (case, &(d, mode, hostile_disk, pre_len)) in cases.iter().enumerate() {
+        let cases = [(1, 1, 16), (4, 7, 16), (4, 2, 8)];
+        for (case, &(d, hostile_disk, pre_len)) in cases.iter().enumerate() {
             let dir = std::env::temp_dir().join(format!("em-array-undo-{case}-{pid}"));
-            let mut a =
-                DiskArray::new_file(DiskConfig::new(d, 16).unwrap().with_io_mode(mode), &dir)
-                    .unwrap();
+            let mut a = DiskArray::new_file(DiskConfig::new(d, 16).unwrap(), &dir).unwrap();
             let stripe: Vec<(usize, usize, [u8; 16])> =
                 (0..d).map(|disk| (disk, 0, [disk as u8 + 1; 16])).collect();
             a.write_stripe(&stripe).unwrap();

@@ -3,11 +3,11 @@
 //! The [`DiskArray`](crate::DiskArray) front-end is backend-agnostic. The
 //! memory backend gives deterministic, allocation-cheap simulation for unit
 //! tests and I/O-op counting experiments; the file backend performs real
-//! positional file I/O (one file per simulated drive) and, in
-//! [`IoMode::Parallel`](crate::IoMode), overlaps the `≤ D` track transfers
-//! of a stripe across one dedicated worker thread per drive — so the
-//! wall-clock behaviour of the blocked access patterns can show the
-//! model's `D`-way parallelism, not just count it.
+//! positional file I/O (one file per simulated drive) and, with more than
+//! one drive, overlaps the `≤ D` track transfers of a stripe across one
+//! dedicated worker thread per drive — so the wall-clock behaviour of the
+//! blocked access patterns can show the model's `D`-way parallelism, not
+//! just count it.
 
 use crate::block::{crc32, CRC_BYTES};
 use crate::engine::{first_failure, read_full_track, track_offset, write_at, IoEngine};
@@ -21,38 +21,34 @@ use std::path::{Path, PathBuf};
 /// disks are "formatted" at creation, matching the paper's preallocated
 /// context and message regions.
 ///
-/// A stripe is `≤ D` tracks, at most one per drive. Its entry points,
-/// [`DiskBackend::read_stripe_each`] and [`DiskBackend::write_stripe_each`],
-/// report **one outcome per track**: every listed track is attempted, and
-/// the call returns only after all of them have completed — callers never
-/// observe in-flight I/O, and one track's failure never hides what happened
-/// to the others. The default implementation is the per-track loop, which
-/// is all a backend with nothing to overlap needs (`read_track` and
-/// `write_track` suffice to be correct).
+/// A **batch** is a run of stripes handed over as one transfer, a stripe
+/// being `≤ D` tracks, at most one per drive — the form a group's contexts
+/// and routed messages arrive in, since standard consecutive format puts
+/// them on consecutive tracks of every drive. The batch pair,
+/// [`DiskBackend::read_batch_each`] and [`DiskBackend::write_batch_each`],
+/// is the only way bytes move: it takes the tracks of all the stripes in
+/// request order plus the length of each stripe, and reports **one outcome
+/// per track**: every listed track is attempted, and the call returns only
+/// after all of them have completed — callers never observe in-flight I/O,
+/// and one track's failure never hides what happened to the others. Both
+/// methods are required, so every layer has exactly one implementation per
+/// direction. A stripe is the batch of one stripe, and a single track the
+/// stripe of one track.
 ///
-/// A **batch** is a run of stripes handed over as one transfer — the form
-/// a group's contexts and routed messages arrive in, since standard
-/// consecutive format puts them on consecutive tracks of every drive. Its
-/// entry points, [`DiskBackend::read_batch_each`] and
-/// [`DiskBackend::write_batch_each`], take the tracks of all the stripes in
-/// request order plus the length of each stripe, and report one outcome per
-/// track under the same contract. The default implementation is the
-/// stripe-by-stripe loop, so a backend that must see every stripe on its
-/// own — one draw per track of a per-drive fault schedule
-/// ([`crate::FaultInjectingBackend`]) — gets exactly that by not
-/// overriding it. Backends with real parallelism (the file backend's
-/// threaded engine) override the `_batch_each` pair to give each drive its
-/// whole share at once, [`crate::RegionBackend`] overrides it to take the
-/// shared media once per transfer, and [`ChecksumBackend`] and
-/// [`RetryingBackend`] override it to do their per-track work around a
-/// *single* inner batch call, so one dispatch per drive at the bottom
-/// survives the stack above it. In every layer that overrides the batch, a
-/// stripe is the batch of one stripe and a track the stripe of one track:
-/// one implementation per layer.
+/// Backends with real parallelism (the file backend's threaded engine)
+/// give each drive its whole share at once, [`crate::RegionBackend`] takes
+/// the shared media once per transfer, and [`ChecksumBackend`] and
+/// [`RetryingBackend`] do their per-track work around a *single* inner
+/// batch call, so one dispatch per drive at the bottom survives the stack
+/// above it. A layer that must see every stripe on its own — one draw per
+/// track of a per-drive fault schedule ([`crate::FaultInjectingBackend`]),
+/// or one miss fetch per stripe ([`crate::BlockCacheBackend`]) — runs the
+/// batch stripe by stripe.
 ///
 /// [`DiskBackend::read_stripe`] / [`DiskBackend::write_stripe`] are the
-/// merged view — `Ok` when every track succeeded, else the error of the
-/// first failing track in request order — and are never overridden.
+/// merged view of a one-stripe batch — `Ok` when every track succeeded,
+/// else the error of the first failing track in request order — and are
+/// never overridden.
 ///
 /// Every entry point blocks: it returns only after each listed transfer
 /// has completed. Bytes never pass through a backend in buffers it made:
@@ -63,88 +59,42 @@ pub trait DiskBackend: Send {
     /// Number of drives this backend was created with.
     fn num_disks(&self) -> usize;
 
-    /// Read one track into `buf` (whose length is the block size `B`).
-    fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()>;
-
-    /// Write one track from `data` (whose length is the block size `B`).
-    fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()>;
-
-    /// Read one track from each listed drive into the matching buffer and
-    /// report one outcome per track, in request order.
-    ///
-    /// `addrs[i]` is `(disk, track)` and fills `bufs[i]`; the buffer of a
-    /// failed track holds unspecified bytes. The caller (the array
-    /// front-end) has already validated the one-track-per-drive stripe
-    /// rule; backends may execute the transfers in any order or in
-    /// parallel, but must attempt and complete all of them before
-    /// returning.
-    fn read_stripe_each(
-        &mut self,
-        addrs: &[(usize, usize)],
-        bufs: &mut [&mut [u8]],
-    ) -> TrackOutcomes {
-        (addrs.iter().zip(bufs.iter_mut()))
-            .map(|(&(disk, track), buf)| self.read_track(disk, track, buf))
-            .collect()
-    }
-
-    /// Write one track on each listed drive (same contract as
-    /// [`DiskBackend::read_stripe_each`]).
-    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
-        writes.iter().map(|&(disk, track, data)| self.write_track(disk, track, data)).collect()
-    }
-
     /// Read a batch of stripes: `addrs` lists the tracks of every stripe in
     /// request order, `stripes[i]` is the length of the `i`-th stripe (the
-    /// lengths sum to `addrs.len()`), and `bufs[i]` receives `addrs[i]`.
-    /// One outcome per track, in request order, all tracks attempted —
-    /// the contract of [`DiskBackend::read_stripe_each`], which the default
-    /// applies stripe by stripe.
+    /// lengths sum to `addrs.len()`), and `bufs[i]` receives `addrs[i]`
+    /// (`(disk, track)`); the buffer of a failed track holds unspecified
+    /// bytes. One outcome per track, in request order. The caller (the
+    /// array front-end) has already validated the one-track-per-drive
+    /// stripe rule; backends may execute the transfers in any order or in
+    /// parallel, but must attempt and complete all of them before
+    /// returning.
     fn read_batch_each(
         &mut self,
         stripes: &[usize],
         addrs: &[(usize, usize)],
         bufs: &mut [&mut [u8]],
-    ) -> TrackOutcomes {
-        let mut at = 0;
-        let mut stripes = stripes.iter().map(|&len| {
-            at += len;
-            self.read_stripe_each(&addrs[at - len..at], &mut bufs[at - len..at])
-        });
-        // The first stripe's outcomes become the batch's, so a batch of
-        // one stripe costs what the stripe costs.
-        let mut outcomes = stripes.next().unwrap_or_default();
-        stripes.for_each(|stripe| outcomes.extend(stripe));
-        outcomes
-    }
+    ) -> TrackOutcomes;
 
-    /// Write a batch of stripes (same contract as
+    /// Write a batch of stripes: `writes[i]` is `(disk, track, data)` with
+    /// `data` one track long (same contract as
     /// [`DiskBackend::read_batch_each`]).
     fn write_batch_each(
         &mut self,
         stripes: &[usize],
         writes: &[(usize, usize, &[u8])],
-    ) -> TrackOutcomes {
-        let mut at = 0;
-        let mut stripes = stripes.iter().map(|&len| {
-            at += len;
-            self.write_stripe_each(&writes[at - len..at])
-        });
-        let mut outcomes = stripes.next().unwrap_or_default();
-        stripes.for_each(|stripe| outcomes.extend(stripe));
-        outcomes
-    }
+    ) -> TrackOutcomes;
 
-    /// [`DiskBackend::read_stripe_each`] merged: every track was attempted;
-    /// the first failing track's error (request order) is returned.
+    /// Read one stripe as a batch of one, merged: every track was
+    /// attempted; the first failing track's error (request order) is
+    /// returned.
     fn read_stripe(&mut self, addrs: &[(usize, usize)], bufs: &mut [&mut [u8]]) -> DiskResult<()> {
-        first_failure(self.read_stripe_each(addrs, bufs)).map(drop)
+        first_failure(self.read_batch_each(&[addrs.len()], addrs, bufs)).map(drop)
     }
 
-    /// [`DiskBackend::write_stripe_each`] merged (same rule as
+    /// Write one stripe as a batch of one, merged (same rule as
     /// [`DiskBackend::read_stripe`]).
     fn write_stripe(&mut self, writes: &[(usize, usize, &[u8])]) -> DiskResult<()> {
-        first_failure(self.write_stripe_each(writes)).map(drop)
+        first_failure(self.write_batch_each(&[writes.len()], writes)).map(drop)
     }
 
     /// Highest track index written so far on `disk`, plus one (0 if never
@@ -180,38 +130,23 @@ pub trait DiskBackend: Send {
     /// Restore counters exported by [`DiskBackend::fault_op_counts`] in a
     /// previous process, so the resumed run observes the same *remaining*
     /// fault schedule as an uninterrupted one. A no-op without a
-    /// fault-injection layer.
-    fn restore_fault_op_counts(&mut self, counts: &[u64]) {
+    /// fault-injection layer; counts for another number of drives are
+    /// [`DiskError::InvalidConfig`].
+    fn restore_fault_op_counts(&mut self, counts: &[u64]) -> DiskResult<()> {
         let _ = counts;
+        Ok(())
     }
 }
 
-/// One outcome per track of a stripe or a batch, in request order (see
-/// [`DiskBackend::read_stripe_each`]).
+/// One outcome per track of a batch, in request order (see
+/// [`DiskBackend::read_batch_each`]).
 pub type TrackOutcomes = Vec<DiskResult<()>>;
 
-/// Boxed backends forward every method (including the overridable stripe
-/// and batch fast paths) to the inner backend, so decorator layers can
-/// compose over `Box<dyn DiskBackend>` without losing overrides.
+/// Boxed backends forward every method to the inner backend, so decorator
+/// layers can compose over `Box<dyn DiskBackend>`.
 impl<B: DiskBackend + ?Sized> DiskBackend for Box<B> {
     fn num_disks(&self) -> usize {
         (**self).num_disks()
-    }
-    fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()> {
-        (**self).read_track(disk, track, buf)
-    }
-    fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
-        (**self).write_track(disk, track, data)
-    }
-    fn read_stripe_each(
-        &mut self,
-        addrs: &[(usize, usize)],
-        bufs: &mut [&mut [u8]],
-    ) -> TrackOutcomes {
-        (**self).read_stripe_each(addrs, bufs)
-    }
-    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
-        (**self).write_stripe_each(writes)
     }
     fn read_batch_each(
         &mut self,
@@ -240,16 +175,16 @@ impl<B: DiskBackend + ?Sized> DiskBackend for Box<B> {
     fn fault_op_counts(&self) -> Option<Vec<u64>> {
         (**self).fault_op_counts()
     }
-    fn restore_fault_op_counts(&mut self, counts: &[u64]) {
+    fn restore_fault_op_counts(&mut self, counts: &[u64]) -> DiskResult<()> {
         (**self).restore_fault_op_counts(counts)
     }
 }
 
 /// In-memory backend: tracks are boxed byte buffers.
 ///
-/// Always serial and deterministic regardless of the configured
-/// [`IoMode`] — a memcpy cannot be usefully overlapped, and the memory
-/// backend is the reference for seeded-trace tests.
+/// Always serial and deterministic — a memcpy cannot be usefully
+/// overlapped, and the memory backend is the reference for seeded-trace
+/// tests.
 pub struct MemoryBackend {
     disks: Vec<Vec<Option<Box<[u8]>>>>,
 }
@@ -264,14 +199,14 @@ impl MemoryBackend {
     pub fn resident_bytes(&self) -> usize {
         self.disks.iter().flatten().filter_map(|t| t.as_ref().map(|b| b.len())).sum()
     }
-}
 
-impl DiskBackend for MemoryBackend {
-    fn num_disks(&self) -> usize {
-        self.disks.len()
-    }
-
-    fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()> {
+    /// Read one track into `buf` (whose length is the track's).
+    pub(crate) fn read_track(
+        &mut self,
+        disk: usize,
+        track: usize,
+        buf: &mut [u8],
+    ) -> DiskResult<()> {
         match self.disks[disk].get(track).and_then(Option::as_ref) {
             Some(data) => {
                 debug_assert_eq!(data.len(), buf.len());
@@ -282,7 +217,8 @@ impl DiskBackend for MemoryBackend {
         Ok(())
     }
 
-    fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
+    /// Write one track from `data`.
+    pub(crate) fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
         let tracks = &mut self.disks[disk];
         if tracks.len() <= track {
             tracks.resize_with(track + 1, || None);
@@ -294,6 +230,12 @@ impl DiskBackend for MemoryBackend {
         }
         Ok(())
     }
+}
+
+impl DiskBackend for MemoryBackend {
+    fn num_disks(&self) -> usize {
+        self.disks.len()
+    }
 
     /// A memcpy per track whatever the stripes are: one list of outcomes
     /// for the whole batch, not one per stripe.
@@ -303,7 +245,9 @@ impl DiskBackend for MemoryBackend {
         addrs: &[(usize, usize)],
         bufs: &mut [&mut [u8]],
     ) -> TrackOutcomes {
-        self.read_stripe_each(addrs, bufs)
+        (addrs.iter().zip(bufs.iter_mut()))
+            .map(|(&(disk, track), buf)| self.read_track(disk, track, buf))
+            .collect()
     }
 
     fn write_batch_each(
@@ -311,7 +255,7 @@ impl DiskBackend for MemoryBackend {
         _stripes: &[usize],
         writes: &[(usize, usize, &[u8])],
     ) -> TrackOutcomes {
-        self.write_stripe_each(writes)
+        writes.iter().map(|&(disk, track, data)| self.write_track(disk, track, data)).collect()
     }
 
     fn tracks_used(&self, disk: usize) -> usize {
@@ -389,26 +333,6 @@ impl<B: DiskBackend> DiskBackend for ChecksumBackend<B> {
         self.inner.num_disks()
     }
 
-    fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()> {
-        self.read_stripe(&[(disk, track)], &mut [buf])
-    }
-
-    fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
-        self.write_stripe(&[(disk, track, data)])
-    }
-
-    fn read_stripe_each(
-        &mut self,
-        addrs: &[(usize, usize)],
-        bufs: &mut [&mut [u8]],
-    ) -> TrackOutcomes {
-        self.read_batch_each(&[addrs.len()], addrs, bufs)
-    }
-
-    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
-        self.write_batch_each(&[writes.len()], writes)
-    }
-
     /// Read every frame with one inner batch call, then verify each track
     /// that arrived.
     fn read_batch_each(
@@ -465,7 +389,7 @@ impl<B: DiskBackend> DiskBackend for ChecksumBackend<B> {
         self.inner.fault_op_counts()
     }
 
-    fn restore_fault_op_counts(&mut self, counts: &[u64]) {
+    fn restore_fault_op_counts(&mut self, counts: &[u64]) -> DiskResult<()> {
         self.inner.restore_fault_op_counts(counts)
     }
 }
@@ -483,6 +407,26 @@ pub(crate) fn sub_batch(stripes: &[usize], kept: &[usize]) -> Vec<usize> {
         })
         .filter(|&len| len > 0)
         .collect()
+}
+
+/// A batch run one stripe at a time: `stripe(range)` transfers the tracks
+/// at indices `range` of the batch — one of its stripes — and the outcomes
+/// are concatenated in request order. For the layers that must see every
+/// stripe on its own.
+pub(crate) fn stripe_by_stripe(
+    stripes: &[usize],
+    mut stripe: impl FnMut(std::ops::Range<usize>) -> TrackOutcomes,
+) -> TrackOutcomes {
+    let mut at = 0;
+    let mut each = stripes.iter().map(|&len| {
+        at += len;
+        stripe(at - len..at)
+    });
+    // The first stripe's outcomes become the batch's, so a batch of one
+    // stripe costs what the stripe costs.
+    let mut outcomes = each.next().unwrap_or_default();
+    each.for_each(|outcomes_of| outcomes.extend(outcomes_of));
+    outcomes
 }
 
 /// A [`DiskBackend`] decorator that re-issues transiently failing track
@@ -552,26 +496,6 @@ impl<B: DiskBackend> DiskBackend for RetryingBackend<B> {
         self.inner.num_disks()
     }
 
-    fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()> {
-        self.read_stripe(&[(disk, track)], &mut [buf])
-    }
-
-    fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
-        self.write_stripe(&[(disk, track, data)])
-    }
-
-    fn read_stripe_each(
-        &mut self,
-        addrs: &[(usize, usize)],
-        bufs: &mut [&mut [u8]],
-    ) -> TrackOutcomes {
-        self.read_batch_each(&[addrs.len()], addrs, bufs)
-    }
-
-    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
-        self.write_batch_each(&[writes.len()], writes)
-    }
-
     fn read_batch_each(
         &mut self,
         stripes: &[usize],
@@ -617,27 +541,27 @@ impl<B: DiskBackend> DiskBackend for RetryingBackend<B> {
         self.inner.fault_op_counts()
     }
 
-    fn restore_fault_op_counts(&mut self, counts: &[u64]) {
+    fn restore_fault_op_counts(&mut self, counts: &[u64]) -> DiskResult<()> {
         self.inner.restore_fault_op_counts(counts)
     }
 }
 
 /// Where a file backend's track transfers execute.
 enum FileIo {
-    /// Positional I/O on the calling thread, one drive after another.
-    Serial(Vec<File>),
-    /// One worker thread per drive; stripes are dispatched to all listed
+    /// One drive has nothing to overlap: positional I/O on the calling
+    /// thread.
+    Inline(Vec<File>),
+    /// One worker thread per drive; a batch is dispatched to all listed
     /// drives at once and joined before the operation returns.
     Parallel(IoEngine),
 }
 
 impl FileIo {
-    /// Pick the execution strategy for `files` from the configured mode
-    /// and pinning flag: a single drive has nothing to overlap, so it is
-    /// always served on the calling thread.
-    fn spawn(files: Vec<File>, block_bytes: usize, mode: IoMode, pin: bool) -> Self {
-        if files.len() <= 1 || mode == IoMode::Serial {
-            return FileIo::Serial(files);
+    /// Serve a single drive on the calling thread and more than one with a
+    /// worker thread each (pinned to cores when `pin` is set).
+    fn spawn(files: Vec<File>, block_bytes: usize, pin: bool) -> Self {
+        if files.len() <= 1 {
+            return FileIo::Inline(files);
         }
         FileIo::Parallel(IoEngine::spawn(files, block_bytes, pin))
     }
@@ -646,13 +570,11 @@ impl FileIo {
 /// File-backed backend: one file per drive, positional I/O at
 /// `track * block_bytes` offsets.
 ///
-/// In [`IoMode::Parallel`] (the default of [`crate::DiskConfig::new`]) the
-/// drive files are owned by an `IoEngine` worker per drive and each
-/// stripe's transfers overlap; in [`IoMode::Serial`] the transfers run on
-/// the calling thread in drive order. Both modes produce identical bytes,
-/// identical [`crate::IoStats`] and identical seeded I/O traces — the mode
-/// only changes who performs the file I/O and when, never what is
-/// transferred.
+/// With more than one drive the drive files are owned by an `IoEngine`
+/// worker per drive and each batch's transfers overlap; a single drive is
+/// served on the calling thread. Both produce identical bytes, identical
+/// [`crate::IoStats`] and identical seeded I/O traces — only who performs
+/// the file I/O and when differs, never what is transferred.
 pub struct FileBackend {
     io: FileIo,
     paths: Vec<PathBuf>,
@@ -662,37 +584,31 @@ pub struct FileBackend {
 
 impl FileBackend {
     /// Create (or truncate) `num_disks` drive files named `disk-<i>.bin`
-    /// inside `dir`, with the parallel worker engine enabled.
+    /// inside `dir`.
     pub fn create<P: AsRef<Path>>(
         dir: P,
         num_disks: usize,
         block_bytes: usize,
     ) -> DiskResult<Self> {
-        Self::create_with_mode(dir, num_disks, block_bytes, IoMode::Parallel)
+        Self::create_with_opts(
+            dir,
+            num_disks,
+            block_bytes,
+            IoMode::Parallel,
+            EngineKind::Threaded,
+            false,
+        )
     }
 
-    /// Create (or truncate) the drive files with an explicit I/O mode.
-    ///
-    /// A single-drive array has nothing to overlap, so it always uses the
-    /// serial path regardless of `mode`.
-    pub fn create_with_mode<P: AsRef<Path>>(
-        dir: P,
-        num_disks: usize,
-        block_bytes: usize,
-        mode: IoMode,
-    ) -> DiskResult<Self> {
-        Self::create_with_opts(dir, num_disks, block_bytes, mode, EngineKind::Threaded, false)
-    }
-
-    /// [`FileBackend::create_with_mode`] with an explicit worker pinning
-    /// flag (normally [`crate::DiskConfig::pin_workers`]). [`EngineKind`]
-    /// has one value, so `_engine` selects nothing: the argument is kept
-    /// because the benchmark passes it (ROADMAP item 1(ii)).
+    /// [`FileBackend::create`] with an explicit worker pinning flag
+    /// (normally [`crate::DiskConfig::pin_workers`]). [`IoMode`] and
+    /// [`EngineKind`] have one value each, so `_mode` and `_engine` select
+    /// nothing: the arguments are kept because the benchmark passes them.
     pub fn create_with_opts<P: AsRef<Path>>(
         dir: P,
         num_disks: usize,
         block_bytes: usize,
-        mode: IoMode,
+        _mode: IoMode,
         _engine: EngineKind,
         pin_workers: bool,
     ) -> DiskResult<Self> {
@@ -722,38 +638,25 @@ impl FileBackend {
             files.push(file);
             paths.push(path);
         }
-        let io = FileIo::spawn(files, block_bytes, mode, pin_workers);
+        let io = FileIo::spawn(files, block_bytes, pin_workers);
         Ok(FileBackend { io, paths, block_bytes, tracks_used: vec![0; num_disks] })
     }
 
     /// Reopen `num_disks` existing drive files inside `dir` **without
-    /// truncating them**, with the parallel worker engine enabled — the
-    /// reattachment half of crash recovery: a resumed process opens the
-    /// drive files a killed one left behind.
+    /// truncating them** — the reattachment half of crash recovery: a
+    /// resumed process opens the drive files a killed one left behind.
     pub fn open<P: AsRef<Path>>(dir: P, num_disks: usize, block_bytes: usize) -> DiskResult<Self> {
-        Self::open_with_mode(dir, num_disks, block_bytes, IoMode::Parallel)
+        Self::open_with_opts(dir, num_disks, block_bytes, false)
     }
 
-    /// Reopen existing drive files with an explicit I/O mode. Every
+    /// [`FileBackend::open`] with an explicit worker pinning flag. Every
     /// `disk-<i>.bin` must already exist (a missing drive file surfaces as
-    /// the underlying `NotFound` I/O error); `tracks_used` is
-    /// reconstructed from each file's length.
-    pub fn open_with_mode<P: AsRef<Path>>(
-        dir: P,
-        num_disks: usize,
-        block_bytes: usize,
-        mode: IoMode,
-    ) -> DiskResult<Self> {
-        Self::open_with_opts(dir, num_disks, block_bytes, mode, false)
-    }
-
-    /// [`FileBackend::open_with_mode`] with an explicit worker pinning
-    /// flag.
+    /// the underlying `NotFound` I/O error); `tracks_used` is reconstructed
+    /// from each file's length.
     pub fn open_with_opts<P: AsRef<Path>>(
         dir: P,
         num_disks: usize,
         block_bytes: usize,
-        mode: IoMode,
         pin_workers: bool,
     ) -> DiskResult<Self> {
         let mut files = Vec::with_capacity(num_disks);
@@ -770,19 +673,13 @@ impl FileBackend {
             files.push(file);
             paths.push(path);
         }
-        let io = FileIo::spawn(files, block_bytes, mode, pin_workers);
+        let io = FileIo::spawn(files, block_bytes, pin_workers);
         Ok(FileBackend { io, paths, block_bytes, tracks_used })
     }
 
     /// Paths of the backing files (for inspection in examples/tests).
     pub fn paths(&self) -> &[PathBuf] {
         &self.paths
-    }
-
-    /// True when stripes overlap across drives (one worker thread each)
-    /// instead of running serially on the calling thread.
-    pub fn is_parallel(&self) -> bool {
-        !matches!(self.io, FileIo::Serial(_))
     }
 
     fn note_write(&mut self, disk: usize, track: usize) {
@@ -795,28 +692,8 @@ impl DiskBackend for FileBackend {
         self.paths.len()
     }
 
-    fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()> {
-        self.read_stripe(&[(disk, track)], &mut [buf])
-    }
-
-    fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
-        self.write_stripe(&[(disk, track, data)])
-    }
-
-    fn read_stripe_each(
-        &mut self,
-        addrs: &[(usize, usize)],
-        bufs: &mut [&mut [u8]],
-    ) -> TrackOutcomes {
-        self.read_batch_each(&[addrs.len()], addrs, bufs)
-    }
-
-    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
-        self.write_batch_each(&[writes.len()], writes)
-    }
-
     /// Both execution strategies take a batch as one list of tracks,
-    /// wherever its stripes end: the serial path moves them one after
+    /// wherever its stripes end: the calling thread moves them one after
     /// another and the threaded engine gives each drive its share as one
     /// command — the same bytes at the same offsets on each.
     fn read_batch_each(
@@ -826,7 +703,7 @@ impl DiskBackend for FileBackend {
         bufs: &mut [&mut [u8]],
     ) -> TrackOutcomes {
         match &self.io {
-            FileIo::Serial(files) => (addrs.iter().zip(bufs.iter_mut()))
+            FileIo::Inline(files) => (addrs.iter().zip(bufs.iter_mut()))
                 .map(|(&(disk, track), buf)| {
                     let offset = track_offset(disk, track, self.block_bytes)?;
                     Ok(read_full_track(&files[disk], buf, offset)?)
@@ -842,7 +719,7 @@ impl DiskBackend for FileBackend {
         writes: &[(usize, usize, &[u8])],
     ) -> TrackOutcomes {
         let outcomes: TrackOutcomes = match &self.io {
-            FileIo::Serial(files) => writes
+            FileIo::Inline(files) => writes
                 .iter()
                 .map(|&(disk, track, data)| {
                     let offset = track_offset(disk, track, self.block_bytes)?;
@@ -865,7 +742,7 @@ impl DiskBackend for FileBackend {
 
     fn sync(&mut self) -> DiskResult<()> {
         match &self.io {
-            FileIo::Serial(files) => {
+            FileIo::Inline(files) => {
                 for f in files {
                     f.sync_data()?;
                 }
@@ -884,78 +761,79 @@ mod tests {
     fn memory_unwritten_tracks_read_zero() {
         let mut be = MemoryBackend::new(2);
         let mut buf = [0xAAu8; 16];
-        be.read_track(1, 5, &mut buf).unwrap();
+        be.read_stripe(&[(1, 5)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [0u8; 16]);
     }
 
     #[test]
     fn memory_round_trip() {
         let mut be = MemoryBackend::new(1);
-        be.write_track(0, 3, &[7u8; 8]).unwrap();
+        be.write_stripe(&[(0, 3, &[7u8; 8])]).unwrap();
         let mut buf = [0u8; 8];
-        be.read_track(0, 3, &mut buf).unwrap();
+        be.read_stripe(&[(0, 3)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [7u8; 8]);
         assert_eq!(be.tracks_used(0), 4);
         // A rewrite replaces the bytes, whether or not the length is the
         // one the track holds.
-        be.write_track(0, 3, &[9u8; 8]).unwrap();
-        be.read_track(0, 3, &mut buf).unwrap();
+        be.write_stripe(&[(0, 3, &[9u8; 8])]).unwrap();
+        be.read_stripe(&[(0, 3)], &mut [&mut buf]).unwrap();
         assert_eq!((buf, be.resident_bytes()), ([9u8; 8], 8));
-        be.write_track(0, 3, &[5u8; 12]).unwrap();
+        be.write_stripe(&[(0, 3, &[5u8; 12])]).unwrap();
         let mut wider = [0u8; 12];
-        be.read_track(0, 3, &mut wider).unwrap();
+        be.read_stripe(&[(0, 3)], &mut [&mut wider]).unwrap();
         assert_eq!((wider, be.resident_bytes(), be.tracks_used(0)), ([5u8; 12], 12, 4));
     }
 
-    fn file_round_trip(mode: IoMode, tag: &str) {
+    fn file_round_trip(num_disks: usize, tag: &str) {
         let dir = std::env::temp_dir().join(format!("em-disk-test-{tag}-{}", std::process::id()));
-        let mut be = FileBackend::create_with_mode(&dir, 2, 32, mode).unwrap();
-        be.write_track(0, 2, &[9u8; 32]).unwrap();
+        let mut be = FileBackend::create(&dir, num_disks, 32).unwrap();
+        be.write_stripe(&[(0, 2, &[9u8; 32])]).unwrap();
         let mut buf = [0u8; 32];
-        be.read_track(0, 2, &mut buf).unwrap();
+        be.read_stripe(&[(0, 2)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [9u8; 32]);
         // Unwritten track (including holes before a written one) is zeros.
-        be.read_track(0, 1, &mut buf).unwrap();
+        be.read_stripe(&[(0, 1)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [0u8; 32]);
-        be.read_track(1, 99, &mut buf).unwrap();
+        let last = num_disks - 1;
+        be.read_stripe(&[(last, 99)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [0u8; 32]);
         assert_eq!(be.tracks_used(0), 3);
-        assert_eq!(be.tracks_used(1), 0);
+        assert_eq!(be.tracks_used(last), if last == 0 { 3 } else { 0 });
         be.sync().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn file_backend_round_trip_serial() {
-        file_round_trip(IoMode::Serial, "serial");
+    fn file_backend_round_trip_one_drive() {
+        file_round_trip(1, "one");
     }
 
     #[test]
     fn file_backend_round_trip_parallel() {
-        file_round_trip(IoMode::Parallel, "parallel");
+        file_round_trip(2, "parallel");
     }
 
     #[test]
     fn open_reattaches_existing_drive_files() {
         let dir = std::env::temp_dir().join(format!("em-disk-reopen-{}", std::process::id()));
         {
-            let mut be = FileBackend::create_with_mode(&dir, 2, 32, IoMode::Serial).unwrap();
-            be.write_track(0, 4, &[7u8; 32]).unwrap();
-            be.write_track(1, 1, &[8u8; 32]).unwrap();
+            let mut be = FileBackend::create(&dir, 2, 32).unwrap();
+            be.write_stripe(&[(0, 4, &[7u8; 32])]).unwrap();
+            be.write_stripe(&[(1, 1, &[8u8; 32])]).unwrap();
             be.sync().unwrap();
         }
-        let mut be = FileBackend::open_with_mode(&dir, 2, 32, IoMode::Serial).unwrap();
+        let mut be = FileBackend::open(&dir, 2, 32).unwrap();
         assert_eq!(be.tracks_used(0), 5, "space accounting rebuilt from file length");
         assert_eq!(be.tracks_used(1), 2);
         let mut buf = [0u8; 32];
-        be.read_track(0, 4, &mut buf).unwrap();
+        be.read_stripe(&[(0, 4)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [7u8; 32], "reopen must not truncate");
-        be.read_track(0, 0, &mut buf).unwrap();
+        be.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [0u8; 32]);
         // Opening a missing array is an error, unlike create.
         drop(be);
         std::fs::remove_dir_all(&dir).ok();
-        assert!(FileBackend::open_with_mode(&dir, 2, 32, IoMode::Serial).is_err());
+        assert!(FileBackend::open(&dir, 2, 32).is_err());
     }
 
     #[test]
@@ -977,21 +855,21 @@ mod tests {
         let mut be = ChecksumBackend::new(MemoryBackend::new(1), 16);
         // Never-written tracks still read back as zeros.
         let mut buf = [0xAAu8; 16];
-        be.read_track(0, 3, &mut buf).unwrap();
+        be.read_stripe(&[(0, 3)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [0u8; 16]);
-        be.write_track(0, 0, &[5u8; 16]).unwrap();
-        be.read_track(0, 0, &mut buf).unwrap();
+        be.write_stripe(&[(0, 0, &[5u8; 16])]).unwrap();
+        be.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [5u8; 16]);
         // A zero payload is a valid written block, distinct from formatted.
-        be.write_track(0, 1, &[0u8; 16]).unwrap();
-        be.read_track(0, 1, &mut buf).unwrap();
+        be.write_stripe(&[(0, 1, &[0u8; 16])]).unwrap();
+        be.read_stripe(&[(0, 1)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [0u8; 16]);
         // Corrupt the stored frame behind the checksum layer's back.
         let mut frame = vec![0u8; 16 + CRC_BYTES];
-        be.inner.read_track(0, 0, &mut frame).unwrap();
+        be.inner.read_stripe(&[(0, 0)], &mut [&mut frame]).unwrap();
         frame[7] ^= 0x01;
-        be.inner.write_track(0, 0, &frame).unwrap();
-        let err = be.read_track(0, 0, &mut buf).unwrap_err();
+        be.inner.write_stripe(&[(0, 0, &frame)]).unwrap();
+        let err = be.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap_err();
         assert!(matches!(err, DiskError::Corrupt { disk: 0, track: 0 }));
         assert!(err.is_transient());
     }
@@ -1004,12 +882,12 @@ mod tests {
         let plan = FaultPlan::none().with_transient(0, 1).with_transient(0, 2);
         let inner = FaultInjectingBackend::new(MemoryBackend::new(1), plan);
         let mut be = RetryingBackend::new(inner, RetryPolicy::new(3));
-        be.write_track(0, 0, &[1u8; 8]).unwrap(); // op 0 clean
-        be.write_track(0, 4, &[2u8; 8]).unwrap(); // ops 1,2 fail, op 3 lands
+        be.write_stripe(&[(0, 0, &[1u8; 8])]).unwrap(); // op 0 clean
+        be.write_stripe(&[(0, 4, &[2u8; 8])]).unwrap(); // ops 1,2 fail, op 3 lands
         assert_eq!(be.take_retried_blocks(), 2);
         assert_eq!(be.take_retried_blocks(), 0, "draining resets the count");
         let mut buf = [0u8; 8];
-        be.read_track(0, 4, &mut buf).unwrap();
+        be.read_stripe(&[(0, 4)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [2u8; 8]);
     }
 
@@ -1019,11 +897,11 @@ mod tests {
         let plan = FaultPlan::none().with_transient(0, 0).with_transient(0, 1).with_transient(0, 2);
         let inner = FaultInjectingBackend::new(MemoryBackend::new(1), plan);
         let mut be = RetryingBackend::new(inner, RetryPolicy::new(3));
-        let err = be.write_track(0, 0, &[1u8; 8]).unwrap_err();
+        let err = be.write_stripe(&[(0, 0, &[1u8; 8])]).unwrap_err();
         assert!(err.is_transient(), "the final transient error is surfaced");
         assert_eq!(be.take_retried_blocks(), 2);
         // The next write succeeds: the schedule was consumed.
-        be.write_track(0, 0, &[3u8; 8]).unwrap();
+        be.write_stripe(&[(0, 0, &[3u8; 8])]).unwrap();
     }
 
     #[test]
@@ -1046,7 +924,7 @@ mod tests {
         let writes: Vec<(usize, usize, &[u8])> =
             [0, 2, 1, 3].iter().map(|&d| (d, 0, &payload[..])).collect();
 
-        let outcomes = be.write_stripe_each(&writes);
+        let outcomes = be.write_batch_each(&[writes.len()], &writes);
         assert!(outcomes[0].is_ok() && outcomes[3].is_ok());
         for (slot, disk) in [(1, 2), (2, 1)] {
             match &outcomes[slot] {
@@ -1059,7 +937,7 @@ mod tests {
         assert_eq!(be.take_retried_blocks(), 4);
         assert_eq!(stats.counts().transient, 6);
         let mut buf = [0u8; 8];
-        be.read_track(0, 0, &mut buf).unwrap();
+        be.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, payload, "the stripe's healthy tracks landed");
 
         // The merged form reports the first failing track in request order.
@@ -1096,9 +974,9 @@ mod tests {
         // its own `(disk, track)`; every other track arrives intact.
         let check = &mut be.inner;
         let mut frame = vec![0u8; 8 + CRC_BYTES];
-        check.inner.read_track(2, 1, &mut frame).unwrap();
+        check.inner.read_stripe(&[(2, 1)], &mut [&mut frame]).unwrap();
         frame[3] ^= 0x10;
-        check.inner.write_track(2, 1, &frame).unwrap();
+        check.inner.write_stripe(&[(2, 1, &frame)]).unwrap();
         let mut blocks = vec![[0u8; 8]; addrs.len()];
         let mut bufs: Vec<&mut [u8]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
         let outcomes = check.read_batch_each(&stripes, &addrs, &mut bufs);
@@ -1120,19 +998,30 @@ mod tests {
         assert!(sub_batch(&[2, 2], &[]).is_empty());
     }
 
-    /// The reference: forwards single tracks only, so its stripes run as
-    /// the trait's per-track loop over whatever stack it wraps.
+    /// The reference: hands its inner backend one-track batches only, so
+    /// every stripe runs as a per-track loop over whatever stack it wraps.
     struct PerTrack<B: DiskBackend>(B);
 
     impl<B: DiskBackend> DiskBackend for PerTrack<B> {
         fn num_disks(&self) -> usize {
             self.0.num_disks()
         }
-        fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()> {
-            self.0.read_track(disk, track, buf)
+        fn read_batch_each(
+            &mut self,
+            _stripes: &[usize],
+            addrs: &[(usize, usize)],
+            bufs: &mut [&mut [u8]],
+        ) -> TrackOutcomes {
+            (addrs.iter().zip(bufs.iter_mut()))
+                .flat_map(|(addr, buf)| self.0.read_batch_each(&[1], &[*addr], &mut [&mut **buf]))
+                .collect()
         }
-        fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
-            self.0.write_track(disk, track, data)
+        fn write_batch_each(
+            &mut self,
+            _stripes: &[usize],
+            writes: &[(usize, usize, &[u8])],
+        ) -> TrackOutcomes {
+            writes.iter().flat_map(|write| self.0.write_batch_each(&[1], &[*write])).collect()
         }
         fn tracks_used(&self, disk: usize) -> usize {
             self.0.tracks_used(disk)
@@ -1178,53 +1067,62 @@ mod tests {
         (bytes, be.take_retried_blocks(), be.fault_op_counts().expect("a fault layer is present"))
     }
 
+    /// The reference is the per-track loop over each raw input: memory,
+    /// a tenant's region of shared media (the stack of a service job with
+    /// a fault plan) and drive files — one drive on the calling thread,
+    /// three on a worker each.
     #[test]
     fn stripe_path_equals_the_per_track_reference_under_recoverable_faults() {
         use crate::fault::{FaultInjectingBackend, FaultPlan};
-        const D: usize = 3;
+        use crate::SharedDiskSubstrate;
         let pid = std::process::id();
         let stack = |raw: Box<dyn DiskBackend>, plan: FaultPlan| {
             let fault = FaultInjectingBackend::new(raw, plan);
             RetryingBackend::new(ChecksumBackend::new(fault, 24), RetryPolicy::new(8))
         };
-        for seed in [0xF16u64, 7, 0xBEEF] {
+        for (d, seed) in [1, 3].into_iter().flat_map(|d| [0xF16u64, 7, 0xBEEF].map(|s| (d, s))) {
+            let what = |raw: &str| format!("{raw}, {d} drives, seed {seed:#x}");
             // ~8 % of transfers faulted: transients, torn writes, bit flips.
-            let plan = || FaultPlan::seeded(seed, D, 400, 80);
-            let mem = || Box::new(MemoryBackend::new(D)) as Box<dyn DiskBackend>;
+            let plan = || FaultPlan::seeded(seed, d, 400, 80);
+            let mem = || Box::new(MemoryBackend::new(d)) as Box<dyn DiskBackend>;
 
             let (plan_s, plan_r) = (plan(), plan());
             let (stats_s, stats_r) = (plan_s.stats(), plan_r.stats());
             let striped = faulty_workload(stack(mem(), plan_s));
             let reference = faulty_workload(PerTrack(stack(mem(), plan_r)));
-            assert!(striped.1 > 0, "seed {seed:#x} must actually fire faults");
-            assert_eq!(striped, reference, "memory, seed {seed:#x}");
-            assert_eq!(stats_s.counts(), stats_r.counts(), "memory, seed {seed:#x}");
+            assert!(striped.1 > 0, "{} must actually fire faults", what("memory"));
+            assert_eq!(striped, reference, "{}", what("memory"));
+            assert_eq!(stats_s.counts(), stats_r.counts(), "{}", what("memory"));
 
-            for mode in [IoMode::Serial, IoMode::Parallel] {
-                let dir = |tag: &str| {
-                    std::env::temp_dir().join(format!("em-disk-ident-{tag}-{mode:?}-{seed}-{pid}"))
-                };
-                let file = |tag: &str| {
-                    let be = FileBackend::create_with_mode(dir(tag), D, 24 + CRC_BYTES, mode);
-                    Box::new(be.unwrap()) as Box<dyn DiskBackend>
-                };
-                let plan_f = plan();
-                let stats_f = plan_f.stats();
-                let on_file = faulty_workload(stack(file("s"), plan_f));
-                assert_eq!(on_file, reference, "file {mode:?}, seed {seed:#x}");
-                assert_eq!(stats_f.counts(), stats_r.counts(), "file {mode:?}, seed {seed:#x}");
-                // Drive bytes: the stripe path and the reference leave the
-                // same media behind, frame for frame.
-                faulty_workload(PerTrack(stack(file("r"), plan())));
-                for disk in 0..D {
-                    let name = format!("disk-{disk}.bin");
-                    let a = std::fs::read(dir("s").join(&name)).unwrap();
-                    let b = std::fs::read(dir("r").join(&name)).unwrap();
-                    assert_eq!(a, b, "drive {disk}, file {mode:?}, seed {seed:#x}");
-                }
-                std::fs::remove_dir_all(dir("s")).ok();
-                std::fs::remove_dir_all(dir("r")).ok();
+            let shared = SharedDiskSubstrate::new(d, 64);
+            let region = Box::new(shared.region(shared.reserve_region(16).unwrap(), 16));
+            let plan_g = plan();
+            let stats_g = plan_g.stats();
+            assert_eq!(faulty_workload(stack(region, plan_g)), reference, "{}", what("region"));
+            assert_eq!(stats_g.counts(), stats_r.counts(), "{}", what("region"));
+
+            let dir = |tag: &str| {
+                std::env::temp_dir().join(format!("em-disk-ident-{tag}-{d}-{seed}-{pid}"))
+            };
+            let file = |tag: &str| {
+                let be = FileBackend::create(dir(tag), d, 24 + CRC_BYTES);
+                Box::new(be.unwrap()) as Box<dyn DiskBackend>
+            };
+            let plan_f = plan();
+            let stats_f = plan_f.stats();
+            assert_eq!(faulty_workload(stack(file("s"), plan_f)), reference, "{}", what("file"));
+            assert_eq!(stats_f.counts(), stats_r.counts(), "{}", what("file"));
+            // Drive bytes: the stripe path and the reference leave the
+            // same media behind, frame for frame.
+            faulty_workload(PerTrack(stack(file("r"), plan())));
+            for disk in 0..d {
+                let name = format!("disk-{disk}.bin");
+                let a = std::fs::read(dir("s").join(&name)).unwrap();
+                let b = std::fs::read(dir("r").join(&name)).unwrap();
+                assert_eq!(a, b, "drive {disk}, {}", what("file"));
             }
+            std::fs::remove_dir_all(dir("s")).ok();
+            std::fs::remove_dir_all(dir("r")).ok();
         }
     }
 
@@ -1240,16 +1138,21 @@ mod tests {
                 other => panic!("expected OffsetOverflow, got {other:?}"),
             }
         }
-        // Through the backend it is a typed, permanent error in both modes.
-        for mode in [IoMode::Serial, IoMode::Parallel] {
-            let dir = std::env::temp_dir()
-                .join(format!("em-disk-overflow-{mode:?}-{}", std::process::id()));
-            let mut be = FileBackend::create_with_mode(&dir, 2, 1 << 20, mode).unwrap();
+        // Through the backend it is a typed, permanent error, on the
+        // calling thread (one drive) and on a drive's worker (two).
+        for d in [1, 2] {
+            let dir =
+                std::env::temp_dir().join(format!("em-disk-overflow-{d}-{}", std::process::id()));
+            let mut be = FileBackend::create(&dir, d, 1 << 20).unwrap();
             let mut buf = vec![0u8; 1 << 20];
-            let err = be.read_track(1, usize::MAX, &mut buf).unwrap_err();
-            assert!(matches!(err, DiskError::OffsetOverflow { disk: 1, .. }), "{mode:?}: {err:?}");
+            let last = d - 1;
+            let err = be.read_stripe(&[(last, usize::MAX)], &mut [&mut buf]).unwrap_err();
+            assert!(
+                matches!(err, DiskError::OffsetOverflow { disk, .. } if disk == last),
+                "{err:?}"
+            );
             assert!(!err.is_transient());
-            assert_eq!(be.tracks_used(1), 0);
+            assert_eq!(be.tracks_used(last), 0);
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -1265,40 +1168,10 @@ mod tests {
         let fault = FaultInjectingBackend::new(MemoryBackend::new(1), plan);
         let check = ChecksumBackend::new(fault, 16);
         let mut be = RetryingBackend::new(check, RetryPolicy::new(2));
-        be.write_track(0, 0, &[9u8; 16]).unwrap(); // op 0
+        be.write_stripe(&[(0, 0, &[9u8; 16])]).unwrap(); // op 0
         let mut buf = [0u8; 16];
-        be.read_track(0, 0, &mut buf).unwrap(); // op 1 flipped, retried clean
+        be.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap(); // op 1 flipped, retried clean
         assert_eq!(buf, [9u8; 16]);
         assert_eq!(be.take_retried_blocks(), 1);
-    }
-
-    #[test]
-    fn serial_and_parallel_write_identical_files() {
-        let pid = std::process::id();
-        let dir_s = std::env::temp_dir().join(format!("em-disk-eq-s-{pid}"));
-        let dir_p = std::env::temp_dir().join(format!("em-disk-eq-p-{pid}"));
-        let mut serial = FileBackend::create_with_mode(&dir_s, 3, 16, IoMode::Serial).unwrap();
-        let mut parallel = FileBackend::create_with_mode(&dir_p, 3, 16, IoMode::Parallel).unwrap();
-        assert!(!serial.is_parallel());
-        assert!(parallel.is_parallel());
-        let writes: Vec<(usize, usize, Vec<u8>)> = (0..3)
-            .flat_map(|d| (0..4).map(move |t| (d, t, vec![(d * 16 + t) as u8; 16])))
-            .collect();
-        for be in [&mut serial as &mut FileBackend, &mut parallel] {
-            let stripe: Vec<(usize, usize, &[u8])> =
-                writes.iter().map(|(d, t, v)| (*d, *t, v.as_slice())).collect();
-            for chunk in stripe.chunks(3) {
-                be.write_stripe(chunk).unwrap();
-            }
-            be.sync().unwrap();
-        }
-        for d in 0..3 {
-            let a = std::fs::read(dir_s.join(format!("disk-{d}.bin"))).unwrap();
-            let b = std::fs::read(dir_p.join(format!("disk-{d}.bin"))).unwrap();
-            assert_eq!(a, b, "drive {d} bytes diverge between serial and parallel");
-            assert_eq!(serial.tracks_used(d), parallel.tracks_used(d));
-        }
-        std::fs::remove_dir_all(&dir_s).ok();
-        std::fs::remove_dir_all(&dir_p).ok();
     }
 }

@@ -15,8 +15,9 @@
 //! `(track, disk)` order batched into legal one-track-per-drive stripes,
 //! and an identical request sequence therefore produces an identical
 //! backend I/O trace — the same contract `tests/file_backend.rs` asserts
-//! for the I/O modes.
+//! for memory and file drives.
 
+use crate::backend::stripe_by_stripe;
 use crate::{DiskBackend, DiskResult, TrackOutcomes};
 use std::collections::{BTreeMap, HashMap};
 
@@ -103,7 +104,7 @@ impl<B: DiskBackend> BlockCacheBackend<B> {
         let (_, key) = self.lru.pop_first().expect("evicting from a non-empty cache");
         let entry = self.map.remove(&key).expect("lru and map agree");
         if entry.dirty {
-            self.inner.write_track(key.0, key.1, &entry.data)?;
+            self.inner.write_stripe(&[(key.0, key.1, &entry.data)])?;
         }
         Ok(())
     }
@@ -169,29 +170,16 @@ impl<B: DiskBackend> BlockCacheBackend<B> {
         }
         Ok(())
     }
-}
 
-impl<B: DiskBackend> DiskBackend for BlockCacheBackend<B> {
-    fn num_disks(&self) -> usize {
-        self.inner.num_disks()
-    }
-
-    fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()> {
-        self.read_stripe(&[(disk, track)], &mut [buf])
-    }
-
-    fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
-        self.absorb_write(disk, track, data)
-    }
-
-    fn read_stripe_each(
+    /// Serve one stripe's resident tracks from memory; fetch only the
+    /// missing subset from the inner backend, still as a single stripe so
+    /// the engine's D-way overlap is preserved for the part that does real
+    /// I/O.
+    fn read_one_stripe(
         &mut self,
         addrs: &[(usize, usize)],
         bufs: &mut [&mut [u8]],
     ) -> TrackOutcomes {
-        // Serve resident tracks from memory; fetch only the missing subset
-        // from the inner backend, still as a single stripe so the engine's
-        // D-way overlap is preserved for the part that does real I/O.
         let mut outcomes: TrackOutcomes = addrs.iter().map(|_| Ok(())).collect();
         let mut miss_addrs: Vec<(usize, usize)> = Vec::new();
         let mut miss_idx: Vec<usize> = Vec::new();
@@ -212,7 +200,7 @@ impl<B: DiskBackend> DiskBackend for BlockCacheBackend<B> {
         let block_bytes = bufs[miss_idx[0]].len();
         let mut fetched: Vec<Vec<u8>> = miss_addrs.iter().map(|_| vec![0u8; block_bytes]).collect();
         let mut fb: Vec<&mut [u8]> = fetched.iter_mut().map(Vec::as_mut_slice).collect();
-        let missed = self.inner.read_stripe_each(&miss_addrs, &mut fb);
+        let missed = self.inner.read_batch_each(&[miss_addrs.len()], &miss_addrs, &mut fb);
         if missed.iter().all(Result::is_ok) {
             for ((key, data), i) in miss_addrs.into_iter().zip(fetched).zip(miss_idx) {
                 bufs[i].copy_from_slice(&data);
@@ -225,8 +213,28 @@ impl<B: DiskBackend> DiskBackend for BlockCacheBackend<B> {
         }
         outcomes
     }
+}
 
-    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+impl<B: DiskBackend> DiskBackend for BlockCacheBackend<B> {
+    fn num_disks(&self) -> usize {
+        self.inner.num_disks()
+    }
+
+    /// Stripe by stripe: one lookup, and one miss fetch, per stripe.
+    fn read_batch_each(
+        &mut self,
+        stripes: &[usize],
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
+        stripe_by_stripe(stripes, |at| self.read_one_stripe(&addrs[at.clone()], &mut bufs[at]))
+    }
+
+    fn write_batch_each(
+        &mut self,
+        _stripes: &[usize],
+        writes: &[(usize, usize, &[u8])],
+    ) -> TrackOutcomes {
         writes.iter().map(|&(disk, track, data)| self.absorb_write(disk, track, data)).collect()
     }
 
@@ -247,7 +255,7 @@ impl<B: DiskBackend> DiskBackend for BlockCacheBackend<B> {
         self.inner.fault_op_counts()
     }
 
-    fn restore_fault_op_counts(&mut self, counts: &[u64]) {
+    fn restore_fault_op_counts(&mut self, counts: &[u64]) -> DiskResult<()> {
         self.inner.restore_fault_op_counts(counts)
     }
 }
@@ -259,37 +267,37 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    /// Stripe calls that reached a [`CountingBackend`], shared so a test
-    /// can read them with the backend buried under a decorator stack.
+    /// Batch calls that reached a [`CountingBackend`] and the stripes
+    /// they carried, shared so a test can read them with the backend
+    /// buried under a decorator stack.
     #[derive(Default)]
-    struct StripeCalls {
+    struct BatchCalls {
         reads: AtomicU64,
         writes: AtomicU64,
-        batch_reads: AtomicU64,
-        batch_writes: AtomicU64,
+        read_stripes: AtomicU64,
+        write_stripes: AtomicU64,
     }
 
-    impl StripeCalls {
-        fn take(&self) -> (u64, u64) {
-            (self.reads.swap(0, Ordering::Relaxed), self.writes.swap(0, Ordering::Relaxed))
-        }
-
-        fn take_batches(&self) -> (u64, u64) {
+    impl BatchCalls {
+        /// `((read batches, write batches), (read stripes, write stripes))`
+        /// since the last call.
+        fn take(&self) -> ((u64, u64), (u64, u64)) {
+            let take = |n: &AtomicU64| n.swap(0, Ordering::Relaxed);
             (
-                self.batch_reads.swap(0, Ordering::Relaxed),
-                self.batch_writes.swap(0, Ordering::Relaxed),
+                (take(&self.reads), take(&self.writes)),
+                (take(&self.read_stripes), take(&self.write_stripes)),
             )
         }
     }
 
     /// A [`MemoryBackend`] wrapper tallying how many track transfers
-    /// (and how many stripe calls) actually reach it, so tests can prove
+    /// (and how many batch calls) actually reach it, so tests can prove
     /// what the layers above absorbed and how they dispatched the rest.
     struct CountingBackend {
         inner: MemoryBackend,
         reads: u64,
         writes: u64,
-        stripes: Arc<StripeCalls>,
+        calls: Arc<BatchCalls>,
     }
 
     impl CountingBackend {
@@ -298,7 +306,7 @@ mod tests {
                 inner: MemoryBackend::new(d),
                 reads: 0,
                 writes: 0,
-                stripes: Arc::default(),
+                calls: Arc::default(),
             }
         }
     }
@@ -307,57 +315,26 @@ mod tests {
         fn num_disks(&self) -> usize {
             self.inner.num_disks()
         }
-        fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()> {
-            self.reads += 1;
-            self.inner.read_track(disk, track, buf)
-        }
-        fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
-            self.writes += 1;
-            self.inner.write_track(disk, track, data)
-        }
-        fn read_stripe_each(
-            &mut self,
-            addrs: &[(usize, usize)],
-            bufs: &mut [&mut [u8]],
-        ) -> TrackOutcomes {
-            self.stripes.reads.fetch_add(1, Ordering::Relaxed);
-            (addrs.iter().zip(bufs.iter_mut()))
-                .map(|(&(disk, track), buf)| self.read_track(disk, track, buf))
-                .collect()
-        }
-        fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
-            self.stripes.writes.fetch_add(1, Ordering::Relaxed);
-            writes.iter().map(|&(disk, track, data)| self.write_track(disk, track, data)).collect()
-        }
-        // Counted, then stripe by stripe as the trait's default would.
         fn read_batch_each(
             &mut self,
             stripes: &[usize],
             addrs: &[(usize, usize)],
             bufs: &mut [&mut [u8]],
         ) -> TrackOutcomes {
-            self.stripes.batch_reads.fetch_add(1, Ordering::Relaxed);
-            let mut at = 0;
-            (stripes.iter())
-                .flat_map(|&len| {
-                    at += len;
-                    self.read_stripe_each(&addrs[at - len..at], &mut bufs[at - len..at])
-                })
-                .collect()
+            self.calls.reads.fetch_add(1, Ordering::Relaxed);
+            self.calls.read_stripes.fetch_add(stripes.len() as u64, Ordering::Relaxed);
+            self.reads += addrs.len() as u64;
+            self.inner.read_batch_each(stripes, addrs, bufs)
         }
         fn write_batch_each(
             &mut self,
             stripes: &[usize],
             writes: &[(usize, usize, &[u8])],
         ) -> TrackOutcomes {
-            self.stripes.batch_writes.fetch_add(1, Ordering::Relaxed);
-            let mut at = 0;
-            (stripes.iter())
-                .flat_map(|&len| {
-                    at += len;
-                    self.write_stripe_each(&writes[at - len..at])
-                })
-                .collect()
+            self.calls.writes.fetch_add(1, Ordering::Relaxed);
+            self.calls.write_stripes.fetch_add(stripes.len() as u64, Ordering::Relaxed);
+            self.writes += writes.len() as u64;
+            self.inner.write_batch_each(stripes, writes)
         }
         fn tracks_used(&self, disk: usize) -> usize {
             self.inner.tracks_used(disk)
@@ -371,8 +348,8 @@ mod tests {
     #[test]
     fn writes_are_absorbed_until_flush() {
         let mut c = cache(2, 8);
-        c.write_track(0, 0, &[1u8; 8]).unwrap();
-        c.write_track(1, 0, &[2u8; 8]).unwrap();
+        c.write_stripe(&[(0, 0, &[1u8; 8])]).unwrap();
+        c.write_stripe(&[(1, 0, &[2u8; 8])]).unwrap();
         assert_eq!(c.inner.writes, 0, "writes buffered, none landed");
         assert_eq!(c.dirty_tracks(), 2);
         c.flush().unwrap();
@@ -382,17 +359,17 @@ mod tests {
         c.flush().unwrap();
         assert_eq!(c.inner.writes, 2);
         let mut buf = [0u8; 8];
-        c.inner.read_track(1, 0, &mut buf).unwrap();
+        c.inner.read_stripe(&[(1, 0)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [2u8; 8]);
     }
 
     #[test]
     fn resident_reads_never_touch_the_inner_backend() {
         let mut c = cache(2, 8);
-        c.write_track(0, 3, &[7u8; 8]).unwrap();
+        c.write_stripe(&[(0, 3, &[7u8; 8])]).unwrap();
         let mut buf = [0u8; 8];
         for _ in 0..5 {
-            c.read_track(0, 3, &mut buf).unwrap();
+            c.read_stripe(&[(0, 3)], &mut [&mut buf]).unwrap();
             assert_eq!(buf, [7u8; 8]);
         }
         assert_eq!(c.inner.reads, 0);
@@ -403,14 +380,14 @@ mod tests {
     #[test]
     fn misses_read_allocate_and_stay_warm_across_flush() {
         let mut c = cache(1, 4);
-        c.inner.write_track(0, 0, &[9u8; 4]).unwrap();
+        c.inner.write_stripe(&[(0, 0, &[9u8; 4])]).unwrap();
         c.inner.writes = 0;
         let mut buf = [0u8; 4];
-        c.read_track(0, 0, &mut buf).unwrap();
+        c.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [9u8; 4]);
         assert_eq!(c.inner.reads, 1, "first read misses");
         c.flush().unwrap();
-        c.read_track(0, 0, &mut buf).unwrap();
+        c.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap();
         assert_eq!(c.inner.reads, 1, "entry survives the flush and hits");
         assert_eq!(c.take_cache_hit_blocks(), 1);
     }
@@ -419,10 +396,10 @@ mod tests {
     fn never_written_tracks_read_zero_through_the_cache() {
         let mut c = cache(2, 4);
         let mut buf = [0xAAu8; 8];
-        c.read_track(1, 5, &mut buf).unwrap();
+        c.read_stripe(&[(1, 5)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [0u8; 8]);
         // The zero track was allocated: the second read hits.
-        c.read_track(1, 5, &mut buf).unwrap();
+        c.read_stripe(&[(1, 5)], &mut [&mut buf]).unwrap();
         assert_eq!(c.inner.reads, 1);
         assert_eq!(c.take_cache_hit_blocks(), 1);
     }
@@ -430,30 +407,31 @@ mod tests {
     #[test]
     fn lru_eviction_is_deterministic_and_writes_back_dirty_victims() {
         let mut c = cache(1, 2);
-        c.write_track(0, 0, &[1u8; 4]).unwrap();
-        c.write_track(0, 1, &[2u8; 4]).unwrap();
+        c.write_stripe(&[(0, 0, &[1u8; 4])]).unwrap();
+        c.write_stripe(&[(0, 1, &[2u8; 4])]).unwrap();
         // Touch track 0 so track 1 is the LRU victim.
         let mut buf = [0u8; 4];
-        c.read_track(0, 0, &mut buf).unwrap();
-        c.write_track(0, 2, &[3u8; 4]).unwrap();
+        c.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap();
+        c.write_stripe(&[(0, 2, &[3u8; 4])]).unwrap();
         assert_eq!(c.resident_tracks(), 2);
         assert_eq!(c.inner.writes, 1, "the dirty victim was written back");
-        c.inner.read_track(0, 1, &mut buf).unwrap();
+        c.inner.read_stripe(&[(0, 1)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [2u8; 4], "victim content landed");
         // Tracks 0 and 2 are still resident and serve hits.
         c.take_cache_hit_blocks();
-        c.read_track(0, 0, &mut buf).unwrap();
-        c.read_track(0, 2, &mut buf).unwrap();
+        c.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap();
+        c.read_stripe(&[(0, 2)], &mut [&mut buf]).unwrap();
         assert_eq!(c.take_cache_hit_blocks(), 2);
     }
 
     #[test]
     fn mixed_stripe_fetches_only_the_missing_subset() {
         let mut c = cache(3, 8);
-        c.write_track(0, 0, &[1u8; 4]).unwrap();
-        c.inner.write_track(1, 0, &[2u8; 4]).unwrap();
-        c.inner.write_track(2, 0, &[3u8; 4]).unwrap();
+        c.write_stripe(&[(0, 0, &[1u8; 4])]).unwrap();
+        c.inner.write_stripe(&[(1, 0, &[2u8; 4])]).unwrap();
+        c.inner.write_stripe(&[(2, 0, &[3u8; 4])]).unwrap();
         c.inner.writes = 0;
+        c.inner.calls.take();
         let mut b0 = [0u8; 4];
         let mut b1 = [0u8; 4];
         let mut b2 = [0u8; 4];
@@ -463,107 +441,71 @@ mod tests {
         }
         assert_eq!((b0, b1, b2), ([1u8; 4], [2u8; 4], [3u8; 4]));
         assert_eq!(c.inner.reads, 2, "only the two misses reached the backend");
+        assert_eq!(c.inner.calls.take(), ((1, 0), (1, 0)), "the misses travel as one batch");
         assert_eq!(c.take_cache_hit_blocks(), 1);
         // Dirty residents must be served from the cache, not stale media.
-        c.write_track(1, 0, &[9u8; 4]).unwrap();
+        c.write_stripe(&[(1, 0, &[9u8; 4])]).unwrap();
         let mut buf = [0u8; 4];
-        c.read_track(1, 0, &mut buf).unwrap();
+        c.read_stripe(&[(1, 0)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [9u8; 4]);
     }
 
-    #[test]
-    fn one_outer_stripe_is_one_inner_stripe_through_the_decorators() {
-        const D: usize = 4;
-        let raw = CountingBackend::new(D);
-        let calls = Arc::clone(&raw.stripes);
-        let stack = |raw| RetryingBackend::new(ChecksumBackend::new(raw, 16), RetryPolicy::new(3));
-        let payload = [7u8; 16];
-        let writes: Vec<(usize, usize, &[u8])> = (0..D).map(|d| (d, 0, &payload[..])).collect();
-        let addrs: Vec<(usize, usize)> = (0..D).map(|d| (d, 0)).collect();
-        let mut blocks = vec![[0u8; 16]; D];
-
-        // Retrying(Checksum(raw)): one D-way dispatch per stripe.
-        let mut be = stack(raw);
-        be.write_stripe(&writes).unwrap();
-        assert_eq!(calls.take(), (0, 1), "one framed write stripe reaches the raw backend");
-        {
-            let mut bufs: Vec<&mut [u8]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
-            be.read_stripe(&addrs, &mut bufs).unwrap();
-        }
-        assert_eq!(calls.take(), (1, 0), "one read stripe, verified after it returns");
-        assert_eq!(blocks, vec![payload; D]);
-
-        // Cache(Retrying(Checksum(raw))): a cold stripe misses as one
-        // stripe; the warm re-read reaches nothing.
-        let mut cached = BlockCacheBackend::new(be, 2 * D);
-        for pass in 0..2 {
-            let mut bufs: Vec<&mut [u8]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
-            cached.read_stripe(&addrs, &mut bufs).unwrap();
-            assert_eq!(calls.take(), (1 - pass, 0), "pass {pass}");
-        }
-        assert_eq!(cached.take_cache_hit_blocks(), D as u64);
-        // A partly resident stripe fetches its misses as one stripe too.
-        let mixed: Vec<(usize, usize)> = (0..D).map(|d| (d, d % 2)).collect();
-        {
-            let mut bufs: Vec<&mut [u8]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
-            cached.read_stripe(&mixed, &mut bufs).unwrap();
-        }
-        assert_eq!(calls.take(), (1, 0));
-        // Dirty tracks flush as one stripe per legal batch.
-        cached.write_stripe(&writes).unwrap();
-        assert_eq!(calls.take(), (0, 0), "absorbed");
-        cached.flush().unwrap();
-        assert_eq!(calls.take(), (0, 1));
+    fn read_into(
+        be: &mut impl DiskBackend,
+        stripes: &[usize],
+        addrs: &[(usize, usize)],
+        blocks: &mut [[u8; 16]],
+    ) {
+        let mut bufs: Vec<&mut [u8]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
+        assert!(be.read_batch_each(stripes, addrs, &mut bufs).iter().all(Result::is_ok));
     }
 
+    /// One outer transfer — a single stripe, or a run of five — reaches the
+    /// raw backend through `Retrying(Checksum(·))` as one batch with its
+    /// stripe boundaries intact. The cache above them looks up, and fetches
+    /// misses, one stripe at a time, and holds writes until a flush.
     #[test]
-    fn one_outer_batch_is_one_inner_batch_through_the_decorators() {
+    fn one_outer_transfer_is_one_inner_batch_through_the_decorators() {
         use crate::ConsecutiveLayout;
         const D: usize = 4;
-        let raw = CountingBackend::new(D);
-        let calls = Arc::clone(&raw.stripes);
-        let mut be = RetryingBackend::new(ChecksumBackend::new(raw, 16), RetryPolicy::new(3));
+        let one_stripe = (vec![D], (0..D).map(|d| (d, 0)).collect());
         // Five regions of three blocks from global block 3: ragged first
         // and last stripes, five stripes in all.
-        let (stripes, addrs) = ConsecutiveLayout::new(0, 3, 8, D).unwrap().batch(1, 5);
-        assert_eq!(stripes, [1, 4, 4, 4, 2]);
-        let payloads: Vec<[u8; 16]> = (0..addrs.len()).map(|i| [i as u8 + 1; 16]).collect();
-        let writes: Vec<(usize, usize, &[u8])> =
-            addrs.iter().zip(&payloads).map(|(&(d, t), p)| (d, t, &p[..])).collect();
-        let mut blocks = vec![[0u8; 16]; addrs.len()];
+        let run_of_five = ConsecutiveLayout::new(0, 3, 8, D).unwrap().batch(1, 5);
+        assert_eq!(run_of_five.0, [1, 4, 4, 4, 2]);
+        // The second value: the full legal stripes a flush packs the
+        // input's tracks into, in `(track, disk)` order.
+        for ((stripes, addrs), flushed) in [(one_stripe, 1), (run_of_five, 4)] {
+            let raw = CountingBackend::new(D);
+            let calls = Arc::clone(&raw.calls);
+            let mut be = RetryingBackend::new(ChecksumBackend::new(raw, 16), RetryPolicy::new(3));
+            let n = stripes.len() as u64;
+            let what = format!("{stripes:?}");
+            let payloads: Vec<[u8; 16]> = (0..addrs.len()).map(|i| [i as u8 + 1; 16]).collect();
+            let writes: Vec<(usize, usize, &[u8])> =
+                addrs.iter().zip(&payloads).map(|(&(d, t), p)| (d, t, &p[..])).collect();
+            let mut blocks = vec![[0u8; 16]; addrs.len()];
 
-        // Retrying(Checksum(raw)): the whole run is one inner call, which
-        // sees it with its stripe boundaries intact.
-        assert!(be.write_batch_each(&stripes, &writes).iter().all(Result::is_ok));
-        assert_eq!(calls.take_batches(), (0, 1), "one framed write batch reaches the raw backend");
-        assert_eq!(calls.take(), (0, 5));
-        {
-            let mut bufs: Vec<&mut [u8]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
-            assert!(be.read_batch_each(&stripes, &addrs, &mut bufs).iter().all(Result::is_ok));
-        }
-        assert_eq!(calls.take_batches(), (1, 0), "one read batch, verified after it returns");
-        assert_eq!(calls.take(), (5, 0));
-        assert_eq!(blocks, payloads);
-        // A stripe is the batch of one stripe, a track the stripe of one.
-        be.read_stripe(
-            &addrs[1..5],
-            &mut blocks[1..5].iter_mut().map(|b| &mut b[..]).collect::<Vec<_>>(),
-        )
-        .unwrap();
-        be.write_track(0, 9, &payloads[0]).unwrap();
-        assert_eq!(calls.take_batches(), (1, 1));
-        assert_eq!(calls.take(), (1, 1));
+            assert!(be.write_batch_each(&stripes, &writes).iter().all(Result::is_ok));
+            assert_eq!(calls.take(), ((0, 1), (0, n)), "{what}: one framed write batch");
+            read_into(&mut be, &stripes, &addrs, &mut blocks);
+            assert_eq!(calls.take(), ((1, 0), (n, 0)), "{what}: one read batch, then verified");
+            assert_eq!(blocks, payloads, "{what}");
 
-        // The cache keeps the stripe-by-stripe default: one lookup — and
-        // one miss fetch — per stripe, each a batch of one below it.
-        let mut cached = BlockCacheBackend::new(be, 8 * D);
-        {
-            let mut bufs: Vec<&mut [u8]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
-            assert!(cached.read_batch_each(&stripes, &addrs, &mut bufs).iter().all(Result::is_ok));
+            // Cache(Retrying(Checksum(raw))): a cold read fetches each
+            // stripe as a batch of one; the warm re-read reaches nothing.
+            let mut cached = BlockCacheBackend::new(be, 8 * D);
+            for cold in [1, 0] {
+                read_into(&mut cached, &stripes, &addrs, &mut blocks);
+                assert_eq!(calls.take(), ((cold * n, 0), (cold * n, 0)), "{what}: cold {cold}");
+            }
+            assert_eq!(cached.take_cache_hit_blocks(), addrs.len() as u64, "{what}");
+            assert_eq!(blocks, payloads, "{what}");
+            assert!(cached.write_batch_each(&stripes, &writes).iter().all(Result::is_ok));
+            assert_eq!(calls.take(), ((0, 0), (0, 0)), "{what}: absorbed");
+            cached.flush().unwrap();
+            assert_eq!(calls.take(), ((0, flushed), (0, flushed)), "{what}: one batch a stripe");
         }
-        assert_eq!(calls.take_batches(), (5, 0));
-        assert_eq!(calls.take(), (5, 0));
-        assert_eq!(blocks, payloads);
     }
 
     #[test]
@@ -575,7 +517,7 @@ mod tests {
         let mut c =
             BlockCacheBackend::new(FaultInjectingBackend::new(CountingBackend::new(2), plan), 8);
         let (mut a, mut b) = ([0u8; 4], [0u8; 4]);
-        let outcomes = c.read_stripe_each(&[(0, 0), (1, 0)], &mut [&mut a, &mut b]);
+        let outcomes = c.read_batch_each(&[2], &[(0, 0), (1, 0)], &mut [&mut a, &mut b]);
         assert!(outcomes[0].is_ok() && outcomes[1].as_ref().is_err_and(|e| e.is_transient()));
         assert_eq!(c.resident_tracks(), 0);
         c.read_stripe(&[(0, 0), (1, 0)], &mut [&mut a, &mut b]).unwrap();
@@ -589,24 +531,24 @@ mod tests {
         // Three tracks on drive 0, one on drive 1: a legal flush needs at
         // least three stripes, each touching each drive at most once.
         for t in 0..3 {
-            c.write_track(0, t, &[t as u8 + 1; 4]).unwrap();
+            c.write_stripe(&[(0, t, &[t as u8 + 1; 4])]).unwrap();
         }
-        c.write_track(1, 0, &[9u8; 4]).unwrap();
+        c.write_stripe(&[(1, 0, &[9u8; 4])]).unwrap();
         c.flush().unwrap();
         assert_eq!(c.inner.writes, 4);
         let mut buf = [0u8; 4];
         for t in 0..3 {
-            c.inner.read_track(0, t, &mut buf).unwrap();
+            c.inner.read_stripe(&[(0, t)], &mut [&mut buf]).unwrap();
             assert_eq!(buf, [t as u8 + 1; 4]);
         }
-        c.inner.read_track(1, 0, &mut buf).unwrap();
+        c.inner.read_stripe(&[(1, 0)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [9u8; 4]);
     }
 
     #[test]
     fn tracks_used_accounts_for_unflushed_writes() {
         let mut c = cache(2, 8);
-        c.write_track(0, 6, &[1u8; 4]).unwrap();
+        c.write_stripe(&[(0, 6, &[1u8; 4])]).unwrap();
         assert_eq!(c.tracks_used(0), 7, "high-water covers buffered writes");
         assert_eq!(c.tracks_used(1), 0);
         c.flush().unwrap();
@@ -616,7 +558,7 @@ mod tests {
     #[test]
     fn sync_implies_flush() {
         let mut c = cache(1, 4);
-        c.write_track(0, 0, &[5u8; 4]).unwrap();
+        c.write_stripe(&[(0, 0, &[5u8; 4])]).unwrap();
         c.sync().unwrap();
         assert_eq!(c.inner.writes, 1);
         assert_eq!(c.dirty_tracks(), 0);

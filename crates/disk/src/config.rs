@@ -3,19 +3,15 @@
 use crate::DiskError;
 
 /// How the file backend executes the `≤ D` track transfers of one stripe.
-///
-/// The mode changes *who* performs the file I/O (the calling thread vs one
-/// dedicated worker thread per drive) and whether the transfers overlap in
-/// time — never what bytes are transferred, what [`crate::IoStats`] count,
-/// or what a seeded run's I/O trace looks like. The memory backend ignores
-/// the mode entirely.
+/// There is one way: a drive array of more than one drive gives each drive
+/// a worker thread, and a single drive is served on the calling thread.
+/// The type, the simulators' `with_io_mode` and
+/// [`crate::FileBackend::create_with_opts`]'s mode argument remain because
+/// the benchmark names them; none of them selects anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoMode {
-    /// Execute each stripe as a loop over drives on the calling thread.
-    /// Useful as a baseline and for pinning down threading-related bugs.
-    Serial,
-    /// Dispatch each stripe to per-drive worker threads and join them
-    /// before returning, so the transfers overlap `D`-ways.
+    /// More than one drive: one worker thread per drive, joined before the
+    /// stripe returns. One drive: the calling thread.
     Parallel,
 }
 
@@ -100,8 +96,6 @@ pub struct DiskConfig {
     pub num_disks: usize,
     /// `B` — bytes per track (the transfer block size).
     pub block_bytes: usize,
-    /// How file-backed stripes execute (default [`IoMode::Parallel`]).
-    pub io_mode: IoMode,
     /// Whether each stored track carries a CRC32 frame suffix, verified on
     /// every read (default off). Corruption surfaces as
     /// [`DiskError::Corrupt`](crate::DiskError::Corrupt). The checksum
@@ -119,7 +113,6 @@ pub struct DiskConfig {
 
 impl DiskConfig {
     /// Create a configuration, validating that both parameters are nonzero.
-    /// The I/O mode defaults to [`IoMode::Parallel`].
     pub fn new(num_disks: usize, block_bytes: usize) -> Result<Self, DiskError> {
         if num_disks == 0 {
             return Err(DiskError::InvalidConfig("num_disks must be >= 1"));
@@ -127,26 +120,13 @@ impl DiskConfig {
         if block_bytes == 0 {
             return Err(DiskError::InvalidConfig("block_bytes must be >= 1"));
         }
-        Ok(DiskConfig {
-            num_disks,
-            block_bytes,
-            io_mode: IoMode::Parallel,
-            checksums: false,
-            retry: None,
-            pin_workers: false,
-        })
+        Ok(DiskConfig { num_disks, block_bytes, checksums: false, retry: None, pin_workers: false })
     }
 
     /// Request best-effort CPU pinning of the drive workers at spawn (see
     /// [`DiskConfig::pin_workers`]).
     pub fn with_pinned_workers(mut self, pin: bool) -> Self {
         self.pin_workers = pin;
-        self
-    }
-
-    /// Select how file-backed stripes execute.
-    pub fn with_io_mode(mut self, mode: IoMode) -> Self {
-        self.io_mode = mode;
         self
     }
 
@@ -214,17 +194,6 @@ mod tests {
     }
 
     #[test]
-    fn io_mode_defaults_to_parallel_and_is_overridable() {
-        let cfg = DiskConfig::new(4, 64).unwrap();
-        assert_eq!(cfg.io_mode, IoMode::Parallel);
-        let cfg = cfg.with_io_mode(IoMode::Serial);
-        assert_eq!(cfg.io_mode, IoMode::Serial);
-        // The mode does not affect configuration equality of shape fields.
-        assert_eq!(cfg.num_disks, 4);
-        assert_eq!(cfg.block_bytes, 64);
-    }
-
-    #[test]
     fn fault_tolerance_knobs_default_off_and_are_overridable() {
         let cfg = DiskConfig::new(4, 64).unwrap();
         assert!(!cfg.checksums);
@@ -251,7 +220,6 @@ mod tests {
         assert!(!cfg.pin_workers);
         let cfg = cfg.with_pinned_workers(true);
         assert!(cfg.pin_workers);
-        assert_eq!(cfg.io_mode, IoMode::Parallel, "pinning knob must not disturb io_mode");
         assert_eq!((cfg.num_disks, cfg.block_bytes), (4, 64), "shape unchanged");
     }
 

@@ -35,6 +35,7 @@
 //! counters (via `Arc`), so the per-processor backends of a parallel
 //! simulator aggregate into one report.
 
+use crate::backend::stripe_by_stripe;
 use crate::{DiskBackend, DiskError, DiskResult, TrackOutcomes};
 use std::collections::HashMap;
 use std::io;
@@ -262,28 +263,16 @@ impl<B: DiskBackend> FaultInjectingBackend<B> {
     fn tear(&mut self, disk: usize, track: usize, data: &[u8], prefix: usize) -> DiskResult<()> {
         let keep = prefix % (data.len() + 1);
         let mut torn = vec![0u8; data.len()];
-        self.inner.read_track(disk, track, &mut torn)?;
+        self.inner.read_stripe(&[(disk, track)], &mut [&mut torn])?;
         torn[..keep].copy_from_slice(&data[..keep]);
-        self.inner.write_track(disk, track, &torn)?;
+        self.inner.write_stripe(&[(disk, track, &torn)])?;
         self.plan.stats.torn.fetch_add(1, Ordering::Relaxed);
         Err(self.transient(disk))
     }
-}
 
-impl<B: DiskBackend> DiskBackend for FaultInjectingBackend<B> {
-    fn num_disks(&self) -> usize {
-        self.inner.num_disks()
-    }
-
-    fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()> {
-        self.read_stripe(&[(disk, track)], &mut [buf])
-    }
-
-    fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
-        self.write_stripe(&[(disk, track, data)])
-    }
-
-    fn read_stripe_each(
+    /// One stripe: its tracks draw their fates in request order, and the
+    /// ones whose transfer is to happen go down as one inner stripe.
+    fn read_one_stripe(
         &mut self,
         addrs: &[(usize, usize)],
         bufs: &mut [&mut [u8]],
@@ -299,7 +288,7 @@ impl<B: DiskBackend> DiskBackend for FaultInjectingBackend<B> {
                     .filter(|(_, fate)| transfers(fate))
                     .map(|((&addr, buf), _)| (addr, &mut **buf))
                     .unzip();
-            self.inner.read_stripe_each(&addrs, &mut bufs).into_iter()
+            self.inner.read_batch_each(&[addrs.len()], &addrs, &mut bufs).into_iter()
         };
         let mut transferred = || forwarded.next().expect("one outcome per forwarded track");
         (fates.into_iter().zip(addrs).zip(bufs.iter_mut()))
@@ -319,14 +308,14 @@ impl<B: DiskBackend> DiskBackend for FaultInjectingBackend<B> {
             .collect()
     }
 
-    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
+    fn write_one_stripe(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
         let fates: Vec<Option<FaultKind>> =
             writes.iter().map(|&(disk, _, _)| self.next_fault(disk)).collect();
         let clean: Vec<(usize, usize, &[u8])> = (writes.iter().zip(&fates))
             .filter(|(_, fate)| fate.is_none())
             .map(|(&write, _)| write)
             .collect();
-        let mut forwarded = self.inner.write_stripe_each(&clean).into_iter();
+        let mut forwarded = self.inner.write_batch_each(&[clean.len()], &clean).into_iter();
         (fates.into_iter().zip(writes))
             .map(|(fate, &(disk, track, data))| match fate {
                 None => forwarded.next().expect("one outcome per forwarded track"),
@@ -335,6 +324,31 @@ impl<B: DiskBackend> DiskBackend for FaultInjectingBackend<B> {
                 Some(FaultKind::Transient | FaultKind::BitFlip { .. }) => Err(self.transient(disk)),
             })
             .collect()
+    }
+}
+
+impl<B: DiskBackend> DiskBackend for FaultInjectingBackend<B> {
+    fn num_disks(&self) -> usize {
+        self.inner.num_disks()
+    }
+
+    /// Stripe by stripe, so each drive's schedule sees the batch's tracks
+    /// in the order stripe-at-a-time submission gives.
+    fn read_batch_each(
+        &mut self,
+        stripes: &[usize],
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
+        stripe_by_stripe(stripes, |at| self.read_one_stripe(&addrs[at.clone()], &mut bufs[at]))
+    }
+
+    fn write_batch_each(
+        &mut self,
+        stripes: &[usize],
+        writes: &[(usize, usize, &[u8])],
+    ) -> TrackOutcomes {
+        stripe_by_stripe(stripes, |at| self.write_one_stripe(&writes[at]))
     }
 
     fn tracks_used(&self, disk: usize) -> usize {
@@ -360,9 +374,12 @@ impl<B: DiskBackend> DiskBackend for FaultInjectingBackend<B> {
     /// up with the uninterrupted run. Counting from process start instead
     /// — the pre-checkpoint behaviour — replayed the whole schedule on
     /// every reattach.
-    fn restore_fault_op_counts(&mut self, counts: &[u64]) {
-        assert_eq!(counts.len(), self.op_seq.len(), "fault counter drive count mismatch");
+    fn restore_fault_op_counts(&mut self, counts: &[u64]) -> DiskResult<()> {
+        if counts.len() != self.op_seq.len() {
+            return Err(DiskError::InvalidConfig("fault counters for another number of drives"));
+        }
         self.op_seq.copy_from_slice(counts);
+        Ok(())
     }
 }
 
@@ -376,13 +393,13 @@ mod tests {
         let plan = FaultPlan::none().with_transient(0, 1);
         let stats = plan.stats();
         let mut be = FaultInjectingBackend::new(MemoryBackend::new(1), plan);
-        be.write_track(0, 0, &[7u8; 8]).unwrap(); // op 0: clean
-        let err = be.write_track(0, 0, &[8u8; 8]).unwrap_err(); // op 1: injected
+        be.write_stripe(&[(0, 0, &[7u8; 8])]).unwrap(); // op 0: clean
+        let err = be.write_stripe(&[(0, 0, &[8u8; 8])]).unwrap_err(); // op 1: injected
         assert!(err.is_transient());
-        be.write_track(0, 0, &[9u8; 8]).unwrap(); // op 2: consumed
+        be.write_stripe(&[(0, 0, &[9u8; 8])]).unwrap(); // op 2: consumed
         assert_eq!(stats.counts().transient, 1);
         let mut buf = [0u8; 8];
-        be.read_track(0, 0, &mut buf).unwrap();
+        be.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [9u8; 8], "failed write must not persist");
     }
 
@@ -390,11 +407,11 @@ mod tests {
     fn torn_write_persists_prefix_and_keeps_tail() {
         let plan = FaultPlan::none().with_torn_write(0, 1, 3);
         let mut be = FaultInjectingBackend::new(MemoryBackend::new(1), plan);
-        be.write_track(0, 5, &[0xAA; 8]).unwrap();
-        let err = be.write_track(0, 5, &[0xBB; 8]).unwrap_err();
+        be.write_stripe(&[(0, 5, &[0xAA; 8])]).unwrap();
+        let err = be.write_stripe(&[(0, 5, &[0xBB; 8])]).unwrap_err();
         assert!(err.is_transient());
         let mut buf = [0u8; 8];
-        be.read_track(0, 5, &mut buf).unwrap();
+        be.read_stripe(&[(0, 5)], &mut [&mut buf]).unwrap();
         assert_eq!(&buf[..3], &[0xBB; 3], "prefix of the new data lands");
         assert_eq!(&buf[3..], &[0xAA; 5], "tail keeps the old content");
     }
@@ -403,11 +420,11 @@ mod tests {
     fn bit_flip_corrupts_the_read_not_the_media() {
         let plan = FaultPlan::none().with_bit_flip(0, 1, 2, 4);
         let mut be = FaultInjectingBackend::new(MemoryBackend::new(1), plan);
-        be.write_track(0, 0, &[0u8; 8]).unwrap();
+        be.write_stripe(&[(0, 0, &[0u8; 8])]).unwrap();
         let mut buf = [0u8; 8];
-        be.read_track(0, 0, &mut buf).unwrap(); // op 1: flipped
+        be.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap(); // op 1: flipped
         assert_eq!(buf[2], 1 << 4);
-        be.read_track(0, 0, &mut buf).unwrap(); // clean again
+        be.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap(); // clean again
         assert_eq!(buf, [0u8; 8]);
     }
 
@@ -416,15 +433,15 @@ mod tests {
         let plan = FaultPlan::none().with_worker_death(1, 2);
         let stats = plan.stats();
         let mut be = FaultInjectingBackend::new(MemoryBackend::new(2), plan);
-        be.write_track(1, 0, &[1u8; 4]).unwrap();
-        be.write_track(1, 1, &[2u8; 4]).unwrap();
+        be.write_stripe(&[(1, 0, &[1u8; 4])]).unwrap();
+        be.write_stripe(&[(1, 1, &[2u8; 4])]).unwrap();
         for _ in 0..3 {
-            let err = be.write_track(1, 2, &[3u8; 4]).unwrap_err();
+            let err = be.write_stripe(&[(1, 2, &[3u8; 4])]).unwrap_err();
             assert!(matches!(err, DiskError::WorkerLost { disk: 1 }));
             assert!(!err.is_transient());
         }
         // Drive 0 is unaffected.
-        be.write_track(0, 0, &[4u8; 4]).unwrap();
+        be.write_stripe(&[(0, 0, &[4u8; 4])]).unwrap();
         assert_eq!(stats.counts().dead_ops, 3);
     }
 
@@ -447,17 +464,21 @@ mod tests {
         // op overall — while a naive fresh backend would replay op 0 clean.
         let plan = FaultPlan::none().with_transient(0, 2).with_worker_death(0, 4);
         let mut first = FaultInjectingBackend::new(MemoryBackend::new(1), plan.clone());
-        first.write_track(0, 0, &[1u8; 4]).unwrap(); // op 0
-        first.write_track(0, 1, &[2u8; 4]).unwrap(); // op 1
+        first.write_stripe(&[(0, 0, &[1u8; 4])]).unwrap(); // op 0
+        first.write_stripe(&[(0, 1, &[2u8; 4])]).unwrap(); // op 1
         let counts = first.fault_op_counts().unwrap();
         assert_eq!(counts, vec![2]);
 
         let mut resumed = FaultInjectingBackend::new(MemoryBackend::new(1), plan);
-        resumed.restore_fault_op_counts(&counts);
-        let err = resumed.write_track(0, 2, &[3u8; 4]).unwrap_err(); // op 2: injected
+        assert!(matches!(
+            resumed.restore_fault_op_counts(&[2, 0]),
+            Err(DiskError::InvalidConfig(_))
+        ));
+        resumed.restore_fault_op_counts(&counts).unwrap();
+        let err = resumed.write_stripe(&[(0, 2, &[3u8; 4])]).unwrap_err(); // op 2: injected
         assert!(err.is_transient());
-        resumed.write_track(0, 2, &[3u8; 4]).unwrap(); // op 3: clean
-        let err = resumed.write_track(0, 3, &[4u8; 4]).unwrap_err(); // op 4: dead
+        resumed.write_stripe(&[(0, 2, &[3u8; 4])]).unwrap(); // op 3: clean
+        let err = resumed.write_stripe(&[(0, 3, &[4u8; 4])]).unwrap_err(); // op 4: dead
         assert!(matches!(err, DiskError::WorkerLost { disk: 0 }));
     }
 
@@ -467,8 +488,8 @@ mod tests {
         let stats = plan.stats();
         let mut a = FaultInjectingBackend::new(MemoryBackend::new(1), plan.clone());
         let mut b = FaultInjectingBackend::new(MemoryBackend::new(1), plan);
-        a.write_track(0, 0, &[0u8; 4]).unwrap_err();
-        b.write_track(0, 0, &[0u8; 4]).unwrap_err();
+        a.write_stripe(&[(0, 0, &[0u8; 4])]).unwrap_err();
+        b.write_stripe(&[(0, 0, &[0u8; 4])]).unwrap_err();
         assert_eq!(stats.counts().transient, 2, "clones aggregate into one counter");
     }
 }

@@ -13,11 +13,11 @@
 //!
 //! * [`MemoryBackend`] — tracks held in memory; deterministic and fast.
 //! * [`FileBackend`] — one file per simulated drive, positional reads and
-//!   writes at `track * B` offsets. With [`IoMode::Parallel`] (the default)
-//!   each drive's file is owned by a dedicated worker thread and the
-//!   `≤ D` transfers of one stripe overlap in time — real `D`-way
-//!   parallelism, joined before the operation returns so callers, counted
-//!   [`IoStats`] and seeded I/O traces are unaffected.
+//!   writes at `track * B` offsets. With more than one drive each drive's
+//!   file is owned by a dedicated worker thread and the `≤ D` transfers of
+//!   one stripe overlap in time — real `D`-way parallelism, joined before
+//!   the operation returns so callers, counted [`IoStats`] and seeded I/O
+//!   traces are unaffected.
 //! * [`SharedDiskSubstrate`] — a multi-tenant store: one set of physical
 //!   drives carved into disjoint per-tenant track regions, each exposed as
 //!   a [`RegionBackend`] under the tenant's own [`DiskArray`]. Transfers
@@ -52,9 +52,11 @@
 //!   blocked records, per-disk block counts differing by at most one,
 //!   consecutive tracks. Used for virtual-processor contexts and for
 //!   reorganized message groups.
-//! * [`BucketStore`] — *standard linked format*: per-disk tables of `D`
-//!   bucket list heads, used by the Writing Phase of Algorithm 1 to absorb
-//!   message blocks whose arrival order is randomized.
+//! * *Standard linked format* has no type of its own: it is the single
+//!   tracks [`TrackAllocator::alloc_track`] hands out on a chosen drive —
+//!   the Writing Phase's scratch tracks and the per-drive staging tracks of
+//!   `em_core::simulate_routing` — with the bucket lists kept in memory by
+//!   the simulator.
 
 #![warn(missing_docs)]
 
@@ -70,7 +72,6 @@ mod consecutive;
 mod engine;
 mod error;
 mod fault;
-mod linked;
 mod shared;
 mod stats;
 
@@ -89,7 +90,6 @@ pub use config::{uring_available, DiskConfig, EngineKind, IoMode, Pipeline, Retr
 pub use consecutive::{check_consecutive_format, ConsecutiveLayout};
 pub use error::DiskError;
 pub use fault::{FaultCounts, FaultInjectingBackend, FaultKind, FaultPlan, FaultStats};
-pub use linked::BucketStore;
 pub use shared::{RegionBackend, SharedDiskSubstrate};
 pub use stats::IoStats;
 

@@ -253,8 +253,7 @@ impl SharedDiskSubstrate {
 /// [`crate::DiskArray`] exactly like a raw [`MemoryBackend`] would — the
 /// tenant's decorators (checksums, retry) and counters all live in
 /// the tenant's own array, above this view. A transfer takes the media
-/// lock once, however many stripes it carries; a stripe is the batch of
-/// one stripe and a single-track call the stripe of one track.
+/// lock once, however many stripes it carries.
 pub struct RegionBackend {
     shared: Arc<SharedInner>,
     base: usize,
@@ -309,26 +308,6 @@ impl RegionBackend {
 impl DiskBackend for RegionBackend {
     fn num_disks(&self) -> usize {
         self.shared.num_disks
-    }
-
-    fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> DiskResult<()> {
-        self.read_stripe(&[(disk, track)], &mut [buf])
-    }
-
-    fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> DiskResult<()> {
-        self.write_stripe(&[(disk, track, data)])
-    }
-
-    fn read_stripe_each(
-        &mut self,
-        addrs: &[(usize, usize)],
-        bufs: &mut [&mut [u8]],
-    ) -> TrackOutcomes {
-        self.read_batch_each(&[addrs.len()], addrs, bufs)
-    }
-
-    fn write_stripe_each(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
-        self.write_batch_each(&[writes.len()], writes)
     }
 
     /// One hold of the media lock for the whole batch: the bound check and
@@ -422,10 +401,10 @@ mod tests {
         let base = shared.reserve_region(4).unwrap();
         let mut region = shared.region(base, 4);
         let mut buf = [0u8; 32];
-        assert!(region.read_track(0, 3, &mut buf).is_ok());
-        let err = region.read_track(0, 4, &mut buf).unwrap_err();
+        assert!(region.read_stripe(&[(0, 3)], &mut [&mut buf]).is_ok());
+        let err = region.read_stripe(&[(0, 4)], &mut [&mut buf]).unwrap_err();
         assert!(matches!(err, DiskError::CapacityExceeded { max_tracks: 4, .. }));
-        let err = region.write_track(1, 100, &buf).unwrap_err();
+        let err = region.write_stripe(&[(1, 100, &buf)]).unwrap_err();
         assert!(matches!(err, DiskError::CapacityExceeded { max_tracks: 4, .. }));
     }
 
@@ -521,17 +500,17 @@ mod tests {
     fn recycled_region_reads_as_formatted() {
         let shared = SharedDiskSubstrate::new(1, 8);
         let base = shared.reserve_region(4).unwrap();
-        shared.region(base, 4).write_track(0, 0, &[7u8; 32]).unwrap();
+        shared.region(base, 4).write_stripe(&[(0, 0, &[7u8; 32])]).unwrap();
         shared.release_region(base, 4);
         assert_eq!(shared.reserve_region(4), Some(base));
         let mut next = shared.region(base, 4);
         let mut buf = [0xFFu8; 32];
-        next.read_track(0, 0, &mut buf).unwrap();
+        next.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [0u8; 32], "the last tenant's bytes are not observable");
         assert_eq!(next.tracks_used(0), 0);
         // What the new holder writes is what it reads.
-        next.write_track(0, 0, &[9u8; 32]).unwrap();
-        next.read_track(0, 0, &mut buf).unwrap();
+        next.write_stripe(&[(0, 0, &[9u8; 32])]).unwrap();
+        next.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [9u8; 32]);
     }
 
@@ -612,8 +591,8 @@ mod tests {
         std::thread::scope(|scope| {
             let culprit = scope.spawn(|| {
                 let mut region = shared.region(shared.reserve_region(4).unwrap(), 4);
-                region.write_track(0, 0, &[1u8; 32]).unwrap();
-                region.read_track(0, 0, &mut [0u8; 16])
+                region.write_stripe(&[(0, 0, &[1u8; 32])]).unwrap();
+                region.read_stripe(&[(0, 0)], &mut [&mut [0u8; 16]])
             });
             let mut died = Vec::new();
             for t in 0..3usize {

@@ -325,3 +325,59 @@ fn a_moved_final_region_survives_kill_and_resume() {
         std::fs::remove_dir_all(&base).ok();
     }
 }
+
+/// Where a manifest payload's fault counters start (their length word):
+/// behind the region fields, the group counts and prefixes, and the
+/// allocator's frontiers and free lists.
+fn fault_ops_at(payload: &[u8]) -> usize {
+    let word = |at: usize| region_field(payload, at) as usize;
+    let list_end = |at: usize| at + 8 + 8 * word(at);
+    let mut at = REGION_BASE_AT + 16;
+    for _ in 0..3 {
+        at = list_end(at);
+    }
+    let free_lists = word(at);
+    at += 8;
+    for _ in 0..free_lists {
+        at = list_end(at);
+    }
+    assert_eq!(payload[at], 1, "a run with a fault plan checkpoints its counters");
+    at + 1
+}
+
+/// A CRC-valid manifest whose fault counters name one drive too many is
+/// refused with a typed error before anything is reattached or undone.
+#[test]
+fn a_manifest_with_a_fault_counter_per_extra_drive_is_refused() {
+    let dir = tmp("fault-ops");
+    let sim = SeqEmSimulator::new(EmMachine::uniprocessor(256, 2, 64, 1))
+        .with_seed(11)
+        .with_file_backend(&dir)
+        .with_checkpointing(true)
+        .with_checksums(true)
+        .with_retry(em_disk::RetryPolicy::new(8))
+        .with_fault_plan(em_disk::FaultPlan::seeded(5, 2, 400, 10));
+    let err = sim.clone().with_kill_point(KillPoint::AtBarrier(2)).run(&Diffuse, init_states(16));
+    assert!(matches!(err, Err(EmError::Killed { .. })), "{:?}", err.map(|(_, r)| r.io));
+
+    let store = em_disk::CheckpointStore::attach(&dir).unwrap();
+    let (step, payload) = store.latest_manifest().unwrap().unwrap();
+    let at = fault_ops_at(&payload);
+    let drives = region_field(&payload, at) as usize;
+    assert_eq!(drives, 2);
+    let counters_end = at + 8 + 8 * drives;
+    let mut bad = payload[..at].to_vec();
+    bad.extend((drives as u64 + 1).to_le_bytes());
+    bad.extend(&payload[at + 8..counters_end]);
+    bad.extend(0u64.to_le_bytes());
+    bad.extend(&payload[counters_end..]);
+    store.commit_manifest(step, &bad).unwrap();
+
+    let before = durable_fingerprint(&dir);
+    match sim.resume(&Diffuse) {
+        Err(EmError::InvalidConfig(_)) => {}
+        other => panic!("expected a typed refusal, got {:?}", other.map(|(_, r)| r.io)),
+    }
+    assert_eq!(durable_fingerprint(&dir), before, "drive files and manifests untouched");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -183,29 +183,31 @@ impl BadSpots {
     fn saw_batch(&self, stripes: usize) {
         self.tally[1].fetch_max(stripes as u64, std::sync::atomic::Ordering::Relaxed);
     }
-}
 
-impl em_disk::DiskBackend for BadSpots {
-    fn num_disks(&self) -> usize {
-        self.inner.num_disks()
-    }
-    fn read_track(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> Result<(), DiskError> {
+    fn read_one(&mut self, disk: usize, track: usize, buf: &mut [u8]) -> Result<(), DiskError> {
         let first = Self::is_bad(disk, track) && self.read_before.insert((disk, track));
         if first && track.is_multiple_of(2) {
             return Err(self.inject(disk));
         }
-        self.inner.read_track(disk, track, buf)?;
+        em_disk::DiskBackend::read_stripe(&mut self.inner, &[(disk, track)], &mut [buf])?;
         if first {
             self.tally[0].fetch_add(1, std::sync::atomic::Ordering::Relaxed);
             buf[0] ^= 0x10;
         }
         Ok(())
     }
-    fn write_track(&mut self, disk: usize, track: usize, data: &[u8]) -> Result<(), DiskError> {
+
+    fn write_one(&mut self, disk: usize, track: usize, data: &[u8]) -> Result<(), DiskError> {
         if Self::is_bad(disk, track) && self.written_before.insert((disk, track)) {
             return Err(self.inject(disk));
         }
-        self.inner.write_track(disk, track, data)
+        em_disk::DiskBackend::write_stripe(&mut self.inner, &[(disk, track, data)])
+    }
+}
+
+impl em_disk::DiskBackend for BadSpots {
+    fn num_disks(&self) -> usize {
+        self.inner.num_disks()
     }
     fn read_batch_each(
         &mut self,
@@ -214,9 +216,7 @@ impl em_disk::DiskBackend for BadSpots {
         bufs: &mut [&mut [u8]],
     ) -> em_disk::TrackOutcomes {
         self.saw_batch(stripes.len());
-        (addrs.iter().zip(bufs.iter_mut()))
-            .map(|(&(d, t), buf)| self.read_track(d, t, buf))
-            .collect()
+        (addrs.iter().zip(bufs.iter_mut())).map(|(&(d, t), buf)| self.read_one(d, t, buf)).collect()
     }
     fn write_batch_each(
         &mut self,
@@ -224,7 +224,7 @@ impl em_disk::DiskBackend for BadSpots {
         writes: &[(usize, usize, &[u8])],
     ) -> em_disk::TrackOutcomes {
         self.saw_batch(stripes.len());
-        writes.iter().map(|&(d, t, data)| self.write_track(d, t, data)).collect()
+        writes.iter().map(|&(d, t, data)| self.write_one(d, t, data)).collect()
     }
     fn tracks_used(&self, disk: usize) -> usize {
         self.inner.tracks_used(disk)

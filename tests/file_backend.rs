@@ -4,7 +4,7 @@
 
 use em_bsp::{BspStarParams, SeqExecutor};
 use em_core::{EmMachine, ParEmSimulator, Recording, SeqEmSimulator};
-use em_disk::{Block, DiskArray, DiskConfig, IoMode};
+use em_disk::{Block, DiskArray, DiskConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
@@ -75,9 +75,9 @@ fn reruns_on_same_seed_are_identical_including_io_counts() {
     assert!(c_ops > 0);
 }
 
-/// Drive the same seeded stripe workload against a memory array, a
-/// serial-mode file array and a parallel-mode file array, returning the
-/// final stats plus every block read back along the way.
+/// Drive the same seeded stripe workload against a memory array and a
+/// file array, returning the final stats plus every block read back along
+/// the way.
 fn seeded_stripe_workload(arr: &mut DiskArray, seed: u64) -> (em_disk::IoStats, Vec<Vec<u8>>) {
     let d = arr.num_disks();
     let b = arr.block_bytes();
@@ -112,99 +112,84 @@ fn seeded_stripe_workload(arr: &mut DiskArray, seed: u64) -> (em_disk::IoStats, 
     (arr.stats().clone(), read_back)
 }
 
+// Each contract below runs on one drive, which the file backend serves on
+// the calling thread, and on more than one, which it serves with a worker
+// thread per drive.
+
 #[test]
 fn cross_backend_differential_stats_and_bytes() {
     let seed = 0xD1FFu64;
-    let cfg = DiskConfig::new(4, 512).unwrap();
-
-    let mut mem = DiskArray::new_memory(cfg);
-    let (mem_stats, mem_reads) = seeded_stripe_workload(&mut mem, seed);
-
-    let dir_serial = tmp("diff-serial");
-    let dir_parallel = tmp("diff-parallel");
-    let mut file_runs = Vec::new();
-    for (dir, mode) in [(&dir_serial, IoMode::Serial), (&dir_parallel, IoMode::Parallel)] {
-        let mut arr = DiskArray::new_file(cfg.with_io_mode(mode), dir).unwrap();
-        let run = seeded_stripe_workload(&mut arr, seed);
-        let used: Vec<usize> = (0..4).map(|d| arr.tracks_used(d)).collect();
+    for d in [1, 4] {
+        let cfg = DiskConfig::new(d, 512).unwrap();
+        let mut mem = DiskArray::new_memory(cfg);
+        let (mem_stats, mem_reads) = seeded_stripe_workload(&mut mem, seed);
+        let dir = tmp(&format!("diff-{d}"));
+        let mut arr = DiskArray::new_file(cfg, &dir).unwrap();
+        let (file_stats, file_reads) = seeded_stripe_workload(&mut arr, seed);
+        let used: Vec<usize> = (0..d).map(|disk| arr.tracks_used(disk)).collect();
         drop(arr); // join the workers before inspecting the files
-        file_runs.push((run, used));
-    }
-    let (serial_run, serial_used) = &file_runs[0];
-    let (parallel_run, parallel_used) = &file_runs[1];
 
-    // Identical counted IoStats and identical data on every backend.
-    assert_eq!(&mem_stats, &serial_run.0, "memory vs file-serial IoStats diverge");
-    assert_eq!(&mem_stats, &parallel_run.0, "memory vs file-parallel IoStats diverge");
-    assert_eq!(&mem_reads, &serial_run.1, "memory vs file-serial bytes diverge");
-    assert_eq!(&mem_reads, &parallel_run.1, "memory vs file-parallel bytes diverge");
-    assert_eq!(serial_used, parallel_used);
+        // Identical counted IoStats and identical data on both backends.
+        assert_eq!(mem_stats, file_stats, "{d} drives: memory vs file IoStats diverge");
+        assert_eq!(mem_reads, file_reads, "{d} drives: memory vs file bytes diverge");
+        assert_eq!(used, (0..d).map(|disk| mem.tracks_used(disk)).collect::<Vec<_>>());
 
-    // The two file modes leave byte-identical drive files behind.
-    for d in 0..4 {
-        let a = std::fs::read(dir_serial.join(format!("disk-{d}.bin"))).unwrap();
-        let b = std::fs::read(dir_parallel.join(format!("disk-{d}.bin"))).unwrap();
-        assert_eq!(a, b, "on-disk bytes of drive {d} differ between IoModes");
-        assert!(!a.is_empty());
+        // The drive files hold, track for track, what the memory drives hold.
+        for (disk, &tracks) in used.iter().enumerate() {
+            let file = std::fs::read(dir.join(format!("disk-{disk}.bin"))).unwrap();
+            assert_eq!(file.len(), tracks * 512, "{d} drives: drive {disk} length");
+            for (track, bytes) in file.chunks(512).enumerate() {
+                let held = mem.read_stripe(&[(disk, track)]).unwrap();
+                assert_eq!(held[0].as_bytes(), bytes, "{d} drives: drive {disk} track {track}");
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
-    std::fs::remove_dir_all(&dir_serial).ok();
-    std::fs::remove_dir_all(&dir_parallel).ok();
 }
 
 #[test]
 fn simulator_iostats_identical_across_backends_and_io_modes() {
-    let machine = EmMachine::uniprocessor(32 * 1024, 4, 512, 1);
     let items: Vec<u64> = (0..8_000).map(|i| i * 2654435761 % 100_000).collect();
-
-    let run = |sim: SeqEmSimulator| {
-        let rec = Recording::new(sim.with_seed(7));
-        let out = em_algos::sort::cgm_sort(&rec, 16, items.clone()).unwrap();
-        let reports = rec.take_reports();
-        let stats: Vec<em_disk::IoStats> = reports.into_iter().map(|r| r.io).collect();
-        (out, stats)
-    };
-
-    let (mem_out, mem_stats) = run(SeqEmSimulator::new(machine));
-    let dir_s = tmp("sim-serial");
-    let (ser_out, ser_stats) =
-        run(SeqEmSimulator::new(machine).with_file_backend(&dir_s).with_io_mode(IoMode::Serial));
-    let dir_p = tmp("sim-parallel");
-    let (par_out, par_stats) =
-        run(SeqEmSimulator::new(machine).with_file_backend(&dir_p).with_io_mode(IoMode::Parallel));
-
-    assert_eq!(mem_out, ser_out);
-    assert_eq!(mem_out, par_out);
-    assert_eq!(mem_stats, ser_stats, "memory vs file-serial simulator IoStats diverge");
-    assert_eq!(mem_stats, par_stats, "memory vs file-parallel simulator IoStats diverge");
-
-    std::fs::remove_dir_all(&dir_s).ok();
-    std::fs::remove_dir_all(&dir_p).ok();
+    for d in [1, 4] {
+        let machine = EmMachine::uniprocessor(32 * 1024, d, 512, 1);
+        let run = |sim: SeqEmSimulator| {
+            let rec = Recording::new(sim.with_seed(7));
+            let out = em_algos::sort::cgm_sort(&rec, 16, items.clone()).unwrap();
+            let reports = rec.take_reports();
+            let stats: Vec<em_disk::IoStats> = reports.into_iter().map(|r| r.io).collect();
+            (out, stats)
+        };
+        let (mem_out, mem_stats) = run(SeqEmSimulator::new(machine));
+        let dir = tmp(&format!("sim-{d}"));
+        let (file_out, file_stats) = run(SeqEmSimulator::new(machine).with_file_backend(&dir));
+        assert_eq!(mem_out, file_out, "{d} drives");
+        assert_eq!(mem_stats, file_stats, "{d} drives: memory vs file simulator IoStats diverge");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
 fn parallel_simulator_iostats_identical_across_io_modes() {
-    let machine = EmMachine {
-        p: 2,
-        m_bytes: 32 * 1024,
-        d: 2,
-        b_bytes: 512,
-        g_io: 1,
-        router: BspStarParams { p: 2, g: 1.0, b: 512, l: 1.0 },
-    };
     let items: Vec<u64> = (0..6_000).map(|i| i * 2654435761 % 50_000).collect();
-    let run = |dir: &std::path::Path, mode: IoMode| {
-        let rec = Recording::new(
-            ParEmSimulator::new(machine).with_seed(3).with_file_backend(dir).with_io_mode(mode),
-        );
-        let out = em_algos::sort::cgm_sort(&rec, 16, items.clone()).unwrap();
-        (out, rec.total_io_ops())
-    };
-    let dir_s = tmp("psim-serial");
-    let dir_p = tmp("psim-parallel");
-    let (a_out, a_ops) = run(&dir_s, IoMode::Serial);
-    let (b_out, b_ops) = run(&dir_p, IoMode::Parallel);
-    assert_eq!(a_out, b_out);
-    assert_eq!(a_ops, b_ops, "IoMode must not change counted parallel I/O ops");
-    std::fs::remove_dir_all(&dir_s).ok();
-    std::fs::remove_dir_all(&dir_p).ok();
+    for d in [1, 2] {
+        let machine = EmMachine {
+            p: 2,
+            m_bytes: 32 * 1024,
+            d,
+            b_bytes: 512,
+            g_io: 1,
+            router: BspStarParams { p: 2, g: 1.0, b: 512, l: 1.0 },
+        };
+        let run = |sim: ParEmSimulator| {
+            let rec = Recording::new(sim.with_seed(3));
+            let out = em_algos::sort::cgm_sort(&rec, 16, items.clone()).unwrap();
+            (out, rec.total_io_ops())
+        };
+        let (mem_out, mem_ops) = run(ParEmSimulator::new(machine));
+        let dir = tmp(&format!("psim-{d}"));
+        let (file_out, file_ops) = run(ParEmSimulator::new(machine).with_file_backend(&dir));
+        assert_eq!(mem_out, file_out, "{d} drives");
+        assert_eq!(mem_ops, file_ops, "{d} drives: the backend must not change counted I/O ops");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
