@@ -73,7 +73,7 @@ pub enum EmError {
     },
     /// A disk fault survived the substrate's retry policy and exhausted
     /// the superstep replay budget — or was inherently unrecoverable, such
-    /// as a dead drive worker. Carries the full injection/recovery tally.
+    /// as a dead drive. Carries the full injection/recovery tally.
     FaultUnrecoverable {
         /// Compound superstep that could not be completed.
         step: usize,

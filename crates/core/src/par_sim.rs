@@ -1641,14 +1641,14 @@ mod tests {
     /// The constants were recorded by running this same body at the commit
     /// before batches existed (PR 13, `9c0bd1a`), so they are that commit's
     /// behaviour, not this one's. A `sort-file`-shaped run — checksummed,
-    /// retried drive files behind the threaded engine, checkpointed — is
-    /// killed mid-superstep and resumed; `D = 5` against four blocks per
-    /// group puts group starts on every drive, where the write cut (every
-    /// `D` blocks from the group's first: 35 ops) and the read cut (at
-    /// drive `D − 1`: 55 ops) differ.
+    /// retried drive files, checkpointed — is killed mid-superstep and
+    /// resumed; `D = 5` against four blocks per group puts group starts
+    /// on every drive, where the write cut (every `D` blocks from the
+    /// group's first: 35 ops) and the read cut (at drive `D − 1`: 55 ops)
+    /// differ.
     #[test]
     fn batched_sweeps_leave_what_the_parent_commit_left() {
-        use em_disk::{IoMode, RetryPolicy};
+        use em_disk::RetryPolicy;
         // Recorded at `9c0bd1a`, except the two media CRCs and `TRACKS`.
         // Checkpoint format 2 dropped two always-zero `u64`s from the
         // manifest, so the CRCs were re-recorded then — every drive and
@@ -1679,7 +1679,6 @@ mod tests {
         let sim = SeqEmSimulator::new(machine(1, 320, 5, 64))
             .with_seed(0xD3D97)
             .with_file_backend(&dir)
-            .with_io_mode(IoMode::Parallel)
             .with_checksums(true)
             .with_retry(RetryPolicy::default())
             .with_checkpointing(true);

@@ -35,7 +35,6 @@ pub(crate) struct SimConfig {
     pub recovery: Option<RecoveryPolicy>,
     pub checkpoint: bool,
     pub kill: Option<KillPoint>,
-    pub pin_workers: bool,
 }
 
 impl SimConfig {
@@ -55,16 +54,11 @@ impl SimConfig {
             recovery: None,
             checkpoint: false,
             kill: None,
-            pin_workers: false,
         }
     }
 
     pub fn disk_config(&self) -> EmResult<DiskConfig> {
-        let cfg = self
-            .machine
-            .disk_config()?
-            .with_checksums(self.checksums)
-            .with_pinned_workers(self.pin_workers);
+        let cfg = self.machine.disk_config()?.with_checksums(self.checksums);
         Ok(match self.retry {
             Some(policy) => cfg.with_retry(policy),
             None => cfg,
@@ -225,11 +219,10 @@ macro_rules! sim_facade {
                 self
             }
 
-            /// Does nothing: [`IoMode`] has one value. A file backend of
-            /// more than one drive runs a worker thread per drive (so a
-            /// `p`-processor file-backed run uses up to `p·D` I/O threads)
-            /// and a one-drive backend runs on the calling thread. Kept
-            /// because the benchmark calls it.
+            /// Does nothing: [`IoMode`] has one value. The file backend
+            /// moves every transfer on the thread that simulates its
+            /// processor, whatever `D` is. Kept because the benchmark
+            /// calls it.
             pub fn with_io_mode(self, _mode: IoMode) -> Self {
                 self
             }
@@ -241,18 +234,16 @@ macro_rules! sim_facade {
                 self
             }
 
-            /// Does nothing: [`EngineKind`] has one value, the file
-            /// backend's worker thread per drive. Kept because the
-            /// benchmark calls it (ROADMAP item 1(ii)).
+            /// Does nothing: [`EngineKind`] has one value, and the file
+            /// backend has no engine to choose. Kept because the
+            /// benchmark calls it.
             pub fn with_engine(self, _engine: EngineKind) -> Self {
                 self
             }
 
-            /// Best-effort pin the file backend's drive workers to cores,
-            /// off by default. Purely a wall-clock knob; the request is
-            /// advisory and may be refused by the kernel.
-            pub fn with_pinned_workers(mut self, pin: bool) -> Self {
-                self.cfg.pin_workers = pin;
+            /// Does nothing: the file backend starts no thread, so there
+            /// is nothing to pin. Kept because the benchmark calls it.
+            pub fn with_pinned_workers(self, _pin: bool) -> Self {
                 self
             }
 

@@ -1,8 +1,7 @@
 //! The disk array front-end: validated, counted parallel I/O.
 
-use crate::backend::sub_batch;
+use crate::backend::{first_failure, sub_batch};
 use crate::checkpoint::{JournalContents, JournalFile};
-use crate::engine::first_failure;
 use crate::{
     Block, ChecksumBackend, DiskBackend, DiskConfig, DiskError, DiskResult, FaultInjectingBackend,
     FaultPlan, FileBackend, IoStats, MemoryBackend, RetryingBackend, CRC_BYTES,
@@ -81,8 +80,7 @@ impl DiskArray {
         Self::with_backend_and_faults(cfg, backend, plan)
     }
 
-    /// Create an array backed by one file per drive inside `dir` (a worker
-    /// thread per drive when there is more than one).
+    /// Create an array backed by one file per drive inside `dir`.
     pub fn new_file<P: AsRef<Path>>(cfg: DiskConfig, dir: P) -> DiskResult<Self> {
         Self::new_file_with_faults(cfg, dir, None)
     }
@@ -94,14 +92,8 @@ impl DiskArray {
         dir: P,
         plan: Option<FaultPlan>,
     ) -> DiskResult<Self> {
-        let backend = Box::new(FileBackend::create_with_opts(
-            dir,
-            cfg.num_disks,
-            Self::storage_block_bytes(&cfg),
-            crate::IoMode::Parallel,
-            crate::EngineKind::Threaded,
-            cfg.pin_workers,
-        )?);
+        let backend =
+            Box::new(FileBackend::create(dir, cfg.num_disks, Self::storage_block_bytes(&cfg))?);
         Ok(Self::with_backend_and_faults(cfg, backend, plan))
     }
 
@@ -125,12 +117,8 @@ impl DiskArray {
         dir: P,
         plan: Option<FaultPlan>,
     ) -> DiskResult<Self> {
-        let backend = Box::new(FileBackend::open_with_opts(
-            dir,
-            cfg.num_disks,
-            Self::storage_block_bytes(&cfg),
-            cfg.pin_workers,
-        )?);
+        let backend =
+            Box::new(FileBackend::open(dir, cfg.num_disks, Self::storage_block_bytes(&cfg))?);
         Ok(Self::with_backend_and_faults(cfg, backend, plan))
     }
 
@@ -1628,9 +1616,8 @@ mod tests {
         // Each journal: a hostile record, then a sound one. Undo runs in
         // reverse, so the sound record would land before the hostile one
         // is reached — unless every record is checked first. A record for
-        // drive 1 of a one-drive array (served on the calling thread), for
-        // drive 7 of four (the threaded engine), a pre-image half a block
-        // long.
+        // drive 1 of a one-drive array, for drive 7 of four, a pre-image
+        // half a block long.
         let cases = [(1, 1, 16), (4, 7, 16), (4, 2, 8)];
         for (case, &(d, hostile_disk, pre_len)) in cases.iter().enumerate() {
             let dir = std::env::temp_dir().join(format!("em-array-undo-{case}-{pid}"));

@@ -3,16 +3,16 @@
 //! The [`DiskArray`](crate::DiskArray) front-end is backend-agnostic. The
 //! memory backend gives deterministic, allocation-cheap simulation for unit
 //! tests and I/O-op counting experiments; the file backend performs real
-//! positional file I/O (one file per simulated drive) and, with more than
-//! one drive, overlaps the `≤ D` track transfers of a stripe across one
-//! dedicated worker thread per drive — so the wall-clock behaviour of the
-//! blocked access patterns can show the model's `D`-way parallelism, not
-//! just count it.
+//! positional file I/O (one file per simulated drive) on the calling
+//! thread, one system call per run of adjacent tracks of a drive — so the
+//! wall clock of the blocked access patterns can be observed, while the
+//! model's `D`-way parallelism is what the array counts.
 
 use crate::block::{crc32, CRC_BYTES};
-use crate::engine::{first_failure, read_full_track, track_offset, write_at, IoEngine};
 use crate::{DiskError, DiskResult, EngineKind, IoMode, RetryPolicy};
 use std::fs::{File, OpenOptions};
+use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Raw track storage for an array of `D` drives.
@@ -35,12 +35,11 @@ use std::path::{Path, PathBuf};
 /// direction. A stripe is the batch of one stripe, and a single track the
 /// stripe of one track.
 ///
-/// Backends with real parallelism (the file backend's threaded engine)
-/// give each drive its whole share at once, [`crate::RegionBackend`] takes
-/// the shared media once per transfer, and [`ChecksumBackend`] and
-/// [`RetryingBackend`] do their per-track work around a *single* inner
-/// batch call, so one dispatch per drive at the bottom survives the stack
-/// above it. A layer that must see every stripe on its own — one draw per
+/// [`FileBackend`] moves each drive's whole share at once (one system call
+/// per run of adjacent tracks), [`crate::RegionBackend`] takes the shared
+/// media once per transfer, and [`ChecksumBackend`] and [`RetryingBackend`]
+/// do their per-track work around a *single* inner batch call, so one
+/// transfer per drive at the bottom survives the stack above it. A layer that must see every stripe on its own — one draw per
 /// track of a per-drive fault schedule ([`crate::FaultInjectingBackend`]),
 /// or one miss fetch per stripe ([`crate::BlockCacheBackend`]) — runs the
 /// batch stripe by stripe.
@@ -53,8 +52,8 @@ use std::path::{Path, PathBuf};
 /// Every entry point blocks: it returns only after each listed transfer
 /// has completed. Bytes never pass through a backend in buffers it made:
 /// a read fills slices its caller lends, and a write reads slices of its
-/// caller's memory, copying them (the threaded engine) or consuming them
-/// (every other layer) before the call returns.
+/// caller's memory, copying them (the file backend's staging buffer) or
+/// consuming them (every other layer) before the call returns.
 pub trait DiskBackend: Send {
     /// Number of drives this backend was created with.
     fn num_disks(&self) -> usize;
@@ -141,6 +140,13 @@ pub trait DiskBackend: Send {
 /// One outcome per track of a batch, in request order (see
 /// [`DiskBackend::read_batch_each`]).
 pub type TrackOutcomes = Vec<DiskResult<()>>;
+
+/// The merged view of a transfer: every value, or the error of the first
+/// failing track in request order — deterministic, because every outcome
+/// was collected before this looks at any of them.
+pub(crate) fn first_failure<T>(outcomes: Vec<DiskResult<T>>) -> DiskResult<Vec<T>> {
+    outcomes.into_iter().collect()
+}
 
 /// Boxed backends forward every method to the inner backend, so decorator
 /// layers can compose over `Box<dyn DiskBackend>`.
@@ -546,40 +552,137 @@ impl<B: DiskBackend> DiskBackend for RetryingBackend<B> {
     }
 }
 
-/// Where a file backend's track transfers execute.
-enum FileIo {
-    /// One drive has nothing to overlap: positional I/O on the calling
-    /// thread.
-    Inline(Vec<File>),
-    /// One worker thread per drive; a batch is dispatched to all listed
-    /// drives at once and joined before the operation returns.
-    Parallel(IoEngine),
+/// Read `buf.len()` bytes — one track, or a run of adjacent ones — at
+/// `offset`, zero-filling any part past EOF: never-written tracks read
+/// back as zeros, matching the memory backend and the model's "formatted"
+/// disks.
+fn read_full_track(file: &File, buf: &mut [u8], offset: u64) -> io::Result<()> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match read_at(file, &mut buf[filled..], offset + filled as u64) {
+            Ok(0) => break, // EOF: the rest was never written
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    buf[filled..].fill(0);
+    Ok(())
 }
 
-impl FileIo {
-    /// Serve a single drive on the calling thread and more than one with a
-    /// worker thread each (pinned to cores when `pin` is set).
-    fn spawn(files: Vec<File>, block_bytes: usize, pin: bool) -> Self {
-        if files.len() <= 1 {
-            return FileIo::Inline(files);
+/// Byte offset of `track` in a drive file of `block_bytes`-byte tracks,
+/// computed in 64 bits. A track whose last byte would lie past the largest
+/// file offset the OS can express (`i64::MAX`) is a typed error instead of
+/// a wrapped multiplication.
+fn track_offset(disk: usize, track: usize, block_bytes: usize) -> DiskResult<u64> {
+    let (track, block_bytes) = (track as u64, block_bytes as u64);
+    track
+        .checked_mul(block_bytes)
+        .filter(|offset| offset.checked_add(block_bytes).is_some_and(|end| end <= i64::MAX as u64))
+        .ok_or(DiskError::OffsetOverflow { disk, track })
+}
+
+#[cfg(unix)]
+fn read_at(file: &File, buf: &mut [u8], offset: u64) -> io::Result<usize> {
+    use std::os::unix::fs::FileExt;
+    file.read_at(buf, offset)
+}
+
+#[cfg(unix)]
+fn write_at(file: &File, data: &[u8], offset: u64) -> io::Result<()> {
+    use std::os::unix::fs::FileExt;
+    file.write_all_at(data, offset)
+}
+
+#[cfg(not(unix))]
+fn read_at(_file: &File, _buf: &mut [u8], _offset: u64) -> io::Result<usize> {
+    Err(io::Error::new(io::ErrorKind::Unsupported, "FileBackend requires a unix platform"))
+}
+
+#[cfg(not(unix))]
+fn write_at(_file: &File, _data: &[u8], _offset: u64) -> io::Result<()> {
+    Err(io::Error::new(io::ErrorKind::Unsupported, "FileBackend requires a unix platform"))
+}
+
+/// Move one drive's share of a batch: `tracks` in request order, their
+/// bytes laid track after track in one buffer. Every maximal run of tracks
+/// that are adjacent on the drive is one call of `io(bytes, offset)` — the
+/// run's byte range in that buffer and its offset in the drive file. A run
+/// whose call fails is redone track by track, so a sound track never
+/// inherits a neighbour's error. Returns the tracks that failed, by
+/// position in `tracks`, each with its own error.
+fn transfer_runs(
+    disk: usize,
+    tracks: &[usize],
+    block_bytes: usize,
+    mut io: impl FnMut(Range<usize>, u64) -> io::Result<()>,
+) -> Vec<(usize, DiskError)> {
+    let mut attempt = |first: usize, len: usize| -> DiskResult<()> {
+        let offset = track_offset(disk, tracks[first], block_bytes)?;
+        track_offset(disk, tracks[first + len - 1], block_bytes)?;
+        io(first * block_bytes..(first + len) * block_bytes, offset)
+            .map_err(|source| DiskError::WorkerIo { disk, source })
+    };
+    let mut failed = Vec::new();
+    let mut first = 0;
+    while first < tracks.len() {
+        let mut len = 1;
+        while first + len < tracks.len()
+            && tracks[first + len - 1].checked_add(1) == Some(tracks[first + len])
+        {
+            len += 1;
         }
-        FileIo::Parallel(IoEngine::spawn(files, block_bytes, pin))
+        match attempt(first, len) {
+            Ok(()) => {}
+            Err(error) if len == 1 => failed.push((first, error)),
+            Err(_) => failed.extend(
+                (first..first + len).filter_map(|i| attempt(i, 1).err().map(|error| (i, error))),
+            ),
+        }
+        first += len;
     }
+    failed
+}
+
+/// The request indices `0..n` of a batch cut into drive shares, each the
+/// indices `disk_of` maps to one drive. The grouping is a stable sort, so
+/// every share keeps request order.
+fn drive_shares(n: usize, disk_of: impl Fn(usize) -> usize) -> Vec<Vec<usize>> {
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| disk_of(i));
+    order.chunk_by(|&i, &j| disk_of(i) == disk_of(j)).map(<[usize]>::to_vec).collect()
+}
+
+/// The check [`crate::DiskConfig::new`] makes, for the backend's own
+/// constructors: a track holds at least one byte.
+fn check_block_bytes(block_bytes: usize) -> DiskResult<()> {
+    if block_bytes == 0 {
+        return Err(DiskError::InvalidConfig("block_bytes must be >= 1"));
+    }
+    Ok(())
 }
 
 /// File-backed backend: one file per drive, positional I/O at
-/// `track * block_bytes` offsets.
+/// `track * block_bytes` offsets, on the calling thread.
 ///
-/// With more than one drive the drive files are owned by an `IoEngine`
-/// worker per drive and each batch's transfers overlap; a single drive is
-/// served on the calling thread. Both produce identical bytes, identical
-/// [`crate::IoStats`] and identical seeded I/O traces — only who performs
-/// the file I/O and when differs, never what is transferred.
+/// A batch moves drive by drive: each drive's share, in request order,
+/// goes through one staging buffer, and every run of its tracks that are
+/// adjacent on the drive (`t, t + 1, …` — what standard consecutive format
+/// gives a group's contexts and routed messages) is one `pread`/`pwrite`.
+/// A run that fails is redone track by track, so only the tracks that
+/// really fail report an error, and every OS error of a transfer or a
+/// flush is [`DiskError::WorkerIo`] tagged with its drive, whatever `D`
+/// is. The
+/// counted [`crate::IoStats`] — one parallel operation per stripe — are the
+/// array's and do not depend on how the bytes move.
 pub struct FileBackend {
-    io: FileIo,
+    files: Vec<File>,
     paths: Vec<PathBuf>,
     block_bytes: usize,
     tracks_used: Vec<usize>,
+    /// One drive's share of a batch, track after track; grown to the
+    /// largest share seen and reused.
+    stage: Vec<u8>,
 }
 
 impl FileBackend {
@@ -590,28 +693,7 @@ impl FileBackend {
         num_disks: usize,
         block_bytes: usize,
     ) -> DiskResult<Self> {
-        Self::create_with_opts(
-            dir,
-            num_disks,
-            block_bytes,
-            IoMode::Parallel,
-            EngineKind::Threaded,
-            false,
-        )
-    }
-
-    /// [`FileBackend::create`] with an explicit worker pinning flag
-    /// (normally [`crate::DiskConfig::pin_workers`]). [`IoMode`] and
-    /// [`EngineKind`] have one value each, so `_mode` and `_engine` select
-    /// nothing: the arguments are kept because the benchmark passes them.
-    pub fn create_with_opts<P: AsRef<Path>>(
-        dir: P,
-        num_disks: usize,
-        block_bytes: usize,
-        _mode: IoMode,
-        _engine: EngineKind,
-        pin_workers: bool,
-    ) -> DiskResult<Self> {
+        check_block_bytes(block_bytes)?;
         std::fs::create_dir_all(dir.as_ref())?;
         let mut files = Vec::with_capacity(num_disks);
         let mut paths = Vec::with_capacity(num_disks);
@@ -638,27 +720,32 @@ impl FileBackend {
             files.push(file);
             paths.push(path);
         }
-        let io = FileIo::spawn(files, block_bytes, pin_workers);
-        Ok(FileBackend { io, paths, block_bytes, tracks_used: vec![0; num_disks] })
+        Ok(Self::from_files(files, paths, block_bytes, vec![0; num_disks]))
+    }
+
+    /// [`FileBackend::create`]. [`IoMode`] and [`EngineKind`] have one
+    /// value each and there is no worker to pin, so `_mode`, `_engine` and
+    /// `_pin_workers` select nothing: the arguments are kept because the
+    /// benchmark passes them.
+    pub fn create_with_opts<P: AsRef<Path>>(
+        dir: P,
+        num_disks: usize,
+        block_bytes: usize,
+        _mode: IoMode,
+        _engine: EngineKind,
+        _pin_workers: bool,
+    ) -> DiskResult<Self> {
+        Self::create(dir, num_disks, block_bytes)
     }
 
     /// Reopen `num_disks` existing drive files inside `dir` **without
     /// truncating them** — the reattachment half of crash recovery: a
     /// resumed process opens the drive files a killed one left behind.
+    /// Every `disk-<i>.bin` must already exist (a missing drive file
+    /// surfaces as the underlying `NotFound` I/O error); `tracks_used` is
+    /// reconstructed from each file's length.
     pub fn open<P: AsRef<Path>>(dir: P, num_disks: usize, block_bytes: usize) -> DiskResult<Self> {
-        Self::open_with_opts(dir, num_disks, block_bytes, false)
-    }
-
-    /// [`FileBackend::open`] with an explicit worker pinning flag. Every
-    /// `disk-<i>.bin` must already exist (a missing drive file surfaces as
-    /// the underlying `NotFound` I/O error); `tracks_used` is reconstructed
-    /// from each file's length.
-    pub fn open_with_opts<P: AsRef<Path>>(
-        dir: P,
-        num_disks: usize,
-        block_bytes: usize,
-        pin_workers: bool,
-    ) -> DiskResult<Self> {
+        check_block_bytes(block_bytes)?;
         let mut files = Vec::with_capacity(num_disks);
         let mut paths = Vec::with_capacity(num_disks);
         let mut tracks_used = Vec::with_capacity(num_disks);
@@ -673,64 +760,90 @@ impl FileBackend {
             files.push(file);
             paths.push(path);
         }
-        let io = FileIo::spawn(files, block_bytes, pin_workers);
-        Ok(FileBackend { io, paths, block_bytes, tracks_used })
+        Ok(Self::from_files(files, paths, block_bytes, tracks_used))
+    }
+
+    /// The one constructor: `create`, `open` and the tests' arrays of
+    /// read-only files all end here.
+    fn from_files(
+        files: Vec<File>,
+        paths: Vec<PathBuf>,
+        block_bytes: usize,
+        tracks_used: Vec<usize>,
+    ) -> Self {
+        FileBackend { files, paths, block_bytes, tracks_used, stage: Vec::new() }
     }
 
     /// Paths of the backing files (for inspection in examples/tests).
     pub fn paths(&self) -> &[PathBuf] {
         &self.paths
     }
-
-    fn note_write(&mut self, disk: usize, track: usize) {
-        self.tracks_used[disk] = self.tracks_used[disk].max(track + 1);
-    }
 }
 
 impl DiskBackend for FileBackend {
     fn num_disks(&self) -> usize {
-        self.paths.len()
+        self.files.len()
     }
 
-    /// Both execution strategies take a batch as one list of tracks,
-    /// wherever its stripes end: the calling thread moves them one after
-    /// another and the threaded engine gives each drive its share as one
-    /// command — the same bytes at the same offsets on each.
+    /// A batch is one list of tracks wherever its stripes end: each drive's
+    /// share is read into the staging buffer, then every track that
+    /// arrived is copied to its caller's buffer.
     fn read_batch_each(
         &mut self,
         _stripes: &[usize],
         addrs: &[(usize, usize)],
         bufs: &mut [&mut [u8]],
     ) -> TrackOutcomes {
-        match &self.io {
-            FileIo::Inline(files) => (addrs.iter().zip(bufs.iter_mut()))
-                .map(|(&(disk, track), buf)| {
-                    let offset = track_offset(disk, track, self.block_bytes)?;
-                    Ok(read_full_track(&files[disk], buf, offset)?)
-                })
-                .collect(),
-            FileIo::Parallel(engine) => engine.read_each(addrs, bufs),
+        let FileBackend { files, block_bytes, stage, .. } = self;
+        let b = *block_bytes;
+        let mut outcomes: TrackOutcomes = addrs.iter().map(|_| Ok(())).collect();
+        for share in drive_shares(addrs.len(), |i| addrs[i].0) {
+            let disk = addrs[share[0]].0;
+            let tracks: Vec<usize> = share.iter().map(|&i| addrs[i].1).collect();
+            stage.resize(share.len() * b, 0);
+            let failed = transfer_runs(disk, &tracks, b, |run, offset| {
+                read_full_track(&files[disk], &mut stage[run], offset)
+            });
+            for (at, error) in failed {
+                outcomes[share[at]] = Err(error);
+            }
+            for (&i, track) in share.iter().zip(stage.chunks_exact(b)) {
+                if outcomes[i].is_ok() {
+                    bufs[i].copy_from_slice(track);
+                }
+            }
         }
+        outcomes
     }
 
+    /// Each drive's share is copied into the staging buffer and written
+    /// from there.
     fn write_batch_each(
         &mut self,
         _stripes: &[usize],
         writes: &[(usize, usize, &[u8])],
     ) -> TrackOutcomes {
-        let outcomes: TrackOutcomes = match &self.io {
-            FileIo::Inline(files) => writes
-                .iter()
-                .map(|&(disk, track, data)| {
-                    let offset = track_offset(disk, track, self.block_bytes)?;
-                    Ok(write_at(&files[disk], data, offset)?)
-                })
-                .collect(),
-            FileIo::Parallel(engine) => engine.write_each(writes),
-        };
+        let FileBackend { files, block_bytes, tracks_used, stage, .. } = self;
+        let b = *block_bytes;
+        let mut outcomes: TrackOutcomes = writes.iter().map(|_| Ok(())).collect();
+        for share in drive_shares(writes.len(), |i| writes[i].0) {
+            let disk = writes[share[0]].0;
+            let tracks: Vec<usize> = share.iter().map(|&i| writes[i].1).collect();
+            stage.clear();
+            for &i in &share {
+                debug_assert_eq!(writes[i].2.len(), b);
+                stage.extend_from_slice(writes[i].2);
+            }
+            let failed = transfer_runs(disk, &tracks, b, |run, offset| {
+                write_at(&files[disk], &stage[run], offset)
+            });
+            for (at, error) in failed {
+                outcomes[share[at]] = Err(error);
+            }
+        }
         for (&(disk, track, _), outcome) in writes.iter().zip(&outcomes) {
             if outcome.is_ok() {
-                self.note_write(disk, track);
+                tracks_used[disk] = tracks_used[disk].max(track + 1);
             }
         }
         outcomes
@@ -740,16 +853,14 @@ impl DiskBackend for FileBackend {
         self.tracks_used[disk]
     }
 
+    /// Flush every drive; the lowest failing drive's error is reported.
     fn sync(&mut self) -> DiskResult<()> {
-        match &self.io {
-            FileIo::Inline(files) => {
-                for f in files {
-                    f.sync_data()?;
-                }
-                Ok(())
-            }
-            FileIo::Parallel(engine) => engine.sync_all(),
-        }
+        let synced: TrackOutcomes = (self.files.iter().enumerate())
+            .map(|(disk, file)| {
+                file.sync_data().map_err(|source| DiskError::WorkerIo { disk, source })
+            })
+            .collect();
+        first_failure(synced).map(drop)
     }
 }
 
@@ -830,6 +941,12 @@ mod tests {
         assert_eq!(buf, [7u8; 32], "reopen must not truncate");
         be.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [0u8; 32]);
+        // Zero-byte tracks are refused by both constructors, as
+        // `DiskConfig::new` refuses them, and create makes no file first.
+        assert!(matches!(FileBackend::open(&dir, 2, 0), Err(DiskError::InvalidConfig(_))));
+        let empty = dir.join("zero");
+        assert!(matches!(FileBackend::create(&empty, 2, 0), Err(DiskError::InvalidConfig(_))));
+        assert!(!empty.exists());
         // Opening a missing array is an error, unlike create.
         drop(be);
         std::fs::remove_dir_all(&dir).ok();
@@ -1069,8 +1186,7 @@ mod tests {
 
     /// The reference is the per-track loop over each raw input: memory,
     /// a tenant's region of shared media (the stack of a service job with
-    /// a fault plan) and drive files — one drive on the calling thread,
-    /// three on a worker each.
+    /// a fault plan) and drive files, one drive and three.
     #[test]
     fn stripe_path_equals_the_per_track_reference_under_recoverable_faults() {
         use crate::fault::{FaultInjectingBackend, FaultPlan};
@@ -1138,8 +1254,8 @@ mod tests {
                 other => panic!("expected OffsetOverflow, got {other:?}"),
             }
         }
-        // Through the backend it is a typed, permanent error, on the
-        // calling thread (one drive) and on a drive's worker (two).
+        // Through the backend it is a typed, permanent error, with one
+        // drive and with two.
         for d in [1, 2] {
             let dir =
                 std::env::temp_dir().join(format!("em-disk-overflow-{d}-{}", std::process::id()));
@@ -1155,6 +1271,164 @@ mod tests {
             assert_eq!(be.tracks_used(last), 0);
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    #[test]
+    fn adjacent_tracks_of_a_drive_are_one_transfer() {
+        // (byte range in the command's buffer, file offset) of every call,
+        // and the positions that failed.
+        let shape = |tracks: &[usize], fail: &[u64]| {
+            let mut calls = Vec::new();
+            let failed = transfer_runs(3, tracks, 10, |bytes, offset| {
+                calls.push((bytes, offset));
+                if fail.contains(&offset) {
+                    Err(io::Error::other("injected"))
+                } else {
+                    Ok(())
+                }
+            });
+            (calls, failed)
+        };
+        // A consecutive-format share: one call, however many tracks.
+        let (calls, failed) = shape(&[5, 6, 7, 8], &[]);
+        assert_eq!(calls, [(0..40, 50)]);
+        assert!(failed.is_empty());
+        // Runs break where adjacency does — a gap, a step back, a repeat.
+        let (calls, _) = shape(&[5, 6, 9, 10, 3, 3], &[]);
+        assert_eq!(calls, [(0..20, 50), (20..40, 90), (40..50, 30), (50..60, 30)]);
+        // A failed run is redone track by track: the sound tracks land and
+        // the failing one keeps its own error.
+        let (calls, failed) = shape(&[1, 2, 3], &[10]);
+        assert_eq!(calls, [(0..30, 10), (0..10, 10), (10..20, 20), (20..30, 30)]);
+        assert!(matches!(failed[..], [(0, DiskError::WorkerIo { disk: 3, .. })]));
+        // An unaddressable track is its own typed error, not its run's.
+        let (calls, failed) = shape(&[7, usize::MAX - 1, usize::MAX], &[]);
+        assert_eq!(calls, [(0..10, 70)]);
+        assert!(matches!(
+            failed[..],
+            [(1, DiskError::OffsetOverflow { .. }), (2, DiskError::OffsetOverflow { .. })]
+        ));
+    }
+
+    #[test]
+    fn a_batch_is_one_share_per_drive_in_request_order() {
+        // Interleaved drives: each drive's requests are gathered into one
+        // share, lowest drive first, and keep the order they were asked in.
+        let drives = [1, 0, 1, 0, 2, 1];
+        let shares = drive_shares(drives.len(), |i| drives[i]);
+        assert_eq!(shares, [vec![1, 3], vec![0, 2, 5], vec![4]]);
+        assert!(drive_shares(0, |_| 0).is_empty());
+    }
+
+    #[test]
+    fn a_batch_reads_back_what_stripes_wrote() {
+        const D: usize = 3;
+        let dir = std::env::temp_dir().join(format!("em-disk-batch-{}", std::process::id()));
+        let mut be = FileBackend::create(&dir, D, 8).unwrap();
+        // Global blocks 2..16 of a round-robin layout: ragged first and
+        // last stripes, five tracks on drive 2 and four on the others.
+        let addrs: Vec<(usize, usize)> = (2..16).map(|g| (g % D, 4 + g / D)).collect();
+        let payloads: Vec<[u8; 8]> = (2..16).map(|g| [g as u8; 8]).collect();
+        let writes: Vec<(usize, usize, &[u8])> =
+            addrs.iter().zip(&payloads).map(|(&(d, t), p)| (d, t, &p[..])).collect();
+        let stripes = [1, 3, 3, 3, 3, 1];
+        assert_eq!(
+            drive_shares(addrs.len(), |i| addrs[i].0).len(),
+            D,
+            "one share per drive, however many stripes"
+        );
+        assert!(be.write_batch_each(&stripes, &writes).iter().all(Result::is_ok));
+
+        // The same tracks stripe by stripe, then one batch that also
+        // crosses never-written tracks before and past the end of file.
+        for (addr, payload) in addrs.iter().zip(&payloads) {
+            let mut buf = [0u8; 8];
+            be.read_stripe(&[*addr], &mut [&mut buf[..]]).unwrap();
+            assert_eq!(&buf, payload);
+        }
+        let wide: Vec<(usize, usize)> = (0..30).map(|g| (g % D, 4 + g / D)).collect();
+        let mut tracks = vec![[0xEEu8; 8]; wide.len()];
+        let mut bufs: Vec<&mut [u8]> = tracks.iter_mut().map(|t| &mut t[..]).collect();
+        let outcomes = be.read_batch_each(&[D; 10], &wide, &mut bufs);
+        assert!(outcomes.iter().all(Result::is_ok));
+        for (g, track) in tracks.iter().enumerate() {
+            let want = if (2..16).contains(&g) { g as u8 } else { 0 };
+            assert_eq!(track, &[want; 8], "global block {g}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A backend over `n` read-only drive files, so every write really
+    /// fails in the OS.
+    fn read_only_backend(name: &str, n: usize) -> (PathBuf, FileBackend) {
+        let dir = std::env::temp_dir().join(format!("em-disk-ro-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (files, paths): (Vec<File>, Vec<PathBuf>) = (0..n)
+            .map(|i| {
+                let path = dir.join(format!("disk-{i}.bin"));
+                std::fs::write(&path, []).unwrap();
+                (OpenOptions::new().read(true).open(&path).unwrap(), path)
+            })
+            .unzip();
+        (dir, FileBackend::from_files(files, paths, 8, vec![0; n]))
+    }
+
+    #[test]
+    fn a_failed_write_leaves_the_drive_serving() {
+        let dir = std::env::temp_dir().join(format!("em-disk-serving-{}", std::process::id()));
+        let mut be = FileBackend::create(&dir, 2, 8).unwrap();
+        // Drive 1 fails the write of a track no file offset can reach, and
+        // keeps serving: the sync and the next write go through.
+        match be.write_stripe(&[(0, 0, &[6u8; 8]), (1, usize::MAX, &[7u8; 8])]) {
+            Err(DiskError::OffsetOverflow { disk: 1, .. }) => {}
+            other => panic!("expected drive 1's OffsetOverflow, got {other:?}"),
+        }
+        be.sync().unwrap();
+        be.write_stripe(&[(1, 0, &[7u8; 8])]).unwrap();
+        let (mut a, mut b) = ([0u8; 8], [0u8; 8]);
+        be.read_stripe(&[(0, 0), (1, 0)], &mut [&mut a[..], &mut b[..]]).unwrap();
+        assert_eq!((a, b), ([6u8; 8], [7u8; 8]));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn multi_drive_failure_reports_lowest_drive_deterministically() {
+        for _ in 0..20 {
+            let (dir, mut be) = read_only_backend("lowest", 4);
+            let writes: Vec<(usize, usize, &[u8])> =
+                (1..4).map(|d| (d, 0, &[0u8; 8][..])).collect();
+            match be.write_stripe(&writes) {
+                Err(DiskError::WorkerIo { disk: 1, .. }) => {}
+                other => panic!("expected the lowest failing drive (1), got {other:?}"),
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn every_track_of_a_failed_batch_reports_its_own_drive() {
+        let (dir, mut be) = read_only_backend("batch-fail", 2);
+        // Two adjacent tracks per drive: the merged write fails, each track
+        // is retried alone and fails under its own drive's name.
+        let writes: Vec<(usize, usize, &[u8])> =
+            [(1, 0), (0, 0), (1, 1), (0, 1)].iter().map(|&(d, t)| (d, t, &[0u8; 8][..])).collect();
+        let outcomes = be.write_batch_each(&[2, 2], &writes);
+        for (outcome, &(disk, _, _)) in outcomes.iter().zip(&writes) {
+            assert!(matches!(outcome, Err(DiskError::WorkerIo { disk: d, .. }) if *d == disk));
+        }
+        assert_eq!((be.tracks_used(0), be.tracks_used(1)), (0, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_one_drive_os_error_names_its_drive() {
+        // The same failure has one shape whatever `D` is.
+        let (dir, mut be) = read_only_backend("one", 1);
+        match be.write_stripe(&[(0, 2, &[1u8; 8])]) {
+            Err(DiskError::WorkerIo { disk: 0, .. }) => {}
+            other => panic!("expected drive 0's WorkerIo, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

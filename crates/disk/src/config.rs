@@ -3,15 +3,14 @@
 use crate::DiskError;
 
 /// How the file backend executes the `≤ D` track transfers of one stripe.
-/// There is one way: a drive array of more than one drive gives each drive
-/// a worker thread, and a single drive is served on the calling thread.
-/// The type, the simulators' `with_io_mode` and
+/// There is one way: on the calling thread, drive by drive, whatever `D`
+/// is. The type, the simulators' `with_io_mode` and
 /// [`crate::FileBackend::create_with_opts`]'s mode argument remain because
 /// the benchmark names them; none of them selects anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IoMode {
-    /// More than one drive: one worker thread per drive, joined before the
-    /// stripe returns. One drive: the calling thread.
+    /// The stripe's transfers run on the calling thread, one drive's share
+    /// after another, and complete before the stripe returns.
     Parallel,
 }
 
@@ -25,14 +24,14 @@ pub enum Pipeline {
     Off,
 }
 
-/// The asynchronous engine behind file-backed parallel stripes. There is
-/// one: a dedicated worker thread per drive. The type, the simulators'
-/// `with_engine` and [`uring_available`] remain because the benchmark
-/// names them (ROADMAP item 1(ii)); none of them selects anything.
+/// The engine behind file-backed stripes. There is none left to choose:
+/// the file backend moves every transfer on the calling thread. The type,
+/// the simulators' `with_engine` and [`uring_available`] remain because
+/// the benchmark names them; none of them selects anything.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
-    /// One dedicated worker thread per drive (`em-disk-d{idx}`), each
-    /// draining a FIFO of track commands.
+    /// The name the benchmark passes; it selects the calling-thread file
+    /// path, the only one there is.
     #[default]
     Threaded,
 }
@@ -104,11 +103,6 @@ pub struct DiskConfig {
     pub checksums: bool,
     /// Bounded retry of transient track-transfer failures (default off).
     pub retry: Option<RetryPolicy>,
-    /// Whether the drive worker threads are best-effort pinned to CPU
-    /// cores at spawn (default off). Pinning is a wall-clock-only knob:
-    /// drive worker `d` goes to core `d mod ncpus`; on platforms without
-    /// thread affinity the request is a no-op.
-    pub pin_workers: bool,
 }
 
 impl DiskConfig {
@@ -120,14 +114,7 @@ impl DiskConfig {
         if block_bytes == 0 {
             return Err(DiskError::InvalidConfig("block_bytes must be >= 1"));
         }
-        Ok(DiskConfig { num_disks, block_bytes, checksums: false, retry: None, pin_workers: false })
-    }
-
-    /// Request best-effort CPU pinning of the drive workers at spawn (see
-    /// [`DiskConfig::pin_workers`]).
-    pub fn with_pinned_workers(mut self, pin: bool) -> Self {
-        self.pin_workers = pin;
-        self
+        Ok(DiskConfig { num_disks, block_bytes, checksums: false, retry: None })
     }
 
     /// Enable or disable per-track CRC32 frames. The frame lives outside
@@ -212,15 +199,6 @@ mod tests {
         assert_eq!(p.delay_before(3).as_micros(), 40);
         assert_eq!(RetryPolicy::new(0).max_attempts, 1, "at least one attempt");
         assert_eq!(RetryPolicy::default().delay_before(3).as_micros(), 0);
-    }
-
-    #[test]
-    fn pinning_defaults_off_and_is_overridable() {
-        let cfg = DiskConfig::new(4, 64).unwrap();
-        assert!(!cfg.pin_workers);
-        let cfg = cfg.with_pinned_workers(true);
-        assert!(cfg.pin_workers);
-        assert_eq!((cfg.num_disks, cfg.block_bytes), (4, 64), "shape unchanged");
     }
 
     #[test]

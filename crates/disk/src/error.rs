@@ -40,21 +40,23 @@ pub enum DiskError {
         /// Configured maximum tracks per drive.
         max_tracks: usize,
     },
-    /// An underlying OS I/O failure (file backend only).
+    /// An OS I/O failure that belongs to no one drive: creating, opening
+    /// or inspecting the drive files, or the recovery journal.
     Io(io::Error),
-    /// An OS I/O failure on one drive's dedicated worker thread (parallel
-    /// file backend only). When several drives of a stripe fail at once,
-    /// the error from the lowest drive index is reported, deterministically.
+    /// One drive's OS I/O failure on a track transfer or a flush (file
+    /// backend), or an injected transient one. When several tracks of a
+    /// stripe fail at once, the merged form reports the first failing
+    /// track's drive in request order, deterministically.
     WorkerIo {
-        /// Drive whose worker hit the failure.
+        /// Drive that hit the failure.
         disk: usize,
         /// The underlying OS error.
         source: io::Error,
     },
-    /// A drive's I/O worker thread is gone (its channel disconnected) —
-    /// the engine is unusable and the array should be rebuilt.
+    /// A drive is dead: a [`crate::FaultPlan`] scheduled its death, and
+    /// it refuses this and every later transfer.
     WorkerLost {
-        /// Drive whose worker terminated.
+        /// Drive that died.
         disk: usize,
     },
     /// A checksummed block frame failed CRC verification on read.
@@ -80,10 +82,10 @@ impl DiskError {
     /// Whether the failure is transient: retrying the same transfer (or
     /// replaying the enclosing superstep) has a chance of succeeding.
     ///
-    /// Configuration, addressing, capacity and offset errors are deterministic and
-    /// never transient; a lost worker thread is permanent for the lifetime
-    /// of the engine. OS-level I/O failures and corrupt reads may be caused
-    /// by transient media faults, so they are worth retrying.
+    /// Configuration, addressing, capacity and offset errors are
+    /// deterministic and never transient; a dead drive stays dead. OS-level
+    /// I/O failures and corrupt reads may be caused by transient media
+    /// faults, so they are worth retrying.
     pub fn is_transient(&self) -> bool {
         matches!(self, DiskError::Io(_) | DiskError::WorkerIo { .. } | DiskError::Corrupt { .. })
     }
@@ -108,10 +110,10 @@ impl fmt::Display for DiskError {
             }
             DiskError::Io(e) => write!(f, "I/O error: {e}"),
             DiskError::WorkerIo { disk, source } => {
-                write!(f, "I/O error on drive {disk}'s worker: {source}")
+                write!(f, "I/O error on drive {disk}: {source}")
             }
             DiskError::WorkerLost { disk } => {
-                write!(f, "drive {disk}'s I/O worker thread terminated")
+                write!(f, "drive {disk} is dead")
             }
             DiskError::Corrupt { disk, track } => {
                 write!(f, "checksum mismatch on drive {disk}, track {track}")

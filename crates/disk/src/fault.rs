@@ -8,7 +8,7 @@
 //! identically, which is what lets the recovery tests demand byte-identical
 //! final state between a faulty and a fault-free run.
 //!
-//! Every fault except a scheduled worker death fires **once** and is then
+//! Every fault except a scheduled drive death fires **once** and is then
 //! consumed, so a retry (which advances the per-drive counter) or a
 //! superstep replay observes the fault gone. A plan without deaths is
 //! therefore always recoverable given enough retries/replays: the schedule
@@ -26,7 +26,7 @@
 //!   with one bit flipped, modelling a transient media error. The stored
 //!   bytes are untouched, so a checksummed retry recovers. On a write op it
 //!   degrades to `Transient`.
-//! * [`FaultKind::Death`] — the drive's worker dies: the keyed operation
+//! * [`FaultKind::Death`] — the drive dies: the keyed operation
 //!   and every later one on that drive fail with [`DiskError::WorkerLost`].
 //!   Never recoverable; simulators surface it as a typed error with a
 //!   fault report.
@@ -60,7 +60,7 @@ pub enum FaultKind {
         /// Bit index within that byte (0–7).
         bit: u8,
     },
-    /// The drive's worker dies at this operation and stays dead.
+    /// The drive dies at this operation and stays dead.
     Death,
 }
 
@@ -82,7 +82,7 @@ pub struct FaultCounts {
     pub torn: u64,
     /// Bit flips injected.
     pub bitflips: u64,
-    /// Operations refused because their drive's worker was dead.
+    /// Operations refused because their drive was dead.
     pub dead_ops: u64,
 }
 
@@ -144,7 +144,7 @@ impl FaultPlan {
         self
     }
 
-    /// Schedule drive `disk`'s worker to die at its `op`-th transfer.
+    /// Schedule drive `disk` to die at its `op`-th transfer.
     pub fn with_worker_death(mut self, disk: usize, op: u64) -> Self {
         let entry = self.dead_from.entry(disk).or_insert(op);
         *entry = (*entry).min(op);

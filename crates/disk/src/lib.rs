@@ -13,11 +13,10 @@
 //!
 //! * [`MemoryBackend`] — tracks held in memory; deterministic and fast.
 //! * [`FileBackend`] — one file per simulated drive, positional reads and
-//!   writes at `track * B` offsets. With more than one drive each drive's
-//!   file is owned by a dedicated worker thread and the `≤ D` transfers of
-//!   one stripe overlap in time — real `D`-way parallelism, joined before
-//!   the operation returns so callers, counted [`IoStats`] and seeded I/O
-//!   traces are unaffected.
+//!   writes at `track * B` offsets on the calling thread, one system call
+//!   per run of a drive's adjacent tracks. A stripe's `≤ D` transfers are
+//!   one counted operation whatever order the bytes move in, so counted
+//!   [`IoStats`] and seeded I/O traces match the memory backend's.
 //! * [`SharedDiskSubstrate`] — a multi-tenant store: one set of physical
 //!   drives carved into disjoint per-tenant track regions, each exposed as
 //!   a [`RegionBackend`] under the tenant's own [`DiskArray`]. Transfers
@@ -59,8 +58,8 @@
 //!   the simulator.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
-mod affinity;
 mod alloc;
 mod array;
 mod backend;
@@ -69,7 +68,6 @@ mod cache;
 mod checkpoint;
 mod config;
 mod consecutive;
-mod engine;
 mod error;
 mod fault;
 mod shared;

@@ -112,9 +112,7 @@ fn seeded_stripe_workload(arr: &mut DiskArray, seed: u64) -> (em_disk::IoStats, 
     (arr.stats().clone(), read_back)
 }
 
-// Each contract below runs on one drive, which the file backend serves on
-// the calling thread, and on more than one, which it serves with a worker
-// thread per drive.
+// Each contract below runs on one drive and on several.
 
 #[test]
 fn cross_backend_differential_stats_and_bytes() {
@@ -127,7 +125,7 @@ fn cross_backend_differential_stats_and_bytes() {
         let mut arr = DiskArray::new_file(cfg, &dir).unwrap();
         let (file_stats, file_reads) = seeded_stripe_workload(&mut arr, seed);
         let used: Vec<usize> = (0..d).map(|disk| arr.tracks_used(disk)).collect();
-        drop(arr); // join the workers before inspecting the files
+        drop(arr); // close the drive files before inspecting them
 
         // Identical counted IoStats and identical data on both backends.
         assert_eq!(mem_stats, file_stats, "{d} drives: memory vs file IoStats diverge");

@@ -1,25 +1,27 @@
-//! Teardown hygiene: the drive-worker runtime must not leak OS threads.
+//! Teardown hygiene: no OS thread this workspace starts outlives a call.
 //!
-//! The only threads that outlive a call are the file backend's drive
-//! workers, which carry stable names — `em-disk-d{idx}` per drive — so this
-//! suite can list every `em-*` thread via `/proc/self/task/*/comm` and pin
-//! two contracts:
-//!
-//! 1. **Persistence**: across repeated `build_disks()`/`run_on()` cycles,
-//!    a kill and its `resume()`, and `SimService` job churn, the only named
-//!    threads alive between calls are the live arrays' `em-disk-d*`
-//!    workers, the same set every round — reused, never respawned per run.
-//! 2. **Teardown**: dropping the owners (arrays, simulators, service)
-//!    joins every named thread; nothing is left behind.
+//! Every thread the workspace names carries an `em-` prefix — the
+//! processor threads of a `p ≥ 2` `ParEmSimulator` run are `em-par-p{i}`,
+//! scoped to the run — so this suite can list every `em-*` thread via
+//! `/proc/self/task/*/comm` and pin one contract: across repeated
+//! `build_disks()`/`run_on()` cycles on file-backed drives, a kill and its
+//! `resume()`, `SimService` job churn and file-backed `p = 2` runs, **no
+//! `em-*` thread is alive between calls**. The file backend moves its
+//! transfers on the calling thread, so an array holds files, not threads.
+//! The `p = 2` cycle also checks the suite still sees a named family: each
+//! processor's supersteps run on its own `em-par-p*` thread, gone once the
+//! run returns.
 //!
 //! Everything lives in ONE `#[test]` so concurrent tests in this binary
 //! cannot distort the counts. On platforms without `/proc` the test
 //! skips with a note.
 
-use em_core::{EmMachine, KillPoint, SeqEmSimulator};
+use em_core::{EmMachine, KillPoint, ParEmSimulator, SeqEmSimulator};
 use em_service::{JobSpec, ServiceConfig, SimService};
+use std::collections::BTreeSet;
+use std::sync::Mutex;
 
-use em_bsp::{BspProgram, Executor, Mailbox, Step};
+use em_bsp::{BspProgram, BspStarParams, Executor, Mailbox, Step};
 
 struct AddOne;
 impl BspProgram for AddOne {
@@ -31,6 +33,24 @@ impl BspProgram for AddOne {
     }
     fn max_state_bytes(&self) -> usize {
         8
+    }
+}
+
+/// [`AddOne`] that also records, as `/proc` lists it, the name of every
+/// thread a superstep ran on.
+struct WhereRun(Mutex<BTreeSet<String>>);
+impl BspProgram for WhereRun {
+    type State = u64;
+    type Msg = u64;
+    fn superstep(&self, step: usize, mb: &mut Mailbox<u64>, s: &mut u64) -> Step {
+        if let Ok(name) = std::fs::read_to_string("/proc/thread-self/comm") {
+            self.0.lock().unwrap().insert(name.trim().to_string());
+        }
+        AddOne.superstep(step, mb, s)
+    }
+    /// 64 bytes with the length prefix: four contexts to a 256-byte `M`.
+    fn max_state_bytes(&self) -> usize {
+        60
     }
 }
 
@@ -79,31 +99,27 @@ fn runtimes_reuse_threads_and_tear_down_cleanly() {
         return;
     }
     let count = || named_threads().unwrap();
-    let only_drive_workers = |names: &[String]| names.iter().all(|t| t.starts_with("em-disk-d"));
-    assert_eq!(count(), Vec::<String>::new(), "leftover workers before the test starts");
+    let none = Vec::<String>::new();
+    assert_eq!(count(), none, "leftover threads before the test starts");
 
     let machine = EmMachine::uniprocessor(1 << 16, 2, 64, 1);
     let dir = std::env::temp_dir().join(format!("em-thread-leak-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
 
-    // --- 1. build_disks()/run_on() cycles on one simulator. ---
+    // --- 1. build_disks()/run_on() cycles on one file-backed simulator. ---
     {
         let sim = SeqEmSimulator::new(machine).with_seed(5).with_file_backend(dir.join("cycles"));
         let mut disks = sim.build_disks().unwrap();
-        let base = count();
-        assert_eq!(base.len(), machine.d, "one worker per drive of the live array: {base:?}");
-        assert!(only_drive_workers(&base), "{base:?}");
+        assert_eq!(count(), none, "a live file-backed array holds no thread");
         for round in 0..5 {
             sim.run_on(&mut disks, &AddOne, (0..8u64).collect()).unwrap();
-            // The drive workers live as long as the array: every round must
-            // see the exact same set of named threads — reuse, not respawn.
-            assert_eq!(count(), base, "thread set changed at run_on cycle {round}");
+            assert_eq!(count(), none, "thread alive after run_on cycle {round}");
         }
         drop(disks);
-        assert_eq!(count(), Vec::<String>::new(), "drive workers must die with their array");
+        assert_eq!(count(), none, "thread alive after the array dropped");
     }
 
-    // --- 2. Crash + resume(): each call owns, and joins, its array. ---
+    // --- 2. Crash + resume(). ---
     {
         let sim = SeqEmSimulator::new(machine)
             .with_seed(6)
@@ -113,28 +129,43 @@ fn runtimes_reuse_threads_and_tear_down_cleanly() {
             .with_kill_point(KillPoint::AtBarrier(0))
             .run(&AddOne, (0..8u64).collect())
             .unwrap_err();
-        assert_eq!(count(), Vec::<String>::new(), "workers leaked past the killed run");
+        assert_eq!(count(), none, "thread leaked past the killed run");
         sim.resume(&AddOne).unwrap();
-        assert_eq!(count(), Vec::<String>::new(), "workers leaked past resume()");
+        assert_eq!(count(), none, "thread leaked past resume()");
     }
 
     // --- 3. SimService job churn. ---
     {
         let service = SimService::new(ServiceConfig::new(2, 64, 4096, 1 << 20));
-        let base = count();
-        assert!(only_drive_workers(&base), "{base:?}");
+        assert_eq!(count(), none, "a service holds no thread");
         for round in 0..6u64 {
             let spec = JobSpec::new("churn", round, machine, 8).with_budgets(8, 64).with_tracks(64);
             let lease = service.admit(spec).unwrap();
-            let admitted = count();
-            assert!(only_drive_workers(&admitted), "job {round}: {admitted:?}");
+            assert_eq!(count(), none, "thread alive after admitting job {round}");
             lease.execute(&AddOne, (0..8u64).collect()).unwrap();
             lease.complete();
-            assert_eq!(count(), base, "service thread set changed at job {round}");
+            assert_eq!(count(), none, "thread alive after job {round}");
         }
         drop(service);
     }
-    assert_eq!(count(), Vec::<String>::new(), "workers leaked past service drop");
+    assert_eq!(count(), none, "thread leaked past service drop");
+
+    // --- 4. File-backed p = 2 runs: the processor threads are scoped. ---
+    {
+        let router = BspStarParams { p: 2, ..machine.router };
+        // k = M / 64 = 4: each processor simulates half the eight.
+        let machine = EmMachine { p: 2, m_bytes: 256, router, ..machine };
+        let sim = ParEmSimulator::new(machine).with_seed(7).with_file_backend(dir.join("par"));
+        for round in 0..3 {
+            let disks = sim.build_disks().unwrap();
+            assert_eq!(count(), none, "live file-backed arrays hold no thread");
+            let program = WhereRun(Mutex::new(BTreeSet::new()));
+            sim.run_on(disks, &program, (0..8u64).collect()).unwrap();
+            let ran_on: Vec<String> = program.0.into_inner().unwrap().into_iter().collect();
+            assert_eq!(ran_on, ["em-par-p0", "em-par-p1"], "round {round}: one thread each");
+            assert_eq!(count(), none, "processor thread alive after p = 2 run {round}");
+        }
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }
