@@ -581,14 +581,12 @@ fn fig_faults() -> Vec<Row> {
         let mut sim =
             base.clone().with_retry(RetryPolicy::new(4)).with_recovery(RecoveryPolicy::new(64));
         if rate > 0 {
-            // On top of the seeded background rate, a burst of consecutive
-            // transients mid-run exhausts the 4-attempt retry policy and
-            // forces the superstep-replay path to fire deterministically.
-            let mut plan = FaultPlan::seeded(SEED, d, horizon, rate);
+            // On top of the seeded background rate, a burst mid-run fails
+            // the track it hits four times in a row — the whole 4-attempt
+            // retry policy — and forces the superstep-replay path to fire
+            // deterministically.
             let burst = clean_report.io.parallel_ops / 2;
-            for delta in 0..6 {
-                plan = plan.with_transient(0, burst + delta);
-            }
+            let plan = FaultPlan::seeded(SEED, d, horizon, rate).with_burst(0, burst, 4);
             sim = sim.with_fault_plan(plan);
         }
         let t0 = std::time::Instant::now();
@@ -603,6 +601,7 @@ fn fig_faults() -> Vec<Row> {
             base_wall = wall.max(1e-6);
         }
         let f = report.faults.expect("fault/recovery run carries a report");
+        assert!(rate == 0 || f.replays >= 1, "rate {rate}‰: the burst must force a replay");
         rows.push(Row {
             id: "F-faults".into(),
             variant: format!("diffusion rate={rate}‰"),

@@ -2,12 +2,15 @@
 
 use crate::backend::{first_failure, sub_batch};
 use crate::checkpoint::{JournalContents, JournalFile};
+use crate::fault::FaultOps;
 use crate::{
     Block, ChecksumBackend, DiskBackend, DiskConfig, DiskError, DiskResult, FaultInjectingBackend,
     FaultPlan, FileBackend, IoStats, MemoryBackend, RetryingBackend, CRC_BYTES,
 };
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// An array of `D` track-addressed drives with blocked, `D`-way-parallel
 /// I/O — the storage half of one EM-BSP processor.
@@ -50,12 +53,10 @@ pub struct DiskArray {
     /// Free list of pre-image buffers, recycled when an epoch closes so
     /// steady-state recovery journaling stops allocating per track.
     pre_image_pool: Vec<Vec<u8>>,
-    /// A fault-injection layer sits in the stack. Its [`FaultPlan`] is
-    /// keyed by per-drive operation index, so the order in which each drive
-    /// sees attempts — first tries, retries, pre-image reads — is part of
-    /// the schedule's meaning: a batch then goes down one stripe per
-    /// backend call, exactly the order stripe-at-a-time submission gives.
-    fault_layer: bool,
+    /// The retry layer's tally of re-issued tracks, if `cfg` built one.
+    retried: Option<Arc<AtomicU64>>,
+    /// The fault layer's per-drive operation counters, if a plan built one.
+    fault_ops: Option<FaultOps>,
 }
 
 /// Undo log for one recovery epoch (one compound superstep): the content
@@ -140,7 +141,9 @@ impl DiskArray {
 
     /// [`DiskArray::with_backend`] with an optional [`FaultPlan`] injected
     /// directly above the raw backend (below checksums and retry, exactly
-    /// where real media faults live).
+    /// where real media faults live). The array keeps a handle to the
+    /// retry layer's tally and the fault layer's operation counters, which
+    /// [`IoStats::retried_blocks`] and [`DiskArray::fault_op_counts`] read.
     pub fn with_backend_and_faults(
         cfg: DiskConfig,
         backend: Box<dyn DiskBackend>,
@@ -152,26 +155,33 @@ impl DiskArray {
             "backend drive count must match configuration"
         );
         let mut backend: Box<dyn DiskBackend> = backend;
+        let mut fault_ops = None;
         if let Some(plan) = plan {
-            backend = Box::new(FaultInjectingBackend::new(backend, plan));
+            let fault = FaultInjectingBackend::new(backend, plan);
+            fault_ops = Some(fault.ops());
+            backend = Box::new(fault);
         }
         if cfg.checksums {
             backend = Box::new(ChecksumBackend::new(backend, cfg.block_bytes));
         }
+        let mut retried = None;
         if let Some(policy) = cfg.retry {
-            backend = Box::new(RetryingBackend::new(backend, policy));
+            let retrying = RetryingBackend::new(backend, policy);
+            retried = Some(retrying.retried());
+            backend = Box::new(retrying);
         }
         DiskArray {
             stats: IoStats::new(cfg.num_disks),
             seen: vec![0; cfg.num_disks],
             epoch: 0,
             cfg,
-            fault_layer: backend.fault_op_counts().is_some(),
             backend,
             max_tracks: None,
             journal: None,
             durable: None,
             pre_image_pool: Vec::new(),
+            retried,
+            fault_ops,
         }
     }
 
@@ -215,10 +225,12 @@ impl DiskArray {
         out
     }
 
-    /// Fold the backend's retry tally into the stats. Called on every
+    /// Fold the retry layer's tally into the stats. Called on every
     /// submission and sync, so `stats()` lags by at most one call.
     fn poll_retries(&mut self) {
-        self.stats.retried_blocks += self.backend.take_retried_blocks();
+        if let Some(retried) = &self.retried {
+            self.stats.retried_blocks += retried.swap(0, Ordering::Relaxed);
+        }
     }
 
     /// Highest written track index + 1 on `disk`.
@@ -434,11 +446,13 @@ impl DiskArray {
         Ok(())
     }
 
-    /// Per-drive fault-injection operation counters, if a fault layer is
-    /// present (persisted at each barrier so a resumed run can restore the
-    /// remaining fault schedule).
+    /// Per-drive counts of the track transfers the fault layer has seen,
+    /// if a [`FaultPlan`] built one. The plan keys its schedule by these
+    /// counters, so a checkpointed run persists them at each barrier —
+    /// otherwise a resumed process would replay the schedule from
+    /// operation 0 and fire already-consumed faults again.
     pub fn fault_op_counts(&self) -> Option<Vec<u64>> {
-        self.backend.fault_op_counts()
+        self.fault_ops.as_ref().map(FaultOps::counts)
     }
 
     /// Restore fault-injection counters persisted at the last barrier, so
@@ -446,7 +460,7 @@ impl DiskArray {
     /// uninterrupted one. A no-op without a fault layer; counts for
     /// another number of drives are [`DiskError::InvalidConfig`].
     pub fn restore_fault_op_counts(&mut self, counts: &[u64]) -> DiskResult<()> {
-        self.backend.restore_fault_op_counts(counts)
+        self.fault_ops.as_ref().map_or(Ok(()), |ops| ops.restore(counts))
     }
 
     /// Check the stripe rule — in-range drives, at most one track per drive
@@ -483,36 +497,26 @@ impl DiskArray {
         Ok(())
     }
 
-    /// How many stripes of an `n`-stripe batch go down per backend call:
-    /// all of them, or one under a fault layer (see `fault_layer`).
-    fn stripes_per_call(&self, n: usize) -> usize {
-        if self.fault_layer {
-            1
-        } else {
-            n.max(1)
-        }
-    }
-
-    /// Count the stripes `call` of a read just handed to the backend — one
+    /// Count the `stripes` of a read just handed to the backend — one
     /// parallel I/O operation per non-empty stripe — and fold in what the
     /// backend absorbed while serving it.
-    fn count_reads(&mut self, call: &[usize], addrs: &[(usize, usize)]) {
+    fn count_reads(&mut self, stripes: &[usize], addrs: &[(usize, usize)]) {
         self.poll_retries();
         for &(disk, _) in addrs {
             self.stats.per_disk_reads[disk] += 1;
         }
-        self.stats.parallel_ops += call.iter().filter(|&&len| len > 0).count() as u64;
+        self.stats.parallel_ops += stripes.iter().filter(|&&len| len > 0).count() as u64;
         self.stats.blocks_read += addrs.len() as u64;
         self.stats.bytes_read += (addrs.len() * self.cfg.block_bytes) as u64;
     }
 
     /// [`DiskArray::count_reads`] for a write.
-    fn count_writes(&mut self, call: &[usize], writes: &[(usize, usize, &[u8])]) {
+    fn count_writes(&mut self, stripes: &[usize], writes: &[(usize, usize, &[u8])]) {
         self.poll_retries();
         for &(disk, _, _) in writes {
             self.stats.per_disk_writes[disk] += 1;
         }
-        self.stats.parallel_ops += call.iter().filter(|&&len| len > 0).count() as u64;
+        self.stats.parallel_ops += stripes.iter().filter(|&&len| len > 0).count() as u64;
         self.stats.blocks_written += writes.len() as u64;
         self.stats.bytes_written += (writes.len() * self.cfg.block_bytes) as u64;
     }
@@ -559,13 +563,10 @@ impl DiskArray {
     /// one parallel I/O operation per non-empty stripe, even if it names
     /// fewer than `D` drives.
     ///
-    /// One backend call carries the whole batch — unless the stack holds a
-    /// fault-injection layer, whose [`FaultPlan`] schedule is keyed by
-    /// per-drive operation index: then the batch goes down one stripe per
-    /// call, so every drive sees first attempts, retries and pre-image
-    /// reads in exactly the order stripe-at-a-time calls give them. Every
-    /// call is made and counted even after an earlier one failed, and the
-    /// first failing track in request order is the batch's error.
+    /// One backend call carries the whole batch, on every stack — with a
+    /// fault-injection layer or without. Every track is attempted and
+    /// counted even when an earlier one failed, and the first failing
+    /// track in request order is the batch's error.
     ///
     /// ```
     /// use em_disk::{Block, DiskArray, DiskConfig};
@@ -594,21 +595,13 @@ impl DiskArray {
             buf.resize(self.cfg.block_bytes, 0);
         }
         let mut bufs: Vec<&mut [u8]> = lent.iter_mut().map(Vec::as_mut_slice).collect();
-        let mut read = Ok(());
-        let mut at = 0;
-        for call in stripes.chunks(self.stripes_per_call(stripes.len())) {
-            let (from, to) = (at, at + call.iter().sum::<usize>());
-            at = to;
-            let outcomes =
-                self.backend.read_batch_each(call, &addrs[from..to], &mut bufs[from..to]);
-            self.count_reads(call, &addrs[from..to]);
-            read = read.and(first_failure(outcomes).map(drop));
-        }
-        read.map(|()| lent)
+        let outcomes = self.backend.read_batch_each(stripes, addrs, &mut bufs);
+        self.count_reads(stripes, addrs);
+        first_failure(outcomes).map(|_| lent)
     }
 
     /// Write a batch of parallel stripes as one transfer (same arguments,
-    /// validation, counting and fault-layer rule as
+    /// validation, counting and error rule as
     /// [`DiskArray::read_batch_into`]; the capacity limit is checked too).
     ///
     /// Each track's bytes are anything that is a `[u8]` of exactly `B`
@@ -629,17 +622,10 @@ impl DiskArray {
         }
         let tracks: Vec<(usize, usize, &[u8])> =
             writes.iter().map(|(d, t, data)| (*d, *t, data.as_ref())).collect();
-        let mut written = Ok(());
-        let mut at = 0;
-        for call in stripes.chunks(self.stripes_per_call(stripes.len())) {
-            let part = &tracks[at..at + call.iter().sum::<usize>()];
-            at += part.len();
-            self.capture_pre_images(call, part)?;
-            let outcomes = self.backend.write_batch_each(call, part);
-            self.count_writes(call, part);
-            written = written.and(first_failure(outcomes).map(drop));
-        }
-        written
+        self.capture_pre_images(stripes, &tracks)?;
+        let outcomes = self.backend.write_batch_each(stripes, &tracks);
+        self.count_writes(stripes, &tracks);
+        first_failure(outcomes).map(drop)
     }
 
     /// One parallel read: fetch at most one track from each listed drive.
@@ -681,16 +667,13 @@ impl DiskArray {
     /// recovery epoch captures the pre-images of the written tracks as for
     /// any other write.
     ///
-    /// It goes down as one backend call per direction: all the reads, then
-    /// all the writes. No written track may therefore be one the same move
-    /// reads in a *later* stripe — stripe by stripe that read would see the
-    /// new bytes, here the old. (Algorithm 2's moves read one region and
-    /// write another.) Under a fault-injection layer the batch goes down
-    /// one stripe per call like every other batch (see
-    /// [`DiskArray::read_batch_into`]), each stripe read and then written,
-    /// so every drive sees the attempts in stripe-at-a-time order. A failed
-    /// read — a [`DiskError::Corrupt`] frame, say — fails the move before
-    /// anything of that call is written.
+    /// It goes down as one backend call per direction, on every stack: all
+    /// the reads, then all the writes. No written track may therefore be
+    /// one the same move reads in a *later* stripe — stripe by stripe that
+    /// read would see the new bytes, here the old. (Algorithm 2's moves
+    /// read one region and write another.) A failed read — a
+    /// [`DiskError::Corrupt`] frame, say — fails the move before anything
+    /// is written.
     ///
     /// ```
     /// use em_disk::{Block, DiskArray, DiskConfig};
@@ -726,24 +709,17 @@ impl DiskArray {
         for &(disk, track) in to {
             self.check_capacity(disk, track)?;
         }
-        let mut at = 0;
-        for call in stripes.chunks(self.stripes_per_call(stripes.len())) {
-            let part = at..at + call.iter().sum::<usize>();
-            at = part.end;
-            let (from, to, bufs) = (&from[part.clone()], &to[part.clone()], &mut bufs[part]);
-            let mut lent: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
-            let read = self.backend.read_batch_each(call, from, &mut lent);
-            self.count_reads(call, from);
-            first_failure(read)?;
-            let writes: Vec<(usize, usize, &[u8])> = (to.iter().zip(bufs.iter()))
-                .map(|(&(disk, track), buf)| (disk, track, buf.as_slice()))
-                .collect();
-            self.capture_pre_images(call, &writes)?;
-            let written = self.backend.write_batch_each(call, &writes);
-            self.count_writes(call, &writes);
-            first_failure(written)?;
-        }
-        Ok(())
+        let mut lent: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+        let read = self.backend.read_batch_each(stripes, from, &mut lent);
+        self.count_reads(stripes, from);
+        first_failure(read)?;
+        let writes: Vec<(usize, usize, &[u8])> = (to.iter().zip(bufs.iter()))
+            .map(|(&(disk, track), buf)| (disk, track, buf.as_slice()))
+            .collect();
+        self.capture_pre_images(stripes, &writes)?;
+        let written = self.backend.write_batch_each(stripes, &writes);
+        self.count_writes(stripes, &writes);
+        first_failure(written).map(drop)
     }
 
     /// Read a single block. Costs a full parallel I/O operation — this is
@@ -1025,7 +1001,7 @@ mod tests {
     /// reads into fresh buffers and writes of `Block`s do, on every stack:
     /// memory, checksummed and retried, files (plain, and checksummed and
     /// retried), and a tenant's region of shared media. The fault-plan stack is
-    /// `under_a_fault_plan_a_batch_goes_down_stripe_by_stripe`'s.
+    /// `under_a_seeded_plan_lent_and_block_batches_agree`'s.
     #[test]
     fn lent_reads_and_slice_writes_equal_block_ones_on_every_stack() {
         use crate::{RetryPolicy, SharedDiskSubstrate};
@@ -1107,13 +1083,11 @@ mod tests {
     }
 
     #[test]
-    fn under_a_fault_plan_a_batch_goes_down_stripe_by_stripe() {
+    fn under_a_seeded_plan_lent_and_block_batches_agree() {
         use crate::{FaultPlan, RetryPolicy};
-        // The same seeded plan against the same workload, batched — into
-        // lent buffers or not — and stripe by stripe: the per-drive attempt
-        // order — and so which transfer each scheduled fault hits — must
-        // not depend on batching, and lent buffers split and re-join
-        // across the batch's per-stripe calls.
+        // The same seeded plan against the same batched workload, into lent
+        // buffers or fresh ones, writing slices or blocks: bytes, counters,
+        // injected faults and each drive's operation count agree.
         let cfg =
             DiskConfig::new(4, 32).unwrap().with_checksums(true).with_retry(RetryPolicy::new(8));
         let run = |how: Transfers| {
@@ -1123,52 +1097,49 @@ mod tests {
             let out = consecutive_workload(&mut a, how);
             (out, stats.counts(), a.fault_op_counts())
         };
-        let by_stripe = run(Transfers::Stripes);
-        assert!(by_stripe.1.total() > 0 && by_stripe.0 .1.retried_blocks > 0);
-        assert_eq!(run(Transfers::Batches), by_stripe);
-        assert_eq!(run(Transfers::Lent), by_stripe);
+        let by_batch = run(Transfers::Batches);
+        assert!(by_batch.1.total() > 0 && by_batch.0 .1.retried_blocks > 0);
+        assert_eq!(run(Transfers::Lent), by_batch);
+    }
 
-        // A burst that exhausts a 3-attempt budget only when one track
-        // takes all of it: drive 0's operations 1, 2 and 3. Stripe by
-        // stripe, the second stripe's track fails three times. Handed down
-        // whole, the batch would spread the burst over the first attempts
-        // of the second and third stripes and absorb it.
-        let cfg = DiskConfig::new(2, 8).unwrap().with_retry(RetryPolicy::new(3));
-        let burst = || (1..4).fold(FaultPlan::none(), |plan, op| plan.with_transient(0, op));
+    #[test]
+    fn unretried_a_fault_in_a_later_stripe_is_the_batchs_error() {
+        use crate::FaultPlan;
+        let cfg = DiskConfig::new(2, 8).unwrap();
         let writes: Vec<(usize, usize, Block)> =
             (0..6).map(|g| (g % 2, g / 2, Block::from_bytes_padded(&[g as u8 + 1], 8))).collect();
-        let mut by_stripe = DiskArray::new_memory_with_faults(cfg, Some(burst()));
-        let outcomes: Vec<_> = writes.chunks(2).map(|s| by_stripe.write_stripe(s)).collect();
-        assert!(outcomes[0].is_ok() && outcomes[2].is_ok());
-        assert!(matches!(outcomes[1], Err(DiskError::WorkerIo { disk: 0, .. })));
-        let mut by_batch = DiskArray::new_memory_with_faults(cfg, Some(burst()));
-        let written = by_batch.write_batch(&[2, 2, 2], &writes);
-        assert!(matches!(written, Err(DiskError::WorkerIo { disk: 0, .. })), "{written:?}");
-        assert_eq!(by_batch.fault_op_counts(), by_stripe.fault_op_counts());
-        assert_eq!(by_batch.stats(), by_stripe.stats());
-
-        // Unretried, a fault in a later stripe of a batch is the batch's
-        // error, for reads as for writes.
-        let cfg = DiskConfig::new(2, 8).unwrap();
         let addrs: Vec<(usize, usize)> = writes.iter().map(|&(d, t, _)| (d, t)).collect();
+        // Drive 1's operations 0, 1 and 2 are its tracks of the first,
+        // second and third stripe, for reads as for writes.
         for failing_op in 0..3 {
-            let plan = FaultPlan::none().with_transient(1, failing_op);
-            let mut a = DiskArray::new_memory_with_faults(cfg, Some(plan));
+            let faulty = || {
+                let plan = FaultPlan::none().with_transient(1, failing_op);
+                DiskArray::new_memory_with_faults(cfg, Some(plan))
+            };
+            let mut a = faulty();
             let read = a.read_batch_into(&[2, 2, 2], &addrs, Vec::new());
             assert!(matches!(read, Err(DiskError::WorkerIo { disk: 1, .. })), "op {failing_op}");
             assert_eq!(a.read_batch_into(&[2, 2, 2], &addrs, Vec::new()).unwrap().len(), 6);
-            let plan = FaultPlan::none().with_transient(1, failing_op);
-            let mut lent = DiskArray::new_memory_with_faults(cfg, Some(plan));
+            let mut lent = faulty();
             let read = lent.read_batch_into(&[2, 2, 2], &addrs, vec![vec![0; 8]; 6]);
             assert!(matches!(read, Err(DiskError::WorkerIo { disk: 1, .. })), "op {failing_op}");
             assert_eq!(lent.read_batch_into(&[2, 2, 2], &addrs, Vec::new()).unwrap().len(), 6);
             assert_eq!(lent.stats(), a.stats(), "op {failing_op}");
             assert_eq!(lent.fault_op_counts(), a.fault_op_counts(), "op {failing_op}");
-            let plan = FaultPlan::none().with_transient(1, failing_op);
-            let mut a = DiskArray::new_memory_with_faults(cfg, Some(plan));
-            let written = a.write_batch(&[2, 2, 2], &writes);
+            let written = faulty().write_batch(&[2, 2, 2], &writes);
             assert!(matches!(written, Err(DiskError::WorkerIo { disk: 1, .. })), "op {failing_op}");
         }
+
+        // A move whose read fails in its second stripe writes nothing.
+        let from = [(0, 0), (1, 0), (0, 1), (1, 1)];
+        let to = [(1, 5), (0, 5), (1, 6), (0, 6)];
+        let mut a =
+            DiskArray::new_memory_with_faults(cfg, Some(FaultPlan::none().with_transient(1, 1)));
+        let moved = a.move_batch(&[2, 2], &from, &to, &mut vec![vec![0u8; 8]; 4]);
+        assert!(matches!(moved, Err(DiskError::WorkerIo { disk: 1, .. })), "{moved:?}");
+        assert_eq!(a.fault_op_counts(), Some(vec![2, 2]));
+        assert_eq!((a.stats().parallel_ops, a.stats().blocks_written), (2, 0));
+        assert_eq!((a.tracks_used(0), a.tracks_used(1)), (0, 0));
     }
 
     /// Algorithm 2's shape — blocks read from one region and written,
@@ -1291,41 +1262,6 @@ mod tests {
         assert_eq!(a.read_block(1, 7).unwrap().as_bytes(), &[0; 8], "fresh track re-zeroed");
         assert_eq!(a.read_block(1, 8).unwrap().as_bytes(), &[0; 8], "fresh track re-zeroed");
         assert_eq!(a.read_block(0, 1).unwrap().as_bytes(), &[3; 8], "sources untouched");
-    }
-
-    #[test]
-    fn under_a_fault_plan_a_move_goes_down_stripe_by_stripe() {
-        use crate::{FaultPlan, RetryPolicy};
-        // The same seeded plan against the same workload, moved and stripe
-        // by stripe: each stripe is read and then written before the next
-        // is touched, so every drive sees the same attempts in the same
-        // order and every scheduled fault hits the same transfer.
-        let cfg =
-            DiskConfig::new(4, 32).unwrap().with_checksums(true).with_retry(RetryPolicy::new(8));
-        let run = |moved: bool| {
-            let plan = FaultPlan::seeded(0x30BE, 4, 400, 60);
-            let stats = plan.stats();
-            let mut a = DiskArray::new_memory_with_faults(cfg, Some(plan));
-            let out = move_workload(&mut a, moved);
-            (out, stats.counts(), a.fault_op_counts())
-        };
-        let (by_stripe, by_move) = (run(false), run(true));
-        assert!(by_stripe.1.total() > 0 && by_stripe.0 .1.retried_blocks > 0);
-        assert_eq!(by_move, by_stripe);
-
-        // Unretried: the read of the second stripe fails. Stripe by stripe
-        // the first stripe has landed by then and the second's write is
-        // never attempted — and so it is for the move.
-        let cfg = DiskConfig::new(2, 8).unwrap();
-        let from = [(0, 0), (1, 0), (0, 1), (1, 1)];
-        let to = [(1, 5), (0, 5), (1, 6), (0, 6)];
-        let mut a =
-            DiskArray::new_memory_with_faults(cfg, Some(FaultPlan::none().with_transient(1, 2)));
-        let moved = a.move_batch(&[2, 2], &from, &to, &mut vec![vec![0u8; 8]; 4]);
-        assert!(matches!(moved, Err(DiskError::WorkerIo { disk: 1, .. })), "{moved:?}");
-        assert_eq!(a.fault_op_counts(), Some(vec![3, 3]));
-        assert_eq!((a.stats().parallel_ops, a.stats().blocks_written), (3, 2));
-        assert_eq!((a.tracks_used(0), a.tracks_used(1)), (6, 6));
     }
 
     #[test]

@@ -14,6 +14,8 @@ use std::fs::{File, OpenOptions};
 use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Raw track storage for an array of `D` drives.
 ///
@@ -37,12 +39,12 @@ use std::path::{Path, PathBuf};
 ///
 /// [`FileBackend`] moves each drive's whole share at once (one system call
 /// per run of adjacent tracks), [`crate::RegionBackend`] takes the shared
-/// media once per transfer, and [`ChecksumBackend`] and [`RetryingBackend`]
-/// do their per-track work around a *single* inner batch call, so one
-/// transfer per drive at the bottom survives the stack above it. A layer that must see every stripe on its own — one draw per
-/// track of a per-drive fault schedule ([`crate::FaultInjectingBackend`]),
-/// or one miss fetch per stripe ([`crate::BlockCacheBackend`]) — runs the
-/// batch stripe by stripe.
+/// media once per transfer, and [`ChecksumBackend`], [`RetryingBackend`]
+/// and [`crate::FaultInjectingBackend`] do their per-track work around a
+/// *single* inner batch call, so one transfer per drive at the bottom
+/// survives the stack above it. Only [`crate::BlockCacheBackend`], which
+/// looks up and fetches misses one stripe at a time, runs a batch stripe
+/// by stripe.
 ///
 /// [`DiskBackend::read_stripe`] / [`DiskBackend::write_stripe`] are the
 /// merged view of a one-stripe batch — `Ok` when every track succeeded,
@@ -54,6 +56,12 @@ use std::path::{Path, PathBuf};
 /// a read fills slices its caller lends, and a write reads slices of its
 /// caller's memory, copying them (the file backend's staging buffer) or
 /// consuming them (every other layer) before the call returns.
+///
+/// The trait carries transfers only. What a layer tallies on the side —
+/// [`RetryingBackend`]'s re-issued tracks, a fault layer's per-drive
+/// operation counters — it shares through a handle taken when the layer
+/// is built, as [`crate::FaultPlan::stats`] shares its counters, so
+/// nothing has to be forwarded through the layers above it.
 pub trait DiskBackend: Send {
     /// Number of drives this backend was created with.
     fn num_disks(&self) -> usize;
@@ -104,37 +112,6 @@ pub trait DiskBackend: Send {
     fn sync(&mut self) -> DiskResult<()> {
         Ok(())
     }
-
-    /// Drain the count of track transfers re-issued after transient
-    /// failures since the last call. Only [`RetryingBackend`] produces a
-    /// nonzero count; decorator backends forward to their inner backend so
-    /// the count survives any stacking order.
-    fn take_retried_blocks(&mut self) -> u64 {
-        0
-    }
-
-    /// Per-drive counts of track transfers seen by a fault-injection layer
-    /// since it was constructed (or since the counters were last
-    /// restored). `None` when no layer in the stack injects faults.
-    /// Decorators forward, so the counters survive any stacking order.
-    ///
-    /// A [`crate::FaultPlan`] keys its schedule by these counters, so a
-    /// resumed run must persist and restore them — otherwise the new
-    /// process would replay the schedule from operation 0 and fire
-    /// already-consumed faults again.
-    fn fault_op_counts(&self) -> Option<Vec<u64>> {
-        None
-    }
-
-    /// Restore counters exported by [`DiskBackend::fault_op_counts`] in a
-    /// previous process, so the resumed run observes the same *remaining*
-    /// fault schedule as an uninterrupted one. A no-op without a
-    /// fault-injection layer; counts for another number of drives are
-    /// [`DiskError::InvalidConfig`].
-    fn restore_fault_op_counts(&mut self, counts: &[u64]) -> DiskResult<()> {
-        let _ = counts;
-        Ok(())
-    }
 }
 
 /// One outcome per track of a batch, in request order (see
@@ -174,15 +151,6 @@ impl<B: DiskBackend + ?Sized> DiskBackend for Box<B> {
     }
     fn sync(&mut self) -> DiskResult<()> {
         (**self).sync()
-    }
-    fn take_retried_blocks(&mut self) -> u64 {
-        (**self).take_retried_blocks()
-    }
-    fn fault_op_counts(&self) -> Option<Vec<u64>> {
-        (**self).fault_op_counts()
-    }
-    fn restore_fault_op_counts(&mut self, counts: &[u64]) -> DiskResult<()> {
-        (**self).restore_fault_op_counts(counts)
     }
 }
 
@@ -386,18 +354,6 @@ impl<B: DiskBackend> DiskBackend for ChecksumBackend<B> {
     fn sync(&mut self) -> DiskResult<()> {
         self.inner.sync()
     }
-
-    fn take_retried_blocks(&mut self) -> u64 {
-        self.inner.take_retried_blocks()
-    }
-
-    fn fault_op_counts(&self) -> Option<Vec<u64>> {
-        self.inner.fault_op_counts()
-    }
-
-    fn restore_fault_op_counts(&mut self, counts: &[u64]) -> DiskResult<()> {
-        self.inner.restore_fault_op_counts(counts)
-    }
 }
 
 /// Stripe lengths of the batch that keeps only the tracks at the ascending
@@ -417,8 +373,8 @@ pub(crate) fn sub_batch(stripes: &[usize], kept: &[usize]) -> Vec<usize> {
 
 /// A batch run one stripe at a time: `stripe(range)` transfers the tracks
 /// at indices `range` of the batch — one of its stripes — and the outcomes
-/// are concatenated in request order. For the layers that must see every
-/// stripe on its own.
+/// are concatenated in request order. For the cache, which looks up and
+/// fetches misses stripe by stripe.
 pub(crate) fn stripe_by_stripe(
     stripes: &[usize],
     mut stripe: impl FnMut(std::ops::Range<usize>) -> TrackOutcomes,
@@ -443,28 +399,30 @@ pub(crate) fn stripe_by_stripe(
 /// retried write re-frames the block. A transfer — a stripe, or a batch
 /// of stripes — goes down whole; each further *round* re-issues only the
 /// tracks that failed transiently, as one smaller batch in which every
-/// track keeps its stripe, after one backoff delay. Since a stripe holds
-/// at most one track per drive, a stripe's drives each see the same
-/// attempts in the same order as if their track had been retried alone;
-/// across the stripes of a batch a drive sees every first attempt before
-/// any retry, which is why the array hands a batch down stripe by stripe
-/// when a per-drive fault schedule is listening (see
-/// [`crate::DiskArray::read_batch_into`]). A track that is still failing
-/// after `max_attempts` keeps its last error — by then the transfer's
-/// other tracks have all been attempted too. Per-track retries are
-/// tallied and drained by the array into
+/// track keeps its stripe, after one backoff delay, so across the stripes
+/// of a batch a drive sees every first attempt before any retry. A track
+/// that is still failing after `max_attempts` keeps its last error — by
+/// then the transfer's other tracks have all been attempted too.
+/// Per-track retries are tallied in a counter the array holds a handle
+/// to and drains into
 /// [`IoStats::retried_blocks`](crate::IoStats::retried_blocks); they are
 /// never counted as parallel I/O operations.
 pub struct RetryingBackend<B: DiskBackend> {
     inner: B,
     policy: RetryPolicy,
-    retried: u64,
+    retried: Arc<AtomicU64>,
 }
 
 impl<B: DiskBackend> RetryingBackend<B> {
     /// Wrap `inner` with `policy`.
     pub fn new(inner: B, policy: RetryPolicy) -> Self {
-        RetryingBackend { inner, policy, retried: 0 }
+        RetryingBackend { inner, policy, retried: Arc::default() }
+    }
+
+    /// Handle to the count of track transfers re-issued so far; whoever
+    /// drains it (`swap(0, ..)`) owns the tally from then on.
+    pub(crate) fn retried(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.retried)
     }
 
     /// The retry rounds after a batch's first attempt produced
@@ -484,7 +442,7 @@ impl<B: DiskBackend> RetryingBackend<B> {
             if failed.is_empty() {
                 break;
             }
-            self.retried += failed.len() as u64;
+            self.retried.fetch_add(failed.len() as u64, Ordering::Relaxed);
             let delay = self.policy.delay_before(attempt);
             if !delay.is_zero() {
                 std::thread::sleep(delay);
@@ -537,18 +495,6 @@ impl<B: DiskBackend> DiskBackend for RetryingBackend<B> {
 
     fn sync(&mut self) -> DiskResult<()> {
         self.inner.sync()
-    }
-
-    fn take_retried_blocks(&mut self) -> u64 {
-        std::mem::take(&mut self.retried) + self.inner.take_retried_blocks()
-    }
-
-    fn fault_op_counts(&self) -> Option<Vec<u64>> {
-        self.inner.fault_op_counts()
-    }
-
-    fn restore_fault_op_counts(&mut self, counts: &[u64]) -> DiskResult<()> {
-        self.inner.restore_fault_op_counts(counts)
     }
 }
 
@@ -999,10 +945,11 @@ mod tests {
         let plan = FaultPlan::none().with_transient(0, 1).with_transient(0, 2);
         let inner = FaultInjectingBackend::new(MemoryBackend::new(1), plan);
         let mut be = RetryingBackend::new(inner, RetryPolicy::new(3));
+        let retried = be.retried();
         be.write_stripe(&[(0, 0, &[1u8; 8])]).unwrap(); // op 0 clean
         be.write_stripe(&[(0, 4, &[2u8; 8])]).unwrap(); // ops 1,2 fail, op 3 lands
-        assert_eq!(be.take_retried_blocks(), 2);
-        assert_eq!(be.take_retried_blocks(), 0, "draining resets the count");
+        assert_eq!(retried.swap(0, Ordering::Relaxed), 2);
+        assert_eq!(be.retried().load(Ordering::Relaxed), 0, "every handle sees the drain");
         let mut buf = [0u8; 8];
         be.read_stripe(&[(0, 4)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [2u8; 8]);
@@ -1016,7 +963,7 @@ mod tests {
         let mut be = RetryingBackend::new(inner, RetryPolicy::new(3));
         let err = be.write_stripe(&[(0, 0, &[1u8; 8])]).unwrap_err();
         assert!(err.is_transient(), "the final transient error is surfaced");
-        assert_eq!(be.take_retried_blocks(), 2);
+        assert_eq!(be.retried().load(Ordering::Relaxed), 2);
         // The next write succeeds: the schedule was consumed.
         be.write_stripe(&[(0, 0, &[3u8; 8])]).unwrap();
     }
@@ -1031,11 +978,12 @@ mod tests {
         };
         let stack = |plan| {
             let fault = FaultInjectingBackend::new(MemoryBackend::new(4), plan);
-            RetryingBackend::new(ChecksumBackend::new(fault, 8), RetryPolicy::new(3))
+            let ops = fault.ops();
+            (RetryingBackend::new(ChecksumBackend::new(fault, 8), RetryPolicy::new(3)), ops)
         };
         let plan = burst();
         let stats = plan.stats();
-        let mut be = stack(plan);
+        let (mut be, ops) = stack(plan);
         let payload = [5u8; 8];
         // Request order puts drive 2 ahead of drive 1.
         let writes: Vec<(usize, usize, &[u8])> =
@@ -1050,15 +998,15 @@ mod tests {
             }
         }
         // Every track was attempted; only the failing ones were re-issued.
-        assert_eq!(be.fault_op_counts().unwrap(), vec![1, 3, 3, 1]);
-        assert_eq!(be.take_retried_blocks(), 4);
+        assert_eq!(ops.counts(), vec![1, 3, 3, 1]);
+        assert_eq!(be.retried().load(Ordering::Relaxed), 4);
         assert_eq!(stats.counts().transient, 6);
         let mut buf = [0u8; 8];
         be.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, payload, "the stripe's healthy tracks landed");
 
         // The merged form reports the first failing track in request order.
-        let mut be = stack(burst());
+        let (mut be, _) = stack(burst());
         match be.write_stripe(&writes) {
             Err(DiskError::WorkerIo { disk: 2, .. }) => {}
             other => panic!("expected drive 2's error (first in request order), got {other:?}"),
@@ -1082,10 +1030,12 @@ mod tests {
             MemoryBackend::new(D),
             FaultPlan::none().with_transient(1, 1),
         );
+        let ops = fault.ops();
         let mut be = RetryingBackend::new(ChecksumBackend::new(fault, 8), RetryPolicy::new(3));
         assert!(be.write_batch_each(&stripes, &writes).iter().all(Result::is_ok));
-        assert_eq!(be.take_retried_blocks(), 1, "only the failed track went down again");
-        assert_eq!(be.fault_op_counts().unwrap(), vec![3, 4, 3]);
+        let retried = be.retried().load(Ordering::Relaxed);
+        assert_eq!(retried, 1, "only the failed track went down again");
+        assert_eq!(ops.counts(), vec![3, 4, 3]);
 
         // A corrupt frame in the middle of a batch: its own slot carries
         // its own `(disk, track)`; every other track arrives intact.
@@ -1143,17 +1093,27 @@ mod tests {
         fn tracks_used(&self, disk: usize) -> usize {
             self.0.tracks_used(disk)
         }
-        fn take_retried_blocks(&mut self) -> u64 {
-            self.0.take_retried_blocks()
-        }
-        fn fault_op_counts(&self) -> Option<Vec<u64>> {
-            self.0.fault_op_counts()
-        }
     }
 
-    /// Full and partial stripes written, overwritten and read back;
-    /// returns everything a fault schedule could perturb.
-    fn faulty_workload(mut be: impl DiskBackend) -> (Vec<u8>, u64, Vec<u64>) {
+    /// `Retrying(Checksum(FaultInjecting(raw)))`, with the handles to the
+    /// retry tally and the fault layer's counters.
+    fn stack(
+        raw: Box<dyn DiskBackend>,
+        plan: crate::FaultPlan,
+    ) -> (impl DiskBackend, Arc<AtomicU64>, crate::fault::FaultOps) {
+        let fault = crate::FaultInjectingBackend::new(raw, plan);
+        let ops = fault.ops();
+        let be = RetryingBackend::new(ChecksumBackend::new(fault, 24), RetryPolicy::new(8));
+        let retried = be.retried();
+        (be, retried, ops)
+    }
+
+    /// Full and partial stripes written, overwritten and read back through
+    /// `be`, a [`stack`] (or a wrapper of one); returns everything a
+    /// fault schedule could perturb.
+    fn faulty_workload(
+        (mut be, retried, ops): (impl DiskBackend, Arc<AtomicU64>, crate::fault::FaultOps),
+    ) -> (Vec<u8>, u64, Vec<u64>) {
         const B: usize = 24;
         let d = be.num_disks();
         let payload = |disk: usize, track: usize, gen: usize| {
@@ -1181,7 +1141,7 @@ mod tests {
             be.read_stripe(&addrs, &mut bufs).expect("every track recovers within the budget");
             bytes.extend(blocks.iter().flatten());
         }
-        (bytes, be.take_retried_blocks(), be.fault_op_counts().expect("a fault layer is present"))
+        (bytes, retried.load(Ordering::Relaxed), ops.counts())
     }
 
     /// The reference is the per-track loop over each raw input: memory,
@@ -1189,13 +1149,10 @@ mod tests {
     /// a fault plan) and drive files, one drive and three.
     #[test]
     fn stripe_path_equals_the_per_track_reference_under_recoverable_faults() {
-        use crate::fault::{FaultInjectingBackend, FaultPlan};
+        use crate::fault::FaultPlan;
         use crate::SharedDiskSubstrate;
         let pid = std::process::id();
-        let stack = |raw: Box<dyn DiskBackend>, plan: FaultPlan| {
-            let fault = FaultInjectingBackend::new(raw, plan);
-            RetryingBackend::new(ChecksumBackend::new(fault, 24), RetryPolicy::new(8))
-        };
+        let per_track = |(be, retried, ops)| (PerTrack(be), retried, ops);
         for (d, seed) in [1, 3].into_iter().flat_map(|d| [0xF16u64, 7, 0xBEEF].map(|s| (d, s))) {
             let what = |raw: &str| format!("{raw}, {d} drives, seed {seed:#x}");
             // ~8 % of transfers faulted: transients, torn writes, bit flips.
@@ -1205,7 +1162,7 @@ mod tests {
             let (plan_s, plan_r) = (plan(), plan());
             let (stats_s, stats_r) = (plan_s.stats(), plan_r.stats());
             let striped = faulty_workload(stack(mem(), plan_s));
-            let reference = faulty_workload(PerTrack(stack(mem(), plan_r)));
+            let reference = faulty_workload(per_track(stack(mem(), plan_r)));
             assert!(striped.1 > 0, "{} must actually fire faults", what("memory"));
             assert_eq!(striped, reference, "{}", what("memory"));
             assert_eq!(stats_s.counts(), stats_r.counts(), "{}", what("memory"));
@@ -1230,7 +1187,7 @@ mod tests {
             assert_eq!(stats_f.counts(), stats_r.counts(), "{}", what("file"));
             // Drive bytes: the stripe path and the reference leave the
             // same media behind, frame for frame.
-            faulty_workload(PerTrack(stack(file("r"), plan())));
+            faulty_workload(per_track(stack(file("r"), plan())));
             for disk in 0..d {
                 let name = format!("disk-{disk}.bin");
                 let a = std::fs::read(dir("s").join(&name)).unwrap();
@@ -1446,6 +1403,6 @@ mod tests {
         let mut buf = [0u8; 16];
         be.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap(); // op 1 flipped, retried clean
         assert_eq!(buf, [9u8; 16]);
-        assert_eq!(be.take_retried_blocks(), 1);
+        assert_eq!(be.retried().load(Ordering::Relaxed), 1);
     }
 }

@@ -246,62 +246,56 @@ impl<B: DiskBackend> DiskBackend for BlockCacheBackend<B> {
         self.flush()?;
         self.inner.sync()
     }
-
-    fn take_retried_blocks(&mut self) -> u64 {
-        self.inner.take_retried_blocks()
-    }
-
-    fn fault_op_counts(&self) -> Option<Vec<u64>> {
-        self.inner.fault_op_counts()
-    }
-
-    fn restore_fault_op_counts(&mut self, counts: &[u64]) -> DiskResult<()> {
-        self.inner.restore_fault_op_counts(counts)
-    }
 }
 
+/// The cache's tests, and the counting backend the fault layer's tests
+/// share.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{ChecksumBackend, MemoryBackend, RetryPolicy, RetryingBackend};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
-    /// Batch calls that reached a [`CountingBackend`] and the stripes
-    /// they carried, shared so a test can read them with the backend
-    /// buried under a decorator stack.
+    /// One batch call: whether it wrote, its stripe lengths, its tracks.
+    pub(crate) type BatchCall = (bool, Vec<usize>, Vec<(usize, usize)>);
+
+    /// Batch calls that reached a [`CountingBackend`], shared so a test
+    /// can read them with the backend buried under a decorator stack.
     #[derive(Default)]
-    struct BatchCalls {
-        reads: AtomicU64,
-        writes: AtomicU64,
-        read_stripes: AtomicU64,
-        write_stripes: AtomicU64,
-    }
+    pub(crate) struct BatchCalls(Mutex<Vec<BatchCall>>);
 
     impl BatchCalls {
+        /// The calls since the last `drain` or `take`, in order.
+        pub(crate) fn drain(&self) -> Vec<BatchCall> {
+            std::mem::take(&mut self.0.lock().unwrap())
+        }
+
         /// `((read batches, write batches), (read stripes, write stripes))`
         /// since the last call.
         fn take(&self) -> ((u64, u64), (u64, u64)) {
-            let take = |n: &AtomicU64| n.swap(0, Ordering::Relaxed);
+            let calls = self.drain();
+            let sum = |write, n: fn(&BatchCall) -> usize| -> u64 {
+                calls.iter().filter(|call| call.0 == write).map(|call| n(call) as u64).sum()
+            };
             (
-                (take(&self.reads), take(&self.writes)),
-                (take(&self.read_stripes), take(&self.write_stripes)),
+                (sum(false, |_| 1), sum(true, |_| 1)),
+                (sum(false, |c| c.1.len()), sum(true, |c| c.1.len())),
             )
         }
     }
 
     /// A [`MemoryBackend`] wrapper tallying how many track transfers
-    /// (and how many batch calls) actually reach it, so tests can prove
+    /// (and which batch calls) actually reach it, so tests can prove
     /// what the layers above absorbed and how they dispatched the rest.
-    struct CountingBackend {
+    pub(crate) struct CountingBackend {
         inner: MemoryBackend,
         reads: u64,
         writes: u64,
-        calls: Arc<BatchCalls>,
+        pub(crate) calls: Arc<BatchCalls>,
     }
 
     impl CountingBackend {
-        fn new(d: usize) -> Self {
+        pub(crate) fn new(d: usize) -> Self {
             CountingBackend {
                 inner: MemoryBackend::new(d),
                 reads: 0,
@@ -321,8 +315,7 @@ mod tests {
             addrs: &[(usize, usize)],
             bufs: &mut [&mut [u8]],
         ) -> TrackOutcomes {
-            self.calls.reads.fetch_add(1, Ordering::Relaxed);
-            self.calls.read_stripes.fetch_add(stripes.len() as u64, Ordering::Relaxed);
+            self.calls.0.lock().unwrap().push((false, stripes.to_vec(), addrs.to_vec()));
             self.reads += addrs.len() as u64;
             self.inner.read_batch_each(stripes, addrs, bufs)
         }
@@ -331,8 +324,8 @@ mod tests {
             stripes: &[usize],
             writes: &[(usize, usize, &[u8])],
         ) -> TrackOutcomes {
-            self.calls.writes.fetch_add(1, Ordering::Relaxed);
-            self.calls.write_stripes.fetch_add(stripes.len() as u64, Ordering::Relaxed);
+            let tracks = writes.iter().map(|&(disk, track, _)| (disk, track)).collect();
+            self.calls.0.lock().unwrap().push((true, stripes.to_vec(), tracks));
             self.writes += writes.len() as u64;
             self.inner.write_batch_each(stripes, writes)
         }

@@ -8,16 +8,24 @@
 //! identically, which is what lets the recovery tests demand byte-identical
 //! final state between a faulty and a fault-free run.
 //!
+//! A batch's tracks draw their fates in request order, so a drive sees all
+//! of a batch's first attempts before any retry — on every stack.
+//!
 //! Every fault except a scheduled drive death fires **once** and is then
 //! consumed, so a retry (which advances the per-drive counter) or a
-//! superstep replay observes the fault gone. A plan without deaths is
-//! therefore always recoverable given enough retries/replays: the schedule
-//! is finite and strictly consumed.
+//! superstep replay observes the fault gone; a burst is consumed after its
+//! last failing transfer. A plan without deaths is therefore always
+//! recoverable given enough retries/replays: the schedule is finite and
+//! strictly consumed.
 //!
 //! Injection sites by kind:
 //!
 //! * [`FaultKind::Transient`] — the transfer fails with a
 //!   [`DiskError::WorkerIo`] and has no effect on stored bytes.
+//! * [`FaultKind::Burst`] — the transfer fails transiently, and so do the
+//!   next transfers of the *same track* on that drive until `transfers`
+//!   have failed. A burst as long as a retry budget exhausts it on the
+//!   track it hits, whatever else the drive moves in between.
 //! * [`FaultKind::TornWrite`] — a **write** persists only a prefix of the
 //!   frame (the tail keeps its previous content) and then reports a
 //!   transient error, modelling a power cut mid-track. On a read op it
@@ -35,7 +43,7 @@
 //! counters (via `Arc`), so the per-processor backends of a parallel
 //! simulator aggregate into one report.
 
-use crate::backend::stripe_by_stripe;
+use crate::backend::sub_batch;
 use crate::{DiskBackend, DiskError, DiskResult, TrackOutcomes};
 use std::collections::HashMap;
 use std::io;
@@ -59,6 +67,12 @@ pub enum FaultKind {
         byte: usize,
         /// Bit index within that byte (0–7).
         bit: u8,
+    },
+    /// The transfer and the next ones of the same track fail transiently,
+    /// `transfers` in all.
+    Burst {
+        /// Number of consecutive transfers of the track that fail (≥ 1).
+        transfers: u32,
     },
     /// The drive dies at this operation and stays dead.
     Death,
@@ -129,6 +143,18 @@ impl FaultPlan {
     /// Schedule a transient error on drive `disk`'s `op`-th transfer.
     pub fn with_transient(mut self, disk: usize, op: u64) -> Self {
         self.events.insert((disk, op), FaultKind::Transient);
+        self
+    }
+
+    /// Schedule a burst on drive `disk`'s `op`-th transfer: the track that
+    /// transfer moves fails it and its next `transfers − 1` transfers. A
+    /// burst of zero transfers schedules nothing. A burst under way lives
+    /// in the injecting layer, not in the counters a checkpoint keeps, so
+    /// a resumed process does not continue it.
+    pub fn with_burst(mut self, disk: usize, op: u64, transfers: u32) -> Self {
+        if transfers > 0 {
+            self.events.insert((disk, op), FaultKind::Burst { transfers });
+        }
         self
     }
 
@@ -208,6 +234,34 @@ impl FaultPlan {
     }
 }
 
+/// The per-drive operation counters of a [`FaultInjectingBackend`] — the
+/// clock its plan's schedule is keyed by — shared with every handle, the
+/// way [`FaultPlan::stats`] shares [`FaultStats`], so the array that
+/// boxed the layer can still read and restore them.
+#[derive(Debug, Clone)]
+pub(crate) struct FaultOps(Arc<[AtomicU64]>);
+
+impl FaultOps {
+    /// Per-drive counts of the track transfers seen so far.
+    pub(crate) fn counts(&self) -> Vec<u64> {
+        self.0.iter().map(|ops| ops.load(Ordering::Relaxed)).collect()
+    }
+
+    /// Restore counters a previous process exported, so one-shot events
+    /// below them can never fire again and `dead_from` thresholds line up
+    /// with the uninterrupted run. Counts for another number of drives are
+    /// [`DiskError::InvalidConfig`].
+    pub(crate) fn restore(&self, counts: &[u64]) -> DiskResult<()> {
+        if counts.len() != self.0.len() {
+            return Err(DiskError::InvalidConfig("fault counters for another number of drives"));
+        }
+        for (ops, &count) in self.0.iter().zip(counts) {
+            ops.store(count, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+}
+
 /// A [`DiskBackend`] decorator that injects the faults of a [`FaultPlan`].
 ///
 /// Sits directly above the raw storage backend, below the checksum and
@@ -215,41 +269,60 @@ impl FaultPlan {
 /// injected transient errors are subject to the retry policy — exactly like
 /// real media faults would be.
 ///
-/// Every track transfer passes the injection point: a stripe's tracks draw
-/// their fates from the per-drive schedule one by one, in request order,
-/// each advancing its drive's operation counter by one. The tracks whose
-/// transfer is to happen (no fault, or a read whose result gets a bit
-/// flipped afterwards) are then forwarded to the inner backend as **one**
-/// stripe, so the file backend's intra-stripe overlap survives fault
-/// testing; a faulted track reports its own error in its own slot and
-/// never disturbs the stripe's other tracks. Because a stripe holds at most
-/// one track per drive, each drive's counter and transfer sequence are
-/// exactly what a track-at-a-time caller would produce.
+/// A batch is taken whole. Its tracks draw their fates from the per-drive
+/// schedule one by one, in request order, each advancing its drive's
+/// operation counter by one; the tracks whose transfer is to happen (no
+/// fault, or a read whose result gets a bit flipped afterwards) then go to
+/// the inner backend as **one** batch call in which every track keeps its
+/// stripe, so the layers below still move each drive's share at once. A
+/// faulted track reports its own error in its own slot and never disturbs
+/// the batch's other tracks; a torn write does its read-modify-write
+/// alone, after the batch.
 pub struct FaultInjectingBackend<B: DiskBackend> {
     inner: B,
     plan: FaultPlan,
-    op_seq: Vec<u64>,
+    ops: FaultOps,
+    /// Tracks a [`FaultKind::Burst`] follows: `(disk, track)` → transfers
+    /// still to fail.
+    bursts: HashMap<(usize, usize), u32>,
 }
 
 impl<B: DiskBackend> FaultInjectingBackend<B> {
     /// Wrap `inner`, injecting according to `plan`.
     pub fn new(inner: B, plan: FaultPlan) -> Self {
-        let d = inner.num_disks();
-        FaultInjectingBackend { inner, plan, op_seq: vec![0; d] }
+        let ops = FaultOps((0..inner.num_disks()).map(|_| AtomicU64::new(0)).collect());
+        FaultInjectingBackend { inner, plan, ops, bursts: HashMap::new() }
     }
 
-    /// Decide the fate of the current transfer on `disk` and advance the
-    /// per-drive sequence number.
-    fn next_fault(&mut self, disk: usize) -> Option<FaultKind> {
-        let op = self.op_seq[disk];
-        self.op_seq[disk] += 1;
+    /// Handle to this layer's per-drive operation counters.
+    pub(crate) fn ops(&self) -> FaultOps {
+        self.ops.clone()
+    }
+
+    /// Decide the fate of the current transfer of `(disk, track)` and
+    /// advance the drive's sequence number.
+    fn next_fault(&mut self, disk: usize, track: usize) -> Option<FaultKind> {
+        let op = self.ops.0[disk].fetch_add(1, Ordering::Relaxed);
         if let Some(&from) = self.plan.dead_from.get(&disk) {
             if op >= from {
                 self.plan.stats.dead_ops.fetch_add(1, Ordering::Relaxed);
                 return Some(FaultKind::Death);
             }
         }
-        self.plan.events.remove(&(disk, op))
+        let planned = self.plan.events.remove(&(disk, op));
+        if let Some(FaultKind::Burst { transfers }) = planned {
+            self.bursts.insert((disk, track), transfers);
+        }
+        match self.bursts.get_mut(&(disk, track)) {
+            Some(left) => {
+                *left -= 1;
+                if *left == 0 {
+                    self.bursts.remove(&(disk, track));
+                }
+                Some(FaultKind::Transient)
+            }
+            None => planned,
+        }
     }
 
     /// Count and build the error of an injected transient failure.
@@ -269,26 +342,32 @@ impl<B: DiskBackend> FaultInjectingBackend<B> {
         self.plan.stats.torn.fetch_add(1, Ordering::Relaxed);
         Err(self.transient(disk))
     }
+}
 
-    /// One stripe: its tracks draw their fates in request order, and the
-    /// ones whose transfer is to happen go down as one inner stripe.
-    fn read_one_stripe(
+impl<B: DiskBackend> DiskBackend for FaultInjectingBackend<B> {
+    fn num_disks(&self) -> usize {
+        self.inner.num_disks()
+    }
+
+    fn read_batch_each(
         &mut self,
+        stripes: &[usize],
         addrs: &[(usize, usize)],
         bufs: &mut [&mut [u8]],
     ) -> TrackOutcomes {
         let fates: Vec<Option<FaultKind>> =
-            addrs.iter().map(|&(disk, _)| self.next_fault(disk)).collect();
+            addrs.iter().map(|&(disk, track)| self.next_fault(disk, track)).collect();
         // A bit flip corrupts the *result* of a transfer that does happen.
         let transfers =
             |fate: &Option<FaultKind>| matches!(fate, None | Some(FaultKind::BitFlip { .. }));
+        let kept: Vec<usize> = (0..fates.len()).filter(|&i| transfers(&fates[i])).collect();
         let mut forwarded = {
             let (addrs, mut bufs): (Vec<(usize, usize)>, Vec<&mut [u8]>) =
                 (addrs.iter().zip(bufs.iter_mut()).zip(&fates))
                     .filter(|(_, fate)| transfers(fate))
                     .map(|((&addr, buf), _)| (addr, &mut **buf))
                     .unzip();
-            self.inner.read_batch_each(&[addrs.len()], &addrs, &mut bufs).into_iter()
+            self.inner.read_batch_each(&sub_batch(stripes, &kept), &addrs, &mut bufs).into_iter()
         };
         let mut transferred = || forwarded.next().expect("one outcome per forwarded track");
         (fates.into_iter().zip(addrs).zip(bufs.iter_mut()))
@@ -301,46 +380,11 @@ impl<B: DiskBackend> FaultInjectingBackend<B> {
                     self.plan.stats.bitflips.fetch_add(1, Ordering::Relaxed);
                 }),
                 Some(FaultKind::Death) => Err(DiskError::WorkerLost { disk }),
-                Some(FaultKind::Transient | FaultKind::TornWrite { .. }) => {
-                    Err(self.transient(disk))
-                }
+                Some(
+                    FaultKind::Transient | FaultKind::TornWrite { .. } | FaultKind::Burst { .. },
+                ) => Err(self.transient(disk)),
             })
             .collect()
-    }
-
-    fn write_one_stripe(&mut self, writes: &[(usize, usize, &[u8])]) -> TrackOutcomes {
-        let fates: Vec<Option<FaultKind>> =
-            writes.iter().map(|&(disk, _, _)| self.next_fault(disk)).collect();
-        let clean: Vec<(usize, usize, &[u8])> = (writes.iter().zip(&fates))
-            .filter(|(_, fate)| fate.is_none())
-            .map(|(&write, _)| write)
-            .collect();
-        let mut forwarded = self.inner.write_batch_each(&[clean.len()], &clean).into_iter();
-        (fates.into_iter().zip(writes))
-            .map(|(fate, &(disk, track, data))| match fate {
-                None => forwarded.next().expect("one outcome per forwarded track"),
-                Some(FaultKind::TornWrite { prefix }) => self.tear(disk, track, data, prefix),
-                Some(FaultKind::Death) => Err(DiskError::WorkerLost { disk }),
-                Some(FaultKind::Transient | FaultKind::BitFlip { .. }) => Err(self.transient(disk)),
-            })
-            .collect()
-    }
-}
-
-impl<B: DiskBackend> DiskBackend for FaultInjectingBackend<B> {
-    fn num_disks(&self) -> usize {
-        self.inner.num_disks()
-    }
-
-    /// Stripe by stripe, so each drive's schedule sees the batch's tracks
-    /// in the order stripe-at-a-time submission gives.
-    fn read_batch_each(
-        &mut self,
-        stripes: &[usize],
-        addrs: &[(usize, usize)],
-        bufs: &mut [&mut [u8]],
-    ) -> TrackOutcomes {
-        stripe_by_stripe(stripes, |at| self.read_one_stripe(&addrs[at.clone()], &mut bufs[at]))
     }
 
     fn write_batch_each(
@@ -348,7 +392,22 @@ impl<B: DiskBackend> DiskBackend for FaultInjectingBackend<B> {
         stripes: &[usize],
         writes: &[(usize, usize, &[u8])],
     ) -> TrackOutcomes {
-        stripe_by_stripe(stripes, |at| self.write_one_stripe(&writes[at]))
+        let fates: Vec<Option<FaultKind>> =
+            writes.iter().map(|&(disk, track, _)| self.next_fault(disk, track)).collect();
+        let kept: Vec<usize> = (0..fates.len()).filter(|&i| fates[i].is_none()).collect();
+        let clean: Vec<(usize, usize, &[u8])> = kept.iter().map(|&i| writes[i]).collect();
+        let mut forwarded =
+            self.inner.write_batch_each(&sub_batch(stripes, &kept), &clean).into_iter();
+        (fates.into_iter().zip(writes))
+            .map(|(fate, &(disk, track, data))| match fate {
+                None => forwarded.next().expect("one outcome per forwarded track"),
+                Some(FaultKind::TornWrite { prefix }) => self.tear(disk, track, data, prefix),
+                Some(FaultKind::Death) => Err(DiskError::WorkerLost { disk }),
+                Some(
+                    FaultKind::Transient | FaultKind::BitFlip { .. } | FaultKind::Burst { .. },
+                ) => Err(self.transient(disk)),
+            })
+            .collect()
     }
 
     fn tracks_used(&self, disk: usize) -> usize {
@@ -358,34 +417,12 @@ impl<B: DiskBackend> DiskBackend for FaultInjectingBackend<B> {
     fn sync(&mut self) -> DiskResult<()> {
         self.inner.sync()
     }
-
-    fn take_retried_blocks(&mut self) -> u64 {
-        self.inner.take_retried_blocks()
-    }
-
-    fn fault_op_counts(&self) -> Option<Vec<u64>> {
-        Some(self.op_seq.clone())
-    }
-
-    /// The schedule is keyed by these counters, so restoring them from a
-    /// checkpoint makes a resumed process see exactly the *remaining*
-    /// schedule: one-shot events below the restored counts can never fire
-    /// again (their keys are unreachable) and `dead_from` thresholds line
-    /// up with the uninterrupted run. Counting from process start instead
-    /// — the pre-checkpoint behaviour — replayed the whole schedule on
-    /// every reattach.
-    fn restore_fault_op_counts(&mut self, counts: &[u64]) -> DiskResult<()> {
-        if counts.len() != self.op_seq.len() {
-            return Err(DiskError::InvalidConfig("fault counters for another number of drives"));
-        }
-        self.op_seq.copy_from_slice(counts);
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::tests::CountingBackend;
     use crate::MemoryBackend;
 
     #[test]
@@ -466,20 +503,89 @@ mod tests {
         let mut first = FaultInjectingBackend::new(MemoryBackend::new(1), plan.clone());
         first.write_stripe(&[(0, 0, &[1u8; 4])]).unwrap(); // op 0
         first.write_stripe(&[(0, 1, &[2u8; 4])]).unwrap(); // op 1
-        let counts = first.fault_op_counts().unwrap();
+        let counts = first.ops().counts();
         assert_eq!(counts, vec![2]);
 
         let mut resumed = FaultInjectingBackend::new(MemoryBackend::new(1), plan);
-        assert!(matches!(
-            resumed.restore_fault_op_counts(&[2, 0]),
-            Err(DiskError::InvalidConfig(_))
-        ));
-        resumed.restore_fault_op_counts(&counts).unwrap();
+        assert!(matches!(resumed.ops().restore(&[2, 0]), Err(DiskError::InvalidConfig(_))));
+        resumed.ops().restore(&counts).unwrap();
         let err = resumed.write_stripe(&[(0, 2, &[3u8; 4])]).unwrap_err(); // op 2: injected
         assert!(err.is_transient());
         resumed.write_stripe(&[(0, 2, &[3u8; 4])]).unwrap(); // op 3: clean
         let err = resumed.write_stripe(&[(0, 3, &[4u8; 4])]).unwrap_err(); // op 4: dead
         assert!(matches!(err, DiskError::WorkerLost { disk: 0 }));
+    }
+
+    #[test]
+    fn a_batch_under_a_plan_is_one_inner_call_per_direction() {
+        const D: usize = 3;
+        // Three full stripes. Drive 1's second transfer — the middle
+        // stripe's write — fails; drive 0's fourth — the first stripe's
+        // read — is bit-flipped; drive 2's sixth — the last stripe's read —
+        // fails.
+        let plan =
+            FaultPlan::none().with_transient(1, 1).with_bit_flip(0, 3, 0, 0).with_transient(2, 5);
+        let mut be = FaultInjectingBackend::new(CountingBackend::new(D), plan);
+        let stripes = [D; 3];
+        let addrs: Vec<(usize, usize)> = (0..3 * D).map(|g| (g % D, g / D)).collect();
+        let payloads: Vec<[u8; 4]> = (0..addrs.len()).map(|i| [i as u8 + 1; 4]).collect();
+        let writes: Vec<(usize, usize, &[u8])> =
+            addrs.iter().zip(&payloads).map(|(&(d, t), p)| (d, t, &p[..])).collect();
+        let written = be.write_batch_each(&stripes, &writes);
+        let mut blocks = vec![[0u8; 4]; addrs.len()];
+        let mut bufs: Vec<&mut [u8]> = blocks.iter_mut().map(|b| &mut b[..]).collect();
+        let read = be.read_batch_each(&stripes, &addrs, &mut bufs);
+
+        let without = |skip: usize| -> Vec<(usize, usize)> {
+            (addrs.iter().enumerate()).filter(|&(i, _)| i != skip).map(|(_, &a)| a).collect()
+        };
+        let kept =
+            |skip: usize| -> Vec<usize> { (0..addrs.len()).filter(|&i| i != skip).collect() };
+        assert_eq!(
+            be.inner.calls.drain(),
+            [
+                (true, sub_batch(&stripes, &kept(4)), without(4)),
+                (false, sub_batch(&stripes, &kept(8)), without(8)),
+            ],
+            "one inner call per direction, the faulted track left out"
+        );
+        assert_eq!(sub_batch(&stripes, &kept(4)), [3, 2, 3]);
+        for (i, (w, r)) in written.iter().zip(&read).enumerate() {
+            assert_eq!(w.is_err(), i == 4, "write {i}: {w:?}");
+            assert_eq!(r.is_err(), i == 8, "read {i}: {r:?}");
+        }
+        assert_eq!(blocks[0], [0, 1, 1, 1], "the flipped read arrived, one bit off");
+        assert_eq!(blocks[4], [0; 4], "the failed write never landed");
+        assert_eq!(blocks[7], payloads[7]);
+        assert_eq!(be.ops().counts(), [6, 6, 6]);
+    }
+
+    #[test]
+    fn a_burst_follows_its_track_through_a_batch_and_its_retries() {
+        use crate::{RetryPolicy, RetryingBackend};
+        // Drive 0's op 1 is the middle stripe's track; its op 2, the last
+        // stripe's, is clean. The burst fails the middle track's first
+        // attempt and both retries, exhausting a three-attempt budget.
+        let plan = FaultPlan::none().with_burst(0, 1, 3);
+        let stats = plan.stats();
+        let fault = FaultInjectingBackend::new(MemoryBackend::new(2), plan);
+        let ops = fault.ops();
+        let mut be = RetryingBackend::new(fault, RetryPolicy::new(3));
+        let retried = be.retried();
+        let payloads: Vec<[u8; 4]> = (0..6).map(|g| [g as u8 + 1; 4]).collect();
+        let writes: Vec<(usize, usize, &[u8])> =
+            (0..6).map(|g| (g % 2, g / 2, &payloads[g][..])).collect();
+        let outcomes = be.write_batch_each(&[2, 2, 2], &writes);
+        for (g, outcome) in outcomes.iter().enumerate() {
+            assert_eq!(outcome.is_err(), g == 2, "track {g}: {outcome:?}");
+        }
+        assert!(matches!(outcomes[2], Err(DiskError::WorkerIo { disk: 0, .. })));
+        assert_eq!((stats.counts().transient, retried.load(Ordering::Relaxed)), (3, 2));
+        assert_eq!(ops.counts(), [5, 3]);
+        // Spent: the next write of the track lands.
+        be.write_stripe(&[writes[2]]).unwrap();
+        assert_eq!(stats.counts().transient, 3);
+        assert!(FaultPlan::none().with_burst(0, 0, 0).events.is_empty());
     }
 
     #[test]

@@ -156,12 +156,10 @@ fn algorithm_drivers_reject_malformed_inputs() {
 
 /// Drives with bad spots, keyed by `(disk, track)` rather than by how many
 /// operations a drive has seen — so the fault means the same thing in any
-/// submission order and can sit under the *batched* order (an array built
-/// with an [`em_disk::FaultPlan`] hands batches down stripe by stripe, so
-/// the plan-driven suites only ever see that order). A bad track fails its
-/// first write and its first read: the write and the even tracks' read
-/// with a transient error, the odd tracks' read by returning a flipped bit
-/// for the checksum layer to catch.
+/// submission order, the order-free counterpart of the plan-driven suites.
+/// A bad track fails its first write and its first read: the write and the
+/// even tracks' read with a transient error, the odd tracks' read by
+/// returning a flipped bit for the checksum layer to catch.
 struct BadSpots {
     inner: em_disk::MemoryBackend,
     read_before: std::collections::HashSet<(usize, usize)>,

@@ -299,9 +299,11 @@ fn par_single_transient_sweep_replays_or_reports() {
 }
 
 /// A burst as long as the retry budget: the track it lands on fails every
-/// attempt, so its stripe fails with the rest of the stripe's tracks
+/// attempt, so its batch fails with the rest of the batch's tracks
 /// attempted (and possibly landed). The superstep's rollback must undo
-/// those too and the replay must converge on the fault-free run.
+/// those too and the replay must converge on the fault-free run. The burst
+/// follows its track, so it exhausts the budget however many other tracks
+/// of the drive the batch moves between the attempts.
 #[test]
 fn retry_budget_exhaustion_inside_a_stripe_is_rolled_back_and_replayed() {
     let prog = Diffuse;
@@ -312,10 +314,7 @@ fn retry_budget_exhaustion_inside_a_stripe_is_rolled_back_and_replayed() {
     let mut replayed = 0usize;
     for disk in 0..D {
         for op in (20..160).step_by(9) {
-            let mut plan = FaultPlan::none();
-            for attempt in 0..policy.max_attempts as u64 {
-                plan = plan.with_transient(disk, op + attempt);
-            }
+            let plan = FaultPlan::none().with_burst(disk, op, policy.max_attempts);
             let sim = base
                 .clone()
                 .with_fault_plan(plan)
