@@ -1,6 +1,6 @@
 //! Table rendering and machine-readable result output.
 
-use std::fmt::Write as _;
+use em_service::json_string;
 use std::path::{Path, PathBuf};
 
 /// One experiment row.
@@ -100,27 +100,6 @@ pub fn print_json(rows: &[Row]) {
     for r in rows {
         println!("{}", r.to_json());
     }
-}
-
-/// A JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A JSON number: shortest digits that read back as `x`, always with a

@@ -25,12 +25,18 @@ pub struct SuperstepComm {
     pub w_comp: u64,
 }
 
+// Field order is checkpoint format 3: em-core's barrier manifest.
+em_serial::impl_serial_struct!(SuperstepComm { msgs, bytes, h_bytes, h_msgs, h_packets, w_comp });
+
 /// Ledger of a whole run: one [`SuperstepComm`] per superstep.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommLedger {
     /// Per-superstep traffic, in execution order.
     pub steps: Vec<SuperstepComm>,
 }
+
+// Field order is checkpoint format 3: em-core's barrier manifest.
+em_serial::impl_serial_struct!(CommLedger { steps });
 
 impl CommLedger {
     /// λ — number of supersteps executed.

@@ -22,9 +22,9 @@
 
 use em_disk::IoStats;
 
-use em_bsp::SuperstepComm;
-
 use crate::error::EmError;
+use crate::msg::GroupCounts;
+use crate::par_sim::RunGlobals;
 use crate::report::PhaseIo;
 
 /// A simulated crash point for chaos testing.
@@ -83,55 +83,49 @@ pub(crate) fn superstep_seed(seed: u64, worker: u64, step: u64) -> u64 {
 
 /// Everything one worker needs to resume from a committed barrier.
 ///
-/// Serialized as the payload of a CRC-framed manifest
-/// ([`em_disk::CheckpointStore::commit_manifest`]). The first block of
-/// fields is a *shape guard*: resume refuses to continue a run whose
-/// program geometry, machine shape, seed or worker identity differ from
-/// the checkpointed run, because replay determinism would be silently
-/// lost.
+/// Serialized by [`em_serial`] as the payload of a CRC-framed manifest
+/// ([`em_disk::CheckpointStore::commit_manifest`]), in field order:
+/// fixed-width little-endian integers, `usize` as a `u64`, `bool` and
+/// `Option` as a 0/1 tag byte, a `Vec` as a `u64` length and its items
+/// (checkpoint format 3). The first block of fields is a *shape guard*:
+/// resume refuses to continue a run whose program geometry, machine
+/// shape, seed or worker identity differ from the checkpointed run,
+/// because replay determinism would be silently lost.
 ///
-/// The final region's base and stride follow the fixed-size header, so
-/// they sit at fixed payload offsets: [`REGION_BASE_AT`] (77) and the
-/// eight bytes after it.
+/// The fields before `counts` have fixed sizes, so the final region's base
+/// and stride — the first two fields of `counts` — sit at payload offsets
+/// 77 and 85.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Manifest {
     /// Number of virtual processors.
-    pub v: u64,
+    pub v: usize,
     /// Contexts per group (sequential) or per batch slot (parallel).
-    pub k: u64,
+    pub k: usize,
     /// Number of groups / batches.
-    pub num_groups: u64,
+    pub num_groups: usize,
     /// Declared μ (max context bytes).
-    pub mu: u64,
+    pub mu: usize,
     /// Declared γ envelope (max comm bytes).
-    pub gamma: u64,
+    pub gamma: usize,
     /// Base RNG seed of the run.
     pub seed: u64,
     /// Drives per (simulated) processor.
     pub num_disks: u32,
     /// Logical block size in bytes.
-    pub block_bytes: u64,
+    pub block_bytes: usize,
     /// Simulated processor count (1 for the sequential simulator).
     pub p: u32,
     /// Which worker wrote this manifest.
     pub worker: u32,
     /// The next superstep to execute on resume.
-    pub next_step: u64,
+    pub next_step: usize,
     /// Whether the program had already terminated at this barrier.
     pub finished: bool,
-    /// `GroupCounts::base`: where the last completed superstep's final
-    /// region starts.
-    pub region_base: u64,
-    /// `GroupCounts::bucket_tracks`: that region's tracks per bucket.
-    pub bucket_tracks: u64,
-    /// `GroupCounts::counts` of the last completed superstep.
-    pub counts: Vec<u64>,
-    /// `GroupCounts::prefix_in_bucket` of the last completed superstep.
-    pub prefix: Vec<u64>,
-    /// Track allocator frontier per drive.
-    pub alloc_next: Vec<u64>,
-    /// Track allocator free lists per drive.
-    pub alloc_free: Vec<Vec<u64>>,
+    /// The last completed superstep's group counts and final region.
+    pub counts: GroupCounts,
+    /// The track allocator, as [`em_disk::TrackAllocator::export_state`]
+    /// returns it: per drive, the frontier and the free tracks below it.
+    pub alloc: (Vec<usize>, Vec<Vec<usize>>),
     /// Per-drive fault-injection operation counters, when a fault plan
     /// is attached.
     pub fault_ops: Option<Vec<u64>>,
@@ -141,261 +135,38 @@ pub(crate) struct Manifest {
     pub io: IoStats,
     /// Routing balance factors of the completed supersteps.
     pub balances: Vec<f64>,
-    /// Communication ledger (worker 0 only on the parallel simulator).
-    pub ledger: Vec<SuperstepComm>,
-    /// Real exchanged bytes so far (parallel simulator, worker 0).
-    pub real_comm: u64,
-    /// Supersteps recovered by in-process replay so far.
-    pub recovered: u64,
-    /// Total in-process replays so far.
-    pub replays: u64,
+    /// The ledger and run totals (worker 0 only; empty elsewhere).
+    pub globals: RunGlobals,
 }
 
-/// Payload offset of [`Manifest::region_base`]: after six `u64`s, a `u32`,
-/// a `u64`, two `u32`s, a `u64` and the `finished` byte.
-const REGION_BASE_AT: usize = 6 * 8 + 4 + 8 + 2 * 4 + 8 + 1;
-
-fn put_u32(out: &mut Vec<u8>, x: u32) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, x: u64) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_u64s(out: &mut Vec<u8>, xs: &[u64]) {
-    put_u64(out, xs.len() as u64);
-    for &x in xs {
-        put_u64(out, x);
-    }
-}
-
-/// A bounds-checked little-endian reader over a manifest payload.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn truncated() -> EmError {
-        EmError::InvalidConfig("checkpoint payload truncated".into())
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], EmError> {
-        let end = self.pos.checked_add(n).ok_or_else(Self::truncated)?;
-        if end > self.buf.len() {
-            return Err(Self::truncated());
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, EmError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, EmError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn u64s(&mut self) -> Result<Vec<u64>, EmError> {
-        let n = self.u64()? as usize;
-        if n > self.buf.len() / 8 + 1 {
-            return Err(Self::truncated());
-        }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
-        Ok(out)
-    }
-
-    fn done(&self) -> Result<(), EmError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(EmError::InvalidConfig("checkpoint payload has trailing bytes".into()))
-        }
-    }
-}
+em_serial::impl_serial_struct!(Manifest {
+    v,
+    k,
+    num_groups,
+    mu,
+    gamma,
+    seed,
+    num_disks,
+    block_bytes,
+    p,
+    worker,
+    next_step,
+    finished,
+    counts,
+    alloc,
+    fault_ops,
+    phases,
+    io,
+    balances,
+    globals,
+});
 
 impl Manifest {
-    /// Serialize to the little-endian payload stored inside the
-    /// CRC-framed manifest file.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(256);
-        put_u64(&mut out, self.v);
-        put_u64(&mut out, self.k);
-        put_u64(&mut out, self.num_groups);
-        put_u64(&mut out, self.mu);
-        put_u64(&mut out, self.gamma);
-        put_u64(&mut out, self.seed);
-        put_u32(&mut out, self.num_disks);
-        put_u64(&mut out, self.block_bytes);
-        put_u32(&mut out, self.p);
-        put_u32(&mut out, self.worker);
-        put_u64(&mut out, self.next_step);
-        out.push(self.finished as u8);
-        debug_assert_eq!(out.len(), REGION_BASE_AT);
-        put_u64(&mut out, self.region_base);
-        put_u64(&mut out, self.bucket_tracks);
-        put_u64s(&mut out, &self.counts);
-        put_u64s(&mut out, &self.prefix);
-        put_u64s(&mut out, &self.alloc_next);
-        put_u64(&mut out, self.alloc_free.len() as u64);
-        for free in &self.alloc_free {
-            put_u64s(&mut out, free);
-        }
-        match &self.fault_ops {
-            None => out.push(0),
-            Some(ops) => {
-                out.push(1);
-                put_u64s(&mut out, ops);
-            }
-        }
-        put_u64(&mut out, self.phases.fetch_ctx);
-        put_u64(&mut out, self.phases.fetch_msg);
-        put_u64(&mut out, self.phases.scatter);
-        put_u64(&mut out, self.phases.write_ctx);
-        put_u64(&mut out, self.phases.routing);
-        put_u64(&mut out, self.io.parallel_ops);
-        put_u64(&mut out, self.io.blocks_read);
-        put_u64(&mut out, self.io.blocks_written);
-        put_u64(&mut out, self.io.bytes_read);
-        put_u64(&mut out, self.io.bytes_written);
-        put_u64s(&mut out, &self.io.per_disk_reads);
-        put_u64s(&mut out, &self.io.per_disk_writes);
-        put_u64(&mut out, self.io.retried_blocks);
-        put_u64(&mut out, self.io.recovery_ops);
-        put_u64(&mut out, self.balances.len() as u64);
-        for &b in &self.balances {
-            put_u64(&mut out, b.to_bits());
-        }
-        put_u64(&mut out, self.ledger.len() as u64);
-        for s in &self.ledger {
-            put_u64(&mut out, s.msgs);
-            put_u64(&mut out, s.bytes);
-            put_u64(&mut out, s.h_bytes);
-            put_u64(&mut out, s.h_msgs);
-            put_u64(&mut out, s.h_packets);
-            put_u64(&mut out, s.w_comp);
-        }
-        put_u64(&mut out, self.real_comm);
-        put_u64(&mut out, self.recovered);
-        put_u64(&mut out, self.replays);
-        out
-    }
-
-    /// Decode a manifest payload, rejecting truncated or over-long
-    /// buffers with [`EmError::InvalidConfig`].
+    /// Decode a manifest payload, rejecting truncated, over-long or
+    /// malformed buffers with [`EmError::InvalidConfig`].
     pub fn decode(buf: &[u8]) -> Result<Manifest, EmError> {
-        let mut c = Cursor::new(buf);
-        let v = c.u64()?;
-        let k = c.u64()?;
-        let num_groups = c.u64()?;
-        let mu = c.u64()?;
-        let gamma = c.u64()?;
-        let seed = c.u64()?;
-        let num_disks = c.u32()?;
-        let block_bytes = c.u64()?;
-        let p = c.u32()?;
-        let worker = c.u32()?;
-        let next_step = c.u64()?;
-        let finished = c.take(1)?[0] != 0;
-        let region_base = c.u64()?;
-        let bucket_tracks = c.u64()?;
-        let counts = c.u64s()?;
-        let prefix = c.u64s()?;
-        let alloc_next = c.u64s()?;
-        let free_len = c.u64()? as usize;
-        if free_len > buf.len() {
-            return Err(Cursor::truncated());
-        }
-        let mut alloc_free = Vec::with_capacity(free_len);
-        for _ in 0..free_len {
-            alloc_free.push(c.u64s()?);
-        }
-        let fault_ops = match c.take(1)?[0] {
-            0 => None,
-            _ => Some(c.u64s()?),
-        };
-        let phases = PhaseIo {
-            fetch_ctx: c.u64()?,
-            fetch_msg: c.u64()?,
-            scatter: c.u64()?,
-            write_ctx: c.u64()?,
-            routing: c.u64()?,
-        };
-        let mut io = IoStats::new(num_disks as usize);
-        io.parallel_ops = c.u64()?;
-        io.blocks_read = c.u64()?;
-        io.blocks_written = c.u64()?;
-        io.bytes_read = c.u64()?;
-        io.bytes_written = c.u64()?;
-        io.per_disk_reads = c.u64s()?;
-        io.per_disk_writes = c.u64s()?;
-        io.retried_blocks = c.u64()?;
-        io.recovery_ops = c.u64()?;
-        let n_bal = c.u64()? as usize;
-        if n_bal > buf.len() {
-            return Err(Cursor::truncated());
-        }
-        let mut balances = Vec::with_capacity(n_bal);
-        for _ in 0..n_bal {
-            balances.push(f64::from_bits(c.u64()?));
-        }
-        let n_steps = c.u64()? as usize;
-        if n_steps > buf.len() {
-            return Err(Cursor::truncated());
-        }
-        let mut ledger = Vec::with_capacity(n_steps);
-        for _ in 0..n_steps {
-            ledger.push(SuperstepComm {
-                msgs: c.u64()?,
-                bytes: c.u64()?,
-                h_bytes: c.u64()?,
-                h_msgs: c.u64()?,
-                h_packets: c.u64()?,
-                w_comp: c.u64()?,
-            });
-        }
-        let real_comm = c.u64()?;
-        let recovered = c.u64()?;
-        let replays = c.u64()?;
-        c.done()?;
-        Ok(Manifest {
-            v,
-            k,
-            num_groups,
-            mu,
-            gamma,
-            seed,
-            num_disks,
-            block_bytes,
-            p,
-            worker,
-            next_step,
-            finished,
-            region_base,
-            bucket_tracks,
-            counts,
-            prefix,
-            alloc_next,
-            alloc_free,
-            fault_ops,
-            phases,
-            io,
-            balances,
-            ledger,
-            real_comm,
-            recovered,
-            replays,
-        })
+        em_serial::from_bytes(buf)
+            .map_err(|e| EmError::InvalidConfig(format!("checkpoint manifest payload: {e}")))
     }
 
     /// Validate the shape-guard fields against the resuming run's
@@ -403,11 +174,11 @@ impl Manifest {
     #[allow(clippy::too_many_arguments)]
     pub fn check_shape(
         &self,
-        mu: u64,
-        gamma: u64,
+        mu: usize,
+        gamma: usize,
         seed: u64,
         num_disks: u32,
-        block_bytes: u64,
+        block_bytes: usize,
         p: u32,
         worker: u32,
     ) -> Result<(), EmError> {
@@ -453,6 +224,12 @@ impl Manifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use em_bsp::{CommLedger, SuperstepComm};
+    use em_serial::to_bytes;
+
+    /// Payload offset of the final region's base: after six `u64`s, a
+    /// `u32`, a `u64`, two `u32`s, a `u64` and the `finished` byte.
+    const REGION_BASE_AT: usize = 6 * 8 + 4 + 8 + 2 * 4 + 8 + 1;
 
     fn sample() -> Manifest {
         Manifest {
@@ -468,63 +245,112 @@ mod tests {
             worker: 0,
             next_step: 3,
             finished: false,
-            region_base: 6,
-            bucket_tracks: 1,
-            counts: vec![4, 4, 4, 4],
-            prefix: vec![0, 1, 2, 3],
-            alloc_next: vec![7, 7, 6, 6],
-            alloc_free: vec![vec![], vec![2], vec![], vec![1, 3]],
+            counts: GroupCounts {
+                counts: vec![4, 4, 4, 4],
+                prefix_in_bucket: vec![0, 1, 2, 3],
+                base: 6,
+                bucket_tracks: 1,
+            },
+            alloc: (vec![7, 7, 6, 6], vec![vec![], vec![2], vec![], vec![1, 3]]),
             fault_ops: Some(vec![10, 11, 12, 13]),
             phases: PhaseIo { fetch_ctx: 8, fetch_msg: 4, scatter: 2, write_ctx: 8, routing: 3 },
-            io: {
-                let mut io = IoStats::new(4);
-                io.parallel_ops = 25;
-                io.blocks_read = 80;
-                io.blocks_written = 60;
-                io.bytes_read = 80 * 256;
-                io.bytes_written = 60 * 256;
-                io.per_disk_reads = vec![20, 20, 20, 20];
-                io.per_disk_writes = vec![15, 15, 15, 15];
-                io.retried_blocks = 1;
-                io.recovery_ops = 5;
-                io
+            io: IoStats {
+                parallel_ops: 25,
+                blocks_read: 80,
+                blocks_written: 60,
+                bytes_read: 80 * 256,
+                bytes_written: 60 * 256,
+                per_disk_reads: vec![20, 20, 20, 20],
+                per_disk_writes: vec![15, 15, 15, 15],
+                retried_blocks: 1,
+                recovery_ops: 5,
             },
             balances: vec![1.0, 1.25, 0.75],
-            ledger: vec![SuperstepComm {
-                msgs: 12,
-                bytes: 480,
-                h_bytes: 160,
-                h_msgs: 4,
-                h_packets: 4,
-                w_comp: 99,
-            }],
-            real_comm: 480,
-            recovered: 1,
-            replays: 2,
+            globals: RunGlobals {
+                ledger: CommLedger {
+                    steps: vec![SuperstepComm {
+                        msgs: 12,
+                        bytes: 480,
+                        h_bytes: 160,
+                        h_msgs: 4,
+                        h_packets: 4,
+                        w_comp: 99,
+                    }],
+                },
+                real_comm: 480,
+                recovered: 1,
+                replays: 2,
+            },
+        }
+    }
+
+    /// `sample()` without fault counters or ledger, at a finished barrier.
+    fn finished_sample() -> Manifest {
+        let mut m = sample();
+        m.fault_ops = None;
+        m.finished = true;
+        m.globals.ledger.steps.clear();
+        m
+    }
+
+    /// Checkpoint format 3 as the hand-written encoder that preceded
+    /// `em_serial`'s wrote `sample()`...
+    const SAMPLE_HEX: &str = concat!(
+        "10000000000000000400000000000000040000000000000080000000000000000002000000000000ed5e5cd100000000",
+        "040000000001000000000000010000000000000003000000000000000006000000000000000100000000000000040000",
+        "000000000004000000000000000400000000000000040000000000000004000000000000000400000000000000000000",
+        "000000000001000000000000000200000000000000030000000000000004000000000000000700000000000000070000",
+        "000000000006000000000000000600000000000000040000000000000000000000000000000100000000000000020000",
+        "000000000000000000000000000200000000000000010000000000000003000000000000000104000000000000000a00",
+        "0000000000000b000000000000000c000000000000000d00000000000000080000000000000004000000000000000200",
+        "00000000000008000000000000000300000000000000190000000000000050000000000000003c000000000000000050",
+        "000000000000003c00000000000004000000000000001400000000000000140000000000000014000000000000001400",
+        "00000000000004000000000000000f000000000000000f000000000000000f000000000000000f000000000000000100",
+        "00000000000005000000000000000300000000000000000000000000f03f000000000000f43f000000000000e83f0100",
+        "0000000000000c00000000000000e001000000000000a000000000000000040000000000000004000000000000006300",
+        "000000000000e00100000000000001000000000000000200000000000000",
+    );
+
+    /// ...and `finished_sample()`.
+    const FINISHED_SAMPLE_HEX: &str = concat!(
+        "10000000000000000400000000000000040000000000000080000000000000000002000000000000ed5e5cd100000000",
+        "040000000001000000000000010000000000000003000000000000000106000000000000000100000000000000040000",
+        "000000000004000000000000000400000000000000040000000000000004000000000000000400000000000000000000",
+        "000000000001000000000000000200000000000000030000000000000004000000000000000700000000000000070000",
+        "000000000006000000000000000600000000000000040000000000000000000000000000000100000000000000020000",
+        "000000000000000000000000000200000000000000010000000000000003000000000000000008000000000000000400",
+        "000000000000020000000000000008000000000000000300000000000000190000000000000050000000000000003c00",
+        "0000000000000050000000000000003c0000000000000400000000000000140000000000000014000000000000001400",
+        "000000000000140000000000000004000000000000000f000000000000000f000000000000000f000000000000000f00",
+        "000000000000010000000000000005000000000000000300000000000000000000000000f03f000000000000f43f0000",
+        "00000000e83f0000000000000000e00100000000000001000000000000000200000000000000",
+    );
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len()).step_by(2).map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap()).collect()
+    }
+
+    #[test]
+    fn format_3_bytes_are_pinned() {
+        for (m, hex) in [(sample(), SAMPLE_HEX), (finished_sample(), FINISHED_SAMPLE_HEX)] {
+            let bytes = unhex(hex);
+            assert_eq!(Manifest::decode(&bytes).expect("decode"), m);
+            assert_eq!(to_bytes(&m), bytes);
         }
     }
 
     #[test]
-    fn manifest_round_trips() {
-        let m = sample();
-        let bytes = m.encode();
-        let back = Manifest::decode(&bytes).expect("decode");
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn none_fault_ops_round_trips() {
-        let mut m = sample();
-        m.fault_ops = None;
-        m.finished = true;
-        m.ledger.clear();
-        let back = Manifest::decode(&m.encode()).expect("decode");
-        assert_eq!(back, m);
+    fn a_tag_byte_other_than_0_or_1_is_refused() {
+        let mut bytes = to_bytes(&sample());
+        let at = REGION_BASE_AT - 1;
+        assert_eq!(bytes[at], 0, "the finished flag");
+        bytes[at] = 2;
+        assert!(matches!(Manifest::decode(&bytes), Err(EmError::InvalidConfig(_))));
     }
 
     #[test]
     fn truncated_payload_is_rejected() {
-        let bytes = sample().encode();
+        let bytes = to_bytes(&sample());
         for cut in [0, 1, 8, 17, bytes.len() / 2, bytes.len() - 1] {
             assert!(Manifest::decode(&bytes[..cut]).is_err(), "cut at {cut}");
         }
@@ -532,7 +358,7 @@ mod tests {
 
     #[test]
     fn the_region_sits_at_its_fixed_offsets() {
-        let bytes = sample().encode();
+        let bytes = to_bytes(&sample());
         let at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
         assert_eq!(REGION_BASE_AT, 77);
         assert_eq!((at(REGION_BASE_AT), at(REGION_BASE_AT + 8)), (6, 1));
@@ -544,7 +370,7 @@ mod tests {
 
     #[test]
     fn trailing_bytes_are_rejected() {
-        let mut bytes = sample().encode();
+        let mut bytes = to_bytes(&sample());
         bytes.push(0);
         assert!(Manifest::decode(&bytes).is_err());
     }

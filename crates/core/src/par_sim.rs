@@ -60,7 +60,7 @@ use crate::sim_config::{facade_scope::*, sim_facade, SimConfig};
 use crate::EmError;
 use em_bsp::{BspError, CommLedger, SuperstepComm};
 use em_disk::{CheckpointStore, FaultStats, IoStats, JournalFile, TrackAllocator};
-use em_serial::{from_bytes, to_bytes_into};
+use em_serial::{from_bytes, to_bytes, to_bytes_into};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -131,13 +131,16 @@ pub(crate) struct ResumeState {
 
 /// Run-global bookkeeping. Carried by processor 0's manifest only; the
 /// other processors store empty placeholders.
-#[derive(Default)]
-struct RunGlobals {
-    ledger: CommLedger,
-    real_comm: u64,
-    recovered: u64,
-    replays: u64,
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct RunGlobals {
+    pub ledger: CommLedger,
+    pub real_comm: u64,
+    pub recovered: u64,
+    pub replays: u64,
 }
+
+// Field order is checkpoint format 3 (`checkpoint::Manifest`).
+em_serial::impl_serial_struct!(RunGlobals { ledger, real_comm, recovered, replays });
 
 /// One processor's committed bookkeeping, as its manifest carries it.
 struct WorkerBook {
@@ -160,31 +163,16 @@ impl WorkerBook {
         i: usize,
         cfg: &DiskConfig,
     ) -> EmResult<(Self, RunGlobals)> {
-        let to_usize = |xs: &[u64]| xs.iter().map(|&x| x as usize).collect::<Vec<usize>>();
         let (mut alloc, ctx, geom) = shape.layout(i, cfg)?;
-        let counts = GroupCounts {
-            counts: to_usize(&m.counts),
-            prefix_in_bucket: to_usize(&m.prefix),
-            base: m.region_base as usize,
-            bucket_tracks: m.bucket_tracks as usize,
-        };
-        let free = m.alloc_free.iter().map(|f| to_usize(f)).collect();
-        let state = (to_usize(&m.alloc_next), free);
-        restore_committed_layout(&mut alloc, ctx.tracks_per_disk(), &geom, &counts, state)?;
+        restore_committed_layout(&mut alloc, ctx.tracks_per_disk(), &geom, &m.counts, m.alloc)?;
         let book = WorkerBook {
-            counts,
+            counts: m.counts,
             alloc,
             phases: m.phases,
             committed_io: m.io,
             balances: m.balances,
         };
-        let globals = RunGlobals {
-            ledger: CommLedger { steps: m.ledger },
-            real_comm: m.real_comm,
-            recovered: m.recovered,
-            replays: m.replays,
-        };
-        Ok((book, globals))
+        Ok((book, m.globals))
     }
 }
 
@@ -266,9 +254,18 @@ impl Shape {
         (pid % self.batch_unit()) / self.k
     }
 
-    /// Virtual processors worker `i` owns — the context regions it needs.
+    /// Virtual processors worker `i` owns — the context regions it needs:
+    /// `k` in every full batch, and its share of the ragged tail.
     fn owned(&self, i: usize) -> usize {
-        (0..self.num_batches).map(|batch| self.pids(i, batch).len()).sum()
+        let unit = self.batch_unit();
+        self.v / unit * self.k + (self.v % unit).saturating_sub(i * self.k).min(self.k)
+    }
+
+    /// Tracks per drive worker `i`'s contexts occupy from track 0, as
+    /// [`ContextStore::allocate`] lays them out; `None` past `usize`.
+    fn context_tracks(&self, i: usize, cfg: &DiskConfig) -> Option<usize> {
+        let blocks = (4 + self.mu).div_ceil(cfg.block_bytes).checked_mul(self.owned(i))?;
+        Some(blocks.div_ceil(cfg.num_disks))
     }
 
     /// Worker `i`'s context region for the first vp of round `batch`; the
@@ -716,11 +713,11 @@ pub(crate) fn resume_engine<P: BspProgram>(
     let decode = |i: usize, payload: &[u8]| -> EmResult<Manifest> {
         let m = Manifest::decode(payload)?;
         m.check_shape(
-            mu as u64,
-            gamma as u64,
+            mu,
+            gamma,
             cfg.seed,
             disk_cfg.num_disks as u32,
-            disk_cfg.block_bytes as u64,
+            disk_cfg.block_bytes,
             p as u32,
             i as u32,
         )?;
@@ -743,7 +740,7 @@ pub(crate) fn resume_engine<P: BspProgram>(
             ))
         })?;
         let m = decode(i, &payload)?;
-        if m.next_step != step {
+        if m.next_step as u64 != step {
             return Err(EmError::InvalidConfig(
                 "checkpoint manifest step disagrees with its payload".into(),
             ));
@@ -752,7 +749,7 @@ pub(crate) fn resume_engine<P: BspProgram>(
         latest.push(m);
     }
     let resume_step = latest.iter().map(|m| m.next_step).min().expect("p >= 1 workers");
-    let v = latest[0].v as usize;
+    let v = latest[0].v;
     let shape = Shape::new(&cfg.machine, v, mu, gamma)?;
 
     // Pass 2: load each processor's manifest at the resume barrier and
@@ -769,7 +766,7 @@ pub(crate) fn resume_engine<P: BspProgram>(
         let m = if m_latest.next_step == resume_step {
             m_latest
         } else {
-            let payload = store.load_manifest(resume_step)?.ok_or_else(|| {
+            let payload = store.load_manifest(resume_step as u64)?.ok_or_else(|| {
                 EmError::InvalidConfig(format!(
                     "processor {i} committed past barrier {resume_step} but no longer holds \
                      that barrier's manifest"
@@ -777,21 +774,33 @@ pub(crate) fn resume_engine<P: BspProgram>(
             })?;
             decode(i, &payload)?
         };
-        if m.v as usize != v || m.k != shape.k as u64 || m.num_groups != shape.num_batches as u64 {
+        if m.v != v || m.k != shape.k || m.num_groups != shape.num_batches {
             return Err(EmError::InvalidConfig(
                 "checkpoint resume shape mismatch: group geometry differs from the checkpointed \
                  run"
                 .into(),
             ));
         }
+        // Every context was written at load, so the drive files hold the
+        // tracks `v` implies: a `v` they do not hold is refused before
+        // anything is sized by it.
+        let plain = cfg.machine.disk_config()?.with_checksums(cfg.checksums);
+        let mut plain = DiskArray::open_file(plain, dir)?;
+        let held = (0..disk_cfg.num_disks).map(|d| plain.tracks_used(d)).max().unwrap_or(0);
+        if shape.context_tracks(i, &disk_cfg).is_none_or(|ctx| ctx > held) {
+            return Err(EmError::InvalidConfig(format!(
+                "checkpoint manifest is inconsistent: processor {i}'s drive files hold {held} \
+                 tracks, fewer than its contexts need"
+            )));
+        }
         let (finished, fault_ops) = (m.finished, m.fault_ops.clone());
         let (book, globals) = WorkerBook::from_manifest(m, &shape, i, &disk_cfg)?;
         if let Some(journal) = JournalFile::read(dir)? {
-            if journal.epoch > resume_step {
-                let plain = cfg.machine.disk_config()?.with_checksums(cfg.checksums);
-                DiskArray::open_file(plain, dir)?.apply_journal_undo(&journal)?;
+            if journal.epoch > resume_step as u64 {
+                plain.apply_journal_undo(&journal)?;
             }
         }
+        drop(plain);
         let mut arr = DiskArray::open_file_with_faults(disk_cfg, dir, cfg.fault_plan.clone())?;
         if let Some(ops) = &fault_ops {
             arr.restore_fault_op_counts(ops)?;
@@ -803,7 +812,7 @@ pub(crate) fn resume_engine<P: BspProgram>(
         }
     }
     let (finished, globals) = run_wide.expect("p >= 1 workers");
-    let resume = ResumeState { v, start_step: resume_step as usize, finished, workers, globals };
+    let resume = ResumeState { v, start_step: resume_step, finished, workers, globals };
     run_engine(cfg, &mut disks, prog, Start::Resume(Box::new(resume)))
 }
 
@@ -967,8 +976,8 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                     // resume could replay the wrong run's tail.
                     store.clear()?;
                     self.disks.clear_durable_journal()?;
-                    let manifest = self.manifest(0, false, &RunGlobals::default());
-                    store.commit_manifest(0, &manifest.encode())?;
+                    let manifest = self.manifest(0, false, RunGlobals::default());
+                    store.commit_manifest(0, &to_bytes(&manifest))?;
                 }
             }
             WorkerStart::Resume(book) => {
@@ -987,40 +996,31 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
     /// resumed process needs, plus a shape guard against resuming with a
     /// different configuration (the bookkeeping → manifest half of the
     /// conversion; [`WorkerBook::from_manifest`] is the other).
-    fn manifest(&self, next_step: usize, finished: bool, globals: &RunGlobals) -> Manifest {
+    fn manifest(&self, next_step: usize, finished: bool, globals: RunGlobals) -> Manifest {
         let shape = self.env.shape;
         let cfg = self.disks.config();
-        let to_u64 = |xs: &[usize]| xs.iter().map(|&x| x as u64).collect::<Vec<u64>>();
-        let (next, free) = self.alloc.export_state();
         let mut io = self.committed_io.clone();
         io.merge(self.disks.stats());
         Manifest {
-            v: shape.v as u64,
-            k: shape.k as u64,
-            num_groups: shape.num_batches as u64,
-            mu: shape.mu as u64,
-            gamma: shape.gamma as u64,
+            v: shape.v,
+            k: shape.k,
+            num_groups: shape.num_batches,
+            mu: shape.mu,
+            gamma: shape.gamma,
             seed: self.env.cfg.seed,
             num_disks: cfg.num_disks as u32,
-            block_bytes: cfg.block_bytes as u64,
+            block_bytes: cfg.block_bytes,
             p: shape.p as u32,
             worker: self.i as u32,
-            next_step: next_step as u64,
+            next_step,
             finished,
-            region_base: self.counts.base as u64,
-            bucket_tracks: self.counts.bucket_tracks as u64,
-            counts: to_u64(&self.counts.counts),
-            prefix: to_u64(&self.counts.prefix_in_bucket),
-            alloc_next: to_u64(&next),
-            alloc_free: free.iter().map(|f| to_u64(f)).collect(),
+            counts: self.counts.clone(),
+            alloc: self.alloc.export_state(),
             fault_ops: self.disks.fault_op_counts(),
             phases: self.phases.clone(),
             io,
             balances: self.balances.clone(),
-            ledger: globals.ledger.steps.clone(),
-            real_comm: globals.real_comm,
-            recovered: globals.recovered,
-            replays: globals.replays,
+            globals,
         }
     }
 
@@ -1445,7 +1445,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                 RunGlobals::default()
             };
             let finished = shared.terminated.load(Ordering::SeqCst);
-            let payload = self.manifest(step + 1, finished, &globals).encode();
+            let payload = to_bytes(&self.manifest(step + 1, finished, globals));
             let committed = if self.i == 0 && killed_at(KillPoint::MidManifest) {
                 // The crash tears worker 0's manifest mid-write — a frame
                 // the CRC check must reject, so resume falls back to the
@@ -1552,6 +1552,17 @@ mod tests {
         assert_eq!(report.num_groups, 4); // 32 / (2*4)
         assert!(report.io.parallel_ops > 0);
         assert!(report.real_comm_bytes > 0);
+    }
+
+    /// A worker owns, in closed form, what its batches hand it one by one.
+    #[test]
+    fn owned_counts_every_batch_share() {
+        for (v, k, p) in [(1, 1, 1), (16, 2, 1), (17, 2, 1), (13, 3, 2), (2, 1, 4), (31, 4, 3)] {
+            let shape = Shape { v, k, p, num_batches: v.div_ceil(k * p), mu: 8, gamma: 8 };
+            let per_batch = |i| (0..shape.num_batches).map(|b| shape.pids(i, b).len()).sum();
+            assert!((0..p).all(|i| shape.owned(i) == per_batch(i)), "v {v}, k {k}, p {p}");
+            assert_eq!((0..p).map(|i| shape.owned(i)).sum::<usize>(), v);
+        }
     }
 
     /// Every regular file directly inside `dir`, by name.

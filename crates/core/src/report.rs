@@ -82,6 +82,9 @@ pub struct PhaseIo {
     pub routing: u64,
 }
 
+// Field order is checkpoint format 3 (`checkpoint::Manifest`).
+em_serial::impl_serial_struct!(PhaseIo { fetch_ctx, fetch_msg, scatter, write_ctx, routing });
+
 impl PhaseIo {
     /// Total operations across phases.
     pub fn total(&self) -> u64 {

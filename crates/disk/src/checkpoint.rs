@@ -160,8 +160,11 @@ impl CheckpointStore {
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
         let stored_step = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-        let len = u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes")) as usize;
-        if version != CHECKPOINT_VERSION || stored_step != step || bytes.len() != header + len + 4 {
+        // The length word is read from disk: it is compared with the bytes
+        // the file holds, never added to or sized by.
+        let len = bytes.len() - header - 4;
+        let stored_len = u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes"));
+        if version != CHECKPOINT_VERSION || stored_step != step || stored_len != len as u64 {
             return Ok(None);
         }
         let crc = u32::from_le_bytes(bytes[header + len..].try_into().expect("4 bytes"));
@@ -394,6 +397,25 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert_eq!(store.load_manifest(5).unwrap(), None);
         assert_eq!(store.latest_manifest().unwrap(), Some((4, b"committed".to_vec())));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A frame whose length word is `u64::MAX` is torn, not a panic: the
+    /// length was once added to the header size, which overflowed.
+    #[test]
+    fn manifest_with_an_overflowing_length_is_not_loaded() {
+        let dir = tmp("overflow");
+        let store = CheckpointStore::attach(&dir).unwrap();
+        let mut bytes = MANIFEST_MAGIC.to_vec();
+        bytes.extend(CHECKPOINT_VERSION.to_le_bytes());
+        bytes.extend(1u64.to_le_bytes());
+        bytes.extend(u64::MAX.to_le_bytes());
+        let crc = crc32(&bytes[8..]);
+        bytes.extend(crc.to_le_bytes());
+        assert_eq!(bytes.len(), 32);
+        std::fs::write(store.manifest_path(1), &bytes).unwrap();
+        assert_eq!(store.load_manifest(1).unwrap(), None);
+        assert!(store.latest_manifest().unwrap().is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 

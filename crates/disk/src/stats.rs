@@ -41,6 +41,19 @@ pub struct IoStats {
     pub recovery_ops: u64,
 }
 
+// Field order is checkpoint format 3: em-core's barrier manifest.
+em_serial::impl_serial_struct!(IoStats {
+    parallel_ops,
+    blocks_read,
+    blocks_written,
+    bytes_read,
+    bytes_written,
+    per_disk_reads,
+    per_disk_writes,
+    retried_blocks,
+    recovery_ops,
+});
+
 impl IoStats {
     /// Fresh counters for an array of `num_disks` drives.
     pub fn new(num_disks: usize) -> Self {

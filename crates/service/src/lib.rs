@@ -65,7 +65,7 @@ use em_bsp::{BspProgram, ExecError, Executor, RunResult};
 use em_core::{CostReport, EmError, SeqEmSimulator};
 use em_disk::{Crc32, DiskArray, FaultPlan, SharedDiskSubstrate};
 use parking_lot::Mutex;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -1000,18 +1000,18 @@ impl TenantRecord {
         };
         format!(
             concat!(
-                "{{\"name\":{:?},\"seed\":{},\"v\":{},\"mu\":{},\"gamma\":{},",
-                "\"tracks\":{},\"fingerprint\":{},\"outcome\":{:?},",
+                "{{\"name\":{},\"seed\":{},\"v\":{},\"mu\":{},\"gamma\":{},",
+                "\"tracks\":{},\"fingerprint\":{},\"outcome\":{},",
                 "\"stages\":[{}]}}"
             ),
-            self.name,
+            json_string(&self.name),
             self.seed,
             self.v,
             self.mu,
             self.gamma,
             self.tracks,
             self.state_fingerprint,
-            outcome,
+            json_string(&outcome),
             stages.join(","),
         )
     }
@@ -1041,6 +1041,28 @@ impl ServiceReport {
         }
         out
     }
+}
+
+/// A JSON string literal: `s` in quotes, with `"`, `\\` and the control
+/// characters escaped and every other character as it is.
+pub fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
 #[cfg(test)]
@@ -1196,6 +1218,20 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].starts_with("{\"name\":\"a\""));
         assert!(lines[1].starts_with("{\"name\":\"b\""));
+    }
+
+    /// A name is a JSON string, not Rust's debug escaping of one: NUL,
+    /// U+0001 and a combining accent came out as `"\0"`, `"\u{1}"` and
+    /// `"\u{301}"`, none of which JSON reads.
+    #[test]
+    fn ledger_names_are_json_strings() {
+        let service = SimService::new(ServiceConfig::new(2, 64, 4096, 1 << 20));
+        let lease = service.admit(spec("a\0b\u{1}e\u{301}\"\\", 1, 8)).unwrap();
+        lease.execute(&AddOne, (0..8u64).collect()).unwrap();
+        let json = lease.complete().deterministic_json();
+        let name = "{\"name\":\"a\\u0000b\\u0001e\u{301}\\\"\\\\\",\"seed\":1,";
+        assert!(json.starts_with(name), "{json}");
+        assert!(json.contains("\"outcome\":\"completed\","), "{json}");
     }
 
     #[test]
