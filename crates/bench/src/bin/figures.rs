@@ -532,7 +532,8 @@ fn fig_obs2() -> Vec<Row> {
 /// Every recovered run asserts, in process, that its final states and its
 /// counted parallel I/O are bit-identical to the fault-free run: retries
 /// and replays are tallied separately (`retried_blocks`, `recovery_ops`)
-/// and never leak into the paper-facing metric.
+/// and never leak into the paper-facing metric. What recovery costs is
+/// space: each row prints its tracks a drive beside the bare run's.
 fn fig_faults() -> Vec<Row> {
     use em_bsp::{BspProgram, Mailbox, Step};
     use em_core::{RecoveryPolicy, SeqEmSimulator};
@@ -612,12 +613,15 @@ fn fig_faults() -> Vec<Row> {
             utilization: report.io.utilization(),
             wall_ms: wall,
             note: format!(
-                "injected={} retried={} replays={} recovered_steps={} recovery_ops={} wall {:.2}x",
+                "injected={} retried={} replays={} recovered_steps={} recovery_ops={} \
+                 tracks={} (bare {}) wall {:.2}x",
                 f.injected.total(),
                 f.retried_blocks,
                 f.replays,
                 f.recovered_supersteps,
                 f.recovery_ops,
+                report.tracks_per_disk,
+                clean_report.tracks_per_disk,
                 wall / base_wall,
             ),
         });

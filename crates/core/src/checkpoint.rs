@@ -12,10 +12,11 @@
 //! mid-commit leaves the previous committed manifest intact and a CRC
 //! check rejects torn files.
 //!
-//! Superstep writes that land *after* the last committed barrier are made
-//! undoable by the durable pre-image journal
-//! ([`em_disk::JournalFile`]): resume first rolls the drive files back to
-//! the committed barrier, then deterministically replays from there.
+//! Nothing a superstep writes after the last committed barrier needs
+//! undoing: a checkpointed run keeps two context generations and holds the
+//! final region its messages were fetched from until the barrier commits,
+//! so every write lands on a track the committed barrier left free. Resume
+//! loads the manifest and deterministically replays from there.
 //!
 //! Crashes themselves are simulated in-process via [`KillPoint`] so the
 //! whole kill-and-resume cycle is testable deterministically.
@@ -31,27 +32,25 @@ use crate::report::PhaseIo;
 ///
 /// A simulator configured with a kill point runs normally until the
 /// named superstep, then returns [`EmError::Killed`] leaving the on-disk
-/// state exactly as a real crash at that moment would: drive files,
-/// checkpoint manifests and the pre-image journal are whatever had been
-/// made durable so far. A subsequent `resume` call must reproduce the
+/// state exactly as a real crash at that moment would: drive files and
+/// checkpoint manifests are whatever had been made durable so far. A subsequent `resume` call must reproduce the
 /// uninterrupted run bit-identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillPoint {
     /// Crash immediately *after* the barrier commit of superstep `b`
-    /// completed in full (manifest committed, journal cleared). Resume
-    /// replays from superstep `b + 1`.
+    /// completed in full (every manifest committed). Resume replays from
+    /// superstep `b + 1`.
     AtBarrier(usize),
     /// Crash *during* the manifest write of superstep `b`'s barrier:
-    /// superstep writes are on disk and the journal is intact, but the
-    /// new manifest is torn. Resume must detect the torn manifest, fall
-    /// back to the previous committed one and undo superstep `b` via the
-    /// journal. On the parallel simulator only worker 0 tears its
-    /// manifest; the other workers commit in full, exercising the
-    /// one-superstep commit skew the recovery protocol tolerates.
+    /// superstep writes are on disk, but the new manifest is torn. Resume
+    /// must detect the torn manifest, fall back to the previous committed
+    /// one and replay superstep `b`. On the parallel simulator only worker
+    /// 0 tears its manifest; the other workers commit in full, exercising
+    /// the one-superstep commit skew the recovery protocol tolerates.
     MidManifest(usize),
     /// Crash after superstep `b`'s data writes were synced but before
-    /// any barrier commit began: no new manifest, journal intact.
-    /// Resume undoes superstep `b` and replays it.
+    /// any barrier commit began: no new manifest. Resume replays
+    /// superstep `b`.
     MidSuperstep(usize),
 }
 
@@ -87,10 +86,11 @@ pub(crate) fn superstep_seed(seed: u64, worker: u64, step: u64) -> u64 {
 /// ([`em_disk::CheckpointStore::commit_manifest`]), in field order:
 /// fixed-width little-endian integers, `usize` as a `u64`, `bool` and
 /// `Option` as a 0/1 tag byte, a `Vec` as a `u64` length and its items
-/// (checkpoint format 3). The first block of fields is a *shape guard*:
-/// resume refuses to continue a run whose program geometry, machine
-/// shape, seed or worker identity differ from the checkpointed run,
-/// because replay determinism would be silently lost.
+/// (checkpoint format 4, whose payload bytes are format 3's). The first
+/// block of fields is a *shape guard*: resume refuses to continue a run
+/// whose program geometry, machine shape, seed or worker identity differ
+/// from the checkpointed run, because replay determinism would be
+/// silently lost.
 ///
 /// The fields before `counts` have fixed sizes, so the final region's base
 /// and stride — the first two fields of `counts` — sit at payload offsets

@@ -59,7 +59,7 @@ use crate::routing::{simulate_routing, RoutingScratch};
 use crate::sim_config::{facade_scope::*, sim_facade, SimConfig};
 use crate::EmError;
 use em_bsp::{BspError, CommLedger, SuperstepComm};
-use em_disk::{CheckpointStore, FaultStats, IoStats, JournalFile, TrackAllocator};
+use em_disk::{CheckpointStore, FaultStats, IoStats, TrackAllocator};
 use em_serial::{from_bytes, to_bytes, to_bytes_into};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -139,7 +139,7 @@ pub(crate) struct RunGlobals {
     pub replays: u64,
 }
 
-// Field order is checkpoint format 3 (`checkpoint::Manifest`).
+// Field order is checkpoint format 4 (`checkpoint::Manifest`).
 em_serial::impl_serial_struct!(RunGlobals { ledger, real_comm, recovered, replays });
 
 /// One processor's committed bookkeeping, as its manifest carries it.
@@ -163,8 +163,10 @@ impl WorkerBook {
         i: usize,
         cfg: &DiskConfig,
     ) -> EmResult<(Self, RunGlobals)> {
-        let (mut alloc, ctx, geom) = shape.layout(i, cfg)?;
-        restore_committed_layout(&mut alloc, ctx.tracks_per_disk(), &geom, &m.counts, m.alloc)?;
+        // Only a checkpointed run resumes, and it keeps two generations.
+        let (mut alloc, ctx, geom) = shape.layout(i, cfg, 2)?;
+        let ctx_tracks = ctx.iter().map(ContextStore::tracks_per_disk).sum();
+        restore_committed_layout(&mut alloc, ctx_tracks, &geom, &m.counts, m.alloc)?;
         let book = WorkerBook {
             counts: m.counts,
             alloc,
@@ -180,10 +182,10 @@ impl WorkerBook {
 /// state, checked against what a barrier leaves on the worker's drives:
 /// group counts that fit the geometry and give the recorded region
 /// stride, and an allocator that holds the contexts (`ctx` tracks from
-/// track 0) and that final region — all of both and nothing else, so every
-/// other track below a drive's frontier is on its free list. The frontier
-/// is checked against the free list's length before anything is sized by
-/// it.
+/// track 0, both generations) and that final region — all of both and
+/// nothing else, so every other track below a drive's frontier is on its
+/// free list. The frontier is checked against the free list's length
+/// before anything is sized by it.
 fn restore_committed_layout(
     alloc: &mut TrackAllocator,
     ctx: usize,
@@ -275,23 +277,24 @@ impl Shape {
     }
 
     /// Worker `i`'s disk layout before its first superstep: an allocator
-    /// holding the context region, the context store and the message
+    /// holding the context regions, one context store per generation
+    /// (`generations` of them, back to back from track 0) and the message
     /// geometry.
     fn layout(
         &self,
         i: usize,
         cfg: &DiskConfig,
-    ) -> EmResult<(TrackAllocator, ContextStore, MsgGeometry)> {
+        generations: usize,
+    ) -> EmResult<(TrackAllocator, Vec<ContextStore>, MsgGeometry)> {
         let mut alloc = TrackAllocator::new(cfg.num_disks);
-        // Context store: one region per virtual processor this worker
+        // Context stores: one region per virtual processor this worker
         // actually owns (all `v` of them at p = 1).
-        let ctx = ContextStore::allocate(
-            &mut alloc,
-            cfg.num_disks,
-            cfg.block_bytes,
-            self.owned(i),
-            self.mu,
-        )?;
+        let ctx = (0..generations)
+            .map(|_| {
+                let (d, b) = (cfg.num_disks, cfg.block_bytes);
+                ContextStore::allocate(&mut alloc, d, b, self.owned(i), self.mu)
+            })
+            .collect::<EmResult<_>>()?;
         // Message geometry: groups are batches of k·p pids. Partial-block
         // slack: each of the p·num_batches producer slots can leave one
         // partial block per owner stream of a batch (p streams). At p = 1
@@ -689,8 +692,9 @@ pub(crate) fn run_engine<P: BspProgram>(
 }
 
 /// `resume()` of both simulator types: read every processor's manifests,
-/// roll ahead processors back through their journals, reattach the drive
-/// files and re-enter [`run_engine`].
+/// reattach the drive files and re-enter [`run_engine`] at the minimum
+/// committed barrier. Nothing is undone: a superstep writes only tracks
+/// its barrier left free, so that barrier's bytes are still on the drives.
 pub(crate) fn resume_engine<P: BspProgram>(
     cfg: &SimConfig,
     prog: &P,
@@ -752,12 +756,8 @@ pub(crate) fn resume_engine<P: BspProgram>(
     let v = latest[0].v;
     let shape = Shape::new(&cfg.machine, v, mu, gamma)?;
 
-    // Pass 2: load each processor's manifest at the resume barrier and
-    // check it against the processor's layout, undo any journaled writes
-    // past it, and reattach the real array. The undo runs on a plain
-    // array — no retry or fault injection — so the restoring writes
-    // neither advance nor consume the fault schedule the real array
-    // restores below.
+    // Pass 2: load each processor's manifest at the resume barrier, check
+    // it against the processor's layout and reattach its array.
     let mut workers = Vec::with_capacity(p);
     let mut disks = Vec::with_capacity(p);
     let mut run_wide = None;
@@ -784,9 +784,8 @@ pub(crate) fn resume_engine<P: BspProgram>(
         // Every context was written at load, so the drive files hold the
         // tracks `v` implies: a `v` they do not hold is refused before
         // anything is sized by it.
-        let plain = cfg.machine.disk_config()?.with_checksums(cfg.checksums);
-        let mut plain = DiskArray::open_file(plain, dir)?;
-        let held = (0..disk_cfg.num_disks).map(|d| plain.tracks_used(d)).max().unwrap_or(0);
+        let mut arr = DiskArray::open_file_with_faults(disk_cfg, dir, cfg.fault_plan.clone())?;
+        let held = (0..disk_cfg.num_disks).map(|d| arr.tracks_used(d)).max().unwrap_or(0);
         if shape.context_tracks(i, &disk_cfg).is_none_or(|ctx| ctx > held) {
             return Err(EmError::InvalidConfig(format!(
                 "checkpoint manifest is inconsistent: processor {i}'s drive files hold {held} \
@@ -795,13 +794,6 @@ pub(crate) fn resume_engine<P: BspProgram>(
         }
         let (finished, fault_ops) = (m.finished, m.fault_ops.clone());
         let (book, globals) = WorkerBook::from_manifest(m, &shape, i, &disk_cfg)?;
-        if let Some(journal) = JournalFile::read(dir)? {
-            if journal.epoch > resume_step as u64 {
-                plain.apply_journal_undo(&journal)?;
-            }
-        }
-        drop(plain);
-        let mut arr = DiskArray::open_file_with_faults(disk_cfg, dir, cfg.fault_plan.clone())?;
         if let Some(ops) = &fault_ops {
             arr.restore_fault_op_counts(ops)?;
         }
@@ -841,12 +833,18 @@ struct Worker<'a, P, T> {
     i: usize,
     net: T,
     disks: &'a mut DiskArray,
-    /// Durable checkpointing: this worker's manifests and pre-image
-    /// journal live next to its drive files.
+    /// Durable checkpointing: this worker's manifests live next to its
+    /// drive files.
     store: Option<CheckpointStore>,
     alloc: TrackAllocator,
-    ctx: ContextStore,
+    /// The context generations: one, or two when the run keeps its
+    /// barriers intact ([`SimConfig::keeps_barrier`]). Superstep `s` reads
+    /// generation `s mod n` and writes the next one.
+    ctx: Vec<ContextStore>,
     geom: MsgGeometry,
+    /// The barrier this worker last passed: the superstep it runs next,
+    /// whose generation holds the current contexts.
+    next_step: usize,
     // Committed bookkeeping: empty on a fresh run, or restored from this
     // worker's barrier manifest. `committed_io` carries the I/O counted
     // before the barrier the run resumed from; the live array counts only
@@ -902,14 +900,12 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         let shape = env.shape;
         let store = if env.cfg.checkpoint {
             let dir = env.cfg.worker_dir(i).expect("checkpointing validated to have a file dir");
-            if !disks.durable_journal_attached() {
-                disks.attach_durable_journal(&dir)?;
-            }
             Some(CheckpointStore::attach(&dir)?)
         } else {
             None
         };
-        let (alloc, ctx, geom) = shape.layout(i, &cfg)?;
+        let generations = if env.cfg.keeps_barrier() { 2 } else { 1 };
+        let (alloc, ctx, geom) = shape.layout(i, &cfg, generations)?;
         Ok(Worker {
             env,
             i,
@@ -920,6 +916,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             ctx,
             counts: GroupCounts::empty(geom.num_groups),
             geom,
+            next_step: env.start_step,
             phases: PhaseIo::default(),
             committed_io: IoStats::new(cfg.num_disks),
             balances: Vec::new(),
@@ -956,7 +953,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                                 buf
                             })
                             .collect();
-                        self.ctx.write_group_into(
+                        self.ctx[0].write_group_into(
                             self.disks,
                             shape.region(batch),
                             &bufs,
@@ -971,11 +968,10 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                 self.disks.reset_stats();
                 if let Some(store) = &self.store {
                     // A reused directory may hold a previous run's
-                    // manifests and journal; a fresh run must commit its
-                    // barrier-0 manifest over a clean slate, or a later
-                    // resume could replay the wrong run's tail.
+                    // manifests; a fresh run must commit its barrier-0
+                    // manifest over a clean slate, or a later resume could
+                    // replay the wrong run's tail.
                     store.clear()?;
-                    self.disks.clear_durable_journal()?;
                     let manifest = self.manifest(0, false, RunGlobals::default());
                     store.commit_manifest(0, &to_bytes(&manifest))?;
                 }
@@ -1025,8 +1021,8 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
     }
 
     /// The superstep loop. Each attempt runs the whole compound superstep
-    /// (Steps 1 + 2) inside a disk recovery epoch; committed bookkeeping
-    /// is snapshotted so a rolled-back attempt leaves no trace.
+    /// (Steps 1 + 2); committed bookkeeping and counted stats are
+    /// snapshotted so a rolled-back attempt leaves no trace.
     fn supersteps(&mut self) -> EmResult<()> {
         for step in self.env.start_step..self.env.step_limit {
             let mut attempt = 0usize;
@@ -1037,6 +1033,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                     self.counts.clone(),
                     self.phases.clone(),
                     self.balances.len(),
+                    self.disks.stats().clone(),
                 );
                 for batch in 0..self.env.shape.num_batches {
                     let my_blocks = self.fetch_and_forward(batch);
@@ -1051,18 +1048,18 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                 }
                 self.reorganize(att);
                 if self.barrier_decides_replay(step, attempt) {
-                    // Every worker — failed or not — rewinds its disks and
-                    // bookkeeping to the last committed superstep; the next
-                    // attempt re-runs the exchanges in lockstep.
-                    if let Err(e) = self.disks.rollback_recovery_epoch() {
-                        self.zombie = Some(e.into());
-                    }
+                    // Every worker — failed or not — rewinds its
+                    // bookkeeping and counted stats to the last committed
+                    // superstep; the next attempt re-runs the exchanges in
+                    // lockstep. The drives need no undoing: the attempt
+                    // wrote only tracks that barrier left free.
+                    self.disks.rewind_stats(&snap.4);
                     (self.alloc, self.counts, self.phases) = (snap.0, snap.1, snap.2);
                     self.balances.truncate(snap.3);
                     attempt += 1;
                     continue;
                 }
-                self.commit(step)?;
+                self.commit(step, snap.1.region(&self.geom))?;
                 break;
             }
             if self.env.shared.stop.load(Ordering::SeqCst) {
@@ -1072,31 +1069,14 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         Ok(())
     }
 
-    fn begin_attempt(&mut self, step: usize) -> Attempt {
-        // With checkpointing the epoch also journals durable pre-images
-        // keyed to this superstep — numbered `step + 1`, the manifest its
-        // barrier will commit — so a crashed process can undo a half-done
-        // superstep on resume. Re-beginning it on an in-process replay
-        // truncates the durable journal's abandoned records.
-        let begun = if self.store.is_some() {
-            self.disks.begin_checkpoint_epoch(step as u64 + 1)
-        } else if self.env.cfg.recovery.is_some() {
-            self.disks.begin_recovery_epoch()
-        } else {
-            Ok(())
-        };
-        if let Err(e) = begun {
-            self.zombie.get_or_insert(e.into());
-        }
-        let mut scratch = ScratchState::new(&self.geom);
-        scratch.fetched_region = self.counts.region(&self.geom);
+    fn begin_attempt(&self, step: usize) -> Attempt {
         Attempt {
             rng: StdRng::seed_from_u64(superstep_seed(
                 self.env.cfg.seed,
                 self.i as u64,
                 step as u64,
             )),
-            scratch,
+            scratch: ScratchState::new(&self.geom),
         }
     }
 
@@ -1148,20 +1128,21 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             return Ok(self.no_bundles());
         }
         let pids = self.env.shape.pids(self.i, batch);
-        let work = self.deliver(batch, &pids, my_blocks)?;
+        let work = self.deliver(step, batch, &pids, my_blocks)?;
         let new_states = self.compute(step, work)?;
-        self.write_back(att, batch, &pids, new_states)
+        self.write_back(att, step, batch, &pids, new_states)
     }
 
     /// Fetching Phase, owner half: reassemble the delivered `(src, dst)`
     /// streams, decoding each message into its virtual processor's inbox,
-    /// and read the round's contexts — in one fully-striped batch (the `k`
-    /// regions of a round are consecutive on this worker). The delivered
-    /// blocks' buffers — read on this worker or forwarded to it — join this
-    /// worker's block pool. Returns the round's virtual processors, ready
-    /// to run, in pid order.
+    /// and read the round's contexts from superstep `step`'s generation —
+    /// in one fully-striped batch (the `k` regions of a round are
+    /// consecutive on this worker). The delivered blocks' buffers — read
+    /// on this worker or forwarded to it — join this worker's block pool.
+    /// Returns the round's virtual processors, ready to run, in pid order.
     fn deliver(
         &mut self,
+        step: usize,
         batch: usize,
         pids: &Range<usize>,
         my_blocks: Vec<RawBlock>,
@@ -1176,7 +1157,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         } else {
             let ops0 = self.disks.stats().parallel_ops;
             let region = self.env.shape.region(batch);
-            let read = self.ctx.read_group_into(
+            let read = self.ctx[step % self.ctx.len()].read_group_into(
                 self.disks,
                 region,
                 pids.len(),
@@ -1220,12 +1201,13 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         Ok(new_states)
     }
 
-    /// Writing Phase, producer half: write the changed contexts back in
-    /// one fully-striped batch, then cut the round's outbox into blocks and
-    /// pick each block's target worker.
+    /// Writing Phase, producer half: write the changed contexts to the
+    /// next generation in one fully-striped batch, then cut the round's
+    /// outbox into blocks and pick each block's target worker.
     fn write_back(
         &mut self,
         att: &mut Attempt,
+        step: usize,
         batch: usize,
         pids: &Range<usize>,
         new_states: Vec<Vec<u8>>,
@@ -1234,7 +1216,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         let shape = self.env.shape;
         if !pids.is_empty() {
             let ops0 = self.disks.stats().parallel_ops;
-            let written = self.ctx.write_group_into(
+            let written = self.ctx[(step + 1) % self.ctx.len()].write_group_into(
                 self.disks,
                 shape.region(batch),
                 &new_states,
@@ -1306,6 +1288,13 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             self.balances.push(att.scratch.balance_factor());
             let t0 = Instant::now();
             let ops0 = self.disks.stats().parallel_ops;
+            // Every block of the fetched final region was read: staging and
+            // the new region may reuse its tracks, unless the barrier must
+            // stay intact, which releases it at the commit.
+            if !self.env.cfg.keeps_barrier() {
+                let (base, tracks) = self.counts.region(&self.geom);
+                self.alloc.release_region(base, tracks);
+            }
             match simulate_routing(
                 self.disks,
                 &mut self.alloc,
@@ -1322,10 +1311,10 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             self.walls.reorganize += t0.elapsed();
         }
 
-        // Superstep boundary: this worker's writes are durable — and the
-        // recovery epoch may commit — before the barrier ends the
-        // superstep and any committed bookkeeping advances. No-op on the
-        // memory backend; generates no counted I/O operations.
+        // Superstep boundary: this worker's writes are durable before the
+        // barrier ends the superstep and any committed bookkeeping
+        // advances. No-op on the memory backend; generates no counted I/O
+        // operations.
         if self.zombie.is_none() {
             let t0 = Instant::now();
             if let Err(e) = self.disks.sync() {
@@ -1410,28 +1399,30 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         replay
     }
 
-    /// Commit the superstep that survived the barrier: the recovery epoch
-    /// and, when checkpointing, the manifest. Returns [`EmError::Killed`]
-    /// at a kill point.
-    fn commit(&mut self, step: usize) -> EmResult<()> {
+    /// Commit the superstep that survived the barrier: release the final
+    /// region its messages were `fetched` from when the run keeps its
+    /// barriers intact, and commit the manifest when checkpointing.
+    /// Returns [`EmError::Killed`] at a kill point.
+    fn commit(&mut self, step: usize, fetched: (usize, usize)) -> EmResult<()> {
         let env = self.env;
         let (cfg, shared) = (env.cfg, &env.shared);
-        if self.store.is_some() || cfg.recovery.is_some() {
-            self.disks.commit_recovery_epoch();
+        self.next_step = step + 1;
+        if cfg.keeps_barrier() {
+            self.alloc.release_region(fetched.0, fetched.1);
         }
         let Some(store) = &self.store else {
             return Ok(());
         };
         // Barrier commit protocol. Every worker's superstep data is
         // already durable (the pre-barrier sync); now each worker commits
-        // its manifest, a barrier proves *all* manifests durable, and only
-        // then may anyone truncate the journal that protects this epoch —
-        // so a crash at any instant leaves the workers' committed barriers
-        // skewed by at most one superstep, which resume reconciles.
+        // its manifest, and a barrier proves *all* manifests durable before
+        // anyone writes over barrier `step`'s context generation or final
+        // region — so a crash at any instant leaves the workers' committed
+        // barriers skewed by at most one superstep, and the older one's
+        // bytes still on the drives.
         let killed_at = |kp: fn(usize) -> KillPoint| cfg.kill == Some(kp(step));
-        // A mid-superstep crash: the superstep's writes are synced and the
-        // durable journal still holds their pre-images, but no new
-        // manifest commits — resume undoes and replays this superstep.
+        // A mid-superstep crash: the superstep's writes are synced, but no
+        // new manifest commits — resume replays this superstep.
         if shared.failed.lock().is_none() && !killed_at(KillPoint::MidSuperstep) {
             let globals = if self.i == 0 {
                 let (recovered, replays) = shared.recovery_tallies();
@@ -1449,10 +1440,9 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             let committed = if self.i == 0 && killed_at(KillPoint::MidManifest) {
                 // The crash tears worker 0's manifest mid-write — a frame
                 // the CRC check must reject, so resume falls back to the
-                // previous committed manifest and the intact journal —
-                // while the other workers committed theirs in full: the
-                // worst-case commit skew the resume protocol exists to
-                // reconcile.
+                // previous committed manifest — while the other workers
+                // committed theirs in full: the worst-case commit skew the
+                // resume protocol exists to reconcile.
                 store.write_torn_manifest(step as u64 + 1, &payload, payload.len() / 2 + 8)
             } else {
                 store.commit_manifest(step as u64 + 1, &payload)
@@ -1461,14 +1451,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                 shared.fail(e.into());
             }
         }
-        // No journal truncation before every worker's manifest is durable.
         self.net.barrier();
-        let keep_journal = killed_at(KillPoint::MidManifest) || killed_at(KillPoint::MidSuperstep);
-        if shared.failed.lock().is_none() && !keep_journal {
-            if let Err(e) = self.disks.clear_durable_journal() {
-                shared.fail(e.into());
-            }
-        }
         if matches!(cfg.kill, Some(kp) if kp.step() == step) {
             // The simulated whole-process crash: every worker dies here,
             // skipping the final read-back exactly as a real crash would.
@@ -1486,7 +1469,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             let n = shape.pids(self.i, batch).len();
             if n > 0 {
                 let region = shape.region(batch);
-                let read = self.ctx.read_group_into(
+                let read = self.ctx[self.next_step % self.ctx.len()].read_group_into(
                     self.disks,
                     region,
                     n,
@@ -1622,7 +1605,7 @@ mod tests {
         assert_eq!(drives, dir_bytes(&par_dir.join("proc-0")), "drive-file bytes");
 
         // One crash lane: both die mid-superstep 2 and resume to the
-        // uninterrupted result, manifests and journals byte for byte.
+        // uninterrupted result, drive files and manifests byte for byte.
         let (seq_dir, par_dir) = (base.join("seq-kill"), base.join("par-kill"));
         let seq = seq.with_file_backend(&seq_dir).with_checkpointing(true);
         let par = par.with_file_backend(&par_dir).with_checkpointing(true);
@@ -1667,15 +1650,20 @@ mod tests {
         // superstep's message regions from its traffic: the same blocks
         // land on the same drives at lower tracks, and the manifest
         // records the final region, so both CRCs and the footprint (53
-        // tracks before) were re-recorded again; every count stands.
-        const KILLED: u32 = 0xF53B_4D24;
-        const RESUMED: u32 = 0x516F_EFAA;
+        // tracks before) were re-recorded again. Format 4 keeps each
+        // barrier intact instead of journaling it: contexts alternate
+        // between two generations and the fetched final region stays held
+        // until the barrier commits, so the same blocks land on other
+        // tracks, no journal is left, and both CRCs and the footprint (31
+        // tracks before) were re-recorded a third time. Every count stands.
+        const KILLED: u32 = 0x9027_826B;
+        const RESUMED: u32 = 0x075C_FE87;
         const IO: (u64, u64, u64) = (315, 468, 442);
         const PER_DISK: (&[u64], &[u64]) = (&[99, 103, 111, 83, 72], &[93, 98, 106, 78, 67]);
         const PHASES: [u64; 5] = [55, 28, 28, 35, 158];
-        const TRACKS: usize = 31;
-        // CRC-32 over every file a run left — drive files, journal,
-        // manifests — by name, length and bytes.
+        const TRACKS: usize = 47;
+        // CRC-32 over every file a run left — drive files and manifests
+        // — by name, length and bytes.
         fn media(dir: &Path) -> u32 {
             let mut all = Vec::new();
             for (name, bytes) in dir_bytes(dir) {
@@ -1698,7 +1686,7 @@ mod tests {
         assert!(matches!(err, EmError::Killed { step: 2 }), "{err}");
         let names: Vec<String> = dir_bytes(&dir).into_keys().collect();
         assert!(names.iter().any(|name| name.starts_with("disk-")), "{names:?}");
-        assert!(dir_bytes(&dir)[em_disk::JOURNAL_FILE].len() > 8 * 64, "an open epoch's journal");
+        assert!(!names.iter().any(|name| name == "journal.bin"), "{names:?}");
         assert_eq!(media(&dir), KILLED, "killed mid-superstep: {names:?}");
         let (res, report) = sim.resume(&DIFFUSE).unwrap();
         assert_eq!(res.states, run_sequential(&DIFFUSE, init).unwrap().states);
@@ -1833,6 +1821,135 @@ mod tests {
         std::fs::remove_dir_all(&base_dir).ok();
     }
 
+    /// A fresh run of [`DIFFUSE`] over `v` virtual processors, for driving
+    /// one worker phase by phase.
+    fn diffuse_env(cfg: &SimConfig, v: usize) -> RunEnv<'_, Diffuse> {
+        let gamma = DIFFUSE.max_comm_bytes().max(MSG_HEADER_BYTES);
+        RunEnv {
+            prog: &DIFFUSE,
+            cfg,
+            shape: Shape::new(&cfg.machine, v, DIFFUSE.max_state_bytes(), gamma).unwrap(),
+            fault_stats: None,
+            start_step: 0,
+            step_limit: cfg.max_supersteps,
+            shared: Shared::new(RunGlobals::default()),
+        }
+    }
+
+    /// The invariant that replaces pre-images: with recovery on, a
+    /// superstep writes no track its starting barrier needs — a track the
+    /// allocator holds there, other than the context generation the
+    /// superstep writes — so a rollback or a resume finds the barrier's
+    /// bytes where it left them. One `p = 1` worker is driven phase by
+    /// phase over a backend that records every write: superstep 0 fetches
+    /// no messages, superstep 4 routes none, and superstep 2's first
+    /// attempt is rolled back and run again.
+    #[test]
+    fn a_superstep_writes_only_tracks_its_barrier_left_free() {
+        use crate::test_programs::WriteRecording;
+        use crate::RecoveryPolicy;
+        let sim = ParEmSimulator::new(machine(1, 256, 2, 64))
+            .with_seed(5)
+            .with_recovery(RecoveryPolicy::new(4));
+        let cfg = &sim.cfg;
+        let env = diffuse_env(cfg, 16);
+        let shape = env.shape;
+        let written: Arc<std::sync::Mutex<Vec<(usize, usize)>>> = Arc::default();
+        let inner = Box::new(em_disk::MemoryBackend::new(2));
+        let backend = WriteRecording { inner, written: written.clone() };
+        let mut disks = DiskArray::with_backend(cfg.disk_config().unwrap(), Box::new(backend));
+        let mut w = Worker::new(&env, 0, &mut disks, Inline).unwrap();
+        w.load(WorkerStart::Fresh((0..16).collect())).unwrap();
+        written.lock().unwrap().clear();
+        let t = w.ctx[0].tracks_per_disk();
+        for step in 0..=DIFFUSE.rounds {
+            let (frontier, free) = w.alloc.export_state();
+            let next_generation = (step + 1) % 2 * t..((step + 1) % 2 + 1) * t;
+            let live = |&(disk, track): &(usize, usize)| {
+                track < frontier[disk]
+                    && !free[disk].contains(&track)
+                    && !next_generation.contains(&track)
+            };
+            let fetched = w.counts.region(&w.geom);
+            for attempt in 0..if step == 2 { 2 } else { 1 } {
+                let snap = (w.alloc.clone(), w.counts.clone(), w.disks.stats().clone());
+                let mut att = w.begin_attempt(step);
+                for batch in 0..shape.num_batches {
+                    let my_blocks = w.fetch_and_forward(batch);
+                    let bundles = w.simulate_round(&mut att, step, batch, my_blocks).unwrap();
+                    w.exchange_and_store(&mut att, bundles);
+                }
+                w.reorganize(att);
+                assert!(w.zombie.is_none(), "step {step}: {:?}", w.zombie);
+                let writes = std::mem::take(&mut *written.lock().unwrap());
+                assert!(!writes.is_empty(), "step {step}: the contexts were written");
+                let clobbered: Vec<_> = writes.iter().filter(|at| live(at)).collect();
+                assert!(clobbered.is_empty(), "step {step}, attempt {attempt}: {clobbered:?}");
+                if step == 2 && attempt == 0 {
+                    w.disks.rewind_stats(&snap.2);
+                    (w.alloc, w.counts) = (snap.0, snap.1);
+                }
+            }
+            w.commit(step, fetched).unwrap();
+        }
+    }
+
+    /// Resume reads only what the committed manifest's allocator holds.
+    /// Every free track of a run killed mid-superstep — where a power loss
+    /// could have lost or torn the superstep's unsynced writes — is
+    /// overwritten with seeded bytes, from track 0 to the end of each
+    /// drive file, and the resumed run still matches the uninterrupted one.
+    #[test]
+    fn resume_reads_nothing_from_free_tracks() {
+        use rand::RngCore;
+        let init: Vec<u64> = (0..24u64).map(|x| x * 5 + 2).collect();
+        let base = std::env::temp_dir().join(format!("em-free-tracks-{}", std::process::id()));
+        for p in [1, 2] {
+            let sim = |dir: &Path| {
+                ParEmSimulator::new(machine(p, 256, 2, 64))
+                    .with_seed(0xF7EE)
+                    .with_checksums(true)
+                    .with_file_backend(dir)
+                    .with_checkpointing(true)
+            };
+            let (a, ra) =
+                sim(&base.join(format!("p{p}-whole"))).run(&DIFFUSE, init.clone()).unwrap();
+            let dir = base.join(format!("p{p}-killed"));
+            let killed = sim(&dir).with_kill_point(KillPoint::MidSuperstep(2));
+            let err = killed.run(&DIFFUSE, init.clone()).unwrap_err();
+            assert!(matches!(err, EmError::Killed { step: 2 }), "{err}");
+            let track_bytes = DiskArray::storage_block_bytes(&sim(&dir).cfg.disk_config().unwrap());
+            let mut rng = StdRng::seed_from_u64(0x70_4E + p as u64);
+            let mut garbled = 0;
+            for i in 0..p {
+                let proc = dir.join(format!("proc-{i}"));
+                let store = CheckpointStore::attach(&proc).unwrap();
+                let (_, payload) = store.latest_manifest().unwrap().unwrap();
+                let (frontier, free) = Manifest::decode(&payload).unwrap().alloc;
+                for (disk, (top, free)) in frontier.iter().zip(&free).enumerate() {
+                    let path = proc.join(format!("disk-{disk}.bin"));
+                    let mut bytes = std::fs::read(&path).unwrap();
+                    for (track, chunk) in bytes.chunks_mut(track_bytes).enumerate() {
+                        if track >= *top || free.contains(&track) {
+                            for word in chunk.chunks_mut(8) {
+                                word.copy_from_slice(&rng.next_u64().to_le_bytes()[..word.len()]);
+                            }
+                            garbled += 1;
+                        }
+                    }
+                    std::fs::write(&path, bytes).unwrap();
+                }
+            }
+            assert!(garbled > 0, "p = {p}: the killed run left no free track");
+            let (b, rb) = sim(&dir).resume(&DIFFUSE).unwrap();
+            assert_eq!(a.states, b.states, "p = {p}: states");
+            assert_eq!(a.ledger, b.ledger, "p = {p}: ledger");
+            assert_eq!(ra.io, rb.io, "p = {p}: IoStats");
+            assert_eq!(ra.phases, rb.phases, "p = {p}: PhaseIo");
+        }
+        std::fs::remove_dir_all(&base).ok();
+    }
+
     /// Drive one worker of a `p = 1` run phase by phase over `v` virtual
     /// processors for three supersteps, checking each round's `deliver`
     /// against its block pool; returns both pools' lengths after load and
@@ -1840,17 +1957,8 @@ mod tests {
     fn pool_lengths(v: usize) -> Vec<(usize, usize)> {
         let sim = ParEmSimulator::new(machine(1, 256, 2, 64)).with_seed(5);
         let cfg = &sim.cfg;
-        let gamma = DIFFUSE.max_comm_bytes().max(MSG_HEADER_BYTES);
-        let shape = Shape::new(&cfg.machine, v, DIFFUSE.max_state_bytes(), gamma).unwrap();
-        let env = RunEnv {
-            prog: &DIFFUSE,
-            cfg,
-            shape,
-            fault_stats: None,
-            start_step: 0,
-            step_limit: cfg.max_supersteps,
-            shared: Shared::new(RunGlobals::default()),
-        };
+        let env = diffuse_env(cfg, v);
+        let shape = env.shape;
         let mut disks = cfg.build_disks().unwrap();
         let mut w = Worker::new(&env, 0, &mut disks[0], Inline).unwrap();
         w.load(WorkerStart::Fresh((0..v as u64).collect())).unwrap();
@@ -1863,12 +1971,12 @@ mod tests {
                 assert_eq!(my_blocks.is_empty(), step == 0, "step {step}: messages to deliver");
                 // `deliver` pools the message blocks, then borrows the
                 // context read's blocks from the pool and returns them.
-                let ctx_blocks = pids.len() * w.ctx.blocks_per_context();
+                let ctx_blocks = pids.len() * w.ctx[0].blocks_per_context();
                 let after = (w.block_pool.len() + my_blocks.len()).max(ctx_blocks);
-                let work = w.deliver(batch, &pids, my_blocks).unwrap();
+                let work = w.deliver(step, batch, &pids, my_blocks).unwrap();
                 assert_eq!(w.block_pool.len(), after, "step {step}, round {batch}: block lost");
                 let states = w.compute(step, work).unwrap();
-                let bundles = w.write_back(&mut att, batch, &pids, states).unwrap();
+                let bundles = w.write_back(&mut att, step, batch, &pids, states).unwrap();
                 w.exchange_and_store(&mut att, bundles);
             }
             w.reorganize(att);

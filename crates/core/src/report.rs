@@ -7,11 +7,11 @@ use std::time::Duration;
 
 /// Superstep-granular recovery knobs for the EM simulators.
 ///
-/// When recovery is enabled, each compound superstep runs inside a disk
-/// recovery epoch: committed state is only advanced at the barrier
-/// `sync()`, and a transient disk fault that survives the substrate's
-/// [`em_disk::RetryPolicy`] triggers a rollback to the last committed
-/// state followed by a bounded replay of the whole superstep.
+/// When recovery is enabled, committed state is only advanced at each
+/// compound superstep's barrier `sync()`, and a transient disk fault that
+/// survives the substrate's [`em_disk::RetryPolicy`] triggers a rollback
+/// to the last committed state followed by a bounded replay of the whole
+/// superstep.
 ///
 /// ```
 /// use em_core::RecoveryPolicy;
@@ -56,8 +56,8 @@ pub struct FaultReport {
     pub injected: FaultCounts,
     /// Per-track retries absorbed by the substrate's retry policy.
     pub retried_blocks: u64,
-    /// Uncounted recovery operations: pre-image reads, discarded
-    /// rolled-back attempt operations, and rollback restore writes.
+    /// Uncounted recovery operations: the parallel I/O operations of
+    /// rolled-back attempts.
     pub recovery_ops: u64,
     /// Supersteps that completed only after at least one replay.
     pub recovered_supersteps: u64,
@@ -82,7 +82,7 @@ pub struct PhaseIo {
     pub routing: u64,
 }
 
-// Field order is checkpoint format 3 (`checkpoint::Manifest`).
+// Field order is checkpoint format 4 (`checkpoint::Manifest`).
 em_serial::impl_serial_struct!(PhaseIo { fetch_ctx, fetch_msg, scatter, write_ctx, routing });
 
 impl PhaseIo {

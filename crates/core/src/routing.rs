@@ -3,15 +3,16 @@
 //! consecutive, fully-striped place in the superstep's final region.
 //!
 //! **Space** comes from the superstep's own traffic. When routing starts
-//! every group's block count is known, so it first releases the final
-//! region the superstep's messages were fetched from
-//! ([`ScratchState::fetched_region`]), then takes, while the scratch
+//! every group's block count is known, so it takes, while the scratch
 //! tracks are still held, one staging track per block on one of its
 //! bucket's drives and a final region of exactly `num_buckets · T` tracks, `T` the
 //! largest bucket's blocks over `D`, rounded up (see [`crate::msg`],
 //! "Buckets and regions"). Scratch tracks are freed after Step 1 and
 //! staging tracks after Step 2, so between supersteps only the final
-//! region is held.
+//! region is held. The final region the superstep's messages were fetched
+//! from is the caller's to release: the simulators release it just before
+//! routing, so its tracks are reused, or — in a run that keeps its
+//! barriers intact — only once the barrier commits.
 //!
 //! **Step 1** (gather per bucket): in parallel rounds `j = 0, 1, …`, read
 //! one block of bucket `d` from disk `(d + j) mod D` (a bijection in `d`,
@@ -196,8 +197,7 @@ fn move_rounds(
 
 /// Run Algorithm 2, consuming the superstep's scratch state and returning
 /// the [`GroupCounts`] that the next superstep's Fetching Phase will use,
-/// their final region reserved in `alloc`. The region named by
-/// `scratch.fetched_region` is released first.
+/// their final region reserved in `alloc`.
 ///
 /// `routing` carries the bookkeeping capacity across supersteps. `pool`
 /// lends the `B`-byte buffers the blocks travel through: one window's
@@ -226,9 +226,6 @@ pub fn simulate_routing(
     let mut counts = GroupCounts::compute(geom, std::mem::take(&mut scratch.counts));
     let total = counts.total();
     let mut trace = RoutingTrace { balance_factor, blocks: total, ..Default::default() };
-    // Every block of the previous superstep's region was fetched.
-    let (fetched_base, fetched_tracks) = scratch.fetched_region;
-    alloc.release_region(fetched_base, fetched_tracks);
     if total == 0 {
         return Ok((counts, trace));
     }
@@ -524,10 +521,9 @@ mod tests {
     }
 
     /// Scratch and staging tracks are recycled after routing, each
-    /// superstep's final region is released by the next one's routing, and
-    /// the borrowed buffers are handed back: repeated supersteps grow
-    /// neither the disk nor the pool. Like the simulators, each superstep's
-    /// scratch state names the region its messages were fetched from.
+    /// superstep's final region is released before the next one's routing,
+    /// as the simulators release it, and the borrowed buffers are handed
+    /// back: repeated supersteps grow neither the disk nor the pool.
     #[test]
     fn scratch_space_is_reused_across_supersteps() {
         let (mut disks, mut alloc, geom) = setup(8, 2, 1000, 4, 64);
@@ -539,7 +535,6 @@ mod tests {
         let mut counts = GroupCounts::empty(geom.num_groups);
         for round in 0..5 {
             let mut scratch = ScratchState::new(&geom);
-            scratch.fetched_region = counts.region(&geom);
             let msgs: Vec<OutMsg> = (0..16)
                 .map(|i| OutMsg {
                     dst: (i % 8) as u32,
@@ -559,6 +554,8 @@ mod tests {
                 Placement::Random,
             )
             .unwrap();
+            let (fetched_base, fetched_tracks) = counts.region(&geom);
+            alloc.release_region(fetched_base, fetched_tracks);
             counts = simulate_routing(
                 &mut disks,
                 &mut alloc,

@@ -65,11 +65,20 @@ impl SimConfig {
         })
     }
 
-    /// Directory of processor `i`'s drive files, manifests and journal;
+    /// Directory of processor `i`'s drive files and manifests;
     /// `None` on the memory backend.
     pub fn worker_dir(&self, i: usize) -> Option<PathBuf> {
         let dir = self.file_dir.as_ref()?;
         Some(if self.per_proc_dirs { dir.join(format!("proc-{i}")) } else { dir.clone() })
+    }
+
+    /// Whether a superstep must leave its starting barrier intact: a run
+    /// that can roll a superstep back or resume it after a crash. Such a
+    /// run keeps two context generations and holds the final region its
+    /// messages were fetched from until the barrier commits, so every
+    /// write of a superstep lands on tracks its barrier left free.
+    pub fn keeps_barrier(&self) -> bool {
+        self.recovery.is_some() || self.checkpoint
     }
 
     /// One fresh private [`DiskArray`] per processor (backend, decorators,
@@ -92,7 +101,7 @@ impl SimConfig {
 
     /// What must hold before any worker starts: a valid machine, one
     /// matching array per processor, and somewhere durable for manifests
-    /// and the pre-image journal when checkpointing.
+    /// when checkpointing.
     pub fn validate_run(&self, disks: &[DiskArray]) -> EmResult<()> {
         self.machine.validate()?;
         if self.checkpoint && self.file_dir.is_none() {
@@ -284,14 +293,23 @@ macro_rules! sim_facade {
             /// Enable superstep-granular recovery: simulation state
             /// advances only at each superstep's barrier `sync()`, and a
             /// transient disk fault that survives the retry policy rolls
-            /// the disks back to the last committed superstep and replays
+            /// the run back to the last committed superstep and replays
             /// it (at most `policy.max_replays_per_superstep` times). The
             /// replay decision is global: processor 0 inspects every
             /// processor's failure at the superstep barrier, and either
             /// *all* roll back and replay in lockstep, or the run degrades
-            /// into a typed [`EmError::FaultUnrecoverable`](crate::EmError::FaultUnrecoverable). Without
-            /// faults the machinery is inert: counted I/O, final states
-            /// and seeded traces are identical to a run without recovery.
+            /// into a typed [`EmError::FaultUnrecoverable`](crate::EmError::FaultUnrecoverable).
+            ///
+            /// A superstep writes only tracks its starting barrier left
+            /// free: contexts go to a second generation, and the final
+            /// region the messages were fetched from stays held until the
+            /// barrier commits. A rollback is then bookkeeping only — the
+            /// allocator state and counted stats of the barrier, with no
+            /// I/O; the discarded attempt's operations land in
+            /// [`IoStats::recovery_ops`](em_disk::IoStats::recovery_ops).
+            /// Without faults, counted I/O, final states and seeded traces
+            /// are identical to a run without recovery; the run holds more
+            /// tracks (`tracks_per_disk`).
             pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
                 self.cfg.recovery = Some(policy);
                 self
@@ -301,27 +319,26 @@ macro_rules! sim_facade {
             /// every processor, so the run survives a process crash.
             /// Requires the file backend ([`Self::with_file_backend`]);
             /// typed [`EmError::InvalidConfig`](crate::EmError::InvalidConfig) otherwise. Each processor
-            /// keeps its manifests and pre-image journal next to its drive
-            /// files.
+            /// keeps its manifests next to its drive files.
             ///
             /// At each barrier `sync()` every processor atomically commits
-            /// a CRC-framed *manifest* (write-new → fsync → rename)
-            /// holding everything resume needs — next superstep, group
-            /// counts, allocator frontier, committed [`IoStats`](em_disk::IoStats), ledger
-            /// and the fault-injection schedule position — and mirrors
-            /// every overwritten track's pre-image to a durable journal
-            /// *before* the overwrite lands. The commit protocol tolerates
-            /// the one-superstep skew a crash can leave between
-            /// processors: all make their barrier data durable, then
-            /// commit manifests, then — only after a barrier proves every
-            /// manifest is durable — truncate their journals.
-            /// [`Self::resume`] picks the *minimum* committed barrier,
-            /// rolls uncommitted superstep writes back via the journals
-            /// and replays deterministically: final states, ledger,
-            /// counted parallel I/O operations and the drive bytes are
-            /// bit-identical to the uninterrupted run. Checkpoint traffic
-            /// is never counted in the paper-facing `parallel_ops`
-            /// (pre-image captures land in [`IoStats::recovery_ops`](em_disk::IoStats::recovery_ops)).
+            /// a CRC-framed *manifest* (fsync the drives → write-new →
+            /// fsync → rename → fsync the directory) holding everything
+            /// resume needs — next superstep, group counts, the
+            /// allocator's held tracks, committed [`IoStats`](em_disk::IoStats), ledger
+            /// and the fault-injection schedule position. As under
+            /// [`Self::with_recovery`], a superstep writes only tracks its
+            /// barrier left free, so no pre-image is ever kept. The commit
+            /// protocol tolerates the one-superstep skew a crash can leave
+            /// between processors: all make their barrier data durable,
+            /// then commit manifests, and no processor writes over the
+            /// barrier's context generation or final region until a
+            /// barrier proves every manifest durable. [`Self::resume`]
+            /// picks the *minimum* committed barrier and replays
+            /// deterministically: final states, ledger, counted parallel
+            /// I/O operations and the drive bytes are bit-identical to the
+            /// uninterrupted run. Checkpoint traffic is never counted in
+            /// the paper-facing `parallel_ops`.
             pub fn with_checkpointing(mut self, on: bool) -> Self {
                 self.cfg.checkpoint = on;
                 self
@@ -380,9 +397,9 @@ macro_rules! sim_facade {
             /// truncation. A crash can leave the processors' manifests
             /// skewed by one superstep (some committed barrier `s+1`, some
             /// only `s`); the global resume point is the *minimum*
-            /// committed barrier, and each ahead processor's durable
-            /// pre-image journal — never truncated before every manifest
-            /// was proven durable — rolls its drives back to it.
+            /// committed barrier, whose bytes are still on every
+            /// processor's drives: no processor writes over them before
+            /// every manifest of barrier `s+1` is proven durable.
             /// Fault-injection schedule positions are restored per
             /// processor, and the remaining supersteps replay
             /// deterministically: final states, the communication ledger,

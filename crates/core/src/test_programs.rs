@@ -1,5 +1,6 @@
-//! The BSP programs the simulator unit tests share, and a backend that
-//! counts the batches reaching it.
+//! The BSP programs the simulator unit tests share, and two backends that
+//! watch what reaches them: one counts the batches, one records the
+//! tracks written.
 
 use em_bsp::{BspProgram, Mailbox, Step};
 use em_disk::{DiskBackend, TrackOutcomes};
@@ -128,6 +129,38 @@ impl DiskBackend for BatchCounting {
     ) -> TrackOutcomes {
         let mut calls = self.calls.lock().unwrap();
         (calls.1, calls.2) = (calls.1 + 1, calls.2 + stripes.len() as u64);
+        self.inner.write_batch_each(stripes, writes)
+    }
+    fn tracks_used(&self, disk: usize) -> usize {
+        self.inner.tracks_used(disk)
+    }
+}
+
+/// A backend that records every track written through it, in order.
+pub(crate) struct WriteRecording {
+    pub inner: Box<dyn DiskBackend>,
+    /// `(disk, track)` of every write, successful or not.
+    pub written: Arc<Mutex<Vec<(usize, usize)>>>,
+}
+
+impl DiskBackend for WriteRecording {
+    fn num_disks(&self) -> usize {
+        self.inner.num_disks()
+    }
+    fn read_batch_each(
+        &mut self,
+        stripes: &[usize],
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
+        self.inner.read_batch_each(stripes, addrs, bufs)
+    }
+    fn write_batch_each(
+        &mut self,
+        stripes: &[usize],
+        writes: &[(usize, usize, &[u8])],
+    ) -> TrackOutcomes {
+        self.written.lock().unwrap().extend(writes.iter().map(|&(disk, track, _)| (disk, track)));
         self.inner.write_batch_each(stripes, writes)
     }
     fn tracks_used(&self, disk: usize) -> usize {

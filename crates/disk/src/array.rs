@@ -1,13 +1,11 @@
 //! The disk array front-end: validated, counted parallel I/O.
 
-use crate::backend::{first_failure, sub_batch};
-use crate::checkpoint::{JournalContents, JournalFile};
+use crate::backend::first_failure;
 use crate::fault::FaultOps;
 use crate::{
     Block, ChecksumBackend, DiskBackend, DiskConfig, DiskError, DiskResult, FaultInjectingBackend,
     FaultPlan, FileBackend, IoStats, MemoryBackend, RetryingBackend, CRC_BYTES,
 };
-use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -43,29 +41,10 @@ pub struct DiskArray {
     /// Scratch marker reused across stripe validations.
     seen: Vec<u64>,
     epoch: u64,
-    /// Pre-image undo log for the current recovery epoch, if one is open.
-    journal: Option<RecoveryJournal>,
-    /// Durable mirror of the recovery journal: pre-images are appended to
-    /// this file *before* the overwrite they protect is submitted
-    /// (log-before-data), so a killed process can undo a partial superstep
-    /// back to its last barrier. Attached only for checkpointed runs.
-    durable: Option<JournalFile>,
-    /// Free list of pre-image buffers, recycled when an epoch closes so
-    /// steady-state recovery journaling stops allocating per track.
-    pre_image_pool: Vec<Vec<u8>>,
     /// The retry layer's tally of re-issued tracks, if `cfg` built one.
     retried: Option<Arc<AtomicU64>>,
     /// The fault layer's per-drive operation counters, if a plan built one.
     fault_ops: Option<FaultOps>,
-}
-
-/// Undo log for one recovery epoch (one compound superstep): the content
-/// each written track had when the epoch began, plus the counted stats at
-/// that point so a rollback can restore them.
-struct RecoveryJournal {
-    pre: HashMap<(usize, usize), Vec<u8>>,
-    order: Vec<(usize, usize)>,
-    stats_at_begin: IoStats,
 }
 
 impl DiskArray {
@@ -177,9 +156,6 @@ impl DiskArray {
             cfg,
             backend,
             max_tracks: None,
-            journal: None,
-            durable: None,
-            pre_image_pool: Vec::new(),
             retried,
             fault_ops,
         }
@@ -245,205 +221,20 @@ impl DiskArray {
         Ok(())
     }
 
-    /// Open a recovery epoch: from now until commit or rollback, the first
-    /// write to each track captures the track's current content in an
-    /// in-memory undo log. A simulator opens one epoch per compound
-    /// superstep, making the superstep-boundary `sync()` the commit point.
-    ///
-    /// Pre-image reads and rollback writes go straight to the backend —
-    /// they are **not** counted parallel I/O; they are tallied in
-    /// [`IoStats::recovery_ops`] instead, so enabling recovery never
-    /// changes the paper-facing counted I/O of a run.
-    pub fn begin_recovery_epoch(&mut self) -> DiskResult<()> {
+    /// Wind the counted stats back to `snapshot`, taken when a superstep
+    /// attempt began, because the attempt was discarded: its writes went
+    /// only to tracks its starting barrier left free, so nothing on the
+    /// drives needs undoing. The discarded parallel operations move to
+    /// [`IoStats::recovery_ops`]; `retried_blocks` keeps its live value —
+    /// those retries happened.
+    pub fn rewind_stats(&mut self, snapshot: &IoStats) {
         self.poll_retries();
-        self.journal = Some(RecoveryJournal {
-            pre: HashMap::new(),
-            order: Vec::new(),
-            stats_at_begin: self.stats.clone(),
-        });
-        Ok(())
-    }
-
-    /// True while a recovery epoch is open.
-    pub fn recovery_epoch_active(&self) -> bool {
-        self.journal.is_some()
-    }
-
-    /// Close the current recovery epoch, keeping everything written in it.
-    pub fn commit_recovery_epoch(&mut self) {
-        self.poll_retries();
-        if let Some(journal) = self.journal.take() {
-            self.pre_image_pool.extend(journal.pre.into_values());
-        }
-    }
-
-    /// Abandon the current recovery epoch: restore every track written in
-    /// it to its pre-epoch content and wind the counted stats back to the
-    /// epoch snapshot, folding both the discarded operations and the
-    /// rollback writes into [`IoStats::recovery_ops`].
-    /// `retried_blocks` keeps its live value — those retries happened.
-    ///
-    /// After a successful rollback the backend holds exactly the bytes it
-    /// held at [`DiskArray::begin_recovery_epoch`], which is what makes a
-    /// replayed superstep reproduce a fault-free run bit for bit.
-    pub fn rollback_recovery_epoch(&mut self) -> DiskResult<()> {
-        self.poll_retries();
-        let Some(journal) = self.journal.take() else {
-            return Ok(());
+        let discarded = self.stats.parallel_ops - snapshot.parallel_ops;
+        self.stats = IoStats {
+            retried_blocks: self.stats.retried_blocks,
+            recovery_ops: self.stats.recovery_ops + discarded,
+            ..snapshot.clone()
         };
-        let discarded = self.stats.parallel_ops - journal.stats_at_begin.parallel_ops;
-        let mut rollback_ops = 0u64;
-        // One stripe of borrowed pre-images per flush; the `seen`/`epoch`
-        // marker doubles as the per-stripe drive-conflict set.
-        let mut stripe: Vec<(usize, usize, &[u8])> = Vec::with_capacity(self.cfg.num_disks);
-        self.epoch += 1;
-        for &(disk, track) in &journal.order {
-            if self.seen[disk] == self.epoch || stripe.len() == self.cfg.num_disks {
-                self.backend.write_stripe(&stripe)?;
-                rollback_ops += 1;
-                stripe.clear();
-                self.epoch += 1;
-            }
-            self.seen[disk] = self.epoch;
-            stripe.push((disk, track, journal.pre[&(disk, track)].as_slice()));
-        }
-        if !stripe.is_empty() {
-            self.backend.write_stripe(&stripe)?;
-            rollback_ops += 1;
-        }
-        drop(stripe);
-        self.pre_image_pool.extend(journal.pre.into_values());
-        self.poll_retries();
-        let mut restored = journal.stats_at_begin.clone();
-        restored.retried_blocks = self.stats.retried_blocks;
-        restored.recovery_ops = self.stats.recovery_ops + discarded + rollback_ops;
-        self.stats = restored;
-        Ok(())
-    }
-
-    /// Capture pre-images for any tracks of a batch of writes not yet
-    /// journaled in the open recovery epoch, reading them with one batch
-    /// call (each stays in its stripe; they are a subset of validated
-    /// stripes). With a durable journal attached, each captured pre-image
-    /// is also appended (and flushed) to the journal file before this
-    /// returns — and therefore before the overwrite it protects is
-    /// submitted to the backend.
-    fn capture_pre_images(
-        &mut self,
-        stripes: &[usize],
-        writes: &[(usize, usize, &[u8])],
-    ) -> DiskResult<()> {
-        let Some(journal) = self.journal.as_mut() else {
-            return Ok(());
-        };
-        // Within a stripe no track repeats; across the stripes of a batch
-        // one may, and only its first write sees the pre-epoch bytes.
-        let mut first_seen = HashSet::new();
-        let fresh_at: Vec<usize> = (0..writes.len())
-            .filter(|&i| {
-                let key = (writes[i].0, writes[i].1);
-                !journal.pre.contains_key(&key) && (stripes.len() == 1 || first_seen.insert(key))
-            })
-            .collect();
-        if fresh_at.is_empty() {
-            return Ok(());
-        }
-        let fresh: Vec<(usize, usize)> =
-            fresh_at.iter().map(|&i| (writes[i].0, writes[i].1)).collect();
-        let mut images: Vec<Vec<u8>> = (fresh.iter())
-            .map(|_| {
-                let mut buf = self.pre_image_pool.pop().unwrap_or_default();
-                buf.clear();
-                buf.resize(self.cfg.block_bytes, 0);
-                buf
-            })
-            .collect();
-        let mut bufs: Vec<&mut [u8]> = images.iter_mut().map(Vec::as_mut_slice).collect();
-        let read = self.backend.read_batch_each(&sub_batch(stripes, &fresh_at), &fresh, &mut bufs);
-        first_failure(read)?;
-        self.stats.recovery_ops += fresh.len() as u64;
-        for (key, image) in fresh.into_iter().zip(images) {
-            if let Some(durable) = self.durable.as_mut() {
-                durable.append(key.0, key.1, &image)?;
-            }
-            journal.pre.insert(key, image);
-            journal.order.push(key);
-        }
-        Ok(())
-    }
-
-    /// Attach a durable pre-image journal in `dir` (normally the directory
-    /// holding the drive files). From the next
-    /// [`DiskArray::begin_checkpoint_epoch`] on, every pre-image captured
-    /// in an epoch is also logged to `journal.bin` before its overwrite is
-    /// submitted, so a killed process can be rolled back to its last
-    /// barrier by [`DiskArray::apply_journal_undo`].
-    pub fn attach_durable_journal<P: AsRef<Path>>(&mut self, dir: P) -> DiskResult<()> {
-        self.durable = Some(JournalFile::attach(dir)?);
-        Ok(())
-    }
-
-    /// True when a durable pre-image journal is attached.
-    pub fn durable_journal_attached(&self) -> bool {
-        self.durable.is_some()
-    }
-
-    /// Open a checkpointed superstep epoch: a recovery epoch (see
-    /// [`DiskArray::begin_recovery_epoch`]) whose pre-images are mirrored
-    /// to the durable journal under `epoch`. Re-beginning the same epoch —
-    /// an in-process superstep replay — truncates the journal file first,
-    /// so stale records from the abandoned attempt never survive it.
-    pub fn begin_checkpoint_epoch(&mut self, epoch: u64) -> DiskResult<()> {
-        self.begin_recovery_epoch()?;
-        if let Some(durable) = self.durable.as_mut() {
-            durable.begin_epoch(epoch)?;
-        }
-        Ok(())
-    }
-
-    /// Truncate the durable journal after the barrier's manifest has
-    /// committed: the epoch it protected is durable.
-    pub fn clear_durable_journal(&mut self) -> DiskResult<()> {
-        if let Some(durable) = self.durable.as_mut() {
-            durable.clear()?;
-        }
-        Ok(())
-    }
-
-    /// Undo a killed process's partial superstep: write the journal's
-    /// pre-images back in reverse capture order and sync, leaving
-    /// the drive files bit-identical to the barrier the journal's epoch
-    /// began at. Undo is idempotent — every pre-image was captured at
-    /// epoch start, so re-applying after a crash mid-undo is safe.
-    ///
-    /// The restoring writes are tallied in [`IoStats::recovery_ops`],
-    /// never in the paper-facing counted `parallel_ops`.
-    ///
-    /// The journal is bytes a killed process left behind, so every record
-    /// is checked before the first one is written back: a drive the array
-    /// does not have ([`DiskError::DiskOutOfRange`]), a pre-image that is
-    /// not one block ([`DiskError::BadBlockSize`]) or a track past the
-    /// capacity limit fails the undo with the drives untouched.
-    pub fn apply_journal_undo(&mut self, contents: &JournalContents) -> DiskResult<()> {
-        for &(disk, track, ref pre) in &contents.records {
-            if disk >= self.cfg.num_disks {
-                return Err(DiskError::DiskOutOfRange { disk, num_disks: self.cfg.num_disks });
-            }
-            if pre.len() != self.cfg.block_bytes {
-                return Err(DiskError::BadBlockSize {
-                    expected: self.cfg.block_bytes,
-                    got: pre.len(),
-                });
-            }
-            self.check_capacity(disk, track)?;
-        }
-        for (disk, track, pre) in contents.records.iter().rev() {
-            self.backend.write_stripe(&[(*disk, *track, pre)])?;
-            self.stats.recovery_ops += 1;
-        }
-        self.backend.sync()?;
-        self.poll_retries();
-        Ok(())
     }
 
     /// Per-drive counts of the track transfers the fault layer has seen,
@@ -622,7 +413,6 @@ impl DiskArray {
         }
         let tracks: Vec<(usize, usize, &[u8])> =
             writes.iter().map(|(d, t, data)| (*d, *t, data.as_ref())).collect();
-        self.capture_pre_images(stripes, &tracks)?;
         let outcomes = self.backend.write_batch_each(stripes, &tracks);
         self.count_writes(stripes, &tracks);
         first_failure(outcomes).map(drop)
@@ -663,9 +453,7 @@ impl DiskArray {
     /// untouched. A valid move counts exactly what
     /// [`DiskArray::read_stripe`] followed by [`DiskArray::write_stripe`],
     /// stripe by stripe, would count (two parallel I/O operations per
-    /// non-empty stripe) and leaves the same bytes on the drives; an open
-    /// recovery epoch captures the pre-images of the written tracks as for
-    /// any other write.
+    /// non-empty stripe) and leaves the same bytes on the drives.
     ///
     /// It goes down as one backend call per direction, on every stack: all
     /// the reads, then all the writes. No written track may therefore be
@@ -716,7 +504,6 @@ impl DiskArray {
         let writes: Vec<(usize, usize, &[u8])> = (to.iter().zip(bufs.iter()))
             .map(|(&(disk, track), buf)| (disk, track, buf.as_slice()))
             .collect();
-        self.capture_pre_images(stripes, &writes)?;
         let written = self.backend.write_batch_each(stripes, &writes);
         self.count_writes(stripes, &writes);
         first_failure(written).map(drop)
@@ -841,10 +628,9 @@ mod tests {
     }
 
     /// A consecutive-format workload — ragged first and last stripes,
-    /// overwrites, a committed and a rolled-back recovery epoch, reads that
-    /// cross never-written tracks (inside the files and past their ends) —
-    /// issued as `how` says. Returns every byte read, the rolled-back
-    /// epoch's pre-images in capture order, and the counters.
+    /// overwrites, reads that cross never-written tracks (inside the files
+    /// and past their ends) — issued as `how` says. Returns every byte
+    /// read and the counters.
     fn consecutive_workload(a: &mut DiskArray, how: Transfers) -> (Vec<u8>, IoStats) {
         use crate::ConsecutiveLayout;
         let (d, b) = (a.num_disks(), a.block_bytes());
@@ -911,20 +697,11 @@ mod tests {
         let mut bytes = Vec::new();
         write(a, 1, 5, 0x40);
         read(a, 0, 9, &mut bytes);
-        a.begin_recovery_epoch().unwrap();
-        write(a, 2, 2, 0x80); // overwrites: pre-images captured
+        write(a, 2, 2, 0x80); // overwrites
         write(a, 7, 3, 0xC0); // fresh tracks past the end of the files
-        a.commit_recovery_epoch();
-        a.begin_recovery_epoch().unwrap();
         write(a, 4, 6, 0x20);
-        write(a, 4, 1, 0x21); // second write to journaled tracks
+        write(a, 4, 1, 0x21); // a second overwrite of the same tracks
         read(a, 3, 4, &mut bytes);
-        let journal = a.journal.as_ref().expect("an epoch is open");
-        for key in &journal.order {
-            bytes.extend([key.0 as u8, key.1 as u8]);
-            bytes.extend(&journal.pre[key]);
-        }
-        a.rollback_recovery_epoch().unwrap();
         read(a, 0, 12, &mut bytes);
         a.sync().unwrap();
         (bytes, a.take_stats())
@@ -944,7 +721,7 @@ mod tests {
             }
             let reference =
                 consecutive_workload(&mut DiskArray::new_memory(cfg), Transfers::Stripes);
-            assert!(reference.1.recovery_ops > 0 && reference.0.iter().any(|&x| x != 0));
+            assert!(reference.0.iter().any(|&x| x != 0));
             let batched = consecutive_workload(&mut DiskArray::new_memory(cfg), Transfers::Batches);
             assert_eq!(batched, reference, "memory, checksums {checksums}");
 
@@ -997,10 +774,10 @@ mod tests {
     }
 
     /// Reads into lent buffers and writes of slices move the bytes, make
-    /// the errors, count the operations and journal the pre-images that
-    /// reads into fresh buffers and writes of `Block`s do, on every stack:
-    /// memory, checksummed and retried, files (plain, and checksummed and
-    /// retried), and a tenant's region of shared media. The fault-plan stack is
+    /// the errors and count the operations that reads into fresh buffers
+    /// and writes of `Block`s do, on every stack: memory, checksummed and
+    /// retried, files (plain, and checksummed and retried), and a tenant's
+    /// region of shared media. The fault-plan stack is
     /// `under_a_seeded_plan_lent_and_block_batches_agree`'s.
     #[test]
     fn lent_reads_and_slice_writes_equal_block_ones_on_every_stack() {
@@ -1009,7 +786,7 @@ mod tests {
         let sealed = plain.with_checksums(true).with_retry(RetryPolicy::default());
         let both = |a: &mut DiskArray, b: &mut DiskArray, what: &str| {
             let blocks = consecutive_workload(a, Transfers::Batches);
-            assert!(blocks.1.recovery_ops > 0 && blocks.0.iter().any(|&x| x != 0), "{what}");
+            assert!(blocks.0.iter().any(|&x| x != 0), "{what}");
             assert_eq!(consecutive_workload(b, Transfers::Lent), blocks, "{what}");
         };
         for cfg in [plain, sealed] {
@@ -1144,8 +921,8 @@ mod tests {
 
     /// Algorithm 2's shape — blocks read from one region and written,
     /// rotated over the drives, to another: ragged stripes, an all-zero
-    /// block, overwrites inside a committed and a rolled-back recovery
-    /// epoch, a track written by two stripes of one move — issued either
+    /// block, overwrites, a track written by two stripes of one move and
+    /// by two moves — issued either
     /// as moves or as `read_stripe` + `write_stripe` per stripe. Returns
     /// every byte read back and the counters.
     fn move_workload(a: &mut DiskArray, moved: bool) -> (Vec<u8>, IoStats) {
@@ -1190,17 +967,12 @@ mod tests {
         // Ragged stripes, an empty one among them, onto fresh tracks.
         let from = [(0, 0), (1, 0), (2, 0), (3, 0), (1, 1), (2, 1), (3, 1), (0, 2), (3, 3), (2, 3)];
         shift(a, &[4, 3, 0, 1, 2], &from, 1);
-        a.begin_recovery_epoch().unwrap();
-        // Overwrites (pre-images captured), one track written twice: by
-        // (1, 4) on to (3, 14) and, two stripes later, by (1, 4) again.
+        // Overwrites, one track written twice: by (1, 4) on to (3, 14)
+        // and, two stripes later, by (1, 4) again.
         shift(a, &[2, 1, 1], &[(3, 0), (0, 1), (1, 4), (1, 4)], 2);
-        a.commit_recovery_epoch();
         read_back(a, &mut bytes);
-        a.begin_recovery_epoch().unwrap();
         shift(a, &[4, 4], &[(0, 5), (1, 5), (2, 5), (3, 5), (0, 4), (1, 3), (2, 2), (3, 1)], 3);
-        shift(a, &[1], &[(2, 5)], 3); // a second write to a journaled track
-        read_back(a, &mut bytes);
-        a.rollback_recovery_epoch().unwrap();
+        shift(a, &[1], &[(2, 5)], 3); // a second move onto the same track
         read_back(a, &mut bytes);
         a.sync().unwrap();
         (bytes, a.take_stats())
@@ -1212,7 +984,7 @@ mod tests {
         let pid = std::process::id();
         let plain = DiskConfig::new(4, 32).unwrap();
         let reference = move_workload(&mut DiskArray::new_memory(plain), false);
-        assert!(reference.1.recovery_ops > 0 && reference.0.iter().any(|&x| x != 0));
+        assert!(reference.0.iter().any(|&x| x != 0));
         assert_eq!(reference.1.per_disk_reads.iter().sum::<u64>(), reference.1.blocks_read);
         assert_eq!(move_workload(&mut DiskArray::new_memory(plain), true), reference, "memory");
 
@@ -1238,30 +1010,6 @@ mod tests {
         drop((by_stripe, by_move));
         std::fs::remove_dir_all(dir("s")).ok();
         std::fs::remove_dir_all(dir("m")).ok();
-    }
-
-    #[test]
-    fn a_move_captures_each_pre_image_once_and_rolls_back() {
-        let mut a = array(2, 8);
-        let fill = |x: u8| Block::from_vec(vec![x; 8]);
-        a.write_stripe(&[(0, 0, fill(1)), (1, 0, fill(2))]).unwrap();
-        a.write_stripe(&[(0, 1, fill(3)), (1, 1, fill(4))]).unwrap();
-        a.write_stripe(&[(0, 7, fill(5))]).unwrap();
-        a.begin_recovery_epoch().unwrap();
-        // (0, 7) is written by the first stripe and again by the third;
-        // (1, 7) was never written. Three distinct tracks, three pre-images.
-        let mut lent = vec![vec![0u8; 8]; 4];
-        let from = [(0, 0), (1, 0), (0, 1), (1, 1)];
-        a.move_batch(&[2, 1, 1], &from, &[(1, 7), (0, 7), (1, 8), (0, 7)], &mut lent).unwrap();
-        assert_eq!(a.stats().recovery_ops, 3);
-        assert_eq!(a.stats().parallel_ops, 3 + 2 * 3);
-        assert_eq!(a.read_block(0, 7).unwrap().as_bytes(), &[4; 8], "the later stripe wins");
-        assert_eq!(a.read_block(1, 7).unwrap().as_bytes(), &[1; 8]);
-        a.rollback_recovery_epoch().unwrap();
-        assert_eq!(a.read_block(0, 7).unwrap().as_bytes(), &[5; 8], "pre-epoch bytes restored");
-        assert_eq!(a.read_block(1, 7).unwrap().as_bytes(), &[0; 8], "fresh track re-zeroed");
-        assert_eq!(a.read_block(1, 8).unwrap().as_bytes(), &[0; 8], "fresh track re-zeroed");
-        assert_eq!(a.read_block(0, 1).unwrap().as_bytes(), &[3; 8], "sources untouched");
     }
 
     #[test]
@@ -1445,66 +1193,21 @@ mod tests {
     }
 
     #[test]
-    fn rollback_restores_content_and_counted_stats() {
-        let mut a = array(2, 8);
-        a.write_stripe(&[
-            (0, 0, Block::from_bytes_padded(&[1], 8)),
-            (1, 0, Block::from_bytes_padded(&[2], 8)),
-        ])
-        .unwrap();
-        let committed = a.stats().clone();
-        a.begin_recovery_epoch().unwrap();
-        assert!(a.recovery_epoch_active());
-        // Overwrite a committed track and write a fresh one.
-        a.write_stripe(&[
-            (0, 0, Block::from_bytes_padded(&[9], 8)),
-            (1, 3, Block::from_bytes_padded(&[8], 8)),
-        ])
-        .unwrap();
-        a.write_block(0, 1, Block::from_bytes_padded(&[7], 8)).unwrap();
-        assert_eq!(a.read_block(0, 0).unwrap().as_bytes()[0], 9);
-        a.rollback_recovery_epoch().unwrap();
-        assert!(!a.recovery_epoch_active());
-        assert_eq!(a.read_block(0, 0).unwrap().as_bytes()[0], 1, "committed content restored");
-        assert_eq!(a.read_block(1, 3).unwrap().as_bytes()[0], 0, "fresh track re-zeroed");
-        assert_eq!(a.read_block(0, 1).unwrap().as_bytes()[0], 0, "fresh track re-zeroed");
-        // Counted stats rewound to the epoch snapshot (modulo the reads
-        // just issued above); recovery work is tallied separately.
-        let s = a.stats();
-        assert_eq!(s.parallel_ops, committed.parallel_ops + 3, "3 verification reads");
-        assert!(s.recovery_ops > 0, "discarded ops + pre-image reads + rollback writes");
-    }
-
-    #[test]
-    fn recycled_pre_image_buffers_do_not_leak_between_epochs() {
-        // Epoch 1 journals tracks with non-zero content, then commits —
-        // returning its pre-image buffers to the pool. Epoch 2 must
-        // journal fresh content in those recycled buffers, so a rollback
-        // restores epoch-2 pre-images, not stale epoch-1 bytes.
-        let mut a = array(2, 8);
-        a.begin_recovery_epoch().unwrap();
-        a.write_block(0, 0, Block::from_bytes_padded(&[0x11], 8)).unwrap();
-        a.write_block(1, 0, Block::from_bytes_padded(&[0x22], 8)).unwrap();
-        a.commit_recovery_epoch();
-        a.begin_recovery_epoch().unwrap();
-        a.write_block(0, 0, Block::from_bytes_padded(&[0x33], 8)).unwrap();
-        a.write_block(1, 0, Block::from_bytes_padded(&[0x44], 8)).unwrap();
-        a.rollback_recovery_epoch().unwrap();
-        assert_eq!(a.read_block(0, 0).unwrap().as_bytes()[0], 0x11);
-        assert_eq!(a.read_block(1, 0).unwrap().as_bytes()[0], 0x22);
-    }
-
-    #[test]
-    fn commit_keeps_epoch_writes_and_counted_stats() {
-        let mut a = array(2, 8);
-        a.begin_recovery_epoch().unwrap();
-        a.write_block(0, 0, Block::from_bytes_padded(&[5], 8)).unwrap();
-        a.commit_recovery_epoch();
-        assert_eq!(a.read_block(0, 0).unwrap().as_bytes()[0], 5);
-        assert_eq!(a.stats().parallel_ops, 2);
-        // A later rollback with no open epoch is a no-op.
-        a.rollback_recovery_epoch().unwrap();
-        assert_eq!(a.read_block(0, 0).unwrap().as_bytes()[0], 5);
+    fn rewinding_restores_the_counted_stats_and_tallies_the_discarded_ops() {
+        use crate::{FaultPlan, RetryPolicy};
+        let cfg = DiskConfig::new(2, 8).unwrap().with_retry(RetryPolicy::new(3));
+        let plan = FaultPlan::none().with_transient(0, 1);
+        let mut a = DiskArray::new_memory_with_faults(cfg, Some(plan));
+        a.write_stripe(&[(0, 0, [1u8; 8]), (1, 0, [2u8; 8])]).unwrap();
+        let snapshot = a.stats().clone();
+        // A discarded attempt: two operations, one track of them retried.
+        a.write_stripe(&[(0, 1, [3u8; 8]), (1, 1, [4u8; 8])]).unwrap();
+        a.read_block(1, 0).unwrap();
+        a.rewind_stats(&snapshot);
+        let s = a.stats().clone();
+        assert_eq!((s.recovery_ops, s.retried_blocks), (2, 1), "discarded ops, live retries");
+        assert_eq!(IoStats { recovery_ops: 0, retried_blocks: 0, ..s }, snapshot);
+        assert_eq!(a.read_block(0, 1).unwrap().as_bytes(), &[3; 8], "the drives are untouched");
     }
 
     #[test]
@@ -1543,48 +1246,5 @@ mod tests {
         let blocks = a.read_stripe(&[(0, 5), (1, 5), (2, 5)]).unwrap();
         assert_eq!(blocks[2].as_bytes()[0], 14);
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn a_hostile_journal_record_fails_the_undo_with_the_drives_untouched() {
-        use crate::JournalFile;
-        let pid = std::process::id();
-        // Each journal: a hostile record, then a sound one. Undo runs in
-        // reverse, so the sound record would land before the hostile one
-        // is reached — unless every record is checked first. A record for
-        // drive 1 of a one-drive array, for drive 7 of four, a pre-image
-        // half a block long.
-        let cases = [(1, 1, 16), (4, 7, 16), (4, 2, 8)];
-        for (case, &(d, hostile_disk, pre_len)) in cases.iter().enumerate() {
-            let dir = std::env::temp_dir().join(format!("em-array-undo-{case}-{pid}"));
-            let mut a = DiskArray::new_file(DiskConfig::new(d, 16).unwrap(), &dir).unwrap();
-            let stripe: Vec<(usize, usize, [u8; 16])> =
-                (0..d).map(|disk| (disk, 0, [disk as u8 + 1; 16])).collect();
-            a.write_stripe(&stripe).unwrap();
-            a.sync().unwrap();
-            let drives = || -> Vec<Vec<u8>> {
-                (0..d)
-                    .map(|disk| std::fs::read(dir.join(format!("disk-{disk}.bin"))).unwrap())
-                    .collect()
-            };
-            let before = drives();
-            let mut journal = JournalFile::attach(&dir).unwrap();
-            journal.begin_epoch(1).unwrap();
-            journal.append(hostile_disk, 0, &vec![0xAB; pre_len]).unwrap();
-            journal.append(0, 0, &[0xCD; 16]).unwrap();
-            let contents = JournalFile::read(&dir).unwrap().expect("two sound frames");
-            assert_eq!(contents.records.len(), 2);
-            let undone = a.apply_journal_undo(&contents);
-            match (&undone, pre_len) {
-                (Err(DiskError::BadBlockSize { expected: 16, got: 8 }), 8) => {}
-                (Err(DiskError::DiskOutOfRange { disk, num_disks }), 16)
-                    if (*disk, *num_disks) == (hostile_disk, d) => {}
-                other => panic!("case {case}: expected a typed rejection, got {other:?}"),
-            }
-            assert_eq!(drives(), before, "case {case}: nothing written back");
-            assert_eq!(a.stats().recovery_ops, 0, "case {case}");
-            drop(a);
-            std::fs::remove_dir_all(&dir).ok();
-        }
     }
 }

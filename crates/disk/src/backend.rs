@@ -482,11 +482,31 @@ impl<B: DiskBackend> DiskBackend for RetryingBackend<B> {
         stripes: &[usize],
         writes: &[(usize, usize, &[u8])],
     ) -> TrackOutcomes {
-        let first = self.inner.write_batch_each(stripes, writes);
-        self.retry_failed(first, |inner, failed| {
+        let mut first = self.inner.write_batch_each(stripes, writes);
+        // A failed write of a track that the batch writes again later is
+        // not re-issued, or its stale bytes would land last. It is `Ok`
+        // once the track's last write lands, and keeps its error otherwise.
+        let mut superseded = Vec::new();
+        for i in 0..first.len() {
+            if first[i].is_ok() {
+                continue;
+            }
+            let (disk, track, _) = writes[i];
+            let same_track = |&j: &usize| (writes[j].0, writes[j].1) == (disk, track);
+            if let Some(last) = (i + 1..writes.len()).rev().find(same_track) {
+                superseded.push((i, last, std::mem::replace(&mut first[i], Ok(()))));
+            }
+        }
+        let mut outcomes = self.retry_failed(first, |inner, failed| {
             let writes: Vec<(usize, usize, &[u8])> = failed.iter().map(|&i| writes[i]).collect();
             inner.write_batch_each(&sub_batch(stripes, failed), &writes)
-        })
+        });
+        for (i, last, own) in superseded {
+            if outcomes[last].is_err() {
+                outcomes[i] = own;
+            }
+        }
+        outcomes
     }
 
     fn tracks_used(&self, disk: usize) -> usize {
@@ -953,6 +973,24 @@ mod tests {
         let mut buf = [0u8; 8];
         be.read_stripe(&[(0, 4)], &mut [&mut buf]).unwrap();
         assert_eq!(buf, [2u8; 8]);
+    }
+
+    /// Two writes of one track in one batch, the earlier failing once:
+    /// the retry must not re-issue it over the later write's bytes.
+    #[test]
+    fn a_retried_batch_leaves_a_twice_written_track_with_its_last_bytes() {
+        use crate::fault::{FaultInjectingBackend, FaultPlan};
+        let plan = FaultPlan::none().with_transient(0, 0);
+        let inner = FaultInjectingBackend::new(MemoryBackend::new(2), plan);
+        let mut be = RetryingBackend::new(inner, RetryPolicy::new(3));
+        let writes: [(usize, usize, &[u8]); 3] =
+            [(0, 5, &[1u8; 8]), (1, 5, &[2u8; 8]), (0, 5, &[3u8; 8])];
+        let outcomes = be.write_batch_each(&[2, 1], &writes);
+        assert!(outcomes.iter().all(Result::is_ok), "{outcomes:?}");
+        assert_eq!(be.retried().load(Ordering::Relaxed), 0, "nothing to re-issue");
+        let mut buf = [0u8; 8];
+        be.read_stripe(&[(0, 5)], &mut [&mut buf]).unwrap();
+        assert_eq!(buf, [3u8; 8], "the later write's bytes stay");
     }
 
     #[test]

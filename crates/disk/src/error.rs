@@ -41,7 +41,7 @@ pub enum DiskError {
         max_tracks: usize,
     },
     /// An OS I/O failure that belongs to no one drive: creating, opening
-    /// or inspecting the drive files, or the recovery journal.
+    /// or inspecting the drive files, or a checkpoint manifest.
     Io(io::Error),
     /// One drive's OS I/O failure on a track transfer or a flush (file
     /// backend), or an injected transient one. When several tracks of a

@@ -80,10 +80,7 @@ pub use backend::{
 };
 pub use block::{crc32, Block, Crc32, CRC_BYTES};
 pub use cache::BlockCacheBackend;
-pub use checkpoint::{
-    CheckpointStore, JournalContents, JournalFile, CHECKPOINT_VERSION, JOURNAL_FILE, JOURNAL_MAGIC,
-    MANIFEST_MAGIC,
-};
+pub use checkpoint::{CheckpointStore, CHECKPOINT_VERSION, MANIFEST_MAGIC};
 pub use config::{uring_available, DiskConfig, EngineKind, IoMode, Pipeline, RetryPolicy};
 pub use consecutive::{check_consecutive_format, ConsecutiveLayout};
 pub use error::DiskError;

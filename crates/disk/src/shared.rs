@@ -6,8 +6,8 @@
 //! *regions*. Each region is exposed as a [`RegionBackend`] — an ordinary
 //! [`DiskBackend`] whose track addresses are offset by the region base and
 //! bounded by the region length — so every tenant builds its own private
-//! [`crate::DiskArray`] (with its own decorator stack, counters and
-//! recovery journal) over its slice of the shared media.
+//! [`crate::DiskArray`] (with its own decorator stack and counters) over
+//! its slice of the shared media.
 //!
 //! Two properties make the substrate safe to meter:
 //!

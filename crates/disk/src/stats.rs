@@ -34,14 +34,14 @@ pub struct IoStats {
     /// the block/byte totals above, so the paper-facing counted parallel
     /// I/O comparison is unaffected by the retry layer.
     pub retried_blocks: u64,
-    /// Parallel I/O operations spent on superstep recovery: operations of a
-    /// rolled-back attempt plus the rollback writes that restored pre-fault
-    /// track contents. Kept separate from `parallel_ops` for the same
-    /// reason as `retried_blocks`.
+    /// Parallel I/O operations discarded by superstep rollbacks: the
+    /// operations of rolled-back attempts
+    /// ([`crate::DiskArray::rewind_stats`]). Kept separate from
+    /// `parallel_ops` for the same reason as `retried_blocks`.
     pub recovery_ops: u64,
 }
 
-// Field order is checkpoint format 3: em-core's barrier manifest.
+// Field order is checkpoint format 4: em-core's barrier manifest.
 em_serial::impl_serial_struct!(IoStats {
     parallel_ops,
     blocks_read,

@@ -1,6 +1,6 @@
 //! Crash/restart chaos sweep: kill a checkpointed run at *every* barrier
 //! — after the manifest committed, mid-manifest-write (torn), and
-//! mid-superstep (journaled but uncommitted) — then resume and demand the
+//! mid-superstep (written but uncommitted) — then resume and demand the
 //! result is bit-identical to the uninterrupted run: final states, the
 //! communication ledger, counted parallel I/O, per-drive op counts, and
 //! the drive bytes themselves.
