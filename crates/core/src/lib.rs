@@ -54,7 +54,6 @@ mod exec;
 mod machine;
 mod msg;
 mod par_sim;
-mod planner;
 mod report;
 mod routing;
 mod seq_sim;
@@ -69,11 +68,10 @@ pub use error::EmError;
 pub use exec::Recording;
 pub use machine::{EmMachine, ModelCheck};
 pub use msg::{
-    fetch_group_messages, scatter_messages, GroupCounts, InMsg, MsgGeometry, OutMsg, Placement,
-    ScratchState, BLOCK_HEADER_BYTES, MSG_HEADER_BYTES,
+    scatter_messages, GroupCounts, MsgGeometry, OutMsg, Placement, ScratchState,
+    BLOCK_HEADER_BYTES, MSG_HEADER_BYTES,
 };
 pub use par_sim::ParEmSimulator;
-pub use planner::{Plan, Planner, ProblemProfile};
 pub use report::{CostReport, FaultReport, PhaseIo, PhaseWall, RecoveryPolicy};
 pub use routing::{simulate_routing, RoutingScratch, RoutingTrace};
 pub use seq_sim::SeqEmSimulator;

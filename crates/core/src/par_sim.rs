@@ -35,11 +35,14 @@
 //! OS thread and the transport is channels plus a barrier: exchanges are
 //! lock-stepped (every processor sends exactly one bundle to every other
 //! processor per exchange, empty if it has nothing), so the protocol needs
-//! no barriers inside a round; a failing processor turns into a "zombie"
-//! that keeps the protocol alive with empty bundles until the superstep
-//! ends, then every thread observes the failure and exits. For `p = 1`
-//! the worker runs on the calling thread, the exchange is the identity and
-//! the barrier a no-op.
+//! no barriers inside a round. A failing processor turns into a "zombie" that keeps the protocol alive
+//! with empty bundles until the superstep ends, then every thread observes
+//! the failure and exits. A processor that leaves tells its peers it is
+//! gone, on the channels and at the barrier, so none waits for it: one
+//! that leaves early — by a panic, or by an error no peer shares, such as
+//! a failed initial load — makes them unwind too, and once every thread
+//! has exited the program's panic, or that error, reaches the caller. For `p = 1` the worker runs on the
+//! calling thread, the exchange is the identity and the barrier a no-op.
 //!
 //! Two facts of the model at `p = 1`, both observed from the machine's
 //! `p` and nothing else: a block's "uniformly random processor" is the
@@ -67,7 +70,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Instant;
 
 /// The `p`-processor EM-BSP\* simulator (Algorithm 3): `p` OS threads,
@@ -368,9 +371,76 @@ struct Channels<'a> {
     /// Early arrivals from later phases.
     pending: Vec<Bundle>,
     phase: u64,
-    barrier: &'a Barrier,
+    barrier: &'a Gate,
     real_comm: &'a AtomicU64,
     block_bytes: usize,
+}
+
+/// The phase of the bundle a worker that leaves sends every peer: it is
+/// gone, and no exchange will hear from it again.
+const GONE: u64 = u64::MAX;
+
+/// `std::sync::Barrier` that a worker which leaves opens for good: every
+/// later wait unwinds, instead of waiting for a thread that is gone.
+struct Gate {
+    p: usize,
+    /// Arrivals at the current barrier, barriers passed, and whether a
+    /// worker is gone.
+    state: std::sync::Mutex<(usize, u64, bool)>,
+    passed: Condvar,
+}
+
+impl Gate {
+    fn new(p: usize) -> Self {
+        Gate { p, state: std::sync::Mutex::new((0, 0, false)), passed: Condvar::new() }
+    }
+
+    fn wait(&self) {
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let (arrived, generation, _) = &mut *state;
+        *arrived += 1;
+        if *arrived == self.p {
+            *arrived = 0;
+            *generation += 1;
+            self.passed.notify_all();
+            return;
+        }
+        let mine = *generation;
+        while state.1 == mine && !state.2 {
+            state = self.passed.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+        if state.1 == mine {
+            drop(state);
+            peer_gone();
+        }
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).2 = true;
+        self.passed.notify_all();
+    }
+}
+
+/// The panic payload of a worker that left the run because a peer did.
+struct PeerGone;
+
+/// Unwind this worker's thread because a peer is gone, without running
+/// the panic hook: the peer's own panic has been reported, or its error
+/// recorded.
+fn peer_gone() -> ! {
+    std::panic::resume_unwind(Box::new(PeerGone))
+}
+
+impl Drop for Channels<'_> {
+    /// A worker that ran the whole protocol leaves nobody waiting: its
+    /// peers have passed the last barrier and received its last bundles,
+    /// which come before this one.
+    fn drop(&mut self) {
+        for tx in &self.senders {
+            let _ = tx.send(Bundle { from: self.me, phase: GONE, blocks: Vec::new() });
+        }
+        self.barrier.open();
+    }
 }
 
 impl Transport for Channels<'_> {
@@ -381,9 +451,10 @@ impl Transport for Channels<'_> {
                 self.real_comm
                     .fetch_add((blocks.len() * self.block_bytes) as u64, Ordering::Relaxed);
             }
-            self.senders[dst]
-                .send(Bundle { from: self.me, phase: self.phase, blocks })
-                .expect("receiver alive");
+            let bundle = Bundle { from: self.me, phase: self.phase, blocks };
+            if self.senders[dst].send(bundle).is_err() {
+                peer_gone();
+            }
         }
         // Receive exactly `p` bundles of this phase, buffering any early
         // arrivals from later phases.
@@ -398,6 +469,9 @@ impl Transport for Channels<'_> {
         }
         while got.len() < p {
             let b = self.rx.recv().expect("sender alive");
+            if b.phase == GONE {
+                peer_gone();
+            }
             debug_assert!(b.phase >= self.phase, "stale bundle from phase {}", b.phase);
             if b.phase == self.phase {
                 got.push(b);
@@ -588,10 +662,10 @@ pub(crate) fn run_engine<P: BspProgram>(
         // Algorithm 1: the one processor is the calling thread.
         vec![env.run_worker(0, &mut disks[0], starts.pop().expect("one start per worker"), Inline)]
     } else {
-        let barrier = Barrier::new(p);
+        let barrier = Gate::new(p);
         let (senders, receivers): (Vec<_>, Vec<_>) =
             (0..p).map(|_| crossbeam_channel::unbounded::<Bundle>()).unzip();
-        std::thread::scope(|scope| {
+        let joined = std::thread::scope(|scope| {
             let handles: Vec<_> = disks
                 .iter_mut()
                 .zip(starts)
@@ -615,8 +689,20 @@ pub(crate) fn run_engine<P: BspProgram>(
                         .expect("spawn em-par processor thread")
                 })
                 .collect();
-            handles.into_iter().map(|h| h.join().expect("processor thread panicked")).collect()
-        })
+            handles.into_iter().map(|h| h.join()).collect::<Vec<_>>()
+        });
+        // Every processor thread has exited. A panic reaches the caller as
+        // it does at `p = 1`: the first thread's own, not a peer's leaving.
+        // Threads that left after a peer's error end the run with that error.
+        let (outputs, panics): (Vec<_>, Vec<_>) = joined.into_iter().partition(Result::is_ok);
+        if let Some(payload) =
+            panics.into_iter().filter_map(Result::err).min_by_key(|e| e.is::<PeerGone>())
+        {
+            if !payload.is::<PeerGone>() || env.shared.failed.lock().is_none() {
+                std::panic::resume_unwind(payload);
+            }
+        }
+        outputs.into_iter().flatten().collect()
     };
 
     let RunEnv { shared, fault_stats, .. } = env;

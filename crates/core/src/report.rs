@@ -185,14 +185,6 @@ pub struct CostReport {
 }
 
 impl CostReport {
-    /// Blocks of message traffic routed, per superstep on average.
-    pub fn avg_blocks_per_superstep(&self) -> f64 {
-        if self.lambda == 0 {
-            return 0.0;
-        }
-        self.io.blocks_moved() as f64 / self.lambda as f64
-    }
-
     /// Worst balance factor observed across supersteps.
     pub fn worst_balance(&self) -> f64 {
         self.balance_factors.iter().copied().fold(1.0, f64::max)
@@ -223,15 +215,6 @@ impl CostReport {
             self.tracks_per_disk,
             self.worst_balance(),
             self.wall,
-        )
-    }
-
-    /// Render the per-phase wall-clock split as a compact one-liner.
-    pub fn phase_wall_summary(&self) -> String {
-        let w = &self.phase_wall;
-        format!(
-            "phase wall: fetch={:.1?} compute={:.1?} write={:.1?} reorg={:.1?} sync={:.1?}",
-            w.fetch, w.compute, w.write, w.reorganize, w.sync
         )
     }
 }

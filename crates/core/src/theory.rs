@@ -48,17 +48,6 @@ pub fn lemma1_context_ops(v: u64, mu: u64, d: u64, b: u64, k: u64) -> u64 {
     2 * (total_blocks.div_ceil(d) + groups)
 }
 
-/// Theorem 1 / Lemma 4 I/O prediction for one compound superstep of the
-/// uniprocessor simulation: `c · l · v·γ/(D·B)` operations for the message
-/// traffic (the constant `c` covers scatter + two-pass routing + fetch,
-/// c ≈ 5 in our implementation: 1 scatter write + 2 routing reads + 2
-/// routing writes per block over D) plus the context traffic of Lemma 1.
-pub fn superstep_io_prediction(v: u64, mu: u64, gamma: u64, d: u64, b: u64, k: u64, l: f64) -> f64 {
-    let msg_blocks = (v * gamma).div_ceil(b.saturating_sub(20).max(1)) as f64;
-    let msg_ops = 5.0 * l * msg_blocks / d as f64;
-    msg_ops + lemma1_context_ops(v, mu, d, b, k) as f64
-}
-
 /// Corollary 1: total I/O time prediction for a λ-round CGM algorithm
 /// simulated on `p` processors with `D` disks each: `λ·G·c·(n_bytes/(p·D·B))`
 /// I/O-time units — "the parallel EM algorithm reads the entire disk

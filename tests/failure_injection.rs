@@ -270,3 +270,91 @@ fn bad_spots_under_the_batched_order_are_retried_track_by_track() {
     assert_eq!(masked, clean_report.io, "counted I/O does not see the retries");
     assert_eq!(report.phases, clean_report.phases);
 }
+
+/// Every virtual processor sends to its neighbour in superstep 0; with
+/// `panics`, virtual processor 3 panics in superstep 1.
+struct Ring {
+    panics: bool,
+}
+
+const PANIC: &str = "virtual processor 3 panics in superstep 1";
+
+impl BspProgram for Ring {
+    type State = u64;
+    type Msg = u64;
+    fn superstep(&self, step: usize, mb: &mut Mailbox<u64>, state: &mut u64) -> Step {
+        for m in mb.take_incoming() {
+            *state += m.msg;
+        }
+        match step {
+            0 => {
+                mb.send((mb.pid() + 1) % mb.nprocs(), 1);
+                Step::Continue
+            }
+            1 if self.panics && mb.pid() == 3 => std::panic::panic_any(PANIC),
+            _ => Step::Halt,
+        }
+    }
+    fn max_state_bytes(&self) -> usize {
+        8
+    }
+    fn max_comm_bytes(&self) -> usize {
+        64
+    }
+}
+
+/// A 4 KiB machine with `p` processors, two drives of 64-byte blocks.
+fn small(p: usize) -> EmMachine {
+    EmMachine {
+        p,
+        m_bytes: 4096,
+        d: 2,
+        b_bytes: 64,
+        g_io: 1,
+        router: BspStarParams { p, g: 1.0, b: 64, l: 1.0 },
+    }
+}
+
+/// `run` on its own thread, caught: a run that has not ended after 30 s
+/// fails the test instead of hanging it.
+fn ends<T: Send + 'static>(
+    what: &str,
+    run: impl FnOnce() -> T + Send + std::panic::UnwindSafe + 'static,
+) -> std::thread::Result<T> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || tx.send(std::panic::catch_unwind(run)).ok());
+    rx.recv_timeout(std::time::Duration::from_secs(30))
+        .unwrap_or_else(|_| panic!("{what}: the run still had not returned after 30 s"))
+}
+
+/// A panicking `superstep` ends the run at every `p` as it does at
+/// `p = 1`: its own panic reaches the caller once every processor thread
+/// has exited, instead of the survivors waiting forever for a peer that is
+/// gone.
+#[test]
+fn a_panicking_superstep_reaches_the_caller_at_every_p() {
+    for p in [1, 2, 3] {
+        let run = ends(&format!("p = {p}"), move || {
+            ParEmSimulator::new(small(p)).run(&Ring { panics: true }, vec![0u64; 64]).map(|_| ())
+        });
+        let payload = run.expect_err(&format!("p = {p}: the run returned instead of panicking"));
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&PANIC), "p = {p}: the program's panic");
+    }
+}
+
+/// One processor that fails its initial load alone — its barrier-0
+/// manifest cannot be committed, a directory stands in the way — ends the
+/// run with its typed error: the other stops waiting for it, and neither
+/// panics.
+#[test]
+fn one_processor_failing_its_load_ends_the_run_with_its_error() {
+    let dir = std::env::temp_dir().join(format!("em-load-fails-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(dir.join("proc-1/manifest-0.ckpt/in-the-way")).unwrap();
+    let sim =
+        ParEmSimulator::new(small(2)).with_file_backend(&dir).with_checkpointing(true).with_seed(3);
+    let run = ends("p = 2", move || sim.run(&Ring { panics: false }, vec![0u64; 64]).map(|_| ()));
+    std::fs::remove_dir_all(&dir).ok();
+    let err = run.expect("no processor panics").expect_err("processor 1 cannot commit");
+    assert!(matches!(err, EmError::Disk(_)), "{err}");
+}

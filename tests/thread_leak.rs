@@ -5,9 +5,10 @@
 //! scoped to the run — so this suite can list every `em-*` thread via
 //! `/proc/self/task/*/comm` and pin one contract: across repeated
 //! `build_disks()`/`run_on()` cycles on file-backed drives, a kill and its
-//! `resume()`, `SimService` job churn and file-backed `p = 2` runs, **no
-//! `em-*` thread is alive between calls**. The file backend moves its
-//! transfers on the calling thread, so an array holds files, not threads.
+//! `resume()`, `SimService` job churn, file-backed `p = 2` runs and `p ≥ 2`
+//! runs whose program panics, **no `em-*` thread is alive between calls**.
+//! The file backend moves its transfers on the calling thread, so an array
+//! holds files, not threads.
 //! The `p = 2` cycle also checks the suite still sees a named family: each
 //! processor's supersteps run on its own `em-par-p*` thread, gone once the
 //! run returns.
@@ -51,6 +52,22 @@ impl BspProgram for WhereRun {
     /// 64 bytes with the length prefix: four contexts to a 256-byte `M`.
     fn max_state_bytes(&self) -> usize {
         60
+    }
+}
+
+/// [`AddOne`] whose virtual processor 1 panics instead.
+struct Panics;
+impl BspProgram for Panics {
+    type State = u64;
+    type Msg = u64;
+    fn superstep(&self, step: usize, mb: &mut Mailbox<u64>, s: &mut u64) -> Step {
+        if mb.pid() == 1 {
+            panic!("virtual processor 1 panics");
+        }
+        AddOne.superstep(step, mb, s)
+    }
+    fn max_state_bytes(&self) -> usize {
+        8
     }
 }
 
@@ -165,6 +182,17 @@ fn runtimes_reuse_threads_and_tear_down_cleanly() {
             assert_eq!(ran_on, ["em-par-p0", "em-par-p1"], "round {round}: one thread each");
             assert_eq!(count(), none, "processor thread alive after p = 2 run {round}");
         }
+    }
+
+    // --- 5. A panicking superstep: the run ends once its threads have. ---
+    for p in [2, 3] {
+        let router = BspStarParams { p, ..machine.router };
+        let machine = EmMachine { p, m_bytes: 256, router, ..machine };
+        let run = std::panic::catch_unwind(|| {
+            ParEmSimulator::new(machine).run(&Panics, (0..8u64).collect()).map(|_| ())
+        });
+        assert!(run.is_err(), "p = {p}: the program's panic reaches the caller");
+        assert_eq!(count(), none, "processor thread alive after a panicking p = {p} run");
     }
 
     std::fs::remove_dir_all(&dir).ok();
