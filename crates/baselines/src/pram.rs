@@ -50,7 +50,7 @@ pub fn pram_list_rank(
         let requests: Vec<(u64, u64, u64, u64)> =
             nodes.iter().filter(|&&(_, p, _)| p != NIL).map(|&(x, p, _)| (p, x, 0, 0)).collect();
         let (sorted_req, s1) = sorter.run(disks, requests)?;
-        io.merge(&s1.io);
+        io.merge(&s1.io)?;
 
         // Scan: nodes are kept id-sorted, so a merge-scan answers all
         // requests (counts as one linear pass: n/DB reads + writes).
@@ -67,7 +67,7 @@ pub fn pram_list_rank(
 
         // Sort replies back into requester order.
         let (sorted_rep, s2) = sorter.run(disks, replies)?;
-        io.merge(&s2.io);
+        io.merge(&s2.io)?;
         for (requester, p, r, _) in sorted_rep {
             let node = &mut nodes[requester as usize];
             node.2 = node.2.wrapping_add(r);

@@ -25,7 +25,7 @@ pub struct SuperstepComm {
     pub w_comp: u64,
 }
 
-// Field order is checkpoint format 4: em-core's barrier manifest.
+// Field order is checkpoint format 5: em-core's barrier manifest.
 em_serial::impl_serial_struct!(SuperstepComm { msgs, bytes, h_bytes, h_msgs, h_packets, w_comp });
 
 /// Ledger of a whole run: one [`SuperstepComm`] per superstep.
@@ -35,7 +35,7 @@ pub struct CommLedger {
     pub steps: Vec<SuperstepComm>,
 }
 
-// Field order is checkpoint format 4: em-core's barrier manifest.
+// Field order is checkpoint format 5: em-core's barrier manifest.
 em_serial::impl_serial_struct!(CommLedger { steps });
 
 impl CommLedger {

@@ -86,14 +86,14 @@ pub(crate) fn superstep_seed(seed: u64, worker: u64, step: u64) -> u64 {
 /// ([`em_disk::CheckpointStore::commit_manifest`]), in field order:
 /// fixed-width little-endian integers, `usize` as a `u64`, `bool` and
 /// `Option` as a 0/1 tag byte, a `Vec` as a `u64` length and its items
-/// (checkpoint format 4, whose payload bytes are format 3's). The first
+/// (checkpoint format 5, whose payload layout is format 3's). The first
 /// block of fields is a *shape guard*: resume refuses to continue a run
 /// whose program geometry, machine shape, seed or worker identity differ
 /// from the checkpointed run, because replay determinism would be
 /// silently lost.
 ///
 /// The fields before `counts` have fixed sizes, so the final region's base
-/// and stride — the first two fields of `counts` — sit at payload offsets
+/// and height — the first two fields of `counts` — sit at payload offsets
 /// 77 and 85.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Manifest {
@@ -249,7 +249,8 @@ mod tests {
                 counts: vec![4, 4, 4, 4],
                 prefix_in_bucket: vec![0, 1, 2, 3],
                 base: 6,
-                bucket_tracks: 1,
+                height: 1,
+                ..GroupCounts::empty(4)
             },
             alloc: (vec![7, 7, 6, 6], vec![vec![], vec![2], vec![], vec![1, 3]]),
             fault_ops: Some(vec![10, 11, 12, 13]),
@@ -393,6 +394,67 @@ mod tests {
         ] {
             assert!(bad.check_shape(128, 512, 0xD15C_5EED, 4, 256, 1, 0).is_err());
         }
+    }
+
+    /// A manifest's group counts are checked against the geometry on
+    /// resume: the region's height must be the sum of the per-bucket
+    /// strides the counts give. Four groups of four blocks over four
+    /// buckets and drives take one track a bucket, four in all; the one
+    /// stride that format 4 stored for every bucket (1) is refused, as is
+    /// any height off by one.
+    #[test]
+    fn a_height_that_disagrees_with_the_counts_is_refused() {
+        let geom = crate::msg::MsgGeometry::new(16, 4, 512, 4, 256, 4).unwrap();
+        let whole = GroupCounts { base: 6, ..GroupCounts::compute(&geom, vec![4, 4, 4, 4]) };
+        assert_eq!((whole.height, &whole.prefix_in_bucket[..]), (4, &[0, 0, 0, 0][..]));
+        let through_manifest = |counts: GroupCounts| {
+            let bytes = to_bytes(&Manifest { counts, ..sample() });
+            Manifest::decode(&bytes)
+                .expect("the codec does not check heights")
+                .counts
+                .resolve(&geom)
+        };
+        assert_eq!(through_manifest(whole.clone()).unwrap(), whole);
+        for height in [1, 3, 5] {
+            let bad = GroupCounts { height, ..whole.clone() };
+            assert!(
+                matches!(through_manifest(bad), Err(EmError::InvalidConfig(_))),
+                "height {height}"
+            );
+        }
+    }
+
+    /// A directory checkpointed in format 4 — whose region word was one
+    /// stride for every bucket — is refused by resume with a typed error,
+    /// not read as format 5.
+    #[test]
+    fn a_format_4_frame_is_refused_on_resume() {
+        use crate::test_programs::Diffuse;
+        use crate::{EmMachine, SeqEmSimulator};
+        let dir = std::env::temp_dir().join(format!("em-ckpt-format-4-{}", std::process::id()));
+        let prog = Diffuse { rounds: 4 };
+        let sim = SeqEmSimulator::new(EmMachine::uniprocessor(256, 2, 64, 1))
+            .with_seed(9)
+            .with_file_backend(&dir)
+            .with_checkpointing(true);
+        let killed = sim.clone().with_kill_point(KillPoint::AtBarrier(2)).run(&prog, vec![1; 16]);
+        assert!(matches!(killed, Err(EmError::Killed { .. })));
+        let store = em_disk::CheckpointStore::attach(&dir).unwrap();
+        let mut restamped = 0;
+        for step in 0..=3 {
+            let path = store.manifest_path(step);
+            let Ok(mut bytes) = std::fs::read(&path) else { continue };
+            // Version word at 8..12, CRC over everything after the magic.
+            bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
+            let body = bytes.len() - 4;
+            let crc = em_disk::crc32(&bytes[8..body]);
+            bytes[body..].copy_from_slice(&crc.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            restamped += 1;
+        }
+        assert_eq!(restamped, 2, "two manifests are kept");
+        assert!(matches!(sim.resume(&prog), Err(EmError::InvalidConfig(_))));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

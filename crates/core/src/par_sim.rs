@@ -142,7 +142,7 @@ pub(crate) struct RunGlobals {
     pub replays: u64,
 }
 
-// Field order is checkpoint format 4 (`checkpoint::Manifest`).
+// Field order is checkpoint format 5 (`checkpoint::Manifest`).
 em_serial::impl_serial_struct!(RunGlobals { ledger, real_comm, recovered, replays });
 
 /// One processor's committed bookkeeping, as its manifest carries it.
@@ -169,9 +169,9 @@ impl WorkerBook {
         // Only a checkpointed run resumes, and it keeps two generations.
         let (mut alloc, ctx, geom) = shape.layout(i, cfg, 2)?;
         let ctx_tracks = ctx.iter().map(ContextStore::tracks_per_disk).sum();
-        restore_committed_layout(&mut alloc, ctx_tracks, &geom, &m.counts, m.alloc)?;
+        let counts = restore_committed_layout(&mut alloc, ctx_tracks, &geom, &m.counts, m.alloc)?;
         let book = WorkerBook {
-            counts: m.counts,
+            counts,
             alloc,
             phases: m.phases,
             committed_io: m.io,
@@ -184,45 +184,40 @@ impl WorkerBook {
 /// Restore a worker's allocator from a manifest's `(frontier, free)`
 /// state, checked against what a barrier leaves on the worker's drives:
 /// group counts that fit the geometry and give the recorded region
-/// stride, and an allocator that holds the contexts (`ctx` tracks from
-/// track 0, both generations) and that final region — all of both and
-/// nothing else, so every other track below a drive's frontier is on its
-/// free list. The frontier is checked against the free list's length
-/// before anything is sized by it.
+/// height ([`GroupCounts::resolve`], whose counts this returns), and an
+/// allocator that holds the contexts (`ctx` tracks from track 0, both
+/// generations) and that final region — all of both and nothing else, so
+/// every other track below a drive's frontier is on its free list. The
+/// frontier is checked against the free list's length before anything is
+/// sized by it.
 fn restore_committed_layout(
     alloc: &mut TrackAllocator,
     ctx: usize,
     geom: &MsgGeometry,
     counts: &GroupCounts,
     (frontier, free): (Vec<usize>, Vec<Vec<usize>>),
-) -> EmResult<()> {
-    let bad = |what: &str| {
-        Err(EmError::InvalidConfig(format!("checkpoint manifest is inconsistent: {what}")))
+) -> EmResult<GroupCounts> {
+    let counts = counts.resolve(geom)?;
+    let bad = || {
+        Err(EmError::InvalidConfig(
+            "checkpoint manifest is inconsistent: the allocator does not hold exactly the \
+             contexts and the final region"
+                .into(),
+        ))
     };
-    if counts.counts.len() != geom.num_groups
-        || counts.prefix_in_bucket.len() != geom.num_groups
-        || counts.counts.iter().any(|&c| c > geom.max_blocks_per_group)
-    {
-        return bad("group counts do not fit the group geometry");
-    }
-    let recomputed =
-        GroupCounts { base: counts.base, ..GroupCounts::compute(geom, counts.counts.clone()) };
-    if recomputed != *counts {
-        return bad("the final region's stride or prefixes disagree with the group counts");
-    }
-    let (base, tracks) = counts.region(geom);
+    let (base, tracks) = counts.region();
     let held = ctx + tracks;
     let sizes_agree = frontier.len() == geom.num_disks
         && free.len() == geom.num_disks
         && frontier.iter().zip(&free).all(|(&top, free)| top == held + free.len());
     if base.checked_add(tracks).is_none() || (tracks > 0 && base < ctx) || !sizes_agree {
-        return bad("the allocator does not hold exactly the contexts and the final region");
+        return bad();
     }
     alloc.restore_state(frontier, free)?;
     if !(0..geom.num_disks).all(|d| alloc.holds(d, 0, ctx) && alloc.holds(d, base, tracks)) {
-        return bad("the allocator does not hold exactly the contexts and the final region");
+        return bad();
     }
-    Ok(())
+    Ok(counts)
 }
 
 /// The geometry of one run, fixed before any worker starts.
@@ -731,7 +726,7 @@ pub(crate) fn run_engine<P: BspProgram>(
     for out in outputs {
         let out = out.ok_or_else(|| EmError::InvalidConfig("worker lost its states".into()))?;
         max_ops = max_ops.max(out.io.parallel_ops);
-        io.merge(&out.io);
+        io.merge(&out.io)?;
         phases.fetch_ctx += out.phases.fetch_ctx;
         phases.fetch_msg += out.phases.fetch_msg;
         phases.scatter += out.phases.scatter;
@@ -1058,7 +1053,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                     // manifest over a clean slate, or a later resume could
                     // replay the wrong run's tail.
                     store.clear()?;
-                    let manifest = self.manifest(0, false, RunGlobals::default());
+                    let manifest = self.manifest(0, false, RunGlobals::default())?;
                     store.commit_manifest(0, &to_bytes(&manifest))?;
                 }
             }
@@ -1078,12 +1073,17 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
     /// resumed process needs, plus a shape guard against resuming with a
     /// different configuration (the bookkeeping → manifest half of the
     /// conversion; [`WorkerBook::from_manifest`] is the other).
-    fn manifest(&self, next_step: usize, finished: bool, globals: RunGlobals) -> Manifest {
+    fn manifest(
+        &self,
+        next_step: usize,
+        finished: bool,
+        globals: RunGlobals,
+    ) -> EmResult<Manifest> {
         let shape = self.env.shape;
         let cfg = self.disks.config();
         let mut io = self.committed_io.clone();
-        io.merge(self.disks.stats());
-        Manifest {
+        io.merge(self.disks.stats())?;
+        Ok(Manifest {
             v: shape.v,
             k: shape.k,
             num_groups: shape.num_batches,
@@ -1103,7 +1103,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             io,
             balances: self.balances.clone(),
             globals,
-        }
+        })
     }
 
     /// The superstep loop. Each attempt runs the whole compound superstep
@@ -1145,7 +1145,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                     attempt += 1;
                     continue;
                 }
-                self.commit(step, snap.1.region(&self.geom))?;
+                self.commit(step, snap.1.region())?;
                 break;
             }
             if self.env.shared.stop.load(Ordering::SeqCst) {
@@ -1378,7 +1378,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             // the new region may reuse its tracks, unless the barrier must
             // stay intact, which releases it at the commit.
             if !self.env.cfg.keeps_barrier() {
-                let (base, tracks) = self.counts.region(&self.geom);
+                let (base, tracks) = self.counts.region();
                 self.alloc.release_region(base, tracks);
             }
             match simulate_routing(
@@ -1522,7 +1522,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                 RunGlobals::default()
             };
             let finished = shared.terminated.load(Ordering::SeqCst);
-            let payload = to_bytes(&self.manifest(step + 1, finished, globals));
+            let payload = to_bytes(&self.manifest(step + 1, finished, globals)?);
             let committed = if self.i == 0 && killed_at(KillPoint::MidManifest) {
                 // The crash tears worker 0's manifest mid-write — a frame
                 // the CRC check must reject, so resume falls back to the
@@ -1573,7 +1573,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
         // uninterrupted run's count. The array keeps its counters: a
         // borrowed array is its caller's per-run meter.
         let mut io = self.committed_io;
-        io.merge(self.disks.stats());
+        io.merge(self.disks.stats())?;
         Ok(WorkerOutput {
             states,
             io,
@@ -1741,13 +1741,18 @@ mod tests {
         // between two generations and the fetched final region stays held
         // until the barrier commits, so the same blocks land on other
         // tracks, no journal is left, and both CRCs and the footprint (31
-        // tracks before) were re-recorded a third time. Every count stands.
-        const KILLED: u32 = 0x9027_826B;
-        const RESUMED: u32 = 0x075C_FE87;
+        // tracks before) were re-recorded a third time. Format 5 lays each
+        // final region over the scratch tracks Step 1 has read, one stride
+        // per bucket, and the manifest records the region's height: the
+        // same blocks land on the same drives at lower tracks, so both CRCs
+        // and the footprint (47 tracks before) were re-recorded a fourth
+        // time. Every count stands.
+        const KILLED: u32 = 0x8EA9_43C2;
+        const RESUMED: u32 = 0xE909_E315;
         const IO: (u64, u64, u64) = (315, 468, 442);
         const PER_DISK: (&[u64], &[u64]) = (&[99, 103, 111, 83, 72], &[93, 98, 106, 78, 67]);
         const PHASES: [u64; 5] = [55, 28, 28, 35, 158];
-        const TRACKS: usize = 47;
+        const TRACKS: usize = 34;
         // CRC-32 over every file a run left — drive files and manifests
         // — by name, length and bytes.
         fn media(dir: &Path) -> u32 {
@@ -1956,7 +1961,7 @@ mod tests {
                     && !free[disk].contains(&track)
                     && !next_generation.contains(&track)
             };
-            let fetched = w.counts.region(&w.geom);
+            let fetched = w.counts.region();
             for attempt in 0..if step == 2 { 2 } else { 1 } {
                 let snap = (w.alloc.clone(), w.counts.clone(), w.disks.stats().clone());
                 let mut att = w.begin_attempt(step);

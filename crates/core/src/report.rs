@@ -82,7 +82,7 @@ pub struct PhaseIo {
     pub routing: u64,
 }
 
-// Field order is checkpoint format 4 (`checkpoint::Manifest`).
+// Field order is checkpoint format 5 (`checkpoint::Manifest`).
 em_serial::impl_serial_struct!(PhaseIo { fetch_ctx, fetch_msg, scatter, write_ctx, routing });
 
 impl PhaseIo {

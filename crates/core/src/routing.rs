@@ -2,17 +2,22 @@
 //! written during the superstep into each destination group's
 //! consecutive, fully-striped place in the superstep's final region.
 //!
-//! **Space** comes from the superstep's own traffic. When routing starts
-//! every group's block count is known, so it takes, while the scratch
-//! tracks are still held, one staging track per block on one of its
-//! bucket's drives and a final region of exactly `num_buckets · T` tracks, `T` the
-//! largest bucket's blocks over `D`, rounded up (see [`crate::msg`],
-//! "Buckets and regions"). Scratch tracks are freed after Step 1 and
-//! staging tracks after Step 2, so between supersteps only the final
+//! **Space** comes from the superstep's own traffic, in two bands. When
+//! routing starts every group's block count is known, so it first reserves
+//! the final region — one stride of `⌈bucket_total / D⌉` tracks per bucket,
+//! stacked (see [`crate::msg`], "Buckets and regions") — first fit at or
+//! above the superstep's lowest scratch track, counting the scratch tracks
+//! as free: Step 1 reads every scratch block before Step 2 writes the
+//! region. It then takes one staging track per block on one of its
+//! bucket's drives, the lowest free ones, which is where the fetched final
+//! region was. Scratch tracks outside the region are freed after Step 1
+//! and staging tracks after Step 2, so between supersteps only the final
 //! region is held. The final region the superstep's messages were fetched
 //! from is the caller's to release: the simulators release it just before
-//! routing, so its tracks are reused, or — in a run that keeps its
-//! barriers intact — only once the barrier commits.
+//! routing, so staging reuses its tracks, or — in a run that keeps its
+//! barriers intact — only once the barrier commits; either way the new
+//! region lands only on tracks the barrier left free or the superstep's
+//! own scratch tracks.
 //!
 //! **Step 1** (gather per bucket): in parallel rounds `j = 0, 1, …`, read
 //! one block of bucket `d` from disk `(d + j) mod D` (a bijection in `d`,
@@ -30,7 +35,8 @@
 //!
 //! **Step 2** (scatter to final format): in rounds `j`, read the `j`-th
 //! staged block of every bucket `d` in parallel and write it to disk
-//! `(d + j) mod D`, track `base + d·T + ⌊j/D⌋` — the paper's rotation,
+//! `(d + j) mod D`, track `base + row_d + ⌊j/D⌋`, `row_d` the strides of
+//! the buckets before `d` — the paper's rotation,
 //! which simultaneously (a) never collides within a round and (b) leaves
 //! every group's blocks consecutive and striped round-robin (standard
 //! consecutive format, Figure 2).
@@ -58,10 +64,11 @@
 //! through at most [`WINDOW_BLOCKS`] `B`-byte buffers borrowed from the
 //! caller's pool for the duration of the call. Reading a window ahead of
 //! its writes is safe because each step reads one set of tracks and writes
-//! another, and all three are held at once: Step 1 reads scratch tracks
-//! and writes staging tracks, Step 2 reads the staging tracks and writes
-//! the final region, and the region was reserved while the single tracks
-//! of both kinds were live, so the allocator placed it clear of them.
+//! another: Step 1 reads scratch tracks and writes staging tracks, which
+//! were taken while the scratch tracks and the region were held, so they
+//! lie clear of both; Step 2 reads the staging tracks and writes the final
+//! region, which covers scratch tracks only — all read by then, as Step 1
+//! ended before Step 2 began.
 
 use crate::context_store::BufferPool;
 use crate::msg::{GroupCounts, MsgGeometry, ScratchState};
@@ -143,6 +150,16 @@ impl RoutingScratch {
 /// round-robin by rank.
 fn stage_drive(bucket: usize, rank: usize, nb: usize, d: usize) -> usize {
     bucket + rank % (d - bucket).div_ceil(nb) * nb
+}
+
+/// Every scratch block's `(disk, track)`.
+fn scratch_tracks(scratch: &ScratchState) -> impl Iterator<Item = (usize, usize)> + Clone + '_ {
+    scratch.refs.iter().flat_map(|per_disk| {
+        per_disk
+            .iter()
+            .enumerate()
+            .flat_map(|(disk, refs)| refs.iter().map(move |r| (disk, r.track)))
+    })
 }
 
 /// Apply the plans' rounds in order. Per round the due entry of every
@@ -230,9 +247,12 @@ pub fn simulate_routing(
         return Ok((counts, trace));
     }
 
-    // Space for this superstep's blocks, taken while the scratch tracks
-    // are held: a staging track per block on one of its bucket's drives,
-    // then the final region, clear of both.
+    // Space for this superstep's blocks. The final region first, over the
+    // scratch tracks — Step 1 reads every one of them before Step 2 writes
+    // the region — at or above the lowest of them; then a staging track per
+    // block on one of its bucket's drives, the lowest free ones, clear of
+    // both.
+    counts.base = alloc.reserve_region_over(counts.height, scratch_tracks(&scratch));
     let mut stage = std::mem::take(&mut routing.stage);
     stage.resize_with(nb, Vec::new);
     for (bucket, tracks) in stage.iter_mut().enumerate() {
@@ -242,7 +262,6 @@ pub fn simulate_routing(
                 .map(|rank| alloc.alloc_track(stage_drive(bucket, rank, nb, d))),
         );
     }
-    counts.base = alloc.reserve_region(counts.region(geom).1);
 
     // Borrow the window's buffers for both steps.
     let window = WINDOW_BLOCKS.min(geom.max_blocks_per_group).max(nb).min(total);
@@ -284,14 +303,9 @@ pub fn simulate_routing(
     trace.step1_rounds = move_rounds(disks, &plans, routing, &mut lent)?;
     trace.idle_slots = (j_last + 1) * nb - total;
 
-    // Scratch tracks are free again.
-    for per_disk in scratch.refs.iter() {
-        for (disk, refs) in per_disk.iter().enumerate() {
-            for r in refs {
-                alloc.free_track(disk, r.track);
-            }
-        }
-    }
+    // Scratch tracks outside the final region are free again.
+    let region = counts.base..counts.base + counts.height;
+    alloc.free_tracks(scratch_tracks(&scratch).filter(|(_, track)| !region.contains(track)));
 
     // ---- Step 2: rotate staged blocks into the final striped region. ----
     // The bucket's `j`-th staged block moves in round `j` from its staging
@@ -323,7 +337,7 @@ pub fn simulate_routing(
 mod tests {
     use super::*;
     use crate::msg::owned::{fetch_group, Owned};
-    use crate::msg::{scatter_messages, OutMsg, Placement};
+    use crate::msg::{scatter_messages, OutMsg, Placement, RawBlock};
     use em_disk::DiskConfig;
     use rand::rngs::StdRng;
     use rand::{Rng, RngCore, SeedableRng};
@@ -603,6 +617,218 @@ mod tests {
         }
     }
 
+    /// The final region lies over scratch tracks Step 1 consumed and over
+    /// tracks free when routing began, never over a staging track or a
+    /// track held before routing (the contexts, here a region reserved
+    /// first): Step 2 overwrites nothing but blocks already moved. Each
+    /// superstep sends the same messages, round-robin, and releases the
+    /// region it fetched from before routing, as the simulators do; the
+    /// frontier stays within `D` of the first superstep's.
+    #[test]
+    fn the_final_region_overlaps_only_consumed_scratch_tracks() {
+        let (mut disks, mut alloc, geom) = setup(16, 2, 2000, 4, 64);
+        let contexts = alloc.reserve_region(3);
+        let (mut routing, mut pool) = (RoutingScratch::new(), BufferPool::new());
+        let mut counts = GroupCounts::empty(geom.num_groups);
+        let mut frontiers = Vec::new();
+        for step in 0..8 {
+            let mut scratch = ScratchState::new(&geom);
+            for src_group in 0..geom.num_groups {
+                let msgs: Vec<OutMsg> = (0..12u32)
+                    .map(|t| OutMsg {
+                        dst: ((src_group * 5 + t as usize * 3) % geom.v) as u32,
+                        src: (src_group * geom.k) as u32,
+                        seq: t,
+                        payload: vec![t as u8; 60],
+                    })
+                    .collect();
+                let mut rng = StdRng::seed_from_u64(step);
+                scatter_messages(
+                    &mut disks,
+                    &mut alloc,
+                    &geom,
+                    &mut scratch,
+                    src_group,
+                    msgs,
+                    &mut rng,
+                    Placement::RoundRobin,
+                )
+                .unwrap();
+            }
+            let (fetched_base, fetched_tracks) = counts.region();
+            alloc.release_region(fetched_base, fetched_tracks);
+            let consumed: std::collections::HashSet<(usize, usize)> =
+                scratch_tracks(&scratch).collect();
+            let held_before: std::collections::HashSet<(usize, usize)> = (0..geom.num_disks)
+                .flat_map(|disk| (0..alloc.frontier(disk)).map(move |t| (disk, t)))
+                .filter(|&(disk, t)| alloc.holds(disk, t, 1) && !consumed.contains(&(disk, t)))
+                .collect();
+            let lowest = consumed.iter().map(|&(_, t)| t).min().unwrap();
+
+            counts = simulate_routing(
+                &mut disks,
+                &mut alloc,
+                &geom,
+                scratch,
+                &mut routing,
+                &mut pool,
+                None,
+            )
+            .unwrap()
+            .0;
+            let (base, height) = counts.region();
+            assert!(
+                height > 0 && base >= lowest,
+                "step {step}: region at {base}, scratch {lowest}"
+            );
+            assert!(base >= contexts + 3, "step {step}: the region is over the contexts");
+            let staged: std::collections::HashSet<(usize, usize)> = routing
+                .stage
+                .iter()
+                .enumerate()
+                .flat_map(|(b, tracks)| {
+                    tracks.iter().enumerate().map(move |(rank, &t)| {
+                        (stage_drive(b, rank, geom.num_buckets, geom.num_disks), t)
+                    })
+                })
+                .collect();
+            let mut over_scratch = 0;
+            for disk in 0..geom.num_disks {
+                for track in base..base + height {
+                    assert!(
+                        !staged.contains(&(disk, track)),
+                        "step {step}: staging {disk}/{track}"
+                    );
+                    assert!(
+                        !held_before.contains(&(disk, track)),
+                        "step {step}: held {disk}/{track}"
+                    );
+                    over_scratch += consumed.contains(&(disk, track)) as usize;
+                }
+            }
+            assert!(over_scratch > 0, "step {step}: the region missed the scratch band");
+            let got = fetch_every_group(&mut disks, &geom, &counts);
+            assert_eq!(got.len(), 12 * geom.num_groups, "step {step}");
+            frontiers.push(alloc.max_frontier());
+        }
+        assert!(
+            frontiers.iter().all(|&f| f <= frontiers[0] + geom.num_disks),
+            "the frontier grew: {frontiers:?}"
+        );
+    }
+
+    /// Bytes off a disk, mangled: 200 seeded cases each route one
+    /// superstep, read one group's blocks back from their final locations
+    /// and flip a bit of a block header, cut a block short, drop a block
+    /// or repeat one before reassembling them. Each case returns
+    /// [`crate::EmError::CorruptMessageStream`] or exactly the messages the
+    /// group was sent, and none panics; a failing case prints its seed.
+    ///
+    /// One loss is out of the reassembler's sight: a dropped block that was
+    /// its stream's only one takes the whole stream with it, and nothing in
+    /// the remaining blocks says the stream existed. That case must return
+    /// exactly the messages sent less the dropped stream's. (A payload bit
+    /// is the message's own, so flips stay in the block headers; the
+    /// checksummed drive layer below is what sees a payload change.)
+    #[test]
+    fn mangled_routed_blocks_reassemble_exactly_or_are_corrupt() {
+        use crate::msg::fetch_batch_raw_blocks;
+        use crate::msg::owned::reassemble;
+        use crate::EmError;
+        struct Seed(u64);
+        impl Drop for Seed {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    eprintln!("failing case: StdRng::seed_from_u64({:#x})", self.0);
+                }
+            }
+        }
+        // Per mutation: cases refused as corrupt, and cases read back whole.
+        let mut outcomes = [[0usize; 2]; 4];
+        for case in 0..200 {
+            let seed = Seed(0xB10C ^ case);
+            let case = &mut StdRng::seed_from_u64(seed.0);
+            let (mut disks, mut alloc, geom) = setup(16, 2, 4000, 4, 64);
+            let mut scratch = ScratchState::new(&geom);
+            let mut sent: Vec<Owned> = Vec::new();
+            let mut rng = StdRng::seed_from_u64(case.next_u64());
+            for src_group in 0..geom.num_groups {
+                let msgs: Vec<OutMsg> = (1..case.gen_range(2..13u32))
+                    .map(|seq| OutMsg {
+                        dst: case.gen_range(0..16u32),
+                        src: (src_group * geom.k) as u32 + seq % 2,
+                        seq,
+                        payload: (0..case.gen_range(0..90usize))
+                            .map(|_| case.next_u32() as u8)
+                            .collect(),
+                    })
+                    .collect();
+                sent.extend(msgs.iter().map(|m| (m.dst, m.src, m.seq, m.payload.clone())));
+                scatter_messages(
+                    &mut disks,
+                    &mut alloc,
+                    &geom,
+                    &mut scratch,
+                    src_group,
+                    msgs,
+                    &mut rng,
+                    Placement::Random,
+                )
+                .unwrap();
+            }
+            let (counts, _) = simulate_routing(
+                &mut disks,
+                &mut alloc,
+                &geom,
+                scratch,
+                &mut RoutingScratch::new(),
+                &mut BufferPool::new(),
+                None,
+            )
+            .unwrap();
+            // A group that was sent something.
+            let group = geom.group_of(sent[case.gen_range(0..sent.len())].0 as usize);
+            let pids = group * geom.k..(group + 1) * geom.k;
+            let mut blocks =
+                fetch_batch_raw_blocks(&mut disks, &geom, &counts, group, &mut BufferPool::new())
+                    .unwrap();
+            let mut want: Vec<Owned> =
+                sent.iter().filter(|m| pids.contains(&(m.0 as usize))).cloned().collect();
+            let at = case.gen_range(0..blocks.len());
+            let kind = case.gen_range(0..4usize);
+            match kind {
+                0 => blocks[at].bytes[case.gen_range(0..20usize)] ^= 1 << case.gen_range(0..8u32),
+                1 => blocks[at].bytes.truncate(case.gen_range(0..geom.block_bytes)),
+                2 => {
+                    let dropped = blocks.remove(at);
+                    let stream = |b: &RawBlock| b.bytes[..8].to_vec();
+                    if !blocks.iter().any(|b| stream(b) == stream(&dropped)) {
+                        let lost = reassemble(&[dropped], pids.clone()).unwrap();
+                        want.retain(|m| !lost.contains(m));
+                    }
+                }
+                _ => {
+                    let copy = blocks[at].clone();
+                    blocks.insert(case.gen_range(0..=blocks.len()), copy);
+                }
+            }
+            match reassemble(&blocks, pids) {
+                Err(EmError::CorruptMessageStream { .. }) => outcomes[kind][0] += 1,
+                Ok(mut got) => {
+                    got.sort();
+                    want.sort();
+                    assert_eq!(got, want, "mutation {kind}");
+                    outcomes[kind][1] += 1;
+                }
+                Err(other) => panic!("mutation {kind}: {other}"),
+            }
+        }
+        // Every mutation was drawn, and a dropped or repeated block is
+        // caught at least once.
+        assert!(outcomes.iter().all(|o| o[0] + o[1] > 0), "{outcomes:?}");
+        assert!(outcomes[2][0] > 0 && outcomes[3][0] > 0, "{outcomes:?}");
+    }
+
     /// Scratch and staging tracks are recycled after routing, each
     /// superstep's final region is released before the next one's routing,
     /// as the simulators release it, and the borrowed buffers are handed
@@ -637,7 +863,7 @@ mod tests {
                 Placement::Random,
             )
             .unwrap();
-            let (fetched_base, fetched_tracks) = counts.region(&geom);
+            let (fetched_base, fetched_tracks) = counts.region();
             alloc.release_region(fetched_base, fetched_tracks);
             counts = simulate_routing(
                 &mut disks,
@@ -651,7 +877,7 @@ mod tests {
             .unwrap()
             .0;
             // Between supersteps only the final region is held.
-            let (base, tracks) = counts.region(&geom);
+            let (base, tracks) = counts.region();
             for disk in 0..geom.num_disks {
                 assert!(alloc.holds(disk, base, tracks));
                 assert_eq!(alloc.held_tracks(disk), tracks, "round {round}, disk {disk}");

@@ -9,6 +9,11 @@
 //!   takes the lowest base at which `t` tracks are free on every drive —
 //!   first fit — and a region can be released again, so the space of a
 //!   region whose contents are consumed is reused by the next one.
+//!   [`TrackAllocator::reserve_region_over`] also lays a region over held
+//!   tracks whose contents are consumed before it is written: Algorithm 2
+//!   puts a superstep's final region over the scratch tracks its Step 1
+//!   reads, so the superstep's messages hold two bands of tracks at once,
+//!   not three.
 //! * **Single tracks** — one track on a *specific* drive, taken as message
 //!   blocks arrive during the Writing Phase (standard linked format:
 //!   "whenever we write a block of bucket i to disk D_j, we allocate a free
@@ -63,28 +68,70 @@ impl TrackAllocator {
         }
         // Below every drive's mark all tracks are held, so no run of free
         // tracks starts before the lowest mark.
-        let from = self.first_free.iter().copied().min().unwrap_or(0) / 64;
-        let words = self.held.iter().map(Vec::len).max().unwrap_or(0);
-        let mut run = from * 64;
-        let base = 'search: {
-            for w in from..words {
-                let mut union = self.held.iter().fold(0, |u, h| u | h.get(w).copied().unwrap_or(0));
-                while union != 0 {
-                    let held = w * 64 + union.trailing_zeros() as usize;
-                    if held >= run + tracks_per_disk {
-                        break 'search run;
-                    }
-                    run = held + 1;
-                    union &= union - 1;
-                }
-            }
-            run
+        let from = self.first_free.iter().copied().min().unwrap_or(0);
+        let base = self.first_fit(tracks_per_disk, from);
+        self.hold_region(base, tracks_per_disk);
+        base
+    }
+
+    /// Reserve a region as [`TrackAllocator::reserve_region`] does, over
+    /// held tracks whose contents are `consumed` — read already, or to be
+    /// read before the region is written. Those tracks count as free for
+    /// the search, which starts at the lowest of them; the ones the region
+    /// covers become the region's, and the others stay held for the caller
+    /// to free. With nothing consumed this is
+    /// [`TrackAllocator::reserve_region`].
+    pub fn reserve_region_over<I>(&mut self, tracks_per_disk: usize, consumed: I) -> usize
+    where
+        I: IntoIterator<Item = (usize, usize)> + Clone,
+    {
+        let from = consumed.clone().into_iter().map(|(_, track)| track).min();
+        let Some(from) = from.filter(|_| tracks_per_disk > 0) else {
+            return self.reserve_region(tracks_per_disk);
         };
+        for (disk, track) in consumed.clone() {
+            debug_assert!(self.holds(disk, track, 1), "consuming a free track");
+            clear_range(&mut self.held[disk], track, track + 1);
+        }
+        let base = self.first_fit(tracks_per_disk, from);
+        self.hold_region(base, tracks_per_disk);
+        for (disk, track) in consumed {
+            if !(base..base + tracks_per_disk).contains(&track) {
+                set_range(&mut self.held[disk], track, track + 1);
+            }
+        }
+        base
+    }
+
+    /// The lowest base at or above track `from` at which `tracks_per_disk`
+    /// tracks are free on every drive.
+    fn first_fit(&self, tracks_per_disk: usize, from: usize) -> usize {
+        let words = self.held.iter().map(Vec::len).max().unwrap_or(0);
+        let mut run = from;
+        for w in from / 64..words {
+            let mut union = self.held.iter().fold(0, |u, h| u | h.get(w).copied().unwrap_or(0));
+            if w == from / 64 {
+                // Tracks below `from` are out of the search.
+                union &= u64::MAX << (from % 64);
+            }
+            while union != 0 {
+                let held = w * 64 + union.trailing_zeros() as usize;
+                if held >= run + tracks_per_disk {
+                    return run;
+                }
+                run = held + 1;
+                union &= union - 1;
+            }
+        }
+        run
+    }
+
+    /// Hold `base..base + tracks_per_disk` on every drive.
+    fn hold_region(&mut self, base: usize, tracks_per_disk: usize) {
         for disk in 0..self.num_disks() {
             set_range(&mut self.held[disk], base, base + tracks_per_disk);
             self.frontier[disk] = self.frontier[disk].max(base + tracks_per_disk);
         }
-        base
     }
 
     /// Release a region [`TrackAllocator::reserve_region`] returned: its
@@ -280,6 +327,32 @@ mod tests {
         assert_eq!(a.alloc_track(1), 8);
         assert_eq!(a.reserve_region(2), 9);
         assert_eq!(a.max_frontier(), 17);
+    }
+
+    #[test]
+    fn a_region_over_consumed_tracks_starts_at_the_lowest_of_them() {
+        let mut a = TrackAllocator::new(2);
+        assert_eq!(a.reserve_region(2), 0);
+        let fetched = a.reserve_region(1);
+        let scratch: Vec<(usize, usize)> =
+            [0, 0, 0, 1, 1].into_iter().map(|disk| (disk, a.alloc_track(disk))).collect();
+        assert_eq!(scratch, [(0, 3), (0, 4), (0, 5), (1, 3), (1, 4)]);
+        a.release_region(fetched, 1);
+        // Plain first fit steps over the scratch band to track 6; over the
+        // consumed tracks the region starts at the lowest of them, not in
+        // the free track below.
+        assert_eq!(a.clone().reserve_region(2), 6);
+        assert_eq!(a.reserve_region_over(2, scratch.iter().copied()), 3);
+        assert!((0..2).all(|disk| a.holds(disk, 3, 2)));
+        // The consumed track past the region stays held, for its owner to
+        // free; the free track below is the next single track handed out.
+        assert!(a.holds(0, 5, 1) && !a.holds(1, 5, 1));
+        assert_eq!((a.alloc_track(1), a.alloc_track(1), a.alloc_track(0)), (2, 5, 2));
+        assert_eq!(a.max_frontier(), 6);
+        // Nothing consumed is plain first fit; nothing reserved holds nothing.
+        assert_eq!(a.reserve_region_over(1, std::iter::empty()), 6);
+        assert_eq!(a.reserve_region_over(0, scratch.iter().copied()), 0);
+        assert_eq!((a.held_tracks(0), a.held_tracks(1)), (7, 7));
     }
 
     #[test]

@@ -30,11 +30,15 @@ use std::path::{Path, PathBuf};
 
 /// Magic prefix of a manifest file.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"EMCKPT01";
-/// On-disk format version written into every manifest frame. Version 4
-/// frames the same payload bytes as version 3. The number changed because
-/// a version 3 directory may hold contexts overwritten in place, which
-/// only its undo journal could restore; a version 4 reader refuses it.
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// On-disk format version written into every manifest frame. Versions 4
+/// and 5 frame payloads laid out as version 3's. Version 4 changed the
+/// number because a version 3 directory may hold contexts overwritten in
+/// place, which only its undo journal could restore. Version 5 changed it
+/// because the final region's second word became its height, the sum of
+/// per-bucket strides, where version 4 stored one stride for every bucket:
+/// a version 4 region read as version 5 would locate the wrong tracks. A
+/// reader skips a frame of any other version as it skips a torn one.
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// How many committed manifests are retained (the newest may always be
 /// torn by a crash, so its predecessor must survive).

@@ -12,6 +12,8 @@
 //! facts make the counted cost of a run independent of how its stripes are
 //! batched and of what the backend stack does with them.
 
+use crate::{DiskError, DiskResult};
+
 /// Counters for one disk array.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IoStats {
@@ -41,7 +43,7 @@ pub struct IoStats {
     pub recovery_ops: u64,
 }
 
-// Field order is checkpoint format 4: em-core's barrier manifest.
+// Field order is checkpoint format 5: em-core's barrier manifest.
 em_serial::impl_serial_struct!(IoStats {
     parallel_ops,
     blocks_read,
@@ -99,18 +101,20 @@ impl IoStats {
         max / mean
     }
 
-    /// Accumulate another set of counters into this one (drive counts are
-    /// added index-wise; arrays must have the same `D`).
-    pub fn merge(&mut self, other: &IoStats) {
+    /// Accumulate another set of counters into this one, drive counts
+    /// index-wise. Counters of another drive count are
+    /// [`DiskError::InvalidConfig`], and leave this one as it was.
+    pub fn merge(&mut self, other: &IoStats) -> DiskResult<()> {
+        if other.per_disk_reads.len() != self.per_disk_reads.len()
+            || other.per_disk_writes.len() != self.per_disk_writes.len()
+        {
+            return Err(DiskError::InvalidConfig("merged I/O counters name another drive count"));
+        }
         self.parallel_ops += other.parallel_ops;
         self.blocks_read += other.blocks_read;
         self.blocks_written += other.blocks_written;
         self.bytes_read += other.bytes_read;
         self.bytes_written += other.bytes_written;
-        if self.per_disk_reads.len() < other.per_disk_reads.len() {
-            self.per_disk_reads.resize(other.per_disk_reads.len(), 0);
-            self.per_disk_writes.resize(other.per_disk_writes.len(), 0);
-        }
         for (a, b) in self.per_disk_reads.iter_mut().zip(&other.per_disk_reads) {
             *a += b;
         }
@@ -119,6 +123,7 @@ impl IoStats {
         }
         self.retried_blocks += other.retried_blocks;
         self.recovery_ops += other.recovery_ops;
+        Ok(())
     }
 
     /// Reset all counters to zero, preserving the drive count.
@@ -187,12 +192,34 @@ mod tests {
     #[test]
     fn merge_adds_everything() {
         let mut a = sample();
-        a.merge(&sample());
+        a.merge(&sample()).unwrap();
         assert_eq!(a.parallel_ops, 20);
         assert_eq!(a.blocks_moved(), 80);
         assert_eq!(a.per_disk_reads, vec![24, 24, 0, 0]);
         assert_eq!(a.retried_blocks, 6);
         assert_eq!(a.recovery_ops, 4);
+    }
+
+    /// Two drives' counters do not fold into four drives' (or the other
+    /// way): the merge errs and the target keeps every counter it had.
+    #[test]
+    fn a_merge_across_drive_counts_errs_and_leaves_the_target() {
+        let two = IoStats {
+            per_disk_reads: vec![1, 2],
+            per_disk_writes: vec![3, 4],
+            parallel_ops: 5,
+            ..IoStats::new(2)
+        };
+        let mut four = sample();
+        assert!(matches!(four.merge(&two), Err(DiskError::InvalidConfig(_))));
+        assert_eq!(four, sample());
+        let mut two_again = two.clone();
+        assert!(two_again.merge(&sample()).is_err());
+        assert_eq!(two_again, two);
+        // Reads and writes of different widths are no better.
+        let skewed = IoStats { per_disk_writes: vec![0; 2], ..IoStats::new(4) };
+        assert!(four.merge(&skewed).is_err());
+        assert_eq!(four, sample());
     }
 
     #[test]

@@ -1,18 +1,20 @@
 //! Disk footprint from traffic: what a run's drives hold, term by term.
 //!
-//! A superstep's message blocks take three kinds of space, and at the
-//! worst moment of Algorithm 2 all three are held at once: the scratch
-//! tracks the Writing Phase scattered them to (about `R/D` a drive for
-//! `R` blocks), the staging tracks of Step 1 (bucket `b`'s blocks on
-//! drive `b`, or spread over drives `b, b + num_buckets, …` when there
-//! are fewer buckets than drives) and the final region of Step 2
-//! (`num_buckets` strides of the fullest bucket's blocks over `D`). The
-//! contexts hold their fixed region throughout. Each message term is at
-//! most about the fullest bucket's blocks — `⌈P/D⌉` for `P = D ·`
-//! (fullest bucket) — so a run's `tracks_per_disk` stays within
+//! A superstep's message blocks take three kinds of space: the scratch
+//! tracks the Writing Phase scattered them to (about `R/D` a drive for `R`
+//! blocks), the staging tracks of Algorithm 2's Step 1 (bucket `b`'s blocks
+//! on drive `b`, or spread over drives `b, b + num_buckets, …` when there
+//! are fewer buckets than drives) and the final region of Step 2 (one
+//! stride per bucket, its blocks over `D`). They lie in two bands, not
+//! three: routing lays the final region over the scratch tracks, which
+//! Step 1 reads before Step 2 writes the region, and staging takes the
+//! lowest free tracks beside them. The contexts hold their fixed region
+//! throughout. Each band is at most about the fullest bucket's blocks —
+//! `⌈P/D⌉` for `P = D ·` (fullest bucket) — so a run's `tracks_per_disk`
+//! stays within
 //!
 //! ```text
-//! context tracks + 3·⌈P/D⌉ + D
+//! context tracks + 2·⌈P/D⌉ + D
 //! ```
 //!
 //! for `P` the peak over supersteps of what was sent, not a bound declared
@@ -20,7 +22,7 @@
 //! `R` blocks because groups split unevenly over buckets: the `sort`
 //! shape's 13 groups go 4 / 4 / 4 / 1 to its four buckets, so the fullest
 //! bucket holds about 4/13 of `R` where an even split would hold 1/4, and
-//! the staging and final terms both follow the fullest bucket.
+//! the staging band follows the fullest bucket.
 //!
 //! The test taps every message the programs send and cuts the traffic into
 //! blocks the way the Writing Phase does — one stream per pair of
@@ -29,11 +31,10 @@
 //! shape (`p = 1`) and for a messaging kernel on two processors. On two
 //! processors each block is stored by a random one, so the whole
 //! superstep's blocks bound either worker's. The kernel also shows that the
-//! footprint does not grow with the run. On one processor sixteen
-//! supersteps take the tracks four do, within `D`. On two, the high-water
-//! mark follows the largest random share a worker has drawn so far (264
-//! tracks a drive after four supersteps, 276 after sixteen, as many after
-//! sixty-four), so there sixty-four take the tracks sixteen do, within `D`.
+//! footprint does not grow with the run: sixteen supersteps take the
+//! tracks four do on one processor, and sixty-four take the tracks sixteen
+//! do on two (188 tracks a drive after sixteen and after sixty-four), each
+//! within `D`.
 
 use em_bsp::{BspProgram, BspStarParams, ExecError, Executor, Mailbox, RunResult, Step};
 use em_core::{
@@ -139,7 +140,7 @@ struct Terms {
     /// The fullest bucket's blocks: what its drive stages when every bucket
     /// has one drive (fewer buckets spread theirs over several, so less).
     stage: usize,
-    /// `num_buckets · ⌈fullest / D⌉`.
+    /// The final region: each bucket's blocks over `D`, summed.
     last: usize,
 }
 
@@ -158,7 +159,7 @@ impl Stage {
             .tracks_per_disk();
         let buckets = d.min(groups);
         let per_bucket = groups.div_ceil(buckets);
-        let (mut worst, mut worst_total) = (0, 0);
+        let (mut worst, mut worst_total, mut worst_last) = (0, 0, 0);
         for step in &self.sent {
             let mut streams: BTreeMap<(usize, usize), usize> = BTreeMap::new();
             for (&(src, dst), &bytes) in step {
@@ -170,15 +171,11 @@ impl Stage {
             }
             let fullest = fill.iter().copied().max().unwrap_or(0);
             if fullest > worst {
-                (worst, worst_total) = (fullest, fill.iter().sum());
+                let last = fill.iter().map(|blocks| blocks.div_ceil(d)).sum();
+                (worst, worst_total, worst_last) = (fullest, fill.iter().sum(), last);
             }
         }
-        Terms {
-            context,
-            scratch: worst_total.div_ceil(d),
-            stage: worst,
-            last: buckets * worst.div_ceil(d),
-        }
+        Terms { context, scratch: worst_total.div_ceil(d), stage: worst, last: worst_last }
     }
 }
 
@@ -188,7 +185,7 @@ fn check(what: &str, machine: &EmMachine, stage: &Stage) -> usize {
     let t = stage.terms(machine);
     let tracks = stage.report.tracks_per_disk;
     // ⌈P/D⌉ for P = D · (fullest bucket) is the fullest bucket itself.
-    let bound = t.context + 3 * t.stage + machine.d;
+    let bound = t.context + 2 * t.stage + machine.d;
     println!(
         "{what}: {tracks} tracks a drive = context {} + messages {} \
          (at the peak superstep: scratch ≈ {}, stage {}, final {}); bound {bound}",
