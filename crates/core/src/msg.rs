@@ -769,6 +769,14 @@ pub(crate) fn store_received_blocks(
 /// fails the call. In Algorithm 3 the caller forwards each block to the
 /// processor simulating its destination, which gives the buffer to its own
 /// block pool once the block's messages are delivered.
+///
+/// Routing put block `i` of the group at [`GroupCounts::locate`]`(batch,
+/// i)` with `gseq == i` in its header, and no block it placed holds an
+/// empty span. A track that reads back otherwise — the all-zero frame of a
+/// lost or torn write, which the checksum layer passes as never written,
+/// or a block of another index — is an [`EmError::CorruptMessageStream`]:
+/// reassembly alone cannot see a stream whose only block is gone. (A stale
+/// block of an earlier superstep at the same index passes.)
 pub fn fetch_batch_raw_blocks(
     disks: &mut DiskArray,
     geom: &MsgGeometry,
@@ -784,6 +792,14 @@ pub fn fetch_batch_raw_blocks(
     let stripes: Vec<usize> = addrs.chunks(geom.num_disks).map(<[_]>::len).collect();
     let lent = addrs.iter().map(|_| pool.take()).collect();
     let blocks = disks.read_batch_into(&stripes, &addrs, lent)?;
+    let misplaced = (blocks.iter().enumerate())
+        .find(|&(i, bytes)| word(bytes, 12) as usize != i || word(bytes, 16) == 0);
+    if let Some((_, bytes)) = misplaced {
+        let (src_tag, dst_tag) = (word(bytes, 4), word(bytes, 0));
+        pool.put_all(blocks);
+        let what = "a final-region track does not hold the block routed there";
+        return Err(EmError::CorruptMessageStream { src_tag, dst_tag, what });
+    }
     Ok(blocks.into_iter().map(|bytes| RawBlock { dst_tag: word(&bytes, 0), bytes }).collect())
 }
 

@@ -829,6 +829,75 @@ mod tests {
         assert!(outcomes[2][0] > 0 && outcomes[3][0] > 0, "{outcomes:?}");
     }
 
+    /// A final-region track that does not hold the block routed there
+    /// fails the fetch typed. On a checksummed array, a lost or torn write
+    /// reads back as the all-zero frame, which the checksum layer passes
+    /// as never written: zeroing the only block of a group's only stream
+    /// used to make that stream vanish with `Ok`. A block of another
+    /// index at the location fails the same way.
+    #[test]
+    fn a_final_region_track_without_its_routed_block_fails_the_fetch() {
+        use crate::msg::owned::fetch_group;
+        use crate::EmError;
+        use em_disk::Block;
+        let (d, b) = (4, 64);
+        // One message of `len` bytes to processor 4, of group 2.
+        let route = |len: usize| {
+            let mut alloc = TrackAllocator::new(d);
+            let geom = MsgGeometry::allocate(&mut alloc, 16, 2, 4000, d, b).unwrap();
+            let mut disks =
+                DiskArray::new_memory(DiskConfig::new(d, b).unwrap().with_checksums(true));
+            let mut scratch = ScratchState::new(&geom);
+            let msgs = vec![OutMsg { dst: 4, src: 0, seq: 0, payload: vec![7; len] }];
+            let mut rng = StdRng::seed_from_u64(5);
+            scatter_messages(
+                &mut disks,
+                &mut alloc,
+                &geom,
+                &mut scratch,
+                0,
+                msgs,
+                &mut rng,
+                Placement::Random,
+            )
+            .unwrap();
+            let (counts, _) = simulate_routing(
+                &mut disks,
+                &mut alloc,
+                &geom,
+                scratch,
+                &mut RoutingScratch::new(),
+                &mut BufferPool::new(),
+                None,
+            )
+            .unwrap();
+            (disks, geom, counts)
+        };
+        let corrupt = |got: EmResult<Vec<Owned>>| match got {
+            Err(EmError::CorruptMessageStream { what, .. }) => what.contains("final-region"),
+            _ => false,
+        };
+
+        // A stream of one block, zeroed.
+        let (mut disks, geom, counts) = route(10);
+        assert_eq!(fetch_group(&mut disks, &geom, &counts, 2).unwrap().len(), 1);
+        let (disk, track) = counts.locate(&geom, 2, 0);
+        disks.write_block(disk, track, Block::zeroed(b)).unwrap();
+        assert!(corrupt(fetch_group(&mut disks, &geom, &counts, 2)));
+
+        // A stream of two blocks, swapped in place.
+        let (mut disks, geom, counts) = route(60);
+        assert_eq!(counts.counts[2], 2);
+        let (first, second) = (counts.locate(&geom, 2, 0), counts.locate(&geom, 2, 1));
+        let (x, y) = (
+            disks.read_block(first.0, first.1).unwrap(),
+            disks.read_block(second.0, second.1).unwrap(),
+        );
+        disks.write_block(first.0, first.1, y).unwrap();
+        disks.write_block(second.0, second.1, x).unwrap();
+        assert!(corrupt(fetch_group(&mut disks, &geom, &counts, 2)));
+    }
+
     /// Scratch and staging tracks are recycled after routing, each
     /// superstep's final region is released before the next one's routing,
     /// as the simulators release it, and the borrowed buffers are handed

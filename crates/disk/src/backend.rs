@@ -272,6 +272,16 @@ impl<B: DiskBackend> ChecksumBackend<B> {
     }
 }
 
+/// True when every byte of `bytes` is zero: the OR of each 64-byte chunk,
+/// a chunk at a time, stopping at the first that is not zero. (A chunk's
+/// OR compiles to a few wide loads; a byte-at-a-time test reads, and
+/// branches on, every byte of a zero frame.)
+fn is_zero(bytes: &[u8]) -> bool {
+    let mut chunks = bytes.chunks_exact(64);
+    chunks.all(|c| c.iter().fold(0, |acc, &b| acc | b) == 0)
+        && chunks.remainder().iter().all(|&b| b == 0)
+}
+
 /// Store `payload ‖ crc32(payload)` in `frame`.
 fn seal_frame(payload: &[u8], frame: &mut [u8]) {
     let (body, tail) = frame.split_at_mut(payload.len());
@@ -279,17 +289,13 @@ fn seal_frame(payload: &[u8], frame: &mut [u8]) {
     // A zero payload stores as the all-zero ("formatted") frame, so a
     // recovery rollback that re-zeroes a freshly allocated track leaves
     // the drive byte-identical to one that never wrote it.
-    let crc = if payload.iter().all(|&b| b == 0) {
-        [0u8; CRC_BYTES]
-    } else {
-        crc32(payload).to_le_bytes()
-    };
+    let crc = if is_zero(payload) { [0u8; CRC_BYTES] } else { crc32(payload).to_le_bytes() };
     tail.copy_from_slice(&crc);
 }
 
 /// Verify `frame` (read from `(disk, track)`) and copy its payload out.
 fn open_frame(frame: &[u8], payload: &mut [u8], disk: usize, track: usize) -> DiskResult<()> {
-    if frame.iter().all(|&b| b == 0) {
+    if is_zero(frame) {
         payload.fill(0);
         return Ok(());
     }
@@ -934,6 +940,29 @@ mod tests {
     }
 
     #[test]
+    fn the_zero_test_agrees_with_the_bytewise_one() {
+        // Every length up to two frames (4 104 bytes), all zero and with one
+        // non-zero byte first or last; and one non-zero byte at every
+        // position — the first chunk, a later one, the last full chunk or
+        // the remainder after it — at every length up to three chunks and
+        // at the lengths around a payload, a frame and two of each. (Every
+        // position at every length is 2·10¹⁰ byte reads.)
+        let mut buf = vec![0u8; 4104];
+        let agrees = |bytes: &[u8]| is_zero(bytes) == bytes.iter().all(|&b| b == 0);
+        let swept = |len: usize| len <= 192 || [2047, 2048, 2052, 4095, 4096, 4104].contains(&len);
+        for len in 0..=buf.len() {
+            assert!(is_zero(&buf[..len]), "len {len}");
+            let positions: Vec<usize> =
+                if swept(len) { (0..len).collect() } else { vec![0, len - 1] };
+            for pos in positions {
+                buf[pos] = 1 << (pos % 8);
+                assert!(agrees(&buf[..len]), "len {len}, byte {pos}");
+                buf[pos] = 0;
+            }
+        }
+    }
+
+    #[test]
     fn checksum_backend_round_trips_and_detects_corruption() {
         let mut be = ChecksumBackend::new(MemoryBackend::new(1), 16);
         // Never-written tracks still read back as zeros.
@@ -955,6 +984,99 @@ mod tests {
         let err = be.read_stripe(&[(0, 0)], &mut [&mut buf]).unwrap_err();
         assert!(matches!(err, DiskError::Corrupt { disk: 0, track: 0 }));
         assert!(err.is_transient());
+    }
+
+    /// Frames mangled behind the checksum layer's back: 200 seeded cases
+    /// each write three tracks (two drives, two stripes) through a
+    /// [`ChecksumBackend`] over memory or over drive files, then change
+    /// one stored frame — a bit flip in its payload or in its CRC tail, a
+    /// zeroed prefix, suffix or whole frame, or a zero payload under the
+    /// CRC tail it had — or write an all-zero payload, and read all three
+    /// back as one batch. The changed track reads its exact payload if
+    /// the frame is unchanged, the zero block if the frame is all zero and
+    /// [`DiskError::Corrupt`] naming it otherwise; the other two read
+    /// their exact payloads. None panics; a failing case prints its seed.
+    #[test]
+    fn mangled_frames_read_exactly_as_zero_or_corrupt() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, RngCore, SeedableRng};
+        struct Seed(u64);
+        impl Drop for Seed {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    eprintln!("failing case: StdRng::seed_from_u64({:#x})", self.0);
+                }
+            }
+        }
+        fn mangle<B: DiskBackend>(be: &mut ChecksumBackend<B>, rng: &mut StdRng) -> usize {
+            let payload = be.payload_bytes;
+            let addrs = [(0, 1), (1, 1), (0, 2)];
+            let kind = rng.gen_range(0..7usize);
+            let at = rng.gen_range(0..addrs.len());
+            let mut payloads: Vec<Vec<u8>> = (0..addrs.len())
+                .map(|_| (0..payload).map(|_| rng.next_u32() as u8 | 1).collect())
+                .collect();
+            if kind == 5 {
+                payloads[at].fill(0);
+            }
+            let writes: Vec<(usize, usize, &[u8])> =
+                addrs.iter().zip(&payloads).map(|(&(d, t), p)| (d, t, p.as_slice())).collect();
+            assert!(be.write_batch_each(&[2, 1], &writes).iter().all(Result::is_ok));
+            let (disk, track) = addrs[at];
+            let mut frame = vec![0u8; payload + CRC_BYTES];
+            be.inner.read_stripe(&[(disk, track)], &mut [&mut frame]).unwrap();
+            let stored = frame.clone();
+            match kind {
+                0 => frame[rng.gen_range(0..payload)] ^= 1 << rng.gen_range(0..8u32),
+                1 => frame[payload + rng.gen_range(0..CRC_BYTES)] ^= 1 << rng.gen_range(0..8u32),
+                2 => frame[..rng.gen_range(1..=payload + CRC_BYTES)].fill(0),
+                3 => frame[rng.gen_range(0..payload + CRC_BYTES)..].fill(0),
+                4 => frame.fill(0),
+                5 => {}
+                _ => frame[..payload].fill(0),
+            }
+            be.inner.write_stripe(&[(disk, track, &frame)]).unwrap();
+            let mut bufs = vec![vec![0xEEu8; payload]; addrs.len()];
+            let mut views: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+            let outcomes = be.read_batch_each(&[2, 1], &addrs, &mut views);
+            for (i, (outcome, buf)) in outcomes.iter().zip(&bufs).enumerate() {
+                let what = format!("mutation {kind}, track {i} of 3 (changed: {at})");
+                if i != at || frame == stored {
+                    assert!(outcome.is_ok() && *buf == payloads[i], "{what}: {outcome:?}");
+                } else if frame.iter().all(|&b| b == 0) {
+                    assert!(outcome.is_ok() && buf.iter().all(|&b| b == 0), "{what}: {outcome:?}");
+                } else {
+                    let corrupt = matches!(outcome, Err(DiskError::Corrupt { disk: d, track: t })
+                        if (*d, *t) == (disk, track));
+                    assert!(corrupt, "{what}: {outcome:?}");
+                }
+            }
+            kind
+        }
+        // Cases per mutation, on memory and on drive files.
+        let mut drawn = [[0usize; 7]; 2];
+        let dir = std::env::temp_dir().join(format!("em-disk-frames-{}", std::process::id()));
+        for case in 0..200 {
+            let seed = Seed(0xF4A3E ^ case);
+            let rng = &mut StdRng::seed_from_u64(seed.0);
+            // Payloads from a few bytes, all in the remainder of the zero
+            // test, to a frame of the simulators' 2 KiB blocks and past it.
+            let payload = match rng.gen_range(0..3u32) {
+                0 => rng.gen_range(1..130usize),
+                1 => 2048,
+                _ => rng.gen_range(1..4200usize),
+            };
+            let on_file = rng.next_u32() & 1 == 1;
+            let kind = if on_file {
+                let file = FileBackend::create(&dir, 2, payload + CRC_BYTES).unwrap();
+                mangle(&mut ChecksumBackend::new(file, payload), rng)
+            } else {
+                mangle(&mut ChecksumBackend::new(MemoryBackend::new(2), payload), rng)
+            };
+            drawn[on_file as usize][kind] += 1;
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        assert!(drawn.iter().flatten().all(|&n| n > 0), "{drawn:?}");
     }
 
     #[test]

@@ -122,6 +122,78 @@ pub fn crc32(data: &[u8]) -> u32 {
     crc.finish()
 }
 
+/// Bytes of one lane of [`Crc32::update`]'s four-lane superblock.
+const LANE: usize = 256;
+
+/// `ZERO_LANE[k][b]` is what the CRC register `b << 8k` becomes after
+/// [`LANE`] zero bytes. The register update is linear over GF(2), so a
+/// register `x` advances by `LANE` zero bytes as the XOR of its four
+/// bytes' entries: the fold that joins one lane's CRC to the next.
+const ZERO_LANE: [[u32; 256]; 4] = build_zero_lane_table();
+
+const fn build_zero_lane_table() -> [[u32; 256]; 4] {
+    // Where each single-bit register lands after `LANE` zero bytes.
+    let mut basis = [0u32; 32];
+    let mut bit = 0;
+    while bit < 32 {
+        let mut crc = 1u32 << bit;
+        let mut n = 0;
+        while n < LANE {
+            crc = (crc >> 8) ^ CRC_TABLES[0][(crc & 0xFF) as usize];
+            n += 1;
+        }
+        basis[bit] = crc;
+        bit += 1;
+    }
+    let mut table = [[0u32; 256]; 4];
+    let mut k = 0;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            let mut acc = 0;
+            let mut j = 0;
+            while j < 8 {
+                if b >> j & 1 != 0 {
+                    acc ^= basis[8 * k + j];
+                }
+                j += 1;
+            }
+            table[k][b] = acc;
+            b += 1;
+        }
+        k += 1;
+    }
+    table
+}
+
+/// The register `crc` after [`LANE`] zero bytes.
+#[inline(always)]
+fn skip_lane(crc: u32) -> u32 {
+    let t = &ZERO_LANE;
+    t[0][(crc & 0xFF) as usize]
+        ^ t[1][((crc >> 8) & 0xFF) as usize]
+        ^ t[2][((crc >> 16) & 0xFF) as usize]
+        ^ t[3][(crc >> 24) as usize]
+}
+
+/// One slice-by-8 step: the register `crc` after the eight bytes of `c`.
+/// The bytes are assembled with `from_le_bytes`, not read through a cast
+/// pointer, so any start alignment works.
+#[inline(always)]
+fn step8(crc: u32, c: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+    let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][(hi & 0xFF) as usize]
+        ^ t[2][((hi >> 8) & 0xFF) as usize]
+        ^ t[1][((hi >> 16) & 0xFF) as usize]
+        ^ t[0][(hi >> 24) as usize]
+}
+
 /// A CRC-32 (IEEE) in progress: the checksum of everything fed to
 /// [`Crc32::update`] so far, in order, however the bytes were split across
 /// calls — for data that is produced a piece at a time and never needs to
@@ -143,27 +215,40 @@ impl Crc32 {
 
     /// Append `data`.
     ///
-    /// Slice-by-8: eight bytes per step through eight tables, then a
-    /// byte-at-a-time tail. Works from any start alignment (the eight bytes
-    /// are assembled with `from_le_bytes`, not read through a cast pointer).
+    /// Four lanes: each 1 024-byte superblock is four lanes of 256 bytes,
+    /// run side by side through slice-by-8 (eight bytes per step through
+    /// eight tables) so the four table-lookup chains overlap instead of
+    /// waiting on each other. Lane 0 continues the running value and lanes
+    /// 1–3 start from 0; since the register update is linear, the
+    /// superblock's register is each lane's advanced past the lanes after
+    /// it (one table lookup per byte of the register) and XORed with
+    /// theirs. What is left goes through plain slice-by-8, then byte at a
+    /// time.
     pub fn update(&mut self, data: &[u8]) {
-        let t = &CRC_TABLES;
         let mut crc = self.0;
-        let mut chunks = data.chunks_exact(8);
-        for c in &mut chunks {
-            let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-            let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-            crc = t[7][(lo & 0xFF) as usize]
-                ^ t[6][((lo >> 8) & 0xFF) as usize]
-                ^ t[5][((lo >> 16) & 0xFF) as usize]
-                ^ t[4][(lo >> 24) as usize]
-                ^ t[3][(hi & 0xFF) as usize]
-                ^ t[2][((hi >> 8) & 0xFF) as usize]
-                ^ t[1][((hi >> 16) & 0xFF) as usize]
-                ^ t[0][(hi >> 24) as usize];
+        let mut superblocks = data.chunks_exact(4 * LANE);
+        for sb in &mut superblocks {
+            let (a, rest) = sb.split_at(LANE);
+            let (b, rest) = rest.split_at(LANE);
+            let (c, d) = rest.split_at(LANE);
+            let (mut ca, mut cb, mut cc, mut cd) = (crc, 0, 0, 0);
+            for (((wa, wb), wc), wd) in (a.chunks_exact(8).zip(b.chunks_exact(8)))
+                .zip(c.chunks_exact(8))
+                .zip(d.chunks_exact(8))
+            {
+                ca = step8(ca, wa);
+                cb = step8(cb, wb);
+                cc = step8(cc, wc);
+                cd = step8(cd, wd);
+            }
+            crc = skip_lane(skip_lane(skip_lane(ca) ^ cb) ^ cc) ^ cd;
         }
-        for &byte in chunks.remainder() {
-            crc = (crc >> 8) ^ t[0][((crc ^ byte as u32) & 0xFF) as usize];
+        let mut words = superblocks.remainder().chunks_exact(8);
+        for w in &mut words {
+            crc = step8(crc, w);
+        }
+        for &byte in words.remainder() {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ byte as u32) & 0xFF) as usize];
         }
         self.0 = crc;
     }
@@ -224,15 +309,35 @@ mod tests {
 
     #[test]
     fn a_streamed_crc_is_the_crc_of_the_concatenation() {
-        let data: Vec<u8> = (0..200u32).map(|i| (i * 37 + 11) as u8).collect();
-        // Pieces that leave every tail length, and empty ones.
-        for piece in [1, 3, 7, 8, 13, 64, 200] {
+        // Three four-lane superblocks and a tail.
+        let data: Vec<u8> = (0..3 * 4 * LANE + 100).map(|i| (i * 37 + i / 7 + 11) as u8).collect();
+        let whole = crc32_bytewise(&data);
+        // Pieces that leave every tail length, and empty ones; pieces
+        // around one lane, one superblock and one checksummed frame (2 048
+        // bytes and its tail), so a piece ends inside a lane, on a lane's
+        // end or past a superblock, and the next picks up from there.
+        let around = |n: usize| [n - 1, n, n + 1];
+        let pieces = [1, 3, 7, 8, 13, 64, 200, 4 * LANE - 8, 2047, 2051, 2052, 2053]
+            .into_iter()
+            .chain(around(LANE))
+            .chain(around(4 * LANE));
+        for piece in pieces {
             let mut crc = Crc32::new();
             for chunk in data.chunks(piece) {
                 crc.update(chunk);
                 crc.update(&[]);
             }
-            assert_eq!(crc.finish(), crc32(&data), "pieces of {piece}");
+            assert_eq!(crc.finish(), whole, "pieces of {piece}");
+        }
+        // One cut at every point of the first two superblocks and the start
+        // of the third.
+        let two = &data[..2 * 4 * LANE + 20];
+        let whole = crc32_bytewise(two);
+        for cut in 0..=two.len() {
+            let mut crc = Crc32::new();
+            crc.update(&two[..cut]);
+            crc.update(&two[cut..]);
+            assert_eq!(crc.finish(), whole, "cut at {cut}");
         }
         assert_eq!(Crc32::new().finish(), crc32(b""));
     }

@@ -1,4 +1,4 @@
-//! Properties of the block-frame checksum: the slice-by-8 `crc32` must
+//! Properties of the block-frame checksum: the table-driven `crc32` must
 //! equal the bit-at-a-time definition of CRC-32 (IEEE 802.3, reflected,
 //! polynomial 0xEDB88320) — a reference that shares no table with the
 //! implementation — at every length and start alignment. Each property
