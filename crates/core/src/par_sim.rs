@@ -1045,7 +1045,12 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                     }
                 }
                 drop(states);
-                self.disks.sync()?; // input distribution durable before timing
+                // The barrier-0 manifest commits over the distributed
+                // input, which must be durable first. A run that commits
+                // no manifest never fsyncs: its drives are scratch.
+                if self.store.is_some() {
+                    self.disks.sync()?;
+                }
                 self.disks.reset_stats();
                 if let Some(store) = &self.store {
                     // A reused directory may hold a previous run's
@@ -1368,7 +1373,8 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
     }
 
     /// Step 2 — reorganize the superstep's scattered blocks locally with
-    /// Algorithm 2 — then the superstep boundary's `sync()`.
+    /// Algorithm 2 — then, when checkpointing, the superstep boundary's
+    /// `sync()`.
     fn reorganize(&mut self, att: Attempt) {
         if self.zombie.is_none() {
             self.balances.push(att.scratch.balance_factor());
@@ -1397,11 +1403,13 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
             self.walls.reorganize += t0.elapsed();
         }
 
-        // Superstep boundary: this worker's writes are durable before the
-        // barrier ends the superstep and any committed bookkeeping
-        // advances. No-op on the memory backend; generates no counted I/O
+        // Superstep boundary of a checkpointed run: this worker's writes
+        // are durable before the barrier ends the superstep and its
+        // manifest commits over them. A run that commits no manifest
+        // skips it — nothing would ever read its drives back after a
+        // crash. No-op on the memory backend; generates no counted I/O
         // operations.
-        if self.zombie.is_none() {
+        if self.zombie.is_none() && self.store.is_some() {
             let t0 = Instant::now();
             if let Err(e) = self.disks.sync() {
                 self.zombie = Some(e.into());

@@ -8,7 +8,7 @@ use std::time::Duration;
 /// Superstep-granular recovery knobs for the EM simulators.
 ///
 /// When recovery is enabled, committed state is only advanced at each
-/// compound superstep's barrier `sync()`, and a transient disk fault that
+/// compound superstep's barrier, and a transient disk fault that
 /// survives the substrate's [`em_disk::RetryPolicy`] triggers a rollback
 /// to the last committed state followed by a bounded replay of the whole
 /// superstep.
@@ -123,7 +123,10 @@ pub struct PhaseWall {
     pub write: Duration,
     /// Step 2: `SimulateRouting` reorganization.
     pub reorganize: Duration,
-    /// Superstep-boundary durability barrier (`sync()`).
+    /// The superstep-boundary `sync()` of a checkpointed run, which makes
+    /// the superstep's writes durable before its manifest commits over
+    /// them. 0 without checkpointing: a run that commits no manifest
+    /// never fsyncs its scratch drives.
     pub sync: Duration,
 }
 

@@ -291,7 +291,7 @@ macro_rules! sim_facade {
             }
 
             /// Enable superstep-granular recovery: simulation state
-            /// advances only at each superstep's barrier `sync()`, and a
+            /// advances only at each superstep's barrier, and a
             /// transient disk fault that survives the retry policy rolls
             /// the run back to the last committed superstep and replays
             /// it (at most `policy.max_replays_per_superstep` times). The
@@ -321,7 +321,7 @@ macro_rules! sim_facade {
             /// typed [`EmError::InvalidConfig`](crate::EmError::InvalidConfig) otherwise. Each processor
             /// keeps its manifests next to its drive files.
             ///
-            /// At each barrier `sync()` every processor atomically commits
+            /// At each barrier every processor atomically commits
             /// a CRC-framed *manifest* (fsync the drives → write-new →
             /// fsync → rename → fsync the directory) holding everything
             /// resume needs — next superstep, group counts, the
@@ -338,7 +338,10 @@ macro_rules! sim_facade {
             /// deterministically: final states, ledger, counted parallel
             /// I/O operations and the drive bytes are bit-identical to the
             /// uninterrupted run. Checkpoint traffic is never counted in
-            /// the paper-facing `parallel_ops`.
+            /// the paper-facing `parallel_ops`. These fsyncs, and one
+            /// after the input is loaded, are the only ones a run makes:
+            /// without checkpointing its drives are scratch and never
+            /// synced.
             pub fn with_checkpointing(mut self, on: bool) -> Self {
                 self.cfg.checkpoint = on;
                 self

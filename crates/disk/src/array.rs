@@ -60,7 +60,9 @@ impl DiskArray {
         Self::with_backend_and_faults(cfg, backend, plan)
     }
 
-    /// Create an array backed by one file per drive inside `dir`.
+    /// Create an array backed by one new, empty file per drive inside
+    /// `dir`, replacing any drive files already there
+    /// ([`FileBackend::create`]).
     pub fn new_file<P: AsRef<Path>>(cfg: DiskConfig, dir: P) -> DiskResult<Self> {
         Self::new_file_with_faults(cfg, dir, None)
     }

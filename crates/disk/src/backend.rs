@@ -658,8 +658,15 @@ pub struct FileBackend {
 }
 
 impl FileBackend {
-    /// Create (or truncate) `num_disks` drive files named `disk-<i>.bin`
-    /// inside `dir`.
+    /// Create (or replace) `num_disks` empty drive files named
+    /// `disk-<i>.bin` inside `dir`.
+    ///
+    /// An existing drive file is unlinked and a new one created in its
+    /// place, not truncated: a scratch run never syncs its drives, and
+    /// truncating a file of never-synced writes measured several times
+    /// slower than unlinking it (ext4's `auto_da_alloc` flush on
+    /// truncate is the likely cause). A handle still open on the old
+    /// file keeps reading its bytes.
     pub fn create<P: AsRef<Path>>(
         dir: P,
         num_disks: usize,
@@ -671,12 +678,10 @@ impl FileBackend {
         let mut paths = Vec::with_capacity(num_disks);
         for i in 0..num_disks {
             let path = dir.as_ref().join(format!("disk-{i}.bin"));
-            let file = match OpenOptions::new()
-                .read(true)
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&path)
+            // A removal that fails for any reason but absence leaves
+            // something at `path`, and the `create_new` below reports it.
+            let _ = std::fs::remove_file(&path);
+            let file = match OpenOptions::new().read(true).write(true).create_new(true).open(&path)
             {
                 Ok(f) => f,
                 Err(e) => {
@@ -936,6 +941,32 @@ mod tests {
         assert!(err.is_err());
         assert!(!dir.join("disk-0.bin").exists(), "partial drive files must be removed");
         assert!(!dir.join("disk-1.bin").exists(), "partial drive files must be removed");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn create_replaces_the_last_arrays_unsynced_drive_files() {
+        let dir = std::env::temp_dir().join(format!("em-disk-replace-{}", std::process::id()));
+        let mut old = FileBackend::create(&dir, 2, 32).unwrap();
+        old.write_stripe(&[(0, 0, &[7u8; 32]), (1, 3, &[9u8; 32])]).unwrap();
+        // Never synced: what a scratch run leaves behind.
+        let mut new = FileBackend::create(&dir, 2, 32).unwrap();
+        let mut buf = [0xAAu8; 32];
+        for (disk, track) in [(0, 0), (1, 3)] {
+            assert_eq!(new.tracks_used(disk), 0, "drive {disk}");
+            assert_eq!(std::fs::metadata(&new.paths()[disk]).unwrap().len(), 0, "drive {disk}");
+            new.read_stripe(&[(disk, track)], &mut [&mut buf]).unwrap();
+            assert_eq!(buf, [0u8; 32], "drive {disk} track {track} of the new array");
+        }
+        // The old files were unlinked, not truncated: the array still open
+        // on them reads its own bytes, and the new array's writes do not
+        // reach it.
+        new.write_stripe(&[(0, 0, &[1u8; 32])]).unwrap();
+        for (disk, track, byte) in [(0, 0, 7u8), (1, 3, 9)] {
+            old.read_stripe(&[(disk, track)], &mut [&mut buf]).unwrap();
+            assert_eq!(buf, [byte; 32], "drive {disk} track {track} of the old array");
+        }
+        drop((old, new));
         std::fs::remove_dir_all(&dir).ok();
     }
 

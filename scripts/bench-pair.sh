@@ -15,10 +15,13 @@
 #   [pairs]       parent/change pairs to run per workload (default 10)
 #   trace [n]     the per-layer half instead: n (default 3) alternations of
 #                 `embench trace` per workload, each side's core.wall.*,
-#                 core.sim_overhead_x, bsp.ref_job_ms, serial.* and service.*
-#                 (0 off service-mix) run by run with medians, and `embench
-#                 compare` of the first alternation's two layers.json (every
-#                 exact count must tie)
+#                 core.sim_overhead_x, bsp.ref_job_ms, serial.*, service.*
+#                 (0 off service-mix) and the disk ladder's rungs
+#                 (disk.*_stripe_us, disk.sync_ms) run by run with medians,
+#                 and `embench compare` of the first alternation's two
+#                 layers.json (every exact count must tie). Each run keeps
+#                 its own directory, traces/<workload>-<side>-seed<seed>, and
+#                 the summary reads back this invocation's seeds only
 #
 # The change is the working tree as it stands. The parent is exported with
 # `git archive` into a scratch directory, both binaries are built into
@@ -32,7 +35,7 @@
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 4 ] || { [ $# -eq 4 ] && [ "$3" != trace ]; }; then
-    sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'
+    sed -n '2,/^[^#]/s/^# \{0,1\}//p' "$0"
     exit 2
 fi
 PARENT_REF="$1"
@@ -86,8 +89,13 @@ m = json.load(open(sys.argv[1]))["metrics"]
 print(", ".join("%s %.4g" % (k, v["value"]) for k, v in m.items()))' "$out")" >&2
 }
 
+trace_dir() { # <workload> <side> <alternation index>
+    echo "$SCRATCH/traces/$1-$2-seed$((BASE_SEED + $3))"
+}
+
 trace_side() { # <workload> <side> <alternation index>
-    local out="$SCRATCH/traces/$1-$2-$3"
+    local out
+    out="$(trace_dir "$1" "$2" "$3")"
     rm -rf "$out"
     mkdir -p "$out" "$SCRATCH/tmp"
     "$SCRATCH/bin/embench-$2" trace --workload "$1" --seed "$((BASE_SEED + $3))" \
@@ -104,17 +112,19 @@ if [ "$MODE" = trace ]; then
         done
     done
     # shellcheck disable=SC2086 # one argument per workload is the point
-    python3 - "$SCRATCH/traces" "$PAIRS" $WORKLOADS <<'EOF'
+    python3 - "$SCRATCH/traces" "$PAIRS" "$BASE_SEED" $WORKLOADS <<'EOF'
 import json, statistics, sys
-traces, n, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+traces, n, base, workloads = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4:]
+seeds = [base + i for i in range(1, n + 1)]
 def shown(name):
-    return name.startswith(("core.wall.", "serial.", "service.")) or name in ("core.sim_overhead_x", "bsp.ref_job_ms")
+    ladder = name.startswith("disk.") and name.endswith("_stripe_us") or name == "disk.sync_ms"
+    return ladder or name.startswith(("core.wall.", "serial.", "service.")) or name in ("core.sim_overhead_x", "bsp.ref_job_ms")
 for workload in workloads:
     sides = {}
     for side in ("parent", "change"):
-        runs = [json.load(open(f"{traces}/{workload}-{side}-{i}/layers.json")) for i in range(1, n + 1)]
+        runs = [json.load(open(f"{traces}/{workload}-{side}-seed{seed}/layers.json")) for seed in seeds]
         sides[side] = [next(w for w in r["workloads"] if w["name"] == workload)["metrics"] for r in runs]
-    print(f"\n{workload}: {n} traced alternations, run by run, then [the median]")
+    print(f"\n{workload}: {n} traced alternations (seeds {seeds[0]}..{seeds[-1]}), run by run, then [the median]")
     for name in filter(shown, sides["parent"][0]):
         cells = []
         for side in ("parent", "change"):
@@ -125,8 +135,8 @@ EOF
     for workload in $WORKLOADS; do
         echo
         echo "$workload: embench compare, alternation 1 (exact counts must tie; timings are one run each)"
-        "$SCRATCH/bin/embench-change" compare "$SCRATCH/traces/$workload-parent-1/layers.json" \
-            "$SCRATCH/traces/$workload-change-1/layers.json" || true
+        "$SCRATCH/bin/embench-change" compare "$(trace_dir "$workload" parent 1)/layers.json" \
+            "$(trace_dir "$workload" change 1)/layers.json" || true
     done
     exit 0
 fi

@@ -10,9 +10,14 @@
 //! leaking a half-done superstep's writes all change the final states.
 
 use em_bsp::{BspProgram, BspStarParams, Mailbox, Step};
-use em_core::{EmError, EmMachine, KillPoint, ParEmSimulator, SeqEmSimulator};
+use em_core::{EmError, EmMachine, KillPoint, ParEmSimulator, RecoveryPolicy, SeqEmSimulator};
+use em_disk::{
+    DiskArray, DiskBackend, DiskConfig, DiskResult, FileBackend, MemoryBackend, TrackOutcomes,
+};
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Supersteps the workload runs (barriers 0..SUPERSTEPS are kill targets).
 const SUPERSTEPS: usize = 5;
@@ -380,4 +385,135 @@ fn a_manifest_with_a_fault_counter_per_extra_drive_is_refused() {
     }
     assert_eq!(durable_fingerprint(&dir), before, "drive files and manifests untouched");
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A raw drive layer that counts the `sync()` calls reaching it.
+struct SyncCensus {
+    inner: Box<dyn DiskBackend>,
+    syncs: Arc<AtomicUsize>,
+}
+
+impl DiskBackend for SyncCensus {
+    fn num_disks(&self) -> usize {
+        self.inner.num_disks()
+    }
+    fn read_batch_each(
+        &mut self,
+        stripes: &[usize],
+        addrs: &[(usize, usize)],
+        bufs: &mut [&mut [u8]],
+    ) -> TrackOutcomes {
+        self.inner.read_batch_each(stripes, addrs, bufs)
+    }
+    fn write_batch_each(
+        &mut self,
+        stripes: &[usize],
+        writes: &[(usize, usize, &[u8])],
+    ) -> TrackOutcomes {
+        self.inner.write_batch_each(stripes, writes)
+    }
+    fn tracks_used(&self, disk: usize) -> usize {
+        self.inner.tracks_used(disk)
+    }
+    fn sync(&mut self) -> DiskResult<()> {
+        self.syncs.fetch_add(1, Ordering::Relaxed);
+        self.inner.sync()
+    }
+}
+
+/// One array per directory (memory drives where there is none), each
+/// counting its syncs into the matching counter.
+fn census_arrays(
+    cfg: DiskConfig,
+    dirs: &[Option<std::path::PathBuf>],
+) -> Vec<(DiskArray, Arc<AtomicUsize>)> {
+    let track_bytes = DiskArray::storage_block_bytes(&cfg);
+    (dirs.iter())
+        .map(|dir| {
+            let inner: Box<dyn DiskBackend> = match dir {
+                Some(dir) => {
+                    Box::new(FileBackend::create(dir, cfg.num_disks, track_bytes).unwrap())
+                }
+                None => Box::new(MemoryBackend::new(cfg.num_disks)),
+            };
+            let syncs = Arc::new(AtomicUsize::new(0));
+            let raw = SyncCensus { inner, syncs: syncs.clone() };
+            (DiskArray::with_backend(cfg, Box::new(raw)), syncs)
+        })
+        .collect()
+}
+
+/// Apply a census case — file drives, recovery, checkpointing — to either
+/// simulator's builder.
+macro_rules! census_case {
+    ($sim:expr, $dir:expr, $case:expr) => {{
+        let (files, recovery, checkpoint) = $case;
+        let mut sim = $sim.with_seed(11).with_checkpointing(checkpoint);
+        if files {
+            sim = sim.with_file_backend($dir);
+        }
+        if recovery {
+            sim = sim.with_recovery(RecoveryPolicy::default());
+        }
+        sim
+    }};
+}
+
+/// Durability follows the manifest. A run that commits none never syncs
+/// its drives — in memory or on files, with recovery on or off — and a
+/// checkpointed run syncs each array once after its load and once per
+/// committed barrier: λ + 1. Through `run_on` on both simulators, at
+/// p = 1 and 2.
+#[test]
+fn only_a_checkpointed_run_syncs_its_drives() {
+    let v = 16;
+    let want = em_bsp::run_sequential(&Diffuse, init_states(v)).unwrap();
+    // (file drives, recovery, checkpointing); checkpointing needs files.
+    let cases = [
+        (false, false, false),
+        (false, true, false),
+        (true, false, false),
+        (true, true, false),
+        (true, false, true),
+        (true, true, true),
+    ];
+    for (par, p) in [(false, 1), (true, 1), (true, 2)] {
+        for (c, case @ (files, _, checkpoint)) in cases.into_iter().enumerate() {
+            let name = if par { "par" } else { "seq" };
+            let tag = format!("{name} p = {p}, case {case:?}");
+            let dir = tmp(&format!("census-{name}{p}-{c}"));
+            let machine = EmMachine {
+                p,
+                m_bytes: 256,
+                d: 2,
+                b_bytes: 64,
+                g_io: 1,
+                router: BspStarParams { p, g: 1.0, b: 64, l: 1.0 },
+            };
+            let worker_dir = |i: usize| {
+                files.then(|| if par { dir.join(format!("proc-{i}")) } else { dir.clone() })
+            };
+            let dirs: Vec<_> = (0..p).map(worker_dir).collect();
+            let (res, report, syncs) = if par {
+                let sim = census_case!(ParEmSimulator::new(machine), &dir, case);
+                let (disks, syncs): (Vec<_>, Vec<_>) =
+                    census_arrays(sim.disk_config().unwrap(), &dirs).into_iter().unzip();
+                let (res, report) = sim.run_on(disks, &Diffuse, init_states(v)).unwrap();
+                (res, report, syncs)
+            } else {
+                let sim = census_case!(SeqEmSimulator::new(machine), &dir, case);
+                let (mut disks, syncs) =
+                    census_arrays(sim.disk_config().unwrap(), &dirs).pop().unwrap();
+                let (res, report) = sim.run_on(&mut disks, &Diffuse, init_states(v)).unwrap();
+                (res, report, vec![syncs])
+            };
+            assert_eq!(res.states, want.states, "{tag}");
+            assert_eq!(report.lambda, SUPERSTEPS, "{tag}");
+            let per_array = if checkpoint { report.lambda + 1 } else { 0 };
+            for (i, syncs) in syncs.iter().enumerate() {
+                assert_eq!(syncs.load(Ordering::Relaxed), per_array, "{tag}: array {i}");
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }
