@@ -13,10 +13,11 @@
 //!    faults at the *same* absolute operations).
 //! 3. *Tenant chaos* — concurrent service tenants where one dies an
 //!    unrecoverable death (quarantined, resources reclaimed, lease goes
-//!    sticky), some limp through transient faults under a retry policy,
-//!    and one is refused by a zero deadline; every surviving tenant's
-//!    metered ledger must be bit-identical to a solo run on a private
-//!    array.
+//!    sticky) and some limp through transient faults on a retrying
+//!    simulator; every surviving tenant's metered ledger must be
+//!    bit-identical to a solo run on a private array, except that a
+//!    flaky tenant's retried blocks are exactly the transients its plan
+//!    injected.
 //!
 //! Usage: `chaos [--smoke] [--json] [--seed S]`
 //!
@@ -35,10 +36,9 @@ use em_bench::report::{reject_unknown_flags, write_bench_json, Row};
 use em_bench::workloads::random_u64;
 use em_bsp::{BspProgram, BspStarParams, Executor, Mailbox, Step};
 use em_core::{CostReport, EmError, EmMachine, KillPoint, ParEmSimulator, SeqEmSimulator};
-use em_disk::{FaultPlan, RetryPolicy};
+use em_disk::{FaultPlan, IoStats, RetryPolicy};
 use em_service::{
-    JobPolicy, JobSpec, ServiceConfig, ServiceError, SimService, SoloRunner, TenantOutcome,
-    TenantRecord,
+    JobSpec, ServiceConfig, ServiceError, SimService, SoloRunner, TenantOutcome, TenantRecord,
 };
 use std::path::{Path, PathBuf};
 
@@ -279,16 +279,29 @@ fn service_err(err: em_algos::AlgoError) -> Box<ServiceError> {
     }
 }
 
-fn assert_record_matches_solo(name: &str, record: &TenantRecord, solo: &[CostReport], fp: u32) {
+/// A completed tenant's ledger against its solo run: every stage's counted
+/// `IoStats` equal but for `retried_blocks`, which the solo run (no retry
+/// layer, no faults) leaves at 0 and the tenant's stages must sum to
+/// `transients`, the faults its plan injected.
+fn assert_record_matches_solo(
+    name: &str,
+    record: &TenantRecord,
+    solo: &[CostReport],
+    fp: u32,
+    transients: u64,
+) {
     assert!(
         matches!(record.outcome, TenantOutcome::Completed),
         "{name}: expected a completed record"
     );
     assert_eq!(record.stages.len(), solo.len(), "{name}: stage count differs from solo run");
     for (i, (svc, ref_)) in record.stages.iter().zip(solo).enumerate() {
-        assert_eq!(svc.io, ref_.io, "{name} stage {i}: counted IoStats differ from solo");
+        let io = IoStats { retried_blocks: ref_.io.retried_blocks, ..svc.io.clone() };
+        assert_eq!(io, ref_.io, "{name} stage {i}: counted IoStats differ from solo");
         assert_eq!(svc.lambda, ref_.lambda, "{name} stage {i}: lambda differs");
     }
+    let retried: u64 = record.stages.iter().map(|s| s.io.retried_blocks).sum();
+    assert_eq!(retried, transients, "{name}: retried blocks differ from the injected transients");
     assert_eq!(record.state_fingerprint, fp, "{name}: state fingerprint differs from solo");
 }
 
@@ -306,7 +319,7 @@ fn tenant_chaos(master_seed: u64, smoke: bool) -> (String, Vec<TenantRecord>, us
     let v = 8;
 
     std::thread::scope(|scope| {
-        // Healthy tenants: no faults, generous policy.
+        // Healthy tenants: no faults.
         for i in 0..healthy {
             let service = &service;
             scope.spawn(move || {
@@ -317,17 +330,17 @@ fn tenant_chaos(master_seed: u64, smoke: bool) -> (String, Vec<TenantRecord>, us
                 let (solo_stages, solo_fp) = solo.finish();
                 let spec = JobSpec::new(&name, seed, service_machine(), v)
                     .with_budgets(MU, GAMMA)
-                    .with_tracks(TRACKS_PER_TENANT)
-                    .with_policy(JobPolicy::default().with_max_retries(2));
+                    .with_tracks(TRACKS_PER_TENANT);
                 let lease = service.admit(spec).expect("healthy tenant refused");
                 let out = run_sort(&lease, n, v, seed);
                 assert_eq!(out, solo_out, "{name}: output differs from solo");
                 let record = lease.complete();
-                assert_record_matches_solo(&name, &record, &solo_stages, solo_fp);
+                assert_record_matches_solo(&name, &record, &solo_stages, solo_fp, 0);
             });
         }
-        // Flaky tenants: one-shot transient faults absorbed by the retry
-        // policy; the surviving attempt must meter identically to solo.
+        // Flaky tenants: one-shot transient faults absorbed by the
+        // tenant's retrying simulator, which meters identically to solo
+        // but for one retried block per transient.
         for i in 0..flaky {
             let service = &service;
             scope.spawn(move || {
@@ -343,15 +356,15 @@ fn tenant_chaos(master_seed: u64, smoke: bool) -> (String, Vec<TenantRecord>, us
                         FaultPlan::none()
                             .with_transient(0, 3 + i as u64)
                             .with_transient(1, 9 + i as u64),
-                    )
-                    .with_policy(
-                        JobPolicy::default().with_max_retries(3).with_backoff_base_micros(10),
                     );
-                let lease = service.admit(spec).expect("flaky tenant refused");
+                let sim = SeqEmSimulator::new(service_machine())
+                    .with_seed(seed)
+                    .with_retry(RetryPolicy::new(4));
+                let lease = service.admit_with(spec, sim).expect("flaky tenant refused");
                 let out = run_sort(&lease, n, v, seed);
                 assert_eq!(out, solo_out, "{name}: output differs from solo");
                 let record = lease.complete();
-                assert_record_matches_solo(&name, &record, &solo_stages, solo_fp);
+                assert_record_matches_solo(&name, &record, &solo_stages, solo_fp, 2);
             });
         }
         // Death tenant: unrecoverable fault mid-run -> quarantined, lease
@@ -362,8 +375,7 @@ fn tenant_chaos(master_seed: u64, smoke: bool) -> (String, Vec<TenantRecord>, us
             let spec = JobSpec::new("death-00", seed, service_machine(), v)
                 .with_budgets(MU, GAMMA)
                 .with_tracks(TRACKS_PER_TENANT)
-                .with_fault_plan(FaultPlan::none().with_worker_death(0, 5))
-                .with_policy(JobPolicy::default().with_max_retries(3));
+                .with_fault_plan(FaultPlan::none().with_worker_death(0, 5));
             let lease = service_ref.admit(spec).expect("death tenant refused admission");
             let err = service_err(
                 em_algos::sort::cgm_sort(&lease, v, random_u64(n, seed))
@@ -393,22 +405,9 @@ fn tenant_chaos(master_seed: u64, smoke: bool) -> (String, Vec<TenantRecord>, us
             let out = run_sort(&lease, n, v, refill_seed);
             assert_eq!(out, solo_out, "refill-00: output differs from solo");
             let record = lease.complete();
-            assert_record_matches_solo("refill-00", &record, &solo_stages, solo_fp);
+            assert_record_matches_solo("refill-00", &record, &solo_stages, solo_fp, 0);
         });
     });
-
-    // Zero deadline: deterministically refused before any attempt runs.
-    let spec = JobSpec::new("deadline-00", master_seed ^ 0xD11E, service_machine(), v)
-        .with_budgets(MU, GAMMA)
-        .with_tracks(TRACKS_PER_TENANT)
-        .with_policy(JobPolicy::default().with_deadline_micros(0));
-    let lease = service.admit(spec).expect("deadline tenant refused admission");
-    let err = service_err(
-        em_algos::sort::cgm_sort(&lease, v, random_u64(64, master_seed))
-            .expect_err("zero deadline must refuse to start"),
-    );
-    assert!(matches!(*err, ServiceError::DeadlineExceeded { .. }), "got {err}");
-    drop(lease);
 
     let report = service.report();
     let records = report.records().to_vec();

@@ -611,13 +611,6 @@ pub struct OutMsg {
     pub payload: Vec<u8>,
 }
 
-impl OutMsg {
-    /// Envelope bytes this message occupies in a stream.
-    pub fn envelope_len(&self) -> usize {
-        MSG_HEADER_BYTES + self.payload.len()
-    }
-}
-
 /// Writing Phase for one source group (Algorithm 1, Step 1(d)): cut the
 /// generated messages into blocks and write them to the disks in cycles of
 /// `D`, assigning blocks to disks with a fresh random permutation per

@@ -1015,11 +1015,14 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
     /// Distribute the input (a fresh run) or adopt the committed
     /// bookkeeping (a resumed one). Either way the array's counters start
     /// the simulation proper at zero: the initial load is input
-    /// distribution, not simulation cost.
+    /// distribution, not simulation cost. The retries the load needed did
+    /// happen, so a fresh run's committed base starts with them.
     fn load(&mut self, start: WorkerStart<P::State>) -> EmResult<()> {
         let shape = self.env.shape;
         match start {
             WorkerStart::Fresh(states) => {
+                // A borrowed array still holds its previous run's counts.
+                self.disks.reset_stats();
                 let mut next = 0;
                 for batch in 0..shape.num_batches {
                     let n = shape.pids(self.i, batch).len();
@@ -1051,7 +1054,7 @@ impl<'a, P: BspProgram, T: Transport> Worker<'a, P, T> {
                 if self.store.is_some() {
                     self.disks.sync()?;
                 }
-                self.disks.reset_stats();
+                self.committed_io.retried_blocks = self.disks.take_stats().retried_blocks;
                 if let Some(store) = &self.store {
                     // A reused directory may hold a previous run's
                     // manifests; a fresh run must commit its barrier-0

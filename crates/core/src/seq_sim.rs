@@ -83,7 +83,8 @@ impl SeqEmSimulator {
     /// rewrites every region it allocates, so repeated runs on one array
     /// are independent; `disks.stats()` is reset after the initial input
     /// distribution, making the array's counters a clean per-run meter
-    /// (read them via [`CostReport::io`]).
+    /// (read them via [`CostReport::io`], whose `retried_blocks` also
+    /// counts the retries the load needed).
     pub fn run_on<P: BspProgram>(
         &self,
         disks: &mut DiskArray,
@@ -264,6 +265,25 @@ mod tests {
             assert_eq!(ra.phases, rb.phases, "{kill:?}");
         }
         std::fs::remove_dir_all(&base_dir).ok();
+    }
+
+    /// A retry the initial load needed is on the run's meter, as is one
+    /// inside a superstep, once: a second run on the same array counts
+    /// neither of the first run's.
+    #[test]
+    fn load_retries_are_metered_per_run() {
+        let prog = AllToAll { mu: 124 };
+        // 16 contexts of 2 blocks load as 8 tracks a drive: drive 1's
+        // transfer 8 is the first of the superstep.
+        let plan = em_disk::FaultPlan::none().with_transient(0, 0).with_transient(1, 8);
+        let sim = SeqEmSimulator::new(machine(256, 4, 64))
+            .with_fault_plan(plan)
+            .with_retry(em_disk::RetryPolicy::new(2));
+        let mut disks = sim.build_disks().unwrap();
+        let (_, first) = sim.run_on(&mut disks, &prog, vec![0u64; 16]).unwrap();
+        let (_, second) = sim.run_on(&mut disks, &prog, vec![0u64; 16]).unwrap();
+        assert_eq!((first.io.retried_blocks, second.io.retried_blocks), (2, 0));
+        assert_eq!(first.io.parallel_ops, second.io.parallel_ops);
     }
 
     #[test]

@@ -36,8 +36,6 @@ pub struct DiskArray {
     cfg: DiskConfig,
     backend: Box<dyn DiskBackend>,
     stats: IoStats,
-    /// Optional capacity limit, for failure-injection tests.
-    max_tracks: Option<usize>,
     /// Scratch marker reused across stripe validations.
     seen: Vec<u64>,
     epoch: u64,
@@ -157,17 +155,9 @@ impl DiskArray {
             epoch: 0,
             cfg,
             backend,
-            max_tracks: None,
             retried,
             fault_ops,
         }
-    }
-
-    /// Impose a per-drive capacity limit of `max_tracks` tracks; writes
-    /// beyond it fail with [`DiskError::CapacityExceeded`].
-    pub fn with_capacity_limit(mut self, max_tracks: usize) -> Self {
-        self.max_tracks = Some(max_tracks);
-        self
     }
 
     /// Array shape.
@@ -281,15 +271,6 @@ impl DiskArray {
         Ok(())
     }
 
-    fn check_capacity(&self, disk: usize, track: usize) -> DiskResult<()> {
-        if let Some(max) = self.max_tracks {
-            if track >= max {
-                return Err(DiskError::CapacityExceeded { disk, max_tracks: max });
-            }
-        }
-        Ok(())
-    }
-
     /// Count the `stripes` of a read just handed to the backend — one
     /// parallel I/O operation per non-empty stripe — and fold in what the
     /// backend absorbed while serving it.
@@ -395,7 +376,7 @@ impl DiskArray {
 
     /// Write a batch of parallel stripes as one transfer (same arguments,
     /// validation, counting and error rule as
-    /// [`DiskArray::read_batch_into`]; the capacity limit is checked too).
+    /// [`DiskArray::read_batch_into`]; each track must be `B` bytes).
     ///
     /// Each track's bytes are anything that is a `[u8]` of exactly `B`
     /// bytes — a [`Block`], a `Vec<u8>`, or a slice of the caller's own
@@ -406,12 +387,11 @@ impl DiskArray {
         writes: &[(usize, usize, T)],
     ) -> DiskResult<()> {
         self.validate_batch(stripes, writes.iter().map(|(d, _, _)| *d))?;
-        for (disk, track, data) in writes {
+        for (_, _, data) in writes {
             let got = data.as_ref().len();
             if got != self.cfg.block_bytes {
                 return Err(DiskError::BadBlockSize { expected: self.cfg.block_bytes, got });
             }
-            self.check_capacity(*disk, *track)?;
         }
         let tracks: Vec<(usize, usize, &[u8])> =
             writes.iter().map(|(d, t, data)| (*d, *t, data.as_ref())).collect();
@@ -450,7 +430,7 @@ impl DiskArray {
     /// so a move allocates nothing per block.
     ///
     /// Everything is validated first — the stripe rule on the reads *and*
-    /// on the writes, the capacity limit, matching lengths, the lent
+    /// on the writes, matching lengths, the lent
     /// buffers — and a rejected move leaves the backend and the counters
     /// untouched. A valid move counts exactly what
     /// [`DiskArray::read_stripe`] followed by [`DiskArray::write_stripe`],
@@ -495,9 +475,6 @@ impl DiskArray {
         };
         if let Some(buf) = bufs.iter().find(|buf| buf.len() != self.cfg.block_bytes) {
             return Err(DiskError::BadBlockSize { expected: self.cfg.block_bytes, got: buf.len() });
-        }
-        for &(disk, track) in to {
-            self.check_capacity(disk, track)?;
         }
         let mut lent: Vec<&mut [u8]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
         let read = self.backend.read_batch_each(stripes, from, &mut lent);
@@ -595,14 +572,6 @@ mod tests {
         let mut a = array(1, 8);
         let err = a.write_stripe(&[(0, 0, Block::zeroed(9))]).unwrap_err();
         assert!(matches!(err, DiskError::BadBlockSize { expected: 8, got: 9 }));
-    }
-
-    #[test]
-    fn capacity_limit_enforced() {
-        let mut a = array(1, 8).with_capacity_limit(2);
-        a.write_block(0, 1, Block::zeroed(8)).unwrap();
-        let err = a.write_block(0, 2, Block::zeroed(8)).unwrap_err();
-        assert!(matches!(err, DiskError::CapacityExceeded { .. }));
     }
 
     #[test]
@@ -755,7 +724,7 @@ mod tests {
 
     #[test]
     fn a_rejected_batch_leaves_backend_and_counters_untouched() {
-        let mut a = array(2, 8).with_capacity_limit(4);
+        let mut a = array(2, 8);
         // The second stripe is the illegal one; the first must not land.
         let conflict = [(0, 0), (1, 0), (1, 1), (1, 2)];
         assert!(matches!(
@@ -763,8 +732,11 @@ mod tests {
             Err(DiskError::StripeConflict { disk: 1 })
         ));
         let writes: Vec<(usize, usize, Block)> =
-            [(0, 0), (1, 0), (0, 9)].iter().map(|&(d, t)| (d, t, Block::zeroed(8))).collect();
-        assert!(matches!(a.write_batch(&[2, 1], &writes), Err(DiskError::CapacityExceeded { .. })));
+            conflict.iter().map(|&(d, t)| (d, t, Block::zeroed(8))).collect();
+        assert!(matches!(
+            a.write_batch(&[2, 2], &writes),
+            Err(DiskError::StripeConflict { disk: 1 })
+        ));
         assert!(matches!(
             a.read_batch_into(&[3], &conflict, Vec::new()),
             Err(DiskError::InvalidConfig(_))
@@ -832,7 +804,7 @@ mod tests {
 
     #[test]
     fn a_lent_read_takes_a_buffer_a_track_at_most_and_hands_the_same_ones_back() {
-        let mut a = array(2, 8).with_capacity_limit(4);
+        let mut a = array(2, 8);
         a.write_stripe(&[(0, 0, [1u8; 8]), (1, 0, [2u8; 8])]).unwrap();
         let written = a.stats().clone();
         let addrs = [(0, 0), (1, 0)];
@@ -1016,7 +988,7 @@ mod tests {
 
     #[test]
     fn a_rejected_move_leaves_backend_and_counters_untouched() {
-        let mut a = array(2, 8).with_capacity_limit(4);
+        let mut a = array(2, 8);
         let mut lent = vec![vec![0u8; 8]; 4];
         let ok = [(0, 0), (1, 0), (0, 1), (1, 1)];
         // The second stripe is the illegal one, on either side.
@@ -1040,10 +1012,6 @@ mod tests {
         assert!(matches!(
             a.move_batch(&[2, 1], &ok, &ok, &mut lent),
             Err(DiskError::InvalidConfig(_))
-        ));
-        assert!(matches!(
-            a.move_batch(&[2, 2], &ok, &[(0, 2), (1, 2), (0, 3), (1, 4)], &mut lent),
-            Err(DiskError::CapacityExceeded { disk: 1, max_tracks: 4 })
         ));
         // Too few lent buffers, and one that is short.
         assert!(matches!(
@@ -1114,14 +1082,10 @@ mod tests {
 
     #[test]
     fn rejected_submission_leaves_counters_untouched() {
-        let mut a = array(2, 8).with_capacity_limit(4);
+        let mut a = array(2, 8);
         assert!(matches!(
             a.submit_read_stripe(&[(1, 0), (1, 1)]).err(),
             Some(DiskError::StripeConflict { disk: 1 })
-        ));
-        assert!(matches!(
-            a.submit_write_stripe(&[(0, 9, Block::zeroed(8))]).err(),
-            Some(DiskError::CapacityExceeded { .. })
         ));
         assert!(matches!(
             a.submit_write_stripe(&[(0, 0, Block::zeroed(9))]).err(),

@@ -58,12 +58,6 @@ impl Block {
         &self.data
     }
 
-    /// Mutable view of the payload.
-    #[inline]
-    pub fn as_bytes_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-
     /// Consume the block, returning its buffer.
     pub fn into_vec(self) -> Vec<u8> {
         self.data.into_vec()

@@ -113,21 +113,6 @@ impl ConsecutiveLayout {
         }
         (stripes, addrs)
     }
-
-    /// [`ConsecutiveLayout::batch`] with each stripe's addresses in a
-    /// vector of its own. No transfer path calls it any more; it stays for
-    /// `tests/prop_disk.rs`, which checks stripe legality through it.
-    pub fn stripes(&self, first_region: usize, count: usize) -> Vec<Vec<(usize, usize)>> {
-        let (stripes, addrs) = self.batch(first_region, count);
-        let mut rest = addrs.as_slice();
-        (stripes.iter())
-            .map(|&len| {
-                let (stripe, tail) = rest.split_at(len);
-                rest = tail;
-                stripe.to_vec()
-            })
-            .collect()
-    }
 }
 
 /// Check Definition 2 over a set of `(disk, track)` block locations:
@@ -201,21 +186,24 @@ mod tests {
     #[test]
     fn stripes_touch_each_disk_once_and_cover_all_blocks() {
         let l = ConsecutiveLayout::new(5, 3, 8, 4).unwrap();
-        let stripes = l.stripes(2, 3); // regions 2,3,4 -> 9 blocks
-        let total: usize = stripes.iter().map(Vec::len).sum();
-        assert_eq!(total, 9);
-        for s in &stripes {
+        let (stripes, addrs) = l.batch(2, 3); // regions 2,3,4 -> 9 blocks
+        assert_eq!(stripes.iter().sum::<usize>(), 9);
+        assert_eq!(addrs.len(), 9);
+        let mut at = 0;
+        for &len in &stripes {
+            let s = &addrs[at..at + len];
+            at += len;
             let mut disks: Vec<usize> = s.iter().map(|&(d, _)| d).collect();
             disks.sort_unstable();
             disks.dedup();
-            assert_eq!(disks.len(), s.len(), "stripe reuses a disk: {s:?}");
+            assert_eq!(disks.len(), len, "stripe reuses a disk: {s:?}");
         }
         // Interior stripes are full width.
-        for s in &stripes[1..stripes.len().saturating_sub(1)] {
-            assert_eq!(s.len(), 4);
+        for &len in &stripes[1..stripes.len().saturating_sub(1)] {
+            assert_eq!(len, 4);
         }
         // Blocks are exactly the layout's addresses for those regions.
-        let mut got: Vec<(usize, usize)> = stripes.into_iter().flatten().collect();
+        let mut got = addrs;
         let mut want: Vec<(usize, usize)> = (2..5)
             .flat_map(|j| (0..3).map(move |i| (j, i)))
             .map(|(j, i)| l.location(j, i))
@@ -230,7 +218,7 @@ mod tests {
         // Lemma 1: reading k contexts of μ/B blocks takes ⌈kμ/DB⌉ ops when
         // the run starts on a disk boundary.
         let l = ConsecutiveLayout::new(0, 4, 16, 4).unwrap();
-        let stripes = l.stripes(0, 16);
+        let (stripes, _) = l.batch(0, 16);
         assert_eq!(stripes.len(), (16 * 4) / 4);
     }
 
@@ -250,6 +238,6 @@ mod tests {
         assert!(ConsecutiveLayout::new(0, 1, 4, 0).is_err());
         let l = ConsecutiveLayout::new(0, 1, 0, 2).unwrap();
         assert_eq!(l.tracks_per_disk(), 0);
-        assert!(l.stripes(0, 0).is_empty());
+        assert_eq!(l.batch(0, 0), (Vec::new(), Vec::new()));
     }
 }

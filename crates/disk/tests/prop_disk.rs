@@ -94,14 +94,16 @@ fn stripes_are_legal_and_complete() {
         let first = rng.gen_range(0..=regions);
         let count = rng.gen_range(0..=regions - first);
         let l = ConsecutiveLayout::new(0, bpr, regions, d).unwrap();
-        let stripes = l.stripes(first, count);
-        let total: usize = stripes.iter().map(Vec::len).sum();
-        assert_eq!(total, count * bpr);
-        for s in &stripes {
-            let mut disks: Vec<usize> = s.iter().map(|&(dk, _)| dk).collect();
+        let (stripes, addrs) = l.batch(first, count);
+        assert_eq!(stripes.iter().sum::<usize>(), addrs.len());
+        assert_eq!(addrs.len(), count * bpr);
+        let mut at = 0;
+        for &len in &stripes {
+            let mut disks: Vec<usize> = addrs[at..at + len].iter().map(|&(dk, _)| dk).collect();
+            at += len;
             disks.sort_unstable();
             disks.dedup();
-            assert_eq!(disks.len(), s.len(), "stripe reuses a disk");
+            assert_eq!(disks.len(), len, "stripe reuses a disk");
         }
     });
 }

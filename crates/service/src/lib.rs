@@ -25,6 +25,11 @@
 //!   [`TenantLease::complete`]. Because counting lives in the tenant's own
 //!   array *above* the shared media, per-tenant counted I/O is
 //!   bit-identical to the same job run solo on a private array.
+//! * **Faults**: a tenant's unrecoverable disk fault quarantines it
+//!   ([`ServiceError::Quarantined`]). The service retries nothing itself:
+//!   a tenant that wants transient faults absorbed is admitted with a
+//!   retrying simulator, `admit_with(spec, sim.with_retry(..))`, whose
+//!   retry layer covers every transfer of the tenant's array.
 //!
 //! A [`TenantLease`] implements [`em_bsp::Executor`], so whole CGM
 //! pipelines (`cgm_sort`, `cgm_permute`, …) run as tenants unchanged.
@@ -68,7 +73,6 @@ use parking_lot::Mutex;
 use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Shared-resource budgets of a [`SimService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,63 +128,6 @@ impl ServiceConfig {
     }
 }
 
-/// A tenant's job-lifecycle policy: how long its work may take, and how
-/// the service reacts to transient failures before giving up.
-///
-/// The default policy is the pre-hardening behavior: no deadline, no
-/// retries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JobPolicy {
-    /// Wall-clock budget, in microseconds, for each [`Executor::execute`]
-    /// call (including its retries). Checked *before* every attempt, so a
-    /// deadline of `Some(0)` deterministically refuses to start.
-    pub deadline_micros: Option<u64>,
-    /// Attempts beyond the first for a transiently-failing stage
-    /// ([`ServiceError::is_transient`]). Unrecoverable failures never
-    /// retry — they quarantine.
-    pub max_retries: u32,
-    /// Base, in microseconds, of the exponential backoff slept between
-    /// retry attempts. The actual delay is deterministic given the job
-    /// seed: `base · 2^attempt` plus a seeded jitter in `[0, base)`.
-    pub backoff_base_micros: u64,
-}
-
-impl JobPolicy {
-    /// Set the per-`execute` wall-clock deadline in microseconds.
-    pub fn with_deadline_micros(mut self, deadline: u64) -> Self {
-        self.deadline_micros = Some(deadline);
-        self
-    }
-
-    /// Set the retry budget for transient failures.
-    pub fn with_max_retries(mut self, retries: u32) -> Self {
-        self.max_retries = retries;
-        self
-    }
-
-    /// Set the exponential-backoff base in microseconds.
-    pub fn with_backoff_base_micros(mut self, base: u64) -> Self {
-        self.backoff_base_micros = base;
-        self
-    }
-}
-
-/// The deterministic retry delay: `base · 2^attempt` microseconds plus a
-/// seeded jitter in `[0, base)`. A pure function of `(seed, attempt,
-/// base)` — identically-seeded runs back off identically, so soak runs
-/// stay reproducible even through their retry schedules.
-pub fn retry_backoff_micros(seed: u64, attempt: u32, base: u64) -> u64 {
-    if base == 0 {
-        return 0;
-    }
-    // splitmix64-style finalizer for the jitter.
-    let mut z = seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(attempt as u64 + 1);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    base.saturating_mul(1u64 << attempt.min(16)).saturating_add(z % base)
-}
-
 /// One job's declared shape and budgets, as submitted for admission.
 ///
 /// μ and γ are *declarations*: admission reserves `v·μ + γ` bytes of the
@@ -206,12 +153,11 @@ pub struct JobSpec {
     pub gamma: usize,
     /// Track-region request, per drive, on the shared substrate.
     pub tracks: usize,
-    /// Lifecycle policy: deadline, retry budget, backoff.
-    pub policy: JobPolicy,
     /// Fault schedule injected into the tenant's region array, directly
     /// above the shared media — the per-tenant equivalent of a simulator
-    /// fault plan. Used by the chaos harness to fail one tenant without
-    /// touching its neighbors.
+    /// fault plan, below the simulator's checksum and retry layers. Used
+    /// by the chaos harness to fail one tenant without touching its
+    /// neighbors.
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -227,7 +173,6 @@ impl JobSpec {
             mu: 0,
             gamma: 0,
             tracks: 0,
-            policy: JobPolicy::default(),
             fault_plan: None,
         }
     }
@@ -242,12 +187,6 @@ impl JobSpec {
     /// Declare the per-drive track-region request.
     pub fn with_tracks(mut self, tracks: usize) -> Self {
         self.tracks = tracks;
-        self
-    }
-
-    /// Attach a lifecycle policy (deadline, retries, backoff).
-    pub fn with_policy(mut self, policy: JobPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -373,25 +312,6 @@ pub enum ServiceError {
         /// Compound superstep of the fatal failure (0 if unknown).
         step: usize,
     },
-    /// The tenant's [`JobPolicy::deadline_micros`] expired before an
-    /// attempt could start.
-    DeadlineExceeded {
-        /// Wall-clock microseconds elapsed in this `execute` call.
-        elapsed_micros: u64,
-        /// The configured deadline.
-        deadline_micros: u64,
-    },
-}
-
-impl ServiceError {
-    /// Whether retrying the stage could plausibly succeed: true exactly
-    /// for simulation failures rooted in a transient disk error
-    /// ([`em_disk::DiskError::is_transient`]). Quarantines, deadlines and
-    /// declared-budget violations are deterministic — retrying cannot
-    /// help.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, ServiceError::Run(EmError::Disk(e)) if e.is_transient())
-    }
 }
 
 impl fmt::Display for ServiceError {
@@ -409,9 +329,6 @@ impl fmt::Display for ServiceError {
                 "tenant quarantined after an unrecoverable fault at superstep {step}; \
                  its resources were reclaimed"
             ),
-            ServiceError::DeadlineExceeded { elapsed_micros, deadline_micros } => {
-                write!(f, "deadline of {deadline_micros} us exceeded ({elapsed_micros} us elapsed)")
-            }
         }
     }
 }
@@ -516,7 +433,10 @@ impl SimService {
 
     /// Admit a job with a caller-configured simulator (placement, retry…).
     /// The simulator's machine must match `spec.machine`'s disk shape,
-    /// which in turn must match the shared array.
+    /// which in turn must match the shared array. The lease's array is
+    /// built from [`SeqEmSimulator::disk_config`], so a simulator's retry
+    /// policy covers every transfer of every stage, the initial load and
+    /// the final read-back included.
     ///
     /// Checks run in a fixed order — shape, γ envelope, compute slots,
     /// memory budget, track region — and a failure at any point leaves
@@ -598,7 +518,7 @@ impl SimService {
             stages: Mutex::new(Vec::new()),
             fingerprint: Mutex::new(Fingerprint::default()),
             quarantined: Mutex::new(None),
-            completed: AtomicBool::new(false),
+            released: AtomicBool::new(false),
         })
     }
 
@@ -633,7 +553,7 @@ pub struct TenantLease {
     /// Set once by the first unrecoverable fault; holds the record filed
     /// in the ledger. Sticky: every later `execute` fails immediately.
     quarantined: Mutex<Option<TenantRecord>>,
-    completed: AtomicBool,
+    released: AtomicBool,
 }
 
 impl TenantLease {
@@ -679,22 +599,8 @@ impl TenantLease {
         if let Some(record) = self.quarantined.lock().clone() {
             return record;
         }
-        let record = TenantRecord {
-            name: self.spec.name.clone(),
-            seed: self.spec.seed,
-            v: self.spec.v,
-            mu: self.spec.mu,
-            gamma: self.spec.gamma,
-            tracks: self.spec.tracks,
-            state_fingerprint: self.fingerprint.lock().value,
-            outcome: TenantOutcome::Completed,
-            stages: std::mem::take(&mut *self.stages.lock()),
-        };
-        self.inner.pool.lock().records.push(record.clone());
-        if !self.completed.swap(true, Ordering::SeqCst) {
-            self.inner.release(self.spec.reservation_bytes(), self.base, self.spec.tracks);
-        }
-        record
+        // The reservation goes back when `self` drops, on return.
+        self.file_record(TenantOutcome::Completed)
     }
 
     /// Quarantine the tenant after an unrecoverable fault: file its
@@ -705,6 +611,13 @@ impl TenantLease {
         if q.is_some() {
             return;
         }
+        *q = Some(self.file_record(TenantOutcome::Quarantined { failed_step: step }));
+        self.release_once();
+    }
+
+    /// Build the tenant's record from its spec, fingerprint and metered
+    /// stages (which it takes), file it in the ledger and return it.
+    fn file_record(&self, outcome: TenantOutcome) -> TenantRecord {
         let record = TenantRecord {
             name: self.spec.name.clone(),
             seed: self.spec.seed,
@@ -713,12 +626,17 @@ impl TenantLease {
             gamma: self.spec.gamma,
             tracks: self.spec.tracks,
             state_fingerprint: self.fingerprint.lock().value,
-            outcome: TenantOutcome::Quarantined { failed_step: step },
+            outcome,
             stages: std::mem::take(&mut *self.stages.lock()),
         };
         self.inner.pool.lock().records.push(record.clone());
-        *q = Some(record);
-        if !self.completed.swap(true, Ordering::SeqCst) {
+        record
+    }
+
+    /// Return the tenant's region and budget reservation to the pool,
+    /// the first time only.
+    fn release_once(&self) {
+        if !self.released.swap(true, Ordering::SeqCst) {
             self.inner.release(self.spec.reservation_bytes(), self.base, self.spec.tracks);
         }
     }
@@ -736,9 +654,7 @@ impl fmt::Debug for TenantLease {
 
 impl Drop for TenantLease {
     fn drop(&mut self) {
-        if !self.completed.swap(true, Ordering::SeqCst) {
-            self.inner.release(self.spec.reservation_bytes(), self.base, self.spec.tracks);
-        }
+        self.release_once();
     }
 }
 
@@ -767,65 +683,31 @@ impl Executor for TenantLease {
                 actual: prog.max_comm_bytes(),
             }) as ExecError);
         }
-        // A retry needs the initial states again; `P::State` is not
-        // `Clone`, but it is `Serial` — keep the encoded form and decode
-        // a fresh copy per attempt (the simulator would serialize them
-        // anyway, so the round-trip is lossless by the Serial laws).
-        let policy = self.spec.policy;
-        let started = Instant::now();
-        let encoded: Vec<Vec<u8>> = states.iter().map(em_serial::to_bytes).collect();
-        drop(states);
-        let mut attempt: u32 = 0;
-        loop {
-            if let Some(deadline) = policy.deadline_micros {
-                let elapsed = started.elapsed().as_micros() as u64;
-                if elapsed >= deadline {
-                    return Err(Box::new(ServiceError::DeadlineExceeded {
-                        elapsed_micros: elapsed,
-                        deadline_micros: deadline,
-                    }) as ExecError);
-                }
+        let result = self.sim.run_on(&mut self.disks.lock(), prog, states);
+        match result {
+            Ok((res, report)) => {
+                self.fingerprint.lock().fold(&res.states);
+                self.stages.lock().push(report);
+                Ok(res)
             }
-            let attempt_states = encoded
-                .iter()
-                .map(|b| em_serial::from_bytes::<P::State>(b))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| Box::new(ServiceError::Run(EmError::Decode(e))) as ExecError)?;
-            let mut disks = self.disks.lock();
-            let result = self.sim.run_on(&mut disks, prog, attempt_states);
-            drop(disks);
-            match result {
-                Ok((res, report)) => {
-                    self.fingerprint.lock().fold(&res.states);
-                    self.stages.lock().push(report);
-                    return Ok(res);
-                }
-                Err(e) => {
-                    // Unrecoverable disk-rooted failures quarantine the
-                    // tenant; transient ones retry under the policy; the
-                    // rest (logic errors, budget violations) surface
-                    // unchanged.
-                    let step = match &e {
-                        EmError::FaultUnrecoverable { step, .. } => Some(*step),
-                        EmError::Disk(d) if !d.is_transient() => Some(0),
-                        _ => None,
-                    };
-                    if let Some(step) = step {
+            Err(e) => {
+                // Unrecoverable disk-rooted failures quarantine the tenant;
+                // the rest (a transient disk error on a simulator without a
+                // retry layer, logic errors, budget violations) surface
+                // unchanged.
+                let step = match &e {
+                    EmError::FaultUnrecoverable { step, .. } => Some(*step),
+                    EmError::Disk(d) if !d.is_transient() => Some(0),
+                    _ => None,
+                };
+                let err = match step {
+                    Some(step) => {
                         self.quarantine(step);
-                        return Err(Box::new(ServiceError::Quarantined { step }) as ExecError);
+                        ServiceError::Quarantined { step }
                     }
-                    let err = ServiceError::Run(e);
-                    if err.is_transient() && attempt < policy.max_retries {
-                        std::thread::sleep(Duration::from_micros(retry_backoff_micros(
-                            self.spec.seed,
-                            attempt,
-                            policy.backoff_base_micros,
-                        )));
-                        attempt += 1;
-                        continue;
-                    }
-                    return Err(Box::new(err) as ExecError);
-                }
+                    None => ServiceError::Run(e),
+                };
+                Err(Box::new(err) as ExecError)
             }
         }
     }
@@ -1070,6 +952,7 @@ mod tests {
     use super::*;
     use em_bsp::{Mailbox, Step};
     use em_core::EmMachine;
+    use em_disk::RetryPolicy;
 
     struct AddOne;
     impl BspProgram for AddOne {
@@ -1234,52 +1117,65 @@ mod tests {
         assert!(json.contains("\"outcome\":\"completed\","), "{json}");
     }
 
+    /// The tenant's simulator as `admit` builds it, with a retry layer.
+    fn retrying(seed: u64) -> SeqEmSimulator {
+        SeqEmSimulator::new(machine()).with_seed(seed).with_retry(RetryPolicy::new(4))
+    }
+
     #[test]
-    fn transient_fault_is_retried_under_the_policy() {
+    fn transient_fault_is_absorbed_by_a_retrying_simulator() {
         let service = SimService::new(ServiceConfig::new(2, 64, 4096, 1 << 20));
         let plan = FaultPlan::none().with_transient(0, 1);
-        // Without retries the transient error surfaces raw...
+        // Without a retry layer the transient error surfaces raw...
         let lease = service.admit(spec("flaky", 3, 8).with_fault_plan(plan.clone())).unwrap();
         let err = lease.execute(&AddOne, (0..8u64).collect()).unwrap_err();
         let err = err.downcast::<ServiceError>().unwrap();
-        assert!(err.is_transient(), "{err}");
-        assert!(matches!(*err, ServiceError::Run(EmError::Disk(_))));
+        assert!(matches!(*err, ServiceError::Run(EmError::Disk(ref d)) if d.is_transient()));
+        assert!(!lease.is_quarantined());
         drop(lease);
-        // ...and with a retry budget the same job completes, with results
-        // identical to an unfaulted solo run.
-        let policy = JobPolicy::default().with_max_retries(2).with_backoff_base_micros(10);
+        // ...and on a retrying simulator the same job completes, with results
+        // identical to an unfaulted solo run and the retry on its ledger.
         let lease =
-            service.admit(spec("flaky", 3, 8).with_fault_plan(plan).with_policy(policy)).unwrap();
+            service.admit_with(spec("flaky", 3, 8).with_fault_plan(plan), retrying(3)).unwrap();
         let out = lease.execute(&AddOne, (0..8u64).collect()).unwrap();
         let solo = SeqEmSimulator::new(machine()).with_seed(3);
-        let (solo_out, _) = solo.run(&AddOne, (0..8u64).collect()).unwrap();
+        let (solo_out, solo_report) = solo.run(&AddOne, (0..8u64).collect()).unwrap();
         assert_eq!(out.states, solo_out.states);
         let record = lease.complete();
         assert_eq!(record.outcome, TenantOutcome::Completed);
+        assert!(record.stages[0].io.retried_blocks >= 1);
+        let io = em_disk::IoStats { retried_blocks: 0, ..record.stages[0].io.clone() };
+        assert_eq!(io, solo_report.io);
     }
 
+    /// The first transfer of a stage is the initial load and the last is
+    /// the final read-back, both outside the supersteps; a retrying
+    /// simulator absorbs a transient on either.
     #[test]
-    fn zero_deadline_deterministically_refuses_to_start() {
+    fn transients_on_the_load_and_the_read_back_are_absorbed() {
         let service = SimService::new(ServiceConfig::new(2, 64, 4096, 1 << 20));
-        let policy = JobPolicy::default().with_deadline_micros(0);
-        let lease = service.admit(spec("late", 1, 8).with_policy(policy)).unwrap();
-        let err = lease.execute(&AddOne, (0..8u64).collect()).unwrap_err();
-        let err = err.downcast::<ServiceError>().unwrap();
-        assert!(matches!(*err, ServiceError::DeadlineExceeded { deadline_micros: 0, .. }));
-        assert!(!err.is_transient());
-        // Nothing ran, nothing was metered.
-        assert_eq!(lease.stages_metered(), 0);
-    }
+        let clean = service
+            .admit_with(spec("clean", 4, 8).with_fault_plan(FaultPlan::none()), retrying(4))
+            .unwrap();
+        let expected = clean.execute(&AddOne, (0..8u64).collect()).unwrap().states;
+        let ops = clean.disks.lock().fault_op_counts().unwrap();
+        drop(clean);
 
-    #[test]
-    fn retry_backoff_is_deterministic_and_exponential() {
-        assert_eq!(retry_backoff_micros(7, 0, 100), retry_backoff_micros(7, 0, 100));
-        assert_eq!(retry_backoff_micros(7, 3, 0), 0);
-        for attempt in 0..4 {
-            let d = retry_backoff_micros(7, attempt, 100);
-            assert!(d >= 100u64 << attempt, "attempt {attempt}: {d}");
-            assert!(d < (100u64 << attempt) + 100, "attempt {attempt}: {d}");
+        let mut plan = FaultPlan::none();
+        for (disk, &n) in ops.iter().enumerate() {
+            plan = plan.with_transient(disk, 0).with_transient(disk, n - 1);
         }
+        let lease =
+            service.admit_with(spec("edges", 4, 8).with_fault_plan(plan), retrying(4)).unwrap();
+        let out = lease.execute(&AddOne, (0..8u64).collect()).unwrap();
+        assert_eq!(out.states, expected);
+        // Each drive moved the clean run's tracks plus its two retries.
+        let retried: Vec<u64> = ops.iter().map(|n| n + 2).collect();
+        assert_eq!(lease.disks.lock().fault_op_counts().unwrap(), retried);
+        let record = lease.complete();
+        assert_eq!(record.outcome, TenantOutcome::Completed);
+        // Both retries of every drive are on the tenant's ledger.
+        assert_eq!(record.stages[0].io.retried_blocks, 2 * ops.len() as u64);
     }
 
     #[test]

@@ -16,7 +16,9 @@
 #   trace [n]     the per-layer half instead: n (default 3) alternations of
 #                 `embench trace` per workload, each side's core.wall.*,
 #                 core.sim_overhead_x, bsp.ref_job_ms, serial.*, service.*
-#                 (0 off service-mix) and the disk ladder's rungs
+#                 (0 off service-mix), the job's spread (harness.reps,
+#                 harness.job_ms_p90, harness.job_ms_iqr_frac) and the disk
+#                 ladder's rungs
 #                 (disk.*_stripe_us, disk.sync_ms) run by run with medians,
 #                 and `embench compare` of the first alternation's two
 #                 layers.json (every exact count must tie). Each run keeps
@@ -118,7 +120,8 @@ traces, n, base, workloads = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sy
 seeds = [base + i for i in range(1, n + 1)]
 def shown(name):
     ladder = name.startswith("disk.") and name.endswith("_stripe_us") or name == "disk.sync_ms"
-    return ladder or name.startswith(("core.wall.", "serial.", "service.")) or name in ("core.sim_overhead_x", "bsp.ref_job_ms")
+    spread = ("harness.job_ms_iqr_frac", "harness.job_ms_p90", "harness.reps")
+    return ladder or name.startswith(("core.wall.", "serial.", "service.")) or name in ("core.sim_overhead_x", "bsp.ref_job_ms") + spread
 for workload in workloads:
     sides = {}
     for side in ("parent", "change"):

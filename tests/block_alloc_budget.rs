@@ -38,43 +38,18 @@
 use em_bsp::{BspProgram, BspStarParams, Mailbox, Step};
 use em_core::{EmMachine, ParEmSimulator, SeqEmSimulator};
 use em_serial::{DecodeError, Reader, Serial};
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Calls of `alloc` and `realloc`, whichever thread made them.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-/// Bytes allocated and not yet freed.
-static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
-/// The least `LIVE_BYTES` a virtual processor saw in its last superstep.
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::{allocations, live_bytes};
+
+/// The least [`live_bytes`] a virtual processor saw in its last superstep.
 static LIVE_AT_END: AtomicU64 = AtomicU64::new(u64::MAX);
 
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counters are side effects only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are `System::alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 const B: usize = 256;
 const V: usize = 32;
@@ -134,7 +109,7 @@ impl BspProgram for Rewrite {
             state.0[0] = state.0[0].wrapping_mul(31).wrapping_add(e.msg.0[0] ^ e.src as u8);
         }
         if step == self.rounds {
-            LIVE_AT_END.fetch_min(LIVE_BYTES.load(Ordering::Relaxed), Ordering::Relaxed);
+            LIVE_AT_END.fetch_min(live_bytes(), Ordering::Relaxed);
             return Step::Halt;
         }
         for block in state.0.chunks_mut(B) {
@@ -175,15 +150,15 @@ fn machine(p: usize) -> EmMachine {
 fn counted_run(p: usize, rounds: usize) -> (u64, u64) {
     let init: Vec<Ctx> = (0..V).map(|pid| Ctx([pid as u8; CTX])).collect();
     let prog = Rewrite { rounds };
-    let live_before = LIVE_BYTES.load(Ordering::Relaxed);
+    let live_before = live_bytes();
     LIVE_AT_END.store(u64::MAX, Ordering::Relaxed);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let (run, report) = if p == 1 {
         SeqEmSimulator::new(machine(1)).run(&prog, init).unwrap()
     } else {
         ParEmSimulator::new(machine(p)).run(&prog, init).unwrap()
     };
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocations() - before;
     assert_eq!(report.comm.total_msgs(), (rounds * V * MSGS) as u64);
     assert!(report.io.blocks_moved() > CTX_BLOCKS * rounds as u64);
     // Every superstep but the last stamped every block of every context.

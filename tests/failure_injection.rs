@@ -1,10 +1,10 @@
 //! Failure injection across the stack: misdeclared budgets, model
-//! violations, capacity limits and malformed inputs must surface as typed
-//! errors, never as silent corruption or hangs.
+//! violations and malformed inputs must surface as typed errors, never as
+//! silent corruption or hangs.
 
 use em_bsp::{BspError, BspProgram, BspStarParams, Mailbox, Step};
 use em_core::{EmError, EmMachine, ParEmSimulator, SeqEmSimulator};
-use em_disk::{Block, DiskArray, DiskConfig, DiskError};
+use em_disk::{DiskArray, DiskError};
 
 struct Noisy {
     mu_lie: usize,
@@ -125,16 +125,6 @@ fn bad_destination_is_typed_on_both_simulators() {
     assert!(matches!(err, EmError::Bsp(BspError::InvalidDestination { .. })), "{err}");
     let err = ParEmSimulator::new(machine(2)).run(&Bad, vec![0u8; 4]).unwrap_err();
     assert!(matches!(err, EmError::Bsp(BspError::InvalidDestination { .. })), "{err}");
-}
-
-#[test]
-fn disk_capacity_limit_fires() {
-    let mut arr = DiskArray::new_memory(DiskConfig::new(2, 64).unwrap()).with_capacity_limit(4);
-    for t in 0..4 {
-        arr.write_block(0, t, Block::zeroed(64)).unwrap();
-    }
-    let err = arr.write_block(0, 4, Block::zeroed(64)).unwrap_err();
-    assert!(matches!(err, DiskError::CapacityExceeded { disk: 0, max_tracks: 4 }));
 }
 
 #[test]

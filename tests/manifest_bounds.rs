@@ -19,43 +19,16 @@ use em_core::{EmError, EmMachine, KillPoint, SeqEmSimulator};
 use em_disk::CheckpointStore;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
-thread_local! {
-    /// Bytes this thread asked `alloc` and `realloc` for.
-    static BYTES: Cell<u64> = const { Cell::new(0) };
-}
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
-fn count(bytes: usize) {
-    let _ = BYTES.try_with(|b| b.set(b.get() + bytes as u64));
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count(layout.size());
-        // SAFETY: the caller's obligations are `System::alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count(new_size);
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use counting_alloc::thread_bytes;
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 /// Every superstep folds the incoming messages into the state and sends
 /// two state-derived messages, for five supersteps.
@@ -118,9 +91,9 @@ fn a_hostile_v_is_refused_before_anything_is_sized_by_it() {
         scale(&mut bad, 0, factor);
         scale(&mut bad, 16, factor);
         store.commit_manifest(step, &bad).unwrap();
-        let before = BYTES.with(Cell::get);
+        let before = thread_bytes();
         let resumed = sim(&dir).resume(&Diffuse);
-        let bytes = BYTES.with(Cell::get) - before;
+        let bytes = thread_bytes() - before;
         match resumed {
             Err(EmError::InvalidConfig(_)) => {}
             other => panic!("factor {factor}: {:?}", other.map(|(_, r)| r.io)),

@@ -29,35 +29,14 @@
 use em_bsp::{BspProgram, BspStarParams, Mailbox, Step};
 use em_core::{EmMachine, ParEmSimulator, SeqEmSimulator};
 use em_serial::{DecodeError, Reader, Serial};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Calls of `alloc` and `realloc`, whichever thread made them.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+#[path = "common/counting_alloc.rs"]
+mod counting_alloc;
 
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter is a side effect only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's obligations are `System::alloc`'s.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` through this allocator.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use counting_alloc::allocations;
 
 #[global_allocator]
-static GLOBAL: Counting = Counting;
+static GLOBAL: counting_alloc::Counting = counting_alloc::Counting;
 
 /// `N` opaque bytes that decode without touching the heap, so what is
 /// counted is the path and not the program's own message type.
@@ -120,13 +99,13 @@ fn machine(p: usize) -> EmMachine {
 /// Allocations of one whole run of `Volley<N>` on `p` processors.
 fn counted_run<const N: usize>(p: usize) -> u64 {
     let init: Vec<u64> = (0..V as u64).collect();
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     let (_, report) = if p == 1 {
         SeqEmSimulator::new(machine(1)).run(&Volley::<N>, init).unwrap()
     } else {
         ParEmSimulator::new(machine(p)).run(&Volley::<N>, init).unwrap()
     };
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let allocations = allocations() - before;
     assert_eq!(report.comm.total_msgs(), (ROUNDS * V * (VOLUME / N)) as u64);
     allocations
 }
