@@ -11,8 +11,6 @@
 //!   p-processor scaling, the Lemma 2 bucket-balance tail, the Figure 2
 //!   reorganization trace, λ-dependence, the Sibeyn–Kaufmann comparison,
 //!   group-size (k) ablation and random-vs-deterministic placement.
-//! * `traffic` and `chaos` binaries — the service load generator and the
-//!   crash/fault soak, whose payload is their in-process asserts.
 //!
 //! Everything here is counted parallel I/O; wall clock is measured by
 //! `benchmark/embench`. Shared here: seeded workload generators and

@@ -175,11 +175,8 @@ impl SharedDiskSubstrate {
             }
             return Some(base);
         }
-        if st.frontier + tracks > self.inner.tracks_per_disk {
-            return None;
-        }
         let base = st.frontier;
-        st.frontier += tracks;
+        st.frontier = base.checked_add(tracks).filter(|&end| end <= self.inner.tracks_per_disk)?;
         Some(base)
     }
 

@@ -155,9 +155,8 @@ pub struct JobSpec {
     pub tracks: usize,
     /// Fault schedule injected into the tenant's region array, directly
     /// above the shared media — the per-tenant equivalent of a simulator
-    /// fault plan, below the simulator's checksum and retry layers. Used
-    /// by the chaos harness to fail one tenant without touching its
-    /// neighbors.
+    /// fault plan, below the simulator's checksum and retry layers: it
+    /// fails one tenant without touching its neighbors.
     pub fault_plan: Option<FaultPlan>,
 }
 
@@ -480,14 +479,16 @@ impl SimService {
                     slots: cfg.compute_slots,
                 });
             }
-            if pool.reserved_bytes + requested > cfg.mem_budget_bytes {
-                return Err(AdmissionError::BudgetExceeded {
-                    requested,
-                    reserved: pool.reserved_bytes,
-                    budget: cfg.mem_budget_bytes,
-                });
+            match pool.reserved_bytes.checked_add(requested) {
+                Some(total) if total <= cfg.mem_budget_bytes => pool.reserved_bytes = total,
+                _ => {
+                    return Err(AdmissionError::BudgetExceeded {
+                        requested,
+                        reserved: pool.reserved_bytes,
+                        budget: cfg.mem_budget_bytes,
+                    })
+                }
             }
-            pool.reserved_bytes += requested;
             pool.active += 1;
         }
         let base = match self.inner.substrate.reserve_region(spec.tracks) {

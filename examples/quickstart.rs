@@ -136,7 +136,7 @@ fn main() {
     // 6. Kill and resume: with the file backend and checkpointing on,
     //    every barrier commits an atomic manifest. Here we simulate a
     //    crash right at the first barrier (`with_kill_point` is the
-    //    test hook the chaos harness uses); `resume` picks up from the
+    //    test hook the kill/resume suite uses); `resume` picks up from the
     //    newest committed manifest and the result — states, ledger,
     //    *and counted I/O* — is bit-identical to an uninterrupted run
     //    (DESIGN.md §3.2.9).

@@ -4,7 +4,11 @@
 # built once, then alternating `driver` runs on matched seeds, per-metric
 # medians, quartiles and win counts, each row checked against its bound in
 # BENCHMARK.json (OVER: the change's median is worse than the parent's by
-# more than the bound — the rule that rejects a change).
+# more than the bound — the rule that rejects a change; SPREAD: not OVER,
+# not tied on every pair, but the parent's own q3 - q1 exceeds the bound
+# relative to its median, so the host was too noisy to tell and the row is
+# unresolved). The closing line names the command that reruns each workload
+# with an OVER row.
 #
 # Usage: scripts/bench-pair.sh <parent-ref> <workload> [pairs]
 #        scripts/bench-pair.sh <parent-ref> <workload> trace [n]
@@ -155,9 +159,9 @@ for workload in $WORKLOADS; do
 done
 
 # shellcheck disable=SC2086 # one argument per workload is the point
-python3 - "$SCRATCH/runs" "$PAIRS" "$ROOT/BENCHMARK.json" $WORKLOADS <<'EOF'
-import json, statistics, sys
-runs, pairs, spec, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4:]
+python3 - "$SCRATCH/runs" "$PAIRS" "$ROOT/BENCHMARK.json" "$PARENT_REF" $WORKLOADS <<'EOF'
+import json, shlex, statistics, sys
+runs, pairs, spec, parent_ref, workloads = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4], sys.argv[5:]
 metrics = json.load(open(spec))["end_to_end"]
 better = {m["name"]: m["better"] for m in metrics}
 bound = {m["name"]: m["bound"] for m in metrics}
@@ -168,7 +172,7 @@ def quartiles(xs):
     return q[0], q[2]
 print(f"\n{pairs} pairs per workload")
 print(f"{'workload':<13} {'metric':<17} {'parent median [q1, q3]':>34} {'change median [q1, q3]':>34} {'delta':>8} {'bound':>6}  wins/ties/losses")
-over = []
+over, spread = [], []
 for workload in workloads:
     sides = {s: [json.load(open(f"{runs}/{workload}-{s}-{i}.json")) for i in range(1, pairs + 1)]
              for s in ("parent", "change")}
@@ -184,9 +188,17 @@ for workload in workloads:
         # The rule that rejects a change: its median worse than the
         # parent's by more than the metric's bound in BENCHMARK.json.
         worse = sign * (mp - mc) / abs(mp) if mp else (0.0 if mc == mp else float("inf"))
-        flag = "OVER" if worse > bound[name] else f"{bound[name] * 100:.0f}%"
-        if flag == "OVER":
-            over.append(f"{workload}/{name} ({delta})")
+        # Wider than the bound before the change did anything: unresolved,
+        # unless every pair ties (a spread across seeds, not noise).
+        noise = (p3 - p1) / abs(mp) if mp else (0.0 if p3 == p1 else float("inf"))
+        if worse > bound[name]:
+            flag = "OVER"
+            over.append((workload, f"{workload}/{name} ({delta})"))
+        elif noise > bound[name] and ties < pairs:
+            flag = "SPREAD"
+            spread.append(f"{workload}/{name} ({delta}, parent q3 - q1 {noise * 100:.0f}%)")
+        else:
+            flag = f"{bound[name] * 100:.0f}%"
         print(f"{workload:<13} {name:<17} {mp:>12.5g} [{p1:.5g}, {p3:.5g}]".ljust(67)
               + f"{mc:>12.5g} [{c1:.5g}, {c3:.5g}]".ljust(36)
               + f"{delta:>8} {flag:>6}  {wins}/{ties}/{pairs - wins - ties}")
@@ -196,6 +208,10 @@ for workload in workloads:
           f"change {failed['change']}/{attempted['change']}")
 print("a gain counts when the change wins at least 9 pairs in 10 and the medians differ by more "
       "than the parent's q3 - q1; otherwise report the metric as unresolved or unchanged")
+print("rows SPREAD (the parent's q3 - q1 wider than the bound: unresolved, not a change): "
+      + (", ".join(spread) if spread else "none"))
+reruns = dict.fromkeys(w for w, _ in over)
 print("rows OVER their BENCHMARK.json bound (the change's median worse than the parent's by more "
-      "than the bound): " + (", ".join(over) if over else "none"))
+      "than the bound): " + (", ".join(row for _, row in over) if over else "none")
+      + "".join(f"; rerun: scripts/bench-pair.sh {shlex.quote(parent_ref)} {w} 10" for w in reruns))
 EOF

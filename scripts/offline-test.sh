@@ -3,7 +3,7 @@
 # patches rand, crossbeam-channel and parking_lot onto the stand-ins under
 # benchmark/embench/stubs, so these are plain cargo commands — every
 # workspace test (unit, integration, property, doc), the four examples, the
-# four em-bench binaries at --smoke scale (their in-process asserts are the
+# two em-bench binaries at --smoke scale (their in-process asserts are the
 # payload) and benchmark/embench's own tests. Nothing is skipped.
 #
 # Usage: scripts/offline-test.sh [cargo-test-args...]   (e.g. `-- --nocapture`)
@@ -19,7 +19,7 @@ for example in quickstart gis_pipeline graph_pipeline out_of_core_sort; do
     cargo run --release --offline --quiet --example "$example"
 done
 # `--smoke` documents land in target/bench-results/, never in results/.
-for bin in table1 figures traffic chaos; do
+for bin in table1 figures; do
     cargo run --release --offline --quiet -p em-bench --bin "$bin" -- --smoke
 done
 cargo test --release --offline --manifest-path benchmark/embench/Cargo.toml --workspace "$@"

@@ -3,7 +3,10 @@
 //! mid-superstep (written but uncommitted) — then resume and demand the
 //! result is bit-identical to the uninterrupted run: final states, the
 //! communication ledger, counted parallel I/O, per-drive op counts, and
-//! the drive bytes themselves.
+//! the drive bytes themselves. Each sweep runs again under one-shot
+//! transient disk faults absorbed by a retry layer: the resumed run must
+//! replay the same faults at the same absolute operations, so its retried
+//! blocks match too.
 //!
 //! The workload is state-dependent across supersteps, so resuming from
 //! the wrong barrier, replaying with different message placement, or
@@ -12,7 +15,8 @@
 use em_bsp::{BspProgram, BspStarParams, Mailbox, Step};
 use em_core::{EmError, EmMachine, KillPoint, ParEmSimulator, RecoveryPolicy, SeqEmSimulator};
 use em_disk::{
-    DiskArray, DiskBackend, DiskConfig, DiskResult, FileBackend, MemoryBackend, TrackOutcomes,
+    DiskArray, DiskBackend, DiskConfig, DiskResult, FaultPlan, FileBackend, MemoryBackend,
+    RetryPolicy, TrackOutcomes,
 };
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -91,40 +95,36 @@ fn all_kill_points() -> Vec<KillPoint> {
         .collect()
 }
 
-#[test]
-fn seq_kill_sweep_every_barrier_is_bit_identical() {
-    let tag = "seq";
-    let v = 16;
-    let machine = EmMachine::uniprocessor(256, 2, 64, 1);
-    let base = tmp(tag);
-    let make = |dir: std::path::PathBuf| {
-        SeqEmSimulator::new(machine).with_seed(11).with_file_backend(dir).with_checkpointing(true)
-    };
-    let dir_a = base.join("uninterrupted");
-    let (a, ra) = make(dir_a.clone()).run(&Diffuse, init_states(v)).unwrap();
-    let bytes_a = durable_fingerprint(&dir_a);
-    for kill in all_kill_points() {
-        let dir_b = base.join(format!("{kill:?}"));
-        let sim = make(dir_b.clone());
-        let err = sim.clone().with_kill_point(kill).run(&Diffuse, init_states(v)).unwrap_err();
-        assert!(matches!(err, EmError::Killed { .. }), "{tag}/{kill:?}: {err}");
-        let (b, rb) = sim.resume(&Diffuse).unwrap();
-        assert_eq!(a.states, b.states, "{tag}/{kill:?}: states");
-        assert_eq!(a.ledger, b.ledger, "{tag}/{kill:?}: ledger");
-        assert_eq!(ra.io.parallel_ops, rb.io.parallel_ops, "{tag}/{kill:?}: ops");
-        assert_eq!(ra.io.per_disk_reads, rb.io.per_disk_reads, "{tag}/{kill:?}: reads");
-        assert_eq!(ra.io.per_disk_writes, rb.io.per_disk_writes, "{tag}/{kill:?}: writes");
-        assert_eq!(ra.phases, rb.phases, "{tag}/{kill:?}: phases");
-        assert_eq!(bytes_a, durable_fingerprint(&dir_b), "{tag}/{kill:?}: drive bytes");
-    }
-    std::fs::remove_dir_all(&base).ok();
+/// The faulted sweeps' schedule: three one-shot transients over both
+/// drives of every array, each absorbed by a four-attempt retry.
+fn transient_plan() -> FaultPlan {
+    FaultPlan::none().with_transient(0, 7).with_transient(1, 13).with_transient(0, 29)
 }
 
-#[test]
-fn par_kill_sweep_every_barrier_is_bit_identical() {
-    let tag = "par";
-    let v = 24;
-    let p = 3;
+/// Either simulator, checkpointed on file drives under `dir`, with the
+/// fault plan and a retry layer when there is one, killed at `kill` if any.
+macro_rules! sweep_sim {
+    ($sim:expr, $dir:expr, $plan:expr, $kill:expr) => {{
+        let mut sim = $sim.with_seed(11).with_file_backend($dir).with_checkpointing(true);
+        if let Some(plan) = $plan {
+            sim = sim.with_fault_plan(plan.clone()).with_retry(RetryPolicy::new(4));
+        }
+        if let Some(kill) = $kill {
+            sim = sim.with_kill_point(kill);
+        }
+        sim
+    }};
+}
+
+/// Kill a run at every kill point, resume it, and demand the uninterrupted
+/// run bit for bit: states, ledger, the whole `IoStats` (per-drive reads
+/// and writes and retried blocks included), `PhaseIo`, real communication,
+/// and the drive and manifest bytes. `par` picks the p = 3 simulator over
+/// the sequential one. Under `plan` a resumed run must replay the same
+/// faults at the same absolute operations, so its retries match too.
+fn kill_sweep(par: bool, plan: Option<FaultPlan>) {
+    let (p, v, sim) = if par { (3, 24, "par") } else { (1, 16, "seq") };
+    let tag = format!("{sim}-{}", if plan.is_some() { "faulted" } else { "clean" });
     let machine = EmMachine {
         p,
         m_bytes: 256,
@@ -133,29 +133,59 @@ fn par_kill_sweep_every_barrier_is_bit_identical() {
         g_io: 1,
         router: BspStarParams { p, g: 1.0, b: 64, l: 1.0 },
     };
-    let base = tmp(tag);
-    let make = |dir: std::path::PathBuf| {
-        ParEmSimulator::new(machine).with_seed(11).with_file_backend(dir).with_checkpointing(true)
+    let run = |dir: &Path, kill: Option<KillPoint>| {
+        if par {
+            sweep_sim!(ParEmSimulator::new(machine), dir, &plan, kill).run(&Diffuse, init_states(v))
+        } else {
+            sweep_sim!(SeqEmSimulator::new(machine), dir, &plan, kill).run(&Diffuse, init_states(v))
+        }
     };
+    let resume = |dir: &Path| {
+        if par {
+            sweep_sim!(ParEmSimulator::new(machine), dir, &plan, None).resume(&Diffuse)
+        } else {
+            sweep_sim!(SeqEmSimulator::new(machine), dir, &plan, None).resume(&Diffuse)
+        }
+    };
+    let base = tmp(&tag);
     let dir_a = base.join("uninterrupted");
-    let (a, ra) = make(dir_a.clone()).run(&Diffuse, init_states(v)).unwrap();
+    let (a, ra) = run(&dir_a, None).unwrap();
+    let transients = if plan.is_some() { 3 * p as u64 } else { 0 };
+    assert_eq!(ra.io.retried_blocks, transients, "{tag}: every transient absorbed once");
     let bytes_a = durable_fingerprint(&dir_a);
     for kill in all_kill_points() {
         let dir_b = base.join(format!("{kill:?}"));
-        let sim = make(dir_b.clone());
-        let err = sim.clone().with_kill_point(kill).run(&Diffuse, init_states(v)).unwrap_err();
+        let err = run(&dir_b, Some(kill)).unwrap_err();
         assert!(matches!(err, EmError::Killed { .. }), "{tag}/{kill:?}: {err}");
-        let (b, rb) = sim.resume(&Diffuse).unwrap();
+        let (b, rb) = resume(&dir_b).unwrap();
         assert_eq!(a.states, b.states, "{tag}/{kill:?}: states");
         assert_eq!(a.ledger, b.ledger, "{tag}/{kill:?}: ledger");
-        assert_eq!(ra.io.parallel_ops, rb.io.parallel_ops, "{tag}/{kill:?}: ops");
-        assert_eq!(ra.io.per_disk_reads, rb.io.per_disk_reads, "{tag}/{kill:?}: reads");
-        assert_eq!(ra.io.per_disk_writes, rb.io.per_disk_writes, "{tag}/{kill:?}: writes");
+        assert_eq!(ra.io, rb.io, "{tag}/{kill:?}: IoStats");
         assert_eq!(ra.phases, rb.phases, "{tag}/{kill:?}: phases");
         assert_eq!(ra.real_comm_bytes, rb.real_comm_bytes, "{tag}/{kill:?}: real comm");
         assert_eq!(bytes_a, durable_fingerprint(&dir_b), "{tag}/{kill:?}: drive bytes");
     }
     std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
+fn seq_kill_sweep_every_barrier_is_bit_identical() {
+    kill_sweep(false, None);
+}
+
+#[test]
+fn par_kill_sweep_every_barrier_is_bit_identical() {
+    kill_sweep(true, None);
+}
+
+#[test]
+fn seq_kill_sweep_under_transient_faults_is_bit_identical() {
+    kill_sweep(false, Some(transient_plan()));
+}
+
+#[test]
+fn par_kill_sweep_under_transient_faults_is_bit_identical() {
+    kill_sweep(true, Some(transient_plan()));
 }
 
 #[test]
